@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-tdgraph vet-fast test race faults chaos determinism fuzz-smoke check bench benchsim bench-native clean
+.PHONY: all build vet vet-tdgraph vet-fast test race faults chaos determinism fuzz-smoke bench-module loc check bench benchsim bench-native clean
 
 all: check
 
@@ -108,7 +108,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime 10s ./internal/replica
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapFrame$$' -fuzztime 10s ./internal/replica
 
-check: build vet vet-tdgraph race faults chaos
+# benchmark/ is its own module (BENCHMARK.json runs `go run -C benchmark .`),
+# so `go build ./...` at the root never compiles it: a root-module API
+# change that breaks the serving benchmark is only visible here.
+bench-module:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
+# The two sizes ROADMAP tracks: non-test and test Go lines, leaving out
+# the benchmark module and the analyzer's fixture packages.
+LOC_FIND := find . -name '*.go' -not -path './.git/*' -not -path './benchmark/*' -not -path '*/testdata/*'
+
+loc:
+	@echo "non-test Go lines: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
+
+check: build vet vet-tdgraph race faults chaos bench-module
 
 # Paper-figure benchmark sweep (see bench_test.go for the cell list).
 bench:

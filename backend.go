@@ -23,9 +23,12 @@ import (
 type engineBackend interface {
 	// apply mutates the graph by one batch and repairs the states. It may
 	// panic (algorithm or builder code); the Session wraps it in its
-	// recover barrier. The returned result is owned by the caller, the
-	// collector may be nil.
-	apply(batch []Update) (ApplyResult, *stats.Collector, float64)
+	// recover barrier. The returned result is owned by the caller; the
+	// float is the simulated cycle count (zero unless simulating).
+	apply(batch []Update) (ApplyResult, float64)
+	// metrics returns the counters of the last apply, nil before the
+	// first one.
+	metrics() *stats.Collector
 	// snapshot returns the current immutable graph view. The native
 	// backend seals lazily and caches until the next mutation.
 	snapshot() *Snapshot
@@ -55,9 +58,10 @@ type simBackend struct {
 	b     *graph.Builder
 	snap  *graph.Snapshot
 	state []float64
+	col   *stats.Collector
 }
 
-func (sb *simBackend) apply(batch []Update) (ApplyResult, *stats.Collector, float64) {
+func (sb *simBackend) apply(batch []Update) (ApplyResult, float64) {
 	oldG := sb.snap
 	res := sb.b.Apply(batch)
 	newG := sb.b.Snapshot()
@@ -85,17 +89,19 @@ func (sb *simBackend) apply(batch []Update) (ApplyResult, *stats.Collector, floa
 	sys.Process(res)
 	sb.state = rt.S
 	sb.snap = newG
+	sb.col = col
 	var cycles float64
 	if m != nil {
 		cycles = m.Time()
 	}
-	return res, col, cycles
+	return res, cycles
 }
 
-func (sb *simBackend) snapshot() *Snapshot { return sb.snap }
-func (sb *simBackend) numVertices() int    { return sb.b.NumVertices() }
-func (sb *simBackend) numEdges() int       { return sb.b.NumEdges() }
-func (sb *simBackend) states() []float64   { return sb.state }
+func (sb *simBackend) metrics() *stats.Collector { return sb.col }
+func (sb *simBackend) snapshot() *Snapshot       { return sb.snap }
+func (sb *simBackend) numVertices() int          { return sb.b.NumVertices() }
+func (sb *simBackend) numEdges() int             { return sb.b.NumEdges() }
+func (sb *simBackend) states() []float64         { return sb.state }
 
 func (sb *simBackend) recompute() {
 	// Resync first: after a recovered panic the builder holds a
@@ -105,14 +111,17 @@ func (sb *simBackend) recompute() {
 	sb.state = algo.Reference(sb.a, sb.snap)
 }
 
-func (sb *simBackend) padStates() {
-	n := sb.snap.NumVertices
-	if len(sb.state) > n {
-		sb.state = sb.state[:n]
+func (sb *simBackend) padStates() { sb.state = padTo(sb.state, sb.snap.NumVertices) }
+
+// padTo truncates or zero-extends state to exactly n entries.
+func padTo(state []float64, n int) []float64 {
+	if len(state) > n {
+		return state[:n]
 	}
-	for len(sb.state) < n {
-		sb.state = append(sb.state, 0)
+	for len(state) < n {
+		state = append(state, 0)
 	}
+	return state
 }
 
 func (sb *simBackend) close() {}
@@ -120,18 +129,23 @@ func (sb *simBackend) close() {}
 // nativeBackend is the production path: a mutable hybrid store with
 // O(degree) updates, driven by the stateful incremental native engine
 // (monotonic algorithms) or the parallel delta engine over sealed views
-// (accumulative algorithms). No CSR rebuild happens per batch; snapshot()
-// seals on demand and caches until the next mutation.
+// (accumulative algorithms). No CSR rebuild happens per batch, and every
+// view derived from the engine — the sealed snapshot, the monotonic
+// path's state mirror and counter snapshot — follows one rule: stale
+// after a mutation, rebuilt by the first reader. A caller that applies
+// batches and reads nothing (serve.Pipeline) pays for none of them.
 type nativeBackend struct {
 	a     algo.Algorithm
 	cfg   native.Config
 	store *graph.Store
 
-	mono *native.Session      // monotonic path (owns store's state arrays)
+	mono *native.Session       // monotonic path (owns store's state arrays)
 	acc  algo.AccumulativeAlgo // accumulative path
 
-	state  []float64       // cached (mono) or authoritative (acc) states
-	sealed *graph.Snapshot // lazy immutable view, nil after mutation
+	sealed *graph.Snapshot  // lazy immutable view, nil after mutation
+	state  []float64        // mirror of mono's states, or authoritative (acc)
+	col    *stats.Collector // snapshot of mono's counters, nil until the first mutation
+	stale  bool             // mono mutated since state and col were filled
 }
 
 // newNativeBackend builds the backend over st. A nil warm bootstraps the
@@ -167,12 +181,12 @@ func newNativeBackend(a algo.Algorithm, st *graph.Store, warm []float64, opt Ses
 	return nb, nil
 }
 
-func (nb *nativeBackend) apply(batch []Update) (ApplyResult, *stats.Collector, float64) {
+func (nb *nativeBackend) apply(batch []Update) (ApplyResult, float64) {
 	if nb.mono != nil {
-		res := nb.mono.ApplyBatch(batch)
-		nb.sealed = nil
-		nb.state = nb.mono.StatesInto(nb.state)
-		return cloneResult(res), nb.mono.Metrics(), 0
+		// Marked before the engine runs, so a panic mid-batch still
+		// leaves the views stale for healAfterPanic.
+		nb.sealed, nb.stale = nil, true
+		return cloneResult(nb.mono.ApplyBatch(batch)), 0
 	}
 	// Accumulative repair needs the pre-batch out-edges to cancel old
 	// contributions, so seal before mutating.
@@ -181,7 +195,18 @@ func (nb *nativeBackend) apply(batch []Update) (ApplyResult, *stats.Collector, f
 	nb.sealed = nil
 	newG := nb.snapshot()
 	nb.state = native.Accumulative(nb.acc, oldG, newG, nb.state, res, nb.cfg)
-	return cloneResult(res), nil, 0
+	return cloneResult(res), 0
+}
+
+// refresh refills the monotonic path's derived views if a mutation
+// outdated them. The state buffer is reused, so a slice handed out by
+// states() stays valid exactly until the next mutation's first read.
+func (nb *nativeBackend) refresh() {
+	if nb.stale {
+		nb.state = nb.mono.StatesInto(nb.state)
+		nb.col = nb.mono.Metrics()
+		nb.stale = false
+	}
 }
 
 func (nb *nativeBackend) snapshot() *Snapshot {
@@ -191,27 +216,31 @@ func (nb *nativeBackend) snapshot() *Snapshot {
 	return nb.sealed
 }
 
-func (nb *nativeBackend) numVertices() int  { return nb.store.NumVertices() }
-func (nb *nativeBackend) numEdges() int     { return nb.store.NumEdges() }
-func (nb *nativeBackend) states() []float64 { return nb.state }
+func (nb *nativeBackend) numVertices() int { return nb.store.NumVertices() }
+func (nb *nativeBackend) numEdges() int    { return nb.store.NumEdges() }
+
+func (nb *nativeBackend) states() []float64 {
+	nb.refresh()
+	return nb.state
+}
+
+func (nb *nativeBackend) metrics() *stats.Collector {
+	nb.refresh()
+	return nb.col
+}
 
 func (nb *nativeBackend) recompute() {
 	if nb.mono != nil {
+		nb.stale = true
 		nb.mono.Recompute()
-		nb.state = nb.mono.StatesInto(nb.state)
 		return
 	}
 	nb.state = algo.Reference(nb.a, nb.snapshot())
 }
 
 func (nb *nativeBackend) padStates() {
-	n := nb.store.NumVertices()
-	if len(nb.state) > n {
-		nb.state = nb.state[:n]
-	}
-	for len(nb.state) < n {
-		nb.state = append(nb.state, 0)
-	}
+	nb.refresh() // copies raw state words; runs no algorithm code
+	nb.state = padTo(nb.state, nb.store.NumVertices())
 }
 
 func (nb *nativeBackend) close() {

@@ -13,18 +13,12 @@
 //	tdgraph-serve -wal ./wal -walsync interval:8 -admit shed -queue 32
 //	tdgraph-serve -wal ./wal -engine native -algo sssp   # incremental native engine
 //
-// Replicated serving: start followers first, then the primary. Every
-// acknowledged batch is fsynced on a quorum before Ingest returns, so
-// killing the primary loses nothing acknowledged — promote the most
-// advanced follower and keep serving.
-//
-//	tdgraph-serve -role follower -listen :7401 -wal ./f1-wal -dataset AZ -seed 1
-//	tdgraph-serve -role primary  -peers localhost:7401 -wal ./p-wal -dataset AZ -seed 1
-//
 // Self-driving cluster: start each member with -role auto and the
 // full peer ring; the members elect a leader among themselves, detect
-// its death by missed heartbeats, elect a successor, and rejoin (or
-// reseed) deposed members — no operator in the loop. Drive traffic
+// its death by missed heartbeats, elect a successor at a higher term,
+// and rejoin (or reseed) deposed members — no operator in the loop.
+// Every acknowledged batch is fsynced on a quorum before it is acked,
+// so kill -9 of the leader loses nothing acknowledged. Drive traffic
 // from outside with -role client, which follows redirect hints across
 // failovers:
 //
@@ -32,6 +26,9 @@
 //	tdgraph-serve -role auto -listen :7402 -peers localhost:7401,localhost:7403 -wal ./b-wal -dataset AZ -seed 1
 //	tdgraph-serve -role auto -listen :7403 -peers localhost:7401,localhost:7402 -wal ./c-wal -dataset AZ -seed 1
 //	tdgraph-serve -role client -peers localhost:7401,localhost:7402,localhost:7403 -dataset AZ -seed 1
+//
+// -role is exactly solo | auto | client: solo is the single-node
+// service above, auto is the only way to run a cluster member.
 //
 // SIGINT/SIGTERM begin a graceful drain: admission stops, queued
 // batches are made durable, the WAL is flushed and a final checkpoint
@@ -94,19 +91,18 @@ func main() {
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine")
 		verbose  = flag.Bool("v", false, "log supervisor events (restarts, shedding, poisonings)")
 
-		role      = flag.String("role", "solo", "replication role: solo | primary | follower | auto | client")
-		peers     = flag.String("peers", "", "primary/auto: other members' addresses; client: cluster addresses to try")
-		listen    = flag.String("listen", "", "follower/auto: address to accept cluster connections on")
+		role      = flag.String("role", "solo", "how to run: solo (single node) | auto (self-driving cluster member) | client (submit to a cluster)")
+		peers     = flag.String("peers", "", "auto: the other members' addresses; client: cluster addresses to try (comma-separated)")
+		listen    = flag.String("listen", "", "auto: address to accept cluster connections on (required)")
 		advertise = flag.String("advertise", "", "auto: address peers dial this node by (default -listen)")
-		quorum    = flag.Int("quorum", 0, "primary/auto: required acks counting itself (0 = majority of cluster)")
+		quorum    = flag.Int("quorum", 0, "auto: required acks counting the leader itself (0 = majority of cluster)")
 	)
 	flag.Parse()
 
+	if err := validateRole(*role, *walDir, *listen, *peers); err != nil {
+		fatal(err)
+	}
 	if *role != "client" {
-		// A client holds no durable state of its own — the cluster does.
-		if *walDir == "" {
-			fatal(errors.New("-wal is required: the WAL directory is what makes the run durable"))
-		}
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {
 			fatal(err)
 		}
@@ -169,6 +165,14 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges; warmup %d edges; %d batches of %d updates\n",
 		nv, len(edges), len(w.Warmup), len(w.Batches), bs)
 
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
+	if *role == "client" {
+		runClient(ctx, *peers, *seed, *deadline, w.Batches, *verbose)
+		return
+	}
+
 	walFS := wal.FS(wal.OSFS{})
 	if *faults != "" {
 		inj, err := fault.Parse(*faults, *seed)
@@ -188,7 +192,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown engine %q (sim|native)", *engName))
 	}
-	col := stats.NewCollector()
 	cfg := serve.ServerConfig{
 		Pipeline: serve.PipelineConfig{
 			Bootstrap: func() (*tdgraph.Session, error) {
@@ -208,7 +211,7 @@ func main() {
 			CheckpointPath:  *ckptPath,
 			CheckpointKeep:  *ckptKeep,
 			CheckpointEvery: *ckptEvery,
-			Collector:       col,
+			Collector:       stats.NewCollector(),
 			DiskLowWater:    uint64(*diskLow),
 		},
 		Queue: serve.QueueConfig{
@@ -222,17 +225,11 @@ func main() {
 		cfg.OnEvent = func(line string) { fmt.Println("serve:", line) }
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	if *role == "client" {
-		runClient(ctx, *peers, *seed, *deadline, w.Batches, *verbose)
-		return
-	}
 	if *role == "auto" {
 		if cfg.Pipeline.CheckpointPath == "" {
-			// Same default as -role follower: auto-reseed needs somewhere
-			// durable to install a shipped snapshot.
+			// Auto-reseed installs the shipped checkpoint file; without a
+			// checkpoint path there is nowhere durable to put it and the
+			// member would refuse snapshot offers.
 			cfg.Pipeline.CheckpointPath = filepath.Join(*walDir, "ckpt.tds")
 			fmt.Printf("auto: -ckpt not set; defaulting to %s so auto-reseed can install snapshots\n",
 				cfg.Pipeline.CheckpointPath)
@@ -241,96 +238,10 @@ func main() {
 		return
 	}
 
-	if *role == "follower" {
-		if cfg.Pipeline.CheckpointPath == "" {
-			// Auto-reseed installs the shipped checkpoint file; without a
-			// checkpoint path there is nowhere durable to put it and the
-			// follower would refuse snapshot offers.
-			cfg.Pipeline.CheckpointPath = filepath.Join(*walDir, "ckpt.tds")
-			fmt.Printf("follower: -ckpt not set; defaulting to %s so auto-reseed can install snapshots\n",
-				cfg.Pipeline.CheckpointPath)
-		}
-		runFollower(ctx, cfg.Pipeline, *listen, *verbose)
-		return
-	}
-
-	var prim *replica.Primary
-	if *role == "primary" {
-		var peerList []string
-		if *peers != "" {
-			peerList = strings.Split(*peers, ",")
-		}
-		// Claim a fresh term durably before shipping anything — and claim
-		// it *uniquely*: probe every follower for the highest term it has
-		// adopted and take strictly more than any of them (and our own
-		// stored one). A deposed primary restarting here therefore cannot
-		// re-claim a term its successor already serves under; it either
-		// supersedes the whole cluster or is fenced, never tied.
-		prev, err := replica.LoadTermState(walFS, *walDir)
-		if err != nil {
-			fatal(err)
-		}
-		maxTerm := prev.Term
-		conns := make([]net.Conn, len(peerList))
-		for i, addr := range peerList {
-			conn, err := net.Dial("tcp", strings.TrimSpace(addr))
-			if err != nil {
-				fatal(fmt.Errorf("dialing follower %s: %w", addr, err))
-			}
-			conns[i] = conn
-			t, _, err := replica.ProbeState(conn, 5*time.Second)
-			if err != nil {
-				fatal(fmt.Errorf("probing follower %s: %w", addr, err))
-			}
-			if t > maxTerm {
-				maxTerm = t
-			}
-		}
-		term := maxTerm + 1
-		if _, err := replica.ClaimTerm(cfg.Pipeline.WAL, term); err != nil {
-			fatal(err)
-		}
-		pcfg := replica.PrimaryConfig{
-			Term:        term,
-			ClusterSize: 1 + len(peerList),
-			Quorum:      *quorum,
-			WAL:         cfg.Pipeline.WAL,
-			Collector:   col,
-		}
-		if *ckptPath != "" {
-			// With checkpoints, a diverged or behind-retention follower is
-			// reseeded from the newest generation instead of refused, and
-			// WAL retention advances past shipped checkpoints (bounded by
-			// the slowest live follower's ack).
-			pcfg.Snapshots = serve.NewSnapshotSource(*ckptPath, *ckptKeep)
-		}
-		if *verbose {
-			pcfg.OnEvent = func(line string) { fmt.Println("repl:", line) }
-		}
-		prim = replica.NewPrimary(pcfg)
-		for i, conn := range conns {
-			if err := prim.AddFollower(conn); err != nil {
-				fatal(fmt.Errorf("attaching follower %s: %w", peerList[i], err))
-			}
-		}
-		cfg.Pipeline.Replicator = prim
-		q := *quorum
-		if q <= 0 {
-			q = pcfg.ClusterSize/2 + 1
-		}
-		fmt.Printf("primary: term %d, %d followers, quorum %d of %d\n",
-			term, prim.Followers(), q, pcfg.ClusterSize)
-	} else if *role != "solo" {
-		fatal(fmt.Errorf("unknown role %q (solo|primary|follower)", *role))
-	}
-
 	srv := serve.NewServer(cfg)
 	start := time.Now()
 	runErr := srv.Run(ctx, serve.NewSliceSource(w.Batches))
 	wall := time.Since(start)
-	if prim != nil {
-		prim.Close()
-	}
 
 	if p := srv.Pipeline(); p != nil {
 		col := srv.Collector()
@@ -346,13 +257,7 @@ func main() {
 		fmt.Printf("  supervisor: restarts=%d poisoned=%d checkpoints=%d rejected=%d\n",
 			col.Get(stats.CtrServeRestarts), col.Get(stats.CtrServePoisoned),
 			col.Get(stats.CtrServeCheckpoints), col.Get(stats.CtrServeRejected))
-		fmt.Printf("  overload: slo-shed=%d slo-coalesced=%d deadline-expired=%d disk-rejects=%d readonly-entries=%d readonly-exits=%d\n",
-			col.Get(stats.CtrQueueShedSLO), col.Get(stats.CtrQueueCoalescedSLO),
-			col.Get(stats.CtrServeDeadlineExpired), col.Get(stats.CtrServeDiskPressure),
-			col.Get(stats.CtrServeReadonlyEntries), col.Get(stats.CtrServeReadonlyExits))
-		if prim != nil {
-			printReplStats(col, prim.Term())
-		}
+		printOverloadStats(col)
 		s := p.Session()
 		fmt.Printf("  session: %d vertices, %d edges\n", s.NumVertices(), s.NumEdges())
 	}
@@ -362,6 +267,41 @@ func main() {
 	if runErr != nil {
 		fatal(runErr)
 	}
+}
+
+// validateRole checks -role and the flags each role cannot run without,
+// so a bad invocation fails before any graph is loaded or generated.
+func validateRole(role, walDir, listen, peers string) error {
+	switch role {
+	case "solo", "auto", "client":
+	case "primary", "follower":
+		return fmt.Errorf("-role %s is retired: run every cluster member with -role auto (the members elect a leader themselves)", role)
+	default:
+		return fmt.Errorf("unknown role %q (solo|auto|client)", role)
+	}
+	if role == "client" {
+		// A client holds no durable state of its own — the cluster does.
+		if len(splitAddrs(peers)) == 0 {
+			return errors.New("-peers is required for -role client: the cluster addresses to submit to")
+		}
+		return nil
+	}
+	if walDir == "" {
+		return errors.New("-wal is required: the WAL directory is what makes the run durable")
+	}
+	if role == "auto" && listen == "" {
+		return errors.New("-listen is required for -role auto")
+	}
+	return nil
+}
+
+// printOverloadStats is the one place the overload-ladder counters are
+// rendered; solo and auto runs both end with it.
+func printOverloadStats(col *stats.Collector) {
+	fmt.Printf("  overload: slo-shed=%d slo-coalesced=%d deadline-expired=%d disk-rejects=%d readonly-entries=%d readonly-exits=%d\n",
+		col.Get(stats.CtrQueueShedSLO), col.Get(stats.CtrQueueCoalescedSLO),
+		col.Get(stats.CtrServeDeadlineExpired), col.Get(stats.CtrServeDiskPressure),
+		col.Get(stats.CtrServeReadonlyEntries), col.Get(stats.CtrServeReadonlyExits))
 }
 
 func printReplStats(col *stats.Collector, term uint64) {
@@ -380,10 +320,7 @@ func printReplStats(col *stats.Collector, term uint64) {
 		col.Get(stats.CtrReplHeartbeatsSent), col.Get(stats.CtrReplHeartbeatsMissed),
 		col.Get(stats.CtrReplElections), col.Get(stats.CtrReplDemotions),
 		col.Get(stats.CtrReplRedirects))
-	fmt.Printf("  overload: slo-shed=%d deadline-expired=%d disk-rejects=%d readonly-entries=%d readonly-exits=%d\n",
-		col.Get(stats.CtrQueueShedSLO), col.Get(stats.CtrServeDeadlineExpired),
-		col.Get(stats.CtrServeDiskPressure), col.Get(stats.CtrServeReadonlyEntries),
-		col.Get(stats.CtrServeReadonlyExits))
+	printOverloadStats(col)
 }
 
 // runAuto runs one self-driving cluster member: a replica.Node whose
@@ -394,9 +331,6 @@ func printReplStats(col *stats.Collector, term uint64) {
 // with the same -peers ring (minus itself) and point -role client at
 // any of them.
 func runAuto(ctx context.Context, pcfg serve.PipelineConfig, listen, advertise, peers string, quorum int, slo time.Duration, verbose bool) {
-	if listen == "" {
-		fatal(errors.New("-listen is required for -role auto"))
-	}
 	if advertise == "" {
 		advertise = listen
 	}
@@ -453,11 +387,7 @@ func runAuto(ctx context.Context, pcfg serve.PipelineConfig, listen, advertise, 
 // (and ack) names the durable prefix, and the client resubmits only
 // past it.
 func runClient(ctx context.Context, peers string, seed int64, deadline time.Duration, batches [][]graph.Update, verbose bool) {
-	nodes := splitAddrs(peers)
-	if len(nodes) == 0 {
-		fatal(errors.New("-peers is required for -role client: the cluster addresses to submit to"))
-	}
-	ccfg := replica.ClientConfig{Nodes: nodes, Dial: dialTCP, Seed: seed, BatchDeadline: deadline}
+	ccfg := replica.ClientConfig{Nodes: splitAddrs(peers), Dial: dialTCP, Seed: seed, BatchDeadline: deadline}
 	if verbose {
 		ccfg.OnEvent = func(line string) { fmt.Println("client:", line) }
 	}
@@ -486,59 +416,6 @@ func splitAddrs(list string) []string {
 
 func dialTCP(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, 5*time.Second)
-}
-
-// runFollower serves replication sessions until the context is
-// cancelled: accept the primary's connection, apply-and-ack every
-// record through the durable pipeline, and loop so a restarted (or
-// newly elected) primary can reconnect. Recovery is the pipeline's
-// ordinary checkpoint-plus-WAL-replay; the stored term fences deposed
-// primaries.
-func runFollower(ctx context.Context, pcfg serve.PipelineConfig, listen string, verbose bool) {
-	if listen == "" {
-		fatal(errors.New("-listen is required for -role follower"))
-	}
-	fcfg := replica.FollowerConfig{Pipeline: pcfg}
-	if verbose {
-		fcfg.OnEvent = func(line string) { fmt.Println("repl:", line) }
-	}
-	fl, err := replica.NewFollower(fcfg)
-	if err != nil {
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		fatal(err)
-	}
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-	fmt.Printf("follower: recovered to seq %d at term %d, listening on %s\n",
-		fl.Seq(), fl.Term(), ln.Addr())
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				break // graceful shutdown closed the listener
-			}
-			fatal(err)
-		}
-		if err := fl.Serve(conn); err != nil {
-			fmt.Println("follower: session ended:", err)
-		}
-		conn.Close()
-	}
-	p := fl.Pipeline()
-	closeErr := p.Close() // publishes the final WAL counters
-	col := p.Collector()
-	fmt.Printf("\nfollower drained at seq %d\n", fl.Seq())
-	fmt.Printf("  wal: appends=%d fsyncs=%d replayed=%d\n",
-		col.Get(stats.CtrWALAppends), col.Get(stats.CtrWALFsyncs), col.Get(stats.CtrWALReplayed))
-	printReplStats(col, fl.Term())
-	if closeErr != nil {
-		fatal(closeErr)
-	}
 }
 
 func fatal(err error) {

@@ -90,6 +90,15 @@ func TestNativeEngineMatchesSim(t *testing.T) {
 					t.Fatalf("batch %d: graph shape diverges", batch)
 				}
 			}
+			// Recompute outdates the native state mirror like a batch does.
+			nat.States()[1] = -1
+			nat.Recompute()
+			if v := bitsIdentical(sim.States(), nat.States()); v >= 0 {
+				t.Fatalf("states stale after Recompute at vertex %d", v)
+			}
+			if m := nat.Metrics(); algName == "sssp" && (m == nil || m.Get(stats.CtrPropagationVisits) == 0) {
+				t.Fatal("native session reports no propagation counters")
+			}
 			// The sealed view must carry the same edges as the builder's
 			// snapshot, sorted identically.
 			gs, gn := sim.Graph(), nat.Graph()
@@ -138,6 +147,13 @@ func TestNativeEngineCheckpointCrossEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer asNative.Close()
+	// The save ran straight after five batches with no read in between,
+	// so it is what refilled the state mirror: check it against the
+	// from-scratch oracle, not only against the session that wrote it.
+	want := algo.Reference(algo.MonotonicAlgo(tdgraph.NewSSSP(0)), asSim.Graph())
+	if v := bitsIdentical(asSim.States(), want); v >= 0 {
+		t.Fatalf("checkpoint saved after unread batches diverges from the oracle at vertex %d", v)
+	}
 	if v := bitsIdentical(src.States(), asSim.States()); v >= 0 {
 		t.Fatalf("native→sim restore diverges at vertex %d", v)
 	}

@@ -102,7 +102,6 @@ func TestExperimentsRegistered(t *testing.T) {
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
 		"fig24a", "fig24b", "table3", "benchsim", "benchnative", "robust",
-		"durable", "replicated", "reseed",
 	}
 	for _, id := range want {
 		if _, ok := bench.ByID(id); !ok {

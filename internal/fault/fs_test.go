@@ -81,6 +81,21 @@ func TestFaultFSDiskFull(t *testing.T) {
 	if !errors.Is(ferr, ErrInjected) {
 		t.Fatalf("error lost the injected sentinel: %v", ferr)
 	}
+	recoversDurablePrefix(t, dir, l.DurableSeq())
+}
+
+// recoversDurablePrefix reboots the log on the clean filesystem: every
+// batch that was durable before the fault struck must still be there.
+func recoversDurablePrefix(t *testing.T, dir string, durable uint64) {
+	t.Helper()
+	l, _, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer l.Close()
+	if l.LastSeq() < durable {
+		t.Fatalf("durable seq %d lost: recovered only to %d", durable, l.LastSeq())
+	}
 }
 
 func TestFaultFSFsyncErr(t *testing.T) {
@@ -104,6 +119,7 @@ func TestFaultFSFsyncErr(t *testing.T) {
 	if l.DurableSeq() != 1 {
 		t.Fatalf("durable=%d after failed fsync, want 1", l.DurableSeq())
 	}
+	recoversDurablePrefix(t, dir, 1)
 }
 
 func TestCorruptSegment(t *testing.T) {
@@ -117,6 +133,50 @@ func TestCorruptSegment(t *testing.T) {
 	// Disarmed: untouched copy.
 	if got := New(3).CorruptSegment(data); len(got) != 100 {
 		t.Fatalf("disarmed CorruptSegment changed length to %d", len(got))
+	}
+
+	// On a real sealed log the dropped tail is a torn tail: recovery
+	// truncates to the last whole record and replays exactly that many.
+	dir := t.TempDir()
+	l, _, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncEachBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	for seq := uint64(1); seq <= n; seq++ {
+		if err := l.Append(seq, walBatch(int64(seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := wal.OSFS{}.List(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("listing segments: %v (%d found)", err, len(segs))
+	}
+	last := filepath.Join(dir, segs[len(segs)-1])
+	sealed, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, in.CorruptSegment(sealed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery over a torn tail: %v", err)
+	}
+	defer l2.Close()
+	if !rec.Repaired() || rec.LastSeq >= n {
+		t.Fatalf("recovery %+v, want a repaired tail short of seq %d", rec, n)
+	}
+	replayed := uint64(0)
+	if err := l2.Replay(1, func(uint64, []graph.Update) error { replayed++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if replayed != rec.LastSeq {
+		t.Fatalf("replayed %d records, recovery says %d", replayed, rec.LastSeq)
 	}
 }
 

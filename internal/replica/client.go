@@ -165,6 +165,12 @@ func (c *Client) Run(ctx context.Context, batches [][]graph.Update) error {
 			return nil, io.EOF
 		}
 		if err := c.submit(ctx, uint64(i+1), batches[i]); err != nil {
+			if errors.Is(err, io.EOF) {
+				// A node that dies between frames (kill -9: the kernel
+				// closes its sockets) reads as a bare io.EOF, which the
+				// retry layer would take for the end of the stream.
+				err = fmt.Errorf("replica: client: connection closed awaiting batch %d: %w", i+1, io.ErrUnexpectedEOF)
+			}
 			return nil, err
 		}
 		b := batches[i]

@@ -125,10 +125,11 @@ func TestDivergedFollowerRejected(t *testing.T) {
 	psideP, fsideP := net.Pipe()
 	probeDone := make(chan error, 1)
 	go func() { probeDone <- fa.Serve(fsideP) }()
-	probedTerm, probedSeq, err := ProbeState(psideP, time.Second)
+	probed, err := Probe(psideP, time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	probedTerm, probedSeq := probed.Term, probed.Seq
 	if probedTerm != 2 || probedSeq != 3 {
 		t.Fatalf("probe = term %d seq %d, want term 2 seq 3", probedTerm, probedSeq)
 	}

@@ -53,9 +53,10 @@ func (f *chaosNet) register(addr string, n *Node) {
 }
 
 // dialerFor returns the Dial function for one member: connections fail
-// when either endpoint is isolated or the target is gone, and both
-// ends are tracked so severing an address cuts every connection it
-// touches.
+// when either endpoint is isolated or the target is gone, and each
+// endpoint's own end is tracked, so severing an address closes its
+// side of every connection it touches — what a killed process's kernel
+// does, and what its peers then read as a bare io.EOF.
 func (f *chaosNet) dialerFor(src string) func(addr string) (net.Conn, error) {
 	return func(addr string) (net.Conn, error) {
 		f.mu.Lock()
@@ -73,7 +74,7 @@ func (f *chaosNet) dialerFor(src string) func(addr string) (net.Conn, error) {
 		}
 		f.mu.Lock()
 		f.conns[src] = append(f.conns[src], a)
-		f.conns[addr] = append(f.conns[addr], a)
+		f.conns[addr] = append(f.conns[addr], server)
 		f.mu.Unlock()
 		go n.HandleConn(server)
 		return a, nil

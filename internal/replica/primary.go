@@ -390,16 +390,6 @@ func Probe(conn net.Conn, timeout time.Duration, clock serve.Clock) (PeerState, 
 	return PeerState{Term: f.Term, Seq: f.Seq, Orig: f.Orig, Leader: string(f.Payload)}, nil
 }
 
-// ProbeState is Probe reduced to the term-discovery pair a starting
-// primary needs.
-func ProbeState(conn net.Conn, timeout time.Duration) (term, seq uint64, err error) {
-	st, err := Probe(conn, timeout, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	return st.Term, st.Seq, nil
-}
-
 // Replicate ships the batch at seq to every live follower — catching
 // up any that lag from the WAL first — and succeeds once a quorum
 // (counting this primary) holds it durably. Called by the pipeline

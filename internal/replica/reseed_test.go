@@ -35,7 +35,7 @@ func makeSnapshot(t *testing.T, w *stream.Workload, n int) (uint64, []byte, []by
 	if err := pipe.Close(); err != nil { // the final checkpoint covers seq n
 		t.Fatal(err)
 	}
-	seq, meta, data, err := serve.NewSnapshotSource(cfg.CheckpointPath, 0).NewestSnapshot()
+	seq, meta, data, err := pipe.SnapshotSource().NewestSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/stats"
-	"github.com/tdgraph/tdgraph/internal/stream"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
@@ -251,7 +250,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 
 	// Rung 3: replay every durable batch the checkpoint doesn't cover.
 	err = l.Replay(p.seq.Load()+1, func(seq uint64, batch []graph.Update) error {
-		p.applyLogged(seq, batch)
+		p.applyLogged(batch)
 		p.col.Inc(stats.CtrWALReplayed)
 		return nil
 	})
@@ -288,22 +287,16 @@ func (p *Pipeline) WALOptions() wal.Options { return p.cfg.WAL }
 // recovered panics (the session self-heals) — are absorbed and
 // counted, exactly as the live path absorbs them, so a recovered
 // pipeline converges to the same states as an uninterrupted one.
-func (p *Pipeline) applyLogged(seq uint64, batch []graph.Update) {
+func (p *Pipeline) applyLogged(batch []graph.Update) {
 	_, err := p.sess.ApplyBatch(batch)
 	if err == nil {
 		return
 	}
 	var pe *tdgraph.PanicError
-	var ve *stream.ValidationError
-	switch {
-	case errors.As(err, &pe):
-		// Self-healed inside the session; the counters already track it.
-	case errors.As(err, &ve):
-		p.col.Inc(stats.CtrServeRejected)
-	default:
-		p.col.Inc(stats.CtrServeRejected)
+	if errors.As(err, &pe) {
+		return // self-healed inside the session; the counters already track it
 	}
-	_ = seq
+	p.col.Inc(stats.CtrServeRejected)
 }
 
 // Ingest makes one batch durable and applies it: WAL append (fsync per
@@ -467,7 +460,7 @@ func (p *Pipeline) IngestReplicated(seq uint64, batch []graph.Update) error {
 // applyIngested is the shared post-durability half of Ingest and
 // IngestReplicated: apply, count, periodic checkpoint.
 func (p *Pipeline) applyIngested(seq uint64, batch []graph.Update) error {
-	p.applyLogged(seq, batch)
+	p.applyLogged(batch)
 	p.col.Inc(stats.CtrServeIngested)
 
 	if p.ck != nil && p.cfg.CheckpointEvery > 0 {

@@ -7,18 +7,11 @@ import (
 // SnapshotSource reads the newest shippable checkpoint generation for
 // follower reseeds. It satisfies the replica layer's SnapshotSource
 // interface structurally (serve never imports the transport), and it
-// reads straight from the rotating generation files, so it works both
-// before the pipeline is open — the primary attaches followers first —
-// and while the pipeline keeps cutting new generations underneath it:
-// each NewestSnapshot call re-resolves the newest valid pair.
+// reads straight from the rotating generation files, so it keeps
+// working while the pipeline cuts new generations underneath it: each
+// NewestSnapshot call re-resolves the newest valid pair.
 type SnapshotSource struct {
 	ck *tdgraph.Checkpointer
-}
-
-// NewSnapshotSource returns a source over the rotating checkpoint
-// generations rooted at path (keep <= 0 means the default retention).
-func NewSnapshotSource(path string, keep int) *SnapshotSource {
-	return &SnapshotSource{ck: &tdgraph.Checkpointer{Path: path, Keep: keep}}
 }
 
 // SnapshotSource returns a source over this pipeline's own checkpoint

@@ -161,37 +161,56 @@ func (p *alwaysPanicAlgo) Propagate(srcVal float64, w float32) float64 {
 // session keeps a shape-consistent state vector.
 func TestSessionPanicInHeal(t *testing.T) {
 	edges, nv := sessionEdges()
-	pa := &alwaysPanicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
-	s, err := tdgraph.NewSession(pa, edges, nv, tdgraph.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa.armed = true
-	_, err = s.ApplyBatch([]tdgraph.Update{
-		{Edge: tdgraph.Edge{Src: 0, Dst: 7, Weight: 1}},
-	})
-	var perr *tdgraph.PanicError
-	if !errors.As(err, &perr) {
-		t.Fatalf("want *PanicError, got %T %v", err, err)
-	}
-	if len(s.States()) != s.NumVertices() {
-		t.Fatalf("state vector shape broken: %d states for %d vertices",
-			len(s.States()), s.NumVertices())
+	for _, opt := range []tdgraph.SessionOptions{{}, nativeOneWorker} {
+		pa := &alwaysPanicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
+		s, err := tdgraph.NewSession(pa, edges, nv, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa.armed = true
+		// Dst is a new vertex, so the heal must also grow the vector.
+		_, err = s.ApplyBatch([]tdgraph.Update{
+			{Edge: tdgraph.Edge{Src: 0, Dst: tdgraph.VertexID(nv), Weight: 1}},
+		})
+		var perr *tdgraph.PanicError
+		if !errors.As(err, &perr) {
+			t.Fatalf("engine %d: want *PanicError, got %T %v", opt.Engine, err, err)
+		}
+		if len(s.States()) != s.NumVertices() {
+			t.Fatalf("engine %d: state vector shape broken: %d states for %d vertices",
+				opt.Engine, len(s.States()), s.NumVertices())
+		}
+		s.Close()
 	}
 }
+
+// nativeOneWorker re-runs a robustness story on the native backend,
+// whose state vector is a lazily refreshed mirror of the engine's. One
+// worker keeps injected panics on the calling goroutine.
+var nativeOneWorker = tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 1}
 
 // TestSessionDivergenceDegradation corrupts converged states with the
 // injector and verifies the audit detects it and CheckAndRepair degrades
 // to a recompute whose result matches the reference.
 func TestSessionDivergenceDegradation(t *testing.T) {
 	edges, nv := sessionEdges()
-	for _, mk := range []func() tdgraph.Algorithm{
-		func() tdgraph.Algorithm { return tdgraph.NewSSSP(0) },
-		func() tdgraph.Algorithm { return tdgraph.NewPageRank() },
+	for _, c := range []struct {
+		a   tdgraph.Algorithm
+		opt tdgraph.SessionOptions
+	}{
+		{tdgraph.NewSSSP(0), tdgraph.SessionOptions{}},
+		{tdgraph.NewPageRank(), tdgraph.SessionOptions{}},
+		{tdgraph.NewSSSP(0), nativeOneWorker},
 	} {
-		a := mk()
-		s, err := tdgraph.NewSession(a, edges, nv, tdgraph.SessionOptions{})
+		a := c.a
+		s, err := tdgraph.NewSession(a, edges, nv, c.opt)
 		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		// A batch first: the native mirror must be refilled before the
+		// injector corrupts it, and again after the repair's recompute.
+		if _, err := s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 0, Dst: 42, Weight: 2}}}); err != nil {
 			t.Fatal(err)
 		}
 		if v, ok := s.Audit(); !ok {

@@ -147,8 +147,7 @@ type Session struct {
 	validator *stream.Validator
 	rob       *stats.Collector
 
-	lastMetrics *stats.Collector
-	lastCycles  float64
+	lastCycles float64
 
 	closed bool
 }
@@ -262,7 +261,7 @@ func (s *Session) Graph() *Snapshot { return s.eng.snapshot() }
 // Metrics returns the metric collector of the last ApplyBatch (nil before
 // the first batch). Simulated sessions additionally expose cycle counts
 // via LastCycles.
-func (s *Session) Metrics() *stats.Collector { return s.lastMetrics }
+func (s *Session) Metrics() *stats.Collector { return s.eng.metrics() }
 
 // LastCycles returns the simulated cycle count of the last batch (zero in
 // functional mode).
@@ -321,12 +320,8 @@ func (s *Session) applyBatchProtected(batch []Update) (res ApplyResult, err erro
 		}
 	}()
 
-	var col *stats.Collector
 	var cycles float64
-	res, col, cycles = s.eng.apply(batch)
-	if col != nil {
-		s.lastMetrics = col
-	}
+	res, cycles = s.eng.apply(batch)
 	if s.opt.Simulate {
 		s.lastCycles = cycles
 	}
