@@ -99,12 +99,14 @@ determinism:
 
 # Short native-fuzz smoke over the binary decoders (one -fuzz target
 # per invocation is a `go test` restriction): checkpoint loader, SNAP
-# loader, WAL record/segment decoder, replication frame codec, and the
+# loader, WAL record/segment decoder, recovery-vs-tailer agreement over
+# mutated segment sets, replication frame codec, and the
 # snapshot-transfer offer/chunk framing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionLoad$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSNAP$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReaders$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime 10s ./internal/replica
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapFrame$$' -fuzztime 10s ./internal/replica
 

@@ -107,23 +107,22 @@ func TestErrorWrappingContracts(t *testing.T) {
 			is:   []error{serve.ErrSourceGivenUp, cause},
 		},
 		{
+			// The next two are what Primary.Ingest returns beside a
+			// LoggedNotQuorum outcome (the outcome values themselves are
+			// pinned by TestQuorumLostHaltsPrimary): the quorum round's own
+			// error, unwrapped by any stage label.
 			name: "stale term fences through the replicate stage",
-			err: &serve.IngestError{Seq: 11, Stage: "replicate",
-				Err: fmt.Errorf("shipping: %w", replica.ErrStaleTerm)},
-			is: []error{replica.ErrStaleTerm, serve.ErrFenced},
-			as: func(err error) bool {
-				var ie *serve.IngestError
-				return errors.As(err, &ie) && ie.Durable() && ie.Stage == "replicate"
-			},
+			err:  fmt.Errorf("%w: follower moved to term 3, ours is 2", replica.ErrStaleTerm),
+			is:   []error{replica.ErrStaleTerm, serve.ErrFenced},
 		},
 		{
 			name: "quorum loss is durable-class but not fencing",
-			err: &serve.IngestError{Seq: 12, Stage: "replicate",
-				Err: fmt.Errorf("%w: 1 of 2 acks", replica.ErrQuorumLost)},
-			is: []error{replica.ErrQuorumLost},
+			err:  fmt.Errorf("%w: 1 of 2 required acks for seq 12", replica.ErrQuorumLost),
+			is:   []error{replica.ErrQuorumLost},
 			as: func(err error) bool {
-				// A quorum failure must NOT read as a fencing: the operator
-				// response differs (wait/repair vs never serve again).
+				// A quorum failure must NOT read as a fencing: the leader
+				// strands its tail and steps down either way, but only a
+				// fencing names a successor term in the event trail.
 				return !errors.Is(err, serve.ErrFenced)
 			},
 		},
@@ -216,17 +215,14 @@ func TestErrorWrappingContracts(t *testing.T) {
 		},
 		{
 			name: "deadline expiry keeps its stage through the ingest chain",
-			err: &serve.IngestError{Seq: 14, Stage: "replicate",
-				Err: fmt.Errorf("2 of 3 acks when the batch deadline expired: %w",
-					serve.NewDeadlineError("replicate"))},
+			err: fmt.Errorf("replica: 2 of 3 acks for seq 14 when the batch deadline expired: %w",
+				serve.NewDeadlineError("replicate")),
 			is: []error{serve.ErrDeadline},
 			as: func(err error) bool {
 				var de *serve.DeadlineError
-				var ie *serve.IngestError
 				// Retryable by design: a deadline is a budget event, never a
 				// fencing or a quorum-health verdict.
 				return errors.As(err, &de) && de.Stage == "replicate" &&
-					errors.As(err, &ie) && ie.Durable() &&
 					!errors.Is(err, serve.ErrFenced) &&
 					!errors.Is(err, replica.ErrQuorumLost)
 			},

@@ -263,3 +263,13 @@ func pathHasSuffix(path, pkg string) bool {
 	}
 	return strings.HasPrefix(path, pkg+"/")
 }
+
+// pathHasAnySuffix is pathHasSuffix over a package set.
+func pathHasAnySuffix(path string, pkgs []string) bool {
+	for _, p := range pkgs {
+		if pathHasSuffix(path, p) {
+			return true
+		}
+	}
+	return false
+}

@@ -6,26 +6,11 @@ import (
 	"go/types"
 )
 
-// deterministicPkgs are the packages bound by the PR-1 contract:
-// results must be bit-identical across HostParallelism settings, so
-// nothing on a result path may depend on wall-clock time, the global
-// rand stream, or Go's randomized map iteration order.
-var deterministicPkgs = []string{
-	"internal/sim",
-	"internal/engine",
-	"internal/core",
-	"internal/accel",
-	"internal/graph",
-	"internal/algo",
-	"internal/native",
-}
-
 // DeterminismCheck flags nondeterminism sources inside the
 // deterministic packages:
 //
-//   - time.Now / time.Since / time.Until calls (wall clock);
-//   - package-level math/rand functions (the process-global stream —
-//     seeded *rand.Rand instances via rand.New are fine);
+//   - wall-clock reads and package-level math/rand functions (the
+//     determinism rows of the forbiddenCalls table);
 //   - range over a map whose body feeds an order-sensitive sink:
 //     appending to a slice, writing through an incremented slice
 //     index, building text (fmt.Fprint*/Sprintf accumulation,
@@ -44,56 +29,19 @@ func DeterminismCheck() *Check {
 }
 
 func runDeterminism(pass *Pass) {
-	applies := false
-	for _, p := range deterministicPkgs {
-		if pathHasSuffix(pass.Path, p) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
+	if !pathHasAnySuffix(pass.Path, deterministicPkgs) {
 		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkClockAndRand(pass, n)
+				reportForbiddenCall(pass, "determinism", n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n, f)
 			}
 			return true
 		})
-	}
-}
-
-// forbiddenClock are the time package functions that read the wall
-// clock. time.Duration arithmetic and time constants are fine.
-var forbiddenClock = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// randConstructors are the package-level math/rand functions that
-// build an explicitly seeded generator instead of using the global
-// stream.
-var randConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"NewPCG": true, "NewChaCha8": true,
-}
-
-func checkClockAndRand(pass *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	pkgName, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	path := importedPackagePath(pass, pkgName)
-	switch {
-	case path == "time" && forbiddenClock[sel.Sel.Name]:
-		pass.Reportf(call.Pos(), "time.%s reads the wall clock in a deterministic package; inject a clock or pass timestamps in", sel.Sel.Name)
-	case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[sel.Sel.Name]:
-		pass.Reportf(call.Pos(), "global math/rand.%s is process-shared and unseeded; use a seeded *rand.Rand (rand.New) owned by the caller", sel.Sel.Name)
 	}
 }
 

@@ -44,7 +44,7 @@ func runGoroleak(pass *ModulePass) {
 		return
 	}
 	for _, node := range pass.Graph.Funcs {
-		if !goroleakGated(node.Pkg.Path) {
+		if !pathHasAnySuffix(node.Pkg.Path, goroleakPkgs) {
 			continue
 		}
 		node := node
@@ -63,15 +63,6 @@ func runGoroleak(pass *ModulePass) {
 			return false
 		})
 	}
-}
-
-func goroleakGated(path string) bool {
-	for _, p := range goroleakPkgs {
-		if pathHasSuffix(path, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // goroutineJoined looks for any accepted join evidence for one go

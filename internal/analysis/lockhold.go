@@ -10,7 +10,7 @@ import (
 // LockholdCheck flags blocking operations reachable while a mutex is
 // held: network dials and listens, reads/writes on interface-typed
 // streams, channel operations with no escape, WaitGroup.Wait, and
-// clock sleeps. This is the attachAndHeartbeat contention class — a
+// clock sleeps. This is the leader attach-round contention class — a
 // hot lock held across a dial turns every reader into a convoy.
 //
 // Escapes that make an operation bounded (and therefore exempt):

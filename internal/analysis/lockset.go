@@ -335,14 +335,6 @@ func receiverObj(node *FuncNode) types.Object {
 	return node.Pkg.Info.Defs[node.Decl.Recv.List[0].Names[0]]
 }
 
-// holdsPath reports whether held contains (base, path), treating an
-// embedded-mutex acquire (path "") on the same base as holding any
-// single-segment path that names an embedded sync mutex — callers
-// resolve that case before asking.
-func (s lockSet) holdsPath(base types.Object, path string) bool {
-	return s[lockKey{base: base, path: path}]
-}
-
 // describe renders a lock set for diagnostics ("n.mu, n.pmu").
 func (s lockSet) describe() string {
 	var parts []string

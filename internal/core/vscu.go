@@ -24,35 +24,6 @@ type VSCU struct {
 	cap    uint64
 
 	htEntries uint64
-
-	// deltaRegion coalesces the pending-delta entries of hot vertices
-	// for accumulative algorithms.
-	deltaRegion sim.Region
-}
-
-// installDeltaHook points the runtime's delta addressing at the
-// coalesced delta block for hot vertices (only allocated for
-// accumulative runs).
-func (u *VSCU) installDeltaHook() {
-	r := u.t.r
-	if r.Acc == nil || r.M == nil {
-		return
-	}
-	u.deltaRegion = r.M.Alloc("coalesced_deltas", (u.cap+1)*engine.DeltaBytes)
-	r.M.TrackUseful(u.deltaRegion)
-	r.M.MarkHot(u.deltaRegion)
-	r.M.MarkCoherent(u.deltaRegion)
-	r.DeltaAddr = u.DeltaAddrOf
-}
-
-// DeltaAddrOf mirrors Addr for the pending-delta entries.
-func (u *VSCU) DeltaAddrOf(v graph.VertexID) uint64 {
-	if u.hot[v] {
-		if s := u.slotOf[v]; s >= 0 && u.deltaRegion.Size > 0 {
-			return u.deltaRegion.Base + uint64(s)*engine.DeltaBytes
-		}
-	}
-	return u.t.r.L.DeltaAddr(v)
 }
 
 func newVSCU(t *TDGraph) *VSCU {

@@ -226,15 +226,6 @@ func (r *Runtime) HasActive() bool {
 	return false
 }
 
-// ActiveCount returns the total number of pending active vertices.
-func (r *Runtime) ActiveCount() int {
-	n := 0
-	for _, l := range r.activeList {
-		n += len(l)
-	}
-	return n
-}
-
 // CountUpdateOp records one vertex-state update operation — the unit the
 // paper's Fig 3(b)/Fig 11 count. Every application of the algorithm's
 // update function to a destination state (Ligra's writeMin per processed
@@ -360,9 +351,6 @@ func (r *Runtime) FinishMetrics() {
 	}
 	r.C.Add(stats.CtrUsefulUpdates, useful)
 }
-
-// Writes returns the per-vertex write counts (for tests).
-func (r *Runtime) Writes() []uint32 { return r.writes }
 
 // TotalOutWeightOf returns v's cached total out-weight in G (computed on
 // demand when the runtime was built without the accumulative cache).

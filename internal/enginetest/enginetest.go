@@ -7,7 +7,6 @@ package enginetest
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
@@ -170,19 +169,4 @@ func RandomBatch(b *graph.Builder, nAdd, nDel int, seed int64) []graph.Update {
 		batch = append(batch, graph.Update{Edge: graph.Edge{Src: src, Dst: dst}, Delete: true})
 	}
 	return batch
-}
-
-// MaxAbsDiff returns the largest absolute state difference (inf-aware).
-func MaxAbsDiff(a, b []float64) float64 {
-	var m float64
-	for i := range a {
-		if math.IsInf(a[i], 1) && math.IsInf(b[i], 1) {
-			continue
-		}
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -56,15 +56,6 @@ func (b *Builder) NumVertices() int { return b.numVertices }
 // NumEdges returns the current directed edge count.
 func (b *Builder) NumEdges() int { return b.numEdges }
 
-// AddVertices grows the vertex set by n isolated vertices and returns the
-// first new ID.
-func (b *Builder) AddVertices(n int) VertexID {
-	first := VertexID(b.numVertices)
-	b.adj = append(b.adj, make([]vertexAdj, n)...)
-	b.numVertices += n
-	return first
-}
-
 // AddEdge inserts src→dst with the given weight. If the edge already
 // exists its weight is overwritten and the edge count is unchanged.
 // It reports whether a new edge was created.

@@ -436,18 +436,6 @@ func (st *Store) InEdges(dst VertexID) ([]VertexID, []float32) {
 	return st.in.edges(dst)
 }
 
-// ForEachOut visits src's out-neighbours (insertion order). f must not
-// mutate the store.
-func (st *Store) ForEachOut(src VertexID, f func(dst VertexID, w float32)) {
-	st.out.forEach(src, f)
-}
-
-// ForEachIn visits dst's in-neighbours (insertion order). f must not
-// mutate the store.
-func (st *Store) ForEachIn(dst VertexID, f func(src VertexID, w float32)) {
-	st.in.forEach(dst, f)
-}
-
 // Apply applies a batch of updates in order and returns what changed,
 // with exactly the Builder.Apply semantics: a re-add with a different
 // weight is recorded as delete(old)+add(new), Affected lists distinct

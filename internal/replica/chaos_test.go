@@ -120,11 +120,11 @@ func runFailoverTrial(t *testing.T, trial int) trialDigest {
 	n1 := attach(t, prim, f1, nil)
 	n2 := attach(t, prim, f2, wrapF2)
 
-	pcfg.Replicator = prim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipe.SetRetentionAdvisor(prim)
 
 	acked := 0
 	crashed := false
@@ -139,7 +139,7 @@ func runFailoverTrial(t *testing.T, trial int) trialDigest {
 			}
 		}()
 		for _, b := range w.Batches {
-			if err := pipe.Ingest(b); err != nil {
+			if err := ingest(prim, pipe, b); err != nil {
 				t.Errorf("trial %d: ingest failed without crashing: %v", trial, err)
 				return
 			}
@@ -169,7 +169,7 @@ func runFailoverTrial(t *testing.T, trial int) trialDigest {
 		t.Fatalf("trial %d (mode %d): acknowledged-batch loss: %d batches acked, best follower holds %d",
 			trial, mode, acked, winner.Seq())
 	}
-	newTerm, err := winner.Promote()
+	newTerm, err := winner.PromoteTo(winner.Term() + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +183,13 @@ func runFailoverTrial(t *testing.T, trial int) trialDigest {
 	// applied twice and nothing acked is lost.
 	newPrim := NewPrimary(PrimaryConfig{
 		Term: newTerm, ClusterSize: 3,
-		WAL:       winner.Pipeline().WALOptions(),
+		WAL:       winner.cfg.Pipeline.WAL,
 		Collector: winner.Pipeline().Collector(),
 	})
 	no := attach(t, newPrim, other, nil)
-	winner.Pipeline().SetReplicator(newPrim)
+	winner.Pipeline().SetRetentionAdvisor(newPrim)
 	for _, b := range w.Batches[winner.Seq():] {
-		if err := winner.Pipeline().Ingest(b); err != nil {
+		if err := ingest(newPrim, winner.Pipeline(), b); err != nil {
 			t.Fatalf("trial %d: re-feed ingest: %v", trial, err)
 		}
 	}
@@ -269,13 +269,13 @@ func TestFencedOldPrimaryRejected(t *testing.T) {
 	if err := oldPrim.AddFollower(pside); err != nil {
 		t.Fatal(err)
 	}
-	pcfg.Replicator = oldPrim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipe.SetRetentionAdvisor(oldPrim)
 	for _, b := range w.Batches[:3] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(oldPrim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +283,7 @@ func TestFencedOldPrimaryRejected(t *testing.T) {
 	<-n1.done
 
 	// Failover: the follower is promoted to term 2.
-	if _, err := fl.Promote(); err != nil {
+	if _, err := fl.PromoteTo(fl.Term() + 1); err != nil {
 		t.Fatal(err)
 	}
 	seqBefore := fl.Seq()

@@ -42,7 +42,8 @@ func (e *RedirectError) Unwrap() error { return ErrNotLeader }
 // BusyError is a backpressure refusal from the leader itself: the node
 // leads the cluster but will not take this batch right now. Reason is
 // the wire marker without its bang — "disk" (read-only under disk
-// pressure) or "slo" (admission control shedding) — and RetryAfter the
+// pressure), "slo" (admission control shedding) or "quorum" (a fresh
+// leader still attaching its followers) — and RetryAfter the
 // leader's hint for when to try again. It unwraps to the serve-layer
 // sentinel matching its reason so callers keep one errors.Is check,
 // and exposes the hint through RetryAfterHint for the retry layer's

@@ -52,22 +52,22 @@ func TestDivergedFollowerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pcfg.Replicator = prim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipe.SetRetentionAdvisor(prim)
 	// Two batches reach everyone; then B's transport dies and batch 3
 	// lands only on the primary and A (still quorum, 2 of 3). A now
 	// holds a seq-3 record B never saw.
 	for _, b := range w.Batches[:2] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	psideB.Close()
 	<-nbDone
-	if err := pipe.Ingest(w.Batches[2]); err != nil {
+	if err := ingest(prim, pipe, w.Batches[2]); err != nil {
 		t.Fatal(err)
 	}
 	pipe.Close()
@@ -79,7 +79,7 @@ func TestDivergedFollowerRejected(t *testing.T) {
 	// deposed-primary WAL-replay resurrection it models) divergence
 	// detection must catch: A's seq-3 record is w.Batches[2], but the
 	// promoted log's seq 3 will be w.Batches[3].
-	newTerm, err := fb.Promote()
+	newTerm, err := fb.PromoteTo(fb.Term() + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDivergedFollowerRejected(t *testing.T) {
 	col := stats.NewCollector()
 	np := NewPrimary(PrimaryConfig{
 		Term: newTerm, ClusterSize: 3, Quorum: 1,
-		WAL:       fb.Pipeline().WALOptions(),
+		WAL:       fb.cfg.Pipeline.WAL,
 		Collector: col,
 	})
 
@@ -106,8 +106,8 @@ func TestDivergedFollowerRejected(t *testing.T) {
 		t.Fatalf("ahead rejoin follower session: want ErrFollowerDiverged, got %v", serr)
 	}
 	psideA.Close()
-	if np.Followers() != 0 {
-		t.Fatalf("diverged follower was attached (%d followers)", np.Followers())
+	if np.HasLive("follower-0") {
+		t.Fatal("diverged follower was attached")
 	}
 
 	// The promoted primary serves on alone: its seq 3 and 4 are new
@@ -141,12 +141,12 @@ func TestDivergedFollowerRejected(t *testing.T) {
 		t.Fatalf("probe adopted a term: follower at %d, want 2", fa.Term())
 	}
 
-	if _, err := ClaimTerm(fb.Pipeline().WALOptions(), probedTerm+1); err != nil {
+	if _, err := ClaimTerm(fb.cfg.Pipeline.WAL, probedTerm+1); err != nil {
 		t.Fatal(err)
 	}
 	np2 := NewPrimary(PrimaryConfig{
 		Term: probedTerm + 1, ClusterSize: 3, Quorum: 1,
-		WAL:       fb.Pipeline().WALOptions(),
+		WAL:       fb.cfg.Pipeline.WAL,
 		Collector: col,
 	})
 	psideA2, fsideA2 := net.Pipe()
@@ -168,8 +168,8 @@ func TestDivergedFollowerRejected(t *testing.T) {
 	// up across all three origin terms of the promoted history.
 	fc := mk(t.TempDir())
 	nc := attach(t, np2, fc, nil)
-	fb.Pipeline().SetReplicator(np2)
-	if err := fb.Pipeline().Ingest(w.Batches[5]); err != nil {
+	fb.Pipeline().SetRetentionAdvisor(np2)
+	if err := ingest(np2, fb.Pipeline(), w.Batches[5]); err != nil {
 		t.Fatal(err)
 	}
 	np2.Close()
@@ -222,8 +222,8 @@ func TestStalledFollowerDropped(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Replicate blocked %s on a stalled follower", elapsed)
 	}
-	if prim.Followers() != 0 {
-		t.Fatalf("stalled follower still attached (%d)", prim.Followers())
+	if prim.HasLive("follower-0") {
+		t.Fatal("stalled follower still attached")
 	}
 	prim.Close()
 }

@@ -166,21 +166,13 @@ func (f *Follower) SetLeaderHint(addr string) {
 	f.mu.Unlock()
 }
 
-// AnswerProbe writes one FrameState snapshot: durable term, last
-// durable sequence, tail origin stamp, and the last-heard leader
-// address as the payload — the redirect hint an electing candidate or
-// a lost client follows. Probing adopts nothing and is safe while a
-// replication session is mid-flight on another connection.
-func (f *Follower) AnswerProbe(conn net.Conn) error {
-	f.mu.Lock()
-	leader := f.leader
-	f.mu.Unlock()
-	return f.AnswerProbeLeader(conn, leader)
-}
-
-// AnswerProbeLeader is AnswerProbe with the leader hint chosen by the
-// caller — the automation layer scopes the hint to its lease so
-// candidates never chase a leader nobody has heard from.
+// AnswerProbeLeader writes one FrameState snapshot: durable term, last
+// durable sequence, tail origin stamp, and the given leader address as
+// the payload — the redirect hint an electing candidate or a lost
+// client follows; the automation layer scopes the hint to its lease so
+// candidates never chase a leader nobody has heard from. Probing adopts
+// nothing and is safe while a replication session is mid-flight on
+// another connection.
 func (f *Follower) AnswerProbeLeader(conn net.Conn, leader string) error {
 	seq := f.pipe.Seq()
 	f.mu.Lock()
@@ -197,7 +189,7 @@ func (f *Follower) AnswerProbeLeader(conn net.Conn, leader string) error {
 // session must end for protocol reasons (ErrStaleTerm when the primary
 // is deposed, ErrFollowerBehind on a sequence gap, ErrFollowerDiverged
 // when the primary refuses this replica's log). It blocks the calling
-// goroutine; sessions are serialised, and Promote excludes them.
+// goroutine; sessions are serialised, and PromoteTo excludes them.
 // Probes and client hellos are answered before a session opens without
 // blocking on an active one.
 func (f *Follower) Serve(conn net.Conn) error {
@@ -208,7 +200,7 @@ func (f *Follower) Serve(conn net.Conn) error {
 		}
 		switch fr.Type {
 		case FrameProbe:
-			if err := f.AnswerProbe(conn); err != nil {
+			if err := f.AnswerProbeLeader(conn, f.Leader()); err != nil {
 				return err
 			}
 		case FrameClientHello:
@@ -389,16 +381,6 @@ func (f *Follower) stampOrigin(fr Frame) error {
 	return nil
 }
 
-// Promote turns this follower into the authority for the next term; it
-// is PromoteTo at the follower's own adopted term plus one — right
-// when the caller knows no higher term was ever claimed (the
-// operator-run failover), while elections claim max-of-probed+1.
-func (f *Follower) Promote() (uint64, error) {
-	f.sessionMu.Lock()
-	defer f.sessionMu.Unlock()
-	return f.promoteLocked(f.state.Term + 1)
-}
-
 // PromoteTo makes this follower the authority for exactly term: the
 // term is made durable (fencing every older primary that later
 // reconnects), the ledger is stamped so records the new primary
@@ -418,10 +400,6 @@ func (f *Follower) Promote() (uint64, error) {
 func (f *Follower) PromoteTo(term uint64) (uint64, error) {
 	f.sessionMu.Lock()
 	defer f.sessionMu.Unlock()
-	return f.promoteLocked(term)
-}
-
-func (f *Follower) promoteLocked(term uint64) (uint64, error) {
 	if term <= f.state.Term {
 		return 0, fmt.Errorf("cannot promote to term %d at adopted term %d: %w", term, f.state.Term, ErrStaleTerm)
 	}

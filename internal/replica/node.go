@@ -54,6 +54,12 @@ const (
 	RoleLeader Role = "leader"
 )
 
+// diskRetryAfter is the retry-after hint handed to clients refused
+// under disk pressure: long enough that retention advancing or an
+// operator freeing space can make progress, short enough that recovery
+// is noticed promptly.
+const diskRetryAfter = 250 * time.Millisecond
+
 // NodeConfig parameterises one self-driving cluster member.
 type NodeConfig struct {
 	// Addr is this node's advertised address: the dial key peers and
@@ -95,11 +101,6 @@ type NodeConfig struct {
 	// retry-after hint — once latency runs sustainedly past it. 0
 	// disables SLO-driven admission control.
 	SLO time.Duration
-	// DiskRetryAfter is the retry-after hint handed to clients refused
-	// under disk pressure (default 250ms): long enough that retention
-	// advancing or an operator freeing space can make progress, short
-	// enough that recovery is noticed promptly.
-	DiskRetryAfter time.Duration
 	// Clock supplies every wall time and wait (default real time).
 	// The tdgraph-vet clock-discipline check pins this package to it.
 	Clock serve.Clock
@@ -119,9 +120,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.Quorum <= 0 {
 		c.Quorum = (len(c.Peers)+1)/2 + 1
-	}
-	if c.DiskRetryAfter <= 0 {
-		c.DiskRetryAfter = 250 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = serve.RealClock{}
@@ -171,6 +169,10 @@ type Node struct {
 	// isolatedSince is when the leader started missing its quorum of
 	// heartbeat deliveries (zero while delivery is healthy).
 	isolatedSince time.Time
+	// attaching marks a background attach round in flight (at most one);
+	// attachWG joins it, so Close returns only once it has exited.
+	attaching bool
+	attachWG  sync.WaitGroup
 }
 
 // NewNode recovers the local durable state and returns a node in the
@@ -464,7 +466,7 @@ func (n *Node) becomeLeader(term uint64) {
 	// lives on a quorum, so the whole local log is the acknowledged
 	// prefix — the new leader commits its predecessors' entries.
 	n.ackedSeq = n.fol.Seq()
-	n.fol.Pipeline().SetReplicator(p)
+	n.fol.Pipeline().SetRetentionAdvisor(p)
 	n.pmu.Unlock()
 	n.fol.SetLeaderHint(n.cfg.Addr)
 	n.mu.Lock()
@@ -476,18 +478,15 @@ func (n *Node) becomeLeader(term uint64) {
 	n.cfg.OnEvent(fmt.Sprintf("elected leader at term %d (seq %d)", term, n.fol.Seq()))
 }
 
-// leaderTick is one heartbeat round: re-attach any peer that is not a
-// live follower (the rejoin path — a restarted or deposed node is
-// caught up, or reseeded when diverged), then heartbeat everyone. A
-// tick that proves this leader fenced, or that it has missed its
-// delivery quorum for a full lease, demotes it and returns an error
-// so Run re-reads the role.
+// leaderTick is one heartbeat round: heartbeat every live follower,
+// then hand any peer that is not one to the background attach round
+// (the rejoin path — a restarted or deposed node is caught up, or
+// reseeded when diverged). A tick that finds this leader has missed its
+// delivery quorum for a full lease demotes it and returns an error so
+// Run re-reads the role.
 func (n *Node) leaderTick() error {
-	alive, err := n.attachAndHeartbeat()
+	alive, err := n.heartbeat()
 	if err != nil {
-		if errors.Is(err, serve.ErrFenced) {
-			n.demote(fmt.Sprintf("fenced during a heartbeat round: %v", err))
-		}
 		return err
 	}
 	if alive+1 >= n.cfg.Quorum {
@@ -526,59 +525,89 @@ func (n *Node) clearIsolation() {
 	n.mu.Unlock()
 }
 
-// attachAndHeartbeat is one leader tick's fleet maintenance: re-attach
-// every peer that is not a live follower, then heartbeat the fleet.
-// Dialing happens outside the primary lock — an unreachable peer can
-// burn a full connect timeout, and client ingestion (which needs the
-// lock) must not stall behind it — and each handshake takes the lock
-// individually, so ingest interleaves between attachments. Returns how
-// many followers acknowledged; a fencing error (this term outranked by
-// a peer's) surfaces for the caller to demote on — demote retakes the
-// primary lock, so it cannot run here.
-func (n *Node) attachAndHeartbeat() (alive int, err error) {
+// heartbeat asserts liveness to every live follower and returns how
+// many took the frame — the number the isolation quorum is judged on; a
+// follower attached meanwhile restarts the isolation clock and counts
+// here from the next tick. Heartbeats go
+// first and never wait on a dial: a follower's lease is a few
+// heartbeats long, one unreachable peer can burn a full connect timeout
+// per attempt, and a healthy follower must not depose a healthy leader
+// because a third member is black-holed. So peers that are not live
+// followers are handed to attachMissing, off this goroutine.
+func (n *Node) heartbeat() (alive int, err error) {
 	n.pmu.Lock()
 	p := n.primary
+	if p == nil {
+		n.pmu.Unlock()
+		return 0, errors.New("replica: no primary installed")
+	}
+	alive = p.Heartbeat()
 	var missing []string
-	if p != nil {
-		for _, peer := range n.cfg.Peers {
-			if !p.HasLive(peer) {
-				missing = append(missing, peer)
-			}
+	for _, peer := range n.cfg.Peers {
+		if !p.HasLive(peer) {
+			missing = append(missing, peer)
 		}
 	}
 	n.pmu.Unlock()
-	if p == nil {
-		return 0, errors.New("replica: no primary installed")
+	if len(missing) > 0 {
+		n.attachMissing(p, missing)
 	}
-	for _, peer := range missing {
-		conn, derr := n.cfg.Dial(peer)
-		if derr != nil {
-			continue
-		}
-		if aerr := n.attachOne(p, peer, conn); aerr != nil {
-			if errors.Is(aerr, serve.ErrFenced) {
-				return 0, fmt.Errorf("attaching %s: %w", peer, aerr)
+	return alive, nil
+}
+
+// attachMissing starts one background round that dials and attaches the
+// given peers, unless the previous round is still running (a blocked
+// dial must not pile up goroutines). Dialing happens outside the
+// primary lock and each handshake takes it individually, so client
+// ingest interleaves between attachments. A handshake that proves this
+// term outranked demotes on the spot.
+func (n *Node) attachMissing(p *Primary, missing []string) {
+	n.mu.Lock()
+	if n.attaching || n.closed {
+		n.mu.Unlock()
+		return
+	}
+	n.attaching = true
+	n.attachWG.Add(1)
+	n.mu.Unlock()
+	go func() {
+		defer n.attachWG.Done()
+		defer func() {
+			n.mu.Lock()
+			n.attaching = false
+			n.mu.Unlock()
+		}()
+		for _, peer := range missing {
+			conn, err := n.cfg.Dial(peer)
+			if err != nil {
+				continue
 			}
-			n.cfg.OnEvent(fmt.Sprintf("attach %s failed: %v", peer, aerr))
+			if err := n.attachOne(p, peer, conn); err != nil {
+				if errors.Is(err, serve.ErrFenced) {
+					n.demote(fmt.Sprintf("fenced attaching %s: %v", peer, err))
+					return
+				}
+				n.cfg.OnEvent(fmt.Sprintf("attach %s failed: %v", peer, err))
+				continue
+			}
+			// An attach is a delivery too: a long catch-up or reseed holds
+			// the primary lock (and with it the next heartbeat) well past a
+			// lease, and must not read as that much isolation.
+			n.clearIsolation()
 		}
-	}
-	n.pmu.Lock()
-	defer n.pmu.Unlock()
-	if n.primary != p {
-		return 0, errors.New("replica: primary uninstalled mid-tick")
-	}
-	return p.Heartbeat(), nil
+	}()
 }
 
 // attachOne hands one dialed connection to the primary under the lock,
-// re-checking that the peer did not attach (and the primary was not
-// uninstalled) while the dial ran.
+// re-checking that the peer did not attach (the previous round may have
+// finished after this one's list was drawn up) and the primary was not
+// uninstalled while the dial ran.
 func (n *Node) attachOne(p *Primary, peer string, conn net.Conn) error {
 	n.pmu.Lock()
 	defer n.pmu.Unlock()
 	if n.primary != p {
 		conn.Close()
-		return errors.New("replica: primary uninstalled mid-tick")
+		return errors.New("replica: primary uninstalled mid-dial")
 	}
 	if p.HasLive(peer) {
 		conn.Close()
@@ -600,7 +629,7 @@ func (n *Node) demote(reason string) {
 	p := n.primary
 	n.primary = nil
 	if p != nil {
-		n.fol.Pipeline().SetReplicator(nil)
+		n.fol.Pipeline().SetRetentionAdvisor(nil)
 		p.Close()
 	}
 	n.pmu.Unlock()
@@ -834,6 +863,8 @@ func (n *Node) serveClient(conn net.Conn) error {
 			n.demote(fmt.Sprintf("client batch durable locally but not at quorum: %v", ierr))
 			refuse()
 			return ierr
+		case submitNotLeader:
+			return refuse()
 		}
 		if ierr != nil {
 			if errors.Is(ierr, serve.ErrFenced) {
@@ -855,12 +886,21 @@ func (n *Node) serveClient(conn net.Conn) error {
 				}
 				continue
 			}
+			if errors.Is(ierr, ErrQuorumLost) {
+				// Not logged for want of attached followers (stranding
+				// returned above): a fresh leader still mid-attach. Retry
+				// after a heartbeat; the session stays.
+				if err := n.busyReject(conn, term, "!quorum", n.cfg.HeartbeatEvery); err != nil {
+					return err
+				}
+				continue
+			}
 			if errors.Is(ierr, serve.ErrDiskPressure) {
 				// Read-only under disk pressure: refuse with the disk
 				// retry-after hint and keep the session — heartbeats and
 				// reads still flow, and ingestion resumes the moment
 				// space frees.
-				if err := n.busyReject(conn, term, "!disk", n.cfg.DiskRetryAfter); err != nil {
+				if err := n.busyReject(conn, term, "!disk", diskRetryAfter); err != nil {
 					return err
 				}
 				continue
@@ -914,60 +954,50 @@ func (n *Node) durableSeq() uint64 {
 type submitOutcome int
 
 const (
-	submitApplied   submitOutcome = iota // ran the pipeline; check the error
+	submitApplied   submitOutcome = iota // ran the leader ingest; check the error
 	submitDuplicate                      // at or below the quorum-acked sequence
 	submitGap                            // skips ahead of the quorum-acked sequence
 	submitStranded                       // the log holds a tail no quorum confirmed
+	submitNotLeader                      // demoted since the session's role check
 )
 
-// ingestSubmit runs one client submission through the leader pipeline
-// under the primary lock: duplicate and gap detection against the
-// quorum-acknowledged sequence, then the ordinary Ingest (WAL, fsync,
-// quorum replication). The acknowledged sequence advances only when
-// the batch is quorum-durable — on a nil error, or on a failure
-// strictly after replication (apply/checkpoint stages) — and is what
-// the returned durable value reports. An ingest that appends locally
-// but never assembles its quorum strands the tail instead: the caller
-// must stop serving, because acking or re-ingesting past it would
-// break exactly-once.
+// ingestSubmit runs one client submission under the primary lock:
+// duplicate and gap detection against the quorum-acknowledged sequence,
+// then Primary.Ingest (append, quorum round, apply). The acknowledged
+// sequence advances exactly when the outcome is QuorumDurable, and is
+// what the returned durable value reports. A batch that was logged but
+// never assembled its quorum strands the tail instead: the caller must
+// stop serving, because acking or re-ingesting past it would break
+// exactly-once.
 func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, batch []graph.Update, deadline time.Time) (submitOutcome, uint64, error) {
 	n.pmu.Lock()
 	defer n.pmu.Unlock()
 	cur := n.ackedSeq
 	switch {
+	case n.primary == nil:
+		return submitNotLeader, cur, nil
 	case seq <= cur:
 		return submitDuplicate, cur, nil
 	case seq > cur+1:
 		return submitGap, cur, nil
 	}
-	if pipe.Seq() != cur {
+	if logged := pipe.Seq(); logged != cur {
 		// A concurrent session already stranded a tail and its demote is
 		// still in flight; refuse rather than append past it.
 		return submitStranded, cur, fmt.Errorf(
-			"replica: seq %d durable locally but never quorum-acknowledged: %w", pipe.Seq(), ErrQuorumLost)
+			"replica: seq %d durable locally but never quorum-acknowledged: %w", logged, ErrQuorumLost)
 	}
-	err := pipe.IngestDeadline(batch, deadline)
-	if err == nil || quorumDurable(err) {
+	outcome, err := n.primary.Ingest(pipe, batch, deadline)
+	switch {
+	case outcome == QuorumDurable:
 		n.ackedSeq = pipe.Seq()
 		return submitApplied, n.ackedSeq, err
-	}
-	if pipe.Seq() != cur && !errors.Is(err, serve.ErrFenced) {
-		// Appended, never quorum-confirmed (ErrQuorumLost and kin). A
-		// fenced failure takes the ordinary deposed path instead — it
+	case outcome == LoggedNotQuorum && !errors.Is(err, serve.ErrFenced):
+		// A fenced failure takes the ordinary deposed path instead — it
 		// demotes too, with the fencing term in the event trail.
 		return submitStranded, cur, err
 	}
 	return submitApplied, cur, err
-}
-
-// quorumDurable reports whether a failed Ingest nevertheless made the
-// batch quorum-durable: apply- and checkpoint-stage failures happen
-// strictly after replication succeeded, so the batch must still be
-// acknowledged — otherwise the client would resubmit a sequence the
-// cluster already holds.
-func quorumDurable(err error) bool {
-	var ie *serve.IngestError
-	return errors.As(err, &ie) && (ie.Stage == "apply" || ie.Stage == "checkpoint")
 }
 
 // Close shuts the node down: sever the active session, uninstall the
@@ -992,9 +1022,10 @@ func (n *Node) Close() error {
 	p := n.primary
 	n.primary = nil
 	if p != nil {
-		n.fol.Pipeline().SetReplicator(nil)
+		n.fol.Pipeline().SetRetentionAdvisor(nil)
 		p.Close()
 	}
 	n.pmu.Unlock()
+	n.attachWG.Wait()
 	return n.fol.Close()
 }

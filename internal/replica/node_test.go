@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +24,11 @@ type manualClock struct {
 	cond      *sync.Cond
 	now       time.Time
 	deadlines []time.Time // wake times of currently parked sleepers
+	// settle barriers run before step moves the hand: a leader's attach
+	// round runs off its role loop, so the loop parks in Sleep while the
+	// round is mid-handshake — work that takes no fake time, and that the
+	// hand must therefore not move under.
+	settle []func()
 }
 
 func newManualClock() *manualClock {
@@ -90,6 +96,9 @@ func (c *manualClock) havePendingLocked() bool {
 // step waits for a pending sleeper and then jumps the hand exactly to
 // the earliest pending wake time — one timer firing, no real sleeps.
 func (c *manualClock) step() {
+	for _, wait := range c.settle {
+		wait()
+	}
 	c.mu.Lock()
 	for {
 		var next time.Time
@@ -198,7 +207,22 @@ func newTestNode(t *testing.T, fabric *memNet, addr string, peers []string, clk 
 	if fabric != nil {
 		fabric.add(addr, n)
 	}
+	clk.settle = append(clk.settle, n.awaitAttachIdle)
 	return n
+}
+
+// awaitAttachIdle spins until the node's background attach round, if
+// any, has finished.
+func (n *Node) awaitAttachIdle() {
+	for {
+		n.mu.Lock()
+		busy := n.attaching
+		n.mu.Unlock()
+		if !busy {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestNodeSingleMemberElectsItself: a lone member's lease expires, it
@@ -476,6 +500,7 @@ func TestNodeRejoinReseedsDivergedMember(t *testing.T) {
 			t.Fatalf("NewNode(%s): %v", addr, err)
 		}
 		fabric.add(addr, n)
+		clk.settle = append(clk.settle, n.awaitAttachIdle)
 		return n
 	}
 	xcfg := nodeConfig(w, xdir)
@@ -545,8 +570,10 @@ func TestNodeStrandedIngestNeverAcked(t *testing.T) {
 		return n.Role() == RoleLeader && b.Follower().Term() == 1 && c.Follower().Term() == 1
 	})
 
-	// Sever both followers: the next ingest appends to the local WAL,
-	// then fails to assemble its replication quorum.
+	// Sever both followers between two heartbeats (the role loop is
+	// parked, so the primary has not noticed): the next ingest appends to
+	// the local WAL, then fails to assemble its replication quorum.
+	clk.awaitPendingSleeper()
 	fabric.setDown("b", true)
 	fabric.setDown("c", true)
 
@@ -638,5 +665,71 @@ func TestNodeIsolatedLeaderStepsDown(t *testing.T) {
 	})
 	if got := col.Get(stats.CtrReplDemotions); got != 1 {
 		t.Fatalf("demotions = %d, want 1", got)
+	}
+}
+
+// TestNodeBlackHoledPeerDoesNotStarveHeartbeats: one peer whose dial
+// never returns must cost the healthy follower nothing. The leader's
+// role loop keeps parking on its heartbeat timer — a loop stuck behind
+// the dial would never park, and the follower's lease would run out into
+// an election — and every tick renews the follower's lease in full, for
+// three lease-lengths of fake time.
+func TestNodeBlackHoledPeerDoesNotStarveHeartbeats(t *testing.T) {
+	clk := newManualClock()
+	fabric := newMemNet()
+	b := newTestNode(t, fabric, "b", []string{"a", "c"}, clk)
+	defer b.Close()
+
+	release := make(chan struct{})
+	w := testWorkload(t, 4)
+	cfg := nodeConfig(w, t.TempDir())
+	cfg.CheckpointEvery = -1
+	a, err := NewNode(NodeConfig{
+		Addr: "a", Peers: []string{"b", "c"}, Pipeline: cfg,
+		HeartbeatEvery: time.Second, Seed: 42, Clock: clk,
+		Dial: func(addr string) (net.Conn, error) {
+			if addr == "c" {
+				<-release
+				return nil, errors.New("black hole")
+			}
+			return fabric.dial(addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer close(release) // before Close, which joins the attach round
+	term, err := a.fol.PromoteTo(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.becomeLeader(term)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go a.Run(ctx)
+
+	lease := 4 * time.Second
+	leaseLeft := func() time.Duration {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.leaseUntil.Sub(clk.Now())
+	}
+	for tick := 0; tick < 12; tick++ {
+		waitFor(t, 5*time.Second, "leader parked on its heartbeat timer", func() bool {
+			clk.mu.Lock()
+			defer clk.mu.Unlock()
+			return clk.havePendingLocked()
+		})
+		waitFor(t, 5*time.Second, "this tick renewing the follower's lease", func() bool {
+			return leaseLeft() == lease
+		})
+		clk.step()
+	}
+	if got := a.Role(); got != RoleLeader {
+		t.Fatalf("leader role = %s after 12 ticks with one follower live, want leader", got)
+	}
+	if b.Term() != 1 || b.Role() != RoleFollower {
+		t.Fatalf("follower at term %d role %s, want term 1 follower", b.Term(), b.Role())
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // ErrStaleTerm reports a frame or session refused because a newer term
 // exists: the sender has been deposed. It wraps serve.ErrFenced so the
-// supervisor's one check — errors.Is(err, serve.ErrFenced) — fires
+// node's one check — errors.Is(err, serve.ErrFenced) — fires
 // through every layer of wrapping.
 var ErrStaleTerm = fmt.Errorf("replica: stale term: %w", serve.ErrFenced)
 
@@ -104,10 +104,10 @@ func (c PrimaryConfig) withDefaults() PrimaryConfig {
 	return c
 }
 
-// Primary ships WAL records to followers and implements
-// serve.Replicator: the pipeline's Ingest blocks in Replicate until a
-// quorum holds the batch durably. Primary is driven from the single
-// serve goroutine; it is not safe for concurrent use.
+// Primary ships WAL records to followers and orders a leader's ingest
+// around the quorum round (Ingest: append, replicate, apply). It is
+// driven from one goroutine at a time — Node holds its primary lock
+// around every call; it is not safe for concurrent use.
 type Primary struct {
 	cfg       PrimaryConfig
 	col       *stats.Collector
@@ -148,17 +148,6 @@ func NewPrimary(cfg PrimaryConfig) *Primary {
 // Term returns the primary's authority term.
 func (p *Primary) Term() uint64 { return p.cfg.Term }
 
-// Followers returns how many followers are attached and alive.
-func (p *Primary) Followers() int {
-	n := 0
-	for _, fc := range p.followers {
-		if !fc.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // HasLive reports whether a live follower attached under name.
 func (p *Primary) HasLive(name string) bool {
 	for _, fc := range p.followers {
@@ -192,18 +181,6 @@ func (p *Primary) Heartbeat() int {
 		alive++
 	}
 	return alive
-}
-
-// Acked returns the highest sequence each live follower has
-// acknowledged, in attachment order (dead followers report 0).
-func (p *Primary) Acked() []uint64 {
-	out := make([]uint64, len(p.followers))
-	for i, fc := range p.followers {
-		if !fc.dead {
-			out[i] = fc.acked
-		}
-	}
-	return out
 }
 
 // AddFollower performs the handshake on conn and attaches the
@@ -390,30 +367,74 @@ func Probe(conn net.Conn, timeout time.Duration, clock serve.Clock) (PeerState, 
 	return PeerState{Term: f.Term, Seq: f.Seq, Orig: f.Orig, Leader: string(f.Payload)}, nil
 }
 
+// IngestOutcome says how far Primary.Ingest got a batch — which is what
+// decides whether the client may be acknowledged, may resubmit, or must
+// be sent elsewhere.
+type IngestOutcome int
+
+const (
+	// NotLogged: refused or failed before the leader's log advanced.
+	// Nothing is anywhere; the client resubmits the same index freely.
+	NotLogged IngestOutcome = iota
+	// LoggedNotQuorum: in the leader's WAL, never confirmed by a quorum
+	// (quorum lost, fenced by a newer term, or the batch deadline expired
+	// mid-round). The leader can neither acknowledge the batch nor accept
+	// a retry of it: it must stop serving and let rejoin reconcile the tail.
+	LoggedNotQuorum
+	// QuorumDurable: durable on a quorum and applied. An error here is a
+	// post-quorum checkpoint failure; the batch must still be acknowledged,
+	// or the client would resubmit a sequence the cluster already holds.
+	QuorumDurable
+)
+
+// Ingest is a leader's whole batch path, in the order every member's
+// I/O must happen: local WAL append and fsync, then the follower round
+// trips, then — only once a quorum holds the batch — the session apply.
+// pipe is this leader's own pipeline (the one whose WAL the primary
+// tails); deadline bounds admission and the quorum wait (zero = none).
+func (p *Primary) Ingest(pipe *serve.Pipeline, batch []graph.Update, deadline time.Time) (IngestOutcome, error) {
+	live := 1 // this primary
+	for _, fc := range p.followers {
+		if !fc.dead {
+			live++
+		}
+	}
+	if live < p.cfg.Quorum {
+		// Logging a batch that cannot reach quorum would only strand it
+		// (a freshly elected leader's first tick has attached nobody yet).
+		return NotLogged, fmt.Errorf("%w: %d of %d required members attached", ErrQuorumLost, live, p.cfg.Quorum)
+	}
+	seq, err := pipe.Append(batch, deadline)
+	if err != nil {
+		return NotLogged, err
+	}
+	if err := p.ReplicateDeadline(seq, batch, deadline); err != nil {
+		if errors.Is(err, serve.ErrDeadline) {
+			pipe.Collector().Inc(stats.CtrServeDeadlineExpired)
+		}
+		return LoggedNotQuorum, err
+	}
+	return QuorumDurable, pipe.Apply(batch)
+}
+
 // Replicate ships the batch at seq to every live follower — catching
 // up any that lag from the WAL first — and succeeds once a quorum
-// (counting this primary) holds it durably. Called by the pipeline
-// with the record already in the local log.
+// (counting this primary) holds it durably. The record must already be
+// in the local log.
 func (p *Primary) Replicate(seq uint64, batch []graph.Update) error {
-	return p.replicate(seq, batch, time.Time{})
+	return p.ReplicateDeadline(seq, batch, time.Time{})
 }
 
-// ReplicateDeadline implements serve.DeadlineReplicator: Replicate
-// with the quorum wait bounded by the batch deadline. The deadline is
-// checked between follower round trips only — per-operation I/O stays
-// under AckTimeout, so a tight client budget can never sever a live
-// follower session or abandon a half-read frame; the worst-case
-// overshoot is one AckTimeout past the deadline. On expiry the
-// remaining followers are skipped: if a quorum already acked, the
-// batch is durable and succeeds as usual; otherwise the failure wraps
-// *serve.DeadlineError at stage "replicate", and the caller treats the
-// locally-appended, never-quorum-confirmed tail exactly like any other
-// quorum loss.
+// ReplicateDeadline is Replicate with the quorum wait bounded by the
+// batch deadline (zero = none). The deadline is checked between
+// follower round trips only — per-operation I/O stays under AckTimeout,
+// so a tight client budget can never sever a live follower session or
+// abandon a half-read frame; the worst-case overshoot is one AckTimeout
+// past the deadline. On expiry the remaining followers are skipped: if
+// a quorum already acked, the batch is durable and succeeds as usual;
+// otherwise the failure wraps *serve.DeadlineError at stage
+// "replicate".
 func (p *Primary) ReplicateDeadline(seq uint64, batch []graph.Update, deadline time.Time) error {
-	return p.replicate(seq, batch, deadline)
-}
-
-func (p *Primary) replicate(seq uint64, batch []graph.Update, deadline time.Time) error {
 	if seq > p.seq {
 		p.seq = seq // the record is already in the local log
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/fault"
@@ -155,6 +156,13 @@ func (a *asyncConn) Close() error {
 	return nil
 }
 
+// ingest runs one batch down the leader path Node uses (append, quorum
+// round, apply), for tests that wire a Pipeline and a Primary by hand.
+func ingest(prim *Primary, pipe *serve.Pipeline, b []graph.Update) error {
+	_, err := prim.Ingest(pipe, b, time.Time{})
+	return err
+}
+
 // TestReplicatedIngestReachesQuorum: a primary with two followers
 // drives the full workload; all three replicas end with states
 // byte-identical to the uninterrupted reference.
@@ -180,13 +188,13 @@ func TestReplicatedIngestReachesQuorum(t *testing.T) {
 	if err := prim.AddFollower(c2); err != nil {
 		t.Fatal(err)
 	}
-	pcfg.Replicator = prim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipe.SetRetentionAdvisor(prim)
 	for i, b := range w.Batches {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatalf("Ingest %d: %v", i, err)
 		}
 	}
@@ -245,13 +253,13 @@ func TestLateJoinerCatchesUpFromWAL(t *testing.T) {
 	if err := prim.AddFollower(c1); err != nil {
 		t.Fatal(err)
 	}
-	pcfg.Replicator = prim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipe.SetRetentionAdvisor(prim)
 	for _, b := range w.Batches[:5] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +270,7 @@ func TestLateJoinerCatchesUpFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range w.Batches[5:] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,13 +321,13 @@ func TestDuplicatedFramesReAcked(t *testing.T) {
 	// Arm after the handshake: from here every primary→follower frame
 	// is sent twice.
 	inj.Arm(fault.NetDup, 1)
-	pcfg.Replicator = prim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipe.SetRetentionAdvisor(prim)
 	for i, b := range w.Batches {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatalf("Ingest %d under dup wire: %v", i, err)
 		}
 	}
@@ -338,9 +346,12 @@ func TestDuplicatedFramesReAcked(t *testing.T) {
 	fl.Pipeline().Close()
 }
 
-// TestQuorumLostHaltsPrimary: when every follower is gone, Ingest
-// fails with stage "replicate" wrapping ErrQuorumLost and the batch is
-// never acknowledged.
+// TestQuorumLostHaltsPrimary walks Primary.Ingest's three outcomes: a
+// batch with quorum is QuorumDurable; one that cannot reach quorum (no
+// follower attached) or whose deadline already expired is refused
+// NotLogged before the log moves; and when the followers die under it
+// the batch is LoggedNotQuorum wrapping ErrQuorumLost — in the leader's
+// WAL, never applied, never acknowledged.
 func TestQuorumLostHaltsPrimary(t *testing.T) {
 	w := testWorkload(t, 4)
 	pdir := t.TempDir()
@@ -348,31 +359,42 @@ func TestQuorumLostHaltsPrimary(t *testing.T) {
 
 	f1, c1, d1 := startFollower(t, w, t.TempDir())
 	prim := NewPrimary(PrimaryConfig{Term: 1, ClusterSize: 3, WAL: pcfg.WAL})
-	if err := prim.AddFollower(c1); err != nil {
-		t.Fatal(err)
-	}
-	pcfg.Replicator = prim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.Ingest(w.Batches[0]); err != nil {
-		t.Fatalf("ingest with quorum: %v", err)
+	pipe.SetRetentionAdvisor(prim)
+	// Nobody attached yet: logging the batch could only strand it.
+	if out, err := prim.Ingest(pipe, w.Batches[0], time.Time{}); out != NotLogged || !errors.Is(err, ErrQuorumLost) || pipe.Seq() != 0 {
+		t.Fatalf("ingest with no follower attached: outcome %d, seq %d, err %v; want NotLogged", out, pipe.Seq(), err)
+	}
+	if err := prim.AddFollower(c1); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := prim.Ingest(pipe, w.Batches[0], time.Time{}); err != nil || out != QuorumDurable {
+		t.Fatalf("ingest with quorum: outcome %d, err %v", out, err)
+	}
+	out, err := prim.Ingest(pipe, w.Batches[1], time.Now().Add(-time.Second))
+	if out != NotLogged || !errors.Is(err, serve.ErrDeadline) || pipe.Seq() != 1 {
+		t.Fatalf("expired deadline: outcome %d, seq %d, err %v; want NotLogged at seq 1", out, pipe.Seq(), err)
 	}
 
 	// The lone follower dies: quorum (2 of 3) is unreachable.
 	c1.Close()
 	<-d1
-	err = pipe.Ingest(w.Batches[1])
-	var ie *serve.IngestError
-	if !errors.As(err, &ie) || ie.Stage != "replicate" {
-		t.Fatalf("want IngestError stage replicate, got %v", err)
+	ingested := pipe.Collector().Get(stats.CtrServeIngested)
+	out, err = prim.Ingest(pipe, w.Batches[1], time.Time{})
+	if out != LoggedNotQuorum || pipe.Seq() != 2 {
+		t.Fatalf("outcome %d at seq %d, want LoggedNotQuorum at seq 2 (err %v)", out, pipe.Seq(), err)
 	}
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("want ErrQuorumLost in chain, got %v", err)
 	}
 	if errors.Is(err, serve.ErrFenced) {
 		t.Fatal("quorum loss must not read as fencing")
+	}
+	if got := pipe.Collector().Get(stats.CtrServeIngested); got != ingested {
+		t.Fatal("a batch without quorum was applied")
 	}
 	f1.Pipeline().Close()
 	prim.Close()

@@ -121,8 +121,8 @@ func runKillPrimaryMidTransferTrial(t *testing.T, trial int) reseedDigest {
 	if serr := <-done; !errors.Is(serr, ErrReseedAborted) {
 		t.Fatalf("severed follower session: want ErrReseedAborted, got %v", serr)
 	}
-	if prim.Followers() != 0 {
-		t.Fatalf("half-reseeded follower was attached (%d followers)", prim.Followers())
+	if prim.HasLive("follower-0") {
+		t.Fatal("half-reseeded follower was attached")
 	}
 
 	// The follower restarts: its old durable state is intact — nothing
@@ -148,9 +148,9 @@ func runKillPrimaryMidTransferTrial(t *testing.T, trial int) reseedDigest {
 	prim.Close()
 	prim = mkPrim(3)
 	na := attach(t, prim, fa, nil)
-	pipe.SetReplicator(prim)
+	pipe.SetRetentionAdvisor(prim)
 	for _, b := range w.Batches[5:] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,9 +269,9 @@ func runKillFollowerMidInstallTrial(t *testing.T, trial int) reseedDigest {
 	prim.Close()
 	prim = mkPrim(3)
 	na := attach(t, prim, fa, nil)
-	pipe.SetReplicator(prim)
+	pipe.SetRetentionAdvisor(prim)
 	for _, b := range w.Batches[5:] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,16 +347,16 @@ func runRetentionAdvanceTrial(t *testing.T) retentionDigest {
 	if err := prim.AddFollower(c1); err != nil {
 		t.Fatal(err)
 	}
-	pcfg.Replicator = prim
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipe.SetRetentionAdvisor(prim)
 	// The snapshot source must exist before retention can strand anyone.
 	prim.cfg.Snapshots = pipe.SnapshotSource()
 
 	for _, b := range w.Batches[:10] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,7 +382,7 @@ func runRetentionAdvanceTrial(t *testing.T) retentionDigest {
 		t.Fatalf("late joiner past retention: %v", err)
 	}
 	for _, b := range w.Batches[10:] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -215,8 +215,8 @@ func TestDivergedFollowerAutoReseeded(t *testing.T) {
 		Snapshots: pipe.SnapshotSource(), SnapChunkBytes: 64,
 	})
 	na := attach(t, prim, fa, nil) // auto-reseed happens inside AddFollower
-	if prim.Followers() != 1 {
-		t.Fatalf("reseeded follower not attached (%d followers)", prim.Followers())
+	if !prim.HasLive("follower-0") {
+		t.Fatal("reseeded follower not attached")
 	}
 	// The newest checkpoint covered seq 3 (CheckpointEvery=3, 5 ingests);
 	// attach installs it and then ships the remaining log in the same
@@ -227,9 +227,9 @@ func TestDivergedFollowerAutoReseeded(t *testing.T) {
 		t.Fatalf("follower at seq %d after attach, want 5", fa.Seq())
 	}
 
-	pipe.SetReplicator(prim)
+	pipe.SetRetentionAdvisor(prim)
 	for _, b := range w.Batches[5:] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,13 +313,13 @@ func TestLateJoinerReseededPastRetention(t *testing.T) {
 	// Newest checkpoint covers seq 6 (every 3, 8 ingests); the joiner
 	// installs it and attach-time catch-up serves 7..8 from the log, so
 	// it is acknowledged at the primary's end before any new traffic.
-	if got := prim.Acked(); len(got) != 1 || got[0] != 8 {
-		t.Fatalf("acked after reseed = %v, want [8]", got)
+	if floor, ok := prim.RetainFloor(); !ok || floor != 8 {
+		t.Fatalf("acked after reseed = %d (live %v), want 8", floor, ok)
 	}
 
-	pipe.SetReplicator(prim)
+	pipe.SetRetentionAdvisor(prim)
 	for _, b := range w.Batches[8:] {
-		if err := pipe.Ingest(b); err != nil {
+		if err := ingest(prim, pipe, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -108,18 +108,6 @@ const (
 	BreakerHalfOpen
 )
 
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
-
 // Breaker is a consecutive-failure circuit breaker guarding a flaky
 // source: after FailureThreshold consecutive failures it opens and
 // refuses calls for ResetTimeout, then half-opens to probe with trial
@@ -185,13 +173,6 @@ func (b *Breaker) Record(err error) {
 		b.openedAt = b.clock.Now()
 		b.failures = 0
 	}
-}
-
-// State returns the current position.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 // Opens returns how many times the breaker has opened.

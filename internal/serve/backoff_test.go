@@ -110,14 +110,14 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 		br.Record(boom)
 	}
-	if br.State() != BreakerClosed {
-		t.Fatalf("state %v, want closed", br.State())
+	if br.state != BreakerClosed {
+		t.Fatalf("state %v, want closed", br.state)
 	}
 
 	// Third consecutive failure opens it.
 	br.Record(boom)
-	if br.State() != BreakerOpen {
-		t.Fatalf("state %v, want open", br.State())
+	if br.state != BreakerOpen {
+		t.Fatalf("state %v, want open", br.state)
 	}
 	if br.Allow() {
 		t.Fatal("open breaker allowed a call before the reset timeout")
@@ -128,14 +128,14 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !br.Allow() {
 		t.Fatal("breaker did not half-open after the reset timeout")
 	}
-	if br.State() != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", br.State())
+	if br.state != BreakerHalfOpen {
+		t.Fatalf("state %v, want half-open", br.state)
 	}
 
 	// A half-open failure reopens immediately.
 	br.Record(boom)
-	if br.State() != BreakerOpen {
-		t.Fatalf("state %v, want open after half-open failure", br.State())
+	if br.state != BreakerOpen {
+		t.Fatalf("state %v, want open after half-open failure", br.state)
 	}
 	if got := br.Opens(); got != 2 {
 		t.Fatalf("opens = %d, want 2", got)
@@ -147,13 +147,13 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("breaker did not half-open again")
 	}
 	br.Record(nil)
-	if br.State() != BreakerClosed {
-		t.Fatalf("state %v, want closed after successful probe", br.State())
+	if br.state != BreakerClosed {
+		t.Fatalf("state %v, want closed after successful probe", br.state)
 	}
 	// The old failures are gone: two new ones must not trip it.
 	br.Record(boom)
 	br.Record(boom)
-	if br.State() != BreakerClosed {
+	if br.state != BreakerClosed {
 		t.Fatal("failure count survived the close")
 	}
 }
@@ -165,7 +165,7 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 		br.Record(boom)
 		br.Record(nil) // success between failures: never two consecutive
 	}
-	if br.State() != BreakerClosed || br.Opens() != 0 {
-		t.Fatalf("interleaved failures tripped the breaker: %v, opens %d", br.State(), br.Opens())
+	if br.state != BreakerClosed || br.Opens() != 0 {
+		t.Fatalf("interleaved failures tripped the breaker: %v, opens %d", br.state, br.Opens())
 	}
 }

@@ -24,42 +24,17 @@ var ErrRecoveryGap = errors.New("serve: recovery gap between restored state and 
 // follower with a newer term has been promoted, and anything this
 // (former) primary acknowledges from now on could be silently lost.
 // Replication errors wrap it so one errors.Is answers the only question
-// the supervisor has — "may this process keep serving?" — with no.
+// a leader has — "may I keep serving?" — with no.
 var ErrFenced = errors.New("serve: primary fenced by a newer term")
 
-// Replicator is the pipeline's quorum-acknowledgement hook: Replicate
-// blocks until the batch (already durable locally) is durable on enough
-// replicas to survive losing this machine, and returns an error when
-// that can no longer be promised — quorum lost, or this primary fenced
-// by a newer term (errors.Is(err, ErrFenced)). Implementations live in
-// internal/replica; the interface lives here so serve never imports the
-// transport.
-type Replicator interface {
-	// Replicate ships the batch at seq and waits for quorum.
-	Replicate(seq uint64, batch []graph.Update) error
-	// Close releases the replicator's connections.
-	Close() error
-}
-
-// DeadlineReplicator is the deadline-aware extension of Replicator: a
-// quorum hook that also implements it has ReplicateDeadline called for
-// batches carrying a deadline, and must stop assembling acknowledgements
-// once the deadline passes — returning nil if quorum was already met,
-// or an error wrapping ErrDeadline if not. Reached by type assertion,
-// like RetentionAdvisor, so serve never imports the transport.
-type DeadlineReplicator interface {
-	ReplicateDeadline(seq uint64, batch []graph.Update, deadline time.Time) error
-}
-
-// RetentionAdvisor lets the replication layer narrow WAL retention: a
-// Replicator that also implements it reports the highest sequence
-// retention may truncate through without orphaning replication —
-// below every live follower's acknowledged position and any snapshot
-// transfer still in flight. ok=false means replication imposes no
-// constraint (no live followers) and the local generation rule alone
-// decides, which is exactly the solo behavior. The advisor is reached
-// by a type assertion on the Replicator so serve still never imports
-// the transport.
+// RetentionAdvisor lets the replication layer narrow WAL retention: it
+// reports the highest sequence retention may truncate through without
+// orphaning replication — below every live follower's acknowledged
+// position and any snapshot transfer still in flight. ok=false means
+// replication imposes no constraint (no live followers) and the local
+// generation rule alone decides, which is exactly the solo behavior.
+// The interface lives here so serve never imports the transport; a
+// leader installs its replica.Primary with SetRetentionAdvisor.
 type RetentionAdvisor interface {
 	RetainFloor() (floor uint64, ok bool)
 }
@@ -87,12 +62,6 @@ type PipelineConfig struct {
 	CheckpointEvery int
 	// Collector receives the pipeline's counters (nil = private).
 	Collector *stats.Collector
-	// Replicator, when set, gates every Ingest on quorum durability:
-	// the batch is applied (and acknowledged) only after Replicate
-	// returns. Replication failures surface as stage "replicate", which
-	// is fatal to the pipeline — a primary that cannot reach quorum or
-	// has been fenced must stop acknowledging, not restart.
-	Replicator Replicator
 	// Clock is the time source deadline checks run on (default the real
 	// clock; tests inject a fake).
 	Clock Clock
@@ -137,13 +106,12 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 // "wal-sync" failures happened after the record was written but
 // before its fsync barrier completed — the bytes are in the log and
 // may survive, so re-sending would double-apply; recovery (or a
-// same-sequence retry) owns the batch instead. "apply" and
-// "checkpoint" failures happen strictly after durability (recovery
-// replays the batch from the log). errors.Is/As see through to the
-// underlying cause.
+// same-sequence retry) owns the batch instead. "checkpoint" failures
+// happen strictly after durability (recovery replays the batch from
+// the log). errors.Is/As see through to the underlying cause.
 type IngestError struct {
 	Seq   uint64
-	Stage string // "admit" | "wal" | "wal-sync" | "replicate" | "apply" | "checkpoint"
+	Stage string // "admit" | "wal" | "wal-sync" | "checkpoint"
 	Err   error
 }
 
@@ -176,9 +144,9 @@ type Pipeline struct {
 	// seq is the last ingested (or replayed) sequence. It is written
 	// only by the single ingesting goroutine but read concurrently by
 	// replication probe answers, hence atomic.
-	seq  atomic.Uint64
-	col  *stats.Collector
-	repl Replicator
+	seq       atomic.Uint64
+	col       *stats.Collector
+	retention RetentionAdvisor // nil unless this member leads a cluster
 
 	sinceCkpt int
 
@@ -200,7 +168,7 @@ type Pipeline struct {
 // durable prefix without crashing.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
-	p := &Pipeline{cfg: cfg, col: cfg.Collector, repl: cfg.Replicator}
+	p := &Pipeline{cfg: cfg, col: cfg.Collector}
 
 	// Rung 1: newest recoverable checkpoint generation, with the WAL
 	// sequence it covers from its metadata sidecar.
@@ -272,15 +240,10 @@ func (p *Pipeline) Seq() uint64 { return p.seq.Load() }
 // Collector returns the pipeline's counter set.
 func (p *Pipeline) Collector() *stats.Collector { return p.col }
 
-// SetReplicator installs (or clears, with nil) the quorum hook after
-// construction — the replica layer needs the recovered pipeline's
-// sequence to build the replicator, so it cannot always be present in
-// the config.
-func (p *Pipeline) SetReplicator(r Replicator) { p.repl = r }
-
-// WALOptions returns the log configuration the pipeline was built with
-// (the replicator tails the same directory to catch followers up).
-func (p *Pipeline) WALOptions() wal.Options { return p.cfg.WAL }
+// SetRetentionAdvisor installs (or clears, with nil) the replication
+// layer's say in WAL retention. It is a setter, not configuration: a
+// member starts leading, and stops, long after its pipeline was built.
+func (p *Pipeline) SetRetentionAdvisor(ra RetentionAdvisor) { p.retention = ra }
 
 // applyLogged applies a batch that is already durable. Failures a
 // deterministic replay would reproduce — validation rejections,
@@ -299,63 +262,54 @@ func (p *Pipeline) applyLogged(batch []graph.Update) {
 	p.col.Inc(stats.CtrServeRejected)
 }
 
-// Ingest makes one batch durable and applies it: WAL append (fsync per
-// policy), quorum replication when a Replicator is installed, session
-// apply, periodic checkpoint. The returned error is always an
+// Ingest makes one batch durable and applies it — the solo serving
+// path: Append, then Apply. The returned error is always an
 // *IngestError whose Stage says whether the batch got as far as the
-// log. With a Replicator, a nil return means the batch is durable on a
-// quorum of replicas, not just this disk.
+// log. A cluster leader runs the same two halves with the quorum round
+// between them (replica.Primary.Ingest).
 func (p *Pipeline) Ingest(batch []graph.Update) error {
-	return p.IngestDeadline(batch, time.Time{})
+	if _, err := p.Append(batch, time.Time{}); err != nil {
+		return err
+	}
+	return p.Apply(batch)
 }
 
-// IngestDeadline is Ingest with a per-batch deadline (zero = none): the
-// batch is refused at admission when the deadline has already expired,
-// and a deadline-aware Replicator stops waiting for stragglers once it
-// passes mid-quorum. Both refusals surface as errors wrapping
-// ErrDeadline with the stage they died in; an admission refusal is
-// non-durable (nothing happened — re-send freely), a replicate-stage
-// expiry is durable-class like any other quorum failure.
-func (p *Pipeline) IngestDeadline(batch []graph.Update, deadline time.Time) error {
+// Append is the first half of ingest: admission (disk pressure, then
+// the batch deadline — zero means none), then the WAL append with its
+// policy fsync. It returns the sequence the batch was logged at. A
+// refusal or failure is an *IngestError and leaves the sequence where
+// it was: "admit" and "wal" stages put nothing in the log (re-send
+// freely; an expired deadline wraps ErrDeadline), "wal-sync" wrote the
+// record without completing its barrier.
+func (p *Pipeline) Append(batch []graph.Update, deadline time.Time) (uint64, error) {
 	seq := p.seq.Load() + 1
 	if dpe := p.checkDiskPressure(); dpe != nil {
 		p.col.Inc(stats.CtrServeDiskPressure)
-		return &IngestError{Seq: seq, Stage: "admit", Err: dpe}
+		return 0, &IngestError{Seq: seq, Stage: "admit", Err: dpe}
 	}
 	if !deadline.IsZero() && !p.cfg.Clock.Now().Before(deadline) {
 		p.col.Inc(stats.CtrServeDeadlineExpired)
-		return &IngestError{Seq: seq, Stage: "admit", Err: &DeadlineError{Stage: "admit"}}
+		return 0, &IngestError{Seq: seq, Stage: "admit", Err: &DeadlineError{Stage: "admit"}}
 	}
+	return seq, p.appendAt(seq, batch)
+}
+
+// appendAt logs batch at seq and advances the pipeline's sequence to it.
+func (p *Pipeline) appendAt(seq uint64, batch []graph.Update) error {
 	if err := p.log.Append(seq, batch); err != nil {
 		return p.walIngestError(seq, err)
 	}
-	p.appendSucceeded()
+	// With no probe configured, a write that fits again IS the
+	// free-space signal: clear ENOSPC-driven read-only mode.
+	p.spaceCompacted = false
+	if p.cfg.DiskLowWater == 0 && p.readOnly.Load() {
+		p.readOnly.Store(false)
+		p.col.Inc(stats.CtrServeReadonlyExits)
+	}
 	p.seq.Store(seq)
 	p.col.Inc(stats.CtrWALAppends)
-	if p.repl != nil {
-		var rerr error
-		if dr, ok := p.repl.(DeadlineReplicator); ok && !deadline.IsZero() {
-			rerr = dr.ReplicateDeadline(seq, batch, deadline)
-		} else {
-			rerr = p.repl.Replicate(seq, batch)
-		}
-		if rerr != nil {
-			// Locally durable but not quorum-durable. The stage is
-			// durable-class (replay may resurrect the batch) and fatal:
-			// restarting would not restore quorum, and a fenced primary
-			// (errors.Is(err, ErrFenced)) must never ack again.
-			if errors.Is(rerr, ErrDeadline) {
-				p.col.Inc(stats.CtrServeDeadlineExpired)
-			}
-			return &IngestError{Seq: seq, Stage: "replicate", Err: rerr}
-		}
-	}
-	return p.applyIngested(seq, batch)
+	return nil
 }
-
-// ReadOnly reports whether the pipeline is refusing ingest under disk
-// pressure. Reads, heartbeats and replication probes keep flowing.
-func (p *Pipeline) ReadOnly() bool { return p.readOnly.Load() }
 
 // checkDiskPressure is the admission rung of the degradation ladder.
 // Below DiskLowWater it first advances WAL retention (compaction may
@@ -427,39 +381,26 @@ func (p *Pipeline) walIngestError(seq uint64, err error) error {
 	return &IngestError{Seq: seq, Stage: "wal", Err: err}
 }
 
-// appendSucceeded clears ENOSPC-driven read-only mode: with no probe
-// configured, a write that fits again IS the free-space signal.
-func (p *Pipeline) appendSucceeded() {
-	p.spaceCompacted = false
-	if p.cfg.DiskLowWater == 0 && p.readOnly.Load() {
-		p.readOnly.Store(false)
-		p.col.Inc(stats.CtrServeReadonlyExits)
-	}
-}
-
-// IngestReplicated is the follower-side twin of Ingest: it applies a
-// batch the primary shipped at an explicit sequence, enforcing
-// contiguity with what this replica has already applied. The caller
-// (the replication session) acks only after a nil return, so an ack
-// always means "durable here and applied through the same code path
-// recovery replays".
+// IngestReplicated is the follower-side twin of Ingest: the same two
+// halves for a batch the primary shipped at an explicit sequence, with
+// contiguity against what this replica already holds in place of
+// admission. The caller (the replication session) acks only after a nil
+// return, so an ack always means "durable here and applied through the
+// same code path recovery replays".
 func (p *Pipeline) IngestReplicated(seq uint64, batch []graph.Update) error {
 	if seq != p.seq.Load()+1 {
 		return &IngestError{Seq: seq, Stage: "wal",
 			Err: fmt.Errorf("replicated batch seq %d does not follow local seq %d", seq, p.seq.Load())}
 	}
-	if err := p.log.Append(seq, batch); err != nil {
-		return p.walIngestError(seq, err)
+	if err := p.appendAt(seq, batch); err != nil {
+		return err
 	}
-	p.appendSucceeded()
-	p.seq.Store(seq)
-	p.col.Inc(stats.CtrWALAppends)
-	return p.applyIngested(seq, batch)
+	return p.Apply(batch)
 }
 
-// applyIngested is the shared post-durability half of Ingest and
-// IngestReplicated: apply, count, periodic checkpoint.
-func (p *Pipeline) applyIngested(seq uint64, batch []graph.Update) error {
+// Apply is the second half of ingest, for the batch Append (or
+// appendAt) just logged: session apply, count, periodic checkpoint.
+func (p *Pipeline) Apply(batch []graph.Update) error {
 	p.applyLogged(batch)
 	p.col.Inc(stats.CtrServeIngested)
 
@@ -475,7 +416,7 @@ func (p *Pipeline) applyIngested(seq uint64, batch []graph.Update) error {
 					// pressure turns into read-only at the admission gate.
 					return nil
 				}
-				return &IngestError{Seq: seq, Stage: "checkpoint", Err: err}
+				return &IngestError{Seq: p.seq.Load(), Stage: "checkpoint", Err: err}
 			}
 		}
 	}
@@ -525,8 +466,8 @@ func (p *Pipeline) advanceRetention() error {
 			oldest = seq
 		}
 	}
-	if ra, ok := p.repl.(RetentionAdvisor); ok {
-		if floor, bound := ra.RetainFloor(); bound && floor < oldest {
+	if p.retention != nil {
+		if floor, bound := p.retention.RetainFloor(); bound && floor < oldest {
 			oldest = floor
 		}
 	}

@@ -184,14 +184,6 @@ func (c *SLOController) Level() PressureLevel {
 	return c.level
 }
 
-// Target reports the configured objective (0 for a nil controller).
-func (c *SLOController) Target() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.Target
-}
-
 // RetryAfter is the backpressure hint to advertise to clients while
 // shedding: how far the smoothed latency is over target, clamped to
 // [target/4, 4*target]. Zero below PressureShed.

@@ -54,7 +54,7 @@ func TestSLOControllerEscalatesAndRelaxes(t *testing.T) {
 	if c.Level() != PressureShed {
 		t.Fatalf("8th hot observation: level %v, want shed", c.Level())
 	}
-	if ra := c.RetryAfter(); ra < c.Target()/4 || ra > 4*c.Target() {
+	if ra := c.RetryAfter(); ra < c.cfg.Target/4 || ra > 4*c.cfg.Target {
 		t.Fatalf("retry-after %v outside [target/4, 4*target]", ra)
 	}
 
@@ -90,7 +90,7 @@ func TestSLOControllerNilSafe(t *testing.T) {
 		t.Fatalf("zero target built a controller: %+v", got)
 	}
 	c.Observe(time.Second, 10, 10) // must not panic
-	if c.Level() != PressureNone || c.RetryAfter() != 0 || c.Target() != 0 {
+	if c.Level() != PressureNone || c.RetryAfter() != 0 {
 		t.Fatal("nil controller is not inert")
 	}
 }
@@ -288,8 +288,8 @@ func TestRetrySourceNeverRetriesCancellation(t *testing.T) {
 	if calls != 1 || rs.Retries() != 0 {
 		t.Fatalf("calls=%d retries=%d, want a single attempt and no retries", calls, rs.Retries())
 	}
-	if br.State() != BreakerClosed || br.Opens() != 0 {
-		t.Fatalf("cancellation tripped the breaker: %v opens=%d", br.State(), br.Opens())
+	if br.state != BreakerClosed || br.Opens() != 0 {
+		t.Fatalf("cancellation tripped the breaker: %v opens=%d", br.state, br.Opens())
 	}
 
 	// A caller-cancelled context short-circuits the same way.
@@ -330,28 +330,6 @@ func TestRetrySourceDeadlineFeedsBreaker(t *testing.T) {
 	}
 }
 
-// deadlineRepl is a fake quorum hook recording which replication entry
-// point the pipeline chose and the deadline it passed.
-type deadlineRepl struct {
-	plainCalls    int
-	deadlineCalls int
-	gotDeadline   time.Time
-	fail          error
-}
-
-func (r *deadlineRepl) Replicate(seq uint64, batch []graph.Update) error {
-	r.plainCalls++
-	return r.fail
-}
-
-func (r *deadlineRepl) ReplicateDeadline(seq uint64, batch []graph.Update, deadline time.Time) error {
-	r.deadlineCalls++
-	r.gotDeadline = deadline
-	return r.fail
-}
-
-func (r *deadlineRepl) Close() error { return nil }
-
 // TestPipelineDeadlineAdmitExpiry: an already-expired deadline refuses
 // the batch before any I/O — non-durable, typed, counted — and the
 // same batch succeeds once given budget.
@@ -366,7 +344,7 @@ func TestPipelineDeadlineAdmitExpiry(t *testing.T) {
 	}
 	defer p.Close()
 
-	err = p.IngestDeadline(w.Batches[0], clk.Now()) // expired on arrival
+	_, err = p.Append(w.Batches[0], clk.Now()) // expired on arrival
 	var ie *IngestError
 	if !errors.As(err, &ie) || ie.Stage != "admit" || ie.Durable() {
 		t.Fatalf("want non-durable admit-stage error, got %v", err)
@@ -386,57 +364,14 @@ func TestPipelineDeadlineAdmitExpiry(t *testing.T) {
 	}
 
 	// The identical batch with budget left goes straight through.
-	if err := p.IngestDeadline(w.Batches[0], clk.Now().Add(time.Hour)); err != nil {
+	if seq, err := p.Append(w.Batches[0], clk.Now().Add(time.Hour)); err != nil || seq != 1 {
+		t.Fatalf("append with budget left: seq %d, err %v", seq, err)
+	}
+	if err := p.Apply(w.Batches[0]); err != nil {
 		t.Fatal(err)
 	}
 	if p.Seq() != 1 {
 		t.Fatalf("seq %d after successful ingest, want 1", p.Seq())
-	}
-}
-
-// TestPipelineRoutesDeadlineToReplicator: a deadline-aware Replicator
-// gets ReplicateDeadline (with the deadline) for deadline-carrying
-// batches and plain Replicate otherwise.
-func TestPipelineRoutesDeadlineToReplicator(t *testing.T) {
-	w := testWorkload(t, 3)
-	cfg := pipelineConfig(t, w)
-	clk := newFakeClock()
-	cfg.Clock = clk
-	repl := &deadlineRepl{}
-	cfg.Replicator = repl
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	if err := p.Ingest(w.Batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	deadline := clk.Now().Add(time.Minute)
-	if err := p.IngestDeadline(w.Batches[1], deadline); err != nil {
-		t.Fatal(err)
-	}
-	if repl.plainCalls != 1 || repl.deadlineCalls != 1 {
-		t.Fatalf("plain=%d deadline=%d, want 1 and 1", repl.plainCalls, repl.deadlineCalls)
-	}
-	if !repl.gotDeadline.Equal(deadline) {
-		t.Fatalf("replicator saw deadline %v, want %v", repl.gotDeadline, deadline)
-	}
-
-	// A replicate-stage expiry surfaces as a durable-class failure
-	// wrapping ErrDeadline, and is counted.
-	repl.fail = fmt.Errorf("2 of 3 acks: %w", NewDeadlineError("replicate"))
-	err = p.IngestDeadline(w.Batches[2], clk.Now().Add(time.Minute))
-	var ie *IngestError
-	if !errors.As(err, &ie) || ie.Stage != "replicate" || !ie.Durable() {
-		t.Fatalf("want durable replicate-stage error, got %v", err)
-	}
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("lost ErrDeadline through the replicate stage: %v", err)
-	}
-	if got := p.Collector().Get(stats.CtrServeDeadlineExpired); got != 1 {
-		t.Fatalf("deadline counter %d, want 1", got)
 	}
 }
 
@@ -485,7 +420,7 @@ func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 	if !errors.As(derr, &dpe) || dpe.LowWater != 600 {
 		t.Fatalf("disk-pressure detail wrong: %v", derr)
 	}
-	if !p.ReadOnly() {
+	if !p.readOnly.Load() {
 		t.Fatal("pipeline not read-only after the refusal")
 	}
 	// Read-only holds below the high-water mark on every retry.
@@ -512,7 +447,7 @@ func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 			t.Fatalf("batch %d after space freed: %v", next, err)
 		}
 	}
-	if p.ReadOnly() {
+	if p.readOnly.Load() {
 		t.Fatal("pipeline still read-only after space freed")
 	}
 	if got := col.Get(stats.CtrServeReadonlyExits); got != 1 {
@@ -564,7 +499,7 @@ func TestPipelineENOSPCAppendDegradesNotPoisons(t *testing.T) {
 	if !errors.Is(derr, ErrDiskPressure) || !errors.Is(derr, wal.ErrNoSpace) {
 		t.Fatalf("lost the typed chain: %v", derr)
 	}
-	if !p.ReadOnly() {
+	if !p.readOnly.Load() {
 		t.Fatal("ENOSPC did not enter read-only")
 	}
 	if p.Seq() != seqBefore {
@@ -579,7 +514,7 @@ func TestPipelineENOSPCAppendDegradesNotPoisons(t *testing.T) {
 			t.Fatalf("batch %d after space freed: %v", next, err)
 		}
 	}
-	if p.ReadOnly() {
+	if p.readOnly.Load() {
 		t.Fatal("still read-only after a successful append")
 	}
 	col := p.Collector()

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"path/filepath"
@@ -572,67 +571,5 @@ func TestServerPoisonsUndeliverableBatch(t *testing.T) {
 	}
 	if got := srv.Collector().Get(stats.CtrServePoisoned); got != uint64(len(w.Batches)) {
 		t.Fatalf("poisoned %d, want %d", got, len(w.Batches))
-	}
-}
-
-// fakeReplicator fails Replicate after `okFor` successes with the
-// configured error — the serve-side stand-in for quorum loss/fencing.
-type fakeReplicator struct {
-	okFor int
-	fail  error
-	calls int
-}
-
-func (r *fakeReplicator) Replicate(seq uint64, batch []graph.Update) error {
-	r.calls++
-	if r.calls > r.okFor {
-		return r.fail
-	}
-	return nil
-}
-
-func (r *fakeReplicator) Close() error { return nil }
-
-// TestServerHaltsOnReplicationFailure: replicate-stage failures are
-// fatal — the supervisor must NOT restart (a restart cannot restore
-// quorum, and a fenced primary must stop acknowledging entirely).
-func TestServerHaltsOnReplicationFailure(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fail error
-	}{
-		{"quorum lost", errors.New("replica: quorum gone")},
-		{"fenced", fmt.Errorf("replica: stale term: %w", ErrFenced)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := testWorkload(t, 6)
-			cfg := pipelineConfig(t, w)
-			repl := &fakeReplicator{okFor: 2, fail: tc.fail}
-			cfg.Replicator = repl
-
-			srv := NewServer(ServerConfig{
-				Pipeline:    cfg,
-				Queue:       QueueConfig{Capacity: 4, MaxBatchUpdates: 1},
-				MaxRestarts: 5,
-			})
-			err := srv.Run(context.Background(), NewSliceSource(w.Batches))
-			var ie *IngestError
-			if !errors.As(err, &ie) || ie.Stage != "replicate" {
-				t.Fatalf("want fatal IngestError stage replicate, got %v", err)
-			}
-			if !ie.Durable() {
-				t.Fatal("replicate-stage failures must be durable-class")
-			}
-			if tc.fail != nil && errors.Is(tc.fail, ErrFenced) && !errors.Is(err, ErrFenced) {
-				t.Fatalf("fencing lost through the chain: %v", err)
-			}
-			if got := srv.Collector().Get(stats.CtrServeRestarts); got != 0 {
-				t.Fatalf("supervisor restarted %d times on a replication failure", got)
-			}
-			// The pipeline stopped at the last replicated batch.
-			if got := srv.Pipeline().Seq(); got != 3 {
-				t.Fatalf("halted at seq %d, want 3", got)
-			}
-		})
 	}
 }

@@ -87,9 +87,6 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// SLO exposes the admission controller (nil when disabled).
-func (s *Server) SLO() *SLOController { return s.slo }
-
 // Collector returns the server's counter set.
 func (s *Server) Collector() *stats.Collector { return s.col }
 
@@ -199,17 +196,6 @@ func (s *Server) serveLoop(q *Queue) error {
 
 		var ie *IngestError
 		durable := errors.As(ierr, &ie) && ie.Durable()
-		if durable && ie.Stage == "replicate" {
-			// Quorum lost or fenced by a newer term: restarting cannot
-			// restore either, and a fenced primary acknowledging batches
-			// would lose them silently. Halt; failover owns the cluster.
-			if errors.Is(ierr, ErrFenced) {
-				s.cfg.OnEvent(fmt.Sprintf("halting: fenced by a newer term (%v)", ierr))
-			} else {
-				s.cfg.OnEvent(fmt.Sprintf("halting: replication quorum unavailable (%v)", ierr))
-			}
-			return ierr
-		}
 		if !durable {
 			if errors.Is(ierr, ErrDiskPressure) {
 				// Read-only under disk pressure: retrying immediately hits

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
@@ -173,16 +172,14 @@ func TestInstallSnapshotRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// stubAdvisor is a Replicator that also advises retention: the serve
-// layer must reach RetainFloor through the interface seam alone.
+// stubAdvisor advises retention: the serve layer must reach RetainFloor
+// through the interface seam alone.
 type stubAdvisor struct {
 	floor uint64
 	ok    bool
 }
 
-func (s *stubAdvisor) Replicate(uint64, []graph.Update) error { return nil }
-func (s *stubAdvisor) Close() error                           { return nil }
-func (s *stubAdvisor) RetainFloor() (uint64, bool)            { return s.floor, s.ok }
+func (s *stubAdvisor) RetainFloor() (uint64, bool) { return s.floor, s.ok }
 
 // TestRetainFloorBoundsRetention: a replication floor pins WAL
 // segments that local generation retention would otherwise delete, and
@@ -193,12 +190,12 @@ func TestRetainFloorBoundsRetention(t *testing.T) {
 	cfg := pipelineConfig(t, w)
 	cfg.WAL.SegmentBytes = 512
 	cfg.CheckpointEvery = 2
-	cfg.Replicator = adv
 	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.SetRetentionAdvisor(adv)
 	for _, b := range w.Batches {
 		if err := p.Ingest(b); err != nil {
 			t.Fatal(err)

@@ -140,12 +140,6 @@ func MustNew(name string, sizeBytes, ways int, policyName string) *Cache {
 // Name returns the cache's configured name.
 func (c *Cache) Name() string { return c.name }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // LineAddr maps a byte address to its line-aligned address.
 func LineAddr(addr uint64) uint64 { return addr &^ uint64(LineSize-1) }
 

@@ -284,13 +284,6 @@ func (m *Machine) MarkHot(r Region) {
 	m.hotRanges = append(m.hotRanges, r)
 }
 
-// ClearHot removes all hot ranges (used between batches when the hot set
-// is re-identified).
-func (m *Machine) ClearHot() {
-	m.drain()
-	m.hotRanges = m.hotRanges[:0]
-}
-
 // MarkCoherent enables directory-based invalidation accounting for writes
 // inside r (writable shared data: states, deltas, bitvectors).
 func (m *Machine) MarkCoherent(r Region) {

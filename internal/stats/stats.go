@@ -96,17 +96,6 @@ func (c *Collector) Snapshot() map[string]uint64 {
 	return out
 }
 
-// Ratio returns num/den as a float, or 0 when the denominator is zero.
-func (c *Collector) Ratio(num, den string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.counters[den]
-	if d == 0 {
-		return 0
-	}
-	return float64(c.counters[num]) / float64(d)
-}
-
 // String renders the counters sorted by name, one per line.
 func (c *Collector) String() string {
 	snap := c.Snapshot()
@@ -263,37 +252,3 @@ const (
 	CtrServeReadonlyEntries = "serve.readonly_entries"      // transitions into read-only (disk full)
 	CtrServeReadonlyExits   = "serve.readonly_exits"        // transitions back to writable (space freed)
 )
-
-// Series is an ordered list of labelled float values — one bar group or one
-// line of a figure. The bench renderers consume it.
-type Series struct {
-	Name   string
-	Labels []string
-	Values []float64
-}
-
-// Append adds one point to the series.
-func (s *Series) Append(label string, v float64) {
-	s.Labels = append(s.Labels, label)
-	s.Values = append(s.Values, v)
-}
-
-// Normalize divides every value by base (no-op when base is zero).
-func (s *Series) Normalize(base float64) {
-	if base == 0 {
-		return
-	}
-	for i := range s.Values {
-		s.Values[i] /= base
-	}
-}
-
-// Format renders the series as a single aligned text row.
-func (s *Series) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s", s.Name)
-	for i := range s.Values {
-		fmt.Fprintf(&b, " %s=%.4g", s.Labels[i], s.Values[i])
-	}
-	return b.String()
-}

@@ -18,12 +18,6 @@ func TestCollectorBasics(t *testing.T) {
 	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("names = %v", got)
 	}
-	if r := c.Ratio("b", "a"); r != 5.0/3.0 {
-		t.Fatalf("ratio = %v", r)
-	}
-	if r := c.Ratio("a", "zero"); r != 0 {
-		t.Fatalf("ratio with zero denominator = %v", r)
-	}
 }
 
 func TestCollectorMergeResetSet(t *testing.T) {
@@ -53,22 +47,5 @@ func TestCollectorString(t *testing.T) {
 	s := c.String()
 	if !strings.Contains(s, "aa") || strings.Index(s, "aa") > strings.Index(s, "zz") {
 		t.Fatalf("String not sorted: %q", s)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := &stats.Series{Name: "test"}
-	s.Append("x", 2)
-	s.Append("y", 4)
-	s.Normalize(2)
-	if s.Values[0] != 1 || s.Values[1] != 2 {
-		t.Fatalf("normalize wrong: %v", s.Values)
-	}
-	s.Normalize(0) // no-op
-	if s.Values[0] != 1 {
-		t.Fatal("normalize by zero changed values")
-	}
-	if out := s.Format(); !strings.Contains(out, "x=1") {
-		t.Fatalf("format = %q", out)
 	}
 }

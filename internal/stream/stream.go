@@ -138,15 +138,6 @@ func (w *Workload) WarmupBuilder() *graph.Builder {
 	return graph.NewBuilderFromEdges(w.NumVertices, w.Warmup)
 }
 
-// TotalUpdates returns the number of updates across all batches.
-func (w *Workload) TotalUpdates() int {
-	n := 0
-	for _, b := range w.Batches {
-		n += len(b)
-	}
-	return n
-}
-
 // MergeBatches concatenates two batches into a fresh slice, preserving
 // update order — the granularity-growing step of overload degradation:
 // applying the merged batch converges to the same states as applying

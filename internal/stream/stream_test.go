@@ -73,10 +73,13 @@ func TestBuildDeterministic(t *testing.T) {
 	cfg := stream.Config{WarmupFraction: 0.5, BatchSize: 120, AddFraction: 0.6, NumBatches: 2, Seed: 9}
 	a := stream.Build(edges, 500, cfg)
 	b := stream.Build(edges, 500, cfg)
-	if a.TotalUpdates() != b.TotalUpdates() {
+	if len(a.Batches) != len(b.Batches) {
 		t.Fatal("nondeterministic batch count")
 	}
 	for i := range a.Batches {
+		if len(a.Batches[i]) != len(b.Batches[i]) {
+			t.Fatalf("batch %d size differs", i)
+		}
 		for j := range a.Batches[i] {
 			if a.Batches[i][j] != b.Batches[i][j] {
 				t.Fatalf("batch %d update %d differs", i, j)

@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
@@ -44,29 +41,29 @@ func Open(opt Options) (*Log, Recovery, error) {
 	l := &Log{opt: opt, fs: opt.FS}
 	var rec Recovery
 
-	segs, err := l.segments()
+	segs, err := listSegments(l.fs, opt.Dir)
 	if err != nil {
 		return nil, rec, err
 	}
 	rec.Segments = len(segs)
 
-	prevLast := uint64(0) // last seq of the previous segment
+	next := uint64(0) // sequence the next segment must start at (0 = any)
 	for i, seg := range segs {
-		last := i == len(segs)-1
-		res, err := l.scanSegment(seg, prevLast, nil)
+		res, err := l.scanSegment(seg, next, nil)
 		if err != nil {
 			return nil, rec, err
 		}
 		rec.Records += res.records
+		next = res.next
 
 		switch {
-		case res.damage == damageNone:
+		case res.damage == nil:
 			// Clean segment.
-		case !last:
+		case i < len(segs)-1:
 			// Damage before the final segment cannot be a crash tail.
 			return nil, rec, &LogError{Segment: seg.name, Offset: res.validEnd,
-				Err: fmt.Errorf("%w: %w in a sealed segment", ErrCorrupt, res.cause)}
-		case res.damage == damageHeader:
+				Err: fmt.Errorf("%w: %w in a sealed segment", ErrCorrupt, res.damage)}
+		case res.validEnd == 0:
 			// The final segment never got a valid header: remove it.
 			if err := l.fs.Remove(l.path(seg.name)); err != nil {
 				return nil, rec, &LogError{Segment: seg.name, Err: err}
@@ -75,7 +72,7 @@ func Open(opt Options) (*Log, Recovery, error) {
 				return nil, rec, err
 			}
 			rec.RemovedSegment = seg.name
-		default: // damageTail in the final segment: truncate the tear.
+		default: // a torn record in the final segment: truncate the tear.
 			if err := l.fs.Truncate(l.path(seg.name), res.validEnd); err != nil {
 				return nil, rec, &LogError{Segment: seg.name, Offset: res.validEnd, Err: err}
 			}
@@ -86,36 +83,35 @@ func Open(opt Options) (*Log, Recovery, error) {
 			rec.TornOffset = res.validEnd
 			rec.DroppedBytes = res.size - res.validEnd
 		}
-		if res.records > 0 {
-			prevLast = res.lastSeq
-		}
 	}
 
-	l.lastSeq = prevLast
-	l.durable = prevLast // whatever survived on disk is, by survival, durable
+	if next != 0 {
+		l.lastSeq = next - 1
+	}
+	l.durable = l.lastSeq // whatever survived on disk is, by survival, durable
 	if len(segs) > 0 && segs[0].name != rec.RemovedSegment {
 		l.firstSeq = segs[0].base
 	}
-	rec.LastSeq = prevLast
+	rec.LastSeq = l.lastSeq
 	return l, rec, nil
 }
 
 // Replay streams every recovered batch with sequence >= from to fn, in
 // sequence order. It must run after Open and before the first Append.
 func (l *Log) Replay(from uint64, fn func(seq uint64, batch []graph.Update) error) error {
-	segs, err := l.segments()
+	segs, err := listSegments(l.fs, l.opt.Dir)
 	if err != nil {
 		return err
 	}
-	prevLast := uint64(0)
+	next := uint64(0)
 	for i, seg := range segs {
 		if i+1 < len(segs) && segs[i+1].base <= from {
 			// Every record here is < segs[i+1].base <= from: skip, but
 			// keep continuity tracking honest for the next segment.
-			prevLast = segs[i+1].base - 1
+			next = segs[i+1].base
 			continue
 		}
-		res, err := l.scanSegment(seg, prevLast, func(seq uint64, payload []byte) error {
+		res, err := l.scanSegment(seg, next, func(seq uint64, payload []byte) error {
 			if seq < from {
 				return nil
 			}
@@ -128,122 +124,57 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, batch []graph.Update) erro
 		if err != nil {
 			return err
 		}
-		if res.damage != damageNone {
+		if res.damage != nil {
 			// Open already repaired the tail; damage now means the files
 			// changed underneath us.
 			return &LogError{Segment: seg.name, Offset: res.validEnd,
-				Err: fmt.Errorf("%w: %w after recovery", ErrCorrupt, res.cause)}
+				Err: fmt.Errorf("%w: %w after recovery", ErrCorrupt, res.damage)}
 		}
-		if res.records > 0 {
-			prevLast = res.lastSeq
-		}
+		next = res.next
 	}
 	return nil
 }
 
-type segDamage int
-
-const (
-	damageNone   segDamage = iota
-	damageHeader           // no valid segment header
-	damageTail             // torn or invalid record at validEnd
-)
-
 type scanResult struct {
 	records  int
-	lastSeq  uint64
-	validEnd int64 // offset just past the last valid record
-	size     int64 // total bytes in the file
-	damage   segDamage
-	cause    error // what ended the scan when damage != damageNone
+	next     uint64 // sequence the following segment must start at (0 = any)
+	validEnd int64  // offset just past the last valid record (0 = no valid header)
+	size     int64  // total bytes in the file, filled in when damage != nil
+	damage   error  // the ErrTorn-wrapping cause when the scan met bytes that do not parse
 }
 
-// scanSegment validates one segment sequentially, optionally handing
-// each valid record's payload to emit. Sequence continuity is enforced
-// against prevLast (the previous segment's final sequence, 0 for the
-// first). Damage is reported, not judged: the caller decides whether
+// scanSegment reads one segment through the segment reader, handing each
+// record's payload to emit. The segment must start at sequence next (0 =
+// anywhere). Damage is reported, not judged: the caller decides whether
 // it is a repairable tail or corruption.
-func (l *Log) scanSegment(seg segInfo, prevLast uint64, emit func(seq uint64, payload []byte) error) (scanResult, error) {
-	f, err := l.fs.Open(l.path(seg.name))
-	if err != nil {
-		return scanResult{}, &LogError{Segment: seg.name, Err: err}
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	res := scanResult{}
-
-	fail := func(cause error, kind segDamage) (scanResult, error) {
-		res.damage = kind
-		res.cause = cause
-		// Account the rest of the file so DroppedBytes is exact.
-		n, _ := io.Copy(io.Discard, br)
-		res.size += n
+func (l *Log) scanSegment(seg segInfo, next uint64, emit func(seq uint64, payload []byte) error) (scanResult, error) {
+	res := scanResult{next: next}
+	r, err := openSegReader(l.fs, l.opt.Dir, seg, 0, next)
+	if errors.Is(err, ErrTorn) {
+		res.damage = err
 		return res, nil
 	}
-
-	var hdr [segHeaderSize]byte
-	n, err := io.ReadFull(br, hdr[:])
-	res.size += int64(n)
 	if err != nil {
-		return fail(fmt.Errorf("%w: short segment header", ErrTorn), damageHeader)
+		return res, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != segMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != segVersion ||
-		binary.LittleEndian.Uint64(hdr[8:16]) != seg.base {
-		return fail(fmt.Errorf("%w: segment header does not match name", ErrCorrupt), damageHeader)
-	}
-	if prevLast != 0 && seg.base != prevLast+1 {
-		return scanResult{}, &LogError{Segment: seg.name,
-			Err: fmt.Errorf("%w: segment starts at seq %d, previous ended at %d", ErrCorrupt, seg.base, prevLast)}
-	}
-	res.validEnd = segHeaderSize
-
-	expect := seg.base
+	defer r.close()
 	for {
-		var rh [recHeaderSize]byte
-		n, err := io.ReadFull(br, rh[:])
-		res.size += int64(n)
-		if err == io.EOF {
-			return res, nil // clean end at a record boundary
-		}
-		if err != nil {
-			return fail(fmt.Errorf("%w: short record header", ErrTorn), damageTail)
-		}
-		seq := binary.LittleEndian.Uint64(rh[0:8])
-		plen := binary.LittleEndian.Uint32(rh[8:12])
-		wantCRC := binary.LittleEndian.Uint32(rh[12:16])
-		if plen > maxRecordPayload {
-			return fail(fmt.Errorf("%w: implausible payload length %d", ErrTorn, plen), damageTail)
-		}
-		payload := make([]byte, plen)
-		n, err = io.ReadFull(br, payload)
-		res.size += int64(n)
-		if err != nil {
-			return fail(fmt.Errorf("%w: short payload", ErrTorn), damageTail)
-		}
-		crc := crc32.ChecksumIEEE(rh[0:12])
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		if crc != wantCRC {
-			return fail(fmt.Errorf("%w: record checksum mismatch", ErrTorn), damageTail)
-		}
-		if seq != expect {
-			// A CRC-valid record with the wrong sequence was written
-			// whole: no tear explains it.
-			return scanResult{}, &LogError{Segment: seg.name, Offset: res.validEnd,
-				Err: fmt.Errorf("%w: record seq %d where %d expected", ErrCorrupt, seq, expect)}
-		}
-		if emit != nil {
-			if err := emit(seq, payload); err != nil {
-				return scanResult{}, err
-			}
+		seq, payload, err := r.next()
+		res.validEnd, res.next = r.off, r.want
+		switch {
+		case err == io.EOF:
+			return res, nil
+		case errors.Is(err, ErrTorn):
+			res.damage, res.size = err, r.drain()
+			return res, nil
+		case err != nil:
+			return res, err
 		}
 		res.records++
-		res.lastSeq = seq
-		res.validEnd += recHeaderSize + int64(len(payload))
-		expect++
+		if emit != nil {
+			if err := emit(seq, payload); err != nil {
+				return res, err
+			}
+		}
 	}
 }
-
-// IsCorrupt reports whether err is WAL damage recovery refuses to
-// repair (as opposed to a repairable torn tail or an I/O failure).
-func IsCorrupt(err error) bool { return errors.Is(err, ErrCorrupt) }

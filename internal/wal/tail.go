@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -39,17 +36,18 @@ type Tailer struct {
 	dir  string
 	next uint64 // next sequence Next will return
 
-	segName string
-	segBase uint64
-	atSeq   uint64 // sequence of the record at offset off
-	off     int64  // byte offset of the next unread record boundary
-	r       io.ReadCloser
-	br      *bufio.Reader
+	// Read position: the record boundary off in seg, whose record must
+	// carry atSeq. It outlives the open reader, so Next after Close (or
+	// after ErrCaughtUp) reopens and resumes. seg.name == "" means no
+	// segment is selected yet.
+	seg   segInfo
+	off   int64
+	atSeq uint64
+	r     *segReader
 }
 
 // NewTailer returns a tailer positioned to produce record `from` first
-// (0 means from the oldest retained record). Only opt.Dir and opt.FS
-// are used.
+// (0 means from sequence 1). Only opt.Dir and opt.FS are used.
 func NewTailer(opt Options, from uint64) *Tailer {
 	opt = opt.withDefaults()
 	if from == 0 {
@@ -58,31 +56,15 @@ func NewTailer(opt Options, from uint64) *Tailer {
 	return &Tailer{fs: opt.FS, dir: opt.Dir, next: from}
 }
 
-// NextSeq returns the sequence the next successful Next will produce.
-func (t *Tailer) NextSeq() uint64 { return t.next }
-
 // Close releases the tailer's open segment handle. The position is
 // kept: Next after Close reopens and resumes.
 func (t *Tailer) Close() error {
-	t.closeReader()
+	if t.r != nil {
+		t.r.close()
+		t.r = nil
+	}
 	return nil
 }
-
-func (t *Tailer) closeReader() {
-	if t.r != nil {
-		t.r.Close()
-		t.r, t.br = nil, nil
-	}
-}
-
-// errTailEnd distinguishes a clean end (EOF exactly at a record
-// boundary) from a torn tail inside readRecord.
-var errTailEnd = errors.New("wal: clean end of segment")
-
-// errTailTorn marks an incomplete or checksum-failed record at the
-// read position — an append in flight on the active segment,
-// corruption on a sealed one.
-var errTailTorn = errors.New("wal: incomplete record at tail")
 
 // Next returns the next record in sequence order, or ErrCaughtUp when
 // the log currently ends before it, or ErrCompacted when retention has
@@ -94,38 +76,15 @@ func (t *Tailer) Next() (uint64, []byte, error) {
 				return 0, nil, err
 			}
 		}
-		seq, payload, n, err := t.readRecord()
+		seq, payload, err := t.r.next()
 		if err != nil {
-			clean := errors.Is(err, errTailEnd)
-			t.closeReader()
-			succ, ok, serr := t.successor()
-			if serr != nil {
-				return 0, nil, serr
+			t.Close()
+			if err := t.endOfSegment(err); err != nil {
+				return 0, nil, err
 			}
-			if !ok {
-				// Last segment: a clean boundary or an append in flight.
-				return 0, nil, ErrCaughtUp
-			}
-			// A successor exists, so this segment is sealed: it must end
-			// cleanly and hand over exactly at the next sequence.
-			if !clean {
-				return 0, nil, &LogError{Segment: t.segName, Offset: t.off,
-					Err: fmt.Errorf("%w: %w in a sealed segment", ErrCorrupt, err)}
-			}
-			if succ.base != t.atSeq {
-				return 0, nil, &LogError{Segment: succ.name,
-					Err: fmt.Errorf("%w: segment starts at seq %d, previous ended at %d", ErrCorrupt, succ.base, t.atSeq-1)}
-			}
-			t.segName, t.segBase, t.off = succ.name, succ.base, 0
 			continue
 		}
-		if seq != t.atSeq {
-			t.closeReader()
-			return 0, nil, &LogError{Segment: t.segName, Offset: t.off,
-				Err: fmt.Errorf("%w: record seq %d where %d expected", ErrCorrupt, seq, t.atSeq)}
-		}
-		t.off += n
-		t.atSeq++
+		t.off, t.atSeq = t.r.off, t.r.want
 		if seq >= t.next {
 			t.next = seq + 1
 			return seq, payload, nil
@@ -134,125 +93,68 @@ func (t *Tailer) Next() (uint64, []byte, error) {
 	}
 }
 
-// open (re)opens the segment holding the tailer's position and seeks to
-// the saved record boundary. When no segment is selected yet it picks
-// the one containing t.next.
+// endOfSegment judges what stopped the reader at the tailer's position.
+// In the log's last segment both a clean boundary and bytes that do not
+// parse yet mean the same thing — nothing more for now. A segment with
+// a successor is sealed: it must end cleanly, and the tailer moves to
+// the successor, which must start at the very next sequence.
+func (t *Tailer) endOfSegment(cause error) error {
+	if cause != io.EOF && !errors.Is(cause, ErrTorn) {
+		return cause
+	}
+	segs, err := listSegments(t.fs, t.dir)
+	if err != nil {
+		return err
+	}
+	i := 0
+	for i < len(segs) && segs[i].base <= t.seg.base {
+		i++
+	}
+	if i == len(segs) {
+		return ErrCaughtUp
+	}
+	if cause != io.EOF {
+		return &LogError{Segment: t.seg.name, Offset: t.off,
+			Err: fmt.Errorf("%w: %w in a sealed segment", ErrCorrupt, cause)}
+	}
+	t.seg, t.off = segs[i], 0
+	return nil
+}
+
+// open (re)opens the segment holding the tailer's position at the saved
+// record boundary. When no segment is selected yet — or retention
+// removed the one the tailer was parked on — it picks the one
+// containing t.next.
 func (t *Tailer) open() error {
-	segs, err := t.segments()
+	segs, err := listSegments(t.fs, t.dir)
 	if err != nil {
 		return err
 	}
 	if len(segs) == 0 {
 		return ErrCaughtUp
 	}
-	if t.segName == "" {
+	parked := false
+	for _, s := range segs {
+		parked = parked || s.name == t.seg.name
+	}
+	if !parked {
 		if t.next < segs[0].base {
 			return fmt.Errorf("%w: want seq %d, oldest retained segment starts at %d",
 				ErrCompacted, t.next, segs[0].base)
 		}
-		pick := segs[0]
 		for _, s := range segs {
 			if s.base <= t.next {
-				pick = s
+				t.seg = s
 			}
 		}
-		t.segName, t.segBase, t.off, t.atSeq = pick.name, pick.base, 0, pick.base
-	} else {
-		// Retention may have removed the segment we were parked on.
-		found := false
-		for _, s := range segs {
-			if s.name == t.segName {
-				found = true
-				break
-			}
-		}
-		if !found {
-			name, base := t.segName, t.segBase
-			t.segName, t.segBase, t.off = "", 0, 0
-			if t.next < segs[0].base {
-				return fmt.Errorf("%w: segment %s (seq %d) removed under the tailer",
-					ErrCompacted, name, base)
-			}
-			return t.open()
-		}
+		t.off, t.atSeq = 0, 0
 	}
-
-	f, err := t.fs.Open(t.dir + "/" + t.segName)
+	r, err := openSegReader(t.fs, t.dir, t.seg, t.off, t.atSeq)
 	if err != nil {
-		return &LogError{Segment: t.segName, Err: err}
+		return t.endOfSegment(err)
 	}
-	br := bufio.NewReader(f)
-	if t.off == 0 {
-		var hdr [segHeaderSize]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			// Header not fully on disk yet: created-but-unwritten segment.
-			f.Close()
-			return ErrCaughtUp
-		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != segMagic ||
-			binary.LittleEndian.Uint32(hdr[4:8]) != segVersion ||
-			binary.LittleEndian.Uint64(hdr[8:16]) != t.segBase {
-			f.Close()
-			return &LogError{Segment: t.segName,
-				Err: fmt.Errorf("%w: segment header does not match name", ErrCorrupt)}
-		}
-		t.off, t.atSeq = segHeaderSize, t.segBase
-	} else {
-		if _, err := io.CopyN(io.Discard, br, t.off); err != nil {
-			// The file is shorter than the boundary we validated before:
-			// it changed underneath us.
-			f.Close()
-			return &LogError{Segment: t.segName, Offset: t.off,
-				Err: fmt.Errorf("%w: segment shrank below a validated boundary", ErrCorrupt)}
-		}
-	}
-	t.r, t.br = f, br
+	t.r, t.off, t.atSeq = r, r.off, r.want
 	return nil
-}
-
-// readRecord reads one CRC-validated record at the current position.
-// The returned n counts the record's full framed size.
-func (t *Tailer) readRecord() (seq uint64, payload []byte, n int64, err error) {
-	var rh [recHeaderSize]byte
-	nr, err := io.ReadFull(t.br, rh[:])
-	if err == io.EOF && nr == 0 {
-		return 0, nil, 0, errTailEnd
-	}
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: short record header", errTailTorn)
-	}
-	seq = binary.LittleEndian.Uint64(rh[0:8])
-	plen := binary.LittleEndian.Uint32(rh[8:12])
-	wantCRC := binary.LittleEndian.Uint32(rh[12:16])
-	if plen > maxRecordPayload {
-		return 0, nil, 0, fmt.Errorf("%w: implausible payload length %d", errTailTorn, plen)
-	}
-	payload = make([]byte, plen)
-	if _, err := io.ReadFull(t.br, payload); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: short payload", errTailTorn)
-	}
-	crc := crc32.ChecksumIEEE(rh[0:12])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != wantCRC {
-		return 0, nil, 0, fmt.Errorf("%w: record checksum mismatch", errTailTorn)
-	}
-	return seq, payload, recHeaderSize + int64(plen), nil
-}
-
-// successor finds the segment immediately after the current one.
-func (t *Tailer) successor() (segInfo, bool, error) {
-	segs, err := t.segments()
-	if err != nil {
-		return segInfo{}, false, err
-	}
-	best := segInfo{}
-	found := false
-	for _, s := range segs {
-		if s.base > t.segBase && (!found || s.base < best.base) {
-			best, found = s, true
-		}
-	}
-	return best, found, nil
 }
 
 // EndSeq reports the sequence of the last complete record in the log
@@ -262,20 +164,11 @@ func (t *Tailer) successor() (segInfo, bool, error) {
 // would keep — an append that never completed was never acknowledged.
 func EndSeq(opt Options) (uint64, error) {
 	opt = opt.withDefaults()
-	probe := Tailer{fs: opt.FS, dir: opt.Dir}
-	segs, err := probe.segments()
-	if err != nil {
+	segs, err := listSegments(opt.FS, opt.Dir)
+	if err != nil || len(segs) == 0 {
 		return 0, err
 	}
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	base := segs[0].base
-	for _, s := range segs {
-		if s.base > base {
-			base = s.base
-		}
-	}
+	base := segs[len(segs)-1].base
 	// A freshly rotated segment may hold no records yet; the log then
 	// ends at the sequence the rotation sealed, base-1.
 	tl := NewTailer(opt, base)
@@ -300,34 +193,9 @@ func EndSeq(opt Options) (uint64, error) {
 // be caught up from the log and must be reseeded from a checkpoint.
 func StartSeq(opt Options) (uint64, error) {
 	opt = opt.withDefaults()
-	probe := Tailer{fs: opt.FS, dir: opt.Dir}
-	segs, err := probe.segments()
-	if err != nil {
+	segs, err := listSegments(opt.FS, opt.Dir)
+	if err != nil || len(segs) == 0 {
 		return 0, err
 	}
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	base := segs[0].base
-	for _, s := range segs {
-		if s.base < base {
-			base = s.base
-		}
-	}
-	return base, nil
-}
-
-// segments mirrors Log.segments for the tailer's standalone FS view.
-func (t *Tailer) segments() ([]segInfo, error) {
-	names, err := t.fs.List(t.dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []segInfo
-	for _, n := range names {
-		if base, ok := parseSegName(n); ok {
-			segs = append(segs, segInfo{name: n, base: base})
-		}
-	}
-	return segs, nil
+	return segs[0].base, nil
 }

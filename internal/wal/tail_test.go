@@ -75,7 +75,7 @@ func TestTailerFollowsLiveLog(t *testing.T) {
 		t.Fatalf("tailer produced through seq %d, want 20", next-1)
 	}
 
-	segs, err := l.segments()
+	segs, err := listSegments(l.fs, l.opt.Dir)
 	if err != nil {
 		t.Fatalf("segments: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestTailerCompacted(t *testing.T) {
 			t.Fatalf("Append %d: %v", seq, err)
 		}
 	}
-	segs, err := l.segments()
+	segs, err := listSegments(l.fs, l.opt.Dir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("need >=3 segments, got %d (err %v)", len(segs), err)
 	}
@@ -291,7 +291,7 @@ func TestTailerCompactedMidStream(t *testing.T) {
 				t.Fatalf("Append %d: %v", seq, err)
 			}
 		}
-		segs, err := l.segments()
+		segs, err := listSegments(l.fs, l.opt.Dir)
 		if err != nil || len(segs) < 3 {
 			t.Fatalf("need >=3 segments, got %d (err %v)", len(segs), err)
 		}

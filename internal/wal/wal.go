@@ -415,7 +415,7 @@ func (l *Log) openSegment(seq uint64) error {
 // covered by sequences <= seq — retention keyed to the oldest retained
 // checkpoint generation. The active segment is never removed.
 func (l *Log) TruncateThrough(seq uint64) error {
-	segs, err := l.segments()
+	segs, err := listSegments(l.fs, l.opt.Dir)
 	if err != nil {
 		return err
 	}
@@ -451,7 +451,7 @@ func (l *Log) TruncateThrough(seq uint64) error {
 // with the bytes that caused it.
 func (l *Log) Reset() error {
 	l.closeCurrent()
-	segs, err := l.segments()
+	segs, err := listSegments(l.fs, l.opt.Dir)
 	if err != nil {
 		return err
 	}
@@ -495,23 +495,3 @@ func (l *Log) closeCurrent() {
 }
 
 func (l *Log) path(name string) string { return l.opt.Dir + "/" + name }
-
-type segInfo struct {
-	name string
-	base uint64
-}
-
-// segments lists the log's segment files in sequence order.
-func (l *Log) segments() ([]segInfo, error) {
-	names, err := l.fs.List(l.opt.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []segInfo
-	for _, n := range names {
-		if base, ok := parseSegName(n); ok {
-			segs = append(segs, segInfo{name: n, base: base})
-		}
-	}
-	return segs, nil
-}
