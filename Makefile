@@ -99,8 +99,10 @@ determinism:
 
 # Short native-fuzz smoke over the binary decoders (one -fuzz target
 # per invocation is a `go test` restriction): checkpoint loader, SNAP
-# loader, WAL record/segment decoder, recovery-vs-tailer agreement over
-# mutated segment sets, replication frame codec, and the
+# loader, WAL record/segment decoder (with the canonical-payload
+# property: every accepted payload re-encodes to itself),
+# recovery-vs-tailer agreement over mutated segment sets (same property
+# per shipped record), replication frame codec, and the
 # snapshot-transfer offer/chunk framing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionLoad$$' -fuzztime 10s .

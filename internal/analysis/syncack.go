@@ -28,7 +28,7 @@ func SyncackCheck() *Check {
 }
 
 // appendCalls put bytes in the log without making them durable.
-var appendCalls = map[string]bool{"Append": true}
+var appendCalls = map[string]bool{"Append": true, "AppendPayload": true}
 
 // barrierCalls make previously appended bytes durable (or perform the
 // whole append+fsync internally).

@@ -56,8 +56,7 @@ type NativeReport struct {
 	SteadyStateZeroAlloc bool `json:"incremental_steady_state_zero_alloc"`
 	// Deterministic records that both arms ended every batch size with
 	// Float64bits-identical states.
-	Deterministic bool   `json:"arms_bit_identical"`
-	Note          string `json:"note,omitempty"`
+	Deterministic bool `json:"arms_bit_identical"`
 }
 
 // RunNativeReport measures incremental vs CSR-rebuild apply cost across
@@ -163,9 +162,6 @@ func RunNativeReport(o Options) (*NativeReport, error) {
 			}
 		}
 		rep.Runs = append(rep.Runs, run)
-	}
-	if rep.HostMaxProcs <= 1 {
-		rep.Note = "single-CPU host: worklist propagation cannot overlap workers, so these numbers measure the serial incremental path; the incremental-vs-rebuild ratio is representative, absolute ns/update is pessimistic for multi-core hosts"
 	}
 	return rep, nil
 }

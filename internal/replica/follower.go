@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 
+	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/serve"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
@@ -60,6 +61,11 @@ type Follower struct {
 	// term is a split brain, not a reconnect. Written under sessionMu
 	// plus mu; read under either.
 	claimed bool
+	// recvFrame and recvBatch are the frame being read and the batch
+	// decoded from it, reused record after record by the one session
+	// sessionMu admits; nothing downstream keeps a reference into them.
+	recvFrame []byte
+	recvBatch []graph.Update
 }
 
 // NewFollower recovers the follower's durable state (checkpoint + WAL
@@ -269,7 +275,7 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 	}
 
 	for {
-		fr, err := ReadFrame(conn)
+		fr, err := readFrameInto(conn, &f.recvFrame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // primary closed the session cleanly
@@ -339,11 +345,12 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 				WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
 				return err
 			}
-			batch, err := wal.DecodeBatch(fr.Payload)
+			batch, err := wal.DecodeBatchInto(f.recvBatch, fr.Payload)
 			if err != nil {
 				return &FrameError{Reason: "record payload", Err: err}
 			}
-			if err := f.pipe.IngestReplicated(fr.Seq, batch); err != nil {
+			f.recvBatch = batch
+			if err := f.pipe.IngestReplicated(fr.Seq, fr.Payload, batch); err != nil {
 				return err
 			}
 			if err := WriteFrame(conn, Frame{Type: FrameAck, Term: f.state.Term, Seq: f.pipe.Seq()}); err != nil {

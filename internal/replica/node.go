@@ -797,8 +797,10 @@ func (n *Node) serveClient(conn net.Conn) error {
 	if err := WriteFrame(conn, Frame{Type: FrameWelcome, Term: term, Seq: n.durableSeq()}); err != nil {
 		return err
 	}
+	var recvFrame []byte         // this session's frame memory, reused submit after submit
+	var recvBatch []graph.Update // and the batch decoded from it
 	for {
-		fr, err := ReadFrame(conn)
+		fr, err := readFrameInto(conn, &recvFrame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -813,10 +815,11 @@ func (n *Node) serveClient(conn net.Conn) error {
 		if role != RoleLeader {
 			return refuse()
 		}
-		batch, err := wal.DecodeBatch(fr.Payload)
+		batch, err := wal.DecodeBatchInto(recvBatch, fr.Payload)
 		if err != nil {
 			return &FrameError{Reason: "submit payload", Err: err}
 		}
+		recvBatch = batch
 		// SLO backpressure gate: while the admission controller is in
 		// its shedding posture, refuse before touching the pipeline so
 		// a storm of submissions cannot pile onto an already-slow
@@ -838,7 +841,7 @@ func (n *Node) serveClient(conn net.Conn) error {
 			deadline = n.clock.Now().Add(time.Duration(fr.Orig) * time.Millisecond)
 		}
 		start := n.clock.Now()
-		outcome, durable, ierr := n.ingestSubmit(pipe, fr.Seq, batch, deadline)
+		outcome, durable, ierr := n.ingestSubmit(pipe, fr.Seq, fr.Payload, batch, deadline)
 		n.slo.Observe(n.clock.Now().Sub(start), 0, 1)
 		switch outcome {
 		case submitDuplicate:
@@ -969,7 +972,7 @@ const (
 // never assembled its quorum strands the tail instead: the caller must
 // stop serving, because acking or re-ingesting past it would break
 // exactly-once.
-func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, batch []graph.Update, deadline time.Time) (submitOutcome, uint64, error) {
+func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, payload []byte, batch []graph.Update, deadline time.Time) (submitOutcome, uint64, error) {
 	n.pmu.Lock()
 	defer n.pmu.Unlock()
 	cur := n.ackedSeq
@@ -987,7 +990,7 @@ func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, batch []graph.Upda
 		return submitStranded, cur, fmt.Errorf(
 			"replica: seq %d durable locally but never quorum-acknowledged: %w", logged, ErrQuorumLost)
 	}
-	outcome, err := n.primary.Ingest(pipe, batch, deadline)
+	outcome, err := n.primary.Ingest(pipe, payload, batch, deadline)
 	switch {
 	case outcome == QuorumDurable:
 		n.ackedSeq = pipe.Seq()

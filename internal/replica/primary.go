@@ -134,6 +134,7 @@ type followerConn struct {
 	name  string
 	acked uint64 // follower's last acknowledged (durable) sequence
 	dead  bool
+	rbuf  []byte // the frame being read from the follower, reused
 }
 
 // NewPrimary returns a primary with no followers attached. The caller
@@ -391,8 +392,10 @@ const (
 // I/O must happen: local WAL append and fsync, then the follower round
 // trips, then — only once a quorum holds the batch — the session apply.
 // pipe is this leader's own pipeline (the one whose WAL the primary
-// tails); deadline bounds admission and the quorum wait (zero = none).
-func (p *Primary) Ingest(pipe *serve.Pipeline, batch []graph.Update, deadline time.Time) (IngestOutcome, error) {
+// tails); payload is the batch's wal.EncodeBatch bytes as received — the
+// one buffer logged here, shipped, and logged by every follower — batch
+// what it decoded to; deadline bounds admission and the quorum wait.
+func (p *Primary) Ingest(pipe *serve.Pipeline, payload []byte, batch []graph.Update, deadline time.Time) (IngestOutcome, error) {
 	live := 1 // this primary
 	for _, fc := range p.followers {
 		if !fc.dead {
@@ -404,11 +407,11 @@ func (p *Primary) Ingest(pipe *serve.Pipeline, batch []graph.Update, deadline ti
 		// (a freshly elected leader's first tick has attached nobody yet).
 		return NotLogged, fmt.Errorf("%w: %d of %d required members attached", ErrQuorumLost, live, p.cfg.Quorum)
 	}
-	seq, err := pipe.Append(batch, deadline)
+	seq, err := pipe.Append(payload, deadline)
 	if err != nil {
 		return NotLogged, err
 	}
-	if err := p.ReplicateDeadline(seq, batch, deadline); err != nil {
+	if err := p.ReplicateDeadline(seq, payload, deadline); err != nil {
 		if errors.Is(err, serve.ErrDeadline) {
 			pipe.Collector().Inc(stats.CtrServeDeadlineExpired)
 		}
@@ -417,16 +420,17 @@ func (p *Primary) Ingest(pipe *serve.Pipeline, batch []graph.Update, deadline ti
 	return QuorumDurable, pipe.Apply(batch)
 }
 
-// Replicate ships the batch at seq to every live follower — catching
-// up any that lag from the WAL first — and succeeds once a quorum
-// (counting this primary) holds it durably. The record must already be
-// in the local log.
+// Replicate encodes the batch at seq and ships it with no deadline
+// (ReplicateDeadline). The record must already be in the local log.
 func (p *Primary) Replicate(seq uint64, batch []graph.Update) error {
-	return p.ReplicateDeadline(seq, batch, time.Time{})
+	return p.ReplicateDeadline(seq, wal.EncodeBatch(batch), time.Time{})
 }
 
-// ReplicateDeadline is Replicate with the quorum wait bounded by the
-// batch deadline (zero = none). The deadline is checked between
+// ReplicateDeadline ships the record at seq — payload is its
+// wal.EncodeBatch bytes, already in the local log — to every live
+// follower, catching up any that lag from the WAL first, and succeeds
+// once a quorum (counting this primary) holds it durably. The batch
+// deadline (zero = none) bounds the quorum wait; it is checked between
 // follower round trips only — per-operation I/O stays under AckTimeout,
 // so a tight client budget can never sever a live follower session or
 // abandon a half-read frame; the worst-case overshoot is one AckTimeout
@@ -434,11 +438,10 @@ func (p *Primary) Replicate(seq uint64, batch []graph.Update) error {
 // a quorum already acked, the batch is durable and succeeds as usual;
 // otherwise the failure wraps *serve.DeadlineError at stage
 // "replicate".
-func (p *Primary) ReplicateDeadline(seq uint64, batch []graph.Update, deadline time.Time) error {
+func (p *Primary) ReplicateDeadline(seq uint64, payload []byte, deadline time.Time) error {
 	if seq > p.seq {
 		p.seq = seq // the record is already in the local log
 	}
-	payload := wal.EncodeBatch(batch)
 	acks := 1 // the primary's own log counts
 	expired := false
 	var fenced error
@@ -575,10 +578,11 @@ func (p *Primary) sendRecord(fc *followerConn, seq uint64, payload []byte, catch
 	}
 }
 
-// readFrame reads one frame from the follower under the ack deadline.
+// readFrame reads one frame from the follower under the ack deadline,
+// into the connection's own buffer (valid until the next read).
 func (p *Primary) readFrame(fc *followerConn) (Frame, error) {
 	fc.conn.SetReadDeadline(p.cfg.Clock.Now().Add(p.cfg.AckTimeout))
-	f, err := ReadFrame(fc.conn)
+	f, err := readFrameInto(fc.conn, &fc.rbuf)
 	fc.conn.SetReadDeadline(time.Time{})
 	return f, err
 }

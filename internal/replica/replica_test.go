@@ -159,8 +159,14 @@ func (a *asyncConn) Close() error {
 // ingest runs one batch down the leader path Node uses (append, quorum
 // round, apply), for tests that wire a Pipeline and a Primary by hand.
 func ingest(prim *Primary, pipe *serve.Pipeline, b []graph.Update) error {
-	_, err := prim.Ingest(pipe, b, time.Time{})
+	_, err := ingestBy(prim, pipe, b, time.Time{})
 	return err
+}
+
+// ingestBy is ingest with a deadline and the outcome: it hands
+// Primary.Ingest the batch and its payload the way a client session does.
+func ingestBy(prim *Primary, pipe *serve.Pipeline, b []graph.Update, deadline time.Time) (IngestOutcome, error) {
+	return prim.Ingest(pipe, wal.EncodeBatch(b), b, deadline)
 }
 
 // TestReplicatedIngestReachesQuorum: a primary with two followers
@@ -365,16 +371,16 @@ func TestQuorumLostHaltsPrimary(t *testing.T) {
 	}
 	pipe.SetRetentionAdvisor(prim)
 	// Nobody attached yet: logging the batch could only strand it.
-	if out, err := prim.Ingest(pipe, w.Batches[0], time.Time{}); out != NotLogged || !errors.Is(err, ErrQuorumLost) || pipe.Seq() != 0 {
+	if out, err := ingestBy(prim, pipe, w.Batches[0], time.Time{}); out != NotLogged || !errors.Is(err, ErrQuorumLost) || pipe.Seq() != 0 {
 		t.Fatalf("ingest with no follower attached: outcome %d, seq %d, err %v; want NotLogged", out, pipe.Seq(), err)
 	}
 	if err := prim.AddFollower(c1); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := prim.Ingest(pipe, w.Batches[0], time.Time{}); err != nil || out != QuorumDurable {
+	if out, err := ingestBy(prim, pipe, w.Batches[0], time.Time{}); err != nil || out != QuorumDurable {
 		t.Fatalf("ingest with quorum: outcome %d, err %v", out, err)
 	}
-	out, err := prim.Ingest(pipe, w.Batches[1], time.Now().Add(-time.Second))
+	out, err := ingestBy(prim, pipe, w.Batches[1], time.Now().Add(-time.Second))
 	if out != NotLogged || !errors.Is(err, serve.ErrDeadline) || pipe.Seq() != 1 {
 		t.Fatalf("expired deadline: outcome %d, seq %d, err %v; want NotLogged at seq 1", out, pipe.Seq(), err)
 	}
@@ -383,7 +389,7 @@ func TestQuorumLostHaltsPrimary(t *testing.T) {
 	c1.Close()
 	<-d1
 	ingested := pipe.Collector().Get(stats.CtrServeIngested)
-	out, err = prim.Ingest(pipe, w.Batches[1], time.Time{})
+	out, err = ingestBy(prim, pipe, w.Batches[1], time.Time{})
 	if out != LoggedNotQuorum || pipe.Seq() != 2 {
 		t.Fatalf("outcome %d at seq %d, want LoggedNotQuorum at seq 2 (err %v)", out, pipe.Seq(), err)
 	}

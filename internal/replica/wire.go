@@ -15,6 +15,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sync"
+
+	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // Frame types. The protocol is deliberately small: one handshake pair,
@@ -139,71 +143,102 @@ type Frame struct {
 	Payload []byte
 }
 
+// frameBufs recycles WriteFrame's buffers: only the Write one was built
+// for reads it (io.Writer may not retain it; fault.Conn copies frames).
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // WriteFrame sends one frame in a single Write call — the fault
 // injector's conn wrapper acts per Write, so one frame is one unit of
 // drop/duplication/reordering/truncation.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := make([]byte, frameHdrSize+len(f.Payload))
-	binary.LittleEndian.PutUint32(buf[0:4], frameMagic)
-	buf[4] = f.Type
-	binary.LittleEndian.PutUint64(buf[5:13], f.Term)
-	binary.LittleEndian.PutUint64(buf[13:21], f.Seq)
-	binary.LittleEndian.PutUint64(buf[21:29], f.Orig)
-	binary.LittleEndian.PutUint32(buf[29:33], uint32(len(f.Payload)))
-	copy(buf[frameHdrSize:], f.Payload)
-	crc := crc32.ChecksumIEEE(buf[0:33])
-	crc = crc32.Update(crc, crc32.IEEETable, f.Payload)
-	binary.LittleEndian.PutUint32(buf[33:37], crc)
-	if _, err := w.Write(buf); err != nil {
+	bp := frameBufs.Get().(*[]byte)
+	*bp = appendFrame((*bp)[:0], f)
+	_, err := w.Write(*bp)
+	if cap(*bp) <= wal.MaxRetainedBuffer {
+		frameBufs.Put(bp)
+	}
+	if err != nil {
 		return &FrameError{Reason: "write", Err: err}
 	}
 	return nil
 }
 
-// ReadFrame reads and validates one frame. Malformed bytes fail with a
-// *FrameError wrapping ErrBadFrame; transport failures keep their
-// underlying error (io.EOF passes through bare when the connection
-// closes cleanly between frames).
+// appendFrame encodes f onto dst: the one frame-header encoder.
+//
+//tdgraph:hot
+func appendFrame(dst []byte, f Frame) []byte {
+	hdr := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = append(dst, f.Type)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Term)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Orig)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
+	crc := crc32.Update(crc32.ChecksumIEEE(dst[hdr:]), crc32.IEEETable, f.Payload)
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	return append(dst, f.Payload...)
+}
+
+// ReadFrame reads and validates one frame into fresh memory. Malformed
+// bytes fail with a *FrameError wrapping ErrBadFrame; transport
+// failures keep their underlying error (io.EOF passes through bare when
+// the connection closes cleanly between frames).
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [frameHdrSize]byte
-	n, err := io.ReadFull(r, hdr[:])
+	var buf []byte
+	return readFrameInto(r, &buf)
+}
+
+// readFrameInto is the one frame parser. It reads the frame — header,
+// then payload: two reads, so seeded fault schedules meet the same
+// frames — into *buf, grown to fit; the returned Payload aliases *buf.
+// A long-lived session passes the same buffer every time, allocates
+// nothing per frame, and is done with a payload before reading the next.
+// A buffer a frame grew past wal.MaxRetainedBuffer is let go here.
+//
+//tdgraph:hot
+func readFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
+	if cap(*buf) > wal.MaxRetainedBuffer {
+		*buf = nil
+	}
+	b := slices.Grow((*buf)[:0], frameHdrSize)[:frameHdrSize]
+	n, err := io.ReadFull(r, b)
 	if err != nil {
 		if err == io.EOF && n == 0 {
 			return Frame{}, io.EOF
 		}
 		return Frame{}, &FrameError{Reason: "short header", Err: err}
 	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != frameMagic {
-		return Frame{}, &FrameError{Reason: "bad magic",
-			Err: fmt.Errorf("%w: magic %#x", ErrBadFrame, binary.LittleEndian.Uint32(hdr[0:4]))}
+	if magic := binary.LittleEndian.Uint32(b[0:4]); magic != frameMagic {
+		//tdgraph:allow hotalloc a malformed frame ends the session
+		return Frame{}, &FrameError{Reason: "bad magic", Err: fmt.Errorf("%w: magic %#x", ErrBadFrame, magic)}
 	}
 	f := Frame{
-		Type: hdr[4],
-		Term: binary.LittleEndian.Uint64(hdr[5:13]),
-		Seq:  binary.LittleEndian.Uint64(hdr[13:21]),
-		Orig: binary.LittleEndian.Uint64(hdr[21:29]),
+		Type: b[4],
+		Term: binary.LittleEndian.Uint64(b[5:13]),
+		Seq:  binary.LittleEndian.Uint64(b[13:21]),
+		Orig: binary.LittleEndian.Uint64(b[21:29]),
 	}
-	plen := binary.LittleEndian.Uint32(hdr[29:33])
-	wantCRC := binary.LittleEndian.Uint32(hdr[33:37])
+	plen := binary.LittleEndian.Uint32(b[29:33])
 	if f.Type < FrameHello || f.Type > FrameSubmit {
-		return Frame{}, &FrameError{Reason: "bad type",
-			Err: fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)}
+		//tdgraph:allow hotalloc a malformed frame ends the session
+		return Frame{}, &FrameError{Reason: "bad type", Err: fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)}
 	}
 	if plen > maxFramePayload {
-		return Frame{}, &FrameError{Reason: "bad length",
-			Err: fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)}
+		//tdgraph:allow hotalloc a malformed frame ends the session
+		return Frame{}, &FrameError{Reason: "bad length", Err: fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)}
 	}
 	if plen > 0 {
-		f.Payload = make([]byte, plen)
+		b = slices.Grow(b, int(plen))[:frameHdrSize+int(plen)]
+		f.Payload = b[frameHdrSize:]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, &FrameError{Reason: "short payload", Err: err}
 		}
 	}
-	crc := crc32.ChecksumIEEE(hdr[0:33])
-	crc = crc32.Update(crc, crc32.IEEETable, f.Payload)
-	if crc != wantCRC {
-		return Frame{}, &FrameError{Reason: "bad checksum",
-			Err: fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)}
+	*buf = b
+	crc := crc32.Update(crc32.ChecksumIEEE(b[0:33]), crc32.IEEETable, f.Payload)
+	if crc != binary.LittleEndian.Uint32(b[33:37]) {
+		//tdgraph:allow hotalloc a malformed frame ends the session
+		return Frame{}, &FrameError{Reason: "bad checksum", Err: fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)}
 	}
 	return f, nil
 }

@@ -263,25 +263,25 @@ func (p *Pipeline) applyLogged(batch []graph.Update) {
 }
 
 // Ingest makes one batch durable and applies it — the solo serving
-// path: Append, then Apply. The returned error is always an
+// path: encode, Append, then Apply. The returned error is always an
 // *IngestError whose Stage says whether the batch got as far as the
 // log. A cluster leader runs the same two halves with the quorum round
-// between them (replica.Primary.Ingest).
+// between them (replica.Primary.Ingest), on the payload it received.
 func (p *Pipeline) Ingest(batch []graph.Update) error {
-	if _, err := p.Append(batch, time.Time{}); err != nil {
+	if _, err := p.Append(wal.EncodeBatch(batch), time.Time{}); err != nil {
 		return err
 	}
 	return p.Apply(batch)
 }
 
 // Append is the first half of ingest: admission (disk pressure, then
-// the batch deadline — zero means none), then the WAL append with its
-// policy fsync. It returns the sequence the batch was logged at. A
-// refusal or failure is an *IngestError and leaves the sequence where
-// it was: "admit" and "wal" stages put nothing in the log (re-send
-// freely; an expired deadline wraps ErrDeadline), "wal-sync" wrote the
-// record without completing its barrier.
-func (p *Pipeline) Append(batch []graph.Update, deadline time.Time) (uint64, error) {
+// the batch deadline — zero means none), then the WAL append of the
+// batch's wal.EncodeBatch payload with its policy fsync. It returns the
+// sequence logged at. A refusal or failure is an *IngestError and
+// leaves the sequence where it was: "admit" and "wal" stages put nothing
+// in the log (re-send freely; an expired deadline wraps ErrDeadline),
+// "wal-sync" wrote the record without completing its barrier.
+func (p *Pipeline) Append(payload []byte, deadline time.Time) (uint64, error) {
 	seq := p.seq.Load() + 1
 	if dpe := p.checkDiskPressure(); dpe != nil {
 		p.col.Inc(stats.CtrServeDiskPressure)
@@ -291,12 +291,12 @@ func (p *Pipeline) Append(batch []graph.Update, deadline time.Time) (uint64, err
 		p.col.Inc(stats.CtrServeDeadlineExpired)
 		return 0, &IngestError{Seq: seq, Stage: "admit", Err: &DeadlineError{Stage: "admit"}}
 	}
-	return seq, p.appendAt(seq, batch)
+	return seq, p.appendAt(seq, payload)
 }
 
-// appendAt logs batch at seq and advances the pipeline's sequence to it.
-func (p *Pipeline) appendAt(seq uint64, batch []graph.Update) error {
-	if err := p.log.Append(seq, batch); err != nil {
+// appendAt logs payload at seq and advances the pipeline's sequence to it.
+func (p *Pipeline) appendAt(seq uint64, payload []byte) error {
+	if err := p.log.AppendPayload(seq, payload); err != nil {
 		return p.walIngestError(seq, err)
 	}
 	// With no probe configured, a write that fits again IS the
@@ -382,17 +382,17 @@ func (p *Pipeline) walIngestError(seq uint64, err error) error {
 }
 
 // IngestReplicated is the follower-side twin of Ingest: the same two
-// halves for a batch the primary shipped at an explicit sequence, with
-// contiguity against what this replica already holds in place of
-// admission. The caller (the replication session) acks only after a nil
-// return, so an ack always means "durable here and applied through the
-// same code path recovery replays".
-func (p *Pipeline) IngestReplicated(seq uint64, batch []graph.Update) error {
+// halves for the record the primary shipped at seq (its payload, logged
+// verbatim, and the batch decoded from it), with contiguity against
+// what this replica already holds in place of admission. The caller
+// (the replication session) acks only after a nil return, so an ack
+// always means "durable here and applied through the path recovery replays".
+func (p *Pipeline) IngestReplicated(seq uint64, payload []byte, batch []graph.Update) error {
 	if seq != p.seq.Load()+1 {
 		return &IngestError{Seq: seq, Stage: "wal",
 			Err: fmt.Errorf("replicated batch seq %d does not follow local seq %d", seq, p.seq.Load())}
 	}
-	if err := p.appendAt(seq, batch); err != nil {
+	if err := p.appendAt(seq, payload); err != nil {
 		return err
 	}
 	return p.Apply(batch)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -19,10 +20,17 @@ func segmentSeeds() [][]byte {
 		EncodeBatch([]graph.Update{{Edge: graph.Edge{Src: 1, Dst: 2, Weight: 0.5}}}),
 		EncodeBatch([]graph.Update{{Edge: graph.Edge{Src: 3, Dst: 4, Weight: -1}, Delete: true}}),
 	}
+	// Non-canonical flags bytes: the delete bit plus one EncodeBatch never
+	// sets, and an unknown bit alone. Neither may decode.
+	for _, flags := range []byte{flagDelete | 0x02, 0x80} {
+		p := EncodeBatch(tailBatch(1))
+		p[4+updateBytes-1] = flags
+		seeds = append(seeds, p)
+	}
 	// A valid tiny segment: header + one record.
 	hdr := encodeSegHeader(1)
 	seg := append([]byte(nil), hdr[:]...)
-	seg = append(seg, encodeRecord(1, EncodeBatch(tailBatch(1)))...)
+	seg = append(seg, appendRecord(nil, 1, EncodeBatch(tailBatch(1)))...)
 	seeds = append(seeds, seg)
 	// Truncations and bit flips of the valid segment.
 	seeds = append(seeds, seg[:len(seg)-3])
@@ -52,11 +60,7 @@ func FuzzRecordDecode(f *testing.F) {
 				t.Fatalf("DecodeBatch returned untyped error: %v", err)
 			}
 		} else {
-			// Valid payloads must round-trip exactly.
-			re := EncodeBatch(batch)
-			if len(re) > len(data) {
-				t.Fatalf("re-encoded batch grew: %d > %d", len(re), len(data))
-			}
+			requireCanonical(t, data, batch)
 		}
 
 		dir := t.TempDir()
@@ -88,6 +92,25 @@ func FuzzRecordDecode(f *testing.F) {
 	})
 }
 
+// requireCanonical asserts the property that lets a member log and ship
+// the payload it received: an accepted payload is byte-for-byte the
+// encoding of what it decoded to, and decoding it again into a reused,
+// dirty slice yields the same batch.
+func requireCanonical(t *testing.T, payload []byte, batch []graph.Update) {
+	t.Helper()
+	if re := EncodeBatch(batch); !bytes.Equal(re, payload) {
+		t.Fatalf("accepted payload is not canonical:\n got %x\nwant %x", payload, re)
+	}
+	dirty := make([]graph.Update, len(batch)+1)
+	for i := range dirty {
+		dirty[i] = graph.Update{Edge: graph.Edge{Src: ^uint32(0), Dst: ^uint32(0), Weight: -7}, Delete: true}
+	}
+	again, err := DecodeBatchInto(dirty, payload)
+	if err != nil || !batchesEqual(again, batch) {
+		t.Fatalf("DecodeBatchInto a reused slice: %v, %d updates (want %d)", err, len(again), len(batch))
+	}
+}
+
 // requireTyped asserts an error from the WAL read path is one of the
 // package's typed failures, not a raw I/O or runtime error.
 func requireTyped(t *testing.T, err error) {
@@ -115,11 +138,11 @@ func FuzzSegmentReaders(f *testing.F) {
 	// with segment 1 torn, segment 2 misnamed, and segment 2 headerless.
 	one := encodeSegHeader(1)
 	first := append([]byte(nil), one[:]...)
-	first = append(first, encodeRecord(1, EncodeBatch(tailBatch(1)))...)
-	first = append(first, encodeRecord(2, EncodeBatch(tailBatch(2)))...)
+	first = append(first, appendRecord(nil, 1, EncodeBatch(tailBatch(1)))...)
+	first = append(first, appendRecord(nil, 2, EncodeBatch(tailBatch(2)))...)
 	three := encodeSegHeader(3)
 	both := append(append([]byte(nil), first...), three[:]...)
-	both = append(both, encodeRecord(3, EncodeBatch(tailBatch(3)))...)
+	both = append(both, appendRecord(nil, 3, EncodeBatch(tailBatch(3)))...)
 	f.Add(both, uint16(len(first)), uint8(1))
 	f.Add(both, uint16(len(first)-5), uint8(1))
 	f.Add(both, uint16(len(first)), uint8(2))
@@ -178,6 +201,7 @@ func FuzzSegmentReaders(f *testing.F) {
 			if derr != nil || seq != tailed[got].seq || !batchesEqual(batch, want) {
 				t.Fatalf("Replay record %d (seq %d) differs from the tailer's seq %d (decode: %v)", got, seq, tailed[got].seq, derr)
 			}
+			requireCanonical(t, tailed[got].payload, batch)
 			got++
 			return nil
 		})

@@ -23,22 +23,24 @@ func encodeSegHeader(baseSeq uint64) [segHeaderSize]byte {
 	return hdr
 }
 
-// encodeRecord frames a payload: seq u64 | len u32 | crc u32 | payload,
-// the CRC covering seq, length and payload together so no field can be
-// torn or flipped undetected.
-func encodeRecord(seq uint64, payload []byte) []byte {
-	rec := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint64(rec[0:8], seq)
-	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(payload)))
-	copy(rec[recHeaderSize:], payload)
-	crc := crc32.ChecksumIEEE(rec[0:12])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(rec[12:16], crc)
-	return rec
+// appendRecord frames a payload onto dst: seq u64 | len u32 | crc u32 |
+// payload, the CRC covering seq, length and payload together so no
+// field can be torn or flipped undetected. The one record encoder; Log
+// keeps dst between appends, so a steady-state append allocates nothing.
+//
+//tdgraph:hot
+func appendRecord(dst []byte, seq uint64, payload []byte) []byte {
+	hdr := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	crc := crc32.Update(crc32.ChecksumIEEE(dst[hdr:]), crc32.IEEETable, payload)
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	return append(dst, payload...)
 }
 
 // EncodeBatch serialises a batch as a record payload: count u32 then a
-// fixed 13-byte frame per update.
+// fixed 13-byte frame per update. Canonical: DecodeBatch accepts only
+// what EncodeBatch emits, so members log and ship the bytes they received.
 func EncodeBatch(batch []graph.Update) []byte {
 	p := make([]byte, 4+updateBytes*len(batch))
 	binary.LittleEndian.PutUint32(p[0:4], uint32(len(batch)))
@@ -55,10 +57,15 @@ func EncodeBatch(batch []graph.Update) []byte {
 	return p
 }
 
-// DecodeBatch parses an EncodeBatch payload. The payload has already
-// passed its record CRC, so any shape mismatch is content corruption,
-// not a torn write.
-func DecodeBatch(p []byte) ([]graph.Update, error) {
+// DecodeBatch parses an EncodeBatch payload into a fresh slice.
+func DecodeBatch(p []byte) ([]graph.Update, error) { return DecodeBatchInto(nil, p) }
+
+// DecodeBatchInto is DecodeBatch reusing dst's backing array when the
+// batch fits it (and it holds at most a MaxRetainedBuffer payload's
+// worth of updates). The payload has passed its record or frame CRC, so
+// a shape mismatch — a length that contradicts the count, a flag bit
+// EncodeBatch never sets — is content corruption, not a torn write.
+func DecodeBatchInto(dst []graph.Update, p []byte) ([]graph.Update, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("%w: payload of %d bytes has no count", ErrCorrupt, len(p))
 	}
@@ -66,18 +73,32 @@ func DecodeBatch(p []byte) ([]graph.Update, error) {
 	if uint64(len(p)) != 4+updateBytes*uint64(n) {
 		return nil, fmt.Errorf("%w: payload is %d bytes for %d updates", ErrCorrupt, len(p), n)
 	}
-	batch := make([]graph.Update, n)
-	off := 4
-	for i := range batch {
-		batch[i] = graph.Update{
-			Edge: graph.Edge{
-				Src:    binary.LittleEndian.Uint32(p[off:]),
-				Dst:    binary.LittleEndian.Uint32(p[off+4:]),
-				Weight: math.Float32frombits(binary.LittleEndian.Uint32(p[off+8:])),
-			},
-			Delete: p[off+12]&flagDelete != 0,
-		}
-		off += updateBytes
+	if uint64(cap(dst)) < uint64(n) || cap(dst) > MaxRetainedBuffer/updateBytes {
+		dst = make([]graph.Update, n)
 	}
-	return batch, nil
+	dst = dst[:n]
+	if unknown := decodeUpdates(dst, p[4:]); unknown != 0 {
+		return nil, fmt.Errorf("%w: update flags carry unknown bits %#x", ErrCorrupt, unknown)
+	}
+	return dst, nil
+}
+
+// decodeUpdates fills dst from len(dst) update frames and returns the
+// union of every flag bit other than flagDelete it saw (0 = canonical).
+//
+//tdgraph:hot
+func decodeUpdates(dst []graph.Update, p []byte) (unknown byte) {
+	for i := range dst {
+		f := p[i*updateBytes : (i+1)*updateBytes]
+		dst[i] = graph.Update{
+			Edge: graph.Edge{
+				Src:    binary.LittleEndian.Uint32(f[0:]),
+				Dst:    binary.LittleEndian.Uint32(f[4:]),
+				Weight: math.Float32frombits(binary.LittleEndian.Uint32(f[8:])),
+			},
+			Delete: f[12]&flagDelete != 0,
+		}
+		unknown |= f[12] &^ flagDelete
+	}
+	return unknown
 }

@@ -44,6 +44,10 @@ const (
 	// maxRecordPayload bounds a record so a corrupted length field can
 	// never drive allocation.
 	maxRecordPayload = 1 << 30
+	// MaxRetainedBuffer caps the buffers the batch path reuses (the log's
+	// record scratch, a session's frame and decode buffers): one that
+	// grew past it is dropped after use, so a huge batch pins nothing.
+	MaxRetainedBuffer = 1 << 20
 )
 
 // ErrTorn reports a record cut short by a crash mid-write. Open absorbs
@@ -195,7 +199,8 @@ type Log struct {
 	lastSeq   uint64 // highest appended/recovered seq (0 = empty log)
 	durable   uint64 // highest seq guaranteed on stable storage
 	sinceSync int
-	failed    error // sticky: tear repair failed, extending the log would corrupt it
+	failed    error  // sticky: tear repair failed, extending the log would corrupt it
+	rec       []byte // scratch the next record is framed in, reused across appends
 
 	stats Stats
 }
@@ -249,8 +254,14 @@ func parseSegName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Append writes one batch as the record with sequence seq and applies
-// the fsync policy. Sequences must be contiguous: seq == LastSeq()+1,
+// Append is AppendPayload of the batch's encoding.
+func (l *Log) Append(seq uint64, batch []graph.Update) error {
+	return l.AppendPayload(seq, EncodeBatch(batch))
+}
+
+// AppendPayload writes one EncodeBatch payload as the record with
+// sequence seq, framed in a scratch buffer the log owns, and applies the
+// fsync policy. Sequences must be contiguous: seq == LastSeq()+1,
 // except on an empty log, whose first record may start anywhere (the
 // checkpoint may already cover a prefix of the stream).
 //
@@ -259,7 +270,7 @@ func parseSegName(name string) (uint64, bool) {
 // the segment, so the retry (which must carry the same batch) skips
 // the write and re-drives the failed fsync/rotation instead of
 // tripping the contiguity check.
-func (l *Log) Append(seq uint64, batch []graph.Update) error {
+func (l *Log) AppendPayload(seq uint64, payload []byte) error {
 	if l.failed != nil {
 		return l.failed
 	}
@@ -274,7 +285,10 @@ func (l *Log) Append(seq uint64, batch []graph.Update) error {
 			return err
 		}
 	}
-	rec := encodeRecord(seq, EncodeBatch(batch))
+	rec := appendRecord(l.rec[:0], seq, payload)
+	if cap(rec) <= MaxRetainedBuffer {
+		l.rec = rec
+	}
 	if _, err := l.cur.Write(rec); err != nil {
 		// The write may have landed partially. Cut the torn bytes off
 		// right now: once a successor segment exists this one is sealed,
