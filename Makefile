@@ -98,12 +98,14 @@ determinism:
 	$(GO) test -race -count=1 -run 'Determin|HostPar' ./...
 
 # Short native-fuzz smoke over the binary decoders (one -fuzz target
-# per invocation is a `go test` restriction): checkpoint loader, SNAP
-# loader, WAL record/segment decoder (with the canonical-payload
+# per invocation is a `go test` restriction): checkpoint loader (seeded
+# with a torn and a bit-flipped in-band meta block and the retired TDS2
+# header), SNAP loader, WAL record/segment decoder (with the canonical-payload
 # property: every accepted payload re-encodes to itself),
 # recovery-vs-tailer agreement over mutated segment sets (same property
 # per shipped record), replication frame codec, and the
-# snapshot-transfer offer/chunk framing.
+# snapshot-transfer offer/chunk framing (seeds in the meta-less offer
+# layout: total | crc | ledger).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionLoad$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSNAP$$' -fuzztime 10s ./internal/graph

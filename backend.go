@@ -186,7 +186,7 @@ func (nb *nativeBackend) apply(batch []Update) (ApplyResult, float64) {
 		// Marked before the engine runs, so a panic mid-batch still
 		// leaves the views stale for healAfterPanic.
 		nb.sealed, nb.stale = nil, true
-		return cloneResult(nb.mono.ApplyBatch(batch)), 0
+		return nb.mono.ApplyBatch(batch), 0
 	}
 	// Accumulative repair needs the pre-batch out-edges to cancel old
 	// contributions, so seal before mutating.
@@ -195,7 +195,7 @@ func (nb *nativeBackend) apply(batch []Update) (ApplyResult, float64) {
 	nb.sealed = nil
 	newG := nb.snapshot()
 	nb.state = native.Accumulative(nb.acc, oldG, newG, nb.state, res, nb.cfg)
-	return cloneResult(res), 0
+	return res, 0
 }
 
 // refresh refills the monotonic path's derived views if a mutation
@@ -247,13 +247,4 @@ func (nb *nativeBackend) close() {
 	if nb.mono != nil {
 		nb.mono.Close()
 	}
-}
-
-// cloneResult copies a result whose slices alias the store's reusable
-// buffers — the public API promises results that survive the next batch.
-func cloneResult(res ApplyResult) ApplyResult {
-	res.Affected = append([]VertexID(nil), res.Affected...)
-	res.AddedEdges = append([]Edge(nil), res.AddedEdges...)
-	res.DeletedEdges = append([]Edge(nil), res.DeletedEdges...)
-	return res
 }

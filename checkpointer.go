@@ -2,9 +2,7 @@ package tdgraph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,13 +11,14 @@ import (
 )
 
 // Checkpointer manages a rotating family of checkpoint generations at
-// Path, Path+".1", Path+".2", ... (newest first). Save rotates the
-// existing generations back one slot before writing the new checkpoint
-// atomically; Load walks the generations newest-first and restores the
-// first one that passes every integrity check, so a torn or bit-flipped
-// newest checkpoint degrades to the previous good one instead of failing
-// the restore. This is the recovery rung of the degradation ladder
-// between "reject the batch" and "full recompute" (DESIGN.md).
+// Path, Path+".1", Path+".2", ... (newest first), one self-describing
+// file each. SaveWithMeta rotates the existing generations back one slot
+// before writing the new checkpoint atomically; LoadWithMeta walks the
+// generations newest-first and restores the first one that passes every
+// integrity check, so a torn or bit-flipped newest checkpoint degrades
+// to the previous good one instead of failing the restore. This is the
+// recovery rung of the degradation ladder between "reject the batch" and
+// "full recompute" (DESIGN.md).
 type Checkpointer struct {
 	// Path of the newest checkpoint generation.
 	Path string
@@ -47,16 +46,13 @@ func (c *Checkpointer) genPath(i int) string {
 	return fmt.Sprintf("%s.%d", c.Path, i)
 }
 
-// metaPath is the sidecar carrying a generation's opaque metadata
-// (the serve pipeline stores the WAL sequence the checkpoint covers).
-func (c *Checkpointer) metaPath(i int) string { return c.genPath(i) + ".meta" }
-
-// Save rotates the retained generations one slot back and writes the
-// session as the new newest generation. The write itself is atomic
-// (temp file + rename + directory fsync), and rotation happens before
-// it, so at every instant the newest complete generation on disk is
-// recoverable. Metadata sidecars rotate with their generations.
-func (c *Checkpointer) Save(s *Session) error {
+// SaveWithMeta rotates the retained generations one slot back and writes
+// the session, with meta in the file's own meta block, as the new newest
+// generation. The write is atomic (temp file + fsync + rename +
+// directory fsync) and rotation happens before it, so at every instant
+// the newest complete generation on disk is recoverable — and, being
+// one file, recoverable together with what it covers.
+func (c *Checkpointer) SaveWithMeta(s *Session, meta []byte) error {
 	for i := c.keep() - 1; i >= 1; i-- {
 		src, dst := c.genPath(i-1), c.genPath(i)
 		if _, err := os.Stat(src); err != nil {
@@ -65,155 +61,99 @@ func (c *Checkpointer) Save(s *Session) error {
 		if err := os.Rename(src, dst); err != nil {
 			return fmt.Errorf("tdgraph: rotating checkpoint %s -> %s: %w", src, dst, err)
 		}
-		msrc, mdst := c.metaPath(i-1), c.metaPath(i)
-		if _, err := os.Stat(msrc); err == nil {
-			if err := os.Rename(msrc, mdst); err != nil {
-				return fmt.Errorf("tdgraph: rotating checkpoint meta %s -> %s: %w", msrc, mdst, err)
-			}
-		}
 	}
-	// A stale newest sidecar (its checkpoint just rotated away) must not
-	// survive to describe the generation about to be written.
-	os.Remove(c.metaPath(0))
-	return s.SaveFile(c.Path)
-}
-
-// SaveWithMeta is Save plus an atomically written metadata sidecar for
-// the new generation. The sidecar is CRC-framed and written after the
-// checkpoint, so a crash between the two leaves a checkpoint without
-// metadata — LoadWithMeta skips such a generation rather than guessing.
-func (c *Checkpointer) SaveWithMeta(s *Session, meta []byte) error {
-	if err := c.Save(s); err != nil {
-		return err
-	}
-	return writeMetaFile(c.metaPath(0), meta)
+	return saveFileAtomic(c.Path, func(w io.Writer) error { return s.save(w, meta) })
 }
 
 // RecoveryEvent records one checkpoint generation that was skipped
-// during Load because it was missing or failed integrity checks.
+// during a load because it was missing or failed integrity checks.
 type RecoveryEvent struct {
 	Path string
 	Err  error
 }
 
-// Load restores the newest generation that passes every integrity check.
-// Skipped generations are returned as RecoveryEvents; when the restored
-// session did not come from the newest generation the recovery is also
-// counted in the session's robustness stats. The error is the newest
-// generation's failure (the most informative one) when no generation is
-// loadable.
-func (c *Checkpointer) Load(a Algorithm, opt SessionOptions) (*Session, []RecoveryEvent, error) {
+// newest is the one generation walk: it offers each generation's path
+// to try, newest first, until try accepts one, and returns the
+// generations passed over on the way. When none is accepted the error
+// is the newest generation's failure (the most informative one).
+func (c *Checkpointer) newest(try func(path string) error) ([]RecoveryEvent, error) {
 	var skipped []RecoveryEvent
-	var firstErr error
 	for i := 0; i < c.keep(); i++ {
 		path := c.genPath(i)
-		s, err := LoadSessionFile(a, path, opt)
+		err := try(path)
 		if err == nil {
-			if len(skipped) > 0 {
-				s.rob.Inc(stats.CtrCheckpointRecovered)
-			}
-			return s, skipped, nil
-		}
-		if firstErr == nil {
-			firstErr = err
+			return skipped, nil
 		}
 		skipped = append(skipped, RecoveryEvent{Path: path, Err: err})
 	}
-	return nil, skipped, fmt.Errorf("tdgraph: no loadable checkpoint generation under %s: %w", c.Path, firstErr)
+	return skipped, fmt.Errorf("tdgraph: no usable checkpoint generation under %s: %w", c.Path, skipped[0].Err)
 }
 
-// LoadWithMeta restores the newest generation whose checkpoint AND
-// metadata sidecar both pass every integrity check. A generation
-// missing its sidecar (a crash landed between checkpoint and meta
-// writes) is skipped exactly like a torn checkpoint: recovery needs
-// both to know what the checkpoint covers.
-func (c *Checkpointer) LoadWithMeta(a Algorithm, opt SessionOptions) (*Session, []byte, []RecoveryEvent, error) {
-	var skipped []RecoveryEvent
-	var firstErr error
-	for i := 0; i < c.keep(); i++ {
-		failedPath := c.metaPath(i)
-		meta, err := readMetaFile(failedPath)
-		if err == nil {
-			failedPath = c.genPath(i)
-			var s *Session
-			s, err = LoadSessionFile(a, failedPath, opt)
-			if err == nil {
-				if len(skipped) > 0 {
-					s.rob.Inc(stats.CtrCheckpointRecovered)
-				}
-				return s, meta, skipped, nil
-			}
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		skipped = append(skipped, RecoveryEvent{Path: failedPath, Err: err})
+// LoadWithMeta restores the newest generation that passes every
+// integrity check, with the meta payload it was saved with. Skipped
+// generations are returned as RecoveryEvents; when the restored session
+// did not come from the newest generation the recovery is also counted
+// in the session's robustness stats.
+func (c *Checkpointer) LoadWithMeta(a Algorithm, opt SessionOptions) (s *Session, meta []byte, skipped []RecoveryEvent, err error) {
+	skipped, err = c.newest(func(path string) (err error) {
+		s, meta, err = loadSessionFile(a, path, opt)
+		return err
+	})
+	if err == nil && len(skipped) > 0 {
+		s.rob.Inc(stats.CtrCheckpointRecovered)
 	}
-	return nil, nil, skipped, fmt.Errorf("tdgraph: no loadable checkpoint generation with metadata under %s: %w", c.Path, firstErr)
+	return s, meta, skipped, err
 }
 
-// Metas returns each retained generation's metadata payload, newest
-// first, with nil entries where the sidecar is missing or fails its
-// checks. Retention decisions (how far the WAL may be truncated) key
-// off the OLDEST retained generation, so a fallback restore never
-// finds its replay tail already deleted.
+// Metas returns each retained generation's meta payload, newest first,
+// reading only the file's header and meta block, with nil entries where
+// the generation is missing or fails those checks. Retention decisions
+// (how far the WAL may be truncated) key off the OLDEST retained
+// generation, so a fallback restore never finds its replay tail already
+// deleted.
 func (c *Checkpointer) Metas() [][]byte {
 	out := make([][]byte, c.keep())
 	for i := range out {
-		if m, err := readMetaFile(c.metaPath(i)); err == nil {
-			out[i] = m
+		if f, err := os.Open(c.genPath(i)); err == nil {
+			out[i], _ = readCheckpointMeta(f) // nil on failure, by contract
+			f.Close()
 		}
 	}
 	return out
 }
 
-// NewestWithMeta returns the newest generation whose metadata sidecar
-// validates, as raw bytes ready to ship to another replica: the
-// checkpoint file's contents and the sidecar payload. The checkpoint
-// bytes are not decoded here — the receiver runs the full TDS2 load
-// before installing, and a whole-file checksum travels with the
-// transfer — but the sidecar must pass its CRC so the shipped pair is
-// self-consistent.
+// NewestWithMeta returns the newest generation whose header and meta
+// block validate, as raw bytes ready to ship to another replica, plus
+// the meta payload parsed out of those same bytes. The graph and state
+// blocks are not decoded here — the receiver runs the full load before
+// installing, and a whole-file checksum travels with the transfer.
 func (c *Checkpointer) NewestWithMeta() (data, meta []byte, err error) {
-	var firstErr error
-	for i := 0; i < c.keep(); i++ {
-		m, merr := readMetaFile(c.metaPath(i))
-		if merr != nil {
-			if firstErr == nil {
-				firstErr = merr
-			}
-			continue
+	_, err = c.newest(func(path string) (err error) {
+		if data, err = os.ReadFile(path); err == nil {
+			meta, err = readCheckpointMeta(bytes.NewReader(data))
 		}
-		d, derr := os.ReadFile(c.genPath(i))
-		if derr != nil {
-			if firstErr == nil {
-				firstErr = &CheckpointError{Stage: "read", Err: derr}
-			}
-			continue
-		}
-		return d, m, nil
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if firstErr == nil {
-		firstErr = &CheckpointError{Stage: "meta", Err: os.ErrNotExist}
-	}
-	return nil, nil, fmt.Errorf("tdgraph: no shippable checkpoint generation under %s: %w", c.Path, firstErr)
+	return data, meta, nil
 }
 
 // Install atomically adopts the already-written (and fsynced) file at
-// tmpPath as the newest checkpoint generation, with meta as its
-// sidecar payload — the receiving half of a snapshot transfer. Every
-// existing sidecar is removed first so no stale metadata can pair
-// with the incoming bytes, then the file is renamed into place and
-// the new sidecar written, each step durable before the next. A crash
-// at any point leaves either the old generations intact (rename not
-// reached), a sidecar-less generation that LoadWithMeta skips
-// (sidecar not reached), or the complete new pair — never a
-// half-installed snapshot recovery would trust.
-func (c *Checkpointer) Install(tmpPath string, meta []byte) error {
+// tmpPath as the newest — and only — checkpoint generation: the
+// receiving half of a snapshot transfer. Every older fallback
+// generation is removed first, durably, because it describes a history
+// the installed file replaces: restored over the WAL the caller has
+// just reset it would serve silently diverged state. Then the file is
+// renamed over the newest slot. A crash before the rename leaves the
+// previous newest generation, complete; after it, the installed one —
+// never a half-installed snapshot, and never a way back past it.
+func (c *Checkpointer) Install(tmpPath string) error {
 	dir := filepath.Dir(c.Path)
-	for i := 0; i < c.keep(); i++ {
-		if err := os.Remove(c.metaPath(i)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("tdgraph: clearing checkpoint sidecar %s: %w", c.metaPath(i), err)
+	for i := 1; i < c.keep(); i++ {
+		if err := os.Remove(c.genPath(i)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("tdgraph: clearing checkpoint generation %s: %w", c.genPath(i), err)
 		}
 	}
 	if err := fsyncDir(dir); err != nil {
@@ -225,48 +165,5 @@ func (c *Checkpointer) Install(tmpPath string, meta []byte) error {
 	if err := fsyncDir(dir); err != nil {
 		return fmt.Errorf("tdgraph: syncing checkpoint directory %s: %w", dir, err)
 	}
-	return writeMetaFile(c.metaPath(0), meta)
-}
-
-// Metadata sidecar format: magic u32 | payloadLen u32 | crc32 u32 |
-// payload, little-endian, CRC (IEEE) over the payload. Small enough to
-// write atomically everywhere, framed so a torn sidecar reads as a
-// typed *CheckpointError instead of garbage metadata.
-const metaMagic = 0x5444534D // "TDSM"
-
-func writeMetaFile(path string, meta []byte) error {
-	return saveFileAtomic(path, func(w io.Writer) error {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], metaMagic)
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(meta)))
-		binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(meta))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(meta)
-		return err
-	})
-}
-
-func readMetaFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, &CheckpointError{Stage: "meta", Err: err}
-	}
-	if len(data) < 12 {
-		return nil, ckptErr("meta", io.ErrUnexpectedEOF)
-	}
-	if magic := binary.LittleEndian.Uint32(data[0:4]); magic != metaMagic {
-		return nil, ckptCorrupt("meta", "bad magic %08x (want %08x)", magic, uint32(metaMagic))
-	}
-	plen := binary.LittleEndian.Uint32(data[4:8])
-	wantCRC := binary.LittleEndian.Uint32(data[8:12])
-	if uint32(len(data)-12) != plen {
-		return nil, ckptErr("meta", io.ErrUnexpectedEOF)
-	}
-	payload := data[12:]
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, ckptCorrupt("meta", "checksum mismatch: stored %08x, computed %08x", wantCRC, got)
-	}
-	return bytes.Clone(payload), nil
+	return nil
 }

@@ -11,24 +11,38 @@ import (
 	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
-// TestCheckpointerMetaRotation: metadata sidecars rotate with their
-// generations, LoadWithMeta returns the newest pair, and Metas exposes
-// the retained history newest-first.
-func TestCheckpointerMetaRotation(t *testing.T) {
+// twoGenerations saves "seq-10" then "seq-20" and rewrites the newest
+// generation's file through mangle (nil leaves it alone).
+func twoGenerations(t *testing.T, mangle func([]byte) []byte) (*tdgraph.Checkpointer, *tdgraph.Session) {
+	t.Helper()
 	edges, nv := sessionEdges()
 	s, err := tdgraph.NewSession(tdgraph.NewCC(), edges, nv, tdgraph.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck := tdgraph.NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds"))
-
-	if err := ck.SaveWithMeta(s, []byte("seq-10")); err != nil {
-		t.Fatal(err)
+	for _, meta := range []string{"seq-10", "seq-20"} {
+		if err := ck.SaveWithMeta(s, []byte(meta)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ck.SaveWithMeta(s, []byte("seq-20")); err != nil {
-		t.Fatal(err)
+	if mangle != nil {
+		data, err := os.ReadFile(ck.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ck.Path, mangle(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return ck, s
+}
 
+// TestCheckpointerMetaRotation: a generation is one file that carries
+// its own metadata, LoadWithMeta returns the newest, and Metas exposes
+// the retained history newest-first from the headers alone.
+func TestCheckpointerMetaRotation(t *testing.T) {
+	ck, s := twoGenerations(t, nil)
 	restored, meta, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -42,114 +56,85 @@ func TestCheckpointerMetaRotation(t *testing.T) {
 	if restored.NumEdges() != s.NumEdges() {
 		t.Fatal("restored session has wrong shape")
 	}
-
 	metas := ck.Metas()
 	if len(metas) != 2 || !bytes.Equal(metas[0], []byte("seq-20")) || !bytes.Equal(metas[1], []byte("seq-10")) {
 		t.Fatalf("Metas() = %q, want newest-first history", metas)
 	}
-}
-
-// TestCheckpointerMetaMissingFallsBack: a crash between the checkpoint
-// write and its sidecar write leaves a generation without metadata —
-// recovery must skip it (it cannot know what that checkpoint covers)
-// and restore the older pair, counting the degradation.
-func TestCheckpointerMetaMissingFallsBack(t *testing.T) {
-	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewCC(), edges, nv, tdgraph.SessionOptions{})
+	entries, err := os.ReadDir(filepath.Dir(ck.Path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := tdgraph.NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds"))
-	if err := ck.SaveWithMeta(s, []byte("seq-10")); err != nil {
-		t.Fatal(err)
+	if len(entries) != 2 || entries[0].Name() != "ckpt.tds" || entries[1].Name() != "ckpt.tds.1" {
+		t.Fatalf("checkpoint directory holds %v, want one file per generation", entries)
 	}
-	// Plain Save = checkpoint written, sidecar never made it.
-	if err := ck.Save(s); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// damagedNewestFallsBack checks the shared outcome of a newest
+// generation whose meta block is unreadable: that generation is skipped
+// with a typed meta-stage error wrapping sentinel, the older one is
+// restored with its own metadata, the degradation is counted, and Metas
+// reports nil in the damaged slot.
+func damagedNewestFallsBack(t *testing.T, mangle func([]byte) []byte, sentinel error) {
+	t.Helper()
+	ck, _ := twoGenerations(t, mangle)
 	restored, meta, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(meta, []byte("seq-10")) {
-		t.Fatalf("meta = %q, want the fallback generation's", meta)
-	}
-	if len(skipped) != 1 {
-		t.Fatalf("skipped %v, want exactly the meta-less newest generation", skipped)
-	}
-	var ce *tdgraph.CheckpointError
-	if !errors.As(skipped[0].Err, &ce) || ce.Stage != "meta" {
-		t.Fatalf("skip reason %v, want a meta-stage *CheckpointError", skipped[0].Err)
-	}
-	if restored.RobustStats().Get(stats.CtrCheckpointRecovered) != 1 {
-		t.Fatal("fallback restore not counted")
-	}
-}
-
-// TestCheckpointerMetaCorruptionTyped: a bit-flipped or truncated
-// sidecar reads as a typed *CheckpointError carrying the corruption
-// sentinel, and LoadWithMeta degrades past it.
-func TestCheckpointerMetaCorruptionTyped(t *testing.T) {
-	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewCC(), edges, nv, tdgraph.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := tdgraph.NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds"))
-	if err := ck.SaveWithMeta(s, []byte("seq-10")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.SaveWithMeta(s, []byte("seq-20")); err != nil {
-		t.Fatal(err)
-	}
-	metaPath := ck.Path + ".meta"
-	data, err := os.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF // flip a payload bit: CRC must catch it
-	if err := os.WriteFile(metaPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, meta, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(meta, []byte("seq-10")) {
 		t.Fatalf("meta = %q, want the older good generation's", meta)
 	}
-	if len(skipped) != 1 || !errors.Is(skipped[0].Err, tdgraph.ErrCheckpointCorrupt) {
-		t.Fatalf("skip reason %v, want ErrCheckpointCorrupt", skipped)
+	var ce *tdgraph.CheckpointError
+	if len(skipped) != 1 || !errors.As(skipped[0].Err, &ce) || ce.Stage != "meta" || !errors.Is(ce, sentinel) {
+		t.Fatalf("skipped %v, want the newest generation with a meta-stage %v", skipped, sentinel)
 	}
-
-	// Metas mirrors the damage: nil for the corrupt newest sidecar.
-	metas := ck.Metas()
-	if metas[0] != nil || !bytes.Equal(metas[1], []byte("seq-10")) {
+	if restored.RobustStats().Get(stats.CtrCheckpointRecovered) != 1 {
+		t.Fatal("fallback restore not counted")
+	}
+	if metas := ck.Metas(); metas[0] != nil || !bytes.Equal(metas[1], []byte("seq-10")) {
 		t.Fatalf("Metas() = %q, want [nil seq-10]", metas)
 	}
 }
 
-// TestCheckpointerNoValidPair: when no generation has both a good
-// checkpoint and a good sidecar, LoadWithMeta fails typed instead of
-// guessing.
+// TestCheckpointerMetaMissingFallsBack: a newest generation that ends
+// inside its meta block (only disk damage can do this — the atomic save
+// never exposes a partial file) cannot say what it covers, so recovery
+// skips it rather than guessing.
+func TestCheckpointerMetaMissingFallsBack(t *testing.T) {
+	damagedNewestFallsBack(t, func(b []byte) []byte { return b[:8+12+3] }, tdgraph.ErrCheckpointTruncated)
+}
+
+// TestCheckpointerMetaCorruptionTyped: a bit flipped inside the meta
+// payload is caught by the block's CRC before the payload is believed.
+func TestCheckpointerMetaCorruptionTyped(t *testing.T) {
+	damagedNewestFallsBack(t, func(b []byte) []byte {
+		b[8+12+5] ^= 0xFF // last byte of the 6-byte "seq-20" payload
+		return b
+	}, tdgraph.ErrCheckpointCorrupt)
+}
+
+// TestCheckpointerNoValidPair: when every generation is unreadable —
+// here, both still in the retired v2 format — LoadWithMeta and
+// NewestWithMeta fail with the typed unsupported-version error instead
+// of guessing, so the caller bootstraps and replays.
 func TestCheckpointerNoValidPair(t *testing.T) {
-	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewCC(), edges, nv, tdgraph.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
+	ck, _ := twoGenerations(t, nil)
+	for _, path := range []string{ck.Path, ck.Path + ".1"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[4] = 2 // header version field
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ck := tdgraph.NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds"))
-	if err := ck.Save(s); err != nil { // checkpoint without sidecar
-		t.Fatal(err)
-	}
-	_, _, _, err = ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
-	if err == nil {
-		t.Fatal("restore without any valid generation+meta pair succeeded")
-	}
+	_, _, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
 	var ce *tdgraph.CheckpointError
-	if !errors.As(err, &ce) {
-		t.Fatalf("failure untyped: %T %v", err, err)
+	if !errors.As(err, &ce) || ce.Stage != "header" || !errors.Is(err, tdgraph.ErrCheckpointCorrupt) || len(skipped) != 2 {
+		t.Fatalf("LoadWithMeta over v2 files: err %v, skipped %v; want a typed header-stage corruption and both skipped", err, skipped)
+	}
+	if _, _, err := ck.NewestWithMeta(); !errors.Is(err, tdgraph.ErrCheckpointCorrupt) {
+		t.Fatalf("NewestWithMeta shipped a v2 file: %v", err)
 	}
 }

@@ -40,7 +40,8 @@ func TestLoadSessionTypedErrors(t *testing.T) {
 	}{
 		{"empty", func(b []byte) []byte { return nil }, tdgraph.ErrCheckpointTruncated},
 		{"torn header", func(b []byte) []byte { return b[:5] }, tdgraph.ErrCheckpointTruncated},
-		{"torn graph block", func(b []byte) []byte { return b[:20] }, tdgraph.ErrCheckpointTruncated},
+		{"torn meta block", func(b []byte) []byte { return b[:14] }, tdgraph.ErrCheckpointTruncated},
+		{"torn graph block", func(b []byte) []byte { return b[:32] }, tdgraph.ErrCheckpointTruncated},
 		{"torn state block", func(b []byte) []byte { return b[:len(b)-9] }, tdgraph.ErrCheckpointTruncated},
 		{"bad magic", func(b []byte) []byte {
 			out := append([]byte(nil), b...)
@@ -52,9 +53,19 @@ func TestLoadSessionTypedErrors(t *testing.T) {
 			out[4] = 99
 			return out
 		}, tdgraph.ErrCheckpointCorrupt},
+		{"TDS2 version", func(b []byte) []byte {
+			out := append([]byte(nil), b...)
+			out[4] = 2
+			return out
+		}, tdgraph.ErrCheckpointCorrupt},
+		{"meta checksum flip", func(b []byte) []byte {
+			out := append([]byte(nil), b...)
+			out[16] ^= 0x10 // the (empty) meta block's stored CRC
+			return out
+		}, tdgraph.ErrCheckpointCorrupt},
 		{"graph bit flip", func(b []byte) []byte {
 			out := append([]byte(nil), b...)
-			out[25] ^= 0x10
+			out[37] ^= 0x10 // past header(8) + meta block(12) + graph block header(12)
 			return out
 		}, tdgraph.ErrCheckpointCorrupt},
 		{"state bit flip", func(b []byte) []byte {
@@ -128,10 +139,10 @@ func TestCheckpointerRecovery(t *testing.T) {
 			dir := t.TempDir()
 			ck := tdgraph.NewCheckpointer(filepath.Join(dir, "ckpt.tds"))
 			// Two generations: good, then newest which we corrupt on disk.
-			if err := ck.Save(s); err != nil {
+			if err := ck.SaveWithMeta(s, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := ck.Save(s); err != nil {
+			if err := ck.SaveWithMeta(s, nil); err != nil {
 				t.Fatal(err)
 			}
 			data, err := os.ReadFile(ck.Path)
@@ -145,7 +156,7 @@ func TestCheckpointerRecovery(t *testing.T) {
 			if err := os.WriteFile(ck.Path, in.CorruptCheckpoint(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			restored, skipped, err := ck.Load(tdgraph.NewCC(), tdgraph.SessionOptions{})
+			restored, _, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
 			if err != nil {
 				t.Fatalf("recovery failed: %v (skipped %v)", err, skipped)
 			}
@@ -170,18 +181,18 @@ func TestCheckpointerRecovery(t *testing.T) {
 	// All generations corrupt: typed error, no panic.
 	dir := t.TempDir()
 	ck := tdgraph.NewCheckpointer(filepath.Join(dir, "ckpt.tds"))
-	if err := ck.Save(s); err != nil {
+	if err := ck.SaveWithMeta(s, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(ck.Path, []byte{9, 9, 9}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.Load(tdgraph.NewCC(), tdgraph.SessionOptions{}); err == nil {
+	if _, _, _, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{}); err == nil {
 		t.Fatal("load with no valid generation succeeded")
 	}
 }
 
-// TestCheckpointerScheduledIOErrors drives Save/Load through the
+// TestCheckpointerScheduledIOErrors drives Save/LoadSession through the
 // injector's failing reader and writer wrappers: the scheduled error must
 // surface (typed, wrapping fault.ErrInjected where the fault layer threw
 // it) and never panic.

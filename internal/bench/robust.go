@@ -102,10 +102,10 @@ func checkpointScenario(class fault.Class, seed int64) (FaultSuiteResult, error)
 	}
 	defer os.RemoveAll(dir)
 	ck := tdgraph.NewCheckpointer(filepath.Join(dir, "ckpt.tds"))
-	if err := ck.Save(s); err != nil {
+	if err := ck.SaveWithMeta(s, nil); err != nil {
 		return r, err
 	}
-	if err := ck.Save(s); err != nil {
+	if err := ck.SaveWithMeta(s, nil); err != nil {
 		return r, err
 	}
 	data, err := os.ReadFile(ck.Path)
@@ -119,7 +119,7 @@ func checkpointScenario(class fault.Class, seed int64) (FaultSuiteResult, error)
 	if err := os.WriteFile(ck.Path, inj.CorruptCheckpoint(data), 0o644); err != nil {
 		return r, err
 	}
-	restored, skipped, err := ck.Load(tdgraph.NewCC(), tdgraph.SessionOptions{})
+	restored, _, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
 	if err != nil {
 		return r, fmt.Errorf("%s: recovery failed: %w", r.Scenario, err)
 	}

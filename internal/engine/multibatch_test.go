@@ -2,8 +2,10 @@ package engine_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/engine"
@@ -58,7 +60,11 @@ func TestMultiBatchChaining(t *testing.T) {
 
 // TestRandomBatchShapes is the main property test: arbitrary valid
 // batches (delete-only, duplicate-heavy, self-loop-free random adds) must
-// leave every engine at the oracle fixpoint.
+// leave every engine at the oracle fixpoint. The pinned input is the one
+// a time-seeded run once drew: its batch adds 152→266 and then deletes
+// it, and ApplyResult used to keep the add (SSSP state 19 for a vertex
+// the oracle says is unreachable). The random draws are seeded from a
+// logged value, so any failure names the input to pin next.
 func TestRandomBatchShapes(t *testing.T) {
 	f := func(seed int64, addBias uint8) bool {
 		edges := gen.ErdosRenyi(gen.ErdosRenyiConfig{
@@ -78,13 +84,18 @@ func TestRandomBatchShapes(t *testing.T) {
 		sys.Process(res)
 		want := algo.Reference(a, newG)
 		if i := algo.StatesEqual(rt.S, want, 1e-9); i >= 0 {
-			t.Logf("seed %d: mismatch at %d", seed, i)
+			t.Logf("input (%d, %#x): mismatch at %d: got %v want %v", seed, addBias, i, rt.S[i], want[i])
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
+	if !f(2035051588195250850, 0x40) {
+		t.Fatal("pinned input (add 152→266 then delete it) diverged from the oracle")
+	}
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seeded with %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("quick seed %d: %v", seed, err)
 	}
 }
 

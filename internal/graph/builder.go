@@ -141,7 +141,12 @@ type ApplyResult struct {
 	// updates, in first-touch order.
 	Affected []VertexID
 	// AddedEdges / DeletedEdges are the effective (non-skipped) updates,
-	// needed by the incremental engines' per-edge repair steps.
+	// needed by the incremental engines' per-edge repair steps. Every
+	// AddedEdges entry is present in the post-batch graph at the listed
+	// weight — an add that a later update of the same batch deleted or
+	// re-weighted is dropped, or the monotonic repair would relax along
+	// an edge that no longer exists. DeletedEdges may keep entries a
+	// later add restored: those only over-tag.
 	AddedEdges   []Edge
 	DeletedEdges []Edge
 }
@@ -190,6 +195,16 @@ func (b *Builder) Apply(batch []Update) ApplyResult {
 				res.Skipped++
 			}
 		}
+	}
+	// Only a delete or re-weight can have made an earlier add stale.
+	if res.Deleted+res.WeightChanged > 0 {
+		live := res.AddedEdges[:0]
+		for _, e := range res.AddedEdges {
+			if w, ok := b.edgeWeight(e.Src, e.Dst); ok && w == e.Weight {
+				live = append(live, e)
+			}
+		}
+		res.AddedEdges = live
 	}
 	return res
 }

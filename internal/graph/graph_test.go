@@ -85,8 +85,9 @@ func TestApplyResult(t *testing.T) {
 	if res.Added != 2 || res.Deleted != 1 || res.Skipped != 2 || res.WeightChanged != 1 {
 		t.Fatalf("got %+v", res)
 	}
-	// The weight update surfaces as delete(old)+add(new).
-	if len(res.DeletedEdges) != 2 || len(res.AddedEdges) != 3 {
+	// The weight update surfaces as delete(old)+add(new), and the add of
+	// 2→3 at weight 1 it superseded is no longer listed.
+	if len(res.DeletedEdges) != 2 || len(res.AddedEdges) != 2 {
 		t.Fatalf("effective edges: %d deleted, %d added", len(res.DeletedEdges), len(res.AddedEdges))
 	}
 	// Affected: destinations of effective updates, first-touch order.

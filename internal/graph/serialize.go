@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Binary snapshot format: a fixed header followed by the CSR arrays.
@@ -128,27 +127,4 @@ func ReadBinary(r io.Reader) (*Snapshot, error) {
 	}
 	buildCSC(s)
 	return s, nil
-}
-
-// SaveBinaryFile writes the snapshot to path.
-func (s *Snapshot) SaveBinaryFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBinaryFile reads a snapshot from path.
-func LoadBinaryFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }

@@ -3,7 +3,6 @@ package graph_test
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -88,20 +87,5 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := graph.ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated snapshot accepted")
-	}
-}
-
-func TestBinaryFileHelpers(t *testing.T) {
-	s := buildSample(t)
-	path := filepath.Join(t.TempDir(), "g.tdg")
-	if err := s.SaveBinaryFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := graph.LoadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEdges() != s.NumEdges() {
-		t.Fatal("file round trip changed edge count")
 	}
 }

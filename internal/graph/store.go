@@ -51,10 +51,10 @@ const storeInlineCap = 4
 
 // adjacency is one direction (out- or in-edges) of the hybrid format.
 type adjacency struct {
-	deg   []uint32    // per-vertex live degree
-	nbr   []VertexID  // inline slab: storeInlineCap slots per vertex
-	wgt   []float32   // parallel to nbr
-	spill []*hashAdj  // non-nil once a vertex outgrows the slab
+	deg   []uint32   // per-vertex live degree
+	nbr   []VertexID // inline slab: storeInlineCap slots per vertex
+	wgt   []float32  // parallel to nbr
+	spill []*hashAdj // non-nil once a vertex outgrows the slab
 }
 
 func (a *adjacency) grow(n int) {
@@ -489,6 +489,16 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 		res.Added++
 		res.AddedEdges = append(res.AddedEdges, u.Edge)
 		affect(u.Edge.Dst)
+	}
+	// Only a delete or re-weight can have made an earlier add stale.
+	if res.Deleted+res.WeightChanged > 0 {
+		live := res.AddedEdges[:0]
+		for _, e := range res.AddedEdges {
+			if w, ok := st.out.get(e.Src, e.Dst); ok && w == e.Weight {
+				live = append(live, e)
+			}
+		}
+		res.AddedEdges = live
 	}
 	return *res
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,30 +37,78 @@ func sameSlice(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-func sameApplyResult(t *testing.T, batch int, want, got ApplyResult) {
+func sameApplyResult(t *testing.T, label string, want, got ApplyResult) {
 	t.Helper()
 	if want.Added != got.Added || want.Deleted != got.Deleted ||
 		want.WeightChanged != got.WeightChanged || want.Skipped != got.Skipped {
-		t.Fatalf("batch %d: counts diverge: builder {add %d del %d chg %d skip %d}, store {add %d del %d chg %d skip %d}",
-			batch, want.Added, want.Deleted, want.WeightChanged, want.Skipped,
+		t.Fatalf("%s: counts diverge: builder {add %d del %d chg %d skip %d}, store {add %d del %d chg %d skip %d}",
+			label, want.Added, want.Deleted, want.WeightChanged, want.Skipped,
 			got.Added, got.Deleted, got.WeightChanged, got.Skipped)
 	}
 	if !sameSlice(want.Affected, got.Affected) {
-		t.Fatalf("batch %d: Affected diverges (order matters):\nbuilder %v\nstore   %v", batch, want.Affected, got.Affected)
+		t.Fatalf("%s: Affected diverges (order matters):\nbuilder %v\nstore   %v", label, want.Affected, got.Affected)
 	}
 	if !sameSlice(want.AddedEdges, got.AddedEdges) {
-		t.Fatalf("batch %d: AddedEdges diverge:\nbuilder %v\nstore   %v", batch, want.AddedEdges, got.AddedEdges)
+		t.Fatalf("%s: AddedEdges diverge:\nbuilder %v\nstore   %v", label, want.AddedEdges, got.AddedEdges)
 	}
 	if !sameSlice(want.DeletedEdges, got.DeletedEdges) {
-		t.Fatalf("batch %d: DeletedEdges diverge:\nbuilder %v\nstore   %v", batch, want.DeletedEdges, got.DeletedEdges)
+		t.Fatalf("%s: DeletedEdges diverge:\nbuilder %v\nstore   %v", label, want.DeletedEdges, got.DeletedEdges)
 	}
 }
 
+// sameEdgeTwice are the batches over {0→1 w12, 1→2 w1} that touch one
+// edge twice so that an earlier add is no longer true at the end:
+// re-weighted then deleted, added then deleted, re-weighted down then up.
+var sameEdgeTwice = [][]Update{
+	{{Edge: Edge{Src: 1, Dst: 2, Weight: 7}}, {Edge: Edge{Src: 1, Dst: 2}, Delete: true}},
+	{{Edge: Edge{Src: 1, Dst: 3, Weight: 2}}, {Edge: Edge{Src: 1, Dst: 3}, Delete: true}},
+	{{Edge: Edge{Src: 1, Dst: 2, Weight: 0.5}}, {Edge: Edge{Src: 1, Dst: 2, Weight: 7}}},
+}
+
 // TestStoreMatchesBuilder drives a Store and a Builder with identical
-// random update streams and checks every observable agrees after every
-// batch: ApplyResult (including Affected first-touch order), edge set,
-// degrees, and the sealed snapshot against the builder's.
+// update streams — the same-edge-twice shapes, then random ones — and
+// checks every observable agrees after every batch: ApplyResult
+// (including Affected first-touch order), edge set, degrees, and the
+// sealed snapshot against the builder's; and that every AddedEdges
+// entry is an edge of the post-batch graph at the listed weight.
 func TestStoreMatchesBuilder(t *testing.T) {
+	check := func(label string, b *Builder, st *Store, ups []Update) {
+		t.Helper()
+		want := b.Apply(ups)
+		got := st.Apply(ups)
+		sameApplyResult(t, label, want, got)
+		for _, e := range got.AddedEdges {
+			if w, ok := st.EdgeWeight(e.Src, e.Dst); !ok || w != e.Weight {
+				t.Fatalf("%s: AddedEdges lists %v but the graph holds (%v, %v)", label, e, w, ok)
+			}
+		}
+		if b.NumVertices() != st.NumVertices() {
+			t.Fatalf("%s: vertex counts %d vs %d", label, b.NumVertices(), st.NumVertices())
+		}
+		if b.NumEdges() != st.NumEdges() {
+			t.Fatalf("%s: edge counts %d vs %d", label, b.NumEdges(), st.NumEdges())
+		}
+		bs := b.Snapshot()
+		ss := st.Seal()
+		if err := ss.Validate(); err != nil {
+			t.Fatalf("%s: sealed snapshot invalid: %v", label, err)
+		}
+		if !reflect.DeepEqual(bs.EdgeList(), ss.EdgeList()) {
+			t.Fatalf("%s: edge lists diverge", label)
+		}
+		if !reflect.DeepEqual(bs.EdgeList(), st.EdgeList()) {
+			t.Fatalf("%s: Store.EdgeList diverges from snapshot", label)
+		}
+		if !reflect.DeepEqual(bs.InOffsets, ss.InOffsets) ||
+			!reflect.DeepEqual(bs.InNeighbors, ss.InNeighbors) ||
+			!reflect.DeepEqual(bs.InWeights, ss.InWeights) {
+			t.Fatalf("%s: CSC mirrors diverge", label)
+		}
+	}
+	for i, ups := range sameEdgeTwice {
+		base := []Edge{{Src: 0, Dst: 1, Weight: 12}, {Src: 1, Dst: 2, Weight: 1}}
+		check(fmt.Sprintf("same-edge-twice %d", i), NewBuilderFromEdges(4, base), NewStoreFromEdges(4, base), ups)
+	}
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 4 + rng.Intn(40)
@@ -67,31 +116,7 @@ func TestStoreMatchesBuilder(t *testing.T) {
 		b := NewBuilder(nv)
 		for batch := 0; batch < 30; batch++ {
 			ups := randomUpdates(rng, 1+rng.Intn(60), nv+4) // +4 forces growth
-			want := b.Apply(ups)
-			got := st.Apply(ups)
-			sameApplyResult(t, batch, want, got)
-			if b.NumVertices() != st.NumVertices() {
-				t.Fatalf("seed %d batch %d: vertex counts %d vs %d", seed, batch, b.NumVertices(), st.NumVertices())
-			}
-			if b.NumEdges() != st.NumEdges() {
-				t.Fatalf("seed %d batch %d: edge counts %d vs %d", seed, batch, b.NumEdges(), st.NumEdges())
-			}
-			bs := b.Snapshot()
-			ss := st.Seal()
-			if err := ss.Validate(); err != nil {
-				t.Fatalf("seed %d batch %d: sealed snapshot invalid: %v", seed, batch, err)
-			}
-			if !reflect.DeepEqual(bs.EdgeList(), ss.EdgeList()) {
-				t.Fatalf("seed %d batch %d: edge lists diverge", seed, batch)
-			}
-			if !reflect.DeepEqual(bs.EdgeList(), st.EdgeList()) {
-				t.Fatalf("seed %d batch %d: Store.EdgeList diverges from snapshot", seed, batch)
-			}
-			if !reflect.DeepEqual(bs.InOffsets, ss.InOffsets) ||
-				!reflect.DeepEqual(bs.InNeighbors, ss.InNeighbors) ||
-				!reflect.DeepEqual(bs.InWeights, ss.InWeights) {
-				t.Fatalf("seed %d batch %d: CSC mirrors diverge", seed, batch)
-			}
+			check(fmt.Sprintf("seed %d batch %d", seed, batch), b, st, ups)
 		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 
 // makeSnapshot builds a throwaway pipeline, ingests the first n batches,
 // and returns its newest checkpoint generation — the covered sequence,
-// the sidecar payload, the raw TDS2 bytes, and the states the snapshot
-// encodes (what a correct install must reproduce).
-func makeSnapshot(t *testing.T, w *stream.Workload, n int) (uint64, []byte, []byte, []float64) {
+// the raw checkpoint bytes, and the states the snapshot encodes (what a
+// correct install must reproduce).
+func makeSnapshot(t *testing.T, w *stream.Workload, n int) (uint64, []byte, []float64) {
 	t.Helper()
 	cfg := nodeConfig(w, t.TempDir())
 	pipe, err := serve.NewPipeline(cfg)
@@ -35,14 +35,14 @@ func makeSnapshot(t *testing.T, w *stream.Workload, n int) (uint64, []byte, []by
 	if err := pipe.Close(); err != nil { // the final checkpoint covers seq n
 		t.Fatal(err)
 	}
-	seq, meta, data, err := pipe.SnapshotSource().NewestSnapshot()
+	seq, data, err := pipe.SnapshotSource().NewestSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != uint64(n) {
 		t.Fatalf("snapshot covers seq %d, want %d", seq, n)
 	}
-	return seq, meta, data, states
+	return seq, data, states
 }
 
 // handshake opens a raw primary-side session against fl: Hello at term,
@@ -85,9 +85,8 @@ func TestSnapOfferCodec(t *testing.T) {
 	for _, o := range []snapOffer{
 		{},
 		{Total: 1 << 30, CRC: 0xDEADBEEF},
-		{Total: 7, CRC: 3, Meta: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		{Total: 9, Ledger: []TermBase{{Term: 1, Base: 1}, {Term: 4, Base: 77}}},
-		{Total: 12, CRC: 1, Meta: []byte{0}, Ledger: []TermBase{{Term: 2, Base: 5}}},
+		{Total: 12, CRC: 1, Ledger: []TermBase{{Term: 2, Base: 5}}},
 	} {
 		enc := o.encode()
 		got, err := decodeSnapOffer(enc)
@@ -97,16 +96,15 @@ func TestSnapOfferCodec(t *testing.T) {
 		if !bytes.Equal(got.encode(), enc) {
 			t.Fatalf("round trip not byte-identical for %+v", o)
 		}
-		if got.Total != o.Total || got.CRC != o.CRC || !bytes.Equal(got.Meta, o.Meta) || len(got.Ledger) != len(o.Ledger) {
+		if got.Total != o.Total || got.CRC != o.CRC || len(got.Ledger) != len(o.Ledger) {
 			t.Fatalf("round trip changed fields: %+v -> %+v", o, got)
 		}
 	}
 
-	full := snapOffer{Total: 5, CRC: 9, Meta: []byte{1, 2}, Ledger: []TermBase{{Term: 1, Base: 1}}}.encode()
+	full := snapOffer{Total: 5, CRC: 9, Ledger: []TermBase{{Term: 1, Base: 1}}}.encode()
 	for name, payload := range map[string][]byte{
 		"empty":            nil,
 		"truncated header": full[:10],
-		"truncated meta":   full[:15],
 		"truncated ledger": full[:len(full)-1],
 		"trailing slack":   append(append([]byte(nil), full...), 0),
 	} {
@@ -225,6 +223,11 @@ func TestDivergedFollowerAutoReseeded(t *testing.T) {
 	// replayed records.
 	if fa.Seq() != 5 {
 		t.Fatalf("follower at seq %d after attach, want 5", fa.Seq())
+	}
+	// A's own generations (seq 9 and 6 of the refused history) went with
+	// the install: no fallback restore can reach back past it.
+	if _, err := os.Stat(filepath.Join(adir, "ckpt.tds.1")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a pre-install generation survived the reseed (err %v)", err)
 	}
 
 	pipe.SetRetentionAdvisor(prim)
@@ -350,13 +353,12 @@ func TestLateJoinerReseededPastRetention(t *testing.T) {
 // stubSnap is a SnapshotSource returning fixed bytes (or an error).
 type stubSnap struct {
 	seq  uint64
-	meta []byte
 	data []byte
 	err  error
 }
 
-func (s stubSnap) NewestSnapshot() (uint64, []byte, []byte, error) {
-	return s.seq, s.meta, s.data, s.err
+func (s stubSnap) NewestSnapshot() (uint64, []byte, error) {
+	return s.seq, s.data, s.err
 }
 
 // TestReseedRefusedWithoutCheckpointPath: a follower that cannot
@@ -375,7 +377,7 @@ func TestReseedRefusedWithoutCheckpointPath(t *testing.T) {
 	col := stats.NewCollector()
 	p := NewPrimary(PrimaryConfig{
 		Term: 1, WAL: wal.Options{Dir: t.TempDir()}, Collector: col,
-		Snapshots: stubSnap{seq: 3, meta: make([]byte, 8), data: []byte("snapshot bytes")},
+		Snapshots: stubSnap{seq: 3, data: []byte("snapshot bytes")},
 	})
 	fc := &followerConn{conn: pside, name: "f0"}
 	_, rerr := p.reseed(fc)
@@ -400,10 +402,12 @@ func TestReseedRefusedWithoutCheckpointPath(t *testing.T) {
 // byte flipped in flight (whole-file checksum catches it, partial is
 // discarded — no resume from poison), torn/overrunning/short chunk
 // streams (typed aborts, resumable partial kept), structurally valid
-// bytes that fail the TDS2 load, and a malformed offer payload.
+// bytes that fail the checkpoint load, a valid checkpoint offered under
+// a sequence it does not say it covers, and a malformed offer payload.
+// Every follower has a two-batch life of its own that must survive.
 func TestSnapshotTransferFaultTable(t *testing.T) {
 	w := testWorkload(t, 6)
-	snapSeq, meta, data, _ := makeSnapshot(t, w, 4)
+	snapSeq, data, _ := makeSnapshot(t, w, 4)
 	if len(data) < 64 {
 		t.Fatalf("snapshot too small (%d bytes) to split into chunks", len(data))
 	}
@@ -412,7 +416,16 @@ func TestSnapshotTransferFaultTable(t *testing.T) {
 	junk := bytes.Repeat([]byte{0x5A, 0xA5, 0x00, 0xFF}, 64)
 
 	offerFor := func(d []byte) snapOffer {
-		return snapOffer{Total: uint64(len(d)), CRC: crc32.ChecksumIEEE(d), Meta: meta}
+		return snapOffer{Total: uint64(len(d)), CRC: crc32.ChecksumIEEE(d)}
+	}
+	// shipWhole offers d under offerSeq, streams it in one chunk and
+	// ends the transfer under doneSeq: only the verdict is left to read.
+	shipWhole := func(t *testing.T, conn net.Conn, d []byte, offerSeq, doneSeq uint64) {
+		WriteFrame(conn, Frame{Type: FrameSnapOffer, Term: 1, Seq: offerSeq, Payload: offerFor(d).encode()})
+		mustAck(t, conn, 0, "offer answer")
+		WriteFrame(conn, Frame{Type: FrameSnapChunk, Term: 1, Seq: 0, Payload: d})
+		mustAck(t, conn, uint64(len(d)), "chunk")
+		WriteFrame(conn, Frame{Type: FrameSnapDone, Term: 1, Seq: doneSeq})
 	}
 
 	for _, tc := range []struct {
@@ -479,16 +492,28 @@ func TestSnapshotTransferFaultTable(t *testing.T) {
 		{
 			name: "valid checksum, unloadable bytes",
 			run: func(t *testing.T, conn net.Conn) {
-				offer := offerFor(junk)
-				WriteFrame(conn, Frame{Type: FrameSnapOffer, Term: 1, Seq: snapSeq, Payload: offer.encode()})
-				mustAck(t, conn, 0, "offer answer")
-				WriteFrame(conn, Frame{Type: FrameSnapChunk, Term: 1, Seq: 0, Payload: junk})
-				mustAck(t, conn, uint64(len(junk)), "chunk")
-				WriteFrame(conn, Frame{Type: FrameSnapDone, Term: 1, Seq: snapSeq})
+				shipWhole(t, conn, junk, snapSeq, snapSeq)
 				mustReject(t, conn, "install verdict")
 			},
 			want:      ErrSnapshotCorrupt,
 			discarded: true,
+		},
+		{
+			name: "in-band sequence differs from the offered seq",
+			run: func(t *testing.T, conn net.Conn) {
+				shipWhole(t, conn, data, snapSeq+1, snapSeq+1)
+				mustReject(t, conn, "mislabelled snapshot verdict")
+			},
+			want:      ErrSnapshotCorrupt,
+			discarded: true,
+		},
+		{
+			name: "done names another sequence than the offer",
+			run: func(t *testing.T, conn net.Conn) {
+				shipWhole(t, conn, data, snapSeq, snapSeq+1)
+				mustReject(t, conn, "mismatched done verdict")
+			},
+			want: ErrReseedAborted,
 		},
 		{
 			name: "malformed offer payload",
@@ -505,15 +530,21 @@ func TestSnapshotTransferFaultTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			feedFollower(t, fl, w, 1, 0, 2)
+			before := append([]float64(nil), fl.Pipeline().Session().States()...)
 			conn, done := handshake(t, fl, 1)
 			tc.run(t, conn)
 			conn.Close()
 			if serr := <-done; !errors.Is(serr, tc.want) {
 				t.Fatalf("session error = %v, want %v in chain", serr, tc.want)
 			}
-			// A failed transfer must never move the follower's state.
-			if fl.Seq() != 0 {
-				t.Fatalf("follower advanced to seq %d on a failed transfer", fl.Seq())
+			// A failed transfer must never move the follower's state or
+			// touch its log.
+			if fl.Seq() != 2 || !statesEqual(fl.Pipeline().Session().States(), before) {
+				t.Fatalf("failed transfer disturbed the follower (now at seq %d)", fl.Seq())
+			}
+			if start, err := wal.StartSeq(nodeConfig(w, dir).WAL); err != nil || start != 1 {
+				t.Fatalf("failed transfer touched the WAL: start %d err %v", start, err)
 			}
 			if tc.discarded {
 				for _, name := range []string{reseedPartialName, reseedMarkName} {
@@ -533,12 +564,12 @@ func TestSnapshotTransferFaultTable(t *testing.T) {
 // follower process restart — and installs bit-identical state.
 func TestReseedResumesAfterSeveredTransfer(t *testing.T) {
 	w := testWorkload(t, 6)
-	snapSeq, meta, data, snapStates := makeSnapshot(t, w, 4)
+	snapSeq, data, snapStates := makeSnapshot(t, w, 4)
 	if len(data) < 96 {
 		t.Fatalf("snapshot too small (%d bytes)", len(data))
 	}
 	offer := snapOffer{Total: uint64(len(data)), CRC: crc32.ChecksumIEEE(data),
-		Meta: meta, Ledger: []TermBase{{Term: 1, Base: 1}}}
+		Ledger: []TermBase{{Term: 1, Base: 1}}}
 	cut := uint64(64)
 
 	dir := t.TempDir()
@@ -618,10 +649,9 @@ func TestReseedResumesAfterSeveredTransfer(t *testing.T) {
 func FuzzSnapFrame(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(snapOffer{}.encode())
-	f.Add(snapOffer{Total: 1 << 20, CRC: 0xDEADBEEF, Meta: make([]byte, 8)}.encode())
-	f.Add(snapOffer{Total: 9, Meta: []byte{1, 2, 3},
-		Ledger: []TermBase{{Term: 1, Base: 1}, {Term: 3, Base: 500}}}.encode())
-	full := snapOffer{Total: 5, CRC: 9, Meta: []byte{1, 2}, Ledger: []TermBase{{Term: 2, Base: 4}}}.encode()
+	f.Add(snapOffer{Total: 1 << 20, CRC: 0xDEADBEEF}.encode())
+	f.Add(snapOffer{Total: 9, Ledger: []TermBase{{Term: 1, Base: 1}, {Term: 3, Base: 500}}}.encode())
+	full := snapOffer{Total: 5, CRC: 9, Ledger: []TermBase{{Term: 2, Base: 4}}}.encode()
 	f.Add(full[:11])
 	f.Add(append(append([]byte(nil), full...), 0xFF))
 	f.Fuzz(func(t *testing.T, payload []byte) {

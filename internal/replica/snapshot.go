@@ -21,7 +21,7 @@ import (
 // it has and answers a repeated offer of the *same* snapshot with the
 // byte offset it already holds — and fails safe: the incoming bytes
 // live in a partial file that becomes the checkpoint only via a final
-// whole-file checksum, a full TDS2 load, and an atomic rename, so no
+// whole-file checksum, a full checkpoint load, and an atomic rename, so no
 // crash point leaves a half-installed snapshot recovery would trust.
 
 // ErrReseedAborted reports a snapshot transfer that did not complete:
@@ -32,42 +32,38 @@ import (
 var ErrReseedAborted = errors.New("replica: reseed aborted")
 
 // ErrSnapshotCorrupt reports a shipped snapshot that failed its
-// integrity checks on the follower: whole-file checksum mismatch, or
-// a TDS2 load failure at install time. The partial is discarded — its
-// bytes are not trustworthy as a resume prefix — and the next offer
-// restarts the transfer from byte zero.
+// integrity checks on the follower: whole-file checksum mismatch, a
+// checkpoint load failure at install time, or a file that says in-band
+// it covers a different sequence than the one it was offered under.
+// The partial is discarded — its bytes are not trustworthy as a resume
+// prefix — and the next offer restarts the transfer from byte zero.
 var ErrSnapshotCorrupt = errors.New("replica: shipped snapshot corrupt")
 
 // SnapshotSource provides the primary's newest shippable state — the
-// checkpoint file the serve pipeline rotates plus its metadata sidecar
-// payload. serve.SnapshotSource implements it; the interface lives
-// here so the dependency keeps pointing replica → serve.
+// self-describing checkpoint file the serve pipeline rotates.
+// serve.SnapshotSource implements it; the interface lives here so the
+// dependency keeps pointing replica → serve.
 type SnapshotSource interface {
 	// NewestSnapshot returns the newest durable checkpoint generation:
-	// the WAL sequence it covers, its metadata sidecar payload, and the
-	// checkpoint file's raw bytes.
-	NewestSnapshot() (seq uint64, meta []byte, data []byte, err error)
+	// the checkpoint file's raw bytes and the WAL sequence they cover.
+	NewestSnapshot() (seq uint64, data []byte, err error)
 }
 
 // snapOffer is the SnapOffer frame's payload: everything the follower
 // needs to judge, resume, verify and install the transfer. Total and
 // CRC identify the exact snapshot (a resume against a different one
-// restarts at zero), Meta is the checkpoint's sidecar payload shipped
-// verbatim, and Ledger is the primary's term ledger truncated to the
-// snapshot — the follower's post-install ledger, replacing whatever
-// conflicting history its own stamps described.
+// restarts at zero), and Ledger is the primary's term ledger truncated
+// to the snapshot — the follower's post-install ledger, replacing
+// whatever conflicting history its own stamps described. The sequence
+// the snapshot covers travels once, in the offer frame's Seq, and the
+// shipped file must agree with it.
 type snapOffer struct {
 	Total  uint64
 	CRC    uint32
-	Meta   []byte
 	Ledger []TermBase
 }
 
 const (
-	// maxSnapMeta bounds the sidecar payload in an offer; real sidecars
-	// hold 8 bytes (the covered sequence).
-	maxSnapMeta = 1 << 16
-
 	reseedPartialName = "reseed.partial"
 	reseedMarkName    = "reseed.offer"
 
@@ -76,11 +72,9 @@ const (
 )
 
 func (o snapOffer) encode() []byte {
-	buf := make([]byte, 0, 8+4+2+len(o.Meta)+2+16*len(o.Ledger))
+	buf := make([]byte, 0, 8+4+2+16*len(o.Ledger))
 	buf = binary.LittleEndian.AppendUint64(buf, o.Total)
 	buf = binary.LittleEndian.AppendUint32(buf, o.CRC)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.Meta)))
-	buf = append(buf, o.Meta...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.Ledger)))
 	for _, e := range o.Ledger {
 		buf = binary.LittleEndian.AppendUint64(buf, e.Term)
@@ -105,20 +99,8 @@ func decodeSnapOffer(payload []byte) (snapOffer, error) {
 		Total: binary.LittleEndian.Uint64(payload[0:8]),
 		CRC:   binary.LittleEndian.Uint32(payload[8:12]),
 	}
-	metaLen := int(binary.LittleEndian.Uint16(payload[12:14]))
-	if metaLen > maxSnapMeta {
-		return bad("implausible meta length %d", metaLen)
-	}
+	n := int(binary.LittleEndian.Uint16(payload[12:14]))
 	rest := payload[14:]
-	if len(rest) < metaLen+2 {
-		return bad("meta truncated: %d bytes of %d", len(rest), metaLen)
-	}
-	if metaLen > 0 {
-		o.Meta = append([]byte(nil), rest[:metaLen]...)
-	}
-	rest = rest[metaLen:]
-	n := int(binary.LittleEndian.Uint16(rest[0:2]))
-	rest = rest[2:]
 	if n > maxLedgerEntries {
 		return bad("implausible ledger length %d", n)
 	}
@@ -158,14 +140,13 @@ func ledgerPrefix(ledger []TermBase, seq uint64) []TermBase {
 // the resume point, so a connection drop costs only the chunk in
 // flight.
 func (p *Primary) reseed(fc *followerConn) (uint64, error) {
-	seq, meta, data, err := p.cfg.Snapshots.NewestSnapshot()
+	seq, data, err := p.cfg.Snapshots.NewestSnapshot()
 	if err != nil {
 		return 0, p.abortReseed(fmt.Errorf("%w: no shippable checkpoint: %w", ErrReseedAborted, err))
 	}
 	offer := snapOffer{
 		Total:  uint64(len(data)),
 		CRC:    crc32.ChecksumIEEE(data),
-		Meta:   meta,
 		Ledger: ledgerPrefix(p.state.Ledger, seq),
 	}
 	// Pin retention while the transfer is (possibly) in flight: an
@@ -374,12 +355,12 @@ func (f *Follower) receiveSnapshot(conn net.Conn, fr Frame) error {
 				reject()
 				return fmt.Errorf("%w: closing partial: %w", ErrReseedAborted, err)
 			}
-			if have != offer.Total {
+			if have != offer.Total || cf.Seq != fr.Seq {
 				f.col.Inc(stats.CtrReplReseedAborts)
 				reject()
-				return fmt.Errorf("%w: transfer ended at byte %d of %d", ErrReseedAborted, have, offer.Total)
+				return fmt.Errorf("%w: transfer of seq %d ended at byte %d of %d for seq %d", ErrReseedAborted, fr.Seq, have, offer.Total, cf.Seq)
 			}
-			return f.installSnapshot(conn, cf.Seq, offer, partialPath)
+			return f.installSnapshot(conn, fr.Seq, offer, partialPath)
 		default:
 			file.Close()
 			f.col.Inc(stats.CtrReplReseedAborts)
@@ -390,10 +371,12 @@ func (f *Follower) receiveSnapshot(conn net.Conn, fr Frame) error {
 }
 
 // installSnapshot verifies the completed partial and makes it this
-// follower's entire durable state: whole-file checksum, TDS2 load,
-// WAL reset, atomic checkpoint install, and a term ledger rewritten to
-// the shipped history — then, and only then, the ack. Corrupt bytes
-// discard the partial (no resume from poison) and reject the transfer.
+// follower's entire durable state: whole-file checksum, full load with
+// the file's in-band sequence checked against the offered seq, WAL
+// reset, atomic checkpoint install, and a term ledger rewritten to the
+// shipped history — then, and only then, the ack. Corrupt or
+// mislabelled bytes discard the partial (no resume from poison) and
+// reject the transfer.
 func (f *Follower) installSnapshot(conn net.Conn, seq uint64, offer snapOffer, partialPath string) error {
 	reject := func() {
 		WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
@@ -416,8 +399,7 @@ func (f *Follower) installSnapshot(conn net.Conn, seq uint64, offer snapOffer, p
 		reject()
 		return fmt.Errorf("%w: whole-file checksum mismatch (stored %08x, computed %08x)", ErrSnapshotCorrupt, offer.CRC, sum)
 	}
-	installed, err := f.pipe.InstallSnapshot(partialPath, offer.Meta)
-	if err != nil {
+	if err := f.pipe.InstallSnapshot(partialPath, seq); err != nil {
 		discard()
 		f.col.Inc(stats.CtrReplReseedAborts)
 		f.cfg.OnEvent(fmt.Sprintf("discarded snapshot seq %d: install failed: %v", seq, err))
@@ -436,8 +418,8 @@ func (f *Follower) installSnapshot(conn net.Conn, seq uint64, offer snapOffer, p
 	f.fs.Remove(f.dir + "/" + reseedMarkName) // the partial is already renamed away
 	f.fs.SyncDir(f.dir)
 	f.col.Inc(stats.CtrReplReseedInstalls)
-	f.cfg.OnEvent(fmt.Sprintf("installed snapshot at seq %d (%d bytes)", installed, offer.Total))
-	return WriteFrame(conn, Frame{Type: FrameAck, Term: adopted.Term, Seq: installed})
+	f.cfg.OnEvent(fmt.Sprintf("installed snapshot at seq %d (%d bytes)", seq, offer.Total))
+	return WriteFrame(conn, Frame{Type: FrameAck, Term: adopted.Term, Seq: seq})
 }
 
 // loadPartial returns the bytes of a resumable partial transfer: the

@@ -55,9 +55,9 @@ const (
 	// origin term of its newest record. Nothing is adopted.
 	FrameState = 7
 	// FrameSnapOffer opens a snapshot transfer, primary → follower: Seq
-	// is the WAL sequence the shipped checkpoint covers, the payload
-	// describes the snapshot (size, checksum, meta sidecar, term
-	// ledger). The follower answers with a FrameAck whose Seq is the
+	// is the WAL sequence the shipped checkpoint covers (the file says
+	// so itself, and must agree), the payload describes the snapshot
+	// (size, checksum, term ledger). The follower answers with a FrameAck whose Seq is the
 	// byte offset it already holds — 0 for a fresh transfer, the resume
 	// point after a dropped connection — or a FrameReject if it cannot
 	// install snapshots.

@@ -133,7 +133,7 @@ func (e *IngestError) Durable() bool { return e.Stage != "wal" && e.Stage != "ad
 // goroutine feeds it admitted batches, and every batch is appended to
 // the write-ahead log (fsynced per policy) before it touches the
 // session. Checkpoints are cut every CheckpointEvery batches with the
-// covered sequence stored in the generation's metadata sidecar, and
+// covered sequence stored in the generation's own meta block, and
 // WAL retention advances only past the OLDEST retained generation, so
 // a fallback restore always finds its replay tail.
 type Pipeline struct {
@@ -170,8 +170,8 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{cfg: cfg, col: cfg.Collector}
 
-	// Rung 1: newest recoverable checkpoint generation, with the WAL
-	// sequence it covers from its metadata sidecar.
+	// Rung 1: newest recoverable checkpoint generation, which carries
+	// the WAL sequence it covers.
 	if cfg.CheckpointPath != "" {
 		p.ck = &tdgraph.Checkpointer{Path: cfg.CheckpointPath, Keep: cfg.CheckpointKeep}
 		sess, meta, skipped, err := p.ck.LoadWithMeta(cfg.Algorithm, cfg.SessionOptions)
@@ -424,8 +424,8 @@ func (p *Pipeline) Apply(batch []graph.Update) error {
 }
 
 // Checkpoint cuts a generation now: WAL barrier, rotate + save with
-// the covered sequence in the metadata sidecar, then advance WAL
-// retention past the oldest retained generation.
+// the covered sequence in-band, then advance WAL retention past the
+// oldest retained generation.
 func (p *Pipeline) Checkpoint() error {
 	if p.ck == nil {
 		return nil
@@ -484,44 +484,51 @@ func (p *Pipeline) advanceRetention() error {
 func (p *Pipeline) CanInstallSnapshot() bool { return p.ck != nil }
 
 // InstallSnapshot replaces the pipeline's entire durable state with a
-// shipped checkpoint: the engine-portable TDS2 file at tmpPath plus
-// its metadata payload (the WAL sequence it covers). The order keeps
-// every crash point recoverable. The new session is loaded first —
-// validating the file end to end while the old state is still
-// authoritative, so a corrupt snapshot changes nothing. Then the WAL
-// is reset: its records either precede the snapshot (superseded) or
-// extend a history the primary refused, and wiping them *before* the
-// checkpoint becomes visible means no crash point can replay old
-// records on top of new state. Only after the checkpoint file and its
-// sidecar are durably installed is the in-memory session swapped; a
-// crash between reset and install recovers to an older (or bootstrap)
-// state that simply reseeds again.
-func (p *Pipeline) InstallSnapshot(tmpPath string, meta []byte) (uint64, error) {
+// shipped checkpoint: the engine-portable checkpoint file at tmpPath,
+// which must say in-band that it covers seq, the sequence it was
+// offered under. The order keeps every crash point recoverable. The
+// new session is loaded first — validating the file end to end, and
+// its sequence against the offer, while the old state is still
+// authoritative, so a corrupt or mislabelled snapshot changes nothing.
+// Then the WAL is reset: its records either precede the snapshot
+// (superseded) or extend a history the primary refused, and wiping
+// them *before* the checkpoint becomes visible means no crash point can
+// replay old records on top of new state. Only after the checkpoint
+// file is durably installed is the in-memory session swapped; a crash
+// between reset and install recovers to an older (or bootstrap) state
+// that simply reseeds again.
+func (p *Pipeline) InstallSnapshot(tmpPath string, seq uint64) error {
 	if p.ck == nil {
-		return 0, fmt.Errorf("serve: snapshot install needs a checkpoint path")
+		return fmt.Errorf("serve: snapshot install needs a checkpoint path")
 	}
-	seq, err := decodeSeqMeta(meta)
+	// One generation at tmpPath: the same load recovery will run on it.
+	incoming := tdgraph.Checkpointer{Path: tmpPath, Keep: 1}
+	sess, meta, _, err := incoming.LoadWithMeta(p.cfg.Algorithm, p.cfg.SessionOptions)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	sess, err := tdgraph.LoadSessionFile(p.cfg.Algorithm, tmpPath, p.cfg.SessionOptions)
+	got, err := decodeSeqMeta(meta)
+	if err == nil && got != seq {
+		err = fmt.Errorf("serve: snapshot offered at seq %d says in-band that it covers seq %d", seq, got)
+	}
 	if err != nil {
-		return 0, err
+		sess.Close()
+		return err
 	}
 	if err := p.log.Reset(); err != nil {
 		sess.Close()
-		return 0, err
+		return err
 	}
-	if err := p.ck.Install(tmpPath, meta); err != nil {
+	if err := p.ck.Install(tmpPath); err != nil {
 		sess.Close()
-		return 0, err
+		return err
 	}
 	p.sess.Close() // quiesce: park the replaced engine's worker pool
 	p.sess = sess
 	p.seq.Store(seq)
 	p.sinceCkpt = 0
 	p.syncWALStats()
-	return seq, nil
+	return nil
 }
 
 // Close drains the pipeline durably: final WAL barrier, final

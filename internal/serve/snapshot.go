@@ -9,7 +9,7 @@ import (
 // interface structurally (serve never imports the transport), and it
 // reads straight from the rotating generation files, so it keeps
 // working while the pipeline cuts new generations underneath it: each
-// NewestSnapshot call re-resolves the newest valid pair.
+// NewestSnapshot call re-resolves the newest valid generation.
 type SnapshotSource struct {
 	ck *tdgraph.Checkpointer
 }
@@ -24,17 +24,17 @@ func (p *Pipeline) SnapshotSource() *SnapshotSource {
 	return &SnapshotSource{ck: p.ck}
 }
 
-// NewestSnapshot returns the newest checkpoint generation whose
-// metadata sidecar validates: the WAL sequence it covers, the sidecar
-// payload, and the checkpoint file's raw bytes.
-func (s *SnapshotSource) NewestSnapshot() (uint64, []byte, []byte, error) {
+// NewestSnapshot returns the newest checkpoint generation whose header
+// validates: the checkpoint file's raw bytes and the WAL sequence they
+// say they cover.
+func (s *SnapshotSource) NewestSnapshot() (uint64, []byte, error) {
 	data, meta, err := s.ck.NewestWithMeta()
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	seq, err := decodeSeqMeta(meta)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
-	return seq, meta, data, nil
+	return seq, data, nil
 }

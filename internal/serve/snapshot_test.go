@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
@@ -28,7 +29,7 @@ func TestInstallSnapshotSwapsState(t *testing.T) {
 		}
 	}
 	srcStates := append([]float64(nil), src.Session().States()...)
-	seq, meta, data, err := src.SnapshotSource().NewestSnapshot()
+	seq, data, err := src.SnapshotSource().NewestSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,8 @@ func TestInstallSnapshotSwapsState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Target: a different two-batch life that is about to be replaced.
+	// Target: a different two-batch life, with two generations of its
+	// own on disk, that is about to be replaced.
 	cfg := pipelineConfig(t, w)
 	p, err := NewPipeline(cfg)
 	if err != nil {
@@ -49,17 +51,24 @@ func TestInstallSnapshotSwapsState(t *testing.T) {
 		if err := p.Ingest(b); err != nil {
 			t.Fatal(err)
 		}
+		if err := p.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tmp := filepath.Join(t.TempDir(), "shipped.tds")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.InstallSnapshot(tmp, meta)
-	if err != nil {
+	if err := p.InstallSnapshot(tmp, seq); err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
 	}
-	if got != 6 || p.Seq() != 6 {
-		t.Fatalf("installed seq %d (pipeline at %d), want 6", got, p.Seq())
+	if p.Seq() != 6 {
+		t.Fatalf("pipeline at seq %d after install, want 6", p.Seq())
+	}
+	// The replaced life's generations are gone with it: a fallback
+	// restore must never reach past the install.
+	if gens, err := os.ReadDir(filepath.Dir(cfg.CheckpointPath)); err != nil || len(gens) != 1 || gens[0].Name() != "ckpt.tds" {
+		t.Fatalf("checkpoint directory after install holds %v (err %v), want only the installed generation", gens, err)
 	}
 	if !statesEqual(p.Session().States(), srcStates) {
 		t.Fatal("installed states differ from the shipped checkpoint's")
@@ -111,7 +120,7 @@ func TestInstallSnapshotRejectsBadInputs(t *testing.T) {
 		if p.CanInstallSnapshot() {
 			t.Fatal("pipeline without a checkpoint path claims it can install")
 		}
-		if _, err := p.InstallSnapshot("nowhere.tds", encodeSeqMeta(1)); err == nil {
+		if err := p.InstallSnapshot("nowhere.tds", 1); err == nil {
 			t.Fatal("install without a checkpoint path succeeded")
 		}
 	})
@@ -126,7 +135,15 @@ func TestInstallSnapshotRejectsBadInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, meta, data, err := src.SnapshotSource().NewestSnapshot()
+	seq, data, err := src.SnapshotSource().NewestSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := tdgraph.Checkpointer{Path: filepath.Join(t.TempDir(), "short.tds"), Keep: 1}
+	if err := short.SaveWithMeta(src.Session(), encodeSeqMeta(seq)[:5]); err != nil {
+		t.Fatal(err)
+	}
+	shortData, err := os.ReadFile(short.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +154,11 @@ func TestInstallSnapshotRejectsBadInputs(t *testing.T) {
 	cases := []struct {
 		name string
 		data []byte
-		meta []byte
+		seq  uint64 // the sequence the file is offered under
 	}{
-		{"unparseable checkpoint bytes", []byte("junk, not a TDS2 checkpoint"), meta},
-		{"truncated metadata sidecar", data, meta[:5]},
+		{"unparseable checkpoint bytes", []byte("junk, not a checkpoint"), seq},
+		{"truncated metadata", shortData, seq},
+		{"in-band sequence differs from the offer", data, seq + 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,7 +177,7 @@ func TestInstallSnapshotRejectsBadInputs(t *testing.T) {
 			if err := os.WriteFile(tmp, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := p.InstallSnapshot(tmp, tc.meta); err == nil {
+			if err := p.InstallSnapshot(tmp, tc.seq); err == nil {
 				t.Fatal("corrupt install succeeded")
 			}
 			if p.Seq() != 2 || !statesEqual(p.Session().States(), before) {

@@ -150,18 +150,6 @@ func (c *Cache) setIndex(lineAddr uint64) uint64 {
 	return (lineAddr >> c.setShift) & c.setMask
 }
 
-// Lookup reports whether the line is present without updating replacement
-// state or counters (used by the coherence directory when probing).
-func (c *Cache) Lookup(lineAddr uint64) bool {
-	s := &c.sets[c.setIndex(lineAddr)]
-	for i := range s.lines {
-		if s.lines[i].Valid && s.lines[i].Tag == lineAddr {
-			return true
-		}
-	}
-	return false
-}
-
 // AccessResult reports the outcome of one access.
 type AccessResult struct {
 	Hit     bool
@@ -290,35 +278,6 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 		}
 	}
 	return false, false
-}
-
-// FlushStats drains usefulness masks of all resident tracked lines, as if
-// they were evicted now. Called at end of run so resident lines are
-// included in the useful-fetch ratio.
-func (c *Cache) FlushStats() (fetchedWords, usedWords int) {
-	for si := range c.sets {
-		for i := range c.sets[si].lines {
-			ln := &c.sets[si].lines[i]
-			if ln.Valid && ln.Tracked {
-				fetchedWords += bits.OnesCount16(ln.FetchMask)
-				usedWords += bits.OnesCount16(ln.UsedMask)
-				ln.FetchMask = 0
-				ln.UsedMask = 0
-			}
-		}
-	}
-	return
-}
-
-// Reset invalidates every line and zeroes the counters.
-func (c *Cache) Reset() {
-	for si := range c.sets {
-		for i := range c.sets[si].lines {
-			c.sets[si].lines[i] = Line{}
-		}
-	}
-	c.Hits, c.Misses, c.Writebacks = 0, 0, 0
-	c.tick = 0
 }
 
 // MissRate returns misses/(hits+misses), or 0 for an untouched cache.

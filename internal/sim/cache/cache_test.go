@@ -101,20 +101,6 @@ func TestUsefulnessMasks(t *testing.T) {
 	}
 }
 
-func TestFlushStats(t *testing.T) {
-	c := mustCache(t, 4096, 4, "lru")
-	c.Access(0, false, cache.HintNone, true, 0)
-	c.Access(64, false, cache.HintNone, true, 5)
-	fetched, used := c.FlushStats()
-	if fetched != 2*cache.WordsPerLine || used != 2 {
-		t.Fatalf("flush fetched=%d used=%d", fetched, used)
-	}
-	// Second flush is empty.
-	if f2, u2 := c.FlushStats(); f2 != 0 || u2 != 0 {
-		t.Fatalf("second flush nonzero: %d/%d", f2, u2)
-	}
-}
-
 // TestWorkingSetFits: with any policy, a working set no larger than the
 // cache must stop missing after the first pass.
 func TestWorkingSetFits(t *testing.T) {
@@ -189,14 +175,5 @@ func TestPolicyDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := mustCache(t, 4096, 4, "lru")
-	c.Access(0, true, cache.HintNone, false, -1)
-	c.Reset()
-	if c.Hits != 0 || c.Misses != 0 || c.Lookup(0) {
-		t.Fatal("reset incomplete")
 	}
 }

@@ -20,7 +20,6 @@ import (
 type Collector struct {
 	mu       sync.Mutex
 	counters map[string]uint64
-	order    []string
 }
 
 // NewCollector returns an empty collector.
@@ -31,9 +30,6 @@ func NewCollector() *Collector {
 // Add increments the named counter by delta, creating it on first use.
 func (c *Collector) Add(name string, delta uint64) {
 	c.mu.Lock()
-	if _, ok := c.counters[name]; !ok {
-		c.order = append(c.order, name)
-	}
 	c.counters[name] += delta
 	c.mu.Unlock()
 }
@@ -52,37 +48,8 @@ func (c *Collector) Get(name string) uint64 {
 // totals (e.g. a merged per-worker sum) into a collector.
 func (c *Collector) Set(name string, v uint64) {
 	c.mu.Lock()
-	if _, ok := c.counters[name]; !ok {
-		c.order = append(c.order, name)
-	}
 	c.counters[name] = v
 	c.mu.Unlock()
-}
-
-// Merge adds every counter of other into c.
-func (c *Collector) Merge(other *Collector) {
-	names, snap := other.Names(), other.Snapshot()
-	for _, name := range names {
-		c.Add(name, snap[name])
-	}
-}
-
-// Reset zeroes all counters but keeps their registration order.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	for k := range c.counters {
-		c.counters[k] = 0
-	}
-	c.mu.Unlock()
-}
-
-// Names returns the counter names in first-use order.
-func (c *Collector) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
 }
 
 // Snapshot returns a copy of the current counter values.

@@ -15,28 +15,10 @@ func TestCollectorBasics(t *testing.T) {
 	if c.Get("a") != 3 || c.Get("b") != 5 || c.Get("missing") != 0 {
 		t.Fatalf("values wrong: %v", c.Snapshot())
 	}
-	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("names = %v", got)
-	}
-}
-
-func TestCollectorMergeResetSet(t *testing.T) {
-	a := stats.NewCollector()
-	b := stats.NewCollector()
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(b)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
-		t.Fatalf("merge wrong: %v", a.Snapshot())
-	}
-	a.Set("x", 10)
-	if a.Get("x") != 10 {
-		t.Fatal("set failed")
-	}
-	a.Reset()
-	if a.Get("x") != 0 || len(a.Names()) != 2 {
-		t.Fatal("reset semantics wrong")
+	c.Set("a", 10)
+	c.Set("fresh", 7)
+	if c.Get("a") != 10 || c.Get("fresh") != 7 {
+		t.Fatalf("set failed: %v", c.Snapshot())
 	}
 }
 

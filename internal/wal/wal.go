@@ -433,6 +433,7 @@ func (l *Log) TruncateThrough(seq uint64) error {
 	if err != nil {
 		return err
 	}
+	before := l.stats.Removed
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i].name == l.curName && l.cur != nil {
 			break
@@ -447,7 +448,7 @@ func (l *Log) TruncateThrough(seq uint64) error {
 		l.firstSeq = segs[i+1].base
 		l.stats.Removed++
 	}
-	if l.stats.Removed > 0 {
+	if l.stats.Removed > before {
 		if err := l.fs.SyncDir(l.opt.Dir); err != nil {
 			return err
 		}

@@ -128,17 +128,37 @@ func TestRotationAndRetention(t *testing.T) {
 		t.Fatalf("expected >=8 segments, got %v", names)
 	}
 
-	l, _, err := Open(Options{Dir: dir, SegmentBytes: 1})
+	fs := &dirSyncCounter{}
+	l, _, err := Open(Options{Dir: dir, SegmentBytes: 1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.TruncateThrough(5); err != nil {
-		t.Fatalf("TruncateThrough: %v", err)
+	// The directory is fsynced by a call that removed a segment, and only
+	// by such a call: the second one here finds nothing left to remove.
+	for _, want := range []int{1, 0} {
+		fs.syncs = 0
+		if err := l.TruncateThrough(5); err != nil {
+			t.Fatalf("TruncateThrough: %v", err)
+		}
+		if fs.syncs != want {
+			t.Fatalf("TruncateThrough fsynced the directory %d times, want %d", fs.syncs, want)
+		}
 	}
 	// Everything <= 5 must be gone, everything > 5 still replayable.
 	if got := replaySeqs(t, dir, 1, Options{}); len(got) != 3 || got[0] != 6 {
 		t.Fatalf("after retention, replay got %v, want 6..8", got)
 	}
+}
+
+// dirSyncCounter is the real filesystem counting directory fsyncs.
+type dirSyncCounter struct {
+	OSFS
+	syncs int
+}
+
+func (c *dirSyncCounter) SyncDir(dir string) error {
+	c.syncs++
+	return c.OSFS.SyncDir(dir)
 }
 
 func TestAppendAfterRetentionGap(t *testing.T) {

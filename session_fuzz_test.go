@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	tdgraph "github.com/tdgraph/tdgraph"
@@ -20,22 +22,29 @@ func FuzzSessionLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	ck := tdgraph.NewCheckpointer(filepath.Join(f.TempDir(), "ckpt.tds"))
+	if err := ck.SaveWithMeta(s, []byte("seq-0042")); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid, err := os.ReadFile(ck.Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mangled := func(mangle func([]byte)) []byte {
+		out := append([]byte(nil), valid...)
+		mangle(out)
+		return out
+	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])     // torn mid-file
-	f.Add(valid[:7])                // torn inside the header
-	f.Add([]byte{})                 // empty
-	f.Add([]byte{1, 2, 3})          // garbage
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)-3] ^= 0x40 // bit flip in the state block
-	f.Add(flipped)
-	badmagic := append([]byte(nil), valid...)
-	badmagic[0] ^= 0xFF
-	f.Add(badmagic)
+	f.Add(valid[:len(valid)/2])                            // torn mid-file
+	f.Add(valid[:7])                                       // torn inside the header
+	f.Add([]byte{})                                        // empty
+	f.Add([]byte{1, 2, 3})                                 // garbage
+	f.Add(mangled(func(b []byte) { b[len(b)-3] ^= 0x40 })) // bit flip in the state block
+	f.Add(mangled(func(b []byte) { b[0] ^= 0xFF }))        // bad magic
+	f.Add(valid[:8+12+4])                                  // torn inside the meta block
+	f.Add(mangled(func(b []byte) { b[8+12+2] ^= 0x40 }))   // bit flip in the meta payload
+	f.Add(mangled(func(b []byte) { b[4] = 2 }))            // the retired TDS2 header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := tdgraph.LoadSession(tdgraph.NewCC(), bytes.NewReader(data), tdgraph.SessionOptions{})

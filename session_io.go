@@ -15,24 +15,35 @@ import (
 	"github.com/tdgraph/tdgraph/internal/graph"
 )
 
-// Checkpoint format v2 ("TDS2"): a fixed header followed by two
+// Checkpoint format v3 ("TDS3"): a fixed header followed by three
 // checksummed blocks.
 //
 //	header:      magic uint32 | version uint32
+//	meta block:  payloadLen uint64 | crc32(payload) uint32 | payload
 //	graph block: payloadLen uint64 | crc32(payload) uint32 | payload
 //	state block: payloadLen uint64 | crc32(payload) uint32 | payload
 //
-// The graph payload is the snapshot's own binary format; the state
-// payload is count uint64 followed by count float64 bit patterns. All
-// integers little-endian. The CRC (IEEE) covers only the payload, so a
-// torn tail is distinguishable from a bit flip: a short read inside any
-// field reports ErrCheckpointTruncated, a checksum mismatch reports
-// ErrCheckpointCorrupt. Algorithms are not serialised — the caller
-// supplies the same algorithm on load (its parameters, like the SSSP
-// root, are part of the caller's configuration).
+// The meta payload is the caller's opaque bytes (the serve pipeline
+// stores the WAL sequence the checkpoint covers): first, so a generation
+// says what it covers in its first few dozen bytes, and in the same file
+// as the state it describes, so neither exists without the other. The
+// graph payload is the snapshot's own binary format; the state payload
+// is count uint64 followed by count float64 bit patterns. All integers
+// little-endian. The CRC (IEEE) covers only the payload, so a torn tail
+// is distinguishable from a bit flip: a short read inside any field
+// reports ErrCheckpointTruncated, a checksum mismatch reports
+// ErrCheckpointCorrupt. The magic tags the versioned-header family v2
+// introduced; the version field names the format, and any other version
+// (v2 included — there is one read path) is rejected as unsupported.
+// Algorithms are not serialised — the caller supplies the same algorithm
+// on load (its parameters, like the SSSP root, are part of the caller's
+// configuration).
 const (
 	checkpointMagic   = 0x54445332 // "TDS2"
-	checkpointVersion = 2
+	checkpointVersion = 3
+	// maxMetaBytes bounds the meta block on both sides: a save refuses a
+	// larger payload, so every written generation is readable.
+	maxMetaBytes = 1 << 16
 	// maxStateEntries bounds the state block so a corrupted count cannot
 	// drive allocation; matches the graph deserialiser's own sanity cap.
 	maxStateEntries = 1 << 33
@@ -51,7 +62,7 @@ var ErrCheckpointCorrupt = errors.New("tdgraph: checkpoint corrupt")
 // detected it; errors.Is sees through it to ErrCheckpointTruncated /
 // ErrCheckpointCorrupt and to any underlying I/O error.
 type CheckpointError struct {
-	Stage string // "header" | "graph" | "state"
+	Stage string // "header" | "meta" | "graph" | "state"
 	Err   error
 }
 
@@ -75,10 +86,17 @@ func ckptCorrupt(stage, detail string, args ...any) error {
 }
 
 // Save checkpoints the session (graph + converged states) to w in format
-// v2. Both blocks are buffered first so their length and CRC32 can be
-// written ahead of the payload — the loader verifies integrity before
-// interpreting a single payload byte.
-func (s *Session) Save(w io.Writer) error {
+// v3 with an empty meta block.
+func (s *Session) Save(w io.Writer) error { return s.save(w, nil) }
+
+// save writes the checkpoint with meta in-band. Every block is buffered
+// first so its length and CRC32 can be written ahead of the payload —
+// the loader verifies integrity before interpreting a single payload
+// byte.
+func (s *Session) save(w io.Writer, meta []byte) error {
+	if len(meta) > maxMetaBytes {
+		return fmt.Errorf("tdgraph: checkpoint meta is %d bytes, limit %d", len(meta), maxMetaBytes)
+	}
 	var gbuf bytes.Buffer
 	if err := s.eng.snapshot().WriteBinary(&gbuf); err != nil {
 		return err
@@ -97,7 +115,7 @@ func (s *Session) Save(w io.Writer) error {
 	if _, err := bw.Write(scratch[:8]); err != nil {
 		return err
 	}
-	for _, payload := range [][]byte{gbuf.Bytes(), sbuf} {
+	for _, payload := range [][]byte{meta, gbuf.Bytes(), sbuf} {
 		binary.LittleEndian.PutUint64(scratch[:8], uint64(len(payload)))
 		if _, err := bw.Write(scratch[:8]); err != nil {
 			return err
@@ -141,7 +159,7 @@ func (s *Session) SaveFile(path string) error {
 
 // saveFileAtomic writes whatever `write` produces to path with the full
 // durability dance: temp file in the same directory, fsync, rename,
-// directory fsync. Shared by checkpoints and their metadata sidecars.
+// directory fsync.
 func saveFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -196,19 +214,11 @@ func readBlock(stage string, r io.Reader, maxLen uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// LoadSession restores a checkpoint written by Save. The supplied
-// algorithm must be the one the checkpoint was computed with (same
-// parameters); states are restored verbatim, skipping the initial
-// fixpoint computation. Malformed input is reported as a typed
-// *CheckpointError wrapping ErrCheckpointTruncated or
-// ErrCheckpointCorrupt — never a raw io error or a panic.
-func LoadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, error) {
-	if a == nil {
-		return nil, fmt.Errorf("tdgraph: nil algorithm")
-	}
-	br := bufio.NewReader(r)
+// readCheckpointMeta reads a checkpoint's header and meta block — all
+// that is needed to learn what a generation covers without loading it.
+func readCheckpointMeta(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, ckptErr("header", err)
 	}
 	if magic := binary.LittleEndian.Uint32(hdr[:4]); magic != checkpointMagic {
@@ -217,31 +227,55 @@ func LoadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, error)
 	if ver := binary.LittleEndian.Uint32(hdr[4:8]); ver != checkpointVersion {
 		return nil, ckptCorrupt("header", "unsupported version %d (want %d)", ver, checkpointVersion)
 	}
+	return readBlock("meta", r, maxMetaBytes)
+}
+
+// LoadSession restores a checkpoint written by Save. The supplied
+// algorithm must be the one the checkpoint was computed with (same
+// parameters); states are restored verbatim, skipping the initial
+// fixpoint computation. Malformed input is reported as a typed
+// *CheckpointError wrapping ErrCheckpointTruncated or
+// ErrCheckpointCorrupt — never a raw io error or a panic.
+func LoadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, error) {
+	s, _, err := loadSession(a, r, opt)
+	return s, err
+}
+
+// loadSession is LoadSession plus the checkpoint's meta payload.
+func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte, error) {
+	if a == nil {
+		return nil, nil, fmt.Errorf("tdgraph: nil algorithm")
+	}
+	br := bufio.NewReader(r)
+	meta, err := readCheckpointMeta(br)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	gpayload, err := readBlock("graph", br, 1<<40)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	snap, err := graph.ReadBinary(bytes.NewReader(gpayload))
 	if err != nil {
 		// The payload passed its CRC, so a deserialisation failure means
 		// the block content itself is inconsistent, not torn.
-		return nil, ckptCorrupt("graph", "%v", err)
+		return nil, nil, ckptCorrupt("graph", "%v", err)
 	}
 
 	spayload, err := readBlock("state", br, 8+8*uint64(maxStateEntries))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(spayload) < 8 {
-		return nil, ckptCorrupt("state", "block too short for count: %d bytes", len(spayload))
+		return nil, nil, ckptCorrupt("state", "block too short for count: %d bytes", len(spayload))
 	}
 	n := binary.LittleEndian.Uint64(spayload[:8])
 	if int(n) != snap.NumVertices {
-		return nil, ckptCorrupt("state", "%d entries for %d vertices", n, snap.NumVertices)
+		return nil, nil, ckptCorrupt("state", "%d entries for %d vertices", n, snap.NumVertices)
 	}
 	if uint64(len(spayload)) != 8+8*n {
-		return nil, ckptCorrupt("state", "block is %d bytes for %d entries", len(spayload), n)
+		return nil, nil, ckptCorrupt("state", "block is %d bytes for %d entries", len(spayload), n)
 	}
 	state := make([]float64, n)
 	for i := range state {
@@ -251,25 +285,30 @@ func LoadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, error)
 		opt.Cores = 8
 	}
 	if opt.Engine == EngineNativeParallel && opt.Simulate {
-		return nil, fmt.Errorf("tdgraph: the native parallel engine cannot be simulated")
+		return nil, nil, fmt.Errorf("tdgraph: the native parallel engine cannot be simulated")
 	}
 	eng, err := newBackend(a, snap.NumVertices, snap.EdgeList(), state, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := &Session{opt: opt, a: a, eng: eng}
 	s.initRobustness()
-	return s, nil
+	return s, meta, nil
 }
 
 // LoadSessionFile restores a checkpoint from path.
 func LoadSessionFile(a Algorithm, path string, opt SessionOptions) (*Session, error) {
+	s, _, err := loadSessionFile(a, path, opt)
+	return s, err
+}
+
+func loadSessionFile(a Algorithm, path string, opt SessionOptions) (*Session, []byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	return LoadSession(a, f, opt)
+	return loadSession(a, f, opt)
 }
 
 // ApplySnapshot diffs the supplied full snapshot against the session's

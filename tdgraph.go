@@ -282,7 +282,9 @@ func (e *PanicError) Error() string {
 }
 
 // ApplyBatch applies the updates to the graph and incrementally repairs
-// the algorithm states. It returns what the batch changed.
+// the algorithm states. It returns what the batch changed; like States
+// and Graph, the result's slices belong to the session and are valid
+// until its next mutation — copy what must outlive that.
 //
 // Robustness: when a validation policy is set the batch is screened
 // first (under ValidationReject a malformed batch returns a typed error
