@@ -99,8 +99,10 @@ determinism:
 
 # Short native-fuzz smoke over the binary decoders (one -fuzz target
 # per invocation is a `go test` restriction): checkpoint loader (seeded
-# with a torn and a bit-flipped in-band meta block and the retired TDS2
-# header), SNAP loader, WAL record/segment decoder (with the canonical-payload
+# with a torn and a bit-flipped meta payload, a file torn between the
+# graph payload and its trailing CRC, a bit flip in that CRC, the
+# retired v2 header and a whole file in the retired v3 framing), SNAP
+# loader, WAL record/segment decoder (with the canonical-payload
 # property: every accepted payload re-encodes to itself),
 # recovery-vs-tailer agreement over mutated segment sets (same property
 # per shipped record), replication frame codec, and the

@@ -2,6 +2,7 @@ package tdgraph
 
 import (
 	"fmt"
+	"io"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/core"
@@ -32,6 +33,9 @@ type engineBackend interface {
 	// snapshot returns the current immutable graph view. The native
 	// backend seals lazily and caches until the next mutation.
 	snapshot() *Snapshot
+	// writeGraph streams the current graph in the snapshot binary format:
+	// graph.BinarySize(numVertices(), numEdges()) bytes, nothing sealed.
+	writeGraph(w io.Writer) error
 	numVertices() int
 	numEdges() int
 	// states returns the current state vector, aliased until the next
@@ -102,6 +106,8 @@ func (sb *simBackend) snapshot() *Snapshot       { return sb.snap }
 func (sb *simBackend) numVertices() int          { return sb.b.NumVertices() }
 func (sb *simBackend) numEdges() int             { return sb.b.NumEdges() }
 func (sb *simBackend) states() []float64         { return sb.state }
+
+func (sb *simBackend) writeGraph(w io.Writer) error { return sb.snap.WriteBinary(w) }
 
 func (sb *simBackend) recompute() {
 	// Resync first: after a recovered panic the builder holds a
@@ -215,6 +221,8 @@ func (nb *nativeBackend) snapshot() *Snapshot {
 	}
 	return nb.sealed
 }
+
+func (nb *nativeBackend) writeGraph(w io.Writer) error { return nb.store.WriteBinary(w) }
 
 func (nb *nativeBackend) numVertices() int { return nb.store.NumVertices() }
 func (nb *nativeBackend) numEdges() int    { return nb.store.NumEdges() }

@@ -10,11 +10,14 @@ package tdgraph_test
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
+	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/bench"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
+	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/native"
 )
 
@@ -353,5 +356,29 @@ func BenchmarkAblationCores(b *testing.B) {
 			}
 			b.ReportMetric(cycles, "cycles")
 		})
+	}
+}
+
+// BenchmarkCheckpointSave cuts one checkpoint generation of a native
+// session shaped like benchmark/'s g-big after warm-up (262K vertices,
+// ≈1.05M R-MAT edges) — temp file, fsync, rename and all. B/op is the
+// number to watch: the save streams from the store, so it is a few
+// fixed chunks whatever the graph's size (the `check` CI job prints it).
+func BenchmarkCheckpointSave(b *testing.B) {
+	const nv = 1 << 18
+	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 1 << 20, A: 0.57, B: 0.19, C: 0.19, Seed: 1, MaxWeight: 64})
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ck := tdgraph.NewCheckpointer(filepath.Join(b.TempDir(), "ckpt.tds"))
+	meta := make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ck.SaveWithMeta(s, meta); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

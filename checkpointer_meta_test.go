@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	tdgraph "github.com/tdgraph/tdgraph"
@@ -97,44 +98,78 @@ func damagedNewestFallsBack(t *testing.T, mangle func([]byte) []byte, sentinel e
 }
 
 // TestCheckpointerMetaMissingFallsBack: a newest generation that ends
-// inside its meta block (only disk damage can do this — the atomic save
-// never exposes a partial file) cannot say what it covers, so recovery
-// skips it rather than guessing.
+// inside its meta block — in the payload, or after it with the trailing
+// CRC missing (only disk damage can do either; the atomic save never
+// exposes a partial file) — cannot say what it covers, so recovery skips
+// it rather than guessing.
 func TestCheckpointerMetaMissingFallsBack(t *testing.T) {
-	damagedNewestFallsBack(t, func(b []byte) []byte { return b[:8+12+3] }, tdgraph.ErrCheckpointTruncated)
+	for name, cut := range map[string]func(meta blockSpan) int{
+		"inside the payload":              func(meta blockSpan) int { return meta.Payload + 3 },
+		"between the payload and its CRC": func(meta blockSpan) int { return meta.CRC },
+		"inside the CRC":                  func(meta blockSpan) int { return meta.CRC + 3 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			damagedNewestFallsBack(t, func(b []byte) []byte {
+				meta, _, _ := ckptBlocks(t, b)
+				return b[:cut(meta)]
+			}, tdgraph.ErrCheckpointTruncated)
+		})
+	}
 }
 
 // TestCheckpointerMetaCorruptionTyped: a bit flipped inside the meta
-// payload is caught by the block's CRC before the payload is believed.
+// payload, or inside the CRC that trails it, is caught before the
+// payload is believed.
 func TestCheckpointerMetaCorruptionTyped(t *testing.T) {
-	damagedNewestFallsBack(t, func(b []byte) []byte {
-		b[8+12+5] ^= 0xFF // last byte of the 6-byte "seq-20" payload
-		return b
-	}, tdgraph.ErrCheckpointCorrupt)
+	for name, at := range map[string]func(meta blockSpan) int{
+		"payload":      func(meta blockSpan) int { return meta.CRC - 1 }, // last byte of "seq-20"
+		"trailing CRC": func(meta blockSpan) int { return meta.CRC + 2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			damagedNewestFallsBack(t, func(b []byte) []byte {
+				meta, _, _ := ckptBlocks(t, b)
+				b[at(meta)] ^= 0xFF
+				return b
+			}, tdgraph.ErrCheckpointCorrupt)
+		})
+	}
 }
 
 // TestCheckpointerNoValidPair: when every generation is unreadable —
-// here, both still in the retired v2 format — LoadWithMeta and
-// NewestWithMeta fail with the typed unsupported-version error instead
-// of guessing, so the caller bootstraps and replays.
+// here, the newest a whole file in the retired v3 framing and the older
+// one still carrying the retired v2 version — LoadWithMeta and
+// NewestWithMeta fail with the typed header-stage unsupported-version
+// error for each instead of guessing, so the caller bootstraps and
+// replays.
 func TestCheckpointerNoValidPair(t *testing.T) {
 	ck, _ := twoGenerations(t, nil)
-	for _, path := range []string{ck.Path, ck.Path + ".1"} {
+	for path, retire := range map[string]func([]byte) []byte{
+		ck.Path:        func(b []byte) []byte { return asV3(t, b) },
+		ck.Path + ".1": func(b []byte) []byte { b[4] = 2; return b }, // header version field
+	} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[4] = 2 // header version field
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, retire(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, _, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
-	var ce *tdgraph.CheckpointError
-	if !errors.As(err, &ce) || ce.Stage != "header" || !errors.Is(err, tdgraph.ErrCheckpointCorrupt) || len(skipped) != 2 {
-		t.Fatalf("LoadWithMeta over v2 files: err %v, skipped %v; want a typed header-stage corruption and both skipped", err, skipped)
+	if err == nil || len(skipped) != 2 {
+		t.Fatalf("LoadWithMeta over v3 and v2 files: err %v, skipped %v; want both skipped", err, skipped)
+	}
+	for i, want := range []string{"unsupported version 3", "unsupported version 2"} {
+		var ce *tdgraph.CheckpointError
+		if err := skipped[i].Err; !errors.As(err, &ce) || ce.Stage != "header" ||
+			!errors.Is(err, tdgraph.ErrCheckpointCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("generation %d skipped with %v, want a typed header-stage corruption saying %q", i, err, want)
+		}
+	}
+	if !errors.Is(err, skipped[0].Err) {
+		t.Fatalf("LoadWithMeta = %v, want the newest generation's refusal", err)
 	}
 	if _, _, err := ck.NewestWithMeta(); !errors.Is(err, tdgraph.ErrCheckpointCorrupt) {
-		t.Fatalf("NewestWithMeta shipped a v2 file: %v", err)
+		t.Fatalf("NewestWithMeta shipped a retired-format file: %v", err)
 	}
 }

@@ -28,7 +28,6 @@ func main() {
 		degree   = flag.Int("degree", 8, "custom generator average degree")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		out      = flag.String("out", "", "output file (default stdout)")
-		binOut   = flag.Bool("binary", false, "write the compact binary snapshot format instead of SNAP text")
 	)
 	flag.Parse()
 
@@ -85,21 +84,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if *binOut {
-		maxV := graph.VertexID(0)
-		for _, e := range edges {
-			if e.Src > maxV {
-				maxV = e.Src
-			}
-			if e.Dst > maxV {
-				maxV = e.Dst
-			}
-		}
-		snap := graph.NewBuilderFromEdges(int(maxV)+1, edges).SnapshotWithoutCSC()
-		if err := snap.WriteBinary(w); err != nil {
-			fatal(err)
-		}
-	} else if err := graph.WriteSNAP(w, edges, header); err != nil {
+	if err := graph.WriteSNAP(w, edges, header); err != nil {
 		fatal(err)
 	}
 	if *out != "" {

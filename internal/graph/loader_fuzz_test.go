@@ -36,7 +36,7 @@ func FuzzLoadSNAP(f *testing.F) {
 		if err := s.WriteBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := graph.ReadBinary(&buf); err != nil {
+		if _, err := graph.ReadBinary(buf.Bytes()); err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
 	})

@@ -15,7 +15,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := s.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := graph.ReadBinary(&buf)
+	got, err := graph.ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := s.WriteBinary(&buf); err != nil {
 			return false
 		}
-		got, err := graph.ReadBinary(&buf)
+		got, err := graph.ReadBinary(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -74,7 +74,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		{1, 2, 3},
 		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
 	} {
-		if _, err := graph.ReadBinary(bytes.NewReader(in)); err == nil {
+		if _, err := graph.ReadBinary(in); err == nil {
 			t.Fatalf("garbage %v accepted", in)
 		}
 	}
@@ -85,7 +85,18 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := graph.ReadBinary(bytes.NewReader(trunc)); err == nil {
+	if _, err := graph.ReadBinary(trunc); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+	// One byte the header does not account for.
+	if _, err := graph.ReadBinary(append(buf.Bytes(), 0)); err == nil {
+		t.Fatal("snapshot with a trailing byte accepted")
+	}
+	// A header claiming 2^32 edges over the same few bytes: refused on the
+	// length, before anything is sized from it.
+	huge := append([]byte(nil), buf.Bytes()...)
+	huge[16] = 1 // E's fifth byte
+	if _, err := graph.ReadBinary(huge); err == nil {
+		t.Fatal("snapshot whose header outruns its bytes accepted")
 	}
 }

@@ -505,7 +505,7 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 
 // Seal materialises the current graph as an immutable sorted CSR(+CSC)
 // snapshot — the bridge for code that still wants the paper's array
-// layout (checkpointing, audits, the simulated engines). O(V + E log d).
+// layout (audits, diffs, the simulated engines). O(V + E log d).
 func (st *Store) Seal() *Snapshot {
 	n := st.numVertices
 	s := &Snapshot{

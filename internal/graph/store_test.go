@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -192,6 +195,93 @@ func TestStoreFromSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(st.Seal().EdgeList(), snap.EdgeList()) {
 		t.Fatal("round-trip edge list diverges")
 	}
+}
+
+// TestStoreWriteBinaryMatchesSeal pins the contract the streaming
+// checkpoint rests on: Store.WriteBinary emits, without sealing, exactly
+// the bytes Seal().WriteBinary does, and exactly BinarySize of them —
+// on the empty graph, on isolated vertices, and after every batch of a
+// random churn that grows the vertex set, spills rows past the inline
+// slab and swap-removes from both representations. The row shapes the
+// writer branches on must all have occurred, so the test cannot quietly
+// stop covering one.
+func TestStoreWriteBinaryMatchesSeal(t *testing.T) {
+	var sortedRow, unsortedInline, unsortedSpilled, isolated bool
+	check := func(label string, st *Store) {
+		t.Helper()
+		var want, got bytes.Buffer
+		if err := st.Seal().WriteBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.WriteBinary(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: Store.WriteBinary differs from Seal().WriteBinary (%d vs %d bytes)", label, got.Len(), want.Len())
+		}
+		if size := BinarySize(st.NumVertices(), st.NumEdges()); uint64(got.Len()) != size {
+			t.Fatalf("%s: wrote %d bytes, BinarySize says %d", label, got.Len(), size)
+		}
+		for v := 0; v < st.NumVertices(); v++ {
+			ns, _ := st.OutEdges(VertexID(v))
+			spilled := st.out.spill[v] != nil
+			switch {
+			case len(ns) == 0:
+				isolated = true
+			case len(ns) > 1 && slices.IsSorted(ns):
+				sortedRow = true
+			case len(ns) > 1 && spilled:
+				unsortedSpilled = true
+			case len(ns) > 1:
+				unsortedInline = true
+			}
+		}
+	}
+	check("no vertices", NewStore(0))
+	check("isolated vertices", NewStore(5))
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := NewStore(4)
+		for batch, maxID := 0, 6; batch < 12; batch, maxID = batch+1, maxID+5 {
+			st.Apply(randomUpdates(rng, 150, maxID))
+			check(fmt.Sprintf("seed %d batch %d", seed, batch), st)
+		}
+	}
+	if !sortedRow || !unsortedInline || !unsortedSpilled || !isolated {
+		t.Fatalf("row shapes covered: sorted %v, unsorted inline %v, unsorted spilled %v, isolated %v; want all",
+			sortedRow, unsortedInline, unsortedSpilled, isolated)
+	}
+}
+
+// TestStoreWriteBinaryWriteError: the first failed chunk write is what
+// WriteBinary returns, wherever in the stream it lands.
+func TestStoreWriteBinaryWriteError(t *testing.T) {
+	st := NewStore(4)
+	st.Apply(randomUpdates(rand.New(rand.NewSource(7)), 40_000, 300))
+	boom := errors.New("disk gone")
+	for _, after := range []int{0, 1, 2} { // chunks written before the failure
+		w := &failAfter{left: after, err: boom}
+		if err := st.WriteBinary(w); !errors.Is(err, boom) {
+			t.Fatalf("failure after %d chunks: WriteBinary = %v, want the writer's error", after, err)
+		}
+		if w.left != -1 {
+			t.Fatalf("failure after %d chunks: writer called again after failing", after)
+		}
+	}
+}
+
+// failAfter accepts left writes, fails the next with err, and counts
+// any call after that as a further step below -1.
+type failAfter struct {
+	left int
+	err  error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.left--; f.left < 0 {
+		return 0, f.err
+	}
+	return len(p), nil
 }
 
 // TestStoreApplyReusesBuffers documents the aliasing contract: the result

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	tdgraph "github.com/tdgraph/tdgraph"
@@ -22,29 +20,26 @@ func FuzzSessionLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ck := tdgraph.NewCheckpointer(filepath.Join(f.TempDir(), "ckpt.tds"))
-	if err := ck.SaveWithMeta(s, []byte("seq-0042")); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(ck.Path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := savedWithMeta(f, s, "seq-0042")
+	meta, graph, state := ckptBlocks(f, valid)
 	mangled := func(mangle func([]byte)) []byte {
 		out := append([]byte(nil), valid...)
 		mangle(out)
 		return out
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                            // torn mid-file
-	f.Add(valid[:7])                                       // torn inside the header
-	f.Add([]byte{})                                        // empty
-	f.Add([]byte{1, 2, 3})                                 // garbage
-	f.Add(mangled(func(b []byte) { b[len(b)-3] ^= 0x40 })) // bit flip in the state block
-	f.Add(mangled(func(b []byte) { b[0] ^= 0xFF }))        // bad magic
-	f.Add(valid[:8+12+4])                                  // torn inside the meta block
-	f.Add(mangled(func(b []byte) { b[8+12+2] ^= 0x40 }))   // bit flip in the meta payload
-	f.Add(mangled(func(b []byte) { b[4] = 2 }))            // the retired TDS2 header
+	f.Add(valid[:len(valid)/2])                                  // torn mid-file
+	f.Add(valid[:7])                                             // torn inside the header
+	f.Add([]byte{})                                              // empty
+	f.Add([]byte{1, 2, 3})                                       // garbage
+	f.Add(mangled(func(b []byte) { b[state.CRC-3] ^= 0x40 }))    // bit flip in the state payload
+	f.Add(mangled(func(b []byte) { b[0] ^= 0xFF }))              // bad magic
+	f.Add(valid[:meta.Payload+4])                                // torn inside the meta payload
+	f.Add(mangled(func(b []byte) { b[meta.Payload+2] ^= 0x40 })) // bit flip in the meta payload
+	f.Add(valid[:graph.CRC])                                     // torn between the graph payload and its trailing CRC
+	f.Add(mangled(func(b []byte) { b[graph.CRC+1] ^= 0x40 }))    // bit flip in a trailing CRC
+	f.Add(mangled(func(b []byte) { b[4] = 2 }))                  // the retired v2 header
+	f.Add(asV3(f, valid))                                        // a whole file in the retired v3 framing
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := tdgraph.LoadSession(tdgraph.NewCC(), bytes.NewReader(data), tdgraph.SessionOptions{})

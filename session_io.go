@@ -15,38 +15,46 @@ import (
 	"github.com/tdgraph/tdgraph/internal/graph"
 )
 
-// Checkpoint format v3 ("TDS3"): a fixed header followed by three
-// checksummed blocks.
+// Checkpoint format v4: a fixed header followed by three checksummed
+// blocks.
 //
 //	header:      magic uint32 | version uint32
-//	meta block:  payloadLen uint64 | crc32(payload) uint32 | payload
-//	graph block: payloadLen uint64 | crc32(payload) uint32 | payload
-//	state block: payloadLen uint64 | crc32(payload) uint32 | payload
+//	meta block:  payloadLen uint64 | payload | crc32(payload) uint32
+//	graph block: payloadLen uint64 | payload | crc32(payload) uint32
+//	state block: payloadLen uint64 | payload | crc32(payload) uint32
 //
 // The meta payload is the caller's opaque bytes (the serve pipeline
 // stores the WAL sequence the checkpoint covers): first, so a generation
 // says what it covers in its first few dozen bytes, and in the same file
 // as the state it describes, so neither exists without the other. The
-// graph payload is the snapshot's own binary format; the state payload
-// is count uint64 followed by count float64 bit patterns. All integers
-// little-endian. The CRC (IEEE) covers only the payload, so a torn tail
-// is distinguishable from a bit flip: a short read inside any field
-// reports ErrCheckpointTruncated, a checksum mismatch reports
+// graph payload is the graph package's binary format (TDG2); the state
+// payload is count uint64 followed by count float64 bit patterns. All
+// integers little-endian. The CRC (IEEE) trails its payload — v3 put it
+// ahead, which forced a writer to hold the whole payload (or traverse
+// the graph twice) before the first byte could go out; trailing, every
+// block is streamed once while the checksum accumulates. The length
+// still leads, so the loader reads a whole block, verifies it, and only
+// then interprets a byte of it. The CRC covers only the payload, so a
+// torn tail is distinguishable from a bit flip: a short read inside any
+// field reports ErrCheckpointTruncated, a checksum mismatch reports
 // ErrCheckpointCorrupt. The magic tags the versioned-header family v2
 // introduced; the version field names the format, and any other version
-// (v2 included — there is one read path) is rejected as unsupported.
-// Algorithms are not serialised — the caller supplies the same algorithm
-// on load (its parameters, like the SSSP root, are part of the caller's
-// configuration).
+// (v2 and v3 included — there is one read path) is rejected as
+// unsupported. Algorithms are not serialised — the caller supplies the
+// same algorithm on load (its parameters, like the SSSP root, are part
+// of the caller's configuration).
 const (
 	checkpointMagic   = 0x54445332 // "TDS2"
-	checkpointVersion = 3
+	checkpointVersion = 4
 	// maxMetaBytes bounds the meta block on both sides: a save refuses a
 	// larger payload, so every written generation is readable.
 	maxMetaBytes = 1 << 16
 	// maxStateEntries bounds the state block so a corrupted count cannot
 	// drive allocation; matches the graph deserialiser's own sanity cap.
 	maxStateEntries = 1 << 33
+	// ckptChunk is the save path's buffer size: the file buffer and the
+	// state encoder each hold one, whatever the graph's size.
+	ckptChunk = 64 << 10
 )
 
 // ErrCheckpointTruncated reports a checkpoint that ends mid-field — the
@@ -86,49 +94,79 @@ func ckptCorrupt(stage, detail string, args ...any) error {
 }
 
 // Save checkpoints the session (graph + converged states) to w in format
-// v3 with an empty meta block.
+// v4 with an empty meta block.
 func (s *Session) Save(w io.Writer) error { return s.save(w, nil) }
 
-// save writes the checkpoint with meta in-band. Every block is buffered
-// first so its length and CRC32 can be written ahead of the payload —
-// the loader verifies integrity before interpreting a single payload
-// byte.
+// save streams the checkpoint with meta in-band, in one pass and without
+// materialising anything: each block's length is declared, its payload
+// goes once through the file buffer while the CRC accumulates — the
+// graph straight from the backend's store, the states through one fixed
+// chunk — and the CRC trails it. A block that streams a different number
+// of bytes than declared fails the save, so nothing is published.
 func (s *Session) save(w io.Writer, meta []byte) error {
 	if len(meta) > maxMetaBytes {
 		return fmt.Errorf("tdgraph: checkpoint meta is %d bytes, limit %d", len(meta), maxMetaBytes)
 	}
-	var gbuf bytes.Buffer
-	if err := s.eng.snapshot().WriteBinary(&gbuf); err != nil {
-		return err
-	}
 	state := s.eng.states()
-	sbuf := make([]byte, 8+8*len(state))
-	binary.LittleEndian.PutUint64(sbuf[:8], uint64(len(state)))
-	for i, v := range state {
-		binary.LittleEndian.PutUint64(sbuf[8+8*i:], math.Float64bits(v))
-	}
-
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], checkpointMagic)
-	binary.LittleEndian.PutUint32(scratch[4:8], checkpointVersion)
-	if _, err := bw.Write(scratch[:8]); err != nil {
-		return err
-	}
-	for _, payload := range [][]byte{meta, gbuf.Bytes(), sbuf} {
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(len(payload)))
-		if _, err := bw.Write(scratch[:8]); err != nil {
+	// A bufio.Writer's first write error sticks, so the framing words go
+	// unchecked: the next block writer, or Flush, reports it.
+	bw := bufio.NewWriterSize(w, ckptChunk)
+	var word [8]byte
+	binary.LittleEndian.PutUint32(word[:4], checkpointMagic)
+	binary.LittleEndian.PutUint32(word[4:], checkpointVersion)
+	bw.Write(word[:])
+	for _, blk := range []struct {
+		stage string
+		size  uint64
+		write func(io.Writer) error
+	}{
+		{"meta", uint64(len(meta)), func(w io.Writer) error { _, err := w.Write(meta); return err }},
+		{"graph", graph.BinarySize(s.eng.numVertices(), s.eng.numEdges()), s.eng.writeGraph},
+		{"state", 8 + 8*uint64(len(state)), func(w io.Writer) error { return writeStates(w, state) }},
+	} {
+		binary.LittleEndian.PutUint64(word[:], blk.size)
+		bw.Write(word[:])
+		payload := blockWriter{bw: bw}
+		if err := blk.write(&payload); err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint32(scratch[:4], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(scratch[:4]); err != nil {
-			return err
+		if payload.n != blk.size {
+			return fmt.Errorf("tdgraph: checkpoint %s block streamed %d bytes, declared %d", blk.stage, payload.n, blk.size)
 		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
+		binary.LittleEndian.PutUint32(word[:4], payload.crc)
+		bw.Write(word[:4])
 	}
 	return bw.Flush()
+}
+
+// blockWriter is one block's payload on its way out: every write is
+// counted and checksummed as it passes to the file buffer.
+type blockWriter struct {
+	bw  *bufio.Writer
+	crc uint32
+	n   uint64
+}
+
+func (b *blockWriter) Write(p []byte) (int, error) {
+	b.crc = crc32.Update(b.crc, crc32.IEEETable, p)
+	b.n += uint64(len(p))
+	return b.bw.Write(p)
+}
+
+// writeStates streams the state payload through one fixed chunk.
+func writeStates(w io.Writer, state []float64) error {
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, ckptChunk), uint64(len(state)))
+	for _, v := range state {
+		if len(buf) == cap(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // fsyncDir makes directory-entry changes (renames, creates, removes)
@@ -192,22 +230,24 @@ func saveFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// readBlock reads one length+CRC+payload block, verifying the checksum
+// readBlock reads one length+payload+CRC block, verifying the checksum
 // before returning the payload.
 func readBlock(stage string, r io.Reader, maxLen uint64) ([]byte, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var word [8]byte
+	if _, err := io.ReadFull(r, word[:]); err != nil {
 		return nil, ckptErr(stage, err)
 	}
-	plen := binary.LittleEndian.Uint64(hdr[:8])
-	wantCRC := binary.LittleEndian.Uint32(hdr[8:12])
+	plen := binary.LittleEndian.Uint64(word[:])
 	if plen > maxLen {
 		return nil, ckptCorrupt(stage, "implausible block length %d", plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Payload and trailing CRC, into a buffer that grows as bytes arrive:
+	// a damaged length costs a short read, not an allocation of its claim.
+	var block bytes.Buffer
+	if _, err := io.CopyN(&block, r, int64(plen)+4); err != nil {
 		return nil, ckptErr(stage, err)
 	}
+	payload, wantCRC := block.Bytes()[:plen], binary.LittleEndian.Uint32(block.Bytes()[plen:])
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return nil, ckptCorrupt(stage, "checksum mismatch: stored %08x, computed %08x", wantCRC, got)
 	}
@@ -256,7 +296,7 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 	if err != nil {
 		return nil, nil, err
 	}
-	snap, err := graph.ReadBinary(bytes.NewReader(gpayload))
+	snap, err := graph.ReadBinary(gpayload)
 	if err != nil {
 		// The payload passed its CRC, so a deserialisation failure means
 		// the block content itself is inconsistent, not torn.
