@@ -70,7 +70,7 @@ race:
 # ingestion/checkpoint/session tests, and the full "robust" experiment
 # (all five acceptance classes, double-run determinism included).
 faults:
-	$(GO) test -count=1 -run 'Fault|Robust|Checkpoint|Session|Sanitize|Validat|Watchdog|Mutate|Corrupt|Hang|WAL|Serve|Backoff|Breaker|Queue|Retry|Pipeline|Conn|Frame|Tailer|Replicated|Quorum|Follower|Fenced|Reseed|Snap|Retain' . ./internal/fault ./internal/stream ./internal/bench ./internal/sim ./internal/wal ./internal/serve ./internal/replica
+	$(GO) test -count=1 -run 'Fault|Robust|Checkpoint|Session|Sanitize|Validat|Watchdog|Mutate|Corrupt|Hang|WAL|Serve|Backoff|Breaker|Queue|Retry|Pipeline|Conn|Frame|Tailer|Replicated|Quorum|Follower|Fenced|Reseed|Snap|Retain|Group' . ./internal/fault ./internal/stream ./internal/bench ./internal/sim ./internal/wal ./internal/serve ./internal/replica
 
 # Chaos suite: seeded kill-anywhere crash/recovery trials over the
 # durable ingestion pipeline, kill-the-primary replication failover
@@ -84,13 +84,14 @@ faults:
 # leader degrades to read-only with typed retryable rejections and
 # resumes once space frees; a deadline storm against a slow quorum —
 # every pre-heal submission expires in flight yet completion stays
-# exactly-once), under the race detector. Proves no acknowledged batch
-# is lost past the last fsync (or quorum) barrier, that the recovered,
-# promoted, or reseeded node's vertex states are byte-identical to an
-# uninterrupted run, that deposed primaries are fenced, and that every
-# term has at most one leader.
+# exactly-once), and the group-commit count, serial-equivalence and
+# follower fault-table tests, under the race detector. Proves no
+# acknowledged batch is lost past the last fsync (or quorum) barrier,
+# that the recovered, promoted, or reseeded node's vertex states are
+# byte-identical to an uninterrupted run, that deposed primaries are
+# fenced, and that every term has at most one leader.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Failover|Fenced|Reseed|Election|Node' ./internal/serve ./internal/replica
+	$(GO) test -race -count=1 -run 'Chaos|Failover|Fenced|Reseed|Election|Node|Group' ./internal/serve ./internal/replica
 
 # Determinism tests under the race detector: fixed seeds must give
 # bit-identical results on both machine backends, any worker count.

@@ -14,7 +14,7 @@ import (
 // preceding append in source order has no Sync/fsync-carrying call
 // between it and the ack.
 //
-// Calls that are themselves durable barriers (Sync, settleLast, and
+// Calls that are themselves durable barriers (Sync, settle, and
 // the pipeline's Ingest/IngestReplicated, which run
 // append+fsync+apply internally) clear the pending-append state. The
 // known-safe dup-re-ack path (re-acking an already-durable sequence)
@@ -28,12 +28,12 @@ func SyncackCheck() *Check {
 }
 
 // appendCalls put bytes in the log without making them durable.
-var appendCalls = map[string]bool{"Append": true, "AppendPayload": true}
+var appendCalls = map[string]bool{"Append": true, "AppendGroup": true}
 
 // barrierCalls make previously appended bytes durable (or perform the
 // whole append+fsync internally).
 var barrierCalls = map[string]bool{
-	"Sync": true, "settleLast": true, "retryLast": true,
+	"Sync": true, "settle": true,
 	"Ingest": true, "IngestReplicated": true,
 }
 
@@ -95,9 +95,11 @@ func isSelectorCall(call *ast.CallExpr, names map[string]bool) bool {
 	return ok && names[sel.Sel.Name]
 }
 
-// ackWrite recognizes acknowledgement emission: WriteFrame(...) whose
-// frame literal carries Type: FrameAck or FrameWelcome (directly or
-// via &Frame{...}), or a call to a method literally named Ack.
+// ackWrite recognizes acknowledgement emission: WriteFrame(...) — or
+// writeFrameRun(...), the one-Write run of acks that answers a commit
+// group — whose frame literal carries Type: FrameAck or FrameWelcome
+// (directly or via &Frame{...}), or a call to a method literally named
+// Ack.
 func ackWrite(call *ast.CallExpr) (string, bool) {
 	name := ""
 	switch fun := call.Fun.(type) {
@@ -109,7 +111,7 @@ func ackWrite(call *ast.CallExpr) (string, bool) {
 	if name == "Ack" {
 		return "Ack()", true
 	}
-	if name != "WriteFrame" && name != "writeFrame" {
+	if name != "WriteFrame" && name != "writeFrame" && name != "writeFrameRun" {
 		return "", false
 	}
 	for _, arg := range call.Args {

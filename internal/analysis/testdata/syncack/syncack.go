@@ -6,8 +6,9 @@ package synctest
 
 type log struct{}
 
-func (l *log) Append(seq uint64, b []byte) error { return nil }
-func (l *log) Sync() error                       { return nil }
+func (l *log) Append(seq uint64, b []byte) error          { return nil }
+func (l *log) AppendGroup(first uint64, g [][]byte) error { return nil }
+func (l *log) Sync() error                                { return nil }
 
 type pipe struct{}
 
@@ -26,6 +27,8 @@ const (
 
 func WriteFrame(conn any, f any) error { return nil }
 
+func writeFrameRun(conn any, f any, n int) error { return nil }
+
 func ackAfterBareAppend(l *log, conn any) error {
 	if err := l.Append(1, nil); err != nil {
 		return err
@@ -38,6 +41,23 @@ func welcomeAfterBareAppend(l *log, conn any) error {
 		return err
 	}
 	return WriteFrame(conn, &Frame{Type: FrameWelcome, Seq: 1}) // want `FrameWelcome frame write written after an append`
+}
+
+func groupAcksAfterBareGroupAppend(l *log, conn any) error {
+	if err := l.AppendGroup(1, nil); err != nil {
+		return err
+	}
+	return writeFrameRun(conn, Frame{Type: FrameAck, Seq: 1}, 3) // want `FrameAck frame write written after an append`
+}
+
+func groupAcksAfterSync(l *log, conn any) error {
+	if err := l.AppendGroup(1, nil); err != nil {
+		return err
+	}
+	if err := l.Sync(); err != nil {
+		return err
+	}
+	return writeFrameRun(conn, Frame{Type: FrameAck, Seq: 1}, 3)
 }
 
 func ackAfterSync(l *log, conn any) error {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -225,6 +226,79 @@ func TestCrashFSLosesOnlyUnsynced(t *testing.T) {
 		t.Fatalf("replayed %d records, want 2", n)
 	}
 	l2.Close()
+}
+
+// TestCrashFSWALGroupCrashKeepsCleanPrefix: a commit group is one write
+// and one barrier, so a crash has two new places to land — between the
+// group's write and its barrier, and inside record j of the write. Over
+// seeded page-cache losses both recover to the two records that were
+// reported durable plus a clean prefix of the group (possibly none of
+// it, never a damaged record, never past the group), each replayed with
+// the bytes it was appended with.
+func TestCrashFSWALGroupCrashKeepsCleanPrefix(t *testing.T) {
+	var group [][]byte
+	for seq := int64(3); seq <= 7; seq++ {
+		group = append(group, wal.EncodeBatch(walBatch(seq)))
+	}
+	recBytes := int64(16 + len(group[0]))
+	for _, crash := range []struct {
+		name    string
+		arm     func(*CrashFS)
+		maxLast uint64 // the last record that can have reached the file whole
+	}{
+		{"between write and barrier", func(c *CrashFS) { c.ArmCrashAtSync(0) }, 7},
+		{"torn inside record 3 of 5", func(c *CrashFS) { c.ArmCrash(2*recBytes + 9) }, 4},
+	} {
+		name, arm := crash.name, crash.arm
+		for seed := int64(1); seed <= 8; seed++ {
+			dir := t.TempDir()
+			cfs := NewCrashFS()
+			l, _, err := wal.Open(wal.Options{Dir: dir, FS: cfs, Sync: wal.SyncEachBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seq := uint64(1); seq <= 2; seq++ {
+				if err := l.Append(seq, walBatch(int64(seq))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			arm(cfs)
+			func() {
+				defer func() {
+					if _, ok := recover().(CrashSignal); !ok {
+						t.Fatalf("%s: armed crash did not fire as CrashSignal", name)
+					}
+				}()
+				l.AppendGroup(3, group)
+				t.Fatalf("%s: the group append survived the armed crash", name)
+			}()
+			if l.DurableSeq() != 2 {
+				t.Fatalf("%s: DurableSeq=%d at the crash, want 2: part of an unsynced group was reported durable", name, l.DurableSeq())
+			}
+			if err := cfs.LoseUnsynced(rand.New(rand.NewSource(seed))); err != nil {
+				t.Fatal(err)
+			}
+			l2, rec, err := wal.Open(wal.Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("%s seed %d: recovery: %v", name, seed, err)
+			}
+			if rec.LastSeq < 2 || rec.LastSeq > crash.maxLast {
+				t.Fatalf("%s seed %d: recovered LastSeq=%d, want the 2 durable records plus a prefix of the group", name, seed, rec.LastSeq)
+			}
+			next := uint64(1)
+			err = l2.Replay(1, func(seq uint64, b []graph.Update) error {
+				if seq != next || !bytes.Equal(wal.EncodeBatch(b), wal.EncodeBatch(walBatch(int64(seq)))) {
+					t.Fatalf("%s seed %d: replay produced seq %d (want %d) or not the batch appended there", name, seed, seq, next)
+				}
+				next++
+				return nil
+			})
+			if err != nil || next-1 != rec.LastSeq {
+				t.Fatalf("%s seed %d: replayed through %d, recovery says %d (err %v)", name, seed, next-1, rec.LastSeq, err)
+			}
+			l2.Close()
+		}
+	}
 }
 
 func TestCrashFSDelegates(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 
-	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/serve"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
@@ -36,11 +35,11 @@ type FollowerConfig struct {
 }
 
 // Follower applies replicated batches through its own serve.Pipeline —
-// WAL append, fsync, live apply path — and acknowledges each only
-// after all three, so a primary counting its ack counts a replica that
-// could be promoted this instant. Recovery after a follower crash is
-// the pipeline's ordinary recovery; nothing replication-specific
-// survives a restart except the durable term.
+// WAL append, fsync, live apply path — and acknowledges each commit
+// group only after all three, so a primary counting its ack counts a
+// replica that could be promoted this instant. Recovery after a
+// follower crash is the pipeline's ordinary recovery; nothing
+// replication-specific survives a restart except the durable term.
 type Follower struct {
 	// sessionMu serialises the operations that move the pipeline:
 	// replication sessions, snapshot installs, and promotions.
@@ -61,11 +60,12 @@ type Follower struct {
 	// term is a split brain, not a reconnect. Written under sessionMu
 	// plus mu; read under either.
 	claimed bool
-	// recvFrame and recvBatch are the frame being read and the batch
-	// decoded from it, reused record after record by the one session
-	// sessionMu admits; nothing downstream keeps a reference into them.
+	// recvFrame is the frame being read and group the commit group being
+	// gathered from the session's records, both reused round after round
+	// by the one session sessionMu admits; nothing downstream keeps a
+	// reference into them.
 	recvFrame []byte
-	recvBatch []graph.Update
+	group     commitGroup
 }
 
 // NewFollower recovers the follower's durable state (checkpoint + WAL
@@ -274,6 +274,9 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 		return err
 	}
 
+	// A group the previous session left open died with it: nothing of it
+	// was logged, and the primary re-ships from the Welcome sequence.
+	f.group.reset()
 	for {
 		fr, err := readFrameInto(conn, &f.recvFrame)
 		if err != nil {
@@ -281,6 +284,12 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 				return nil // primary closed the session cleanly
 			}
 			return err
+		}
+		isRecord := fr.Type == FrameRecord || fr.Type == FrameRecordMore
+		if !isRecord && len(f.group.payloads) > 0 {
+			// Only the group's own records may arrive while it is open.
+			return &FrameError{Reason: "session",
+				Err: fmt.Errorf("%w: frame type %d inside an open commit group", ErrBadFrame, fr.Type)}
 		}
 		if fr.Type == FrameReject {
 			// The primary refused this replica's log at the handshake: it
@@ -315,7 +324,7 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 			f.cfg.OnLiveness(fr.Term)
 			continue
 		}
-		if fr.Type != FrameRecord {
+		if !isRecord {
 			return &FrameError{Reason: "session",
 				Err: fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, fr.Type)}
 		}
@@ -323,40 +332,64 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 			// The primary was deposed mid-session (we may have adopted a
 			// newer term through another session meanwhile).
 			f.col.Inc(stats.CtrReplFenceRejects)
-			WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
+			f.refuseRecord(conn, fr)
 			return fmt.Errorf("record from deposed primary (term %d < %d): %w", fr.Term, f.state.Term, ErrStaleTerm)
 		}
 		f.cfg.OnLiveness(fr.Term)
+		// The open group's records are held, not logged: the next record
+		// must follow them, not just the pipeline.
+		held := f.pipe.Seq() + uint64(len(f.group.payloads))
 		switch {
-		case fr.Seq <= f.pipe.Seq():
-			// Duplicate (retry, or a dup-injecting wire): already durable,
-			// so re-ack without re-applying.
+		case fr.Seq <= held:
+			// Duplicate (retry, or a dup-injecting wire). One already durable
+			// and closing its group is re-acked without re-applying; one that
+			// is — or repeats a record held in — an open group is dropped in
+			// silence, because a follower never writes mid-group.
 			f.col.Inc(stats.CtrReplDupFrames)
-			if err := WriteFrame(conn, Frame{Type: FrameAck, Term: f.state.Term, Seq: f.pipe.Seq()}); err != nil {
-				return err
+			if fr.Type == FrameRecord && held == f.pipe.Seq() {
+				if err := WriteFrame(conn, Frame{Type: FrameAck, Term: f.state.Term, Seq: held}); err != nil {
+					return err
+				}
 			}
-		case fr.Seq > f.pipe.Seq()+1:
+		case fr.Seq > held+1:
 			// A gap: records were lost on the wire. Refuse — the primary
 			// re-ships the backlog from its WAL.
-			WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
-			return fmt.Errorf("%w: got seq %d with local seq %d", ErrFollowerBehind, fr.Seq, f.pipe.Seq())
+			f.refuseRecord(conn, fr)
+			return fmt.Errorf("%w: got seq %d with local seq %d", ErrFollowerBehind, fr.Seq, held)
 		default:
 			if err := f.stampOrigin(fr); err != nil {
-				WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
+				f.refuseRecord(conn, fr)
 				return err
 			}
-			batch, err := wal.DecodeBatchInto(f.recvBatch, fr.Payload)
-			if err != nil {
+			// A record with more to come is copied out of the frame buffer
+			// the next read reuses; the closing one is logged from it.
+			if err := f.group.add(fr.Payload, fr.Type == FrameRecordMore); err != nil {
 				return &FrameError{Reason: "record payload", Err: err}
 			}
-			f.recvBatch = batch
-			if err := f.pipe.IngestReplicated(fr.Seq, fr.Payload, batch); err != nil {
+			if fr.Type == FrameRecordMore {
+				continue
+			}
+			// The closing record: one write, one barrier, k applies, one ack.
+			err := f.pipe.IngestReplicated(fr.Seq+1-uint64(len(f.group.payloads)), f.group.payloads, f.group.batches)
+			f.group.reset()
+			if err != nil {
 				return err
 			}
 			if err := WriteFrame(conn, Frame{Type: FrameAck, Term: f.state.Term, Seq: f.pipe.Seq()}); err != nil {
 				return err
 			}
 		}
+	}
+}
+
+// refuseRecord answers a record the session cannot take with the Reject
+// that tells the primary why — unless more of the record's group is still
+// to come: the primary is then writing, not reading, and over a
+// synchronous transport an answer now would block both ends. The session
+// ending is answer enough; the next handshake says the rest.
+func (f *Follower) refuseRecord(conn net.Conn, fr Frame) {
+	if fr.Type == FrameRecord {
+		WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
 	}
 }
 
@@ -368,7 +401,12 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 // a contradiction (this primary's log attributes sequences we already
 // hold to an older term than we stamped them with) and refuses the
 // session rather than silently diverging. Origin 0 — un-ledgered
-// history from a pre-replication log — is applied unstamped.
+// history from a pre-replication log — is applied unstamped. Only a
+// commit group's first record may open a range: its records are held, not
+// logged, so a second range would put two entries ahead of the log, and a
+// session cut there would leave a ledger whose tail refuses the re-shipped
+// first record as diverged on every later attach. No primary sends such a
+// group (catchUp); one that arrives is refused.
 func (f *Follower) stampOrigin(fr Frame) error {
 	tail := f.state.tail()
 	switch {
@@ -377,6 +415,9 @@ func (f *Follower) stampOrigin(fr Frame) error {
 	case fr.Orig < tail:
 		return fmt.Errorf("%w: record %d originates at term %d, our ledger is already at term %d",
 			ErrFollowerDiverged, fr.Seq, fr.Orig, tail)
+	case len(f.group.payloads) > 0:
+		return &FrameError{Reason: "record origin",
+			Err: fmt.Errorf("%w: record %d opens origin term %d inside a commit group", ErrBadFrame, fr.Seq, fr.Orig)}
 	}
 	stamped := f.state
 	stamped.Ledger = append([]TermBase(nil), f.state.Ledger...)

@@ -1,11 +1,13 @@
 package replica
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -14,7 +16,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/serve"
 	"github.com/tdgraph/tdgraph/internal/stats"
-	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // This file is the automation layer that turns a replica set into a
@@ -768,39 +769,61 @@ func (n *Node) releaseSession(conn net.Conn) {
 }
 
 // serveClient runs one client-ingestion session: Welcome with the
-// durable sequence, then Submit/Ack rounds, every batch going through
-// the ordinary leader pipeline (WAL, fsync, quorum replication). A
-// node that is not — or stops being — the leader refuses with the
-// redirect hint. Duplicate submissions (a client retrying across
-// failover) are re-acked without re-applying; that plus the Welcome
-// sequence is what keeps acked batches exactly-once under leadership
-// changes.
+// durable sequence, then Submit/Ack rounds (serveSubmits). A node that
+// is not the leader refuses with the redirect hint.
 func (n *Node) serveClient(conn net.Conn) error {
 	defer conn.Close()
-	refuse := func() error {
-		n.mu.Lock()
-		term, leader := n.term, n.leaderAddr
-		isLeader := n.role == RoleLeader
-		n.mu.Unlock()
-		if isLeader {
-			leader = n.cfg.Addr
-		}
-		n.col.Inc(stats.CtrReplRedirects)
-		WriteFrame(conn, Frame{Type: FrameReject, Term: term, Payload: []byte(leader)})
-		return &RedirectError{Leader: leader}
-	}
 	role, term := n.roleView()
 	if role != RoleLeader {
-		return refuse()
+		return n.refuseClient(conn)
 	}
-	pipe := n.fol.Pipeline()
 	if err := WriteFrame(conn, Frame{Type: FrameWelcome, Term: term, Seq: n.durableSeq()}); err != nil {
 		return err
 	}
-	var recvFrame []byte         // this session's frame memory, reused submit after submit
-	var recvBatch []graph.Update // and the batch decoded from it
+	return n.serveSubmits(conn, &clientSession{br: bufio.NewReaderSize(conn, groupReadAhead)})
+}
+
+// refuseClient answers a client this node cannot serve with the redirect
+// hint: whoever it believes leads.
+func (n *Node) refuseClient(conn net.Conn) error {
+	n.mu.Lock()
+	term, leader := n.term, n.leaderAddr
+	isLeader := n.role == RoleLeader
+	n.mu.Unlock()
+	if isLeader {
+		leader = n.cfg.Addr
+	}
+	n.col.Inc(stats.CtrReplRedirects)
+	WriteFrame(conn, Frame{Type: FrameReject, Term: term, Payload: []byte(leader)})
+	return &RedirectError{Leader: leader}
+}
+
+// clientSession is the memory one client session serves its commit
+// rounds from, reused round after round: the read-ahead buffer on its
+// connection, the frame of the submit a round starts from, and the
+// round's commit group.
+type clientSession struct {
+	br    *bufio.Reader
+	frame []byte
+	group commitGroup
+}
+
+// serveSubmits is a welcomed client session's Submit/Ack rounds, read
+// through s.br (which must read conn), every batch going through the
+// ordinary leader pipeline (WAL, fsync, quorum replication). The unit of
+// a round is the commit group: the submit the session was waiting for
+// plus whatever run of further submits a pipelining client already has
+// queued behind it (gatherSubmits), made durable by one WAL barrier and
+// one follower round trip and answered with one in-order Ack each; a
+// client with one submit in flight gets groups of one. A node that stops
+// being the leader refuses with the redirect hint. Duplicate submissions
+// (a client retrying across failover) are re-acked without re-applying;
+// that plus the Welcome sequence is what keeps acked batches exactly-once
+// under leadership changes.
+func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
+	pipe, br, group := n.fol.Pipeline(), s.br, &s.group
 	for {
-		fr, err := readFrameInto(conn, &recvFrame)
+		fr, err := readFrameInto(br, &s.frame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -811,15 +834,14 @@ func (n *Node) serveClient(conn net.Conn) error {
 			return &FrameError{Reason: "client session",
 				Err: fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, fr.Type)}
 		}
-		role, term = n.roleView()
+		role, term := n.roleView()
 		if role != RoleLeader {
-			return refuse()
+			return n.refuseClient(conn)
 		}
-		batch, err := wal.DecodeBatchInto(recvBatch, fr.Payload)
-		if err != nil {
+		group.reset()
+		if err := group.add(fr.Payload, false); err != nil {
 			return &FrameError{Reason: "submit payload", Err: err}
 		}
-		recvBatch = batch
 		// SLO backpressure gate: while the admission controller is in
 		// its shedding posture, refuse before touching the pipeline so
 		// a storm of submissions cannot pile onto an already-slow
@@ -832,16 +854,18 @@ func (n *Node) serveClient(conn net.Conn) error {
 			}
 			continue
 		}
+		// Everything but a quorum-durable round leaves the gathered
+		// submits unread: the loop then meets them one by one, and they
+		// get exactly the answers serial processing gives (after a busy
+		// refusal of the head, the gap Reject).
+		gathered := gatherSubmits(group, br, fr)
 		// A Submit's Orig is the client's remaining deadline budget in
 		// milliseconds; rebase it onto this node's clock so the quorum
 		// wait downstream is bounded without any cross-host clock
 		// agreement.
-		var deadline time.Time
-		if fr.Orig > 0 {
-			deadline = n.clock.Now().Add(time.Duration(fr.Orig) * time.Millisecond)
-		}
 		start := n.clock.Now()
-		outcome, durable, ierr := n.ingestSubmit(pipe, fr.Seq, fr.Payload, batch, deadline)
+		deadline := submitDeadline(start, fr.Orig)
+		outcome, durable, ierr := n.ingestSubmit(pipe, fr.Seq, group.payloads, group.batches, deadline)
 		n.slo.Observe(n.clock.Now().Sub(start), 0, 1)
 		switch outcome {
 		case submitDuplicate:
@@ -864,10 +888,10 @@ func (n *Node) serveClient(conn net.Conn) error {
 			// down — rejoining hands the tail to the divergence reseed —
 			// and send the client to whoever leads next.
 			n.demote(fmt.Sprintf("client batch durable locally but not at quorum: %v", ierr))
-			refuse()
+			n.refuseClient(conn)
 			return ierr
 		case submitNotLeader:
-			return refuse()
+			return n.refuseClient(conn)
 		}
 		if ierr != nil {
 			if errors.Is(ierr, serve.ErrFenced) {
@@ -875,7 +899,7 @@ func (n *Node) serveClient(conn net.Conn) error {
 				// was never acknowledged, and the divergence machinery
 				// reconciles it when we rejoin. Redirect the client.
 				n.demote(fmt.Sprintf("fenced during client ingest: %v", ierr))
-				refuse()
+				n.refuseClient(conn)
 				return ierr
 			}
 			var de *serve.DeadlineError
@@ -913,10 +937,23 @@ func (n *Node) serveClient(conn net.Conn) error {
 			WriteFrame(conn, Frame{Type: FrameReject, Term: term, Seq: durable})
 			return ierr
 		}
-		if err := WriteFrame(conn, Frame{Type: FrameAck, Term: term, Seq: durable}); err != nil {
+		if err := writeFrameRun(conn, Frame{Type: FrameAck, Term: term, Seq: fr.Seq}, len(group.payloads)); err != nil {
 			return err
 		}
+		br.Discard(gathered) // cannot fail: gathered bytes are buffered
 	}
+}
+
+// submitDeadline rebases a Submit's remaining budget in milliseconds
+// (0 = no deadline) onto this node's clock. The budget is the client's
+// to choose, so it is clamped before the multiply: unclamped, anything
+// past ~9.2e12 ms overflows time.Duration, and 1<<63 wraps to exactly 0 —
+// "effectively never" read as "already expired".
+func submitDeadline(now time.Time, budgetMs uint64) time.Time {
+	if budgetMs == 0 {
+		return time.Time{}
+	}
+	return now.Add(time.Duration(min(budgetMs, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond)
 }
 
 // busyReject sends a backpressure refusal on a healthy leader session.
@@ -964,15 +1001,15 @@ const (
 	submitNotLeader                      // demoted since the session's role check
 )
 
-// ingestSubmit runs one client submission under the primary lock:
-// duplicate and gap detection against the quorum-acknowledged sequence,
-// then Primary.Ingest (append, quorum round, apply). The acknowledged
-// sequence advances exactly when the outcome is QuorumDurable, and is
-// what the returned durable value reports. A batch that was logged but
-// never assembled its quorum strands the tail instead: the caller must
-// stop serving, because acking or re-ingesting past it would break
-// exactly-once.
-func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, payload []byte, batch []graph.Update, deadline time.Time) (submitOutcome, uint64, error) {
+// ingestSubmit runs one commit group of client submissions — seq is its
+// first — under the primary lock: duplicate and gap detection against
+// the quorum-acknowledged sequence, then Primary.Ingest (append, quorum
+// round, apply). The acknowledged sequence advances — by the whole group
+// — exactly when the outcome is QuorumDurable, and is what the returned
+// durable value reports. A group that was logged but never assembled its
+// quorum strands the tail instead: the caller must stop serving, because
+// acking or re-ingesting past it would break exactly-once.
+func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, payloads [][]byte, batches [][]graph.Update, deadline time.Time) (submitOutcome, uint64, error) {
 	n.pmu.Lock()
 	defer n.pmu.Unlock()
 	cur := n.ackedSeq
@@ -990,7 +1027,7 @@ func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, payload []byte, ba
 		return submitStranded, cur, fmt.Errorf(
 			"replica: seq %d durable locally but never quorum-acknowledged: %w", logged, ErrQuorumLost)
 	}
-	outcome, err := n.primary.Ingest(pipe, payload, batch, deadline)
+	outcome, err := n.primary.Ingest(pipe, payloads, batches, deadline)
 	switch {
 	case outcome == QuorumDurable:
 		n.ackedSeq = pipe.Seq()

@@ -388,14 +388,17 @@ const (
 	QuorumDurable
 )
 
-// Ingest is a leader's whole batch path, in the order every member's
-// I/O must happen: local WAL append and fsync, then the follower round
-// trips, then — only once a quorum holds the batch — the session apply.
-// pipe is this leader's own pipeline (the one whose WAL the primary
-// tails); payload is the batch's wal.EncodeBatch bytes as received — the
-// one buffer logged here, shipped, and logged by every follower — batch
-// what it decoded to; deadline bounds admission and the quorum wait.
-func (p *Primary) Ingest(pipe *serve.Pipeline, payload []byte, batch []graph.Update, deadline time.Time) (IngestOutcome, error) {
+// Ingest is a leader's whole batch path for one commit group of k >= 1
+// batches, in the order every member's I/O must happen: one local WAL
+// append and fsync for all k, then one round trip per follower, then —
+// only once a quorum holds the group — the k session applies. pipe is
+// this leader's own pipeline (the one whose WAL the primary tails);
+// payloads are the batches' wal.EncodeBatch bytes as received — the
+// buffers logged here, shipped, and logged by every follower — batches
+// what they decoded to; deadline bounds admission and the quorum wait.
+// The outcome is the whole group's: what k serial calls would each have
+// returned.
+func (p *Primary) Ingest(pipe *serve.Pipeline, payloads [][]byte, batches [][]graph.Update, deadline time.Time) (IngestOutcome, error) {
 	live := 1 // this primary
 	for _, fc := range p.followers {
 		if !fc.dead {
@@ -407,40 +410,41 @@ func (p *Primary) Ingest(pipe *serve.Pipeline, payload []byte, batch []graph.Upd
 		// (a freshly elected leader's first tick has attached nobody yet).
 		return NotLogged, fmt.Errorf("%w: %d of %d required members attached", ErrQuorumLost, live, p.cfg.Quorum)
 	}
-	seq, err := pipe.Append(payload, deadline)
+	first, err := pipe.Append(payloads, deadline)
 	if err != nil {
 		return NotLogged, err
 	}
-	if err := p.ReplicateDeadline(seq, payload, deadline); err != nil {
+	if err := p.ReplicateDeadline(first, payloads, deadline); err != nil {
 		if errors.Is(err, serve.ErrDeadline) {
 			pipe.Collector().Inc(stats.CtrServeDeadlineExpired)
 		}
 		return LoggedNotQuorum, err
 	}
-	return QuorumDurable, pipe.Apply(batch)
+	return QuorumDurable, pipe.Apply(batches)
 }
 
 // Replicate encodes the batch at seq and ships it with no deadline
 // (ReplicateDeadline). The record must already be in the local log.
 func (p *Primary) Replicate(seq uint64, batch []graph.Update) error {
-	return p.ReplicateDeadline(seq, wal.EncodeBatch(batch), time.Time{})
+	return p.ReplicateDeadline(seq, [][]byte{wal.EncodeBatch(batch)}, time.Time{})
 }
 
-// ReplicateDeadline ships the record at seq — payload is its
-// wal.EncodeBatch bytes, already in the local log — to every live
-// follower, catching up any that lag from the WAL first, and succeeds
-// once a quorum (counting this primary) holds it durably. The batch
-// deadline (zero = none) bounds the quorum wait; it is checked between
-// follower round trips only — per-operation I/O stays under AckTimeout,
-// so a tight client budget can never sever a live follower session or
-// abandon a half-read frame; the worst-case overshoot is one AckTimeout
-// past the deadline. On expiry the remaining followers are skipped: if
-// a quorum already acked, the batch is durable and succeeds as usual;
-// otherwise the failure wraps *serve.DeadlineError at stage
-// "replicate".
-func (p *Primary) ReplicateDeadline(seq uint64, payload []byte, deadline time.Time) error {
-	if seq > p.seq {
-		p.seq = seq // the record is already in the local log
+// ReplicateDeadline ships the records at first, first+1, … — payloads
+// are their wal.EncodeBatch bytes, already in the local log — to every
+// live follower, catching up any that lag from the WAL first, and
+// succeeds once a quorum (counting this primary) holds all of them
+// durably. The batch deadline (zero = none) bounds the quorum wait; it is
+// checked between follower round trips only — per-operation I/O stays
+// under AckTimeout, so a tight client budget can never sever a live
+// follower session or abandon a half-read frame; the worst-case
+// overshoot is one AckTimeout past the deadline. On expiry the remaining
+// followers are skipped: if a quorum already acked, the group is durable
+// and succeeds as usual; otherwise the failure wraps
+// *serve.DeadlineError at stage "replicate".
+func (p *Primary) ReplicateDeadline(first uint64, payloads [][]byte, deadline time.Time) error {
+	last := first + uint64(len(payloads)) - 1
+	if last > p.seq {
+		p.seq = last // the records are already in the local log
 	}
 	acks := 1 // the primary's own log counts
 	expired := false
@@ -454,15 +458,16 @@ func (p *Primary) ReplicateDeadline(seq uint64, payload []byte, deadline time.Ti
 			expired = true
 			break
 		}
-		// Lag is how far this follower trailed when the batch arrived,
+		// Lag is how far this follower trailed when the group arrived,
 		// measured before shipping closes the gap (afterwards acked has
-		// caught up to seq and the gauge would always read 0).
-		if seq > fc.acked {
-			if lag := seq - fc.acked; lag > maxLag {
+		// caught up and the gauge would always read 0) and to the group's
+		// first record, so it reads what serial submits would have shown.
+		if first > fc.acked {
+			if lag := first - fc.acked; lag > maxLag {
 				maxLag = lag
 			}
 		}
-		if err := p.shipTo(fc, seq, payload); err != nil {
+		if err := p.shipTo(fc, first, payloads); err != nil {
 			if errors.Is(err, serve.ErrFenced) {
 				fenced = err
 				break
@@ -480,32 +485,34 @@ func (p *Primary) ReplicateDeadline(seq uint64, payload []byte, deadline time.Ti
 	if acks < p.cfg.Quorum {
 		if expired {
 			return fmt.Errorf("replica: %d of %d acks for seq %d when the batch deadline expired: %w",
-				acks, p.cfg.Quorum, seq, serve.NewDeadlineError("replicate"))
+				acks, p.cfg.Quorum, last, serve.NewDeadlineError("replicate"))
 		}
 		p.col.Inc(stats.CtrReplQuorumFailures)
-		return fmt.Errorf("%w: %d of %d required acks for seq %d", ErrQuorumLost, acks, p.cfg.Quorum, seq)
+		return fmt.Errorf("%w: %d of %d required acks for seq %d", ErrQuorumLost, acks, p.cfg.Quorum, last)
 	}
 	return nil
 }
 
-// shipTo brings one follower to seq: backlog records from the WAL
-// first when it lags, then the live record, each acknowledged before
-// the next is sent (the transport may be synchronous, like net.Pipe).
-func (p *Primary) shipTo(fc *followerConn, seq uint64, payload []byte) error {
-	if fc.acked+1 < seq {
-		if err := p.catchUp(fc, seq-1); err != nil {
+// shipTo brings one follower through the group at first: backlog records
+// from the WAL before it when the follower lags, then the live group.
+func (p *Primary) shipTo(fc *followerConn, first uint64, payloads [][]byte) error {
+	if fc.acked+1 < first {
+		if err := p.catchUp(fc, first-1); err != nil {
 			return err
 		}
 	}
-	return p.sendRecord(fc, seq, payload, false)
+	return p.sendRecords(fc, first, payloads, false)
 }
 
 // catchUp replays the primary's own WAL to the follower through
-// sequence to. The tailer reads the same segments the pipeline writes;
-// a follower wanting records retention has discarded is reseeded from
-// the newest checkpoint mid-stream (re-tailing from the installed
-// sequence) when a snapshot source exists, and cannot be served
-// otherwise.
+// sequence to, each backlog record its own commit group of one,
+// acknowledged before the next is sent: backlog records keep the origin
+// terms that created them, and a group may open at most one ledger range
+// on the follower (stampOrigin). The tailer reads the same segments the
+// pipeline writes; a follower wanting records retention has discarded is
+// reseeded from the newest checkpoint mid-stream (re-tailing from the
+// installed sequence) when a snapshot source exists, and cannot be
+// served otherwise.
 func (p *Primary) catchUp(fc *followerConn, to uint64) error {
 	tl := wal.NewTailer(p.cfg.WAL, fc.acked+1)
 	defer func() { tl.Close() }()
@@ -531,28 +538,38 @@ func (p *Primary) catchUp(fc *followerConn, to uint64) error {
 			}
 			return err
 		}
-		if err := p.sendRecord(fc, seq, payload, true); err != nil {
+		if err := p.sendRecords(fc, seq, [][]byte{payload}, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sendRecord ships one record and waits for its acknowledgement.
-// Acknowledgements below seq are stale — re-acks of frames a faulty
-// wire duplicated — and are skipped, not errors. Each record carries
-// its origin term from the primary's ledger (catch-up records keep the
-// term that created them, not this session's), so followers can stamp
-// their own ledgers identically.
-func (p *Primary) sendRecord(fc *followerConn, seq uint64, payload []byte, catchup bool) error {
-	fr := Frame{Type: FrameRecord, Term: p.cfg.Term, Seq: seq, Orig: p.state.At(seq), Payload: payload}
-	if err := p.writeFrame(fc, fr); err != nil {
-		return err
-	}
-	p.col.Inc(stats.CtrReplShippedRecords)
-	p.col.Add(stats.CtrReplShippedBytes, uint64(len(payload)))
-	if catchup {
-		p.col.Inc(stats.CtrReplCatchupRecords)
+// sendRecords ships one commit group — the records first, first+1, …,
+// back to back, every one but the closing as FrameRecordMore, which the
+// follower gathers without answering — and waits for the one
+// acknowledgement that covers the last. Acknowledgements below it are
+// stale — re-acks of frames a faulty wire duplicated — and are skipped,
+// not errors. Each record carries its origin term from the primary's
+// ledger (catch-up records keep the term that created them, not this
+// session's), so followers can stamp their own ledgers identically.
+//
+//tdgraph:hot
+func (p *Primary) sendRecords(fc *followerConn, first uint64, payloads [][]byte, catchup bool) error {
+	last := first + uint64(len(payloads)) - 1
+	for i, payload := range payloads {
+		fr := Frame{Type: FrameRecordMore, Term: p.cfg.Term, Seq: first + uint64(i), Payload: payload}
+		if fr.Orig = p.state.At(fr.Seq); fr.Seq == last {
+			fr.Type = FrameRecord
+		}
+		if err := p.writeFrame(fc, fr); err != nil {
+			return err
+		}
+		p.col.Inc(stats.CtrReplShippedRecords)
+		p.col.Add(stats.CtrReplShippedBytes, uint64(len(payload)))
+		if catchup {
+			p.col.Inc(stats.CtrReplCatchupRecords)
+		}
 	}
 	for {
 		f, err := p.readFrame(fc)
@@ -561,19 +578,21 @@ func (p *Primary) sendRecord(fc *followerConn, seq uint64, payload []byte, catch
 		}
 		switch f.Type {
 		case FrameAck:
-			if f.Seq >= seq {
+			if f.Seq >= last {
 				fc.acked = f.Seq
 				return nil
 			}
 			// Stale ack (duplicate frame re-acked): keep waiting.
 		case FrameReject:
 			if f.Term > p.cfg.Term {
+				//tdgraph:allow hotalloc a refusal ends the follower's session
 				return fmt.Errorf("%w: follower moved to term %d, ours is %d", ErrStaleTerm, f.Term, p.cfg.Term)
 			}
-			return fmt.Errorf("%w: record %d rejected at follower seq %d", ErrFollowerBehind, seq, f.Seq)
+			//tdgraph:allow hotalloc a refusal ends the follower's session
+			return fmt.Errorf("%w: record %d rejected at follower seq %d", ErrFollowerBehind, last, f.Seq)
 		default:
-			return &FrameError{Reason: "ack wait",
-				Err: fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, f.Type)}
+			//tdgraph:allow hotalloc a protocol violation ends the follower's session
+			return &FrameError{Reason: "ack wait", Err: fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, f.Type)}
 		}
 	}
 }

@@ -166,7 +166,7 @@ func ingest(prim *Primary, pipe *serve.Pipeline, b []graph.Update) error {
 // ingestBy is ingest with a deadline and the outcome: it hands
 // Primary.Ingest the batch and its payload the way a client session does.
 func ingestBy(prim *Primary, pipe *serve.Pipeline, b []graph.Update, deadline time.Time) (IngestOutcome, error) {
-	return prim.Ingest(pipe, wal.EncodeBatch(b), b, deadline)
+	return prim.Ingest(pipe, [][]byte{wal.EncodeBatch(b)}, [][]graph.Update{b}, deadline)
 }
 
 // TestReplicatedIngestReachesQuorum: a primary with two followers

@@ -22,9 +22,9 @@ import (
 )
 
 // Frame types. The protocol is deliberately small: one handshake pair,
-// one data frame, one ack, one refusal, a probe pair, a three-frame
-// snapshot transfer for reseeding, a liveness heartbeat, and a
-// client-ingestion pair for leader-routed submission.
+// one data frame (and its "more to come" form), one ack, one refusal, a
+// probe pair, a three-frame snapshot transfer for reseeding, a liveness
+// heartbeat, and a client-ingestion pair for leader-routed submission.
 const (
 	// FrameHello opens a session, primary → follower: Term is the
 	// primary's claim of authority, Seq is unused.
@@ -34,7 +34,9 @@ const (
 	// the primary catches it up from Seq+1.
 	FrameWelcome = 2
 	// FrameRecord carries one WAL record, primary → follower: Seq is
-	// the record's sequence, the payload is its EncodeBatch bytes.
+	// the record's sequence, the payload is its EncodeBatch bytes. It
+	// closes a commit group: the follower logs it together with any
+	// FrameRecordMore records before it and answers with one FrameAck.
 	FrameRecord = 3
 	// FrameAck confirms durability, follower → primary: Seq is the
 	// follower's last durable-and-applied sequence.
@@ -104,6 +106,20 @@ const (
 	// carries the durable sequence so the client can advance its acked
 	// prefix.
 	FrameSubmit = 13
+	// FrameRecordMore is FrameRecord for every record of a commit group
+	// but the last: same fields, same checks, but the follower only
+	// gathers it — in memory its session owns — and neither logs nor
+	// answers until the closing FrameRecord arrives, when the whole group
+	// costs it one write, one fsync and one FrameAck. That a follower
+	// never writes while a group is open is also what lets the primary
+	// send a group back to back over a synchronous transport (net.Pipe)
+	// without deadlock. Only a group's first record may carry an origin
+	// term the follower has not stamped yet (backlog records, which keep
+	// theirs, go as groups of one), so a session that ends first leaves
+	// nothing in the log and at most the one ledger entry the re-shipped
+	// record will match. A group of one is a bare FrameRecord, the
+	// pre-group wire exactly.
+	FrameRecordMore = 14
 )
 
 const (
@@ -150,9 +166,18 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // WriteFrame sends one frame in a single Write call — the fault
 // injector's conn wrapper acts per Write, so one frame is one unit of
 // drop/duplication/reordering/truncation.
-func WriteFrame(w io.Writer, f Frame) error {
+func WriteFrame(w io.Writer, f Frame) error { return writeFrameRun(w, f, 1) }
+
+// writeFrameRun sends n frames that differ only in their sequence —
+// f.Seq, f.Seq+1, … — in a single Write call: the in-order acks that
+// answer a commit group's n submits, at the cost of one.
+func writeFrameRun(w io.Writer, f Frame, n int) error {
 	bp := frameBufs.Get().(*[]byte)
-	*bp = appendFrame((*bp)[:0], f)
+	*bp = (*bp)[:0]
+	for ; n > 0; n-- {
+		*bp = appendFrame(*bp, f)
+		f.Seq++
+	}
 	_, err := w.Write(*bp)
 	if cap(*bp) <= wal.MaxRetainedBuffer {
 		frameBufs.Put(bp)
@@ -188,12 +213,12 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return readFrameInto(r, &buf)
 }
 
-// readFrameInto is the one frame parser. It reads the frame — header,
-// then payload: two reads, so seeded fault schedules meet the same
-// frames — into *buf, grown to fit; the returned Payload aliases *buf.
-// A long-lived session passes the same buffer every time, allocates
-// nothing per frame, and is done with a payload before reading the next.
-// A buffer a frame grew past wal.MaxRetainedBuffer is let go here.
+// readFrameInto reads one frame — header, then payload: two reads, so
+// seeded fault schedules meet the same frames — into *buf, grown to fit;
+// the returned Payload aliases *buf. A long-lived session passes the same
+// buffer every time, allocates nothing per frame, and is done with a
+// payload before reading the next. A buffer a frame grew past
+// wal.MaxRetainedBuffer is let go here.
 //
 //tdgraph:hot
 func readFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
@@ -208,37 +233,71 @@ func readFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
 		}
 		return Frame{}, &FrameError{Reason: "short header", Err: err}
 	}
-	if magic := binary.LittleEndian.Uint32(b[0:4]); magic != frameMagic {
-		//tdgraph:allow hotalloc a malformed frame ends the session
-		return Frame{}, &FrameError{Reason: "bad magic", Err: fmt.Errorf("%w: magic %#x", ErrBadFrame, magic)}
-	}
-	f := Frame{
-		Type: b[4],
-		Term: binary.LittleEndian.Uint64(b[5:13]),
-		Seq:  binary.LittleEndian.Uint64(b[13:21]),
-		Orig: binary.LittleEndian.Uint64(b[21:29]),
-	}
-	plen := binary.LittleEndian.Uint32(b[29:33])
-	if f.Type < FrameHello || f.Type > FrameSubmit {
-		//tdgraph:allow hotalloc a malformed frame ends the session
-		return Frame{}, &FrameError{Reason: "bad type", Err: fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)}
-	}
-	if plen > maxFramePayload {
-		//tdgraph:allow hotalloc a malformed frame ends the session
-		return Frame{}, &FrameError{Reason: "bad length", Err: fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)}
+	f, plen, err := parseFrameHeader(b)
+	if err != nil {
+		return Frame{}, err
 	}
 	if plen > 0 {
-		b = slices.Grow(b, int(plen))[:frameHdrSize+int(plen)]
+		b = slices.Grow(b, plen)[:frameHdrSize+plen]
 		f.Payload = b[frameHdrSize:]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, &FrameError{Reason: "short payload", Err: err}
 		}
 	}
 	*buf = b
-	crc := crc32.Update(crc32.ChecksumIEEE(b[0:33]), crc32.IEEETable, f.Payload)
-	if crc != binary.LittleEndian.Uint32(b[33:37]) {
+	if !frameChecksumOK(b) {
 		//tdgraph:allow hotalloc a malformed frame ends the session
 		return Frame{}, &FrameError{Reason: "bad checksum", Err: fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)}
 	}
 	return f, nil
+}
+
+// parseFrame decodes the frame at the start of b without copying it, when
+// all of it is there and sound: n is its length on the wire, and 0 means
+// b holds no whole valid frame — the caller leaves the bytes where they
+// are for readFrameInto, which waits for the rest or says what is wrong.
+//
+//tdgraph:hot
+func parseFrame(b []byte) (f Frame, n int) {
+	if len(b) < frameHdrSize {
+		return Frame{}, 0
+	}
+	f, plen, err := parseFrameHeader(b[:frameHdrSize])
+	if n = frameHdrSize + plen; err != nil || len(b) < n || !frameChecksumOK(b[:n]) {
+		return Frame{}, 0
+	}
+	f.Payload = b[frameHdrSize:n]
+	return f, n
+}
+
+// parseFrameHeader is the one frame-header parser: the fixed fields of
+// the frame hdr opens and the length of the payload that follows it.
+func parseFrameHeader(hdr []byte) (f Frame, plen int, err error) {
+	if magic := binary.LittleEndian.Uint32(hdr[0:4]); magic != frameMagic {
+		//tdgraph:allow hotalloc a malformed frame ends the session
+		return Frame{}, 0, &FrameError{Reason: "bad magic", Err: fmt.Errorf("%w: magic %#x", ErrBadFrame, magic)}
+	}
+	f = Frame{
+		Type: hdr[4],
+		Term: binary.LittleEndian.Uint64(hdr[5:13]),
+		Seq:  binary.LittleEndian.Uint64(hdr[13:21]),
+		Orig: binary.LittleEndian.Uint64(hdr[21:29]),
+	}
+	n := binary.LittleEndian.Uint32(hdr[29:33])
+	if f.Type < FrameHello || f.Type > FrameRecordMore {
+		//tdgraph:allow hotalloc a malformed frame ends the session
+		return Frame{}, 0, &FrameError{Reason: "bad type", Err: fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)}
+	}
+	if n > maxFramePayload {
+		//tdgraph:allow hotalloc a malformed frame ends the session
+		return Frame{}, 0, &FrameError{Reason: "bad length", Err: fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, n)}
+	}
+	return f, int(n), nil
+}
+
+// frameChecksumOK checks a whole frame — header and payload — against
+// the CRC its header carries.
+func frameChecksumOK(b []byte) bool {
+	crc := crc32.Update(crc32.ChecksumIEEE(b[0:33]), crc32.IEEETable, b[frameHdrSize:])
+	return crc == binary.LittleEndian.Uint32(b[33:37])
 }

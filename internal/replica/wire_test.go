@@ -17,6 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameRecord, Term: 1, Seq: 1, Payload: nil},
 		{Type: FrameProbe},
 		{Type: FrameState, Term: 4, Seq: 33, Orig: 4},
+		{Type: FrameRecordMore, Term: 3, Seq: 19, Orig: 3, Payload: []byte{6, 7}},
 	} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, f); err != nil {
@@ -68,13 +69,16 @@ func TestFrameDetectsDamage(t *testing.T) {
 
 // FuzzReplicaFrame: arbitrary bytes through ReadFrame never panic and
 // fail only with typed errors; decodable frames re-encode to the same
-// bytes consumed.
+// bytes consumed; and parseFrame — the in-place parser a client session
+// gathers commit groups with — accepts exactly the frames ReadFrame
+// accepts, field for field.
 func FuzzReplicaFrame(f *testing.F) {
 	f.Add([]byte{})
 	for _, fr := range []Frame{
 		{Type: FrameHello, Term: 1},
 		{Type: FrameRecord, Term: 2, Seq: 3, Payload: []byte{0, 1, 2}},
 		{Type: FrameAck, Term: 2, Seq: 3},
+		{Type: FrameRecordMore, Term: 2, Seq: 4, Orig: 1, Payload: []byte{9}},
 	} {
 		var buf bytes.Buffer
 		WriteFrame(&buf, fr)
@@ -84,6 +88,11 @@ func FuzzReplicaFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
+		inPlace, n := parseFrame(data)
+		if (err == nil) != (n > 0) || n > 0 && (inPlace.Type != fr.Type || inPlace.Term != fr.Term || inPlace.Seq != fr.Seq ||
+			inPlace.Orig != fr.Orig || !bytes.Equal(inPlace.Payload, fr.Payload) || n != frameHdrSize+len(fr.Payload)) {
+			t.Fatalf("parseFrame took %d bytes as %+v where ReadFrame says %+v, %v", n, inPlace, fr, err)
+		}
 		if err != nil {
 			if err == io.EOF {
 				return

@@ -263,41 +263,46 @@ func (p *Pipeline) applyLogged(batch []graph.Update) {
 }
 
 // Ingest makes one batch durable and applies it — the solo serving
-// path: encode, Append, then Apply. The returned error is always an
-// *IngestError whose Stage says whether the batch got as far as the
-// log. A cluster leader runs the same two halves with the quorum round
-// between them (replica.Primary.Ingest), on the payload it received.
+// path: encode, Append, then Apply, as a group of one. The returned
+// error is always an *IngestError whose Stage says whether the batch got
+// as far as the log. A cluster leader runs the same two halves with the
+// quorum round between them (replica.Primary.Ingest), on the payloads it
+// received.
 func (p *Pipeline) Ingest(batch []graph.Update) error {
-	if _, err := p.Append(wal.EncodeBatch(batch), time.Time{}); err != nil {
+	if _, err := p.Append([][]byte{wal.EncodeBatch(batch)}, time.Time{}); err != nil {
 		return err
 	}
-	return p.Apply(batch)
+	return p.Apply([][]graph.Update{batch})
 }
 
-// Append is the first half of ingest: admission (disk pressure, then
-// the batch deadline — zero means none), then the WAL append of the
-// batch's wal.EncodeBatch payload with its policy fsync. It returns the
-// sequence logged at. A refusal or failure is an *IngestError and
-// leaves the sequence where it was: "admit" and "wal" stages put nothing
-// in the log (re-send freely; an expired deadline wraps ErrDeadline),
-// "wal-sync" wrote the record without completing its barrier.
-func (p *Pipeline) Append(payload []byte, deadline time.Time) (uint64, error) {
-	seq := p.seq.Load() + 1
+// Append is the first half of ingest, for a commit group of k >= 1
+// batches: admission (disk pressure, then the group's deadline — zero
+// means none), then ONE WAL append of their wal.EncodeBatch payloads
+// with one policy fsync for all of them. It returns the sequence the
+// first was logged at; the rest follow it. A refusal or failure is an
+// *IngestError and leaves the sequence where it was: "admit" and "wal"
+// stages put nothing in the log (re-send freely; an expired deadline
+// wraps ErrDeadline), "wal-sync" wrote the records without completing
+// their barrier.
+func (p *Pipeline) Append(payloads [][]byte, deadline time.Time) (uint64, error) {
+	first := p.seq.Load() + 1
 	if dpe := p.checkDiskPressure(); dpe != nil {
 		p.col.Inc(stats.CtrServeDiskPressure)
-		return 0, &IngestError{Seq: seq, Stage: "admit", Err: dpe}
+		return 0, &IngestError{Seq: first, Stage: "admit", Err: dpe}
 	}
 	if !deadline.IsZero() && !p.cfg.Clock.Now().Before(deadline) {
 		p.col.Inc(stats.CtrServeDeadlineExpired)
-		return 0, &IngestError{Seq: seq, Stage: "admit", Err: &DeadlineError{Stage: "admit"}}
+		return 0, &IngestError{Seq: first, Stage: "admit", Err: &DeadlineError{Stage: "admit"}}
 	}
-	return seq, p.appendAt(seq, payload)
+	return first, p.appendAt(first, payloads)
 }
 
-// appendAt logs payload at seq and advances the pipeline's sequence to it.
-func (p *Pipeline) appendAt(seq uint64, payload []byte) error {
-	if err := p.log.AppendPayload(seq, payload); err != nil {
-		return p.walIngestError(seq, err)
+// appendAt logs payloads at first, first+1, … and only then — past the
+// group's one barrier — advances the pipeline's sequence to the last:
+// Seq() never names a record that is not yet durable under the policy.
+func (p *Pipeline) appendAt(first uint64, payloads [][]byte) error {
+	if err := p.log.AppendGroup(first, payloads); err != nil {
+		return p.walIngestError(first, err)
 	}
 	// With no probe configured, a write that fits again IS the
 	// free-space signal: clear ENOSPC-driven read-only mode.
@@ -306,8 +311,8 @@ func (p *Pipeline) appendAt(seq uint64, payload []byte) error {
 		p.readOnly.Store(false)
 		p.col.Inc(stats.CtrServeReadonlyExits)
 	}
-	p.seq.Store(seq)
-	p.col.Inc(stats.CtrWALAppends)
+	p.seq.Store(first + uint64(len(payloads)) - 1)
+	p.col.Add(stats.CtrWALAppends, uint64(len(payloads)))
 	return nil
 }
 
@@ -382,37 +387,45 @@ func (p *Pipeline) walIngestError(seq uint64, err error) error {
 }
 
 // IngestReplicated is the follower-side twin of Ingest: the same two
-// halves for the record the primary shipped at seq (its payload, logged
-// verbatim, and the batch decoded from it), with contiguity against
-// what this replica already holds in place of admission. The caller
-// (the replication session) acks only after a nil return, so an ack
-// always means "durable here and applied through the path recovery replays".
-func (p *Pipeline) IngestReplicated(seq uint64, payload []byte, batch []graph.Update) error {
-	if seq != p.seq.Load()+1 {
-		return &IngestError{Seq: seq, Stage: "wal",
-			Err: fmt.Errorf("replicated batch seq %d does not follow local seq %d", seq, p.seq.Load())}
+// halves for the group of records the primary shipped at first,
+// first+1, … (their payloads, logged verbatim in one append, and the
+// batches decoded from them), with contiguity against what this replica
+// already holds in place of admission. The caller (the replication
+// session) acks only after a nil return, so an ack always means "durable
+// here and applied through the path recovery replays".
+func (p *Pipeline) IngestReplicated(first uint64, payloads [][]byte, batches [][]graph.Update) error {
+	if first != p.seq.Load()+1 {
+		return &IngestError{Seq: first, Stage: "wal",
+			Err: fmt.Errorf("replicated batch seq %d does not follow local seq %d", first, p.seq.Load())}
 	}
-	if err := p.appendAt(seq, payload); err != nil {
+	if err := p.appendAt(first, payloads); err != nil {
 		return err
 	}
-	return p.Apply(batch)
+	return p.Apply(batches)
 }
 
-// Apply is the second half of ingest, for the batch Append (or
-// appendAt) just logged: session apply, count, periodic checkpoint.
-func (p *Pipeline) Apply(batch []graph.Update) error {
-	p.applyLogged(batch)
-	p.col.Inc(stats.CtrServeIngested)
+// Apply is the second half of ingest, for the group Append (or
+// appendAt) just logged: one session apply per batch, in order, then
+// the count and the periodic checkpoint — cut only here, at the group's
+// boundary, because a generation is labelled with Seq(), which already
+// names the group's last record while its batches are still being
+// applied.
+func (p *Pipeline) Apply(batches [][]graph.Update) error {
+	for _, batch := range batches {
+		p.applyLogged(batch)
+	}
+	p.col.Add(stats.CtrServeIngested, uint64(len(batches)))
+	p.col.Inc(stats.CtrServeRounds)
 
 	if p.ck != nil && p.cfg.CheckpointEvery > 0 {
-		p.sinceCkpt++
+		p.sinceCkpt += len(batches)
 		if p.sinceCkpt >= p.cfg.CheckpointEvery {
 			if err := p.Checkpoint(); err != nil {
 				if wal.IsNoSpace(err) {
-					// Degrade, never poison: the batch is durable in the WAL
+					// Degrade, never poison: the group is durable in the WAL
 					// and applied, only the checkpoint generation could not
 					// be cut. Keep serving on the log alone — sinceCkpt stays
-					// at the threshold so every batch retries, and sustained
+					// past the threshold so every round retries, and sustained
 					// pressure turns into read-only at the admission gate.
 					return nil
 				}

@@ -344,7 +344,7 @@ func TestPipelineDeadlineAdmitExpiry(t *testing.T) {
 	}
 	defer p.Close()
 
-	_, err = p.Append(wal.EncodeBatch(w.Batches[0]), clk.Now()) // expired on arrival
+	_, err = p.Append([][]byte{wal.EncodeBatch(w.Batches[0])}, clk.Now()) // expired on arrival
 	var ie *IngestError
 	if !errors.As(err, &ie) || ie.Stage != "admit" || ie.Durable() {
 		t.Fatalf("want non-durable admit-stage error, got %v", err)
@@ -364,10 +364,10 @@ func TestPipelineDeadlineAdmitExpiry(t *testing.T) {
 	}
 
 	// The identical batch with budget left goes straight through.
-	if seq, err := p.Append(wal.EncodeBatch(w.Batches[0]), clk.Now().Add(time.Hour)); err != nil || seq != 1 {
+	if seq, err := p.Append([][]byte{wal.EncodeBatch(w.Batches[0])}, clk.Now().Add(time.Hour)); err != nil || seq != 1 {
 		t.Fatalf("append with budget left: seq %d, err %v", seq, err)
 	}
-	if err := p.Apply(w.Batches[0]); err != nil {
+	if err := p.Apply(w.Batches[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if p.Seq() != 1 {

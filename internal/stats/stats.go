@@ -178,6 +178,7 @@ const (
 	CtrServeShed        = "serve.batches_shed"       // batches dropped by admission control
 	CtrServeCoalesced   = "serve.batches_coalesced"  // merges performed under backpressure
 	CtrServeIngested    = "serve.batches_ingested"   // batches durably applied
+	CtrServeRounds      = "serve.commit_rounds"      // commit groups applied, one WAL barrier each (ingested/rounds = mean group size)
 	CtrServeRejected    = "serve.batches_rejected"   // batches refused by validation during ingest
 	CtrServeRetries     = "serve.source_retries"     // source reads retried with backoff
 	CtrServeBreakerOpen = "serve.breaker_opens"      // circuit-breaker open transitions

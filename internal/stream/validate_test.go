@@ -262,34 +262,3 @@ func TestBuildMutateHook(t *testing.T) {
 		}
 	}
 }
-
-func TestByWindowHostileShapes(t *testing.T) {
-	if got := ByWindow(nil, 1); got != nil {
-		t.Fatalf("nil input: %v", got)
-	}
-	if got := ByWindow([]TimedUpdate{{At: 0, Update: upd(1, 2, 1)}}, 0); got != nil {
-		t.Fatalf("zero width: %v", got)
-	}
-	if got := ByWindow([]TimedUpdate{{At: 0, Update: upd(1, 2, 1)}}, -1); got != nil {
-		t.Fatalf("negative width: %v", got)
-	}
-	// All updates at the identical instant land in one window.
-	same := []TimedUpdate{
-		{At: 5, Update: upd(1, 2, 1)},
-		{At: 5, Update: upd(3, 4, 1)},
-		{At: 5, Update: upd(5, 6, 1)},
-	}
-	got := ByWindow(same, 0.5)
-	if len(got) != 1 || len(got[0]) != 3 {
-		t.Fatalf("identical timestamps: %v", got)
-	}
-	// A long silent gap produces no empty windows.
-	gap := []TimedUpdate{
-		{At: 0, Update: upd(1, 2, 1)},
-		{At: 100, Update: upd(3, 4, 1)},
-	}
-	got = ByWindow(gap, 1)
-	if len(got) != 2 || len(got[0]) != 1 || len(got[1]) != 1 {
-		t.Fatalf("gap handling: %v", got)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
 )
@@ -58,27 +59,34 @@ func EncodeBatch(batch []graph.Update) []byte {
 }
 
 // DecodeBatch parses an EncodeBatch payload into a fresh slice.
-func DecodeBatch(p []byte) ([]graph.Update, error) { return DecodeBatchInto(nil, p) }
+func DecodeBatch(p []byte) ([]graph.Update, error) { return AppendBatch(nil, p) }
 
-// DecodeBatchInto is DecodeBatch reusing dst's backing array when the
-// batch fits it (and it holds at most a MaxRetainedBuffer payload's
-// worth of updates). The payload has passed its record or frame CRC, so
-// a shape mismatch — a length that contradicts the count, a flag bit
-// EncodeBatch never sets — is content corruption, not a torn write.
-func DecodeBatchInto(dst []graph.Update, p []byte) ([]graph.Update, error) {
+// AppendBatch is DecodeBatch onto the end of dst: the batch is the tail
+// of the returned slice. A session decodes a commit group's payloads back
+// to back into one arena this way and truncates it between rounds; an
+// empty dst grown past a MaxRetainedBuffer payload's worth of updates is
+// let go first, so a huge batch pins nothing. The payload has passed its
+// record or frame CRC, so a shape mismatch — a length that contradicts
+// the count, a flag bit EncodeBatch never sets — is content corruption,
+// not a torn write; dst is then returned as it came.
+func AppendBatch(dst []graph.Update, p []byte) ([]graph.Update, error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: payload of %d bytes has no count", ErrCorrupt, len(p))
+		//tdgraph:allow hotalloc a malformed payload ends the session
+		return dst, fmt.Errorf("%w: payload of %d bytes has no count", ErrCorrupt, len(p))
 	}
 	n := binary.LittleEndian.Uint32(p[0:4])
 	if uint64(len(p)) != 4+updateBytes*uint64(n) {
-		return nil, fmt.Errorf("%w: payload is %d bytes for %d updates", ErrCorrupt, len(p), n)
+		//tdgraph:allow hotalloc a malformed payload ends the session
+		return dst, fmt.Errorf("%w: payload is %d bytes for %d updates", ErrCorrupt, len(p), n)
 	}
-	if uint64(cap(dst)) < uint64(n) || cap(dst) > MaxRetainedBuffer/updateBytes {
-		dst = make([]graph.Update, n)
+	if len(dst) == 0 && cap(dst) > MaxRetainedBuffer/updateBytes {
+		dst = nil
 	}
-	dst = dst[:n]
-	if unknown := decodeUpdates(dst, p[4:]); unknown != 0 {
-		return nil, fmt.Errorf("%w: update flags carry unknown bits %#x", ErrCorrupt, unknown)
+	at := len(dst)
+	dst = slices.Grow(dst, int(n))[:at+int(n)]
+	if unknown := decodeUpdates(dst[at:], p[4:]); unknown != 0 {
+		//tdgraph:allow hotalloc a malformed payload ends the session
+		return dst[:at], fmt.Errorf("%w: update flags carry unknown bits %#x", ErrCorrupt, unknown)
 	}
 	return dst, nil
 }

@@ -88,7 +88,7 @@ func Open(opt Options) (*Log, Recovery, error) {
 	if next != 0 {
 		l.lastSeq = next - 1
 	}
-	l.durable = l.lastSeq // whatever survived on disk is, by survival, durable
+	l.durable, l.settled = l.lastSeq, l.lastSeq // whatever survived on disk is, by survival, durable
 	if len(segs) > 0 && segs[0].name != rec.RemovedSegment {
 		l.firstSeq = segs[0].base
 	}

@@ -198,6 +198,7 @@ type Log struct {
 	firstSeq  uint64 // base seq of the oldest retained segment (0 = empty log)
 	lastSeq   uint64 // highest appended/recovered seq (0 = empty log)
 	durable   uint64 // highest seq guaranteed on stable storage
+	settled   uint64 // highest seq whose AppendGroup returned nil; above it a retry may restart
 	sinceSync int
 	failed    error  // sticky: tear repair failed, extending the log would corrupt it
 	rec       []byte // scratch the next record is framed in, reused across appends
@@ -254,98 +255,92 @@ func parseSegName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Append is AppendPayload of the batch's encoding.
+// Append is AppendGroup of the one batch's encoding.
 func (l *Log) Append(seq uint64, batch []graph.Update) error {
-	return l.AppendPayload(seq, EncodeBatch(batch))
+	return l.AppendGroup(seq, [][]byte{EncodeBatch(batch)})
 }
 
-// AppendPayload writes one EncodeBatch payload as the record with
-// sequence seq, framed in a scratch buffer the log owns, and applies the
-// fsync policy. Sequences must be contiguous: seq == LastSeq()+1,
-// except on an empty log, whose first record may start anywhere (the
-// checkpoint may already cover a prefix of the stream).
+// AppendGroup writes EncodeBatch payloads as the records first,
+// first+1, … — framed back to back in a scratch buffer the log owns,
+// put in the file by ONE Write, and settled by one application of the
+// fsync policy: the bytes are exactly what one call per payload would
+// write, the barriers are one instead of k. The group is not atomic on
+// disk — a crash mid-write leaves a clean prefix of it, like any torn
+// tail — but nothing in it is reported durable before all of it is, and
+// a failed write cuts the whole group off again. Sequences must be
+// contiguous: first == LastSeq()+1, except on an empty log, whose first
+// record may start anywhere (the checkpoint may already cover a prefix
+// of the stream).
 //
-// Retrying seq == LastSeq() is the one sanctioned repeat: after an
-// append that failed with *NotDurableError the record is already in
-// the segment, so the retry (which must carry the same batch) skips
-// the write and re-drives the failed fsync/rotation instead of
-// tripping the contiguity check.
-func (l *Log) AppendPayload(seq uint64, payload []byte) error {
+// The one sanctioned repeat: after a group failed with *NotDurableError
+// its records are already in the segment, so a retry — which may
+// restart anywhere from the first sequence that has not settled, in any
+// grouping, but must carry the same payloads — skips what is there,
+// appends the rest, and re-drives the fsync/rotation that failed
+// instead of tripping the contiguity check.
+func (l *Log) AppendGroup(first uint64, payloads [][]byte) error {
 	if l.failed != nil {
 		return l.failed
 	}
-	if l.lastSeq != 0 && seq == l.lastSeq {
-		return l.retryLast()
-	}
-	if l.lastSeq != 0 && seq != l.lastSeq+1 {
-		return fmt.Errorf("wal: non-contiguous append: seq %d after %d", seq, l.lastSeq)
-	}
-	if l.cur == nil {
-		if err := l.openSegment(seq); err != nil {
-			return err
+	have := 0 // leading payloads a failed barrier already left in the file
+	if l.lastSeq != 0 {
+		if first <= l.settled || first > l.lastSeq+1 {
+			return fmt.Errorf("wal: non-contiguous append: seq %d after %d", first, l.lastSeq)
 		}
+		have = min(int(l.lastSeq+1-first), len(payloads))
 	}
-	rec := appendRecord(l.rec[:0], seq, payload)
-	if cap(rec) <= MaxRetainedBuffer {
-		l.rec = rec
-	}
-	if _, err := l.cur.Write(rec); err != nil {
-		// The write may have landed partially. Cut the torn bytes off
-		// right now: once a successor segment exists this one is sealed,
-		// and recovery refuses (ErrCorrupt) to repair a sealed tail.
-		l.repairTornWrite()
-		return &LogError{Segment: l.curName, Offset: l.curSize, Err: err}
-	}
-	l.curSize += int64(len(rec))
-	l.lastSeq = seq
-	l.stats.Appends++
-	return l.settleLast()
-}
-
-// settleLast completes the last appended record's post-write
-// obligations: the policy fsync and, when the segment is over its
-// threshold, rotation. Any failure is wrapped in *NotDurableError —
-// the record is in the file, only its barrier is missing.
-func (l *Log) settleLast() error {
-	switch l.opt.Sync {
-	case SyncEachBatch:
-		if err := l.Sync(); err != nil {
-			return &NotDurableError{Err: err}
-		}
-	case SyncEvery:
-		l.sinceSync++
-		if l.sinceSync >= l.opt.Interval {
-			if err := l.Sync(); err != nil {
-				return &NotDurableError{Err: err}
+	if rest := payloads[have:]; len(rest) > 0 {
+		seq := first + uint64(have)
+		if l.cur == nil {
+			if err := l.openSegment(seq); err != nil {
+				return err
 			}
 		}
-	}
-
-	if l.curSize >= l.opt.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return &NotDurableError{Err: err}
+		rec := l.rec[:0]
+		for i, payload := range rest {
+			rec = appendRecord(rec, seq+uint64(i), payload)
 		}
+		if cap(rec) <= MaxRetainedBuffer {
+			l.rec = rec
+		}
+		if _, err := l.cur.Write(rec); err != nil {
+			// The write may have landed partially. Cut the torn bytes off
+			// right now: once a successor segment exists this one is sealed,
+			// and recovery refuses (ErrCorrupt) to repair a sealed tail.
+			l.repairTornWrite()
+			return &LogError{Segment: l.curName, Offset: l.curSize, Err: err}
+		}
+		l.curSize += int64(len(rec))
+		l.lastSeq = seq + uint64(len(rest)) - 1
+		l.stats.Appends += uint64(len(rest))
+		l.sinceSync += len(rest)
 	}
+	if err := l.settle(have > 0); err != nil {
+		return &NotDurableError{Err: err}
+	}
+	l.settled = first + uint64(len(payloads)) - 1
 	return nil
 }
 
-// retryLast finishes a record whose previous Append attempt failed
-// past the write: re-issue the fsync barrier and any pending rotation
-// without touching the record bytes.
-func (l *Log) retryLast() error {
+// settle completes the post-write obligations of what AppendGroup just
+// put (or, on a retry, found) in the file: the policy fsync — forced
+// when the retry of a failed barrier is what brought us here — and,
+// when the segment is over its threshold, rotation. A failure leaves
+// the records in the file with only their barrier missing.
+func (l *Log) settle(retry bool) error {
 	if l.cur == nil {
-		// The only post-write failure that releases the handle is a
-		// rotation whose Close failed — after its fsync succeeded, so
-		// the record is already durable and sealed.
+		// Only a retry finds no open segment, and the only post-write
+		// failure that releases the handle is a rotation whose Close failed
+		// — after its fsync succeeded, so the records are durable and sealed.
 		return nil
 	}
-	if err := l.Sync(); err != nil {
-		return &NotDurableError{Err: err}
+	if retry || l.opt.Sync == SyncEachBatch || (l.opt.Sync == SyncEvery && l.sinceSync >= l.opt.Interval) {
+		if err := l.Sync(); err != nil {
+			return err
+		}
 	}
 	if l.curSize >= l.opt.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return &NotDurableError{Err: err}
-		}
+		return l.rotate()
 	}
 	return nil
 }
@@ -482,7 +477,7 @@ func (l *Log) Reset() error {
 		}
 	}
 	l.curName, l.curSize = "", 0
-	l.firstSeq, l.lastSeq, l.durable = 0, 0, 0
+	l.firstSeq, l.lastSeq, l.durable, l.settled = 0, 0, 0, 0
 	l.sinceSync = 0
 	l.failed = nil
 	return nil
