@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-tdgraph vet-fast test race faults chaos determinism fuzz-smoke bench-module loc check bench benchsim bench-native clean
+.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc check bench benchsim bench-native clean
 
 all: check
 
@@ -30,35 +30,6 @@ vet:
 # "Static-analysis ladder".
 vet-tdgraph:
 	$(GO) run ./cmd/tdgraph-vet ./...
-
-# Incremental analyzer run for the edit loop: only packages whose .go
-# files changed since the last clean pass, keyed by an mtime stamp.
-# The first run (no stamp) covers the whole module; a run with
-# findings leaves the stamp untouched so the offending packages stay
-# in the next run's set. Advisory only — the interprocedural checks
-# see just the changed packages here, so `make check` still runs the
-# full-module suite.
-VET_STAMP := .cache/vet-stamp
-
-vet-fast:
-	@mkdir -p .cache
-	@touch $(VET_STAMP).next  # taken before the run: files edited while
-	@# vet runs stay in the next run's set instead of slipping through.
-	@if [ ! -f $(VET_STAMP) ]; then \
-		echo "vet-fast: no stamp, running the full module"; \
-		$(GO) run ./cmd/tdgraph-vet ./... && mv $(VET_STAMP).next $(VET_STAMP); \
-	else \
-		dirs=$$(find . -name '*.go' -newer $(VET_STAMP) \
-			-not -path './.git/*' -not -path '*/testdata/*' \
-			| xargs -rn1 dirname | sort -u); \
-		if [ -z "$$dirs" ]; then \
-			echo "vet-fast: no packages changed since last clean pass"; \
-			rm -f $(VET_STAMP).next; \
-		else \
-			echo "vet-fast: $$dirs"; \
-			$(GO) run ./cmd/tdgraph-vet $$dirs && mv $(VET_STAMP).next $(VET_STAMP); \
-		fi; \
-	fi
 
 test:
 	$(GO) test ./...
@@ -149,4 +120,3 @@ bench-native:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .cache

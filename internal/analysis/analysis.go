@@ -1,25 +1,8 @@
 // Package analysis is the project-invariant analyzer suite behind
 // `tdgraph-vet`. It mechanically enforces the contracts the codebase
-// established by convention and chaos tests:
-//
-//   - determinism — the deterministic packages (sim/engine/core/accel/
-//     graph/algo) must be bit-identical across HostParallelism
-//     settings, which forbids wall-clock reads, the global math/rand
-//     stream, and order-sensitive iteration over Go maps on any path
-//     that builds results (PR 1 contract).
-//   - errwrap — every error wrapped into another error must use %w so
-//     errors.Is/errors.As dispatch keeps working, and typed errors are
-//     constructed only by the package that owns them (PR 2/3 contract,
-//     pinned by errors_test.go).
-//   - lockorder — a mutex acquired without an immediate defer unlock
-//     must not cross a return path or a user callback while held.
-//   - syncack — in the durability packages (wal/replica), an
-//     acknowledgement may never be written on a path that appended
-//     records without an intervening fsync barrier (PR 3/4 contract:
-//     fsync-before-ack, WAL-before-apply).
-//   - ctrreg — stats counter names used at increment sites must be
-//     declared in the internal/stats table, so the bench harness and
-//     dashboards never silently miss a counter.
+// established by convention and chaos tests; Checks() lists them, and
+// each check's Doc (printed by `tdgraph-vet -list`) is the one
+// statement of its contract.
 //
 // The framework is stdlib-only: go/ast + go/parser + go/types +
 // go/token, with a shared source importer for cross-package type
@@ -46,7 +29,7 @@ import (
 // Check is one analyzer of the suite. Exactly one of Run / RunModule
 // is set: Run sees one package at a time; RunModule sees the whole
 // loaded set plus the shared call graph (the interprocedural checks:
-// lockguard, lockhold, goroleak, hotalloc).
+// lockorder, lockguard, lockhold, goroleak, hotalloc).
 type Check struct {
 	// Name is the identifier used in diagnostics and in
 	// //tdgraph:allow directives.
@@ -82,7 +65,8 @@ type Pass struct {
 	// disables the ctrreg membership test.
 	Counters map[string]bool
 
-	diags *[]Diagnostic
+	module string // the module path from go.mod
+	diags  *[]Diagnostic
 }
 
 // Reportf records one finding at pos.
@@ -98,10 +82,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type ModulePass struct {
 	// CheckName is the name of the check currently running.
 	CheckName string
-	// Pkgs are all loaded packages, in load order.
-	Pkgs []*Package
-	// Graph is the shared static call graph over Pkgs (packages with
-	// no type information contribute no nodes).
+	// Graph is the shared static call graph over every loaded package
+	// (packages with no type information contribute no nodes).
 	Graph *CallGraph
 
 	diags *[]Diagnostic

@@ -3,16 +3,15 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 // CallGraph is the module-wide static call graph the interprocedural
-// checks (lockguard, lockhold, hotalloc, goroleak) share. Nodes are
-// keyed by types.Func.FullName() — a string key, because each loaded
-// package is type-checked in its own universe and the same function
-// reached through an import is a distinct *types.Func object; the
-// FullName is stable across universes.
+// checks (lockorder, lockguard, lockhold, hotalloc, goroleak) share.
+// Nodes are keyed by types.Func.FullName() — a string key, because each
+// loaded package is type-checked in its own universe and the same
+// function reached through an import is a distinct *types.Func object;
+// the FullName is stable across universes.
 //
 // Edges are static only: direct calls to declared functions and
 // methods on concrete receivers. Calls through interfaces, function
@@ -23,10 +22,9 @@ type CallGraph struct {
 	// the loaded packages.
 	Funcs map[string]*FuncNode
 
-	callers map[string][]CallerRef
-
-	// lazily computed lock analysis shared by lockguard/lockhold (one
-	// CallGraph instance serves every module check of a run).
+	// lazily computed lock analysis shared by lockorder, lockguard and
+	// lockhold (one CallGraph instance serves every module check of a
+	// run).
 	locks *lockAnalysis
 }
 
@@ -35,7 +33,6 @@ type FuncNode struct {
 	Name string // types.Func FullName
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	Obj  *types.Func
 	// Calls lists the resolved static call sites in body order.
 	// Callees outside the module (net.Dial, sync methods, …) appear
 	// here too; they just have no FuncNode of their own.
@@ -48,17 +45,11 @@ type CallSite struct {
 	Callee string // FullName of the target
 }
 
-// CallerRef points back at a call site from the callee's side.
-type CallerRef struct {
-	Caller *FuncNode
-	Site   CallSite
-}
-
 // BuildCallGraph indexes every function declared in pkgs and resolves
 // their static call sites. Packages without type information
 // contribute no nodes.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{Funcs: make(map[string]*FuncNode), callers: make(map[string][]CallerRef)}
+	g := &CallGraph{Funcs: make(map[string]*FuncNode)}
 	for _, pkg := range pkgs {
 		if pkg.Info == nil {
 			continue
@@ -69,7 +60,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			if !ok {
 				return
 			}
-			node := &FuncNode{Name: obj.FullName(), Decl: fd, Pkg: pkg, Obj: obj}
+			node := &FuncNode{Name: obj.FullName(), Decl: fd, Pkg: pkg}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -82,11 +73,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			})
 			g.Funcs[node.Name] = node
 		})
-	}
-	for _, node := range g.Funcs {
-		for _, site := range node.Calls {
-			g.callers[site.Callee] = append(g.callers[site.Callee], CallerRef{Caller: node, Site: site})
-		}
 	}
 	return g
 }
@@ -121,23 +107,6 @@ func resolveCallee(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	return ""
-}
-
-// Func returns the node for a FullName, or nil for functions outside
-// the module (or dynamic targets).
-func (g *CallGraph) Func(name string) *FuncNode { return g.Funcs[name] }
-
-// CallersOf returns every recorded static call site targeting name,
-// in deterministic order.
-func (g *CallGraph) CallersOf(name string) []CallerRef {
-	refs := g.callers[name]
-	sort.SliceStable(refs, func(i, j int) bool {
-		if refs[i].Caller.Name != refs[j].Caller.Name {
-			return refs[i].Caller.Name < refs[j].Caller.Name
-		}
-		return refs[i].Site.Call.Pos() < refs[j].Site.Call.Pos()
-	})
-	return refs
 }
 
 // Reachable returns the set of module functions reachable from the

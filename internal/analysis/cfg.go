@@ -4,8 +4,8 @@ import "go/ast"
 
 // A lightweight per-function control-flow graph: one node per
 // statement, with successor edges approximating execution order. It
-// exists to give the dataflow checks (lockguard, lockhold) a real
-// join semantics — a lock acquired in one branch of an if must not
+// exists to give the dataflow checks (lockorder, lockguard, lockhold) a
+// real join semantics — a lock acquired in one branch of an if must not
 // count as held after the merge unless both branches acquired it, and
 // a loop body must reach a fixpoint, not a single linear scan.
 //

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"strings"
 )
 
@@ -45,7 +44,7 @@ func runCtrreg(pass *Pass) {
 			if !isStatsCollector(pass, sel) {
 				return true
 			}
-			name, isConst := counterNameArg(pass, call.Args[0])
+			name, isConst := constantStringArg(pass, call.Args[0])
 			if !isConst {
 				return true
 			}
@@ -60,7 +59,7 @@ func runCtrreg(pass *Pass) {
 // isStatsCollector reports whether the method receiver is the stats
 // Collector type (directly or through a pointer).
 func isStatsCollector(pass *Pass, sel *ast.SelectorExpr) bool {
-	t := exprType(pass, sel.X)
+	t := exprType(pass.Info, sel.X)
 	if t == nil {
 		return false
 	}
@@ -69,17 +68,4 @@ func isStatsCollector(pass *Pass, sel *ast.SelectorExpr) bool {
 		return false
 	}
 	return strings.Contains(s, "internal/stats.") || s == "stats.Collector"
-}
-
-// counterNameArg resolves the first argument to a compile-time string.
-func counterNameArg(pass *Pass, e ast.Expr) (string, bool) {
-	if pass.Info != nil {
-		if tv, ok := pass.Info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-			return constant.StringVal(tv.Value), true
-		}
-	}
-	if lit, ok := e.(*ast.BasicLit); ok && lit.Kind.String() == "STRING" {
-		return strings.Trim(lit.Value, "`\""), true
-	}
-	return "", false
 }

@@ -160,7 +160,7 @@ func textSink(pass *Pass, call *ast.CallExpr) (string, bool) {
 	default:
 		return "", false
 	}
-	t := exprType(pass, sel.X)
+	t := exprType(pass.Info, sel.X)
 	if t == nil {
 		return "", false
 	}
@@ -243,11 +243,11 @@ func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
 
 // --- small type helpers (nil-tolerant: missing info means "unknown") ---
 
-func exprType(pass *Pass, e ast.Expr) types.Type {
-	if pass.Info == nil {
+func exprType(info *types.Info, e ast.Expr) types.Type {
+	if info == nil {
 		return nil
 	}
-	if tv, ok := pass.Info.Types[e]; ok {
+	if tv, ok := info.Types[e]; ok {
 		return tv.Type
 	}
 	return nil
@@ -264,7 +264,7 @@ func trimPointer(t types.Type) types.Type {
 }
 
 func isMapType(pass *Pass, e ast.Expr) bool {
-	t := exprType(pass, e)
+	t := exprType(pass.Info, e)
 	if t == nil {
 		return false
 	}
@@ -273,7 +273,7 @@ func isMapType(pass *Pass, e ast.Expr) bool {
 }
 
 func isSliceType(pass *Pass, e ast.Expr) bool {
-	t := exprType(pass, e)
+	t := exprType(pass.Info, e)
 	if t == nil {
 		return false
 	}
@@ -282,7 +282,7 @@ func isSliceType(pass *Pass, e ast.Expr) bool {
 }
 
 func isStringType(pass *Pass, e ast.Expr) bool {
-	t := exprType(pass, e)
+	t := exprType(pass.Info, e)
 	if t == nil {
 		return false
 	}

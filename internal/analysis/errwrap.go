@@ -68,7 +68,7 @@ func checkErrorfVerbs(pass *Pass, call *ast.CallExpr) {
 			continue
 		}
 		arg := call.Args[argIdx]
-		if implementsError(exprType(pass, arg)) {
+		if implementsError(exprType(pass.Info, arg)) {
 			pass.Reportf(arg.Pos(), "error value formatted with %%%c loses the chain for errors.Is/errors.As; wrap it with %%w", verb)
 		}
 	}
@@ -124,7 +124,7 @@ func constantStringArg(pass *Pass, e ast.Expr) (string, bool) {
 // (struct type whose name ends in "Error" and which implements error)
 // defined in a different package of this module.
 func checkForeignTypedError(pass *Pass, lit *ast.CompositeLit) {
-	t := exprType(pass, lit)
+	t := exprType(pass.Info, lit)
 	if t == nil {
 		return
 	}
@@ -144,19 +144,9 @@ func checkForeignTypedError(pass *Pass, lit *ast.CompositeLit) {
 	}
 	// Only police this module's own error contract; third-party and
 	// stdlib types are out of scope (and there are none today).
-	if !strings.HasPrefix(obj.Pkg().Path(), modulePrefixOf(pass.Path)) {
+	if !strings.HasPrefix(obj.Pkg().Path(), pass.module) {
 		return
 	}
 	pass.Reportf(lit.Pos(), "constructing %s.%s outside its owning package; use the owner's constructor or sentinel so the wrapping contract stays in one place",
 		obj.Pkg().Name(), obj.Name())
-}
-
-// modulePrefixOf derives the module prefix from an import path by
-// cutting at "/internal/" when present (the module root owns the
-// contract); otherwise the path itself is used.
-func modulePrefixOf(path string) string {
-	if i := strings.Index(path, "/internal/"); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

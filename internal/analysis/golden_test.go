@@ -1,6 +1,9 @@
 package analysis
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // The project checks, each against its golden testdata package. The
 // import path override places the testdata inside (or outside) the
@@ -16,6 +19,20 @@ func TestGoldenClockseam(t *testing.T) {
 
 func TestGoldenErrwrap(t *testing.T) {
 	runGolden(t, ErrwrapCheck(), "errwrap", "github.com/tdgraph/tdgraph/internal/vettest", nil)
+}
+
+// TestErrwrapForeignTypedErrorOutsideInternal: the module path from
+// go.mod, not a cut at /internal/, decides what is foreign, so the rule
+// also reaches packages under cmd/ and examples/.
+func TestErrwrapForeignTypedErrorOutsideInternal(t *testing.T) {
+	const src = "package probe\n\nimport \"github.com/tdgraph/tdgraph/internal/serve\"\n\nfunc f() error { return &serve.DeadlineError{} }\n"
+	for _, path := range []string{"github.com/tdgraph/tdgraph/cmd/probe", "github.com/tdgraph/tdgraph/examples/probe"} {
+		pkg := loadSynthetic(t, path, src)
+		diags := RunSuite([]*Check{ErrwrapCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
+		if len(diags) != 1 || !strings.Contains(diags[0].Message, "constructing serve.DeadlineError outside its owning package") {
+			t.Errorf("%s: got %v, want one foreign-construction finding", path, diags)
+		}
+	}
 }
 
 func TestGoldenLockorder(t *testing.T) {
@@ -50,8 +67,8 @@ func TestGoldenGoroleak(t *testing.T) {
 	runGolden(t, GoroleakCheck(), "goroleak", "github.com/tdgraph/tdgraph/internal/serve/pool", nil)
 }
 
-// TestGoldenHotalloc loads the fixture under the internal/native path
-// so the Session ApplyBatch/propagate entry points seed the hot set.
+// TestGoldenHotalloc: the //tdgraph:hot-marked Session ApplyBatch and
+// propagate seed the hot set, reachability carries it into helpers.
 func TestGoldenHotalloc(t *testing.T) {
 	runGolden(t, HotallocCheck(), "hotalloc", "github.com/tdgraph/tdgraph/internal/native", nil)
 }
@@ -67,7 +84,7 @@ func TestGoldenHotallocMarker(t *testing.T) {
 func TestGoldenDeterminismOutsideSet(t *testing.T) {
 	loader := sharedLoader(t)
 	pkg := loadGoldenPackage(t, loader, "determinism", "github.com/tdgraph/tdgraph/internal/serve2")
-	diags := RunChecks([]*Check{DeterminismCheck()}, pkg, nil)
+	diags := RunSuite([]*Check{DeterminismCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
 	if len(diags) != 0 {
 		t.Fatalf("determinism fired outside the deterministic package set: %v", diags)
 	}
@@ -79,7 +96,7 @@ func TestGoldenDeterminismOutsideSet(t *testing.T) {
 func TestGoldenClockseamOutsideSet(t *testing.T) {
 	loader := sharedLoader(t)
 	pkg := loadGoldenPackage(t, loader, "clockseam", "github.com/tdgraph/tdgraph/internal/serve2")
-	diags := RunChecks([]*Check{ClockseamCheck()}, pkg, nil)
+	diags := RunSuite([]*Check{ClockseamCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
 	if len(diags) != 0 {
 		t.Fatalf("clockseam fired outside internal/replica: %v", diags)
 	}
@@ -89,7 +106,7 @@ func TestGoldenClockseamOutsideSet(t *testing.T) {
 func TestGoldenSyncackOutsideSet(t *testing.T) {
 	loader := sharedLoader(t)
 	pkg := loadGoldenPackage(t, loader, "syncack", "github.com/tdgraph/tdgraph/internal/stream2")
-	diags := RunChecks([]*Check{SyncackCheck()}, pkg, nil)
+	diags := RunSuite([]*Check{SyncackCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
 	if len(diags) != 0 {
 		t.Fatalf("syncack fired outside wal/replica: %v", diags)
 	}
@@ -100,20 +117,8 @@ func TestGoldenSyncackOutsideSet(t *testing.T) {
 func TestGoldenGoroleakOutsideSet(t *testing.T) {
 	loader := sharedLoader(t)
 	pkg := loadGoldenPackage(t, loader, "goroleak", "github.com/tdgraph/tdgraph/internal/stream2/pool")
-	diags := RunChecks([]*Check{GoroleakCheck()}, pkg, nil)
+	diags := RunSuite([]*Check{GoroleakCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
 	if len(diags) != 0 {
 		t.Fatalf("goroleak fired outside serve/replica/native: %v", diags)
-	}
-}
-
-// TestGoldenHotallocOutsideSet proves the entry gate: with the same
-// Session type under a non-native path (and no //tdgraph:hot marker in
-// the files), there are no hot entries and nothing fires.
-func TestGoldenHotallocOutsideSet(t *testing.T) {
-	loader := sharedLoader(t)
-	pkg := loadGoldenPackage(t, loader, "hotalloc", "github.com/tdgraph/tdgraph/internal/fastmath")
-	diags := RunChecks([]*Check{HotallocCheck()}, pkg, nil)
-	if len(diags) != 0 {
-		t.Fatalf("hotalloc fired with no hot entries: %v", diags)
 	}
 }

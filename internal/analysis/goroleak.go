@@ -40,9 +40,7 @@ var goroleakPkgs = []string{"internal/serve", "internal/replica", "internal/nati
 var closeFamily = map[string]bool{"Close": true, "Stop": true, "Shutdown": true, "Wait": true, "Join": true}
 
 func runGoroleak(pass *ModulePass) {
-	if pass.Graph == nil {
-		return
-	}
+	j := &joinScan{g: pass.Graph, facts: make(map[*ast.BlockStmt]*bodyFacts)}
 	for _, node := range pass.Graph.Funcs {
 		if !pathHasAnySuffix(node.Pkg.Path, goroleakPkgs) {
 			continue
@@ -53,7 +51,7 @@ func runGoroleak(pass *ModulePass) {
 			if !ok {
 				return true
 			}
-			if !goroutineJoined(pass.Graph, node, g) {
+			if !j.joined(node, g) {
 				pass.Reportf(node.Pkg, g.Pos(),
 					"goroutine has no provable quiescence barrier: join it with a WaitGroup (Done in body, Wait in the launcher or a Close/Stop method) or a channel closed by Close/Stop")
 			}
@@ -65,21 +63,100 @@ func runGoroleak(pass *ModulePass) {
 	}
 }
 
-// goroutineJoined looks for any accepted join evidence for one go
-// statement.
-func goroutineJoined(g *CallGraph, launcher *FuncNode, stmt *ast.GoStmt) bool {
-	info := launcher.Pkg.Info
-	if info == nil {
-		return true // cannot prove anything either way; stay silent
-	}
+// joinScan answers join-evidence queries from per-body facts, each
+// body walked once however many launches consult it.
+type joinScan struct {
+	g     *CallGraph
+	facts map[*ast.BlockStmt]*bodyFacts
+}
 
+// bodyFacts is what the join evidence reads from one body. Chains are
+// (base object, field path) with index expressions unwrapped.
+type bodyFacts struct {
+	done     *lockKey                 // the first <chain>.Done() resolving into sync
+	consumed []lockKey                // channels received from or ranged over
+	waits    map[lockKey]bool         // <chain>.Wait() calls
+	closes   []lockKey                // close(<chain>) arguments
+	aliases  map[types.Object]lockKey // range value variable → the chain it ranges
+}
+
+func (j *joinScan) of(info *types.Info, body *ast.BlockStmt) *bodyFacts {
+	if f := j.facts[body]; f != nil {
+		return f
+	}
+	f := &bodyFacts{waits: map[lockKey]bool{}, aliases: map[types.Object]lockKey{}}
+	j.facts[body] = f
+	chain := func(e ast.Expr) (lockKey, bool) {
+		base, path, ok := fieldChainOf(info, e)
+		return lockKey{base: base, path: path}, ok
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			c, ok := chain(n.X)
+			if !ok {
+				break
+			}
+			if isChanExpr(info, n.X) {
+				f.consumed = append(f.consumed, c)
+			}
+			if v, ok := n.Value.(*ast.Ident); ok && v.Name != "_" && info.Defs[v] != nil {
+				f.aliases[info.Defs[v]] = c
+			}
+		case *ast.UnaryExpr:
+			if n.Op != token.ARROW {
+				break
+			}
+			if c, ok := chain(n.X); ok {
+				f.consumed = append(f.consumed, c)
+			}
+		case *ast.CallExpr:
+			switch fun := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				if fun.Name != "close" || len(n.Args) != 1 {
+					break
+				}
+				if c, ok := chain(n.Args[0]); ok {
+					f.closes = append(f.closes, c)
+				}
+			case *ast.SelectorExpr:
+				c, ok := chain(fun.X)
+				switch {
+				case !ok:
+				case fun.Sel.Name == "Wait":
+					f.waits[c] = true
+				case fun.Sel.Name == "Done" && f.done == nil && isSyncMethod(info, fun):
+					f.done = &c
+				}
+			}
+		}
+		return true
+	})
+	return f
+}
+
+// closesChain reports whether the body closes (recv, path), directly
+// or through a range alias (`for _, ch := range s.kick { close(ch) }`).
+func (f *bodyFacts) closesChain(recv types.Object, path string) bool {
+	want := lockKey{base: recv, path: path}
+	for _, c := range f.closes {
+		if c == want || f.aliases[c.base] == want {
+			return true
+		}
+	}
+	return false
+}
+
+// joined looks for any accepted join evidence for one go statement.
+func (j *joinScan) joined(launcher *FuncNode, stmt *ast.GoStmt) bool {
+	info := launcher.Pkg.Info
 	// The body to scan: a literal's body, or the launched method's body.
 	var body *ast.BlockStmt
 	var owner *FuncNode // launched module method, when resolvable
 	if lit, ok := ast.Unparen(stmt.Call.Fun).(*ast.FuncLit); ok {
 		body = lit.Body
-	} else if callee := resolveCallee(info, stmt.Call); callee != "" && g.Funcs[callee] != nil {
-		owner = g.Funcs[callee]
+	} else if callee := resolveCallee(info, stmt.Call); callee != "" && j.g.Funcs[callee] != nil {
+		owner = j.g.Funcs[callee]
 		body = owner.Decl.Body
 	} else {
 		return false // dynamic or out-of-module target: unprovable
@@ -89,24 +166,24 @@ func goroutineJoined(g *CallGraph, launcher *FuncNode, stmt *ast.GoStmt) bool {
 		bodyInfo = owner.Pkg.Info
 	}
 	recv := bodyRecvObj(owner, launcher)
+	facts := j.of(bodyInfo, body)
 
-	// WaitGroup evidence: find a sync Done call in the body.
-	if base, path, ok := waitGroupDoneChain(bodyInfo, body); ok {
-		if path == "" {
+	// WaitGroup evidence: a sync Done call in the body.
+	if d := facts.done; d != nil {
+		if d.path == "" {
 			// (a) plain wg.Done() on a variable captured from the
 			// launching function, joined by wg.Wait() there.
-			if owner == nil && localObj(launcher.Decl, base) &&
-				callsOnFieldPath(info, launcher.Decl.Body, base, "", "Wait") {
+			if owner == nil && localObj(launcher.Decl, d.base) && j.of(info, launcher.Decl.Body).waits[*d] {
 				return true
 			}
-		} else if recv != nil && base == recv {
+		} else if recv != nil && d.base == recv {
 			// (b) recv.F.Done() — Wait in the launcher or in a
 			// Close/Stop-family method of the owning type.
-			if owner == nil && callsOnFieldPath(info, launcher.Decl.Body, base, path, "Wait") {
+			if owner == nil && j.of(info, launcher.Decl.Body).waits[*d] {
 				return true
 			}
-			if typeHasBarrier(g, namedTypeKey(recv.Type()), func(m *FuncNode, mrecv types.Object) bool {
-				return callsOnFieldPath(m.Pkg.Info, m.Decl.Body, mrecv, path, "Wait")
+			if j.typeHasBarrier(namedTypeKey(recv.Type()), func(m *bodyFacts, mrecv types.Object) bool {
+				return m.waits[lockKey{base: mrecv, path: d.path}]
 			}) {
 				return true
 			}
@@ -116,11 +193,12 @@ func goroutineJoined(g *CallGraph, launcher *FuncNode, stmt *ast.GoStmt) bool {
 	// (c) the body consumes a channel field that a Close/Stop-family
 	// method of the owning type closes.
 	if recv != nil {
-		tkey := namedTypeKey(recv.Type())
-		for _, path := range consumedChanFields(bodyInfo, body, recv) {
-			path := path
-			if typeHasBarrier(g, tkey, func(m *FuncNode, mrecv types.Object) bool {
-				return closesFieldPath(m.Pkg.Info, m.Decl.Body, mrecv, path)
+		for _, c := range facts.consumed {
+			if c.base != recv || c.path == "" {
+				continue
+			}
+			if j.typeHasBarrier(namedTypeKey(recv.Type()), func(m *bodyFacts, mrecv types.Object) bool {
+				return m.closesChain(mrecv, c.path)
 			}) {
 				return true
 			}
@@ -139,153 +217,19 @@ func bodyRecvObj(owner, launcher *FuncNode) types.Object {
 	return receiverObj(launcher)
 }
 
-// waitGroupDoneChain finds a `<chain>.Done()` call resolving into
-// package sync inside body and returns the chain's (base, path).
-func waitGroupDoneChain(info *types.Info, body *ast.BlockStmt) (types.Object, string, bool) {
-	var base types.Object
-	var path string
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Done" || info == nil {
-			return true
-		}
-		s, ok := info.Selections[sel]
-		if !ok {
-			return true
-		}
-		f, ok := s.Obj().(*types.Func)
-		if !ok || f.Pkg() == nil || f.Pkg().Path() != "sync" {
-			return true
-		}
-		if b, p, ok := fieldChainOf(info, sel.X); ok {
-			base, path, found = b, p, true
-		}
-		return true
-	})
-	return base, path, found
-}
-
 // localObj reports whether obj is declared inside fd (params and body
 // both count — closures capture either way).
 func localObj(fd *ast.FuncDecl, obj types.Object) bool {
 	return obj.Pos() >= fd.Pos() && obj.Pos() < fd.End()
 }
 
-// consumedChanFields lists receiver field paths (index-unwrapped)
-// that the body receives from or ranges over.
-func consumedChanFields(info *types.Info, body *ast.BlockStmt, recv types.Object) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(e ast.Expr) {
-		if base, path, ok := fieldChainOf(info, e); ok && base == recv && path != "" && !seen[path] {
-			seen[path] = true
-			out = append(out, path)
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if isChanExpr(info, n.X) {
-				add(n.X)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				add(n.X)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// closesFieldPath looks for close(<recv-rooted chain with path>),
-// directly or through a range alias (`for _, ch := range s.kick {
-// close(ch) }`).
-func closesFieldPath(info *types.Info, body *ast.BlockStmt, recv types.Object, path string) bool {
-	if info == nil || recv == nil {
-		return false
-	}
-	rangeAlias := map[types.Object]string{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if rs, ok := n.(*ast.RangeStmt); ok {
-			if base, p, ok := fieldChainOf(info, rs.X); ok && base == recv {
-				if v, ok := rs.Value.(*ast.Ident); ok && v.Name != "_" {
-					if obj := info.Defs[v]; obj != nil {
-						rangeAlias[obj] = p
-					}
-				}
-			}
-		}
-		return true
-	})
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "close" || len(call.Args) != 1 {
-			return true
-		}
-		if base, p, ok := fieldChainOf(info, ast.Unparen(call.Args[0])); ok {
-			if base == recv && p == path {
-				found = true
-			}
-			if alias, ok := rangeAlias[base]; ok && alias == path {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// callsOnFieldPath looks for `<recv>.<path>.<method>()` in body
-// (path "" means a call directly on the base object).
-func callsOnFieldPath(info *types.Info, body *ast.BlockStmt, recv types.Object, path, method string) bool {
-	if info == nil || recv == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != method {
-			return true
-		}
-		if base, p, ok := fieldChainOf(info, sel.X); ok && base == recv && p == path {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// typeHasBarrier runs probe over every Close/Stop-family method of
-// the type identified by tkey.
-func typeHasBarrier(g *CallGraph, tkey string, probe func(m *FuncNode, recv types.Object) bool) bool {
+// typeHasBarrier runs probe over the facts of every Close/Stop-family
+// method of the type identified by tkey.
+func (j *joinScan) typeHasBarrier(tkey string, probe func(m *bodyFacts, recv types.Object) bool) bool {
 	if tkey == "" {
 		return false
 	}
-	for _, m := range g.Funcs {
+	for _, m := range j.g.Funcs {
 		if m.Decl.Recv == nil || !closeFamily[m.Decl.Name.Name] {
 			continue
 		}
@@ -293,7 +237,7 @@ func typeHasBarrier(g *CallGraph, tkey string, probe func(m *FuncNode, recv type
 		if recv == nil || namedTypeKey(recv.Type()) != tkey {
 			continue
 		}
-		if probe(m, recv) {
+		if probe(j.of(m.Pkg.Info, m.Decl.Body), recv) {
 			return true
 		}
 	}

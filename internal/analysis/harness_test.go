@@ -3,7 +3,7 @@ package analysis
 // The golden-file harness: an analysistest equivalent built on the
 // stdlib. Each check has a testdata/<check> directory of Go files
 // annotated with `// want `regex`` comments; the harness runs the
-// check (through the same RunChecks path the driver uses, so
+// check (through the same RunSuite path the driver uses, so
 // suppression directives are honored) and requires an exact match
 // between findings and expectations — every diagnostic must hit a
 // want on its line, and every want must be hit.
@@ -57,14 +57,14 @@ type want struct {
 }
 
 // runGolden loads testdata/<name>, type-checks it under pkgPath, runs
-// the single check through RunChecks, and matches diagnostics against
+// the single check through RunSuite, and matches diagnostics against
 // the want comments. counters seeds the ctrreg registry.
 func runGolden(t *testing.T, check *Check, name, pkgPath string, counters map[string]bool) {
 	t.Helper()
 	loader := sharedLoader(t)
 	pkg := loadGoldenPackage(t, loader, name, pkgPath)
 	wants := collectWants(t, loader.Fset, pkg.Files)
-	diags := RunChecks([]*Check{check}, pkg, counters)
+	diags := RunSuite([]*Check{check}, []*Package{pkg}, SuiteOptions{Counters: counters}).Findings
 
 	for _, d := range diags {
 		matched := false
@@ -122,8 +122,7 @@ func loadGoldenPackage(t *testing.T, loader *Loader, name, pkgPath string) *Pack
 	if terr != nil {
 		t.Fatalf("type-checking %s: %v", dir, terr)
 	}
-	pkg := &Package{Path: pkgPath, Dir: dir, Files: files, Pkg: tpkg, Info: info}
-	pkg.SetFset(loader.Fset)
+	pkg := &Package{Path: pkgPath, Files: files, Pkg: tpkg, Info: info, fset: loader.Fset, module: loader.modulePath}
 	goldenCache[key] = pkg
 	return pkg
 }

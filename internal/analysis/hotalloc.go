@@ -9,8 +9,8 @@ import (
 
 // HotallocCheck guards the zero-allocation contract of the native hot
 // path (BENCH_native.json: 0 allocs/batch). Functions marked with a
-// `//tdgraph:hot` doc comment, plus native.Session's ApplyBatch and
-// propagate entry points, define the hot set; everything statically
+// `//tdgraph:hot` doc comment — native.Session's ApplyBatch and
+// propagate among them — define the hot set; everything statically
 // reachable from it inside the module is scanned for heap-escaping
 // constructs:
 //
@@ -42,9 +42,6 @@ func HotallocCheck() *Check {
 const HotMarker = "//tdgraph:hot"
 
 func runHotalloc(pass *ModulePass) {
-	if pass.Graph == nil {
-		return
-	}
 	entries := hotEntries(pass.Graph)
 	if len(entries) == 0 {
 		return
@@ -54,36 +51,20 @@ func runHotalloc(pass *ModulePass) {
 	sort.Strings(entries)
 	reached := pass.Graph.Reachable(entries)
 	for name := range reached {
-		node := pass.Graph.Funcs[name]
-		if node == nil || node.Pkg.Info == nil {
-			continue
-		}
-		chain := hotChain(reached, name)
-		scanHotFunc(pass, node, chain)
+		scanHotFunc(pass, pass.Graph.Funcs[name], hotChain(reached, name))
 	}
 }
 
-// hotEntries collects //tdgraph:hot-marked functions plus the native
-// Session hot entry points.
+// hotEntries collects the //tdgraph:hot-marked functions.
 func hotEntries(g *CallGraph) []string {
 	var out []string
 	for name, node := range g.Funcs {
-		if node.Decl.Doc != nil {
-			for _, c := range node.Decl.Doc.List {
-				if strings.HasPrefix(c.Text, HotMarker) {
-					rest := strings.TrimPrefix(c.Text, HotMarker)
-					if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-						out = append(out, name)
-					}
-				}
-			}
+		if node.Decl.Doc == nil {
+			continue
 		}
-		if pathHasSuffix(node.Pkg.Path, "internal/native") && node.Decl.Recv != nil {
-			if recv := receiverObj(node); recv != nil && shortTypeName(namedTypeKey(recv.Type())) == "native.Session" {
-				switch node.Decl.Name.Name {
-				case "ApplyBatch", "propagate":
-					out = append(out, name)
-				}
+		for _, c := range node.Decl.Doc.List {
+			if rest, ok := strings.CutPrefix(c.Text, HotMarker); ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+				out = append(out, name)
 			}
 		}
 	}
@@ -131,7 +112,7 @@ func scanHotFunc(pass *ModulePass, node *FuncNode, chain string) {
 			report(n, "closure allocation")
 			return false
 		case *ast.CompositeLit:
-			t := exprTypeInfo(info, n)
+			t := exprType(info, n)
 			if t != nil {
 				switch t.Underlying().(type) {
 				case *types.Map:
@@ -268,7 +249,7 @@ func reportBoxingArgs(info *types.Info, call *ast.CallExpr, report func(ast.Node
 		if pt == nil || !types.IsInterface(pt) {
 			continue
 		}
-		at := exprTypeInfo(info, arg)
+		at := exprType(info, arg)
 		if at == nil || types.IsInterface(at) {
 			continue
 		}
@@ -282,16 +263,6 @@ func reportBoxingArgs(info *types.Info, call *ast.CallExpr, report func(ast.Node
 		}
 		report(arg, "argument boxes into interface parameter "+pt.String())
 	}
-}
-
-func exprTypeInfo(info *types.Info, e ast.Expr) types.Type {
-	if info == nil {
-		return nil
-	}
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
 }
 
 // isBuiltin reports whether the ident resolves to a universe builtin

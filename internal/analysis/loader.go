@@ -16,7 +16,6 @@ import (
 // Package is one loaded, parsed, and type-checked package.
 type Package struct {
 	Path  string // import path
-	Dir   string // absolute directory
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
@@ -24,13 +23,9 @@ type Package struct {
 	// still run over the partial information.
 	TypeErr error
 
-	fset *token.FileSet // the FileSet that positioned Files
+	fset   *token.FileSet // the FileSet that positioned Files
+	module string         // the module path from go.mod
 }
-
-// SetFset records the FileSet that positioned the package's files.
-// Loader.Load fills it automatically; harnesses that build Packages by
-// hand must call it before RunChecks.
-func (p *Package) SetFset(fset *token.FileSet) { p.fset = fset }
 
 // Loader enumerates and type-checks the module's packages with a
 // single shared FileSet and source importer, so stdlib and
@@ -72,9 +67,6 @@ func NewLoader(dir string) (*Loader, error) {
 		imp:        importer.ForCompiler(fset, "source", nil),
 	}, nil
 }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
 
 // modulePathOf extracts the module path from a go.mod file.
 func modulePathOf(gomod string) (string, error) {
@@ -227,7 +219,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
 	}
 	pkg, info, terr := l.TypeCheck(path, files)
-	return &Package{Path: path, Dir: dir, Files: files, Pkg: pkg, Info: info, TypeErr: terr, fset: l.Fset}, nil
+	return &Package{Path: path, Files: files, Pkg: pkg, Info: info, TypeErr: terr, fset: l.Fset, module: l.modulePath}, nil
 }
 
 // TypeCheck runs go/types over already-parsed files under the given

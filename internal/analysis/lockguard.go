@@ -59,18 +59,11 @@ type fieldAccess struct {
 }
 
 func runLockguard(pass *ModulePass) {
-	if pass.Graph == nil {
-		return
-	}
 	la := pass.Graph.LockSets()
 
 	accesses := make(map[fieldRef][]*fieldAccess)
 	for name, node := range pass.Graph.Funcs {
-		fl := la.funcs[name]
-		if fl == nil {
-			continue
-		}
-		collectFieldAccesses(node, fl, accesses)
+		collectFieldAccesses(node, la.funcs[name], accesses)
 	}
 
 	for ref, sites := range accesses {

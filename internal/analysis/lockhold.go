@@ -36,92 +36,80 @@ func LockholdCheck() *Check {
 	}
 }
 
-// blockInfo describes why a function blocks, for call-site messages.
-type blockInfo struct {
+// lockholdFunc is one function's direct blocking operations and static
+// calls into module functions, each with the lock set held there,
+// gathered by one walk of its CFG.
+type lockholdFunc struct {
+	node      *FuncNode
+	fl        *funcLocks
+	deadlines []token.Pos
+	ops       []blockingOp
+	calls     []moduleCall
+}
+
+type blockingOp struct {
+	pos    token.Pos
 	reason string
+	isIO   bool // the class a deadline guard exempts
+	held   lockSet
+}
+
+type moduleCall struct {
+	call   *ast.CallExpr
+	callee string
+	held   lockSet
 }
 
 func runLockhold(pass *ModulePass) {
-	if pass.Graph == nil {
-		return
-	}
 	la := pass.Graph.LockSets()
 
-	// Pass 1: which module functions block, intrinsically.
-	blocks := make(map[string]*blockInfo)
+	// Which module functions block, intrinsically: the first blocking
+	// op that no deadline guard exempts names the reason.
+	funcs := make(map[string]*lockholdFunc, len(pass.Graph.Funcs))
+	blocks := make(map[string]string)
 	for name, node := range pass.Graph.Funcs {
-		fl := la.funcs[name]
-		if fl == nil {
-			continue
+		lf := collectLockhold(pass.Graph, node, la.funcs[name])
+		funcs[name] = lf
+		for _, op := range lf.ops {
+			if !op.isIO || !deadlineBefore(lf.deadlines, op.pos) {
+				blocks[name] = op.reason
+				break
+			}
 		}
-		deadlines := deadlinePositions(node.Decl)
-		visitLockholdSites(pass.Graph, node, fl, func(pos token.Pos, reason string, isIO bool, _ lockSet) {
-			if blocks[name] != nil {
-				return
-			}
-			if isIO && deadlineBefore(deadlines, pos) {
-				return
-			}
-			blocks[name] = &blockInfo{reason: reason}
-		}, nil)
 	}
 
 	// Fixpoint: calling a blocking function makes the caller blocking,
 	// unless the call site sits behind a deadline guard.
 	for changed := true; changed; {
 		changed = false
-		for name, node := range pass.Graph.Funcs {
-			if blocks[name] != nil {
+		for name, lf := range funcs {
+			if _, ok := blocks[name]; ok {
 				continue
 			}
-			fl := la.funcs[name]
-			if fl == nil {
-				continue
+			for _, c := range lf.calls {
+				if reason, ok := blocks[c.callee]; ok && !deadlineBefore(lf.deadlines, c.call.Pos()) {
+					blocks[name] = "calls " + shortFuncName(c.callee) + " which " + reason
+					changed = true
+					break
+				}
 			}
-			deadlines := deadlinePositions(node.Decl)
-			visitLockholdSites(pass.Graph, node, fl, nil, func(call *ast.CallExpr, callee string, _ lockSet) {
-				if blocks[name] != nil {
-					return
-				}
-				bi := blocks[callee]
-				if bi == nil || deadlineBefore(deadlines, call.Pos()) {
-					return
-				}
-				blocks[name] = &blockInfo{reason: "calls " + shortFuncName(callee) + " which " + bi.reason}
-				changed = true
-			})
 		}
 	}
 
-	// Pass 2: flag blocking sites and blocking calls under a held lock.
-	for name, node := range pass.Graph.Funcs {
-		fl := la.funcs[name]
-		if fl == nil {
-			continue
+	// Flag blocking sites and blocking calls under a held lock.
+	for _, lf := range funcs {
+		for _, op := range lf.ops {
+			if heldLocally(lf.fl, op.held) && (!op.isIO || !deadlineBefore(lf.deadlines, op.pos)) {
+				pass.Reportf(lf.node.Pkg, op.pos, "%s while holding %s", op.reason, op.held.describe())
+			}
 		}
-		node := node
-		deadlines := deadlinePositions(node.Decl)
-		visitLockholdSites(pass.Graph, node, fl,
-			func(pos token.Pos, reason string, isIO bool, held lockSet) {
-				if !heldLocally(fl, held) {
-					return
-				}
-				if isIO && deadlineBefore(deadlines, pos) {
-					return
-				}
-				pass.Reportf(node.Pkg, pos, "%s while holding %s", reason, held.describe())
-			},
-			func(call *ast.CallExpr, callee string, held lockSet) {
-				if !heldLocally(fl, held) {
-					return
-				}
-				bi := blocks[callee]
-				if bi == nil || deadlineBefore(deadlines, call.Pos()) {
-					return
-				}
-				pass.Reportf(node.Pkg, call.Pos(), "call to %s while holding %s: it %s",
-					shortFuncName(callee), held.describe(), bi.reason)
-			})
+		for _, c := range lf.calls {
+			reason, ok := blocks[c.callee]
+			if ok && heldLocally(lf.fl, c.held) && !deadlineBefore(lf.deadlines, c.call.Pos()) {
+				pass.Reportf(lf.node.Pkg, c.call.Pos(), "call to %s while holding %s: it %s",
+					shortFuncName(c.callee), c.held.describe(), reason)
+			}
+		}
 	}
 }
 
@@ -140,16 +128,16 @@ func heldLocally(fl *funcLocks, held lockSet) bool {
 	return false
 }
 
-// visitLockholdSites walks one function's CFG and reports (a) direct
-// blocking operations to op and (b) static calls into module
-// functions to callSite. Either callback may be nil. go/defer
+// collectLockhold walks one function's CFG once, recording direct
+// blocking operations and static calls into module functions. go/defer
 // statements and closure bodies are skipped — they do not block the
 // locked path.
-func visitLockholdSites(g *CallGraph, node *FuncNode, fl *funcLocks,
-	op func(pos token.Pos, reason string, isIO bool, held lockSet),
-	callSite func(call *ast.CallExpr, callee string, held lockSet)) {
-
+func collectLockhold(g *CallGraph, node *FuncNode, fl *funcLocks) *lockholdFunc {
+	lf := &lockholdFunc{node: node, fl: fl, deadlines: deadlinePositions(node.Decl)}
 	info := node.Pkg.Info
+	op := func(pos token.Pos, reason string, isIO bool, held lockSet) {
+		lf.ops = append(lf.ops, blockingOp{pos: pos, reason: reason, isIO: isIO, held: held})
+	}
 	// Select comm statements have CFG nodes of their own; their channel
 	// ops are judged at the SelectStmt (escape or not), never as bare.
 	commStmts := make(map[ast.Stmt]bool)
@@ -171,17 +159,15 @@ func visitLockholdSites(g *CallGraph, node *FuncNode, fl *funcLocks,
 		case *ast.GoStmt, *ast.DeferStmt:
 			return
 		case *ast.SendStmt:
-			if op != nil {
-				op(s.Pos(), "bare channel send blocks", false, held)
-			}
+			op(s.Pos(), "bare channel send blocks", false, held)
 			return
 		case *ast.SelectStmt:
-			if op != nil && blockingSelect(s) {
+			if blockingSelect(s) {
 				op(s.Pos(), "single-clause select blocks like a bare channel op", false, held)
 			}
 			return
 		case *ast.RangeStmt:
-			if op != nil && isChanExpr(info, s.X) {
+			if isChanExpr(info, s.X) {
 				op(s.Pos(), "range over channel blocks between messages", false, held)
 			}
 			// fall through to shallow inspection for the range operands
@@ -189,28 +175,29 @@ func visitLockholdSites(g *CallGraph, node *FuncNode, fl *funcLocks,
 		inspectShallow(stmt, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && op != nil {
+				if n.Op == token.ARROW {
 					op(n.Pos(), "bare channel receive blocks", false, held)
 				}
 			case *ast.CallExpr:
 				callee := resolveCallee(info, n)
 				if callee != "" {
-					if reason, isIO, ok := blockingCall(info, n, callee); ok && op != nil {
+					if reason, isIO, ok := blockingCall(info, n, callee); ok {
 						op(n.Pos(), reason, isIO, held)
-					} else if callSite != nil && g.Funcs[callee] != nil {
-						callSite(n, callee, held)
+					} else if g.Funcs[callee] != nil {
+						lf.calls = append(lf.calls, moduleCall{call: n, callee: callee, held: held})
 					}
 					return true
 				}
 				// Dynamic call: a func-typed value returning a net.Conn
 				// is a dial seam (the cfg.Dial(peer) pattern).
-				if reason, ok := dialSeamCall(info, n); ok && op != nil {
+				if reason, ok := dialSeamCall(info, n); ok {
 					op(n.Pos(), reason, false, held)
 				}
 			}
 			return true
 		})
 	})
+	return lf
 }
 
 // blockingCall classifies a statically-resolved call. isIO marks the

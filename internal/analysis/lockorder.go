@@ -1,227 +1,97 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
-	"go/token"
 	"go/types"
+	"sort"
 )
 
-// LockorderCheck flags mutex acquisitions that can leak the lock:
-// a mu.Lock() (or RLock) whose unlock is NOT deferred, when
+// LockorderCheck flags mutex acquisitions that can leak the lock. It
+// reads the shared intraprocedural lock sets (computeLockSets over
+// buildCFG) and, for every mutex whose unlock is NOT deferred, reports
 //
-//   - a return statement sits between the Lock and the last matching
-//     Unlock that is not itself immediately preceded by the unlock
-//     (an early return leaves the mutex held), or
-//   - a user callback (a call through a func-typed variable, field,
-//     or parameter) runs while the mutex is held — a panic in the
-//     callback would leak the lock without a defer, or
-//   - no matching unlock exists in the function at all.
+//   - a return reached while the mutex may still be held (an early
+//     return leaves it held),
+//   - a call through a func-typed value (a user callback: variable,
+//     field, or parameter) made while it is held — a panic in the
+//     callback would leak the lock without a defer, and
+//   - an acquisition in a function that never releases the mutex.
 //
-// The canonical safe patterns — `mu.Lock(); defer mu.Unlock()` and the
-// tight `mu.Lock(); x++; mu.Unlock()` critical section — never flag.
+// The canonical safe patterns — `mu.Lock(); defer mu.Unlock()`, the
+// tight `mu.Lock(); x++; mu.Unlock()` critical section, and an unlock
+// on every path before its return — never flag. Closure bodies are
+// left out, as lockguard and lockhold leave them out.
 func LockorderCheck() *Check {
 	return &Check{
-		Name: "lockorder",
-		Doc:  "require defer-unlock (or a provably straight-line critical section) for every mutex acquisition",
-		Run:  runLockorder,
+		Name:      "lockorder",
+		Doc:       "require defer-unlock (or a provably straight-line critical section) for every mutex acquisition",
+		RunModule: runLockorder,
 	}
 }
 
-func runLockorder(pass *Pass) {
-	walkFuncs(pass.Files, func(fd *ast.FuncDecl) {
-		checkFuncLocks(pass, fd)
-	})
+func runLockorder(pass *ModulePass) {
+	la := pass.Graph.LockSets()
+	for name, node := range pass.Graph.Funcs {
+		checkFuncLocks(pass, node, la.base[name])
+	}
 }
 
-// lockCall matches stmt as an ExprStmt calling <recv>.<name>() and
-// returns the receiver expression rendered to text for matching.
-func lockCall(pass *Pass, stmt ast.Stmt, names ...string) (recv string, sel *ast.SelectorExpr, ok bool) {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
-		return "", nil, false
+// checkFuncLocks applies the three rules to one function's lock sets.
+func checkFuncLocks(pass *ModulePass, node *FuncNode, fl *funcLocks) {
+	info := node.Pkg.Info
+	type site struct {
+		at ast.Stmt
+		op lockOp
 	}
-	call, isCall := es.X.(*ast.CallExpr)
-	if !isCall || len(call.Args) != 0 {
-		return "", nil, false
-	}
-	s, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", nil, false
-	}
-	for _, n := range names {
-		if s.Sel.Name == n {
-			return exprString(s.X), s, true
+	var acquires []site
+	releases := map[lockOp]bool{} // keyed with acquire=false
+	for _, n := range fl.cfg.nodes {
+		op, ok := lockOpOf(info, n.stmt)
+		switch {
+		case !ok:
+		case !op.acquire:
+			releases[op] = true
+		case !op.deferred: // `defer mu.Lock()` re-acquires on exit; it is not a site
+			acquires = append(acquires, site{n.stmt, op})
 		}
 	}
-	return "", nil, false
-}
-
-// exprString renders an expression to canonical text (receiver match).
-func exprString(e ast.Expr) string {
-	var buf bytes.Buffer
-	printer.Fprint(&buf, token.NewFileSet(), e)
-	return buf.String()
-}
-
-// isMutexRecv reports whether the selector's receiver is (or embeds)
-// sync.Mutex / sync.RWMutex. With missing type info it falls back to
-// the naming convention (identifier mentioning "mu").
-func isMutexRecv(pass *Pass, sel *ast.SelectorExpr) bool {
-	t := exprType(pass, sel.X)
-	if t != nil {
-		switch trimPointer(t).String() {
-		case "sync.Mutex", "sync.RWMutex":
-			return true
+	sort.Slice(acquires, func(i, j int) bool { return acquires[i].at.Pos() < acquires[j].at.Pos() })
+	// tracked holds each mutex released inline and never by a defer,
+	// with its first acquisition, which the messages cite.
+	var tracked []site
+	seen := map[lockKey]bool{}
+	for _, a := range acquires {
+		inline := lockOp{key: a.op.key, read: a.op.read}
+		deferred := lockOp{key: a.op.key, read: a.op.read, deferred: true}
+		switch {
+		case releases[deferred]:
+		case !releases[inline]:
+			pass.Reportf(node.Pkg, a.at.Pos(), "%s.%s has no matching %s and no defer in this function; the mutex leaks on every path",
+				a.op.key, lockName(a.op.read), unlockName(a.op.read))
+		case !seen[a.op.key]:
+			seen[a.op.key] = true
+			tracked = append(tracked, a)
 		}
-		// A named type embedding a mutex still exposes Lock/Unlock via
-		// a selection; resolve through the method's receiver.
-		if pass.Info != nil {
-			if s, ok := pass.Info.Selections[sel]; ok {
-				if f, ok := s.Obj().(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "sync" {
-					return true
-				}
+	}
+	for i, n := range fl.cfg.nodes {
+		for _, t := range tracked {
+			key, unlock := t.op.key, unlockName(t.op.read)
+			if !fl.in[i][key] {
+				continue
 			}
-		}
-		return false
-	}
-	name := exprString(sel.X)
-	return bytes.Contains(bytes.ToLower([]byte(name)), []byte("mu"))
-}
-
-type lockSite struct {
-	stmt  ast.Stmt
-	recv  string
-	pos   token.Pos
-	read  bool // RLock/RUnlock pair
-	block *ast.BlockStmt
-	index int // index of stmt within block
-}
-
-func checkFuncLocks(pass *Pass, fd *ast.FuncDecl) {
-	// Collect every Lock/RLock statement with its enclosing block.
-	var sites []lockSite
-	var walkBlock func(b *ast.BlockStmt)
-	visitStmt := func(s ast.Stmt, b *ast.BlockStmt, i int) {
-		if recv, sel, ok := lockCall(pass, s, "Lock", "RLock"); ok && isMutexRecv(pass, sel) {
-			sites = append(sites, lockSite{stmt: s, recv: recv, pos: s.Pos(), read: sel.Sel.Name == "RLock", block: b, index: i})
-		}
-	}
-	walkBlock = func(b *ast.BlockStmt) {
-		for i, s := range b.List {
-			visitStmt(s, b, i)
-			ast.Inspect(s, func(n ast.Node) bool {
-				if nb, ok := n.(*ast.BlockStmt); ok && nb != b {
-					walkBlock(nb)
-					return false
-				}
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false // closures get their own pass below
+			if _, ok := n.stmt.(*ast.ReturnStmt); ok {
+				pass.Reportf(node.Pkg, n.stmt.Pos(), "return while %s may still be held (locked at line %d without defer %s.%s); unlock first or use defer",
+					key, node.Pkg.fset.Position(t.at.Pos()).Line, key, unlock)
+			}
+			inspectShallow(n.stmt, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && isFuncValueCall(info, call) {
+					pass.Reportf(node.Pkg, call.Pos(), "callback invoked while %s is held without defer %s.%s; a panic in the callback leaks the lock",
+						key, key, unlock)
 				}
 				return true
 			})
 		}
 	}
-	walkBlock(fd.Body)
-
-	for _, site := range sites {
-		checkLockSite(pass, fd, site)
-	}
-}
-
-func checkLockSite(pass *Pass, fd *ast.FuncDecl, site lockSite) {
-	unlockName := "Unlock"
-	if site.read {
-		unlockName = "RUnlock"
-	}
-	// Pattern 1: immediately followed by defer <recv>.Unlock().
-	if site.index+1 < len(site.block.List) {
-		if ds, ok := site.block.List[site.index+1].(*ast.DeferStmt); ok {
-			if sel, ok := ds.Call.Fun.(*ast.SelectorExpr); ok &&
-				sel.Sel.Name == unlockName && exprString(sel.X) == site.recv && len(ds.Call.Args) == 0 {
-				return
-			}
-		}
-	}
-	// Any defer unlock later in the function (e.g. one defer covering a
-	// conditional lock) also counts as covered.
-	deferred := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if ds, ok := n.(*ast.DeferStmt); ok {
-			if sel, ok := ds.Call.Fun.(*ast.SelectorExpr); ok &&
-				sel.Sel.Name == unlockName && exprString(sel.X) == site.recv {
-				deferred = true
-			}
-		}
-		return !deferred
-	})
-	if deferred {
-		return
-	}
-
-	// Locate every matching inline unlock after the Lock.
-	var unlockPositions []token.Pos
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		s, ok := n.(ast.Stmt)
-		if !ok {
-			return true
-		}
-		if recv, sel, ok := lockCall(pass, s, unlockName); ok && recv == site.recv && s.Pos() > site.pos {
-			_ = sel
-			unlockPositions = append(unlockPositions, s.Pos())
-		}
-		return true
-	})
-	if len(unlockPositions) == 0 {
-		pass.Reportf(site.pos, "%s.%s has no matching %s and no defer in this function; the mutex leaks on every path",
-			site.recv, lockName(site.read), unlockName)
-		return
-	}
-	lastUnlock := unlockPositions[len(unlockPositions)-1]
-	isUnlockAt := func(pos token.Pos) bool {
-		for _, p := range unlockPositions {
-			if p == pos {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Pattern 2: a return between Lock and the last unlock that is not
-	// immediately preceded by an unlock in its own block.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		b, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range b.List {
-			ret, ok := s.(*ast.ReturnStmt)
-			if !ok || ret.Pos() <= site.pos || ret.Pos() >= lastUnlock {
-				continue
-			}
-			if i > 0 && isUnlockAt(b.List[i-1].Pos()) {
-				continue // unlock-then-return idiom
-			}
-			pass.Reportf(ret.Pos(), "return while %s may still be held (locked at line %d without defer %s.%s); unlock first or use defer",
-				site.recv, pass.Fset.Position(site.pos).Line, site.recv, unlockName)
-		}
-		return true
-	})
-
-	// Pattern 3: a call through a func-typed value (user callback)
-	// inside the critical section: a panic there leaks the lock.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() <= site.pos || call.Pos() >= lastUnlock {
-			return true
-		}
-		if isFuncValueCall(pass, call) {
-			pass.Reportf(call.Pos(), "callback invoked while %s is held without defer %s.%s; a panic in the callback leaks the lock",
-				site.recv, site.recv, unlockName)
-		}
-		return true
-	})
 }
 
 func lockName(read bool) string {
@@ -231,35 +101,30 @@ func lockName(read bool) string {
 	return "Lock"
 }
 
+func unlockName(read bool) string {
+	if read {
+		return "RUnlock"
+	}
+	return "Unlock"
+}
+
 // isFuncValueCall reports whether the call target is a plain
 // func-typed value (variable, struct field, parameter) rather than a
 // declared function, method, conversion, or builtin.
-func isFuncValueCall(pass *Pass, call *ast.CallExpr) bool {
-	if pass.Info == nil {
-		return false
-	}
+func isFuncValueCall(info *types.Info, call *ast.CallExpr) bool {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		obj, ok := pass.Info.Uses[fun]
-		if !ok {
-			return false
-		}
-		v, ok := obj.(*types.Var)
+		v, ok := info.Uses[fun].(*types.Var)
 		if !ok {
 			return false
 		}
 		_, isSig := v.Type().Underlying().(*types.Signature)
 		return isSig
 	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[fun]; ok {
-			if sel.Kind() == types.FieldVal {
-				_, isSig := sel.Type().Underlying().(*types.Signature)
-				return isSig
-			}
-			return false // method call
+		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.FieldVal {
+			_, isSig := sel.Type().Underlying().(*types.Signature)
+			return isSig
 		}
-		// Package-qualified function or unresolved: not a func value.
-		return false
 	}
 	return false
 }

@@ -9,7 +9,7 @@ import (
 
 // The lock-set framework: a may-hold dataflow over the per-function
 // CFG, plus one level of interprocedural inheritance through the call
-// graph. lockguard and lockhold both consume it.
+// graph. lockorder, lockguard and lockhold all consume it.
 //
 // A lock fact is (base object, field path): "the mutex reached from
 // variable `n` through `.mu` is held". Keying on the types.Object of
@@ -24,7 +24,8 @@ import (
 // opposite: the intersection across every static call site, so a
 // helper counts as guarded only when every caller holds the lock.
 
-// lockKey identifies one mutex instance.
+// lockKey identifies one mutex instance. goroleak keys its WaitGroup
+// and channel chains the same way.
 type lockKey struct {
 	base types.Object
 	path string // selector path from base ("mu", "cfg.mu"); "" = base itself
@@ -89,22 +90,24 @@ func chainOf(info *types.Info, e ast.Expr) (types.Object, string, bool) {
 
 // lockOp classifies a statement as a mutex acquire/release.
 type lockOp struct {
-	key     lockKey
-	acquire bool
-	read    bool // RLock/RUnlock
+	key      lockKey
+	acquire  bool
+	read     bool // RLock/RUnlock
+	deferred bool // `defer <chain>.Unlock()`
 }
 
 // lockOpOf recognizes `<chain>.Lock()` / `Unlock` / `RLock` /
-// `RUnlock` expression statements whose method resolves into package
-// sync. Deferred unlocks are intentionally NOT ops: they release at
-// return, so the lock stays held for the rest of the body.
+// `RUnlock` statements, plain or deferred, whose method resolves into
+// package sync.
 func lockOpOf(info *types.Info, s ast.Stmt) (lockOp, bool) {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return lockOp{}, false
+	var call *ast.CallExpr
+	switch s := s.(type) {
+	case *ast.ExprStmt:
+		call, _ = s.X.(*ast.CallExpr)
+	case *ast.DeferStmt:
+		call = s.Call
 	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) != 0 {
+	if call == nil || len(call.Args) != 0 {
 		return lockOp{}, false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -123,19 +126,20 @@ func lockOpOf(info *types.Info, s ast.Stmt) (lockOp, bool) {
 	default:
 		return lockOp{}, false
 	}
-	if !isSyncMutexMethod(info, sel) {
+	if !isSyncMethod(info, sel) {
 		return lockOp{}, false
 	}
 	base, path, ok := chainOf(info, sel.X)
 	if !ok {
 		return lockOp{}, false
 	}
-	return lockOp{key: lockKey{base: base, path: path}, acquire: acquire, read: read}, true
+	_, deferred := s.(*ast.DeferStmt)
+	return lockOp{key: lockKey{base: base, path: path}, acquire: acquire, read: read, deferred: deferred}, true
 }
 
-// isSyncMutexMethod reports whether the selected Lock/Unlock method
-// belongs to sync.Mutex / sync.RWMutex (directly or via embedding).
-func isSyncMutexMethod(info *types.Info, sel *ast.SelectorExpr) bool {
+// isSyncMethod reports whether the selected method belongs to a type
+// of package sync (directly or via embedding).
+func isSyncMethod(info *types.Info, sel *ast.SelectorExpr) bool {
 	if info == nil {
 		return false
 	}
@@ -145,7 +149,7 @@ func isSyncMutexMethod(info *types.Info, sel *ast.SelectorExpr) bool {
 		}
 		return false
 	}
-	// Package-qualified or unresolved: not a mutex method.
+	// Package-qualified or unresolved: not a sync method.
 	return false
 }
 
@@ -194,7 +198,9 @@ func computeLockSets(info *types.Info, fd *ast.FuncDecl, seed lockSet) *funcLock
 			}
 		}
 		o := in.clone()
-		if op, ok := lockOpOf(info, cfg.nodes[i].stmt); ok {
+		// A deferred unlock releases at return, so the lock stays held
+		// for the rest of the body.
+		if op, ok := lockOpOf(info, cfg.nodes[i].stmt); ok && !op.deferred {
 			if op.acquire {
 				o[op.key] = true
 			} else {
@@ -229,9 +235,9 @@ func (fl *funcLocks) visit(fn func(stmt ast.Stmt, held lockSet)) {
 }
 
 // lockAnalysis is the shared module-wide result: per-function lock
-// sets with one level of caller inheritance applied.
+// sets, intraprocedural and with one level of caller inheritance.
 type lockAnalysis struct {
-	graph *CallGraph
+	base  map[string]*funcLocks // FullName → unseeded result
 	funcs map[string]*funcLocks // FullName → seeded result
 }
 
@@ -240,10 +246,10 @@ func (g *CallGraph) LockSets() *lockAnalysis {
 	if g.locks != nil {
 		return g.locks
 	}
-	la := &lockAnalysis{graph: g, funcs: make(map[string]*funcLocks, len(g.Funcs))}
+	base := make(map[string]*funcLocks, len(g.Funcs))
+	la := &lockAnalysis{base: base, funcs: make(map[string]*funcLocks, len(g.Funcs))}
 
 	// Pass 1: intraprocedural sets, no inheritance.
-	base := make(map[string]*funcLocks, len(g.Funcs))
 	for name, node := range g.Funcs {
 		base[name] = computeLockSets(node.Pkg.Info, node.Decl, nil)
 	}
@@ -335,18 +341,19 @@ func receiverObj(node *FuncNode) types.Object {
 	return node.Pkg.Info.Defs[node.Decl.Recv.List[0].Names[0]]
 }
 
+// String renders a lock for diagnostics ("n.mu").
+func (k lockKey) String() string {
+	if k.path == "" {
+		return k.base.Name()
+	}
+	return k.base.Name() + "." + k.path
+}
+
 // describe renders a lock set for diagnostics ("n.mu, n.pmu").
 func (s lockSet) describe() string {
 	var parts []string
 	for k := range s {
-		name := "?"
-		if k.base != nil {
-			name = k.base.Name()
-		}
-		if k.path != "" {
-			name += "." + k.path
-		}
-		parts = append(parts, name)
+		parts = append(parts, k.String())
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ", ")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"io"
 	"strings"
@@ -44,11 +43,6 @@ type SuiteOptions struct {
 	// AuditStale reports a "directive" finding for every
 	// //tdgraph:allow (of a check being run) that suppressed nothing.
 	AuditStale bool
-	// KnownChecks is the valid-name set for directive validation.
-	// Defaults to the names of the checks being run. The driver passes
-	// the full suite's names so `-checks a,b` does not misreport valid
-	// directives for unselected checks as unknown.
-	KnownChecks map[string]bool
 }
 
 // SuiteResult is what RunSuite produced, sorted by position.
@@ -63,7 +57,9 @@ type SuiteResult struct {
 
 // RunSuite runs per-package checks over each package and module
 // checks over the whole set (sharing one call graph), then applies
-// suppression directives globally.
+// suppression directives globally. Directive names are validated
+// against the full suite, so `-checks a,b` does not misreport valid
+// directives for unselected checks as unknown.
 func RunSuite(checks []*Check, pkgs []*Package, opts SuiteOptions) SuiteResult {
 	var diags []Diagnostic
 	var moduleChecks []*Check
@@ -80,11 +76,12 @@ func RunSuite(checks []*Check, pkgs []*Package, opts SuiteOptions) SuiteResult {
 			c.Run(&Pass{
 				CheckName: c.Name,
 				Path:      pkg.Path,
-				Fset:      tokenFileSetOf(pkg),
+				Fset:      pkg.fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Pkg,
 				Info:      pkg.Info,
 				Counters:  opts.Counters,
+				module:    pkg.module,
 				diags:     &diags,
 			})
 		}
@@ -92,18 +89,15 @@ func RunSuite(checks []*Check, pkgs []*Package, opts SuiteOptions) SuiteResult {
 	if len(moduleChecks) > 0 {
 		graph := BuildCallGraph(pkgs)
 		for _, c := range moduleChecks {
-			c.RunModule(&ModulePass{CheckName: c.Name, Pkgs: pkgs, Graph: graph, diags: &diags})
+			c.RunModule(&ModulePass{CheckName: c.Name, Graph: graph, diags: &diags})
 		}
 	}
 
-	known := opts.KnownChecks
-	if known == nil {
-		known = checkNames(checks)
-	}
+	known := checkNames(Checks())
 	var dirs []directive
 	var dirDiags []Diagnostic
 	for _, pkg := range pkgs {
-		ds, dd := parseDirectives(tokenFileSetOf(pkg), pkg.Files, known)
+		ds, dd := parseDirectives(pkg.fset, pkg.Files, known)
 		dirs = append(dirs, ds...)
 		dirDiags = append(dirDiags, dd...)
 	}
@@ -123,24 +117,6 @@ func RunSuite(checks []*Check, pkgs []*Package, opts SuiteOptions) SuiteResult {
 	sortDiagnostics(suppressed)
 	return SuiteResult{Findings: kept, Suppressed: suppressed}
 }
-
-// RunChecks runs checks over one loaded package and returns the
-// surviving (non-suppressed) diagnostics plus directive-validation
-// diagnostics, sorted by position. Directive names are validated
-// against the full suite regardless of the subset being run; stale
-// directives are not audited here (that is a driver concern).
-func RunChecks(checks []*Check, pkg *Package, counters map[string]bool) []Diagnostic {
-	res := RunSuite(checks, []*Package{pkg}, SuiteOptions{
-		Counters:    counters,
-		KnownChecks: checkNames(Checks()),
-	})
-	return res.Findings
-}
-
-// tokenFileSetOf returns the FileSet that positioned pkg's files.
-// Packages loaded by Loader share its FileSet; the golden harness
-// stores one per package.
-func tokenFileSetOf(pkg *Package) *token.FileSet { return pkg.fset }
 
 // CounterTable extracts the registered counter names from a loaded
 // internal/stats package: the values of every package-level string
@@ -250,27 +226,30 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if counters == nil {
-		if tp, _, err := loader.TypeCheckImport(loader.ModulePath() + "/internal/stats"); err == nil {
+		if tp, err := loader.imp.Import(loader.modulePath + "/internal/stats"); err == nil {
 			counters = CounterTable(tp)
 		}
 	}
 
-	res := RunSuite(checks, pkgs, SuiteOptions{
-		Counters:    counters,
-		AuditStale:  true,
-		KnownChecks: checkNames(Checks()),
-	})
+	res := RunSuite(checks, pkgs, SuiteOptions{Counters: counters, AuditStale: true})
+	// Output names files relative to the module root, for stable,
+	// readable output.
+	for _, ds := range [][]Diagnostic{res.Findings, res.Suppressed} {
+		for i := range ds {
+			ds[i].Position.Filename = strings.TrimPrefix(ds[i].Position.Filename, loader.dir+"/")
+		}
+	}
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		for _, d := range res.Findings {
-			_ = enc.Encode(jsonDiag(loader, d, false))
+			_ = enc.Encode(jsonDiag(d, false))
 		}
 		for _, d := range res.Suppressed {
-			_ = enc.Encode(jsonDiag(loader, d, true))
+			_ = enc.Encode(jsonDiag(d, true))
 		}
 	} else {
 		for _, d := range res.Findings {
-			fmt.Fprintln(stdout, relposition(loader, d))
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if n := len(res.Findings); n > 0 {
@@ -293,40 +272,15 @@ type JSONDiagnostic struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-func jsonDiag(l *Loader, d Diagnostic, suppressed bool) JSONDiagnostic {
-	name := d.Position.Filename
-	if rel, ok := strings.CutPrefix(name, l.dir+"/"); ok {
-		name = rel
-	}
+func jsonDiag(d Diagnostic, suppressed bool) JSONDiagnostic {
 	return JSONDiagnostic{
 		Check:      d.Check,
-		File:       name,
+		File:       d.Position.Filename,
 		Line:       d.Position.Line,
 		Col:        d.Position.Column,
 		Msg:        d.Message,
 		Suppressed: suppressed,
 	}
-}
-
-// relposition renders a diagnostic with the filename relative to the
-// module root when possible, for stable, readable output.
-func relposition(l *Loader, d Diagnostic) string {
-	name := d.Position.Filename
-	if rel, ok := strings.CutPrefix(name, l.dir+"/"); ok {
-		name = rel
-	}
-	return fmt.Sprintf("%s:%d:%d: %s: %s", name, d.Position.Line, d.Position.Column, d.Check, d.Message)
-}
-
-// TypeCheckImport resolves and type-checks an import path through the
-// shared source importer (used to pull in internal/stats when the
-// analyzed patterns do not include it).
-func (l *Loader) TypeCheckImport(path string) (*types.Package, *types.Info, error) {
-	pkg, err := l.imp.Import(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, nil, nil
 }
 
 // walkFuncs invokes fn for every function or method body in the files.

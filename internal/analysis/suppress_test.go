@@ -68,7 +68,7 @@ func TestSuppressionDirective(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := header + strings.Replace(ackBody, "%s", tc.line, 1)
-			diags := RunChecks(Checks(), mustParsePkg(t, "github.com/tdgraph/tdgraph/internal/replica", src), nil)
+			diags := suiteFindings(t, src)
 			var got []string
 			for _, d := range diags {
 				got = append(got, d.Check)
@@ -104,7 +104,7 @@ func ack(l *log, conn any) error {
 	return WriteFrame(conn, Frame{Type: FrameAck, Seq: 1}) //tdgraph:allow syncack trailing form
 }
 `
-	diags := RunChecks(Checks(), mustParsePkg(t, "github.com/tdgraph/tdgraph/internal/replica", src), nil)
+	diags := suiteFindings(t, src)
 	if len(diags) != 0 {
 		t.Fatalf("trailing same-line directive did not suppress: %v", diags)
 	}
@@ -135,22 +135,23 @@ func ack(l *log, conn any) error {
 	return WriteFrame(conn, Frame{Type: FrameAck, Seq: 1})
 }
 `
-	diags := RunChecks(Checks(), mustParsePkg(t, "github.com/tdgraph/tdgraph/internal/replica", src), nil)
+	diags := suiteFindings(t, src)
 	if len(diags) != 1 || diags[0].Check != "syncack" {
 		t.Fatalf("directive two lines above must not suppress; got %v", diags)
 	}
 }
 
-func mustParsePkg(t *testing.T, pkgPath, src string) *Package {
+// suiteFindings runs the full suite over src, parsed as a replica
+// package with no type information.
+func suiteFindings(t *testing.T, src string) []Diagnostic {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	pkg := &Package{Path: pkgPath, Files: []*ast.File{f}}
-	pkg.SetFset(fset)
-	return pkg
+	pkg := &Package{Path: "github.com/tdgraph/tdgraph/internal/replica", Files: []*ast.File{f}, fset: fset}
+	return RunSuite(Checks(), []*Package{pkg}, SuiteOptions{}).Findings
 }
 
 func sameMultiset(a, b []string) bool {

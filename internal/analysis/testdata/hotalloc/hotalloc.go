@@ -15,6 +15,7 @@ type Session struct {
 	scratch []VertexID
 }
 
+//tdgraph:hot
 func (s *Session) ApplyBatch(batch []VertexID) int {
 	n := 0
 	for _, v := range batch {
@@ -30,6 +31,7 @@ func (s *Session) improve(v VertexID) int {
 	return int(v)
 }
 
+//tdgraph:hot
 func (s *Session) propagate() {
 	defer func() { // deferred literal: runs on the exit edge, exempt
 		recover()

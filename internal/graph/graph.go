@@ -7,7 +7,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -277,18 +276,4 @@ func PartitionByEdges(s *Snapshot, n int) []Chunk {
 		chunks = append(chunks, Chunk{Start: VertexID(s.NumVertices), End: VertexID(s.NumVertices)})
 	}
 	return chunks
-}
-
-// DegreeHistogram returns counts of vertices bucketed by floor(log2(deg+1)),
-// used by the generators' power-law shape tests.
-func (s *Snapshot) DegreeHistogram() []int {
-	var hist []int
-	for v := 0; v < s.NumVertices; v++ {
-		b := int(math.Log2(float64(s.OutDegree(VertexID(v)) + 1)))
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	return hist
 }

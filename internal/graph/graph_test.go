@@ -217,18 +217,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	s := buildSample(t)
-	hist := s.DegreeHistogram()
-	total := 0
-	for _, c := range hist {
-		total += c
-	}
-	if total != s.NumVertices {
-		t.Fatalf("histogram covers %d vertices, want %d", total, s.NumVertices)
-	}
-}
-
 func TestEdgeListSorted(t *testing.T) {
 	s := buildSample(t)
 	el := s.EdgeList()

@@ -232,6 +232,8 @@ func (s *Session) StatesInto(dst []float64) []float64 {
 // incrementally, and propagates to convergence. The returned result's
 // slices alias reusable session buffers — copy before the next batch if
 // retained. Not safe for concurrent use.
+//
+//tdgraph:hot
 func (s *Session) ApplyBatch(batch []graph.Update) graph.ApplyResult {
 	res := s.store.Apply(batch)
 	s.growTo(s.store.NumVertices())
@@ -325,6 +327,8 @@ func (s *Session) activate(v graph.VertexID) {
 // goroutine), pending is forced to zero so the kicked peers unwind and
 // park, then the panic continues — the pool is always quiescent when
 // the panic reaches the caller, so a heal can safely Recompute.
+//
+//tdgraph:hot
 func (s *Session) propagate() {
 	if atomic.LoadInt64(&s.pending) <= 0 {
 		return

@@ -147,20 +147,3 @@ func MergeBatches(a, b []graph.Update) []graph.Update {
 	out = append(out, a...)
 	return append(out, b...)
 }
-
-// Coalesce greedily merges adjacent batches while the merged size stays
-// within maxUpdates (0 = unlimited, collapsing everything into one
-// batch). Order is preserved. The serve queue uses it to trade batch
-// granularity for queue space under backpressure.
-func Coalesce(batches [][]graph.Update, maxUpdates int) [][]graph.Update {
-	var out [][]graph.Update
-	for _, b := range batches {
-		last := len(out) - 1
-		if last >= 0 && (maxUpdates <= 0 || len(out[last])+len(b) <= maxUpdates) {
-			out[last] = MergeBatches(out[last], b)
-			continue
-		}
-		out = append(out, b)
-	}
-	return out
-}

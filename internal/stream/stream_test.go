@@ -123,44 +123,3 @@ func TestMergeBatchesPreservesOrder(t *testing.T) {
 		t.Fatal("merge aliased its input")
 	}
 }
-
-func TestCoalesceRespectsCap(t *testing.T) {
-	mk := func(n int) []graph.Update {
-		b := make([]graph.Update, n)
-		for i := range b {
-			b[i] = graph.Update{Edge: graph.Edge{Src: uint32(i), Dst: uint32(i + 1), Weight: 1}}
-		}
-		return b
-	}
-	batches := [][]graph.Update{mk(3), mk(2), mk(4), mk(1), mk(1)}
-
-	// Cap 5: [3+2] [4+1] [1] — greedy adjacent merges, order preserved.
-	got := stream.Coalesce(batches, 5)
-	want := []int{5, 5, 1}
-	if len(got) != len(want) {
-		t.Fatalf("coalesced into %d batches, want %d", len(got), len(want))
-	}
-	total := 0
-	for i, b := range got {
-		if len(b) != want[i] {
-			t.Fatalf("batch %d has %d updates, want %d", i, len(b), want[i])
-		}
-		if len(b) > 5 {
-			t.Fatalf("batch %d exceeds the cap", i)
-		}
-		total += len(b)
-	}
-	if total != 11 {
-		t.Fatalf("updates lost: %d, want 11", total)
-	}
-
-	// Unlimited: everything collapses into one batch.
-	if all := stream.Coalesce(batches, 0); len(all) != 1 || len(all[0]) != 11 {
-		t.Fatalf("unbounded coalesce = %d batches", len(all))
-	}
-
-	// Cap smaller than any batch: nothing merges.
-	if none := stream.Coalesce(batches, 1); len(none) != len(batches) {
-		t.Fatalf("cap-1 coalesce merged: %d batches", len(none))
-	}
-}
