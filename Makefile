@@ -74,8 +74,10 @@ determinism:
 # with a torn and a bit-flipped meta payload, a file torn between the
 # graph payload and its trailing CRC, a bit flip in that CRC, the
 # retired v2 header and a whole file in the retired v3 framing), SNAP
-# loader, WAL record/segment decoder (with the canonical-payload
-# property: every accepted payload re-encodes to itself),
+# loader, graph.Store against the Builder over hub-skewed update
+# streams (through every adjacency tier), WAL record/segment decoder
+# (with the canonical-payload property: every accepted payload
+# re-encodes to itself),
 # recovery-vs-tailer agreement over mutated segment sets (same property
 # per shipped record), replication frame codec, and the
 # snapshot-transfer offer/chunk framing (seeds in the meta-less offer
@@ -83,6 +85,7 @@ determinism:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionLoad$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSNAP$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesBuilder$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReaders$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime 10s ./internal/replica

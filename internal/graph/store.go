@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -11,15 +12,25 @@ import (
 // batch.
 //
 // Layout per vertex and per direction (out-edges and an in-edge mirror,
-// required by the monotonic deletion re-gather):
+// required by the monotonic deletion re-gather), GraphTango's three
+// tiers:
 //
-//   - degree <= storeInlineCap: neighbours live inline in a fixed-width
+//   - inline, degree <= storeInlineCap: neighbours live in a fixed-width
 //     slab (storeInlineCap slots per vertex in one flat array), so the
 //     common low-degree case is a single cache line with zero pointer
 //     chasing;
-//   - degree >  storeInlineCap: the vertex spills to open-addressing hash
-//     adjacency over a dense per-vertex edge log — O(1) expected lookup/
-//     insert/delete, dense insertion-order iteration for the hot loops.
+//   - linear, degree up to storeLinearMax: the vertex spills to its own
+//     dense edge log and finds a neighbour by scanning it — at most four
+//     cache lines of IDs, no table to build or grow;
+//   - indexed, above storeLinearMax: the same log plus an index-only
+//     open-addressing table of log positions, O(1) expected lookup/
+//     insert/delete.
+//
+// A spilled vertex keeps its log for good; deletes that bring its degree
+// down to storeLinearMax/2 drop the index, and so does a rebuild that
+// finds the degree back in the linear range. Deletion swap-removes from
+// the log in every tier, so iteration is one dense slice for the hot
+// loops.
 //
 // Iteration order over a vertex's neighbours is insertion order, NOT the
 // sorted order Snapshot guarantees; Seal() materialises a sorted immutable
@@ -44,69 +55,82 @@ type Store struct {
 }
 
 // storeInlineCap is the inline slab width: vertices at or below this
-// degree never touch a hash table. Four (dst,weight) pairs is 32 bytes
-// per direction — half a cache line — and covers the long tail of a
+// degree never leave the slab. Four (dst,weight) pairs is 32 bytes per
+// direction — half a cache line — and covers the long tail of a
 // power-law degree distribution.
 const storeInlineCap = 4
+
+// storeLinearMax is the largest degree a spilled vertex serves by linear
+// scan: 64 IDs are 256 bytes, four cache lines. Above it the log gains
+// an index (EXPERIMENTS.md has the threshold sweep).
+const storeLinearMax = 64
 
 // adjacency is one direction (out- or in-edges) of the hybrid format.
 type adjacency struct {
 	deg   []uint32   // per-vertex live degree
 	nbr   []VertexID // inline slab: storeInlineCap slots per vertex
 	wgt   []float32  // parallel to nbr
-	spill []*hashAdj // non-nil once a vertex outgrows the slab
+	spill []*edgeLog // non-nil once a vertex outgrows the slab
 }
 
 func (a *adjacency) grow(n int) {
-	for len(a.deg) < n {
-		a.deg = append(a.deg, 0)
-		a.spill = append(a.spill, nil)
-		for i := 0; i < storeInlineCap; i++ {
-			a.nbr = append(a.nbr, 0)
-			a.wgt = append(a.wgt, 0)
-		}
-	}
+	a.deg = extend(a.deg, n)
+	a.spill = extend(a.spill, n)
+	a.nbr = extend(a.nbr, n*storeInlineCap)
+	a.wgt = extend(a.wgt, n*storeInlineCap)
 }
 
-// insert adds or reweights the neighbour u of v; it reports whether a new
-// edge slot was created (false = weight overwrite).
-func (a *adjacency) insert(v, u VertexID, w float32) bool {
-	if sp := a.spill[v]; sp != nil {
-		if sp.insert(u, w) {
+// extend zero-extends s to length n, growing its backing array at most
+// once instead of element by element.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...) //tdgraph:allow hotalloc vertex-set growth: the compiler extends in place, amortized like any append
+}
+
+// insert adds or reweights the neighbour u of v; it returns the weight it
+// overwrote and whether u was a neighbour already, so a caller learns
+// both from the one lookup.
+func (a *adjacency) insert(v, u VertexID, w float32) (float32, bool) {
+	if l := a.spill[v]; l != nil {
+		old, existed := l.insert(u, w)
+		if !existed {
 			a.deg[v]++
-			return true
 		}
-		return false
+		return old, existed
 	}
 	base := int(v) * storeInlineCap
 	d := int(a.deg[v])
 	for i := 0; i < d; i++ {
 		if a.nbr[base+i] == u {
+			old := a.wgt[base+i]
 			a.wgt[base+i] = w
-			return false
+			return old, true
 		}
 	}
+	a.deg[v]++
 	if d < storeInlineCap {
 		a.nbr[base+d] = u
 		a.wgt[base+d] = w
-		a.deg[v]++
-		return true
+		return 0, false
 	}
-	// Spill: move the inline slab into a fresh hash adjacency.
-	sp := newHashAdj(2 * storeInlineCap)
-	for i := 0; i < d; i++ {
-		sp.insert(a.nbr[base+i], a.wgt[base+i])
+	// Spill: move the inline slab into a fresh edge log (linear tier).
+	l := &edgeLog{
+		nbr: make([]VertexID, d, 2*storeInlineCap), //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
+		wgt: make([]float32, d, 2*storeInlineCap),  //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
 	}
-	sp.insert(u, w)
-	a.spill[v] = sp
-	a.deg[v]++
-	return true
+	copy(l.nbr, a.nbr[base:])
+	copy(l.wgt, a.wgt[base:])
+	l.insert(u, w)
+	a.spill[v] = l
+	return 0, false
 }
 
 // delete removes the neighbour u of v, reporting whether it existed.
 func (a *adjacency) delete(v, u VertexID) bool {
-	if sp := a.spill[v]; sp != nil {
-		if sp.remove(u) {
+	if l := a.spill[v]; l != nil {
+		if l.remove(u) {
 			a.deg[v]--
 			return true
 		}
@@ -128,8 +152,11 @@ func (a *adjacency) delete(v, u VertexID) bool {
 
 // get returns the weight of the neighbour u of v, if present.
 func (a *adjacency) get(v, u VertexID) (float32, bool) {
-	if sp := a.spill[v]; sp != nil {
-		return sp.get(u)
+	if l := a.spill[v]; l != nil {
+		if pos, _ := l.find(u); pos >= 0 {
+			return l.wgt[pos], true
+		}
+		return 0, false
 	}
 	base := int(v) * storeInlineCap
 	d := int(a.deg[v])
@@ -146,8 +173,8 @@ func (a *adjacency) get(v, u VertexID) (float32, bool) {
 // Closure-free so the engines' hot loops stay allocation-free; the slices
 // are invalidated by any mutation of v's adjacency.
 func (a *adjacency) edges(v VertexID) ([]VertexID, []float32) {
-	if sp := a.spill[v]; sp != nil {
-		return sp.nbr, sp.wgt
+	if l := a.spill[v]; l != nil {
+		return l.nbr, l.wgt
 	}
 	base := int(v) * storeInlineCap
 	d := int(a.deg[v])
@@ -163,154 +190,135 @@ func (a *adjacency) forEach(v VertexID, f func(u VertexID, w float32)) {
 	}
 }
 
-// hashAdj is the spilled high-degree representation: a dense edge log
-// (insertion-order neighbour/weight arrays) indexed by a linear-probing
-// open-addressing table mapping destination ID to log position. Deletion
-// swap-removes from the log so it stays dense; the vacated table slot
-// becomes a tombstone and the table is rebuilt when tombstones pile up.
-type hashAdj struct {
+// edgeLog is a spilled vertex's adjacency: a dense edge log (insertion-
+// order neighbour/weight arrays) and, above storeLinearMax, an index-only
+// linear-probing table. A table slot holds a log position + 1 (0 empty,
+// indexTomb deleted) and keys are read through nbr, so any VertexID is a
+// valid key. Deletion swap-removes from the log so it stays dense; the
+// vacated slot becomes a tombstone and the table is rebuilt when
+// tombstones pile up.
+type edgeLog struct {
 	nbr   []VertexID // dense edge log
 	wgt   []float32  // parallel to nbr
-	keys  []VertexID // open-addressing table keys (hashEmpty / hashTomb)
-	idxs  []uint32   // parallel to keys: index into nbr
+	index []uint32   // nil in the linear tier
 	tombs int
 }
 
-const (
-	hashEmpty = ^VertexID(0)     // never a valid vertex ID in practice:
-	hashTomb  = ^VertexID(0) - 1 // IDs are dense from 0 and bounded by V
-)
-
-func newHashAdj(capHint int) *hashAdj {
-	size := 8
-	for size < capHint*2 {
-		size *= 2
-	}
-	h := &hashAdj{
-		nbr:  make([]VertexID, 0, capHint), //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
-		wgt:  make([]float32, 0, capHint),  //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
-		keys: make([]VertexID, size),       //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
-		idxs: make([]uint32, size),         //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
-	}
-	for i := range h.keys {
-		h.keys[i] = hashEmpty
-	}
-	return h
-}
+const indexTomb = ^uint32(0)
 
 // slotHash is Fibonacci hashing over the table size (a power of two).
 func slotHash(u VertexID, mask uint32) uint32 {
 	return (u * 2654435769) & mask
 }
 
-func (h *hashAdj) insert(u VertexID, w float32) bool {
-	mask := uint32(len(h.keys) - 1)
-	i := slotHash(u, mask)
-	free := -1
-	for {
-		switch k := h.keys[i]; k {
-		case u:
-			h.wgt[h.idxs[i]] = w
-			return false
-		case hashTomb:
-			if free < 0 {
-				free = int(i)
+// find returns u's log position, or -1. In the indexed tier slot is the
+// table slot holding u or, if u is absent, the first reusable slot on its
+// probe chain; it is -1 in the linear tier.
+func (l *edgeLog) find(u VertexID) (pos, slot int) {
+	if l.index == nil {
+		return slices.Index(l.nbr, u), -1
+	}
+	mask := uint32(len(l.index) - 1)
+	slot = -1
+	for i := slotHash(u, mask); ; i = (i + 1) & mask {
+		switch p := l.index[i]; {
+		case p == 0:
+			if slot < 0 {
+				slot = int(i)
 			}
-		case hashEmpty:
-			if free < 0 {
-				free = int(i)
-			} else {
-				// Re-using a tombstone shrinks the probe chain debt.
-				h.tombs--
+			return -1, slot
+		case p == indexTomb:
+			if slot < 0 {
+				slot = int(i)
 			}
-			h.keys[free] = u
-			h.idxs[free] = uint32(len(h.nbr))
-			h.nbr = append(h.nbr, u)
-			h.wgt = append(h.wgt, w)
-			h.maybeGrow()
-			return true
+		case l.nbr[p-1] == u:
+			return int(p - 1), int(i)
 		}
-		i = (i + 1) & mask
 	}
 }
 
-func (h *hashAdj) remove(u VertexID) bool {
-	mask := uint32(len(h.keys) - 1)
-	i := slotHash(u, mask)
-	for {
-		switch k := h.keys[i]; k {
-		case u:
-			j := h.idxs[i]
-			h.keys[i] = hashTomb
-			h.tombs++
-			last := uint32(len(h.nbr) - 1)
-			if j != last {
-				moved := h.nbr[last]
-				h.nbr[j] = moved
-				h.wgt[j] = h.wgt[last]
-				h.repoint(moved, j)
-			}
-			h.nbr = h.nbr[:last]
-			h.wgt = h.wgt[:last]
-			return true
-		case hashEmpty:
-			return false
+// insert adds or reweights u, returning the weight it overwrote and
+// whether u was present.
+func (l *edgeLog) insert(u VertexID, w float32) (float32, bool) {
+	pos, slot := l.find(u)
+	if pos >= 0 {
+		old := l.wgt[pos]
+		l.wgt[pos] = w
+		return old, true
+	}
+	l.nbr = append(l.nbr, u)
+	l.wgt = append(l.wgt, w)
+	if slot >= 0 {
+		if l.index[slot] == indexTomb {
+			l.tombs-- // re-using a tombstone shrinks the probe chain debt
 		}
-		i = (i + 1) & mask
+		l.index[slot] = uint32(len(l.nbr))
 	}
+	// Live keys plus tombstones past 3/4 occupancy call for a rebuild; the
+	// linear tier's absent table is always full, so reindex picks the tier.
+	if (len(l.nbr)+l.tombs)*4 >= len(l.index)*3 {
+		l.reindex()
+	}
+	return 0, false
 }
 
-// repoint updates the table entry of key u to log index j (u is known to
-// be present).
-func (h *hashAdj) repoint(u VertexID, j uint32) {
-	mask := uint32(len(h.keys) - 1)
-	i := slotHash(u, mask)
-	for h.keys[i] != u {
-		i = (i + 1) & mask
+// remove deletes u, reporting whether it was present.
+func (l *edgeLog) remove(u VertexID) bool {
+	pos, slot := l.find(u)
+	if pos < 0 {
+		return false
 	}
-	h.idxs[i] = j
-}
-
-func (h *hashAdj) get(u VertexID) (float32, bool) {
-	mask := uint32(len(h.keys) - 1)
-	i := slotHash(u, mask)
-	for {
-		switch k := h.keys[i]; k {
-		case u:
-			return h.wgt[h.idxs[i]], true
-		case hashEmpty:
-			return 0, false
+	if slot >= 0 {
+		l.index[slot] = indexTomb
+		l.tombs++
+	}
+	last := len(l.nbr) - 1
+	if pos != last {
+		moved := l.nbr[last]
+		l.nbr[pos] = moved
+		l.wgt[pos] = l.wgt[last]
+		if l.index != nil {
+			_, s := l.find(moved) // still finds moved through nbr[last]
+			l.index[s] = uint32(pos + 1)
 		}
-		i = (i + 1) & mask
 	}
+	l.nbr = l.nbr[:last]
+	l.wgt = l.wgt[:last]
+	if l.index != nil && last <= storeLinearMax/2 {
+		// Back to the linear tier. Waiting for half the threshold keeps
+		// a vertex hovering at it from rebuilding a table per crossing.
+		l.index, l.tombs = nil, 0
+	}
+	return true
 }
 
-// maybeGrow rebuilds the table when live keys plus tombstones pass 3/4
-// occupancy, sizing for the live count so a churn-heavy vertex does not
-// grow without bound.
-func (h *hashAdj) maybeGrow() {
-	if (len(h.nbr)+h.tombs)*4 < len(h.keys)*3 {
+// reindex rebuilds the table for the live count without tombstones,
+// doubling it when live keys alone pass 3/4 occupancy, never shrinking
+// it, and clearing it in place when the size holds. A log back in the
+// linear range drops its table instead.
+func (l *edgeLog) reindex() {
+	l.tombs = 0
+	if len(l.nbr) <= storeLinearMax {
+		l.index = nil
 		return
 	}
-	size := len(h.keys)
-	if len(h.nbr)*4 >= size*3 {
+	size := max(len(l.index), 8)
+	for len(l.nbr)*4 >= size*3 {
 		size *= 2
 	}
-	keys := make([]VertexID, size) //tdgraph:allow hotalloc doubling rehash: amortized O(1) per insert, pinned by the zero-alloc steady-state benchmark
-	for i := range keys {
-		keys[i] = hashEmpty
+	if size == len(l.index) {
+		clear(l.index)
+	} else {
+		l.index = make([]uint32, size) //tdgraph:allow hotalloc doubling rehash: amortized O(1) per insert; a same-size rebuild reuses the table
 	}
-	idxs := make([]uint32, size) //tdgraph:allow hotalloc doubling rehash: amortized O(1) per insert, pinned by the zero-alloc steady-state benchmark
 	mask := uint32(size - 1)
-	for j, u := range h.nbr {
+	for j, u := range l.nbr {
 		i := slotHash(u, mask)
-		for keys[i] != hashEmpty {
+		for l.index[i] != 0 {
 			i = (i + 1) & mask
 		}
-		keys[i] = u
-		idxs[i] = uint32(j)
+		l.index[i] = uint32(j + 1)
 	}
-	h.keys, h.idxs, h.tombs = keys, idxs, 0
 }
 
 // NewStore returns an empty store over numVertices isolated vertices.
@@ -350,9 +358,7 @@ func NewStoreFromSnapshot(s *Snapshot) *Store {
 func (st *Store) growTo(n int) {
 	st.out.grow(n)
 	st.in.grow(n)
-	for len(st.touchEpoch) < n {
-		st.touchEpoch = append(st.touchEpoch, 0)
-	}
+	st.touchEpoch = extend(st.touchEpoch, n)
 	if n > st.numVertices {
 		st.numVertices = n
 	}
@@ -395,16 +401,17 @@ func (st *Store) EdgeWeight(src, dst VertexID) (float32, bool) {
 
 // AddEdge inserts src→dst with the given weight, overwriting the weight
 // if the edge exists. It reports whether a new edge was created. Cost is
-// O(1) expected (inline scan or one hash probe) — never O(|E|).
+// O(1) expected (a scan of at most storeLinearMax neighbours, or one hash
+// probe) — never O(|E|).
 func (st *Store) AddEdge(src, dst VertexID, w float32) bool {
 	if int(src) >= st.numVertices || int(dst) >= st.numVertices {
 		panic(fmt.Sprintf("graph: Store.AddEdge(%d,%d) out of range (V=%d)", src, dst, st.numVertices))
 	}
-	if !st.out.insert(src, dst, w) {
-		st.in.insert(dst, src, w) // reweight the mirror too
+	_, existed := st.out.insert(src, dst, w)
+	st.in.insert(dst, src, w) // adds the mirror, or reweights it
+	if existed {
 		return false
 	}
-	st.in.insert(dst, src, w)
 	st.numEdges++
 	return true
 }
@@ -471,22 +478,20 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 		}
 		st.ensure(u.Edge.Src)
 		st.ensure(u.Edge.Dst)
-		if oldW, exists := st.out.get(u.Edge.Src, u.Edge.Dst); exists {
-			if oldW == u.Edge.Weight {
-				res.Skipped++
-				continue
-			}
-			st.out.insert(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
-			st.in.insert(u.Edge.Dst, u.Edge.Src, u.Edge.Weight)
+		oldW, existed := st.out.insert(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
+		if existed && oldW == u.Edge.Weight {
+			res.Skipped++
+			continue
+		}
+		st.in.insert(u.Edge.Dst, u.Edge.Src, u.Edge.Weight)
+		if existed {
 			res.WeightChanged++
 			res.DeletedEdges = append(res.DeletedEdges,
 				Edge{Src: u.Edge.Src, Dst: u.Edge.Dst, Weight: oldW})
-			res.AddedEdges = append(res.AddedEdges, u.Edge)
-			affect(u.Edge.Dst)
-			continue
+		} else {
+			st.numEdges++
+			res.Added++
 		}
-		st.AddEdge(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
-		res.Added++
 		res.AddedEdges = append(res.AddedEdges, u.Edge)
 		affect(u.Edge.Dst)
 	}

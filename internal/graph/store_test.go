@@ -68,49 +68,101 @@ var sameEdgeTwice = [][]Update{
 	{{Edge: Edge{Src: 1, Dst: 2, Weight: 0.5}}, {Edge: Edge{Src: 1, Dst: 2, Weight: 7}}},
 }
 
-// TestStoreMatchesBuilder drives a Store and a Builder with identical
-// update streams — the same-edge-twice shapes, then random ones — and
-// checks every observable agrees after every batch: ApplyResult
-// (including Affected first-touch order), edge set, degrees, and the
-// sealed snapshot against the builder's; and that every AddedEdges
-// entry is an edge of the post-batch graph at the listed weight.
-func TestStoreMatchesBuilder(t *testing.T) {
-	check := func(label string, b *Builder, st *Store, ups []Update) {
-		t.Helper()
-		want := b.Apply(ups)
-		got := st.Apply(ups)
-		sameApplyResult(t, label, want, got)
-		for _, e := range got.AddedEdges {
-			if w, ok := st.EdgeWeight(e.Src, e.Dst); !ok || w != e.Weight {
-				t.Fatalf("%s: AddedEdges lists %v but the graph holds (%v, %v)", label, e, w, ok)
-			}
+// hubUpdates is randomUpdates with one endpoint of three updates in four
+// moved onto hub 0 or 1 and a deletion share of del, so over a few
+// hundred IDs the hubs' out- and in-degrees climb through every tier
+// while del is low and fall back through them once it is high.
+func hubUpdates(rng *rand.Rand, n, maxID int, del float64) []Update {
+	batch := randomUpdates(rng, n, maxID)
+	for i := range batch {
+		switch e := &batch[i].Edge; rng.Intn(4) {
+		case 0, 1:
+			e.Src = VertexID(rng.Intn(2))
+		case 2:
+			e.Dst = VertexID(rng.Intn(2))
 		}
-		if b.NumVertices() != st.NumVertices() {
-			t.Fatalf("%s: vertex counts %d vs %d", label, b.NumVertices(), st.NumVertices())
-		}
-		if b.NumEdges() != st.NumEdges() {
-			t.Fatalf("%s: edge counts %d vs %d", label, b.NumEdges(), st.NumEdges())
-		}
-		bs := b.Snapshot()
-		ss := st.Seal()
-		if err := ss.Validate(); err != nil {
-			t.Fatalf("%s: sealed snapshot invalid: %v", label, err)
-		}
-		if !reflect.DeepEqual(bs.EdgeList(), ss.EdgeList()) {
-			t.Fatalf("%s: edge lists diverge", label)
-		}
-		if !reflect.DeepEqual(bs.EdgeList(), st.EdgeList()) {
-			t.Fatalf("%s: Store.EdgeList diverges from snapshot", label)
-		}
-		if !reflect.DeepEqual(bs.InOffsets, ss.InOffsets) ||
-			!reflect.DeepEqual(bs.InNeighbors, ss.InNeighbors) ||
-			!reflect.DeepEqual(bs.InWeights, ss.InWeights) {
-			t.Fatalf("%s: CSC mirrors diverge", label)
+		batch[i].Delete = rng.Float64() < del
+	}
+	return batch
+}
+
+// tierOf names the representation holding v's adjacency in a.
+func tierOf(a *adjacency, v VertexID) string {
+	switch l := a.spill[v]; {
+	case l == nil:
+		return "inline"
+	case l.index == nil:
+		return "linear"
+	}
+	return "indexed"
+}
+
+// matchBuilder applies ups to a Builder and a Store and checks their
+// ApplyResults agree (including Affected first-touch order), as do their
+// counts, and that every AddedEdges entry is an edge of the post-batch
+// graph at the listed weight.
+func matchBuilder(t *testing.T, label string, b *Builder, st *Store, ups []Update) {
+	t.Helper()
+	want := b.Apply(ups)
+	got := st.Apply(ups)
+	sameApplyResult(t, label, want, got)
+	for _, e := range got.AddedEdges {
+		if w, ok := st.EdgeWeight(e.Src, e.Dst); !ok || w != e.Weight {
+			t.Fatalf("%s: AddedEdges lists %v but the graph holds (%v, %v)", label, e, w, ok)
 		}
 	}
+	if b.NumVertices() != st.NumVertices() {
+		t.Fatalf("%s: vertex counts %d vs %d", label, b.NumVertices(), st.NumVertices())
+	}
+	if b.NumEdges() != st.NumEdges() {
+		t.Fatalf("%s: edge counts %d vs %d", label, b.NumEdges(), st.NumEdges())
+	}
+}
+
+// sameGraph checks the Store holds the Builder's graph: edge lists, the
+// sealed snapshot and its CSC mirror, and the checkpoint bytes.
+func sameGraph(t *testing.T, label string, b *Builder, st *Store) {
+	t.Helper()
+	bs := b.Snapshot()
+	ss := st.Seal()
+	if err := ss.Validate(); err != nil {
+		t.Fatalf("%s: sealed snapshot invalid: %v", label, err)
+	}
+	if !slices.Equal(bs.EdgeList(), ss.EdgeList()) {
+		t.Fatalf("%s: edge lists diverge", label)
+	}
+	if !slices.Equal(bs.EdgeList(), st.EdgeList()) {
+		t.Fatalf("%s: Store.EdgeList diverges from snapshot", label)
+	}
+	if !slices.Equal(bs.InOffsets, ss.InOffsets) ||
+		!slices.Equal(bs.InNeighbors, ss.InNeighbors) ||
+		!slices.Equal(bs.InWeights, ss.InWeights) {
+		t.Fatalf("%s: CSC mirrors diverge", label)
+	}
+	var wantBin, gotBin bytes.Buffer
+	if err := bs.WriteBinary(&wantBin); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteBinary(&gotBin); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantBin.Bytes(), gotBin.Bytes()) {
+		t.Fatalf("%s: Store.WriteBinary differs from the builder snapshot's", label)
+	}
+}
+
+// TestStoreMatchesBuilder drives a Store and a Builder with identical
+// update streams — the same-edge-twice shapes, random ones, and a
+// hub-biased one — through matchBuilder and sameGraph after every batch.
+// The hub stream must carry a hub inline → linear → indexed and back to
+// linear by deletes, so neither spilled tier can drop out of the
+// differential.
+func TestStoreMatchesBuilder(t *testing.T) {
 	for i, ups := range sameEdgeTwice {
 		base := []Edge{{Src: 0, Dst: 1, Weight: 12}, {Src: 1, Dst: 2, Weight: 1}}
-		check(fmt.Sprintf("same-edge-twice %d", i), NewBuilderFromEdges(4, base), NewStoreFromEdges(4, base), ups)
+		label, b, st := fmt.Sprintf("same-edge-twice %d", i), NewBuilderFromEdges(4, base), NewStoreFromEdges(4, base)
+		matchBuilder(t, label, b, st, ups)
+		sameGraph(t, label, b, st)
 	}
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,15 +170,41 @@ func TestStoreMatchesBuilder(t *testing.T) {
 		st := NewStore(nv)
 		b := NewBuilder(nv)
 		for batch := 0; batch < 30; batch++ {
-			ups := randomUpdates(rng, 1+rng.Intn(60), nv+4) // +4 forces growth
-			check(fmt.Sprintf("seed %d batch %d", seed, batch), b, st, ups)
+			label := fmt.Sprintf("seed %d batch %d", seed, batch)
+			matchBuilder(t, label, b, st, randomUpdates(rng, 1+rng.Intn(60), nv+4)) // +4 forces growth
+			sameGraph(t, label, b, st)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	st, b := NewStore(2), NewBuilder(2)
+	moves := map[string]bool{}
+	prev := map[*adjacency][2]string{&st.out: {"inline", "inline"}, &st.in: {"inline", "inline"}}
+	for batch := 0; batch < 60; batch++ {
+		del := 0.1
+		if batch >= 25 {
+			del = 0.95
+		}
+		label := fmt.Sprintf("hub batch %d", batch)
+		matchBuilder(t, label, b, st, hubUpdates(rng, 60, 200, del))
+		sameGraph(t, label, b, st)
+		for a, was := range prev {
+			now := [2]string{tierOf(a, 0), tierOf(a, 1)}
+			for h := range now {
+				moves[was[h]+" → "+now[h]] = true
+			}
+			prev[a] = now
+		}
+	}
+	for _, m := range []string{"inline → linear", "linear → indexed", "indexed → linear"} {
+		if !moves[m] {
+			t.Errorf("hub stream never moved a hub %s (moves seen: %v)", m, moves)
 		}
 	}
 }
 
 // TestStoreHighDegreeSpill forces a vertex far past the inline slab so the
-// open-addressing path (insert, reweight, delete with swap-remove and
-// tombstones, rehash) is exercised, then checks against the Builder.
+// indexed path (insert, reweight, delete with swap-remove and tombstones,
+// rehash, in-place rebuild) is exercised, then checks against the Builder.
 func TestStoreHighDegreeSpill(t *testing.T) {
 	const n = 512
 	st := NewStore(n)
@@ -177,6 +255,41 @@ func TestStoreHighDegreeSpill(t *testing.T) {
 			t.Fatalf("after churn, edge 0→%d = (%v,%v), want (49,true)", i, w, ok)
 		}
 	}
+	// Constant-degree churn over fresh keys (a window sliding round a ring
+	// of IDs): deletes leave tombstones the adds mostly do not reuse, so
+	// the table fills and is rebuilt again and again at its own size — in
+	// place, allocating nothing.
+	const deg, ring = 300, 1024
+	cs := NewStore(ring + 1)
+	for i := 1; i <= deg; i++ {
+		cs.AddEdge(hub, VertexID(i), 0)
+	}
+	l := cs.out.spill[hub]
+	table, lo, rebuilds := &l.index[0], 0, 0
+	churn := func() {
+		for k := 0; k < ring; k++ {
+			tombs := l.tombs
+			cs.DeleteEdge(hub, VertexID(1+lo%ring))
+			cs.AddEdge(hub, VertexID(1+(lo+deg)%ring), float32(lo))
+			if l.tombs < tombs {
+				rebuilds++
+			}
+			lo++
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, churn); allocs != 0 {
+		t.Fatalf("constant-degree churn on an indexed hub: %v allocs per %d delete/add pairs, want 0", allocs, ring)
+	}
+	if rebuilds == 0 || &l.index[0] != table || cs.OutDegree(hub) != deg {
+		t.Fatalf("after churn: %d rebuilds, table moved %v, degree %d; want rebuilds in place at degree %d",
+			rebuilds, &l.index[0] != table, cs.OutDegree(hub), deg)
+	}
+	for k := lo; k < lo+deg; k++ {
+		if w, ok := cs.EdgeWeight(hub, VertexID(1+k%ring)); !ok || w != float32(k-deg) {
+			t.Fatalf("after churn, edge 0→%d = (%v,%v), want (%d,true)", 1+k%ring, w, ok, k-deg)
+		}
+	}
+	t.Logf("%d in-place rebuilds over %d delete/add pairs", rebuilds, lo)
 }
 
 // TestStoreFromSnapshotRoundTrip checks Snapshot → Store → Seal is the
@@ -202,11 +315,13 @@ func TestStoreFromSnapshotRoundTrip(t *testing.T) {
 // the bytes Seal().WriteBinary does, and exactly BinarySize of them —
 // on the empty graph, on isolated vertices, and after every batch of a
 // random churn that grows the vertex set, spills rows past the inline
-// slab and swap-removes from both representations. The row shapes the
-// writer branches on must all have occurred, so the test cannot quietly
-// stop covering one.
+// slab and swap-removes from both representations, and of a hub stream
+// that indexes them. The row shapes the writer branches on, unsorted
+// rows in every tier among them, must all have occurred, so the test
+// cannot quietly stop covering one.
 func TestStoreWriteBinaryMatchesSeal(t *testing.T) {
-	var sortedRow, unsortedInline, unsortedSpilled, isolated bool
+	var sortedRow, isolated bool
+	unsorted := map[string]bool{} // by tier
 	check := func(label string, st *Store) {
 		t.Helper()
 		var want, got bytes.Buffer
@@ -224,16 +339,13 @@ func TestStoreWriteBinaryMatchesSeal(t *testing.T) {
 		}
 		for v := 0; v < st.NumVertices(); v++ {
 			ns, _ := st.OutEdges(VertexID(v))
-			spilled := st.out.spill[v] != nil
 			switch {
 			case len(ns) == 0:
 				isolated = true
 			case len(ns) > 1 && slices.IsSorted(ns):
 				sortedRow = true
-			case len(ns) > 1 && spilled:
-				unsortedSpilled = true
 			case len(ns) > 1:
-				unsortedInline = true
+				unsorted[tierOf(&st.out, VertexID(v))] = true
 			}
 		}
 	}
@@ -247,9 +359,15 @@ func TestStoreWriteBinaryMatchesSeal(t *testing.T) {
 			check(fmt.Sprintf("seed %d batch %d", seed, batch), st)
 		}
 	}
-	if !sortedRow || !unsortedInline || !unsortedSpilled || !isolated {
-		t.Fatalf("row shapes covered: sorted %v, unsorted inline %v, unsorted spilled %v, isolated %v; want all",
-			sortedRow, unsortedInline, unsortedSpilled, isolated)
+	rng := rand.New(rand.NewSource(5))
+	st := NewStore(2)
+	for batch := 0; batch < 12; batch++ {
+		st.Apply(hubUpdates(rng, 150, 200, 0.2))
+		check(fmt.Sprintf("hub batch %d", batch), st)
+	}
+	if !sortedRow || !isolated || !unsorted["inline"] || !unsorted["linear"] || !unsorted["indexed"] {
+		t.Fatalf("row shapes covered: sorted %v, isolated %v, unsorted by tier %v; want all, unsorted in all three tiers",
+			sortedRow, isolated, unsorted)
 	}
 }
 

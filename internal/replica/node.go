@@ -780,7 +780,8 @@ func (n *Node) serveClient(conn net.Conn) error {
 	if err := WriteFrame(conn, Frame{Type: FrameWelcome, Term: term, Seq: n.durableSeq()}); err != nil {
 		return err
 	}
-	return n.serveSubmits(conn, &clientSession{br: bufio.NewReaderSize(conn, groupReadAhead)})
+	in := newSessionConn(conn)
+	return n.serveSubmits(conn, &clientSession{br: bufio.NewReaderSize(in, groupReadAhead), in: in})
 }
 
 // refuseClient answers a client this node cannot serve with the redirect
@@ -801,9 +802,11 @@ func (n *Node) refuseClient(conn net.Conn) error {
 // clientSession is the memory one client session serves its commit
 // rounds from, reused round after round: the read-ahead buffer on its
 // connection, the frame of the submit a round starts from, and the
-// round's commit group.
+// round's commit group. in is the connection under br when it can be
+// peeked (nil otherwise: rounds then never wait for owed submits).
 type clientSession struct {
 	br    *bufio.Reader
+	in    *sessionConn
 	frame []byte
 	group commitGroup
 }
@@ -815,13 +818,17 @@ type clientSession struct {
 // plus whatever run of further submits a pipelining client already has
 // queued behind it (gatherSubmits), made durable by one WAL barrier and
 // one follower round trip and answered with one in-order Ack each; a
-// client with one submit in flight gets groups of one. A node that stops
+// client with one submit in flight gets groups of one. After a group of
+// k > 1 the next round first waits, at most groupLinger, for the submits
+// the client owes: the k it sends for the acks plus those already
+// waiting when they went out (awaitFrames). A node that stops
 // being the leader refuses with the redirect hint. Duplicate submissions
 // (a client retrying across failover) are re-acked without re-applying;
 // that plus the Welcome sequence is what keeps acked batches exactly-once
 // under leadership changes.
 func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
 	pipe, br, group := n.fol.Pipeline(), s.br, &s.group
+	owed := 0 // frames the client owes the next round, its head among them
 	for {
 		fr, err := readFrameInto(br, &s.frame)
 		if err != nil {
@@ -830,6 +837,8 @@ func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
 			}
 			return err
 		}
+		wait := owed
+		owed = 0
 		if fr.Type != FrameSubmit {
 			return &FrameError{Reason: "client session",
 				Err: fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, fr.Type)}
@@ -853,6 +862,9 @@ func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
 				return err
 			}
 			continue
+		}
+		if wait > 1 {
+			awaitFrames(conn, br, wait-1, n.clock.Now())
 		}
 		// Everything but a quorum-durable round leaves the gathered
 		// submits unread: the loop then meets them one by one, and they
@@ -936,6 +948,11 @@ func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
 			// nothing was acknowledged. The client retries the same index.
 			WriteFrame(conn, Frame{Type: FrameReject, Term: term, Seq: durable})
 			return ierr
+		}
+		// Before the acks go out, what is waiting was sent without them;
+		// a pipelining client answers each ack with one more submit.
+		if k := len(group.payloads); k > 1 && s.in != nil && s.in.raw != nil {
+			owed = k + framesWaiting(s.in, br, gathered)
 		}
 		if err := writeFrameRun(conn, Frame{Type: FrameAck, Term: term, Seq: fr.Seq}, len(group.payloads)); err != nil {
 			return err

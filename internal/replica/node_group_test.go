@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/tdgraph/tdgraph/internal/fault"
+	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/serve"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/stream"
@@ -208,6 +210,165 @@ func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 				t.Errorf("%s WAL record %d is not the payload the client encoded", addr, i+1)
 			}
 		}
+	}
+}
+
+// TestNodePipelinedWindowCommitsWhole: a client on a real loopback socket
+// that keeps a window of submits in flight and writes the next submit as
+// each ack arrives — the closed loop of a pipelining client — gets about
+// one commit round per window. Taking only what happened to be buffered,
+// its first rounds split the window into groups that took turns, each
+// paying its own barrier, for as long as scheduling let them: up to twice
+// the rounds. The lone leader's states must still match the reference
+// session.
+func TestNodePipelinedWindowCommitsWhole(t *testing.T) {
+	const window, total = 8, 240
+	edges := make([]graph.Edge, 2000)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: uint32(i*7) % 256, Dst: uint32(i*13+5) % 255, Weight: float32(1 + i%9)}
+	}
+	w := stream.Build(edges, 256, stream.Config{WarmupFraction: 0.5, BatchSize: 4, AddFraction: 0.75, NumBatches: total, Seed: 11})
+	want := referenceStates(t, w)
+	cfg := nodeConfig(w, t.TempDir())
+	cfg.CheckpointEvery = -1
+	n, err := NewNode(NodeConfig{
+		Addr: "a", Pipeline: cfg, HeartbeatEvery: time.Second, Seed: 42,
+		Dial: func(string) (net.Conn, error) { return nil, fmt.Errorf("unreachable") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	term, err := n.fol.PromoteTo(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.becomeLeader(term)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		served <- n.HandleConn(conn)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	clientHandshake(t, conn)
+	sent := uint64(0)
+	send := func() {
+		sent++
+		if _, err := conn.Write(submitFrame(w, sent, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sent < window {
+		send()
+	}
+	for seq := uint64(1); seq <= total; seq++ {
+		if fr, err := ReadFrame(conn); err != nil || fr.Type != FrameAck || fr.Seq != seq {
+			t.Fatalf("answer to submit %d: %+v, %v, want its Ack", seq, fr, err)
+		}
+		if sent < total {
+			send()
+		}
+	}
+	conn.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	rounds := n.Follower().Pipeline().Collector().Get(stats.CtrServeRounds)
+	t.Logf("%d batches in a window of %d: %d commit rounds", total, window, rounds)
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !statesEqual(n.Follower().Pipeline().Session().States(), want) {
+		t.Error("the leader's states differ from the reference session")
+	}
+	// One round per window, the first (the window still arriving) and a
+	// few cut short by a stalled client (the next round takes their rest)
+	// aside.
+	if limit := uint64(total/window + total/window/3); rounds > limit {
+		t.Errorf("%d batches in a window of %d took %d commit rounds, want at most %d (%d is one per window)",
+			total, window, rounds, limit, total/window)
+	}
+}
+
+// TestFramesWaitingNeverBlocks: framesWaiting takes in what has reached
+// the socket and counts the whole frames past its skip — a partial frame
+// not — and with nothing there it answers at once instead of waiting for
+// the client.
+func TestFramesWaitingNeverBlocks(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, _ := ln.Accept()
+		accepted <- conn
+	}()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server := <-accepted
+	if server == nil {
+		t.Fatal("accept failed")
+	}
+	defer server.Close()
+	in := newSessionConn(server)
+	if in.raw == nil {
+		t.Skip("no non-blocking socket read on this platform")
+	}
+	br := bufio.NewReaderSize(in, groupReadAhead)
+	counted := make(chan int, 1)
+	go func() { counted <- framesWaiting(in, br, 0) }()
+	select {
+	case n := <-counted:
+		if n != 0 {
+			t.Fatalf("counted %d frames on a silent connection", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("framesWaiting waited for the client")
+	}
+
+	w := testWorkload(t, 3)
+	first, second, third := submitFrame(w, 1, 0), submitFrame(w, 2, 0), submitFrame(w, 3, 0)
+	sent := append(append(append([]byte(nil), first...), second...), third[:frameHdrSize+3]...)
+	if _, err := client.Write(sent); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.Peek(len(sent)); err != nil { // a blocking read: all of it has arrived
+		t.Fatal(err)
+	}
+	if n := framesWaiting(in, br, 0); n != 2 {
+		t.Errorf("two whole frames and part of a third buffered: counted %d, want 2", n)
+	}
+	if n := framesWaiting(in, br, len(first)); n != 1 {
+		t.Errorf("skipping the first frame: counted %d, want 1", n)
+	}
+	if _, err := client.Write(third[frameHdrSize+3:]); err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); ; {
+		if n := framesWaiting(in, br, 0); n == 3 {
+			break
+		} else if time.Since(start) > 10*time.Second {
+			t.Fatalf("the rest of the third frame was sent; framesWaiting still counts %d", n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
