@@ -99,7 +99,9 @@ func resolveCallee(info *types.Info, call *ast.CallExpr) string {
 			if types.IsInterface(sel.Recv()) {
 				return ""
 			}
-			return f.FullName()
+			// A method of an instantiated generic type is keyed by its
+			// declaration, not by the instance's type arguments.
+			return f.Origin().FullName()
 		}
 		// Package-qualified call: fmt.Sprintf, net.Dial, …
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {

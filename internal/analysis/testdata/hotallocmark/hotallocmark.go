@@ -4,7 +4,8 @@
 package hotallocmark
 
 // Kernel is pinned hot by its marker; reachability carries the
-// contract into weigh.
+// contract into weigh and into a method of an instantiated generic
+// type.
 //
 //tdgraph:hot
 func Kernel(xs []int) int {
@@ -12,7 +13,17 @@ func Kernel(xs []int) int {
 	for _, x := range xs {
 		total += weigh(x)
 	}
+	var p pool[int]
+	p.grow()
 	return total
+}
+
+// pool is generic: the call above names pool[int].grow, which is
+// reached through the generic declaration.
+type pool[T any] struct{ items []T }
+
+func (p *pool[T]) grow() {
+	p.items = make([]T, 1) // want `make allocates on hot path`
 }
 
 func weigh(x int) int {

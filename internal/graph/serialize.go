@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -32,18 +33,32 @@ func BinarySize(numVertices, numEdges int) uint64 {
 }
 
 // binaryEncoder is the one place the TDG2 layout is written down. It
-// encodes into a fixed chunk handed to w whenever it fills, so a writer
-// never holds more than the chunk; the first write error sticks and is
-// returned by flush.
+// encodes straight into its writer's free buffer and hands each filled
+// stretch back with Write, so it holds no chunk of its own; the first
+// write error sticks and is returned by finish.
 type binaryEncoder struct {
-	w   io.Writer
+	w   bufferedWriter
 	buf []byte
 	err error
 }
 
-// newBinaryEncoder starts a graph of the given shape.
+// bufferedWriter lends its free buffer to an encoder (AvailableBuffer)
+// and empties it on Flush: a bufio.Writer, or a checkpoint block.
+type bufferedWriter interface {
+	io.Writer
+	AvailableBuffer() []byte
+	Flush() error
+}
+
+// newBinaryEncoder starts a graph of the given shape on w, giving a
+// writer that cannot lend a buffer a 64 KiB bufio.Writer.
 func newBinaryEncoder(w io.Writer, numVertices, numEdges int) *binaryEncoder {
-	e := &binaryEncoder{w: w, buf: make([]byte, 0, 64<<10)}
+	bw, ok := w.(bufferedWriter)
+	if !ok {
+		bw = bufio.NewWriterSize(w, 64<<10)
+	}
+	e := &binaryEncoder{w: bw}
+	e.flush()
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, snapshotMagic)
 	e.u64(uint64(numVertices))
 	e.u64(uint64(numEdges))
@@ -63,11 +78,28 @@ func (e *binaryEncoder) edge(dst VertexID, weightBits uint32) {
 	e.u64(uint64(weightBits)<<32 | uint64(dst))
 }
 
-func (e *binaryEncoder) flush() error {
+// flush hands the encoded stretch to w and takes w's free buffer back,
+// emptying it first if it has no room for a word. After an error the
+// rest is encoded into buf and dropped.
+func (e *binaryEncoder) flush() {
 	if e.err == nil {
-		_, e.err = e.w.Write(e.buf)
+		if _, e.err = e.w.Write(e.buf); e.err == nil && cap(e.w.AvailableBuffer()) < 8 {
+			e.err = e.w.Flush()
+		}
 	}
-	e.buf = e.buf[:0]
+	if e.err != nil {
+		e.buf = e.buf[:0]
+		return
+	}
+	e.buf = e.w.AvailableBuffer()
+}
+
+// finish hands over the last stretch and flushes w, returning the first
+// write error.
+func (e *binaryEncoder) finish() error {
+	if e.flush(); e.err == nil {
+		e.err = e.w.Flush()
+	}
 	return e.err
 }
 
@@ -80,26 +112,27 @@ func (s *Snapshot) WriteBinary(w io.Writer) error {
 	for i, d := range s.Neighbors {
 		e.edge(d, math.Float32bits(s.Weights[i]))
 	}
-	return e.flush()
+	return e.finish()
 }
 
 // WriteBinary serialises the store in one pass, byte-identical to
 // Seal().WriteBinary without building the snapshot: the degree array is
 // the offsets array, and a row not already in order is sorted as packed
-// dst<<32|weight keys in one scratch sized to the largest row — O(max
-// degree) transient memory instead of O(E).
+// dst<<32|weight keys in a scratch sized to the largest row and kept for
+// the next call — O(max degree) memory instead of O(E).
 func (st *Store) WriteBinary(w io.Writer) error {
 	e := newBinaryEncoder(w, st.numVertices, st.numEdges)
 	var off uint64
 	var maxDeg uint32
-	for _, d := range st.out.deg {
+	for _, h := range st.out.hdr {
 		e.u64(off)
-		off += uint64(d)
-		maxDeg = max(maxDeg, d)
+		off += uint64(h.deg)
+		maxDeg = max(maxDeg, h.deg)
 	}
 	e.u64(off)
-	keys := make([]uint64, 0, maxDeg)
-	for v := range st.out.deg {
+	st.sortKeys = slices.Grow(st.sortKeys[:0], int(maxDeg))
+	keys := st.sortKeys
+	for v := range st.out.hdr {
 		if e.err != nil {
 			break
 		}
@@ -119,7 +152,7 @@ func (st *Store) WriteBinary(w io.Writer) error {
 			e.edge(VertexID(k>>32), uint32(k))
 		}
 	}
-	return e.flush()
+	return e.finish()
 }
 
 // ReadBinary deserialises a snapshot written by WriteBinary and rebuilds

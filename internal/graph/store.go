@@ -11,26 +11,30 @@ import (
 // instead of the O(|E|) CSR rebuild the Builder/Snapshot pair pays per
 // batch.
 //
-// Layout per vertex and per direction (out-edges and an in-edge mirror,
-// required by the monotonic deletion re-gather), GraphTango's three
-// tiers:
+// Layout: a compact vertex table per direction (out-edges and an in-edge
+// mirror, required by the monotonic deletion re-gather). Every vertex
+// has one pointer-free 8-byte header, its degree and a location, and
+// owns storage only for the edges it has, in GraphTango's three tiers:
 //
-//   - inline, degree <= storeInlineCap: neighbours live in a fixed-width
-//     slab (storeInlineCap slots per vertex in one flat array), so the
-//     common low-degree case is a single cache line with zero pointer
-//     chasing;
-//   - linear, degree up to storeLinearMax: the vertex spills to its own
-//     dense edge log and finds a neighbour by scanning it — at most four
-//     cache lines of IDs, no table to build or grow;
+//   - empty, degree 0 and never spilled: the header is all there is;
+//   - inline, degree 1..storeInlineCap: the header names a block of
+//     storeInlineCap neighbour and weight slots (one 32-byte line) from
+//     a pool of fixed-size pages. A vertex that drops to degree 0 or
+//     spills releases its block to a free list, and the next vertex to
+//     need one reuses it before the pool grows;
+//   - linear, degree up to storeLinearMax: the header names a dense edge
+//     log, held by value in a page pool of its own, searched by scanning
+//     it — at most four cache lines of IDs, no table to build or grow;
 //   - indexed, above storeLinearMax: the same log plus an index-only
 //     open-addressing table of log positions, O(1) expected lookup/
 //     insert/delete.
 //
-// A spilled vertex keeps its log for good; deletes that bring its degree
-// down to storeLinearMax/2 drop the index, and so does a rebuild that
-// finds the degree back in the linear range. Deletion swap-removes from
-// the log in every tier, so iteration is one dense slice for the hot
-// loops.
+// Pools grow by whole pages and never move a slot, so growth copies
+// nothing and a visit reads the header, then the block or log. A spilled
+// vertex keeps its log for good; deletes that bring its degree down to
+// storeLinearMax/2 drop the index, and so does a rebuild that finds the
+// degree back in the linear range. Deletion swap-removes in every tier,
+// so iteration is one dense slice for the hot loops.
 //
 // Iteration order over a vertex's neighbours is insertion order, NOT the
 // sorted order Snapshot guarantees; Seal() materialises a sorted immutable
@@ -52,12 +56,13 @@ type Store struct {
 	res        ApplyResult
 	touchEpoch []uint32
 	epoch      uint32
+	sortKeys   []uint64 // WriteBinary's row-sort scratch, reused across saves
 }
 
-// storeInlineCap is the inline slab width: vertices at or below this
-// degree never leave the slab. Four (dst,weight) pairs is 32 bytes per
-// direction — half a cache line — and covers the long tail of a
-// power-law degree distribution.
+// storeInlineCap is the inline block width: vertices at or below this
+// degree never spill. Four (dst,weight) pairs is 32 bytes per direction
+// — half a cache line — and covers the long tail of a power-law degree
+// distribution.
 const storeInlineCap = 4
 
 // storeLinearMax is the largest degree a spilled vertex serves by linear
@@ -65,19 +70,51 @@ const storeInlineCap = 4
 // an index (EXPERIMENTS.md has the threshold sweep).
 const storeLinearMax = 64
 
-// adjacency is one direction (out- or in-edges) of the hybrid format.
+// adjacency is one direction (out- or in-edges) of the vertex table.
 type adjacency struct {
-	deg   []uint32   // per-vertex live degree
-	nbr   []VertexID // inline slab: storeInlineCap slots per vertex
-	wgt   []float32  // parallel to nbr
-	spill []*edgeLog // non-nil once a vertex outgrows the slab
+	hdr    []vertexHeader
+	blocks pagePool[inlineBlock]
+	free   []uint32 // released block handles, reused before the pool grows
+	logs   pagePool[edgeLog]
 }
 
-func (a *adjacency) grow(n int) {
-	a.deg = extend(a.deg, n)
-	a.spill = extend(a.spill, n)
-	a.nbr = extend(a.nbr, n*storeInlineCap)
-	a.wgt = extend(a.wgt, n*storeInlineCap)
+// vertexHeader is a vertex's live degree and the location of its edges:
+// 0 for none, an inline block's handle + 1, or locSpilled | a log's
+// handle.
+type vertexHeader struct {
+	deg, loc uint32
+}
+
+const locSpilled = 1 << 31
+
+// inlineBlock holds an inline vertex's edges in its first deg slots.
+type inlineBlock struct {
+	nbr [storeInlineCap]VertexID
+	wgt [storeInlineCap]float32
+}
+
+// poolPage is the slot count of a pool page: 8 KiB of inline blocks or
+// 20 KiB of edge logs.
+const poolPage = 256
+
+// pagePool hands out slots of T from fixed-size pages by handle, a new
+// page when the last is full, so a slot never moves and growth copies
+// nothing but the page directory.
+type pagePool[T any] struct {
+	pages  [][]T
+	issued uint32 // slots handed out; the next handle
+}
+
+func (p *pagePool[T]) alloc() uint32 {
+	if p.issued%poolPage == 0 {
+		p.pages = append(p.pages, make([]T, poolPage)) //tdgraph:allow hotalloc pool page: one per poolPage vertices that first gain an edge or spill, amortized like any append
+	}
+	p.issued++
+	return p.issued - 1
+}
+
+func (p *pagePool[T]) at(h uint32) *T {
+	return &p.pages[h/poolPage][h%poolPage]
 }
 
 // extend zero-extends s to length n, growing its backing array at most
@@ -93,92 +130,99 @@ func extend[T any](s []T, n int) []T {
 // overwrote and whether u was a neighbour already, so a caller learns
 // both from the one lookup.
 func (a *adjacency) insert(v, u VertexID, w float32) (float32, bool) {
-	if l := a.spill[v]; l != nil {
-		old, existed := l.insert(u, w)
+	h := &a.hdr[v]
+	if h.loc&locSpilled != 0 {
+		old, existed := a.logs.at(h.loc&^locSpilled).insert(u, w)
 		if !existed {
-			a.deg[v]++
+			h.deg++
 		}
 		return old, existed
 	}
-	base := int(v) * storeInlineCap
-	d := int(a.deg[v])
-	for i := 0; i < d; i++ {
-		if a.nbr[base+i] == u {
-			old := a.wgt[base+i]
-			a.wgt[base+i] = w
-			return old, true
+	if h.loc == 0 { // an empty vertex takes a block, a released one first
+		if n := len(a.free); n > 0 {
+			h.loc = a.free[n-1] + 1
+			a.free = a.free[:n-1]
+		} else {
+			h.loc = a.blocks.alloc() + 1
 		}
 	}
-	a.deg[v]++
+	b, d := a.blocks.at(h.loc-1), h.deg
+	if i := slices.Index(b.nbr[:d], u); i >= 0 {
+		old := b.wgt[i]
+		b.wgt[i] = w
+		return old, true
+	}
+	h.deg++
 	if d < storeInlineCap {
-		a.nbr[base+d] = u
-		a.wgt[base+d] = w
+		b.nbr[d], b.wgt[d] = u, w
 		return 0, false
 	}
-	// Spill: move the inline slab into a fresh edge log (linear tier).
-	l := &edgeLog{
-		nbr: make([]VertexID, d, 2*storeInlineCap), //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
-		wgt: make([]float32, d, 2*storeInlineCap),  //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
-	}
-	copy(l.nbr, a.nbr[base:])
-	copy(l.wgt, a.wgt[base:])
+	// Spill: move the block into a fresh edge log (linear tier) and
+	// release it.
+	lh := a.logs.alloc()
+	l := a.logs.at(lh)
+	l.nbr = append(make([]VertexID, 0, 2*storeInlineCap), b.nbr[:]...) //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
+	l.wgt = append(make([]float32, 0, 2*storeInlineCap), b.wgt[:]...)  //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
+	a.free = append(a.free, h.loc-1)
+	h.loc = locSpilled | lh
 	l.insert(u, w)
-	a.spill[v] = l
 	return 0, false
 }
 
 // delete removes the neighbour u of v, reporting whether it existed.
 func (a *adjacency) delete(v, u VertexID) bool {
-	if l := a.spill[v]; l != nil {
-		if l.remove(u) {
-			a.deg[v]--
-			return true
+	h := &a.hdr[v]
+	if h.loc&locSpilled != 0 {
+		if !a.logs.at(h.loc &^ locSpilled).remove(u) {
+			return false
 		}
-		return false
-	}
-	base := int(v) * storeInlineCap
-	d := int(a.deg[v])
-	for i := 0; i < d; i++ {
-		if a.nbr[base+i] == u {
-			// Swap-remove keeps the live prefix dense.
-			a.nbr[base+i] = a.nbr[base+d-1]
-			a.wgt[base+i] = a.wgt[base+d-1]
-			a.deg[v]--
-			return true
+	} else {
+		ns, ws := a.edges(v)
+		i := slices.Index(ns, u)
+		if i < 0 {
+			return false
+		}
+		last := len(ns) - 1
+		ns[i], ws[i] = ns[last], ws[last] // swap-remove keeps the live prefix dense
+		if last == 0 {
+			a.free = append(a.free, h.loc-1)
+			h.loc = 0
 		}
 	}
-	return false
+	h.deg--
+	return true
 }
 
 // get returns the weight of the neighbour u of v, if present.
 func (a *adjacency) get(v, u VertexID) (float32, bool) {
-	if l := a.spill[v]; l != nil {
+	if h := a.hdr[v]; h.loc&locSpilled != 0 {
+		l := a.logs.at(h.loc &^ locSpilled)
 		if pos, _ := l.find(u); pos >= 0 {
 			return l.wgt[pos], true
 		}
 		return 0, false
 	}
-	base := int(v) * storeInlineCap
-	d := int(a.deg[v])
-	for i := 0; i < d; i++ {
-		if a.nbr[base+i] == u {
-			return a.wgt[base+i], true
-		}
+	ns, ws := a.edges(v)
+	if i := slices.Index(ns, u); i >= 0 {
+		return ws[i], true
 	}
 	return 0, false
 }
 
 // edges returns v's neighbour and weight slices in insertion order,
-// aliasing internal storage (the inline slab prefix or the spill log).
-// Closure-free so the engines' hot loops stay allocation-free; the slices
-// are invalidated by any mutation of v's adjacency.
+// aliasing internal storage (the inline block's live prefix or the edge
+// log). Closure-free so the engines' hot loops stay allocation-free; the
+// slices are invalidated by any mutation of v's adjacency.
 func (a *adjacency) edges(v VertexID) ([]VertexID, []float32) {
-	if l := a.spill[v]; l != nil {
+	switch h := a.hdr[v]; {
+	case h.loc&locSpilled != 0:
+		l := a.logs.at(h.loc &^ locSpilled)
 		return l.nbr, l.wgt
+	case h.loc != 0:
+		b := a.blocks.at(h.loc - 1)
+		return b.nbr[:h.deg], b.wgt[:h.deg]
 	}
-	base := int(v) * storeInlineCap
-	d := int(a.deg[v])
-	return a.nbr[base : base+d], a.wgt[base : base+d]
+	return nil, nil
 }
 
 // forEach visits v's neighbours in insertion order. f must not mutate the
@@ -190,9 +234,10 @@ func (a *adjacency) forEach(v VertexID, f func(u VertexID, w float32)) {
 	}
 }
 
-// edgeLog is a spilled vertex's adjacency: a dense edge log (insertion-
-// order neighbour/weight arrays) and, above storeLinearMax, an index-only
-// linear-probing table. A table slot holds a log position + 1 (0 empty,
+// edgeLog is a spilled vertex's adjacency, one slot of the log pool: a
+// dense edge log (insertion-order neighbour/weight arrays) and, above
+// storeLinearMax, an index-only linear-probing table. A table slot holds
+// a log position + 1 (0 empty,
 // indexTomb deleted) and keys are read through nbr, so any VertexID is a
 // valid key. Deletion swap-removes from the log so it stays dense; the
 // vacated slot becomes a tombstone and the table is rebuilt when
@@ -356,8 +401,7 @@ func NewStoreFromSnapshot(s *Snapshot) *Store {
 }
 
 func (st *Store) growTo(n int) {
-	st.out.grow(n)
-	st.in.grow(n)
+	st.out.hdr, st.in.hdr = extend(st.out.hdr, n), extend(st.in.hdr, n)
 	st.touchEpoch = extend(st.touchEpoch, n)
 	if n > st.numVertices {
 		st.numVertices = n
@@ -377,10 +421,10 @@ func (st *Store) NumVertices() int { return st.numVertices }
 func (st *Store) NumEdges() int { return st.numEdges }
 
 // OutDegree returns the current out-degree of v.
-func (st *Store) OutDegree(v VertexID) int { return int(st.out.deg[v]) }
+func (st *Store) OutDegree(v VertexID) int { return int(st.out.hdr[v].deg) }
 
 // InDegree returns the current in-degree of v.
-func (st *Store) InDegree(v VertexID) int { return int(st.in.deg[v]) }
+func (st *Store) InDegree(v VertexID) int { return int(st.in.hdr[v].deg) }
 
 // HasEdge reports whether src→dst currently exists.
 func (st *Store) HasEdge(src, dst VertexID) bool {

@@ -10,9 +10,10 @@ import (
 // get it there.
 const fuzzIDs = 96
 
-// fuzzMaxUpdates bounds one input: room for the seeds' full climb and
-// descent, small enough for thousands of executions a second.
-const fuzzMaxUpdates = 384
+// fuzzMaxUpdates bounds one input: room for the seeds' full climb,
+// descent and second climb, small enough for thousands of executions a
+// second.
+const fuzzMaxUpdates = 512
 
 // Fuzz update encoding, three bytes per update: op, x, y. Bit 0 of op
 // puts a hub (1 if bit 1 is set, else 0) at the source instead of x,
@@ -31,7 +32,9 @@ const (
 // ApplyResult of every batch (matchBuilder), then edge lists and
 // checkpoint bytes (sameGraph).
 // The seeds carry hub 0's out-edges and hub 1's in-edges inline →
-// linear → indexed, and then hub 0's back down.
+// linear → indexed, then hub 0's back down to degree 0, which empties
+// every other vertex's in-edges and releases their inline blocks, and
+// then back up again on recycled blocks.
 func FuzzStoreMatchesBuilder(f *testing.F) {
 	var up, down []byte
 	for i := 2; i < fuzzIDs; i++ {
@@ -45,6 +48,7 @@ func FuzzStoreMatchesBuilder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(up)
 	f.Add(append(append([]byte{}, up...), down...))
+	f.Add(append(append(append([]byte{}, up...), down...), up...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*fuzzMaxUpdates {
 			return // every batch re-checks the whole graph; keep inputs cheap

@@ -66,3 +66,51 @@ func TestStoreInsertStreamAllocBudget(t *testing.T) {
 	}
 	t.Logf("%d streamed inserts, %.1f B allocated each (budget %.1f)", added, perInsert, storeBytesPerInsert)
 }
+
+// liveGrowth is how much the live heap grows while build runs: both ends
+// are read after a full collection, with build's result still held.
+func liveGrowth(build func() *graph.Store) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(st)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
+}
+
+// Footprint budgets of the vertex table. An edgeless vertex costs two
+// 8-byte headers and its 4-byte touch epoch, on top of storeFixedBytes
+// for the Store's own fields and whatever the runtime allocates around
+// the measurement. The warm-up budget is 1.1 × the 1,098,424 live bytes
+// measured for it (the slab-and-pointer layout the vertex table replaced
+// held 1,883,312).
+const (
+	storeBytesPerEmptyVertex = 2*8 + 4
+	storeFixedBytes          = 64 << 10
+	storeWarmupLiveBytes     = 1.1 * 1_098_424
+)
+
+// TestStoreFootprintBudget holds the store's live heap (a) over a million
+// edgeless vertices, which own nothing but their headers, and (b) after
+// the churn and ckpt-default warm-up at 1/16 scale: g-big's R-MAT shape
+// at 16,384 vertices and 131,072 edges, half of them loaded.
+func TestStoreFootprintBudget(t *testing.T) {
+	const empty = 1 << 20
+	perEmpty := (liveGrowth(func() *graph.Store { return graph.NewStore(empty) }) - storeFixedBytes) / empty
+	t.Logf("NewStore(%d): %.2f B per vertex (budget %d)", empty, perEmpty, storeBytesPerEmptyVertex)
+	if perEmpty > storeBytesPerEmptyVertex {
+		t.Errorf("NewStore(%d) holds %.2f B per vertex, budget %d", empty, perEmpty, storeBytesPerEmptyVertex)
+	}
+	const nv, ne = 16_384, 131_072
+	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: ne, A: 0.57, B: 0.19, C: 0.19, Seed: 1, MaxWeight: 64})
+	w := stream.Build(edges, nv, stream.Config{WarmupFraction: 0.5, BatchSize: 512, AddFraction: 0.5, NumBatches: 1, Seed: 1})
+	var st *graph.Store
+	live := liveGrowth(func() *graph.Store { st = graph.NewStoreFromEdges(nv, w.Warmup); return st })
+	t.Logf("warm-up store: %.0f B live, %.1f B per vertex, %.1f B per edge (%d vertices, %d edges; budget %.0f B)",
+		live, live/float64(st.NumVertices()), live/float64(st.NumEdges()), st.NumVertices(), st.NumEdges(), storeWarmupLiveBytes)
+	if live > storeWarmupLiveBytes {
+		t.Errorf("warm-up store holds %.0f B live, budget %.0f", live, storeWarmupLiveBytes)
+	}
+}

@@ -88,10 +88,12 @@ func hubUpdates(rng *rand.Rand, n, maxID int, del float64) []Update {
 
 // tierOf names the representation holding v's adjacency in a.
 func tierOf(a *adjacency, v VertexID) string {
-	switch l := a.spill[v]; {
-	case l == nil:
+	switch h := a.hdr[v]; {
+	case h.loc == 0:
+		return "empty"
+	case h.loc&locSpilled == 0:
 		return "inline"
-	case l.index == nil:
+	case a.logs.at(h.loc&^locSpilled).index == nil:
 		return "linear"
 	}
 	return "indexed"
@@ -152,11 +154,12 @@ func sameGraph(t *testing.T, label string, b *Builder, st *Store) {
 }
 
 // TestStoreMatchesBuilder drives a Store and a Builder with identical
-// update streams — the same-edge-twice shapes, random ones, and a
-// hub-biased one — through matchBuilder and sameGraph after every batch.
-// The hub stream must carry a hub inline → linear → indexed and back to
-// linear by deletes, so neither spilled tier can drop out of the
-// differential.
+// update streams — the same-edge-twice shapes, random ones, a hub-biased
+// one, and single updates that recycle inline blocks — through
+// matchBuilder after every batch and sameGraph. The hub stream must
+// carry a hub to linear, indexed and back to linear by deletes, and the
+// single updates must take vertices empty → inline → empty and inline →
+// linear, so no tier can drop out of the differential.
 func TestStoreMatchesBuilder(t *testing.T) {
 	for i, ups := range sameEdgeTwice {
 		base := []Edge{{Src: 0, Dst: 1, Weight: 12}, {Src: 1, Dst: 2, Weight: 1}}
@@ -178,7 +181,7 @@ func TestStoreMatchesBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	st, b := NewStore(2), NewBuilder(2)
 	moves := map[string]bool{}
-	prev := map[*adjacency][2]string{&st.out: {"inline", "inline"}, &st.in: {"inline", "inline"}}
+	prev := map[*adjacency][2]string{&st.out: {"empty", "empty"}, &st.in: {"empty", "empty"}}
 	for batch := 0; batch < 60; batch++ {
 		del := 0.1
 		if batch >= 25 {
@@ -195,9 +198,70 @@ func TestStoreMatchesBuilder(t *testing.T) {
 			prev[a] = now
 		}
 	}
-	for _, m := range []string{"inline → linear", "linear → indexed", "indexed → linear"} {
+	for _, m := range []string{"empty → linear", "linear → indexed", "indexed → linear"} {
 		if !moves[m] {
 			t.Errorf("hub stream never moved a hub %s (moves seen: %v)", m, moves)
+		}
+	}
+
+	// One update at a time, so no tier change or peak goes unseen. Vertex
+	// 0 empties its block and takes it back, stale slots and all; vertex
+	// 5 spills and vertex 11 gets its block; then a delete-heavy stream
+	// empties and refills vertices throughout. Since a released block is
+	// reused before a fresh one is issued, a pool has issued exactly as
+	// many blocks as were ever inline at once.
+	const nv = 24
+	st, b = NewStore(nv), NewBuilder(nv)
+	moves = map[string]bool{}
+	tiers := map[*adjacency][]string{&st.out: make([]string, nv), &st.in: make([]string, nv)}
+	for _, was := range tiers {
+		for v := range was {
+			was[v] = "empty"
+		}
+	}
+	peak := map[*adjacency]int{}
+	steps := func(ups []Update) {
+		t.Helper()
+		for _, u := range ups {
+			matchBuilder(t, fmt.Sprintf("single update %v", u), b, st, []Update{u})
+			for a, was := range tiers {
+				live := 0
+				for v := range was {
+					now := tierOf(a, VertexID(v))
+					moves[was[v]+" → "+now] = true
+					was[v] = now
+					if now == "inline" {
+						live++
+					}
+				}
+				if peak[a] = max(peak[a], live); int(a.blocks.issued) != peak[a] {
+					t.Fatalf("after %v: %d blocks issued, at most %d inline at once", u, a.blocks.issued, peak[a])
+				}
+			}
+		}
+	}
+	add := func(s, d VertexID) Update { return Update{Edge: Edge{Src: s, Dst: d, Weight: float32(d)}} }
+	del := func(s, d VertexID) Update { return Update{Edge: Edge{Src: s, Dst: d}, Delete: true} }
+	steps([]Update{add(0, 1), add(0, 2), add(0, 3)})
+	block0 := st.out.hdr[0].loc
+	steps([]Update{del(0, 1), del(0, 3), del(0, 2), add(0, 4), add(5, 6), add(5, 7), add(5, 8), add(5, 9)})
+	block5 := st.out.hdr[5].loc
+	steps([]Update{add(5, 10), add(11, 12)})
+	ns0, _ := st.OutEdges(0)
+	ns11, _ := st.OutEdges(11)
+	if st.out.hdr[0].loc != block0 || st.out.hdr[11].loc != block5 || !slices.Equal(ns0, []VertexID{4}) || !slices.Equal(ns11, []VertexID{12}) {
+		t.Fatalf("recycled blocks: vertex 0 has %v in %d (released %d), vertex 11 has %v in %d (vertex 5 released %d)",
+			ns0, st.out.hdr[0].loc, block0, ns11, st.out.hdr[11].loc, block5)
+	}
+	churn := randomUpdates(rng, 4000, nv)
+	for i := range churn {
+		churn[i].Delete = rng.Intn(8) != 0
+	}
+	steps(churn)
+	sameGraph(t, "single updates", b, st)
+	for _, m := range []string{"empty → inline", "inline → empty", "inline → linear"} {
+		if !moves[m] {
+			t.Errorf("single-update stream never moved a vertex %s (moves seen: %v)", m, moves)
 		}
 	}
 }
@@ -264,7 +328,7 @@ func TestStoreHighDegreeSpill(t *testing.T) {
 	for i := 1; i <= deg; i++ {
 		cs.AddEdge(hub, VertexID(i), 0)
 	}
-	l := cs.out.spill[hub]
+	l := cs.out.logs.at(cs.out.hdr[hub].loc &^ locSpilled)
 	table, lo, rebuilds := &l.index[0], 0, 0
 	churn := func() {
 		for k := 0; k < ring; k++ {

@@ -25,20 +25,26 @@ func buildSessionFixture(nv, ne, workers int) (*Session, []graph.Update, []graph
 
 // TestSessionSteadyStateZeroAllocs is the zero-allocs-per-update
 // guarantee: once buffers are warm, ApplyBatch must not allocate — the
-// store reuses its result buffers, the repair reuses its scratch, and
-// the worklists and worker pool are persistent.
+// store reuses its result buffers and released inline blocks, the repair
+// reuses its scratch, and the worklists and worker pool are persistent.
+// The second toggle is an edge between two vertices with no other edge,
+// so each round both endpoints release their blocks and take them back.
 func TestSessionSteadyStateZeroAllocs(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		s, add, del := buildSessionFixture(1024, 8192, workers)
+		iso := graph.Edge{Src: 1024, Dst: 1025, Weight: 1} // past the fixture's vertices
+		isoAdd, isoDel := []graph.Update{{Edge: iso}}, []graph.Update{{Edge: iso, Delete: true}}
+		toggle := func() {
+			s.ApplyBatch(del)
+			s.ApplyBatch(add)
+			s.ApplyBatch(isoAdd)
+			s.ApplyBatch(isoDel)
+		}
 		// Warm up: grow every reusable buffer to steady-state capacity.
 		for i := 0; i < 50; i++ {
-			s.ApplyBatch(del)
-			s.ApplyBatch(add)
+			toggle()
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			s.ApplyBatch(del)
-			s.ApplyBatch(add)
-		})
+		allocs := testing.AllocsPerRun(200, toggle)
 		s.Close()
 		if allocs != 0 {
 			t.Errorf("workers=%d: steady-state ApplyBatch allocates %.1f objects per toggle, want 0", workers, allocs)

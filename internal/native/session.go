@@ -152,16 +152,17 @@ func (s *Session) bootstrap(keep []float64) {
 	s.growTo(n)
 	vals := make([]float64, n)
 	inQ := make([]bool, n)
-	queue := make([]graph.VertexID, 0, n)
+	// A FIFO ring of n slots: a vertex is queued at most once at a time.
+	queue := make([]graph.VertexID, n)
 	for v := 0; v < n; v++ {
 		vals[v] = s.alg.InitialValue(graph.VertexID(v))
 		s.parent[v] = -1
-		queue = append(queue, graph.VertexID(v))
+		queue[v] = graph.VertexID(v)
 		inQ[v] = true
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head, size := 0, n; size > 0; {
+		v := queue[head]
+		head, size = (head+1)%n, size-1
 		inQ[v] = false
 		ns, ws := s.store.OutEdges(v)
 		for i, u := range ns {
@@ -171,7 +172,8 @@ func (s *Session) bootstrap(keep []float64) {
 				s.parent[u] = int32(v)
 				if !inQ[u] {
 					inQ[u] = true
-					queue = append(queue, u)
+					queue[(head+size)%n] = u
+					size++
 				}
 			}
 		}
@@ -184,17 +186,25 @@ func (s *Session) bootstrap(keep []float64) {
 	}
 }
 
+// growTo extends the per-vertex arrays to n vertices, each in one step.
 func (s *Session) growTo(n int) {
-	for len(s.states) < n {
-		v := graph.VertexID(len(s.states))
-		s.states = append(s.states, math.Float64bits(s.alg.InitialValue(v)))
-		s.parent = append(s.parent, -1)
-		s.vlock = append(s.vlock, 0)
-		s.queued = append(s.queued, 0)
-		s.improveVer = append(s.improveVer, 0)
-		s.propVer = append(s.propVer, 0)
-		s.tagEpoch = append(s.tagEpoch, 0)
+	old := len(s.states)
+	if n <= old {
+		return
 	}
+	s.states, s.parent, s.vlock = extend(s.states, n), extend(s.parent, n), extend(s.vlock, n)
+	s.queued, s.tagEpoch = extend(s.queued, n), extend(s.tagEpoch, n)
+	s.improveVer, s.propVer = extend(s.improveVer, n), extend(s.propVer, n)
+	for v := old; v < n; v++ {
+		s.states[v] = math.Float64bits(s.alg.InitialValue(graph.VertexID(v)))
+		s.parent[v] = -1
+	}
+}
+
+// extend zero-extends s to length n > len(s), growing its backing array
+// at most once instead of element by element.
+func extend[T any](s []T, n int) []T {
+	return append(s, make([]T, n-len(s))...) //tdgraph:allow hotalloc vertex-set growth: the compiler extends in place, amortized like any append
 }
 
 // NumVertices returns the session's vertex count.

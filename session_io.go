@@ -52,8 +52,8 @@ const (
 	// maxStateEntries bounds the state block so a corrupted count cannot
 	// drive allocation; matches the graph deserialiser's own sanity cap.
 	maxStateEntries = 1 << 33
-	// ckptChunk is the save path's buffer size: the file buffer and the
-	// state encoder each hold one, whatever the graph's size.
+	// ckptChunk is the size of the session's one file buffer, which every
+	// save reuses whatever the graph's size.
 	ckptChunk = 64 << 10
 )
 
@@ -99,10 +99,10 @@ func (s *Session) Save(w io.Writer) error { return s.save(w, nil) }
 
 // save streams the checkpoint with meta in-band, in one pass and without
 // materialising anything: each block's length is declared, its payload
-// goes once through the file buffer while the CRC accumulates — the
-// graph straight from the backend's store, the states through one fixed
-// chunk — and the CRC trails it. A block that streams a different number
-// of bytes than declared fails the save, so nothing is published.
+// is encoded straight into the session's reused file buffer while the
+// CRC accumulates — the graph from the backend's store, then the states
+// — and the CRC trails it. A block that streams a different number of
+// bytes than declared fails the save, so nothing is published.
 func (s *Session) save(w io.Writer, meta []byte) error {
 	if len(meta) > maxMetaBytes {
 		return fmt.Errorf("tdgraph: checkpoint meta is %d bytes, limit %d", len(meta), maxMetaBytes)
@@ -110,7 +110,12 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	state := s.eng.states()
 	// A bufio.Writer's first write error sticks, so the framing words go
 	// unchecked: the next block writer, or Flush, reports it.
-	bw := bufio.NewWriterSize(w, ckptChunk)
+	if s.ckptBuf == nil {
+		s.ckptBuf = bufio.NewWriterSize(nil, ckptChunk)
+	}
+	bw := s.ckptBuf
+	bw.Reset(w)
+	defer bw.Reset(nil) // hold the buffer, not the caller's writer
 	var word [8]byte
 	binary.LittleEndian.PutUint32(word[:4], checkpointMagic)
 	binary.LittleEndian.PutUint32(word[4:], checkpointVersion)
@@ -118,11 +123,11 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	for _, blk := range []struct {
 		stage string
 		size  uint64
-		write func(io.Writer) error
+		write func(*blockWriter) error
 	}{
-		{"meta", uint64(len(meta)), func(w io.Writer) error { _, err := w.Write(meta); return err }},
-		{"graph", graph.BinarySize(s.eng.numVertices(), s.eng.numEdges()), s.eng.writeGraph},
-		{"state", 8 + 8*uint64(len(state)), func(w io.Writer) error { return writeStates(w, state) }},
+		{"meta", uint64(len(meta)), func(w *blockWriter) error { _, err := w.Write(meta); return err }},
+		{"graph", graph.BinarySize(s.eng.numVertices(), s.eng.numEdges()), func(w *blockWriter) error { return s.eng.writeGraph(w) }},
+		{"state", 8 + 8*uint64(len(state)), func(w *blockWriter) error { return writeStates(w, state) }},
 	} {
 		binary.LittleEndian.PutUint64(word[:], blk.size)
 		bw.Write(word[:])
@@ -153,15 +158,23 @@ func (b *blockWriter) Write(p []byte) (int, error) {
 	return b.bw.Write(p)
 }
 
-// writeStates streams the state payload through one fixed chunk.
-func writeStates(w io.Writer, state []float64) error {
-	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, ckptChunk), uint64(len(state)))
+// AvailableBuffer and Flush lend the file buffer to a payload encoder,
+// which appends into the free space and passes it back through Write.
+func (b *blockWriter) AvailableBuffer() []byte { return b.bw.AvailableBuffer() }
+func (b *blockWriter) Flush() error            { return b.bw.Flush() }
+
+// writeStates encodes the state payload straight into the file buffer.
+func writeStates(w *blockWriter, state []float64) error {
+	buf := binary.LittleEndian.AppendUint64(w.AvailableBuffer(), uint64(len(state)))
 	for _, v := range state {
-		if len(buf) == cap(buf) {
+		if len(buf)+8 > cap(buf) {
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-			buf = buf[:0]
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			buf = w.AvailableBuffer()
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}

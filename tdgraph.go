@@ -18,6 +18,7 @@
 package tdgraph
 
 import (
+	"bufio"
 	"fmt"
 	"runtime/debug"
 
@@ -148,6 +149,10 @@ type Session struct {
 	rob       *stats.Collector
 
 	lastCycles float64
+
+	// ckptBuf is the checkpoint file buffer, reused by every save; the
+	// graph and state payloads are encoded straight into it.
+	ckptBuf *bufio.Writer
 
 	closed bool
 }
