@@ -41,6 +41,9 @@ type engineBackend interface {
 	// states returns the current state vector, aliased until the next
 	// apply/recompute.
 	states() []float64
+	// stateView returns the state count and a reader of state v: what a
+	// checkpoint save streams, without building anything to read from.
+	stateView() (int, func(v int) float64)
 	// recompute replaces the states with the from-scratch fixpoint on the
 	// current graph (may panic — algorithm code).
 	recompute()
@@ -107,6 +110,13 @@ func (sb *simBackend) numVertices() int          { return sb.b.NumVertices() }
 func (sb *simBackend) numEdges() int             { return sb.b.NumEdges() }
 func (sb *simBackend) states() []float64         { return sb.state }
 
+func (sb *simBackend) stateView() (int, func(int) float64) { return sliceView(sb.state) }
+
+// sliceView is stateView over a state vector.
+func sliceView(state []float64) (int, func(int) float64) {
+	return len(state), func(v int) float64 { return state[v] }
+}
+
 func (sb *simBackend) writeGraph(w io.Writer) error { return sb.snap.WriteBinary(w) }
 
 func (sb *simBackend) recompute() {
@@ -149,7 +159,7 @@ type nativeBackend struct {
 	acc  algo.AccumulativeAlgo // accumulative path
 
 	sealed *graph.Snapshot  // lazy immutable view, nil after mutation
-	state  []float64        // mirror of mono's states, or authoritative (acc)
+	state  []float64        // mirror of mono's states (nil until first read), or authoritative (acc)
 	col    *stats.Collector // snapshot of mono's counters, nil until the first mutation
 	stale  bool             // mono mutated since state and col were filled
 }
@@ -170,7 +180,6 @@ func newNativeBackend(a algo.Algorithm, st *graph.Store, warm []float64, opt Ses
 			}
 			nb.mono = s
 		}
-		nb.state = nb.mono.StatesCopy()
 	case algo.AccumulativeAlgo:
 		nb.acc = alg
 		if warm == nil {
@@ -205,11 +214,14 @@ func (nb *nativeBackend) apply(batch []Update) (ApplyResult, float64) {
 }
 
 // refresh refills the monotonic path's derived views if a mutation
-// outdated them. The state buffer is reused, so a slice handed out by
-// states() stays valid exactly until the next mutation's first read.
+// outdated them: the counter snapshot, and the state mirror once a
+// reader has built it. The state buffer is reused, so a slice handed out
+// by states() stays valid exactly until the next mutation's first read.
 func (nb *nativeBackend) refresh() {
 	if nb.stale {
-		nb.state = nb.mono.StatesInto(nb.state)
+		if nb.state != nil {
+			nb.state = nb.mono.StatesInto(nb.state)
+		}
 		nb.col = nb.mono.Metrics()
 		nb.stale = false
 	}
@@ -229,7 +241,19 @@ func (nb *nativeBackend) numEdges() int    { return nb.store.NumEdges() }
 
 func (nb *nativeBackend) states() []float64 {
 	nb.refresh()
+	if nb.state == nil && nb.mono != nil {
+		nb.state = nb.mono.StatesCopy()
+	}
 	return nb.state
+}
+
+// stateView reads the engine's own states while no mirror exists, so a
+// checkpoint save never builds one.
+func (nb *nativeBackend) stateView() (int, func(int) float64) {
+	if nb.mono != nil && nb.state == nil {
+		return nb.mono.NumVertices(), func(v int) float64 { return nb.mono.State(graph.VertexID(v)) }
+	}
+	return sliceView(nb.states())
 }
 
 func (nb *nativeBackend) metrics() *stats.Collector {
@@ -247,8 +271,7 @@ func (nb *nativeBackend) recompute() {
 }
 
 func (nb *nativeBackend) padStates() {
-	nb.refresh() // copies raw state words; runs no algorithm code
-	nb.state = padTo(nb.state, nb.store.NumVertices())
+	nb.state = padTo(nb.states(), nb.store.NumVertices()) // copies raw state words; runs no algorithm code
 }
 
 func (nb *nativeBackend) close() {

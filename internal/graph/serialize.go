@@ -117,9 +117,10 @@ func (s *Snapshot) WriteBinary(w io.Writer) error {
 
 // WriteBinary serialises the store in one pass, byte-identical to
 // Seal().WriteBinary without building the snapshot: the degree array is
-// the offsets array, and a row not already in order is sorted as packed
-// dst<<32|weight keys in a scratch sized to the largest row and kept for
-// the next call — O(max degree) memory instead of O(E).
+// the offsets array, and a row not already in order — any row of more
+// than one run — is sorted as packed dst<<32|weight keys in a scratch
+// sized to the largest row and kept for the next call — O(max degree)
+// memory instead of O(E).
 func (st *Store) WriteBinary(w io.Writer) error {
 	e := newBinaryEncoder(w, st.numVertices, st.numEdges)
 	var off uint64
@@ -132,20 +133,23 @@ func (st *Store) WriteBinary(w io.Writer) error {
 	e.u64(off)
 	st.sortKeys = slices.Grow(st.sortKeys[:0], int(maxDeg))
 	keys := st.sortKeys
-	for v := range st.out.hdr {
+	for v, h := range st.out.hdr {
 		if e.err != nil {
 			break
 		}
-		ns, ws := st.out.edges(VertexID(v))
-		if slices.IsSorted(ns) {
+		ns, ws := st.out.run(VertexID(v), 0)
+		if h.deg <= storeLinearMax && slices.IsSorted(ns) {
 			for i, u := range ns {
 				e.edge(u, math.Float32bits(ws[i]))
 			}
 			continue
 		}
 		keys = keys[:0]
-		for i, u := range ns {
-			keys = append(keys, uint64(u)<<32|uint64(math.Float32bits(ws[i])))
+		for r := 1; len(ns) > 0; r++ {
+			for i, u := range ns {
+				keys = append(keys, uint64(u)<<32|uint64(math.Float32bits(ws[i])))
+			}
+			ns, ws = st.out.run(VertexID(v), r)
 		}
 		slices.Sort(keys)
 		for _, k := range keys {

@@ -22,19 +22,23 @@ import (
 //     a pool of fixed-size pages. A vertex that drops to degree 0 or
 //     spills releases its block to a free list, and the next vertex to
 //     need one reuses it before the pool grows;
-//   - linear, degree up to storeLinearMax: the header names a dense edge
-//     log, held by value in a page pool of its own, searched by scanning
-//     it — at most four cache lines of IDs, no table to build or grow;
-//   - indexed, above storeLinearMax: the same log plus an index-only
-//     open-addressing table of log positions, O(1) expected lookup/
-//     insert/delete.
+//   - linear, degree up to storeLinearMax: the header names an edge log,
+//     held by value in a page pool of its own, whose head arrays grow up
+//     to storeLinearMax and are searched by scanning — at most four cache
+//     lines of IDs, no table to build or grow;
+//   - indexed, above storeLinearMax: the full head plus an index-only
+//     open-addressing table of log positions (O(1) expected
+//     lookup/insert/delete) and a hub record holding fixed chunks of
+//     storeChunkCap edges for the positions past the head, so a hub
+//     grows without copying.
 //
 // Pools grow by whole pages and never move a slot, so growth copies
-// nothing and a visit reads the header, then the block or log. A spilled
-// vertex keeps its log for good; deletes that bring its degree down to
-// storeLinearMax/2 drop the index, and so does a rebuild that finds the
-// degree back in the linear range. Deletion swap-removes in every tier,
-// so iteration is one dense slice for the hot loops.
+// nothing but directories. A spilled vertex keeps its log for good;
+// deletes that bring its degree down to storeLinearMax/2 drop the table
+// and hub record, and so does a rebuild that finds the degree back in the
+// linear range, freeing the record and its chunks for the next hub. Deletion
+// swap-removes in every tier, so a row is dense: one run for the inline
+// block or head, then one per chunk, which the hot loops walk in turn.
 //
 // Iteration order over a vertex's neighbours is insertion order, NOT the
 // sorted order Snapshot guarantees; Seal() materialises a sorted immutable
@@ -66,9 +70,14 @@ type Store struct {
 const storeInlineCap = 4
 
 // storeLinearMax is the largest degree a spilled vertex serves by linear
-// scan: 64 IDs are 256 bytes, four cache lines. Above it the log gains
-// an index (EXPERIMENTS.md has the threshold sweep).
+// scan, and the size of a log's head: 64 IDs are 256 bytes, four cache
+// lines. Above it the log gains an index (EXPERIMENTS.md has the
+// threshold sweep).
 const storeLinearMax = 64
+
+// storeChunkCap is the edge capacity of one hub chunk: 64 IDs and 64
+// weights, 512 bytes (EXPERIMENTS.md `storechunks` has the size sweep).
+const storeChunkCap = 64
 
 // adjacency is one direction (out- or in-edges) of the vertex table.
 type adjacency struct {
@@ -76,6 +85,8 @@ type adjacency struct {
 	blocks pagePool[inlineBlock]
 	free   []uint32 // released block handles, reused before the pool grows
 	logs   pagePool[edgeLog]
+	chunks recycler[edgeChunk]
+	hubs   recycler[hubRecord]
 }
 
 // vertexHeader is a vertex's live degree and the location of its edges:
@@ -93,8 +104,8 @@ type inlineBlock struct {
 	wgt [storeInlineCap]float32
 }
 
-// poolPage is the slot count of a pool page: 8 KiB of inline blocks or
-// 20 KiB of edge logs.
+// poolPage is the slot count of a pool page: 8 KiB of inline blocks,
+// 14 KiB of edge logs or hub records, 128 KiB of chunks.
 const poolPage = 256
 
 // pagePool hands out slots of T from fixed-size pages by handle, a new
@@ -107,7 +118,7 @@ type pagePool[T any] struct {
 
 func (p *pagePool[T]) alloc() uint32 {
 	if p.issued%poolPage == 0 {
-		p.pages = append(p.pages, make([]T, poolPage)) //tdgraph:allow hotalloc pool page: one per poolPage vertices that first gain an edge or spill, amortized like any append
+		p.pages = append(p.pages, make([]T, poolPage)) //tdgraph:allow hotalloc pool page: one per poolPage vertices that first gain an edge, spill or become hubs, or per poolPage hub chunks; amortized like any append, and released slots are reused before a page is added
 	}
 	p.issued++
 	return p.issued - 1
@@ -116,6 +127,25 @@ func (p *pagePool[T]) alloc() uint32 {
 func (p *pagePool[T]) at(h uint32) *T {
 	return &p.pages[h/poolPage][h%poolPage]
 }
+
+// recycler hands out pool slots by pointer — they never move, so a
+// pointer is as stable as a handle and one load cheaper — taking
+// released ones first.
+type recycler[T any] struct {
+	pool pagePool[T]
+	free []*T
+}
+
+func (r *recycler[T]) get() *T {
+	if n := len(r.free); n > 0 {
+		x := r.free[n-1]
+		r.free = r.free[:n-1]
+		return x
+	}
+	return r.pool.at(r.pool.alloc())
+}
+
+func (r *recycler[T]) put(xs ...*T) { r.free = append(r.free, xs...) }
 
 // extend zero-extends s to length n, growing its backing array at most
 // once instead of element by element.
@@ -130,13 +160,29 @@ func extend[T any](s []T, n int) []T {
 // overwrote and whether u was a neighbour already, so a caller learns
 // both from the one lookup.
 func (a *adjacency) insert(v, u VertexID, w float32) (float32, bool) {
+	wp, slot := a.lookup(v, u)
+	if wp == nil {
+		a.add(v, u, w, slot)
+		return 0, false
+	}
+	old := *wp
+	*wp = w
+	return old, true
+}
+
+// add inserts u, which must not be a neighbour of v yet, into the table
+// slot a lookup found free, or with slot -1 without a lookup — the
+// in-edge mirror of an edge the out-edges have just reported new needs
+// none: in the indexed tier it probes only for a free slot.
+func (a *adjacency) add(v, u VertexID, w float32, slot int) {
 	h := &a.hdr[v]
 	if h.loc&locSpilled != 0 {
-		old, existed := a.logs.at(h.loc&^locSpilled).insert(u, w)
-		if !existed {
-			h.deg++
+		l := a.logs.at(h.loc &^ locSpilled)
+		if slot < 0 {
+			slot = l.freeSlot(u)
 		}
-		return old, existed
+		a.push(h, l, slot, u, w)
+		return
 	}
 	if h.loc == 0 { // an empty vertex takes a block, a released one first
 		if n := len(a.free); n > 0 {
@@ -146,16 +192,11 @@ func (a *adjacency) insert(v, u VertexID, w float32) (float32, bool) {
 			h.loc = a.blocks.alloc() + 1
 		}
 	}
-	b, d := a.blocks.at(h.loc-1), h.deg
-	if i := slices.Index(b.nbr[:d], u); i >= 0 {
-		old := b.wgt[i]
-		b.wgt[i] = w
-		return old, true
-	}
-	h.deg++
-	if d < storeInlineCap {
-		b.nbr[d], b.wgt[d] = u, w
-		return 0, false
+	b := a.blocks.at(h.loc - 1)
+	if h.deg < storeInlineCap {
+		b.nbr[h.deg], b.wgt[h.deg] = u, w
+		h.deg++
+		return
 	}
 	// Spill: move the block into a fresh edge log (linear tier) and
 	// release it.
@@ -165,62 +206,73 @@ func (a *adjacency) insert(v, u VertexID, w float32) (float32, bool) {
 	l.wgt = append(make([]float32, 0, 2*storeInlineCap), b.wgt[:]...)  //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
 	a.free = append(a.free, h.loc-1)
 	h.loc = locSpilled | lh
-	l.insert(u, w)
-	return 0, false
+	a.push(h, l, -1, u, w)
 }
 
 // delete removes the neighbour u of v, reporting whether it existed.
 func (a *adjacency) delete(v, u VertexID) bool {
 	h := &a.hdr[v]
 	if h.loc&locSpilled != 0 {
-		if !a.logs.at(h.loc &^ locSpilled).remove(u) {
-			return false
-		}
-	} else {
-		ns, ws := a.edges(v)
-		i := slices.Index(ns, u)
-		if i < 0 {
-			return false
-		}
-		last := len(ns) - 1
-		ns[i], ws[i] = ns[last], ws[last] // swap-remove keeps the live prefix dense
-		if last == 0 {
-			a.free = append(a.free, h.loc-1)
-			h.loc = 0
-		}
+		return a.remove(h, a.logs.at(h.loc&^locSpilled), u)
+	}
+	if h.loc == 0 {
+		return false
+	}
+	b := a.blocks.at(h.loc - 1)
+	i := slices.Index(b.nbr[:h.deg], u)
+	if i < 0 {
+		return false
 	}
 	h.deg--
+	b.nbr[i], b.wgt[i] = b.nbr[h.deg], b.wgt[h.deg] // swap-remove keeps the live prefix dense
+	if h.deg == 0 {
+		a.free = append(a.free, h.loc-1)
+		h.loc = 0
+	}
 	return true
 }
 
-// get returns the weight of the neighbour u of v, if present.
-func (a *adjacency) get(v, u VertexID) (float32, bool) {
-	if h := a.hdr[v]; h.loc&locSpilled != 0 {
-		l := a.logs.at(h.loc &^ locSpilled)
-		if pos, _ := l.find(u); pos >= 0 {
-			return l.wgt[pos], true
-		}
-		return 0, false
-	}
-	ns, ws := a.edges(v)
-	if i := slices.Index(ns, u); i >= 0 {
-		return ws[i], true
-	}
-	return 0, false
-}
-
-// edges returns v's neighbour and weight slices in insertion order,
-// aliasing internal storage (the inline block's live prefix or the edge
-// log). Closure-free so the engines' hot loops stay allocation-free; the
-// slices are invalidated by any mutation of v's adjacency.
-func (a *adjacency) edges(v VertexID) ([]VertexID, []float32) {
+// lookup returns a pointer to the weight of the neighbour u of v, or nil,
+// and in the indexed tier find's table slot.
+func (a *adjacency) lookup(v, u VertexID) (*float32, int) {
 	switch h := a.hdr[v]; {
 	case h.loc&locSpilled != 0:
 		l := a.logs.at(h.loc &^ locSpilled)
-		return l.nbr, l.wgt
+		pos, slot := l.find(u)
+		if pos < 0 {
+			return nil, slot
+		}
+		_, wp := l.at(pos)
+		return wp, slot
 	case h.loc != 0:
 		b := a.blocks.at(h.loc - 1)
-		return b.nbr[:h.deg], b.wgt[:h.deg]
+		if i := slices.Index(b.nbr[:h.deg], u); i >= 0 {
+			return &b.wgt[i], -1
+		}
+	}
+	return nil, -1
+}
+
+// run returns run r of v's neighbours and weights in insertion order:
+// the inline block's live prefix or the log's head, then chunk r-1's
+// live prefix, and nothing past the last. The slices alias internal
+// storage and are invalidated by any mutation of v's adjacency.
+// Closure-free so the engines' hot loops stay allocation-free.
+func (a *adjacency) run(v VertexID, r int) ([]VertexID, []float32) {
+	switch h := a.hdr[v]; {
+	case h.loc&locSpilled == 0:
+		if h.loc != 0 && r == 0 {
+			b := a.blocks.at(h.loc - 1)
+			return b.nbr[:h.deg], b.wgt[:h.deg]
+		}
+	case r == 0:
+		l := a.logs.at(h.loc &^ locSpilled)
+		return l.nbr, l.wgt
+	default:
+		if lo := storeLinearMax + uint32(r-1)*storeChunkCap; h.deg > lo {
+			c := a.logs.at(h.loc &^ locSpilled).hub.chunks[r-1]
+			return c.nbr[:min(h.deg-lo, storeChunkCap)], c.wgt[:min(h.deg-lo, storeChunkCap)]
+		}
 	}
 	return nil, nil
 }
@@ -228,25 +280,43 @@ func (a *adjacency) edges(v VertexID) ([]VertexID, []float32) {
 // forEach visits v's neighbours in insertion order. f must not mutate the
 // adjacency.
 func (a *adjacency) forEach(v VertexID, f func(u VertexID, w float32)) {
-	ns, ws := a.edges(v)
-	for i, u := range ns {
-		f(u, ws[i])
+	for r := 0; ; r++ {
+		ns, ws := a.run(v, r)
+		if len(ns) == 0 {
+			return
+		}
+		for i, u := range ns {
+			f(u, ws[i])
+		}
 	}
 }
 
-// edgeLog is a spilled vertex's adjacency, one slot of the log pool: a
-// dense edge log (insertion-order neighbour/weight arrays) and, above
-// storeLinearMax, an index-only linear-probing table. A table slot holds
-// a log position + 1 (0 empty,
-// indexTomb deleted) and keys are read through nbr, so any VertexID is a
-// valid key. Deletion swap-removes from the log so it stays dense; the
-// vacated slot becomes a tombstone and the table is rebuilt when
-// tombstones pile up.
+// edgeLog is a spilled vertex's adjacency, one slot of the log pool: the
+// head arrays (log positions below storeLinearMax in insertion order)
+// and, indexed only, a hub record and a linear-probing table of log
+// position + 1 (0 empty, indexTomb deleted), keys read through the log;
+// deletes leave tombstones, rebuilt away when they pile up. Every lookup
+// reads the table, so it is kept here: behind the hub record it cost the
+// native engine's churn replay 12% (EXPERIMENTS.md `storechunks`).
 type edgeLog struct {
-	nbr   []VertexID // dense edge log
+	nbr   []VertexID // head
 	wgt   []float32  // parallel to nbr
 	index []uint32   // nil in the linear tier
-	tombs int
+	hub   *hubRecord // nil in the linear tier
+}
+
+// hubRecord is what else only an indexed log owns: the chunks holding log
+// position storeLinearMax + i at chunks[i/storeChunkCap], and the
+// table's tombstone count.
+type hubRecord struct {
+	chunks []*edgeChunk
+	tombs  int
+}
+
+// edgeChunk holds storeChunkCap consecutive log positions of a hub.
+type edgeChunk struct {
+	nbr [storeChunkCap]VertexID
+	wgt [storeChunkCap]float32
 }
 
 const indexTomb = ^uint32(0)
@@ -256,99 +326,150 @@ func slotHash(u VertexID, mask uint32) uint32 {
 	return (u * 2654435769) & mask
 }
 
+// at returns the neighbour and weight slots of log position p.
+func (l *edgeLog) at(p int) (*VertexID, *float32) {
+	if p < storeLinearMax {
+		return &l.nbr[p], &l.wgt[p]
+	}
+	q := uint(p - storeLinearMax)
+	c := l.hub.chunks[q/storeChunkCap]
+	return &c.nbr[q%storeChunkCap], &c.wgt[q%storeChunkCap]
+}
+
 // find returns u's log position, or -1. In the indexed tier slot is the
 // table slot holding u or, if u is absent, the first reusable slot on its
 // probe chain; it is -1 in the linear tier.
 func (l *edgeLog) find(u VertexID) (pos, slot int) {
-	if l.index == nil {
+	if l.hub == nil {
 		return slices.Index(l.nbr, u), -1
 	}
 	mask := uint32(len(l.index) - 1)
 	slot = -1
 	for i := slotHash(u, mask); ; i = (i + 1) & mask {
 		switch p := l.index[i]; {
-		case p == 0:
+		case p == 0 || p == indexTomb:
 			if slot < 0 {
 				slot = int(i)
 			}
-			return -1, slot
-		case p == indexTomb:
-			if slot < 0 {
-				slot = int(i)
+			if p == 0 {
+				return -1, slot
 			}
-		case l.nbr[p-1] == u:
-			return int(p - 1), int(i)
+		default:
+			if n, _ := l.at(int(p - 1)); *n == u {
+				return int(p - 1), int(i)
+			}
 		}
 	}
 }
 
-// insert adds or reweights u, returning the weight it overwrote and
-// whether u was present.
-func (l *edgeLog) insert(u VertexID, w float32) (float32, bool) {
-	pos, slot := l.find(u)
-	if pos >= 0 {
-		old := l.wgt[pos]
-		l.wgt[pos] = w
-		return old, true
+// freeSlot is find's slot for a key known to be absent, found without
+// reading a key: the first empty or tombstone slot on u's probe chain.
+func (l *edgeLog) freeSlot(u VertexID) int {
+	if l.hub == nil {
+		return -1
 	}
-	l.nbr = append(l.nbr, u)
-	l.wgt = append(l.wgt, w)
-	if slot >= 0 {
-		if l.index[slot] == indexTomb {
-			l.tombs-- // re-using a tombstone shrinks the probe chain debt
-		}
-		l.index[slot] = uint32(len(l.nbr))
+	mask := uint32(len(l.index) - 1)
+	i := slotHash(u, mask)
+	for l.index[i] != 0 && l.index[i] != indexTomb {
+		i = (i + 1) & mask
 	}
-	// Live keys plus tombstones past 3/4 occupancy call for a rebuild; the
-	// linear tier's absent table is always full, so reindex picks the tier.
-	if (len(l.nbr)+l.tombs)*4 >= len(l.index)*3 {
-		l.reindex()
-	}
-	return 0, false
+	return int(i)
 }
 
-// remove deletes u, reporting whether it was present.
-func (l *edgeLog) remove(u VertexID) bool {
+// push appends u at log position h.deg — in the head, or in a chunk,
+// taking the hub record and chunks as first needed — filed under table
+// slot slot, rebuilding the table once keys and tombstones pass 3/4.
+func (a *adjacency) push(h *vertexHeader, l *edgeLog, slot int, u VertexID, w float32) {
+	n := h.deg
+	h.deg++
+	if n < storeLinearMax {
+		l.nbr = append(l.nbr, u)
+		l.wgt = append(l.wgt, w)
+	} else {
+		if l.hub == nil {
+			l.hub = a.hubs.get()
+		}
+		q := n - storeLinearMax
+		if int(q/storeChunkCap) == len(l.hub.chunks) {
+			l.hub.chunks = append(l.hub.chunks, a.chunks.get())
+		}
+		c := l.hub.chunks[q/storeChunkCap]
+		c.nbr[q%storeChunkCap], c.wgt[q%storeChunkCap] = u, w
+	}
+	if hub := l.hub; hub != nil {
+		if slot >= 0 { // -1 only as the log takes its hub record
+			if l.index[slot] == indexTomb {
+				hub.tombs-- // re-using a tombstone shrinks the probe chain debt
+			}
+			l.index[slot] = n + 1
+		}
+		if (int(h.deg)+hub.tombs)*4 >= len(l.index)*3 {
+			a.reindex(l, h.deg)
+		}
+	}
+}
+
+// remove deletes u from v's log, reporting whether it was present.
+func (a *adjacency) remove(h *vertexHeader, l *edgeLog, u VertexID) bool {
 	pos, slot := l.find(u)
 	if pos < 0 {
 		return false
 	}
+	hub := l.hub
 	if slot >= 0 {
 		l.index[slot] = indexTomb
-		l.tombs++
+		hub.tombs++
 	}
-	last := len(l.nbr) - 1
+	h.deg--
+	last := int(h.deg)
 	if pos != last {
-		moved := l.nbr[last]
-		l.nbr[pos] = moved
-		l.wgt[pos] = l.wgt[last]
-		if l.index != nil {
-			_, s := l.find(moved) // still finds moved through nbr[last]
-			l.index[s] = uint32(pos + 1)
+		mn, mw := l.at(last)
+		pn, pw := l.at(pos)
+		*pn, *pw = *mn, *mw
+		if hub != nil {
+			// Re-point the moved key's slot: the one on its probe chain
+			// that holds position last, found without reading a key.
+			mask := uint32(len(l.index) - 1)
+			i := slotHash(*mn, mask)
+			for l.index[i] != uint32(last+1) {
+				i = (i + 1) & mask
+			}
+			l.index[i] = uint32(pos + 1)
 		}
 	}
-	l.nbr = l.nbr[:last]
-	l.wgt = l.wgt[:last]
-	if l.index != nil && last <= storeLinearMax/2 {
+	if last < storeLinearMax {
+		l.nbr, l.wgt = l.nbr[:last], l.wgt[:last]
+	}
+	if hub != nil && last <= storeLinearMax/2 {
 		// Back to the linear tier. Waiting for half the threshold keeps
 		// a vertex hovering at it from rebuilding a table per crossing.
-		l.index, l.tombs = nil, 0
+		a.dropHub(l)
 	}
 	return true
 }
 
-// reindex rebuilds the table for the live count without tombstones,
-// doubling it when live keys alone pass 3/4 occupancy, never shrinking
-// it, and clearing it in place when the size holds. A log back in the
-// linear range drops its table instead.
-func (l *edgeLog) reindex() {
-	l.tombs = 0
-	if len(l.nbr) <= storeLinearMax {
-		l.index = nil
+// dropHub drops l's table and frees its hub record and chunks: the log
+// is back in the linear range, every edge it holds in the head.
+func (a *adjacency) dropHub(l *edgeLog) {
+	hub := l.hub
+	a.chunks.put(hub.chunks...)
+	hub.chunks, l.index, hub.tombs = hub.chunks[:0], nil, 0
+	a.hubs.put(hub)
+	l.hub = nil
+}
+
+// reindex rebuilds the table for the log's n live keys without
+// tombstones, doubling it when live keys alone pass 3/4 occupancy, never
+// shrinking it, and clearing it in place when the size holds. A log back
+// in the linear range drops its hub record instead.
+func (a *adjacency) reindex(l *edgeLog, n uint32) {
+	if n <= storeLinearMax {
+		a.dropHub(l)
 		return
 	}
+	l.hub.tombs = 0
 	size := max(len(l.index), 8)
-	for len(l.nbr)*4 >= size*3 {
+	for int(n)*4 >= size*3 {
 		size *= 2
 	}
 	if size == len(l.index) {
@@ -357,12 +478,13 @@ func (l *edgeLog) reindex() {
 		l.index = make([]uint32, size) //tdgraph:allow hotalloc doubling rehash: amortized O(1) per insert; a same-size rebuild reuses the table
 	}
 	mask := uint32(size - 1)
-	for j, u := range l.nbr {
-		i := slotHash(u, mask)
+	for p := 0; p < int(n); p++ {
+		u, _ := l.at(p)
+		i := slotHash(*u, mask)
 		for l.index[i] != 0 {
 			i = (i + 1) & mask
 		}
-		l.index[i] = uint32(j + 1)
+		l.index[i] = uint32(p + 1)
 	}
 }
 
@@ -431,16 +553,18 @@ func (st *Store) HasEdge(src, dst VertexID) bool {
 	if int(src) >= st.numVertices {
 		return false
 	}
-	_, ok := st.out.get(src, dst)
-	return ok
+	wp, _ := st.out.lookup(src, dst)
+	return wp != nil
 }
 
 // EdgeWeight returns the current weight of src→dst, if present.
 func (st *Store) EdgeWeight(src, dst VertexID) (float32, bool) {
-	if int(src) >= st.numVertices {
-		return 0, false
+	if int(src) < st.numVertices {
+		if wp, _ := st.out.lookup(src, dst); wp != nil {
+			return *wp, true
+		}
 	}
-	return st.out.get(src, dst)
+	return 0, false
 }
 
 // AddEdge inserts src→dst with the given weight, overwriting the weight
@@ -451,11 +575,11 @@ func (st *Store) AddEdge(src, dst VertexID, w float32) bool {
 	if int(src) >= st.numVertices || int(dst) >= st.numVertices {
 		panic(fmt.Sprintf("graph: Store.AddEdge(%d,%d) out of range (V=%d)", src, dst, st.numVertices))
 	}
-	_, existed := st.out.insert(src, dst, w)
-	st.in.insert(dst, src, w) // adds the mirror, or reweights it
-	if existed {
+	if _, existed := st.out.insert(src, dst, w); existed {
+		st.in.insert(dst, src, w) // reweights the mirror
 		return false
 	}
+	st.in.add(dst, src, w, -1)
 	st.numEdges++
 	return true
 }
@@ -473,18 +597,26 @@ func (st *Store) DeleteEdge(src, dst VertexID) bool {
 	return true
 }
 
-// OutEdges returns src's out-neighbour and weight slices in insertion
-// order. The slices alias store internals — do not mutate them, and do
-// not hold them across a store mutation. This is the allocation-free
-// iteration primitive the native engine's hot loop uses.
-func (st *Store) OutEdges(src VertexID) ([]VertexID, []float32) {
-	return st.out.edges(src)
+// OutEdges returns run r of src's out-neighbours and their weights in
+// insertion order: run 0 is the inline block or the log's head, runs 1,
+// 2, … a hub's chunks, and a run past the last is empty, so the runs in
+// order are the whole row. The slices alias store internals — do not
+// mutate them, and do not hold them across a store mutation. This is the
+// allocation-free iteration primitive the native engine's hot loops use:
+//
+//	for r, left := 0, st.OutDegree(v); left > 0; r++ {
+//		ns, ws := st.OutEdges(v, r)
+//		left -= len(ns)
+//		…
+//	}
+func (st *Store) OutEdges(src VertexID, r int) ([]VertexID, []float32) {
+	return st.out.run(src, r)
 }
 
-// InEdges returns dst's in-neighbour and weight slices, with the same
-// aliasing contract as OutEdges.
-func (st *Store) InEdges(dst VertexID) ([]VertexID, []float32) {
-	return st.in.edges(dst)
+// InEdges returns run r of dst's in-neighbours and their weights, with
+// the same runs and aliasing contract as OutEdges.
+func (st *Store) InEdges(dst VertexID, r int) ([]VertexID, []float32) {
+	return st.in.run(dst, r)
 }
 
 // Apply applies a batch of updates in order and returns what changed,
@@ -496,16 +628,25 @@ func (st *Store) InEdges(dst VertexID) ([]VertexID, []float32) {
 // next Apply — callers that retain them across batches must copy. This
 // aliasing is what makes the steady-state ingest path allocation-free.
 func (st *Store) Apply(batch []Update) ApplyResult {
-	st.epoch++
+	if st.epoch += 2; st.epoch == 0 { // wrapped: no stale mark may equal a new epoch
+		clear(st.touchEpoch)
+		st.epoch = 2
+	}
 	res := &st.res
 	res.Added, res.Deleted, res.WeightChanged, res.Skipped = 0, 0, 0, 0
 	res.Affected = res.Affected[:0]
 	res.AddedEdges = res.AddedEdges[:0]
 	res.DeletedEdges = res.DeletedEdges[:0]
+	// touchEpoch[v] is epoch once v is in Affected, epoch+1 once a delete
+	// or re-weight of an edge into v has been applied too.
 	//tdgraph:allow hotalloc non-escaping local closure: only invoked below in this frame, so it stays on the stack (TestSessionSteadyStateZeroAllocs pins 0 allocs/batch)
-	affect := func(v VertexID) {
-		if st.touchEpoch[v] != st.epoch {
-			st.touchEpoch[v] = st.epoch
+	affect := func(v VertexID, undo uint32) {
+		switch t := &st.touchEpoch[v]; *t {
+		case st.epoch:
+			*t += undo
+		case st.epoch + 1:
+		default:
+			*t = st.epoch + undo
 			res.Affected = append(res.Affected, v)
 		}
 	}
@@ -514,7 +655,7 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 			if st.DeleteEdge(u.Edge.Src, u.Edge.Dst) {
 				res.Deleted++
 				res.DeletedEdges = append(res.DeletedEdges, u.Edge)
-				affect(u.Edge.Dst)
+				affect(u.Edge.Dst, 1)
 			} else {
 				res.Skipped++
 			}
@@ -523,27 +664,32 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 		st.ensure(u.Edge.Src)
 		st.ensure(u.Edge.Dst)
 		oldW, existed := st.out.insert(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
-		if existed && oldW == u.Edge.Weight {
+		switch {
+		case !existed:
+			st.in.add(u.Edge.Dst, u.Edge.Src, u.Edge.Weight, -1)
+			st.numEdges++
+			res.Added++
+			affect(u.Edge.Dst, 0)
+		case oldW == u.Edge.Weight:
 			res.Skipped++
 			continue
-		}
-		st.in.insert(u.Edge.Dst, u.Edge.Src, u.Edge.Weight)
-		if existed {
+		default:
+			st.in.insert(u.Edge.Dst, u.Edge.Src, u.Edge.Weight)
 			res.WeightChanged++
 			res.DeletedEdges = append(res.DeletedEdges,
 				Edge{Src: u.Edge.Src, Dst: u.Edge.Dst, Weight: oldW})
-		} else {
-			st.numEdges++
-			res.Added++
+			affect(u.Edge.Dst, 1)
 		}
 		res.AddedEdges = append(res.AddedEdges, u.Edge)
-		affect(u.Edge.Dst)
 	}
-	// Only a delete or re-weight can have made an earlier add stale.
+	// Only a later delete or re-weight of the same edge can have made an
+	// add stale, so only adds into a vertex one of those hit are looked up.
 	if res.Deleted+res.WeightChanged > 0 {
 		live := res.AddedEdges[:0]
 		for _, e := range res.AddedEdges {
-			if w, ok := st.out.get(e.Src, e.Dst); ok && w == e.Weight {
+			if st.touchEpoch[e.Dst] == st.epoch {
+				live = append(live, e)
+			} else if wp, _ := st.out.lookup(e.Src, e.Dst); wp != nil && *wp == e.Weight {
 				live = append(live, e)
 			}
 		}

@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// fuzzIDs is the fuzzed streams' ID space: past storeLinearMax, so a hub
-// can reach the indexed tier, and small enough that a few hundred bytes
-// get it there.
-const fuzzIDs = 96
+// fuzzIDs is the fuzzed streams' ID space: past storeLinearMax plus a
+// chunk, so a hub can reach the indexed tier and its second chunk, and
+// small enough that a few hundred bytes get it there.
+const fuzzIDs = storeLinearMax + storeChunkCap + 16
 
 // fuzzMaxUpdates bounds one input: room for the seeds' full climb,
 // descent and second climb, small enough for thousands of executions a
 // second.
-const fuzzMaxUpdates = 512
+const fuzzMaxUpdates = 768
 
 // Fuzz update encoding, three bytes per update: op, x, y. Bit 0 of op
 // puts a hub (1 if bit 1 is set, else 0) at the source instead of x,
@@ -32,11 +32,13 @@ const (
 // ApplyResult of every batch (matchBuilder), then edge lists and
 // checkpoint bytes (sameGraph).
 // The seeds carry hub 0's out-edges and hub 1's in-edges inline →
-// linear → indexed, then hub 0's back down to degree 0, which empties
-// every other vertex's in-edges and releases their inline blocks, and
-// then back up again on recycled blocks.
+// linear → indexed through two chunks, then hub 0's back down to degree
+// 0, which empties every other vertex's in-edges and releases their
+// inline blocks, or to degree 20, which leaves the indexed tier and
+// releases its chunks, and then back up again on recycled blocks or
+// chunks.
 func FuzzStoreMatchesBuilder(f *testing.F) {
-	var up, down []byte
+	var up, down, downTo20 []byte
 	for i := 2; i < fuzzIDs; i++ {
 		op := byte(fuzzSrcHub | i%8<<5)
 		if i%16 == 0 {
@@ -44,11 +46,15 @@ func FuzzStoreMatchesBuilder(f *testing.F) {
 		}
 		up = append(up, op, 0, byte(i), fuzzDstHub|fuzzHub1, byte(i), 0)
 		down = append(down, op|fuzzDelete, 0, byte(i))
+		if i >= 22 {
+			downTo20 = append(downTo20, op|fuzzDelete, 0, byte(i))
+		}
 	}
 	f.Add([]byte{})
 	f.Add(up)
 	f.Add(append(append([]byte{}, up...), down...))
 	f.Add(append(append(append([]byte{}, up...), down...), up...))
+	f.Add(append(append(append([]byte{}, up...), downTo20...), up...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*fuzzMaxUpdates {
 			return // every batch re-checks the whole graph; keep inputs cheap

@@ -44,11 +44,35 @@ func BenchmarkStoreInsertStream(b *testing.B) {
 	}
 }
 
+// churnStream is the serving benchmark's churn input at 1/16 scale:
+// g-big's R-MAT shape (16,384 vertices, 131,072 edges), half loaded up
+// front, then 128 batches of 512 updates, half of them deletions.
+var churnStream = sync.OnceValue(func() *stream.Workload {
+	const nv, ne = 16_384, 131_072
+	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: ne, A: 0.57, B: 0.19, C: 0.19, Seed: 1, MaxWeight: 64})
+	return stream.Build(edges, nv, stream.Config{WarmupFraction: 0.5, BatchSize: 512, AddFraction: 0.5, NumBatches: 128, Seed: 1})
+})
+
+// BenchmarkStoreChurnStream replays churnStream into a store built from
+// its warm-up; one op is the whole stream — the hash-delete path beside
+// BenchmarkStoreInsertStream's growth.
+func BenchmarkStoreChurnStream(b *testing.B) {
+	w := churnStream()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
+		b.StartTimer()
+		replayInserts(st, w)
+	}
+}
+
 // storeBytesPerInsert is the allocation budget of one streamed insert:
-// 1.2 × the 60.8 B measured on the three-tier store (the two-tier store
-// it replaced measured 101.0 B), so a growth regression fails here and
-// not only in the benchmark.
-const storeBytesPerInsert = 1.2 * 60.8
+// 1.2 × the 47.9 B measured with hub chunks (copy-on-grow hub logs
+// measured 61.2 B, the two-tier store before them 101.0 B), so a growth
+// regression fails here and not only in the benchmark.
+const storeBytesPerInsert = 1.2 * 47.9
 
 // TestStoreInsertStreamAllocBudget holds insertStream's store growth to
 // storeBytesPerInsert bytes per inserted edge, out- and in-adjacency
@@ -83,13 +107,13 @@ func liveGrowth(build func() *graph.Store) float64 {
 // Footprint budgets of the vertex table. An edgeless vertex costs two
 // 8-byte headers and its 4-byte touch epoch, on top of storeFixedBytes
 // for the Store's own fields and whatever the runtime allocates around
-// the measurement. The warm-up budget is 1.1 × the 1,098,424 live bytes
-// measured for it (the slab-and-pointer layout the vertex table replaced
-// held 1,883,312).
+// the measurement. The warm-up budget is 1.1 × the 1,071,696 live bytes
+// measured for it with hub chunks (copy-on-grow hub logs held 1,097,856,
+// the slab-and-pointer layout before the vertex table 1,883,312).
 const (
 	storeBytesPerEmptyVertex = 2*8 + 4
 	storeFixedBytes          = 64 << 10
-	storeWarmupLiveBytes     = 1.1 * 1_098_424
+	storeWarmupLiveBytes     = 1.1 * 1_071_696
 )
 
 // TestStoreFootprintBudget holds the store's live heap (a) over a million

@@ -86,6 +86,18 @@ func hubUpdates(rng *rand.Rand, n, maxID int, del float64) []Update {
 	return batch
 }
 
+// outRow is v's out-neighbours, its runs concatenated.
+func outRow(st *Store, v VertexID) []VertexID {
+	var row []VertexID
+	for r := 0; ; r++ {
+		ns, _ := st.OutEdges(v, r)
+		if len(ns) == 0 {
+			return row
+		}
+		row = append(row, ns...)
+	}
+}
+
 // tierOf names the representation holding v's adjacency in a.
 func tierOf(a *adjacency, v VertexID) string {
 	switch h := a.hdr[v]; {
@@ -93,7 +105,7 @@ func tierOf(a *adjacency, v VertexID) string {
 		return "empty"
 	case h.loc&locSpilled == 0:
 		return "inline"
-	case a.logs.at(h.loc&^locSpilled).index == nil:
+	case a.logs.at(h.loc&^locSpilled).hub == nil:
 		return "linear"
 	}
 	return "indexed"
@@ -155,11 +167,12 @@ func sameGraph(t *testing.T, label string, b *Builder, st *Store) {
 
 // TestStoreMatchesBuilder drives a Store and a Builder with identical
 // update streams — the same-edge-twice shapes, random ones, a hub-biased
-// one, and single updates that recycle inline blocks — through
-// matchBuilder after every batch and sameGraph. The hub stream must
-// carry a hub to linear, indexed and back to linear by deletes, and the
-// single updates must take vertices empty → inline → empty and inline →
-// linear, so no tier can drop out of the differential.
+// one, single updates that recycle inline blocks, and hub climbs that
+// recycle chunks — through matchBuilder after every batch and sameGraph.
+// The hub stream must carry a hub to linear, indexed and back to linear
+// by deletes, and the single updates must take vertices empty → inline →
+// empty and inline → linear, so no tier can drop out of the
+// differential.
 func TestStoreMatchesBuilder(t *testing.T) {
 	for i, ups := range sameEdgeTwice {
 		base := []Edge{{Src: 0, Dst: 1, Weight: 12}, {Src: 1, Dst: 2, Weight: 1}}
@@ -247,8 +260,8 @@ func TestStoreMatchesBuilder(t *testing.T) {
 	steps([]Update{del(0, 1), del(0, 3), del(0, 2), add(0, 4), add(5, 6), add(5, 7), add(5, 8), add(5, 9)})
 	block5 := st.out.hdr[5].loc
 	steps([]Update{add(5, 10), add(11, 12)})
-	ns0, _ := st.OutEdges(0)
-	ns11, _ := st.OutEdges(11)
+	ns0, _ := st.OutEdges(0, 0)
+	ns11, _ := st.OutEdges(11, 0)
 	if st.out.hdr[0].loc != block0 || st.out.hdr[11].loc != block5 || !slices.Equal(ns0, []VertexID{4}) || !slices.Equal(ns11, []VertexID{12}) {
 		t.Fatalf("recycled blocks: vertex 0 has %v in %d (released %d), vertex 11 has %v in %d (vertex 5 released %d)",
 			ns0, st.out.hdr[0].loc, block0, ns11, st.out.hdr[11].loc, block5)
@@ -263,6 +276,75 @@ func TestStoreMatchesBuilder(t *testing.T) {
 		if !moves[m] {
 			t.Errorf("single-update stream never moved a vertex %s (moves seen: %v)", m, moves)
 		}
+	}
+
+	// Hub 0 climbs from 0 to 200 out-edges one update at a time, taking a
+	// chunk every storeChunkCap edges past its head; falls to 20, linear
+	// again with its chunks and hub record released; then hub 255 climbs
+	// to 150 on those. Released chunks are reused before fresh ones are
+	// issued, so a pool has issued exactly as many as were ever live at
+	// once.
+	const hv = 256
+	st, b = NewStore(hv), NewBuilder(hv)
+	peak = map[*adjacency]int{}
+	chunksAt := func(deg int) int { return (deg - storeLinearMax + storeChunkCap - 1) / storeChunkCap }
+	chunkSteps := func(hub VertexID, from, to int) {
+		t.Helper()
+		for d := from; d != to; {
+			u := add(hub, VertexID(1+d))
+			if to < from {
+				u = del(hub, VertexID(d))
+				d--
+			} else {
+				d++
+			}
+			matchBuilder(t, fmt.Sprintf("hub update %v", u), b, st, []Update{u})
+			for _, a := range []*adjacency{&st.out, &st.in} {
+				live := 0
+				for _, h := range a.hdr {
+					if h.loc&locSpilled != 0 {
+						if hr := a.logs.at(h.loc &^ locSpilled).hub; hr != nil {
+							live += len(hr.chunks)
+						}
+					}
+				}
+				if peak[a] = max(peak[a], live); int(a.chunks.pool.issued) != peak[a] {
+					t.Fatalf("after %v: %d chunks issued, at most %d live at once", u, a.chunks.pool.issued, peak[a])
+				}
+			}
+		}
+	}
+	chunkSteps(0, 0, 200)
+	l0 := st.out.logs.at(st.out.hdr[0].loc &^ locSpilled)
+	if tierOf(&st.out, 0) != "indexed" || len(l0.hub.chunks) != chunksAt(200) || cap(l0.nbr) != storeLinearMax {
+		t.Fatalf("hub at degree 200: tier %s, %d chunks, head capacity %d; want indexed, %d, %d",
+			tierOf(&st.out, 0), len(l0.hub.chunks), cap(l0.nbr), chunksAt(200), storeLinearMax)
+	}
+	chunkSteps(0, 200, 20)
+	if tierOf(&st.out, 0) != "linear" || len(st.out.chunks.free) != chunksAt(200) || len(st.out.hubs.free) != 1 {
+		t.Fatalf("hub back at degree 20: tier %s, %d chunks and %d hub records free; want linear, %d and 1",
+			tierOf(&st.out, 0), len(st.out.chunks.free), len(st.out.hubs.free), chunksAt(200))
+	}
+	chunkSteps(hv-1, 0, 150)
+	if int(st.out.chunks.pool.issued) != chunksAt(200) || len(st.out.chunks.free) != chunksAt(200)-chunksAt(150) ||
+		st.out.hubs.pool.issued != 1 || len(st.out.hubs.free) != 0 {
+		t.Fatalf("second hub at degree 150: %d chunks issued, %d free, %d hub records issued, %d free; want %d, %d, 1, 0",
+			st.out.chunks.pool.issued, len(st.out.chunks.free), st.out.hubs.pool.issued, len(st.out.hubs.free),
+			chunksAt(200), chunksAt(200)-chunksAt(150))
+	}
+	sameGraph(t, "hub chunks", b, st)
+}
+
+// TestStoreApplyEpochWrap: when the batch epoch wraps, the first-touch
+// marks start over, so a vertex never touched before is still listed in
+// Affected and its add is still live.
+func TestStoreApplyEpochWrap(t *testing.T) {
+	st := NewStoreFromEdges(4, []Edge{{Src: 1, Dst: 2, Weight: 1}})
+	st.epoch = ^uint32(0) - 1
+	add := Update{Edge: Edge{Src: 0, Dst: 3, Weight: 1}}
+	res := st.Apply([]Update{add, {Edge: Edge{Src: 1, Dst: 2}, Delete: true}})
+	if !slices.Equal(res.Affected, []VertexID{3, 2}) || !slices.Equal(res.AddedEdges, []Edge{add.Edge}) {
+		t.Fatalf("batch at the epoch wrap: Affected %v, AddedEdges %v; want [3 2] and [%v]", res.Affected, res.AddedEdges, add.Edge)
 	}
 }
 
@@ -322,20 +404,22 @@ func TestStoreHighDegreeSpill(t *testing.T) {
 	// Constant-degree churn over fresh keys (a window sliding round a ring
 	// of IDs): deletes leave tombstones the adds mostly do not reuse, so
 	// the table fills and is rebuilt again and again at its own size — in
-	// place, allocating nothing.
+	// place, allocating nothing — while swap-removes move edges from the
+	// last chunk into the head and the other chunks.
 	const deg, ring = 300, 1024
 	cs := NewStore(ring + 1)
 	for i := 1; i <= deg; i++ {
 		cs.AddEdge(hub, VertexID(i), 0)
 	}
-	l := cs.out.logs.at(cs.out.hdr[hub].loc &^ locSpilled)
-	table, lo, rebuilds := &l.index[0], 0, 0
+	cl := cs.out.logs.at(cs.out.hdr[hub].loc &^ locSpilled)
+	hr := cl.hub
+	table, lo, rebuilds := &cl.index[0], 0, 0
 	churn := func() {
 		for k := 0; k < ring; k++ {
-			tombs := l.tombs
+			tombs := hr.tombs
 			cs.DeleteEdge(hub, VertexID(1+lo%ring))
 			cs.AddEdge(hub, VertexID(1+(lo+deg)%ring), float32(lo))
-			if l.tombs < tombs {
+			if hr.tombs < tombs {
 				rebuilds++
 			}
 			lo++
@@ -344,9 +428,12 @@ func TestStoreHighDegreeSpill(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, churn); allocs != 0 {
 		t.Fatalf("constant-degree churn on an indexed hub: %v allocs per %d delete/add pairs, want 0", allocs, ring)
 	}
-	if rebuilds == 0 || &l.index[0] != table || cs.OutDegree(hub) != deg {
+	if rebuilds == 0 || &cl.index[0] != table || cs.OutDegree(hub) != deg {
 		t.Fatalf("after churn: %d rebuilds, table moved %v, degree %d; want rebuilds in place at degree %d",
-			rebuilds, &l.index[0] != table, cs.OutDegree(hub), deg)
+			rebuilds, &cl.index[0] != table, cs.OutDegree(hub), deg)
+	}
+	if want := (deg - storeLinearMax + storeChunkCap - 1) / storeChunkCap; len(hr.chunks) != want || int(cs.out.chunks.pool.issued) != want {
+		t.Fatalf("degree-%d hub holds %d chunks, %d issued; want %d", deg, len(hr.chunks), cs.out.chunks.pool.issued, want)
 	}
 	for k := lo; k < lo+deg; k++ {
 		if w, ok := cs.EdgeWeight(hub, VertexID(1+k%ring)); !ok || w != float32(k-deg) {
@@ -402,7 +489,7 @@ func TestStoreWriteBinaryMatchesSeal(t *testing.T) {
 			t.Fatalf("%s: wrote %d bytes, BinarySize says %d", label, got.Len(), size)
 		}
 		for v := 0; v < st.NumVertices(); v++ {
-			ns, _ := st.OutEdges(VertexID(v))
+			ns := outRow(st, VertexID(v))
 			switch {
 			case len(ns) == 0:
 				isolated = true

@@ -25,20 +25,51 @@ func buildSessionFixture(nv, ne, workers int) (*Session, []graph.Update, []graph
 
 // TestSessionSteadyStateZeroAllocs is the zero-allocs-per-update
 // guarantee: once buffers are warm, ApplyBatch must not allocate — the
-// store reuses its result buffers and released inline blocks, the repair
-// reuses its scratch, and the worklists and worker pool are persistent.
-// The second toggle is an edge between two vertices with no other edge,
-// so each round both endpoints release their blocks and take them back.
+// store reuses its result buffers, released inline blocks and hub
+// chunks, the repair reuses its scratch, and the worklists and worker
+// pool are persistent. The second toggle is an edge between two vertices
+// with no other edge, so each round both endpoints release their blocks
+// and take them back. Then two hubs of degree 129 — the SSSP root's
+// out-edges, and vertex 1026's in-edges — each delete the first edge of
+// their head and add it back: the swap-remove fills the hole from their
+// second chunk, which empties but is kept, and the re-add refills it,
+// while the repair and propagation iterate the hubs' runs.
 func TestSessionSteadyStateZeroAllocs(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		s, add, del := buildSessionFixture(1024, 8192, workers)
+		st := s.Store()
 		iso := graph.Edge{Src: 1024, Dst: 1025, Weight: 1} // past the fixture's vertices
 		isoAdd, isoDel := []graph.Update{{Edge: iso}}, []graph.Update{{Edge: iso, Delete: true}}
+		const root, inHub = 0, 1026
+		var grow []graph.Update
+		for v := graph.VertexID(1); st.OutDegree(root)+len(grow) < 129; v++ {
+			if !st.HasEdge(root, v) {
+				grow = append(grow, graph.Update{Edge: graph.Edge{Src: root, Dst: v, Weight: 2}})
+			}
+		}
+		for v := graph.VertexID(inHub + 1); v <= inHub+129; v++ {
+			grow = append(grow, graph.Update{Edge: graph.Edge{Src: v, Dst: inHub, Weight: 1}})
+		}
+		s.ApplyBatch(grow)
+		if st.OutDegree(root) != 129 || st.InDegree(inHub) != 129 {
+			t.Fatalf("hub degrees %d out, %d in; want 129", st.OutDegree(root), st.InDegree(inHub))
+		}
+		one := make([]graph.Update, 1)
+		rotate := func(e graph.Edge) {
+			one[0] = graph.Update{Edge: e, Delete: true}
+			s.ApplyBatch(one)
+			one[0].Delete = false
+			s.ApplyBatch(one)
+		}
 		toggle := func() {
 			s.ApplyBatch(del)
 			s.ApplyBatch(add)
 			s.ApplyBatch(isoAdd)
 			s.ApplyBatch(isoDel)
+			ns, ws := st.OutEdges(root, 0)
+			rotate(graph.Edge{Src: root, Dst: ns[0], Weight: ws[0]})
+			ns, ws = st.InEdges(inHub, 0)
+			rotate(graph.Edge{Src: ns[0], Dst: inHub, Weight: ws[0]})
 		}
 		// Warm up: grow every reusable buffer to steady-state capacity.
 		for i := 0; i < 50; i++ {

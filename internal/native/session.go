@@ -164,16 +164,19 @@ func (s *Session) bootstrap(keep []float64) {
 		v := queue[head]
 		head, size = (head+1)%n, size-1
 		inQ[v] = false
-		ns, ws := s.store.OutEdges(v)
-		for i, u := range ns {
-			cand := s.alg.Propagate(vals[v], ws[i])
-			if s.alg.Better(cand, vals[u]) {
-				vals[u] = cand
-				s.parent[u] = int32(v)
-				if !inQ[u] {
-					inQ[u] = true
-					queue[(head+size)%n] = u
-					size++
+		for r, left := 0, s.store.OutDegree(v); left > 0; r++ {
+			ns, ws := s.store.OutEdges(v, r)
+			left -= len(ns)
+			for i, u := range ns {
+				cand := s.alg.Propagate(vals[v], ws[i])
+				if s.alg.Better(cand, vals[u]) {
+					vals[u] = cand
+					s.parent[u] = int32(v)
+					if !inQ[u] {
+						inQ[u] = true
+						queue[(head+size)%n] = u
+						size++
+					}
 				}
 			}
 		}
@@ -269,11 +272,14 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	// support chain passes through a victim is a victim.
 	for i := 0; i < len(s.tagged); i++ {
 		x := s.tagged[i]
-		ns, _ := s.store.OutEdges(x)
-		for _, w := range ns {
-			if s.parent[w] == int32(x) && s.tagEpoch[w] != s.epoch {
-				s.tagEpoch[w] = s.epoch
-				s.tagged = append(s.tagged, w)
+		for r, left := 0, s.store.OutDegree(x); left > 0; r++ {
+			ns, _ := s.store.OutEdges(x, r)
+			left -= len(ns)
+			for _, w := range ns {
+				if s.parent[w] == int32(x) && s.tagEpoch[w] != s.epoch {
+					s.tagEpoch[w] = s.epoch
+					s.tagged = append(s.tagged, w)
+				}
 			}
 		}
 	}
@@ -291,12 +297,15 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	for _, v := range s.tagged {
 		best := s.alg.InitialValue(v)
 		bestPar := int32(-1)
-		ns, ws := s.store.InEdges(v)
-		for j, u := range ns {
-			cand := s.alg.Propagate(math.Float64frombits(s.states[u]), ws[j])
-			if s.alg.Better(cand, best) {
-				best = cand
-				bestPar = int32(u)
+		for r, left := 0, s.store.InDegree(v); left > 0; r++ {
+			ns, ws := s.store.InEdges(v, r)
+			left -= len(ns)
+			for j, u := range ns {
+				cand := s.alg.Propagate(math.Float64frombits(s.states[u]), ws[j])
+				if s.alg.Better(cand, best) {
+					best = cand
+					bestPar = int32(u)
+				}
 			}
 		}
 		s.gatherVal = append(s.gatherVal, best)
@@ -406,15 +415,19 @@ func (s *Session) runWorker(wi int) {
 			continue
 		}
 		sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
-		ns, ws := s.store.OutEdges(v)
+		deg := s.store.OutDegree(v)
 		visits++
-		edges += uint64(len(ns))
-		for i, u := range ns {
-			cand := s.alg.Propagate(sv, ws[i])
-			if s.improve(u, cand, int32(v)) {
-				if atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
-					atomic.AddInt64(&s.pending, 1)
-					q.push(u)
+		edges += uint64(deg)
+		for r, left := 0, deg; left > 0; r++ {
+			ns, ws := s.store.OutEdges(v, r)
+			left -= len(ns)
+			for i, u := range ns {
+				cand := s.alg.Propagate(sv, ws[i])
+				if s.improve(u, cand, int32(v)) {
+					if atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+						atomic.AddInt64(&s.pending, 1)
+						q.push(u)
+					}
 				}
 			}
 		}

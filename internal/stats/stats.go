@@ -169,7 +169,7 @@ const (
 
 	// Durable ingestion events (internal/wal + internal/serve).
 	CtrWALAppends       = "wal.appends"              // batches appended to the log
-	CtrWALFsyncs        = "wal.fsyncs"               // fsync barriers issued
+	CtrWALFsyncs        = "wal.fsyncs"               // successful fsyncs of a segment holding unsynced records (a barrier over an already durable log issues none)
 	CtrWALRotations     = "wal.segment_rotations"    // segments sealed
 	CtrWALRetained      = "wal.segments_removed"     // segments deleted by retention
 	CtrWALReplayed      = "wal.records_replayed"     // records reapplied during recovery

@@ -156,6 +156,57 @@ func TestWALGroupAppendMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestWALBarrierOnlyWhenUnsynced: an fsync is spent only on records not
+// yet durable. Under SyncEachBatch a group settles with its own fsync,
+// so a Sync right after it (a checkpoint save's barrier), the rotation
+// that follows a group's barrier and Close find nothing left to sync. A
+// failed fsync leaves its records unsynced, so the retry still issues
+// one.
+func TestWALBarrierOnlyWhenUnsynced(t *testing.T) {
+	const recBytes = recHeaderSize + 4 + updateBytes*5
+	var writes, syncs, failures int
+	fs := countFS{FS: failSyncFS{FS: OSFS{}, failures: &failures}, writes: &writes, syncs: &syncs}
+	l, _, err := Open(Options{Dir: t.TempDir(), FS: fs, SegmentBytes: segHeaderSize + 5*recBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendGroup(1, groupPayloads(1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 1 {
+		t.Fatalf("a group and a Sync cost %d fsyncs, want 1", syncs)
+	}
+	if err := l.AppendGroup(4, groupPayloads(4, 5)); err != nil { // fills the segment: barrier, then rotation
+		t.Fatal(err)
+	}
+	if syncs != 2 || l.Stats().Rotations != 1 {
+		t.Fatalf("a group that seals its segment: %d fsyncs in all, %d rotations; want 2 and 1", syncs, l.Stats().Rotations)
+	}
+	if err := l.AppendGroup(6, groupPayloads(6, 6)); err != nil {
+		t.Fatal(err)
+	}
+	failures = 1
+	var nd *NotDurableError
+	if err := l.AppendGroup(7, groupPayloads(7, 7)); !errors.As(err, &nd) {
+		t.Fatalf("fsync failure surfaced as %v, want *NotDurableError", err)
+	}
+	if err := l.AppendGroup(7, groupPayloads(7, 7)); err != nil {
+		t.Fatalf("retry after the failed barrier: %v", err)
+	}
+	if syncs != 5 || l.DurableSeq() != 7 {
+		t.Fatalf("after a failed barrier and its retry: %d fsync calls, durable %d; want 5 and 7", syncs, l.DurableSeq())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); syncs != 5 || st.Fsyncs != 4 {
+		t.Fatalf("Close of a durable log: %d fsync calls (%d succeeded), want 5 (4)", syncs, st.Fsyncs)
+	}
+}
+
 // TestWALGroupRetryInDifferentShape generalises the one sanctioned repeat
 // (TestSyncFailureRetrySameSeq): a group of 5 whose barrier fails is in
 // the file but not settled, and the retry may come back in any grouping

@@ -368,9 +368,11 @@ func (l *Log) repairTornWrite() {
 }
 
 // Sync forces everything appended so far onto stable storage — the
-// fsync barrier past which recovery guarantees no loss.
+// fsync barrier past which recovery guarantees no loss. With nothing
+// appended since the last barrier it issues none; a failed fsync leaves
+// DurableSeq behind, so its retry still does.
 func (l *Log) Sync() error {
-	if l.cur == nil {
+	if l.cur == nil || l.durable == l.lastSeq {
 		return nil
 	}
 	if err := l.cur.Sync(); err != nil {

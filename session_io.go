@@ -107,7 +107,7 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	if len(meta) > maxMetaBytes {
 		return fmt.Errorf("tdgraph: checkpoint meta is %d bytes, limit %d", len(meta), maxMetaBytes)
 	}
-	state := s.eng.states()
+	nstates, state := s.eng.stateView()
 	// A bufio.Writer's first write error sticks, so the framing words go
 	// unchecked: the next block writer, or Flush, reports it.
 	if s.ckptBuf == nil {
@@ -127,7 +127,7 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	}{
 		{"meta", uint64(len(meta)), func(w *blockWriter) error { _, err := w.Write(meta); return err }},
 		{"graph", graph.BinarySize(s.eng.numVertices(), s.eng.numEdges()), func(w *blockWriter) error { return s.eng.writeGraph(w) }},
-		{"state", 8 + 8*uint64(len(state)), func(w *blockWriter) error { return writeStates(w, state) }},
+		{"state", 8 + 8*uint64(nstates), func(w *blockWriter) error { return writeStates(w, nstates, state) }},
 	} {
 		binary.LittleEndian.PutUint64(word[:], blk.size)
 		bw.Write(word[:])
@@ -163,10 +163,11 @@ func (b *blockWriter) Write(p []byte) (int, error) {
 func (b *blockWriter) AvailableBuffer() []byte { return b.bw.AvailableBuffer() }
 func (b *blockWriter) Flush() error            { return b.bw.Flush() }
 
-// writeStates encodes the state payload straight into the file buffer.
-func writeStates(w *blockWriter, state []float64) error {
-	buf := binary.LittleEndian.AppendUint64(w.AvailableBuffer(), uint64(len(state)))
-	for _, v := range state {
+// writeStates encodes the n states state reads straight into the file
+// buffer.
+func writeStates(w *blockWriter, n int, state func(v int) float64) error {
+	buf := binary.LittleEndian.AppendUint64(w.AvailableBuffer(), uint64(n))
+	for v := 0; v < n; v++ {
 		if len(buf)+8 > cap(buf) {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -176,7 +177,7 @@ func writeStates(w *blockWriter, state []float64) error {
 			}
 			buf = w.AvailableBuffer()
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(state(v)))
 	}
 	_, err := w.Write(buf)
 	return err

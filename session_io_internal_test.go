@@ -1,9 +1,11 @@
 package tdgraph
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,6 +90,51 @@ func TestSaveNeverSeals(t *testing.T) {
 	if nb := s.eng.(*nativeBackend); nb.sealed != nil {
 		t.Fatal("the save sealed a snapshot and left it cached")
 	}
+}
+
+// TestStateMirrorBuiltOnFirstRead: a native session that only applies
+// batches, reads its counters and saves checkpoints holds no copy of its
+// states — the save streams the engine's own, so the serving path never
+// builds one — and the first read builds one bit-identical to the
+// engine's, refreshed after the next batch.
+func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
+	edges := []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 0, Dst: 3, Weight: 4}}
+	s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Engine: EngineNativeParallel, Cores: 2})
+	must(t, err)
+	defer s.Close()
+	nb := s.eng.(*nativeBackend)
+	sameBits := func(label string) {
+		t.Helper()
+		got, want := s.States(), nb.mono.StatesCopy()
+		if len(got) != len(want) || len(got) != s.NumVertices() {
+			t.Fatalf("%s: %d mirrored states, the engine holds %d for %d vertices", label, len(got), len(want), s.NumVertices())
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: vertex %d mirrors %v, the engine holds %v", label, v, got[v], want[v])
+			}
+		}
+	}
+	for _, u := range []Update{{Edge: Edge{Src: 3, Dst: 2, Weight: 1}}, {Edge: Edge{Src: 0, Dst: 1}, Delete: true}, {Edge: Edge{Src: 2, Dst: 5, Weight: 3}}} {
+		_, err := s.ApplyBatch([]Update{u})
+		must(t, err)
+		var ckpt bytes.Buffer
+		must(t, s.Save(&ckpt))
+		if s.Metrics() == nil || nb.state != nil {
+			t.Fatalf("after applying %v and saving: a %d-entry state mirror exists, want none", u, len(nb.state))
+		}
+		restored, err := LoadSession(NewSSSP(0), &ckpt, SessionOptions{})
+		must(t, err)
+		for v, x := range nb.mono.StatesCopy() {
+			if math.Float64bits(restored.State(VertexID(v))) != math.Float64bits(x) {
+				t.Fatalf("after applying %v: the checkpoint holds %v for vertex %d, the engine %v", u, restored.State(VertexID(v)), v, x)
+			}
+		}
+	}
+	sameBits("first read")
+	_, err = s.ApplyBatch([]Update{{Edge: Edge{Src: 5, Dst: 6, Weight: 1}}})
+	must(t, err)
+	sameBits("after a further batch")
 }
 
 // graphWriterHook is a backend whose graph writer is wrapped by a test:
