@@ -28,7 +28,9 @@ import (
 //     lines of IDs, no table to build or grow;
 //   - indexed, above storeLinearMax: the full head plus an index-only
 //     open-addressing table of log positions (O(1) expected
-//     lookup/insert/delete) and a hub record holding fixed chunks of
+//     lookup/insert/delete) — one 16-bit word per slot up to
+//     indexNarrowSlots slots, which covers every hub below 49,152 edges,
+//     two words above — and a hub record holding fixed chunks of
 //     storeChunkCap edges for the positions past the head, so a hub
 //     grows without copying.
 //
@@ -57,11 +59,17 @@ type Store struct {
 
 	// Apply scratch, reused across batches so the steady-state ingest
 	// path allocates nothing (see ApplyReusing).
-	res        ApplyResult
-	touchEpoch []uint32
-	epoch      uint32
-	sortKeys   []uint64 // WriteBinary's row-sort scratch, reused across saves
+	res      ApplyResult
+	touch    []uint8  // Apply's marks, non-zero only on res.Affected
+	sortKeys []uint64 // WriteBinary's row-sort scratch, reused across saves
 }
+
+// Apply's touch marks: a vertex is in Affected, and an edge into it has
+// also been deleted or re-weighted.
+const (
+	touchAffected = 1
+	touchUndone   = 2
+)
 
 // storeInlineCap is the inline block width: vertices at or below this
 // degree never spill. Four (dst,weight) pairs is 32 bytes per direction
@@ -298,10 +306,16 @@ func (a *adjacency) forEach(v VertexID, f func(u VertexID, w float32)) {
 // deletes leave tombstones, rebuilt away when they pile up. Every lookup
 // reads the table, so it is kept here: behind the hub record it cost the
 // native engine's churn replay 12% (EXPERIMENTS.md `storechunks`).
+//
+// The table's width follows from len(index) alone: up to
+// indexNarrowSlots slots it holds one word per slot, since the 3/4 load
+// cap keeps position + 1 at most 49,152, clear of the narrow tombstone
+// 0xFFFF; a larger table holds each slot as two words, low half first.
+// Every access goes through slot and setSlot.
 type edgeLog struct {
 	nbr   []VertexID // head
 	wgt   []float32  // parallel to nbr
-	index []uint32   // nil in the linear tier
+	index []uint16   // nil in the linear tier
 	hub   *hubRecord // nil in the linear tier
 }
 
@@ -321,9 +335,41 @@ type edgeChunk struct {
 
 const indexTomb = ^uint32(0)
 
+// indexNarrowSlots is the largest table held one word per slot.
+const indexNarrowSlots = 1 << 16
+
 // slotHash is Fibonacci hashing over the table size (a power of two).
 func slotHash(u VertexID, mask uint32) uint32 {
 	return (u * 2654435769) & mask
+}
+
+// slots returns the table's slot count.
+func (l *edgeLog) slots() int {
+	if len(l.index) > indexNarrowSlots {
+		return len(l.index) / 2
+	}
+	return len(l.index)
+}
+
+// slot returns table slot i: position + 1, 0 or indexTomb.
+func (l *edgeLog) slot(i uint32) uint32 {
+	if len(l.index) > indexNarrowSlots {
+		return uint32(l.index[2*i]) | uint32(l.index[2*i+1])<<16
+	}
+	if p := l.index[i]; p != ^uint16(0) {
+		return uint32(p)
+	}
+	return indexTomb
+}
+
+// setSlot stores p in table slot i; a narrow slot keeps p's low word,
+// which turns indexTomb into the narrow tombstone.
+func (l *edgeLog) setSlot(i, p uint32) {
+	if len(l.index) > indexNarrowSlots {
+		l.index[2*i], l.index[2*i+1] = uint16(p), uint16(p>>16)
+		return
+	}
+	l.index[i] = uint16(p)
 }
 
 // at returns the neighbour and weight slots of log position p.
@@ -343,10 +389,10 @@ func (l *edgeLog) find(u VertexID) (pos, slot int) {
 	if l.hub == nil {
 		return slices.Index(l.nbr, u), -1
 	}
-	mask := uint32(len(l.index) - 1)
+	mask := uint32(l.slots() - 1)
 	slot = -1
 	for i := slotHash(u, mask); ; i = (i + 1) & mask {
-		switch p := l.index[i]; {
+		switch p := l.slot(i); {
 		case p == 0 || p == indexTomb:
 			if slot < 0 {
 				slot = int(i)
@@ -368,9 +414,9 @@ func (l *edgeLog) freeSlot(u VertexID) int {
 	if l.hub == nil {
 		return -1
 	}
-	mask := uint32(len(l.index) - 1)
+	mask := uint32(l.slots() - 1)
 	i := slotHash(u, mask)
-	for l.index[i] != 0 && l.index[i] != indexTomb {
+	for p := l.slot(i); p != 0 && p != indexTomb; p = l.slot(i) {
 		i = (i + 1) & mask
 	}
 	return int(i)
@@ -398,12 +444,12 @@ func (a *adjacency) push(h *vertexHeader, l *edgeLog, slot int, u VertexID, w fl
 	}
 	if hub := l.hub; hub != nil {
 		if slot >= 0 { // -1 only as the log takes its hub record
-			if l.index[slot] == indexTomb {
+			if l.slot(uint32(slot)) == indexTomb {
 				hub.tombs-- // re-using a tombstone shrinks the probe chain debt
 			}
-			l.index[slot] = n + 1
+			l.setSlot(uint32(slot), n+1)
 		}
-		if (int(h.deg)+hub.tombs)*4 >= len(l.index)*3 {
+		if (int(h.deg)+hub.tombs)*4 >= l.slots()*3 {
 			a.reindex(l, h.deg)
 		}
 	}
@@ -417,7 +463,7 @@ func (a *adjacency) remove(h *vertexHeader, l *edgeLog, u VertexID) bool {
 	}
 	hub := l.hub
 	if slot >= 0 {
-		l.index[slot] = indexTomb
+		l.setSlot(uint32(slot), indexTomb)
 		hub.tombs++
 	}
 	h.deg--
@@ -429,12 +475,12 @@ func (a *adjacency) remove(h *vertexHeader, l *edgeLog, u VertexID) bool {
 		if hub != nil {
 			// Re-point the moved key's slot: the one on its probe chain
 			// that holds position last, found without reading a key.
-			mask := uint32(len(l.index) - 1)
+			mask := uint32(l.slots() - 1)
 			i := slotHash(*mn, mask)
-			for l.index[i] != uint32(last+1) {
+			for l.slot(i) != uint32(last+1) {
 				i = (i + 1) & mask
 			}
-			l.index[i] = uint32(pos + 1)
+			l.setSlot(i, uint32(pos+1))
 		}
 	}
 	if last < storeLinearMax {
@@ -468,23 +514,27 @@ func (a *adjacency) reindex(l *edgeLog, n uint32) {
 		return
 	}
 	l.hub.tombs = 0
-	size := max(len(l.index), 8)
+	size := max(l.slots(), 8)
 	for int(n)*4 >= size*3 {
 		size *= 2
 	}
-	if size == len(l.index) {
+	if size == l.slots() {
 		clear(l.index)
 	} else {
-		l.index = make([]uint32, size) //tdgraph:allow hotalloc doubling rehash: amortized O(1) per insert; a same-size rebuild reuses the table
+		words := size
+		if size > indexNarrowSlots {
+			words *= 2
+		}
+		l.index = make([]uint16, words) //tdgraph:allow hotalloc doubling rehash: amortized O(1) per insert; a same-size rebuild reuses the table
 	}
 	mask := uint32(size - 1)
 	for p := 0; p < int(n); p++ {
 		u, _ := l.at(p)
 		i := slotHash(*u, mask)
-		for l.index[i] != 0 {
+		for l.slot(i) != 0 {
 			i = (i + 1) & mask
 		}
-		l.index[i] = uint32(p + 1)
+		l.setSlot(i, uint32(p+1))
 	}
 }
 
@@ -524,7 +574,7 @@ func NewStoreFromSnapshot(s *Snapshot) *Store {
 
 func (st *Store) growTo(n int) {
 	st.out.hdr, st.in.hdr = extend(st.out.hdr, n), extend(st.in.hdr, n)
-	st.touchEpoch = extend(st.touchEpoch, n)
+	st.touch = extend(st.touch, n)
 	if n > st.numVertices {
 		st.numVertices = n
 	}
@@ -628,34 +678,28 @@ func (st *Store) InEdges(dst VertexID, r int) ([]VertexID, []float32) {
 // next Apply — callers that retain them across batches must copy. This
 // aliasing is what makes the steady-state ingest path allocation-free.
 func (st *Store) Apply(batch []Update) ApplyResult {
-	if st.epoch += 2; st.epoch == 0 { // wrapped: no stale mark may equal a new epoch
-		clear(st.touchEpoch)
-		st.epoch = 2
-	}
 	res := &st.res
+	for _, v := range res.Affected { // the last batch's marks, and only those
+		st.touch[v] = 0
+	}
 	res.Added, res.Deleted, res.WeightChanged, res.Skipped = 0, 0, 0, 0
 	res.Affected = res.Affected[:0]
 	res.AddedEdges = res.AddedEdges[:0]
 	res.DeletedEdges = res.DeletedEdges[:0]
-	// touchEpoch[v] is epoch once v is in Affected, epoch+1 once a delete
-	// or re-weight of an edge into v has been applied too.
 	//tdgraph:allow hotalloc non-escaping local closure: only invoked below in this frame, so it stays on the stack (TestSessionSteadyStateZeroAllocs pins 0 allocs/batch)
-	affect := func(v VertexID, undo uint32) {
-		switch t := &st.touchEpoch[v]; *t {
-		case st.epoch:
-			*t += undo
-		case st.epoch + 1:
-		default:
-			*t = st.epoch + undo
+	affect := func(v VertexID, mark uint8) {
+		t := &st.touch[v]
+		if *t == 0 {
 			res.Affected = append(res.Affected, v)
 		}
+		*t = max(*t, mark)
 	}
 	for _, u := range batch {
 		if u.Delete {
 			if st.DeleteEdge(u.Edge.Src, u.Edge.Dst) {
 				res.Deleted++
 				res.DeletedEdges = append(res.DeletedEdges, u.Edge)
-				affect(u.Edge.Dst, 1)
+				affect(u.Edge.Dst, touchUndone)
 			} else {
 				res.Skipped++
 			}
@@ -669,7 +713,7 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 			st.in.add(u.Edge.Dst, u.Edge.Src, u.Edge.Weight, -1)
 			st.numEdges++
 			res.Added++
-			affect(u.Edge.Dst, 0)
+			affect(u.Edge.Dst, touchAffected)
 		case oldW == u.Edge.Weight:
 			res.Skipped++
 			continue
@@ -678,7 +722,7 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 			res.WeightChanged++
 			res.DeletedEdges = append(res.DeletedEdges,
 				Edge{Src: u.Edge.Src, Dst: u.Edge.Dst, Weight: oldW})
-			affect(u.Edge.Dst, 1)
+			affect(u.Edge.Dst, touchUndone)
 		}
 		res.AddedEdges = append(res.AddedEdges, u.Edge)
 	}
@@ -687,7 +731,7 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 	if res.Deleted+res.WeightChanged > 0 {
 		live := res.AddedEdges[:0]
 		for _, e := range res.AddedEdges {
-			if st.touchEpoch[e.Dst] == st.epoch {
+			if st.touch[e.Dst] == touchAffected {
 				live = append(live, e)
 			} else if wp, _ := st.out.lookup(e.Src, e.Dst); wp != nil && *wp == e.Weight {
 				live = append(live, e)

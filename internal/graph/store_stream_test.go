@@ -69,10 +69,11 @@ func BenchmarkStoreChurnStream(b *testing.B) {
 }
 
 // storeBytesPerInsert is the allocation budget of one streamed insert:
-// 1.2 × the 47.9 B measured with hub chunks (copy-on-grow hub logs
-// measured 61.2 B, the two-tier store before them 101.0 B), so a growth
-// regression fails here and not only in the benchmark.
-const storeBytesPerInsert = 1.2 * 47.9
+// 1.2 × the 39.6 B measured with 16-bit hub tables (32-bit tables
+// measured 47.9 B, copy-on-grow hub logs 61.2 B, the two-tier store
+// before them 101.0 B), so a growth regression fails here and not only
+// in the benchmark.
+const storeBytesPerInsert = 1.2 * 39.6
 
 // TestStoreInsertStreamAllocBudget holds insertStream's store growth to
 // storeBytesPerInsert bytes per inserted edge, out- and in-adjacency
@@ -105,15 +106,16 @@ func liveGrowth(build func() *graph.Store) float64 {
 }
 
 // Footprint budgets of the vertex table. An edgeless vertex costs two
-// 8-byte headers and its 4-byte touch epoch, on top of storeFixedBytes
-// for the Store's own fields and whatever the runtime allocates around
-// the measurement. The warm-up budget is 1.1 × the 1,071,696 live bytes
-// measured for it with hub chunks (copy-on-grow hub logs held 1,097,856,
-// the slab-and-pointer layout before the vertex table 1,883,312).
+// 8-byte headers and its 1-byte touch mark (a 4-byte touch epoch before
+// it), on top of storeFixedBytes for the Store's own fields and whatever
+// the runtime allocates around the measurement. The warm-up budget is
+// 1.1 × the 894,032 live bytes measured for it with 16-bit hub tables
+// (32-bit tables held 1,071,696, copy-on-grow hub logs 1,097,856, the
+// slab-and-pointer layout before the vertex table 1,883,312).
 const (
-	storeBytesPerEmptyVertex = 2*8 + 4
+	storeBytesPerEmptyVertex = 2*8 + 1
 	storeFixedBytes          = 64 << 10
-	storeWarmupLiveBytes     = 1.1 * 1_071_696
+	storeWarmupLiveBytes     = 1.1 * 894_032
 )
 
 // TestStoreFootprintBudget holds the store's live heap (a) over a million

@@ -335,16 +335,36 @@ func TestStoreMatchesBuilder(t *testing.T) {
 	sameGraph(t, "hub chunks", b, st)
 }
 
-// TestStoreApplyEpochWrap: when the batch epoch wraps, the first-touch
-// marks start over, so a vertex never touched before is still listed in
-// Affected and its add is still live.
-func TestStoreApplyEpochWrap(t *testing.T) {
-	st := NewStoreFromEdges(4, []Edge{{Src: 1, Dst: 2, Weight: 1}})
-	st.epoch = ^uint32(0) - 1
-	add := Update{Edge: Edge{Src: 0, Dst: 3, Weight: 1}}
-	res := st.Apply([]Update{add, {Edge: Edge{Src: 1, Dst: 2}, Delete: true}})
-	if !slices.Equal(res.Affected, []VertexID{3, 2}) || !slices.Equal(res.AddedEdges, []Edge{add.Edge}) {
-		t.Fatalf("batch at the epoch wrap: Affected %v, AddedEdges %v; want [3 2] and [%v]", res.Affected, res.AddedEdges, add.Edge)
+// TestStoreApplyTouchMarks: Apply clears its first-touch marks from the
+// last batch's Affected, so after every Apply exactly that batch's
+// Affected carry one. A vertex a delete hit in one batch is first-touched
+// again in the next, with its add there live; an add deleted and re-added
+// inside one batch, and a re-weight then deleted, still match the
+// Builder.
+func TestStoreApplyTouchMarks(t *testing.T) {
+	base := []Edge{{Src: 0, Dst: 2, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}}
+	b, st := NewBuilderFromEdges(4, base), NewStoreFromEdges(4, base)
+	add := func(s, d VertexID, w float32) Update { return Update{Edge: Edge{Src: s, Dst: d, Weight: w}} }
+	del := func(s, d VertexID) Update { return Update{Edge: Edge{Src: s, Dst: d}, Delete: true} }
+	for i, ups := range [][]Update{
+		{del(0, 2)},
+		{add(3, 2, 5), add(0, 3, 1)},
+		{add(0, 1, 2), del(0, 1), add(0, 1, 3)},
+		{},
+		{add(1, 2, 7), del(1, 2), add(3, 1, 1)},
+		{add(1, 2, 2)},
+	} {
+		label := fmt.Sprintf("batch %d", i)
+		matchBuilder(t, label, b, st, ups)
+		res := st.res
+		if i == 1 && (!slices.Equal(res.Affected, []VertexID{2, 3}) || len(res.AddedEdges) != 2) {
+			t.Fatalf("%s: Affected %v, AddedEdges %v; want [2 3] and both adds", label, res.Affected, res.AddedEdges)
+		}
+		for v, m := range st.touch {
+			if (m != 0) != slices.Contains(res.Affected, VertexID(v)) {
+				t.Fatalf("%s: vertex %d has mark %d, Affected %v", label, v, m, res.Affected)
+			}
+		}
 	}
 }
 
@@ -441,6 +461,131 @@ func TestStoreHighDegreeSpill(t *testing.T) {
 		}
 	}
 	t.Logf("%d in-place rebuilds over %d delete/add pairs", rebuilds, lo)
+}
+
+// indexCensus checks v's table in a: one word per slot up to 65,536
+// slots and two above, every live position filed once, tombstones as
+// counted. It returns the slot count and the table's first word.
+func indexCensus(t *testing.T, label string, a *adjacency, v VertexID) (int, *uint16) {
+	t.Helper()
+	l := a.logs.at(a.hdr[v].loc &^ locSpilled)
+	slots, words := l.slots(), 1
+	if slots > 1<<16 {
+		words = 2
+	}
+	if len(l.index) != words*slots {
+		t.Fatalf("%s: vertex %d's table has %d slots in %d words, want %d per slot", label, v, slots, len(l.index), words)
+	}
+	deg, live, tombs := int(a.hdr[v].deg), 0, 0
+	filed := make([]bool, deg)
+	for i := 0; i < slots; i++ {
+		switch p := l.slot(uint32(i)); {
+		case p == indexTomb:
+			tombs++
+		case p == 0:
+		case int(p) > deg || filed[p-1]:
+			t.Fatalf("%s: vertex %d's slot %d holds position %d at degree %d, or twice", label, v, i, p-1, deg)
+		default:
+			filed[p-1] = true
+			live++
+		}
+	}
+	if live != deg || tombs != l.hub.tombs {
+		t.Fatalf("%s: vertex %d's table files %d positions and %d tombstones; degree %d, %d counted", label, v, live, tombs, deg, l.hub.tombs)
+	}
+	return slots, &l.index[0]
+}
+
+// TestStoreIndexWidth carries out-hub 0 and in-hub 1 past 49,152 edges,
+// where their tables double from 65,536 one-word slots to 131,072 two-word
+// ones, with deletes, re-weights and re-adds in every batch; then slides
+// each at constant degree (delete the newest neighbour, add a fresh one)
+// until tombstones force a same-size rebuild, which must clear the wide
+// table in place. The census and matchBuilder run after every batch,
+// sameGraph at the crossing and at the end.
+func TestStoreIndexWidth(t *testing.T) {
+	const climb, batch, nv = 80_000, 4096, 160_000
+	st, b := NewStore(nv), NewBuilder(nv)
+	rng := rand.New(rand.NewSource(3))
+	hubs := []struct {
+		a   *adjacency
+		v   VertexID
+		upd func(u VertexID, w float32, del bool) Update
+	}{
+		{&st.out, 0, func(u VertexID, w float32, del bool) Update {
+			return Update{Edge: Edge{Src: 0, Dst: u, Weight: w}, Delete: del}
+		}},
+		{&st.in, 1, func(u VertexID, w float32, del bool) Update {
+			return Update{Edge: Edge{Src: u, Dst: 1, Weight: w}, Delete: del}
+		}},
+	}
+	next, narrowMax, crossed := VertexID(2), 0, false
+	var gone []VertexID
+	for next < climb {
+		var ups []Update
+		for _, u := range gone { // re-add the last batch's deletes
+			for _, h := range hubs {
+				ups = append(ups, h.upd(u, 1, false))
+			}
+		}
+		gone = gone[:0]
+		for k := 0; k < batch && next < climb; k, next = k+1, next+1 {
+			for _, h := range hubs {
+				ups = append(ups, h.upd(next, 1, false))
+			}
+			if k%64 == 63 { // delete and re-weight earlier neighbours
+				u, w := VertexID(2+rng.Intn(int(next-2))), VertexID(2+rng.Intn(int(next-2)))
+				gone = append(gone, u)
+				for _, h := range hubs {
+					ups = append(ups, h.upd(u, 0, true), h.upd(w, float32(2+k), false))
+				}
+			}
+		}
+		label := fmt.Sprintf("climb to %d", next)
+		matchBuilder(t, label, b, st, ups)
+		wide := false
+		for _, h := range hubs {
+			slots, _ := indexCensus(t, label, h.a, h.v)
+			if slots <= 1<<16 {
+				narrowMax = max(narrowMax, slots)
+			}
+			wide = wide || slots > 1<<16
+		}
+		if wide && !crossed {
+			crossed = true
+			sameGraph(t, label, b, st)
+		}
+	}
+	if narrowMax != 1<<16 || !crossed {
+		t.Fatalf("climb: largest one-word table %d slots, crossed %v; want 65536 and a crossing", narrowMax, crossed)
+	}
+	for i, h := range hubs {
+		l := h.a.logs.at(h.a.hdr[h.v].loc &^ locSpilled)
+		slots, first := indexCensus(t, "slide", h.a, h.v)
+		last, _ := l.at(int(h.a.hdr[h.v].deg) - 1)
+		newest := *last
+		for rounds := 0; ; rounds++ {
+			if rounds == 16 {
+				t.Fatalf("hub %d: no same-size rebuild after %d constant-degree pairs", i, rounds*batch)
+			}
+			tombs, ups := l.hub.tombs, make([]Update, 0, 2*batch)
+			for k := 0; k < batch; k++ {
+				ups = append(ups, h.upd(newest, 0, true), h.upd(next, float32(k), false))
+				newest, next = next, next+1
+			}
+			label := fmt.Sprintf("hub %d slide round %d", i, rounds)
+			matchBuilder(t, label, b, st, ups)
+			s, f := indexCensus(t, label, h.a, h.v)
+			if s != slots || f != first {
+				t.Fatalf("%s: table went from %d to %d slots, moved %v", label, slots, s, f != first)
+			}
+			if l.hub.tombs < tombs { // a pair never lowers the count: rebuilt
+				t.Logf("hub %d: rebuilt in place at %d slots after %d constant-degree pairs", i, slots, (rounds+1)*batch)
+				break
+			}
+		}
+	}
+	sameGraph(t, "end", b, st)
 }
 
 // TestStoreFromSnapshotRoundTrip checks Snapshot → Store → Seal is the

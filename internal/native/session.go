@@ -58,8 +58,6 @@ type Session struct {
 
 	// Serial repair scratch, reused across batches.
 	tagged    []graph.VertexID
-	tagEpoch  []uint32
-	epoch     uint32
 	gatherVal []float64
 	gatherPar []int32
 	seedIdx   int
@@ -196,8 +194,7 @@ func (s *Session) growTo(n int) {
 		return
 	}
 	s.states, s.parent, s.vlock = extend(s.states, n), extend(s.parent, n), extend(s.vlock, n)
-	s.queued, s.tagEpoch = extend(s.queued, n), extend(s.tagEpoch, n)
-	s.improveVer, s.propVer = extend(s.improveVer, n), extend(s.propVer, n)
+	s.queued, s.improveVer, s.propVer = extend(s.queued, n), extend(s.improveVer, n), extend(s.propVer, n)
 	for v := old; v < n; v++ {
 		s.states[v] = math.Float64bits(s.alg.InitialValue(graph.VertexID(v)))
 		s.parent[v] = -1
@@ -259,13 +256,13 @@ func (s *Session) ApplyBatch(batch []graph.Update) graph.ApplyResult {
 // tag / reset / re-gather for deletions, direct relaxation for additions
 // — and seeds the worklists with every vertex whose state changed.
 func (s *Session) repairAndSeed(res graph.ApplyResult) {
-	s.epoch++
 	s.tagged = s.tagged[:0]
 	// Tag direct victims: deleted edges that carried the parent link.
+	// Tagging cuts a victim's link at once — parent -1, its reset value —
+	// so no later check can match it and tag it twice.
 	for _, e := range res.DeletedEdges {
-		if s.parent[e.Dst] == int32(e.Src) && s.tagEpoch[e.Dst] != s.epoch {
-			s.tagEpoch[e.Dst] = s.epoch
-			s.tagged = append(s.tagged, e.Dst)
+		if s.parent[e.Dst] == int32(e.Src) {
+			s.parent[e.Dst], s.tagged = -1, append(s.tagged, e.Dst)
 		}
 	}
 	// Transitive closure over the dependency forest: anything whose
@@ -276,9 +273,8 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 			ns, _ := s.store.OutEdges(x, r)
 			left -= len(ns)
 			for _, w := range ns {
-				if s.parent[w] == int32(x) && s.tagEpoch[w] != s.epoch {
-					s.tagEpoch[w] = s.epoch
-					s.tagged = append(s.tagged, w)
+				if s.parent[w] == int32(x) {
+					s.parent[w], s.tagged = -1, append(s.tagged, w)
 				}
 			}
 		}
@@ -289,7 +285,6 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	// each other alive through values that are both about to be reset.
 	for _, v := range s.tagged {
 		s.states[v] = math.Float64bits(s.alg.InitialValue(v))
-		s.parent[v] = -1
 	}
 	s.ctrResets += uint64(len(s.tagged))
 	s.gatherVal = s.gatherVal[:0]

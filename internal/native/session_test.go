@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
@@ -198,4 +199,60 @@ func TestSessionGrowth(t *testing.T) {
 		t.Fatalf("session has %d vertices, want 10", s.NumVertices())
 	}
 	bitsEqual(t, "growth", s.StatesCopy(), algo.Reference(a, b.Snapshot()))
+}
+
+// TestSessionTagsVictimOnce: one batch deletes 1's parent edge 0→1 and
+// re-weights, deletes and re-adds 3's parent edge 2→3 while 3's ancestors
+// 1 and 2 are victims too. 3 is a direct victim twice over and a
+// descendant of one; it must be tagged and reset once.
+func TestSessionTagsVictimOnce(t *testing.T) {
+	a := algo.NewSSSP(0)
+	base := []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}, {Src: 2, Dst: 3, Weight: 1}, {Src: 0, Dst: 2, Weight: 5}}
+	st, b := graph.NewStoreFromEdges(4, base), graph.NewBuilderFromEdges(4, base)
+	s := NewSession(a, st, Config{Workers: 2})
+	defer s.Close()
+	ups := []graph.Update{
+		{Edge: graph.Edge{Src: 0, Dst: 1}, Delete: true},
+		{Edge: graph.Edge{Src: 2, Dst: 3, Weight: 2}},
+		{Edge: graph.Edge{Src: 2, Dst: 3}, Delete: true},
+		{Edge: graph.Edge{Src: 2, Dst: 3, Weight: 1}},
+	}
+	b.Apply(ups)
+	if res := s.ApplyBatch(ups); len(res.DeletedEdges) != 3 {
+		t.Fatalf("batch deleted %v; want 0→1 and 2→3 twice", res.DeletedEdges)
+	}
+	bitsEqual(t, "tag once", s.StatesCopy(), algo.Reference(a, b.Snapshot()))
+	if m := s.Metrics(); m.Get(stats.CtrTagPropagations) != 3 || m.Get(stats.CtrResets) != 3 {
+		t.Fatalf("%d tags and %d resets; want 3 each, one per distinct victim",
+			m.Get(stats.CtrTagPropagations), m.Get(stats.CtrResets))
+	}
+}
+
+// Footprint budget of an edgeless session vertex: its state (8 B) and
+// its parent, spinlock, queued flag and two TDTU counters (4 B each); a
+// 4-byte tag epoch made it 32 B before tagging cut the parent link
+// instead. sessionFixedBytes covers the Session's own fields and
+// whatever the runtime allocates around the measurement.
+const (
+	sessionBytesPerEmptyVertex = 8 + 5*4
+	sessionFixedBytes          = 64 << 10
+)
+
+// TestSessionFootprintBudget holds a session over a million edgeless
+// vertices to sessionBytesPerEmptyVertex each, store excluded.
+func TestSessionFootprintBudget(t *testing.T) {
+	const n = 1 << 20
+	st := graph.NewStore(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSession(algo.NewSSSP(0), st, Config{Workers: 1})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer s.Close()
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc) - sessionFixedBytes) / n
+	t.Logf("NewSession over %d edgeless vertices: %.2f B per vertex (budget %d)", n, per, sessionBytesPerEmptyVertex)
+	if per > sessionBytesPerEmptyVertex {
+		t.Errorf("NewSession over %d edgeless vertices holds %.2f B per vertex, budget %d", n, per, sessionBytesPerEmptyVertex)
+	}
 }
