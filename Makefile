@@ -56,7 +56,9 @@ faults:
 # resumes once space frees; a deadline storm against a slow quorum —
 # every pre-heal submission expires in flight yet completion stays
 # exactly-once), and the group-commit count, serial-equivalence and
-# follower fault-table tests, under the race detector. Proves no
+# follower fault-table tests, under the race detector. Every member in
+# these suites serves on the native engine, as tdgraph-serve does, and
+# is compared with a sim-engine reference run. Proves no
 # acknowledged batch is lost past the last fsync (or quorum) barrier,
 # that the recovered, promoted, or reseeded node's vertex states are
 # byte-identical to an uninterrupted run, that deposed primaries are

@@ -1,17 +1,16 @@
 // Command tdgraph-serve runs the durable streaming ingestion service:
 // a workload (or SNAP edge-list file) is streamed through the bounded
-// admission queue into a write-ahead-logged session with rotating
-// checkpoints, so the run survives kill -9 at any instant — restart
-// with the same -wal and -ckpt paths and it resumes from the newest
-// checkpoint plus WAL replay, losing nothing past the last fsync
-// barrier.
+// admission queue into a write-ahead-logged session on the incremental
+// native engine with rotating checkpoints, so the run survives kill -9
+// at any instant — restart with the same -wal and -ckpt paths and it
+// resumes from the newest checkpoint plus WAL replay, losing nothing
+// past the last fsync barrier.
 //
 // Usage:
 //
 //	tdgraph-serve -wal /var/lib/tdgraph/wal -ckpt /var/lib/tdgraph/ckpt.tds \
 //	              -dataset LJ -scale 0.25 -algo sssp -batches 16
 //	tdgraph-serve -wal ./wal -walsync interval:8 -admit shed -queue 32
-//	tdgraph-serve -wal ./wal -engine native -algo sssp   # incremental native engine
 //
 // Self-driving cluster: start each member with -role auto and the
 // full peer ring; the members elect a leader among themselves, detect
@@ -65,7 +64,6 @@ func main() {
 		input    = flag.String("input", "", "SNAP edge-list file (overrides -dataset)")
 		scale    = flag.Float64("scale", 0.25, "preset scale factor")
 		algoName = flag.String("algo", "sssp", "algorithm: sssp|bfs|sswp|cc")
-		engName  = flag.String("engine", "sim", "processing engine: sim (functional topology-driven) | native (incremental parallel, production)")
 		batches  = flag.Int("batches", 8, "number of update batches to stream")
 		batchSz  = flag.Int("batch", 0, "updates per batch (0 = edges/20)")
 		addFrac  = flag.Float64("add", 0.75, "fraction of additions per batch")
@@ -183,15 +181,7 @@ func main() {
 		fmt.Printf("fault injection armed on the WAL filesystem: %s\n", *faults)
 	}
 
-	opts := tdgraph.SessionOptions{Validation: pol, MaxVertices: nv}
-	switch *engName {
-	case "sim", "":
-		opts.Engine = tdgraph.EngineTopologyDriven
-	case "native":
-		opts.Engine = tdgraph.EngineNativeParallel
-	default:
-		fatal(fmt.Errorf("unknown engine %q (sim|native)", *engName))
-	}
+	opts := tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Validation: pol, MaxVertices: nv}
 	cfg := serve.ServerConfig{
 		Pipeline: serve.PipelineConfig{
 			Bootstrap: func() (*tdgraph.Session, error) {

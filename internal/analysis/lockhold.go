@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -64,12 +65,14 @@ func runLockhold(pass *ModulePass) {
 	la := pass.Graph.LockSets()
 
 	// Which module functions block, intrinsically: the first blocking
-	// op that no deadline guard exempts names the reason.
-	funcs := make(map[string]*lockholdFunc, len(pass.Graph.Funcs))
+	// op that no deadline guard exempts names the reason. The walks
+	// below go in name order, so the reason a caller inherits (the first
+	// blocking callee the fixpoint reaches) is the same every run.
+	funcs := make([]*lockholdFunc, 0, len(pass.Graph.Funcs))
 	blocks := make(map[string]string)
 	for name, node := range pass.Graph.Funcs {
 		lf := collectLockhold(pass.Graph, node, la.funcs[name])
-		funcs[name] = lf
+		funcs = append(funcs, lf)
 		for _, op := range lf.ops {
 			if !op.isIO || !deadlineBefore(lf.deadlines, op.pos) {
 				blocks[name] = op.reason
@@ -77,18 +80,19 @@ func runLockhold(pass *ModulePass) {
 			}
 		}
 	}
+	sort.Slice(funcs, func(i, j int) bool { return funcs[i].node.Name < funcs[j].node.Name })
 
 	// Fixpoint: calling a blocking function makes the caller blocking,
 	// unless the call site sits behind a deadline guard.
 	for changed := true; changed; {
 		changed = false
-		for name, lf := range funcs {
-			if _, ok := blocks[name]; ok {
+		for _, lf := range funcs {
+			if _, ok := blocks[lf.node.Name]; ok {
 				continue
 			}
 			for _, c := range lf.calls {
 				if reason, ok := blocks[c.callee]; ok && !deadlineBefore(lf.deadlines, c.call.Pos()) {
-					blocks[name] = "calls " + shortFuncName(c.callee) + " which " + reason
+					blocks[lf.node.Name] = "calls " + shortFuncName(c.callee) + " which " + reason
 					changed = true
 					break
 				}

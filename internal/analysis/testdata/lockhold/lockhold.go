@@ -1,7 +1,7 @@
 // Package lockhold exercises every blocking class and every escape:
 // sleeps, dials, bare channel ops, WaitGroup.Wait, stream I/O with and
 // without a deadline guard, select escapes, go/defer exemptions, and
-// one level of transitive propagation through a helper.
+// transitive propagation through helpers, one and two levels deep.
 package lockhold
 
 import (
@@ -138,6 +138,25 @@ func (q *queue) pollUnderLock() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.slowPoll() // want `call to \(\*lockhold\.queue\)\.slowPoll while holding q.mu: it time.Sleep blocks`
+}
+
+// pollA and pollB block only through slowPoll: the fixpoint, not the
+// first walk, marks them.
+func (q *queue) pollA() { q.slowPoll() }
+func (q *queue) pollB() { q.slowPoll() }
+
+// bothPolls reaches two blocking callees. Which one its reason names
+// depends on which of them the fixpoint has marked when it reaches
+// bothPolls, so the reason is stable only if the walk order is.
+func (q *queue) bothPolls() {
+	q.pollA()
+	q.pollB()
+}
+
+func (q *queue) bothPollsUnderLock() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.bothPolls() // want `call to \(\*lockhold\.queue\)\.bothPolls while holding q.mu: it calls \(\*lockhold\.queue\)\.pollB which calls \(\*lockhold\.queue\)\.slowPoll which time.Sleep blocks`
 }
 
 // spawnUnderLock passes: the goroutine body does not block the locked

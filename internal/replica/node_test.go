@@ -458,8 +458,10 @@ func TestNodeDeposedLeaderAutoDemotes(t *testing.T) {
 // at attach, ships its newest checkpoint through the PR 7 reseed path
 // (auto-wired by NewNode from the pipeline's own checkpoints), and the
 // member converges to the leader's exact states — all on the fake
-// clock, with no operator involvement.
+// clock, with no operator involvement. Close must then have parked every
+// native worker pool: both members' and the one the install replaced.
 func TestNodeRejoinReseedsDivergedMember(t *testing.T) {
+	base := settledWorkers()
 	clk := newManualClock()
 	fabric := newMemNet()
 	w := testWorkload(t, 6)
@@ -541,6 +543,9 @@ func TestNodeRejoinReseedsDivergedMember(t *testing.T) {
 	x.Close()
 	if !statesEqual(x.Follower().Pipeline().Session().States(), want) {
 		t.Fatal("reseeded member states diverged from the reference")
+	}
+	if got := settledWorkers(); got != base {
+		t.Fatalf("%d native worker goroutines alive after Close, want the %d from before the test", got, base)
 	}
 }
 

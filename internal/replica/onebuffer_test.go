@@ -211,7 +211,7 @@ func TestSessionBuffersAreNotRetained(t *testing.T) {
 	cfg := func(dir string) serve.PipelineConfig {
 		c := nodeConfig(w, dir)
 		c.WAL.SegmentBytes = 1 << 20 // one segment: retention never drops a record the tailer compares
-		c.SessionOptions = tdgraph.SessionOptions{Validation: tdgraph.ValidationClamp}
+		c.SessionOptions.Validation = tdgraph.ValidationClamp
 		c.Bootstrap = func() (*tdgraph.Session, error) {
 			return tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, c.SessionOptions)
 		}
@@ -259,6 +259,7 @@ func TestOversizedFrameBufferReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ref.Close()
 	for _, b := range [][]graph.Update{huge, w.Batches[0]} {
 		if _, err := ref.ApplyBatch(b); err != nil {
 			t.Fatal(err)
@@ -303,10 +304,6 @@ func TestIngestAllocBudget(t *testing.T) {
 	w := testWorkload(t, 1)
 	cfg := func(dir string) serve.PipelineConfig {
 		c := nodeConfig(w, dir)
-		c.Bootstrap = func() (*tdgraph.Session, error) {
-			return tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices,
-				tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel})
-		}
 		c.WAL.SegmentBytes = 64 << 20 // no rotation inside the measured window
 		c.CheckpointEvery = -1
 		return c

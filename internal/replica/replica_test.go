@@ -5,6 +5,8 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,9 +42,15 @@ func testWorkload(t *testing.T, nBatches int) *stream.Workload {
 	})
 }
 
+// sessionOpts is the engine every member under test serves on, the one
+// tdgraph-serve ships: bootstrap, checkpoint restore, replay and reseed
+// install all build native sessions. Two workers keep the engine's
+// counters reproducible; its states do not depend on the worker count.
+var sessionOpts = tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2}
+
 func bootstrapFrom(w *stream.Workload) func() (*tdgraph.Session, error) {
 	return func() (*tdgraph.Session, error) {
-		return tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, tdgraph.SessionOptions{})
+		return tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, sessionOpts)
 	}
 }
 
@@ -52,6 +60,7 @@ func nodeConfig(w *stream.Workload, dir string) serve.PipelineConfig {
 	return serve.PipelineConfig{
 		Bootstrap:       bootstrapFrom(w),
 		Algorithm:       tdgraph.NewSSSP(0),
+		SessionOptions:  sessionOpts,
 		WAL:             wal.Options{Dir: dir, Sync: wal.SyncEachBatch, SegmentBytes: 4096},
 		CheckpointPath:  filepath.Join(dir, "ckpt.tds"),
 		CheckpointEvery: 3,
@@ -70,9 +79,14 @@ func statesEqual(a, b []float64) bool {
 	return true
 }
 
+// referenceStates applies the whole workload to one uninterrupted
+// session on the topology-driven engine, so every member compared with
+// it is checked across engines as well as across crashes, elections and
+// reseeds.
 func referenceStates(t *testing.T, w *stream.Workload) []float64 {
 	t.Helper()
-	s, err := bootstrapFrom(w)()
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices,
+		tdgraph.SessionOptions{Engine: tdgraph.EngineTopologyDriven})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +96,27 @@ func referenceStates(t *testing.T, w *stream.Workload) []float64 {
 		}
 	}
 	return append([]float64(nil), s.States()...)
+}
+
+// settledWorkers counts the native engine's pool goroutines once the
+// count holds still: a closed pool's goroutines leave on their own
+// schedule, within moments.
+func settledWorkers() int {
+	count := func() int {
+		buf := make([]byte, 1<<16)
+		for {
+			if n := runtime.Stack(buf, true); n < len(buf) {
+				return strings.Count(string(buf[:n]), "native.(*Session).workerLoop(")
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	got := count()
+	for prev := -1; got != prev; got = count() {
+		prev = got
+		time.Sleep(10 * time.Millisecond)
+	}
+	return got
 }
 
 // startFollower builds a follower over dir and serves one session on a

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
-	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
@@ -14,16 +12,32 @@ import (
 // running with fsync-per-batch is killed at a seeded random byte offset
 // in its WAL write stream (CrashFS panics mid-write, exactly like
 // kill -9), the simulated page cache then loses a random amount of the
-// unsynced tail, and recovery must
+// unsynced tail, and recovery — checkpoint restore into a fresh native
+// session, WAL replay, re-feed — must
 //
 //  1. lose nothing past the last fsync barrier — every batch whose
 //     Ingest returned before the kill is still there, and
 //  2. after re-feeding the not-yet-durable batches, land on final
-//     vertex states byte-identical to a run that was never killed.
+//     vertex states Float64bits-identical to the sim-engine reference
+//     that was never killed: cross-engine and cross-crash in one
+//     comparison.
 //
-// Every trial is deterministic from its seed; the whole test is
-// single-goroutine per pipeline and race-clean.
+// A killed pipeline is dropped without Close, as a dead process would
+// be. Every trial is deterministic from its seed and race-clean.
 func TestChaosKillRecover(t *testing.T) {
+	killRecoverTrials(t, 1000)
+}
+
+// TestNativeEngineChaosKillRecover runs the same kill-anywhere trials
+// over a second, disjoint seed family, so twenty distinct crash offsets
+// in total are checked against the sim-engine reference.
+func TestNativeEngineChaosKillRecover(t *testing.T) {
+	killRecoverTrials(t, 4000)
+}
+
+// killRecoverTrials runs ten seeded kill/recover trials, seeds
+// seedBase..seedBase+9, one subtest each.
+func killRecoverTrials(t *testing.T, seedBase int64) {
 	w := testWorkload(t, 8)
 	want := referenceStates(t, w)
 
@@ -37,19 +51,12 @@ func TestChaosKillRecover(t *testing.T) {
 
 	for trial := 0; trial < 10; trial++ {
 		t.Run("", func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000 + trial)))
+			rng := rand.New(rand.NewSource(seedBase + int64(trial)))
 			armAt := rng.Int63n(totalBytes + totalBytes/4)
 
-			walDir := t.TempDir()
-			ckptPath := filepath.Join(t.TempDir(), "ckpt.tds")
 			cfs := fault.NewCrashFS()
-			crashCfg := PipelineConfig{
-				Bootstrap:       bootstrapFrom(w),
-				Algorithm:       tdgraph.NewSSSP(0),
-				WAL:             wal.Options{Dir: walDir, Sync: wal.SyncEachBatch, FS: cfs},
-				CheckpointPath:  ckptPath,
-				CheckpointEvery: 3,
-			}
+			crashCfg := pipelineConfig(t, w)
+			crashCfg.WAL.FS = cfs
 
 			p, err := NewPipeline(crashCfg)
 			if err != nil {
@@ -127,19 +134,55 @@ func TestChaosKillRecover(t *testing.T) {
 	}
 }
 
+// TestNativeEngineServerRestart drops a pipeline mid-stream without
+// Close, as a dead process would be, and recovers a second pipeline
+// from durable state only (checkpoint restore + WAL replay into a fresh
+// native session). The recovered pipeline must resume at the next
+// sequence and finish on the sim-engine reference states.
+func TestNativeEngineServerRestart(t *testing.T) {
+	w := testWorkload(t, 6)
+	want := referenceStates(t, w)
+
+	cfg := pipelineConfig(t, w)
+	cfg.CheckpointEvery = 2
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range w.Batches {
+		if err := p.Ingest(b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if i == 2 {
+			p2, err := NewPipeline(cfg)
+			if err != nil {
+				t.Fatalf("mid-stream recovery: %v", err)
+			}
+			if p2.Seq() != uint64(i+1) {
+				t.Fatalf("mid-stream recovery at seq %d, want %d", p2.Seq(), i+1)
+			}
+			p.Session().Close()
+			p = p2
+		}
+	}
+	if !statesEqual(p.Session().States(), want) {
+		t.Fatal("native states after mid-stream recovery diverge from sim reference")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaosTornBatchNeverReplayed pins the other side of the barrier: a
 // batch whose WAL append tore mid-record (crash before the fsync) must
 // NOT be visible after recovery — half a batch replayed would corrupt
 // the graph.
 func TestChaosTornBatchNeverReplayed(t *testing.T) {
 	w := testWorkload(t, 4)
-	walDir := t.TempDir()
 	cfs := fault.NewCrashFS()
-	cfg := PipelineConfig{
-		Bootstrap: bootstrapFrom(w),
-		Algorithm: tdgraph.NewSSSP(0),
-		WAL:       wal.Options{Dir: walDir, Sync: wal.SyncEachBatch, FS: cfs},
-	}
+	cfg := pipelineConfig(t, w)
+	cfg.WAL.FS = cfs
+	cfg.CheckpointPath = ""
 	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -176,11 +176,12 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		p.ck = &tdgraph.Checkpointer{Path: cfg.CheckpointPath, Keep: cfg.CheckpointKeep}
 		sess, meta, skipped, err := p.ck.LoadWithMeta(cfg.Algorithm, cfg.SessionOptions)
 		if err == nil {
+			p.sess = sess
 			seq, derr := decodeSeqMeta(meta)
 			if derr != nil {
+				p.release()
 				return nil, derr
 			}
-			p.sess = sess
 			p.seq.Store(seq)
 			for range skipped {
 				p.col.Inc(stats.CtrCheckpointRecovered)
@@ -199,6 +200,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	// Rung 2: open the WAL, repairing any torn tail.
 	l, rec, err := wal.Open(cfg.WAL)
 	if err != nil {
+		p.release()
 		return nil, err
 	}
 	p.log = l
@@ -212,6 +214,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	// already truncated past them, say — the prefix is gone for good,
 	// and serving would silently compute wrong state. Fail loudly.
 	if first := l.FirstSeq(); first > p.seq.Load()+1 {
+		p.release()
 		return nil, fmt.Errorf("%w: restored state covers seq %d but the oldest retained WAL record is seq %d; updates %d..%d are unrecoverable",
 			ErrRecoveryGap, p.seq.Load(), first, p.seq.Load()+1, first-1)
 	}
@@ -223,6 +226,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return nil
 	})
 	if err != nil {
+		p.release()
 		return nil, err
 	}
 	if last := l.LastSeq(); last > p.seq.Load() {
@@ -564,6 +568,16 @@ func (p *Pipeline) Close() error {
 	p.sess.Close() // park the native engine's worker pool, if any
 	p.syncWALStats()
 	return firstErr
+}
+
+// release closes the log, if open, and the session's worker pool,
+// without Close's barrier and final checkpoint: the teardown for a
+// pipeline that never finished opening, or whose state is suspect.
+func (p *Pipeline) release() {
+	if p.log != nil {
+		_ = p.log.Close()
+	}
+	p.sess.Close()
 }
 
 func (p *Pipeline) syncWALStats() {

@@ -41,9 +41,16 @@ func testWorkload(t *testing.T, nBatches int) *stream.Workload {
 	})
 }
 
+// sessionOpts is the engine every pipeline under test serves on, the
+// one tdgraph-serve ships: bootstrap, checkpoint restore, replay and
+// snapshot install all build native sessions. Two workers keep the
+// engine's counters reproducible; its states do not depend on the
+// worker count.
+var sessionOpts = tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2}
+
 func bootstrapFrom(w *stream.Workload) func() (*tdgraph.Session, error) {
 	return func() (*tdgraph.Session, error) {
-		return tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, tdgraph.SessionOptions{})
+		return tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, sessionOpts)
 	}
 }
 
@@ -52,6 +59,7 @@ func pipelineConfig(t *testing.T, w *stream.Workload) PipelineConfig {
 	return PipelineConfig{
 		Bootstrap:       bootstrapFrom(w),
 		Algorithm:       tdgraph.NewSSSP(0),
+		SessionOptions:  sessionOpts,
 		WAL:             wal.Options{Dir: t.TempDir(), Sync: wal.SyncEachBatch},
 		CheckpointPath:  filepath.Join(t.TempDir(), "ckpt.tds"),
 		CheckpointEvery: 3,
@@ -70,11 +78,14 @@ func statesEqual(a, b []float64) bool {
 	return true
 }
 
-// referenceStates applies the whole workload directly to a session —
-// the durable path must land on exactly these states.
+// referenceStates applies the whole workload directly to one session on
+// the topology-driven engine — the durable path must land on exactly
+// these states, so every comparison with them is cross-engine as well
+// as cross-crash.
 func referenceStates(t *testing.T, w *stream.Workload) []float64 {
 	t.Helper()
-	s, err := bootstrapFrom(w)()
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices,
+		tdgraph.SessionOptions{Engine: tdgraph.EngineTopologyDriven})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	tdgraph "github.com/tdgraph/tdgraph"
-	"github.com/tdgraph/tdgraph/internal/sim"
 	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
@@ -62,10 +60,10 @@ var ErrTooManyRestarts = errors.New("serve: restart budget exhausted")
 // Server runs the full ingestion service: a reader goroutine pulls
 // batches from the source into the bounded queue, and the serve loop
 // drains the queue into the durable pipeline under a supervisor that
-// converts watchdog trips and recovered panics into bounded restarts
-// from the newest checkpoint plus WAL replay. Cancel the context to
-// begin a graceful drain: admission stops, queued batches finish, the
-// WAL is flushed and a final checkpoint is cut.
+// converts failures past the log (a failed fsync barrier or checkpoint)
+// into bounded restarts from the newest checkpoint plus WAL replay.
+// Cancel the context to begin a graceful drain: admission stops, queued
+// batches finish, the WAL is flushed and a final checkpoint is cut.
 type Server struct {
 	cfg  ServerConfig
 	col  *stats.Collector
@@ -98,11 +96,10 @@ func (s *Server) Pipeline() *Pipeline { return s.pipe }
 // drain), or the restart budget is exhausted. It returns the first
 // fatal error, or nil after a clean drain.
 func (s *Server) Run(ctx context.Context, src Source) error {
-	pipe, err := NewPipeline(s.cfg.Pipeline)
-	if err != nil {
+	var err error
+	if s.pipe, err = NewPipeline(s.cfg.Pipeline); err != nil {
 		return err
 	}
-	s.pipe = pipe
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -156,7 +153,10 @@ func (s *Server) Run(ctx context.Context, src Source) error {
 		s.col.Set(stats.CtrServeBreakerOpen, rs.Breaker().Opens())
 	}
 
-	closeErr := pipe.Close()
+	var closeErr error
+	if s.pipe != nil { // nil after a failed restart: nothing is left open
+		closeErr = s.pipe.Close()
+	}
 	switch {
 	case serveErr != nil:
 		return serveErr
@@ -171,10 +171,10 @@ func (s *Server) Run(ctx context.Context, src Source) error {
 // Each batch is re-attempted while the failure is non-durable (the WAL
 // file never saw its record) up to MaxBatchFailures, then poisoned.
 // Failures once the record reached the log — a failed fsync barrier
-// ("wal-sync"), engine panics surfacing through checkpoint writes,
-// watchdog trips — trigger a pipeline restart that recovers from the
-// newest checkpoint and WAL replay; the batch itself is already in the
-// log, so it is never re-sent.
+// ("wal-sync"), engine panics surfacing through checkpoint writes —
+// trigger a pipeline restart that recovers from the newest checkpoint
+// and WAL replay; the batch itself is already in the log, so it is
+// never re-sent.
 func (s *Server) serveLoop(q *Queue) error {
 	restarts := 0
 	for {
@@ -216,44 +216,28 @@ func (s *Server) serveLoop(q *Queue) error {
 			continue
 		}
 
-		// Durable failure: the state machine may be wedged (watchdog
-		// trip, panic during checkpointing). Restart from durable state.
+		// Durable failure: the state machine may be wedged (a panic
+		// during checkpointing). Restart from durable state.
 		if s.cfg.MaxRestarts >= 0 && restarts >= s.cfg.MaxRestarts {
 			return fmt.Errorf("%w (%d restarts): %w", ErrTooManyRestarts, restarts, ierr)
 		}
 		restarts++
 		s.col.Inc(stats.CtrServeRestarts)
-		s.cfg.OnEvent(fmt.Sprintf("restart %d: %s", restarts, describeFailure(ierr)))
+		s.cfg.OnEvent(fmt.Sprintf("restart %d: %v", restarts, ierr))
 		if err := s.restartPipeline(); err != nil {
 			return fmt.Errorf("serve: restart %d failed: %w", restarts, err)
 		}
 	}
 }
 
-// restartPipeline closes the wedged pipeline (best effort — its state
-// is suspect) and reopens it from the newest checkpoint + WAL replay.
+// restartPipeline releases the wedged pipeline (no final checkpoint:
+// its state is suspect) and reopens it from the newest checkpoint + WAL
+// replay; Run's drain closes the reopened one.
 func (s *Server) restartPipeline() error {
-	_ = s.pipe.log.Close() // skip the final checkpoint: state is suspect
-	s.pipe.sess.Close()    // release the wedged session's worker pool
-	pipe, err := NewPipeline(s.cfg.Pipeline)
-	if err != nil {
-		return err
-	}
-	s.pipe = pipe
-	return nil
-}
-
-// describeFailure names the engine-level cause for the event log.
-func describeFailure(err error) string {
-	var we *sim.WatchdogError
-	if errors.As(err, &we) {
-		return fmt.Sprintf("watchdog trip (%v)", we)
-	}
-	var pe *tdgraph.PanicError
-	if errors.As(err, &pe) {
-		return fmt.Sprintf("recovered panic (%v)", pe)
-	}
-	return err.Error()
+	s.pipe.release()
+	var err error
+	s.pipe, err = NewPipeline(s.cfg.Pipeline)
+	return err
 }
 
 func (s *Server) foldQueueStats(q *Queue) {

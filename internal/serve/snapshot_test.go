@@ -17,6 +17,7 @@ import (
 func TestInstallSnapshotSwapsState(t *testing.T) {
 	w := testWorkload(t, 12)
 	want := referenceStates(t, w)
+	base := settledWorkers()
 
 	// Source: six batches in, newest generation covers seq 6.
 	src, err := NewPipeline(pipelineConfig(t, w))
@@ -64,6 +65,11 @@ func TestInstallSnapshotSwapsState(t *testing.T) {
 	}
 	if p.Seq() != 6 {
 		t.Fatalf("pipeline at seq %d after install, want 6", p.Seq())
+	}
+	// Exactly one worker pool: the replaced session's is parked, and the
+	// installed session runs the native engine.
+	if got := settledWorkers(); got != base+1 {
+		t.Fatalf("%d native worker goroutines alive after install, want %d", got, base+1)
 	}
 	// The replaced life's generations are gone with it: a fallback
 	// restore must never reach past the install.
