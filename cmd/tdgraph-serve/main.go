@@ -315,11 +315,11 @@ func printReplStats(col *stats.Collector, term uint64) {
 
 // runAuto runs one self-driving cluster member: a replica.Node whose
 // role loop handles liveness, elections, demotion, and rejoin with no
-// operator in the loop. The node boots as a follower under a grace
-// lease; whichever member wins the first election serves client
-// ingestion, and everyone else replicates from it. Start every member
-// with the same -peers ring (minus itself) and point -role client at
-// any of them.
+// operator in the loop. The node boots as a candidate (a live leader
+// its probe finds makes it defer); whichever member wins the first
+// election serves client ingestion, and everyone else replicates from
+// it. Start every member with the same -peers ring (minus itself) and
+// point -role client at any of them.
 func runAuto(ctx context.Context, pcfg serve.PipelineConfig, listen, advertise, peers string, quorum int, slo time.Duration, verbose bool) {
 	if advertise == "" {
 		advertise = listen

@@ -49,7 +49,8 @@ type Role string
 const (
 	// RoleFollower applies replicated records and watches the lease.
 	RoleFollower Role = "follower"
-	// RoleCandidate has an expired lease and is racing an election.
+	// RoleCandidate holds no live lease (it expired, or the node has
+	// just started) and is racing an election.
 	RoleCandidate Role = "candidate"
 	// RoleLeader serves client ingestion and heartbeats followers.
 	RoleLeader Role = "leader"
@@ -167,6 +168,10 @@ type Node struct {
 	rng        *rand.Rand
 	session    net.Conn // active inbound replication session
 	closed     bool
+	// heard is whether the lease was last renewed by the leader itself (a
+	// session or heartbeat), not by deferring to a peer's probe answer;
+	// only a leader this node heard is named in its own probe answers.
+	heard bool
 	// isolatedSince is when the leader started missing its quorum of
 	// heartbeat deliveries (zero while delivery is healthy).
 	isolatedSince time.Time
@@ -176,9 +181,12 @@ type Node struct {
 	attachWG  sync.WaitGroup
 }
 
-// NewNode recovers the local durable state and returns a node in the
-// follower role with a fresh lease — a boot grace in which an existing
-// leader can attach it before it suspects anything.
+// NewNode recovers the local durable state and returns a node that
+// stands for election at once: a member that just started has heard from
+// no leader, so it holds no lease to wait out. The election probe is its
+// grace instead. A leader that attaches it during the splay ends the
+// candidacy, and a live leader it reaches first (or a peer still under
+// that leader's lease) answers the probe with a hint it defers to.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dial == nil {
@@ -205,9 +213,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			n.cfg.Snapshots = src
 		}
 	}
-	n.role = RoleFollower
+	n.role = RoleCandidate
 	n.term = fol.Term()
-	n.leaseUntil = n.clock.Now().Add(cfg.LeaseTimeout)
+	cfg.OnEvent(fmt.Sprintf("term %d: started at seq %d; standing for election", n.term, fol.Seq()))
 	return n, nil
 }
 
@@ -247,6 +255,7 @@ func (n *Node) noteLiveness(term uint64) {
 	if term >= n.term && n.role != RoleLeader {
 		n.term = term
 		n.leaseUntil = n.clock.Now().Add(n.cfg.LeaseTimeout)
+		n.heard = true
 		if n.role == RoleCandidate {
 			n.role = RoleFollower // a live leader ends the candidacy
 		}
@@ -265,6 +274,7 @@ func (n *Node) noteLeader(term uint64, addr string) {
 		n.term = term
 		n.leaderAddr = addr
 		n.leaseUntil = n.clock.Now().Add(n.cfg.LeaseTimeout)
+		n.heard = true
 		if n.role == RoleCandidate {
 			n.role = RoleFollower
 		}
@@ -277,7 +287,8 @@ func (n *Node) noteLeader(term uint64, addr string) {
 
 // Run drives the role state machine until ctx is cancelled or the
 // node is closed: watch the lease while following, splay-then-elect
-// while a candidate, heartbeat and re-attach peers while leading.
+// while a candidate (where a starting node begins), heartbeat and
+// re-attach peers while leading.
 // Every wait goes through the injectable clock.
 func (n *Node) Run(ctx context.Context) error {
 	for {
@@ -353,13 +364,15 @@ func (n *Node) standForElection() {
 }
 
 // deferCandidacy returns a losing candidate to following with a fresh
-// lease, giving the better peer time to win and attach it.
+// lease, giving the better peer time to win and attach it. The lease is
+// its own patience, not word from a leader, so it vouches for nobody.
 func (n *Node) deferCandidacy() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.role == RoleCandidate {
 		n.role = RoleFollower
 		n.leaseUntil = n.clock.Now().Add(n.cfg.LeaseTimeout)
+		n.heard = false
 	}
 }
 
@@ -701,16 +714,17 @@ func (n *Node) HandleConn(conn net.Conn) error {
 
 // answerProbe answers with the follower's durable state plus a leader
 // hint that is only as fresh as the lease: a leader names itself, a
-// follower under a live lease names its primary, and an expired lease
-// hints nothing — so candidates never defer to a leader nobody has
-// heard from.
+// follower under a live lease it heard from that leader names its
+// primary, and an expired lease — or one a deferring candidate granted
+// itself — hints nothing, so candidates never defer to a leader nobody
+// has heard from.
 func (n *Node) answerProbe(conn net.Conn) error {
 	n.mu.Lock()
 	leader := ""
 	switch {
 	case n.role == RoleLeader:
 		leader = n.cfg.Addr
-	case n.clock.Now().Before(n.leaseUntil):
+	case n.heard && n.clock.Now().Before(n.leaseUntil):
 		leader = n.leaderAddr
 	}
 	n.mu.Unlock()

@@ -29,6 +29,12 @@ type manualClock struct {
 	// round is mid-handshake — work that takes no fake time, and that the
 	// hand must therefore not move under.
 	settle []func()
+	// loops is how many role loops step waits to see parked before it
+	// moves the hand (0: any one sleeper will do). With several members
+	// running, one loop can be mid-election — probing, fsyncing its term —
+	// while the others sleep, and that work takes no fake time either.
+	// Set by the driving goroutine, before it steps.
+	loops int
 }
 
 func newManualClock() *manualClock {
@@ -93,8 +99,9 @@ func (c *manualClock) havePendingLocked() bool {
 	return false
 }
 
-// step waits for a pending sleeper and then jumps the hand exactly to
-// the earliest pending wake time — one timer firing, no real sleeps.
+// step waits for a pending sleeper (for loops of them, when set) and
+// then jumps the hand exactly to the earliest pending wake time — one
+// timer firing, no real sleeps.
 func (c *manualClock) step() {
 	for _, wait := range c.settle {
 		wait()
@@ -102,12 +109,16 @@ func (c *manualClock) step() {
 	c.mu.Lock()
 	for {
 		var next time.Time
+		parked := 0
 		for _, dl := range c.deadlines {
-			if dl.After(c.now) && (next.IsZero() || dl.Before(next)) {
-				next = dl
+			if dl.After(c.now) {
+				parked++
+				if next.IsZero() || dl.Before(next) {
+					next = dl
+				}
 			}
 		}
-		if !next.IsZero() {
+		if parked > 0 && parked >= c.loops {
 			c.now = next
 			c.cond.Broadcast()
 			c.mu.Unlock()
@@ -150,10 +161,10 @@ func newMemNet() *memNet {
 	}
 }
 
+// add registers n at addr; an address taken down beforehand stays down.
 func (m *memNet) add(addr string, n *Node) {
 	m.mu.Lock()
 	m.nodes[addr] = n
-	m.down[addr] = false
 	m.mu.Unlock()
 }
 
@@ -225,8 +236,9 @@ func (n *Node) awaitAttachIdle() {
 	}
 }
 
-// TestNodeSingleMemberElectsItself: a lone member's lease expires, it
-// stands, wins trivially (quorum 1), and leads — all on the fake clock.
+// TestNodeSingleMemberElectsItself: a lone member stands as it starts —
+// no lease to wait out, so no heartbeat is counted missed — wins
+// trivially (quorum 1), and leads, all on the fake clock.
 func TestNodeSingleMemberElectsItself(t *testing.T) {
 	clk := newManualClock()
 	n := newTestNode(t, newMemNet(), "a", nil, clk)
@@ -245,8 +257,8 @@ func TestNodeSingleMemberElectsItself(t *testing.T) {
 		t.Fatalf("leader addr = %q, want self", got)
 	}
 	col := n.Follower().Pipeline().Collector()
-	if got := col.Get(stats.CtrReplHeartbeatsMissed); got != 1 {
-		t.Fatalf("heartbeats missed = %d, want 1", got)
+	if got := col.Get(stats.CtrReplHeartbeatsMissed); got != 0 {
+		t.Fatalf("heartbeats missed = %d, want 0", got)
 	}
 	if got := col.Get(stats.CtrReplElections); got != 1 {
 		t.Fatalf("elections = %d, want 1", got)
@@ -267,6 +279,9 @@ func TestNodeLeaseRenewalSuppressesElection(t *testing.T) {
 	n := newTestNode(t, fabric, "a", []string{"b"}, clk)
 	defer n.Close()
 	fabric.setDown("b", true)
+	// A leader reached the node before its first splay ran out: the
+	// candidacy it started with ends, and it follows under a lease.
+	n.noteLiveness(n.Term())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go n.Run(ctx)
@@ -315,6 +330,119 @@ func TestNodeLeaseRenewalSuppressesElection(t *testing.T) {
 	})
 	if got := n.Term(); got != 1 {
 		t.Fatalf("elected term = %d, want 1", got)
+	}
+}
+
+// TestNodeColdClusterElectsWithinOneSplay: three members started
+// together elect without a lease running out anywhere. Each stands as it
+// starts, the lowest address wins the tie between equal logs, and the
+// others are attached at term 1 — within the longest splay (half a
+// lease) of fake time, so no member waits out a lease first.
+func TestNodeColdClusterElectsWithinOneSplay(t *testing.T) {
+	clk := newManualClock()
+	fabric := newMemNet()
+	addrs := []string{"a", "b", "c"}
+	var nodes []*Node
+	for _, addr := range addrs {
+		var peers []string
+		for _, p := range addrs {
+			if p != addr {
+				peers = append(peers, p)
+			}
+		}
+		n := newTestNode(t, fabric, addr, peers, clk)
+		defer n.Close()
+		nodes = append(nodes, n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := clk.Now()
+	clk.loops = len(nodes)
+	for _, n := range nodes {
+		go n.Run(ctx)
+	}
+	driveUntil(t, clk, "a leading b and c at term 1", func() bool {
+		return nodes[0].Role() == RoleLeader && nodes[1].Follower().Term() == 1 && nodes[2].Follower().Term() == 1
+	})
+	// The hand has moved at most once past the winning splay (to the
+	// leader's next heartbeat) by the time the predicate is read.
+	if took := clk.Now().Sub(start); took >= 3*time.Second {
+		t.Fatalf("cold cluster took %v of fake time to elect and attach, want under the longest splay plus a heartbeat (3s)", took)
+	}
+	for i, n := range nodes {
+		if got := n.Follower().Pipeline().Collector().Get(stats.CtrReplHeartbeatsMissed); got != 0 {
+			t.Fatalf("%s counted %d lease expiries on a cold start, want 0", addrs[i], got)
+		}
+	}
+}
+
+// TestNodeStartingIntoLiveClusterDefers: the election probe is a
+// starting member's grace. The leader cannot dial the newcomer, so
+// nothing attaches it and its candidacy runs to the probe — where the
+// leader names itself, and the newcomer defers rather than claim a term
+// and depose it. Once reachable it is attached at the leader's term,
+// and no member ever waited out a lease.
+func TestNodeStartingIntoLiveClusterDefers(t *testing.T) {
+	clk := newManualClock()
+	fabric := newMemNet()
+	a := newTestNode(t, fabric, "a", []string{"b", "c"}, clk)
+	defer a.Close()
+	b := newTestNode(t, fabric, "b", []string{"a", "c"}, clk)
+	defer b.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clk.loops = 2
+	go a.Run(ctx)
+	go b.Run(ctx)
+	driveUntil(t, clk, "a leading b at term 1", func() bool {
+		return a.Role() == RoleLeader && b.Follower().Term() == 1
+	})
+
+	// Dials to c fail; c's own dials get through.
+	fabric.setDown("c", true)
+	c := newTestNode(t, fabric, "c", []string{"a", "b"}, clk)
+	defer c.Close()
+	start := clk.Now()
+	clk.loops = 3
+	go c.Run(ctx)
+	ccol := c.Follower().Pipeline().Collector()
+	driveUntil(t, clk, "the newcomer's candidacy deferring", func() bool {
+		return ccol.Get(stats.CtrReplElections) >= 1 && c.Role() == RoleFollower
+	})
+	if took := clk.Now().Sub(start); took >= 2*time.Second {
+		t.Fatalf("newcomer stood after %v of fake time, want within one splay (under 2s)", took)
+	}
+	if got := c.Follower().Term(); got != 0 {
+		t.Fatalf("deferring newcomer holds durable term %d, want 0 (no claim)", got)
+	}
+	if got := c.LeaderAddr(); got != "a" {
+		t.Fatalf("deferring newcomer's leader hint = %q, want the live leader", got)
+	}
+	// It redirects clients there, but has never heard from a and so must
+	// not vouch for it to another candidate's probe.
+	pside, cside := net.Pipe()
+	go c.HandleConn(cside)
+	st, err := Probe(pside, time.Second, clk)
+	pside.Close()
+	if err != nil || st.Leader != "" {
+		t.Fatalf("probe of the deferring newcomer: %+v, %v; want no leader named", st, err)
+	}
+
+	fabric.setDown("c", false)
+	driveUntil(t, clk, "the leader attaching the newcomer", func() bool {
+		return c.Follower().Term() == 1
+	})
+	if a.Role() != RoleLeader || a.Term() != 1 {
+		t.Fatalf("leader is %s at term %d after the newcomer joined, want leader at term 1", a.Role(), a.Term())
+	}
+	for _, n := range []*Node{a, b, c} {
+		col := n.Follower().Pipeline().Collector()
+		if got := col.Get(stats.CtrReplDemotions); got != 0 {
+			t.Fatalf("%s demoted %d times, want 0", n.cfg.Addr, got)
+		}
+		if got := col.Get(stats.CtrReplHeartbeatsMissed); got != 0 {
+			t.Fatalf("%s counted %d lease expiries, want 0", n.cfg.Addr, got)
+		}
 	}
 }
 

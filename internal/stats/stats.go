@@ -207,7 +207,7 @@ const (
 	// Self-driving cluster events (internal/replica.Node).
 	CtrReplHeartbeatsSent   = "repl.heartbeats_sent"   // heartbeat frames shipped to followers
 	CtrReplHeartbeatsMissed = "repl.heartbeats_missed" // lease expiries: the primary went silent
-	CtrReplElections        = "repl.elections"         // election rounds entered after a timeout
+	CtrReplElections        = "repl.elections"         // election rounds entered, at start-up or after a lease expiry
 	CtrReplDemotions        = "repl.demotions"         // primaries that stepped down (fenced or isolated)
 	CtrReplRedirects        = "repl.redirects"         // client submissions redirected to the leader
 
