@@ -58,11 +58,13 @@ faults:
 # exactly-once), and the group-commit count, serial-equivalence and
 # follower fault-table tests, under the race detector. Every member in
 # these suites serves on the native engine, as tdgraph-serve does, and
-# is compared with a sim-engine reference run. Proves no
-# acknowledged batch is lost past the last fsync (or quorum) barrier,
-# that the recovered, promoted, or reseeded node's vertex states are
-# byte-identical to an uninterrupted run, that deposed primaries are
-# fenced, and that every term has at most one leader.
+# is compared with a sim-engine reference run. Every replica chaos
+# story ends in one oracle (internal/replica/oracle_test.go: one leader
+# per term, every acked batch kept exactly once in every survivor's
+# WAL, ledgers at most one entry ahead, states byte-identical to an
+# uninterrupted run) and runs twice to the same digest. The cluster
+# stories run on the manual clock, except the deadline storm: its
+# subject, the client's in-flight expiry, is a real-time pipe deadline.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Failover|Fenced|Reseed|Election|Node|Group' ./internal/serve ./internal/replica
 

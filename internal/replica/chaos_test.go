@@ -2,8 +2,6 @@ package replica
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"testing"
@@ -13,24 +11,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
-
-// trialDigest captures everything a failover trial decided, so running
-// the same seed twice must reproduce it bit for bit.
-type trialDigest struct {
-	acked     int
-	winner    int
-	crashed   bool
-	stateHash uint64
-}
-
-func hashStates(states []float64) uint64 {
-	h := uint64(1469598103934665603)
-	for _, s := range states {
-		h ^= math.Float64bits(s)
-		h *= 1099511628211
-	}
-	return h
-}
 
 // followerNode is one follower plus its live replication session.
 type followerNode struct {
@@ -56,18 +36,12 @@ func attach(t *testing.T, prim *Primary, f *Follower, wrap func(net.Conn) net.Co
 // runFailoverTrial kills the primary at a seeded point — mid-WAL-write,
 // mid-fsync, or right after a record is torn mid-frame on a follower's
 // wire — promotes the most-advanced follower, re-feeds the unacked
-// tail through it, and checks the invariants:
-//
-//   - zero acknowledged-batch loss: the promoted follower's sequence
-//     covers every batch Ingest acknowledged;
-//   - convergence: after re-feeding, the promoted primary and the
-//     re-attached follower both hold states Float64bits-identical to an
-//     uninterrupted run.
-func runFailoverTrial(t *testing.T, trial int) trialDigest {
-	t.Helper()
+// tail through it, and hands the promoted primary and the re-attached
+// follower to the oracle. Zero acknowledged-batch loss at the failover
+// is checked on the spot: the re-feed would hide it from the end state.
+func runFailoverTrial(t *testing.T, trial int) digest {
 	rng := rand.New(rand.NewSource(int64(2000 + trial)))
 	w := testWorkload(t, 10)
-	want := referenceStates(t, w)
 
 	// Primary: WAL on a crash-simulating filesystem; checkpoints on so
 	// the sync-fuse mode can also die inside a checkpoint barrier.
@@ -196,25 +170,14 @@ func runFailoverTrial(t *testing.T, trial int) trialDigest {
 	newPrim.Close()
 	<-no.done
 
-	if got := winner.Seq(); got != uint64(len(w.Batches)) {
-		t.Fatalf("promoted primary finished at seq %d, want %d", got, len(w.Batches))
+	if !crashed && mode != 1 {
+		t.Errorf("trial %d: crash never fired (fuse past the workload?)", trial)
 	}
-	if other.Seq() != winner.Seq() {
-		t.Fatalf("surviving follower at seq %d, promoted at %d", other.Seq(), winner.Seq())
-	}
-	if !statesEqual(winner.Pipeline().Session().States(), want) {
-		t.Fatalf("trial %d (mode %d): promoted primary states diverged from uninterrupted run", trial, mode)
-	}
-	if !statesEqual(other.Pipeline().Session().States(), want) {
-		t.Fatalf("trial %d (mode %d): surviving follower states diverged from uninterrupted run", trial, mode)
-	}
-
-	dig := trialDigest{
-		acked:     acked,
-		winner:    winnerIdx,
-		crashed:   crashed,
-		stateHash: hashStates(winner.Pipeline().Session().States()),
-	}
+	// A crash stops the acked count short of the workload, so acked pins
+	// whether it fired.
+	dig := oracle(t, ending{w: w, acked: uint64(acked), finished: !crashed,
+		members: []survivor{followerOf("promoted", winner), followerOf("survivor", other)},
+		pinned:  map[string]uint64{"winner": uint64(winnerIdx)}})
 	winner.Pipeline().Close()
 	other.Pipeline().Close()
 	return dig
@@ -222,23 +185,9 @@ func runFailoverTrial(t *testing.T, trial int) trialDigest {
 
 // TestChaosKillPrimaryFailover: twelve seeded kill-the-primary trials
 // across three death modes (mid-WAL-write, mid-fsync, record torn on
-// the wire then crash). Every trial must end with a promoted follower
-// holding all acknowledged batches and byte-identical states, and each
-// trial's outcome must reproduce exactly when its seed is replayed.
+// the wire then crash).
 func TestChaosKillPrimaryFailover(t *testing.T) {
-	for trial := 0; trial < 12; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			first := runFailoverTrial(t, trial)
-			if !first.crashed && trial%3 != 1 {
-				t.Errorf("trial %d: crash never fired (fuse past the workload?)", trial)
-			}
-			second := runFailoverTrial(t, trial)
-			if first != second {
-				t.Fatalf("trial %d not deterministic: %+v vs %+v", trial, first, second)
-			}
-		})
-	}
+	trials(t, 12, runFailoverTrial)
 }
 
 // TestFencedOldPrimaryRejected: after a failover, a deposed primary

@@ -215,6 +215,7 @@ func TestStalledFollowerDropped(t *testing.T) {
 		t.Fatalf("AddFollower: %v", err)
 	}
 
+	// Real time: the subject is AckTimeout as a wall-clock conn deadline.
 	start := time.Now()
 	if err := prim.Replicate(1, w.Batches[0]); err != nil {
 		t.Fatalf("Replicate with quorum 1: %v", err)

@@ -75,11 +75,6 @@ type NodeConfig struct {
 	// Pipeline is this node's durable pipeline configuration, exactly
 	// what a solo server or an operator-run follower would use.
 	Pipeline serve.PipelineConfig
-	// Snapshots, when set, lets this node reseed diverged or
-	// far-behind peers while leading (the PR 7 path). When nil and the
-	// pipeline checkpoints, the node serves reseeds from its own
-	// checkpoint generations.
-	Snapshots SnapshotSource
 	// Quorum overrides the majority rule when > 0, counting this node
 	// as one (default: majority of len(Peers)+1).
 	Quorum int
@@ -143,6 +138,9 @@ type Node struct {
 	col   *stats.Collector
 	clock serve.Clock
 	slo   *serve.SLOController // nil unless cfg.SLO is set
+	// snaps reseeds diverged or far-behind peers while leading, from
+	// the pipeline's own checkpoints (nil when it keeps none).
+	snaps SnapshotSource
 
 	// pmu serialises everything that moves the pipeline outside a
 	// replication session: client ingest, heartbeats, follower
@@ -208,10 +206,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.fol = fol
 	n.col = fol.Pipeline().Collector()
-	if n.cfg.Snapshots == nil {
-		if src := fol.Pipeline().SnapshotSource(); src != nil {
-			n.cfg.Snapshots = src
-		}
+	if src := fol.Pipeline().SnapshotSource(); src != nil {
+		n.snaps = src
 	}
 	n.role = RoleCandidate
 	n.term = fol.Term()
@@ -469,7 +465,7 @@ func (n *Node) becomeLeader(term uint64) {
 		AckTimeout:  n.cfg.AckTimeout,
 		Advertise:   n.cfg.Addr,
 		Clock:       n.clock,
-		Snapshots:   n.cfg.Snapshots,
+		Snapshots:   n.snaps,
 		Collector:   n.col,
 		OnEvent:     n.cfg.OnEvent,
 	})

@@ -89,7 +89,7 @@ func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 	w := testWorkload(t, 1+group)
 	want := referenceStates(t, w)
 	clk := newManualClock()
-	fabric := newMemNet()
+	fabric := newChaosNet()
 	addrs := []string{"a", "b", "c"}
 	fss := map[string]*countingFS{}
 	dirs := map[string]string{}
@@ -107,21 +107,17 @@ func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 		cfg.CheckpointEvery = -1
 		cfg.WAL.SegmentBytes = 1 << 20 // one segment: the tailer below reads every record
 		cfg.WAL.FS = fss[addr]
-		n, err := NewNode(NodeConfig{
-			Addr: addr, Peers: peers, Pipeline: cfg, HeartbeatEvery: time.Second, Seed: 42, Clock: clk,
+		dial := fabric.dialerFor(addr)
+		n := newMember(t, fabric, clk, NodeConfig{
+			Addr: addr, Peers: peers, Pipeline: cfg, Seed: 42,
 			Dial: func(to string) (net.Conn, error) {
-				conn, err := fabric.dial(to)
+				conn, err := dial(to)
 				if err != nil {
 					return nil, err
 				}
 				return ackCountingConn{Conn: conn, acks: &followerAcks}, nil
 			},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fabric.add(addr, n)
-		clk.settle = append(clk.settle, n.awaitAttachIdle)
 		nodes[addr] = n
 	}
 	a := nodes["a"]
@@ -362,6 +358,8 @@ func TestFramesWaitingNeverBlocks(t *testing.T) {
 	if _, err := client.Write(third[frameHdrSize+3:]); err != nil {
 		t.Fatal(err)
 	}
+	// Real time: loopback TCP delivers on the kernel's schedule, which no
+	// fake clock can model.
 	for start := time.Now(); ; {
 		if n := framesWaiting(in, br, 0); n == 3 {
 			break

@@ -33,7 +33,7 @@ type manualClock struct {
 	// moves the hand (0: any one sleeper will do). With several members
 	// running, one loop can be mid-election — probing, fsyncing its term —
 	// while the others sleep, and that work takes no fake time either.
-	// Set by the driving goroutine, before it steps.
+	// Set by the driving goroutine before it steps, or kept by actors.
 	loops int
 }
 
@@ -128,6 +128,18 @@ func (c *manualClock) step() {
 	}
 }
 
+// actors adds delta to loops as role loops and clients start and stop,
+// waking a step waiting on the count (a nil clock keeps no count).
+func (c *manualClock) actors(delta int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.loops += delta
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
 // driveUntil fires fake timers one at a time until the predicate holds,
 // failing the test after a generous bound.
 func driveUntil(t *testing.T, clk *manualClock, what string, pred func() bool) {
@@ -139,87 +151,6 @@ func driveUntil(t *testing.T, clk *manualClock, what string, pred func() bool) {
 		clk.step()
 	}
 	t.Fatalf("state machine never reached: %s", what)
-}
-
-// memNet is an in-memory dial fabric: each address maps to a Node whose
-// HandleConn is spawned per dialed connection, and addresses can be
-// taken down to simulate dead or unreachable members — refusing new
-// dials and severing every connection already made to them, the way a
-// crashed process drops its sockets.
-type memNet struct {
-	mu    sync.Mutex
-	nodes map[string]*Node
-	down  map[string]bool
-	conns map[string][]net.Conn
-}
-
-func newMemNet() *memNet {
-	return &memNet{
-		nodes: make(map[string]*Node),
-		down:  make(map[string]bool),
-		conns: make(map[string][]net.Conn),
-	}
-}
-
-// add registers n at addr; an address taken down beforehand stays down.
-func (m *memNet) add(addr string, n *Node) {
-	m.mu.Lock()
-	m.nodes[addr] = n
-	m.mu.Unlock()
-}
-
-func (m *memNet) setDown(addr string, down bool) {
-	m.mu.Lock()
-	m.down[addr] = down
-	var sever []net.Conn
-	if down {
-		sever = m.conns[addr]
-		m.conns[addr] = nil
-	}
-	m.mu.Unlock()
-	for _, c := range sever {
-		c.Close()
-	}
-}
-
-func (m *memNet) dial(addr string) (net.Conn, error) {
-	m.mu.Lock()
-	n, ok := m.nodes[addr]
-	down := m.down[addr]
-	m.mu.Unlock()
-	if !ok || down {
-		return nil, errors.New("memnet: unreachable " + addr)
-	}
-	a, b := net.Pipe()
-	m.mu.Lock()
-	m.conns[addr] = append(m.conns[addr], a)
-	m.mu.Unlock()
-	go n.HandleConn(b)
-	return a, nil
-}
-
-func newTestNode(t *testing.T, fabric *memNet, addr string, peers []string, clk *manualClock) *Node {
-	t.Helper()
-	w := testWorkload(t, 4)
-	cfg := nodeConfig(w, t.TempDir())
-	cfg.CheckpointEvery = -1
-	n, err := NewNode(NodeConfig{
-		Addr:           addr,
-		Peers:          peers,
-		Dial:           fabric.dial,
-		Pipeline:       cfg,
-		HeartbeatEvery: time.Second,
-		Seed:           42,
-		Clock:          clk,
-	})
-	if err != nil {
-		t.Fatalf("NewNode(%s): %v", addr, err)
-	}
-	if fabric != nil {
-		fabric.add(addr, n)
-	}
-	clk.settle = append(clk.settle, n.awaitAttachIdle)
-	return n
 }
 
 // awaitAttachIdle spins until the node's background attach round, if
@@ -241,7 +172,7 @@ func (n *Node) awaitAttachIdle() {
 // trivially (quorum 1), and leads, all on the fake clock.
 func TestNodeSingleMemberElectsItself(t *testing.T) {
 	clk := newManualClock()
-	n := newTestNode(t, newMemNet(), "a", nil, clk)
+	n := newMember(t, newChaosNet(), clk, NodeConfig{Addr: "a", Seed: 42})
 	defer n.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -275,8 +206,8 @@ func TestNodeSingleMemberElectsItself(t *testing.T) {
 // peer unreachable it keeps losing quorum without ever claiming a term.
 func TestNodeLeaseRenewalSuppressesElection(t *testing.T) {
 	clk := newManualClock()
-	fabric := newMemNet()
-	n := newTestNode(t, fabric, "a", []string{"b"}, clk)
+	fabric := newChaosNet()
+	n := newMember(t, fabric, clk, NodeConfig{Addr: "a", Peers: []string{"b"}, Seed: 42})
 	defer n.Close()
 	fabric.setDown("b", true)
 	// A leader reached the node before its first splay ran out: the
@@ -322,7 +253,7 @@ func TestNodeLeaseRenewalSuppressesElection(t *testing.T) {
 
 	// The peer comes back (as a reachable, empty follower): the very
 	// next round reaches quorum and this node claims term 1.
-	peer := newTestNode(t, fabric, "b", []string{"a"}, clk)
+	peer := newMember(t, fabric, clk, NodeConfig{Addr: "b", Peers: []string{"a"}, Seed: 42})
 	defer peer.Close()
 	fabric.setDown("b", false)
 	driveUntil(t, clk, "victory once quorum is reachable", func() bool {
@@ -340,7 +271,7 @@ func TestNodeLeaseRenewalSuppressesElection(t *testing.T) {
 // lease) of fake time, so no member waits out a lease first.
 func TestNodeColdClusterElectsWithinOneSplay(t *testing.T) {
 	clk := newManualClock()
-	fabric := newMemNet()
+	fabric := newChaosNet()
 	addrs := []string{"a", "b", "c"}
 	var nodes []*Node
 	for _, addr := range addrs {
@@ -350,7 +281,7 @@ func TestNodeColdClusterElectsWithinOneSplay(t *testing.T) {
 				peers = append(peers, p)
 			}
 		}
-		n := newTestNode(t, fabric, addr, peers, clk)
+		n := newMember(t, fabric, clk, NodeConfig{Addr: addr, Peers: peers, Seed: 42})
 		defer n.Close()
 		nodes = append(nodes, n)
 	}
@@ -384,10 +315,10 @@ func TestNodeColdClusterElectsWithinOneSplay(t *testing.T) {
 // and no member ever waited out a lease.
 func TestNodeStartingIntoLiveClusterDefers(t *testing.T) {
 	clk := newManualClock()
-	fabric := newMemNet()
-	a := newTestNode(t, fabric, "a", []string{"b", "c"}, clk)
+	fabric := newChaosNet()
+	a := newMember(t, fabric, clk, NodeConfig{Addr: "a", Peers: []string{"b", "c"}, Seed: 42})
 	defer a.Close()
-	b := newTestNode(t, fabric, "b", []string{"a", "c"}, clk)
+	b := newMember(t, fabric, clk, NodeConfig{Addr: "b", Peers: []string{"a", "c"}, Seed: 42})
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -400,7 +331,7 @@ func TestNodeStartingIntoLiveClusterDefers(t *testing.T) {
 
 	// Dials to c fail; c's own dials get through.
 	fabric.setDown("c", true)
-	c := newTestNode(t, fabric, "c", []string{"a", "b"}, clk)
+	c := newMember(t, fabric, clk, NodeConfig{Addr: "c", Peers: []string{"a", "b"}, Seed: 42})
 	defer c.Close()
 	start := clk.Now()
 	clk.loops = 3
@@ -452,11 +383,11 @@ func TestNodeStartingIntoLiveClusterDefers(t *testing.T) {
 // via the lease-scoped hint rather than fighting.
 func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 	clk := newManualClock()
-	fabric := newMemNet()
+	fabric := newChaosNet()
 	w := testWorkload(t, 4)
-	a := newTestNode(t, fabric, "a", []string{"b"}, clk)
+	a := newMember(t, fabric, clk, NodeConfig{Addr: "a", Peers: []string{"b"}, Seed: 42})
 	defer a.Close()
-	b := newTestNode(t, fabric, "b", []string{"a"}, clk)
+	b := newMember(t, fabric, clk, NodeConfig{Addr: "b", Peers: []string{"a"}, Seed: 42})
 	defer b.Close()
 
 	// b holds three batches that a never saw.
@@ -502,7 +433,7 @@ func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 func TestElectionSplayIsSeeded(t *testing.T) {
 	clk := newManualClock()
 	mk := func(addr string) *Node {
-		return newTestNode(t, newMemNet(), addr, []string{"x"}, clk)
+		return newMember(t, newChaosNet(), clk, NodeConfig{Addr: addr, Peers: []string{"x"}, Seed: 42})
 	}
 	a1, a2, b := mk("a"), mk("a"), mk("b")
 	defer a1.Close()
@@ -537,7 +468,7 @@ func TestElectionSplayIsSeeded(t *testing.T) {
 // new authority.
 func TestNodeDeposedLeaderAutoDemotes(t *testing.T) {
 	clk := newManualClock()
-	n := newTestNode(t, newMemNet(), "a", nil, clk)
+	n := newMember(t, newChaosNet(), clk, NodeConfig{Addr: "a", Seed: 42})
 	defer n.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -591,7 +522,7 @@ func TestNodeDeposedLeaderAutoDemotes(t *testing.T) {
 func TestNodeRejoinReseedsDivergedMember(t *testing.T) {
 	base := settledWorkers()
 	clk := newManualClock()
-	fabric := newMemNet()
+	fabric := newChaosNet()
 	w := testWorkload(t, 6)
 	want := referenceStates(t, w)
 
@@ -622,16 +553,7 @@ func TestNodeRejoinReseedsDivergedMember(t *testing.T) {
 	}
 
 	mk := func(addr, peer string, cfg serve.PipelineConfig) *Node {
-		n, err := NewNode(NodeConfig{
-			Addr: addr, Peers: []string{peer}, Dial: fabric.dial,
-			Pipeline: cfg, HeartbeatEvery: time.Second, Seed: 42, Clock: clk,
-		})
-		if err != nil {
-			t.Fatalf("NewNode(%s): %v", addr, err)
-		}
-		fabric.add(addr, n)
-		clk.settle = append(clk.settle, n.awaitAttachIdle)
-		return n
+		return newMember(t, fabric, clk, NodeConfig{Addr: addr, Peers: []string{peer}, Pipeline: cfg, Seed: 42})
 	}
 	xcfg := nodeConfig(w, xdir)
 	xcfg.CheckpointEvery = -1
@@ -686,12 +608,12 @@ func TestNodeRejoinReseedsDivergedMember(t *testing.T) {
 // losing it when the stranded tail is reseeded away.
 func TestNodeStrandedIngestNeverAcked(t *testing.T) {
 	clk := newManualClock()
-	fabric := newMemNet()
-	n := newTestNode(t, fabric, "a", []string{"b", "c"}, clk)
+	fabric := newChaosNet()
+	n := newMember(t, fabric, clk, NodeConfig{Addr: "a", Peers: []string{"b", "c"}, Seed: 42})
 	defer n.Close()
-	b := newTestNode(t, fabric, "b", []string{"a", "c"}, clk)
+	b := newMember(t, fabric, clk, NodeConfig{Addr: "b", Peers: []string{"a", "c"}, Seed: 42})
 	defer b.Close()
-	c := newTestNode(t, fabric, "c", []string{"a", "b"}, clk)
+	c := newMember(t, fabric, clk, NodeConfig{Addr: "c", Peers: []string{"a", "b"}, Seed: 42})
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -766,12 +688,12 @@ func TestNodeStrandedIngestNeverAcked(t *testing.T) {
 // than serving the minority side of a partition.
 func TestNodeIsolatedLeaderStepsDown(t *testing.T) {
 	clk := newManualClock()
-	fabric := newMemNet()
-	n := newTestNode(t, fabric, "a", []string{"b", "c"}, clk)
+	fabric := newChaosNet()
+	n := newMember(t, fabric, clk, NodeConfig{Addr: "a", Peers: []string{"b", "c"}, Seed: 42})
 	defer n.Close()
-	b := newTestNode(t, fabric, "b", []string{"a", "c"}, clk)
+	b := newMember(t, fabric, clk, NodeConfig{Addr: "b", Peers: []string{"a", "c"}, Seed: 42})
 	defer b.Close()
-	c := newTestNode(t, fabric, "c", []string{"a", "b"}, clk)
+	c := newMember(t, fabric, clk, NodeConfig{Addr: "c", Peers: []string{"a", "b"}, Seed: 42})
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -809,30 +731,33 @@ func TestNodeIsolatedLeaderStepsDown(t *testing.T) {
 // three lease-lengths of fake time.
 func TestNodeBlackHoledPeerDoesNotStarveHeartbeats(t *testing.T) {
 	clk := newManualClock()
-	fabric := newMemNet()
-	b := newTestNode(t, fabric, "b", []string{"a", "c"}, clk)
+	fabric := newChaosNet()
+	b := newMember(t, fabric, clk, NodeConfig{Addr: "b", Peers: []string{"a", "c"}, Seed: 42})
 	defer b.Close()
 
 	release := make(chan struct{})
-	w := testWorkload(t, 4)
-	cfg := nodeConfig(w, t.TempDir())
-	cfg.CheckpointEvery = -1
-	a, err := NewNode(NodeConfig{
-		Addr: "a", Peers: []string{"b", "c"}, Pipeline: cfg,
-		HeartbeatEvery: time.Second, Seed: 42, Clock: clk,
+	// a's attach round blocks on the black hole by design, so a stays out
+	// of the clock's settle barrier: newMember gets no clock, a's config
+	// brings its own.
+	a := newMember(t, fabric, nil, NodeConfig{
+		Addr: "a", Peers: []string{"b", "c"}, Seed: 42, Clock: clk,
 		Dial: func(addr string) (net.Conn, error) {
 			if addr == "c" {
 				<-release
 				return nil, errors.New("black hole")
 			}
-			return fabric.dial(addr)
+			return fabric.dialerFor("a")(addr)
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer a.Close()
 	defer close(release) // before Close, which joins the attach round
+	// b signals each lease renewal (the handshake's at tick 0, a
+	// heartbeat's after), so the wait is on the event, not on time.
+	renewed := make(chan struct{}, 1)
+	b.fol.cfg.OnLiveness = func(term uint64) {
+		b.noteLiveness(term)
+		renewed <- struct{}{}
+	}
 	term, err := a.fol.PromoteTo(1)
 	if err != nil {
 		t.Fatal(err)
@@ -849,14 +774,11 @@ func TestNodeBlackHoledPeerDoesNotStarveHeartbeats(t *testing.T) {
 		return b.leaseUntil.Sub(clk.Now())
 	}
 	for tick := 0; tick < 12; tick++ {
-		waitFor(t, 5*time.Second, "leader parked on its heartbeat timer", func() bool {
-			clk.mu.Lock()
-			defer clk.mu.Unlock()
-			return clk.havePendingLocked()
-		})
-		waitFor(t, 5*time.Second, "this tick renewing the follower's lease", func() bool {
-			return leaseLeft() == lease
-		})
+		clk.awaitPendingSleeper() // a's loop parked on its heartbeat timer
+		<-renewed
+		if got := leaseLeft(); got != lease {
+			t.Fatalf("tick %d renewed the follower's lease to %v, want %v", tick, got, lease)
+		}
 		clk.step()
 	}
 	if got := a.Role(); got != RoleLeader {

@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -13,53 +12,23 @@ import (
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/serve"
 	"github.com/tdgraph/tdgraph/internal/stats"
-	"github.com/tdgraph/tdgraph/internal/stream"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // These trials drive the overload ladder end to end: a WAL volume that
 // fills mid-ingest (read-only degradation, typed busy rejections,
-// automatic resume) and a client deadline storm against a slow quorum
-// (in-flight expiries, reconnect/adopt recovery, exactly-once). Like
-// the rest of the chaos suites, each trial is run twice and the
-// converged digest must be identical.
-
-// stepWait polls pred while firing manual-clock timers, so trials that
-// mix clock-driven machinery (heartbeats, retry backoff) with
-// real-goroutine progress (pipe round trips) can wait for the latter
-// without deadlocking the former.
-func stepWait(t *testing.T, clk *manualClock, what string, pred func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if pred() {
-			return
-		}
-		clk.step()
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-type diskPressureDigest struct {
-	acked     uint64
-	height    uint64
-	entries   uint64
-	exits     uint64
-	stateHash uint64
-}
+// automatic resume) on the manual clock, and a client deadline storm
+// against a slow quorum (in-flight expiries, reconnect/adopt recovery,
+// exactly-once) on the wall clock. Like the rest of the chaos stories,
+// each ends in the oracle and runs twice.
 
 // runDiskPressureTrial fills the WAL volume mid-ingest on a solo
 // leader, checks the busy-reject wire shape while the node is
 // read-only, frees the space, and requires the client to finish with
-// zero acked-batch loss — everything on the manual clock.
-func runDiskPressureTrial(t *testing.T, trial int) diskPressureDigest {
-	t.Helper()
-	clk := newManualClock()
-	fabric := newMemNet()
+// zero acked-batch loss.
+func runDiskPressureTrial(t *testing.T, trial int) digest {
 	w := testWorkload(t, 8)
-	want := referenceStates(t, w)
-
+	c := newCluster(t, w, newManualClock())
 	cfg := nodeConfig(w, t.TempDir())
 	cfg.CheckpointEvery = -1 // no retention credits: only AddDiskSpace frees
 	inj := fault.New(int64(40 + trial))
@@ -67,76 +36,43 @@ func runDiskPressureTrial(t *testing.T, trial int) diskPressureDigest {
 	// workload's WAL records; the rest of the run hits ENOSPC.
 	inj.Arm(fault.NoSpace, 1500)
 	cfg.WAL.FS = inj.FS(wal.OSFS{})
-
-	n, err := NewNode(NodeConfig{
-		Addr:           "solo",
-		Dial:           fabric.dial,
-		Pipeline:       cfg,
-		HeartbeatEvery: time.Second,
-		Seed:           42,
-		Clock:          clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	fabric.add("solo", n)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ran := make(chan error, 1)
-	go func() { ran <- n.Run(ctx) }()
-	driveUntil(t, clk, "solo leadership", func() bool { return n.Role() == RoleLeader })
+	n := c.start(NodeConfig{Addr: "solo", Pipeline: cfg, Seed: 42})
+	driveUntil(t, c.clk, "solo leadership", c.hasLeader)
 
 	cl, err := NewClient(ClientConfig{
 		Nodes:       []string{"solo"},
-		Dial:        fabric.dial,
+		Dial:        c.net.dialerFor("client"),
 		AckTimeout:  time.Minute, // manual-clock epoch: conn deadlines never fire
 		MaxAttempts: 500,
 		Seed:        int64(trial),
 		Backoff:     &serve.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond, Multiplier: 2},
-		Breaker:     serve.NewBreaker(1000, 50*time.Millisecond, clk),
-		Clock:       clk,
+		Breaker:     serve.NewBreaker(1000, 50*time.Millisecond, c.clk),
+		Clock:       c.clk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientDone := make(chan error, 1)
-	var done atomic.Bool
-	go func() {
-		err := cl.Run(context.Background(), w.Batches)
-		done.Store(true)
-		clientDone <- err
-	}()
+	run := c.runClient(cl, w.Batches)
 
 	// The volume fills mid-run: the node must degrade to read-only and
 	// keep refusing (typed, retryable) without crashing or demoting.
 	col := n.Follower().Pipeline().Collector()
-	stepWait(t, clk, "read-only under disk pressure", func() bool {
+	driveUntil(t, c.clk, "read-only under disk pressure", func() bool {
 		return col.Get(stats.CtrServeReadonlyEntries) == 1 &&
 			col.Get(stats.CtrServeDiskPressure) >= 1
 	})
 	if got := n.Role(); got != RoleLeader {
 		t.Fatalf("disk pressure cost the node its leadership: %s", got)
 	}
-	if got := col.Get(stats.CtrServeReadonlyEntries); got != 1 {
-		t.Fatalf("readonly entries = %d, want 1", got)
-	}
 
 	// Raw-frame probe of the busy reject: Orig > 0 (the retry-after
 	// hint, distinguishing it from a redirect), the "!disk" marker, the
 	// durable sequence — and the session must survive the refusal.
-	conn, err := fabric.dial("solo")
+	conn, err := c.net.dial("solo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, Frame{Type: FrameClientHello}); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := ReadFrame(conn)
-	if err != nil || fr.Type != FrameWelcome {
-		t.Fatalf("handshake while read-only: %+v, %v, want a Welcome", fr, err)
-	}
-	durable := fr.Seq
+	durable := clientHandshake(t, conn)
 	if durable == 0 || durable >= uint64(len(w.Batches)) {
 		t.Fatalf("durable seq %d at the fill, want mid-workload", durable)
 	}
@@ -164,85 +100,50 @@ func runDiskPressureTrial(t *testing.T, trial int) diskPressureDigest {
 	// An operator frees the volume: ingestion must resume on its own
 	// and the client must finish with every batch acked exactly once.
 	cfg.WAL.FS.(fault.DiskSpacer).AddDiskSpace(1 << 20)
-	stepWait(t, clk, "client completion after space freed", done.Load)
-	if err := <-clientDone; err != nil {
-		t.Fatalf("client did not survive the fill: %v", err)
+	driveUntil(t, c.clk, "client completion after space freed", run.done)
+	if run.err != nil {
+		t.Fatalf("client did not survive the fill: %v", run.err)
 	}
-	if got := cl.Acked(); got != uint64(len(w.Batches)) {
-		t.Fatalf("client acked %d of %d batches", got, len(w.Batches))
+	episode := pin(col, stats.CtrServeReadonlyEntries, stats.CtrServeReadonlyExits)
+	if episode[stats.CtrServeReadonlyEntries] != 1 || episode[stats.CtrServeReadonlyExits] != 1 {
+		t.Fatalf("readonly entries/exits = %v, want exactly one episode", episode)
 	}
-	entries := col.Get(stats.CtrServeReadonlyEntries)
-	exits := col.Get(stats.CtrServeReadonlyExits)
-	if entries != 1 || exits != 1 {
-		t.Fatalf("readonly entries/exits = %d/%d, want exactly one episode", entries, exits)
-	}
-
-	// Quiesce, then compare against the uninterrupted run.
-	cancel()
-	if err := <-ran; !errors.Is(err, context.Canceled) {
-		t.Fatalf("node run ended with %v", err)
-	}
-	n.Close()
-	states := n.Follower().Pipeline().Session().States()
-	if !statesEqual(states, want) {
-		t.Fatal("fill-then-free run diverged from the uninterrupted reference")
-	}
-	return diskPressureDigest{
-		acked:     cl.Acked(),
-		height:    n.Follower().Seq(),
-		entries:   entries,
-		exits:     exits,
-		stateHash: hashStates(states),
-	}
+	return c.end(cl, episode)
 }
 
 // TestChaosDiskPressureFillThenFree: fill the WAL volume mid-ingest,
-// verify the degradation ladder end to end, free the space, converge —
-// twice, with identical digests.
+// verify the degradation ladder end to end, free the space, converge.
 func TestChaosDiskPressureFillThenFree(t *testing.T) {
-	for trial := 0; trial < 2; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			first := runDiskPressureTrial(t, trial)
-			second := runDiskPressureTrial(t, trial)
-			if first != second {
-				t.Fatalf("trial %d not deterministic: %+v vs %+v", trial, first, second)
-			}
-		})
-	}
+	trials(t, 2, runDiskPressureTrial)
 }
 
-// startStormNode is startLiveNode with a lease long enough to survive
-// heartbeat rounds that crawl through throttled follower writes.
-func startStormNode(t *testing.T, fabric *chaosNet, elog *electionLog, w *stream.Workload,
-	addr, dir string, peers []string, seed int64) *liveNode {
+// waitFor polls pred on the wall clock until it holds or d passes. Only
+// the deadline storm waits this way: its subject, the client's in-flight
+// expiry, is a net.Pipe conn deadline, and the pipe compares that with
+// real time.
+func waitFor(t *testing.T, d time.Duration, what string, pred func() bool) {
 	t.Helper()
-	cfg := nodeConfig(w, dir)
-	n, err := NewNode(NodeConfig{
-		Addr:           addr,
-		Peers:          peers,
-		Dial:           fabric.dialerFor(addr),
-		Pipeline:       cfg,
-		HeartbeatEvery: 10 * time.Millisecond,
-		LeaseTimeout:   300 * time.Millisecond,
-		AckTimeout:     time.Second,
-		Seed:           seed,
-		OnEvent:        elog.hook(addr),
-	})
-	if err != nil {
-		t.Fatalf("NewNode(%s): %v", addr, err)
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if pred() {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
-	fabric.register(addr, n)
-	ctx, cancel := context.WithCancel(context.Background())
-	ln := &liveNode{addr: addr, dir: dir, node: n, cancel: cancel, done: make(chan error, 1)}
-	go func() { ln.done <- n.Run(ctx) }()
-	return ln
+	t.Fatalf("timed out waiting for %s", what)
 }
 
-type stormDigest struct {
-	acked     uint64
-	height    uint64
-	stateHash uint64
+// throttleConn paces writes on the wall clock, for the deadline storm's
+// slow quorum: the client's expiry it provokes is a real-time pipe
+// deadline.
+type throttleConn struct {
+	net.Conn
+	d time.Duration
+}
+
+func (c throttleConn) Write(p []byte) (int, error) {
+	time.Sleep(c.d)
+	return c.Conn.Write(p)
 }
 
 // runDeadlineStormTrial runs a client with a 15ms batch deadline
@@ -252,47 +153,27 @@ type stormDigest struct {
 // reconnect, adopt the Welcome's durable prefix, move on. Exactly-once
 // must hold throughout, and healing the throttle must let the run
 // finish and converge.
-func runDeadlineStormTrial(t *testing.T, trial int) stormDigest {
-	t.Helper()
+func runDeadlineStormTrial(t *testing.T, trial int) digest {
 	w := testWorkload(t, 16)
-	want := referenceStates(t, w)
-	fabric := newChaosNet()
-	elog := newElectionLog()
-
-	addrs := []string{"alpha", "beta", "gamma"}
-	peersOf := func(self string) []string {
-		var ps []string
-		for _, a := range addrs {
-			if a != self {
-				ps = append(ps, a)
-			}
-		}
-		return ps
-	}
+	c := newCluster(t, w, nil)
 	// Beta and gamma answer slowly from the start: every write they
 	// make — replication acks, and client acks should one of them
 	// lead — takes 50ms, while the client's deadline is 15ms.
-	for _, a := range addrs[1:] {
-		fabric.wrapInbound(a, func(c net.Conn) net.Conn {
-			return throttleConn{Conn: c, d: 50 * time.Millisecond}
+	slow := []string{"beta", "gamma"}
+	for _, a := range slow {
+		c.net.wrapInbound(a, func(conn net.Conn) net.Conn {
+			return throttleConn{Conn: conn, d: 50 * time.Millisecond}
 		})
 	}
-	var members []*liveNode
-	for i, a := range addrs {
-		members = append(members, startStormNode(t, fabric, elog, w, a, t.TempDir(), peersOf(a), int64(trial*100+i)))
-	}
-	defer func() {
-		for _, m := range members {
-			m.stop()
-		}
-	}()
-	waitFor(t, 10*time.Second, "initial election", func() bool { return currentLeader(members) != nil })
+	// A lease long enough to survive heartbeat rounds that crawl
+	// through throttled follower writes.
+	c.trio(NodeConfig{HeartbeatEvery: 10 * time.Millisecond, LeaseTimeout: 300 * time.Millisecond, AckTimeout: time.Second}, int64(trial*100))
+	waitFor(t, 10*time.Second, "initial election", c.hasLeader)
 
-	var attaches, refusals atomic.Int64
-	dial := fabric.dialerFor("client")
+	var attaches atomic.Int64
 	cl, err := NewClient(ClientConfig{
-		Nodes:         addrs,
-		Dial:          dial,
+		Nodes:         []string{"alpha", "beta", "gamma"},
+		Dial:          c.net.dialerFor("client"),
 		AckTimeout:    time.Second,
 		BatchDeadline: 15 * time.Millisecond,
 		MaxAttempts:   50,
@@ -300,41 +181,34 @@ func runDeadlineStormTrial(t *testing.T, trial int) stormDigest {
 		Backoff:       &serve.Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
 		Breaker:       serve.NewBreaker(10, 50*time.Millisecond, nil),
 		OnEvent: func(s string) {
-			switch {
-			case strings.HasPrefix(s, "attached to leader"):
+			if strings.HasPrefix(s, "attached to leader") {
 				attaches.Add(1)
-			case strings.Contains(s, "refused"):
-				refusals.Add(1)
 			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientDone := make(chan error, 1)
-	go func() { clientDone <- cl.Run(context.Background(), w.Batches) }()
+	run := c.runClient(cl, w.Batches)
 
 	// Let the storm rage over the first half of the workload, then heal
 	// the throttles (new connections run at pipe speed).
 	waitFor(t, 20*time.Second, "progress through the storm", func() bool {
-		for _, m := range members {
-			if m.node.Follower().Seq() >= 8 {
+		for _, m := range c.members {
+			if m.Follower().Seq() >= 8 {
 				return true
 			}
 		}
 		return false
 	})
 	stormAttaches := attaches.Load()
-	for _, a := range addrs[1:] {
-		fabric.wrapInbound(a, nil)
-		fabric.sever(a)
+	for _, a := range slow {
+		c.net.wrapInbound(a, nil)
+		c.net.sever(a)
 	}
-
-	if err := <-clientDone; err != nil {
-		t.Fatalf("client did not survive the deadline storm: %v", err)
-	}
-	if got := cl.Acked(); got != uint64(len(w.Batches)) {
-		t.Fatalf("client acked %d of %d batches", got, len(w.Batches))
+	waitFor(t, 30*time.Second, "client completion", run.done)
+	if run.err != nil {
+		t.Fatalf("client did not survive the deadline storm: %v", run.err)
 	}
 	// Every pre-heal submission expired in flight, so the client can
 	// only have progressed by dropping and re-attaching: more than the
@@ -343,46 +217,17 @@ func runDeadlineStormTrial(t *testing.T, trial int) stormDigest {
 	if stormAttaches < 3 {
 		t.Fatalf("client attached %d times during the storm, want >= 3 (deadline path never exercised)", stormAttaches)
 	}
-
-	height := uint64(len(w.Batches))
-	waitFor(t, 15*time.Second, "full cluster convergence", func() bool {
-		for _, m := range members {
-			if m.node.Follower().Seq() != height {
-				return false
-			}
-		}
-		return currentLeader(members) != nil
-	})
-	elog.checkOneLeaderPerTerm(t)
-
-	// Quiesce before reading states (stop joins in-flight sessions).
-	for _, m := range members {
-		m.stop()
-	}
-	for _, m := range members {
-		if !statesEqual(m.node.Follower().Pipeline().Session().States(), want) {
-			t.Fatalf("%s diverged from the uninterrupted run", m.addr)
-		}
-	}
-	return stormDigest{
-		acked:     cl.Acked(),
-		height:    height,
-		stateHash: hashStates(members[0].node.Follower().Pipeline().Session().States()),
-	}
+	waitFor(t, 15*time.Second, "full cluster convergence", c.converged)
+	return c.end(cl, nil)
 }
 
 // TestChaosDeadlineStorm: tight client deadlines against a slow
-// quorum, healed mid-run — exactly-once completion, one leader per
-// term, and a digest that reproduces run to run.
+// quorum, healed mid-run.
 func TestChaosDeadlineStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second storm trial")
 	}
-	first := runDeadlineStormTrial(t, 1)
-	second := runDeadlineStormTrial(t, 1)
-	if first != second {
-		t.Fatalf("storm trial not deterministic: %+v vs %+v", first, second)
-	}
+	twice(t, func(t *testing.T) digest { return runDeadlineStormTrial(t, 1) })
 }
 
 // TestNodeClientDeadlineExpiresInFlight pins the client half of the

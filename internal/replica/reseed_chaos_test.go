@@ -16,16 +16,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
-// reseedDigest captures everything a reseed trial decided; replaying
-// the same seed must reproduce it bit for bit.
-type reseedDigest struct {
-	resumedAt uint64 // partial size the second attempt resumed from
-	offers    uint64
-	resumes   uint64
-	aborts    uint64
-	stateHash uint64
-}
-
 // cutConn severs the primary→follower direction after budget bytes:
 // the write fails and the underlying conn is closed, so the follower's
 // pending read dies too — a primary killed mid-transfer.
@@ -63,7 +53,7 @@ func divergedFollower(t *testing.T, w *stream.Workload, dir string) *Follower {
 // made the follower adopt term 2, and terms are single-use by design,
 // so the retry must claim fresh authority exactly as a restarted
 // primary process would. Any ten-batch follower diverges from it.
-func reseedPrimary(t *testing.T, w *stream.Workload, chunk int) (func(term uint64) *Primary, *serve.Pipeline, *stats.Collector) {
+func reseedPrimary(t *testing.T, w *stream.Workload, chunk int) (func(term uint64) *Primary, survivor, *stats.Collector) {
 	t.Helper()
 	pdir := t.TempDir()
 	col := stats.NewCollector()
@@ -87,24 +77,23 @@ func reseedPrimary(t *testing.T, w *stream.Workload, chunk int) (func(term uint6
 			Snapshots: pipe.SnapshotSource(), SnapChunkBytes: chunk,
 		})
 	}
-	return mk, pipe, col
+	return mk, survivor{name: "primary", wal: pcfg.WAL, pipe: pipe}, col
 }
 
 // runKillPrimaryMidTransferTrial severs the snapshot wire after a
 // seeded byte budget, proving the half-transfer invariants — the
 // follower keeps its old state (no usable half-install, even across a
 // restart), the fsynced partial survives — then reconnects and finishes
-// via resume. Returns the trial's digest.
-func runKillPrimaryMidTransferTrial(t *testing.T, trial int) reseedDigest {
-	t.Helper()
+// via resume.
+func runKillPrimaryMidTransferTrial(t *testing.T, trial int) digest {
 	rng := rand.New(rand.NewSource(int64(7000 + trial)))
 	w := testWorkload(t, 10)
-	want := referenceStates(t, w)
 	const chunk = 64
 
 	adir := t.TempDir()
 	fa := divergedFollower(t, w, adir)
-	mkPrim, pipe, col := reseedPrimary(t, w, chunk)
+	mkPrim, primary, col := reseedPrimary(t, w, chunk)
+	pipe := primary.pipe
 	prim := mkPrim(2)
 
 	// Sever inside the chunk stream: past the offer frame (frameHdrSize
@@ -162,38 +151,21 @@ func runKillPrimaryMidTransferTrial(t *testing.T, trial int) reseedDigest {
 		t.Fatalf("follower session: %v", err)
 	}
 
-	if fa.Seq() != 10 || !statesEqual(fa.Pipeline().Session().States(), want) {
-		t.Fatalf("reseeded follower did not converge (seq %d)", fa.Seq())
-	}
 	if resumedAt > 0 && col.Get(stats.CtrReplReseedResumes) != 1 {
 		t.Fatalf("partial of %d bytes existed but resumes = %d", resumedAt, col.Get(stats.CtrReplReseedResumes))
 	}
-	dig := reseedDigest{
-		resumedAt: resumedAt,
-		offers:    col.Get(stats.CtrReplReseedOffers),
-		resumes:   col.Get(stats.CtrReplReseedResumes),
-		aborts:    col.Get(stats.CtrReplReseedAborts),
-		stateHash: hashStates(fa.Pipeline().Session().States()),
-	}
+	pinned := pin(col, stats.CtrReplReseedOffers, stats.CtrReplReseedResumes, stats.CtrReplReseedAborts)
+	pinned["resumedAt"] = resumedAt
+	dig := oracle(t, ending{w: w, acked: uint64(len(w.Batches)), finished: true,
+		members: []survivor{followerOf("follower", fa), primary}, pinned: pinned})
 	fa.Pipeline().Close()
 	return dig
 }
 
 // TestChaosReseedKillPrimaryMidTransfer: seeded kill-the-primary
-// trials at different points of the chunk stream. Every trial must end
-// with a converged, bit-identical follower, and every trial must
-// reproduce exactly when its seed is replayed.
+// trials at different points of the chunk stream.
 func TestChaosReseedKillPrimaryMidTransfer(t *testing.T) {
-	for trial := 0; trial < 3; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			first := runKillPrimaryMidTransferTrial(t, trial)
-			second := runKillPrimaryMidTransferTrial(t, trial)
-			if first != second {
-				t.Fatalf("trial %d not deterministic: %+v vs %+v", trial, first, second)
-			}
-		})
-	}
+	trials(t, 3, runKillPrimaryMidTransferTrial)
 }
 
 // runKillFollowerMidInstallTrial crashes the *follower* (CrashFS fuse
@@ -203,11 +175,9 @@ func TestChaosReseedKillPrimaryMidTransfer(t *testing.T) {
 // must recover cleanly to either the old state (re-reseeded, resuming
 // the partial) or the fully installed snapshot (caught up normally) —
 // never anything in between — and converge to the reference.
-func runKillFollowerMidInstallTrial(t *testing.T, trial int) reseedDigest {
-	t.Helper()
+func runKillFollowerMidInstallTrial(t *testing.T, trial int) digest {
 	rng := rand.New(rand.NewSource(int64(8000 + trial)))
 	w := testWorkload(t, 10)
-	want := referenceStates(t, w)
 
 	adir := t.TempDir()
 	crashFS := fault.NewCrashFS()
@@ -219,7 +189,8 @@ func runKillFollowerMidInstallTrial(t *testing.T, trial int) reseedDigest {
 	}
 	feedFollower(t, fa, w, 1, 0, 10)
 
-	mkPrim, pipe, col := reseedPrimary(t, w, 64)
+	mkPrim, primary, col := reseedPrimary(t, w, 64)
+	pipe := primary.pipe
 	prim := mkPrim(2)
 
 	// Arm the fuse: sync 0 is the resume mark, 1 the fresh partial,
@@ -283,15 +254,9 @@ func runKillFollowerMidInstallTrial(t *testing.T, trial int) reseedDigest {
 		t.Fatalf("follower session after crash recovery: %v", err)
 	}
 
-	if fa.Seq() != 10 || !statesEqual(fa.Pipeline().Session().States(), want) {
-		t.Fatalf("crashed follower did not converge (seq %d)", fa.Seq())
-	}
-	dig := reseedDigest{
-		offers:    col.Get(stats.CtrReplReseedOffers),
-		resumes:   col.Get(stats.CtrReplReseedResumes),
-		aborts:    col.Get(stats.CtrReplReseedAborts),
-		stateHash: hashStates(fa.Pipeline().Session().States()),
-	}
+	dig := oracle(t, ending{w: w, acked: uint64(len(w.Batches)), finished: true,
+		members: []survivor{followerOf("follower", fa), primary},
+		pinned:  pin(col, stats.CtrReplReseedOffers, stats.CtrReplReseedResumes, stats.CtrReplReseedAborts)})
 	fa.Pipeline().Close()
 	return dig
 }
@@ -299,24 +264,7 @@ func runKillFollowerMidInstallTrial(t *testing.T, trial int) reseedDigest {
 // TestChaosReseedKillFollowerMidInstall: seeded kill-the-follower
 // trials with the crash fuse landing across the install sequence.
 func TestChaosReseedKillFollowerMidInstall(t *testing.T) {
-	for trial := 0; trial < 3; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			first := runKillFollowerMidInstallTrial(t, trial)
-			second := runKillFollowerMidInstallTrial(t, trial)
-			if first != second {
-				t.Fatalf("trial %d not deterministic: %+v vs %+v", trial, first, second)
-			}
-		})
-	}
-}
-
-// retentionDigest pins the full self-healing loop's outcome.
-type retentionDigest struct {
-	startSeq  uint64
-	removed   uint64
-	offers    uint64
-	stateHash uint64
+	trials(t, 3, runKillFollowerMidInstallTrial)
 }
 
 // runRetentionAdvanceTrial is the whole PR in one scenario: a primary
@@ -325,10 +273,8 @@ type retentionDigest struct {
 // is NOT pinned to history forever); a late joiner that needs the
 // deleted records is reseeded from a checkpoint and catches the live
 // tail; everyone ends bit-identical to the reference.
-func runRetentionAdvanceTrial(t *testing.T) retentionDigest {
-	t.Helper()
+func runRetentionAdvanceTrial(t *testing.T) digest {
 	w := testWorkload(t, 12)
-	want := referenceStates(t, w)
 
 	pdir := t.TempDir()
 	col := stats.NewCollector()
@@ -397,17 +343,6 @@ func runRetentionAdvanceTrial(t *testing.T) retentionDigest {
 		t.Fatalf("follower 2 session: %v", err)
 	}
 
-	if f1.Seq() != 12 || f2.Seq() != 12 {
-		t.Fatalf("followers finished at %d/%d, want 12/12", f1.Seq(), f2.Seq())
-	}
-	for i, fl := range []*Follower{f1, f2} {
-		if !statesEqual(fl.Pipeline().Session().States(), want) {
-			t.Fatalf("follower %d states diverged from reference", i+1)
-		}
-	}
-	if !statesEqual(pipe.Session().States(), want) {
-		t.Fatal("primary states diverged from reference")
-	}
 	if col.Get(stats.CtrReplReseedOffers) != 1 || col.Get(stats.CtrReplReseedAborts) != 0 {
 		t.Fatalf("offers=%d aborts=%d, want 1/0",
 			col.Get(stats.CtrReplReseedOffers), col.Get(stats.CtrReplReseedAborts))
@@ -416,23 +351,18 @@ func runRetentionAdvanceTrial(t *testing.T) retentionDigest {
 		t.Fatal("late joiner never installed a snapshot")
 	}
 
-	dig := retentionDigest{
-		startSeq:  start,
-		removed:   col.Get(stats.CtrWALRetained),
-		offers:    col.Get(stats.CtrReplReseedOffers),
-		stateHash: hashStates(f2.Pipeline().Session().States()),
-	}
+	pinned := pin(col, stats.CtrWALRetained, stats.CtrReplReseedOffers)
+	pinned["startSeq"] = start
+	dig := oracle(t, ending{w: w, acked: uint64(len(w.Batches)), finished: true,
+		members: []survivor{followerOf("follower1", f1), followerOf("follower2", f2), {name: "primary", wal: pcfg.WAL, pipe: pipe}},
+		pinned:  pinned})
 	f1.Pipeline().Close()
 	f2.Pipeline().Close()
 	return dig
 }
 
 // TestChaosReseedRetentionAdvances: replication-aware compaction plus
-// automatic reseed, end to end, double-run deterministic.
+// automatic reseed, end to end.
 func TestChaosReseedRetentionAdvances(t *testing.T) {
-	first := runRetentionAdvanceTrial(t)
-	second := runRetentionAdvanceTrial(t)
-	if first != second {
-		t.Fatalf("retention trial not deterministic: %+v vs %+v", first, second)
-	}
+	twice(t, runRetentionAdvanceTrial)
 }
