@@ -79,7 +79,8 @@ determinism:
 # graph payload and its trailing CRC, a bit flip in that CRC, the
 # retired v2 header and a whole file in the retired v3 framing), SNAP
 # loader, graph.Store against the Builder over hub-skewed update
-# streams (through every adjacency tier), WAL record/segment decoder
+# streams (through every adjacency tier), the bulk store loaders against
+# an AddEdge per edge over hub-skewed edge lists, WAL record/segment decoder
 # (with the canonical-payload property: every accepted payload
 # re-encodes to itself),
 # recovery-vs-tailer agreement over mutated segment sets (same property
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionLoad$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSNAP$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreMatchesBuilder$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreFromEdges$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReaders$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime 10s ./internal/replica

@@ -545,31 +545,180 @@ func NewStore(numVertices int) *Store {
 	return st
 }
 
-// NewStoreFromEdges builds the initial graph from an edge list, growing
-// the vertex set to cover every referenced ID. Duplicate edges keep the
-// last weight seen — the same contract as NewBuilderFromEdges.
+// NewStoreFromEdges builds the initial graph from an edge list over
+// numVertices vertices or, if an edge names a larger ID, enough to cover
+// it. The result is the store an AddEdge per edge in order would leave —
+// a repeated edge keeps its first position and its last weight, the same
+// contract as NewBuilderFromEdges — built a direction at a time: the
+// edges are grouped into rows by source (then by destination) with a
+// stable counting sort, and each row goes straight into its final tier.
 func NewStoreFromEdges(numVertices int, edges []Edge) *Store {
-	st := NewStore(numVertices)
+	n := numVertices
 	for _, e := range edges {
-		st.ensure(e.Src)
-		st.ensure(e.Dst)
-		st.AddEdge(e.Src, e.Dst, e.Weight)
+		n = max(n, int(e.Src)+1, int(e.Dst)+1)
+	}
+	st := NewStore(n)
+	if len(edges) == 0 {
+		return st
+	}
+	ld := rowLoader{mark: st.touch}
+	off := make([]uint32, n+1)
+	nbr, wgt := make([]VertexID, len(edges)), make([]float32, len(edges))
+	for _, in := range [2]bool{false, true} {
+		a := &st.out
+		if in {
+			a = &st.in
+		}
+		groupRows(edges, in, off, nbr, wgt)
+		for v := range n {
+			if d := ld.load(a, VertexID(v), nbr[off[v]:off[v+1]], wgt[off[v]:off[v+1]]); !in {
+				st.numEdges += d
+			}
+		}
 	}
 	return st
 }
 
 // NewStoreFromSnapshot loads an immutable snapshot into a fresh store
-// (the checkpoint-restore path of the native engine).
+// (the checkpoint-restore path of the native engine) straight from its
+// CSR rows and CSC mirror, building the mirror first if it has none. The
+// result is the store an AddEdge per CSR edge in row order would leave,
+// given the mirror buildCSC makes — the only one a snapshot gets.
 func NewStoreFromSnapshot(s *Snapshot) *Store {
+	if s.InOffsets == nil {
+		withCSC := *s
+		buildCSC(&withCSC)
+		s = &withCSC
+	}
 	st := NewStore(s.NumVertices)
-	for v := 0; v < s.NumVertices; v++ {
-		ns := s.OutNeighbors(VertexID(v))
-		ws := s.OutWeights(VertexID(v))
-		for i := range ns {
-			st.AddEdge(VertexID(v), ns[i], ws[i])
-		}
+	ld := rowLoader{mark: st.touch}
+	for v := range VertexID(s.NumVertices) {
+		st.numEdges += ld.load(&st.out, v, s.OutNeighbors(v), s.OutWeights(v))
+		ld.load(&st.in, v, s.InNeighborsOf(v), s.InWeightsOf(v))
 	}
 	return st
+}
+
+// groupRows lays edges out as one row per vertex, row v being
+// nbr[off[v]:off[v+1]] with parallel weights: keyed by source, holding
+// destinations, or with in the other way round, each row in input order
+// (a stable counting sort). off has one word per vertex and one more,
+// nbr and wgt one per edge.
+func groupRows(edges []Edge, in bool, off []uint32, nbr []VertexID, wgt []float32) {
+	clear(off)
+	for _, e := range edges {
+		if in {
+			e.Src = e.Dst
+		}
+		off[e.Src+1]++
+	}
+	for v := 1; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	// Filling row v from off[v] leaves it at row v+1's start; shifting
+	// the words back one restores the starts.
+	for _, e := range edges {
+		if in {
+			e.Src, e.Dst = e.Dst, e.Src
+		}
+		i := off[e.Src]
+		off[e.Src]++
+		nbr[i], wgt[i] = e.Dst, e.Weight
+	}
+	copy(off[1:], off)
+	off[0] = 0
+}
+
+// rowLoader places whole rows into an empty direction of a new store.
+type rowLoader struct {
+	// mark flags the neighbours of the row being loaded. It is the
+	// store's touch array, all zero until the first Apply and left so.
+	mark []uint8
+	// A row with repeats is rebuilt here, pos mapping a neighbour to its
+	// position.
+	dupN []VertexID
+	dupW []float32
+	pos  map[VertexID]int
+}
+
+// load gives the empty vertex v of a the row ns, ws, whose neighbours are
+// in insertion order, leaving what an insert per edge would: a repeated
+// neighbour keeps its first position and its last weight. It returns v's
+// degree.
+func (ld *rowLoader) load(a *adjacency, v VertexID, ns []VertexID, ws []float32) int {
+	repeats := false
+	for _, u := range ns {
+		repeats = repeats || ld.mark[u] != 0
+		ld.mark[u] = 1
+	}
+	for _, u := range ns {
+		ld.mark[u] = 0
+	}
+	if repeats {
+		ns, ws = ld.dedup(ns, ws)
+	}
+	a.place(v, ns, ws)
+	return len(ns)
+}
+
+// dedup returns ns, ws with every repeated neighbour's later entries
+// folded into its first: the first position, the last weight.
+func (ld *rowLoader) dedup(ns []VertexID, ws []float32) ([]VertexID, []float32) {
+	if ld.pos == nil {
+		ld.pos = map[VertexID]int{}
+	}
+	clear(ld.pos)
+	ld.dupN, ld.dupW = ld.dupN[:0], ld.dupW[:0]
+	for i, u := range ns {
+		if p, ok := ld.pos[u]; ok {
+			ld.dupW[p] = ws[i]
+			continue
+		}
+		ld.pos[u] = len(ld.dupN)
+		ld.dupN, ld.dupW = append(ld.dupN, u), append(ld.dupW, ws[i])
+	}
+	return ld.dupN, ld.dupW
+}
+
+// place gives the empty vertex v the distinct neighbours ns and weights
+// ws in the tier their number puts it in, with the head capacity and
+// table size inserting them one by one would have reached: an inline
+// block up to storeInlineCap; past it a log whose head grew 8 → 16 → 32
+// → 64 by append; past storeLinearMax a hub record, its chunks and the
+// table reindex sizes for them.
+func (a *adjacency) place(v VertexID, ns []VertexID, ws []float32) {
+	h := &a.hdr[v]
+	h.deg = uint32(len(ns))
+	switch {
+	case len(ns) == 0:
+	case len(ns) <= storeInlineCap:
+		h.loc = a.blocks.alloc() + 1
+		b := a.blocks.at(h.loc - 1)
+		copy(b.nbr[:], ns)
+		copy(b.wgt[:], ws)
+	default:
+		lh := a.logs.alloc()
+		h.loc = locSpilled | lh
+		l := a.logs.at(lh)
+		head := min(len(ns), storeLinearMax)
+		c := 2 * storeInlineCap
+		for c < head {
+			c *= 2
+		}
+		l.nbr = append(make([]VertexID, 0, c), ns[:head]...)
+		l.wgt = append(make([]float32, 0, c), ws[:head]...)
+		if len(ns) == head {
+			return
+		}
+		l.hub = a.hubs.get()
+		for lo := head; lo < len(ns); lo += storeChunkCap {
+			ch := a.chunks.get()
+			copy(ch.nbr[:], ns[lo:])
+			copy(ch.wgt[:], ws[lo:])
+			l.hub.chunks = append(l.hub.chunks, ch)
+		}
+		a.reindex(l, h.deg)
+	}
 }
 
 func (st *Store) growTo(n int) {

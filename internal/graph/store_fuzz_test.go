@@ -81,3 +81,43 @@ func FuzzStoreMatchesBuilder(f *testing.F) {
 		sameGraph(t, "end of stream", b, st)
 	})
 }
+
+// FuzzStoreFromEdges decodes bytes into an edge list over the same
+// hub-skewed ID space — the first byte is numVertices, then three bytes
+// an edge as above, the delete and cut bits ignored — and holds both
+// bulk loaders to the AddEdge loop (sameAsInserts). The seeds carry hub
+// 0's out-row and hub 1's in-row through every tier, with and without
+// each edge repeated at another weight.
+func FuzzStoreFromEdges(f *testing.F) {
+	var up, twice []byte
+	for i := 2; i < fuzzIDs; i++ {
+		edge := []byte{byte(fuzzSrcHub | i%8<<5), 0, byte(i), fuzzDstHub | fuzzHub1, byte(i), 0}
+		up = append(up, edge...)
+		twice = append(twice, edge...)
+		edge[0] ^= 1 << 5
+		twice = append(twice, edge...)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{3})
+	f.Add(append([]byte{2}, up...))
+	f.Add(append([]byte{fuzzIDs}, twice...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1+3*fuzzMaxUpdates {
+			return
+		}
+		var edges []Edge
+		for i := 1; i+3 <= len(data); i += 3 {
+			op, x, y := data[i], data[i+1], data[i+2]
+			e := Edge{Src: VertexID(x % fuzzIDs), Dst: VertexID(y % fuzzIDs), Weight: float32(op >> 5)}
+			hub := VertexID(op&fuzzHub1) >> 1
+			if op&fuzzSrcHub != 0 {
+				e.Src = hub
+			}
+			if op&fuzzDstHub != 0 {
+				e.Dst = hub
+			}
+			edges = append(edges, e)
+		}
+		sameAsInserts(t, "fuzzed edges", int(data[0]), edges)
+	})
+}

@@ -68,6 +68,21 @@ func BenchmarkStoreChurnStream(b *testing.B) {
 	}
 }
 
+// builtStore keeps BenchmarkNewStoreFromEdges's result live.
+var builtStore *graph.Store
+
+// BenchmarkNewStoreFromEdges builds a store from churnStream's warm-up,
+// g-big's shape at 1/16 scale; one op is one build, and B/op is the
+// store plus everything the build allocates on the way.
+func BenchmarkNewStoreFromEdges(b *testing.B) {
+	w := churnStream()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		builtStore = graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
+	}
+}
+
 // storeBytesPerInsert is the allocation budget of one streamed insert:
 // 1.2 × the 39.6 B measured with 16-bit hub tables (32-bit tables
 // measured 47.9 B, copy-on-grow hub logs 61.2 B, the two-tier store

@@ -341,7 +341,14 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 	if opt.Engine == EngineNativeParallel && opt.Simulate {
 		return nil, nil, fmt.Errorf("tdgraph: the native parallel engine cannot be simulated")
 	}
-	eng, err := newBackend(a, snap.NumVertices, snap.EdgeList(), state, opt)
+	var eng engineBackend
+	if opt.Engine == EngineNativeParallel {
+		// The store loads straight from the decoded rows; only the
+		// simulated engines' Builder takes an edge list.
+		eng, err = newNativeBackend(a, graph.NewStoreFromSnapshot(snap), state, opt)
+	} else {
+		eng, err = newBackend(a, snap.NumVertices, snap.EdgeList(), state, opt)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
