@@ -316,10 +316,13 @@ func printReplStats(col *stats.Collector, term uint64) {
 // runAuto runs one self-driving cluster member: a replica.Node whose
 // role loop handles liveness, elections, demotion, and rejoin with no
 // operator in the loop. The node boots as a candidate (a live leader
-// its probe finds makes it defer); whichever member wins the first
-// election serves client ingestion, and everyone else replicates from
-// it. Start every member with the same -peers ring (minus itself) and
-// point -role client at any of them.
+// its probe finds makes it defer); a cold cluster elects as soon as one
+// member's probe round hears every member, and everyone else replicates
+// from the winner. The listener is bound before recovery runs, so a
+// peer's probe waits in the accept backlog while this member recovers
+// instead of being refused (and a port already in use fails before
+// recovery). Start every member with the same -peers ring (minus
+// itself) and point -role client at any of them.
 func runAuto(ctx context.Context, pcfg serve.PipelineConfig, listen, advertise, peers string, quorum int, slo time.Duration, verbose bool) {
 	if advertise == "" {
 		advertise = listen
@@ -335,11 +338,11 @@ func runAuto(ctx context.Context, pcfg serve.PipelineConfig, listen, advertise, 
 	if verbose {
 		ncfg.OnEvent = func(line string) { fmt.Println("node:", line) }
 	}
-	node, err := replica.NewNode(ncfg)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		fatal(err)
 	}
-	ln, err := net.Listen("tcp", listen)
+	node, err := replica.NewNode(ncfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -237,9 +237,12 @@ func (f *Follower) Serve(conn net.Conn) error {
 // fenced. An equal claim of a term adopted *from* a primary is that
 // unique primary reconnecting — a dropped connection, a leader
 // re-attaching after a transient failure — and is accepted without
-// re-persisting anything: terms are unique by construction (a primary
-// claims max-of-probed+1 over a quorum), so per term there is exactly
-// one process that can present it.
+// re-persisting anything. That trusts one process per term, which the
+// claim rule gives only among candidates that reach each other (a
+// candidate defers to any reached peer that outranks it or names a live
+// leader, and claims max-of-probed+1): two candidates that cannot reach
+// each other can each claim the same term over a quorum, and only the
+// election splay keeps their claims apart (DESIGN.md, rung 8).
 func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 	f.sessionMu.Lock()
 	defer f.sessionMu.Unlock()

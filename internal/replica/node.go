@@ -182,9 +182,11 @@ type Node struct {
 // NewNode recovers the local durable state and returns a node that
 // stands for election at once: a member that just started has heard from
 // no leader, so it holds no lease to wait out. The election probe is its
-// grace instead. A leader that attaches it during the splay ends the
-// candidacy, and a live leader it reaches first (or a peer still under
-// that leader's lease) answers the probe with a hint it defers to.
+// grace instead. Its first candidacy is cold (see campaign): it probes
+// every member through its splay and claims in the first round they all
+// answer, if none outranks it. A leader that attaches it meanwhile ends
+// the candidacy, and a live leader it reaches first (or a peer still
+// under that leader's lease) answers the probe with a hint it defers to.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dial == nil {
@@ -282,12 +284,13 @@ func (n *Node) noteLeader(term uint64, addr string) {
 }
 
 // Run drives the role state machine until ctx is cancelled or the
-// node is closed: watch the lease while following, splay-then-elect
-// while a candidate (where a starting node begins), heartbeat and
-// re-attach peers while leading.
+// node is closed: watch the lease while following, campaign while a
+// candidate (where a starting node begins), heartbeat and re-attach
+// peers while leading.
 // Every wait goes through the injectable clock.
 func (n *Node) Run(ctx context.Context) error {
-	for {
+	// Only the first pass can be a starting member's cold candidacy.
+	for cold := true; ; cold = false {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -316,24 +319,54 @@ func (n *Node) Run(ctx context.Context) error {
 			n.severSession() // release a dead session's hold on the pipeline
 			n.standForElection()
 		case RoleCandidate:
-			// Randomized splay so identically timed candidates probe at
-			// different instants; whoever probes later sees the earlier
-			// winner's claim (or lease) and defers.
-			if err := n.clock.Sleep(ctx, n.electionSplay()); err != nil {
-				return err
+			err := n.campaign(ctx, cold)
+			if ctx.Err() != nil {
+				return ctx.Err()
 			}
-			if role, _ := n.roleView(); role != RoleCandidate {
-				continue // a leader attached us while we waited
-			}
-			if err := n.electOnce(); err != nil {
+			if err != nil {
 				n.cfg.OnEvent(fmt.Sprintf("election: %v", err))
 				if errors.Is(err, ErrElectionLost) {
 					// Defer: the better peer wins and attaches us; give it
 					// a lease-worth before suspecting again.
 					n.deferCandidacy()
 				}
-				// Quorum unreachable: stay candidate and splay again.
+				// Quorum unreachable: stay candidate and campaign again.
 			}
+		}
+	}
+}
+
+// campaign is one candidacy. A candidate waits out a randomized splay,
+// so identically timed candidates probe at different instants and
+// whoever probes later meets the earlier winner's claim (or lease) and
+// defers, then runs a quorum round. A cold candidate — one that has just
+// started and followed nobody — probes through its splay instead: rounds
+// that need every member, a short pause apart, each judged on its own
+// answers alone. The first round every member answers settles the
+// election; if none does, the quorum round still runs at the end of the
+// splay, when it would have run anyway. It returns nil, the role no
+// longer candidate, when a leader attached us meanwhile.
+func (n *Node) campaign(ctx context.Context, cold bool) error {
+	n.col.Inc(stats.CtrReplElections)
+	until := n.clock.Now().Add(n.electionSplay())
+	for {
+		if cold && n.clock.Now().Before(until) {
+			if err := n.electRound(len(n.cfg.Peers)+1, until); !errors.Is(err, ErrQuorumLost) {
+				return err // claimed, deferred, or the claim itself failed
+			}
+		}
+		wait := until.Sub(n.clock.Now())
+		if wait <= 0 {
+			return n.electRound(n.cfg.Quorum, time.Time{})
+		}
+		if cold {
+			wait = min(wait, n.cfg.HeartbeatEvery/16)
+		}
+		if err := n.clock.Sleep(ctx, wait); err != nil {
+			return err
+		}
+		if role, _ := n.roleView(); role != RoleCandidate {
+			return nil // a leader attached us while we waited
 		}
 	}
 }
@@ -372,9 +405,10 @@ func (n *Node) deferCandidacy() {
 	}
 }
 
-// electionSplay draws the seeded randomized wait before a candidacy:
-// between half a heartbeat and half a lease, so candidates spread
-// across the window that detection already cost.
+// electionSplay draws the seeded randomized wait before a candidacy's
+// quorum round: between half a heartbeat and half a lease, so candidates
+// spread across the window that detection already cost. A cold
+// candidate probes through it instead of sleeping (campaign).
 func (n *Node) electionSplay() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -386,25 +420,31 @@ func (n *Node) electionSplay() time.Duration {
 	return lo + time.Duration(n.rng.Int63n(int64(span)))
 }
 
-// electOnce runs one election round: probe every peer, and claim
-// max-of-probed+1 only if a quorum was reachable, no reached peer is
-// still under a live leader's lease, and no reached peer's log
-// outranks ours (origin term, then sequence, then lowest address).
-// Deterministic given the probe answers: for any reachable set there
-// is exactly one node every other member defers to.
-func (n *Node) electOnce() error {
-	n.col.Inc(stats.CtrReplElections)
+// electRound runs one election round: probe every peer, and claim
+// max-of-probed+1 only if need members (this one included) answered, no
+// answering peer is still under a live leader's lease, and no answering
+// peer's log outranks ours (origin term, then sequence, then lowest
+// address). Each probe waits at most AckTimeout, and never past deadline
+// when one is set. Deterministic given the probe answers: for any
+// reachable set there is exactly one node every other member defers to.
+func (n *Node) electRound(need int, deadline time.Time) error {
 	myTerm := n.fol.Term()
 	mySeq := n.fol.Seq()
 	myOrig := n.fol.TailStamp()
 	reached := 1 // this node
 	maxTerm := myTerm
 	for _, peer := range n.cfg.Peers {
+		timeout := n.cfg.AckTimeout
+		if !deadline.IsZero() {
+			if timeout = min(timeout, deadline.Sub(n.clock.Now())); timeout <= 0 {
+				break // out of time: the rest count as unreached
+			}
+		}
 		conn, err := n.cfg.Dial(peer)
 		if err != nil {
 			continue
 		}
-		st, err := Probe(conn, n.cfg.AckTimeout, n.clock)
+		st, err := Probe(conn, timeout, n.clock)
 		conn.Close()
 		if err != nil {
 			continue
@@ -429,8 +469,8 @@ func (n *Node) electOnce() error {
 				ErrElectionLost, peer, st.Orig, st.Seq, myOrig, mySeq)
 		}
 	}
-	if reached < n.cfg.Quorum {
-		return fmt.Errorf("%w: reached %d of %d members", ErrQuorumLost, reached, n.cfg.Quorum)
+	if reached < need {
+		return fmt.Errorf("%w: reached %d of %d members", ErrQuorumLost, reached, need)
 	}
 	term, err := n.fol.PromoteTo(maxTerm + 1)
 	if err != nil {

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -84,19 +85,31 @@ func (c *manualClock) Advance(d time.Duration) {
 // every instant already released and is genuinely waiting for time.
 func (c *manualClock) awaitPendingSleeper() {
 	c.mu.Lock()
-	for !c.havePendingLocked() {
+	for parked, _ := c.pendingLocked(); parked == 0; parked, _ = c.pendingLocked() {
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
 }
 
-func (c *manualClock) havePendingLocked() bool {
+// pendingLocked counts the sleepers whose wake time is still ahead of the
+// hand and returns the earliest of those wake times.
+func (c *manualClock) pendingLocked() (parked int, next time.Time) {
 	for _, dl := range c.deadlines {
 		if dl.After(c.now) {
-			return true
+			parked++
+			if next.IsZero() || dl.Before(next) {
+				next = dl
+			}
 		}
 	}
-	return false
+	return parked, next
+}
+
+// parkedLocked reports whether enough sleepers are pending for the hand
+// to move: loops of them when set, any one otherwise.
+func (c *manualClock) parkedLocked() (bool, time.Time) {
+	parked, next := c.pendingLocked()
+	return parked > 0 && parked >= c.loops, next
 }
 
 // step waits for a pending sleeper (for loops of them, when set) and
@@ -108,23 +121,27 @@ func (c *manualClock) step() {
 	}
 	c.mu.Lock()
 	for {
-		var next time.Time
-		parked := 0
-		for _, dl := range c.deadlines {
-			if dl.After(c.now) {
-				parked++
-				if next.IsZero() || dl.Before(next) {
-					next = dl
-				}
-			}
-		}
-		if parked > 0 && parked >= c.loops {
+		if ok, next := c.parkedLocked(); ok {
 			c.now = next
 			c.cond.Broadcast()
 			c.mu.Unlock()
 			return
 		}
 		c.cond.Wait()
+	}
+}
+
+// quiesce waits, without moving the hand, until loops role loops are
+// parked and then every settle barrier has passed: the state machine has
+// done all the current instant allows, and the hand shows when it did.
+func (c *manualClock) quiesce() {
+	c.mu.Lock()
+	for ok, _ := c.parkedLocked(); !ok; ok, _ = c.parkedLocked() {
+		c.cond.Wait()
+	}
+	c.mu.Unlock()
+	for _, wait := range c.settle {
+		wait()
 	}
 }
 
@@ -145,6 +162,20 @@ func (c *manualClock) actors(delta int) {
 func driveUntil(t *testing.T, clk *manualClock, what string, pred func() bool) {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
+		if pred() {
+			return
+		}
+		clk.step()
+	}
+	t.Fatalf("state machine never reached: %s", what)
+}
+
+// settleUntil is driveUntil for a predicate whose instant matters: it is
+// read only once the state machine has quiesced at the current hand.
+func settleUntil(t *testing.T, clk *manualClock, what string, pred func() bool) {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		clk.quiesce()
 		if pred() {
 			return
 		}
@@ -264,24 +295,38 @@ func TestNodeLeaseRenewalSuppressesElection(t *testing.T) {
 	}
 }
 
-// TestNodeColdClusterElectsWithinOneSplay: three members started
-// together elect without a lease running out anywhere. Each stands as it
-// starts, the lowest address wins the tie between equal logs, and the
-// others are attached at term 1 — within the longest splay (half a
-// lease) of fake time, so no member waits out a lease first.
-func TestNodeColdClusterElectsWithinOneSplay(t *testing.T) {
+// coldMember builds member addr of the ring a, b, c on the manual clock.
+func coldMember(t *testing.T, fabric *chaosNet, clk *manualClock, addr string) *Node {
+	var peers []string
+	for _, p := range []string{"a", "b", "c"} {
+		if p != addr {
+			peers = append(peers, p)
+		}
+	}
+	return newMember(t, fabric, clk, NodeConfig{Addr: addr, Peers: peers, Seed: 42})
+}
+
+// firstSplay is the splay coldMember(addr) draws for its first
+// candidacy: a twin with the same address and seed draws the same.
+func firstSplay(t *testing.T, addr string) time.Duration {
+	twin := coldMember(t, newChaosNet(), nil, addr)
+	defer twin.Close()
+	return twin.electionSplay()
+}
+
+// TestNodeColdClusterElectsInOneRound: three members started together
+// elect in their first probe round. Every member answers a's first
+// round, none outranks it (equal logs, lowest address), so a claims
+// term 1 at once and attaches b and c — all before the hand reaches the
+// shortest splay (half a heartbeat). b and c defer to a in their own
+// first rounds: exactly one claim, and no lease expiry or demotion
+// anywhere.
+func TestNodeColdClusterElectsInOneRound(t *testing.T) {
 	clk := newManualClock()
 	fabric := newChaosNet()
-	addrs := []string{"a", "b", "c"}
 	var nodes []*Node
-	for _, addr := range addrs {
-		var peers []string
-		for _, p := range addrs {
-			if p != addr {
-				peers = append(peers, p)
-			}
-		}
-		n := newMember(t, fabric, clk, NodeConfig{Addr: addr, Peers: peers, Seed: 42})
+	for _, addr := range []string{"a", "b", "c"} {
+		n := coldMember(t, fabric, clk, addr)
 		defer n.Close()
 		nodes = append(nodes, n)
 	}
@@ -292,18 +337,94 @@ func TestNodeColdClusterElectsWithinOneSplay(t *testing.T) {
 	for _, n := range nodes {
 		go n.Run(ctx)
 	}
-	driveUntil(t, clk, "a leading b and c at term 1", func() bool {
+	settleUntil(t, clk, "a leading b and c at term 1", func() bool {
 		return nodes[0].Role() == RoleLeader && nodes[1].Follower().Term() == 1 && nodes[2].Follower().Term() == 1
 	})
-	// The hand has moved at most once past the winning splay (to the
-	// leader's next heartbeat) by the time the predicate is read.
-	if took := clk.Now().Sub(start); took >= 3*time.Second {
-		t.Fatalf("cold cluster took %v of fake time to elect and attach, want under the longest splay plus a heartbeat (3s)", took)
+	if took, shortest := clk.Now().Sub(start), nodes[0].cfg.HeartbeatEvery/2; took >= shortest {
+		t.Fatalf("cold cluster took %v of fake time to elect and attach, want under the shortest splay (%v)", took, shortest)
 	}
-	for i, n := range nodes {
-		if got := n.Follower().Pipeline().Collector().Get(stats.CtrReplHeartbeatsMissed); got != 0 {
-			t.Fatalf("%s counted %d lease expiries on a cold start, want 0", addrs[i], got)
+	fabric.log.mu.Lock()
+	claims := fmt.Sprint(fabric.log.elected)
+	fabric.log.mu.Unlock()
+	if claims != "map[1:[a]]" {
+		t.Fatalf("cold cluster recorded claims %s, want exactly one, a's at term 1", claims)
+	}
+	for _, n := range nodes {
+		col := n.Follower().Pipeline().Collector()
+		if got := col.Get(stats.CtrReplHeartbeatsMissed); got != 0 {
+			t.Fatalf("%s counted %d lease expiries on a cold start, want 0", n.cfg.Addr, got)
 		}
+		if got := col.Get(stats.CtrReplDemotions); got != 0 {
+			t.Fatalf("%s demoted %d times on a cold start, want 0", n.cfg.Addr, got)
+		}
+	}
+}
+
+// TestNodeColdRoundNeedsEveryMember: a cold round claims only when every
+// member answers. With c down, a's rounds through its splay reach two of
+// three and claim nothing; the quorum round at the end of the splay —
+// the instant a candidacy after a lease expiry runs it — elects a at
+// term 1. The whole window is one candidacy on the election counter.
+func TestNodeColdRoundNeedsEveryMember(t *testing.T) {
+	clk := newManualClock()
+	fabric := newChaosNet()
+	splay := firstSplay(t, "a")
+	a := coldMember(t, fabric, clk, "a")
+	defer a.Close()
+	b := coldMember(t, fabric, clk, "b")
+	defer b.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := clk.Now()
+	clk.loops = 2
+	go a.Run(ctx)
+	go b.Run(ctx)
+	settleUntil(t, clk, "a leading b", func() bool {
+		return a.Role() == RoleLeader && b.Follower().Term() == 1
+	})
+	if took := clk.Now().Sub(start); took != splay {
+		t.Fatalf("a led after %v of fake time with c down, want exactly its splay %v (the quorum round)", took, splay)
+	}
+	if got := a.Term(); got != 1 {
+		t.Fatalf("elected term = %d, want 1", got)
+	}
+	if got := a.Follower().Pipeline().Collector().Get(stats.CtrReplElections); got != 1 {
+		t.Fatalf("a counted %d elections for one cold candidacy, want 1", got)
+	}
+}
+
+// TestNodeColdRoundWaitsForLateMember: a member that comes up partway
+// through a's splay is heard in a's next round, which then claims —
+// before the splay ends, without waiting for the quorum round.
+func TestNodeColdRoundWaitsForLateMember(t *testing.T) {
+	clk := newManualClock()
+	fabric := newChaosNet()
+	splay := firstSplay(t, "a")
+	a := coldMember(t, fabric, clk, "a")
+	defer a.Close()
+	b := coldMember(t, fabric, clk, "b")
+	defer b.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := clk.Now()
+	clk.loops = 2
+	go a.Run(ctx)
+	go b.Run(ctx)
+	settleUntil(t, clk, "half of a's splay", func() bool {
+		return !clk.Now().Before(start.Add(splay / 2))
+	})
+	if a.Role() == RoleLeader {
+		t.Fatal("a claimed with c down")
+	}
+	c := coldMember(t, fabric, clk, "c")
+	defer c.Close()
+	clk.loops = 3
+	go c.Run(ctx)
+	settleUntil(t, clk, "a leading b and c at term 1", func() bool {
+		return a.Role() == RoleLeader && b.Follower().Term() == 1 && c.Follower().Term() == 1
+	})
+	if took := clk.Now().Sub(start); took >= splay {
+		t.Fatalf("a led after %v of fake time, want inside its splay %v once c answered", took, splay)
 	}
 }
 
@@ -397,7 +518,7 @@ func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 		}
 	}
 
-	err := a.electOnce()
+	err := a.electRound(a.cfg.Quorum, time.Time{})
 	if !errors.Is(err, ErrElectionLost) {
 		t.Fatalf("short-log candidacy: got %v, want ErrElectionLost", err)
 	}
@@ -405,7 +526,7 @@ func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 		t.Fatal("losing candidate must not claim a term")
 	}
 
-	if err := b.electOnce(); err != nil {
+	if err := b.electRound(b.cfg.Quorum, time.Time{}); err != nil {
 		t.Fatalf("most-current candidacy: %v", err)
 	}
 	if b.Role() != RoleLeader || b.Term() != 1 {
@@ -414,14 +535,14 @@ func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 
 	// a stands again: b answers its probe naming itself leader, and a
 	// defers to the live leader instead of bidding the term up.
-	err = a.electOnce()
+	err = a.electRound(a.cfg.Quorum, time.Time{})
 	if !errors.Is(err, ErrElectionLost) {
 		t.Fatalf("candidacy against a live leader: got %v, want ErrElectionLost", err)
 	}
 
 	// With b gone, a cannot reach a quorum and must not self-promote.
 	fabric.setDown("b", true)
-	err = a.electOnce()
+	err = a.electRound(a.cfg.Quorum, time.Time{})
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("partitioned candidacy: got %v, want ErrQuorumLost", err)
 	}

@@ -15,8 +15,9 @@ import (
 // durably *before* the new primary serves, and a starting primary
 // claims one strictly greater than every term its reachable peers hold
 // — so a deposed primary's frames (carrying an old term) are refused
-// by every follower that heard about the promotion, and no two
-// primaries can ever serve under the same term.
+// by every follower that heard about the promotion. Two primaries share
+// a term only if their candidacies could not reach each other, which
+// the election splay makes unlikely but does not exclude.
 //
 // Alongside the fencing term each replica keeps a term *ledger*: one
 // (term, baseSeq) entry per term that originated records in its log,

@@ -204,10 +204,14 @@ const (
 	CtrReplReseedInstalls  = "repl.reseed_installs"  // snapshots installed by followers
 	CtrReplReseedAborts    = "repl.reseed_aborts"    // transfers that failed before install
 
-	// Self-driving cluster events (internal/replica.Node).
+	// Self-driving cluster events (internal/replica.Node). An election is
+	// one candidacy, not one probe round: a starting member probes every
+	// peer again and again through its splay (the cold window), and that
+	// whole window, closing quorum round included, counts once — so a
+	// cold start reads elections=1, not election churn.
 	CtrReplHeartbeatsSent   = "repl.heartbeats_sent"   // heartbeat frames shipped to followers
 	CtrReplHeartbeatsMissed = "repl.heartbeats_missed" // lease expiries: the primary went silent
-	CtrReplElections        = "repl.elections"         // election rounds entered, at start-up or after a lease expiry
+	CtrReplElections        = "repl.elections"         // candidacies, at start-up or after a lease expiry
 	CtrReplDemotions        = "repl.demotions"         // primaries that stepped down (fenced or isolated)
 	CtrReplRedirects        = "repl.redirects"         // client submissions redirected to the leader
 
