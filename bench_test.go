@@ -369,7 +369,7 @@ func BenchmarkAblationCores(b *testing.B) {
 func BenchmarkCheckpointSave(b *testing.B) {
 	const nv = 1 << 18
 	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 1 << 20, A: 0.57, B: 0.19, C: 0.19, Seed: 1, MaxWeight: 64})
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel})
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"github.com/tdgraph/tdgraph/internal/stats"
 )
@@ -39,11 +40,14 @@ func (c *Checkpointer) keep() int {
 	return c.Keep
 }
 
+// genPath names generation i. It does not format with fmt, whose
+// printers come from a per-P pool: a save would allocate a printer
+// whenever it resumed on another P after a blocking fsync.
 func (c *Checkpointer) genPath(i int) string {
 	if i == 0 {
 		return c.Path
 	}
-	return fmt.Sprintf("%s.%d", c.Path, i)
+	return c.Path + "." + strconv.Itoa(i)
 }
 
 // SaveWithMeta rotates the retained generations one slot back and writes

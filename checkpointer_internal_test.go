@@ -91,6 +91,7 @@ func TestCheckpointerKillPoints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("nothing restorable: %v", err)
 			}
+			defer restored.Close()
 			if gen := restored.NumEdges() - 3; gen != tc.want || string(meta) != "seq-"+string(rune('0'+gen)) {
 				t.Fatalf("restored generation %d labelled %q, want generation %d under its own label", gen, meta, tc.want)
 			}

@@ -21,6 +21,7 @@ func twoGenerations(t *testing.T, mangle func([]byte) []byte) (*tdgraph.Checkpoi
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ck := tdgraph.NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds"))
 	for _, meta := range []string{"seq-10", "seq-20"} {
 		if err := ck.SaveWithMeta(s, []byte(meta)); err != nil {
@@ -48,6 +49,7 @@ func TestCheckpointerMetaRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 	if len(skipped) != 0 {
 		t.Fatalf("clean generations skipped: %v", skipped)
 	}
@@ -82,6 +84,7 @@ func damagedNewestFallsBack(t *testing.T, mangle func([]byte) []byte, sentinel e
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 	if !bytes.Equal(meta, []byte("seq-10")) {
 		t.Fatalf("meta = %q, want the older good generation's", meta)
 	}

@@ -77,11 +77,15 @@ func TestLoadSessionTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	valid := savedWithMeta(t, s, "seq-0042")
 	meta, graph, state := ckptBlocks(t, valid)
 
 	load := func(data []byte) error {
-		_, err := tdgraph.LoadSession(tdgraph.NewSSSP(0), bytes.NewReader(data), tdgraph.SessionOptions{})
+		s, err := tdgraph.LoadSession(tdgraph.NewSSSP(0), bytes.NewReader(data), tdgraph.SessionOptions{})
+		if err == nil {
+			s.Close()
+		}
 		return err
 	}
 	tornAt := func(n int) func([]byte) []byte {
@@ -160,6 +164,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.tds")
 	if err := s.SaveFile(path); err != nil {
@@ -195,6 +200,7 @@ func TestCheckpointerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	for _, class := range []string{"ckpt-trunc:0.3", "ckpt-flip:8"} {
 		t.Run(class, func(t *testing.T) {
 			dir := t.TempDir()
@@ -221,6 +227,7 @@ func TestCheckpointerRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovery failed: %v (skipped %v)", err, skipped)
 			}
+			defer restored.Close()
 			if len(skipped) != 1 || skipped[0].Path != ck.Path {
 				t.Fatalf("expected the newest generation skipped, got %v", skipped)
 			}
@@ -263,6 +270,7 @@ func TestCheckpointerScheduledIOErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	in, _ := fault.Parse("write-err:64", 3)
 	if err := s.Save(in.Writer(&bytes.Buffer{})); err == nil {
 		t.Fatal("save over failing writer succeeded")

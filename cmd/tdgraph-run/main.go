@@ -250,13 +250,13 @@ func main() {
 }
 
 // runNative streams the workload through the production incremental
-// engine (tdgraph.Session with EngineNativeParallel) at wall-clock
+// engine (tdgraph.Session) at wall-clock
 // speed. Verification compares against the full-recompute oracle on the
 // sealed graph; monotonic algorithms must match bit-for-bit.
 func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.Validator, vcol *stats.Collector, wlog *wal.Log, inj *fault.Injector, verify bool) {
 	fmt.Print("computing initial fixed point... ")
 	start := time.Now()
-	s, err := tdgraph.NewSession(a, w.Warmup, nv, tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel})
+	s, err := tdgraph.NewSession(a, w.Warmup, nv, tdgraph.SessionOptions{})
 	if err != nil {
 		fatal(err)
 	}

@@ -181,7 +181,7 @@ func main() {
 		fmt.Printf("fault injection armed on the WAL filesystem: %s\n", *faults)
 	}
 
-	opts := tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Validation: pol, MaxVertices: nv}
+	opts := tdgraph.SessionOptions{Validation: pol, MaxVertices: nv}
 	cfg := serve.ServerConfig{
 		Pipeline: serve.PipelineConfig{
 			Bootstrap: func() (*tdgraph.Session, error) {

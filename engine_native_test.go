@@ -9,6 +9,7 @@ import (
 
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/algo"
+	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
@@ -42,10 +43,10 @@ func bitsIdentical(a, b []float64) int {
 	return -1
 }
 
-// TestNativeEngineMatchesSim is the serving-layer equivalence guarantee:
-// the native engine session must expose Float64bits-identical states and
-// an identical graph to a sim-engine session fed the same stream —
-// callers can flip -engine without observing any difference.
+// TestNativeEngineMatchesSim is the one place the two engines meet: a
+// Session must expose Float64bits-identical states and an identical
+// graph to the functional topology-driven engine — the paper's machine
+// without the simulator — fed the same stream over Builder snapshots.
 func TestNativeEngineMatchesSim(t *testing.T) {
 	edges, nv := sessionEdges()
 	for _, algName := range []string{"sssp", "cc"} {
@@ -56,12 +57,8 @@ func TestNativeEngineMatchesSim(t *testing.T) {
 				}
 				return tdgraph.NewSSSP(0)
 			}
-			sim, err := tdgraph.NewSession(mk(), edges, nv, tdgraph.SessionOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nat, err := tdgraph.NewSession(mk(), edges, nv,
-				tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 4})
+			sim := enginetest.NewRunner(mk(), edges, nv, enginetest.TopologyDriven)
+			nat, err := tdgraph.NewSession(mk(), edges, nv, tdgraph.SessionOptions{Cores: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,10 +67,7 @@ func TestNativeEngineMatchesSim(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			for batch := 0; batch < 12; batch++ {
 				b := randomBatch(rng, nv, 60)
-				rs, err := sim.ApplyBatch(b)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rs := sim.Apply(b)
 				rn, err := nat.ApplyBatch(b)
 				if err != nil {
 					t.Fatal(err)
@@ -82,18 +76,18 @@ func TestNativeEngineMatchesSim(t *testing.T) {
 					t.Fatalf("batch %d: results diverge: sim +%d -%d ~%d, native +%d -%d ~%d",
 						batch, rs.Added, rs.Deleted, rs.Skipped, rn.Added, rn.Deleted, rn.Skipped)
 				}
-				if v := bitsIdentical(sim.States(), nat.States()); v >= 0 {
+				if v := bitsIdentical(sim.S, nat.States()); v >= 0 {
 					t.Fatalf("batch %d: states diverge at vertex %d: sim %v native %v",
-						batch, v, sim.State(tdgraph.VertexID(v)), nat.State(tdgraph.VertexID(v)))
+						batch, v, sim.S[v], nat.State(tdgraph.VertexID(v)))
 				}
-				if sim.NumEdges() != nat.NumEdges() || sim.NumVertices() != nat.NumVertices() {
+				if sim.G.NumEdges() != nat.NumEdges() || sim.G.NumVertices != nat.NumVertices() {
 					t.Fatalf("batch %d: graph shape diverges", batch)
 				}
 			}
 			// Recompute outdates the native state mirror like a batch does.
 			nat.States()[1] = -1
 			nat.Recompute()
-			if v := bitsIdentical(sim.States(), nat.States()); v >= 0 {
+			if v := bitsIdentical(sim.S, nat.States()); v >= 0 {
 				t.Fatalf("states stale after Recompute at vertex %d", v)
 			}
 			if m := nat.Metrics(); algName == "sssp" && (m == nil || m.Get(stats.CtrPropagationVisits) == 0) {
@@ -101,8 +95,7 @@ func TestNativeEngineMatchesSim(t *testing.T) {
 			}
 			// The sealed view must carry the same edges as the builder's
 			// snapshot, sorted identically.
-			gs, gn := sim.Graph(), nat.Graph()
-			es, en := gs.EdgeList(), gn.EdgeList()
+			es, en := sim.G.EdgeList(), nat.Graph().EdgeList()
 			if len(es) != len(en) {
 				t.Fatalf("edge lists differ in length: %d vs %d", len(es), len(en))
 			}
@@ -115,13 +108,14 @@ func TestNativeEngineMatchesSim(t *testing.T) {
 	}
 }
 
-// TestNativeEngineCheckpointCrossEngine proves checkpoints are
-// engine-portable: a checkpoint written under one engine restores under
-// the other with bit-identical states, and both continuations agree.
+// TestNativeEngineCheckpointCrossEngine: a checkpoint restores with
+// bit-identical states, and the restored session keeps agreeing with
+// the one that wrote it. (Its sim arm went with the Session's second
+// engine; TestNativeEngineMatchesSim owns the cross-engine check.)
 func TestNativeEngineCheckpointCrossEngine(t *testing.T) {
 	edges, nv := sessionEdges()
-	natOpts := tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2}
-	src, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, natOpts)
+	opts := tdgraph.SessionOptions{Cores: 2}
+	src, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,40 +130,31 @@ func TestNativeEngineCheckpointCrossEngine(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := buf.Bytes()
-
-	asSim, err := tdgraph.LoadSession(tdgraph.NewSSSP(0), bytes.NewReader(ckpt), tdgraph.SessionOptions{})
+	restored, err := tdgraph.LoadSession(tdgraph.NewSSSP(0), &buf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asNative, err := tdgraph.LoadSession(tdgraph.NewSSSP(0), bytes.NewReader(ckpt), natOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer asNative.Close()
+	defer restored.Close()
 	// The save ran straight after five batches with no read in between,
-	// so it is what refilled the state mirror: check it against the
-	// from-scratch oracle, not only against the session that wrote it.
-	want := algo.Reference(algo.MonotonicAlgo(tdgraph.NewSSSP(0)), asSim.Graph())
-	if v := bitsIdentical(asSim.States(), want); v >= 0 {
+	// so it streamed the engine's own states: check them against the
+	// from-scratch oracle, not only against the session that wrote them.
+	want := algo.Reference(algo.MonotonicAlgo(tdgraph.NewSSSP(0)), restored.Graph())
+	if v := bitsIdentical(restored.States(), want); v >= 0 {
 		t.Fatalf("checkpoint saved after unread batches diverges from the oracle at vertex %d", v)
 	}
-	if v := bitsIdentical(src.States(), asSim.States()); v >= 0 {
-		t.Fatalf("native→sim restore diverges at vertex %d", v)
+	if v := bitsIdentical(src.States(), restored.States()); v >= 0 {
+		t.Fatalf("restore diverges at vertex %d", v)
 	}
-	if v := bitsIdentical(src.States(), asNative.States()); v >= 0 {
-		t.Fatalf("native→native restore diverges at vertex %d", v)
-	}
-	// Both restored sessions keep agreeing batch for batch.
+	// Both sessions keep agreeing batch for batch.
 	for i := 0; i < 5; i++ {
 		b := randomBatch(rng, nv, 40)
-		if _, err := asSim.ApplyBatch(b); err != nil {
+		if _, err := src.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := asNative.ApplyBatch(b); err != nil {
+		if _, err := restored.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		if v := bitsIdentical(asSim.States(), asNative.States()); v >= 0 {
+		if v := bitsIdentical(src.States(), restored.States()); v >= 0 {
 			t.Fatalf("post-restore batch %d diverges at vertex %d", i, v)
 		}
 	}
@@ -184,8 +169,7 @@ func TestNativeEngineCheckpointCrossEngine(t *testing.T) {
 func TestNativeEnginePanicRecovery(t *testing.T) {
 	edges, nv := sessionEdges()
 	pa := &panicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
-	s, err := tdgraph.NewSession(pa, edges, nv,
-		tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 1})
+	s, err := tdgraph.NewSession(pa, edges, nv, tdgraph.SessionOptions{Cores: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,20 +199,13 @@ func TestNativeEnginePanicRecovery(t *testing.T) {
 	}
 }
 
-// TestNativeEngineCloseIdempotent: Close twice is safe, and a sim
-// session's Close is a no-op.
+// TestNativeEngineCloseIdempotent: Close twice is safe.
 func TestNativeEngineCloseIdempotent(t *testing.T) {
 	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv,
-		tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 4})
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s.Close()
-	sim, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Close()
 }

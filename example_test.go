@@ -14,6 +14,7 @@ func ExampleSession() {
 		{Src: 1, Dst: 2, Weight: 4},
 	}
 	s, _ := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, 3, tdgraph.SessionOptions{})
+	defer s.Close()
 	fmt.Println("before:", s.State(2))
 
 	// A shortcut arrives.
@@ -33,6 +34,7 @@ func ExampleSession_deletion() {
 		{Src: 1, Dst: 2, Weight: 1},
 	}
 	s, _ := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, 3, tdgraph.SessionOptions{})
+	defer s.Close()
 	fmt.Println("via 1:", s.State(2))
 
 	s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 1, Dst: 2}, Delete: true}})
@@ -49,6 +51,7 @@ func ExampleSession_pageRank() {
 		{Src: 2, Dst: 0, Weight: 1},
 	}
 	s, _ := tdgraph.NewSession(tdgraph.NewPageRank(), edges, 4, tdgraph.SessionOptions{})
+	defer s.Close()
 	before := s.State(0)
 
 	// A third page starts linking to page 0: its rank rises.

@@ -1,7 +1,7 @@
 // Quickstart: the public tdgraph API. Build a streaming graph session,
 // apply update batches, and read incrementally maintained shortest paths
-// — then attach the architectural simulator to see what the TDGraph
-// hardware engine would do with the same batch.
+// — then run the same batch on the architectural simulator to see what
+// the TDGraph hardware engine would do with it.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,7 +11,12 @@ import (
 	"log"
 
 	tdgraph "github.com/tdgraph/tdgraph"
+	"github.com/tdgraph/tdgraph/internal/algo"
+	"github.com/tdgraph/tdgraph/internal/core"
+	"github.com/tdgraph/tdgraph/internal/engine"
+	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
+	"github.com/tdgraph/tdgraph/internal/sim"
 	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
@@ -29,6 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer session.Close()
 	fmt.Printf("initial graph: %d vertices, %d edges; dist(0→100) = %v\n",
 		session.NumVertices(), session.NumEdges(), session.State(100))
 
@@ -56,15 +62,19 @@ func main() {
 
 	// 4. The same batch on the simulated 64-core machine with the
 	// TDGraph hardware engine attached — this is what the benchmark
-	// harness measures.
-	simulated, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, 10_000,
-		tdgraph.SessionOptions{Simulate: true, Cores: 64})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := simulated.ApplyBatch(batch); err != nil {
-		log.Fatal(err)
-	}
+	// harness measures. The simulator sits below the public API: the
+	// engine repairs the converged states between the pre- and
+	// post-batch snapshots while the machine counts the cycles.
+	b := graph.NewBuilderFromEdges(10_000, edges)
+	oldG := b.Snapshot()
+	res = b.Apply(batch)
+	m, col := sim.New(sim.ScaledConfig()), stats.NewCollector()
+	sssp := algo.NewSSSP(0)
+	rt := engine.NewRuntime(sssp, oldG, b.Snapshot(), algo.Reference(sssp, oldG), engine.Options{
+		Cores: 64, Collector: col, Machine: m,
+		Layout: engine.LayoutOptions{TDGraph: true, Alpha: 0.005},
+	})
+	core.New(core.DefaultConfig(), rt).Process(res)
 	fmt.Printf("simulated TDGraph-H: %.0f cycles, %d state update operations\n",
-		simulated.LastCycles(), simulated.Metrics().Get(stats.CtrStateUpdates))
+		m.Time(), col.Get(stats.CtrStateUpdates))
 }

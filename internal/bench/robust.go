@@ -59,6 +59,7 @@ func ingestScenario(class fault.Class, seed int64) (FaultSuiteResult, error) {
 	if err != nil {
 		return r, err
 	}
+	defer s.Close()
 	inj, err := fault.Parse(string(class), seed)
 	if err != nil {
 		return r, err
@@ -96,6 +97,7 @@ func checkpointScenario(class fault.Class, seed int64) (FaultSuiteResult, error)
 	if err != nil {
 		return r, err
 	}
+	defer s.Close()
 	dir, err := os.MkdirTemp("", "tdgraph-robust-")
 	if err != nil {
 		return r, err
@@ -123,6 +125,7 @@ func checkpointScenario(class fault.Class, seed int64) (FaultSuiteResult, error)
 	if err != nil {
 		return r, fmt.Errorf("%s: recovery failed: %w", r.Scenario, err)
 	}
+	defer restored.Close()
 	if len(skipped) != 1 {
 		return r, fmt.Errorf("%s: expected 1 skipped generation, got %d", r.Scenario, len(skipped))
 	}
@@ -145,6 +148,7 @@ func ioScenario(class fault.Class, seed int64) (FaultSuiteResult, error) {
 	if err != nil {
 		return r, err
 	}
+	defer s.Close()
 	inj, err := fault.Parse(string(class), seed)
 	if err != nil {
 		return r, err
@@ -183,6 +187,7 @@ func divergeScenario(seed int64) (FaultSuiteResult, error) {
 	if err != nil {
 		return r, err
 	}
+	defer s.Close()
 	inj, err := fault.Parse(string(fault.Diverge)+":5", seed)
 	if err != nil {
 		return r, err

@@ -2,7 +2,9 @@
 // engine, core, and accel test suites: it constructs a warm streaming
 // case (warmup graph at its fixpoint plus one applied update batch) and
 // checks that a System's incremental result equals the full-recompute
-// oracle on the post-batch snapshot.
+// oracle on the post-batch snapshot. Its Runner streams whole workloads
+// through the functional engines, the reference the native Session's
+// suites compare against.
 package enginetest
 
 import (
@@ -10,6 +12,7 @@ import (
 	"math/rand"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
+	"github.com/tdgraph/tdgraph/internal/core"
 	"github.com/tdgraph/tdgraph/internal/engine"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
@@ -133,6 +136,43 @@ func (c *Case) Verify(sys engine.System) error {
 			sys.Name(), c.Algo.Name(), i, got[i], want[i])
 	}
 	return nil
+}
+
+// Runner streams batches through graph.Builder snapshots and a
+// functional engine without the simulator: after each batch G is the
+// rebuilt snapshot and S the repaired states. It starts no goroutines,
+// so suites that count the native engine's workers can run it.
+type Runner struct {
+	Algo algo.Algorithm
+	G    *graph.Snapshot
+	S    []float64
+
+	b      *graph.Builder
+	system func(*engine.Runtime) engine.System
+}
+
+// TopologyDriven is the paper's topology-driven engine, TDGraph.
+func TopologyDriven(rt *engine.Runtime) engine.System { return core.New(core.DefaultConfig(), rt) }
+
+// Baseline is the frontier-synchronous Ligra-o engine.
+func Baseline(rt *engine.Runtime) engine.System { return engine.NewBaseline(engine.LigraO(), rt) }
+
+// NewRunner converges a from scratch on the warm-up edges over nv
+// vertices; system repairs every later batch.
+func NewRunner(a algo.Algorithm, warmup []graph.Edge, nv int, system func(*engine.Runtime) engine.System) *Runner {
+	b := graph.NewBuilderFromEdges(nv, warmup)
+	g := b.Snapshot()
+	return &Runner{Algo: a, G: g, S: algo.Reference(a, g), b: b, system: system}
+}
+
+// Apply applies one batch and repairs the states incrementally.
+func (r *Runner) Apply(batch []graph.Update) graph.ApplyResult {
+	res := r.b.Apply(batch)
+	newG := r.b.Snapshot()
+	rt := engine.NewRuntime(r.Algo, r.G, newG, r.S, engine.Options{Cores: 8})
+	r.system(rt).Process(res)
+	r.G, r.S = newG, rt.S
+	return res
 }
 
 // RandomBatch builds an arbitrary valid batch against builder state b:

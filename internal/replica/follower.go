@@ -373,6 +373,7 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 				continue
 			}
 			// The closing record: one write, one barrier, k applies, one ack.
+			//tdgraph:allow lockhold the apply is a pipeline move sessionMu exists to serialise; the engine waits only for its own worker pool, which takes no lock
 			err := f.pipe.IngestReplicated(fr.Seq+1-uint64(len(f.group.payloads)), f.group.payloads, f.group.batches)
 			f.group.reset()
 			if err != nil {

@@ -89,7 +89,7 @@ func encodeGroup(batches [][]graph.Update) [][]byte {
 // sent.
 func TestFollowerGroupSessionDiesMidGroup(t *testing.T) {
 	w := testWorkload(t, 7)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	dir := t.TempDir()
 	fl, err := NewFollower(FollowerConfig{Pipeline: nodeConfig(w, dir)})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestFollowerGroupSessionDiesMidGroup(t *testing.T) {
 // converge, each logged once.
 func TestFollowerGroupDuplicatedFrames(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	dir := t.TempDir()
 	fl, err := NewFollower(FollowerConfig{Pipeline: nodeConfig(w, dir)})
 	if err != nil {
@@ -280,7 +280,7 @@ func TestFollowerGroupForeignFrameMidGroup(t *testing.T) {
 // record attributed to the term that created it.
 func TestFollowerGroupSpanningOriginTerms(t *testing.T) {
 	w := testWorkload(t, 3)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	dir := t.TempDir()
 	fl, err := NewFollower(FollowerConfig{Pipeline: nodeConfig(w, dir)})
 	if err != nil {

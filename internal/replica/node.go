@@ -1094,6 +1094,7 @@ func (n *Node) ingestSubmit(pipe *serve.Pipeline, seq uint64, payloads [][]byte,
 		return submitStranded, cur, fmt.Errorf(
 			"replica: seq %d durable locally but never quorum-acknowledged: %w", logged, ErrQuorumLost)
 	}
+	//tdgraph:allow lockhold the apply is a pipeline move pmu exists to serialise; the engine waits only for its own worker pool, which takes no lock
 	outcome, err := n.primary.Ingest(pipe, payloads, batches, deadline)
 	switch {
 	case outcome == QuorumDurable:

@@ -87,7 +87,7 @@ func clientHandshake(t *testing.T, conn net.Conn) uint64 {
 func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 	const group = 32
 	w := testWorkload(t, 1+group)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	clk := newManualClock()
 	fabric := newChaosNet()
 	addrs := []string{"a", "b", "c"}
@@ -224,7 +224,7 @@ func TestNodePipelinedWindowCommitsWhole(t *testing.T) {
 		edges[i] = graph.Edge{Src: uint32(i*7) % 256, Dst: uint32(i*13+5) % 255, Weight: float32(1 + i%9)}
 	}
 	w := stream.Build(edges, 256, stream.Config{WarmupFraction: 0.5, BatchSize: 4, AddFraction: 0.75, NumBatches: total, Seed: 11})
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := nodeConfig(w, t.TempDir())
 	cfg.CheckpointEvery = -1
 	n, err := NewNode(NodeConfig{

@@ -645,7 +645,7 @@ func TestNodeRejoinReseedsDivergedMember(t *testing.T) {
 	clk := newManualClock()
 	fabric := newChaosNet()
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	// x's first life: three batches adopted under term 2, no
 	// checkpoints of its own.

@@ -207,7 +207,7 @@ func walPayloads(t *testing.T, dir string) [][]byte {
 // record, exactly the bytes the client encoded.
 func TestSessionBuffersAreNotRetained(t *testing.T) {
 	w := testWorkload(t, 10)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := func(dir string) serve.PipelineConfig {
 		c := nodeConfig(w, dir)
 		c.WAL.SegmentBytes = 1 << 20 // one segment: retention never drops a record the tailer compares

@@ -454,7 +454,7 @@ type digest struct {
 func oracle(t *testing.T, e ending) digest {
 	t.Helper()
 	height := uint64(len(e.w.Batches))
-	want := referenceStates(t, e.w)
+	want := referenceStates(e.w)
 	if e.log != nil {
 		e.log.mu.Lock()
 		if len(e.log.elected) == 0 {

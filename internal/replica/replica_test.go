@@ -12,6 +12,7 @@ import (
 	"time"
 
 	tdgraph "github.com/tdgraph/tdgraph"
+	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/serve"
@@ -42,11 +43,10 @@ func testWorkload(t *testing.T, nBatches int) *stream.Workload {
 	})
 }
 
-// sessionOpts is the engine every member under test serves on, the one
-// tdgraph-serve ships: bootstrap, checkpoint restore, replay and reseed
-// install all build native sessions. Two workers keep the engine's
-// counters reproducible; its states do not depend on the worker count.
-var sessionOpts = tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2}
+// sessionOpts are the options every session under test is built with:
+// two workers keep the engine's counters reproducible; its states do
+// not depend on the worker count.
+var sessionOpts = tdgraph.SessionOptions{Cores: 2}
 
 func bootstrapFrom(w *stream.Workload) func() (*tdgraph.Session, error) {
 	return func() (*tdgraph.Session, error) {
@@ -79,23 +79,16 @@ func statesEqual(a, b []float64) bool {
 	return true
 }
 
-// referenceStates applies the whole workload to one uninterrupted
-// session on the topology-driven engine, so every member compared with
-// it is checked across engines as well as across crashes, elections and
-// reseeds.
-func referenceStates(t *testing.T, w *stream.Workload) []float64 {
-	t.Helper()
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices,
-		tdgraph.SessionOptions{Engine: tdgraph.EngineTopologyDriven})
-	if err != nil {
-		t.Fatal(err)
-	}
+// referenceStates streams the whole workload, uninterrupted, through the
+// functional topology-driven engine, which starts no worker pool — so
+// every member compared with it is checked across engines as well as
+// across crashes, elections and reseeds.
+func referenceStates(w *stream.Workload) []float64 {
+	ref := enginetest.NewRunner(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, enginetest.TopologyDriven)
 	for _, b := range w.Batches {
-		if _, err := s.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
+		ref.Apply(b)
 	}
-	return append([]float64(nil), s.States()...)
+	return ref.S
 }
 
 // settledWorkers counts the native engine's pool goroutines once the
@@ -209,7 +202,7 @@ func ingestBy(prim *Primary, pipe *serve.Pipeline, b []graph.Update, deadline ti
 // byte-identical to the uninterrupted reference.
 func TestReplicatedIngestReachesQuorum(t *testing.T) {
 	w := testWorkload(t, 8)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	pdir := t.TempDir()
 	pcfg := nodeConfig(w, pdir)
@@ -280,7 +273,7 @@ func TestReplicatedIngestReachesQuorum(t *testing.T) {
 // fed the backlog from the primary's WAL segments before live records.
 func TestLateJoinerCatchesUpFromWAL(t *testing.T) {
 	w := testWorkload(t, 8)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	pdir := t.TempDir()
 	col := stats.NewCollector()
@@ -337,7 +330,7 @@ func TestLateJoinerCatchesUpFromWAL(t *testing.T) {
 // and the primary skips stale acks.
 func TestDuplicatedFramesReAcked(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	pdir := t.TempDir()
 	col := stats.NewCollector()

@@ -177,7 +177,7 @@ func feedFollower(t *testing.T, fl *Follower, w *stream.Workload, term uint64, f
 // job — ending with states Float64bits-identical to the reference.
 func TestDivergedFollowerAutoReseeded(t *testing.T) {
 	w := testWorkload(t, 10)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	// Follower A lives a first life under term 1: all ten batches.
 	adir := t.TempDir()
@@ -278,7 +278,7 @@ func TestDivergedFollowerAutoReseeded(t *testing.T) {
 // the loop that lets retention advance at all in replicated mode.
 func TestLateJoinerReseededPastRetention(t *testing.T) {
 	w := testWorkload(t, 10)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	pdir := t.TempDir()
 	col := stats.NewCollector()

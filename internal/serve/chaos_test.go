@@ -39,7 +39,7 @@ func TestNativeEngineChaosKillRecover(t *testing.T) {
 // seedBase..seedBase+9, one subtest each.
 func killRecoverTrials(t *testing.T, seedBase int64) {
 	w := testWorkload(t, 8)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	// Upper bound on the run's total WAL byte stream, so armed crash
 	// offsets cover everything from the first header to past the end
@@ -141,7 +141,7 @@ func killRecoverTrials(t *testing.T, seedBase int64) {
 // sequence and finish on the sim-engine reference states.
 func TestNativeEngineServerRestart(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 
 	cfg := pipelineConfig(t, w)
 	cfg.CheckpointEvery = 2

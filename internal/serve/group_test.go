@@ -27,7 +27,7 @@ func encodeAll(batches [][]graph.Update) [][]byte {
 // mid-group under that label, recovery would skip records 4 and 5.
 func TestPipelineGroupCheckpointsAtGroupBoundary(t *testing.T) {
 	w := testWorkload(t, 7)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
 	p, err := NewPipeline(cfg)
 	if err != nil {

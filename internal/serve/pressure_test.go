@@ -381,7 +381,7 @@ func TestPipelineDeadlineAdmitExpiry(t *testing.T) {
 // resumes past the high-water mark with zero loss.
 func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
 	cfg.CheckpointPath = "" // retention can free nothing: pressure must hold
 
@@ -467,7 +467,7 @@ func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 // poisoned, never double-applied.
 func TestPipelineENOSPCAppendDegradesNotPoisons(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
 	cfg.CheckpointPath = ""
 

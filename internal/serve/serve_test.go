@@ -10,6 +10,7 @@ import (
 	"time"
 
 	tdgraph "github.com/tdgraph/tdgraph"
+	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/stats"
@@ -41,12 +42,10 @@ func testWorkload(t *testing.T, nBatches int) *stream.Workload {
 	})
 }
 
-// sessionOpts is the engine every pipeline under test serves on, the
-// one tdgraph-serve ships: bootstrap, checkpoint restore, replay and
-// snapshot install all build native sessions. Two workers keep the
-// engine's counters reproducible; its states do not depend on the
-// worker count.
-var sessionOpts = tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2}
+// sessionOpts are the options every session under test is built with:
+// two workers keep the engine's counters reproducible; its states do
+// not depend on the worker count.
+var sessionOpts = tdgraph.SessionOptions{Cores: 2}
 
 func bootstrapFrom(w *stream.Workload) func() (*tdgraph.Session, error) {
 	return func() (*tdgraph.Session, error) {
@@ -78,23 +77,16 @@ func statesEqual(a, b []float64) bool {
 	return true
 }
 
-// referenceStates applies the whole workload directly to one session on
-// the topology-driven engine — the durable path must land on exactly
-// these states, so every comparison with them is cross-engine as well
-// as cross-crash.
-func referenceStates(t *testing.T, w *stream.Workload) []float64 {
-	t.Helper()
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices,
-		tdgraph.SessionOptions{Engine: tdgraph.EngineTopologyDriven})
-	if err != nil {
-		t.Fatal(err)
-	}
+// referenceStates streams the whole workload through the functional
+// topology-driven engine, which starts no worker pool — the durable
+// path must land on exactly these states, so every comparison with them
+// is cross-engine as well as cross-crash.
+func referenceStates(w *stream.Workload) []float64 {
+	ref := enginetest.NewRunner(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, enginetest.TopologyDriven)
 	for _, b := range w.Batches {
-		if _, err := s.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
+		ref.Apply(b)
 	}
-	return append([]float64(nil), s.States()...)
+	return ref.S
 }
 
 // TestPipelineRestartResumes: a pipeline closed cleanly and reopened
@@ -102,7 +94,7 @@ func referenceStates(t *testing.T, w *stream.Workload) []float64 {
 // with states byte-identical to an uninterrupted run.
 func TestPipelineRestartResumes(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
 
 	p, err := NewPipeline(cfg)
@@ -142,7 +134,7 @@ func TestPipelineRestartResumes(t *testing.T) {
 // recovery must rebuild purely from bootstrap + full WAL replay.
 func TestPipelineRecoversFromWALOnly(t *testing.T) {
 	w := testWorkload(t, 5)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
 	cfg.CheckpointPath = "" // no checkpoints at all
 
@@ -244,7 +236,7 @@ func (f *syncFailFile) Sync() error {
 // already hold it.
 func TestPipelineSyncFailureNotReSent(t *testing.T) {
 	w := testWorkload(t, 5)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
 	failures := 0
 	cfg.WAL.FS = syncFailFS{FS: wal.OSFS{}, failures: &failures}
@@ -300,7 +292,7 @@ func TestPipelineSyncFailureNotReSent(t *testing.T) {
 // double-apply — and still lands on the reference states.
 func TestServerSyncFailureRestarts(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
 	failures := 1 // the very first WAL barrier fails, then the disk heals
 	cfg.WAL.FS = syncFailFS{FS: wal.OSFS{}, failures: &failures}
@@ -469,7 +461,7 @@ func TestRetrySourceBreakerGates(t *testing.T) {
 // its work.
 func TestServerEndToEnd(t *testing.T) {
 	w := testWorkload(t, 6)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	clock := newFakeClock()
 	flaky := &flakySource{inner: NewSliceSource(w.Batches), failures: 1, remaining: 1}
 	src := NewRetrySource(flaky, NewBackoff(1), NewBreaker(5, 0, clock), clock, 1)

@@ -16,7 +16,7 @@ import (
 // identity both extends live and survives a restart.
 func TestInstallSnapshotSwapsState(t *testing.T) {
 	w := testWorkload(t, 12)
-	want := referenceStates(t, w)
+	want := referenceStates(w)
 	base := settledWorkers()
 
 	// Source: six batches in, newest generation covers seq 6.

@@ -20,6 +20,7 @@ func FuzzSessionLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	defer s.Close()
 	valid := savedWithMeta(f, s, "seq-0042")
 	meta, graph, state := ckptBlocks(f, valid)
 	mangled := func(mangle func([]byte)) []byte {
@@ -58,6 +59,7 @@ func FuzzSessionLoad(f *testing.F) {
 			}
 			return
 		}
+		defer restored.Close()
 		// Anything accepted must be internally coherent and streamable.
 		if restored.NumVertices() != len(restored.States()) {
 			t.Fatalf("restored session has %d vertices but %d states",

@@ -100,7 +100,7 @@ func (s *Session) Save(w io.Writer) error { return s.save(w, nil) }
 // save streams the checkpoint with meta in-band, in one pass and without
 // materialising anything: each block's length is declared, its payload
 // is encoded straight into the session's reused file buffer while the
-// CRC accumulates — the graph from the backend's store, then the states
+// CRC accumulates — the graph from the engine's store, then the states
 // — and the CRC trails it. A block that streams a different number of
 // bytes than declared fails the save, so nothing is published.
 func (s *Session) save(w io.Writer, meta []byte) error {
@@ -126,7 +126,7 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 		write func(*blockWriter) error
 	}{
 		{"meta", uint64(len(meta)), func(w *blockWriter) error { _, err := w.Write(meta); return err }},
-		{"graph", graph.BinarySize(s.eng.numVertices(), s.eng.numEdges()), func(w *blockWriter) error { return s.eng.writeGraph(w) }},
+		{"graph", graph.BinarySize(s.eng.numVertices(), s.eng.numEdges()), func(w *blockWriter) error { return writeGraph(s.eng.store, w) }},
 		{"state", 8 + 8*uint64(nstates), func(w *blockWriter) error { return writeStates(w, nstates, state) }},
 	} {
 		binary.LittleEndian.PutUint64(word[:], blk.size)
@@ -143,6 +143,10 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	}
 	return bw.Flush()
 }
+
+// writeGraph streams the graph block straight from the store, nothing
+// sealed. A test hook, so a save can fail inside the block.
+var writeGraph = func(st *graph.Store, w io.Writer) error { return st.WriteBinary(w) }
 
 // blockWriter is one block's payload on its way out: every write is
 // counted and checksummed as it passes to the file buffer.
@@ -335,20 +339,7 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 	for i := range state {
 		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(spayload[8+8*i:]))
 	}
-	if opt.Cores <= 0 {
-		opt.Cores = 8
-	}
-	if opt.Engine == EngineNativeParallel && opt.Simulate {
-		return nil, nil, fmt.Errorf("tdgraph: the native parallel engine cannot be simulated")
-	}
-	var eng engineBackend
-	if opt.Engine == EngineNativeParallel {
-		// The store loads straight from the decoded rows; only the
-		// simulated engines' Builder takes an edge list.
-		eng, err = newNativeBackend(a, graph.NewStoreFromSnapshot(snap), state, opt)
-	} else {
-		eng, err = newBackend(a, snap.NumVertices, snap.EdgeList(), state, opt)
-	}
+	eng, err := newNativeBackend(a, graph.NewStoreFromSnapshot(snap), state, opt.Cores)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/fault"
+	"github.com/tdgraph/tdgraph/internal/graph"
 )
 
 // newTestSession builds a small session for white-box io tests.
@@ -22,6 +23,7 @@ func newTestSession(t *testing.T) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -81,13 +83,13 @@ func TestSaveFileDirSyncFailureSurfaces(t *testing.T) {
 // cached on every member until the next batch.
 func TestSaveNeverSeals(t *testing.T) {
 	edges := []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 0, Dst: 3, Weight: 4}}
-	s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Engine: EngineNativeParallel, Cores: 2})
+	s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Cores: 2})
 	must(t, err)
 	defer s.Close()
 	_, err = s.ApplyBatch([]Update{{Edge: Edge{Src: 3, Dst: 2, Weight: 1}}})
 	must(t, err)
 	must(t, NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds")).SaveWithMeta(s, []byte("seq-1")))
-	if nb := s.eng.(*nativeBackend); nb.sealed != nil {
+	if s.eng.sealed != nil {
 		t.Fatal("the save sealed a snapshot and left it cached")
 	}
 }
@@ -99,10 +101,10 @@ func TestSaveNeverSeals(t *testing.T) {
 // engine's, refreshed after the next batch.
 func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 	edges := []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 0, Dst: 3, Weight: 4}}
-	s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Engine: EngineNativeParallel, Cores: 2})
+	s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Cores: 2})
 	must(t, err)
 	defer s.Close()
-	nb := s.eng.(*nativeBackend)
+	nb := s.eng
 	sameBits := func(label string) {
 		t.Helper()
 		got, want := s.States(), nb.mono.StatesCopy()
@@ -125,6 +127,7 @@ func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 		}
 		restored, err := LoadSession(NewSSSP(0), &ckpt, SessionOptions{})
 		must(t, err)
+		defer restored.Close()
 		for v, x := range nb.mono.StatesCopy() {
 			if math.Float64bits(restored.State(VertexID(v))) != math.Float64bits(x) {
 				t.Fatalf("after applying %v: the checkpoint holds %v for vertex %d, the engine %v", u, restored.State(VertexID(v)), v, x)
@@ -137,66 +140,61 @@ func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 	sameBits("after a further batch")
 }
 
-// graphWriterHook is a backend whose graph writer is wrapped by a test:
-// the one way to disturb the stream underneath Checkpointer.SaveWithMeta,
-// whose destination is a temp file it creates itself.
-type graphWriterHook struct {
-	engineBackend
-	wrap func(io.Writer) io.Writer
-}
-
-func (h graphWriterHook) writeGraph(w io.Writer) error { return h.engineBackend.writeGraph(h.wrap(w)) }
-
 // TestSaveFailureKeepsPreviousGeneration: a save that dies inside the
-// graph block — the writer failing at three points, or the backend
+// graph block — the writer failing at three points, or the store
 // streaming a byte more or fewer than the length already declared ahead
 // of the block — returns the error, leaves no temp file, publishes
 // nothing, and the previous generation still restores under its own
-// metadata.
+// metadata. The writeGraph hook is the one way to disturb the stream
+// underneath Checkpointer.SaveWithMeta, whose destination is a temp file
+// it creates itself. (Its sim arm, which streamed a sealed Snapshot, went
+// with the Session's second engine; internal/graph
+// TestStoreWriteBinaryMatchesSeal owns that writer's bytes.)
 func TestSaveFailureKeepsPreviousGeneration(t *testing.T) {
-	for engine, kind := range map[string]EngineKind{"sim": EngineTopologyDriven, "native": EngineNativeParallel} {
-		failAfter := func(n int) func(io.Writer) io.Writer {
-			in, err := fault.Parse(fmt.Sprintf("write-err:%d", n), 1)
+	failAfter := func(n int) func(io.Writer) io.Writer {
+		in, err := fault.Parse(fmt.Sprintf("write-err:%d", n), 1)
+		must(t, err)
+		return in.Writer
+	}
+	for name, tc := range map[string]struct {
+		wrap func(io.Writer) io.Writer
+		want func(error) bool
+	}{
+		"write fails at the block's first byte": {failAfter(0), injected},
+		"write fails inside the offsets":        {failAfter(40), injected},
+		"write fails inside the edges":          {failAfter(90), injected},
+		"one byte short of the declared length": {func(w io.Writer) io.Writer { return &dropLast{w: w} }, lengthMismatch},
+		"one byte past the declared length":     {func(w io.Writer) io.Writer { return &addOne{w: w} }, lengthMismatch},
+	} {
+		t.Run("native/"+name, func(t *testing.T) {
+			edges := []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 0, Dst: 3, Weight: 4}}
+			s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Cores: 2})
 			must(t, err)
-			return in.Writer
-		}
-		for name, tc := range map[string]struct {
-			wrap func(io.Writer) io.Writer
-			want func(error) bool
-		}{
-			"write fails at the block's first byte": {failAfter(0), injected},
-			"write fails inside the offsets":        {failAfter(40), injected},
-			"write fails inside the edges":          {failAfter(90), injected},
-			"one byte short of the declared length": {func(w io.Writer) io.Writer { return &dropLast{w: w} }, lengthMismatch},
-			"one byte past the declared length":     {func(w io.Writer) io.Writer { return &addOne{w: w} }, lengthMismatch},
-		} {
-			t.Run(engine+"/"+name, func(t *testing.T) {
-				edges := []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 0, Dst: 3, Weight: 4}}
-				s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Engine: kind, Cores: 2})
-				must(t, err)
-				defer s.Close()
-				dir := t.TempDir()
-				ck := NewCheckpointer(filepath.Join(dir, "ckpt.tds"))
-				must(t, ck.SaveWithMeta(s, []byte("seq-1")))
+			defer s.Close()
+			dir := t.TempDir()
+			ck := NewCheckpointer(filepath.Join(dir, "ckpt.tds"))
+			must(t, ck.SaveWithMeta(s, []byte("seq-1")))
 
-				_, err = s.ApplyBatch([]Update{{Edge: Edge{Src: 3, Dst: 2, Weight: 1}}})
-				must(t, err)
-				s.eng = graphWriterHook{s.eng, tc.wrap}
-				if err := ck.SaveWithMeta(s, []byte("seq-2")); err == nil || !tc.want(err) {
-					t.Fatalf("SaveWithMeta = %v, want the stream's failure", err)
-				}
-				left, err := os.ReadDir(dir)
-				must(t, err)
-				if len(left) != 1 || left[0].Name() != "ckpt.tds.1" {
-					t.Fatalf("directory after the failed save holds %v, want only the rotated previous generation", left)
-				}
-				restored, meta, _, err := ck.LoadWithMeta(NewSSSP(0), SessionOptions{})
-				must(t, err)
-				if string(meta) != "seq-1" || restored.NumEdges() != 3 {
-					t.Fatalf("restored %q with %d edges, want the previous generation (seq-1, 3 edges)", meta, restored.NumEdges())
-				}
-			})
-		}
+			_, err = s.ApplyBatch([]Update{{Edge: Edge{Src: 3, Dst: 2, Weight: 1}}})
+			must(t, err)
+			orig := writeGraph
+			defer func() { writeGraph = orig }()
+			writeGraph = func(st *graph.Store, w io.Writer) error { return orig(st, tc.wrap(w)) }
+			if err := ck.SaveWithMeta(s, []byte("seq-2")); err == nil || !tc.want(err) {
+				t.Fatalf("SaveWithMeta = %v, want the stream's failure", err)
+			}
+			left, err := os.ReadDir(dir)
+			must(t, err)
+			if len(left) != 1 || left[0].Name() != "ckpt.tds.1" {
+				t.Fatalf("directory after the failed save holds %v, want only the rotated previous generation", left)
+			}
+			restored, meta, _, err := ck.LoadWithMeta(NewSSSP(0), SessionOptions{})
+			must(t, err)
+			defer restored.Close()
+			if string(meta) != "seq-1" || restored.NumEdges() != 3 {
+				t.Fatalf("restored %q with %d edges, want the previous generation (seq-1, 3 edges)", meta, restored.NumEdges())
+			}
+		})
 	}
 }
 

@@ -17,6 +17,7 @@ func TestSessionSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if _, err := s.ApplyBatch([]tdgraph.Update{
 		{Edge: tdgraph.Edge{Src: 0, Dst: 2999, Weight: 1}},
 	}); err != nil {
@@ -30,6 +31,7 @@ func TestSessionSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 	if restored.NumVertices() != s.NumVertices() || restored.NumEdges() != s.NumEdges() {
 		t.Fatalf("restored shape %d/%d vs %d/%d",
 			restored.NumVertices(), restored.NumEdges(), s.NumVertices(), s.NumEdges())
@@ -58,6 +60,7 @@ func TestSessionSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	path := filepath.Join(t.TempDir(), "ckpt.tds")
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -66,6 +69,7 @@ func TestSessionSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 	if restored.NumEdges() != s.NumEdges() {
 		t.Fatal("file restore changed edge count")
 	}
@@ -87,6 +91,7 @@ func TestApplySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	// Build "the next feed snapshot": same graph with some churn.
 	b := graph.NewBuilderFromEdges(nv, edges)
 	b.Apply([]tdgraph.Update{

@@ -17,10 +17,10 @@ import (
 func TestSessionValidationPolicies(t *testing.T) {
 	edges, nv := sessionEdges()
 	hostile := []tdgraph.Update{
-		{Edge: tdgraph.Edge{Src: 1, Dst: 2, Weight: 1}},                           // fine
-		{Edge: tdgraph.Edge{Src: tdgraph.VertexID(nv + 100), Dst: 2, Weight: 1}},  // out of range
-		{Edge: tdgraph.Edge{Src: 3, Dst: 4, Weight: float32(math.NaN())}},         // bad weight
-		{Edge: tdgraph.Edge{Src: 5, Dst: 5, Weight: 1}},                           // self-loop
+		{Edge: tdgraph.Edge{Src: 1, Dst: 2, Weight: 1}},                          // fine
+		{Edge: tdgraph.Edge{Src: tdgraph.VertexID(nv + 100), Dst: 2, Weight: 1}}, // out of range
+		{Edge: tdgraph.Edge{Src: 3, Dst: 4, Weight: float32(math.NaN())}},        // bad weight
+		{Edge: tdgraph.Edge{Src: 5, Dst: 5, Weight: 1}},                          // self-loop
 	}
 
 	t.Run("reject", func(t *testing.T) {
@@ -29,6 +29,7 @@ func TestSessionValidationPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		before := s.NumEdges()
 		_, err = s.ApplyBatch(hostile)
 		var ve *stream.ValidationError
@@ -46,6 +47,7 @@ func TestSessionValidationPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		if _, err := s.ApplyBatch(hostile); err != nil {
 			t.Fatalf("clamp policy errored: %v", err)
 		}
@@ -67,6 +69,7 @@ func TestSessionValidationPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		if _, err := s.ApplyBatch(hostile); err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +116,11 @@ func (p *panicAlgo) Propagate(srcVal float64, w float32) float64 {
 func TestSessionPanicRecovery(t *testing.T) {
 	edges, nv := sessionEdges()
 	pa := &panicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
-	s, err := tdgraph.NewSession(pa, edges, nv, tdgraph.SessionOptions{})
+	s, err := tdgraph.NewSession(pa, edges, nv, oneWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	pa.armed = true
 	_, err = s.ApplyBatch([]tdgraph.Update{
 		{Edge: tdgraph.Edge{Src: 0, Dst: 7, Weight: 1}},
@@ -161,54 +165,42 @@ func (p *alwaysPanicAlgo) Propagate(srcVal float64, w float32) float64 {
 // session keeps a shape-consistent state vector.
 func TestSessionPanicInHeal(t *testing.T) {
 	edges, nv := sessionEdges()
-	for _, opt := range []tdgraph.SessionOptions{{}, nativeOneWorker} {
-		pa := &alwaysPanicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
-		s, err := tdgraph.NewSession(pa, edges, nv, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa.armed = true
-		// Dst is a new vertex, so the heal must also grow the vector.
-		_, err = s.ApplyBatch([]tdgraph.Update{
-			{Edge: tdgraph.Edge{Src: 0, Dst: tdgraph.VertexID(nv), Weight: 1}},
-		})
-		var perr *tdgraph.PanicError
-		if !errors.As(err, &perr) {
-			t.Fatalf("engine %d: want *PanicError, got %T %v", opt.Engine, err, err)
-		}
-		if len(s.States()) != s.NumVertices() {
-			t.Fatalf("engine %d: state vector shape broken: %d states for %d vertices",
-				opt.Engine, len(s.States()), s.NumVertices())
-		}
-		s.Close()
+	pa := &alwaysPanicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
+	s, err := tdgraph.NewSession(pa, edges, nv, oneWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pa.armed = true
+	// Dst is a new vertex, so the heal must also grow the vector.
+	_, err = s.ApplyBatch([]tdgraph.Update{
+		{Edge: tdgraph.Edge{Src: 0, Dst: tdgraph.VertexID(nv), Weight: 1}},
+	})
+	var perr *tdgraph.PanicError
+	if !errors.As(err, &perr) {
+		t.Fatalf("want *PanicError, got %T %v", err, err)
+	}
+	if len(s.States()) != s.NumVertices() {
+		t.Fatalf("state vector shape broken: %d states for %d vertices", len(s.States()), s.NumVertices())
 	}
 }
 
-// nativeOneWorker re-runs a robustness story on the native backend,
-// whose state vector is a lazily refreshed mirror of the engine's. One
-// worker keeps injected panics on the calling goroutine.
-var nativeOneWorker = tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 1}
+// oneWorker keeps injected panics on the calling goroutine: a panic on
+// a pool goroutine is fatal by design, as with any Go program.
+var oneWorker = tdgraph.SessionOptions{Cores: 1}
 
 // TestSessionDivergenceDegradation corrupts converged states with the
 // injector and verifies the audit detects it and CheckAndRepair degrades
 // to a recompute whose result matches the reference.
 func TestSessionDivergenceDegradation(t *testing.T) {
 	edges, nv := sessionEdges()
-	for _, c := range []struct {
-		a   tdgraph.Algorithm
-		opt tdgraph.SessionOptions
-	}{
-		{tdgraph.NewSSSP(0), tdgraph.SessionOptions{}},
-		{tdgraph.NewPageRank(), tdgraph.SessionOptions{}},
-		{tdgraph.NewSSSP(0), nativeOneWorker},
-	} {
-		a := c.a
-		s, err := tdgraph.NewSession(a, edges, nv, c.opt)
+	for _, a := range []tdgraph.Algorithm{tdgraph.NewSSSP(0), tdgraph.NewPageRank()} {
+		s, err := tdgraph.NewSession(a, edges, nv, tdgraph.SessionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		// A batch first: the native mirror must be refilled before the
+		// A batch first: the state mirror must be refilled before the
 		// injector corrupts it, and again after the repair's recompute.
 		if _, err := s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 0, Dst: 42, Weight: 2}}}); err != nil {
 			t.Fatal(err)
@@ -239,17 +231,35 @@ func TestSessionDivergenceDegradation(t *testing.T) {
 	}
 }
 
+// skewAlgo wraps a monotonic algorithm and, while armed, returns one
+// candidate better than any real one — a silent miscalculation the
+// engine converges around, leaving states that break the fixpoint
+// invariant. It disarms itself after that one call.
+type skewAlgo struct {
+	algo.MonotonicAlgo
+	armed bool
+}
+
+func (p *skewAlgo) Propagate(srcVal float64, w float32) float64 {
+	if p.armed {
+		p.armed = false
+		return -1
+	}
+	return p.MonotonicAlgo.Propagate(srcVal, w)
+}
+
 // TestSessionSelfCheck verifies the SelfCheck option audits (and repairs)
-// transparently inside ApplyBatch.
+// transparently inside ApplyBatch: the batch's one skewed SSSP distance
+// is caught before ApplyBatch returns.
 func TestSessionSelfCheck(t *testing.T) {
 	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv,
-		tdgraph.SessionOptions{SelfCheck: true})
+	sa := &skewAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
+	s, err := tdgraph.NewSession(sa, edges, nv, tdgraph.SessionOptions{SelfCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _ := fault.Parse("diverge:3", 33)
-	in.CorruptStates(s.States())
+	defer s.Close()
+	sa.armed = true
 	if _, err := s.ApplyBatch([]tdgraph.Update{
 		{Edge: tdgraph.Edge{Src: 0, Dst: 42, Weight: 2}},
 	}); err != nil {

@@ -2,51 +2,64 @@ package tdgraph_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"syscall"
 	"testing"
 
 	tdgraph "github.com/tdgraph/tdgraph"
+	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
-// TestCheckpointBytesEngineIndependent: the native backend streams the
-// graph block straight from its mutable store and the sim backend from
-// a sealed snapshot, and the two must be the same file — a native and a
-// sim session fed the same batches write byte-identical checkpoints
-// after every batch.
+// TestCheckpointBytesEngineIndependent: the Session streams the graph
+// block straight from its mutable store, and the file must be the one
+// the paper's functional engine would have written from its Builder
+// snapshot — after every batch, the graph payload is byte-identical to
+// the enginetest.Runner's Snapshot.WriteBinary and the state payload
+// holds the Runner's states bit for bit.
 func TestCheckpointBytesEngineIndependent(t *testing.T) {
 	edges, nv := sessionEdges()
-	native, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2})
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer native.Close()
-	sim, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer s.Close()
+	ref := enginetest.NewRunner(tdgraph.NewSSSP(0), edges, nv, enginetest.TopologyDriven)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i <= 6; i++ {
 		if i > 0 {
 			// The vertex range creeps past nv, so the set grows too.
 			batch := randomBatch(rng, nv+20*i, 200)
-			for _, s := range []*tdgraph.Session{native, sim} {
-				if _, err := s.ApplyBatch(batch); err != nil {
-					t.Fatal(err)
-				}
+			ref.Apply(batch)
+			if _, err := s.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
 			}
 		}
-		meta := fmt.Sprintf("seq-%d", i)
-		if a, b := savedWithMeta(t, native, meta), savedWithMeta(t, sim, meta); !bytes.Equal(a, b) {
-			t.Fatalf("after %d batches the native checkpoint (%d bytes) differs from the sim one (%d bytes)", i, len(a), len(b))
+		file := savedWithMeta(t, s, fmt.Sprintf("seq-%d", i))
+		_, g, st := ckptBlocks(t, file)
+		var want bytes.Buffer
+		if err := ref.G.WriteBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file[g.Payload:g.CRC], want.Bytes()) {
+			t.Fatalf("after %d batches the graph block (%d bytes) differs from the builder snapshot's (%d bytes)", i, g.CRC-g.Payload, want.Len())
+		}
+		states := make([]float64, (st.CRC-st.Payload-8)/8)
+		for v := range states {
+			states[v] = math.Float64frombits(binary.LittleEndian.Uint64(file[st.Payload+8+8*v:]))
+		}
+		if v := bitsIdentical(states, ref.S); v >= 0 {
+			t.Fatalf("after %d batches the state block (%d states) differs from the functional engine's (%d) at vertex %d", i, len(states), len(ref.S), v)
 		}
 	}
 }
@@ -77,12 +90,19 @@ func fanGraph(n int) []tdgraph.Edge {
 // buffer-full, fails the count.
 func TestSaveAllocBudget(t *testing.T) {
 	perSave := func(n int) (bytes, objects float64) {
-		s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), fanGraph(n), n, tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2})
+		s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), fanGraph(n), n, tdgraph.SessionOptions{Cores: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
 		ck := tdgraph.NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds"))
+		// MemStats count the whole process. A GC cycle that starts inside
+		// the window empties the sync.Pools, wakes the unique-map cleanup
+		// and may start a thread: objects no save asked for. So collect
+		// before the warm-up save and keep the collector off until the
+		// count is taken.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		const warm, timed = 1, 4
 		var before, after runtime.MemStats
 		for i := 0; i < warm+timed; i++ {
@@ -115,7 +135,7 @@ func TestSaveAllocBudget(t *testing.T) {
 // writes the same bytes.
 func TestSaveReusesBuffers(t *testing.T) {
 	const n = 4000
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), fanGraph(n), n, tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2})
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), fanGraph(n), n, tdgraph.SessionOptions{Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +172,7 @@ func TestSaveReusesBuffers(t *testing.T) {
 // volume instead of poisoning the batch.
 func TestSaveStreamFailureSweep(t *testing.T) {
 	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Cores: 2})
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

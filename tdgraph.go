@@ -1,20 +1,21 @@
 // Package tdgraph is the public API of the TDGraph streaming-graph
-// library: incremental graph algorithms over batched edge updates, the
-// topology-driven processing engine of Zhao et al. (ISCA 2022), native
-// parallel execution, and the architectural simulator behind the paper's
-// evaluation.
+// library: incremental graph algorithms over batched edge updates, kept
+// converged by a native parallel engine that applies each batch to a
+// mutable graph store in place.
 //
 // The central type is Session: it owns a mutable graph, keeps the
 // algorithm's states converged across update batches, and processes each
 // batch incrementally:
 //
 //	s, _ := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, numVertices, tdgraph.SessionOptions{})
+//	defer s.Close()
 //	res, _ := s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 1, Dst: 2, Weight: 3}}})
 //	dist := s.State(2)
 //
-// Lower-level building blocks (generators, the simulator, the benchmark
-// harness, the individual engine models) live in the internal packages
-// and are exercised through cmd/ and the examples.
+// The paper's machine — the topology-driven engine of Zhao et al. (ISCA
+// 2022) on the simulated Table 1 system, and the baselines it is
+// measured against — lives in the internal packages and is driven by
+// cmd/tdgraph-bench, cmd/tdgraph-run and the examples.
 package tdgraph
 
 import (
@@ -23,7 +24,6 @@ import (
 	"runtime/debug"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
-	"github.com/tdgraph/tdgraph/internal/engine"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/stream"
@@ -65,27 +65,17 @@ var (
 	LoadSNAPFile = graph.LoadSNAPFile
 )
 
-// EngineKind selects how a Session processes batches.
+// EngineKind is the type of the deprecated SessionOptions.Engine.
+//
+// Deprecated: a Session has one engine. See SessionOptions.Engine.
 type EngineKind int
 
-const (
-	// EngineTopologyDriven is the paper's contribution: topology-driven
-	// incremental processing (TDGraph). Functional execution — no
-	// architectural simulation — using the same algorithm as the
-	// simulated TDGraph-H.
-	EngineTopologyDriven EngineKind = iota
-	// EngineBaseline is the frontier-synchronous incremental engine
-	// (the Ligra-o discipline).
-	EngineBaseline
-	// EngineNativeParallel runs the real goroutine-parallel engines —
-	// the fastest wall-clock option and the production serving path.
-	// The session holds a mutable hybrid graph store (O(degree)
-	// updates, no per-batch CSR rebuild) and, for monotonic algorithms,
-	// a stateful incremental engine with persistent worklists, work
-	// stealing, and software-TDTU propagation counters. Accumulative
-	// algorithms use the parallel delta engine over sealed views.
-	EngineNativeParallel
-)
+// EngineNativeParallel names the one engine a Session runs.
+//
+// Deprecated: it is the only engine, so naming it changes nothing. It
+// stays only because the serving benchmark (benchmark/cluster.go), which
+// is frozen, sets it.
+const EngineNativeParallel EngineKind = 2
 
 // ValidationPolicy selects how a Session screens incoming updates; see
 // the internal/stream validator for the exact semantics of each rung.
@@ -110,19 +100,16 @@ const (
 
 // SessionOptions configures a Session.
 type SessionOptions struct {
-	// Engine selects the processing discipline (default
-	// EngineTopologyDriven).
+	// Engine is ignored.
+	//
+	// Deprecated: a Session has one engine. The field stays only because
+	// the serving benchmark (benchmark/cluster.go), which is frozen, sets
+	// it to EngineNativeParallel.
 	Engine EngineKind
-	// Cores is the logical partition width for the functional engines
-	// and the worker count for the native engine (default: 8 for
-	// functional, GOMAXPROCS for native).
+	// Cores is the native engine's worker count (default 8).
 	Cores int
-	// Simulate attaches the scaled Table 1 machine so per-batch
-	// Metrics include cycle counts and memory-system counters.
-	// (Simulation is orders of magnitude slower than functional mode.)
-	Simulate bool
 	// Validation screens every batch (and the initial edge list) before
-	// it reaches the graph builder. Default ValidationNone.
+	// it reaches the graph. Default ValidationNone.
 	Validation ValidationPolicy
 	// MaxVertices caps valid vertex IDs when Validation is armed; 0
 	// means "the vertex count the session was created with". Without a
@@ -135,20 +122,17 @@ type SessionOptions struct {
 }
 
 // Session maintains a streaming graph and its converged algorithm states
-// across batches. The graph representation and repair discipline live
-// behind an engine backend selected by SessionOptions.Engine; the
-// validation, robustness, and checkpoint machinery above it is
-// backend-agnostic, so a checkpoint written under one engine restores
-// under another.
+// across batches. It applies each batch to a mutable hybrid graph store
+// in place and repairs the states with the native parallel engine; the
+// validation, robustness and checkpoint machinery sits above that one
+// engine. A Session holds a worker pool: Close it when done.
 type Session struct {
 	opt SessionOptions
 	a   algo.Algorithm
-	eng engineBackend
+	eng *nativeBackend
 
 	validator *stream.Validator
 	rob       *stats.Collector
-
-	lastCycles float64
 
 	// ckptBuf is the checkpoint file buffer, reused by every save; the
 	// graph and state payloads are encoded straight into it.
@@ -178,12 +162,6 @@ func NewSession(a Algorithm, edges []Edge, numVertices int, opt SessionOptions) 
 	if a == nil {
 		return nil, fmt.Errorf("tdgraph: nil algorithm")
 	}
-	if opt.Cores <= 0 {
-		opt.Cores = 8
-	}
-	if opt.Engine == EngineNativeParallel && opt.Simulate {
-		return nil, fmt.Errorf("tdgraph: the native parallel engine cannot be simulated")
-	}
 	rob := stats.NewCollector()
 	var validator *stream.Validator
 	if opt.Validation != ValidationNone {
@@ -207,35 +185,15 @@ func NewSession(a Algorithm, edges []Edge, numVertices int, opt SessionOptions) 
 			}
 		}
 	}
-	eng, err := newBackend(a, numVertices, edges, nil, opt)
+	eng, err := newNativeBackend(a, graph.NewStoreFromEdges(numVertices, edges), nil, opt.Cores)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{opt: opt, a: a, eng: eng, validator: validator, rob: rob}, nil
 }
 
-// newBackend constructs the engine backend for opt. A nil warm converges
-// the initial fixpoint from scratch; non-nil states (a restored
-// checkpoint) are installed verbatim.
-func newBackend(a Algorithm, numVertices int, edges []Edge, warm []float64, opt SessionOptions) (engineBackend, error) {
-	if opt.Engine == EngineNativeParallel {
-		return newNativeBackend(a, graph.NewStoreFromEdges(numVertices, edges), warm, opt)
-	}
-	b := graph.NewBuilderFromEdges(numVertices, edges)
-	snap := b.Snapshot()
-	sb := &simBackend{opt: opt, a: a, b: b, snap: snap, state: warm}
-	if warm == nil {
-		sb.state = algo.Reference(a, snap)
-	} else if len(warm) != snap.NumVertices {
-		return nil, fmt.Errorf("tdgraph: %d states for %d vertices", len(warm), snap.NumVertices)
-	}
-	return sb, nil
-}
-
-// Close releases engine resources — the native engine's persistent
-// worker pool in particular. The session must not be used afterwards;
-// safe to call more than once. Sessions on the functional or simulated
-// engines hold no pooled resources, so Close is optional for them.
+// Close parks the engine's worker pool. The session must not be used
+// afterwards; safe to call more than once.
 func (s *Session) Close() {
 	if s.closed {
 		return
@@ -258,21 +216,17 @@ func (s *Session) State(v VertexID) float64 { return s.eng.states()[v] }
 // session and is invalidated by the next ApplyBatch.
 func (s *Session) States() []float64 { return s.eng.states() }
 
-// Graph returns the current immutable snapshot. Under the native engine
-// this seals the mutable store on first call after a batch and caches
-// the view until the next mutation.
+// Graph returns the current immutable snapshot. It seals the mutable
+// store on the first call after a batch and caches the view until the
+// next mutation.
 func (s *Session) Graph() *Snapshot { return s.eng.snapshot() }
 
-// Metrics returns the metric collector of the last ApplyBatch (nil before
-// the first batch). Simulated sessions additionally expose cycle counts
-// via LastCycles.
+// Metrics returns the engine's propagation counters, accumulated over
+// the session's batches (nil before the first batch; accumulative
+// algorithms report none).
 func (s *Session) Metrics() *stats.Collector { return s.eng.metrics() }
 
-// LastCycles returns the simulated cycle count of the last batch (zero in
-// functional mode).
-func (s *Session) LastCycles() float64 { return s.lastCycles }
-
-// PanicError is an engine or builder panic converted to an error at the
+// PanicError is an engine or store panic converted to an error at the
 // public API boundary, with the operation and stack that produced it. The
 // session it escaped from has already been healed (states recomputed from
 // the current graph), so the caller may keep streaming.
@@ -327,21 +281,16 @@ func (s *Session) applyBatchProtected(batch []Update) (res ApplyResult, err erro
 		}
 	}()
 
-	var cycles float64
-	res, cycles = s.eng.apply(batch)
-	if s.opt.Simulate {
-		s.lastCycles = cycles
-	}
-	return res, nil
+	return s.eng.apply(batch), nil
 }
 
 // healAfterPanic restores the session to a consistent shape after a
-// recovered panic: the backend's graph is still consistent (store and
-// builder mutations are per-update, not partial), so the states are
-// recomputed from scratch on it. The recompute runs the algorithm's own
-// code — the very code that may have panicked — so it is protected too:
-// if it panics again the states are merely padded to the graph's shape,
-// keeping the session usable for inspection and checkpointing.
+// recovered panic: the store is still consistent (its mutations are
+// per-update, not partial), so the states are recomputed from scratch on
+// it. The recompute runs the algorithm's own code — the very code that
+// may have panicked — so it is protected too: if it panics again the
+// states are merely padded to the graph's shape, keeping the session
+// usable for inspection and checkpointing.
 func (s *Session) healAfterPanic() {
 	defer func() {
 		if recover() != nil {
@@ -356,7 +305,7 @@ func (s *Session) healAfterPanic() {
 // without repairing anything. It returns the first divergent vertex and
 // false on divergence, or (0, true) when the states are consistent.
 func (s *Session) Audit() (VertexID, bool) {
-	v, ok := engine.AuditStates(s.a, s.eng.snapshot(), s.eng.states())
+	v, ok := algo.AuditStates(s.a, s.eng.snapshot(), s.eng.states())
 	if !ok {
 		s.rob.Inc(stats.CtrAuditDivergence)
 	}

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	tdgraph "github.com/tdgraph/tdgraph"
+	"github.com/tdgraph/tdgraph/internal/algo"
+	"github.com/tdgraph/tdgraph/internal/engine"
+	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
 )
 
@@ -15,21 +18,49 @@ func sessionEdges() ([]tdgraph.Edge, int) {
 	}), 3000
 }
 
-// TestSessionLifecycle streams several batches through every engine kind
-// and cross-checks against a from-scratch recompute.
-func TestSessionLifecycle(t *testing.T) {
-	kinds := map[string]tdgraph.SessionOptions{
-		"topology-driven": {Engine: tdgraph.EngineTopologyDriven},
-		"baseline":        {Engine: tdgraph.EngineBaseline},
-		"native":          {Engine: tdgraph.EngineNativeParallel},
+// engines are the three ways a batch is processed here: the Session
+// (nil) and the paper's two functional engines.
+var engines = map[string]func(*engine.Runtime) engine.System{
+	"topology-driven": enginetest.TopologyDriven,
+	"baseline":        enginetest.Baseline,
+	"native":          nil,
+}
+
+// stepper converges SSSP from vertex 0 on edges, in a Session when
+// system is nil and in an enginetest.Runner otherwise. The step it
+// returns applies one batch and returns the incremental states and the
+// from-scratch ones.
+func stepper(t *testing.T, system func(*engine.Runtime) engine.System, edges []tdgraph.Edge, nv int) func([]tdgraph.Update) (got, want []float64) {
+	t.Helper()
+	if system != nil {
+		ref := enginetest.NewRunner(tdgraph.NewSSSP(0), edges, nv, system)
+		return func(b []tdgraph.Update) ([]float64, []float64) {
+			ref.Apply(b)
+			return ref.S, algo.Reference(ref.Algo, ref.G)
+		}
 	}
-	for name, opt := range kinds {
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return func(b []tdgraph.Update) ([]float64, []float64) {
+		if _, err := s.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		got := append([]float64(nil), s.States()...)
+		s.Recompute()
+		return got, s.States()
+	}
+}
+
+// TestSessionLifecycle streams several batches through every engine and
+// cross-checks against a from-scratch recompute.
+func TestSessionLifecycle(t *testing.T) {
+	for name, system := range engines {
 		t.Run(name, func(t *testing.T) {
 			edges, nv := sessionEdges()
-			s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			step := stepper(t, system, edges, nv)
 			for batch := 0; batch < 3; batch++ {
 				var updates []tdgraph.Update
 				for i := 0; i < 150; i++ {
@@ -42,16 +73,9 @@ func TestSessionLifecycle(t *testing.T) {
 						Edge: tdgraph.Edge{Src: src, Dst: dst, Weight: float32(1 + i%8)},
 					})
 				}
-				if _, err := s.ApplyBatch(updates); err != nil {
-					t.Fatal(err)
-				}
-				got := append([]float64(nil), s.States()...)
-				s.Recompute()
-				for v := range got {
-					w := s.State(tdgraph.VertexID(v))
-					if got[v] != w && !(math.IsInf(got[v], 1) && math.IsInf(w, 1)) {
-						t.Fatalf("batch %d: incremental state of %d = %v, recompute = %v", batch, v, got[v], w)
-					}
+				got, want := step(updates)
+				if v := algo.StatesEqual(got, want, 0); v >= 0 {
+					t.Fatalf("batch %d: incremental state of %d = %v, recompute = %v", batch, v, got[v], want[v])
 				}
 			}
 		})
@@ -81,61 +105,20 @@ func TestSessionSameEdgeTwiceInOneBatch(t *testing.T) {
 		{"added then deleted", []tdgraph.Update{add(1, 3, 2), del(1, 3)}, 3, inf},
 		{"re-weighted down then up", []tdgraph.Update{add(1, 2, 0.5), add(1, 2, 7)}, 2, 19},
 	} {
-		for name, engine := range map[string]tdgraph.EngineKind{
-			"topology-driven": tdgraph.EngineTopologyDriven,
-			"baseline":        tdgraph.EngineBaseline,
-			"native":          tdgraph.EngineNativeParallel,
-		} {
+		for name, system := range engines {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				s, err := tdgraph.NewSession(tdgraph.NewSSSP(0),
-					[]tdgraph.Edge{{Src: 0, Dst: 1, Weight: 12}, {Src: 1, Dst: 2, Weight: 1}}, 4,
-					tdgraph.SessionOptions{Engine: engine})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				if _, err := s.ApplyBatch(tc.batch); err != nil {
-					t.Fatal(err)
-				}
-				got := append([]float64(nil), s.States()...)
+				edges := []tdgraph.Edge{{Src: 0, Dst: 1, Weight: 12}, {Src: 1, Dst: 2, Weight: 1}}
+				got, want := stepper(t, system, edges, 4)(tc.batch)
 				if got[tc.vertex] != tc.want {
 					t.Fatalf("state[%d] = %v, want %v", tc.vertex, got[tc.vertex], tc.want)
 				}
-				s.Recompute()
-				for v, w := range s.States() {
+				for v, w := range want {
 					if math.Float64bits(got[v]) != math.Float64bits(w) {
 						t.Fatalf("incremental state[%d] = %v, recompute = %v", v, got[v], w)
 					}
 				}
 			})
 		}
-	}
-}
-
-// TestSessionSimulated attaches the architectural simulator and checks
-// that cycle counts and counters come back.
-func TestSessionSimulated(t *testing.T) {
-	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv,
-		tdgraph.SessionOptions{Simulate: true, Cores: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.ApplyBatch([]tdgraph.Update{
-		{Edge: tdgraph.Edge{Src: 0, Dst: 2999, Weight: 1}},
-		{Edge: tdgraph.Edge{Src: 2999, Dst: 1500, Weight: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Added == 0 {
-		t.Fatal("batch added nothing")
-	}
-	if s.LastCycles() <= 0 {
-		t.Fatal("no simulated cycles recorded")
-	}
-	if s.Metrics() == nil {
-		t.Fatal("no metrics recorded")
 	}
 }
 
@@ -147,6 +130,7 @@ func TestSessionGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if _, err := s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 1, Dst: 9, Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +142,10 @@ func TestSessionGrowth(t *testing.T) {
 	}
 }
 
-// TestSessionRejects misconfigurations.
+// TestSessionRejects a session without an algorithm.
 func TestSessionRejects(t *testing.T) {
 	if _, err := tdgraph.NewSession(nil, nil, 1, tdgraph.SessionOptions{}); err == nil {
 		t.Fatal("nil algorithm accepted")
-	}
-	if _, err := tdgraph.NewSession(tdgraph.NewSSSP(0), nil, 10,
-		tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel, Simulate: true}); err == nil {
-		t.Fatal("native engine accepted simulation")
 	}
 }
 
@@ -174,11 +154,11 @@ func TestSessionRejects(t *testing.T) {
 // delta truncation compounds across batches).
 func TestSessionNativePageRank(t *testing.T) {
 	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewPageRank(), edges, nv,
-		tdgraph.SessionOptions{Engine: tdgraph.EngineNativeParallel})
+	s, err := tdgraph.NewSession(tdgraph.NewPageRank(), edges, nv, tdgraph.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	for batch := 0; batch < 2; batch++ {
 		var updates []tdgraph.Update
 		for i := 0; i < 100; i++ {
