@@ -1,16 +1,20 @@
 // Command tdgraph-serve runs the durable streaming ingestion service:
-// a workload (or SNAP edge-list file) is streamed through the bounded
-// admission queue into a write-ahead-logged session on the incremental
-// native engine with rotating checkpoints, so the run survives kill -9
-// at any instant — restart with the same -wal and -ckpt paths and it
-// resumes from the newest checkpoint plus WAL replay, losing nothing
-// past the last fsync barrier.
+// a workload (or SNAP edge-list file) is streamed into a
+// write-ahead-logged session on the incremental native engine with
+// rotating checkpoints, so the run survives kill -9 at any instant.
 //
-// Usage:
+// Every serving role runs the same member, a replica.Node, and every
+// batch reaches it through the same client, replica.Client. -role solo
+// (the default) is a one-member cluster in one process: a node with no
+// peers on a loopback port, which elects itself, and a client streaming
+// the workload into it. Restart with the same -wal and -ckpt paths and
+// it resumes from the newest checkpoint plus WAL replay, losing nothing
+// past the last fsync barrier; the client skips every batch the node
+// reports durable, so a rerun is exactly-once:
 //
 //	tdgraph-serve -wal /var/lib/tdgraph/wal -ckpt /var/lib/tdgraph/ckpt.tds \
 //	              -dataset LJ -scale 0.25 -algo sssp -batches 16
-//	tdgraph-serve -wal ./wal -walsync interval:8 -admit shed -queue 32
+//	tdgraph-serve -wal ./wal -walsync interval:8 -slo 50ms
 //
 // Self-driving cluster: start each member with -role auto and the
 // full peer ring; the members elect a leader among themselves, detect
@@ -26,12 +30,10 @@
 //	tdgraph-serve -role auto -listen :7403 -peers localhost:7401,localhost:7402 -wal ./c-wal -dataset AZ -seed 1
 //	tdgraph-serve -role client -peers localhost:7401,localhost:7402,localhost:7403 -dataset AZ -seed 1
 //
-// -role is exactly solo | auto | client: solo is the single-node
-// service above, auto is the only way to run a cluster member.
+// -role is exactly solo | auto | client.
 //
-// SIGINT/SIGTERM begin a graceful drain: admission stops, queued
-// batches are made durable, the WAL is flushed and a final checkpoint
-// generation is cut.
+// SIGINT/SIGTERM begin a graceful drain: the client stops submitting,
+// the WAL is flushed and a final checkpoint generation is cut.
 package main
 
 import (
@@ -76,20 +78,15 @@ func main() {
 		ckptEvery = flag.Int("ckpt-every", 16, "checkpoint every N ingested batches")
 		ckptKeep  = flag.Int("ckpt-keep", 2, "checkpoint generations to retain")
 
-		queueCap    = flag.Int("queue", 16, "ingest queue capacity in batches")
-		admit       = flag.String("admit", "block", "admission policy when full: block | shed")
-		maxMerge    = flag.Int("max-merge", 0, "coalesced batch size cap in updates (0 = unlimited)")
-		queueBytes  = flag.Int64("queue-bytes", 0, "ingest queue byte bound in wire bytes (0 = unbounded)")
-		maxRestarts = flag.Int("max-restarts", 3, "supervisor restart budget (-1 = unlimited)")
-		slo         = flag.Duration("slo", 0, "ingest-latency objective; enables SLO-driven admission control (0 = off)")
-		diskLow     = flag.Int64("disk-low-water", 0, "free-space floor in bytes under which ingest degrades to read-only (0 = ENOSPC-only degradation)")
-		deadline    = flag.Duration("deadline", 0, "client: per-batch deadline propagated to the leader (0 = none)")
+		slo      = flag.Duration("slo", 0, "ingest-latency objective; enables SLO-driven admission control (0 = off)")
+		diskLow  = flag.Int64("disk-low-water", 0, "free-space floor in bytes under which ingest degrades to read-only (0 = ENOSPC-only degradation)")
+		deadline = flag.Duration("deadline", 0, "per-batch deadline the client propagates to the leader (0 = none)")
 
 		faults   = flag.String("faults", "", "seeded WAL fault spec, e.g. 'wal-torn:4096,fsync-err:2,disk-full:1048576'")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine")
-		verbose  = flag.Bool("v", false, "log supervisor events (restarts, shedding, poisonings)")
+		verbose  = flag.Bool("v", false, "log node and client events (elections, redirects, retries)")
 
-		role      = flag.String("role", "solo", "how to run: solo (single node) | auto (self-driving cluster member) | client (submit to a cluster)")
+		role      = flag.String("role", "solo", "how to run: solo (one-member cluster and its client, in one process) | auto (self-driving cluster member) | client (submit to a cluster)")
 		peers     = flag.String("peers", "", "auto: the other members' addresses; client: cluster addresses to try (comma-separated)")
 		listen    = flag.String("listen", "", "auto: address to accept cluster connections on (required)")
 		advertise = flag.String("advertise", "", "auto: address peers dial this node by (default -listen)")
@@ -144,10 +141,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	admitPolicy, err := serve.ParseAdmitPolicy(*admit)
-	if err != nil {
-		fatal(err)
-	}
 
 	bs := *batchSz
 	if bs <= 0 {
@@ -167,7 +160,9 @@ func main() {
 	defer stop()
 
 	if *role == "client" {
-		runClient(ctx, *peers, *seed, *deadline, w.Batches, *verbose)
+		if err := runClient(ctx, splitAddrs(*peers), *seed, *deadline, w.Batches, *verbose); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -182,7 +177,10 @@ func main() {
 	}
 
 	opts := tdgraph.SessionOptions{Validation: pol, MaxVertices: nv}
-	cfg := serve.ServerConfig{
+	ncfg := replica.NodeConfig{
+		Addr:  *advertise,
+		Peers: splitAddrs(*peers),
+		Dial:  dialTCP,
 		Pipeline: serve.PipelineConfig{
 			Bootstrap: func() (*tdgraph.Session, error) {
 				fmt.Print("computing initial fixed point... ")
@@ -204,55 +202,29 @@ func main() {
 			Collector:       stats.NewCollector(),
 			DiskLowWater:    uint64(*diskLow),
 		},
-		Queue: serve.QueueConfig{
-			Capacity: *queueCap, Policy: admitPolicy, MaxBatchUpdates: *maxMerge,
-			MaxBytes: *queueBytes,
-		},
-		MaxRestarts: *maxRestarts,
-		SLO:         *slo,
+		Quorum: *quorum,
+		SLO:    *slo,
 	}
 	if *verbose {
-		cfg.OnEvent = func(line string) { fmt.Println("serve:", line) }
+		ncfg.OnEvent = func(line string) { fmt.Println("node:", line) }
 	}
 
-	if *role == "auto" {
-		if cfg.Pipeline.CheckpointPath == "" {
+	var runErr error
+	if *role == "solo" {
+		runErr = runSolo(ctx, ncfg, *seed, *deadline, w.Batches, *verbose)
+	} else {
+		if ncfg.Addr == "" {
+			ncfg.Addr = *listen
+		}
+		if ncfg.Pipeline.CheckpointPath == "" {
 			// Auto-reseed installs the shipped checkpoint file; without a
 			// checkpoint path there is nowhere durable to put it and the
 			// member would refuse snapshot offers.
-			cfg.Pipeline.CheckpointPath = filepath.Join(*walDir, "ckpt.tds")
+			ncfg.Pipeline.CheckpointPath = filepath.Join(*walDir, "ckpt.tds")
 			fmt.Printf("auto: -ckpt not set; defaulting to %s so auto-reseed can install snapshots\n",
-				cfg.Pipeline.CheckpointPath)
+				ncfg.Pipeline.CheckpointPath)
 		}
-		runAuto(ctx, cfg.Pipeline, *listen, *advertise, *peers, *quorum, *slo, *verbose)
-		return
-	}
-
-	srv := serve.NewServer(cfg)
-	start := time.Now()
-	runErr := srv.Run(ctx, serve.NewSliceSource(w.Batches))
-	wall := time.Since(start)
-
-	if p := srv.Pipeline(); p != nil {
-		col := srv.Collector()
-		fmt.Printf("\nserved %d batches (%d durable sequence) in %s\n",
-			col.Get(stats.CtrServeIngested), p.Seq(), wall.Round(time.Millisecond))
-		fmt.Printf("  wal: appends=%d fsyncs=%d rotations=%d retired=%d replayed=%d torn-recovered=%d\n",
-			col.Get(stats.CtrWALAppends), col.Get(stats.CtrWALFsyncs),
-			col.Get(stats.CtrWALRotations), col.Get(stats.CtrWALRetained),
-			col.Get(stats.CtrWALReplayed), col.Get(stats.CtrWALTornRecovered))
-		fmt.Printf("  queue: admitted=%d coalesced=%d shed=%d\n",
-			col.Get(stats.CtrServeAdmitted), col.Get(stats.CtrServeCoalesced),
-			col.Get(stats.CtrServeShed))
-		fmt.Printf("  supervisor: restarts=%d poisoned=%d checkpoints=%d rejected=%d\n",
-			col.Get(stats.CtrServeRestarts), col.Get(stats.CtrServePoisoned),
-			col.Get(stats.CtrServeCheckpoints), col.Get(stats.CtrServeRejected))
-		printOverloadStats(col)
-		s := p.Session()
-		fmt.Printf("  session: %d vertices, %d edges\n", s.NumVertices(), s.NumEdges())
-	}
-	if ctx.Err() != nil {
-		fmt.Println("drained after signal: durable state is on disk; restart to resume")
+		runErr = runNode(ctx, "auto", ncfg, *listen, nil)
 	}
 	if runErr != nil {
 		fatal(runErr)
@@ -285,16 +257,13 @@ func validateRole(role, walDir, listen, peers string) error {
 	return nil
 }
 
-// printOverloadStats is the one place the overload-ladder counters are
-// rendered; solo and auto runs both end with it.
-func printOverloadStats(col *stats.Collector) {
-	fmt.Printf("  overload: slo-shed=%d slo-coalesced=%d deadline-expired=%d disk-rejects=%d readonly-entries=%d readonly-exits=%d\n",
-		col.Get(stats.CtrQueueShedSLO), col.Get(stats.CtrQueueCoalescedSLO),
-		col.Get(stats.CtrServeDeadlineExpired), col.Get(stats.CtrServeDiskPressure),
-		col.Get(stats.CtrServeReadonlyEntries), col.Get(stats.CtrServeReadonlyExits))
-}
-
-func printReplStats(col *stats.Collector, term uint64) {
+// printNodeStats renders a drained member's counters.
+func printNodeStats(col *stats.Collector, term uint64) {
+	fmt.Printf("  wal: appends=%d fsyncs=%d rotations=%d retired=%d replayed=%d torn-recovered=%d checkpoints=%d rejected=%d\n",
+		col.Get(stats.CtrWALAppends), col.Get(stats.CtrWALFsyncs),
+		col.Get(stats.CtrWALRotations), col.Get(stats.CtrWALRetained),
+		col.Get(stats.CtrWALReplayed), col.Get(stats.CtrWALTornRecovered),
+		col.Get(stats.CtrServeCheckpoints), col.Get(stats.CtrServeRejected))
 	fmt.Printf("  repl: term=%d shipped=%d acks=%d catchup=%d dup=%d lag=%d drops=%d quorum-failures=%d fence-rejections=%d diverged-rejections=%d failovers=%d\n",
 		term,
 		col.Get(stats.CtrReplShippedRecords), col.Get(stats.CtrReplAcks),
@@ -310,41 +279,64 @@ func printReplStats(col *stats.Collector, term uint64) {
 		col.Get(stats.CtrReplHeartbeatsSent), col.Get(stats.CtrReplHeartbeatsMissed),
 		col.Get(stats.CtrReplElections), col.Get(stats.CtrReplDemotions),
 		col.Get(stats.CtrReplRedirects))
-	printOverloadStats(col)
+	fmt.Printf("  overload: slo-shed=%d deadline-expired=%d disk-rejects=%d readonly-entries=%d readonly-exits=%d\n",
+		col.Get(stats.CtrQueueShedSLO),
+		col.Get(stats.CtrServeDeadlineExpired), col.Get(stats.CtrServeDiskPressure),
+		col.Get(stats.CtrServeReadonlyEntries), col.Get(stats.CtrServeReadonlyExits))
 }
 
-// runAuto runs one self-driving cluster member: a replica.Node whose
-// role loop handles liveness, elections, demotion, and rejoin with no
+// runSolo serves the workload on a one-member cluster: runNode with no
+// peers on a loopback port, where the member elects itself, and
+// runClient pointed at it. When the client returns, the node is
+// cancelled and drained. A signal is a graceful drain, not an error:
+// everything acked is durable, and a rerun over the same -wal resumes
+// past it.
+func runSolo(ctx context.Context, ncfg replica.NodeConfig, seed int64, deadline time.Duration, batches [][]graph.Update, verbose bool) error {
+	ncfg.Addr, ncfg.Peers, ncfg.Quorum = "", nil, 0 // one member, at the loopback port it binds
+	nodeCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	bound := make(chan string, 1)
+	served := make(chan error, 1)
+	go func() { served <- runNode(nodeCtx, "solo", ncfg, "127.0.0.1:0", func(addr string) { bound <- addr }) }()
+	var clientErr error
+	select {
+	case addr := <-bound:
+		clientErr = runClient(ctx, []string{addr}, seed, deadline, batches, verbose)
+	case err := <-served:
+		return err
+	}
+	stop()
+	if ctx.Err() != nil && errors.Is(clientErr, context.Canceled) {
+		fmt.Println("drained after signal: durable state is on disk; restart to resume")
+		clientErr = nil
+	}
+	return errors.Join(clientErr, <-served)
+}
+
+// runNode runs one member until ctx ends: a replica.Node whose role
+// loop handles liveness, elections, demotion, and rejoin with no
 // operator in the loop. The node boots as a candidate (a live leader
 // its probe finds makes it defer); a cold cluster elects as soon as one
 // member's probe round hears every member, and everyone else replicates
-// from the winner. The listener is bound before recovery runs, so a
-// peer's probe waits in the accept backlog while this member recovers
-// instead of being refused (and a port already in use fails before
-// recovery). Start every member with the same -peers ring (minus
-// itself) and point -role client at any of them.
-func runAuto(ctx context.Context, pcfg serve.PipelineConfig, listen, advertise, peers string, quorum int, slo time.Duration, verbose bool) {
-	if advertise == "" {
-		advertise = listen
-	}
-	ncfg := replica.NodeConfig{
-		Addr:     advertise,
-		Peers:    splitAddrs(peers),
-		Dial:     dialTCP,
-		Pipeline: pcfg,
-		Quorum:   quorum,
-		SLO:      slo,
-	}
-	if verbose {
-		ncfg.OnEvent = func(line string) { fmt.Println("node:", line) }
-	}
+// from the winner — a member with no peers elects itself at once. The
+// listener is bound before recovery runs, so a peer's probe waits in
+// the accept backlog while this member recovers instead of being
+// refused (and a port already in use fails before recovery). An empty
+// ncfg.Addr advertises the bound address; ready, if set, is handed it
+// once the node serves. Start every auto member with the same -peers
+// ring (minus itself) and point -role client at any of them.
+func runNode(ctx context.Context, role string, ncfg replica.NodeConfig, listen string, ready func(addr string)) error {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	defer ln.Close()
+	if ncfg.Addr == "" {
+		ncfg.Addr = ln.Addr().String()
 	}
 	node, err := replica.NewNode(ncfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	go func() {
 		<-ctx.Done()
@@ -359,42 +351,43 @@ func runAuto(ctx context.Context, pcfg serve.PipelineConfig, listen, advertise, 
 			go node.HandleConn(conn)
 		}
 	}()
-	fmt.Printf("auto: %s recovered to seq %d at term %d, listening on %s, peers %v\n",
-		advertise, node.Follower().Seq(), node.Term(), ln.Addr(), ncfg.Peers)
+	fmt.Printf("%s: %s recovered to seq %d at term %d, listening on %s, peers %v\n",
+		role, ncfg.Addr, node.Follower().Seq(), node.Term(), ln.Addr(), ncfg.Peers)
+	if ready != nil {
+		ready(ncfg.Addr)
+	}
 	runErr := node.Run(ctx)
 	closeErr := node.Close()
-	col := node.Follower().Pipeline().Collector()
-	fmt.Printf("\nauto: drained as %s at seq %d\n", node.Role(), node.Follower().Seq())
-	printReplStats(col, node.Term())
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		fatal(runErr)
+	pipe := node.Follower().Pipeline()
+	fmt.Printf("\n%s: drained as %s at seq %d\n", role, node.Role(), node.Follower().Seq())
+	printNodeStats(pipe.Collector(), node.Term())
+	s := pipe.Session()
+	fmt.Printf("  session: %d vertices, %d edges\n", s.NumVertices(), s.NumEdges())
+	if errors.Is(runErr, context.Canceled) {
+		runErr = nil
 	}
-	if closeErr != nil {
-		fatal(closeErr)
-	}
+	return errors.Join(runErr, closeErr)
 }
 
-// runClient streams the workload into the cluster from outside it,
-// chasing the leader through redirect hints when leadership moves.
-// Acked batches stay exactly-once across failovers: every Welcome
-// (and ack) names the durable prefix, and the client resubmits only
-// past it.
-func runClient(ctx context.Context, peers string, seed int64, deadline time.Duration, batches [][]graph.Update, verbose bool) {
-	ccfg := replica.ClientConfig{Nodes: splitAddrs(peers), Dial: dialTCP, Seed: seed, BatchDeadline: deadline}
+// runClient streams the workload into the cluster at addrs, chasing
+// the leader through redirect hints when leadership moves. Acked
+// batches stay exactly-once across failovers and reruns: every Welcome
+// (and ack) names the durable prefix, and the client submits only past
+// it.
+func runClient(ctx context.Context, addrs []string, seed int64, deadline time.Duration, batches [][]graph.Update, verbose bool) error {
+	ccfg := replica.ClientConfig{Nodes: addrs, Dial: dialTCP, Seed: seed, BatchDeadline: deadline}
 	if verbose {
 		ccfg.OnEvent = func(line string) { fmt.Println("client:", line) }
 	}
 	cl, err := replica.NewClient(ccfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	start := time.Now()
 	runErr := cl.Run(ctx, batches)
 	fmt.Printf("client: %d of %d batches quorum-durable in %s\n",
 		cl.Acked(), len(batches), time.Since(start).Round(time.Millisecond))
-	if runErr != nil {
-		fatal(runErr)
-	}
+	return runErr
 }
 
 func splitAddrs(list string) []string {

@@ -1,8 +1,21 @@
 package main
 
 import (
+	"context"
+	"math"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	tdgraph "github.com/tdgraph/tdgraph"
+	"github.com/tdgraph/tdgraph/internal/enginetest"
+	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/replica"
+	"github.com/tdgraph/tdgraph/internal/serve"
+	"github.com/tdgraph/tdgraph/internal/stats"
+	"github.com/tdgraph/tdgraph/internal/stream"
+	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // TestValidateRole: -role accepts exactly solo | auto | client, the
@@ -38,4 +51,129 @@ func TestValidateRole(t *testing.T) {
 			t.Errorf("%s: error %q does not name %q", c.name, err, c.wantErr)
 		}
 	}
+}
+
+// soloWorkload is a small deterministic stream. Its batches are a
+// prefix of any longer build with the same seed, so runs of different
+// lengths over one directory extend each other.
+func soloWorkload(batches int) *stream.Workload {
+	const nv = 64
+	edges := make([]graph.Edge, 0, 640)
+	for i := 0; i < 640; i++ {
+		src, dst := uint32(i*7%nv), uint32((i*13+5)%nv)
+		if src == dst {
+			dst = (dst + 1) % nv
+		}
+		edges = append(edges, graph.Edge{Src: src, Dst: dst, Weight: float32(1 + i%9)})
+	}
+	return stream.Build(edges, nv, stream.Config{
+		WarmupFraction: 0.5, BatchSize: 20, AddFraction: 0.75, NumBatches: batches, Seed: 11,
+	})
+}
+
+// syncHookFS calls onSync before every fsync of a WAL segment.
+type syncHookFS struct {
+	wal.FS
+	onSync func()
+}
+
+func (f syncHookFS) Create(path string) (wal.File, error) {
+	file, err := f.FS.Create(path)
+	if err != nil || !strings.HasSuffix(path, ".wal") {
+		return file, err
+	}
+	return syncHookFile{File: file, onSync: f.onSync}, nil
+}
+
+type syncHookFile struct {
+	wal.File
+	onSync func()
+}
+
+func (f syncHookFile) Sync() error {
+	f.onSync()
+	return f.File.Sync()
+}
+
+// TestSoloRunsResumeExactlyOnce drives the solo composition — a
+// one-member node on a loopback port and the client in the same
+// process — over one pair of directories: four batches; the same four
+// again, which the client skips because the node's Welcome reports them
+// durable; eight, which extend the first four; and a run cancelled
+// mid-stream, as a signal would, after which the directories reopen at
+// the durable prefix. Each run's state is checked against the reference
+// engine over the same prefix.
+func TestSoloRunsResumeExactlyOnce(t *testing.T) {
+	walDir, ckptDir := t.TempDir(), t.TempDir()
+	pipeline := func(w *stream.Workload) serve.PipelineConfig {
+		return serve.PipelineConfig{
+			Bootstrap: func() (*tdgraph.Session, error) {
+				return tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, tdgraph.SessionOptions{Cores: 2})
+			},
+			Algorithm:       tdgraph.NewSSSP(0),
+			SessionOptions:  tdgraph.SessionOptions{Cores: 2},
+			WAL:             wal.Options{Dir: walDir, Sync: wal.SyncEachBatch, SegmentBytes: 4096},
+			CheckpointPath:  filepath.Join(ckptDir, "ckpt.tds"),
+			CheckpointEvery: 3,
+			Collector:       stats.NewCollector(),
+		}
+	}
+	// reopen recovers the directories and checks they hold exactly the
+	// first seq batches of w, applied once.
+	reopen := func(w *stream.Workload, seq int) {
+		t.Helper()
+		p, err := serve.NewPipeline(pipeline(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if p.Seq() != uint64(seq) {
+			t.Fatalf("reopened at seq %d, want %d", p.Seq(), seq)
+		}
+		ref := enginetest.NewRunner(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, enginetest.TopologyDriven)
+		for _, b := range w.Batches[:seq] {
+			ref.Apply(b)
+		}
+		for v, s := range p.Session().States() {
+			if math.Float64bits(s) != math.Float64bits(ref.S[v]) {
+				t.Fatalf("seq %d: vertex %d holds %v, the reference %v", seq, v, s, ref.S[v])
+			}
+		}
+	}
+	solo := func(ctx context.Context, w *stream.Workload, pcfg serve.PipelineConfig) *stats.Collector {
+		t.Helper()
+		if err := runSolo(ctx, replica.NodeConfig{Dial: dialTCP, Pipeline: pcfg}, 1, 0, w.Batches, false); err != nil {
+			t.Fatalf("solo run of %d batches: %v", len(w.Batches), err)
+		}
+		return pcfg.Collector
+	}
+
+	four, eight := soloWorkload(4), soloWorkload(8)
+	if col := solo(context.Background(), four, pipeline(four)); col.Get(stats.CtrServeIngested) != 4 {
+		t.Fatalf("first run ingested %d batches, want 4", col.Get(stats.CtrServeIngested))
+	}
+	reopen(four, 4)
+	if col := solo(context.Background(), four, pipeline(four)); col.Get(stats.CtrWALAppends) != 0 || col.Get(stats.CtrServeIngested) != 0 {
+		t.Fatalf("rerun appended %d and applied %d batches, want none", col.Get(stats.CtrWALAppends), col.Get(stats.CtrServeIngested))
+	}
+	reopen(four, 4)
+	if col := solo(context.Background(), eight, pipeline(eight)); col.Get(stats.CtrServeIngested) != 4 {
+		t.Fatalf("eight-batch run ingested %d batches, want the 4 past the durable prefix", col.Get(stats.CtrServeIngested))
+	}
+	reopen(eight, 8)
+
+	// Cancel while batch 10 is being made durable: the node finishes it,
+	// the client submits nothing after, and the drain leaves seq 10.
+	sixteen := soloWorkload(16)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pcfg := pipeline(sixteen)
+	var syncs atomic.Int32
+	pcfg.WAL.FS = syncHookFS{FS: wal.OSFS{}, onSync: func() {
+		if syncs.Add(1) == 2 {
+			cancel()
+		}
+	}}
+	solo(ctx, sixteen, pcfg)
+	reopen(sixteen, 10)
 }

@@ -1,12 +1,14 @@
 package replica
 
 import (
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/stats"
+	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // These stories are the hands-off counterpart of chaos_test.go: nobody
@@ -160,5 +162,67 @@ func TestChaosLeaderIsolationHeals(t *testing.T) {
 		c.net.isolate(ex.cfg.Addr, false)
 		driveUntil(t, c.clk, "rejoin after heal", c.converged)
 		return c.end(cl, nil)
+	})
+}
+
+// failSyncFS fails the fsync numbered at, once, counting from 1 across
+// every file the member syncs through its WAL filesystem: term slots and
+// log segments alike. The disk is healthy before and after.
+type failSyncFS struct {
+	wal.FS
+	at    int
+	syncs *atomic.Int32
+}
+
+func (f failSyncFS) Create(path string) (wal.File, error) {
+	file, err := f.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return failSyncFile{File: file, fs: f}, nil
+}
+
+type failSyncFile struct {
+	wal.File
+	fs failSyncFS
+}
+
+func (f failSyncFile) Sync() error {
+	if int(f.fs.syncs.Add(1)) == f.fs.at {
+		return errors.New("injected one-shot fsync failure")
+	}
+	return f.File.Sync()
+}
+
+// TestChaosOneMemberSyncFailure: a one-member cluster — what
+// tdgraph-serve -role solo runs — whose disk fails one fsync, at each of
+// the first six barriers in turn: two in the term claim, then the first
+// four batches' WAL barriers. Nothing restarts: a failed term claim is a
+// failed candidacy the next election retries, and a failed WAL barrier
+// is refused to the client, which resubmits the same batch at the same
+// sequence, the log's one sanctioned repeat. Every batch is acked and
+// applied once, and the states match the reference.
+func TestChaosOneMemberSyncFailure(t *testing.T) {
+	trials(t, 6, func(t *testing.T, trial int) digest {
+		w := testWorkload(t, 6)
+		c := newCluster(t, w, newManualClock())
+		cfg := fastTiming
+		cfg.Addr, cfg.Seed = "solo", int64(800+trial)
+		cfg.Pipeline = nodeConfig(w, t.TempDir())
+		cfg.Pipeline.CheckpointEvery = -1
+		syncs := new(atomic.Int32)
+		cfg.Pipeline.WAL.FS = failSyncFS{FS: wal.OSFS{}, at: trial + 1, syncs: syncs}
+		m := c.start(cfg)
+
+		cl := c.client(int64(810 + trial))
+		c.feed(cl, w.Batches)
+		if syncs.Load() <= int32(trial+1) {
+			t.Fatalf("%d fsyncs: the failure at fsync %d never struck", syncs.Load(), trial+1)
+		}
+		col := m.Follower().Pipeline().Collector()
+		if got := col.Get(stats.CtrServeIngested); got != uint64(len(w.Batches)) {
+			t.Errorf("applied %d batches, want each of the %d once", got, len(w.Batches))
+		}
+		return c.end(cl, pin(col, stats.CtrServeIngested, stats.CtrWALAppends, stats.CtrReplElections))
 	})
 }

@@ -15,7 +15,7 @@ import (
 // FollowerConfig parameterises the receiving side.
 type FollowerConfig struct {
 	// Pipeline is the follower's own durable pipeline configuration —
-	// the same shape a solo server uses, so promotion is just "start
+	// the same shape a leader uses, so promotion is just "start
 	// serving". The WAL sync policy is forced to SyncEachBatch: an
 	// acknowledgement must mean fsynced, whatever the config says.
 	Pipeline serve.PipelineConfig

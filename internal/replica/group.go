@@ -152,15 +152,14 @@ func framesWaiting(c *sessionConn, br *bufio.Reader, skip int) int {
 }
 
 // awaitFrames reads on into br until it holds want whole frames, its
-// buffer is full, the connection fails, or groupLinger has passed since
-// now. A frame of any kind counts: whatever it is, the round's gather
-// stops there.
-func awaitFrames(conn net.Conn, br *bufio.Reader, want int, now time.Time) {
+// buffer is full, the connection fails, or the deadline passes. A frame
+// of any kind counts: whatever it is, the round's gather stops there.
+func awaitFrames(conn net.Conn, br *bufio.Reader, want int, deadline time.Time) {
 	have, at := wholeFrames(br, 0)
 	if have >= want {
 		return
 	}
-	conn.SetReadDeadline(now.Add(groupLinger))
+	conn.SetReadDeadline(deadline)
 	defer conn.SetReadDeadline(time.Time{})
 	for have < want {
 		if _, err := br.Peek(br.Buffered() + 1); err != nil {

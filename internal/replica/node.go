@@ -73,7 +73,7 @@ type NodeConfig struct {
 	// Dial opens a connection to a peer address.
 	Dial func(addr string) (net.Conn, error)
 	// Pipeline is this node's durable pipeline configuration, exactly
-	// what a solo server or an operator-run follower would use.
+	// what an operator-run follower would use.
 	Pipeline serve.PipelineConfig
 	// Quorum overrides the majority rule when > 0, counting this node
 	// as one (default: majority of len(Peers)+1).
@@ -138,6 +138,10 @@ type Node struct {
 	col   *stats.Collector
 	clock serve.Clock
 	slo   *serve.SLOController // nil unless cfg.SLO is set
+	// linger bounds a round's wait for the submits a pipelining client
+	// owes (groupLinger; a test widens it so that how a window splits
+	// never depends on host load).
+	linger time.Duration
 	// snaps reseeds diverged or far-behind peers while leading, from
 	// the pipeline's own checkpoints (nil when it keeps none).
 	snaps SnapshotSource
@@ -192,7 +196,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Dial == nil {
 		return nil, errors.New("replica: node needs a dialer")
 	}
-	n := &Node{cfg: cfg, clock: cfg.Clock}
+	n := &Node{cfg: cfg, clock: cfg.Clock, linger: groupLinger}
 	n.slo = serve.NewSLOController(serve.SLOConfig{Target: cfg.SLO})
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Addr))
@@ -869,7 +873,7 @@ type clientSession struct {
 // queued behind it (gatherSubmits), made durable by one WAL barrier and
 // one follower round trip and answered with one in-order Ack each; a
 // client with one submit in flight gets groups of one. After a group of
-// k > 1 the next round first waits, at most groupLinger, for the submits
+// k > 1 the next round first waits, at most the linger, for the submits
 // the client owes: the k it sends for the acks plus those already
 // waiting when they went out (awaitFrames). A node that stops
 // being the leader refuses with the redirect hint. Duplicate submissions
@@ -914,7 +918,7 @@ func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
 			continue
 		}
 		if wait > 1 {
-			awaitFrames(conn, br, wait-1, n.clock.Now())
+			awaitFrames(conn, br, wait-1, n.clock.Now().Add(n.linger))
 		}
 		// Everything but a quorum-durable round leaves the gathered
 		// submits unread: the loop then meets them one by one, and they
@@ -928,7 +932,7 @@ func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
 		start := n.clock.Now()
 		deadline := submitDeadline(start, fr.Orig)
 		outcome, durable, ierr := n.ingestSubmit(pipe, fr.Seq, group.payloads, group.batches, deadline)
-		n.slo.Observe(n.clock.Now().Sub(start), 0, 1)
+		n.slo.Observe(n.clock.Now().Sub(start))
 		switch outcome {
 		case submitDuplicate:
 			// Already durable (a retry across failover): re-ack, never
@@ -994,8 +998,14 @@ func (n *Node) serveSubmits(conn net.Conn, s *clientSession) error {
 				}
 				continue
 			}
-			// Failed before the record reached the log: nothing is durable,
-			// nothing was acknowledged. The client retries the same index.
+			// Any other failure ends the session; the client reconnects and
+			// the Welcome's durable sequence says where it resumes. A "wal"
+			// failure never wrote the record. A "wal-sync" failure wrote it
+			// but not its barrier: the client resubmits the same sequence,
+			// which re-drives the barrier (the log's one sanctioned
+			// repeat). A "checkpoint" failure struck after the group was
+			// quorum-durable and applied: durable already counts it, so
+			// the client skips past it.
 			WriteFrame(conn, Frame{Type: FrameReject, Term: term, Seq: durable})
 			return ierr
 		}

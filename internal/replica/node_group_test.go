@@ -211,12 +211,15 @@ func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 
 // TestNodePipelinedWindowCommitsWhole: a client on a real loopback socket
 // that keeps a window of submits in flight and writes the next submit as
-// each ack arrives — the closed loop of a pipelining client — gets about
-// one commit round per window. Taking only what happened to be buffered,
-// its first rounds split the window into groups that took turns, each
-// paying its own barrier, for as long as scheduling let them: up to twice
-// the rounds. The lone leader's states must still match the reference
-// session.
+// each ack arrives — the closed loop of a pipelining client — gets one
+// commit round per window. Taking only what happened to be buffered, its
+// first rounds split the window into groups that took turns, each paying
+// its own barrier, for as long as scheduling let them: up to twice the
+// rounds. The node's linger is widened so that a client descheduled
+// under host load still lands its whole window in the wait; the first
+// window goes out in one write, and the client half-closes after its
+// last submit, so the final round's wait ends at once. The lone leader's
+// states must still match the reference session.
 func TestNodePipelinedWindowCommitsWhole(t *testing.T) {
 	const window, total = 8, 240
 	edges := make([]graph.Edge, 2000)
@@ -239,6 +242,7 @@ func TestNodePipelinedWindowCommitsWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.becomeLeader(term)
+	n.linger = time.Minute
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -260,22 +264,26 @@ func TestNodePipelinedWindowCommitsWhole(t *testing.T) {
 	}
 	defer conn.Close()
 	clientHandshake(t, conn)
-	sent := uint64(0)
-	send := func() {
+	var first []byte
+	for seq := uint64(1); seq <= window; seq++ {
+		first = append(first, submitFrame(w, seq, 0)...)
+	}
+	if _, err := conn.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	for seq, sent := uint64(1), uint64(window); seq <= total; seq++ {
+		if fr, err := ReadFrame(conn); err != nil || fr.Type != FrameAck || fr.Seq != seq {
+			t.Fatalf("answer to submit %d: %+v, %v, want its Ack", seq, fr, err)
+		}
+		if sent == total {
+			continue
+		}
 		sent++
 		if _, err := conn.Write(submitFrame(w, sent, 0)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for sent < window {
-		send()
-	}
-	for seq := uint64(1); seq <= total; seq++ {
-		if fr, err := ReadFrame(conn); err != nil || fr.Type != FrameAck || fr.Seq != seq {
-			t.Fatalf("answer to submit %d: %+v, %v, want its Ack", seq, fr, err)
-		}
-		if sent < total {
-			send()
+		if sent == total {
+			conn.(*net.TCPConn).CloseWrite()
 		}
 	}
 	conn.Close()
@@ -290,9 +298,8 @@ func TestNodePipelinedWindowCommitsWhole(t *testing.T) {
 	if !statesEqual(n.Follower().Pipeline().Session().States(), want) {
 		t.Error("the leader's states differ from the reference session")
 	}
-	// One round per window, the first (the window still arriving) and a
-	// few cut short by a stalled client (the next round takes their rest)
-	// aside.
+	// One round per window (30 here, every run); the bound is the one this
+	// test has always held, a third over.
 	if limit := uint64(total/window + total/window/3); rounds > limit {
 		t.Errorf("%d batches in a window of %d took %d commit rounds, want at most %d (%d is one per window)",
 			total, window, rounds, limit, total/window)
@@ -503,7 +510,7 @@ func runGroupScript(t *testing.T, sc groupScript, oneWrite bool) scriptResult {
 	}
 	n.becomeLeader(term)
 	for i := 0; sc.shed && i < 8; i++ {
-		n.slo.Observe(time.Second, 0, 1)
+		n.slo.Observe(time.Second)
 	}
 
 	client, server := net.Pipe()

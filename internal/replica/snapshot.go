@@ -231,8 +231,8 @@ func (p *Primary) abortReseed(err error) error {
 // of any snapshot transfer still in flight, whose follower resumes
 // tailing at that point after installing. With no live followers and
 // no pending transfer there is no replication constraint (ok=false)
-// and local checkpoint generations alone bound retention, exactly the
-// solo behavior. A follower that rejoins from below the floor anyway
+// and local checkpoint generations alone bound retention, exactly a
+// lone member's behavior. A follower that rejoins from below the floor anyway
 // (it was dead when retention advanced) is reseeded, not refused.
 func (p *Primary) RetainFloor() (uint64, bool) {
 	floor, ok := uint64(0), false

@@ -6,7 +6,7 @@
 // (quorum intersection): an acknowledged batch is fsynced on a
 // majority, so the most-advanced survivor of any single-node loss
 // holds every acknowledged batch, and promotion just replays its own
-// log — the exact recovery path a solo pipeline already trusts.
+// log — the exact recovery path every pipeline already trusts.
 package replica
 
 import (

@@ -1,13 +1,12 @@
-// Package serve is the availability layer of the ingestion path: it
-// turns the batch-at-a-time Session API into a long-running service.
-// Sources feed a bounded queue under admission control; flaky sources
-// are retried with exponential backoff behind a circuit breaker; every
-// admitted batch is made durable in the write-ahead log before it
-// touches the session; and a supervisor converts engine failures into
-// bounded restarts that recover from the newest checkpoint plus WAL
-// replay. Overload degrades gracefully — batch granularity grows
-// before anything is shed — and shutdown drains, flushes and writes a
-// final checkpoint.
+// Package serve is the durable core of the ingestion path: it turns
+// the batch-at-a-time Session API into a long-running service. Every
+// batch is made durable in the write-ahead log before it touches the
+// session, and recovery restores the newest checkpoint plus WAL
+// replay. Flaky sources are retried with exponential backoff behind a
+// circuit breaker; overload degrades through typed, retryable
+// refusals (deadlines, SLO shedding, read-only under disk pressure);
+// and shutdown flushes and writes a final checkpoint. replica.Node
+// runs every serving member on top of it, a lone one included.
 package serve
 
 import (

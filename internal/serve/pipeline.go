@@ -32,8 +32,8 @@ var ErrFenced = errors.New("serve: primary fenced by a newer term")
 // orphaning replication — below every live follower's acknowledged
 // position and any snapshot transfer still in flight. ok=false means
 // replication imposes no constraint (no live followers) and the local
-// generation rule alone decides, which is exactly the solo behavior.
-// The interface lives here so serve never imports the transport; a
+// generation rule alone decides, exactly as for a lone member. The
+// interface lives here so serve never imports the transport; a
 // leader installs its replica.Primary with SetRetentionAdvisor.
 type RetentionAdvisor interface {
 	RetainFloor() (floor uint64, ok bool)
@@ -98,7 +98,7 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	return c
 }
 
-// IngestError locates a pipeline failure by stage, so the supervisor
+// IngestError locates a pipeline failure by stage, so the caller
 // knows whether the batch reached the log: "admit" failures refused
 // the batch before any I/O (deadline already expired, or disk
 // pressure) and "wal" failures happened before the record was written
@@ -266,8 +266,8 @@ func (p *Pipeline) applyLogged(batch []graph.Update) {
 	p.col.Inc(stats.CtrServeRejected)
 }
 
-// Ingest makes one batch durable and applies it — the solo serving
-// path: encode, Append, then Apply, as a group of one. The returned
+// Ingest makes one batch durable and applies it with no quorum round:
+// encode, Append, then Apply, as a group of one. The returned
 // error is always an *IngestError whose Stage says whether the batch got
 // as far as the log. A cluster leader runs the same two halves with the
 // quorum round between them (replica.Primary.Ingest), on the payloads it
@@ -360,17 +360,16 @@ func (p *Pipeline) checkDiskPressure() *DiskPressureError {
 }
 
 // walIngestError classifies an Append failure. ENOSPC is special: the
-// record never persisted (the log repaired its tail), so instead of
-// letting the supervisor burn retries and poison the batch, the
-// pipeline advances retention once, enters read-only, and returns a
-// retryable error wrapping ErrDiskPressure.
+// record never persisted (the log repaired its tail), so instead of a
+// bare failure the pipeline advances retention once, enters
+// read-only, and returns a retryable error wrapping ErrDiskPressure.
 func (p *Pipeline) walIngestError(seq uint64, err error) error {
 	var nd *wal.NotDurableError
 	if errors.As(err, &nd) {
 		// The record is in the log file; only its fsync barrier (or
 		// rotation) failed. Re-sending it as a new sequence would
-		// double-apply it on replay, so the supervisor must restart
-		// and recover instead.
+		// double-apply it on replay; re-sending it at the same sequence
+		// re-drives the barrier.
 		return &IngestError{Seq: seq, Stage: "wal-sync", Err: err}
 	}
 	if wal.IsNoSpace(err) {

@@ -41,6 +41,10 @@ func (e *DeadlineError) Unwrap() error { return ErrDeadline }
 // stays in this package.
 func NewDeadlineError(stage string) *DeadlineError { return &DeadlineError{Stage: stage} }
 
+// ErrShed reports a submission refused by SLO admission control: the
+// leader is healthy but saturated. Retryable after the hint it carries.
+var ErrShed = errors.New("serve: batch shed by admission control")
+
 // ErrDiskPressure marks an ingest refused because the volume under the
 // WAL is out of (or nearly out of) space. Retryable after space frees:
 // the pipeline enters read-only, keeps serving reads and heartbeats,
@@ -70,13 +74,14 @@ type retryAfterHint interface {
 }
 
 // PressureLevel is the SLO controller's admission posture, escalating
-// from business-as-usual through forced coalescing to shedding.
+// from business-as-usual through a warning step to shedding.
 type PressureLevel int
 
 const (
 	// PressureNone: admit normally.
 	PressureNone PressureLevel = iota
-	// PressureCoalesce: merge eagerly before queueing more entries.
+	// PressureCoalesce is only an escalation step: latency has run hot
+	// for one streak, admission is unchanged, and one more streak sheds.
 	PressureCoalesce
 	// PressureShed: refuse new work (with a retry-after hint) until
 	// latency recovers.
@@ -107,8 +112,8 @@ type SLOConfig struct {
 	RelaxAfter    int
 }
 
-// SLOController turns a stream of (latency, queue depth) observations
-// into a pressure level. It is deterministic: no goroutine, no timer —
+// SLOController turns a stream of ingest-latency observations into a
+// pressure level. It is deterministic: no goroutine, no timer —
 // callers observe with latencies measured on the injected clock, so
 // the same run produces the same pressure trajectory. A nil controller
 // is valid and always reports PressureNone.
@@ -138,10 +143,9 @@ func NewSLOController(cfg SLOConfig) *SLOController {
 }
 
 // Observe feeds one ingest measurement: how long the batch took to
-// become durable and how deep the admission queue was (capacity <= 0
-// when the caller has no queue). Escalation needs a streak in either
-// signal; a single slow batch never trips the ladder.
-func (c *SLOController) Observe(latency time.Duration, depth, capacity int) {
+// become durable. Escalation needs a streak; a single slow batch never
+// trips the ladder.
+func (c *SLOController) Observe(latency time.Duration) {
 	if c == nil {
 		return
 	}
@@ -152,17 +156,15 @@ func (c *SLOController) Observe(latency time.Duration, depth, capacity int) {
 	} else {
 		c.ewma = (3*c.ewma + latency) / 4
 	}
-	hot := c.ewma > c.cfg.Target || (capacity > 0 && depth*4 >= capacity*3)
-	cool := c.ewma <= c.cfg.Target/2 && (capacity <= 0 || depth*4 <= capacity)
 	switch {
-	case hot:
+	case c.ewma > c.cfg.Target:
 		c.coolStreak = 0
 		c.hotStreak++
 		if c.hotStreak >= c.cfg.EscalateAfter && c.level < PressureShed {
 			c.level++
 			c.hotStreak = 0
 		}
-	case cool:
+	case c.ewma <= c.cfg.Target/2:
 		c.hotStreak = 0
 		c.coolStreak++
 		if c.coolStreak >= c.cfg.RelaxAfter && c.level > PressureNone {

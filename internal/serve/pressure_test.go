@@ -15,20 +15,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
-// shedController returns a controller already escalated to the given
-// pressure level, by feeding it enough over-target observations.
-func shedController(t *testing.T, level PressureLevel) *SLOController {
-	t.Helper()
-	c := NewSLOController(SLOConfig{Target: 10 * time.Millisecond})
-	for i := 0; i < 64 && c.Level() < level; i++ {
-		c.Observe(100*time.Millisecond, 0, 0)
-	}
-	if c.Level() != level {
-		t.Fatalf("could not drive controller to level %v (at %v)", level, c.Level())
-	}
-	return c
-}
-
 // TestSLOControllerEscalatesAndRelaxes: sustained over-target latency
 // climbs the ladder one rung per streak; sustained healthy latency
 // climbs back down, more slowly.
@@ -39,17 +25,17 @@ func TestSLOControllerEscalatesAndRelaxes(t *testing.T) {
 	}
 	// Three hot observations are not a streak yet.
 	for i := 0; i < 3; i++ {
-		c.Observe(50*time.Millisecond, 0, 0)
+		c.Observe(50 * time.Millisecond)
 	}
 	if c.Level() != PressureNone {
 		t.Fatalf("escalated after only 3 hot observations: %v", c.Level())
 	}
-	c.Observe(50*time.Millisecond, 0, 0)
+	c.Observe(50 * time.Millisecond)
 	if c.Level() != PressureCoalesce {
 		t.Fatalf("4th hot observation: level %v, want coalesce", c.Level())
 	}
 	for i := 0; i < 4; i++ {
-		c.Observe(50*time.Millisecond, 0, 0)
+		c.Observe(50 * time.Millisecond)
 	}
 	if c.Level() != PressureShed {
 		t.Fatalf("8th hot observation: level %v, want shed", c.Level())
@@ -61,7 +47,7 @@ func TestSLOControllerEscalatesAndRelaxes(t *testing.T) {
 	// Healthy again: the EWMA has to decay below target/2, then two
 	// relax streaks bring it back to none. Bounded loop, deterministic.
 	for i := 0; i < 256 && c.Level() != PressureNone; i++ {
-		c.Observe(time.Millisecond, 0, 0)
+		c.Observe(time.Millisecond)
 	}
 	if c.Level() != PressureNone {
 		t.Fatalf("controller never relaxed: %v", c.Level())
@@ -71,143 +57,15 @@ func TestSLOControllerEscalatesAndRelaxes(t *testing.T) {
 	}
 }
 
-// TestSLOControllerQueueDepthEscalates: a near-full queue is a hot
-// signal even when latency looks fine.
-func TestSLOControllerQueueDepthEscalates(t *testing.T) {
-	c := NewSLOController(SLOConfig{Target: 10 * time.Millisecond, EscalateAfter: 2})
-	for i := 0; i < 2; i++ {
-		c.Observe(time.Millisecond, 15, 16) // depth at 94% of capacity
-	}
-	if c.Level() != PressureCoalesce {
-		t.Fatalf("deep queue did not escalate: %v", c.Level())
-	}
-}
-
 // TestSLOControllerNilSafe: a nil controller (SLO disabled) is inert.
 func TestSLOControllerNilSafe(t *testing.T) {
 	var c *SLOController
 	if got := NewSLOController(SLOConfig{}); got != nil {
 		t.Fatalf("zero target built a controller: %+v", got)
 	}
-	c.Observe(time.Second, 10, 10) // must not panic
+	c.Observe(time.Second) // must not panic
 	if c.Level() != PressureNone || c.RetryAfter() != 0 {
 		t.Fatal("nil controller is not inert")
-	}
-}
-
-// TestQueueSLOShedsWithBacklog: at PressureShed the queue refuses new
-// work while a backlog exists — but an empty queue still admits, so a
-// lone trickle of traffic is never starved outright.
-func TestQueueSLOShedsWithBacklog(t *testing.T) {
-	q := NewQueue(QueueConfig{Capacity: 8, SLO: shedController(t, PressureShed)})
-	if err := q.Put(mkBatch(2, 0)); err != nil {
-		t.Fatalf("empty queue refused under shed posture: %v", err)
-	}
-	err := q.Put(mkBatch(2, 10))
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("backlogged queue admitted under shed posture: %v", err)
-	}
-	st := q.Stats()
-	if st.Shed != 1 || st.ShedSLO != 1 {
-		t.Fatalf("stats %+v, want shed=1 shed_slo=1", st)
-	}
-}
-
-// TestQueueSLOCoalescesEarly: at PressureCoalesce the queue merges at
-// half capacity instead of waiting until it is full.
-func TestQueueSLOCoalescesEarly(t *testing.T) {
-	q := NewQueue(QueueConfig{Capacity: 4, SLO: shedController(t, PressureCoalesce)})
-	q.Put(mkBatch(2, 0))
-	q.Put(mkBatch(2, 100)) // depth 2 of 4: the coalescing posture trips
-	if err := q.Put(mkBatch(2, 200)); err != nil {
-		t.Fatal(err)
-	}
-	st := q.Stats()
-	if st.Coalesced != 1 || st.CoalescedSLO != 1 {
-		t.Fatalf("stats %+v, want one SLO-forced coalesce", st)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("depth %d after SLO coalesce, want 2", q.Len())
-	}
-}
-
-// TestQueueByteBoundOversizedAdmittedAlone: a batch bigger than
-// MaxBytes passes through an empty queue alone instead of wedging
-// forever; with a backlog the byte bound applies normally.
-func TestQueueByteBoundOversizedAdmittedAlone(t *testing.T) {
-	q := NewQueue(QueueConfig{Capacity: 8, Policy: AdmitShed, MaxBytes: 100})
-	big := mkBatch(20, 0) // 20 updates = 260 wire bytes > 100
-	if err := q.Put(big); err != nil {
-		t.Fatalf("oversized batch wedged an empty queue: %v", err)
-	}
-	if got := q.Bytes(); got != batchBytes(big) {
-		t.Fatalf("bytes %d, want %d", got, batchBytes(big))
-	}
-	// With the oversized batch queued, even a tiny batch breaches.
-	if err := q.Put(mkBatch(1, 100)); !errors.Is(err, ErrShed) {
-		t.Fatalf("byte-full queue admitted: %v", err)
-	}
-	if _, err := q.Get(); err != nil {
-		t.Fatal(err)
-	}
-	if q.Bytes() != 0 {
-		t.Fatalf("bytes %d after drain, want 0", q.Bytes())
-	}
-	if err := q.Put(mkBatch(1, 100)); err != nil {
-		t.Fatalf("drained queue refused: %v", err)
-	}
-}
-
-// TestQueueByteBoundShedsWhenMergeCannotHelp: merging concatenates,
-// so it frees slots but never bytes — a byte-bound breach collapses
-// the backlog and then sheds the newcomer, and admission recovers as
-// soon as the consumer drains bytes.
-func TestQueueByteBoundShedsWhenMergeCannotHelp(t *testing.T) {
-	q := NewQueue(QueueConfig{Capacity: 100, Policy: AdmitShed, MaxBytes: 5 * updateWireBytes})
-	q.Put(mkBatch(2, 0))
-	q.Put(mkBatch(2, 100))
-	// 52 bytes queued; 13 more lands exactly on the 65-byte bound.
-	if err := q.Put(mkBatch(1, 200)); err != nil {
-		t.Fatalf("batch landing on the bound refused: %v", err)
-	}
-	if st := q.Stats(); st.Coalesced != 0 {
-		t.Fatalf("merged when the newcomer fit: %+v", st)
-	}
-	// The next byte would breach. Granularity growth collapses the
-	// backlog slot by slot, but bytes stand — the batch sheds.
-	if err := q.Put(mkBatch(1, 300)); !errors.Is(err, ErrShed) {
-		t.Fatalf("byte-full queue admitted: %v", err)
-	}
-	if st := q.Stats(); st.Shed != 1 || st.Coalesced == 0 {
-		t.Fatalf("stats %+v, want a shed preceded by merges", st)
-	}
-	// Draining the (merged) backlog frees bytes; admission recovers.
-	b, err := q.Get()
-	if err != nil || len(b) != 5 {
-		t.Fatalf("merged backlog len %d err %v, want all 5 updates", len(b), err)
-	}
-	if err := q.Put(mkBatch(1, 400)); err != nil {
-		t.Fatalf("drained queue refused: %v", err)
-	}
-}
-
-// TestQueueByteBoundRespectsMaxBatchUpdates: when the byte bound would
-// allow a merge but MaxBatchUpdates forbids it, the merge must not
-// happen — granularity growth never builds a batch past the cap.
-func TestQueueByteBoundRespectsMaxBatchUpdates(t *testing.T) {
-	q := NewQueue(QueueConfig{
-		Capacity: 2, Policy: AdmitShed,
-		MaxBatchUpdates: 4,     // 3+3 > 4: merging forbidden
-		MaxBytes:        10000, // bytes would happily allow it
-	})
-	q.Put(mkBatch(3, 0))
-	q.Put(mkBatch(3, 100))
-	if err := q.Put(mkBatch(1, 200)); !errors.Is(err, ErrShed) {
-		t.Fatalf("merge exceeded MaxBatchUpdates: %v", err)
-	}
-	b, err := q.Get()
-	if err != nil || len(b) != 3 {
-		t.Fatalf("oldest batch mutated: len %d err %v", len(b), err)
 	}
 }
 
@@ -592,35 +450,5 @@ func TestPipelineCheckpointENOSPCAbsorbed(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestServerShedsUnderDiskPressure: the serve loop treats a
-// disk-pressure refusal as shed work — no poisoning, no restart — and
-// the run ends cleanly.
-func TestServerShedsUnderDiskPressure(t *testing.T) {
-	w := testWorkload(t, 6)
-	cfg := pipelineConfig(t, w)
-	cfg.CheckpointPath = ""
-	inj := fault.New(7)
-	inj.Arm(fault.NoSpace, 900)
-	cfg.WAL.FS = inj.FS(wal.OSFS{})
-
-	srv := NewServer(ServerConfig{
-		Pipeline: cfg,
-		Queue:    QueueConfig{Capacity: 4, MaxBatchUpdates: 1},
-	})
-	if err := srv.Run(context.Background(), NewSliceSource(w.Batches)); err != nil {
-		t.Fatalf("disk pressure killed the server: %v", err)
-	}
-	col := srv.Collector()
-	if got := col.Get(stats.CtrServePoisoned); got != 0 {
-		t.Fatalf("%d batches poisoned under disk pressure, want 0", got)
-	}
-	if got := col.Get(stats.CtrServeRestarts); got != 0 {
-		t.Fatalf("%d restarts under disk pressure, want 0", got)
-	}
-	if got := col.Get(stats.CtrServeDiskPressure); got == 0 {
-		t.Fatal("no disk-pressure refusals counted")
 	}
 }

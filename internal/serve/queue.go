@@ -2,104 +2,32 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
-	"github.com/tdgraph/tdgraph/internal/stream"
 )
-
-// AdmitPolicy selects what a full queue does with the next batch.
-type AdmitPolicy int
-
-const (
-	// AdmitBlock applies backpressure: Put blocks until space opens
-	// (after granularity growth is exhausted).
-	AdmitBlock AdmitPolicy = iota
-	// AdmitShed drops the incoming batch with ErrShed once granularity
-	// growth is exhausted — availability over completeness.
-	AdmitShed
-)
-
-// ParseAdmitPolicy maps a -admit flag value to a policy.
-func ParseAdmitPolicy(s string) (AdmitPolicy, error) {
-	switch s {
-	case "", "block":
-		return AdmitBlock, nil
-	case "shed":
-		return AdmitShed, nil
-	}
-	return 0, errors.New("serve: unknown admission policy " + s + " (block|shed)")
-}
-
-// ErrShed reports a batch dropped by admission control.
-var ErrShed = errors.New("serve: batch shed by admission control")
 
 // ErrQueueClosed reports an operation on a closed queue: Put after
 // Close, or Get after Close once the queue has drained.
 var ErrQueueClosed = errors.New("serve: ingest queue closed")
 
-// updateWireBytes is one update's size in the WAL/wire encoding
-// (src u32 | dst u32 | weight f32 | flags u8) — the unit of the
-// queue's byte accounting, chosen to track what a queued batch will
-// actually cost downstream.
-const updateWireBytes = 13
-
-// batchBytes is the wire size a batch will occupy once encoded.
-func batchBytes(b []graph.Update) int64 {
-	return int64(len(b)) * updateWireBytes
-}
-
-// QueueConfig bounds the ingest queue.
+// QueueConfig bounds the queue.
 type QueueConfig struct {
 	// Capacity is the maximum queued batches (default 16).
 	Capacity int
-	// Policy is what a full queue does (default AdmitBlock).
-	Policy AdmitPolicy
-	// MaxBatchUpdates caps a coalesced batch's size; merging two queued
-	// batches frees a slot only while the result stays within it. 0 (the
-	// default) means no cap: under sustained overload the two oldest
-	// batches keep merging without limit.
-	MaxBatchUpdates int
-	// MaxBytes bounds the total wire bytes queued (0 = unbounded). A
-	// queue at its byte bound behaves exactly like one at Capacity:
-	// coalesce, then the admission policy. A single batch larger than
-	// MaxBytes is still admitted when the queue is empty — an oversized
-	// batch must pass through alone, never wedge.
-	MaxBytes int64
-	// SLO, when non-nil, lets the admission controller tighten the
-	// queue: at PressureCoalesce batches merge eagerly before new
-	// entries queue, at PressureShed incoming work is dropped while a
-	// backlog exists.
-	SLO *SLOController
 }
 
-// QueueStats counts admission outcomes.
-type QueueStats struct {
-	Admitted     uint64 // batches accepted
-	Shed         uint64 // batches dropped (AdmitShed or SLO pressure)
-	Coalesced    uint64 // merges performed to absorb overload
-	ShedSLO      uint64 // subset of Shed forced by the SLO controller
-	CoalescedSLO uint64 // subset of Coalesced forced by the SLO controller
-	MaxDepth     int    // high-water mark of queued batches
-}
-
-// Queue is the bounded buffer between sources and the durable
-// pipeline. Under overload it first grows batch granularity — the two
-// oldest queued batches merge into one, trading incremental-processing
-// efficiency for queue space — and only when no merge is possible does
-// the admission policy decide between blocking and shedding. Bounds
-// are both batch-count (Capacity) and byte-based (MaxBytes). Safe for
-// one producer and one consumer (or several of each).
+// Queue is a bounded FIFO hand-off of update batches: Put blocks while
+// it is full, Get while it is empty. No serving path uses it; the
+// benchmark ladder times one Put and one Get per batch. Safe for any
+// number of producers and consumers.
 type Queue struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
 	notEmpty *sync.Cond
 	items    [][]graph.Update
-	bytes    int64 // wire bytes across items
-	cfg      QueueConfig
+	capacity int
 	closed   bool
-	stats    QueueStats
 }
 
 // NewQueue returns an open queue.
@@ -107,82 +35,26 @@ func NewQueue(cfg QueueConfig) *Queue {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 16
 	}
-	q := &Queue{cfg: cfg}
+	q := &Queue{capacity: cfg.Capacity}
 	q.notFull = sync.NewCond(&q.mu)
 	q.notEmpty = sync.NewCond(&q.mu)
 	return q
 }
 
-// fullLocked reports whether admitting a batch of the given wire size
-// would breach a bound. The byte bound never blocks an empty queue:
-// an oversized batch is admitted alone rather than wedging forever.
-func (q *Queue) fullLocked(size int64) bool {
-	if len(q.items) >= q.cfg.Capacity {
-		return true
-	}
-	return q.cfg.MaxBytes > 0 && len(q.items) > 0 && q.bytes+size > q.cfg.MaxBytes
-}
-
-// Put admits one batch, applying SLO pressure, granularity growth and
-// then the admission policy when the queue is full. Returns ErrShed
-// when the batch was dropped, ErrQueueClosed after Close.
+// Put appends one batch, blocking while the queue is full. It returns
+// ErrQueueClosed after Close.
 func (q *Queue) Put(batch []graph.Update) error {
-	size := batchBytes(batch)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.closed {
-			return ErrQueueClosed
-		}
-		switch level := q.cfg.SLO.Level(); {
-		case level >= PressureShed && len(q.items) > 0:
-			// Shedding posture: refuse new work while a backlog exists.
-			q.stats.Shed++
-			q.stats.ShedSLO++
-			return fmt.Errorf("%w (SLO pressure)", ErrShed)
-		case level >= PressureCoalesce && 2*len(q.items) >= q.cfg.Capacity:
-			// Coalescing posture: merge before the queue fills, not after.
-			if q.coalesceLocked() {
-				q.stats.CoalescedSLO++
-			}
-		}
-		if !q.fullLocked(size) {
-			q.items = append(q.items, batch)
-			q.bytes += size
-			q.stats.Admitted++
-			if len(q.items) > q.stats.MaxDepth {
-				q.stats.MaxDepth = len(q.items)
-			}
-			q.notEmpty.Signal()
-			return nil
-		}
-		if q.coalesceLocked() {
-			continue // a slot opened by merging; admit on the next pass
-		}
-		if q.cfg.Policy == AdmitShed {
-			q.stats.Shed++
-			return ErrShed
-		}
+	for len(q.items) >= q.capacity && !q.closed {
 		q.notFull.Wait()
 	}
-}
-
-// coalesceLocked merges the two oldest queued batches when the result
-// respects MaxBatchUpdates, freeing one slot. Oldest first: the oldest
-// work degrades to coarser granularity while fresh batches stay sharp.
-func (q *Queue) coalesceLocked() bool {
-	if len(q.items) < 2 {
-		return false
+	if q.closed {
+		return ErrQueueClosed
 	}
-	max := q.cfg.MaxBatchUpdates
-	if max > 0 && len(q.items[0])+len(q.items[1]) > max {
-		return false
-	}
-	merged := stream.MergeBatches(q.items[0], q.items[1])
-	q.bytes += batchBytes(merged) - batchBytes(q.items[0]) - batchBytes(q.items[1])
-	q.items = append([][]graph.Update{merged}, q.items[2:]...)
-	q.stats.Coalesced++
-	return true
+	q.items = append(q.items, batch)
+	q.notEmpty.Signal()
+	return nil
 }
 
 // Get removes the oldest batch, blocking while the queue is empty and
@@ -191,19 +63,16 @@ func (q *Queue) coalesceLocked() bool {
 func (q *Queue) Get() ([]graph.Update, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if len(q.items) > 0 {
-			batch := q.items[0]
-			q.items = q.items[1:]
-			q.bytes -= batchBytes(batch)
-			q.notFull.Signal()
-			return batch, nil
-		}
-		if q.closed {
-			return nil, ErrQueueClosed
-		}
+	for len(q.items) == 0 && !q.closed {
 		q.notEmpty.Wait()
 	}
+	if len(q.items) == 0 {
+		return nil, ErrQueueClosed
+	}
+	batch := q.items[0]
+	q.items = q.items[1:]
+	q.notFull.Signal()
+	return batch, nil
 }
 
 // Close stops admission and wakes every waiter. Queued batches remain
@@ -214,25 +83,4 @@ func (q *Queue) Close() {
 	q.closed = true
 	q.notFull.Broadcast()
 	q.notEmpty.Broadcast()
-}
-
-// Len returns the current depth.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// Bytes returns the wire bytes currently queued.
-func (q *Queue) Bytes() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.bytes
-}
-
-// Stats returns the admission counters.
-func (q *Queue) Stats() QueueStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.stats
 }

@@ -34,55 +34,10 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestQueueCoalesce: a full queue first grows batch granularity — the
-// two oldest batches merge, freeing the slot — before any policy runs.
-func TestQueueCoalesce(t *testing.T) {
-	q := NewQueue(QueueConfig{Capacity: 2, Policy: AdmitShed})
-	if err := q.Put(mkBatch(2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Put(mkBatch(3, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Put(mkBatch(1, 200)); err != nil {
-		t.Fatalf("put into coalescable queue failed: %v", err)
-	}
-	st := q.Stats()
-	if st.Coalesced != 1 || st.Shed != 0 {
-		t.Fatalf("stats %+v, want 1 coalesce and no shed", st)
-	}
-	merged, err := q.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 5 || merged[0].Edge.Src != 0 || merged[2].Edge.Src != 100 {
-		t.Fatalf("merged batch wrong: len %d", len(merged))
-	}
-	fresh, _ := q.Get()
-	if len(fresh) != 1 || fresh[0].Edge.Src != 200 {
-		t.Fatal("fresh batch disturbed by coalescing")
-	}
-}
-
-// TestQueueShed: once MaxBatchUpdates blocks merging, AdmitShed drops
-// the incoming batch with ErrShed.
-func TestQueueShed(t *testing.T) {
-	q := NewQueue(QueueConfig{Capacity: 2, Policy: AdmitShed, MaxBatchUpdates: 4})
-	q.Put(mkBatch(3, 0))
-	q.Put(mkBatch(3, 100)) // 3+3 > 4: no merge possible
-	err := q.Put(mkBatch(1, 200))
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("want ErrShed, got %v", err)
-	}
-	if st := q.Stats(); st.Shed != 1 || st.Admitted != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestQueueBlocking: AdmitBlock parks the producer until the consumer
+// TestQueueBlocking: a full queue parks the producer until the consumer
 // frees a slot.
 func TestQueueBlocking(t *testing.T) {
-	q := NewQueue(QueueConfig{Capacity: 1, MaxBatchUpdates: 1}) // merges impossible (1+1 > 1)
+	q := NewQueue(QueueConfig{Capacity: 1})
 	if err := q.Put(mkBatch(1, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +80,7 @@ func TestQueueCloseDrains(t *testing.T) {
 // producer parked on a full one both wake when Close is called.
 func TestQueueCloseWakesWaiters(t *testing.T) {
 	empty := NewQueue(QueueConfig{Capacity: 1})
-	full := NewQueue(QueueConfig{Capacity: 1, MaxBatchUpdates: 1})
+	full := NewQueue(QueueConfig{Capacity: 1})
 	full.Put(mkBatch(1, 0))
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -287,35 +287,6 @@ func TestPipelineSyncFailureNotReSent(t *testing.T) {
 	}
 }
 
-// TestServerSyncFailureRestarts: the serve loop converts a transient
-// fsync failure into one supervised restart — no poisoning, no
-// double-apply — and still lands on the reference states.
-func TestServerSyncFailureRestarts(t *testing.T) {
-	w := testWorkload(t, 6)
-	want := referenceStates(w)
-	cfg := pipelineConfig(t, w)
-	failures := 1 // the very first WAL barrier fails, then the disk heals
-	cfg.WAL.FS = syncFailFS{FS: wal.OSFS{}, failures: &failures}
-
-	srv := NewServer(ServerConfig{
-		Pipeline: cfg,
-		Queue:    QueueConfig{Capacity: 4, MaxBatchUpdates: 1},
-	})
-	if err := srv.Run(context.Background(), NewSliceSource(w.Batches)); err != nil {
-		t.Fatal(err)
-	}
-	col := srv.Collector()
-	if got := col.Get(stats.CtrServeRestarts); got != 1 {
-		t.Fatalf("restarts = %d, want 1", got)
-	}
-	if got := col.Get(stats.CtrServePoisoned); got != 0 {
-		t.Fatalf("poisoned %d batches; a wal-sync failure must never poison", got)
-	}
-	if !statesEqual(srv.Pipeline().Session().States(), want) {
-		t.Fatal("states after supervised fsync-failure restart diverged")
-	}
-}
-
 // TestNewPipelineRejectsRecoveryGap: when every checkpoint generation
 // is gone but WAL retention already truncated the prefix those
 // checkpoints covered, recovery must refuse loudly instead of serving
@@ -380,7 +351,15 @@ func (f *flakySource) Next(ctx context.Context) ([]graph.Update, error) {
 func TestRetrySourceAbsorbsTransientFailures(t *testing.T) {
 	w := testWorkload(t, 4)
 	clock := newFakeClock()
-	flaky := &flakySource{inner: NewSliceSource(w.Batches), failures: 2, remaining: 2}
+	next := 0
+	batches := FuncSource(func(context.Context) ([]graph.Update, error) {
+		if next == len(w.Batches) {
+			return nil, io.EOF
+		}
+		next++
+		return w.Batches[next-1], nil
+	})
+	flaky := &flakySource{inner: batches, failures: 2, remaining: 2}
 	src := NewRetrySource(flaky, NewBackoff(1), NewBreaker(10, 0, clock), clock, 1)
 
 	var got int
@@ -456,6 +435,43 @@ func TestRetrySourceBreakerGates(t *testing.T) {
 	}
 }
 
+// serveStages composes the serving stages this package still owns: one
+// goroutine reads src and feeds a bounded queue, the caller's goroutine
+// drains the queue into the durable pipeline. End of stream or a
+// cancelled ctx stops admission; what was admitted is still ingested.
+// A cancelled ctx is a graceful stop and returns nil.
+func serveStages(ctx context.Context, src Source, q *Queue, p *Pipeline) error {
+	readErr := make(chan error, 1)
+	go func() {
+		defer q.Close()
+		for {
+			b, err := src.Next(ctx)
+			if err != nil {
+				if errors.Is(err, io.EOF) || ctx.Err() != nil {
+					err = nil
+				}
+				readErr <- err
+				return
+			}
+			if err := q.Put(b); err != nil {
+				readErr <- err
+				return
+			}
+		}
+	}()
+	for {
+		b, err := q.Get()
+		if errors.Is(err, ErrQueueClosed) {
+			return <-readErr
+		}
+		if err := p.Ingest(b); err != nil {
+			q.Close()
+			<-readErr
+			return err
+		}
+	}
+}
+
 // TestServerEndToEnd: the full service — retrying source, bounded
 // queue, durable pipeline — lands on the reference states and counts
 // its work.
@@ -463,37 +479,48 @@ func TestServerEndToEnd(t *testing.T) {
 	w := testWorkload(t, 6)
 	want := referenceStates(w)
 	clock := newFakeClock()
-	flaky := &flakySource{inner: NewSliceSource(w.Batches), failures: 1, remaining: 1}
+	next := 0
+	batches := FuncSource(func(context.Context) ([]graph.Update, error) {
+		if next == len(w.Batches) {
+			return nil, io.EOF
+		}
+		next++
+		return w.Batches[next-1], nil
+	})
+	flaky := &flakySource{inner: batches, failures: 1, remaining: 1}
 	src := NewRetrySource(flaky, NewBackoff(1), NewBreaker(5, 0, clock), clock, 1)
 
-	srv := NewServer(ServerConfig{
-		Pipeline: pipelineConfig(t, w),
-		// MaxBatchUpdates 1 forbids coalescing so the ingested count is
-		// exact; granularity growth has its own tests.
-		Queue: QueueConfig{Capacity: 4, MaxBatchUpdates: 1},
-	})
-	if err := srv.Run(context.Background(), src); err != nil {
+	p, err := NewPipeline(pipelineConfig(t, w))
+	if err != nil {
 		t.Fatal(err)
 	}
-	col := srv.Collector()
-	if got := col.Get(stats.CtrServeIngested); got != uint64(len(w.Batches)) {
+	defer p.Close()
+	if err := serveStages(context.Background(), src, NewQueue(QueueConfig{Capacity: 4}), p); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Collector().Get(stats.CtrServeIngested); got != uint64(len(w.Batches)) {
 		t.Fatalf("ingested %d, want %d", got, len(w.Batches))
 	}
-	if col.Get(stats.CtrServeRetries) == 0 {
-		t.Fatal("source retries not folded into stats")
+	if p.Seq() != uint64(len(w.Batches)) {
+		t.Fatalf("pipeline at seq %d, want %d", p.Seq(), len(w.Batches))
 	}
-	if !statesEqual(srv.Pipeline().Session().States(), want) {
+	if src.Retries() == 0 {
+		t.Fatal("source failures were not retried")
+	}
+	if !statesEqual(p.Session().States(), want) {
 		t.Fatal("served states diverged from reference")
 	}
 }
 
 // TestServerGracefulCancel: cancelling the context stops admission,
-// drains the queue, and Run returns nil with durable state on disk.
+// drains the queue, and the service returns nil with durable state on
+// disk.
 func TestServerGracefulCancel(t *testing.T) {
 	w := testWorkload(t, 6)
 	cfg := pipelineConfig(t, w)
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	fed := 0
 	src := FuncSource(func(ctx context.Context) ([]graph.Update, error) {
 		if err := ctx.Err(); err != nil {
@@ -508,14 +535,20 @@ func TestServerGracefulCancel(t *testing.T) {
 		return b, nil
 	})
 
-	srv := NewServer(ServerConfig{Pipeline: cfg, Queue: QueueConfig{Capacity: 4}})
-	if err := srv.Run(ctx, src); err != nil {
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serveStages(ctx, src, NewQueue(QueueConfig{Capacity: 4}), p); err != nil {
 		t.Fatalf("graceful shutdown returned %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Everything admitted before the cancel is durable: a fresh pipeline
 	// resumes exactly there.
-	p, err := NewPipeline(cfg)
+	p, err = NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,55 +557,5 @@ func TestServerGracefulCancel(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestServerRestartBudget: persistent durable-stage failures (here a
-// checkpoint directory that never works) consume the restart budget and
-// surface ErrTooManyRestarts.
-func TestServerRestartBudget(t *testing.T) {
-	w := testWorkload(t, 6)
-	cfg := pipelineConfig(t, w)
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "missing-dir", "ckpt.tds")
-	cfg.CheckpointEvery = 1 // every batch trips the broken checkpointer
-
-	srv := NewServer(ServerConfig{
-		Pipeline:    cfg,
-		Queue:       QueueConfig{Capacity: 4},
-		MaxRestarts: 2,
-	})
-	err := srv.Run(context.Background(), NewSliceSource(w.Batches))
-	if !errors.Is(err, ErrTooManyRestarts) {
-		t.Fatalf("want ErrTooManyRestarts, got %v", err)
-	}
-	if got := srv.Collector().Get(stats.CtrServeRestarts); got != 2 {
-		t.Fatalf("restarts = %d, want 2", got)
-	}
-}
-
-// TestServerPoisonsUndeliverableBatch: a WAL that always fails keeps
-// every batch non-durable; the supervisor re-attempts then poisons each
-// batch and the server still drains cleanly.
-func TestServerPoisonsUndeliverableBatch(t *testing.T) {
-	w := testWorkload(t, 3)
-	cfg := pipelineConfig(t, w)
-	in, err := fault.Parse("disk-full:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.WAL.FS = in.FS(wal.OSFS{})
-	cfg.CheckpointPath = "" // keep the failure surface to the WAL
-
-	srv := NewServer(ServerConfig{
-		Pipeline:         cfg,
-		Queue:            QueueConfig{Capacity: 4},
-		MaxBatchFailures: 2,
-	})
-	err = srv.Run(context.Background(), NewSliceSource(w.Batches))
-	if err != nil && !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("unexpected error class: %v", err)
-	}
-	if got := srv.Collector().Get(stats.CtrServePoisoned); got != uint64(len(w.Batches)) {
-		t.Fatalf("poisoned %d, want %d", got, len(w.Batches))
 	}
 }

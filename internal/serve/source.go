@@ -16,29 +16,6 @@ type Source interface {
 	Next(ctx context.Context) ([]graph.Update, error)
 }
 
-// SliceSource serves a fixed batch list — replayed workloads and tests.
-type SliceSource struct {
-	batches [][]graph.Update
-	i       int
-}
-
-// NewSliceSource returns a source over batches.
-func NewSliceSource(batches [][]graph.Update) *SliceSource {
-	return &SliceSource{batches: batches}
-}
-
-func (s *SliceSource) Next(ctx context.Context) ([]graph.Update, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.i >= len(s.batches) {
-		return nil, io.EOF
-	}
-	b := s.batches[s.i]
-	s.i++
-	return b, nil
-}
-
 // FuncSource adapts a function to Source.
 type FuncSource func(ctx context.Context) ([]graph.Update, error)
 

@@ -31,9 +31,9 @@ func settledWorkers() int {
 // TestNativeWorkersJoined: every teardown path of a pipeline parks its
 // native session's worker pool, so the count of pool goroutines is back
 // at its baseline after each test below — Close, InstallSnapshot then
-// Close (that test also pins exactly one pool between the two), a
-// Server's durable-failure restart then drain, and NewPipeline's
-// ErrRecoveryGap. A simulated kill -9 is exempt: process death is the
+// Close (that test also pins exactly one pool between the two), and
+// NewPipeline's ErrRecoveryGap, which releases a pipeline that never
+// finished opening. A simulated kill -9 is exempt: process death is the
 // release.
 func TestNativeWorkersJoined(t *testing.T) {
 	base := settledWorkers()
@@ -43,7 +43,6 @@ func TestNativeWorkersJoined(t *testing.T) {
 	}{
 		{"Close", TestPipelineRestartResumes},
 		{"InstallSnapshot", TestInstallSnapshotSwapsState},
-		{"ServerRestart", TestServerSyncFailureRestarts},
 		{"RecoveryGap", TestNewPipelineRejectsRecoveryGap},
 	} {
 		t.Run(tc.path, tc.test)

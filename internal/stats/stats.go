@@ -174,16 +174,9 @@ const (
 	CtrWALRetained      = "wal.segments_removed"     // segments deleted by retention
 	CtrWALReplayed      = "wal.records_replayed"     // records reapplied during recovery
 	CtrWALTornRecovered = "wal.torn_tail_recoveries" // torn tails truncated at open
-	CtrServeAdmitted    = "serve.batches_admitted"   // batches accepted into the queue
-	CtrServeShed        = "serve.batches_shed"       // batches dropped by admission control
-	CtrServeCoalesced   = "serve.batches_coalesced"  // merges performed under backpressure
 	CtrServeIngested    = "serve.batches_ingested"   // batches durably applied
 	CtrServeRounds      = "serve.commit_rounds"      // commit groups applied, one WAL barrier each (ingested/rounds = mean group size)
 	CtrServeRejected    = "serve.batches_rejected"   // batches refused by validation during ingest
-	CtrServeRetries     = "serve.source_retries"     // source reads retried with backoff
-	CtrServeBreakerOpen = "serve.breaker_opens"      // circuit-breaker open transitions
-	CtrServeRestarts    = "serve.session_restarts"   // supervisor-driven session restarts
-	CtrServePoisoned    = "serve.batches_poisoned"   // batches skipped after repeated failures
 	CtrServeCheckpoints = "serve.checkpoints"        // checkpoint generations written
 
 	// Replication events (internal/replica).
@@ -218,7 +211,6 @@ const (
 	// Overload and resource-exhaustion events (deadlines, SLO admission
 	// control, disk-pressure degradation).
 	CtrQueueShedSLO         = "queue.shed_slo"              // batches shed by the SLO controller
-	CtrQueueCoalescedSLO    = "queue.coalesced_slo"         // merges forced by the SLO controller
 	CtrServeDeadlineExpired = "serve.deadline_expired"      // batches refused/abandoned past their deadline
 	CtrServeDiskPressure    = "serve.disk_pressure_rejects" // ingests refused while under disk pressure
 	CtrServeReadonlyEntries = "serve.readonly_entries"      // transitions into read-only (disk full)

@@ -137,13 +137,3 @@ func Build(edges []graph.Edge, numVertices int, cfg Config) *Workload {
 func (w *Workload) WarmupBuilder() *graph.Builder {
 	return graph.NewBuilderFromEdges(w.NumVertices, w.Warmup)
 }
-
-// MergeBatches concatenates two batches into a fresh slice, preserving
-// update order — the granularity-growing step of overload degradation:
-// applying the merged batch converges to the same states as applying
-// the two in sequence, at one batch's fixed cost instead of two.
-func MergeBatches(a, b []graph.Update) []graph.Update {
-	out := make([]graph.Update, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}

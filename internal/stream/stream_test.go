@@ -104,22 +104,3 @@ func TestBuildUnbounded(t *testing.T) {
 		t.Fatalf("streamed %d additions, want %d", total, want)
 	}
 }
-
-func TestMergeBatchesPreservesOrder(t *testing.T) {
-	a := []graph.Update{
-		{Edge: graph.Edge{Src: 1, Dst: 2, Weight: 1}},
-		{Edge: graph.Edge{Src: 2, Dst: 3, Weight: 1}, Delete: true},
-	}
-	b := []graph.Update{
-		{Edge: graph.Edge{Src: 3, Dst: 4, Weight: 2}},
-	}
-	m := stream.MergeBatches(a, b)
-	if len(m) != 3 || m[0] != a[0] || m[1] != a[1] || m[2] != b[0] {
-		t.Fatalf("merge reordered or lost updates: %v", m)
-	}
-	// The merge must be a fresh slice: appending to it cannot clobber a.
-	_ = append(m, graph.Update{})
-	if a[1].Edge.Src != 2 {
-		t.Fatal("merge aliased its input")
-	}
-}

@@ -411,7 +411,7 @@ func TestSyncFailureRetrySameSeq(t *testing.T) {
 		t.Fatalf("last=%d durable=%d, want 2/1 after failed barrier", l.LastSeq(), l.DurableSeq())
 	}
 
-	// The supervisor retries the same sequence: no contiguity error, no
+	// The caller retries the same sequence: no contiguity error, no
 	// second copy of the record, and the barrier completes.
 	if err := l.Append(2, testBatch(2, 5)); err != nil {
 		t.Fatalf("retry of seq 2 failed: %v", err)
@@ -492,7 +492,7 @@ func TestTornWriteRepairedInPlace(t *testing.T) {
 		t.Fatalf("lastSeq=%d after torn write, want 2", l.LastSeq())
 	}
 
-	// The batch never reached the log, so the supervisor re-sends it;
+	// The batch never reached the log, so the caller re-sends it;
 	// the repaired log accepts it into a successor segment.
 	for seq := uint64(3); seq <= 4; seq++ {
 		if err := l.Append(seq, testBatch(int64(seq), 5)); err != nil {
