@@ -2,8 +2,10 @@ package tdgraph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -58,11 +60,9 @@ func (c *Checkpointer) genPath(i int) string {
 // one file, recoverable together with what it covers.
 func (c *Checkpointer) SaveWithMeta(s *Session, meta []byte) error {
 	for i := c.keep() - 1; i >= 1; i-- {
+		// An empty source slot leaves the destination as it is.
 		src, dst := c.genPath(i-1), c.genPath(i)
-		if _, err := os.Stat(src); err != nil {
-			continue
-		}
-		if err := os.Rename(src, dst); err != nil {
+		if err := os.Rename(src, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("tdgraph: rotating checkpoint %s -> %s: %w", src, dst, err)
 		}
 	}

@@ -149,6 +149,13 @@ type Pipeline struct {
 	retention RetentionAdvisor // nil unless this member leads a cluster
 
 	sinceCkpt int
+	// gens is the sequence each retained checkpoint generation covers,
+	// newest first, noGen where a slot holds nothing that restores; nil
+	// until read from the files. The pipeline is the generations' one
+	// writer, so past NewPipeline it mirrors its own saves and installs
+	// instead of reopening them, and a failed save (which may stop
+	// part-way) makes it forget and read them again.
+	gens []uint64
 
 	// readOnly flags disk-pressure degradation: ingest is refused,
 	// reads (and the replica layer's heartbeats) keep flowing. Written
@@ -187,6 +194,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 				p.col.Inc(stats.CtrCheckpointRecovered)
 			}
 		}
+		p.generations()
 	}
 	if p.sess == nil {
 		sess, err := cfg.Bootstrap()
@@ -451,8 +459,20 @@ func (p *Pipeline) Checkpoint() error {
 	if err := p.log.Sync(); err != nil {
 		return err
 	}
-	if err := p.ck.SaveWithMeta(p.sess, encodeSeqMeta(p.seq.Load())); err != nil {
+	seq := p.seq.Load()
+	if err := p.ck.SaveWithMeta(p.sess, encodeSeqMeta(seq)); err != nil {
+		p.gens = nil
 		return err
+	}
+	if p.gens != nil {
+		// SaveWithMeta's rotation: each slot moves back one, and an empty
+		// one leaves the slot behind it as it was.
+		for i := len(p.gens) - 1; i > 0; i-- {
+			if p.gens[i-1] != noGen {
+				p.gens[i] = p.gens[i-1]
+			}
+		}
+		p.gens[0] = seq
 	}
 	p.sinceCkpt = 0
 	p.col.Inc(stats.CtrServeCheckpoints)
@@ -460,7 +480,8 @@ func (p *Pipeline) Checkpoint() error {
 }
 
 // advanceRetention truncates WAL segments nothing can still need: the
-// oldest retained checkpoint generation pins the replay tail, and
+// oldest retained checkpoint generation pins the replay tail (known
+// from memory: no file is opened and no directory listed), and
 // replication (when present) pins it further — no live follower's
 // catch-up, and no snapshot transfer in flight, may be truncated out
 // from under it. A follower that nonetheless rejoins from below the
@@ -474,13 +495,8 @@ func (p *Pipeline) advanceRetention() error {
 		return nil
 	}
 	oldest := p.seq.Load()
-	for _, m := range p.ck.Metas() {
-		if m == nil {
-			continue
-		}
-		if seq, err := decodeSeqMeta(m); err == nil && seq < oldest {
-			oldest = seq
-		}
+	for _, seq := range p.generations() {
+		oldest = min(oldest, seq)
 	}
 	if p.retention != nil {
 		if floor, bound := p.retention.RetainFloor(); bound && floor < oldest {
@@ -536,8 +552,15 @@ func (p *Pipeline) InstallSnapshot(tmpPath string, seq uint64) error {
 		return err
 	}
 	if err := p.ck.Install(tmpPath); err != nil {
+		p.gens = nil
 		sess.Close()
 		return err
+	}
+	if p.gens != nil { // the installed generation is the only one left
+		for i := range p.gens {
+			p.gens[i] = noGen
+		}
+		p.gens[0] = seq
 	}
 	p.sess.Close() // quiesce: park the replaced engine's worker pool
 	p.sess = sess
@@ -584,6 +607,27 @@ func (p *Pipeline) syncWALStats() {
 	p.col.Set(stats.CtrWALFsyncs, ls.Fsyncs)
 	p.col.Set(stats.CtrWALRotations, ls.Rotations)
 	p.col.Set(stats.CtrWALRetained, ls.Removed)
+}
+
+// noGen marks a generation slot that restores nothing: as the largest
+// sequence it never lowers the retention minimum.
+const noGen = ^uint64(0)
+
+// generations returns gens, reading the checkpoint files when it is not
+// known. Memory is never less conservative than the files: every valid
+// generation on disk is one this pipeline read at open or wrote since.
+func (p *Pipeline) generations() []uint64 {
+	if p.gens == nil {
+		metas := p.ck.Metas()
+		p.gens = make([]uint64, len(metas))
+		for i, m := range metas {
+			p.gens[i] = noGen
+			if seq, err := decodeSeqMeta(m); err == nil {
+				p.gens[i] = seq
+			}
+		}
+	}
+	return p.gens
 }
 
 // encodeSeqMeta / decodeSeqMeta frame the one fact a checkpoint needs

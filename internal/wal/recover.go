@@ -89,7 +89,11 @@ func Open(opt Options) (*Log, Recovery, error) {
 		l.lastSeq = next - 1
 	}
 	l.durable, l.settled = l.lastSeq, l.lastSeq // whatever survived on disk is, by survival, durable
-	if len(segs) > 0 && segs[0].name != rec.RemovedSegment {
+	if rec.RemovedSegment != "" {
+		segs = segs[:len(segs)-1]
+	}
+	l.segs = segs
+	if len(segs) > 0 {
 		l.firstSeq = segs[0].base
 	}
 	rec.LastSeq = l.lastSeq
@@ -97,12 +101,10 @@ func Open(opt Options) (*Log, Recovery, error) {
 }
 
 // Replay streams every recovered batch with sequence >= from to fn, in
-// sequence order. It must run after Open and before the first Append.
+// sequence order, from the segments Open indexed. It must run after Open
+// and before the first Append.
 func (l *Log) Replay(from uint64, fn func(seq uint64, batch []graph.Update) error) error {
-	segs, err := listSegments(l.fs, l.opt.Dir)
-	if err != nil {
-		return err
-	}
+	segs := l.segs
 	next := uint64(0)
 	for i, seg := range segs {
 		if i+1 < len(segs) && segs[i+1].base <= from {

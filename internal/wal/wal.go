@@ -29,6 +29,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	iofs "io/fs"
 	"syscall"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
@@ -202,6 +203,11 @@ type Log struct {
 	sinceSync int
 	failed    error  // sticky: tear repair failed, extending the log would corrupt it
 	rec       []byte // scratch the next record is framed in, reused across appends
+	// segs indexes the segment files in Dir, oldest first. The log is
+	// their only writer — Open scans them once, openSegment creates and
+	// retention removes them — so the index stands in for a directory
+	// listing on every later pass.
+	segs []segInfo
 
 	stats Stats
 }
@@ -407,6 +413,9 @@ func (l *Log) openSegment(seq uint64) error {
 	if err != nil {
 		return &LogError{Segment: name, Err: err}
 	}
+	if n := len(l.segs); n == 0 || l.segs[n-1].name != name { // a retry re-creates the same file
+		l.segs = append(l.segs, segInfo{name: name, base: seq})
+	}
 	hdr := encodeSegHeader(seq)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
@@ -424,33 +433,31 @@ func (l *Log) openSegment(seq uint64) error {
 
 // TruncateThrough removes every sealed segment whose records are all
 // covered by sequences <= seq — retention keyed to the oldest retained
-// checkpoint generation. The active segment is never removed.
+// checkpoint generation. The newest segment, the active one whenever a
+// segment is open, is never removed. It walks the log's own index, not
+// the directory.
 func (l *Log) TruncateThrough(seq uint64) error {
-	segs, err := listSegments(l.fs, l.opt.Dir)
-	if err != nil {
-		return err
-	}
-	before := l.stats.Removed
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i].name == l.curName && l.cur != nil {
+	before, n := l.stats.Removed, 0
+	var err error
+	for ; n+1 < len(l.segs); n++ {
+		s := l.segs[n]
+		// All records of s are < l.segs[n+1].base.
+		if l.segs[n+1].base > seq+1 {
 			break
 		}
-		// All records of segs[i] are < segs[i+1].base.
-		if segs[i+1].base > seq+1 {
+		if rerr := l.fs.Remove(l.path(s.name)); rerr == nil {
+			l.stats.Removed++
+		} else if !errors.Is(rerr, iofs.ErrNotExist) { // already gone is as good as removed
+			err = &LogError{Segment: s.name, Err: rerr}
 			break
 		}
-		if err := l.fs.Remove(l.path(segs[i].name)); err != nil {
-			return &LogError{Segment: segs[i].name, Err: err}
-		}
-		l.firstSeq = segs[i+1].base
-		l.stats.Removed++
+		l.firstSeq = l.segs[n+1].base
 	}
-	if l.stats.Removed > before {
-		if err := l.fs.SyncDir(l.opt.Dir); err != nil {
-			return err
-		}
+	l.segs = append(l.segs[:0], l.segs[n:]...)
+	if err == nil && l.stats.Removed > before {
+		err = l.fs.SyncDir(l.opt.Dir)
 	}
-	return nil
+	return err
 }
 
 // Reset discards the log's entire history: every segment is removed
@@ -467,12 +474,14 @@ func (l *Log) Reset() error {
 	if err != nil {
 		return err
 	}
-	for _, s := range segs {
+	for i, s := range segs {
 		if err := l.fs.Remove(l.path(s.name)); err != nil {
+			l.segs = segs[i:]
 			return &LogError{Segment: s.name, Err: err}
 		}
 		l.stats.Removed++
 	}
+	l.segs = l.segs[:0]
 	if len(segs) > 0 {
 		if err := l.fs.SyncDir(l.opt.Dir); err != nil {
 			return err
