@@ -54,10 +54,11 @@ func (c *Checkpointer) genPath(i int) string {
 
 // SaveWithMeta rotates the retained generations one slot back and writes
 // the session, with meta in the file's own meta block, as the new newest
-// generation. The write is atomic (temp file + fsync + rename +
-// directory fsync) and rotation happens before it, so at every instant
-// the newest complete generation on disk is recoverable — and, being
-// one file, recoverable together with what it covers.
+// generation. The write is atomic (SaveFile's fixed temp file, fsync,
+// rename, directory fsync) and rotation happens before it, so at every
+// instant the newest complete generation on disk is recoverable — and,
+// being one file, recoverable together with what it covers. Saves
+// through one Path must not overlap.
 func (c *Checkpointer) SaveWithMeta(s *Session, meta []byte) error {
 	for i := c.keep() - 1; i >= 1; i-- {
 		// An empty source slot leaves the destination as it is.

@@ -13,7 +13,9 @@ import (
 // properties one file per generation is for: whatever LoadWithMeta
 // restores is a complete generation with ITS OWN metadata (generation k
 // holds k+3 edges and says "seq-k"), and once Install has renamed the
-// shipped file into place nothing older can ever be restored.
+// shipped file into place nothing older can ever be restored. After
+// recovery one more save must leave only generation files behind: a
+// temp file a kill left is overwritten, never orphaned for good.
 func TestCheckpointerKillPoints(t *testing.T) {
 	origSync := fsyncDir
 	defer func() { fsyncDir = origSync }()
@@ -101,6 +103,16 @@ func TestCheckpointerKillPoints(t *testing.T) {
 					t.Fatalf("fell back past an install to generation %d (%q)", s.NumEdges()-3, meta)
 				}
 			}
+			must(t, ck.SaveWithMeta(restored, []byte("seq-4")))
+			left, err := os.ReadDir(filepath.Dir(ck.Path))
+			must(t, err)
+			for _, e := range left {
+				// An install killed before its rename leaves the shipped
+				// file to the snapshot receiver, which resumes from it.
+				if name := e.Name(); name != "ckpt.tds" && name != "ckpt.tds.1" && name != "reseed.partial" {
+					t.Errorf("after recovery and one more save the directory still holds %s", name)
+				}
+			}
 		})
 	}
 }
@@ -122,7 +134,7 @@ func rotated(t *testing.T, ck *Checkpointer, tmp func(newest []byte) []byte) {
 	must(t, err)
 	must(t, os.Rename(ck.Path, ck.Path+".1"))
 	if tmp != nil {
-		must(t, os.WriteFile(ck.Path+".tmp1", tmp(newest), 0o644))
+		must(t, os.WriteFile(ck.Path+".tmp", tmp(newest), 0o644))
 	}
 }
 

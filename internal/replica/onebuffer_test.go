@@ -30,14 +30,14 @@ type oneBufferCluster struct {
 	node *Node
 	sess clientSession // the leader's client-session memory
 	// The client's end of the open session (nil: none is open), what the
-	// session returned, and the client's own reused buffers and position.
-	client    net.Conn
-	served    chan error
-	wire, ack []byte
-	next      uint64
-	fols      []*Follower
-	done      []chan error
-	dirs      []string // WAL dirs: leader first, then followers in attach order
+	// session returned, and the client's own reused buffer and position.
+	client net.Conn
+	served chan error
+	wire   []byte
+	next   uint64
+	fols   []*Follower
+	done   []chan error
+	dirs   []string // WAL dirs: leader first, then followers in attach order
 }
 
 func newOneBufferCluster(t *testing.T, size int, cfg func(dir string) serve.PipelineConfig) *oneBufferCluster {
@@ -106,7 +106,7 @@ func (c *oneBufferCluster) submit(payloads ...[]byte) {
 		c.t.Fatal(err)
 	}
 	for seq := c.next + 1 - uint64(len(payloads)); seq <= c.next; seq++ {
-		if fr, err := readFrameInto(c.client, &c.ack); err != nil || fr.Type != FrameAck || fr.Seq != seq {
+		if fr, err := ReadFrame(c.client); err != nil || fr.Type != FrameAck || fr.Seq != seq {
 			c.t.Fatalf("submit %d answered %+v, %v, want its Ack", seq, fr, err)
 		}
 	}
@@ -299,7 +299,10 @@ func TestOversizedFrameBufferReleased(t *testing.T) {
 // sync.Pool, which under -race sheds buffers by design. A last row puts
 // 32 of the small batches in the read-ahead buffer at once: gathered into
 // one commit group they must cost no more per batch than one at a time —
-// the group's arenas and slices are session memory too.
+// the group's arenas and slices are session memory too. The client reads
+// its acks with ReadFrame, as real clients do, so with no follower a
+// small batch must cost no more than the stray allowance: the path,
+// client included, allocates nothing itself.
 func TestIngestAllocBudget(t *testing.T) {
 	w := testWorkload(t, 1)
 	cfg := func(dir string) serve.PipelineConfig {
@@ -348,6 +351,9 @@ func TestIngestAllocBudget(t *testing.T) {
 		// ack writes sheds at random: with no follower the path allocates
 		// nothing itself, and such stray bytes are all a row reads.
 		const stray = 16 // B/batch
+		if followers == 0 && !raceEnabled && small > stray {
+			t.Errorf("no follower: a 64-update batch allocates %.0f B, more than the %d B stray allowance", small, stray)
+		}
 		if grouped > small+stray {
 			t.Errorf("%d followers: a batch in a commit group of 32 allocates %.0f B, more than the %.0f B it costs alone", followers, grouped, small)
 		}

@@ -163,6 +163,12 @@ type Frame struct {
 // for reads it (io.Writer may not retain it; fault.Conn copies frames).
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// frameHdrs recycles ReadFrame's header buffers. They are a pool of
+// their own, not frameBufs, because a read holds its buffer for as long
+// as the peer is silent: an idle connection then pins 37 bytes, never a
+// buffer a large frame grew.
+var frameHdrs = sync.Pool{New: func() any { return new([frameHdrSize]byte) }}
+
 // WriteFrame sends one frame in a single Write call — the fault
 // injector's conn wrapper acts per Write, so one frame is one unit of
 // drop/duplication/reordering/truncation.
@@ -204,13 +210,33 @@ func appendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// ReadFrame reads and validates one frame into fresh memory. Malformed
-// bytes fail with a *FrameError wrapping ErrBadFrame; transport
-// failures keep their underlying error (io.EOF passes through bare when
-// the connection closes cleanly between frames).
+// ReadFrame reads and validates one frame. The header goes through a
+// pooled buffer and the payload, read straight into a slice of exactly
+// its length, is the caller's to keep: a frame without a payload
+// allocates nothing. Malformed bytes fail with a *FrameError wrapping
+// ErrBadFrame; transport failures keep their underlying error (io.EOF
+// passes through bare when the connection closes cleanly between
+// frames).
+//
+//tdgraph:hot
 func ReadFrame(r io.Reader) (Frame, error) {
-	var buf []byte
-	return readFrameInto(r, &buf)
+	hdr := frameHdrs.Get().(*[frameHdrSize]byte)
+	defer frameHdrs.Put(hdr)
+	f, plen, err := readFrameHeader(r, hdr[:])
+	if err != nil {
+		return Frame{}, err
+	}
+	if plen > 0 {
+		//tdgraph:allow hotalloc the returned payload is the caller's, so it cannot be pooled memory
+		f.Payload = make([]byte, plen)
+		if _, err := io.ReadFull(r, f.Payload); err != nil {
+			return Frame{}, &FrameError{Reason: "short payload", Err: err}
+		}
+	}
+	if !frameChecksumOK(hdr[:], f.Payload) {
+		return Frame{}, errBadChecksum()
+	}
+	return f, nil
 }
 
 // readFrameInto reads one frame — header, then payload: two reads, so
@@ -226,14 +252,7 @@ func readFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
 		*buf = nil
 	}
 	b := slices.Grow((*buf)[:0], frameHdrSize)[:frameHdrSize]
-	n, err := io.ReadFull(r, b)
-	if err != nil {
-		if err == io.EOF && n == 0 {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, &FrameError{Reason: "short header", Err: err}
-	}
-	f, plen, err := parseFrameHeader(b)
+	f, plen, err := readFrameHeader(r, b)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -245,11 +264,29 @@ func readFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
 		}
 	}
 	*buf = b
-	if !frameChecksumOK(b) {
-		//tdgraph:allow hotalloc a malformed frame ends the session
-		return Frame{}, &FrameError{Reason: "bad checksum", Err: fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)}
+	if !frameChecksumOK(b[:frameHdrSize], f.Payload) {
+		return Frame{}, errBadChecksum()
 	}
 	return f, nil
+}
+
+// readFrameHeader reads a frame's fixed header into hdr, frameHdrSize
+// bytes, and parses it. A stream that ends before the first byte is
+// bare io.EOF: the connection closed cleanly between frames.
+func readFrameHeader(r io.Reader, hdr []byte) (f Frame, plen int, err error) {
+	if n, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.EOF && n == 0 {
+			return Frame{}, 0, io.EOF
+		}
+		return Frame{}, 0, &FrameError{Reason: "short header", Err: err}
+	}
+	return parseFrameHeader(hdr)
+}
+
+// errBadChecksum is the error for a frame whose CRC does not match.
+func errBadChecksum() error {
+	//tdgraph:allow hotalloc a malformed frame ends the session
+	return &FrameError{Reason: "bad checksum", Err: fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)}
 }
 
 // parseFrame decodes the frame at the start of b without copying it, when
@@ -263,7 +300,7 @@ func parseFrame(b []byte) (f Frame, n int) {
 		return Frame{}, 0
 	}
 	f, plen, err := parseFrameHeader(b[:frameHdrSize])
-	if n = frameHdrSize + plen; err != nil || len(b) < n || !frameChecksumOK(b[:n]) {
+	if n = frameHdrSize + plen; err != nil || len(b) < n || !frameChecksumOK(b[:frameHdrSize], b[frameHdrSize:n]) {
 		return Frame{}, 0
 	}
 	f.Payload = b[frameHdrSize:n]
@@ -295,9 +332,9 @@ func parseFrameHeader(hdr []byte) (f Frame, plen int, err error) {
 	return f, int(n), nil
 }
 
-// frameChecksumOK checks a whole frame — header and payload — against
-// the CRC its header carries.
-func frameChecksumOK(b []byte) bool {
-	crc := crc32.Update(crc32.ChecksumIEEE(b[0:33]), crc32.IEEETable, b[frameHdrSize:])
-	return crc == binary.LittleEndian.Uint32(b[33:37])
+// frameChecksumOK checks a frame's header and payload against the CRC
+// the header carries; the two need not be contiguous.
+func frameChecksumOK(hdr, payload []byte) bool {
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[0:33]), crc32.IEEETable, payload)
+	return crc == binary.LittleEndian.Uint32(hdr[33:37])
 }

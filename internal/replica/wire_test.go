@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -64,6 +66,77 @@ func TestFrameDetectsDamage(t *testing.T) {
 	// A cleanly closed stream between frames is bare io.EOF.
 	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream: want io.EOF, got %v", err)
+	}
+}
+
+// TestReadFrameAllocs: ReadFrame reads the header through a pooled
+// buffer, so a frame without a payload allocates nothing and one with a
+// payload allocates that payload alone.
+func TestReadFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool sheds buffers on purpose")
+	}
+	var bare [][]byte
+	for typ := byte(FrameHello); typ <= FrameRecordMore; typ++ {
+		bare = append(bare, appendFrame(nil, Frame{Type: typ, Term: 3, Seq: 17, Orig: 2}))
+	}
+	record := appendFrame(nil, Frame{Type: FrameRecord, Term: 3, Seq: 18, Orig: 3, Payload: make([]byte, 100)})
+
+	var rd bytes.Reader
+	read := func(wire []byte) {
+		rd.Reset(wire)
+		if _, err := ReadFrame(&rd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A GC cycle empties the pool and may allocate on the runtime's
+	// behalf: collect first, keep the collector off, warm the pool.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	read(record)
+	for _, wire := range bare {
+		if allocs := testing.AllocsPerRun(100, func() { read(wire) }); allocs != 0 {
+			t.Errorf("ReadFrame of a payload-less type-%d frame allocates %.1f objects, want 0", wire[4], allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { read(record) }); allocs != 1 {
+		t.Errorf("ReadFrame of a record allocates %.1f objects, want 1: its payload", allocs)
+	}
+}
+
+// TestReadFramePayloadOwned: a payload ReadFrame returned is the
+// caller's. Later reads and writes, which reuse the pooled buffers,
+// never write into it.
+func TestReadFramePayloadOwned(t *testing.T) {
+	var wire bytes.Buffer
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 16+i) }
+	for i := 0; i < 32; i++ {
+		if err := WriteFrame(&wire, Frame{Type: FrameRecord, Seq: uint64(i + 1), Payload: payload(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []Frame
+	for {
+		f, err := ReadFrame(&wire)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, f)
+		// Recycle a pooled buffer full of other bytes.
+		if err := WriteFrame(io.Discard, Frame{Type: FrameRecord, Payload: bytes.Repeat([]byte{0xEE}, 256)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != 32 {
+		t.Fatalf("read %d frames, want 32", len(got))
+	}
+	for i, f := range got {
+		if !bytes.Equal(f.Payload, payload(i)) {
+			t.Errorf("frame %d's payload changed after later reads: %x", i+1, f.Payload)
+		}
 	}
 }
 

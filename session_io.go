@@ -208,21 +208,25 @@ var fsyncDir = func(dir string) error {
 // written to a temp file in the same directory, synced to stable storage,
 // renamed over path, and the parent directory is fsynced so the rename
 // survives a crash — path always holds either the old complete
-// checkpoint or the new one, even across power loss.
+// checkpoint or the new one, even across power loss. The temp file is
+// always path+".tmp", so a save killed before its rename leaves at most
+// that one file behind, and the next save to path overwrites it. Saves
+// to one path must therefore not overlap: give each path one writer, as
+// serve.Pipeline is the only writer of its checkpoint generations.
 func (s *Session) SaveFile(path string) error {
 	return saveFileAtomic(path, s.Save)
 }
 
 // saveFileAtomic writes whatever `write` produces to path with the full
-// durability dance: temp file in the same directory, fsync, rename,
+// durability dance: the fixed temp file path+".tmp", fsync, rename,
 // directory fsync.
 func saveFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
 	cleanup := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
