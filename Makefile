@@ -1,13 +1,13 @@
 # Build and verification entry points. `make check` is the gate every
 # change must pass: clean build, vet, the full test suite under the
-# race detector (the phase-merged machine backend fans out across host
-# goroutines, so races are correctness bugs here, not just hygiene),
-# and the seeded fault-injection suite (the robustness gate: every
-# fault class must be absorbed or surfaced as a typed error).
+# race detector (the native engine's worker pool and the serve/replica
+# goroutines share state, so races are correctness bugs here, not just
+# hygiene), and the seeded fault-injection suite (the robustness gate:
+# every fault class must be absorbed or surfaced as a typed error).
 
 GO ?= go
 
-.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc check bench benchsim bench-native clean
+.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc check bench bench-native clean
 
 all: check
 
@@ -68,10 +68,10 @@ faults:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Failover|Fenced|Reseed|Election|Node|Group' ./internal/serve ./internal/replica
 
-# Determinism tests under the race detector: fixed seeds must give
-# bit-identical results on both machine backends, any worker count.
+# Determinism tests under the race detector: double runs agree (fixed
+# seeds give bit-identical results).
 determinism:
-	$(GO) test -race -count=1 -run 'Determin|HostPar' ./...
+	$(GO) test -race -count=1 -run 'Determin' ./...
 
 # Short native-fuzz smoke over the binary decoders (one -fuzz target
 # per invocation is a `go test` restriction): checkpoint loader (seeded
@@ -117,10 +117,6 @@ check: build vet vet-tdgraph race faults chaos bench-module
 # Paper-figure benchmark sweep (see bench_test.go for the cell list).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Harness self-timing: inline vs phase-merged backends -> BENCH_sim.json.
-benchsim:
-	$(GO) run ./cmd/tdgraph-bench -simjson BENCH_sim.json
 
 # Production apply path: incremental native session vs per-batch CSR
 # rebuild across batch sizes -> BENCH_native.json.

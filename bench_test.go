@@ -300,31 +300,6 @@ func BenchmarkFig24(b *testing.B) {
 	})
 }
 
-// BenchmarkHostParallel drives Fig 10's SSSP workload (TDGraph-H on the
-// FR preset) under the machine's execution backends: the classic inline
-// backend (hostpar 0) and the phase-merged backend at hostpar 1/2/4/8.
-// ns/op is the harness wall-clock per full cell; simulated cycles are
-// identical across every hostpar >= 1 by construction.
-func BenchmarkHostParallel(b *testing.B) {
-	for _, hp := range []int{0, 1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("hostpar%d", hp), func(b *testing.B) {
-			s := spec("TDGraph-H", "FR", "sssp")
-			s.HostParallelism = hp
-			// Warm the prepared-case cache so iterations time the
-			// engine+simulator, not graph generation.
-			if _, err := bench.Prepare(s); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				cycles = mustRun(b, s).Cycles
-			}
-			b.ReportMetric(cycles, "sim-cycles")
-		})
-	}
-}
-
 // BenchmarkAblationTracking isolates design decision 1: the two-phase
 // TDTU (tracking + synchronised traversal) against the same engine with
 // synchronisation disabled (eager dependency-chain traversal, the

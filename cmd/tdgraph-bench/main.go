@@ -4,17 +4,12 @@
 // Usage:
 //
 //	tdgraph-bench -list
-//	tdgraph-bench -exp fig10 [-scale 0.25] [-datasets LJ,OR] [-algos sssp] [-cores 64] [-seed 1] [-hostpar 8]
+//	tdgraph-bench -exp fig10 [-scale 0.25] [-datasets LJ,OR] [-algos sssp] [-cores 64] [-seed 1]
 //	tdgraph-bench -exp all
 //	tdgraph-bench -exp robust -seed 7
 //	tdgraph-bench -exp fig10 -faults corrupt,oob -validate clamp -timeout 2m
-//	tdgraph-bench -simjson BENCH_sim.json [-scale 0.06]
+//	tdgraph-bench -nativejson BENCH_native.json
 //
-// -hostpar N runs every simulated cell on the phase-merged machine
-// backend with N host replay workers (0 = classic inline backend);
-// simulated results are bit-identical for every N >= 1. -simjson measures
-// the harness itself — inline vs phase-merged wall-clock on the Fig 10
-// SSSP cell — and writes the comparison to the given JSON file.
 // -nativejson measures the wall-clock production apply path — the
 // incremental native session against per-batch CSR rebuild across batch
 // sizes — and writes BENCH_native.json.
@@ -40,8 +35,6 @@ func main() {
 		cores    = flag.Int("cores", 64, "simulated core count")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		hostpar  = flag.Int("hostpar", 0, "machine execution backend: 0 = inline, N>=1 = phase-merged with N host replay workers")
-		simjson  = flag.String("simjson", "", "measure harness wall-clock (inline vs phase-merged) and write BENCH_sim.json to this path")
 		natjson  = flag.String("nativejson", "", "measure the native apply path (incremental session vs per-batch CSR rebuild) and write BENCH_native.json to this path")
 		faults   = flag.String("faults", "", "seeded fault-injection spec, e.g. 'corrupt,oob:0.1,badweight' (see the fault package; seeded by -seed)")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine (clamp forced when -faults is set)")
@@ -57,10 +50,9 @@ func main() {
 	}
 	opt := bench.Options{
 		Scale: *scale, Cores: *cores, Seed: *seed, CSV: *csvOut,
-		HostParallelism: *hostpar,
-		Faults:          *faults,
-		FaultPolicy:     *validate,
-		Timeout:         *timeout,
+		Faults:      *faults,
+		FaultPolicy: *validate,
+		Timeout:     *timeout,
 	}
 	if *datasets != "" {
 		opt.Datasets = strings.Split(*datasets, ",")
@@ -69,32 +61,6 @@ func main() {
 		opt.Algos = strings.Split(*algos, ",")
 	}
 
-	if *simjson != "" {
-		start := time.Now()
-		rep, err := bench.RunHostParReport(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tdgraph-bench: simjson: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*simjson)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tdgraph-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tdgraph-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# wrote %s in %s (hostpar8 vs serial: %.2fx, vs inline: %.2fx, identical: %v)\n",
-			*simjson, time.Since(start).Round(time.Millisecond),
-			rep.SpeedupParallelVsSerial, rep.SpeedupVsInline, rep.Deterministic)
-		return
-	}
 	if *natjson != "" {
 		start := time.Now()
 		rep, err := bench.RunNativeReport(opt)

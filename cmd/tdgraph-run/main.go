@@ -13,7 +13,7 @@
 // With -engine native the batches run through the production
 // incremental engine (mutable hybrid store, persistent worklists) at
 // wall-clock speed instead of the simulated machine; -scheme, -cores,
-// -hostpar, -trace and -timeout are simulator-only and ignored.
+// -trace and -timeout are simulator-only and ignored.
 package main
 
 import (
@@ -49,7 +49,6 @@ func main() {
 		batchSz  = flag.Int("batch", 0, "updates per batch (0 = edges/20)")
 		addFrac  = flag.Float64("add", 0.75, "fraction of additions per batch")
 		cores    = flag.Int("cores", 64, "simulated cores")
-		hostpar  = flag.Int("hostpar", 0, "machine execution backend: 0 = inline, N>=1 = phase-merged with N host replay workers")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		verify   = flag.Bool("verify", true, "check every batch against the full-recompute oracle")
 		trace    = flag.String("trace", "", "write a memory access trace of the last batch to this file")
@@ -170,7 +169,6 @@ func main() {
 		newG := b.Snapshot()
 		cfg := sim.ScaledConfig()
 		cfg.Cores = *cores
-		cfg.HostParallelism = *hostpar
 		m := sim.New(cfg)
 		var traceFile *os.File
 		if *trace != "" && i == len(w.Batches)-1 {

@@ -2,6 +2,7 @@ package accel_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/accel"
@@ -140,5 +141,43 @@ func TestJetStreamCoalescesEvents(t *testing.T) {
 	}
 	if col.Get(stats.CtrEventsEnqueued) == 0 {
 		t.Fatal("JetStream enqueued no events")
+	}
+}
+
+// TestJetStreamDeterminism: two JetStream runs on the simulated machine
+// agree bit-for-bit on cycles, DRAM traffic and final vertex states.
+// JetStream allocates and marks its own event-queue regions on top of
+// the standard layout, so it covers the accelerator engine family.
+func TestJetStreamDeterminism(t *testing.T) {
+	run := func() (float64, uint64, []float64) {
+		c, err := enginetest.Make("sssp", enginetest.Config{
+			Vertices: 1200, Degree: 5, BatchSize: 150, AddFraction: 0.6, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.ScaledConfig()
+		cfg.Cores = 8
+		m := sim.New(cfg)
+		sys := accel.NewJetStream(c.NewRuntime(engine.Options{Machine: m, Cores: 8}), false)
+		sys.Process(c.Res)
+		if err := c.Verify(sys); err != nil {
+			t.Fatal(err)
+		}
+		m.Finish()
+		return m.Time(), m.DRAM().BytesMoved, sys.Runtime().S
+	}
+	c1, b1, s1 := run()
+	c2, b2, s2 := run()
+	if c1 != c2 {
+		t.Errorf("cycles: %v != %v", c2, c1)
+	}
+	if b1 != b2 {
+		t.Errorf("DRAM bytes: %d != %d", b2, b1)
+	}
+	for i := range s1 {
+		if math.Float64bits(s1[i]) != math.Float64bits(s2[i]) {
+			t.Fatalf("state %d differs: %v vs %v", i, s1[i], s2[i])
+		}
 	}
 }

@@ -16,10 +16,10 @@ type callRule struct {
 	message string // diagnostic; %s is the function name
 }
 
-// deterministicPkgs are the packages bound by the PR-1 contract:
-// results must be bit-identical across HostParallelism settings, so
-// nothing on a result path may depend on wall-clock time, the global
-// rand stream, or Go's randomized map iteration order.
+// deterministicPkgs are the packages bound by the determinism contract:
+// results must be bit-identical across runs, so nothing on a result
+// path may depend on wall-clock time, the global rand stream, or Go's
+// randomized map iteration order.
 var deterministicPkgs = []string{
 	"internal/sim",
 	"internal/engine",

@@ -101,7 +101,7 @@ func TestExperimentsRegistered(t *testing.T) {
 		"table1", "table2", "fig3a", "fig3b", "fig3c", "fig4a", "fig4b",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
-		"fig24a", "fig24b", "table3", "benchsim", "benchnative", "robust",
+		"fig24a", "fig24b", "table3", "benchnative", "robust",
 	}
 	for _, id := range want {
 		if _, ok := bench.ByID(id); !ok {

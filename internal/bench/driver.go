@@ -54,12 +54,6 @@ type Spec struct {
 	StackDepth int
 	Alpha      float64
 
-	// HostParallelism selects the machine's execution backend
-	// (sim.Config.HostParallelism): 0 = classic inline, N >= 1 = the
-	// phase-merged backend with N host replay workers. Simulated results
-	// are bit-identical for every N >= 1.
-	HostParallelism int
-
 	Seed int64
 
 	// Faults is a fault-injection spec ("class[:param],..." — see
@@ -227,7 +221,6 @@ func machineFor(s Spec) *sim.Machine {
 	if s.BandwidthScale > 0 {
 		cfg.BandwidthScale = s.BandwidthScale
 	}
-	cfg.HostParallelism = s.HostParallelism
 	return sim.New(cfg)
 }
 

@@ -23,11 +23,6 @@ type Options struct {
 	Seed int64
 	// CSV renders experiment tables as CSV instead of aligned text.
 	CSV bool
-	// HostParallelism selects the simulated machine's execution backend
-	// for every cell (see sim.Config.HostParallelism): 0 = classic
-	// inline, N >= 1 = phase-merged with N host replay workers.
-	// Simulated results are bit-identical for every N >= 1.
-	HostParallelism int
 	// Faults injects seeded faults into every cell's measured batch
 	// (spec grammar: see fault.Parse). Empty disables injection.
 	Faults string
@@ -115,15 +110,14 @@ var allAlgos = []string{"pagerank", "adsorption", "sssp", "cc"}
 // spec builds the base spec for an options/dataset/algo/scheme cell.
 func (o Options) spec(dataset, algoName, scheme string) Spec {
 	return Spec{
-		Dataset:         dataset,
-		Scale:           o.Scale,
-		Algo:            algoName,
-		Scheme:          scheme,
-		Cores:           o.Cores,
-		Seed:            o.Seed,
-		HostParallelism: o.HostParallelism,
-		Faults:          o.Faults,
-		FaultPolicy:     o.FaultPolicy,
+		Dataset:     dataset,
+		Scale:       o.Scale,
+		Algo:        algoName,
+		Scheme:      scheme,
+		Cores:       o.Cores,
+		Seed:        o.Seed,
+		Faults:      o.Faults,
+		FaultPolicy: o.FaultPolicy,
 	}
 }
 

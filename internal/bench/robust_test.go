@@ -33,34 +33,22 @@ func TestFaultSuiteCoversAllClasses(t *testing.T) {
 	}
 }
 
-// TestFaultSuiteDeterministic renders the suite twice per backend with a
-// fixed injector seed: the output must be byte-identical, for the inline
-// backend and for the phase-merged backend alike (hostpar > 0 must not
-// leak into any outcome).
+// TestFaultSuiteDeterministic renders the suite twice with a fixed
+// injector seed: the output must be byte-identical.
 func TestFaultSuiteDeterministic(t *testing.T) {
-	var ref []byte
-	for _, hp := range []int{0, 2} {
-		o := Options{Seed: 3, HostParallelism: hp}
-		var a, b bytes.Buffer
-		if err := expRobust(&a, o); err != nil {
-			t.Fatalf("hostpar=%d first run: %v", hp, err)
-		}
-		ClearCache()
-		if err := expRobust(&b, o); err != nil {
-			t.Fatalf("hostpar=%d second run: %v", hp, err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("hostpar=%d: two runs with one seed differ:\n%s\n--- vs ---\n%s",
-				hp, a.String(), b.String())
-		}
-		if ref == nil {
-			ref = a.Bytes()
-		} else if !bytes.Equal(ref, a.Bytes()) {
-			t.Fatalf("hostpar=%d output differs from inline backend:\n%s\n--- vs ---\n%s",
-				hp, ref, a.String())
-		}
-		ClearCache()
+	o := Options{Seed: 3}
+	var a, b bytes.Buffer
+	if err := expRobust(&a, o); err != nil {
+		t.Fatalf("first run: %v", err)
 	}
+	ClearCache()
+	if err := expRobust(&b, o); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("two runs with one seed differ:\n%s\n--- vs ---\n%s", a.String(), b.String())
+	}
+	ClearCache()
 }
 
 // TestFaultSpecInPrepKey guards the cache key: two specs differing only

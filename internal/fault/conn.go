@@ -53,22 +53,22 @@ type faultConn struct {
 	in  *Injector
 	rng *rand.Rand
 
-	mu             sync.Mutex
-	held           []byte // frame held back by net-reorder
-	writes         int
-	partitionAfter int
-	havePartition  bool
-	partitioned    bool
-	reads          int
-	recvAfter      int
-	haveRecv       bool
+	mu              sync.Mutex
+	held            []byte // frame held back by net-reorder
+	writes          int
+	partitionAfter  int
+	havePartition   bool
+	partitioned     bool
+	reads           int
+	recvAfter       int
+	haveRecv        bool
 	recvPartitioned bool
-	healAfter      int
-	haveHeal       bool
-	blockedOps     int
-	truncBudget    int64
-	haveTrunc      bool
-	dead           bool
+	healAfter       int
+	haveHeal        bool
+	blockedOps      int
+	truncBudget     int64
+	haveTrunc       bool
+	dead            bool
 }
 
 // blockedLocked records one I/O call refused by a live partition and,

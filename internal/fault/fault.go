@@ -132,28 +132,28 @@ var Classes = []Class{
 // defaultParam is the per-class parameter used when a spec arms a class
 // without an explicit value.
 var defaultParam = map[Class]float64{
-	Corrupt:      0.02,
-	Duplicate:    0.02,
-	Reorder:      1,
-	OutOfRange:   0.02,
-	BadWeight:    0.02,
-	SelfLoop:     0.02,
-	CkptFlip:     8,
-	CkptTruncate: 0.25,
-	ReadErr:      256,
-	WriteErr:     256,
-	Hang:         1,
-	Diverge:      4,
-	WALTorn:      256,
-	FsyncErr:     2,
-	DiskFull:     1024,
-	NoSpace:      4096,
-	LowSpace:     4096,
-	PartialSeg:   0.25,
-	NetDrop:      0.05,
-	NetDelay:     1,
-	NetDup:       0.05,
-	NetReorder:   0.05,
+	Corrupt:          0.02,
+	Duplicate:        0.02,
+	Reorder:          1,
+	OutOfRange:       0.02,
+	BadWeight:        0.02,
+	SelfLoop:         0.02,
+	CkptFlip:         8,
+	CkptTruncate:     0.25,
+	ReadErr:          256,
+	WriteErr:         256,
+	Hang:             1,
+	Diverge:          4,
+	WALTorn:          256,
+	FsyncErr:         2,
+	DiskFull:         1024,
+	NoSpace:          4096,
+	LowSpace:         4096,
+	PartialSeg:       0.25,
+	NetDrop:          0.05,
+	NetDelay:         1,
+	NetDup:           0.05,
+	NetReorder:       0.05,
 	NetPartition:     32,
 	NetTrunc:         4096,
 	NetPartitionRecv: 32,

@@ -56,6 +56,11 @@ const (
 	RoleLeader Role = "leader"
 )
 
+// electedEvent is the OnEvent line a member emits when it wins an
+// election: the term it leads and its log's last sequence number.
+// Tests scan events with the same format.
+const electedEvent = "elected leader at term %d (seq %d)"
+
 // diskRetryAfter is the retry-after hint handed to clients refused
 // under disk pressure: long enough that retention advancing or an
 // operator freeing space can make progress, short enough that recovery
@@ -529,7 +534,7 @@ func (n *Node) becomeLeader(term uint64) {
 	n.leaderAddr = n.cfg.Addr
 	n.isolatedSince = time.Time{}
 	n.mu.Unlock()
-	n.cfg.OnEvent(fmt.Sprintf("elected leader at term %d (seq %d)", term, n.fol.Seq()))
+	n.cfg.OnEvent(fmt.Sprintf(electedEvent, term, n.fol.Seq()))
 }
 
 // leaderTick is one heartbeat round: heartbeat every live follower,

@@ -182,8 +182,8 @@ func (e *electionLog) hook(addr string) func(string) {
 	return func(s string) {
 		e.mu.Lock()
 		e.lines = append(e.lines, addr+": "+s)
-		var term uint64
-		if n, _ := fmt.Sscanf(s, "elected leader at term %d", &term); n == 1 {
+		var term, seq uint64
+		if n, _ := fmt.Sscanf(s, electedEvent, &term, &seq); n == 2 {
 			e.elected[term] = append(e.elected[term], addr)
 		}
 		e.mu.Unlock()

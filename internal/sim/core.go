@@ -55,12 +55,6 @@ type Core struct {
 	stallCycles   float64
 	phase         Phase
 	phaseCycles   [numPhases]float64
-
-	// rec and evs are the phase-merged backend's per-core event logs:
-	// rec holds this core's line accesses since the last drain, evs the
-	// shared-level events its private replay emitted (see parallel.go).
-	rec []accessRec
-	evs []sharedEv
 }
 
 var _ Port = (*Core)(nil)
@@ -112,10 +106,6 @@ func (c *Core) access(addr uint64, size int, write, stall bool) {
 	}
 	first := cache.LineAddr(addr)
 	last := cache.LineAddr(addr + uint64(size) - 1)
-	if c.m.hostPar > 0 {
-		c.logAccess(addr, first, last, write, stall)
-		return
-	}
 	for la := first; la <= last; la += cache.LineSize {
 		wordIdx := 0
 		if la == first {
@@ -127,8 +117,7 @@ func (c *Core) access(addr uint64, size int, write, stall bool) {
 
 // accessLine walks one line through L1 → L2 → LLC → DRAM, maintaining the
 // inclusion, directory, and usefulness structures, and charges the core
-// for the resulting stall when requested. This is the inline backend
-// (HostParallelism == 0); parallel.go replays the same walk in phases.
+// for the resulting stall when requested.
 func (m *Machine) accessLine(c *Core, la uint64, wordIdx int, write, stall bool) {
 	tracked := m.isTracked(la)
 	hint := m.hintFor(la)

@@ -58,30 +58,6 @@ type Config struct {
 	// TLBEntries/TLBWays size each core's L2 TLB (Fig 5: the TDGraph
 	// engine translates through it). Zero disables TLB modelling.
 	TLBEntries, TLBWays int
-
-	// HostParallelism selects the machine's execution backend.
-	//
-	//   0 (default): the classic inline backend — every Port access walks
-	//   the full hierarchy synchronously on the calling goroutine, and
-	//   cycle counts/counters are up to date after every access.
-	//
-	//   N >= 1: the phase-merged backend — Port accesses are recorded in
-	//   per-core event logs and replayed at the next Barrier in three
-	//   phases: private L1/L2/TLB replay across min(N, Cores) host worker
-	//   goroutines, a serial merge of shared-level events (mesh, LLC,
-	//   DRAM, directory, usefulness) in canonical core order, then
-	//   parallel per-core stall application. Results are bit-identical
-	//   for every N >= 1 — the worker count never influences replay
-	//   order — and deterministic across runs; counters and cycle counts
-	//   are authoritative only after a Barrier or Finish.
-	//
-	// The two backends agree on functional behaviour and on determinism
-	// but not bit-for-bit on timing: the inline backend applies coherence
-	// invalidations and inclusive back-invalidations at the exact access
-	// that triggers them, while the phase-merged backend defers shared
-	// events to the barrier (see DESIGN.md, "Machine concurrency
-	// contract").
-	HostParallelism int
 }
 
 // ScaledConfig returns the Table 1 machine with its cache capacities
@@ -133,27 +109,18 @@ func (r Region) End() uint64 { return r.Base + r.Size }
 
 // Machine is one simulated many-core system instance.
 //
-// Concurrency contract: the engine-facing API (Port accesses, Alloc,
-// Mark*/Track*, Barrier, Finish, counter reads) must be driven from a
-// single goroutine — engines stay deterministic by construction. With
-// Config.HostParallelism >= 1 the machine internally fans per-simulated-
-// core replay work out across host worker goroutines between the access
-// calls and the barrier; that parallelism is invisible to callers (all
-// workers join before Barrier returns) and never affects results: shared
-// structures (mesh, LLC, DRAM, directory, usefulness shards) are only
-// touched during the serial merge phase, in canonical core order, so any
-// worker count produces bit-identical cycle counts and counters.
-// `go test -race ./...` runs clean over the parallel backend.
+// Concurrency contract: the machine has no goroutines of its own. Its
+// whole API (Port accesses, Alloc, Mark*/Track*, Barrier, Finish,
+// counter reads) is driven from the one engine goroutine, and every
+// access walks the hierarchy inline before it returns, so a run is
+// deterministic by construction: the same config and engine calls give
+// bit-identical cycle counts and counters.
 type Machine struct {
 	cfg   Config
 	cores []*Core
 	llc   *cache.Cache
 	dram  *mem.DRAM
 	mesh  *noc.Mesh
-
-	// hostPar caches Config.HostParallelism: 0 = inline backend,
-	// >= 1 = phase-merged backend with that many replay workers.
-	hostPar int
 
 	nextAddr uint64
 
@@ -213,15 +180,11 @@ func New(cfg Config) *Machine {
 	if cfg.LLCSizeKB > 0 {
 		llcBytes = cfg.LLCSizeKB << 10
 	}
-	if cfg.HostParallelism < 0 {
-		cfg.HostParallelism = 0
-	}
 	m := &Machine{
 		cfg:      cfg,
 		llc:      cache.MustNew("llc", llcBytes, cfg.LLCWays, cfg.LLCPolicy),
 		dram:     mem.New(dcfg),
 		mesh:     noc.New(cfg.NoC),
-		hostPar:  cfg.HostParallelism,
 		nextAddr: 1 << 20, // leave a guard page at zero
 	}
 	m.cores = make([]*Core, cfg.Cores)
@@ -266,11 +229,8 @@ func (m *Machine) Alloc(name string, bytes uint64) Region {
 }
 
 // TrackUseful enables per-word usefulness accounting for accesses inside
-// r (the vertex-state arrays, matching Fig 3c / Fig 12). Region marks
-// drain any deferred accesses first so pending work replays under the
-// configuration it was issued against.
+// r (the vertex-state arrays, matching Fig 3c / Fig 12).
 func (m *Machine) TrackUseful(r Region) {
-	m.drain()
 	m.trackedRanges = append(m.trackedRanges, r)
 	if r.Size > 0 {
 		m.useShards = append(m.useShards, newUseShard(r))
@@ -280,14 +240,12 @@ func (m *Machine) TrackUseful(r Region) {
 // MarkHot tags r so accesses carry the hot hint consumed by GRASP and by
 // the energy model (the Coalesced_States region).
 func (m *Machine) MarkHot(r Region) {
-	m.drain()
 	m.hotRanges = append(m.hotRanges, r)
 }
 
 // MarkCoherent enables directory-based invalidation accounting for writes
 // inside r (writable shared data: states, deltas, bitvectors).
 func (m *Machine) MarkCoherent(r Region) {
-	m.drain()
 	m.coherentRanges = append(m.coherentRanges, r)
 	if r.Size > 0 {
 		m.dirShards = append(m.dirShards, newDirShard(r))
@@ -324,14 +282,12 @@ func (m *Machine) isCoherent(addr uint64) bool {
 // Time returns the machine's global time (cycles) advanced by barriers.
 func (m *Machine) Time() float64 { return m.time }
 
-// Barrier synchronises all cores: any deferred accesses are drained
-// (replayed) first, then global time advances to the slowest core's
-// cycle count, bounded below by the DRAM bandwidth roofline for the
+// Barrier synchronises all cores: global time advances to the slowest
+// core's cycle count, bounded below by the DRAM bandwidth roofline for the
 // bytes moved during the step, and every core restarts from the new
 // global time.
 func (m *Machine) Barrier() {
 	m.wdPoll()
-	m.drain()
 	maxCycles := m.time
 	for _, c := range m.cores {
 		if c.cycles > maxCycles {

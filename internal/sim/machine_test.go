@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/sim"
@@ -261,5 +262,98 @@ func TestDRAMConservation(t *testing.T) {
 	}
 	if got, want := m.DRAM().BytesMoved, (m.DRAM().Reads+m.DRAM().Writes)*64; got != want {
 		t.Fatalf("bytes %d != 64*(reads+writes) %d", got, want)
+	}
+}
+
+// runWorkload drives a mixed workload — coherent, tracked, and hot
+// regions, reads/writes/prefetches from all cores, periodic barriers —
+// and returns the full counter set plus the final time.
+func runWorkload(t *testing.T, trace *bytes.Buffer) (*stats.Collector, float64) {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	cfg.Cores = 8
+	cfg.L1SizeKB = 8
+	cfg.L2SizeKB = 32
+	cfg.LLCSizeKB = 256
+	m := sim.New(cfg)
+	m.SetTrace(trace)
+	states := m.Alloc("states", 1<<20)
+	edges := m.Alloc("edges", 4<<20)
+	hot := m.Alloc("hot", 1<<14)
+	m.TrackUseful(states)
+	m.MarkCoherent(states)
+	m.MarkCoherent(hot)
+	m.MarkHot(hot)
+
+	x := uint64(98765)
+	rnd := func(mod uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return (x >> 33) % mod
+	}
+	for step := 0; step < 20; step++ {
+		for i := 0; i < 2000; i++ {
+			c := m.Core(int(rnd(uint64(cfg.Cores))))
+			switch rnd(5) {
+			case 0:
+				c.Write(states.Base+rnd(states.Size), 4)
+			case 1:
+				c.Read(states.Base+rnd(states.Size), 4)
+			case 2:
+				c.Read(edges.Base+rnd(edges.Size), 16) // may span lines
+			case 3:
+				c.Prefetch(edges.Base+rnd(edges.Size), 64)
+			case 4:
+				if rnd(2) == 0 {
+					c.Write(hot.Base+rnd(hot.Size), 8)
+				} else {
+					c.Read(hot.Base+rnd(hot.Size), 4)
+				}
+			}
+			if i%97 == 0 {
+				c.SetPhase(sim.Phase(rnd(2)))
+			}
+			if i%13 == 0 {
+				c.Compute(int(rnd(8)))
+			}
+		}
+		m.Barrier()
+	}
+	m.Finish()
+	col := stats.NewCollector()
+	m.CollectInto(col)
+	return col, m.Time()
+}
+
+// TestMachineDeterminism: two runs of the mixed workload agree on every
+// counter, the final time and the trace bytes.
+func TestMachineDeterminism(t *testing.T) {
+	var ta, tb bytes.Buffer
+	a, at := runWorkload(t, &ta)
+	b, bt := runWorkload(t, &tb)
+	if at != bt {
+		t.Errorf("time %v != %v", bt, at)
+	}
+	for _, ctr := range []string{
+		stats.CtrL1Hits, stats.CtrL1Misses,
+		stats.CtrL2Hits, stats.CtrL2Misses,
+		stats.CtrLLCHits, stats.CtrLLCMisses,
+		stats.CtrDRAMReads, stats.CtrDRAMWrites, stats.CtrDRAMBytes,
+		stats.CtrNoCFlits, stats.CtrNoCHops,
+		stats.CtrInvalidations, stats.CtrWritebacks,
+		stats.CtrTLBHits, stats.CtrTLBMisses,
+		stats.CtrStateWordsFetched, stats.CtrStateWordsUsed,
+		stats.CtrCyclesCompute, stats.CtrCyclesMemStall,
+		stats.CtrCyclesPropagate, stats.CtrCyclesOther,
+		stats.CtrCyclesTotal,
+	} {
+		if w, g := a.Get(ctr), b.Get(ctr); w != g {
+			t.Errorf("counter %s = %d, want %d", ctr, g, w)
+		}
+	}
+	if ta.Len() == 0 {
+		t.Fatal("no trace produced")
+	}
+	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
+		t.Fatal("traces differ between two runs")
 	}
 }

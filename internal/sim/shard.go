@@ -18,11 +18,6 @@ const (
 // so they are now dense arrays sized from the registered Regions (one
 // shard per MarkCoherent / TrackUseful call) and indexed by line offset —
 // a bounds check plus a shift instead of a hash probe.
-//
-// The sharding also gives the phase-merged parallel backend (parallel.go)
-// a clean ownership story: shards are written only during the serial
-// merge phase of a drain (or inline in the classic backend), never from
-// the per-core replay workers.
 
 // dirShard is the coherence directory of one MarkCoherent region: one
 // presence bitmask of sharer cores per line. mask==0 means "no private
@@ -104,15 +99,6 @@ func (m *Machine) useInsert(la uint64) {
 func (m *Machine) useMark(la uint64, wordIdx int) {
 	if s, i, ok := m.useEntry(la); ok && s.present[i] {
 		s.used[i] |= 1 << uint(wordIdx)
-	}
-}
-
-// useMarkMask records a whole run's word touches at once (the
-// phase-merged backend coalesces same-line accesses into one record
-// carrying the union of touched words).
-func (m *Machine) useMarkMask(la uint64, mask uint16) {
-	if s, i, ok := m.useEntry(la); ok && s.present[i] {
-		s.used[i] |= mask
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 // Pass nil to detach. The writer is wrapped in a buffer; call FlushTrace
 // (or Finish, which does it) before reading the sink.
 func (m *Machine) SetTrace(w io.Writer) {
-	m.drain()
 	if w == nil {
 		m.trace = nil
 		return

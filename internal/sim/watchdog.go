@@ -39,8 +39,8 @@ func (m *Machine) SetWatchdog(ctx context.Context) {
 	m.wdCount = 0
 }
 
-// wdPoll checks the watchdog immediately; called at barriers and drains
-// (the phase boundaries, always on the engine goroutine).
+// wdPoll checks the watchdog immediately; called at barriers (always on
+// the engine goroutine).
 func (m *Machine) wdPoll() {
 	if m.wdCtx == nil {
 		return
@@ -52,7 +52,7 @@ func (m *Machine) wdPoll() {
 	}
 }
 
-// wdCheck is the amortised per-access poll on the inline hot path.
+// wdCheck is the amortised per-access poll on the access hot path.
 func (m *Machine) wdCheck() {
 	if m.wdCtx == nil {
 		return

@@ -90,12 +90,12 @@ func TestSanitizeClamp(t *testing.T) {
 	c := stats.NewCollector()
 	v := NewValidator(PolicyClamp, 10, c)
 	batch := []graph.Update{
-		upd(1, 2, 1),                       // kept
-		upd(42, 2, 1),                      // dropped: out of range
-		upd(3, 4, float32(math.NaN())),     // clamped to 0
-		upd(5, 6, float32(math.Inf(1))),    // clamped to +MaxFloat32
-		upd(7, 8, float32(math.Inf(-1))),   // clamped to 0 (negative)
-		upd(9, 9, 1),                       // dropped: self-loop
+		upd(1, 2, 1),                     // kept
+		upd(42, 2, 1),                    // dropped: out of range
+		upd(3, 4, float32(math.NaN())),   // clamped to 0
+		upd(5, 6, float32(math.Inf(1))),  // clamped to +MaxFloat32
+		upd(7, 8, float32(math.Inf(-1))), // clamped to 0 (negative)
+		upd(9, 9, 1),                     // dropped: self-loop
 		{Edge: graph.Edge{Src: 2, Dst: 3, Weight: 5}, Delete: true}, // kept, Delete preserved
 	}
 	orig := make([]graph.Update, len(batch))

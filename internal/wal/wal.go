@@ -30,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
+	"strconv"
+	"strings"
 	"syscall"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
@@ -120,7 +122,8 @@ const (
 )
 
 // ParseSyncPolicy maps a -walsync flag value ("batch", "interval:N",
-// "off") to a policy and interval.
+// "off") to a policy and interval. N is a positive decimal with nothing
+// before or after it: no sign, no space, no unit.
 func ParseSyncPolicy(s string) (SyncPolicy, int, error) {
 	switch {
 	case s == "" || s == "batch":
@@ -128,9 +131,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, int, error) {
 	case s == "off":
 		return SyncNone, 0, nil
 	default:
-		var n int
-		if _, err := fmt.Sscanf(s, "interval:%d", &n); err == nil && n > 0 {
-			return SyncEvery, n, nil
+		// ParseUint takes no sign; 31 bits keep n within an int.
+		if rest, ok := strings.CutPrefix(s, "interval:"); ok {
+			if n, err := strconv.ParseUint(rest, 10, 31); err == nil && n > 0 {
+				return SyncEvery, int(n), nil
+			}
 		}
 		return 0, 0, fmt.Errorf("wal: bad sync policy %q (batch|interval:N|off)", s)
 	}

@@ -346,6 +346,10 @@ func TestParseSyncPolicy(t *testing.T) {
 		{"interval:8", SyncEvery, 8, false},
 		{"interval:0", 0, 0, true},
 		{"sometimes", 0, 0, true},
+		{"interval:5x", 0, 0, true},
+		{"interval:10ms", 0, 0, true},
+		{"interval: 5", 0, 0, true},
+		{"interval:+5", 0, 0, true},
 	}
 	for _, c := range cases {
 		p, n, err := ParseSyncPolicy(c.in)
