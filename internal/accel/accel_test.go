@@ -3,6 +3,7 @@ package accel_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/accel"
@@ -144,31 +145,40 @@ func TestJetStreamCoalescesEvents(t *testing.T) {
 	}
 }
 
-// TestJetStreamDeterminism: two JetStream runs on the simulated machine
-// agree bit-for-bit on cycles, DRAM traffic and final vertex states.
-// JetStream allocates and marks its own event-queue regions on top of
-// the standard layout, so it covers the accelerator engine family.
-func TestJetStreamDeterminism(t *testing.T) {
-	run := func() (float64, uint64, []float64) {
-		c, err := enginetest.Make("sssp", enginetest.Config{
-			Vertices: 1200, Degree: 5, BatchSize: 150, AddFraction: 0.6, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sim.ScaledConfig()
-		cfg.Cores = 8
-		m := sim.New(cfg)
-		sys := accel.NewJetStream(c.NewRuntime(engine.Options{Machine: m, Cores: 8}), false)
-		sys.Process(c.Res)
-		if err := c.Verify(sys); err != nil {
-			t.Fatal(err)
-		}
-		m.Finish()
-		return m.Time(), m.DRAM().BytesMoved, sys.Runtime().S
+// jetstreamRun drives the JetStream model on the simulated machine with
+// the host's GOMAXPROCS set to procs (0 leaves it as is) and returns
+// (cycles, DRAM bytes, final states). JetStream allocates and marks its
+// own event-queue regions on top of the standard layout, so it covers the
+// accelerator engine family.
+func jetstreamRun(t *testing.T, procs int) (float64, uint64, []float64) {
+	t.Helper()
+	if procs > 0 {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
 	}
-	c1, b1, s1 := run()
-	c2, b2, s2 := run()
+	c, err := enginetest.Make("sssp", enginetest.Config{
+		Vertices: 1200, Degree: 5, BatchSize: 150, AddFraction: 0.6, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.ScaledConfig()
+	cfg.Cores = 8
+	m := sim.New(cfg)
+	sys := accel.NewJetStream(c.NewRuntime(engine.Options{Machine: m, Cores: 8}), false)
+	sys.Process(c.Res)
+	if err := c.Verify(sys); err != nil {
+		t.Fatal(err)
+	}
+	m.Finish()
+	return m.Time(), m.DRAM().BytesMoved, sys.Runtime().S
+}
+
+// sameJetStream compares two jetstreamRun results bit-for-bit.
+func sameJetStream(t *testing.T, procsA, procsB int) {
+	t.Helper()
+	c1, b1, s1 := jetstreamRun(t, procsA)
+	c2, b2, s2 := jetstreamRun(t, procsB)
 	if c1 != c2 {
 		t.Errorf("cycles: %v != %v", c2, c1)
 	}
@@ -180,4 +190,16 @@ func TestJetStreamDeterminism(t *testing.T) {
 			t.Fatalf("state %d differs: %v vs %v", i, s1[i], s2[i])
 		}
 	}
+}
+
+// TestJetStreamDeterminism: two JetStream runs on the simulated machine
+// agree bit-for-bit on cycles, DRAM traffic and final vertex states.
+func TestJetStreamDeterminism(t *testing.T) {
+	sameJetStream(t, 0, 0)
+}
+
+// TestJetStreamHostParDeterminism: the simulated results do not depend on
+// the host's parallelism; runs at GOMAXPROCS 1 and 4 agree bit-for-bit.
+func TestJetStreamHostParDeterminism(t *testing.T) {
+	sameJetStream(t, 1, 4)
 }

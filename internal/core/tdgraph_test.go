@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/core"
 	"github.com/tdgraph/tdgraph/internal/engine"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
@@ -238,5 +240,60 @@ func TestTDGraphDeterminism(t *testing.T) {
 		if c2[k] != v {
 			t.Fatalf("counter %s differs: %d vs %d", k, v, c2[k])
 		}
+	}
+}
+
+// tdgraphSimRun drives the full TDGraph-H model (TDTU + VSCU) on a
+// simulated machine with the host's GOMAXPROCS set to procs and returns
+// (cycles, DRAM bytes, invalidations, final states).
+func tdgraphSimRun(t *testing.T, algoName string, procs int) (float64, uint64, uint64, []float64) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	c, err := enginetest.Make(algoName, enginetest.Config{
+		Vertices: 1200, Degree: 5, BatchSize: 150, AddFraction: 0.6, Seed: 99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.ScaledConfig()
+	cfg.Cores = 8
+	m := sim.New(cfg)
+	rt := c.NewRuntime(engine.Options{
+		Machine: m,
+		Cores:   8,
+		Layout:  engine.LayoutOptions{TDGraph: true, Alpha: 0.005},
+	})
+	sys := core.New(core.DefaultConfig(), rt)
+	sys.Process(c.Res)
+	if err := c.Verify(sys); err != nil {
+		t.Fatal(err)
+	}
+	m.Finish()
+	return m.Time(), m.DRAM().BytesMoved, m.Invalidations(), sys.Runtime().S
+}
+
+// TestTDGraphHostParDeterminism: for the TDGraph-H engine family on the
+// simulated machine, runs at GOMAXPROCS 1 and 4 agree bit-for-bit on
+// cycle counts, DRAM traffic, coherence activity and final vertex
+// states; the simulated results do not depend on the host's parallelism.
+func TestTDGraphHostParDeterminism(t *testing.T) {
+	for _, algoName := range []string{"sssp", "pagerank"} {
+		t.Run(algoName, func(t *testing.T) {
+			c1, b1, i1, s1 := tdgraphSimRun(t, algoName, 1)
+			c4, b4, i4, s4 := tdgraphSimRun(t, algoName, 4)
+			if c1 != c4 {
+				t.Errorf("cycles: GOMAXPROCS=1 %v != GOMAXPROCS=4 %v", c1, c4)
+			}
+			if b1 != b4 {
+				t.Errorf("DRAM bytes: GOMAXPROCS=1 %d != GOMAXPROCS=4 %d", b1, b4)
+			}
+			if i1 != i4 {
+				t.Errorf("invalidations: GOMAXPROCS=1 %d != GOMAXPROCS=4 %d", i1, i4)
+			}
+			if i := algo.StatesEqual(s1, s4, 0); i >= 0 {
+				t.Errorf("states differ at vertex %d", i)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
@@ -166,5 +167,52 @@ func TestEngineDeterminism(t *testing.T) {
 		if c2[k] != v {
 			t.Fatalf("counter %s differs: %d vs %d", k, v, c2[k])
 		}
+	}
+}
+
+// baselineSimRun drives the Ligra-o baseline on a simulated machine with
+// the host's GOMAXPROCS set to procs and returns (cycles, DRAM bytes,
+// final states).
+func baselineSimRun(t *testing.T, algoName string, procs int) (float64, uint64, []float64) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	c, err := enginetest.Make(algoName, enginetest.Config{
+		Vertices: 1200, Degree: 5, BatchSize: 150, AddFraction: 0.6, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.ScaledConfig()
+	cfg.Cores = 8
+	m := sim.New(cfg)
+	sys := engine.NewBaseline(engine.LigraO(), c.NewRuntime(engine.Options{Machine: m, Cores: 8}))
+	sys.Process(c.Res)
+	if err := c.Verify(sys); err != nil {
+		t.Fatal(err)
+	}
+	m.Finish()
+	return m.Time(), m.DRAM().BytesMoved, sys.Runtime().S
+}
+
+// TestBaselineHostParDeterminism: for the software-baseline engine family
+// on the simulated machine, runs at GOMAXPROCS 1 and 4 agree bit-for-bit
+// on cycle counts, DRAM traffic and final vertex states; the simulated
+// results do not depend on the host's parallelism.
+func TestBaselineHostParDeterminism(t *testing.T) {
+	for _, algoName := range []string{"sssp", "pagerank"} {
+		t.Run(algoName, func(t *testing.T) {
+			c1, b1, s1 := baselineSimRun(t, algoName, 1)
+			c4, b4, s4 := baselineSimRun(t, algoName, 4)
+			if c1 != c4 {
+				t.Errorf("cycles: GOMAXPROCS=1 %v != GOMAXPROCS=4 %v", c1, c4)
+			}
+			if b1 != b4 {
+				t.Errorf("DRAM bytes: GOMAXPROCS=1 %d != GOMAXPROCS=4 %d", b1, b4)
+			}
+			if i := algo.StatesEqual(s1, s4, 0); i >= 0 {
+				t.Errorf("states differ at vertex %d", i)
+			}
+		})
 	}
 }

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/sim"
@@ -267,22 +269,45 @@ func TestDRAMConservation(t *testing.T) {
 
 // runWorkload drives a mixed workload — coherent, tracked, and hot
 // regions, reads/writes/prefetches from all cores, periodic barriers —
-// and returns the full counter set plus the final time.
-func runWorkload(t *testing.T, trace *bytes.Buffer) (*stats.Collector, float64) {
+// and returns the full counter set plus the final time. procs sets the
+// host's GOMAXPROCS for the run (0 leaves it as is). split registers the
+// states and hot regions as two MarkCoherent/TrackUseful shards each
+// instead of one.
+func runWorkload(t *testing.T, procs int, split bool, trace *bytes.Buffer) (*stats.Collector, float64) {
 	t.Helper()
+	if procs > 0 {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+	}
 	cfg := sim.DefaultConfig()
 	cfg.Cores = 8
 	cfg.L1SizeKB = 8
 	cfg.L2SizeKB = 32
 	cfg.LLCSizeKB = 256
 	m := sim.New(cfg)
-	m.SetTrace(trace)
+	if trace != nil {
+		m.SetTrace(trace)
+	}
 	states := m.Alloc("states", 1<<20)
 	edges := m.Alloc("edges", 4<<20)
 	hot := m.Alloc("hot", 1<<14)
-	m.TrackUseful(states)
-	m.MarkCoherent(states)
-	m.MarkCoherent(hot)
+	shards := func(r sim.Region) []sim.Region {
+		if !split {
+			return []sim.Region{r}
+		}
+		h := r.Size / 2
+		return []sim.Region{
+			{Name: r.Name, Base: r.Base, Size: h},
+			{Name: r.Name, Base: r.Base + h, Size: r.Size - h},
+		}
+	}
+	for _, r := range shards(states) {
+		m.TrackUseful(r)
+		m.MarkCoherent(r)
+	}
+	for _, r := range shards(hot) {
+		m.MarkCoherent(r)
+	}
 	m.MarkHot(hot)
 
 	x := uint64(98765)
@@ -324,15 +349,10 @@ func runWorkload(t *testing.T, trace *bytes.Buffer) (*stats.Collector, float64) 
 	return col, m.Time()
 }
 
-// TestMachineDeterminism: two runs of the mixed workload agree on every
-// counter, the final time and the trace bytes.
-func TestMachineDeterminism(t *testing.T) {
-	var ta, tb bytes.Buffer
-	a, at := runWorkload(t, &ta)
-	b, bt := runWorkload(t, &tb)
-	if at != bt {
-		t.Errorf("time %v != %v", bt, at)
-	}
+// compareCounters reports every machine counter on which got differs
+// from want; label names the run being compared.
+func compareCounters(t *testing.T, label string, want, got *stats.Collector) {
+	t.Helper()
 	for _, ctr := range []string{
 		stats.CtrL1Hits, stats.CtrL1Misses,
 		stats.CtrL2Hits, stats.CtrL2Misses,
@@ -346,14 +366,89 @@ func TestMachineDeterminism(t *testing.T) {
 		stats.CtrCyclesPropagate, stats.CtrCyclesOther,
 		stats.CtrCyclesTotal,
 	} {
-		if w, g := a.Get(ctr), b.Get(ctr); w != g {
-			t.Errorf("counter %s = %d, want %d", ctr, g, w)
+		if w, g := want.Get(ctr), got.Get(ctr); w != g {
+			t.Errorf("%s: counter %s = %d, want %d", label, ctr, g, w)
 		}
 	}
+}
+
+// TestMachineDeterminism: two runs of the mixed workload agree on every
+// counter, the final time and the trace bytes.
+func TestMachineDeterminism(t *testing.T) {
+	var ta, tb bytes.Buffer
+	a, at := runWorkload(t, 0, false, &ta)
+	b, bt := runWorkload(t, 0, false, &tb)
+	if at != bt {
+		t.Errorf("time %v != %v", bt, at)
+	}
+	compareCounters(t, "second run", a, b)
 	if ta.Len() == 0 {
 		t.Fatal("no trace produced")
 	}
 	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
 		t.Fatal("traces differ between two runs")
+	}
+}
+
+// TestHostParDeterminism: the machine runs on one engine goroutine, so
+// its results do not depend on the host's parallelism: the mixed
+// workload agrees on every counter and the final time at GOMAXPROCS
+// 1, 2, 4 and 8.
+func TestHostParDeterminism(t *testing.T) {
+	ref, refTime := runWorkload(t, 1, false, nil)
+	for _, procs := range []int{2, 4, 8} {
+		got, gotTime := runWorkload(t, procs, false, nil)
+		label := fmt.Sprintf("GOMAXPROCS=%d", procs)
+		if gotTime != refTime {
+			t.Errorf("%s: time %v != %v", label, gotTime, refTime)
+		}
+		compareCounters(t, label, ref, got)
+	}
+}
+
+// TestHostParTraceDeterministic: the access trace does not depend on the
+// host's parallelism either.
+func TestHostParTraceDeterministic(t *testing.T) {
+	var a, b bytes.Buffer
+	runWorkload(t, 1, false, &a)
+	runWorkload(t, 4, false, &b)
+	if a.Len() == 0 {
+		t.Fatal("no trace produced")
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("trace differs between GOMAXPROCS=1 and GOMAXPROCS=4")
+	}
+}
+
+// TestHostParCountersConserved: the DRAM conservation law of
+// TestDRAMConservation (every DRAM read is an LLC miss; 64 bytes per
+// transfer) also holds on the mixed workload — eight cores, prefetches,
+// hot and tracked regions, barriers — run at GOMAXPROCS 4.
+func TestHostParCountersConserved(t *testing.T) {
+	col, _ := runWorkload(t, 4, false, nil)
+	reads, writes := col.Get(stats.CtrDRAMReads), col.Get(stats.CtrDRAMWrites)
+	if misses := col.Get(stats.CtrLLCMisses); reads != misses {
+		t.Fatalf("DRAM reads %d != LLC misses %d", reads, misses)
+	}
+	if got, want := col.Get(stats.CtrDRAMBytes), (reads+writes)*64; got != want {
+		t.Fatalf("bytes %d != 64*(reads+writes) %d", got, want)
+	}
+}
+
+// TestInlineShardEquivalence: the coherence directory and usefulness
+// table keep one array shard per MarkCoherent / TrackUseful call, and how
+// a region is cut into shards must not change any result: registering
+// the states and hot regions as two shards each gives the same counters,
+// final time and trace as one shard each.
+func TestInlineShardEquivalence(t *testing.T) {
+	var ta, tb bytes.Buffer
+	a, at := runWorkload(t, 0, false, &ta)
+	b, bt := runWorkload(t, 0, true, &tb)
+	if at != bt {
+		t.Errorf("time with split shards %v != %v", bt, at)
+	}
+	compareCounters(t, "split shards", a, b)
+	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
+		t.Fatal("trace differs between one and two shards per region")
 	}
 }
