@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
 
 	"github.com/tdgraph/tdgraph/internal/stats"
+	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // Checkpointer manages a rotating family of checkpoint generations at
@@ -28,6 +28,10 @@ type Checkpointer struct {
 	// Keep is how many generations to retain, minimum 1 (default 2: the
 	// newest plus one fallback).
 	Keep int
+	// FS is the filesystem every read, write, rename and directory sync
+	// goes through — the member's one disk seam, shared with its WAL.
+	// Nil means the real filesystem.
+	FS wal.FS
 }
 
 // NewCheckpointer returns a Checkpointer with the default retention.
@@ -54,20 +58,24 @@ func (c *Checkpointer) genPath(i int) string {
 
 // SaveWithMeta rotates the retained generations one slot back and writes
 // the session, with meta in the file's own meta block, as the new newest
-// generation. The write is atomic (SaveFile's fixed temp file, fsync,
-// rename, directory fsync) and rotation happens before it, so at every
-// instant the newest complete generation on disk is recoverable — and,
-// being one file, recoverable together with what it covers. Saves
-// through one Path must not overlap.
+// generation. The write is wal.ReplaceFile's atomic replace (fixed temp
+// file, fsync, rename, directory fsync) and rotation happens before it,
+// so at every instant the newest complete generation on disk is
+// recoverable — and, being one file, recoverable together with what it
+// covers. Saves through one Path must not overlap.
 func (c *Checkpointer) SaveWithMeta(s *Session, meta []byte) error {
+	fsys := wal.OrOS(c.FS)
 	for i := c.keep() - 1; i >= 1; i-- {
 		// An empty source slot leaves the destination as it is.
 		src, dst := c.genPath(i-1), c.genPath(i)
-		if err := os.Rename(src, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := fsys.Rename(src, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("tdgraph: rotating checkpoint %s -> %s: %w", src, dst, err)
 		}
 	}
-	return saveFileAtomic(c.Path, func(w io.Writer) error { return s.save(w, meta) })
+	if err := wal.ReplaceFile(fsys, c.Path, func(w io.Writer) error { return s.save(w, meta) }); err != nil {
+		return fmt.Errorf("tdgraph: saving checkpoint %s: %w", c.Path, err)
+	}
+	return nil
 }
 
 // RecoveryEvent records one checkpoint generation that was skipped
@@ -101,7 +109,7 @@ func (c *Checkpointer) newest(try func(path string) error) ([]RecoveryEvent, err
 // in the session's robustness stats.
 func (c *Checkpointer) LoadWithMeta(a Algorithm, opt SessionOptions) (s *Session, meta []byte, skipped []RecoveryEvent, err error) {
 	skipped, err = c.newest(func(path string) (err error) {
-		s, meta, err = loadSessionFile(a, path, opt)
+		s, meta, err = loadSessionFile(wal.OrOS(c.FS), a, path, opt)
 		return err
 	})
 	if err == nil && len(skipped) > 0 {
@@ -117,9 +125,10 @@ func (c *Checkpointer) LoadWithMeta(a Algorithm, opt SessionOptions) (s *Session
 // generation, so a fallback restore never finds its replay tail already
 // deleted.
 func (c *Checkpointer) Metas() [][]byte {
+	fsys := wal.OrOS(c.FS)
 	out := make([][]byte, c.keep())
 	for i := range out {
-		if f, err := os.Open(c.genPath(i)); err == nil {
+		if f, err := fsys.Open(c.genPath(i)); err == nil {
 			out[i], _ = readCheckpointMeta(f) // nil on failure, by contract
 			f.Close()
 		}
@@ -134,7 +143,7 @@ func (c *Checkpointer) Metas() [][]byte {
 // installing, and a whole-file checksum travels with the transfer.
 func (c *Checkpointer) NewestWithMeta() (data, meta []byte, err error) {
 	_, err = c.newest(func(path string) (err error) {
-		if data, err = os.ReadFile(path); err == nil {
+		if data, err = wal.ReadFile(wal.OrOS(c.FS), path); err == nil {
 			meta, err = readCheckpointMeta(bytes.NewReader(data))
 		}
 		return err
@@ -155,19 +164,20 @@ func (c *Checkpointer) NewestWithMeta() (data, meta []byte, err error) {
 // previous newest generation, complete; after it, the installed one —
 // never a half-installed snapshot, and never a way back past it.
 func (c *Checkpointer) Install(tmpPath string) error {
+	fsys := wal.OrOS(c.FS)
 	dir := filepath.Dir(c.Path)
 	for i := 1; i < c.keep(); i++ {
-		if err := os.Remove(c.genPath(i)); err != nil && !os.IsNotExist(err) {
+		if err := fsys.Remove(c.genPath(i)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("tdgraph: clearing checkpoint generation %s: %w", c.genPath(i), err)
 		}
 	}
-	if err := fsyncDir(dir); err != nil {
+	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("tdgraph: syncing checkpoint directory %s: %w", dir, err)
 	}
-	if err := os.Rename(tmpPath, c.Path); err != nil {
+	if err := fsys.Rename(tmpPath, c.Path); err != nil {
 		return fmt.Errorf("tdgraph: installing checkpoint %s: %w", c.Path, err)
 	}
-	if err := fsyncDir(dir); err != nil {
+	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("tdgraph: syncing checkpoint directory %s: %w", dir, err)
 	}
 	return nil

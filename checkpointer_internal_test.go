@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // TestCheckpointerKillPoints stops SaveWithMeta and Install at every
-// step that changes the directory — by failing the fsyncDir hook, or by
-// building the directory an earlier kill leaves — and checks the two
+// step that changes the directory — by failing a rename or directory
+// sync on the checkpointer's FS, which the call must report wrapped, or
+// by building the directory an earlier kill leaves — and checks the two
 // properties one file per generation is for: whatever LoadWithMeta
 // restores is a complete generation with ITS OWN metadata (generation k
 // holds k+3 edges and says "seq-k"), and once Install has renamed the
@@ -17,16 +20,24 @@ import (
 // recovery one more save must leave only generation files behind: a
 // temp file a kill left is overwritten, never orphaned for good.
 func TestCheckpointerKillPoints(t *testing.T) {
-	origSync := fsyncDir
-	defer func() { fsyncDir = origSync }()
 	crash := errors.New("killed here")
-	failSyncAt := func(n int) { // the n-th directory fsync from now "kills" the call
+	// kill makes the n-th Rename (or directory fsync) from now fail the
+	// call, which must say so, wrapped.
+	kill := func(t *testing.T, ck *Checkpointer, rename bool, n int, call func() error) {
+		t.Helper()
 		calls := 0
-		fsyncDir = func(dir string) error {
+		fail := func(string) error {
 			if calls++; calls == n {
 				return crash
 			}
-			return origSync(dir)
+			return nil
+		}
+		ck.FS = hookFS{syncDir: fail}
+		if rename {
+			ck.FS = hookFS{rename: fail}
+		}
+		if err := call(); !errors.Is(err, crash) || err == crash {
+			t.Fatalf("got %v, want the injected kill, wrapped", err)
 		}
 	}
 
@@ -48,25 +59,23 @@ func TestCheckpointerKillPoints(t *testing.T) {
 		{"save: temp file complete, not renamed", func(t *testing.T, ck *Checkpointer, _ *Session) {
 			rotated(t, ck, func(b []byte) []byte { return b })
 		}, 2, false},
+		{"save: rename fails", func(t *testing.T, ck *Checkpointer, next *Session) {
+			kill(t, ck, true, 2, func() error { return ck.SaveWithMeta(next, []byte("seq-3")) })
+		}, 2, false},
 		{"save: renamed, directory fsync lost", func(t *testing.T, ck *Checkpointer, next *Session) {
-			failSyncAt(1)
-			if err := ck.SaveWithMeta(next, []byte("seq-3")); !errors.Is(err, crash) {
-				t.Fatalf("SaveWithMeta = %v, want the injected kill", err)
-			}
+			kill(t, ck, false, 1, func() error { return ck.SaveWithMeta(next, []byte("seq-3")) })
 		}, 3, false},
 		{"install: older generation removed, not renamed", func(t *testing.T, ck *Checkpointer, next *Session) {
 			tmp := shipped(t, ck, next)
-			failSyncAt(1)
-			if err := ck.Install(tmp); !errors.Is(err, crash) {
-				t.Fatalf("Install = %v, want the injected kill", err)
-			}
+			kill(t, ck, false, 1, func() error { return ck.Install(tmp) })
+		}, 2, true},
+		{"install: rename fails", func(t *testing.T, ck *Checkpointer, next *Session) {
+			tmp := shipped(t, ck, next)
+			kill(t, ck, true, 1, func() error { return ck.Install(tmp) })
 		}, 2, true},
 		{"install: renamed, directory fsync lost", func(t *testing.T, ck *Checkpointer, next *Session) {
 			tmp := shipped(t, ck, next)
-			failSyncAt(2)
-			if err := ck.Install(tmp); !errors.Is(err, crash) {
-				t.Fatalf("Install = %v, want the injected kill", err)
-			}
+			kill(t, ck, false, 2, func() error { return ck.Install(tmp) })
 		}, 3, true},
 		{"install: complete", func(t *testing.T, ck *Checkpointer, next *Session) {
 			must(t, ck.Install(shipped(t, ck, next)))
@@ -76,7 +85,6 @@ func TestCheckpointerKillPoints(t *testing.T) {
 		}, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fsyncDir = origSync
 			ck := NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds"))
 			s := newTestSession(t) // 3 edges
 			for gen := 1; gen <= 3; gen++ {
@@ -87,7 +95,7 @@ func TestCheckpointerKillPoints(t *testing.T) {
 				}
 			}
 			tc.kill(t, ck, s)
-			fsyncDir = origSync
+			ck.FS = nil
 
 			restored, meta, _, err := ck.LoadWithMeta(NewSSSP(0), SessionOptions{})
 			if err != nil {
@@ -136,6 +144,31 @@ func rotated(t *testing.T, ck *Checkpointer, tmp func(newest []byte) []byte) {
 	if tmp != nil {
 		must(t, os.WriteFile(ck.Path+".tmp", tmp(newest), 0o644))
 	}
+}
+
+// hookFS is the real filesystem with a hook in front of Rename and
+// SyncDir; a hook's error replaces the operation.
+type hookFS struct {
+	wal.OSFS
+	rename, syncDir func(path string) error
+}
+
+func (h hookFS) Rename(oldpath, newpath string) error {
+	if h.rename != nil {
+		if err := h.rename(newpath); err != nil {
+			return err
+		}
+	}
+	return h.OSFS.Rename(oldpath, newpath)
+}
+
+func (h hookFS) SyncDir(dir string) error {
+	if h.syncDir != nil {
+		if err := h.syncDir(dir); err != nil {
+			return err
+		}
+	}
+	return h.OSFS.SyncDir(dir)
 }
 
 func must(t *testing.T, err error) {

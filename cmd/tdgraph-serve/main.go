@@ -82,7 +82,7 @@ func main() {
 		diskLow  = flag.Int64("disk-low-water", 0, "free-space floor in bytes under which ingest degrades to read-only (0 = ENOSPC-only degradation)")
 		deadline = flag.Duration("deadline", 0, "per-batch deadline the client propagates to the leader (0 = none)")
 
-		faults   = flag.String("faults", "", "seeded WAL fault spec, e.g. 'wal-torn:4096,fsync-err:2,disk-full:1048576'")
+		faults   = flag.String("faults", "", "seeded disk fault spec for the WAL, checkpoints and term file, e.g. 'wal-torn:4096,fsync-err:2,disk-full:1048576'")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine")
 		verbose  = flag.Bool("v", false, "log node and client events (elections, redirects, retries)")
 
@@ -173,7 +173,7 @@ func main() {
 			fatal(err)
 		}
 		walFS = inj.FS(walFS)
-		fmt.Printf("fault injection armed on the WAL filesystem: %s\n", *faults)
+		fmt.Printf("fault injection armed on the member's filesystem (WAL, checkpoints, term file): %s\n", *faults)
 	}
 
 	opts := tdgraph.SessionOptions{Validation: pol, MaxVertices: nv}

@@ -18,8 +18,9 @@ import (
 // page cache).
 
 // FS wraps base with the armed WAL fault classes. Budgets are global
-// across all files the returned FS creates, so a fault lands at a
-// byte position in the log's lifetime, not per segment:
+// across all files the returned FS creates — segments, checkpoints and
+// the term file of the member it serves — so a fault lands at a byte
+// position in the member's write lifetime, not per file:
 //
 //   - DiskFull: after Param(disk-full) bytes, every write fails with an
 //     error wrapping ErrInjected and persists nothing further.
@@ -138,6 +139,22 @@ func (f *faultFS) Remove(path string) error {
 	if f.haveCap {
 		f.capacity += f.fileBytes[path]
 		delete(f.fileBytes, path)
+	}
+	return nil
+}
+
+// Rename moves a file's bytes on the modelled volume with the file, so
+// a later Remove of the new name credits them back.
+func (f *faultFS) Rename(oldpath, newpath string) error {
+	if err := f.FS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.haveCap {
+		f.capacity += f.fileBytes[newpath] // the replaced file's bytes are freed
+		f.fileBytes[newpath] = f.fileBytes[oldpath]
+		delete(f.fileBytes, oldpath)
 	}
 	return nil
 }
@@ -365,6 +382,8 @@ func (c *CrashFS) Remove(path string) error {
 	c.mu.Unlock()
 	return c.base.Remove(path)
 }
+
+func (c *CrashFS) Rename(oldpath, newpath string) error { return c.base.Rename(oldpath, newpath) }
 
 func (c *CrashFS) Truncate(path string, size int64) error { return c.base.Truncate(path, size) }
 

@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -322,12 +323,48 @@ func TestCrashFSDelegates(t *testing.T) {
 	if err != nil || len(names) != 1 {
 		t.Fatalf("List: %v %v", names, err)
 	}
-	if err := cfs.Remove(path); err != nil {
+	moved := filepath.Join(dir, "y")
+	if err := cfs.Rename(path, moved); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("Remove did not delete the file")
+	if err := cfs.Remove(moved); err != nil {
+		t.Fatal(err)
 	}
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+		t.Fatalf("Rename then Remove left %v (err %v)", names, err)
+	}
+}
+
+// TestFaultFSRenameMovesSpace: under NoSpace a file's bytes follow it
+// through a rename — replacing a file frees the old one's bytes, and
+// removing the new name credits its own back — so a rotated checkpoint
+// leaks nothing from the modelled volume.
+func TestFaultFSRenameMovesSpace(t *testing.T) {
+	dir := t.TempDir()
+	in := New(7)
+	in.Arm(NoSpace, 1000)
+	fs := in.FS(wal.OSFS{})
+	path := filepath.Join(dir, "ckpt")
+	free := func(want uint64) {
+		t.Helper()
+		if got, err := fs.(wal.FreeSpacer).FreeSpace(dir); err != nil || got != want {
+			t.Fatalf("free space %d (err %v), want %d", got, err, want)
+		}
+	}
+	for _, n := range []int{300, 200} { // the second replaces the first
+		err := wal.ReplaceFile(fs, path, func(w io.Writer) error {
+			_, err := w.Write(make([]byte, n))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		free(uint64(1000 - n))
+	}
+	if err := fs.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	free(1000)
 }
 
 func TestParseNewClasses(t *testing.T) {

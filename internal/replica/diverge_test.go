@@ -4,6 +4,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,11 +241,14 @@ type errFS struct {
 
 func (e errFS) Open(string) (io.ReadCloser, error) { return nil, e.err }
 
-// TestTermStateDurability pins the term-state file contract: ledger
-// round trip, At semantics, Stamp superseding a crashed claim, and —
-// the regression — that a disk failing with real I/O errors surfaces
-// them instead of forging the zero term (which would un-fence a
-// deposed primary), while genuinely absent state still loads as zero.
+// TestTermStateDurability pins the term-file contract: ledger round
+// trip (an empty ledger too), At semantics, Stamp superseding a crashed
+// claim, and — the regressions — that a disk failing with real I/O
+// errors, a bit-flipped file, or a directory left in the retired
+// two-slot layout is an error instead of a forged zero term (which
+// would un-fence a deposed primary), while genuinely absent state
+// still loads as zero. Neither the term file nor its temp parses as a
+// WAL segment.
 func TestTermStateDurability(t *testing.T) {
 	dir := t.TempDir()
 	fs := wal.OSFS{}
@@ -264,9 +270,41 @@ func TestTermStateDurability(t *testing.T) {
 		}
 	}
 
-	// Missing slots are a legitimate zero state.
-	if s, err := LoadTermState(fs, t.TempDir()); err != nil || s.Term != 0 {
+	// Missing state is a legitimate zero state; a term adopted before
+	// any record has an empty ledger and must survive as well.
+	fresh := t.TempDir()
+	if s, err := LoadTermState(fs, fresh); err != nil || s.Term != 0 {
 		t.Fatalf("empty dir: state %+v, err %v", s, err)
+	}
+	if err := SaveTermState(fs, fresh, TermState{Term: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := LoadTermState(fs, fresh); err != nil || s.Term != 3 || len(s.Ledger) != 0 {
+		t.Fatalf("empty ledger: state %+v, err %v", s, err)
+	}
+
+	// A replace is atomic, so a bad CRC is corruption, not a torn write.
+	// Nor may the term file or its temp parse as a WAL segment, and the
+	// retired layout alone is refused, never read as term 0.
+	path, retired := filepath.Join(fresh, termFileName), t.TempDir()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[6] ^= 1
+	for _, name := range []string{path, path + ".tmp", filepath.Join(retired, "term.b")} {
+		if err := os.WriteFile(name, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, err := LoadTermState(fs, fresh); err == nil {
+		t.Fatalf("bit-flipped term file loaded as %+v", s)
+	}
+	if start, err := wal.StartSeq(wal.Options{Dir: fresh}); err != nil || start != 0 {
+		t.Fatalf("the log read the term files as segments: start %d, err %v", start, err)
+	}
+	if _, err := LoadTermState(fs, retired); err == nil || !strings.Contains(err.Error(), "retired two-slot layout") {
+		t.Fatalf("retired term.a/term.b layout: want an error naming it, got %v", err)
 	}
 
 	// A disk that errors on open must not report term 0 as truth.

@@ -166,8 +166,9 @@ func TestChaosLeaderIsolationHeals(t *testing.T) {
 }
 
 // failSyncFS fails the fsync numbered at, once, counting from 1 across
-// every file the member syncs through its WAL filesystem: term slots and
-// log segments alike. The disk is healthy before and after.
+// every file the member syncs through its WAL filesystem: term file,
+// log segments and checkpoints alike. The disk is healthy before and
+// after.
 type failSyncFS struct {
 	wal.FS
 	at    int
@@ -196,8 +197,8 @@ func (f failSyncFile) Sync() error {
 
 // TestChaosOneMemberSyncFailure: a one-member cluster — what
 // tdgraph-serve -role solo runs — whose disk fails one fsync, at each of
-// the first six barriers in turn: two in the term claim, then the first
-// four batches' WAL barriers. Nothing restarts: a failed term claim is a
+// the first six barriers in turn: the term claim's one, then the first
+// five batches' WAL barriers. Nothing restarts: a failed term claim is a
 // failed candidacy the next election retries, and a failed WAL barrier
 // is refused to the client, which resubmits the same batch at the same
 // sequence, the log's one sanctioned repeat. Every batch is acked and

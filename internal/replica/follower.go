@@ -86,10 +86,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := cfg.Pipeline.WAL.FS
-	if fs == nil {
-		fs = wal.OSFS{}
-	}
+	fs := wal.OrOS(cfg.Pipeline.WAL.FS)
 	state, err := LoadTermState(fs, cfg.Pipeline.WAL.Dir)
 	if err != nil {
 		pipe.Close()

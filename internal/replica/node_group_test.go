@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,8 +28,8 @@ type countingFS struct {
 
 func (c *countingFS) Create(path string) (wal.File, error) {
 	f, err := c.FS.Create(path)
-	if err != nil {
-		return nil, err
+	if err != nil || !strings.HasSuffix(path, ".wal") {
+		return f, err
 	}
 	return countingFile{File: f, fs: c}, nil
 }

@@ -206,7 +206,7 @@ func (p *Primary) AddFollower(conn net.Conn) error {
 // rest. An empty name gets the attachment-ordered default.
 func (p *Primary) AddNamedFollower(name string, conn net.Conn) error {
 	if !p.stateLoaded {
-		st, err := LoadTermState(p.walFS(), p.cfg.WAL.Dir)
+		st, err := LoadTermState(wal.OrOS(p.cfg.WAL.FS), p.cfg.WAL.Dir)
 		if err != nil {
 			return err
 		}
@@ -317,13 +317,6 @@ func (p *Primary) reseedIfCompacted(fc *followerConn) error {
 			ErrFollowerBehind, fc.acked+1, start, rerr)
 	}
 	return nil
-}
-
-func (p *Primary) walFS() wal.FS {
-	if p.cfg.WAL.FS != nil {
-		return p.cfg.WAL.FS
-	}
-	return wal.OSFS{}
 }
 
 // PeerState is one probe answer: the peer's durable term, its last

@@ -426,7 +426,7 @@ func (f *Follower) installSnapshot(conn net.Conn, seq uint64, offer snapOffer, p
 // stored mark must describe exactly the offered snapshot and the
 // partial must not exceed it. Any doubt means restart from zero.
 func (f *Follower) loadPartial(seq uint64, offer snapOffer) []byte {
-	mark, err := readAllFile(f.fs, f.dir+"/"+reseedMarkName)
+	mark, err := wal.ReadFile(f.fs, f.dir+"/"+reseedMarkName)
 	if err != nil {
 		return nil
 	}
@@ -434,7 +434,7 @@ func (f *Follower) loadPartial(seq uint64, offer snapOffer) []byte {
 	if !ok || mseq != seq || mtotal != offer.Total || mcrc != offer.CRC {
 		return nil
 	}
-	data, err := readAllFile(f.fs, f.dir+"/"+reseedPartialName)
+	data, err := wal.ReadFile(f.fs, f.dir+"/"+reseedPartialName)
 	if err != nil || uint64(len(data)) > offer.Total {
 		return nil
 	}
@@ -451,19 +451,10 @@ func (f *Follower) writeReseedMark(seq uint64, offer snapOffer) error {
 	buf = binary.LittleEndian.AppendUint64(buf, offer.Total)
 	buf = binary.LittleEndian.AppendUint32(buf, offer.CRC)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	file, err := f.fs.Create(f.dir + "/" + reseedMarkName)
-	if err != nil {
+	return wal.ReplaceFile(f.fs, f.dir+"/"+reseedMarkName, func(w io.Writer) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	if _, err := file.Write(buf); err != nil {
-		file.Close()
-		return err
-	}
-	if err := file.Sync(); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
+	})
 }
 
 func decodeReseedMark(data []byte) (seq, total uint64, crc uint32, ok bool) {
@@ -495,13 +486,4 @@ func (f *Follower) checksumPartial(path string) (uint32, error) {
 		return 0, err
 	}
 	return h.Sum32(), nil
-}
-
-func readAllFile(fs wal.FS, path string) ([]byte, error) {
-	rd, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.Close()
-	return io.ReadAll(rd)
 }

@@ -31,10 +31,10 @@ import (
 // a follower, resurrecting an unacknowledged tail the promoted log
 // never had) instead of counting its acks toward quorum.
 //
-// Both live in one state file. It must survive the same crashes the
-// WAL survives, and the wal.FS seam has no rename, so it is stored in
-// two independently-written slots — a torn write destroys at most one,
-// and load takes the best CRC-valid value.
+// Both live in one CRC-framed term file beside the WAL, replaced whole
+// by wal.ReplaceFile (temp file, fsync, rename, directory fsync). A
+// crash leaves either the old file or the new one, never a torn one, so
+// a file that fails its checks is corruption and load refuses it.
 
 const (
 	termMagic   = 0x5444544D // "TDTM"
@@ -44,7 +44,13 @@ const (
 	maxLedgerEntries = 4096
 )
 
-var termSlots = [2]string{"term.a", "term.b"}
+// termFileName is the term file in the WAL directory. Neither it nor
+// its ".tmp" parses as a segment name, so the log ignores both.
+const termFileName = "term.state"
+
+// retiredTermSlots is the two-slot layout the term file replaced. A
+// directory that holds only these is refused, not read as term 0.
+var retiredTermSlots = [...]string{"term.a", "term.b"}
 
 // TermBase is one ledger entry: records with sequence >= Base (up to
 // the next entry's base) were created under Term.
@@ -100,15 +106,13 @@ func (s *TermState) Stamp(term, base uint64) {
 	}
 }
 
-// SaveTermState durably records the state in dir (the WAL directory;
-// the slot files do not parse as segment names, so the log ignores
-// them). Each slot is written and fsynced in turn, then the directory
-// entry is synced.
+// SaveTermState durably replaces the term file in dir (the WAL
+// directory) with s.
 func SaveTermState(fs wal.FS, dir string, s TermState) error {
 	if len(s.Ledger) > maxLedgerEntries {
 		return fmt.Errorf("replica: term ledger overflow: %d entries", len(s.Ledger))
 	}
-	buf := make([]byte, 0, 19+16*len(s.Ledger)+4)
+	buf := make([]byte, 0, 15+16*len(s.Ledger)+4)
 	buf = binary.LittleEndian.AppendUint32(buf, termMagic)
 	buf = append(buf, termVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Term)
@@ -118,71 +122,45 @@ func SaveTermState(fs wal.FS, dir string, s TermState) error {
 		buf = binary.LittleEndian.AppendUint64(buf, e.Base)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	for _, slot := range termSlots {
-		f, err := fs.Create(dir + "/" + slot)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return fs.SyncDir(dir)
+	return wal.ReplaceFile(fs, dir+"/"+termFileName, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 }
 
-// LoadTermState returns the best stored state — the valid slot with
-// the highest term (ties broken by the longer ledger) — or the zero
-// state when none exists (a replica that has never heard of any
-// primary). A slot that is absent or torn mid-write is skipped; but if
-// no slot is valid and any slot failed with a real I/O error, that
-// error is returned rather than a forged zero term — a transiently
-// erroring disk must not make a replica forget its adopted term and
-// re-admit a deposed primary.
+// LoadTermState returns the stored state, or the zero state when dir
+// holds none (a replica that has never heard of any primary). Anything
+// else that keeps the file from being read — an I/O error, a file that
+// fails its checks, a directory left in the retired two-slot layout —
+// is returned as an error rather than a forged zero term: a replica
+// that forgot its adopted term would re-admit a deposed primary.
 func LoadTermState(fs wal.FS, dir string) (TermState, error) {
-	var best TermState
-	found := false
-	var ioErr error
-	for _, slot := range termSlots {
-		f, err := fs.Open(dir + "/" + slot)
-		if err != nil {
-			if !errors.Is(err, stdfs.ErrNotExist) && ioErr == nil {
-				ioErr = fmt.Errorf("replica: opening term slot %s: %w", slot, err)
+	data, err := wal.ReadFile(fs, dir+"/"+termFileName)
+	if errors.Is(err, stdfs.ErrNotExist) {
+		for _, slot := range retiredTermSlots {
+			f, err := fs.Open(dir + "/" + slot)
+			if err == nil {
+				f.Close()
+				return TermState{}, fmt.Errorf("replica: %s holds term slot %s of the retired two-slot layout and no %s", dir, slot, termFileName)
 			}
-			continue
-		}
-		data, rerr := io.ReadAll(f)
-		f.Close()
-		if rerr != nil {
-			if ioErr == nil {
-				ioErr = fmt.Errorf("replica: reading term slot %s: %w", slot, rerr)
+			if !errors.Is(err, stdfs.ErrNotExist) {
+				return TermState{}, fmt.Errorf("replica: opening %s: %w", slot, err)
 			}
-			continue
 		}
-		s, ok := decodeTermState(data)
-		if !ok {
-			continue // torn write: the other slot decides
-		}
-		if !found || s.Term > best.Term ||
-			(s.Term == best.Term && len(s.Ledger) > len(best.Ledger)) {
-			best, found = s, true
-		}
+		return TermState{}, nil
 	}
-	if !found && ioErr != nil {
-		return TermState{}, ioErr
+	if err != nil {
+		return TermState{}, fmt.Errorf("replica: reading term file: %w", err)
 	}
-	return best, nil
+	s, ok := decodeTermState(data)
+	if !ok {
+		return TermState{}, fmt.Errorf("replica: term file %s/%s is corrupt", dir, termFileName)
+	}
+	return s, nil
 }
 
 func decodeTermState(data []byte) (TermState, bool) {
-	if len(data) < 19+4 {
+	if len(data) < 15+4 { // header, empty ledger, CRC
 		return TermState{}, false
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -215,10 +193,7 @@ func decodeTermState(data []byte) (TermState, bool) {
 // unclaimed term could resurrect it after a crash and split the
 // cluster.
 func ClaimTerm(opt wal.Options, term uint64) (TermState, error) {
-	fs := opt.FS
-	if fs == nil {
-		fs = wal.OSFS{}
-	}
+	fs := wal.OrOS(opt.FS)
 	s, err := LoadTermState(fs, opt.Dir)
 	if err != nil {
 		return TermState{}, err

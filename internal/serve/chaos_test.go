@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/fault"
+	"github.com/tdgraph/tdgraph/internal/stats"
+	"github.com/tdgraph/tdgraph/internal/stream"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
@@ -41,97 +43,89 @@ func killRecoverTrials(t *testing.T, seedBase int64) {
 	w := testWorkload(t, 8)
 	want := referenceStates(w)
 
-	// Upper bound on the run's total WAL byte stream, so armed crash
-	// offsets cover everything from the first header to past the end
-	// (offsets beyond the end mean "no crash fires" — also a trial).
-	totalBytes := int64(16) // segment header
+	// The run's WAL byte stream: armed crash offsets cover it from the
+	// first record to past the end (offsets beyond it mean "no crash
+	// fires" — also a trial).
+	totalBytes := int64(0)
 	for _, b := range w.Batches {
-		totalBytes += int64(16 + 13*len(b))
+		totalBytes += int64(16 + len(wal.EncodeBatch(b)))
 	}
 
 	for trial := 0; trial < 10; trial++ {
 		t.Run("", func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seedBase + int64(trial)))
 			armAt := rng.Int63n(totalBytes + totalBytes/4)
-
-			cfs := fault.NewCrashFS()
-			crashCfg := pipelineConfig(t, w)
-			crashCfg.WAL.FS = cfs
-
-			p, err := NewPipeline(crashCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfs.ArmCrash(armAt)
-
-			// Feed until the kill (or the end). fed counts batches whose
-			// Ingest RETURNED — with fsync-per-batch each one is durable.
-			fed := 0
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(fault.CrashSignal); !ok {
-							panic(r)
-						}
-					}
-				}()
-				for _, b := range w.Batches {
-					if err := p.Ingest(b); err != nil {
-						t.Errorf("ingest before crash failed: %v", err)
-						return
-					}
-					fed++
+			// Checkpoint saves share the FS, so the crash is armed before
+			// the batch whose record holds byte armAt: a save never
+			// absorbs it (TestChaosKillInCheckpointSave kills inside one).
+			killAndRecover(t, w, want, pipelineConfig(t, w), rng, func(cfs *fault.CrashFS, i int) {
+				rec := int64(16 + len(wal.EncodeBatch(w.Batches[i])))
+				if armAt >= 0 && armAt < rec {
+					cfs.ArmCrash(armAt)
 				}
-			}()
-			if t.Failed() {
-				return
-			}
-
-			if cfs.Crashed() {
-				// The process is "dead": the page cache loses a random
-				// prefix of everything unsynced. No Close runs.
-				if err := cfs.LoseUnsynced(rng); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err := p.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			// Reboot on the real filesystem over what survived.
-			recoverCfg := crashCfg
-			recoverCfg.WAL.FS = wal.OSFS{}
-			p2, err := NewPipeline(recoverCfg)
-			if err != nil {
-				t.Fatalf("recovery failed (crashed=%v, fed=%d): %v", cfs.Crashed(), fed, err)
-			}
-
-			// Guarantee 1: nothing durable is lost, and nothing the
-			// source never finished sending is invented.
-			seq := p2.Seq()
-			if seq < uint64(fed) {
-				t.Fatalf("durable batch lost: recovered seq %d < %d acked", seq, fed)
-			}
-			if seq > uint64(fed)+1 {
-				t.Fatalf("recovered seq %d past the batch being written (%d acked)", seq, fed)
-			}
-
-			// Guarantee 2: re-feed what was not yet durable; states must
-			// be byte-identical to the uninterrupted run.
-			for i := int(seq); i < len(w.Batches); i++ {
-				if err := p2.Ingest(w.Batches[i]); err != nil {
-					t.Fatalf("re-feed batch %d: %v", i, err)
-				}
-			}
-			if err := p2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !statesEqual(p2.Session().States(), want) {
-				t.Fatalf("crash at byte %d (fed %d, recovered seq %d): states diverged", armAt, fed, seq)
-			}
+				armAt -= rec
+			})
 		})
 	}
+}
+
+// killAndRecover feeds w through a pipeline on a CrashFS, calling arm
+// before each batch, until the armed crash fires (its panic value is
+// returned; nil if none fired). The page cache then loses a seeded part
+// of everything unsynced, and the pipeline reboots on the real disk: it
+// must keep every batch whose Ingest returned, invent none past the one
+// being written, and after re-feed land on want bit for bit.
+func killAndRecover(t *testing.T, w *stream.Workload, want []float64, cfg PipelineConfig, rng *rand.Rand, arm func(cfs *fault.CrashFS, i int)) (signal any, fed int, seq uint64, p2 *Pipeline) {
+	t.Helper()
+	cfs := fault.NewCrashFS()
+	cfg.WAL.FS = cfs
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if signal = recover(); signal != nil {
+				if _, ok := signal.(fault.CrashSignal); !ok {
+					panic(signal)
+				}
+			}
+		}()
+		for i, b := range w.Batches {
+			arm(cfs, i)
+			if err := p.Ingest(b); err != nil {
+				t.Fatalf("ingest before crash failed: %v", err)
+			}
+			fed++
+		}
+	}()
+	if signal != nil {
+		if err := cfs.LoseUnsynced(rng); err != nil {
+			t.Fatal(err)
+		}
+	} else if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.WAL.FS = wal.OSFS{}
+	if p2, err = NewPipeline(cfg); err != nil {
+		t.Fatalf("recovery failed (crash %v, fed=%d): %v", signal, fed, err)
+	}
+	if seq = p2.Seq(); seq < uint64(fed) || seq > uint64(fed)+1 {
+		t.Fatalf("recovered seq %d with %d acked: a durable batch lost, or one past the batch being written invented", seq, fed)
+	}
+	for _, b := range w.Batches[seq:] {
+		if err := p2.Ingest(b); err != nil {
+			t.Fatalf("re-feed: %v", err)
+		}
+	}
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !statesEqual(p2.Session().States(), want) {
+		t.Fatalf("crash %v (fed %d, recovered seq %d): states diverged", signal, fed, seq)
+	}
+	return signal, fed, seq, p2
 }
 
 // TestNativeEngineServerRestart drops a pipeline mid-stream without
@@ -216,5 +210,30 @@ func TestChaosTornBatchNeverReplayed(t *testing.T) {
 	}
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosKillInCheckpointSave kills a pipeline inside its second
+// checkpoint save, after rotation moved the first generation back a
+// slot: checkpoints share the WAL's FS, so the crash lands in the temp
+// file. Recovery restores the older generation and replays past it.
+func TestChaosKillInCheckpointSave(t *testing.T) {
+	w := testWorkload(t, 6)
+	want := referenceStates(w)
+	for _, into := range []int64{0, 9, 100} { // bytes into the checkpoint file
+		cfg := pipelineConfig(t, w)
+		cfg.CheckpointEvery = 2
+		signal, fed, seq, p2 := killAndRecover(t, w, want, cfg, rand.New(rand.NewSource(into)), func(cfs *fault.CrashFS, i int) {
+			if i == 3 { // batch 4 checkpoints right after its record
+				cfs.ArmCrash(16 + int64(len(wal.EncodeBatch(w.Batches[i]))) + into)
+			}
+		})
+		if crash, ok := signal.(fault.CrashSignal); !ok || crash.Path != cfg.CheckpointPath+".tmp" {
+			t.Fatalf("%d bytes in: crash %v, want a CrashSignal in %s.tmp", into, signal, cfg.CheckpointPath)
+		}
+		// Batch 4 was durable before its checkpoint began.
+		if fell := p2.Collector().Get(stats.CtrCheckpointRecovered); seq != uint64(fed)+1 || fell != 1 {
+			t.Fatalf("%d bytes in: recovered seq %d after %d fallbacks, want seq %d after 1", into, seq, fell, fed+1)
+		}
 	}
 }

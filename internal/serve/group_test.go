@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,8 +83,8 @@ type gateFS struct {
 
 func (g gateFS) Create(path string) (wal.File, error) {
 	f, err := g.FS.Create(path)
-	if err != nil {
-		return nil, err
+	if err != nil || !strings.HasSuffix(path, ".wal") {
+		return f, err
 	}
 	return gateFile{File: f, g: g}, nil
 }

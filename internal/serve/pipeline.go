@@ -180,7 +180,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	// Rung 1: newest recoverable checkpoint generation, which carries
 	// the WAL sequence it covers.
 	if cfg.CheckpointPath != "" {
-		p.ck = &tdgraph.Checkpointer{Path: cfg.CheckpointPath, Keep: cfg.CheckpointKeep}
+		p.ck = &tdgraph.Checkpointer{Path: cfg.CheckpointPath, Keep: cfg.CheckpointKeep, FS: cfg.WAL.FS}
 		sess, meta, skipped, err := p.ck.LoadWithMeta(cfg.Algorithm, cfg.SessionOptions)
 		if err == nil {
 			p.sess = sess
@@ -534,7 +534,7 @@ func (p *Pipeline) InstallSnapshot(tmpPath string, seq uint64) error {
 		return fmt.Errorf("serve: snapshot install needs a checkpoint path")
 	}
 	// One generation at tmpPath: the same load recovery will run on it.
-	incoming := tdgraph.Checkpointer{Path: tmpPath, Keep: 1}
+	incoming := tdgraph.Checkpointer{Path: tmpPath, Keep: 1, FS: p.cfg.WAL.FS}
 	sess, meta, _, err := incoming.LoadWithMeta(p.cfg.Algorithm, p.cfg.SessionOptions)
 	if err != nil {
 		return err

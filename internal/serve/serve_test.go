@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,7 +93,8 @@ func referenceStates(w *stream.Workload) []float64 {
 
 // TestPipelineRestartResumes: a pipeline closed cleanly and reopened
 // over the same directories resumes at the right sequence and finishes
-// with states byte-identical to an uninterrupted run.
+// with states byte-identical to an uninterrupted run. The files it
+// left, checkpoint and WAL segment alike, are owner-only.
 func TestPipelineRestartResumes(t *testing.T) {
 	w := testWorkload(t, 6)
 	want := referenceStates(w)
@@ -108,6 +111,11 @@ func TestPipelineRestartResumes(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for _, path := range []string{cfg.CheckpointPath, filepath.Join(cfg.WAL.Dir, "00000000000000000001.wal")} {
+		if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o600 {
+			t.Fatalf("%s: %v (err %v), want mode -rw-------", path, st, err)
+		}
 	}
 
 	p2, err := NewPipeline(cfg)
@@ -201,8 +209,8 @@ func TestPipelineWALFaultIsNonDurable(t *testing.T) {
 	}
 }
 
-// syncFailFS fails wal File.Sync while *failures > 0 — a transient
-// fsync error on the WAL's post-write path.
+// syncFailFS fails a WAL segment's Sync while *failures > 0 — a
+// transient fsync error on the WAL's post-write path.
 type syncFailFS struct {
 	wal.FS
 	failures *int
@@ -210,8 +218,8 @@ type syncFailFS struct {
 
 func (f syncFailFS) Create(path string) (wal.File, error) {
 	file, err := f.FS.Create(path)
-	if err != nil {
-		return nil, err
+	if err != nil || !strings.HasSuffix(path, ".wal") {
+		return file, err
 	}
 	return &syncFailFile{File: file, failures: f.failures}, nil
 }

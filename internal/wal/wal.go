@@ -178,9 +178,7 @@ func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 16
 	}
-	if o.FS == nil {
-		o.FS = OSFS{}
-	}
+	o.FS = OrOS(o.FS)
 	return o
 }
 

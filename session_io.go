@@ -9,10 +9,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // Checkpoint format v4: a fixed header followed by three checksummed
@@ -187,69 +186,17 @@ func writeStates(w *blockWriter, n int, state func(v int) float64) error {
 	return err
 }
 
-// fsyncDir makes directory-entry changes (renames, creates, removes)
-// in dir durable: POSIX only orders file contents, not the entries
-// pointing at them, so an atomic-rename save must fsync the parent
-// directory or a crash right after the rename can forget the rename
-// itself. A test hook so the failure path is exercisable.
-var fsyncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// SaveFile checkpoints the session to path atomically: the bytes are
-// written to a temp file in the same directory, synced to stable storage,
-// renamed over path, and the parent directory is fsynced so the rename
-// survives a crash — path always holds either the old complete
-// checkpoint or the new one, even across power loss. The temp file is
-// always path+".tmp", so a save killed before its rename leaves at most
-// that one file behind, and the next save to path overwrites it. Saves
-// to one path must therefore not overlap: give each path one writer, as
+// SaveFile checkpoints the session to path atomically with
+// wal.ReplaceFile: the bytes are written to path+".tmp", synced to
+// stable storage, renamed over path, and the parent directory is
+// fsynced so the rename survives a crash — path always holds either the
+// old complete checkpoint or the new one, even across power loss. A
+// save killed before its rename leaves at most that one temp file
+// behind, and the next save to path overwrites it. Saves to one path
+// must therefore not overlap: give each path one writer, as
 // serve.Pipeline is the only writer of its checkpoint generations.
 func (s *Session) SaveFile(path string) error {
-	return saveFileAtomic(path, s.Save)
-}
-
-// saveFileAtomic writes whatever `write` produces to path with the full
-// durability dance: the fixed temp file path+".tmp", fsync, rename,
-// directory fsync.
-func saveFileAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := write(f); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := fsyncDir(dir); err != nil {
-		return fmt.Errorf("tdgraph: syncing checkpoint directory %s: %w", dir, err)
-	}
-	return nil
+	return wal.ReplaceFile(wal.OSFS{}, path, s.Save)
 }
 
 // readBlock reads one length+payload+CRC block, verifying the checksum
@@ -354,12 +301,12 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 
 // LoadSessionFile restores a checkpoint from path.
 func LoadSessionFile(a Algorithm, path string, opt SessionOptions) (*Session, error) {
-	s, _, err := loadSessionFile(a, path, opt)
+	s, _, err := loadSessionFile(wal.OSFS{}, a, path, opt)
 	return s, err
 }
 
-func loadSessionFile(a Algorithm, path string, opt SessionOptions) (*Session, []byte, error) {
-	f, err := os.Open(path)
+func loadSessionFile(fsys wal.FS, a Algorithm, path string, opt SessionOptions) (*Session, []byte, error) {
+	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,6 +13,7 @@ import (
 
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // newTestSession builds a small session for white-box io tests.
@@ -31,28 +32,26 @@ func newTestSession(t *testing.T) *Session {
 // missing parent-directory fsync: an atomic-rename save that does not
 // fsync the directory can lose the rename itself across a power cut,
 // leaving the OLD checkpoint at path despite a successful return.
-// SaveFile must invoke the directory sync, with the right directory,
-// after the renamed file is already in place.
+// SaveFile is wal.ReplaceFile over the real filesystem; the same call
+// on a hooked FS must sync the directory, the right one, after the
+// renamed file is already in place.
 func TestSaveFileSyncsParentDirectory(t *testing.T) {
 	s := newTestSession(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.tds")
 
-	orig := fsyncDir
-	defer func() { fsyncDir = orig }()
-
 	var calls []string
-	fsyncDir = func(d string) error {
+	fs := hookFS{syncDir: func(d string) error {
 		// The rename must already be durable-ordered before the dir sync:
 		// path exists at the moment the hook runs.
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("directory synced before the rename landed: %v", err)
 		}
 		calls = append(calls, d)
-		return orig(d)
-	}
+		return nil
+	}}
 
-	if err := s.SaveFile(path); err != nil {
+	if err := wal.ReplaceFile(fs, path, s.Save); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 1 || calls[0] != dir {
@@ -61,19 +60,18 @@ func TestSaveFileSyncsParentDirectory(t *testing.T) {
 }
 
 // TestSaveFileDirSyncFailureSurfaces: a failed directory sync means the
-// save is NOT durable; SaveFile must report it, wrapped, not swallow it.
+// save is NOT durable; SaveFile's replace must report it, wrapped, not
+// swallow it.
 func TestSaveFileDirSyncFailureSurfaces(t *testing.T) {
 	s := newTestSession(t)
 	dir := t.TempDir()
 
-	orig := fsyncDir
-	defer func() { fsyncDir = orig }()
 	boom := errors.New("directory sync failed")
-	fsyncDir = func(string) error { return boom }
+	fs := hookFS{syncDir: func(string) error { return boom }}
 
-	err := s.SaveFile(filepath.Join(dir, "ckpt.tds"))
-	if !errors.Is(err, boom) {
-		t.Fatalf("dir-sync failure not surfaced: %v", err)
+	err := wal.ReplaceFile(fs, filepath.Join(dir, "ckpt.tds"), s.Save)
+	if !errors.Is(err, boom) || err == boom {
+		t.Fatalf("dir-sync failure not surfaced wrapped: %v", err)
 	}
 }
 
