@@ -26,7 +26,9 @@ vet:
 # registration, and the interprocedural v2 checks: inferred field
 # guards (lockguard), blocking ops under a held mutex (lockhold),
 # goroutine quiescence barriers in serve/replica/native (goroleak),
-# and the zero-alloc native hot path (hotalloc). See DESIGN.md
+# and the zero-alloc native hot path (hotalloc). Packages come from
+# `go list` (./... plus the nested benchmark module); a package that
+# does not type-check fails the rung with exit 2. See DESIGN.md
 # "Static-analysis ladder".
 vet-tdgraph:
 	$(GO) run ./cmd/tdgraph-vet ./...

@@ -26,73 +26,41 @@ import (
 	"strings"
 )
 
-// Check is one analyzer of the suite. Exactly one of Run / RunModule
-// is set: Run sees one package at a time; RunModule sees the whole
-// loaded set plus the shared call graph (the interprocedural checks:
-// lockorder, lockguard, lockhold, goroleak, hotalloc).
+// Check is one analyzer of the suite.
 type Check struct {
 	// Name is the identifier used in diagnostics and in
 	// //tdgraph:allow directives.
 	Name string
 	// Doc is the one-line contract description shown by -list.
 	Doc string
-	// Run inspects one package and reports findings via pass.Reportf.
+	// Run inspects the loaded packages and reports findings via
+	// pass.Reportf.
 	Run func(pass *Pass)
-	// RunModule inspects the whole loaded module at once.
-	RunModule func(pass *ModulePass)
 }
 
-// Pass carries everything a check needs to inspect one package.
+// Pass carries everything a check needs: the loaded packages, each
+// fully type-checked, and the call graph over them that the
+// interprocedural checks (lockorder, lockguard, lockhold, goroleak,
+// hotalloc) share.
 type Pass struct {
 	// CheckName is the name of the check currently running.
 	CheckName string
-	// Path is the package import path. Checks that apply only to a
-	// subset of packages (determinism, syncack) gate on it.
-	Path string
-	// Fset positions every node of Files.
-	Fset *token.FileSet
-	// Files are the parsed non-test sources of the package.
-	Files []*ast.File
-	// Pkg is the type-checked package. It is non-nil even when type
-	// checking reported errors (checks must tolerate partial info).
-	Pkg *types.Package
-	// Info holds type facts for the expressions of Files. Entries may
-	// be missing when type checking was incomplete; checks must treat
-	// absent info as "unknown", not as a finding.
-	Info *types.Info
+	// Pkgs are the loaded packages. Checks that apply only to a subset
+	// of packages (determinism, syncack, …) gate on each Path.
+	Pkgs []*Package
+	// Graph is the static call graph over Pkgs.
+	Graph *CallGraph
 	// Counters is the registered stats counter-name table, populated
 	// by the driver from internal/stats (or by a test harness). Nil
 	// disables the ctrreg membership test.
 	Counters map[string]bool
 
-	module string // the module path from go.mod
-	diags  *[]Diagnostic
-}
-
-// Reportf records one finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Check:    p.CheckName,
-		Position: p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass carries the whole loaded set for interprocedural checks.
-type ModulePass struct {
-	// CheckName is the name of the check currently running.
-	CheckName string
-	// Graph is the shared static call graph over every loaded package
-	// (packages with no type information contribute no nodes).
-	Graph *CallGraph
-
 	diags *[]Diagnostic
 }
 
-// Reportf records one finding at pos, positioned by the FileSet of
-// the package the node came from (golden packages can each carry
-// their own FileSet, so positioning must go through the owner).
-func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+// Reportf records one finding at pos, positioned by the FileSet of the
+// package the node came from.
+func (p *Pass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Check:    p.CheckName,
 		Position: pkg.fset.Position(pos),
@@ -225,11 +193,7 @@ func sortDiagnostics(diags []Diagnostic) {
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 // implementsError reports whether t satisfies the error interface.
-// A nil type (missing type info) is "unknown" and returns false.
 func implementsError(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	return types.Implements(t, errorType) || types.Implements(types.NewPointer(t), errorType)
 }
 

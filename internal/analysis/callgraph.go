@@ -23,8 +23,7 @@ type CallGraph struct {
 	Funcs map[string]*FuncNode
 
 	// lazily computed lock analysis shared by lockorder, lockguard and
-	// lockhold (one CallGraph instance serves every module check of a
-	// run).
+	// lockhold (one CallGraph instance serves every check of a run).
 	locks *lockAnalysis
 }
 
@@ -46,14 +45,10 @@ type CallSite struct {
 }
 
 // BuildCallGraph indexes every function declared in pkgs and resolves
-// their static call sites. Packages without type information
-// contribute no nodes.
+// their static call sites.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{Funcs: make(map[string]*FuncNode)}
 	for _, pkg := range pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		pkg := pkg
 		walkFuncs(pkg.Files, func(fd *ast.FuncDecl) {
 			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)

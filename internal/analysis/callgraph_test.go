@@ -1,29 +1,8 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/parser"
-	"strings"
 	"testing"
 )
-
-// loadSynthetic type-checks one in-memory source file under pkgPath
-// through the shared loader, for unit tests that need a tiny package
-// with full type information.
-func loadSynthetic(t *testing.T, pkgPath, src string) *Package {
-	t.Helper()
-	loader := sharedLoader(t)
-	fname := strings.ReplaceAll(pkgPath, "/", "_") + ".go"
-	f, err := parser.ParseFile(loader.Fset, fname, src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parsing synthetic %s: %v", pkgPath, err)
-	}
-	tpkg, info, err := loader.TypeCheck(pkgPath, []*ast.File{f})
-	if err != nil {
-		t.Fatalf("type-checking synthetic %s: %v", pkgPath, err)
-	}
-	return &Package{Path: pkgPath, Files: []*ast.File{f}, Pkg: tpkg, Info: info, fset: loader.Fset, module: loader.modulePath}
-}
 
 const cgPath = "github.com/tdgraph/tdgraph/internal/vettest/cg"
 
@@ -50,7 +29,7 @@ func dynamic(f func()) {
 `
 
 func TestCallGraphEdgesAndCallers(t *testing.T) {
-	pkg := loadSynthetic(t, cgPath, cgSrc)
+	pkg := loadTestPackage(t, cgPath, testFile{"cg.go", cgSrc})
 	g := BuildCallGraph([]*Package{pkg})
 
 	aName := "(*" + cgPath + ".T).a"
@@ -74,7 +53,7 @@ func TestCallGraphEdgesAndCallers(t *testing.T) {
 }
 
 func TestCallGraphReachable(t *testing.T) {
-	pkg := loadSynthetic(t, cgPath, cgSrc)
+	pkg := loadTestPackage(t, cgPath, testFile{"cg.go", cgSrc})
 	g := BuildCallGraph([]*Package{pkg})
 
 	aName := "(*" + cgPath + ".T).a"

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -28,42 +29,40 @@ func runCtrreg(pass *Pass) {
 	if pass.Counters == nil {
 		return // no registry available (stats package failed to load)
 	}
-	if pathHasSuffix(pass.Path, "internal/stats") {
-		return // the table's own package defines, not consumes
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+	for _, pkg := range pass.Pkgs {
+		if pathHasSuffix(pkg.Path, "internal/stats") {
+			continue // the table's own package defines, not consumes
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !incrementMethods[sel.Sel.Name] || len(call.Args) == 0 {
+					return true
+				}
+				if !isStatsCollector(pkg.Info, sel) {
+					return true
+				}
+				name, isConst := constantStringArg(pkg.Info, call.Args[0])
+				if !isConst {
+					return true
+				}
+				if !pass.Counters[name] {
+					pass.Reportf(pkg, call.Args[0].Pos(), "counter %q is not declared in the internal/stats table; add a Ctr constant (or fix the typo) so reports can see it", name)
+				}
 				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !incrementMethods[sel.Sel.Name] || len(call.Args) == 0 {
-				return true
-			}
-			if !isStatsCollector(pass, sel) {
-				return true
-			}
-			name, isConst := constantStringArg(pass, call.Args[0])
-			if !isConst {
-				return true
-			}
-			if !pass.Counters[name] {
-				pass.Reportf(call.Args[0].Pos(), "counter %q is not declared in the internal/stats table; add a Ctr constant (or fix the typo) so reports can see it", name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
 // isStatsCollector reports whether the method receiver is the stats
 // Collector type (directly or through a pointer).
-func isStatsCollector(pass *Pass, sel *ast.SelectorExpr) bool {
-	t := exprType(pass.Info, sel.X)
-	if t == nil {
-		return false
-	}
-	s := trimPointer(t).String()
+func isStatsCollector(info *types.Info, sel *ast.SelectorExpr) bool {
+	s := trimPointer(info.TypeOf(sel.X)).String()
 	if !strings.HasSuffix(s, ".Collector") {
 		return false
 	}

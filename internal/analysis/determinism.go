@@ -29,64 +29,54 @@ func DeterminismCheck() *Check {
 }
 
 func runDeterminism(pass *Pass) {
-	if !pathHasAnySuffix(pass.Path, deterministicPkgs) {
-		return
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				reportForbiddenCall(pass, "determinism", n)
-			case *ast.RangeStmt:
-				checkMapRange(pass, n, f)
-			}
-			return true
-		})
+	for _, pkg := range pass.Pkgs {
+		if !pathHasAnySuffix(pkg.Path, deterministicPkgs) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					reportForbiddenCall(pass, pkg, "determinism", n)
+				case *ast.RangeStmt:
+					checkMapRange(pass, pkg, n, f)
+				}
+				return true
+			})
+		}
 	}
 }
 
 // importedPackagePath resolves an identifier used as a package
 // qualifier to the imported package path, or "" when it is not a
-// package name (or type info is missing).
-func importedPackagePath(pass *Pass, id *ast.Ident) string {
-	if pass.Info != nil {
-		if obj, ok := pass.Info.Uses[id]; ok {
-			if pn, ok := obj.(*types.PkgName); ok {
-				return pn.Imported().Path()
-			}
-			return "" // a variable or type shadowing a package name
-		}
-	}
-	// Fallback without type info: trust the conventional names.
-	switch id.Name {
-	case "time":
-		return "time"
-	case "rand":
-		return "math/rand"
+// package name.
+func importedPackagePath(info *types.Info, id *ast.Ident) string {
+	if pn, ok := info.Uses[id].(*types.PkgName); ok {
+		return pn.Imported().Path()
 	}
 	return ""
 }
 
 // checkMapRange flags order-sensitive sinks inside a range over a map.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt, file *ast.File) {
-	if !isMapType(pass, rng.X) {
+func checkMapRange(pass *Pass, pkg *Package, rng *ast.RangeStmt, file *ast.File) {
+	if !isMapType(pkg.Info, rng.X) {
 		return
 	}
 	enclosing := enclosingFunc(file, rng.Pos())
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			if n != rng && isMapType(pass, n.X) {
+			if n != rng && isMapType(pkg.Info, n.X) {
 				return true // the nested range reports its own body
 			}
 		case *ast.AssignStmt:
-			checkAssignSink(pass, rng, n, enclosing)
+			checkAssignSink(pass, pkg, rng, n, enclosing)
 		case *ast.CallExpr:
-			if name, ok := textSink(pass, n); ok {
-				pass.Reportf(n.Pos(), "%s inside a map range emits in map-iteration order; collect and sort first", name)
+			if name, ok := textSink(pkg.Info, n); ok {
+				pass.Reportf(pkg, n.Pos(), "%s inside a map range emits in map-iteration order; collect and sort first", name)
 			}
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send inside a map range publishes values in map-iteration order; collect and sort first")
+			pass.Reportf(pkg, n.Pos(), "channel send inside a map range publishes values in map-iteration order; collect and sort first")
 		}
 		return true
 	})
@@ -96,10 +86,10 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, file *ast.File) {
 // body: x = append(x, ...) (unless x is sorted later in the same
 // function), s += expr string accumulation, and slice[i] writes where
 // i advances inside the loop.
-func checkAssignSink(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt, enclosing *ast.FuncDecl) {
+func checkAssignSink(pass *Pass, pkg *Package, rng *ast.RangeStmt, as *ast.AssignStmt, enclosing *ast.FuncDecl) {
 	// s += ... string accumulation.
-	if as.Tok.String() == "+=" && len(as.Lhs) == 1 && isStringType(pass, as.Lhs[0]) {
-		pass.Reportf(as.Pos(), "string concatenation inside a map range builds output in map-iteration order; collect and sort first")
+	if as.Tok.String() == "+=" && len(as.Lhs) == 1 && isStringType(pkg.Info, as.Lhs[0]) {
+		pass.Reportf(pkg, as.Pos(), "string concatenation inside a map range builds output in map-iteration order; collect and sort first")
 		return
 	}
 	for i, rhs := range as.Rhs {
@@ -114,18 +104,18 @@ func checkAssignSink(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt, enclosi
 		target, ok := as.Lhs[i].(*ast.Ident)
 		if !ok {
 			// append into a field or element: conservatively flag.
-			pass.Reportf(as.Pos(), "append inside a map range accumulates in map-iteration order; sort the result or iterate a sorted key slice")
+			pass.Reportf(pkg, as.Pos(), "append inside a map range accumulates in map-iteration order; sort the result or iterate a sorted key slice")
 			continue
 		}
-		if sortedAfter(pass, enclosing, rng, target) {
+		if sortedAfter(pkg.Info, enclosing, rng, target) {
 			continue // sorted-extraction idiom: for k := range m { keys = append(keys, k) }; sort(keys)
 		}
-		pass.Reportf(as.Pos(), "append to %q inside a map range accumulates in map-iteration order; sort %q afterwards or iterate a sorted key slice", target.Name, target.Name)
+		pass.Reportf(pkg, as.Pos(), "append to %q inside a map range accumulates in map-iteration order; sort %q afterwards or iterate a sorted key slice", target.Name, target.Name)
 	}
 	// slice[i] = ... with i advanced in the loop body.
 	for _, lhs := range as.Lhs {
 		ix, ok := lhs.(*ast.IndexExpr)
-		if !ok || !isSliceType(pass, ix.X) {
+		if !ok || !isSliceType(pkg.Info, ix.X) {
 			continue
 		}
 		id, ok := ix.Index.(*ast.Ident)
@@ -133,7 +123,7 @@ func checkAssignSink(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt, enclosi
 			continue
 		}
 		if identAdvancedIn(rng.Body, id, as) {
-			pass.Reportf(as.Pos(), "indexed slice write with a counter advanced inside a map range stores values in map-iteration order; sort afterwards or iterate a sorted key slice")
+			pass.Reportf(pkg, as.Pos(), "indexed slice write with a counter advanced inside a map range stores values in map-iteration order; sort afterwards or iterate a sorted key slice")
 		}
 	}
 }
@@ -141,13 +131,13 @@ func checkAssignSink(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt, enclosi
 // textSink reports whether the call writes formatted text to an
 // accumulating destination (fmt.Fprint* family, (*strings.Builder) /
 // (*bytes.Buffer) Write* methods).
-func textSink(pass *Pass, call *ast.CallExpr) (string, bool) {
+func textSink(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	if id, ok := sel.X.(*ast.Ident); ok {
-		if importedPackagePath(pass, id) == "fmt" {
+		if importedPackagePath(info, id) == "fmt" {
 			switch sel.Sel.Name {
 			case "Fprintf", "Fprint", "Fprintln":
 				return "fmt." + sel.Sel.Name, true
@@ -160,10 +150,7 @@ func textSink(pass *Pass, call *ast.CallExpr) (string, bool) {
 	default:
 		return "", false
 	}
-	t := exprType(pass.Info, sel.X)
-	if t == nil {
-		return "", false
-	}
+	t := info.TypeOf(sel.X)
 	switch trimPointer(t).String() {
 	case "strings.Builder", "bytes.Buffer":
 		return trimPointer(t).String() + "." + sel.Sel.Name, true
@@ -174,7 +161,7 @@ func textSink(pass *Pass, call *ast.CallExpr) (string, bool) {
 // sortedAfter reports whether target is passed to a sort call
 // (sort.Strings / sort.Ints / sort.Slice / sort.Sort / slices.Sort*)
 // anywhere in the enclosing function after the range statement.
-func sortedAfter(pass *Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, target *ast.Ident) bool {
+func sortedAfter(info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt, target *ast.Ident) bool {
 	if fn == nil {
 		return false
 	}
@@ -192,7 +179,7 @@ func sortedAfter(pass *Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, target *ast.I
 		if !ok {
 			return true
 		}
-		p := importedPackagePath(pass, pkg)
+		p := importedPackagePath(info, pkg)
 		if p != "sort" && p != "slices" {
 			return true
 		}
@@ -241,51 +228,24 @@ func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
 	return nil
 }
 
-// --- small type helpers (nil-tolerant: missing info means "unknown") ---
-
-func exprType(info *types.Info, e ast.Expr) types.Type {
-	if info == nil {
-		return nil
-	}
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
 func trimPointer(t types.Type) types.Type {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	if p, ok := t.(*types.Pointer); ok {
 		return p.Elem()
 	}
 	return t
 }
 
-func isMapType(pass *Pass, e ast.Expr) bool {
-	t := exprType(pass.Info, e)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
+func isMapType(info *types.Info, e ast.Expr) bool {
+	_, ok := info.TypeOf(e).Underlying().(*types.Map)
 	return ok
 }
 
-func isSliceType(pass *Pass, e ast.Expr) bool {
-	t := exprType(pass.Info, e)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Slice)
+func isSliceType(info *types.Info, e ast.Expr) bool {
+	_, ok := info.TypeOf(e).Underlying().(*types.Slice)
 	return ok
 }
 
-func isStringType(pass *Pass, e ast.Expr) bool {
-	t := exprType(pass.Info, e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
+func isStringType(info *types.Info, e ast.Expr) bool {
+	b, ok := info.TypeOf(e).Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
 }

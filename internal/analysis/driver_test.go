@@ -10,11 +10,12 @@ import (
 // The driver contract: 0 clean, 1 findings (one file:line:col line
 // per finding on stdout), 2 usage/load errors. These tests run Main
 // exactly as cmd/tdgraph-vet does, against small explicit package
-// dirs so they stay fast.
+// dirs so they stay fast. Patterns are the go command's, relative to
+// this package's directory; output paths are module-relative.
 
 func TestDriverFindingsExitOne(t *testing.T) {
 	var out, errb strings.Builder
-	code := Main([]string{"internal/analysis/testdata/driver"}, &out, &errb)
+	code := Main([]string{"./testdata/driver"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -31,7 +32,7 @@ func TestDriverFindingsExitOne(t *testing.T) {
 func TestDriverCleanExitZero(t *testing.T) {
 	var out, errb strings.Builder
 	// The analysis package itself must stay clean under its own suite.
-	code := Main([]string{"internal/analysis"}, &out, &errb)
+	code := Main([]string{"."}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -40,22 +41,32 @@ func TestDriverCleanExitZero(t *testing.T) {
 	}
 }
 
-func TestDriverCheckSubset(t *testing.T) {
+// TestDriverSkipsBuildIgnoredFiles: the analyzer sees the files go
+// build compiles. gen.go (//go:build ignore, package main) is not one
+// of them; read into the package it would fail the type check and hide
+// wrap.go's finding.
+func TestDriverSkipsBuildIgnoredFiles(t *testing.T) {
 	var out, errb strings.Builder
-	// Only ctrreg selected: the planted errwrap violation is not run.
-	code := Main([]string{"-checks", "ctrreg", "internal/analysis/testdata/driver"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	code := Main([]string{"./testdata/buildignore"}, &out, &errb)
+	if code != 1 || errb.String() != "tdgraph-vet: 1 finding(s)\n" {
+		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	re := regexp.MustCompile(`^internal/analysis/testdata/buildignore/wrap\.go:9:\d+: errwrap: `)
+	if line := strings.TrimSpace(out.String()); !re.MatchString(line) {
+		t.Fatalf("output %q does not match %v", line, re)
 	}
 }
 
-func TestDriverUnknownCheckExitTwo(t *testing.T) {
+// TestDriverTypeErrorExitTwo: a package that does not type-check is a
+// load failure naming the package, not a run over partial type facts.
+func TestDriverTypeErrorExitTwo(t *testing.T) {
 	var out, errb strings.Builder
-	if code := Main([]string{"-checks", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	code := Main([]string{"./testdata/typeerr"}, &out, &errb)
+	if code != 2 || out.String() != "" {
+		t.Fatalf("exit code = %d, want 2\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(errb.String(), `unknown check "nonsense"`) {
-		t.Fatalf("stderr %q missing unknown-check message", errb.String())
+	if !strings.Contains(errb.String(), "github.com/tdgraph/tdgraph/internal/analysis/testdata/typeerr: ") {
+		t.Fatalf("stderr %q does not name the package", errb.String())
 	}
 }
 
@@ -68,7 +79,7 @@ func TestDriverBadPatternExitTwo(t *testing.T) {
 
 func TestDriverJSONOutput(t *testing.T) {
 	var out, errb strings.Builder
-	code := Main([]string{"-json", "internal/analysis/testdata/driver"}, &out, &errb)
+	code := Main([]string{"-json", "./testdata/driver"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}

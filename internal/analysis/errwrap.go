@@ -27,34 +27,36 @@ func ErrwrapCheck() *Check {
 }
 
 func runErrwrap(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkErrorfVerbs(pass, n)
-			case *ast.CompositeLit:
-				checkForeignTypedError(pass, n)
-			}
-			return true
-		})
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					checkErrorfVerbs(pass, pkg, n)
+				case *ast.CompositeLit:
+					checkForeignTypedError(pass, pkg, n)
+				}
+				return true
+			})
+		}
 	}
 }
 
 // checkErrorfVerbs maps fmt.Errorf format verbs to arguments and
 // flags error-typed arguments rendered with %v or %s.
-func checkErrorfVerbs(pass *Pass, call *ast.CallExpr) {
+func checkErrorfVerbs(pass *Pass, pkg *Package, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Errorf" {
 		return
 	}
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || importedPackagePath(pass, pkg) != "fmt" {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok || importedPackagePath(pkg.Info, id) != "fmt" {
 		return
 	}
 	if len(call.Args) < 2 {
 		return
 	}
-	format, ok := constantStringArg(pass, call.Args[0])
+	format, ok := constantStringArg(pkg.Info, call.Args[0])
 	if !ok {
 		return // dynamic format string: nothing to map verbs against
 	}
@@ -68,8 +70,8 @@ func checkErrorfVerbs(pass *Pass, call *ast.CallExpr) {
 			continue
 		}
 		arg := call.Args[argIdx]
-		if implementsError(exprType(pass.Info, arg)) {
-			pass.Reportf(arg.Pos(), "error value formatted with %%%c loses the chain for errors.Is/errors.As; wrap it with %%w", verb)
+		if implementsError(pkg.Info.TypeOf(arg)) {
+			pass.Reportf(pkg, arg.Pos(), "error value formatted with %%%c loses the chain for errors.Is/errors.As; wrap it with %%w", verb)
 		}
 	}
 }
@@ -106,16 +108,10 @@ func formatVerbs(format string) []byte {
 	return verbs
 }
 
-// constantStringArg resolves e to a compile-time string, via type info
-// when available or a bare string literal otherwise.
-func constantStringArg(pass *Pass, e ast.Expr) (string, bool) {
-	if pass.Info != nil {
-		if tv, ok := pass.Info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-			return constant.StringVal(tv.Value), true
-		}
-	}
-	if lit, ok := e.(*ast.BasicLit); ok && lit.Kind.String() == "STRING" {
-		return strings.Trim(lit.Value, "`\""), true
+// constantStringArg resolves e to a compile-time string.
+func constantStringArg(info *types.Info, e ast.Expr) (string, bool) {
+	if tv := info.Types[e]; tv.Value != nil && tv.Value.Kind() == constant.String {
+		return constant.StringVal(tv.Value), true
 	}
 	return "", false
 }
@@ -123,17 +119,13 @@ func constantStringArg(pass *Pass, e ast.Expr) (string, bool) {
 // checkForeignTypedError flags composite literals of a typed error
 // (struct type whose name ends in "Error" and which implements error)
 // defined in a different package of this module.
-func checkForeignTypedError(pass *Pass, lit *ast.CompositeLit) {
-	t := exprType(pass.Info, lit)
-	if t == nil {
-		return
-	}
-	named, ok := t.(*types.Named)
+func checkForeignTypedError(pass *Pass, pkg *Package, lit *ast.CompositeLit) {
+	named, ok := pkg.Info.TypeOf(lit).(*types.Named)
 	if !ok {
 		return
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg() == pass.Pkg {
+	if obj.Pkg() == nil || obj.Pkg() == pkg.Pkg {
 		return
 	}
 	if !strings.HasSuffix(obj.Name(), "Error") || !implementsError(named) {
@@ -144,9 +136,9 @@ func checkForeignTypedError(pass *Pass, lit *ast.CompositeLit) {
 	}
 	// Only police this module's own error contract; third-party and
 	// stdlib types are out of scope (and there are none today).
-	if !strings.HasPrefix(obj.Pkg().Path(), pass.module) {
+	if !strings.HasPrefix(obj.Pkg().Path(), pkg.module) {
 		return
 	}
-	pass.Reportf(lit.Pos(), "constructing %s.%s outside its owning package; use the owner's constructor or sentinel so the wrapping contract stays in one place",
+	pass.Reportf(pkg, lit.Pos(), "constructing %s.%s outside its owning package; use the owner's constructor or sentinel so the wrapping contract stays in one place",
 		obj.Pkg().Name(), obj.Name())
 }

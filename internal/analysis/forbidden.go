@@ -66,8 +66,8 @@ var forbiddenCalls = []callRule{
 }
 
 // reportForbiddenCall reports call under check if one of the check's
-// rules binds the pass's package and fences the called function.
-func reportForbiddenCall(pass *Pass, check string, call *ast.CallExpr) {
+// rules binds pkg and fences the called function.
+func reportForbiddenCall(pass *Pass, pkg *Package, check string, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -76,11 +76,11 @@ func reportForbiddenCall(pass *Pass, check string, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	path := importedPackagePath(pass, id)
+	path := importedPackagePath(pkg.Info, id)
 	for _, r := range forbiddenCalls {
-		if r.check == check && pathHasAnySuffix(pass.Path, r.pkgs) &&
+		if r.check == check && pathHasAnySuffix(pkg.Path, r.pkgs) &&
 			slices.Contains(r.imports, path) && r.names[sel.Sel.Name] != r.allow {
-			pass.Reportf(call.Pos(), r.message, sel.Sel.Name)
+			pass.Reportf(pkg, call.Pos(), r.message, sel.Sel.Name)
 		}
 	}
 }
@@ -96,13 +96,15 @@ func ClockseamCheck() *Check {
 		Name: "clockseam",
 		Doc:  "forbid raw time.Now/Sleep/After/Timer calls in internal/replica; wall time must flow through the injected serve.Clock seam",
 		Run: func(pass *Pass) {
-			for _, f := range pass.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok {
-						reportForbiddenCall(pass, "clockseam", call)
-					}
-					return true
-				})
+			for _, pkg := range pass.Pkgs {
+				for _, f := range pkg.Files {
+					ast.Inspect(f, func(n ast.Node) bool {
+						if call, ok := n.(*ast.CallExpr); ok {
+							reportForbiddenCall(pass, pkg, "clockseam", call)
+						}
+						return true
+					})
+				}
 			}
 		},
 	}

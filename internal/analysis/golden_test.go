@@ -27,7 +27,7 @@ func TestGoldenErrwrap(t *testing.T) {
 func TestErrwrapForeignTypedErrorOutsideInternal(t *testing.T) {
 	const src = "package probe\n\nimport \"github.com/tdgraph/tdgraph/internal/serve\"\n\nfunc f() error { return &serve.DeadlineError{} }\n"
 	for _, path := range []string{"github.com/tdgraph/tdgraph/cmd/probe", "github.com/tdgraph/tdgraph/examples/probe"} {
-		pkg := loadSynthetic(t, path, src)
+		pkg := loadTestPackage(t, path, testFile{"probe.go", src})
 		diags := RunSuite([]*Check{ErrwrapCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
 		if len(diags) != 1 || !strings.Contains(diags[0].Message, "constructing serve.DeadlineError outside its owning package") {
 			t.Errorf("%s: got %v, want one foreign-construction finding", path, diags)

@@ -27,9 +27,9 @@ import (
 // enclosing method for `go func(){...}()` literals.
 func GoroleakCheck() *Check {
 	return &Check{
-		Name:      "goroleak",
-		Doc:       "goroutines in serve/replica/native must be joined by a WaitGroup or a Close-signaled channel",
-		RunModule: runGoroleak,
+		Name: "goroleak",
+		Doc:  "goroutines in serve/replica/native must be joined by a WaitGroup or a Close-signaled channel",
+		Run:  runGoroleak,
 	}
 }
 
@@ -39,7 +39,7 @@ var goroleakPkgs = []string{"internal/serve", "internal/replica", "internal/nati
 // expected to live.
 var closeFamily = map[string]bool{"Close": true, "Stop": true, "Shutdown": true, "Wait": true, "Join": true}
 
-func runGoroleak(pass *ModulePass) {
+func runGoroleak(pass *Pass) {
 	j := &joinScan{g: pass.Graph, facts: make(map[*ast.BlockStmt]*bodyFacts)}
 	for _, node := range pass.Graph.Funcs {
 		if !pathHasAnySuffix(node.Pkg.Path, goroleakPkgs) {
@@ -87,7 +87,7 @@ func (j *joinScan) of(info *types.Info, body *ast.BlockStmt) *bodyFacts {
 	f := &bodyFacts{waits: map[lockKey]bool{}, aliases: map[types.Object]lockKey{}}
 	j.facts[body] = f
 	chain := func(e ast.Expr) (lockKey, bool) {
-		base, path, ok := fieldChainOf(info, e)
+		base, path, ok := chainOf(info, e, true)
 		return lockKey{base: base, path: path}, ok
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -242,37 +242,4 @@ func (j *joinScan) typeHasBarrier(tkey string, probe func(m *bodyFacts, recv typ
 		}
 	}
 	return false
-}
-
-// fieldChainOf is chainOf with index expressions unwrapped (dropping
-// the index): s.kick[i] → (s, "kick").
-func fieldChainOf(info *types.Info, e ast.Expr) (types.Object, string, bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.IndexExpr:
-		return fieldChainOf(info, e.X)
-	case *ast.StarExpr:
-		return fieldChainOf(info, e.X)
-	case *ast.SelectorExpr:
-		base, path, ok := fieldChainOf(info, e.X)
-		if !ok {
-			return nil, "", false
-		}
-		if path == "" {
-			return base, e.Sel.Name, true
-		}
-		return base, path + "." + e.Sel.Name, true
-	case *ast.Ident:
-		if info == nil {
-			return nil, "", false
-		}
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		if obj == nil {
-			return nil, "", false
-		}
-		return obj, "", true
-	}
-	return nil, "", false
 }

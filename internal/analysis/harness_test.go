@@ -39,7 +39,7 @@ var (
 func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
-		testLoader, loaderErr = NewLoader(".")
+		testLoader, loaderErr = NewLoader()
 	})
 	if loaderErr != nil {
 		t.Fatalf("NewLoader: %v", loaderErr)
@@ -100,30 +100,44 @@ func loadGoldenPackage(t *testing.T, loader *Loader, name, pkgPath string) *Pack
 		return pkg
 	}
 	dir := filepath.Join("testdata", name)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading %s: %v", dir, err)
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no Go files in %s (%v)", dir, err)
 	}
-	var files []*ast.File
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(loader.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+	files := make([]testFile, len(names))
+	for i, name := range names {
+		src, err := os.ReadFile(name)
 		if err != nil {
-			t.Fatalf("parsing %s: %v", e.Name(), err)
+			t.Fatal(err)
 		}
-		files = append(files, f)
+		files[i] = testFile{name, string(src)}
 	}
-	if len(files) == 0 {
-		t.Fatalf("no Go files in %s", dir)
-	}
-	tpkg, info, terr := loader.TypeCheck(pkgPath, files)
-	if terr != nil {
-		t.Fatalf("type-checking %s: %v", dir, terr)
-	}
-	pkg := &Package{Path: pkgPath, Files: files, Pkg: tpkg, Info: info, fset: loader.Fset, module: loader.modulePath}
+	pkg := loadTestPackage(t, pkgPath, files...)
 	goldenCache[key] = pkg
+	return pkg
+}
+
+// testFile is one source file of an in-memory test package.
+type testFile struct{ name, src string }
+
+// loadTestPackage parses files and type-checks them as one package
+// under pkgPath through the shared loader: the one way a test builds a
+// *Package. A parse or type error fails the test.
+func loadTestPackage(t *testing.T, pkgPath string, files ...testFile) *Package {
+	t.Helper()
+	loader := sharedLoader(t)
+	var parsed []*ast.File
+	for _, f := range files {
+		af, err := parser.ParseFile(loader.Fset, f.name, f.src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, af)
+	}
+	pkg, err := loader.check(pkgPath, parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return pkg
 }
 

@@ -32,16 +32,16 @@ import (
 // at the right level.
 func HotallocCheck() *Check {
 	return &Check{
-		Name:      "hotalloc",
-		Doc:       "functions on the //tdgraph:hot + native propagate/apply paths must not heap-allocate",
-		RunModule: runHotalloc,
+		Name: "hotalloc",
+		Doc:  "functions on the //tdgraph:hot + native propagate/apply paths must not heap-allocate",
+		Run:  runHotalloc,
 	}
 }
 
 // HotMarker tags a function's doc comment into the hot set.
 const HotMarker = "//tdgraph:hot"
 
-func runHotalloc(pass *ModulePass) {
+func runHotalloc(pass *Pass) {
 	entries := hotEntries(pass.Graph)
 	if len(entries) == 0 {
 		return
@@ -93,7 +93,7 @@ func hotChain(reached map[string]string, name string) string {
 	return b.String()
 }
 
-func scanHotFunc(pass *ModulePass, node *FuncNode, chain string) {
+func scanHotFunc(pass *Pass, node *FuncNode, chain string) {
 	info := node.Pkg.Info
 	fresh := freshLocalSlices(info, node.Decl)
 	report := func(n ast.Node, what string) {
@@ -112,14 +112,11 @@ func scanHotFunc(pass *ModulePass, node *FuncNode, chain string) {
 			report(n, "closure allocation")
 			return false
 		case *ast.CompositeLit:
-			t := exprType(info, n)
-			if t != nil {
-				switch t.Underlying().(type) {
-				case *types.Map:
-					report(n, "map literal allocates")
-				case *types.Slice:
-					report(n, "slice literal allocates")
-				}
+			switch info.TypeOf(n).Underlying().(type) {
+			case *types.Map:
+				report(n, "map literal allocates")
+			case *types.Slice:
+				report(n, "slice literal allocates")
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
@@ -249,8 +246,8 @@ func reportBoxingArgs(info *types.Info, call *ast.CallExpr, report func(ast.Node
 		if pt == nil || !types.IsInterface(pt) {
 			continue
 		}
-		at := exprType(info, arg)
-		if at == nil || types.IsInterface(at) {
+		at := info.TypeOf(arg)
+		if types.IsInterface(at) {
 			continue
 		}
 		switch at.Underlying().(type) {
@@ -265,14 +262,8 @@ func reportBoxingArgs(info *types.Info, call *ast.CallExpr, report func(ast.Node
 	}
 }
 
-// isBuiltin reports whether the ident resolves to a universe builtin
-// (or has no resolution at all, which for make/new/append in valid
-// code means the builtin).
+// isBuiltin reports whether the ident resolves to a universe builtin.
 func isBuiltin(info *types.Info, id *ast.Ident) bool {
-	obj := info.Uses[id]
-	if obj == nil {
-		return true
-	}
-	_, ok := obj.(*types.Builtin)
+	_, ok := info.Uses[id].(*types.Builtin)
 	return ok
 }

@@ -1,249 +1,131 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 )
 
-// Package is one loaded, parsed, and type-checked package.
+// Package is one loaded, parsed, and fully type-checked package.
 type Package struct {
 	Path  string // import path
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// TypeErr records the first type-checking error, if any. Checks
-	// still run over the partial information.
-	TypeErr error
 
 	fset   *token.FileSet // the FileSet that positioned Files
-	module string         // the module path from go.mod
+	module string         // the main module's path
 }
 
-// Loader enumerates and type-checks the module's packages with a
-// single shared FileSet and source importer, so stdlib and
+// Loader lists packages with the go command and type-checks them with
+// a single shared FileSet and source importer, so stdlib and
 // intra-module dependencies are type-checked at most once per run.
 type Loader struct {
 	Fset *token.FileSet
 
-	dir        string // module root (where go.mod lives)
-	modulePath string
-	imp        types.Importer
+	dir    string // main module root
+	module string // main module path
+	imp    types.Importer
 }
 
-// NewLoader returns a loader rooted at the module containing dir.
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
+// listed is the part of a `go list -json` object the loader reads.
+type listed struct {
+	Path, Dir, ImportPath string
+	GoFiles               []string
+}
+
+// goList runs `go list -json args...` in dir ("" for the current one).
+func goList(dir string, args ...string) ([]listed, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
+		return nil, fmt.Errorf("go list: %w\n%s", err, bytes.TrimSpace(ee.Stderr))
+	} else if err != nil {
 		return nil, err
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
+	var all []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var l listed
+		if err := dec.Decode(&l); err != nil {
+			return nil, err
 		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("analysis: no go.mod found above %s", abs)
-		}
-		root = parent
+		all = append(all, l)
 	}
-	modPath, err := modulePathOf(filepath.Join(root, "go.mod"))
+	return all, nil
+}
+
+// NewLoader returns a loader for the main module of the current
+// directory.
+func NewLoader() (*Loader, error) {
+	mod, err := goList("", "-m")
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	return &Loader{
-		Fset:       fset,
-		dir:        root,
-		modulePath: modPath,
-		imp:        importer.ForCompiler(fset, "source", nil),
-	}, nil
+	return &Loader{Fset: fset, dir: mod[0].Dir, module: mod[0].Path, imp: importer.ForCompiler(fset, "source", nil)}, nil
 }
 
-// modulePathOf extracts the module path from a go.mod file.
-func modulePathOf(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
+// Load lists the packages matching the go command's patterns (./...
+// also takes in the modules nested one directory down, as benchmark/
+// is at the root) and type-checks each over the files go build
+// compiles. A parse or type error fails the load.
+func (l *Loader) Load(patterns []string) ([]*Package, error) {
+	all, err := goList("", patterns...)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "module ") {
-			return strings.TrimSpace(strings.TrimPrefix(line, "module ")), nil
-		}
-	}
-	return "", fmt.Errorf("analysis: no module directive in %s", gomod)
-}
-
-// Expand resolves command-line patterns to package directories.
-// Supported forms: "./..." (every package under the module root),
-// "./dir/..." (every package under dir), and plain directory paths
-// ("./internal/wal", "internal/wal").
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			subs, err := l.walk(l.dir)
+	if slices.Contains(patterns, "./...") {
+		mods, _ := filepath.Glob(filepath.Join("*", "go.mod")) // fails only on a malformed pattern
+		for _, mod := range mods {
+			nested, err := goList(filepath.Dir(mod), "./...")
 			if err != nil {
 				return nil, err
 			}
-			for _, d := range subs {
-				add(d)
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := filepath.Join(l.dir, strings.TrimSuffix(pat, "/..."))
-			subs, err := l.walk(base)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range subs {
-				add(d)
-			}
-		default:
-			d := pat
-			if !filepath.IsAbs(d) {
-				d = filepath.Join(l.dir, d)
-			}
-			st, err := os.Stat(d)
-			if err != nil || !st.IsDir() {
-				return nil, fmt.Errorf("analysis: %q is not a package directory", pat)
-			}
-			add(d)
+			all = append(all, nested...)
 		}
 	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// walk returns every directory under root that contains at least one
-// non-test .go file, skipping testdata, hidden, and vendor trees.
-func (l *Loader) walk(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	pkgs := make([]*Package, 0, len(all))
+	for _, lp := range all {
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(l.Fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
+			}
+			files = append(files, f)
+		}
+		pkg, err := l.check(lp.ImportPath, files)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	return dirs, err
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		n := e.Name()
-		if strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
-// importPathFor maps an absolute package directory to its import path
-// within the module.
-func (l *Loader) importPathFor(dir string) (string, error) {
-	rel, err := filepath.Rel(l.dir, dir)
-	if err != nil {
-		return "", err
-	}
-	if rel == "." {
-		return l.modulePath, nil
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.modulePath)
-	}
-	return l.modulePath + "/" + filepath.ToSlash(rel), nil
-}
-
-// Load parses and type-checks the package in dir. Type-check errors
-// are recorded on the returned Package, not fatal: the tree is
-// expected to compile, but the suite must degrade gracefully rather
-// than hide findings behind a loader abort.
-func (l *Loader) Load(dir string) (*Package, error) {
-	path, err := l.importPathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		f, perr := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
-		if perr != nil {
-			return nil, perr
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
-	}
-	pkg, info, terr := l.TypeCheck(path, files)
-	return &Package{Path: path, Files: files, Pkg: pkg, Info: info, TypeErr: terr, fset: l.Fset, module: l.modulePath}, nil
-}
-
-// TypeCheck runs go/types over already-parsed files under the given
-// import path, collecting full use/def/selection information. The
-// first error is returned but checking continues past it.
-func (l *Loader) TypeCheck(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	var firstErr error
-	conf := types.Config{
-		Importer: l.imp,
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
-	}
+// check type-checks parsed files as the package at path, recording
+// full use/def/selection information.
+func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
+	conf := types.Config{Importer: l.imp}
 	pkg, err := conf.Check(path, l.Fset, files, info)
-	if firstErr == nil {
-		firstErr = err
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return pkg, info, firstErr
+	return &Package{Path: path, Files: files, Pkg: pkg, Info: info, fset: l.Fset, module: l.module}, nil
 }

@@ -36,9 +36,9 @@ import (
 //   - accesses inside sync/atomic call arguments are exempt.
 func LockguardCheck() *Check {
 	return &Check{
-		Name:      "lockguard",
-		Doc:       "struct fields must be accessed under the mutex that guards them (inferred from majority usage)",
-		RunModule: runLockguard,
+		Name: "lockguard",
+		Doc:  "struct fields must be accessed under the mutex that guards them (inferred from majority usage)",
+		Run:  runLockguard,
 	}
 }
 
@@ -58,7 +58,7 @@ type fieldAccess struct {
 	isWrite   bool // assignment target or inc/dec operand
 }
 
-func runLockguard(pass *ModulePass) {
+func runLockguard(pass *Pass) {
 	la := pass.Graph.LockSets()
 
 	accesses := make(map[fieldRef][]*fieldAccess)

@@ -31,9 +31,9 @@ import (
 // site.
 func LockholdCheck() *Check {
 	return &Check{
-		Name:      "lockhold",
-		Doc:       "no blocking operation (dial, stream I/O, bare channel op, sleep, Wait) may run while a mutex is held",
-		RunModule: runLockhold,
+		Name: "lockhold",
+		Doc:  "no blocking operation (dial, stream I/O, bare channel op, sleep, Wait) may run while a mutex is held",
+		Run:  runLockhold,
 	}
 }
 
@@ -61,7 +61,7 @@ type moduleCall struct {
 	held   lockSet
 }
 
-func runLockhold(pass *ModulePass) {
+func runLockhold(pass *Pass) {
 	la := pass.Graph.LockSets()
 
 	// Which module functions block, intrinsically: the first blocking
@@ -250,9 +250,6 @@ func blockingCall(info *types.Info, call *ast.CallExpr, callee string) (string, 
 // dialSeamCall reports calls through func-typed values whose results
 // include a net.Conn.
 func dialSeamCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	if info == nil {
-		return "", false
-	}
 	tv, ok := info.Types[call.Fun]
 	if !ok || tv.IsType() {
 		return "", false
@@ -308,14 +305,7 @@ func blockingSelect(s *ast.SelectStmt) bool {
 }
 
 func isChanExpr(info *types.Info, e ast.Expr) bool {
-	if info == nil {
-		return false
-	}
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, ok = tv.Type.Underlying().(*types.Chan)
+	_, ok := info.TypeOf(e).Underlying().(*types.Chan)
 	return ok
 }
 

@@ -23,13 +23,13 @@ import (
 // left out, as lockguard and lockhold leave them out.
 func LockorderCheck() *Check {
 	return &Check{
-		Name:      "lockorder",
-		Doc:       "require defer-unlock (or a provably straight-line critical section) for every mutex acquisition",
-		RunModule: runLockorder,
+		Name: "lockorder",
+		Doc:  "require defer-unlock (or a provably straight-line critical section) for every mutex acquisition",
+		Run:  runLockorder,
 	}
 }
 
-func runLockorder(pass *ModulePass) {
+func runLockorder(pass *Pass) {
 	la := pass.Graph.LockSets()
 	for name, node := range pass.Graph.Funcs {
 		checkFuncLocks(pass, node, la.base[name])
@@ -37,7 +37,7 @@ func runLockorder(pass *ModulePass) {
 }
 
 // checkFuncLocks applies the three rules to one function's lock sets.
-func checkFuncLocks(pass *ModulePass, node *FuncNode, fl *funcLocks) {
+func checkFuncLocks(pass *Pass, node *FuncNode, fl *funcLocks) {
 	info := node.Pkg.Info
 	type site struct {
 		at ast.Stmt

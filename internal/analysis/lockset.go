@@ -56,25 +56,18 @@ func (s lockSet) equal(o lockSet) bool {
 
 // chainOf decomposes an expression into (base object, selector path):
 // n.cfg.mu → (obj n, "cfg.mu"). Returns ok=false for anything that is
-// not an ident-rooted selector chain (index expressions, calls,
-// composite bases) — those locks fall back to position-less keys and
-// never participate in guard inference.
-func chainOf(info *types.Info, e ast.Expr) (types.Object, string, bool) {
+// not an ident-rooted selector chain (calls, composite bases) — those
+// locks fall back to position-less keys and never participate in guard
+// inference. Index expressions end the chain too, unless index is set:
+// then they are unwrapped and the index dropped (goroleak's s.kick[i] →
+// (s, "kick")).
+func chainOf(info *types.Info, e ast.Expr, index bool) (types.Object, string, bool) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if info == nil {
-			return nil, "", false
-		}
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		if obj == nil {
-			return nil, "", false
-		}
-		return obj, "", true
+		obj := info.ObjectOf(e)
+		return obj, "", obj != nil
 	case *ast.SelectorExpr:
-		base, path, ok := chainOf(info, e.X)
+		base, path, ok := chainOf(info, e.X, index)
 		if !ok {
 			return nil, "", false
 		}
@@ -83,7 +76,11 @@ func chainOf(info *types.Info, e ast.Expr) (types.Object, string, bool) {
 		}
 		return base, path + "." + e.Sel.Name, true
 	case *ast.StarExpr:
-		return chainOf(info, e.X)
+		return chainOf(info, e.X, index)
+	case *ast.IndexExpr:
+		if index {
+			return chainOf(info, e.X, index)
+		}
 	}
 	return nil, "", false
 }
@@ -129,7 +126,7 @@ func lockOpOf(info *types.Info, s ast.Stmt) (lockOp, bool) {
 	if !isSyncMethod(info, sel) {
 		return lockOp{}, false
 	}
-	base, path, ok := chainOf(info, sel.X)
+	base, path, ok := chainOf(info, sel.X, false)
 	if !ok {
 		return lockOp{}, false
 	}
@@ -140,16 +137,13 @@ func lockOpOf(info *types.Info, s ast.Stmt) (lockOp, bool) {
 // isSyncMethod reports whether the selected method belongs to a type
 // of package sync (directly or via embedding).
 func isSyncMethod(info *types.Info, sel *ast.SelectorExpr) bool {
-	if info == nil {
-		return false
-	}
 	if s, ok := info.Selections[sel]; ok {
 		if f, ok := s.Obj().(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "sync" {
 			return true
 		}
 		return false
 	}
-	// Package-qualified or unresolved: not a sync method.
+	// Package-qualified: not a sync method.
 	return false
 }
 
@@ -277,7 +271,7 @@ func (g *CallGraph) LockSets() *lockAnalysis {
 				if !ok {
 					return true
 				}
-				recvBase, recvPath, ok := chainOf(info, sel.X)
+				recvBase, recvPath, ok := chainOf(info, sel.X, false)
 				paths := map[string]bool{}
 				if ok {
 					for k := range held {

@@ -92,7 +92,7 @@ func heldAtAssignments(t *testing.T, la *lockAnalysis, name string) map[string]s
 }
 
 func TestLockSetsIntraprocedural(t *testing.T) {
-	pkg := loadSynthetic(t, lsPath, lsSrc)
+	pkg := loadTestPackage(t, lsPath, testFile{"ls.go", lsSrc})
 	g := BuildCallGraph([]*Package{pkg})
 	la := g.LockSets()
 
@@ -116,7 +116,7 @@ func TestLockSetsIntraprocedural(t *testing.T) {
 }
 
 func TestLockSetsCallSiteSeeding(t *testing.T) {
-	pkg := loadSynthetic(t, lsPath, lsSrc)
+	pkg := loadTestPackage(t, lsPath, testFile{"ls.go", lsSrc})
 	g := BuildCallGraph([]*Package{pkg})
 	la := g.LockSets()
 

@@ -41,7 +41,7 @@ type SuiteOptions struct {
 	// Counters seeds the ctrreg registry.
 	Counters map[string]bool
 	// AuditStale reports a "directive" finding for every
-	// //tdgraph:allow (of a check being run) that suppressed nothing.
+	// //tdgraph:allow that suppressed nothing.
 	AuditStale bool
 }
 
@@ -55,45 +55,17 @@ type SuiteResult struct {
 	Suppressed []Diagnostic
 }
 
-// RunSuite runs per-package checks over each package and module
-// checks over the whole set (sharing one call graph), then applies
-// suppression directives globally. Directive names are validated
-// against the full suite, so `-checks a,b` does not misreport valid
-// directives for unselected checks as unknown.
+// RunSuite runs each check over the packages (sharing one call graph),
+// then applies suppression directives globally. Directive names are
+// validated against the checks run.
 func RunSuite(checks []*Check, pkgs []*Package, opts SuiteOptions) SuiteResult {
 	var diags []Diagnostic
-	var moduleChecks []*Check
+	graph := BuildCallGraph(pkgs)
 	for _, c := range checks {
-		if c.RunModule != nil {
-			moduleChecks = append(moduleChecks, c)
-		}
-	}
-	for _, pkg := range pkgs {
-		for _, c := range checks {
-			if c.Run == nil {
-				continue
-			}
-			c.Run(&Pass{
-				CheckName: c.Name,
-				Path:      pkg.Path,
-				Fset:      pkg.fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Pkg,
-				Info:      pkg.Info,
-				Counters:  opts.Counters,
-				module:    pkg.module,
-				diags:     &diags,
-			})
-		}
-	}
-	if len(moduleChecks) > 0 {
-		graph := BuildCallGraph(pkgs)
-		for _, c := range moduleChecks {
-			c.RunModule(&ModulePass{CheckName: c.Name, Graph: graph, diags: &diags})
-		}
+		c.Run(&Pass{CheckName: c.Name, Pkgs: pkgs, Graph: graph, Counters: opts.Counters, diags: &diags})
 	}
 
-	known := checkNames(Checks())
+	known := checkNames(checks)
 	var dirs []directive
 	var dirDiags []Diagnostic
 	for _, pkg := range pkgs {
@@ -104,9 +76,8 @@ func RunSuite(checks []*Check, pkgs []*Package, opts SuiteOptions) SuiteResult {
 	kept, suppressed, used := suppress(diags, dirs)
 	kept = append(kept, dirDiags...)
 	if opts.AuditStale {
-		run := checkNames(checks)
 		for i, d := range dirs {
-			if used[i] || !run[d.check] {
+			if used[i] {
 				continue
 			}
 			kept = append(kept, Diagnostic{Check: "directive", Position: d.line,
@@ -123,9 +94,6 @@ func RunSuite(checks []*Check, pkgs []*Package, opts SuiteOptions) SuiteResult {
 // constant whose name starts with "Ctr".
 func CounterTable(pkg *types.Package) map[string]bool {
 	out := make(map[string]bool)
-	if pkg == nil {
-		return out
-	}
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		if !strings.HasPrefix(name, "Ctr") {
@@ -152,10 +120,9 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tdgraph-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the checks and exit")
-	only := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic (suppressed ones included) instead of text")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tdgraph-vet [-list] [-json] [-checks a,b] [packages]\n\n"+
+		fmt.Fprintf(stderr, "usage: tdgraph-vet [-list] [-json] [packages]\n\n"+
 			"Runs the TDGraph project-invariant analyzers over the given package\n"+
 			"patterns (default ./...). Suppress a finding with an inline\n"+
 			"directive carrying a reason: %s <check> <reason>\n\nChecks:\n", AllowDirective)
@@ -174,61 +141,25 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *only != "" {
-		valid := checkNames(checks)
-		var sel []*Check
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			if !valid[name] {
-				fmt.Fprintf(stderr, "tdgraph-vet: unknown check %q\n", name)
-				return 2
-			}
-			for _, c := range checks {
-				if c.Name == name {
-					sel = append(sel, c)
-				}
-			}
-		}
-		checks = sel
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-
-	loader, err := NewLoader(".")
+	loader, err := NewLoader()
+	var pkgs []*Package
+	if err == nil {
+		pkgs, err = loader.Load(patterns)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "tdgraph-vet: %v\n", err)
 		return 2
 	}
-	dirs, err := loader.Expand(fs.Args())
-	if err != nil {
-		fmt.Fprintf(stderr, "tdgraph-vet: %v\n", err)
-		return 2
-	}
-	pkgs := make([]*Package, 0, len(dirs))
-	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "tdgraph-vet: %v\n", err)
-			return 2
-		}
-		if pkg.TypeErr != nil {
-			fmt.Fprintf(stderr, "tdgraph-vet: %s: type checking incomplete: %v\n", pkg.Path, pkg.TypeErr)
-		}
-		pkgs = append(pkgs, pkg)
-	}
 
-	// The counter table comes from whichever loaded package is the
-	// stats package; when the patterns exclude it, load it explicitly
-	// so ctrreg still has its registry.
+	// ctrreg's registry comes from internal/stats whether or not the
+	// patterns load it.
 	var counters map[string]bool
-	for _, p := range pkgs {
-		if pathHasSuffix(p.Path, "internal/stats") && p.Pkg != nil {
-			counters = CounterTable(p.Pkg)
-			break
-		}
-	}
-	if counters == nil {
-		if tp, err := loader.imp.Import(loader.modulePath + "/internal/stats"); err == nil {
-			counters = CounterTable(tp)
-		}
+	if tp, err := loader.imp.Import(loader.module + "/internal/stats"); err == nil {
+		counters = CounterTable(tp)
 	}
 
 	res := RunSuite(checks, pkgs, SuiteOptions{Counters: counters, AuditStale: true})

@@ -1,16 +1,13 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"strings"
 	"testing"
 )
 
-// The suppression tests run the full suite over in-memory sources
-// with no type information: syncack is recognized purely
-// syntactically, so it is the probe check of choice here.
+// The suppression tests run the full suite over type-checked in-memory
+// sources; syncack, which matches its append, barrier and ack calls by
+// name, is the probe check of choice here.
 
 const ackBody = `
 func ackAfterAppend(l *log, conn any) error {
@@ -141,16 +138,11 @@ func ack(l *log, conn any) error {
 	}
 }
 
-// suiteFindings runs the full suite over src, parsed as a replica
-// package with no type information.
+// suiteFindings runs the full suite over src, type-checked as a
+// replica package.
 func suiteFindings(t *testing.T, src string) []Diagnostic {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	pkg := &Package{Path: "github.com/tdgraph/tdgraph/internal/replica", Files: []*ast.File{f}, fset: fset}
+	pkg := loadTestPackage(t, "github.com/tdgraph/tdgraph/internal/replica", testFile{"src.go", src})
 	return RunSuite(Checks(), []*Package{pkg}, SuiteOptions{}).Findings
 }
 

@@ -38,55 +38,60 @@ var barrierCalls = map[string]bool{
 }
 
 func runSyncack(pass *Pass) {
-	if !pathHasSuffix(pass.Path, "internal/wal") && !pathHasSuffix(pass.Path, "internal/replica") {
-		return
+	for _, pkg := range pass.Pkgs {
+		if pathHasSuffix(pkg.Path, "internal/wal") || pathHasSuffix(pkg.Path, "internal/replica") {
+			walkFuncs(pkg.Files, func(fd *ast.FuncDecl) { syncackFunc(pass, pkg, fd) })
+		}
 	}
-	walkFuncs(pass.Files, func(fd *ast.FuncDecl) {
-		type event struct {
-			pos  token.Pos
-			kind int // 0 append, 1 barrier, 2 ack
-			desc string
-		}
-		var events []event
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch {
-			case isSelectorCall(call, appendCalls):
-				events = append(events, event{call.Pos(), 0, "append"})
-			case isSelectorCall(call, barrierCalls):
-				events = append(events, event{call.Pos(), 1, "barrier"})
-			default:
-				if desc, ok := ackWrite(call); ok {
-					events = append(events, event{call.Pos(), 2, desc})
-				}
-			}
+}
+
+// syncackFunc reports the ack sites of one function body that follow
+// an append with no barrier between them.
+func syncackFunc(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
+	type event struct {
+		pos  token.Pos
+		kind int // 0 append, 1 barrier, 2 ack
+		desc string
+	}
+	var events []event
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
 			return true
-		})
-		// Source order ~ Inspect order within one body, but nested
-		// closures can interleave; sort by position to be exact.
-		for i := 1; i < len(events); i++ {
-			for j := i; j > 0 && events[j].pos < events[j-1].pos; j-- {
-				events[j], events[j-1] = events[j-1], events[j]
+		}
+		switch {
+		case isSelectorCall(call, appendCalls):
+			events = append(events, event{call.Pos(), 0, "append"})
+		case isSelectorCall(call, barrierCalls):
+			events = append(events, event{call.Pos(), 1, "barrier"})
+		default:
+			if desc, ok := ackWrite(call); ok {
+				events = append(events, event{call.Pos(), 2, desc})
 			}
 		}
-		pendingAppend := token.NoPos
-		for _, ev := range events {
-			switch ev.kind {
-			case 0:
-				pendingAppend = ev.pos
-			case 1:
-				pendingAppend = token.NoPos
-			case 2:
-				if pendingAppend != token.NoPos {
-					pass.Reportf(ev.pos, "%s written after an append at line %d with no fsync barrier between them; an acknowledged record must be durable (Sync before ack)",
-						ev.desc, pass.Fset.Position(pendingAppend).Line)
-				}
-			}
-		}
+		return true
 	})
+	// Source order ~ Inspect order within one body, but nested
+	// closures can interleave; sort by position to be exact.
+	for i := 1; i < len(events); i++ {
+		for j := i; j > 0 && events[j].pos < events[j-1].pos; j-- {
+			events[j], events[j-1] = events[j-1], events[j]
+		}
+	}
+	pendingAppend := token.NoPos
+	for _, ev := range events {
+		switch ev.kind {
+		case 0:
+			pendingAppend = ev.pos
+		case 1:
+			pendingAppend = token.NoPos
+		case 2:
+			if pendingAppend != token.NoPos {
+				pass.Reportf(pkg, ev.pos, "%s written after an append at line %d with no fsync barrier between them; an acknowledged record must be durable (Sync before ack)",
+					ev.desc, pkg.fset.Position(pendingAppend).Line)
+			}
+		}
+	}
 }
 
 // isSelectorCall matches <recv>.<name>(...) for any name in names.
