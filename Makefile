@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc check bench bench-native clean
+.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc figures check bench bench-native clean
 
 all: check
 
@@ -113,6 +113,26 @@ LOC_FIND := find . -name '*.go' -not -path './.git/*' -not -path './benchmark/*'
 loc:
 	@echo "non-test Go lines: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
+
+# Paper-figure golden check: every simulated experiment at -scale 0.06
+# must print the output committed under internal/bench/testdata/figures/,
+# apart from its wall-clock `# <id> completed in` line, so a pure
+# simulator or harness refactor is byte-identical by construction.
+# fig14 and benchnative time the host and are left out. Regenerate one
+# golden with `go run ./cmd/tdgraph-bench -exp <id> -scale 0.06 | grep -v
+# '^# [a-z0-9]* completed in ' > internal/bench/testdata/figures/<id>.txt`.
+FIGURES := table1 table2 table3 fig3a fig3b fig3c fig4a fig4b fig10 fig11 \
+	fig12 fig13 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 \
+	fig24a fig24b robust
+
+figures:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/tdgraph-bench" ./cmd/tdgraph-bench && \
+	for e in $(FIGURES); do \
+		"$$bin/tdgraph-bench" -exp $$e -scale 0.06 > "$$bin/$$e.txt" || exit 1; \
+		grep -v '^# [a-z0-9]* completed in ' "$$bin/$$e.txt" | \
+			diff -u internal/bench/testdata/figures/$$e.txt - || { echo "figures: $$e differs from its golden"; exit 1; }; \
+	done && echo "figures: $(words $(FIGURES)) experiments match their goldens"
 
 check: build vet vet-tdgraph race faults chaos bench-module
 

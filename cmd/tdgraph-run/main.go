@@ -1,7 +1,10 @@
 // Command tdgraph-run processes a streaming-graph workload with one
 // scheme and reports results and metrics. It is the single-run
 // counterpart of tdgraph-bench: useful for inspecting a configuration
-// before sweeping it.
+// before sweeping it. Every simulated batch is a bench cell (bench.Build,
+// then Cell.Run), so a one-batch run prints the simulated cycles and
+// DRAM bytes tdgraph-bench measures for the same dataset, scale,
+// algorithm, scheme and seed.
 //
 // Usage:
 //
@@ -26,12 +29,10 @@ import (
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/bench"
-	"github.com/tdgraph/tdgraph/internal/engine"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
-	"github.com/tdgraph/tdgraph/internal/sim"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/stream"
 	"github.com/tdgraph/tdgraph/internal/wal"
@@ -86,27 +87,11 @@ func main() {
 		WarmupFraction: 0.5, BatchSize: bs, AddFraction: *addFrac,
 		NumBatches: *batches, Seed: *seed,
 	}
-	var inj *fault.Injector
-	if *faults != "" {
-		var err error
-		inj, err = fault.Parse(*faults, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Mutate = func(batch []graph.Update) []graph.Update {
-			return inj.MutateBatch(batch, nv)
-		}
-	}
-	pol, err := stream.ParsePolicy(*validate)
+	vcol := stats.NewCollector()
+	inj, validator, err := bench.Ingest(&cfg, *faults, *validate, nv, vcol)
 	if err != nil {
 		fatal(err)
 	}
-	if pol == stream.PolicyNone && inj != nil {
-		// Injected garbage must not reach the builder unchecked.
-		pol = stream.PolicyClamp
-	}
-	vcol := stats.NewCollector()
-	validator := stream.NewValidator(pol, nv, vcol)
 	w := stream.Build(edges, nv, cfg)
 	fmt.Printf("graph: %d vertices, %d edges; warmup %d edges; %d batches of %d updates\n",
 		nv, len(edges), len(w.Warmup), len(w.Batches), bs)
@@ -166,71 +151,55 @@ func main() {
 			}
 		}
 		res := b.Apply(batch)
-		newG := b.Snapshot()
-		cfg := sim.ScaledConfig()
-		cfg.Cores = *cores
-		m := sim.New(cfg)
+		c := &enginetest.Case{Algo: a, OldG: oldG, NewG: b.Snapshot(), Warm: warm, Res: res, Batch: batch}
+		cell, err := bench.Build(bench.Spec{Scheme: *scheme, Cores: *cores}, c)
+		if err != nil {
+			fatal(err)
+		}
 		var traceFile *os.File
 		if *trace != "" && i == len(w.Batches)-1 {
 			traceFile, err = os.Create(*trace)
 			if err != nil {
 				fatal(err)
 			}
-			m.SetTrace(traceFile)
+			cell.M.SetTrace(traceFile)
 		}
-		col := stats.NewCollector()
-		rt := engine.NewRuntime(a, oldG, newG, warm, engine.Options{
-			Machine: m, Cores: *cores, Collector: col,
-			Layout: engine.LayoutOptions{TDGraph: true, Alpha: 0.005},
-		})
-		spec := bench.Spec{Scheme: *scheme}
-		sys, err := bench.NewSystem(*scheme, spec, rt)
-		if err != nil {
-			fatal(err)
-		}
+		ctx := context.Background()
 		if *timeout > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-			m.SetWatchdog(ctx)
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		start = time.Now()
-		if err := processProtected(sys, res); err != nil {
+		r, err := cell.Run(ctx)
+		if err != nil {
 			fatal(fmt.Errorf("batch %d: %w", i+1, err))
 		}
-		wall := time.Since(start)
-		m.CollectInto(col)
 
 		fmt.Printf("\nbatch %d: +%d -%d (skipped %d), %d affected vertices\n",
 			i+1, res.Added, res.Deleted, res.Skipped, len(res.Affected))
-		fmt.Printf("  simulated cycles: %.0f (%.2f ms at 2.5 GHz)\n", m.Time(), m.Time()/2.5e6)
+		fmt.Printf("  simulated cycles: %.0f (%.2f ms at 2.5 GHz)\n", r.Cycles, r.Cycles/2.5e6)
 		fmt.Printf("  update operations: %d, iterations: %d\n",
-			col.Get(stats.CtrStateUpdates), col.Get(stats.CtrIterations))
+			r.StateUpdates, r.Collector.Get(stats.CtrIterations))
 		fmt.Printf("  DRAM traffic: %d bytes, LLC miss rate: %.1f%%\n",
-			m.DRAM().BytesMoved, m.LLC().MissRate()*100)
-		fmt.Printf("  host wall time: %s\n", wall.Round(time.Millisecond))
+			r.DRAMBytes, r.LLCMissRate*100)
+		fmt.Printf("  host wall time: %s\n", r.Wall.Round(time.Millisecond))
 
 		if *verify {
-			want := algo.Reference(a, newG)
-			tol := 1e-9
-			if a.Kind() == algo.Accumulative {
-				tol = 1e-4
-			}
-			if bad := algo.StatesEqual(rt.S, want, tol); bad >= 0 {
-				if inj == nil {
-					fatal(fmt.Errorf("batch %d: state mismatch at vertex %d", i+1, bad))
-				}
+			if err := c.Verify(cell.Sys); err == nil {
+				fmt.Println("  verified against full recompute ✓")
+			} else if inj == nil {
+				fatal(fmt.Errorf("batch %d: %w", i+1, err))
+			} else {
 				// Degradation ladder: an injected fault diverged the
 				// incremental result, so fall back to the recompute and
 				// keep streaming from the known-good states.
 				vcol.Inc(stats.CtrDegradedRecomputes)
-				copy(rt.S, want)
-				fmt.Printf("  divergence at vertex %d under injection: degraded to full recompute\n", bad)
-			} else {
-				fmt.Println("  verified against full recompute ✓")
+				copy(cell.Sys.Runtime().S, algo.Reference(a, c.NewG))
+				fmt.Printf("  divergence under injection (%v): degraded to full recompute\n", err)
 			}
 		}
 		if traceFile != nil {
-			if err := m.FlushTrace(); err != nil {
+			if err := cell.M.FlushTrace(); err != nil {
 				fatal(err)
 			}
 			if err := traceFile.Close(); err != nil {
@@ -240,8 +209,8 @@ func main() {
 		}
 
 		// Carry the converged states into the next batch.
-		warm = rt.S
-		oldG = newG
+		warm = cell.Sys.Runtime().S
+		oldG = c.NewG
 	}
 
 	reportTail(inj, validator, vcol)
@@ -326,24 +295,6 @@ func reportTail(inj *fault.Injector, validator *stream.Validator, vcol *stats.Co
 			vcol.Get(stats.CtrValClamped), vcol.Get(stats.CtrValQuarantined),
 			vcol.Get(stats.CtrValQuarantineHits), vcol.Get(stats.CtrDegradedRecomputes))
 	}
-}
-
-// processProtected drives the scheme with a recover boundary: a watchdog
-// abort surfaces as a typed error instead of a crash.
-func processProtected(sys engine.System, res graph.ApplyResult) (err error) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if we, ok := p.(*sim.WatchdogError); ok {
-			err = we
-			return
-		}
-		err = fmt.Errorf("run panicked: %v", p)
-	}()
-	sys.Process(res)
-	return nil
 }
 
 func fatal(err error) {

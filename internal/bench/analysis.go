@@ -24,11 +24,11 @@ func propagationOverlap(s Spec) (visited, shared int, err error) {
 		return 0, 0, err
 	}
 	const maxRoots = 256
-	roots := p.res.Affected
+	roots := p.Res.Affected
 	if len(roots) > maxRoots {
 		roots = roots[:maxRoots]
 	}
-	g := p.newG
+	g := p.NewG
 	seen := make([]uint8, g.NumVertices) // 0 unvisited, 1 one root, 2 many
 	mark := make([]int32, g.NumVertices)
 	for i := range mark {
@@ -72,15 +72,15 @@ func accessCounts(s Spec) ([]uint32, error) {
 		return nil, err
 	}
 	col := stats.NewCollector()
-	rt := engine.NewRuntime(p.a, p.oldG, p.newG, p.warm, engine.Options{
+	rt := p.NewRuntime(engine.Options{
 		Cores:     s.Cores,
 		Collector: col,
 	})
-	rt.AccessCount = make([]uint32, p.newG.NumVertices)
-	sys, err := NewSystem(s.Scheme, s, rt)
+	rt.AccessCount = make([]uint32, p.NewG.NumVertices)
+	sch, err := schemeFor(s.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	sys.Process(p.res)
+	sch.system(s, rt).Process(p.Res)
 	return rt.AccessCount, nil
 }

@@ -2,12 +2,11 @@ package bench_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/bench"
-	"github.com/tdgraph/tdgraph/internal/engine"
-	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
 // tinySpec keeps harness tests fast.
@@ -72,23 +71,17 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestResultsAreCorrect runs the driver path and verifies the engine's
-// final states against the full-recompute oracle via VerifyResult.
+// final states against the full-recompute oracle via Case.Verify.
 func TestResultsAreCorrect(t *testing.T) {
 	for _, scheme := range []string{"Ligra-o", "TDGraph-H", "JetStream"} {
-		spec := tinySpec(scheme)
-		p, err := bench.Prepare(spec)
-		_ = p
+		c, err := bench.Build(tinySpec(scheme), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := stats.NewCollector()
-		rt, sys, err := bench.BuildForTest(spec, col)
-		if err != nil {
+		if _, err := c.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		_ = rt
-		sys.Process(bench.PreparedResult(spec))
-		if err := bench.VerifyResult(spec, sys); err != nil {
+		if err := c.Case.Verify(c.Sys); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,20 +156,17 @@ func TestExperimentsCSV(t *testing.T) {
 	}
 }
 
-// TestNewSystemCoverage ensures NewSystem and the runtime layout agree
-// for TDGraph variants (TDGraph structures must be allocated).
+// TestNewSystemCoverage ensures the scheme table and the runtime layout
+// agree for TDGraph variants (TDGraph structures must be allocated).
 func TestNewSystemCoverage(t *testing.T) {
-	spec := tinySpec("TDGraph-H")
-	col := stats.NewCollector()
-	rt, sys, err := bench.BuildForTest(spec, col)
+	c, err := bench.Build(tinySpec("TDGraph-H"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.L.TopoList.Size == 0 || rt.L.Coalesced.Size == 0 {
+	if l := c.Sys.Runtime().L; l.TopoList.Size == 0 || l.Coalesced.Size == 0 {
 		t.Fatal("TDGraph layout regions missing")
 	}
-	if sys.Name() != "TDGraph-H" {
-		t.Fatalf("scheme name %q", sys.Name())
+	if c.Sys.Name() != "TDGraph-H" {
+		t.Fatalf("scheme name %q", c.Sys.Name())
 	}
-	var _ engine.System = sys
 }

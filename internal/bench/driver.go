@@ -31,7 +31,7 @@ type Spec struct {
 	Dataset string  // preset code (AZ, DL, GL, LJ, OR, FR)
 	Scale   float64 // dataset scale factor (1.0 = preset default size)
 	Algo    string  // sssp | cc | pagerank | adsorption
-	Scheme  string  // scheme name, see NewSystem
+	Scheme  string  // scheme name, see the scheme table
 
 	// BatchSize is the number of updates in the measured batch; 0
 	// derives edge-count/BatchDivisor (see below).
@@ -102,34 +102,25 @@ type Result struct {
 	OtherCycles     float64
 }
 
-// prepared is the cached, scheme-independent part of a cell: every scheme
-// measures the same batch against the same warm fixpoint.
-type prepared struct {
-	a     algo.Algorithm
-	oldG  *graph.Snapshot
-	newG  *graph.Snapshot
-	warm  []float64
-	res   graph.ApplyResult
-	batch []graph.Update
-}
-
 var (
 	prepMu    sync.Mutex
-	prepCache = map[string]*prepared{}
+	prepCache = map[string]*enginetest.Case{}
 )
 
 func prepKey(s Spec) string {
 	return fmt.Sprintf("%s|%g|%s|%d|%d|%g|%d|%s|%s", s.Dataset, s.Scale, s.Algo, s.BatchSize, s.BatchDivisor, s.AddFraction, s.Seed, s.Faults, s.FaultPolicy)
 }
 
-// Prepare builds (or fetches from cache) the streaming case for a spec.
-func Prepare(s Spec) (*prepared, error) {
+// Prepare builds (or fetches from cache) the streaming case for a spec:
+// the scheme-independent part of a cell, so every scheme measures the
+// same batch against the same warm fixpoint.
+func Prepare(s Spec) (*enginetest.Case, error) {
 	s = s.withDefaults()
 	key := prepKey(s)
 	prepMu.Lock()
 	defer prepMu.Unlock()
-	if p, ok := prepCache[key]; ok {
-		return p, nil
+	if c, ok := prepCache[key]; ok {
+		return c, nil
 	}
 	preset, err := gen.PresetByName(s.Dataset)
 	if err != nil {
@@ -154,33 +145,17 @@ func Prepare(s Spec) (*prepared, error) {
 		NumBatches:     1,
 		Seed:           s.Seed,
 	}
-	if s.Faults != "" {
-		inj, err := fault.Parse(s.Faults, s.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Mutate = func(batch []graph.Update) []graph.Update {
-			return inj.MutateBatch(batch, nv)
-		}
+	_, validator, err := Ingest(&cfg, s.Faults, s.FaultPolicy, nv, nil)
+	if err != nil {
+		return nil, err
 	}
 	w := stream.Build(edges, nv, cfg)
 	if len(w.Batches) == 0 {
 		return nil, fmt.Errorf("bench: dataset %s at scale %g produced no batch", s.Dataset, s.Scale)
 	}
-	batch := w.Batches[0]
-	if s.Faults != "" || s.FaultPolicy != "" {
-		pol, err := stream.ParsePolicy(s.FaultPolicy)
-		if err != nil {
-			return nil, err
-		}
-		if pol == stream.PolicyNone && s.Faults != "" {
-			// Injected garbage must not reach the builder unchecked.
-			pol = stream.PolicyClamp
-		}
-		batch, err = stream.NewValidator(pol, nv, nil).Sanitize(batch)
-		if err != nil {
-			return nil, err
-		}
+	batch, err := validator.Sanitize(w.Batches[0])
+	if err != nil {
+		return nil, err
 	}
 	b := w.WarmupBuilder()
 	oldG := b.Snapshot()
@@ -190,10 +165,35 @@ func Prepare(s Spec) (*prepared, error) {
 	}
 	warm := algo.Reference(a, oldG)
 	res := b.Apply(batch)
-	newG := b.Snapshot()
-	p := &prepared{a: a, oldG: oldG, newG: newG, warm: warm, res: res, batch: batch}
-	prepCache[key] = p
-	return p, nil
+	c := &enginetest.Case{Algo: a, OldG: oldG, NewG: b.Snapshot(), Warm: warm, Res: res, Batch: batch}
+	prepCache[key] = c
+	return c, nil
+}
+
+// Ingest is the one ingestion rule of the simulated runs: faults (a
+// fault.Parse spec, seeded by cfg.Seed) becomes cfg.Mutate, and policy
+// becomes the validator every batch passes before the builder. Faults
+// without a policy mean clamp, so injected garbage never reaches the
+// builder unchecked. The injector is nil when faults is empty.
+func Ingest(cfg *stream.Config, faults, policy string, nv int, col *stats.Collector) (*fault.Injector, *stream.Validator, error) {
+	var inj *fault.Injector
+	if faults != "" {
+		var err error
+		if inj, err = fault.Parse(faults, cfg.Seed); err != nil {
+			return nil, nil, err
+		}
+		cfg.Mutate = func(batch []graph.Update) []graph.Update {
+			return inj.MutateBatch(batch, nv)
+		}
+	}
+	pol, err := stream.ParsePolicy(policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	if pol == stream.PolicyNone && inj != nil {
+		pol = stream.PolicyClamp
+	}
+	return inj, stream.NewValidator(pol, nv, col), nil
 }
 
 // ClearCache drops all prepared cases (tests and long sweeps use it to
@@ -201,12 +201,98 @@ func Prepare(s Spec) (*prepared, error) {
 func ClearCache() {
 	prepMu.Lock()
 	defer prepMu.Unlock()
-	prepCache = map[string]*prepared{}
+	prepCache = map[string]*enginetest.Case{}
 }
 
-// machineFor builds the simulated machine for a spec: the scaled Table 1
-// configuration (see sim.ScaledConfig) with the spec's overrides.
-func machineFor(s Spec) *sim.Machine {
+// scheme is one row of the scheme table: the system constructor and
+// what the runtime layout and machine must provide for it.
+type scheme struct {
+	system func(s Spec, rt *engine.Runtime) engine.System
+	// tdLayout allocates the Topology_List / Coalesced_States structures.
+	tdLayout bool
+	// depMeta sizes the per-vertex engine metadata region of schemes
+	// that model dependency-history traffic.
+	depMeta int
+	// grasp selects the GRASP LLC policy (unless the spec names one) and
+	// protects the hot vertex-state prefix in place of coalescing (Fig 18).
+	grasp bool
+}
+
+func baseline(p engine.Params) func(Spec, *engine.Runtime) engine.System {
+	return func(_ Spec, rt *engine.Runtime) engine.System { return engine.NewBaseline(p, rt) }
+}
+
+func topologyDriven(hw, vscu, nosync bool) func(Spec, *engine.Runtime) engine.System {
+	return func(s Spec, rt *engine.Runtime) engine.System {
+		c := core.DefaultConfig()
+		c.Hardware = hw
+		c.EnableVSCU = vscu
+		c.DisableSync = nosync
+		if s.StackDepth > 0 {
+			c.StackDepth = s.StackDepth
+		}
+		if s.Alpha > 0 {
+			c.Alpha = s.Alpha
+		}
+		return core.New(c, rt)
+	}
+}
+
+// schemes is the scheme table, keyed by the names a Spec accepts.
+var schemes = map[string]scheme{
+	"Ligra-o":           {system: baseline(engine.LigraO())},
+	"GraphBolt":         {system: baseline(engine.GraphBolt()), depMeta: 8},
+	"KickStarter":       {system: baseline(engine.KickStarter())},
+	"DZiG":              {system: baseline(engine.DZiG()), depMeta: 8},
+	"TDGraph-H":         {system: topologyDriven(true, true, false), tdLayout: true},
+	"TDGraph-S":         {system: topologyDriven(false, true, false), tdLayout: true},
+	"TDGraph-H-without": {system: topologyDriven(true, false, false), tdLayout: true},
+	"TDGraph-S-without": {system: topologyDriven(false, false, false), tdLayout: true},
+	// TDTU plus GRASP cache protection instead of VSCU.
+	"TDGraph-H-GRASP": {system: topologyDriven(true, false, false), tdLayout: true, grasp: true},
+	"TDGraph-nosync":  {system: topologyDriven(true, true, true), tdLayout: true},
+	"HATS":            {system: func(_ Spec, rt *engine.Runtime) engine.System { return accel.NewHATS(rt) }},
+	"Minnow":          {system: func(_ Spec, rt *engine.Runtime) engine.System { return accel.NewMinnow(rt) }},
+	"PHI":             {system: func(_ Spec, rt *engine.Runtime) engine.System { return accel.NewPHI(rt) }},
+	"DepGraph":        {system: func(_ Spec, rt *engine.Runtime) engine.System { return accel.NewDepGraph(rt) }, tdLayout: true},
+	"JetStream":       {system: func(_ Spec, rt *engine.Runtime) engine.System { return accel.NewJetStream(rt, false) }},
+	"JetStream-with":  {system: func(_ Spec, rt *engine.Runtime) engine.System { return accel.NewJetStream(rt, true) }},
+	"GraphPulse":      {system: func(_ Spec, rt *engine.Runtime) engine.System { return accel.NewGraphPulse(rt) }},
+}
+
+func schemeFor(name string) (scheme, error) {
+	sch, ok := schemes[name]
+	if !ok {
+		return scheme{}, fmt.Errorf("bench: unknown scheme %q", name)
+	}
+	return sch, nil
+}
+
+// Cell is one built measurement cell: the spec's simulated machine and
+// the system over a runtime laid out for its scheme on a prepared case.
+type Cell struct {
+	Case *enginetest.Case
+	M    *sim.Machine
+	Sys  engine.System
+	spec Spec
+	col  *stats.Collector
+}
+
+// Build constructs the machine (the scaled Table 1 configuration, see
+// sim.ScaledConfig, with the spec's overrides), the runtime layout and
+// the system for spec over c without running it. A nil c means
+// Prepare(spec).
+func Build(s Spec, c *enginetest.Case) (*Cell, error) {
+	s = s.withDefaults()
+	sch, err := schemeFor(s.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	if c == nil {
+		if c, err = Prepare(s); err != nil {
+			return nil, err
+		}
+	}
 	cfg := sim.ScaledConfig()
 	cfg.Cores = s.Cores
 	if s.LLCSizeMB > 0 {
@@ -217,138 +303,34 @@ func machineFor(s Spec) *sim.Machine {
 	}
 	if s.LLCPolicy != "" {
 		cfg.LLCPolicy = s.LLCPolicy
+	} else if sch.grasp {
+		cfg.LLCPolicy = "grasp"
 	}
 	if s.BandwidthScale > 0 {
 		cfg.BandwidthScale = s.BandwidthScale
 	}
-	return sim.New(cfg)
-}
-
-// needsTDGraphLayout reports whether the scheme uses the Topology_List /
-// Coalesced_States structures.
-func needsTDGraphLayout(scheme string) bool {
-	switch scheme {
-	case "TDGraph-H", "TDGraph-S", "TDGraph-H-without", "TDGraph-S-without",
-		"TDGraph-H-GRASP", "TDGraph-nosync", "DepGraph":
-		return true
-	}
-	return false
-}
-
-// NewSystem constructs a scheme over a runtime. Recognised names:
-// Ligra-o, GraphBolt, KickStarter, DZiG, TDGraph-H, TDGraph-S,
-// TDGraph-H-without, TDGraph-S-without, TDGraph-H-GRASP, TDGraph-nosync,
-// HATS, Minnow, PHI, DepGraph, JetStream, JetStream-with, GraphPulse.
-func NewSystem(scheme string, s Spec, rt *engine.Runtime) (engine.System, error) {
-	tdCfg := func(hw, vscu bool) core.Config {
-		c := core.DefaultConfig()
-		c.Hardware = hw
-		c.EnableVSCU = vscu
-		if s.StackDepth > 0 {
-			c.StackDepth = s.StackDepth
-		}
-		if s.Alpha > 0 {
-			c.Alpha = s.Alpha
-		}
-		return c
-	}
-	switch scheme {
-	case "Ligra-o":
-		return engine.NewBaseline(engine.LigraO(), rt), nil
-	case "GraphBolt":
-		return engine.NewBaseline(engine.GraphBolt(), rt), nil
-	case "KickStarter":
-		return engine.NewBaseline(engine.KickStarter(), rt), nil
-	case "DZiG":
-		return engine.NewBaseline(engine.DZiG(), rt), nil
-	case "TDGraph-H":
-		return core.New(tdCfg(true, true), rt), nil
-	case "TDGraph-S":
-		return core.New(tdCfg(false, true), rt), nil
-	case "TDGraph-H-without":
-		return core.New(tdCfg(true, false), rt), nil
-	case "TDGraph-S-without":
-		return core.New(tdCfg(false, false), rt), nil
-	case "TDGraph-H-GRASP":
-		// TDTU plus GRASP cache protection instead of VSCU (Fig 18):
-		// the machine's LLC policy is set by the caller via LLCPolicy.
-		return core.New(tdCfg(true, false), rt), nil
-	case "TDGraph-nosync":
-		cfg := tdCfg(true, true)
-		cfg.DisableSync = true
-		return core.New(cfg, rt), nil
-	case "HATS":
-		return accel.NewHATS(rt), nil
-	case "Minnow":
-		return accel.NewMinnow(rt), nil
-	case "PHI":
-		return accel.NewPHI(rt), nil
-	case "DepGraph":
-		return accel.NewDepGraph(rt), nil
-	case "JetStream":
-		return accel.NewJetStream(rt, false), nil
-	case "JetStream-with":
-		return accel.NewJetStream(rt, true), nil
-	case "GraphPulse":
-		return accel.NewGraphPulse(rt), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
-}
-
-// build constructs the machine, runtime, and system for a spec without
-// running it.
-func build(s Spec, col *stats.Collector) (*engine.Runtime, engine.System, *sim.Machine, error) {
-	s = s.withDefaults()
-	if s.Scheme == "TDGraph-H-GRASP" && s.LLCPolicy == "" {
-		s.LLCPolicy = "grasp"
-	}
-	p, err := Prepare(s)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m := machineFor(s)
+	m := sim.New(cfg)
 	alpha := s.Alpha
 	if alpha <= 0 {
 		alpha = 0.005
 	}
-	rt := engine.NewRuntime(p.a, p.oldG, p.newG, p.warm, engine.Options{
+	col := stats.NewCollector()
+	rt := c.NewRuntime(engine.Options{
 		Machine:   m,
 		Cores:     s.Cores,
 		Collector: col,
 		Layout: engine.LayoutOptions{
-			TDGraph:            needsTDGraphLayout(s.Scheme),
+			TDGraph:            sch.tdLayout,
 			Alpha:              alpha,
-			MetaBytesPerVertex: metaBytes(s.Scheme),
+			MetaBytesPerVertex: sch.depMeta,
 		},
 	})
-	if s.Scheme == "TDGraph-H-GRASP" {
-		// GRASP protects the hot vertex-state prefix (hub vertices sit
-		// at low IDs in the R-MAT presets) in place of coalescing.
-		hotBytes := uint64(float64(p.newG.NumVertices)*alpha) * engine.StateBytes
+	if sch.grasp {
+		// Hub vertices sit at low IDs in the R-MAT presets.
+		hotBytes := uint64(float64(c.NewG.NumVertices)*alpha) * engine.StateBytes
 		m.MarkHot(sim.Region{Name: "grasp_hot_states", Base: rt.L.States.Base, Size: hotBytes + 64})
 	}
-	sys, err := NewSystem(s.Scheme, s, rt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return rt, sys, m, nil
-}
-
-// BuildForTest exposes build for the test suite.
-func BuildForTest(s Spec, col *stats.Collector) (*engine.Runtime, engine.System, error) {
-	rt, sys, _, err := build(s, col)
-	return rt, sys, err
-}
-
-// PreparedResult returns the ApplyResult of the spec's prepared batch
-// (test hook; Prepare caches, so this is cheap after build).
-func PreparedResult(s Spec) graph.ApplyResult {
-	p, err := Prepare(s.withDefaults())
-	if err != nil {
-		return graph.ApplyResult{}
-	}
-	return p.res
+	return &Cell{Case: c, M: m, Sys: sch.system(s, rt), spec: s, col: col}, nil
 }
 
 // Run measures one cell on the simulated machine.
@@ -356,56 +338,49 @@ func Run(s Spec) (*Result, error) {
 	return RunCtx(context.Background(), s)
 }
 
-// processProtected drives the scheme with a recover boundary: a watchdog
-// abort becomes a typed error (counted in the collector), and any other
-// panic escaping an engine is converted to an error with its stack
-// instead of taking the harness down.
-func processProtected(sys engine.System, res graph.ApplyResult, col *stats.Collector) (err error) {
+// RunCtx measures one cell like Run, under ctx as the watchdog (see
+// Cell.Run).
+func RunCtx(ctx context.Context, s Spec) (*Result, error) {
+	c, err := Build(s, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(ctx)
+}
+
+// Run processes the case's batch and collects the Result. It arms the
+// machine with ctx as a watchdog: once ctx is done (deadline or
+// cancellation) the run aborts with an error wrapping *sim.WatchdogError
+// (counted in the collector) instead of hanging. A context without a
+// Done channel (e.g. context.Background) leaves the watchdog disarmed,
+// keeping the hot path identical to an unwatched run. Any other panic
+// escaping an engine becomes an error with its stack instead of taking
+// the harness down.
+func (c *Cell) Run(ctx context.Context) (res *Result, err error) {
+	if ctx != nil && ctx.Done() != nil {
+		c.M.SetWatchdog(ctx)
+	}
 	defer func() {
 		p := recover()
 		if p == nil {
 			return
 		}
 		if we, ok := p.(*sim.WatchdogError); ok {
-			col.Inc(stats.CtrWatchdogTrips)
-			err = fmt.Errorf("bench: %w", we)
+			c.col.Inc(stats.CtrWatchdogTrips)
+			res, err = nil, fmt.Errorf("bench: %w", we)
 			return
 		}
-		err = fmt.Errorf("bench: run panicked: %v\n%s", p, debug.Stack())
+		res, err = nil, fmt.Errorf("bench: run panicked: %v\n%s", p, debug.Stack())
 	}()
-	sys.Process(res)
-	return nil
-}
-
-// RunCtx measures one cell like Run, but arms the simulated machine with
-// ctx as a watchdog: once ctx is done (deadline or cancellation) the run
-// aborts with an error wrapping *sim.WatchdogError instead of hanging.
-// A context without a Done channel (e.g. context.Background) leaves the
-// watchdog disarmed, keeping the hot path identical to an unwatched run.
-func RunCtx(ctx context.Context, s Spec) (*Result, error) {
-	s = s.withDefaults()
-	col := stats.NewCollector()
-	_, sys, m, err := build(s, col)
-	if err != nil {
-		return nil, err
-	}
-	p, err := Prepare(s)
-	if err != nil {
-		return nil, err
-	}
-	if ctx != nil && ctx.Done() != nil {
-		m.SetWatchdog(ctx)
-	}
 	start := time.Now()
-	if err := processProtected(sys, p.res, col); err != nil {
-		return nil, err
-	}
+	c.Sys.Process(c.Case.Res)
 	wall := time.Since(start)
+	m, col := c.M, c.col
 	m.CollectInto(col)
 
-	res := &Result{
-		Spec:      s,
-		Scheme:    s.Scheme,
+	res = &Result{
+		Spec:      c.spec,
+		Scheme:    c.spec.Scheme,
 		Cycles:    m.Time(),
 		Collector: col,
 		Wall:      wall,
@@ -423,32 +398,4 @@ func RunCtx(ctx context.Context, s Spec) (*Result, error) {
 	res.PropagateCycles = float64(col.Get(stats.CtrCyclesPropagate))
 	res.OtherCycles = float64(col.Get(stats.CtrCyclesOther))
 	return res, nil
-}
-
-// metaBytes sizes the per-vertex engine metadata region for schemes that
-// model dependency-history traffic.
-func metaBytes(scheme string) int {
-	switch scheme {
-	case "GraphBolt", "DZiG":
-		return 8
-	}
-	return 0
-}
-
-// VerifyResult checks a finished run against the oracle — used by the
-// integration tests to guarantee every measured cell is also correct.
-func VerifyResult(s Spec, sys engine.System) error {
-	p, err := Prepare(s.withDefaults())
-	if err != nil {
-		return err
-	}
-	want := algo.Reference(p.a, p.newG)
-	tol := 1e-9
-	if p.a.Kind() == algo.Accumulative {
-		tol = 1e-4
-	}
-	if i := algo.StatesEqual(sys.Runtime().S, want, tol); i >= 0 {
-		return fmt.Errorf("bench: %s state mismatch at vertex %d", s.Scheme, i)
-	}
-	return nil
 }

@@ -71,11 +71,11 @@ func expFig14(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	mono := p.a.(algo.MonotonicAlgo)
+	mono := p.Algo.(algo.MonotonicAlgo)
 	cfg := native.Config{}
 	// Warm both code paths once, then time.
-	native.LigraO(mono, p.oldG, p.newG, p.warm, p.res, cfg)
-	native.TopologyDriven(mono, p.oldG, p.newG, p.warm, p.res, cfg)
+	native.LigraO(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg)
+	native.TopologyDriven(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg)
 
 	const reps = 5
 	timeIt := func(f func()) time.Duration {
@@ -89,8 +89,8 @@ func expFig14(w io.Writer, o Options) error {
 		}
 		return best
 	}
-	ligra := timeIt(func() { native.LigraO(mono, p.oldG, p.newG, p.warm, p.res, cfg) })
-	td := timeIt(func() { native.TopologyDriven(mono, p.oldG, p.newG, p.warm, p.res, cfg) })
+	ligra := timeIt(func() { native.LigraO(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg) })
+	td := timeIt(func() { native.TopologyDriven(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg) })
 	t.AddRow("Ligra-o", ligra.String(), "1.00")
 	t.AddRow("TDGraph-S-without", td.String(), f2(float64(ligra)/float64(td)))
 	t.Comment = "paper: TDGraph-S-without outperforms Ligra-o on a real 64-core Xeon Phi"

@@ -238,19 +238,14 @@ func benchScenario(o Options) (FaultSuiteResult, error) {
 	s := o.spec("AZ", "sssp", "TDGraph-H")
 	s.Scale = robustScale
 	s.Faults = "corrupt,dup,reorder,oob,badweight,selfloop"
-	col := stats.NewCollector()
-	_, sys, err := BuildForTest(s, col)
+	c, err := Build(s, nil)
 	if err != nil {
 		return r, err
 	}
-	p, err := Prepare(s)
-	if err != nil {
+	if _, err := c.Run(context.Background()); err != nil {
 		return r, err
 	}
-	if err := processProtected(sys, p.res, col); err != nil {
-		return r, err
-	}
-	if err := VerifyResult(s, sys); err != nil {
+	if err := c.Case.Verify(c.Sys); err != nil {
 		return r, fmt.Errorf("%s: %w", r.Scenario, err)
 	}
 	r.Outcome = "cell measured under injection, states verified"

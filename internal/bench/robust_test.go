@@ -71,13 +71,13 @@ func TestFaultSpecInPrepKey(t *testing.T) {
 	if p1 == p2 {
 		t.Fatal("faulted and clean specs shared one prepared case")
 	}
-	if len(p2.batch) == len(p1.batch) {
+	if len(p2.Batch) == len(p1.Batch) {
 		// Injection duplicates some updates and validation drops others;
 		// identical lengths would suggest the injector never ran. Guard
 		// loosely — equality of content is what must differ.
 		same := true
-		for i := range p1.batch {
-			if p1.batch[i] != p2.batch[i] {
+		for i := range p1.Batch {
+			if p1.Batch[i] != p2.Batch[i] {
 				same = false
 				break
 			}

@@ -20,7 +20,8 @@ import (
 )
 
 // Case is one prepared incremental step: OldG at its converged Warm
-// states, and Res describing the batch that produced NewG.
+// states, and Res describing the batch that produced NewG. It is also
+// the case every simulated bench cell measures (bench.Prepare).
 type Case struct {
 	Algo algo.Algorithm
 	OldG *graph.Snapshot

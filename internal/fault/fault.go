@@ -1,8 +1,8 @@
 // Package fault is a deterministic, seeded fault injector for the
 // robustness test harness: it produces the hostile inputs a long-lived
 // streaming deployment eventually sees — malformed updates, torn or
-// bit-flipped checkpoints, failing I/O paths, hung runs, silently
-// corrupted states — as reproducible functions of a seed, so every
+// bit-flipped checkpoints, failing I/O paths, silently corrupted
+// states — as reproducible functions of a seed, so every
 // injection run (and every regression it uncovers) can be replayed
 // exactly. The injector never decides how the pipeline reacts; the
 // hardened targets (internal/stream validation, the CRC-checked
@@ -12,7 +12,6 @@
 package fault
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -52,8 +51,6 @@ const (
 	ReadErr Class = "read-err"
 	// WriteErr schedules a write failure (param: bytes before the error).
 	WriteErr Class = "write-err"
-	// Hang blocks the pipeline until its watchdog context expires.
-	Hang Class = "hang"
 	// Diverge corrupts converged vertex states in place (param: count),
 	// modelling silent state corruption the audit must catch.
 	Diverge Class = "diverge"
@@ -123,7 +120,7 @@ const (
 // Classes lists every recognised fault class.
 var Classes = []Class{
 	Corrupt, Duplicate, Reorder, OutOfRange, BadWeight, SelfLoop,
-	CkptFlip, CkptTruncate, ReadErr, WriteErr, Hang, Diverge,
+	CkptFlip, CkptTruncate, ReadErr, WriteErr, Diverge,
 	WALTorn, FsyncErr, DiskFull, NoSpace, LowSpace, PartialSeg,
 	NetDrop, NetDelay, NetDup, NetReorder, NetPartition, NetTrunc,
 	NetPartitionRecv, NetHeal,
@@ -142,7 +139,6 @@ var defaultParam = map[Class]float64{
 	CkptTruncate:     0.25,
 	ReadErr:          256,
 	WriteErr:         256,
-	Hang:             1,
 	Diverge:          4,
 	WALTorn:          256,
 	FsyncErr:         2,
@@ -237,9 +233,6 @@ func (in *Injector) Enabled(c Class) bool { _, ok := in.armed[c]; return ok }
 
 // Param returns the armed parameter of c (zero when disarmed).
 func (in *Injector) Param(c Class) float64 { return in.armed[c] }
-
-// Seed returns the construction seed.
-func (in *Injector) Seed() int64 { return in.seed }
 
 func (in *Injector) hit(c Class) bool {
 	p, ok := in.armed[c]
@@ -462,17 +455,4 @@ func (f *faultyWriter) Write(p []byte) (int, error) {
 	n, err := f.w.Write(p)
 	f.remaining -= int64(n)
 	return n, err
-}
-
-// HangPoint blocks until ctx is cancelled when Hang is armed, modelling a
-// pipeline stage that stops making progress; the caller's watchdog
-// deadline is the only way out. Returns ctx.Err() after the hang, nil
-// immediately when Hang is disarmed.
-func (in *Injector) HangPoint(ctx context.Context) error {
-	if !in.Enabled(Hang) {
-		return nil
-	}
-	in.count(Hang)
-	<-ctx.Done()
-	return fmt.Errorf("fault: injected hang aborted by watchdog: %w", ctx.Err())
 }

@@ -2,14 +2,12 @@ package fault
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
 )
@@ -40,8 +38,11 @@ func TestParseSpec(t *testing.T) {
 	if !in.Enabled(CkptFlip) || in.Param(CkptFlip) != 4 {
 		t.Fatalf("ckpt-flip param: %v", in.Param(CkptFlip))
 	}
-	if in.Enabled(Hang) {
-		t.Fatal("hang should not be armed")
+	if in.Enabled(Diverge) {
+		t.Fatal("diverge should not be armed")
+	}
+	if _, err := Parse("hang", 1); err == nil {
+		t.Fatal("hang injects nothing and must not parse")
 	}
 	if _, err := Parse("nonsense", 1); err == nil {
 		t.Fatal("unknown class must error")
@@ -226,23 +227,5 @@ func TestFaultyWriter(t *testing.T) {
 	w2 := in2.Writer(&buf2)
 	if n, err := w2.Write([]byte("hello")); n != 5 || err != nil {
 		t.Fatalf("in-budget write: n=%d err=%v", n, err)
-	}
-}
-
-func TestHangPoint(t *testing.T) {
-	off := New(1)
-	if err := off.HangPoint(context.Background()); err != nil {
-		t.Fatalf("disarmed hang returned %v", err)
-	}
-	in, _ := Parse("hang", 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := in.HangPoint(ctx)
-	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want deadline error, got %v", err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("hang returned before the deadline")
 	}
 }

@@ -69,11 +69,6 @@ type Cache struct {
 	policy   policy
 	tick     uint64
 
-	// lastSet/lastWay remember where the most recent Access landed so
-	// Retouch can service guaranteed re-hits without a way scan.
-	lastSet uint64
-	lastWay int
-
 	Hits       uint64
 	Misses     uint64
 	Writebacks uint64
@@ -174,7 +169,6 @@ func (c *Cache) Access(lineAddr uint64, write bool, hint Hint, track bool, wordI
 			}
 			c.policy.onHit(s, i)
 			ln.ts = c.tick
-			c.lastSet, c.lastWay = c.setIndex(lineAddr), i
 			return AccessResult{Hit: true}
 		}
 	}
@@ -203,51 +197,7 @@ func (c *Cache) Access(lineAddr uint64, write bool, hint Hint, track bool, wordI
 	}
 	c.policy.onInsert(s, victim, hint)
 	ln.ts = c.tick
-	c.lastSet, c.lastWay = c.setIndex(lineAddr), victim
 	return AccessResult{Hit: false, Evicted: ev}
-}
-
-// Retouch services an access that the caller has proven is a hit on the
-// line touched by this cache's most recent Access (e.g. consecutive
-// same-line accesses with no intervening invalidation). It is exactly
-// equivalent to Access(lineAddr, write, hint, false, -1) hitting, minus
-// the way scan. Returns false — having done nothing — if the memoised
-// line does not match, in which case the caller must fall back to Access.
-func (c *Cache) Retouch(lineAddr uint64, write bool) bool {
-	s := &c.sets[c.lastSet]
-	if c.lastWay >= len(s.lines) {
-		return false
-	}
-	ln := &s.lines[c.lastWay]
-	if !ln.Valid || ln.Tag != lineAddr {
-		return false
-	}
-	c.tick++
-	c.Hits++
-	if write {
-		ln.Dirty = true
-	}
-	c.policy.onHit(s, c.lastWay)
-	ln.ts = c.tick
-	return true
-}
-
-// RepeatTouch services n further accesses that the caller has proven are
-// hits on the line touched by this cache's most recent Access or Retouch
-// (the tail of a coalesced same-line run). It is equivalent to n Retouch
-// calls: n ticks, n hits, dirty bit, replacement state refreshed once
-// (onHit is idempotent for the LRU-family policies used on private
-// caches), timestamp advanced to the final tick.
-func (c *Cache) RepeatTouch(n int, write bool) {
-	s := &c.sets[c.lastSet]
-	ln := &s.lines[c.lastWay]
-	c.tick += uint64(n)
-	c.Hits += uint64(n)
-	if write {
-		ln.Dirty = true
-	}
-	c.policy.onHit(s, c.lastWay)
-	ln.ts = c.tick
 }
 
 // SetDirty marks the line dirty if present, without touching hit/miss

@@ -124,9 +124,8 @@ type Machine struct {
 
 	nextAddr uint64
 
-	trackedRanges  []Region
-	hotRanges      []Region
-	coherentRanges []Region
+	trackedRanges []Region
+	hotRanges     []Region
 
 	// dirShards is the coherence directory — per coherent region, a
 	// bitmask of cores whose private caches hold each line (Cores <= 64).
@@ -246,7 +245,6 @@ func (m *Machine) MarkHot(r Region) {
 // MarkCoherent enables directory-based invalidation accounting for writes
 // inside r (writable shared data: states, deltas, bitvectors).
 func (m *Machine) MarkCoherent(r Region) {
-	m.coherentRanges = append(m.coherentRanges, r)
 	if r.Size > 0 {
 		m.dirShards = append(m.dirShards, newDirShard(r))
 	}
@@ -268,15 +266,6 @@ func (m *Machine) hintFor(addr uint64) cache.Hint {
 		}
 	}
 	return cache.HintNone
-}
-
-func (m *Machine) isCoherent(addr uint64) bool {
-	for i := range m.coherentRanges {
-		if m.coherentRanges[i].Contains(addr) {
-			return true
-		}
-	}
-	return false
 }
 
 // Time returns the machine's global time (cycles) advanced by barriers.

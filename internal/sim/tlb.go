@@ -14,11 +14,6 @@ type TLB struct {
 	setMask uint64
 	tick    uint64
 
-	// lastSet/lastWay memoise where the most recent Lookup landed so
-	// retouch can service guaranteed re-hits without a way scan.
-	lastSet uint64
-	lastWay int
-
 	Hits   uint64
 	Misses uint64
 }
@@ -65,7 +60,6 @@ func (t *TLB) Lookup(addr uint64) bool {
 		if set[i].valid && set[i].page == page {
 			set[i].ts = t.tick
 			t.Hits++
-			t.lastSet, t.lastWay = page&t.setMask, i
 			return true
 		}
 	}
@@ -83,32 +77,7 @@ func (t *TLB) Lookup(addr uint64) bool {
 		}
 	}
 	set[victim] = tlbEntry{page: page, valid: true, ts: t.tick}
-	t.lastSet, t.lastWay = page&t.setMask, victim
 	return false
-}
-
-// retouch services a lookup the caller has proven is a hit on the page
-// translated by the most recent Lookup (consecutive same-page accesses
-// with nothing evicting in between). Equivalent to Lookup hitting, minus
-// the way scan; returns false — having done nothing — on a memo mismatch.
-func (t *TLB) retouch(page uint64) bool {
-	e := &t.sets[t.lastSet][t.lastWay]
-	if !e.valid || e.page != page {
-		return false
-	}
-	t.tick++
-	t.Hits++
-	e.ts = t.tick
-	return true
-}
-
-// repeatHit services n further guaranteed hits on the entry touched by
-// the most recent Lookup/retouch (the tail of a coalesced same-page
-// run): n ticks, n hits, timestamp advanced to the last tick.
-func (t *TLB) repeatHit(n int) {
-	t.tick += uint64(n)
-	t.Hits += uint64(n)
-	t.sets[t.lastSet][t.lastWay].ts = t.tick
 }
 
 // MissRate returns misses/(hits+misses).

@@ -35,11 +35,6 @@ type Config struct {
 	Mutate func([]graph.Update) []graph.Update
 }
 
-// DefaultConfig mirrors the paper's defaults at full scale.
-func DefaultConfig() Config {
-	return Config{WarmupFraction: 0.5, BatchSize: 100_000, AddFraction: 0.75, NumBatches: 1, Seed: 1}
-}
-
 // Workload is a constructed streaming run: the warmup edge set (already a
 // consistent prefix) and the ordered update batches to play.
 type Workload struct {
