@@ -258,7 +258,7 @@ func BenchmarkFig23(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := spec("TDGraph-H", "FR", "sssp")
 				s.LLCPolicy = pol
-				s.LLCSizeMB = 1
+				s.LLCSizeKB = 1 << 10
 				cycles = mustRun(b, s).Cycles
 			}
 			b.ReportMetric(cycles, "cycles")

@@ -36,7 +36,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		natjson  = flag.String("nativejson", "", "measure the native apply path (incremental session vs per-batch CSR rebuild) and write BENCH_native.json to this path")
-		faults   = flag.String("faults", "", "seeded fault-injection spec, e.g. 'corrupt,oob:0.1,badweight' (see the fault package; seeded by -seed)")
+		faults   = flag.String("faults", "", "seeded fault-injection spec over the batch classes corrupt dup reorder oob badweight selfloop, e.g. 'corrupt,oob:0.1,badweight' (seeded by -seed)")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine (clamp forced when -faults is set)")
 		timeout  = flag.Duration("timeout", 0, "per-cell watchdog deadline (0 = unbounded)")
 	)

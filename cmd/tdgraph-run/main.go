@@ -35,7 +35,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/stream"
-	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 func main() {
@@ -53,11 +52,9 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		verify   = flag.Bool("verify", true, "check every batch against the full-recompute oracle")
 		trace    = flag.String("trace", "", "write a memory access trace of the last batch to this file")
-		faults   = flag.String("faults", "", "seeded fault-injection spec, e.g. 'corrupt,oob:0.1,badweight' (seeded by -seed)")
+		faults   = flag.String("faults", "", "seeded fault-injection spec over the batch classes corrupt dup reorder oob badweight selfloop, e.g. 'corrupt,oob:0.1,badweight' (seeded by -seed)")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine (clamp forced when -faults is set)")
 		timeout  = flag.Duration("timeout", 0, "per-batch watchdog deadline for the simulated run (0 = unbounded)")
-		walDir   = flag.String("wal", "", "append each sanitized batch to a write-ahead log in this directory (tdgraph-serve can replay it)")
-		walSync  = flag.String("walsync", "batch", "WAL fsync policy when -wal is set: batch | interval:N | off")
 	)
 	flag.Parse()
 
@@ -96,37 +93,13 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges; warmup %d edges; %d batches of %d updates\n",
 		nv, len(edges), len(w.Warmup), len(w.Batches), bs)
 
-	// Optional durable logging: every sanitized batch is appended to a
-	// WAL before it is processed, so the run's input stream survives a
-	// crash and can be replayed (e.g. by tdgraph-serve).
-	var wlog *wal.Log
-	if *walDir != "" {
-		syncPolicy, syncEvery, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.MkdirAll(*walDir, 0o755); err != nil {
-			fatal(err)
-		}
-		var rec wal.Recovery
-		wlog, rec, err = wal.Open(wal.Options{Dir: *walDir, Sync: syncPolicy, Interval: syncEvery})
-		if err != nil {
-			fatal(err)
-		}
-		defer wlog.Close()
-		if rec.Repaired() {
-			fmt.Printf("wal: repaired torn tail (%d bytes dropped), resuming at seq %d\n",
-				rec.DroppedBytes, rec.LastSeq)
-		}
-	}
-
 	a, err := enginetest.NewAlgorithm(*algoName, nv, *seed)
 	if err != nil {
 		fatal(err)
 	}
 
 	if *engName == "native" {
-		runNative(a, w, nv, validator, vcol, wlog, inj, *verify)
+		runNative(a, w, nv, validator, vcol, inj, *verify)
 		reportTail(inj, validator, vcol)
 		return
 	} else if *engName != "sim" {
@@ -144,11 +117,6 @@ func main() {
 		batch, err := validator.Sanitize(batch)
 		if err != nil {
 			fatal(fmt.Errorf("batch %d: %w", i+1, err))
-		}
-		if wlog != nil {
-			if err := wlog.Append(wlog.LastSeq()+1, batch); err != nil {
-				fatal(fmt.Errorf("batch %d: wal append: %w", i+1, err))
-			}
 		}
 		res := b.Apply(batch)
 		c := &enginetest.Case{Algo: a, OldG: oldG, NewG: b.Snapshot(), Warm: warm, Res: res, Batch: batch}
@@ -220,7 +188,7 @@ func main() {
 // engine (tdgraph.Session) at wall-clock
 // speed. Verification compares against the full-recompute oracle on the
 // sealed graph; monotonic algorithms must match bit-for-bit.
-func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.Validator, vcol *stats.Collector, wlog *wal.Log, inj *fault.Injector, verify bool) {
+func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.Validator, vcol *stats.Collector, inj *fault.Injector, verify bool) {
 	fmt.Print("computing initial fixed point... ")
 	start := time.Now()
 	s, err := tdgraph.NewSession(a, w.Warmup, nv, tdgraph.SessionOptions{})
@@ -234,11 +202,6 @@ func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.V
 		batch, err := validator.Sanitize(batch)
 		if err != nil {
 			fatal(fmt.Errorf("batch %d: %w", i+1, err))
-		}
-		if wlog != nil {
-			if err := wlog.Append(wlog.LastSeq()+1, batch); err != nil {
-				fatal(fmt.Errorf("batch %d: wal append: %w", i+1, err))
-			}
 		}
 		start = time.Now()
 		res, err := s.ApplyBatch(batch)

@@ -82,7 +82,7 @@ func main() {
 		diskLow  = flag.Int64("disk-low-water", 0, "free-space floor in bytes under which ingest degrades to read-only (0 = ENOSPC-only degradation)")
 		deadline = flag.Duration("deadline", 0, "per-batch deadline the client propagates to the leader (0 = none)")
 
-		faults   = flag.String("faults", "", "seeded disk fault spec for the WAL, checkpoints and term file, e.g. 'wal-torn:4096,fsync-err:2,disk-full:1048576'")
+		faults   = flag.String("faults", "", "seeded disk fault spec for the WAL, checkpoints and term file over wal-torn fsync-err disk-full enospc low-space, e.g. 'wal-torn:4096,fsync-err:2,disk-full:1048576'")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine")
 		verbose  = flag.Bool("v", false, "log node and client events (elections, redirects, retries)")
 
@@ -96,6 +96,15 @@ func main() {
 
 	if err := validateRole(*role, *walDir, *listen, *peers); err != nil {
 		fatal(err)
+	}
+	walFS := wal.FS(wal.OSFS{})
+	if *faults != "" {
+		inj, err := fault.Parse(*faults, *seed, fault.DiskClasses...)
+		if err != nil {
+			fatal(err)
+		}
+		walFS = inj.FS(walFS)
+		fmt.Printf("fault injection armed on the member's filesystem (WAL, checkpoints, term file): %s\n", *faults)
 	}
 	if *role != "client" {
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {
@@ -164,16 +173,6 @@ func main() {
 			fatal(err)
 		}
 		return
-	}
-
-	walFS := wal.FS(wal.OSFS{})
-	if *faults != "" {
-		inj, err := fault.Parse(*faults, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		walFS = inj.FS(walFS)
-		fmt.Printf("fault injection armed on the member's filesystem (WAL, checkpoints, term file): %s\n", *faults)
 	}
 
 	opts := tdgraph.SessionOptions{Validation: pol, MaxVertices: nv}

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"math"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -49,6 +50,25 @@ func TestValidateRole(t *testing.T) {
 			t.Errorf("%s: accepted, want an error naming %q", c.name, c.wantErr)
 		case c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr):
 			t.Errorf("%s: error %q does not name %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
+// TestFaultsAcceptOnlyDiskClasses: -faults arms the member's
+// filesystem seam and nothing else, so a batch, network or checkpoint
+// class is refused before any graph is built, with an error listing the
+// disk classes.
+func TestFaultsAcceptOnlyDiskClasses(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "tdgraph-serve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, spec := range []string{"corrupt:0.5", "net-drop:0.5", "diverge", "ckpt-flip", "wal-torn:4096,corrupt"} {
+		out, err := exec.Command(bin, "-faults", spec, "-wal", filepath.Join(dir, "wal"),
+			"-dataset", "AZ", "-scale", "0.01", "-batches", "1").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "accepted: wal-torn fsync-err disk-full enospc low-space") {
+			t.Errorf("-faults %s: want a refusal listing the disk classes, got %v\n%s", spec, err, out)
 		}
 	}
 }

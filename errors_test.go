@@ -103,8 +103,8 @@ func TestErrorWrappingContracts(t *testing.T) {
 		},
 		{
 			name: "source exhaustion keeps the final delivery error",
-			err:  fmt.Errorf("%w after 8 attempts: %w", serve.ErrSourceGivenUp, cause),
-			is:   []error{serve.ErrSourceGivenUp, cause},
+			err:  fmt.Errorf("%w after 8 attempts: %w", replica.ErrGivenUp, cause),
+			is:   []error{replica.ErrGivenUp, cause},
 		},
 		{
 			// The next two are what Primary.Ingest returns beside a
@@ -256,9 +256,9 @@ func TestErrorWrappingContracts(t *testing.T) {
 			is:   []error{serve.ErrDiskPressure},
 			as: func(err error) bool {
 				var be *replica.BusyError
-				// The hint must survive wrapping: RetrySource floors its
-				// backoff at it. And a busy leader is NOT a redirect.
-				return errors.As(err, &be) && be.RetryAfterHint() > 0 &&
+				// The hint must survive wrapping: the client's retry loop
+				// floors its backoff at it. And a busy leader is NOT a redirect.
+				return errors.As(err, &be) && be.RetryAfter > 0 &&
 					!errors.Is(err, replica.ErrNotLeader)
 			},
 		},

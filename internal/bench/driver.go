@@ -45,8 +45,7 @@ type Spec struct {
 	Cores int // default 64 (Table 1)
 
 	// Machine knobs (Figs 20/23).
-	LLCSizeMB      int
-	LLCSizeKB      int // sub-MiB override for the scaled Fig 23 sweep
+	LLCSizeKB      int // default the scaled machine's 1024
 	LLCPolicy      string
 	BandwidthScale float64
 
@@ -171,15 +170,16 @@ func Prepare(s Spec) (*enginetest.Case, error) {
 }
 
 // Ingest is the one ingestion rule of the simulated runs: faults (a
-// fault.Parse spec, seeded by cfg.Seed) becomes cfg.Mutate, and policy
-// becomes the validator every batch passes before the builder. Faults
-// without a policy mean clamp, so injected garbage never reaches the
-// builder unchecked. The injector is nil when faults is empty.
+// fault.Parse spec over fault.BatchClasses, seeded by cfg.Seed) becomes
+// cfg.Mutate, and policy becomes the validator every batch passes
+// before the builder. Faults without a policy mean clamp, so injected
+// garbage never reaches the builder unchecked. The injector is nil
+// when faults is empty.
 func Ingest(cfg *stream.Config, faults, policy string, nv int, col *stats.Collector) (*fault.Injector, *stream.Validator, error) {
 	var inj *fault.Injector
 	if faults != "" {
 		var err error
-		if inj, err = fault.Parse(faults, cfg.Seed); err != nil {
+		if inj, err = fault.Parse(faults, cfg.Seed, fault.BatchClasses...); err != nil {
 			return nil, nil, err
 		}
 		cfg.Mutate = func(batch []graph.Update) []graph.Update {
@@ -295,9 +295,6 @@ func Build(s Spec, c *enginetest.Case) (*Cell, error) {
 	}
 	cfg := sim.ScaledConfig()
 	cfg.Cores = s.Cores
-	if s.LLCSizeMB > 0 {
-		cfg.LLCSizeMB = s.LLCSizeMB
-	}
 	if s.LLCSizeKB > 0 {
 		cfg.LLCSizeKB = s.LLCSizeKB
 	}

@@ -20,7 +20,7 @@ func expTable1(w io.Writer, o Options) error {
 	t.AddRow("Cores", fmt.Sprintf("%d cores, x86-64-like, 2.5 GHz, OOO (overlap factor %g)", cfg.Cores, cfg.MLP))
 	t.AddRow("L1 data cache", fmt.Sprintf("%d KB per-core, %d-way, %d-cycle latency", cfg.L1SizeKB, cfg.L1Ways, cfg.L1Latency))
 	t.AddRow("L2 cache", fmt.Sprintf("%d KB private per-core, %d-way, %d-cycle latency", cfg.L2SizeKB, cfg.L2Ways, cfg.L2Latency))
-	t.AddRow("L3 cache", fmt.Sprintf("%d MB shared, %d-way, %d-cycle bank latency, %s replacement", cfg.LLCSizeMB, cfg.LLCWays, cfg.LLCLatency, cfg.LLCPolicy))
+	t.AddRow("L3 cache", fmt.Sprintf("%d MB shared, %d-way, %d-cycle bank latency, %s replacement", cfg.LLCSizeKB>>10, cfg.LLCWays, cfg.LLCLatency, cfg.LLCPolicy))
 	t.AddRow("Global NoC", fmt.Sprintf("%dx%d mesh, 512-bit links, X-Y routing, %d cycles/hop", cfg.NoC.Dim, cfg.NoC.Dim, cfg.NoC.HopLatency))
 	t.AddRow("Coherence", "MESI-style invalidation over writable ranges, 64 B lines, in-LLC directory")
 	t.AddRow("Memory", fmt.Sprintf("%d-channel DDR4-class, %.0f B/cycle aggregate, %d-cycle latency", cfg.DRAM.Channels, cfg.DRAM.BytesPerCycle, cfg.DRAM.AccessLatency))

@@ -252,12 +252,6 @@ func benchScenario(o Options) (FaultSuiteResult, error) {
 	return r, nil
 }
 
-// ingestClasses are the update-stream fault classes, suite order.
-var ingestClasses = []fault.Class{
-	fault.Corrupt, fault.Duplicate, fault.Reorder,
-	fault.OutOfRange, fault.BadWeight, fault.SelfLoop,
-}
-
 // RunFaultSuite executes every scenario and returns the rows in suite
 // order. It is the programmatic face of the "robust" experiment.
 func RunFaultSuite(o Options) ([]FaultSuiteResult, error) {
@@ -270,7 +264,7 @@ func RunFaultSuite(o Options) ([]FaultSuiteResult, error) {
 		rows = append(rows, r)
 		return nil
 	}
-	for _, class := range ingestClasses {
+	for _, class := range fault.BatchClasses {
 		if err := add(ingestScenario(class, o.Seed)); err != nil {
 			return nil, err
 		}

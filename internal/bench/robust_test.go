@@ -2,8 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/tdgraph/tdgraph/internal/fault"
+	"github.com/tdgraph/tdgraph/internal/stats"
+	"github.com/tdgraph/tdgraph/internal/stream"
 )
 
 // TestFaultSuiteCoversAllClasses runs the full suite once and checks
@@ -101,4 +106,24 @@ func TestRunCtxRejectsBadFaultSpec(t *testing.T) {
 		t.Fatal("bad validation policy not rejected")
 	}
 	ClearCache()
+}
+
+// TestIngestRejectsUnwiredFaultClasses: a -faults spec over a batch
+// stream arms only the classes MutateBatch acts on. Any other class
+// would leave every cell unchanged without a word, so it is refused
+// with an error that lists the accepted classes.
+func TestIngestRejectsUnwiredFaultClasses(t *testing.T) {
+	for _, c := range fault.Classes {
+		var cfg stream.Config
+		_, _, err := Ingest(&cfg, string(c), "", 64, stats.NewCollector())
+		if slices.Contains(fault.BatchClasses, c) {
+			if err != nil || cfg.Mutate == nil {
+				t.Errorf("%s: batch class not armed: %v", c, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "accepted: corrupt dup reorder oob badweight selfloop") {
+			t.Errorf("%s: not refused with the accepted classes listed: %v", c, err)
+		}
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,6 +127,13 @@ var Classes = []Class{
 	NetPartitionRecv, NetHeal,
 }
 
+// BatchClasses are the classes MutateBatch acts on: the set a -faults
+// flag over a batch stream arms.
+var BatchClasses = []Class{Corrupt, Duplicate, Reorder, OutOfRange, BadWeight, SelfLoop}
+
+// DiskClasses are the classes Injector.FS acts on.
+var DiskClasses = []Class{WALTorn, FsyncErr, DiskFull, NoSpace, LowSpace}
+
 // defaultParam is the per-class parameter used when a spec arms a class
 // without an explicit value.
 var defaultParam = map[Class]float64{
@@ -188,8 +196,13 @@ func New(seed int64) *Injector {
 
 // Parse builds an injector from a -faults spec: a comma-separated list of
 // class[:param] items, e.g. "corrupt:0.05,oob,ckpt-flip:4". An empty spec
-// returns an injector with nothing armed.
-func Parse(spec string, seed int64) (*Injector, error) {
+// returns an injector with nothing armed. When accepted is given, a class
+// outside it is an error: a command names the classes it wires, so a
+// spec it would silently ignore is refused.
+func Parse(spec string, seed int64, accepted ...Class) (*Injector, error) {
+	if len(accepted) == 0 {
+		accepted = Classes
+	}
 	in := New(seed)
 	if strings.TrimSpace(spec) == "" {
 		return in, nil
@@ -201,8 +214,8 @@ func Parse(spec string, seed int64) (*Injector, error) {
 		}
 		name, paramStr, hasParam := strings.Cut(item, ":")
 		c := Class(name)
-		if _, ok := defaultParam[c]; !ok {
-			return nil, fmt.Errorf("fault: unknown class %q (known: %s)", name, knownClasses())
+		if !slices.Contains(accepted, c) {
+			return nil, fmt.Errorf("fault: class %q not accepted here (accepted: %s)", name, joinClasses(accepted))
 		}
 		param := defaultParam[c]
 		if hasParam {
@@ -217,9 +230,9 @@ func Parse(spec string, seed int64) (*Injector, error) {
 	return in, nil
 }
 
-func knownClasses() string {
-	names := make([]string, len(Classes))
-	for i, c := range Classes {
+func joinClasses(cs []Class) string {
+	names := make([]string, len(cs))
+	for i, c := range cs {
 		names[i] = string(c)
 	}
 	return strings.Join(names, " ")

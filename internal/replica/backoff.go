@@ -1,46 +1,13 @@
-// Package serve is the durable core of the ingestion path: it turns
-// the batch-at-a-time Session API into a long-running service. Every
-// batch is made durable in the write-ahead log before it touches the
-// session, and recovery restores the newest checkpoint plus WAL
-// replay. Flaky sources are retried with exponential backoff behind a
-// circuit breaker; overload degrades through typed, retryable
-// refusals (deadlines, SLO shedding, read-only under disk pressure);
-// and shutdown flushes and writes a final checkpoint. replica.Node
-// runs every serving member on top of it, a lone one included.
-package serve
+package replica
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sync"
 	"time"
+
+	"github.com/tdgraph/tdgraph/internal/serve"
 )
-
-// Clock abstracts time for the retry and breaker logic, so tests drive
-// every transition with a fake clock instead of sleeping.
-type Clock interface {
-	Now() time.Time
-	// Sleep blocks for d or until ctx is done, returning ctx.Err() in
-	// the latter case.
-	Sleep(ctx context.Context, d time.Duration) error
-}
-
-// RealClock is the production clock.
-type RealClock struct{}
-
-func (RealClock) Now() time.Time { return time.Now() }
-
-func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
 
 // Backoff computes retry delays: exponential growth from Base by
 // Multiplier, capped at Max, with a symmetric ±Jitter/2 fraction of
@@ -107,15 +74,15 @@ const (
 	BreakerHalfOpen
 )
 
-// Breaker is a consecutive-failure circuit breaker guarding a flaky
-// source: after FailureThreshold consecutive failures it opens and
+// Breaker is a consecutive-failure circuit breaker guarding the
+// client's submissions: after FailureThreshold consecutive failures it opens and
 // refuses calls for ResetTimeout, then half-opens to probe with trial
 // calls. Safe for concurrent use.
 type Breaker struct {
 	FailureThreshold int           // consecutive failures to open (default 5)
 	ResetTimeout     time.Duration // open → half-open delay (default 5s)
 
-	clock    Clock
+	clock    serve.Clock
 	mu       sync.Mutex
 	state    BreakerState
 	failures int
@@ -125,7 +92,7 @@ type Breaker struct {
 
 // NewBreaker returns a closed breaker on the given clock (nil = real
 // time).
-func NewBreaker(threshold int, reset time.Duration, clock Clock) *Breaker {
+func NewBreaker(threshold int, reset time.Duration, clock serve.Clock) *Breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
@@ -133,7 +100,7 @@ func NewBreaker(threshold int, reset time.Duration, clock Clock) *Breaker {
 		reset = 5 * time.Second
 	}
 	if clock == nil {
-		clock = RealClock{}
+		clock = serve.RealClock{}
 	}
 	return &Breaker{FailureThreshold: threshold, ResetTimeout: reset, clock: clock}
 }

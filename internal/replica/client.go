@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"strings"
@@ -44,10 +43,9 @@ func (e *RedirectError) Unwrap() error { return ErrNotLeader }
 // the wire marker without its bang — "disk" (read-only under disk
 // pressure), "slo" (admission control shedding) or "quorum" (a fresh
 // leader still attaching its followers) — and RetryAfter the
-// leader's hint for when to try again. It unwraps to the serve-layer
-// sentinel matching its reason so callers keep one errors.Is check,
-// and exposes the hint through RetryAfterHint for the retry layer's
-// backoff floor.
+// leader's hint for when to try again, which the client's retry loop
+// floors its backoff at. It unwraps to the serve-layer sentinel
+// matching its reason so callers keep one errors.Is check.
 type BusyError struct {
 	Reason     string
 	RetryAfter time.Duration
@@ -67,8 +65,9 @@ func (e *BusyError) Unwrap() error {
 	return nil
 }
 
-// RetryAfterHint implements the serve retry layer's backoff floor.
-func (e *BusyError) RetryAfterHint() time.Duration { return e.RetryAfter }
+// ErrGivenUp reports a batch abandoned after the client's attempt
+// budget was exhausted; it wraps the final failure.
+var ErrGivenUp = errors.New("replica: client retries exhausted")
 
 // ClientConfig parameterises a failover-aware ingestion client.
 type ClientConfig struct {
@@ -87,18 +86,18 @@ type ClientConfig struct {
 	// attempts are bounded only by AckTimeout.
 	BatchDeadline time.Duration
 	// MaxAttempts bounds tries per batch across reconnects and
-	// redirects (default 8, the RetrySource default). Exhaustion
-	// surfaces serve.ErrSourceGivenUp wrapping the last failure.
+	// redirects (default 8). Exhaustion surfaces ErrGivenUp wrapping
+	// the last failure.
 	MaxAttempts int
 	// Seed feeds the retry backoff jitter.
 	Seed int64
-	// Backoff overrides the retry backoff schedule (nil = the serve
+	// Backoff overrides the retry backoff schedule (nil = the
 	// defaults, seeded from Seed).
-	Backoff *serve.Backoff
-	// Breaker overrides the retry circuit breaker (nil = the serve
+	Backoff *Backoff
+	// Breaker overrides the retry circuit breaker (nil = the
 	// defaults). Failover makes refusals routine, so deployments with
 	// tight latency budgets want a shorter reset than the default 5s.
-	Breaker *serve.Breaker
+	Breaker *Breaker
 	// Clock supplies waits and I/O deadlines (default real time).
 	Clock serve.Clock
 	// OnEvent receives one line per notable event (nil discards).
@@ -122,6 +121,10 @@ type Client struct {
 	addr  string // address currently believed to lead ("" = rotate)
 	next  int    // rotation cursor into cfg.Nodes
 	acked uint64 // highest durable sequence the cluster confirmed
+
+	// One Run's retry policy, built when the run starts.
+	backoff *Backoff
+	breaker *Breaker
 }
 
 // NewClient returns a client over the given cluster addresses.
@@ -134,6 +137,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 5 * time.Second
+	}
+	if cfg.MaxAttempts <= 0 {
+		cfg.MaxAttempts = 8
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = serve.RealClock{}
@@ -150,54 +156,92 @@ func (c *Client) Acked() uint64 { return c.acked }
 
 // Run submits every batch in order and returns once all are
 // quorum-durable on the cluster. Failures — dead nodes, severed
-// connections, leadership changes — are retried through
-// serve.RetrySource with its exponential backoff, jitter and breaker;
-// a batch that exhausts the attempt budget surfaces
-// serve.ErrSourceGivenUp wrapping the final cause. Batches the cluster
-// already holds (a rerun after a partial failure) are skipped, not
-// re-applied.
+// connections, leadership changes — are retried with exponential
+// backoff, jitter and a circuit breaker; a batch that exhausts the
+// attempt budget surfaces ErrGivenUp wrapping the final cause. Batches
+// the cluster already holds (a rerun after a partial failure) are
+// skipped, not re-applied.
 func (c *Client) Run(ctx context.Context, batches [][]graph.Update) error {
-	i := 0
-	submitNext := serve.FuncSource(func(ctx context.Context) ([]graph.Update, error) {
-		for i < len(batches) && uint64(i+1) <= c.acked {
-			i++ // already durable: confirmed by a Welcome or an ack
-		}
-		if i >= len(batches) {
-			return nil, io.EOF
-		}
-		if err := c.submit(ctx, uint64(i+1), batches[i]); err != nil {
-			if errors.Is(err, io.EOF) {
-				// A node that dies between frames (kill -9: the kernel
-				// closes its sockets) reads as a bare io.EOF, which the
-				// retry layer would take for the end of the stream.
-				err = fmt.Errorf("replica: client: connection closed awaiting batch %d: %w", i+1, io.ErrUnexpectedEOF)
-			}
-			return nil, err
-		}
-		b := batches[i]
-		i++
-		return b, nil
-	})
-	src := serve.NewRetrySource(submitNext, c.cfg.Backoff, c.cfg.Breaker, c.cfg.Clock, c.cfg.Seed)
-	if c.cfg.MaxAttempts > 0 {
-		src.MaxAttempts = c.cfg.MaxAttempts
-	}
+	c.startRun()
 	defer c.dropConn()
-	for {
-		if _, err := src.Next(ctx); err != nil {
-			if errors.Is(err, io.EOF) {
+	for i := 0; i < len(batches); {
+		err := c.retry(ctx, func() error {
+			for i < len(batches) && uint64(i+1) <= c.acked {
+				i++ // already durable: confirmed by a Welcome or an ack
+			}
+			if i == len(batches) {
 				return nil
 			}
+			if err := c.submit(ctx, uint64(i+1), batches[i]); err != nil {
+				return err
+			}
+			i++
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// startRun builds the run's retry policy: the configured backoff and
+// breaker, or the defaults seeded from Seed on the client's clock.
+func (c *Client) startRun() {
+	c.backoff, c.breaker = c.cfg.Backoff, c.cfg.Breaker
+	if c.backoff == nil {
+		c.backoff = NewBackoff(c.cfg.Seed)
+	}
+	if c.breaker == nil {
+		c.breaker = NewBreaker(0, 0, c.cfg.Clock)
+	}
+}
+
+// retry runs attempt until it succeeds or MaxAttempts tries have
+// failed. Each failure feeds the breaker and waits Backoff.Delay, or
+// the leader's busy hint when that is longer. An open breaker is waited
+// out for its reset timeout without spending an attempt. Cancellation
+// is returned at once and never reaches the breaker: a shutdown must
+// not trip it open for the next run.
+func (c *Client) retry(ctx context.Context, attempt func() error) error {
+	var lastErr error
+	for n := 0; n < c.cfg.MaxAttempts; n++ {
+		if !c.breaker.Allow() {
+			if err := c.cfg.Clock.Sleep(ctx, c.breaker.ResetTimeout); err != nil {
+				return err
+			}
+			n--
+			continue
+		}
+		err := attempt()
+		if err == nil {
+			c.breaker.Record(nil)
+			return nil
+		}
+		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
+			return err
+		}
+		// Everything else — timeouts, expired batch deadlines, transport
+		// failures, refusals — feeds the breaker and is retried.
+		c.breaker.Record(err)
+		lastErr = err
+		delay := c.backoff.Delay(n)
+		var busy *BusyError
+		if errors.As(err, &busy) && busy.RetryAfter > delay {
+			delay = busy.RetryAfter
+		}
+		if err := c.cfg.Clock.Sleep(ctx, delay); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("%w after %d attempts: %w", ErrGivenUp, c.cfg.MaxAttempts, lastErr)
 }
 
 // submit makes batch idx durable on the cluster: connect (following
 // any redirect learned so far), skip if the handshake shows it already
 // durable, otherwise one Submit/Ack round trip. Every failure path
 // leaves the client aimed at its best guess of the leader and returns
-// the error for the retry layer to absorb.
+// the error for Run's retry loop to absorb.
 func (c *Client) submit(ctx context.Context, idx uint64, batch []graph.Update) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -306,7 +350,7 @@ func (c *Client) connect() error {
 // is healthy and the refusal is about load, not leadership — and Seq
 // still carries the durable sequence, so adopt it to avoid
 // resubmitting batches the cluster already holds. The typed error
-// carries the leader's retry-after hint, which the retry layer floors
+// carries the leader's retry-after hint, which the retry loop floors
 // its backoff at.
 func (c *Client) busy(ans Frame, idx uint64) error {
 	if ans.Seq > c.acked {
@@ -350,7 +394,7 @@ func isTimeout(err error) bool {
 
 // redirect consumes a Reject frame: aim at the hinted leader when the
 // refusing node knows one, otherwise fall back to rotation, and report
-// the refusal as a *RedirectError for the retry layer.
+// the refusal as a *RedirectError for the retry loop.
 func (c *Client) redirect(ans Frame, stage string) error {
 	was := c.addr
 	c.dropConn()

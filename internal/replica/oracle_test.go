@@ -358,8 +358,8 @@ func (c *cluster) client(seed int64) *Client {
 		AckTimeout:  time.Second,
 		MaxAttempts: 25,
 		Seed:        seed,
-		Backoff:     &serve.Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
-		Breaker:     serve.NewBreaker(10, 50*time.Millisecond, c.clk),
+		Backoff:     &Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
+		Breaker:     NewBreaker(10, 50*time.Millisecond, c.clk),
 		Clock:       c.clk,
 	})
 	if err != nil {

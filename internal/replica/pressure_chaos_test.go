@@ -45,8 +45,8 @@ func runDiskPressureTrial(t *testing.T, trial int) digest {
 		AckTimeout:  time.Minute, // manual-clock epoch: conn deadlines never fire
 		MaxAttempts: 500,
 		Seed:        int64(trial),
-		Backoff:     &serve.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond, Multiplier: 2},
-		Breaker:     serve.NewBreaker(1000, 50*time.Millisecond, c.clk),
+		Backoff:     &Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond, Multiplier: 2},
+		Breaker:     NewBreaker(1000, 50*time.Millisecond, c.clk),
 		Clock:       c.clk,
 	})
 	if err != nil {
@@ -178,8 +178,8 @@ func runDeadlineStormTrial(t *testing.T, trial int) digest {
 		BatchDeadline: 15 * time.Millisecond,
 		MaxAttempts:   50,
 		Seed:          int64(trial),
-		Backoff:       &serve.Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
-		Breaker:       serve.NewBreaker(10, 50*time.Millisecond, nil),
+		Backoff:       &Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
+		Breaker:       NewBreaker(10, 50*time.Millisecond, nil),
 		OnEvent: func(s string) {
 			if strings.HasPrefix(s, "attached to leader") {
 				attaches.Add(1)
@@ -262,7 +262,7 @@ func TestNodeClientDeadlineExpiresInFlight(t *testing.T) {
 	if !errors.As(err, &de) || de.Stage != "submit" {
 		t.Fatalf("deadline stage in %v, want submit", err)
 	}
-	if !errors.Is(err, serve.ErrSourceGivenUp) {
-		t.Fatalf("exhausted budget must wrap ErrSourceGivenUp: %v", err)
+	if !errors.Is(err, ErrGivenUp) {
+		t.Fatalf("exhausted budget must wrap ErrGivenUp: %v", err)
 	}
 }

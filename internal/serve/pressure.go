@@ -66,13 +66,6 @@ func (e *DiskPressureError) Error() string {
 
 func (e *DiskPressureError) Unwrap() error { return ErrDiskPressure }
 
-// retryAfterHint is the probe RetrySource uses to honor a server's
-// backpressure hint: any error in the chain exposing RetryAfterHint
-// floors the next backoff delay at that duration.
-type retryAfterHint interface {
-	RetryAfterHint() time.Duration
-}
-
 // PressureLevel is the SLO controller's admission posture, escalating
 // from business-as-usual through a warning step to shedding.
 type PressureLevel int

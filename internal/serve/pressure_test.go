@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"syscall"
 	"testing"
 	"time"
 
 	"github.com/tdgraph/tdgraph/internal/fault"
-	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
@@ -69,140 +66,19 @@ func TestSLOControllerNilSafe(t *testing.T) {
 	}
 }
 
-// hintedErr is a fake server backpressure error carrying a retry-after
-// hint, as BusyError does in the replica layer.
-type hintedErr struct{ after time.Duration }
-
-func (e *hintedErr) Error() string                 { return "backpressure" }
-func (e *hintedErr) RetryAfterHint() time.Duration { return e.after }
-
-// TestRetrySourceHonorsRetryAfterHint: a failure carrying a
-// retry-after hint floors the backoff delay at it.
-func TestRetrySourceHonorsRetryAfterHint(t *testing.T) {
-	clock := newFakeClock()
-	busy := &hintedErr{after: 2 * time.Second}
-	calls := 0
-	src := FuncSource(func(ctx context.Context) ([]graph.Update, error) {
-		calls++
-		if calls == 1 {
-			return nil, fmt.Errorf("refused: %w", busy)
-		}
-		return mkBatch(1, 0), nil
-	})
-	backoff := NewBackoff(1)
-	backoff.Jitter = 0 // Delay(0) = 50ms, far below the hint
-	rs := NewRetrySource(src, backoff, nil, clock, 1)
-	if _, err := rs.Next(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(clock.slept) != 1 || clock.slept[0] != 2*time.Second {
-		t.Fatalf("slept %v, want exactly the 2s retry-after floor", clock.slept)
-	}
-	if rs.Retries() != 1 {
-		t.Fatalf("retries %d, want 1", rs.Retries())
-	}
-}
-
-// TestRetrySourceBackoffWinsOverSmallHint: when the scheduled backoff
-// already exceeds the hint, the larger delay stands.
-func TestRetrySourceBackoffWinsOverSmallHint(t *testing.T) {
-	clock := newFakeClock()
-	calls := 0
-	src := FuncSource(func(ctx context.Context) ([]graph.Update, error) {
-		calls++
-		if calls == 1 {
-			return nil, &hintedErr{after: time.Millisecond}
-		}
-		return mkBatch(1, 0), nil
-	})
-	backoff := NewBackoff(1)
-	backoff.Jitter = 0
-	rs := NewRetrySource(src, backoff, nil, clock, 1)
-	if _, err := rs.Next(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(clock.slept) != 1 || clock.slept[0] != 50*time.Millisecond {
-		t.Fatalf("slept %v, want the 50ms backoff", clock.slept)
-	}
-}
-
-// TestRetrySourceNeverRetriesCancellation: context.Canceled — whether
-// from the caller's context or bubbled through the source — is not a
-// source failure: no retry, no breaker accounting. A shutdown must not
-// trip the breaker open for the next session.
-func TestRetrySourceNeverRetriesCancellation(t *testing.T) {
-	clock := newFakeClock()
-	br := NewBreaker(1, time.Second, clock) // one failure would open it
-	calls := 0
-	src := FuncSource(func(ctx context.Context) ([]graph.Update, error) {
-		calls++
-		return nil, fmt.Errorf("submit interrupted: %w", context.Canceled)
-	})
-	rs := NewRetrySource(src, nil, br, clock, 1)
-	_, err := rs.Next(context.Background())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled through untouched", err)
-	}
-	if calls != 1 || rs.Retries() != 0 {
-		t.Fatalf("calls=%d retries=%d, want a single attempt and no retries", calls, rs.Retries())
-	}
-	if br.state != BreakerClosed || br.Opens() != 0 {
-		t.Fatalf("cancellation tripped the breaker: %v opens=%d", br.state, br.Opens())
-	}
-
-	// A caller-cancelled context short-circuits the same way.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	fail := FuncSource(func(ctx context.Context) ([]graph.Update, error) {
-		return nil, errors.New("transport down")
-	})
-	rs2 := NewRetrySource(fail, nil, NewBreaker(1, time.Second, clock), clock, 1)
-	if _, err := rs2.Next(ctx); err == nil {
-		t.Fatal("cancelled context retried to success?")
-	}
-	if rs2.Retries() != 0 {
-		t.Fatalf("cancelled context produced %d retries", rs2.Retries())
-	}
-}
-
-// TestRetrySourceDeadlineFeedsBreaker: genuine timeouts (including
-// context.DeadlineExceeded surfaced by a transport) ARE source
-// failures — retried, counted, breaker-fed.
-func TestRetrySourceDeadlineFeedsBreaker(t *testing.T) {
-	clock := newFakeClock()
-	br := NewBreaker(3, time.Second, clock)
-	calls := 0
-	src := FuncSource(func(ctx context.Context) ([]graph.Update, error) {
-		calls++
-		if calls == 1 {
-			return nil, fmt.Errorf("ack wait: %w", context.DeadlineExceeded)
-		}
-		return nil, io.EOF
-	})
-	rs := NewRetrySource(src, nil, br, clock, 1)
-	if _, err := rs.Next(context.Background()); !errors.Is(err, io.EOF) {
-		t.Fatal(err)
-	}
-	if rs.Retries() != 1 {
-		t.Fatalf("retries %d, want 1 (the timeout was retried)", rs.Retries())
-	}
-}
-
 // TestPipelineDeadlineAdmitExpiry: an already-expired deadline refuses
 // the batch before any I/O — non-durable, typed, counted — and the
 // same batch succeeds once given budget.
 func TestPipelineDeadlineAdmitExpiry(t *testing.T) {
 	w := testWorkload(t, 2)
 	cfg := pipelineConfig(t, w)
-	clk := newFakeClock()
-	cfg.Clock = clk
 	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	_, err = p.Append([][]byte{wal.EncodeBatch(w.Batches[0])}, clk.Now()) // expired on arrival
+	_, err = p.Append([][]byte{wal.EncodeBatch(w.Batches[0])}, time.Now()) // expired on arrival
 	var ie *IngestError
 	if !errors.As(err, &ie) || ie.Stage != "admit" || ie.Durable() {
 		t.Fatalf("want non-durable admit-stage error, got %v", err)
@@ -222,7 +98,7 @@ func TestPipelineDeadlineAdmitExpiry(t *testing.T) {
 	}
 
 	// The identical batch with budget left goes straight through.
-	if seq, err := p.Append([][]byte{wal.EncodeBatch(w.Batches[0])}, clk.Now().Add(time.Hour)); err != nil || seq != 1 {
+	if seq, err := p.Append([][]byte{wal.EncodeBatch(w.Batches[0])}, time.Now().Add(time.Hour)); err != nil || seq != 1 {
 		t.Fatalf("append with budget left: seq %d, err %v", seq, err)
 	}
 	if err := p.Apply(w.Batches[:1]); err != nil {

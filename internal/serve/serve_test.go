@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"context"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
@@ -335,235 +332,5 @@ func TestNewPipelineRejectsRecoveryGap(t *testing.T) {
 	_, err = NewPipeline(cfg)
 	if !errors.Is(err, ErrRecoveryGap) {
 		t.Fatalf("bootstrap over a truncated WAL returned %v, want ErrRecoveryGap", err)
-	}
-}
-
-// flakySource fails each batch read a fixed number of times before
-// serving it — the retry layer must absorb exactly that many failures.
-type flakySource struct {
-	inner     Source
-	failures  int // failures to serve per batch
-	remaining int
-}
-
-func (f *flakySource) Next(ctx context.Context) ([]graph.Update, error) {
-	if f.remaining > 0 {
-		f.remaining--
-		return nil, errors.New("flaky: transient delivery failure")
-	}
-	b, err := f.inner.Next(ctx)
-	f.remaining = f.failures
-	return b, err
-}
-
-func TestRetrySourceAbsorbsTransientFailures(t *testing.T) {
-	w := testWorkload(t, 4)
-	clock := newFakeClock()
-	next := 0
-	batches := FuncSource(func(context.Context) ([]graph.Update, error) {
-		if next == len(w.Batches) {
-			return nil, io.EOF
-		}
-		next++
-		return w.Batches[next-1], nil
-	})
-	flaky := &flakySource{inner: batches, failures: 2, remaining: 2}
-	src := NewRetrySource(flaky, NewBackoff(1), NewBreaker(10, 0, clock), clock, 1)
-
-	var got int
-	for {
-		b, err := src.Next(context.Background())
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) == 0 {
-			t.Fatal("empty batch")
-		}
-		got++
-	}
-	if got != len(w.Batches) {
-		t.Fatalf("delivered %d batches, want %d", got, len(w.Batches))
-	}
-	// 2 failures per batch read, plus the EOF read's preceding failures.
-	if r := src.Retries(); r != uint64(2*(len(w.Batches)+1)) {
-		t.Fatalf("retries = %d, want %d", r, 2*(len(w.Batches)+1))
-	}
-}
-
-func TestRetrySourceGivesUp(t *testing.T) {
-	clock := newFakeClock()
-	dead := FuncSource(func(context.Context) ([]graph.Update, error) {
-		return nil, errors.New("down hard")
-	})
-	src := NewRetrySource(dead, NewBackoff(1), NewBreaker(100, 0, clock), clock, 1)
-	src.MaxAttempts = 4
-	_, err := src.Next(context.Background())
-	if !errors.Is(err, ErrSourceGivenUp) {
-		t.Fatalf("want ErrSourceGivenUp, got %v", err)
-	}
-	if src.Retries() != 4 {
-		t.Fatalf("retries = %d, want 4", src.Retries())
-	}
-}
-
-// TestRetrySourceBreakerGates: once the breaker opens, the source waits
-// out the reset timeout instead of burning attempts.
-func TestRetrySourceBreakerGates(t *testing.T) {
-	clock := newFakeClock()
-	calls := 0
-	dead := FuncSource(func(context.Context) ([]graph.Update, error) {
-		calls++
-		return nil, errors.New("down")
-	})
-	br := NewBreaker(2, 30*time.Second, clock)
-	src := NewRetrySource(dead, NewBackoff(1), br, clock, 1)
-	src.MaxAttempts = 6
-	_, err := src.Next(context.Background())
-	if !errors.Is(err, ErrSourceGivenUp) {
-		t.Fatal(err)
-	}
-	if br.Opens() == 0 {
-		t.Fatal("breaker never opened")
-	}
-	// Open-state waits show up as ResetTimeout sleeps on the fake clock.
-	var gated bool
-	for _, d := range clock.slept {
-		if d == br.ResetTimeout {
-			gated = true
-		}
-	}
-	if !gated {
-		t.Fatalf("no reset-timeout wait recorded: %v", clock.slept)
-	}
-	if calls >= 7 {
-		t.Fatalf("breaker did not reduce pressure: %d calls", calls)
-	}
-}
-
-// serveStages composes the serving stages this package still owns: one
-// goroutine reads src and feeds a bounded queue, the caller's goroutine
-// drains the queue into the durable pipeline. End of stream or a
-// cancelled ctx stops admission; what was admitted is still ingested.
-// A cancelled ctx is a graceful stop and returns nil.
-func serveStages(ctx context.Context, src Source, q *Queue, p *Pipeline) error {
-	readErr := make(chan error, 1)
-	go func() {
-		defer q.Close()
-		for {
-			b, err := src.Next(ctx)
-			if err != nil {
-				if errors.Is(err, io.EOF) || ctx.Err() != nil {
-					err = nil
-				}
-				readErr <- err
-				return
-			}
-			if err := q.Put(b); err != nil {
-				readErr <- err
-				return
-			}
-		}
-	}()
-	for {
-		b, err := q.Get()
-		if errors.Is(err, ErrQueueClosed) {
-			return <-readErr
-		}
-		if err := p.Ingest(b); err != nil {
-			q.Close()
-			<-readErr
-			return err
-		}
-	}
-}
-
-// TestServerEndToEnd: the full service — retrying source, bounded
-// queue, durable pipeline — lands on the reference states and counts
-// its work.
-func TestServerEndToEnd(t *testing.T) {
-	w := testWorkload(t, 6)
-	want := referenceStates(w)
-	clock := newFakeClock()
-	next := 0
-	batches := FuncSource(func(context.Context) ([]graph.Update, error) {
-		if next == len(w.Batches) {
-			return nil, io.EOF
-		}
-		next++
-		return w.Batches[next-1], nil
-	})
-	flaky := &flakySource{inner: batches, failures: 1, remaining: 1}
-	src := NewRetrySource(flaky, NewBackoff(1), NewBreaker(5, 0, clock), clock, 1)
-
-	p, err := NewPipeline(pipelineConfig(t, w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := serveStages(context.Background(), src, NewQueue(QueueConfig{Capacity: 4}), p); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Collector().Get(stats.CtrServeIngested); got != uint64(len(w.Batches)) {
-		t.Fatalf("ingested %d, want %d", got, len(w.Batches))
-	}
-	if p.Seq() != uint64(len(w.Batches)) {
-		t.Fatalf("pipeline at seq %d, want %d", p.Seq(), len(w.Batches))
-	}
-	if src.Retries() == 0 {
-		t.Fatal("source failures were not retried")
-	}
-	if !statesEqual(p.Session().States(), want) {
-		t.Fatal("served states diverged from reference")
-	}
-}
-
-// TestServerGracefulCancel: cancelling the context stops admission,
-// drains the queue, and the service returns nil with durable state on
-// disk.
-func TestServerGracefulCancel(t *testing.T) {
-	w := testWorkload(t, 6)
-	cfg := pipelineConfig(t, w)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fed := 0
-	src := FuncSource(func(ctx context.Context) ([]graph.Update, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if fed >= 3 {
-			cancel() // simulate SIGINT mid-stream
-			return nil, ctx.Err()
-		}
-		b := w.Batches[fed]
-		fed++
-		return b, nil
-	})
-
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serveStages(ctx, src, NewQueue(QueueConfig{Capacity: 4}), p); err != nil {
-		t.Fatalf("graceful shutdown returned %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Everything admitted before the cancel is durable: a fresh pipeline
-	// resumes exactly there.
-	p, err = NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Seq() != 3 {
-		t.Fatalf("recovered seq %d, want 3", p.Seq())
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

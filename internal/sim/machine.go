@@ -33,10 +33,7 @@ type Config struct {
 
 	L1SizeKB, L1Ways   int
 	L2SizeKB, L2Ways   int
-	LLCSizeMB, LLCWays int
-	// LLCSizeKB, when non-zero, overrides LLCSizeMB with KiB
-	// granularity (the scaled Fig 23 sweep needs sub-MiB points).
-	LLCSizeKB int
+	LLCSizeKB, LLCWays int // KiB: the scaled Fig 23 sweep takes sub-MiB points
 	// LLCPolicy selects the shared-cache replacement policy: "lru",
 	// "drrip" (Table 1 default), "grasp", or "popt".
 	LLCPolicy string
@@ -70,7 +67,7 @@ func ScaledConfig() Config {
 	cfg := DefaultConfig()
 	cfg.L1SizeKB = 8
 	cfg.L2SizeKB = 32
-	cfg.LLCSizeMB = 1
+	cfg.LLCSizeKB = 1 << 10
 	return cfg
 }
 
@@ -80,7 +77,7 @@ func DefaultConfig() Config {
 		Cores:    64,
 		L1SizeKB: 32, L1Ways: 8,
 		L2SizeKB: 256, L2Ways: 8,
-		LLCSizeMB: 64, LLCWays: 16,
+		LLCSizeKB: 64 << 10, LLCWays: 16,
 		LLCPolicy: "drrip",
 		L1Latency: 4, L2Latency: 7, LLCLatency: 27,
 		TLBEntries: 1536, TLBWays: 12,
@@ -175,13 +172,9 @@ func New(cfg Config) *Machine {
 	}
 	dcfg := cfg.DRAM
 	dcfg.BytesPerCycle *= cfg.BandwidthScale
-	llcBytes := cfg.LLCSizeMB << 20
-	if cfg.LLCSizeKB > 0 {
-		llcBytes = cfg.LLCSizeKB << 10
-	}
 	m := &Machine{
 		cfg:      cfg,
-		llc:      cache.MustNew("llc", llcBytes, cfg.LLCWays, cfg.LLCPolicy),
+		llc:      cache.MustNew("llc", cfg.LLCSizeKB<<10, cfg.LLCWays, cfg.LLCPolicy),
 		dram:     mem.New(dcfg),
 		mesh:     noc.New(cfg.NoC),
 		nextAddr: 1 << 20, // leave a guard page at zero

@@ -16,7 +16,7 @@ func smallMachine(t *testing.T) *sim.Machine {
 	cfg.Cores = 4
 	cfg.L1SizeKB = 8
 	cfg.L2SizeKB = 32
-	cfg.LLCSizeMB = 1
+	cfg.LLCSizeKB = 1 << 10
 	return sim.New(cfg)
 }
 
@@ -108,7 +108,7 @@ func TestBarrierAndRoofline(t *testing.T) {
 	cfg.Cores = 2
 	cfg.L1SizeKB = 8
 	cfg.L2SizeKB = 32
-	cfg.LLCSizeMB = 1
+	cfg.LLCSizeKB = 1 << 10
 	cfg.DRAM.BytesPerCycle = 1 // absurdly slow memory
 	m := sim.New(cfg)
 	r := m.Alloc("d", 1<<16)
@@ -188,7 +188,7 @@ func TestPhaseAccounting(t *testing.T) {
 
 func TestScaledConfig(t *testing.T) {
 	cfg := sim.ScaledConfig()
-	if cfg.LLCSizeMB >= sim.DefaultConfig().LLCSizeMB {
+	if cfg.LLCSizeKB >= sim.DefaultConfig().LLCSizeKB {
 		t.Fatal("scaled config not smaller")
 	}
 	if cfg.Cores != sim.DefaultConfig().Cores {
@@ -216,7 +216,7 @@ func TestLLCEvictionInclusive(t *testing.T) {
 	cfg.Cores = 1
 	cfg.L1SizeKB = 8
 	cfg.L2SizeKB = 32
-	cfg.LLCSizeMB = 1
+	cfg.LLCSizeKB = 1 << 10
 	m := sim.New(cfg)
 	r := m.Alloc("d", 64<<20)
 	m.MarkCoherent(r)
@@ -242,7 +242,7 @@ func TestDRAMConservation(t *testing.T) {
 	cfg.Cores = 2
 	cfg.L1SizeKB = 8
 	cfg.L2SizeKB = 32
-	cfg.LLCSizeMB = 1
+	cfg.LLCSizeKB = 1 << 10
 	m := sim.New(cfg)
 	r := m.Alloc("d", 8<<20)
 	m.MarkCoherent(r)

@@ -43,7 +43,7 @@ func TestCoreTLBWired(t *testing.T) {
 	cfg.Cores = 1
 	cfg.L1SizeKB = 8
 	cfg.L2SizeKB = 32
-	cfg.LLCSizeMB = 1
+	cfg.LLCSizeKB = 1 << 10
 	m := sim.New(cfg)
 	r := m.Alloc("d", 1<<20)
 	c := m.Core(0)

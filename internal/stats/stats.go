@@ -96,7 +96,6 @@ const (
 	CtrDeltaFiltered     = "algo.delta_filtered"   // DZiG-style suppressed near-zero deltas
 	CtrWorkSteals        = "algo.work_steals"      // frontier entries migrated by work stealing
 	CtrDenseIterations   = "algo.dense_iterations" // pull-direction rounds (Ligra direction optimisation)
-	CtrApproxTrims       = "algo.approx_trims"     // KickStarter-style trimmed dependencies
 
 	// Native incremental engine events (internal/native.Session).
 	CtrNativeTDTUSkips = "native.tdtu_skips" // dequeues skipped: version already propagated
@@ -123,19 +122,18 @@ const (
 	CtrStateWordsUsed    = "mem.state_words_used"
 
 	// Accelerator engine events.
-	CtrPrefetchedEdges   = "accel.prefetched_edges"
-	CtrPrefetchUseless   = "accel.prefetch_useless"
-	CtrStackPushes       = "accel.stack_pushes"
-	CtrStackPops         = "accel.stack_pops"
-	CtrStackOverflows    = "accel.stack_overflows"
-	CtrFetchedBufferFull = "accel.fetched_buffer_full"
-	CtrHotHits           = "accel.hot_hits"
-	CtrHotMisses         = "accel.hot_misses"
-	CtrHTableProbes      = "accel.htable_probes"
-	CtrCoalescedInserts  = "accel.coalesced_inserts"
-	CtrTrackingVisits    = "accel.tracking_visits"
-	CtrEventsEnqueued    = "accel.events_enqueued"
-	CtrEventsCoalesced   = "accel.events_coalesced"
+	CtrPrefetchedEdges  = "accel.prefetched_edges"
+	CtrPrefetchUseless  = "accel.prefetch_useless"
+	CtrStackPushes      = "accel.stack_pushes"
+	CtrStackPops        = "accel.stack_pops"
+	CtrStackOverflows   = "accel.stack_overflows"
+	CtrHotHits          = "accel.hot_hits"
+	CtrHotMisses        = "accel.hot_misses"
+	CtrHTableProbes     = "accel.htable_probes"
+	CtrCoalescedInserts = "accel.coalesced_inserts"
+	CtrTrackingVisits   = "accel.tracking_visits"
+	CtrEventsEnqueued   = "accel.events_enqueued"
+	CtrEventsCoalesced  = "accel.events_coalesced"
 
 	// Software-overhead events (TDGraph-S runtime cost model).
 	CtrSWTrackingInstrs = "sw.tracking_instructions"
@@ -160,7 +158,6 @@ const (
 	CtrValQuarantineHits = "validate.quarantine_hits" // later updates diverted by quarantine
 
 	// Robustness events (fault injection and graceful degradation).
-	CtrFaultInjected       = "fault.injected"                // total faults injected this run
 	CtrDegradedRecomputes  = "robust.degraded_recomputes"    // audit-triggered full recomputes
 	CtrPanicsRecovered     = "robust.panics_recovered"       // panics converted to errors at the API
 	CtrCheckpointRecovered = "robust.checkpoint_recoveries"  // loads served by an older generation

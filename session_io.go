@@ -313,11 +313,3 @@ func loadSessionFile(fsys wal.FS, a Algorithm, path string, opt SessionOptions) 
 	defer f.Close()
 	return loadSession(a, f, opt)
 }
-
-// ApplySnapshot diffs the supplied full snapshot against the session's
-// current graph and applies the difference as one incremental batch — the
-// bridge for feeds that deliver periodic full snapshots instead of update
-// streams.
-func (s *Session) ApplySnapshot(next *Snapshot) (ApplyResult, error) {
-	return s.ApplyBatch(graph.Diff(s.eng.snapshot(), next))
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	tdgraph "github.com/tdgraph/tdgraph"
-	"github.com/tdgraph/tdgraph/internal/graph"
 )
 
 // TestSessionSaveLoad round-trips a checkpoint and continues streaming on
@@ -81,39 +80,5 @@ func TestLoadSessionRejectsGarbage(t *testing.T) {
 	}
 	if _, err := tdgraph.LoadSession(nil, bytes.NewReader(nil), tdgraph.SessionOptions{}); err == nil {
 		t.Fatal("nil algorithm accepted")
-	}
-}
-
-// TestApplySnapshot drives a session from periodic full snapshots.
-func TestApplySnapshot(t *testing.T) {
-	edges, nv := sessionEdges()
-	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Build "the next feed snapshot": same graph with some churn.
-	b := graph.NewBuilderFromEdges(nv, edges)
-	b.Apply([]tdgraph.Update{
-		{Edge: tdgraph.Edge{Src: 5, Dst: 6, Weight: 1}},
-		{Edge: tdgraph.Edge{Src: edges[0].Src, Dst: edges[0].Dst}, Delete: true},
-	})
-	next := b.Snapshot()
-	res, err := s.ApplySnapshot(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Added == 0 && res.Deleted == 0 {
-		t.Fatalf("snapshot diff applied nothing: %+v", res)
-	}
-	if s.NumEdges() != next.NumEdges() {
-		t.Fatalf("session has %d edges, feed snapshot %d", s.NumEdges(), next.NumEdges())
-	}
-	got := append([]float64(nil), s.States()...)
-	s.Recompute()
-	for v := range got {
-		if got[v] != s.State(tdgraph.VertexID(v)) {
-			t.Fatalf("snapshot-driven state of %d diverged", v)
-		}
 	}
 }

@@ -145,13 +145,21 @@ type Session struct {
 // from its options; called from every constructor path.
 func (s *Session) initRobustness() {
 	s.rob = stats.NewCollector()
-	if s.opt.Validation != ValidationNone {
-		maxV := s.opt.MaxVertices
-		if maxV <= 0 {
-			maxV = s.eng.numVertices()
-		}
-		s.validator = stream.NewValidator(s.opt.Validation, maxV, s.rob)
+	s.validator = newValidator(s.opt, s.eng.numVertices(), s.rob)
+}
+
+// newValidator returns opt's ingestion validator over numVertices
+// vertices (MaxVertices when set), counting into rob; nil without a
+// validation policy.
+func newValidator(opt SessionOptions, numVertices int, rob *stats.Collector) *stream.Validator {
+	if opt.Validation == ValidationNone {
+		return nil
 	}
+	maxV := opt.MaxVertices
+	if maxV <= 0 {
+		maxV = numVertices
+	}
+	return stream.NewValidator(opt.Validation, maxV, rob)
 }
 
 // NewSession builds the initial graph from edges (nil for an empty graph
@@ -163,13 +171,8 @@ func NewSession(a Algorithm, edges []Edge, numVertices int, opt SessionOptions) 
 		return nil, fmt.Errorf("tdgraph: nil algorithm")
 	}
 	rob := stats.NewCollector()
-	var validator *stream.Validator
-	if opt.Validation != ValidationNone {
-		maxV := opt.MaxVertices
-		if maxV <= 0 {
-			maxV = numVertices
-		}
-		validator = stream.NewValidator(opt.Validation, maxV, rob)
+	validator := newValidator(opt, numVertices, rob)
+	if validator != nil {
 		asUpdates := make([]Update, len(edges))
 		for i, e := range edges {
 			asUpdates[i] = Update{Edge: e}
