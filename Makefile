@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc figures check bench bench-native clean
+.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc figures examples check bench bench-native clean
 
 all: check
 
@@ -134,7 +134,19 @@ figures:
 			diff -u internal/bench/testdata/figures/$$e.txt - || { echo "figures: $$e differs from its golden"; exit 1; }; \
 	done && echo "figures: $(words $(FIGURES)) experiments match their goldens"
 
-check: build vet vet-tdgraph race faults chaos bench-module
+# The four examples, run to completion: each checks its final states
+# against a full recomputation (CC and SSSP exactly, PageRank to the
+# accumulative 1e-4 tolerance) and exits nonzero on a mismatch, as
+# quickstart does on its own check and simulator run.
+EXAMPLES := quickstart roadnetwork socialnetwork pagerank-monitor
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || { echo "examples: $$e failed"; exit 1; }; \
+	done
+
+check: build vet vet-tdgraph race faults chaos bench-module examples
 
 # Paper-figure benchmark sweep (see bench_test.go for the cell list).
 bench:

@@ -35,7 +35,7 @@ func main() {
 		fmt.Printf("%-4s %-12s %10s %12s %6s %8s\n", "code", "stands for", "|V|", "|E|", "d", "avg deg")
 		for _, p := range gen.Presets() {
 			edges, nv := p.Generate(*scale)
-			st := graph.NewBuilderFromEdges(nv, edges).Snapshot().ComputeStats()
+			st := graph.NewStoreFromEdges(nv, edges).Seal().ComputeStats()
 			fmt.Printf("%-4s %-12s %10d %12d %6d %8.2f\n",
 				p.Name, p.FullName, st.Vertices, st.Edges, st.Diameter, st.AvgDegree)
 		}

@@ -106,8 +106,8 @@ func main() {
 		fatal(fmt.Errorf("unknown engine %q (sim|native)", *engName))
 	}
 
-	b := w.WarmupBuilder()
-	oldG := b.Snapshot()
+	st := graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
+	oldG := st.Seal()
 	fmt.Print("computing initial fixed point... ")
 	start := time.Now()
 	warm := algo.Reference(a, oldG)
@@ -118,8 +118,8 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("batch %d: %w", i+1, err))
 		}
-		res := b.Apply(batch)
-		c := &enginetest.Case{Algo: a, OldG: oldG, NewG: b.Snapshot(), Warm: warm, Res: res, Batch: batch}
+		res := st.Apply(batch)
+		c := &enginetest.Case{Algo: a, OldG: oldG, NewG: st.Seal(), Warm: warm, Res: res, Batch: batch}
 		cell, err := bench.Build(bench.Spec{Scheme: *scheme, Cores: *cores}, c)
 		if err != nil {
 			fatal(err)

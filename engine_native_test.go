@@ -46,7 +46,10 @@ func bitsIdentical(a, b []float64) int {
 // TestNativeEngineMatchesSim is the one place the two engines meet: a
 // Session must expose Float64bits-identical states and an identical
 // graph to the functional topology-driven engine — the paper's machine
-// without the simulator — fed the same stream over Builder snapshots.
+// without the simulator — fed the same stream over its own graph.Store's
+// sealed snapshots. The two stores share code, so the edge-list check
+// here pins the session's bookkeeping around its store; the store itself
+// is held to an independent graph by TestStoreMatchesBuilder.
 func TestNativeEngineMatchesSim(t *testing.T) {
 	edges, nv := sessionEdges()
 	for _, algName := range []string{"sssp", "cc"} {
@@ -93,7 +96,7 @@ func TestNativeEngineMatchesSim(t *testing.T) {
 			if m := nat.Metrics(); algName == "sssp" && (m == nil || m.Get(stats.CtrPropagationVisits) == 0) {
 				t.Fatal("native session reports no propagation counters")
 			}
-			// The sealed view must carry the same edges as the builder's
+			// The sealed view must carry the same edges as the runner's
 			// snapshot, sorted identically.
 			es, en := sim.G.EdgeList(), nat.Graph().EdgeList()
 			if len(es) != len(en) {

@@ -65,12 +65,12 @@ func main() {
 	// harness measures. The simulator sits below the public API: the
 	// engine repairs the converged states between the pre- and
 	// post-batch snapshots while the machine counts the cycles.
-	b := graph.NewBuilderFromEdges(10_000, edges)
-	oldG := b.Snapshot()
-	res = b.Apply(batch)
+	st := graph.NewStoreFromEdges(10_000, edges)
+	oldG := st.Seal()
+	res = st.Apply(batch)
 	m, col := sim.New(sim.ScaledConfig()), stats.NewCollector()
 	sssp := algo.NewSSSP(0)
-	rt := engine.NewRuntime(sssp, oldG, b.Snapshot(), algo.Reference(sssp, oldG), engine.Options{
+	rt := engine.NewRuntime(sssp, oldG, st.Seal(), algo.Reference(sssp, oldG), engine.Options{
 		Cores: 64, Collector: col, Machine: m,
 		Layout: engine.LayoutOptions{TDGraph: true, Alpha: 0.005},
 	})

@@ -1,13 +1,17 @@
 // Road-network re-routing: maintain shortest travel times from a depot
-// over a road network while congestion closes and reopens road segments,
-// using the real parallel (native) engines — this is the library's fast
-// path, the same code the paper's Fig 14 "real platform" comparison runs.
+// over a road network while congestion closes and reopens road segments.
+// A native.Session — the library's production apply path, the engine
+// behind tdgraph.Session — holds the graph.Store and the converged
+// routes and repairs them in place after every hour's batch on its
+// parallel worker pool. The final routes must equal a full
+// recomputation (exit 1 otherwise).
 //
 //	go run ./examples/roadnetwork
 package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 	"math/rand"
 	"time"
@@ -27,14 +31,14 @@ func main() {
 	roads := gen.WattsStrogatz(gen.WattsStrogatzConfig{
 		NumVertices: intersections, K: 2, Beta: 0.01, Seed: 3, MaxWeight: 30,
 	})
-	b := graph.NewBuilderFromEdges(intersections, roads)
-	oldG := b.Snapshot()
+	st := graph.NewStoreFromEdges(intersections, roads)
 
 	depot := graph.VertexID(0)
 	sssp := algo.NewSSSP(depot)
 	fmt.Print("computing initial routes from depot... ")
 	start := time.Now()
-	times := algo.Reference(sssp, oldG)
+	sess := native.NewSession(sssp, st, native.Config{})
+	times := sess.StatesCopy()
 	fmt.Printf("done in %s (%d reachable intersections)\n",
 		time.Since(start).Round(time.Millisecond), reachable(times))
 
@@ -42,8 +46,10 @@ func main() {
 	closed := []graph.Edge{}
 	for hour := 8; hour <= 12; hour++ {
 		var batch []graph.Update
-		// Congestion closes some segments...
-		snap := b.SnapshotWithoutCSC()
+		// Congestion closes some segments, picked from the sealed,
+		// sorted rows so the draws do not depend on the store's
+		// insertion order...
+		snap := st.Seal()
 		for i := 0; i < 200; i++ {
 			u := graph.VertexID(rng.Intn(intersections))
 			ns := snap.OutNeighbors(u)
@@ -63,24 +69,22 @@ func main() {
 		}
 		closed = closed[reopen:]
 
-		res := b.Apply(batch)
-		newG := b.Snapshot()
-
 		start = time.Now()
-		times = native.TopologyDriven(sssp, oldG, newG, times, res, native.Config{})
+		res := sess.ApplyBatch(batch)
 		elapsed := time.Since(start)
-		oldG = newG
+		times = sess.StatesInto(times)
 
 		fmt.Printf("%02d:00  closed %d, reopened %d segments → re-routed in %s (%d reachable, mean travel time %.1f)\n",
 			hour, res.Deleted, res.Added, elapsed.Round(time.Microsecond),
 			reachable(times), meanTime(times))
 	}
 
+	sess.Close()
+
 	// Spot check: the incremental result matches a fresh computation.
-	want := algo.Reference(sssp, oldG)
+	want := algo.Reference(sssp, st.Seal())
 	if i := algo.StatesEqual(times, want, 1e-9); i >= 0 {
-		fmt.Printf("WARNING: mismatch at intersection %d\n", i)
-		return
+		log.Fatalf("route mismatch at intersection %d: incremental %v, recomputed %v", i, times[i], want[i])
 	}
 	fmt.Println("final routes verified against full recomputation ✓")
 }

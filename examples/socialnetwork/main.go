@@ -1,6 +1,7 @@
 // Social-network community monitoring: track connected components of a
 // friendship graph as friendships form and dissolve, streaming batch by
-// batch, and report component merges and splits after every batch.
+// batch, and report component merges and splits after every batch; the
+// final labels must equal a full recomputation's (exit 1 otherwise).
 //
 // Friendships are symmetric, so each logical friendship becomes two
 // directed edges and the CC labels are weakly-connected components.
@@ -10,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
@@ -40,8 +42,8 @@ func main() {
 			})
 		}
 	}
-	b := graph.NewBuilderFromEdges(members, base)
-	oldG := b.Snapshot()
+	st := graph.NewStoreFromEdges(members, base)
+	oldG := st.Seal()
 
 	cc := algo.NewCC()
 	states := algo.Reference(cc, oldG)
@@ -64,7 +66,7 @@ func main() {
 				graph.Update{Edge: graph.Edge{Src: v, Dst: u, Weight: 1}},
 			)
 		}
-		snap := b.SnapshotWithoutCSC()
+		snap := st.Seal()
 		for i := 0; i < 100; i++ {
 			u := graph.VertexID(rng.Intn(members))
 			ns := snap.OutNeighbors(u)
@@ -78,8 +80,8 @@ func main() {
 			)
 		}
 
-		res := b.Apply(batch)
-		newG := b.Snapshot()
+		res := st.Apply(batch)
+		newG := st.Seal()
 
 		// Incremental component repair with the topology-driven engine
 		// (native mode: no architectural simulation, just the result).
@@ -92,6 +94,14 @@ func main() {
 		fmt.Printf("day %d: +%d -%d friendships → %d communities (largest %d members)\n",
 			day, res.Added, res.Deleted, countComponents(states), largestComponent(states))
 	}
+
+	// Component labels are exact minima, so the incremental result must
+	// equal a fresh computation on the final graph exactly.
+	want := algo.Reference(cc, oldG)
+	if i := algo.StatesEqual(states, want, 0); i >= 0 {
+		log.Fatalf("label mismatch at member %d: incremental %v, recomputed %v", i, states[i], want[i])
+	}
+	fmt.Println("final communities verified against full recomputation ✓")
 }
 
 // countComponents counts distinct labels.

@@ -13,11 +13,11 @@ import (
 // chain builds 0→1→2→3→4 with weight 2 each.
 func chain(t *testing.T) *graph.Snapshot {
 	t.Helper()
-	b := graph.NewBuilder(5)
+	st := graph.NewStore(5)
 	for v := 0; v < 4; v++ {
-		b.AddEdge(graph.VertexID(v), graph.VertexID(v+1), 2)
+		st.AddEdge(graph.VertexID(v), graph.VertexID(v+1), 2)
 	}
-	return b.Snapshot()
+	return st.Seal()
 }
 
 func TestSSSPOnChain(t *testing.T) {
@@ -31,9 +31,9 @@ func TestSSSPOnChain(t *testing.T) {
 }
 
 func TestSSSPUnreachable(t *testing.T) {
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 1, 1)
-	s := algo.Reference(algo.NewSSSP(0), b.Snapshot())
+	st := graph.NewStore(3)
+	st.AddEdge(0, 1, 1)
+	s := algo.Reference(algo.NewSSSP(0), st.Seal())
 	if !math.IsInf(s[2], 1) {
 		t.Fatalf("dist[2] = %v, want +inf", s[2])
 	}
@@ -41,11 +41,11 @@ func TestSSSPUnreachable(t *testing.T) {
 
 func TestCCOnComponents(t *testing.T) {
 	// Two symmetric components {0,1,2} and {3,4}.
-	b := graph.NewBuilder(5)
+	st := graph.NewStore(5)
 	for _, e := range [][2]graph.VertexID{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {3, 4}, {4, 3}} {
-		b.AddEdge(e[0], e[1], 1)
+		st.AddEdge(e[0], e[1], 1)
 	}
-	s := algo.Reference(algo.NewCC(), b.Snapshot())
+	s := algo.Reference(algo.NewCC(), st.Seal())
 	want := []float64{0, 0, 0, 3, 3}
 	for v := range want {
 		if s[v] != want[v] {
@@ -58,7 +58,7 @@ func TestCCOnComponents(t *testing.T) {
 // equation at every vertex.
 func TestPageRankFixpoint(t *testing.T) {
 	edges := gen.RMAT(gen.RMATConfig{NumVertices: 500, NumEdges: 2500, A: 0.57, B: 0.19, C: 0.19, Seed: 4, MaxWeight: 4})
-	g := graph.NewBuilderFromEdges(500, edges).Snapshot()
+	g := graph.NewStoreFromEdges(500, edges).Seal()
 	a := algo.NewPageRank()
 	s := algo.Reference(a, g)
 	for v := 0; v < g.NumVertices; v++ {
@@ -76,7 +76,7 @@ func TestPageRankFixpoint(t *testing.T) {
 // TestAdsorptionFixpoint verifies the weighted-share equation.
 func TestAdsorptionFixpoint(t *testing.T) {
 	edges := gen.RMAT(gen.RMATConfig{NumVertices: 300, NumEdges: 1500, A: 0.57, B: 0.19, C: 0.19, Seed: 5, MaxWeight: 8})
-	g := graph.NewBuilderFromEdges(300, edges).Snapshot()
+	g := graph.NewStoreFromEdges(300, edges).Seal()
 	a := algo.NewAdsorption(300, 5)
 	s := algo.Reference(a, g)
 	for v := 0; v < g.NumVertices; v++ {
@@ -99,7 +99,7 @@ func TestAdsorptionFixpoint(t *testing.T) {
 func TestMonotonicReferenceMatchesDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		edges := gen.ErdosRenyi(gen.ErdosRenyiConfig{NumVertices: 120, NumEdges: 600, Seed: seed, MaxWeight: 16})
-		g := graph.NewBuilderFromEdges(120, edges).Snapshot()
+		g := graph.NewStoreFromEdges(120, edges).Seal()
 		got := algo.Reference(algo.NewSSSP(0), g)
 		want := dijkstra(g, 0)
 		return algo.StatesEqual(got, want, 1e-9) < 0

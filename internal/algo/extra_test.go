@@ -20,12 +20,12 @@ func TestBFSOnChain(t *testing.T) {
 
 func TestSSWPBottleneck(t *testing.T) {
 	// Two routes 0→3: via 1 (capacities 10, 2) and via 2 (capacities 5, 5).
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1, 10)
-	b.AddEdge(1, 3, 2)
-	b.AddEdge(0, 2, 5)
-	b.AddEdge(2, 3, 5)
-	s := algo.Reference(algo.NewSSWP(0), b.Snapshot())
+	st := graph.NewStore(4)
+	st.AddEdge(0, 1, 10)
+	st.AddEdge(1, 3, 2)
+	st.AddEdge(0, 2, 5)
+	st.AddEdge(2, 3, 5)
+	s := algo.Reference(algo.NewSSWP(0), st.Seal())
 	if !math.IsInf(s[0], 1) {
 		t.Fatalf("root capacity = %v, want +inf", s[0])
 	}
@@ -38,9 +38,9 @@ func TestSSWPBottleneck(t *testing.T) {
 }
 
 func TestSSWPUnreachable(t *testing.T) {
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 1, 4)
-	s := algo.Reference(algo.NewSSWP(0), b.Snapshot())
+	st := graph.NewStore(3)
+	st.AddEdge(0, 1, 4)
+	s := algo.Reference(algo.NewSSWP(0), st.Seal())
 	if s[2] != 0 {
 		t.Fatalf("unreachable capacity = %v, want 0", s[2])
 	}

@@ -6,12 +6,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
-// makeBuilder wraps graph.NewBuilderFromEdges for the experiments that
-// only need snapshot statistics.
-func makeBuilder(nv int, edges []graph.Edge) *graph.Builder {
-	return graph.NewBuilderFromEdges(nv, edges)
-}
-
 // propagationOverlap implements the Fig 4(a) measurement: for every
 // vertex affected by the batch, compute the set of vertices its state
 // propagation would visit (the downstream reachable region on the new

@@ -156,15 +156,15 @@ func Prepare(s Spec) (*enginetest.Case, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := w.WarmupBuilder()
-	oldG := b.Snapshot()
+	st := graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
+	oldG := st.Seal()
 	a, err := enginetest.NewAlgorithm(s.Algo, nv, s.Seed)
 	if err != nil {
 		return nil, err
 	}
 	warm := algo.Reference(a, oldG)
-	res := b.Apply(batch)
-	c := &enginetest.Case{Algo: a, OldG: oldG, NewG: b.Snapshot(), Warm: warm, Res: res, Batch: batch}
+	res := st.Apply(batch)
+	c := &enginetest.Case{Algo: a, OldG: oldG, NewG: st.Seal(), Warm: warm, Res: res, Batch: batch}
 	prepCache[key] = c
 	return c, nil
 }
@@ -172,8 +172,8 @@ func Prepare(s Spec) (*enginetest.Case, error) {
 // Ingest is the one ingestion rule of the simulated runs: faults (a
 // fault.Parse spec over fault.BatchClasses, seeded by cfg.Seed) becomes
 // cfg.Mutate, and policy becomes the validator every batch passes
-// before the builder. Faults without a policy mean clamp, so injected
-// garbage never reaches the builder unchecked. The injector is nil
+// before the store. Faults without a policy mean clamp, so injected
+// garbage never reaches the store unchecked. The injector is nil
 // when faults is empty.
 func Ingest(cfg *stream.Config, faults, policy string, nv int, col *stats.Collector) (*fault.Injector, *stream.Validator, error) {
 	var inj *fault.Injector

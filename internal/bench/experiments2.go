@@ -7,6 +7,7 @@ import (
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/energy"
+	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/native"
 	"github.com/tdgraph/tdgraph/internal/sim"
@@ -42,10 +43,7 @@ func expTable2(w io.Writer, o Options) error {
 			return err
 		}
 		edges, nv := p.Generate(o.Scale)
-		// Build without CSC: stats only need forward adjacency plus the
-		// undirected diameter sweep, which uses CSC when present.
-		b := makeBuilder(nv, edges)
-		st := b.Snapshot().ComputeStats()
+		st := graph.NewStoreFromEdges(nv, edges).Seal().ComputeStats()
 		t.AddRow(name,
 			fmt.Sprint(st.Vertices), fmt.Sprint(st.Edges), fmt.Sprint(st.Diameter), f2(st.AvgDegree),
 			fmt.Sprint(p.PaperVertices), fmt.Sprint(p.PaperEdges), fmt.Sprint(p.PaperDiameter), f2(p.PaperAvgDegree))

@@ -30,8 +30,8 @@ type NativeRun struct {
 	IncNsPerUpdate float64 `json:"incremental_ns_per_update"`
 	IncAllocsPerOp float64 `json:"incremental_allocs_per_batch"`
 
-	// Rebuild arm: builder apply + full CSR/CSC snapshot + one-shot
-	// engine over the snapshot pair (the pre-Session production path).
+	// Rebuild arm: store apply + full CSR/CSC seal + one-shot engine
+	// over the snapshot pair (the pre-Session production path).
 	RebuildNsPerUpdate float64 `json:"rebuild_ns_per_update"`
 	RebuildAllocsPerOp float64 `json:"rebuild_allocs_per_batch"`
 
@@ -130,18 +130,18 @@ func RunNativeReport(o Options) (*NativeReport, error) {
 		incStates := sess.StatesCopy()
 		sess.Close()
 
-		// Rebuild arm: the old path — builder apply, full snapshot, and
-		// the one-shot native engine over the snapshot pair.
-		bld := graph.NewBuilderFromEdges(nv, edges)
-		oldG := bld.Snapshot()
+		// Rebuild arm: the old path — store apply, full seal, and the
+		// one-shot native engine over the snapshot pair.
+		st := graph.NewStoreFromEdges(nv, edges)
+		oldG := st.Seal()
 		warm := algo.Reference(mkAlgo(), oldG)
 		rebuildBatches := 6
 		runtime.ReadMemStats(&ms0)
 		start = time.Now()
 		for i := 0; i < rebuildBatches; i += 2 {
 			for _, batch := range [][]graph.Update{del, add} {
-				res := bld.Apply(batch)
-				newG := bld.Snapshot()
+				res := st.Apply(batch)
+				newG := st.Seal()
 				warm = native.TopologyDriven(mkAlgo(), oldG, newG, warm, res, cfg)
 				oldG = newG
 			}

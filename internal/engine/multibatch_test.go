@@ -28,16 +28,16 @@ func TestMultiBatchChaining(t *testing.T) {
 			w := stream.Build(edges, 3000, stream.Config{
 				WarmupFraction: 0.5, BatchSize: 400, AddFraction: 0.6, NumBatches: 4, Seed: 3,
 			})
-			b := w.WarmupBuilder()
-			oldG := b.Snapshot()
+			st := graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
+			oldG := st.Seal()
 			a, err := enginetest.NewAlgorithm(algoName, 3000, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			states := algo.Reference(a, oldG)
 			for i, batch := range w.Batches {
-				res := b.Apply(batch)
-				newG := b.Snapshot()
+				res := st.Apply(batch)
+				newG := st.Seal()
 				rt := engine.NewRuntime(a, oldG, newG, states, engine.Options{Cores: 4})
 				sys := engine.NewBaseline(engine.LigraO(), rt)
 				sys.Process(res)
@@ -58,27 +58,35 @@ func TestMultiBatchChaining(t *testing.T) {
 	}
 }
 
+// shapeCase is TestRandomBatchShapes' input: an 800-vertex ER warm-up
+// graph and a RandomBatch of 120 updates, addBias%120 of them adds.
+func shapeCase(seed int64, addBias uint8) (*graph.Store, []graph.Update) {
+	edges := gen.ErdosRenyi(gen.ErdosRenyiConfig{
+		NumVertices: 800, NumEdges: 4000, Seed: seed, MaxWeight: 8,
+	})
+	st := graph.NewStoreFromEdges(800, edges)
+	nAdd := int(addBias) % 120
+	return st, enginetest.RandomBatch(st, nAdd, 120-nAdd, seed+1)
+}
+
 // TestRandomBatchShapes is the main property test: arbitrary valid
 // batches (delete-only, duplicate-heavy, self-loop-free random adds) must
 // leave every engine at the oracle fixpoint. The pinned input is the one
 // a time-seeded run once drew: its batch adds 152→266 and then deletes
 // it, and ApplyResult used to keep the add (SSSP state 19 for a vertex
-// the oracle says is unreachable). The random draws are seeded from a
-// logged value, so any failure names the input to pin next.
+// the oracle says is unreachable). The test first checks the pinned seed
+// still draws that add and its delete, so a change to the draw order
+// cannot quietly turn the regression input into a harmless batch. The
+// random draws are seeded from a logged value, so any failure names the
+// input to pin next.
 func TestRandomBatchShapes(t *testing.T) {
 	f := func(seed int64, addBias uint8) bool {
-		edges := gen.ErdosRenyi(gen.ErdosRenyiConfig{
-			NumVertices: 800, NumEdges: 4000, Seed: seed, MaxWeight: 8,
-		})
-		b := graph.NewBuilderFromEdges(800, edges)
-		oldG := b.Snapshot()
+		st, batch := shapeCase(seed, addBias)
+		oldG := st.Seal()
 		a := algo.NewSSSP(0)
 		warm := algo.Reference(a, oldG)
-		nAdd := int(addBias) % 120
-		nDel := 120 - nAdd
-		batch := enginetest.RandomBatch(b, nAdd, nDel, seed+1)
-		res := b.Apply(batch)
-		newG := b.Snapshot()
+		res := st.Apply(batch)
+		newG := st.Seal()
 		rt := engine.NewRuntime(a, oldG, newG, warm, engine.Options{Cores: 4})
 		sys := engine.NewBaseline(engine.LigraO(), rt)
 		sys.Process(res)
@@ -89,7 +97,16 @@ func TestRandomBatchShapes(t *testing.T) {
 		}
 		return true
 	}
-	if !f(2035051588195250850, 0x40) {
+	const pinSeed, pinBias = 2035051588195250850, 0x40
+	_, pinned := shapeCase(pinSeed, pinBias)
+	pinnedEdge := func(i int, del bool) bool {
+		return i < len(pinned) && pinned[i].Delete == del &&
+			pinned[i].Edge.Src == 152 && pinned[i].Edge.Dst == 266
+	}
+	if !pinnedEdge(31, false) || !pinnedEdge(82, true) {
+		t.Fatal("pinned input no longer draws add 152→266 at index 31 and its delete at index 82")
+	}
+	if !f(pinSeed, pinBias) {
 		t.Fatal("pinned input (add 152→266 then delete it) diverged from the oracle")
 	}
 	seed := time.Now().UnixNano()
@@ -102,17 +119,17 @@ func TestRandomBatchShapes(t *testing.T) {
 // TestVertexGrowth: a batch referencing vertices beyond the old
 // snapshot's range must grow the graph and still converge correctly.
 func TestVertexGrowth(t *testing.T) {
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 1)
-	oldG := b.Snapshot()
+	st := graph.NewStore(4)
+	st.AddEdge(0, 1, 1)
+	st.AddEdge(1, 2, 1)
+	oldG := st.Seal()
 	a := algo.NewSSSP(0)
 	warm := algo.Reference(a, oldG)
-	res := b.Apply([]graph.Update{
+	res := st.Apply([]graph.Update{
 		{Edge: graph.Edge{Src: 2, Dst: 7, Weight: 3}}, // grows to 8 vertices
 		{Edge: graph.Edge{Src: 7, Dst: 5, Weight: 1}},
 	})
-	newG := b.Snapshot()
+	newG := st.Seal()
 	rt := engine.NewRuntime(a, oldG, newG, warm, engine.Options{Cores: 2})
 	sys := engine.NewBaseline(engine.LigraO(), rt)
 	sys.Process(res)
@@ -201,14 +218,14 @@ func TestStreamScenarios(t *testing.T) {
 func ExampleBaseline() {
 	// Build a tiny graph, stream one update, and print the repaired
 	// shortest path.
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 1, 5)
-	b.AddEdge(1, 2, 5)
-	oldG := b.Snapshot()
+	st := graph.NewStore(3)
+	st.AddEdge(0, 1, 5)
+	st.AddEdge(1, 2, 5)
+	oldG := st.Seal()
 	a := algo.NewSSSP(0)
 	warm := algo.Reference(a, oldG)
-	res := b.Apply([]graph.Update{{Edge: graph.Edge{Src: 0, Dst: 2, Weight: 3}}})
-	newG := b.Snapshot()
+	res := st.Apply([]graph.Update{{Edge: graph.Edge{Src: 0, Dst: 2, Weight: 3}}})
+	newG := st.Seal()
 	rt := engine.NewRuntime(a, oldG, newG, warm, engine.Options{})
 	engine.NewBaseline(engine.LigraO(), rt).Process(res)
 	fmt.Println(rt.S[2])

@@ -19,19 +19,19 @@ import (
 // in-neighbour list, so a naive value-match makes parent[2] = 1 and
 // parent[1] = 2 — mutual support. Deleting 5→2 must re-label {1,2} to 1.
 func TestEqualValueCycleDeletion(t *testing.T) {
-	b := graph.NewBuilder(6)
-	b.AddEdge(0, 5, 1)
-	b.AddEdge(5, 2, 1)
-	b.AddEdge(1, 2, 1)
-	b.AddEdge(2, 1, 1)
-	oldG := b.Snapshot()
+	st := graph.NewStore(6)
+	st.AddEdge(0, 5, 1)
+	st.AddEdge(5, 2, 1)
+	st.AddEdge(1, 2, 1)
+	st.AddEdge(2, 1, 1)
+	oldG := st.Seal()
 	cc := algo.NewCC()
 	warm := algo.Reference(cc, oldG)
 	if warm[1] != 0 || warm[2] != 0 {
 		t.Fatalf("warm labels wrong: %v", warm)
 	}
-	res := b.Apply([]graph.Update{{Edge: graph.Edge{Src: 5, Dst: 2}, Delete: true}})
-	newG := b.Snapshot()
+	res := st.Apply([]graph.Update{{Edge: graph.Edge{Src: 5, Dst: 2}, Delete: true}})
+	newG := st.Seal()
 	rt := engine.NewRuntime(cc, oldG, newG, warm, engine.Options{Cores: 2})
 	sys := engine.NewBaseline(engine.LigraO(), rt)
 	sys.Process(res)
@@ -47,16 +47,16 @@ func TestEqualValueCycleDeletion(t *testing.T) {
 // TestEqualValueCycleDeletionSSWP is the same trap for max-selection:
 // equal bottleneck capacities around a cycle.
 func TestEqualValueCycleDeletionSSWP(t *testing.T) {
-	b := graph.NewBuilder(6)
-	b.AddEdge(0, 5, 8)
-	b.AddEdge(5, 2, 8)
-	b.AddEdge(1, 2, 8)
-	b.AddEdge(2, 1, 8)
-	oldG := b.Snapshot()
+	st := graph.NewStore(6)
+	st.AddEdge(0, 5, 8)
+	st.AddEdge(5, 2, 8)
+	st.AddEdge(1, 2, 8)
+	st.AddEdge(2, 1, 8)
+	oldG := st.Seal()
 	a := algo.NewSSWP(0)
 	warm := algo.Reference(a, oldG)
-	res := b.Apply([]graph.Update{{Edge: graph.Edge{Src: 5, Dst: 2}, Delete: true}})
-	newG := b.Snapshot()
+	res := st.Apply([]graph.Update{{Edge: graph.Edge{Src: 5, Dst: 2}, Delete: true}})
+	newG := st.Seal()
 	rt := engine.NewRuntime(a, oldG, newG, warm, engine.Options{Cores: 2})
 	sys := engine.NewBaseline(engine.LigraO(), rt)
 	sys.Process(res)

@@ -100,15 +100,15 @@ func Make(algoName string, cfg Config) (*Case, error) {
 	if len(w.Batches) == 0 {
 		return nil, fmt.Errorf("enginetest: workload produced no batches")
 	}
-	b := w.WarmupBuilder()
-	oldG := b.Snapshot()
+	st := graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
+	oldG := st.Seal()
 	a, err := NewAlgorithm(algoName, cfg.Vertices, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	warm := algo.Reference(a, oldG)
-	res := b.Apply(w.Batches[0])
-	newG := b.Snapshot()
+	res := st.Apply(w.Batches[0])
+	newG := st.Seal()
 	return &Case{Algo: a, OldG: oldG, NewG: newG, Warm: warm, Res: res, Batch: w.Batches[0]}, nil
 }
 
@@ -139,16 +139,16 @@ func (c *Case) Verify(sys engine.System) error {
 	return nil
 }
 
-// Runner streams batches through graph.Builder snapshots and a
-// functional engine without the simulator: after each batch G is the
-// rebuilt snapshot and S the repaired states. It starts no goroutines,
-// so suites that count the native engine's workers can run it.
+// Runner streams batches through a graph.Store and a functional engine
+// without the simulator: after each batch G is the store's sealed
+// snapshot and S the repaired states. It starts no goroutines, so
+// suites that count the native engine's workers can run it.
 type Runner struct {
 	Algo algo.Algorithm
 	G    *graph.Snapshot
 	S    []float64
 
-	b      *graph.Builder
+	st     *graph.Store
 	system func(*engine.Runtime) engine.System
 }
 
@@ -161,29 +161,31 @@ func Baseline(rt *engine.Runtime) engine.System { return engine.NewBaseline(engi
 // NewRunner converges a from scratch on the warm-up edges over nv
 // vertices; system repairs every later batch.
 func NewRunner(a algo.Algorithm, warmup []graph.Edge, nv int, system func(*engine.Runtime) engine.System) *Runner {
-	b := graph.NewBuilderFromEdges(nv, warmup)
-	g := b.Snapshot()
-	return &Runner{Algo: a, G: g, S: algo.Reference(a, g), b: b, system: system}
+	st := graph.NewStoreFromEdges(nv, warmup)
+	g := st.Seal()
+	return &Runner{Algo: a, G: g, S: algo.Reference(a, g), st: st, system: system}
 }
 
-// Apply applies one batch and repairs the states incrementally.
+// Apply applies one batch and repairs the states incrementally. The
+// result's slices are the store's and are reused by the next Apply.
 func (r *Runner) Apply(batch []graph.Update) graph.ApplyResult {
-	res := r.b.Apply(batch)
-	newG := r.b.Snapshot()
+	res := r.st.Apply(batch)
+	newG := r.st.Seal()
 	rt := engine.NewRuntime(r.Algo, r.G, newG, r.S, engine.Options{Cores: 8})
 	r.system(rt).Process(res)
 	r.G, r.S = newG, rt.S
 	return res
 }
 
-// RandomBatch builds an arbitrary valid batch against builder state b:
-// nAdd random new edges and nDel deletions of existing edges. Used by
-// property tests that want batch shapes the stream builder never emits
-// (e.g. delete-only, duplicate-heavy).
-func RandomBatch(b *graph.Builder, nAdd, nDel int, seed int64) []graph.Update {
+// RandomBatch builds an arbitrary valid batch against store st: nAdd
+// random new edges and nDel deletions of existing edges, drawn from
+// st's sorted rows. It does not mutate st. Used by property tests that
+// want batch shapes the stream builder never emits (e.g. delete-only,
+// duplicate-heavy).
+func RandomBatch(st *graph.Store, nAdd, nDel int, seed int64) []graph.Update {
 	rng := rand.New(rand.NewSource(seed))
 	var batch []graph.Update
-	n := b.NumVertices()
+	n := st.NumVertices()
 	for i := 0; i < nAdd; i++ {
 		src := graph.VertexID(rng.Intn(n))
 		dst := graph.VertexID(rng.Intn(n))
@@ -193,15 +195,9 @@ func RandomBatch(b *graph.Builder, nAdd, nDel int, seed int64) []graph.Update {
 		batch = append(batch, graph.Update{Edge: graph.Edge{Src: src, Dst: dst, Weight: float32(1 + rng.Intn(16))}})
 	}
 	// Deletions: sample random existing edges by walking random sources.
+	snap := st.Seal()
 	for i := 0; i < nDel; i++ {
 		src := graph.VertexID(rng.Intn(n))
-		deg := b.OutDegree(src)
-		if deg == 0 {
-			continue
-		}
-		// Materialise via snapshot-free probing: pick a random dst by
-		// scanning — acceptable at test scale.
-		snap := b.SnapshotWithoutCSC()
 		ns := snap.OutNeighbors(src)
 		if len(ns) == 0 {
 			continue

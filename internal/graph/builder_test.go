@@ -5,9 +5,11 @@ import (
 	"sort"
 )
 
-// Builder is the mutable adjacency structure that graph updates are applied
-// to. The software layer (§3.2.1) applies each arriving batch here and then
-// materialises an immutable Snapshot for the engines to process.
+// Builder is the Store's test oracle: a plainly written sorted-adjacency
+// graph with the same Apply contract (§3.2.1), independent of the
+// Store's tiers, hash tables and swap-removes. TestStoreMatchesBuilder
+// and FuzzStoreMatchesBuilder hold the Store to it, result for result
+// and snapshot for snapshot.
 //
 // Neighbour lists are kept sorted by destination ID so that edge insertion
 // and deletion are O(log d + d) and snapshots come out with sorted CSR rows.
@@ -121,36 +123,6 @@ func (b *Builder) HasEdge(src, dst VertexID) bool {
 // OutDegree returns the current out-degree of v.
 func (b *Builder) OutDegree(v VertexID) int { return len(b.adj[v].dsts) }
 
-// Update is one streaming graph update: an edge addition or deletion.
-type Update struct {
-	Edge   Edge
-	Delete bool
-}
-
-// ApplyResult reports what a batch application actually changed and which
-// vertices the engines must treat as affected (§2.1): destination vertices
-// of added and deleted edges. An addition of an edge that already exists
-// with a different weight is a weight update: it is recorded as a deletion
-// of the old edge plus an addition of the new one, so the incremental
-// repair sees the change.
-type ApplyResult struct {
-	Added, Deleted int
-	WeightChanged  int
-	Skipped        int // adds of identical edges / deletes of missing edges
-	// Affected lists the distinct destination vertices of effective
-	// updates, in first-touch order.
-	Affected []VertexID
-	// AddedEdges / DeletedEdges are the effective (non-skipped) updates,
-	// needed by the incremental engines' per-edge repair steps. Every
-	// AddedEdges entry is present in the post-batch graph at the listed
-	// weight — an add that a later update of the same batch deleted or
-	// re-weighted is dropped, or the monotonic repair would relax along
-	// an edge that no longer exists. DeletedEdges may keep entries a
-	// later add restored: those only over-tag.
-	AddedEdges   []Edge
-	DeletedEdges []Edge
-}
-
 // Apply applies a batch of updates in order and returns what changed.
 func (b *Builder) Apply(batch []Update) ApplyResult {
 	var res ApplyResult
@@ -209,20 +181,9 @@ func (b *Builder) Apply(batch []Update) ApplyResult {
 	return res
 }
 
-// Snapshot materialises the current graph as an immutable CSR (+CSC)
+// Snapshot materialises the current graph as an immutable CSR+CSC
 // snapshot.
 func (b *Builder) Snapshot() *Snapshot {
-	return b.snapshot(true)
-}
-
-// SnapshotWithoutCSC materialises only the CSR side; engines that never
-// walk in-edges (pure accumulative additions) can use it to halve the
-// footprint.
-func (b *Builder) SnapshotWithoutCSC() *Snapshot {
-	return b.snapshot(false)
-}
-
-func (b *Builder) snapshot(withCSC bool) *Snapshot {
 	s := &Snapshot{
 		NumVertices: b.numVertices,
 		Offsets:     make([]uint64, b.numVertices+1),
@@ -235,37 +196,6 @@ func (b *Builder) snapshot(withCSC bool) *Snapshot {
 		s.Weights = append(s.Weights, b.adj[v].weights...)
 	}
 	s.Offsets[b.numVertices] = uint64(len(s.Neighbors))
-	if withCSC {
-		buildCSC(s)
-	}
+	buildCSC(s)
 	return s
-}
-
-// buildCSC fills the snapshot's incoming-edge mirror by counting sort over
-// destination IDs, preserving per-destination source order (sorted, since
-// sources are visited in increasing order).
-func buildCSC(s *Snapshot) {
-	n := s.NumVertices
-	counts := make([]uint64, n+1)
-	for _, d := range s.Neighbors {
-		counts[d+1]++
-	}
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
-	}
-	s.InOffsets = make([]uint64, n+1)
-	copy(s.InOffsets, counts)
-	s.InNeighbors = make([]VertexID, len(s.Neighbors))
-	s.InWeights = make([]float32, len(s.Neighbors))
-	cursor := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		base := s.Offsets[v]
-		ns := s.OutNeighbors(VertexID(v))
-		for i, d := range ns {
-			pos := s.InOffsets[d] + cursor[d]
-			cursor[d]++
-			s.InNeighbors[pos] = VertexID(v)
-			s.InWeights[pos] = s.Weights[base+uint64(i)]
-		}
-	}
 }

@@ -27,8 +27,7 @@ func TestRMATShape(t *testing.T) {
 	if len(edges) < 35000 {
 		t.Fatalf("RMAT produced only %d edges", len(edges))
 	}
-	b := graph.NewBuilderFromEdges(4096, edges)
-	s := b.Snapshot()
+	s := graph.NewStoreFromEdges(4096, edges).Seal()
 	st := s.ComputeStats()
 	// Power-law skew: the max degree should dwarf the average.
 	if float64(st.MaxDegree) < 10*st.AvgDegree {

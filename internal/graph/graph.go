@@ -1,5 +1,5 @@
 // Package graph provides the streaming-graph substrate: immutable CSR/CSC
-// snapshots, a mutable builder that applies batched edge updates, dataset
+// snapshots, the mutable Store that applies batched edge updates, dataset
 // statistics, chunk partitioning for many-core processing, and a SNAP
 // edge-list loader. Everything downstream (software engines, the TDGraph
 // model, the accelerator baselines) operates on Snapshot.
@@ -35,7 +35,8 @@ type Snapshot struct {
 	Neighbors   []VertexID
 	Weights     []float32
 
-	// CSC mirror (incoming edges). Present unless built WithoutCSC.
+	// CSC mirror (incoming edges). Store.Seal and ReadBinary always
+	// build it; a snapshot assembled by hand may leave it nil.
 	InOffsets   []uint64
 	InNeighbors []VertexID
 	InWeights   []float32
@@ -75,9 +76,8 @@ func (s *Snapshot) InWeightsOf(v VertexID) []float32 {
 	return s.InWeights[s.InOffsets[v]:s.InOffsets[v+1]]
 }
 
-// HasEdge reports whether the edge src→dst exists, by binary search when
-// the adjacency list is sorted (builders always sort) and linear scan
-// otherwise.
+// HasEdge reports whether the edge src→dst exists, by binary search over
+// the sorted adjacency list (Seal and ReadBinary emit sorted rows).
 func (s *Snapshot) HasEdge(src, dst VertexID) bool {
 	ns := s.OutNeighbors(src)
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= dst })

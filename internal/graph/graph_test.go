@@ -11,18 +11,18 @@ import (
 
 func buildSample(t *testing.T) *graph.Snapshot {
 	t.Helper()
-	b := graph.NewBuilder(6)
+	st := graph.NewStore(6)
 	edges := []graph.Edge{
 		{Src: 0, Dst: 1, Weight: 2}, {Src: 0, Dst: 2, Weight: 1},
 		{Src: 1, Dst: 3, Weight: 4}, {Src: 2, Dst: 3, Weight: 1},
 		{Src: 3, Dst: 4, Weight: 5}, {Src: 4, Dst: 5, Weight: 1},
 	}
 	for _, e := range edges {
-		if !b.AddEdge(e.Src, e.Dst, e.Weight) {
+		if !st.AddEdge(e.Src, e.Dst, e.Weight) {
 			t.Fatalf("AddEdge(%v) reported duplicate", e)
 		}
 	}
-	return b.Snapshot()
+	return st.Seal()
 }
 
 func TestSnapshotBasics(t *testing.T) {
@@ -71,10 +71,10 @@ func TestBuilderAddDelete(t *testing.T) {
 }
 
 func TestApplyResult(t *testing.T) {
-	b := graph.NewBuilder(5)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 1)
-	res := b.Apply([]graph.Update{
+	st := graph.NewStore(5)
+	st.AddEdge(0, 1, 1)
+	st.AddEdge(1, 2, 1)
+	res := st.Apply([]graph.Update{
 		{Edge: graph.Edge{Src: 2, Dst: 3, Weight: 1}},    // add
 		{Edge: graph.Edge{Src: 0, Dst: 1}, Delete: true}, // delete
 		{Edge: graph.Edge{Src: 0, Dst: 1}, Delete: true}, // skipped
@@ -103,13 +103,13 @@ func TestCSRCSCDuality(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(60)
-		b := graph.NewBuilder(n)
+		st := graph.NewStore(n)
 		for i := 0; i < 3*n; i++ {
 			src := graph.VertexID(rng.Intn(n))
 			dst := graph.VertexID(rng.Intn(n))
-			b.AddEdge(src, dst, float32(1+rng.Intn(9)))
+			st.AddEdge(src, dst, float32(1+rng.Intn(9)))
 		}
-		s := b.Snapshot()
+		s := st.Seal()
 		if err := s.Validate(); err != nil {
 			t.Log(err)
 			return false
@@ -147,26 +147,26 @@ func TestApplyDeleteInverse(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(40)
-		b := graph.NewBuilder(n)
+		st := graph.NewStore(n)
 		for i := 0; i < 2*n; i++ {
-			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), 1)
+			st.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), 1)
 		}
-		before := b.Snapshot().EdgeList()
+		before := st.Seal().EdgeList()
 		var batch []graph.Update
 		for i := 0; i < n; i++ {
 			src := graph.VertexID(rng.Intn(n))
 			dst := graph.VertexID(rng.Intn(n))
-			if !b.HasEdge(src, dst) {
+			if !st.HasEdge(src, dst) {
 				batch = append(batch, graph.Update{Edge: graph.Edge{Src: src, Dst: dst, Weight: 7}})
 			}
 		}
-		b.Apply(batch)
+		st.Apply(batch)
 		var undo []graph.Update
 		for _, u := range batch {
 			undo = append(undo, graph.Update{Edge: u.Edge, Delete: true})
 		}
-		b.Apply(undo)
-		after := b.Snapshot().EdgeList()
+		st.Apply(undo)
+		after := st.Seal().EdgeList()
 		if len(before) != len(after) {
 			return false
 		}

@@ -28,7 +28,7 @@ func FuzzLoadSNAP(f *testing.F) {
 		}
 		// Anything accepted must build into a valid snapshot and
 		// survive a binary round trip.
-		s := graph.NewBuilderFromEdges(n, edges).Snapshot()
+		s := graph.NewStoreFromEdges(n, edges).Seal()
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted input built invalid snapshot: %v", err)
 		}

@@ -39,11 +39,11 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(50)
-		b := graph.NewBuilder(n)
+		st := graph.NewStore(n)
 		for i := 0; i < 3*n; i++ {
-			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), float32(rng.Intn(9)))
+			st.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), float32(rng.Intn(9)))
 		}
-		s := b.Snapshot()
+		s := st.Seal()
 		var buf bytes.Buffer
 		if err := s.WriteBinary(&buf); err != nil {
 			return false

@@ -8,8 +8,10 @@ import (
 
 // Store is the mutable production graph representation: a GraphTango-style
 // hybrid adjacency that makes single-edge insert/delete/reweight O(degree)
-// instead of the O(|E|) CSR rebuild the Builder/Snapshot pair pays per
-// batch.
+// instead of the O(|E|) rebuild a sorted CSR pays per batch. It is the
+// one mutable graph: Session, every cluster member and the simulator
+// harness apply batches here, and Seal hands the engines that want the
+// paper's arrays an immutable Snapshot.
 //
 // Layout: a compact vertex table per direction (out-edges and an in-edge
 // mirror, required by the monotonic deletion re-gather). Every vertex
@@ -548,8 +550,8 @@ func NewStore(numVertices int) *Store {
 // NewStoreFromEdges builds the initial graph from an edge list over
 // numVertices vertices or, if an edge names a larger ID, enough to cover
 // it. The result is the store an AddEdge per edge in order would leave —
-// a repeated edge keeps its first position and its last weight, the same
-// contract as NewBuilderFromEdges — built a direction at a time: the
+// a repeated edge keeps its first position and its last weight, as in
+// the test-side Builder oracle — built a direction at a time: the
 // edges are grouped into rows by source (then by destination) with a
 // stable counting sort, and each row goes straight into its final tier.
 func NewStoreFromEdges(numVertices int, edges []Edge) *Store {
@@ -818,10 +820,11 @@ func (st *Store) InEdges(dst VertexID, r int) ([]VertexID, []float32) {
 	return st.in.run(dst, r)
 }
 
-// Apply applies a batch of updates in order and returns what changed,
-// with exactly the Builder.Apply semantics: a re-add with a different
-// weight is recorded as delete(old)+add(new), Affected lists distinct
-// destination vertices of effective updates in first-touch order.
+// Apply applies a batch of updates in order and returns what changed
+// (the ApplyResult contract, which the test-side Builder oracle also
+// implements): a re-add with a different weight is recorded as
+// delete(old)+add(new), Affected lists distinct destination vertices of
+// effective updates in first-touch order.
 //
 // The returned result's slices are owned by the store and reused by the
 // next Apply — callers that retain them across batches must copy. This

@@ -102,14 +102,14 @@ func BenchmarkSessionApplySingleUpdate(b *testing.B) {
 }
 
 // BenchmarkCSRRebuildSingleUpdate measures the path the session replaces:
-// apply the same single update to a Builder and materialise the full
-// CSR+CSC snapshot (the per-batch cost of the immutable representation).
+// apply the same single update to a store and seal the full CSR+CSC
+// snapshot (the per-batch cost of the immutable representation).
 func BenchmarkCSRRebuildSingleUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const nv = 4096
-	bld := graph.NewBuilder(nv)
+	st := graph.NewStore(nv)
 	for i := 0; i < 1<<15; i++ {
-		bld.AddEdge(graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv)), float32(1+rng.Intn(16)))
+		st.AddEdge(graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv)), float32(1+rng.Intn(16)))
 	}
 	e := graph.Edge{Src: nv / 3, Dst: nv / 2, Weight: 3}
 	add := []graph.Update{{Edge: e}}
@@ -118,10 +118,10 @@ func BenchmarkCSRRebuildSingleUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i&1 == 0 {
-			bld.Apply(del)
+			st.Apply(del)
 		} else {
-			bld.Apply(add)
+			st.Apply(add)
 		}
-		_ = bld.Snapshot()
+		_ = st.Seal()
 	}
 }

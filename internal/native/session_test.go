@@ -60,20 +60,20 @@ func TestSessionMatchesReference(t *testing.T) {
 			mono := a.(algo.MonotonicAlgo)
 			init := randomStream(rng, 600, nv)
 			st := graph.NewStore(nv)
-			b := graph.NewBuilder(nv)
+			ref := graph.NewStore(nv)
 			for _, u := range init {
 				if !u.Delete {
 					st.AddEdge(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
-					b.AddEdge(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
+					ref.AddEdge(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
 				}
 			}
 			s := NewSession(mono, st, Config{Workers: workers})
-			bitsEqual(t, name+"/bootstrap", s.StatesCopy(), algo.Reference(a, b.Snapshot()))
+			bitsEqual(t, name+"/bootstrap", s.StatesCopy(), algo.Reference(a, ref.Seal()))
 			for batch := 0; batch < 25; batch++ {
 				ups := randomStream(rng, 1+rng.Intn(40), nv)
-				b.Apply(ups)
+				ref.Apply(ups)
 				s.ApplyBatch(ups)
-				want := algo.Reference(a, b.Snapshot())
+				want := algo.Reference(a, ref.Seal())
 				bitsEqual(t, name, s.StatesCopy(), want)
 			}
 			s.Close()
@@ -84,7 +84,8 @@ func TestSessionMatchesReference(t *testing.T) {
 // TestSessionFaultMutatedStream pushes batches through the fault
 // injector's mutators (duplicates, self-loops, reordering, out-of-range
 // IDs that grow the vertex set) and checks the session still agrees with
-// a rebuild-from-scratch reference on both the edge set and the states.
+// a second store fed the same stream, on both the edge set and the
+// from-scratch reference states.
 func TestSessionFaultMutatedStream(t *testing.T) {
 	for _, seed := range []int64{3, 17, 51} {
 		inj := fault.New(seed)
@@ -96,13 +97,13 @@ func TestSessionFaultMutatedStream(t *testing.T) {
 		const nv = 120
 		a := algo.NewSSSP(0)
 		st := graph.NewStore(nv)
-		b := graph.NewBuilder(nv)
+		ref := graph.NewStore(nv)
 		s := NewSession(a, st, Config{Workers: 2})
 		for batch := 0; batch < 20; batch++ {
 			ups := inj.MutateBatch(randomStream(rng, 1+rng.Intn(30), nv), nv)
-			b.Apply(ups)
+			ref.Apply(ups)
 			s.ApplyBatch(ups)
-			snap := b.Snapshot()
+			snap := ref.Seal()
 			if !reflect.DeepEqual(st.EdgeList(), snap.EdgeList()) {
 				t.Fatalf("seed %d batch %d: edge sets diverge", seed, batch)
 			}
@@ -118,7 +119,7 @@ func TestSessionDeleteHeavy(t *testing.T) {
 	const nv = 64
 	a := algo.NewSSSP(0)
 	st := graph.NewStore(nv)
-	b := graph.NewBuilder(nv)
+	ref := graph.NewStore(nv)
 	s := NewSession(a, st, Config{Workers: 2})
 	defer s.Close()
 	// Chain 0→1→…→63 plus shortcuts.
@@ -129,15 +130,15 @@ func TestSessionDeleteHeavy(t *testing.T) {
 	for i := 0; i < nv; i += 7 {
 		ups = append(ups, graph.Update{Edge: graph.Edge{Src: 0, Dst: graph.VertexID(i), Weight: 20}})
 	}
-	b.Apply(ups)
+	ref.Apply(ups)
 	s.ApplyBatch(ups)
-	bitsEqual(t, "chain", s.StatesCopy(), algo.Reference(a, b.Snapshot()))
+	bitsEqual(t, "chain", s.StatesCopy(), algo.Reference(a, ref.Seal()))
 	// Tear the chain apart one link at a time.
 	for i := 0; i < nv-1; i += 2 {
 		del := []graph.Update{{Edge: graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}, Delete: true}}
-		b.Apply(del)
+		ref.Apply(del)
 		s.ApplyBatch(del)
-		bitsEqual(t, "teardown", s.StatesCopy(), algo.Reference(a, b.Snapshot()))
+		bitsEqual(t, "teardown", s.StatesCopy(), algo.Reference(a, ref.Seal()))
 	}
 	if m := s.Metrics(); m.Get(stats.CtrResets) == 0 {
 		t.Fatal("delete-heavy stream never exercised the reset path")
@@ -152,17 +153,17 @@ func TestSessionFromStateRestore(t *testing.T) {
 	const nv = 150
 	a := algo.NewSSWP(0)
 	st := graph.NewStore(nv)
-	b := graph.NewBuilder(nv)
+	ref := graph.NewStore(nv)
 	s := NewSession(a, st, Config{Workers: 2})
 	for batch := 0; batch < 10; batch++ {
 		ups := randomStream(rng, 30, nv)
-		b.Apply(ups)
+		ref.Apply(ups)
 		s.ApplyBatch(ups)
 	}
 	saved := s.StatesCopy()
 	s.Close()
 
-	st2 := graph.NewStoreFromEdges(st.NumVertices(), b.Snapshot().EdgeList())
+	st2 := graph.NewStoreFromEdges(st.NumVertices(), ref.Seal().EdgeList())
 	s2, err := NewSessionFromState(a, st2, saved, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +172,9 @@ func TestSessionFromStateRestore(t *testing.T) {
 	bitsEqual(t, "restored", s2.StatesCopy(), saved)
 	for batch := 0; batch < 10; batch++ {
 		ups := randomStream(rng, 30, nv)
-		b.Apply(ups)
+		ref.Apply(ups)
 		s2.ApplyBatch(ups)
-		bitsEqual(t, "post-restore", s2.StatesCopy(), algo.Reference(a, b.Snapshot()))
+		bitsEqual(t, "post-restore", s2.StatesCopy(), algo.Reference(a, ref.Seal()))
 	}
 
 	if _, err := NewSessionFromState(a, st2, saved[:3], Config{}); err == nil {
@@ -186,19 +187,19 @@ func TestSessionFromStateRestore(t *testing.T) {
 func TestSessionGrowth(t *testing.T) {
 	a := algo.NewCC()
 	st := graph.NewStore(2)
-	b := graph.NewBuilder(2)
+	ref := graph.NewStore(2)
 	s := NewSession(a, st, Config{Workers: 1})
 	defer s.Close()
 	ups := []graph.Update{
 		{Edge: graph.Edge{Src: 0, Dst: 9, Weight: 1}},
 		{Edge: graph.Edge{Src: 9, Dst: 5, Weight: 1}},
 	}
-	b.Apply(ups)
+	ref.Apply(ups)
 	s.ApplyBatch(ups)
 	if s.NumVertices() != 10 {
 		t.Fatalf("session has %d vertices, want 10", s.NumVertices())
 	}
-	bitsEqual(t, "growth", s.StatesCopy(), algo.Reference(a, b.Snapshot()))
+	bitsEqual(t, "growth", s.StatesCopy(), algo.Reference(a, ref.Seal()))
 }
 
 // TestSessionTagsVictimOnce: one batch deletes 1's parent edge 0→1 and
@@ -208,7 +209,7 @@ func TestSessionGrowth(t *testing.T) {
 func TestSessionTagsVictimOnce(t *testing.T) {
 	a := algo.NewSSSP(0)
 	base := []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}, {Src: 2, Dst: 3, Weight: 1}, {Src: 0, Dst: 2, Weight: 5}}
-	st, b := graph.NewStoreFromEdges(4, base), graph.NewBuilderFromEdges(4, base)
+	st, ref := graph.NewStoreFromEdges(4, base), graph.NewStoreFromEdges(4, base)
 	s := NewSession(a, st, Config{Workers: 2})
 	defer s.Close()
 	ups := []graph.Update{
@@ -217,11 +218,11 @@ func TestSessionTagsVictimOnce(t *testing.T) {
 		{Edge: graph.Edge{Src: 2, Dst: 3}, Delete: true},
 		{Edge: graph.Edge{Src: 2, Dst: 3, Weight: 1}},
 	}
-	b.Apply(ups)
+	ref.Apply(ups)
 	if res := s.ApplyBatch(ups); len(res.DeletedEdges) != 3 {
 		t.Fatalf("batch deleted %v; want 0→1 and 2→3 twice", res.DeletedEdges)
 	}
-	bitsEqual(t, "tag once", s.StatesCopy(), algo.Reference(a, b.Snapshot()))
+	bitsEqual(t, "tag once", s.StatesCopy(), algo.Reference(a, ref.Seal()))
 	if m := s.Metrics(); m.Get(stats.CtrTagPropagations) != 3 || m.Get(stats.CtrResets) != 3 {
 		t.Fatalf("%d tags and %d resets; want 3 each, one per distinct victim",
 			m.Get(stats.CtrTagPropagations), m.Get(stats.CtrResets))

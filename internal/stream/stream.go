@@ -126,9 +126,3 @@ func Build(edges []graph.Edge, numVertices int, cfg Config) *Workload {
 	}
 	return w
 }
-
-// WarmupBuilder returns a Builder loaded with the warmup edges, ready for
-// the initial fixed-point computation.
-func (w *Workload) WarmupBuilder() *graph.Builder {
-	return graph.NewBuilderFromEdges(w.NumVertices, w.Warmup)
-}

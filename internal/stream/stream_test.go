@@ -46,17 +46,17 @@ func TestBuildComposition(t *testing.T) {
 }
 
 // TestBuildDeletesAreLive: every deletion in a constructed workload must
-// refer to an edge that is live at the time it is applied, so builders
-// never skip (property over seeds).
+// refer to an edge that is live at the time it is applied, so the store
+// never skips (property over seeds).
 func TestBuildDeletesAreLive(t *testing.T) {
 	f := func(seed int64) bool {
 		edges := sampleEdges(seed)
 		w := stream.Build(edges, 500, stream.Config{
 			WarmupFraction: 0.5, BatchSize: 150, AddFraction: 0.4, NumBatches: 3, Seed: seed,
 		})
-		b := w.WarmupBuilder()
+		st := graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
 		for _, batch := range w.Batches {
-			res := b.Apply(batch)
+			res := st.Apply(batch)
 			if res.Skipped != 0 {
 				return false
 			}

@@ -78,15 +78,14 @@ func (e *ValidationError) Error() string {
 
 func (e *ValidationError) Unwrap() error { return ErrMalformedUpdate }
 
-// Validator screens update batches before they reach the graph builder.
-// It is the ingestion half of the robustness layer: the builder panics on
-// out-of-range IDs and float32 NaN/Inf silently poisons vertex states, so
-// nothing malformed may pass.
+// Validator screens update batches before they reach the graph store.
+// It is the ingestion half of the robustness layer: the store grows its
+// vertex set to any ID an update names and float32 NaN/Inf silently
+// poisons vertex states, so nothing malformed may pass.
 type Validator struct {
 	Policy Policy
 	// MaxVertices bounds valid endpoint IDs: [0, MaxVertices). Also
-	// guards the builder's one-at-a-time vertex growth against huge
-	// injected IDs.
+	// guards the store's vertex growth against huge injected IDs.
 	MaxVertices int
 	// C receives the per-class counters; nil disables counting.
 	C *stats.Collector

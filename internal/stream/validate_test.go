@@ -199,7 +199,7 @@ func TestSanitizeEmptyBatch(t *testing.T) {
 }
 
 func TestSanitizeAllDuplicateBatch(t *testing.T) {
-	// Duplicates are structurally valid (the builder turns repeat adds
+	// Duplicates are structurally valid (the store turns repeat adds
 	// into Skipped); validation must pass them through untouched.
 	v := NewValidator(PolicyQuarantine, 10, nil)
 	dup := upd(1, 2, 3)
@@ -208,11 +208,10 @@ func TestSanitizeAllDuplicateBatch(t *testing.T) {
 	if err != nil || len(out) != 4 {
 		t.Fatalf("all-duplicate batch gave %v, %v", out, err)
 	}
-	// And the builder absorbs them: one Added, rest Skipped, no panic.
-	b := graph.NewBuilder(10)
-	res := b.Apply(out)
+	// And the store absorbs them: one Added, rest Skipped, no panic.
+	res := graph.NewStore(10).Apply(out)
 	if res.Added != 1 || res.Skipped != 3 {
-		t.Fatalf("builder on duplicates: %+v", res)
+		t.Fatalf("store on duplicates: %+v", res)
 	}
 }
 

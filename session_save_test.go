@@ -23,10 +23,13 @@ import (
 
 // TestCheckpointBytesEngineIndependent: the Session streams the graph
 // block straight from its mutable store, and the file must be the one
-// the paper's functional engine would have written from its Builder
+// the paper's functional engine would have written from its sealed
 // snapshot — after every batch, the graph payload is byte-identical to
 // the enginetest.Runner's Snapshot.WriteBinary and the state payload
-// holds the Runner's states bit for bit.
+// holds the Runner's states bit for bit. The Runner keeps its graph in a
+// graph.Store too, so the graph check pins the session's streamed block
+// against a second store's sealed one; TestStoreMatchesBuilder holds the
+// store itself to an independent graph.
 func TestCheckpointBytesEngineIndependent(t *testing.T) {
 	edges, nv := sessionEdges()
 	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), edges, nv, tdgraph.SessionOptions{Cores: 2})
@@ -52,7 +55,7 @@ func TestCheckpointBytesEngineIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(file[g.Payload:g.CRC], want.Bytes()) {
-			t.Fatalf("after %d batches the graph block (%d bytes) differs from the builder snapshot's (%d bytes)", i, g.CRC-g.Payload, want.Len())
+			t.Fatalf("after %d batches the graph block (%d bytes) differs from the runner snapshot's (%d bytes)", i, g.CRC-g.Payload, want.Len())
 		}
 		states := make([]float64, (st.CRC-st.Payload-8)/8)
 		for v := range states {
