@@ -34,8 +34,12 @@ type nativeBackend struct {
 // newNativeBackend builds the backend over st with the given worker
 // count (8 when not positive). A nil warm bootstraps the fixpoint from
 // scratch; non-nil states (a restored checkpoint) are kept verbatim and
-// must be converged for st's graph.
-func newNativeBackend(a algo.Algorithm, st *graph.Store, warm []float64, workers int) (*nativeBackend, error) {
+// must be converged for st's graph. st may still be loading its in-edge
+// mirror (graph.StartStoreFromEdges): the monotonic bootstrap reads only
+// out-edges and so runs alongside that load, and loaded, the load's
+// wait, is called before st is used otherwise and before returning.
+func newNativeBackend(a algo.Algorithm, st *graph.Store, loaded func(), warm []float64, workers int) (*nativeBackend, error) {
+	defer loaded()
 	if workers <= 0 {
 		workers = 8
 	}
@@ -52,6 +56,7 @@ func newNativeBackend(a algo.Algorithm, st *graph.Store, warm []float64, workers
 			nb.mono = s
 		}
 	case algo.AccumulativeAlgo:
+		loaded() // the out-only contract covers the monotonic bootstrap alone
 		nb.acc = alg
 		if warm == nil {
 			nb.state = algo.Reference(a, nb.snapshot())

@@ -8,9 +8,11 @@
 package tdgraph_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	tdgraph "github.com/tdgraph/tdgraph"
@@ -19,6 +21,7 @@ import (
 	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/native"
+	"github.com/tdgraph/tdgraph/internal/stream"
 )
 
 // benchScale keeps each simulated cell small enough for bench sweeps.
@@ -360,5 +363,55 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		if err := ck.SaveWithMeta(s, meta); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// coldStart is the 1/16-scale g-big warm-up that internal/graph's
+// BenchmarkNewStoreFromEdges loads: 16,384 vertices and half of a
+// 131,072-edge R-MAT graph.
+var coldStart = sync.OnceValue(func() *stream.Workload {
+	const nv, ne = 16_384, 131_072
+	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: ne, A: 0.57, B: 0.19, C: 0.19, Seed: 1, MaxWeight: 64})
+	return stream.Build(edges, nv, stream.Config{WarmupFraction: 0.5, BatchSize: 512, AddFraction: 0.5, NumBatches: 128, Seed: 1})
+})
+
+// BenchmarkNewSession is a member's cold start: one op builds the store
+// from coldStart's warm-up and bootstraps SSSP on it.
+func BenchmarkNewSession(b *testing.B) {
+	w := coldStart()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, tdgraph.SessionOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
+// BenchmarkLoadSession is a checkpoint restore of BenchmarkNewSession's
+// session: one op decodes the checkpoint from memory, loads the store
+// and replays the fixpoint for the parent forest.
+func BenchmarkLoadSession(b *testing.B) {
+	w := coldStart()
+	s, err := tdgraph.NewSession(tdgraph.NewSSSP(0), w.Warmup, w.NumVertices, tdgraph.SessionOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	err = s.Save(&ckpt)
+	s.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := tdgraph.LoadSession(tdgraph.NewSSSP(0), bytes.NewReader(ckpt.Bytes()), tdgraph.SessionOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
 	}
 }

@@ -3,6 +3,7 @@ package tdgraph_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
+	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/stats"
+	"github.com/tdgraph/tdgraph/internal/stream"
 )
 
 // randomBatch builds a deterministic mixed add/delete batch over nv
@@ -211,4 +214,79 @@ func TestNativeEngineCloseIdempotent(t *testing.T) {
 	}
 	s.Close()
 	s.Close()
+}
+
+// TestColdStartMatchesReference holds both cold starts — NewSession and
+// a Save → LoadSession round trip — to algo.Reference, before and after
+// a deletion-bearing stream, on an R-MAT graph with hubs past the linear
+// tier in both directions and repeated warm-up edges. The store's
+// in-edge mirror loads on its own goroutine while the monotonic
+// bootstrap runs, so under -race this is the check that the bootstrap
+// reads no in-edge before the join.
+func TestColdStartMatchesReference(t *testing.T) {
+	const nv = 8192
+	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 65_536, A: 0.57, B: 0.19, C: 0.19, Seed: 7, MaxWeight: 16})
+	w := stream.Build(edges, nv, stream.Config{WarmupFraction: 0.75, BatchSize: 512, AddFraction: 0.5, NumBatches: 6, Seed: 7})
+	warm := append([]tdgraph.Edge(nil), w.Warmup...)
+	for i := 0; i < len(w.Warmup); i += 5 {
+		e := w.Warmup[i]
+		e.Weight++
+		warm = append(warm, e) // the later weight wins
+	}
+	for _, mk := range []func() tdgraph.Algorithm{
+		func() tdgraph.Algorithm { return tdgraph.NewSSSP(0) },
+		func() tdgraph.Algorithm { return tdgraph.NewCC() },
+		// NewPageRank's Eps of 1e-7 lets the truncated deltas into this
+		// graph's top hub sum past 1e-4 under some schedules (parallel
+		// delta rounds); 1e-9 keeps them two orders below it.
+		func() tdgraph.Algorithm { return &algo.PageRank{Damp: 0.85, Eps: 1e-9} },
+	} {
+		a := mk()
+		t.Run(a.Name(), func(t *testing.T) {
+			check := func(how string, s *tdgraph.Session) {
+				t.Helper()
+				got, want := s.States(), algo.Reference(mk(), s.Graph())
+				mismatch := bitsIdentical(got, want)
+				if _, ok := a.(algo.AccumulativeAlgo); ok {
+					mismatch = algo.StatesEqual(got, want, 1e-4)
+				}
+				if mismatch >= 0 {
+					t.Fatalf("%s: vertex %d of %d is %v, the reference %v", how, mismatch, len(want), got[mismatch], want[mismatch])
+				}
+			}
+			fresh, err := tdgraph.NewSession(a, warm, nv, tdgraph.SessionOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			g, maxOut, maxIn := fresh.Graph(), 0, 0
+			for v := range tdgraph.VertexID(nv) {
+				maxOut, maxIn = max(maxOut, len(g.OutNeighbors(v))), max(maxIn, len(g.InNeighborsOf(v)))
+			}
+			if g.NumEdges() != len(w.Warmup) || maxOut <= 64 || maxIn <= 64 {
+				t.Fatalf("warm-up: %d edges (want %d), max degree out %d / in %d: the repeats did not fold or no hub passed the linear tier",
+					g.NumEdges(), len(w.Warmup), maxOut, maxIn)
+			}
+			check("NewSession", fresh)
+			var ckpt bytes.Buffer
+			if err := fresh.Save(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := tdgraph.LoadSession(mk(), &ckpt, tdgraph.SessionOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			check("LoadSession", loaded)
+			for i, batch := range w.Batches {
+				for _, s := range []*tdgraph.Session{fresh, loaded} {
+					if _, err := s.ApplyBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(fmt.Sprintf("NewSession, batch %d", i), fresh)
+				check(fmt.Sprintf("LoadSession, batch %d", i), loaded)
+			}
+		})
+	}
 }

@@ -551,34 +551,40 @@ func NewStore(numVertices int) *Store {
 // numVertices vertices or, if an edge names a larger ID, enough to cover
 // it. The result is the store an AddEdge per edge in order would leave —
 // a repeated edge keeps its first position and its last weight, as in
-// the test-side Builder oracle — built a direction at a time: the
-// edges are grouped into rows by source (then by destination) with a
-// stable counting sort, and each row goes straight into its final tier.
+// the test-side Builder oracle — built a direction at a time, the two
+// directions on two goroutines (StartStoreFromEdges): each groups the
+// edges into rows, by source or by destination, with a stable counting
+// sort in its own scratch, and places each row straight into its final
+// tier.
 func NewStoreFromEdges(numVertices int, edges []Edge) *Store {
+	st, wait := StartStoreFromEdges(numVertices, edges)
+	wait()
+	return st
+}
+
+// StartStoreFromEdges is NewStoreFromEdges returning as soon as the
+// out-edges are placed, with a wait that returns once the in-edge
+// mirror, loading on a goroutine of its own, is placed too. Until wait
+// has returned only NumVertices, OutDegree and OutEdges may be called;
+// wait may be called more than once.
+func StartStoreFromEdges(numVertices int, edges []Edge) (*Store, func()) {
 	n := numVertices
 	for _, e := range edges {
 		n = max(n, int(e.Src)+1, int(e.Dst)+1)
 	}
-	st := NewStore(n)
 	if len(edges) == 0 {
-		return st
+		return NewStore(n), func() {}
 	}
-	ld := rowLoader{mark: st.touch}
-	off := make([]uint32, n+1)
-	nbr, wgt := make([]VertexID, len(edges)), make([]float32, len(edges))
-	for _, in := range [2]bool{false, true} {
-		a := &st.out
-		if in {
-			a = &st.in
-		}
+	return startStore(n, func(a *adjacency, in bool, ld *rowLoader) int {
+		off := make([]uint32, n+1)
+		nbr, wgt := make([]VertexID, len(edges)), make([]float32, len(edges))
 		groupRows(edges, in, off, nbr, wgt)
+		m := 0
 		for v := range n {
-			if d := ld.load(a, VertexID(v), nbr[off[v]:off[v+1]], wgt[off[v]:off[v+1]]); !in {
-				st.numEdges += d
-			}
+			m += ld.load(a, VertexID(v), nbr[off[v]:off[v+1]], wgt[off[v]:off[v+1]])
 		}
-	}
-	return st
+		return m
+	})
 }
 
 // NewStoreFromSnapshot loads an immutable snapshot into a fresh store
@@ -587,18 +593,50 @@ func NewStoreFromEdges(numVertices int, edges []Edge) *Store {
 // result is the store an AddEdge per CSR edge in row order would leave,
 // given the mirror buildCSC makes — the only one a snapshot gets.
 func NewStoreFromSnapshot(s *Snapshot) *Store {
-	if s.InOffsets == nil {
-		withCSC := *s
-		buildCSC(&withCSC)
-		s = &withCSC
-	}
-	st := NewStore(s.NumVertices)
-	ld := rowLoader{mark: st.touch}
-	for v := range VertexID(s.NumVertices) {
-		st.numEdges += ld.load(&st.out, v, s.OutNeighbors(v), s.OutWeights(v))
-		ld.load(&st.in, v, s.InNeighborsOf(v), s.InWeightsOf(v))
-	}
+	st, wait := StartStoreFromSnapshot(s)
+	wait()
 	return st
+}
+
+// StartStoreFromSnapshot is NewStoreFromSnapshot with
+// StartStoreFromEdges's split: it returns once the out-edges are placed,
+// and its wait joins the in-edge mirror's load (and the CSC build when s
+// has none). s must not change until wait has returned.
+func StartStoreFromSnapshot(s *Snapshot) (*Store, func()) {
+	return startStore(s.NumVertices, func(a *adjacency, in bool, ld *rowLoader) int {
+		nbr, wgt := s.OutNeighbors, s.OutWeights
+		if in {
+			g := s
+			if g.InOffsets == nil {
+				withCSC := *g
+				buildCSC(&withCSC)
+				g = &withCSC
+			}
+			nbr, wgt = g.InNeighborsOf, g.InWeightsOf
+		}
+		m := 0
+		for v := range VertexID(s.NumVertices) {
+			m += ld.load(a, v, nbr(v), wgt(v))
+		}
+		return m
+	})
+}
+
+// startStore is the one bulk loader: load fills one empty direction a
+// of a new store over n vertices, the out-edges or with in the in-edge
+// mirror, and returns its edge count. The mirror is loaded on a new
+// goroutine with a mark array of its own while the caller loads the
+// out-edges with the store's touch array; the two directions share no
+// word. The returned wait joins the mirror.
+func startStore(n int, load func(a *adjacency, in bool, ld *rowLoader) int) (*Store, func()) {
+	st := NewStore(n)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		load(&st.in, true, &rowLoader{mark: make([]uint8, n)})
+	}()
+	st.numEdges = load(&st.out, false, &rowLoader{mark: st.touch})
+	return st, func() { <-done }
 }
 
 // groupRows lays edges out as one row per vertex, row v being
@@ -633,8 +671,9 @@ func groupRows(edges []Edge, in bool, off []uint32, nbr []VertexID, wgt []float3
 
 // rowLoader places whole rows into an empty direction of a new store.
 type rowLoader struct {
-	// mark flags the neighbours of the row being loaded. It is the
-	// store's touch array, all zero until the first Apply and left so.
+	// mark flags the neighbours of the row being loaded, all zero
+	// between rows: the out-edge loader uses the store's touch array,
+	// all zero until the first Apply, the in-edge loader its own.
 	mark []uint8
 	// A row with repeats is rebuilt here, pos mapping a neighbour to its
 	// position.

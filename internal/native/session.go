@@ -144,7 +144,10 @@ func (s *Session) Close() {
 // algo.ReferenceWithParents, off the Store instead of a Snapshot). When
 // keep is non-nil those states are installed verbatim instead of the
 // replayed values — for a converged checkpoint the two are bit-identical,
-// but the checkpoint bytes are authoritative.
+// but the checkpoint bytes are authoritative. It reads the store through
+// NumVertices, OutDegree and OutEdges only, so NewSession and
+// NewSessionFromState may run on a store whose in-edge mirror is still
+// loading (graph.StartStoreFromEdges); keep it that way.
 func (s *Session) bootstrap(keep []float64) {
 	n := s.store.NumVertices()
 	s.growTo(n)

@@ -290,7 +290,8 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 	for i := range state {
 		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(spayload[8+8*i:]))
 	}
-	eng, err := newNativeBackend(a, graph.NewStoreFromSnapshot(snap), state, opt.Cores)
+	st, loaded := graph.StartStoreFromSnapshot(snap)
+	eng, err := newNativeBackend(a, st, loaded, state, opt.Cores)
 	if err != nil {
 		return nil, nil, err
 	}

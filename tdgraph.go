@@ -188,7 +188,8 @@ func NewSession(a Algorithm, edges []Edge, numVertices int, opt SessionOptions) 
 			}
 		}
 	}
-	eng, err := newNativeBackend(a, graph.NewStoreFromEdges(numVertices, edges), nil, opt.Cores)
+	st, loaded := graph.StartStoreFromEdges(numVertices, edges)
+	eng, err := newNativeBackend(a, st, loaded, nil, opt.Cores)
 	if err != nil {
 		return nil, err
 	}
