@@ -34,11 +34,12 @@ type nativeBackend struct {
 // newNativeBackend builds the backend over st with the given worker
 // count (8 when not positive). A nil warm bootstraps the fixpoint from
 // scratch; non-nil states (a restored checkpoint) are kept verbatim and
-// must be converged for st's graph. st may still be loading its in-edge
-// mirror (graph.StartStoreFromEdges): the monotonic bootstrap reads only
-// out-edges and so runs alongside that load, and loaded, the load's
-// wait, is called before st is used otherwise and before returning.
-func newNativeBackend(a algo.Algorithm, st *graph.Store, loaded func(), warm []float64, workers int) (*nativeBackend, error) {
+// must be converged for st's graph. st may still be loading
+// (graph.StartStoreFromEdges or StartStoreFromSnapshot): the monotonic
+// bootstrap reads no store, only rows, st's out-edges from that loader,
+// and so runs while both directions are placed. loaded, the load's
+// wait, is called before st is read and before returning.
+func newNativeBackend(a algo.Algorithm, st *graph.Store, rows *graph.Rows, loaded func(), warm []float64, workers int) (*nativeBackend, error) {
 	defer loaded()
 	if workers <= 0 {
 		workers = 8
@@ -46,17 +47,13 @@ func newNativeBackend(a algo.Algorithm, st *graph.Store, loaded func(), warm []f
 	nb := &nativeBackend{a: a, cfg: native.Config{Workers: workers}, store: st}
 	switch alg := a.(type) {
 	case algo.MonotonicAlgo:
-		if warm == nil {
-			nb.mono = native.NewSession(alg, st, nb.cfg)
-		} else {
-			s, err := native.NewSessionFromState(alg, st, warm, nb.cfg)
-			if err != nil {
-				return nil, err
-			}
-			nb.mono = s
+		s, err := native.NewSessionFromRows(alg, st, rows, warm, nb.cfg)
+		if err != nil {
+			return nil, err
 		}
+		nb.mono = s
 	case algo.AccumulativeAlgo:
-		loaded() // the out-only contract covers the monotonic bootstrap alone
+		loaded() // only the monotonic bootstrap runs on rows alone
 		nb.acc = alg
 		if warm == nil {
 			nb.state = algo.Reference(a, nb.snapshot())

@@ -219,10 +219,10 @@ func TestNativeEngineCloseIdempotent(t *testing.T) {
 // TestColdStartMatchesReference holds both cold starts — NewSession and
 // a Save → LoadSession round trip — to algo.Reference, before and after
 // a deletion-bearing stream, on an R-MAT graph with hubs past the linear
-// tier in both directions and repeated warm-up edges. The store's
-// in-edge mirror loads on its own goroutine while the monotonic
-// bootstrap runs, so under -race this is the check that the bootstrap
-// reads no in-edge before the join.
+// tier in both directions and repeated warm-up edges. Both of the
+// store's directions are placed on a loader goroutine while the
+// monotonic bootstrap runs over the loader's rows, so under -race this
+// is the check that the bootstrap reads no store before the join.
 func TestColdStartMatchesReference(t *testing.T) {
 	const nv = 8192
 	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 65_536, A: 0.57, B: 0.19, C: 0.19, Seed: 7, MaxWeight: 16})

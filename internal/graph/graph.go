@@ -36,7 +36,8 @@ type Snapshot struct {
 	Weights     []float32
 
 	// CSC mirror (incoming edges). Store.Seal and ReadBinary always
-	// build it; a snapshot assembled by hand may leave it nil.
+	// build it; ReadBinaryCSR and a snapshot assembled by hand may leave
+	// it nil.
 	InOffsets   []uint64
 	InNeighbors []VertexID
 	InWeights   []float32

@@ -160,9 +160,22 @@ func (st *Store) WriteBinary(w io.Writer) error {
 }
 
 // ReadBinary deserialises a snapshot written by WriteBinary and rebuilds
-// the CSC mirror. b must be exactly one encoded graph: the header has to
-// account for every byte before anything is allocated from it.
+// the CSC mirror: ReadBinaryCSR, then the mirror.
 func ReadBinary(b []byte) (*Snapshot, error) {
+	s, err := ReadBinaryCSR(b)
+	if err != nil {
+		return nil, err
+	}
+	buildCSC(s)
+	return s, nil
+}
+
+// ReadBinaryCSR deserialises a snapshot written by WriteBinary without
+// its CSC mirror, for a caller that builds the mirror off its critical
+// path (StartStoreFromSnapshot does, on its loader goroutine). b must
+// be exactly one encoded graph: the header has to account for every
+// byte before anything is allocated from it.
+func ReadBinaryCSR(b []byte) (*Snapshot, error) {
 	if len(b) < binaryHeaderSize || binary.LittleEndian.Uint32(b) != snapshotMagic {
 		return nil, fmt.Errorf("graph: %d bytes without the snapshot magic %#x", len(b), uint32(snapshotMagic))
 	}
@@ -188,6 +201,5 @@ func ReadBinary(b []byte) (*Snapshot, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	buildCSC(s)
 	return s, nil
 }

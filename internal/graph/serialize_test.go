@@ -3,6 +3,7 @@ package graph_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,34 @@ func TestBinaryRoundTrip(t *testing.T) {
 	// CSC rebuilt.
 	if got.InOffsets == nil {
 		t.Fatal("CSC not rebuilt on load")
+	}
+}
+
+// TestReadBinaryCSR holds the restore path's decode to ReadBinary's
+// without the mirror: the same CSR, no CSC.
+func TestReadBinaryCSR(t *testing.T) {
+	s := buildSample(t)
+	var buf bytes.Buffer
+	if err := s.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := graph.ReadBinary(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := graph.ReadBinaryCSR(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.InOffsets != nil || got.InNeighbors != nil || got.InWeights != nil {
+		t.Fatal("ReadBinaryCSR built a CSC")
+	}
+	if got.NumVertices != want.NumVertices || !slices.Equal(got.Offsets, want.Offsets) ||
+		!slices.Equal(got.Neighbors, want.Neighbors) || !slices.Equal(got.Weights, want.Weights) {
+		t.Fatal("ReadBinaryCSR's CSR differs from ReadBinary's")
+	}
+	if _, err := graph.ReadBinaryCSR(buf.Bytes()[:buf.Len()-1]); err == nil {
+		t.Fatal("ReadBinaryCSR accepted a truncated graph")
 	}
 }
 

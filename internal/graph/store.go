@@ -551,39 +551,31 @@ func NewStore(numVertices int) *Store {
 // numVertices vertices or, if an edge names a larger ID, enough to cover
 // it. The result is the store an AddEdge per edge in order would leave —
 // a repeated edge keeps its first position and its last weight, as in
-// the test-side Builder oracle — built a direction at a time, the two
-// directions on two goroutines (StartStoreFromEdges): each groups the
-// edges into rows, by source or by destination, with a stable counting
-// sort in its own scratch, and places each row straight into its final
-// tier.
+// the test-side Builder oracle — built a direction at a time, the
+// in-edge mirror on a goroutine of its own (StartStoreFromEdges): each
+// direction groups the edges into rows, by source or by destination,
+// with a stable counting sort in its own scratch, folds the repeats, and
+// places each row straight into its final tier.
 func NewStoreFromEdges(numVertices int, edges []Edge) *Store {
-	st, wait := StartStoreFromEdges(numVertices, edges)
+	st, _, wait := StartStoreFromEdges(numVertices, edges)
 	wait()
 	return st
 }
 
 // StartStoreFromEdges is NewStoreFromEdges returning as soon as the
-// out-edges are placed, with a wait that returns once the in-edge
-// mirror, loading on a goroutine of its own, is placed too. Until wait
-// has returned only NumVertices, OutDegree and OutEdges may be called;
+// out-rows are grouped and their repeats folded, with those rows — the
+// store's out-edges, each row in the store's iteration order — and a
+// wait that returns once both directions, placed on a goroutine of
+// their own, are loaded. Until wait has returned the store must not be
+// read at all; the rows are read-only and the store never aliases them.
 // wait may be called more than once.
-func StartStoreFromEdges(numVertices int, edges []Edge) (*Store, func()) {
+func StartStoreFromEdges(numVertices int, edges []Edge) (*Store, *Rows, func()) {
 	n := numVertices
 	for _, e := range edges {
 		n = max(n, int(e.Src)+1, int(e.Dst)+1)
 	}
-	if len(edges) == 0 {
-		return NewStore(n), func() {}
-	}
-	return startStore(n, func(a *adjacency, in bool, ld *rowLoader) int {
-		off := make([]uint32, n+1)
-		nbr, wgt := make([]VertexID, len(edges)), make([]float32, len(edges))
-		groupRows(edges, in, off, nbr, wgt)
-		m := 0
-		for v := range n {
-			m += ld.load(a, VertexID(v), nbr[off[v]:off[v+1]], wgt[off[v]:off[v+1]])
-		}
-		return m
+	return startStore(n, func(in bool, mark []uint8) *Rows {
+		return groupRows(edges, in, n).clean(true, mark)
 	})
 }
 
@@ -593,59 +585,109 @@ func StartStoreFromEdges(numVertices int, edges []Edge) (*Store, func()) {
 // result is the store an AddEdge per CSR edge in row order would leave,
 // given the mirror buildCSC makes — the only one a snapshot gets.
 func NewStoreFromSnapshot(s *Snapshot) *Store {
-	st, wait := StartStoreFromSnapshot(s)
+	st, _, wait := StartStoreFromSnapshot(s)
 	wait()
 	return st
 }
 
 // StartStoreFromSnapshot is NewStoreFromSnapshot with
-// StartStoreFromEdges's split: it returns once the out-edges are placed,
-// and its wait joins the in-edge mirror's load (and the CSC build when s
-// has none). s must not change until wait has returned.
-func StartStoreFromSnapshot(s *Snapshot) (*Store, func()) {
-	return startStore(s.NumVertices, func(a *adjacency, in bool, ld *rowLoader) int {
-		nbr, wgt := s.OutNeighbors, s.OutWeights
-		if in {
-			g := s
-			if g.InOffsets == nil {
-				withCSC := *g
-				buildCSC(&withCSC)
-				g = &withCSC
-			}
-			nbr, wgt = g.InNeighborsOf, g.InWeightsOf
+// StartStoreFromEdges's split. The rows it returns are s's own CSR — a
+// copy only when a row repeats a neighbour, which no store writes — and
+// the CSC is built on the loader goroutine when s has none. s must
+// not change until wait has returned.
+func StartStoreFromSnapshot(s *Snapshot) (*Store, *Rows, func()) {
+	return startStore(s.NumVertices, func(in bool, mark []uint8) *Rows {
+		if !in {
+			return (&Rows{s.Offsets, s.Neighbors, s.Weights}).clean(false, mark)
 		}
-		m := 0
-		for v := range VertexID(s.NumVertices) {
-			m += ld.load(a, v, nbr(v), wgt(v))
+		if s.InOffsets != nil {
+			return (&Rows{s.InOffsets, s.InNeighbors, s.InWeights}).clean(false, mark)
 		}
-		return m
+		withCSC := *s
+		buildCSC(&withCSC)
+		return (&Rows{withCSC.InOffsets, withCSC.InNeighbors, withCSC.InWeights}).clean(true, mark)
 	})
 }
 
-// startStore is the one bulk loader: load fills one empty direction a
-// of a new store over n vertices, the out-edges or with in the in-edge
-// mirror, and returns its edge count. The mirror is loaded on a new
-// goroutine with a mark array of its own while the caller loads the
-// out-edges with the store's touch array; the two directions share no
-// word. The returned wait joins the mirror.
-func startStore(n int, load func(a *adjacency, in bool, ld *rowLoader) int) (*Store, func()) {
+// startStore is the one bulk loader of a new store over n vertices.
+// rows gives one direction's rows without repeats — the out-edges, or
+// with in the in-edge mirror — marking neighbours in mark, n zero bytes
+// it leaves zero. The out-rows are made on the caller's goroutine, with
+// the store's touch array (all zero until the first Apply), and
+// returned; a loader goroutine makes the mirror's rows with marks of its
+// own, places them, then places the out-rows. One loader rather than
+// one per direction leaves the caller, who runs the bootstrap fixpoint
+// meanwhile, a core of its own on a two-core host. The returned wait
+// joins the loader.
+func startStore(n int, rows func(in bool, mark []uint8) *Rows) (*Store, *Rows, func()) {
 	st := NewStore(n)
-	done := make(chan struct{})
+	var out *Rows
+	made, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		load(&st.in, true, &rowLoader{mark: make([]uint8, n)})
+		st.in.load(rows(true, make([]uint8, n)))
+		<-made
+		st.numEdges = st.out.load(out)
 	}()
-	st.numEdges = load(&st.out, false, &rowLoader{mark: st.touch})
-	return st, func() { <-done }
+	out = rows(false, st.touch)
+	close(made)
+	return st, out, func() { <-done }
 }
 
-// groupRows lays edges out as one row per vertex, row v being
-// nbr[off[v]:off[v+1]] with parallel weights: keyed by source, holding
-// destinations, or with in the other way round, each row in input order
-// (a stable counting sort). off has one word per vertex and one more,
-// nbr and wgt one per edge.
-func groupRows(edges []Edge, in bool, off []uint32, nbr []VertexID, wgt []float32) {
-	clear(off)
+// load places r's rows, which hold no repeats, into the empty direction
+// a, and returns their edge count.
+func (a *adjacency) load(r *Rows) int {
+	for v := range VertexID(r.NumVertices()) {
+		ns, ws := r.Row(v)
+		a.place(v, ns, ws)
+	}
+	return len(r.Neighbors)
+}
+
+// Rows is one direction of a graph as a read-only CSR: row v is
+// Neighbors[Offsets[v]:Offsets[v+1]], with parallel weights. Unlike a
+// Snapshot's, a row need not be sorted: the bulk loaders and Store.Rows
+// hand out each row in the store's iteration order, which is what lets
+// a fixpoint over them visit edges exactly as one over the store would.
+type Rows struct {
+	Offsets   []uint64
+	Neighbors []VertexID
+	Weights   []float32
+}
+
+// NumVertices returns the row count.
+func (r *Rows) NumVertices() int { return len(r.Offsets) - 1 }
+
+// Row returns v's neighbours and their weights, aliasing r.
+func (r *Rows) Row(v VertexID) ([]VertexID, []float32) {
+	lo, hi := r.Offsets[v], r.Offsets[v+1]
+	return r.Neighbors[lo:hi], r.Weights[lo:hi]
+}
+
+// Rows copies the store's out-edges into a fresh CSR, each row in
+// iteration order: the rows a fixpoint over a store alone reads.
+func (st *Store) Rows() *Rows {
+	r := &Rows{
+		Offsets:   make([]uint64, st.numVertices+1),
+		Neighbors: make([]VertexID, 0, st.numEdges),
+		Weights:   make([]float32, 0, st.numEdges),
+	}
+	for v := range VertexID(st.numVertices) {
+		for k, left := 0, st.OutDegree(v); left > 0; k++ {
+			ns, ws := st.out.run(v, k)
+			left -= len(ns)
+			r.Neighbors, r.Weights = append(r.Neighbors, ns...), append(r.Weights, ws...)
+		}
+		r.Offsets[v+1] = uint64(len(r.Neighbors))
+	}
+	return r
+}
+
+// groupRows lays edges out as rows over n vertices: keyed by source,
+// holding destinations, or with in the other way round, each row in
+// input order (a stable counting sort).
+func groupRows(edges []Edge, in bool, n int) *Rows {
+	off := make([]uint64, n+1)
 	for _, e := range edges {
 		if in {
 			e.Src = e.Dst
@@ -657,68 +699,73 @@ func groupRows(edges []Edge, in bool, off []uint32, nbr []VertexID, wgt []float3
 	}
 	// Filling row v from off[v] leaves it at row v+1's start; shifting
 	// the words back one restores the starts.
+	r := &Rows{Offsets: off, Neighbors: make([]VertexID, len(edges)), Weights: make([]float32, len(edges))}
 	for _, e := range edges {
 		if in {
 			e.Src, e.Dst = e.Dst, e.Src
 		}
 		i := off[e.Src]
 		off[e.Src]++
-		nbr[i], wgt[i] = e.Dst, e.Weight
+		r.Neighbors[i], r.Weights[i] = e.Dst, e.Weight
 	}
 	copy(off[1:], off)
 	off[0] = 0
+	return r
 }
 
-// rowLoader places whole rows into an empty direction of a new store.
-type rowLoader struct {
-	// mark flags the neighbours of the row being loaded, all zero
-	// between rows: the out-edge loader uses the store's touch array,
-	// all zero until the first Apply, the in-edge loader its own.
-	mark []uint8
-	// A row with repeats is rebuilt here, pos mapping a neighbour to its
-	// position.
-	dupN []VertexID
-	dupW []float32
-	pos  map[VertexID]int
-}
-
-// load gives the empty vertex v of a the row ns, ws, whose neighbours are
-// in insertion order, leaving what an insert per edge would: a repeated
-// neighbour keeps its first position and its last weight. It returns v's
-// degree.
-func (ld *rowLoader) load(a *adjacency, v VertexID, ns []VertexID, ws []float32) int {
-	repeats := false
-	for _, u := range ns {
-		repeats = repeats || ld.mark[u] != 0
-		ld.mark[u] = 1
-	}
-	for _, u := range ns {
-		ld.mark[u] = 0
-	}
-	if repeats {
-		ns, ws = ld.dedup(ns, ws)
-	}
-	a.place(v, ns, ws)
-	return len(ns)
-}
-
-// dedup returns ns, ws with every repeated neighbour's later entries
-// folded into its first: the first position, the last weight.
-func (ld *rowLoader) dedup(ns []VertexID, ws []float32) ([]VertexID, []float32) {
-	if ld.pos == nil {
-		ld.pos = map[VertexID]int{}
-	}
-	clear(ld.pos)
-	ld.dupN, ld.dupW = ld.dupN[:0], ld.dupW[:0]
-	for i, u := range ns {
-		if p, ok := ld.pos[u]; ok {
-			ld.dupW[p] = ws[i]
-			continue
+// clean returns r's rows with every repeated neighbour folded into its
+// first entry — the first position, the last weight, what an insert per
+// edge in row order leaves. With own it compacts r in place; without,
+// it returns r untouched when no row repeats and otherwise a cleaned
+// copy. mark is one zero byte per vertex, left zero.
+func (r *Rows) clean(own bool, mark []uint8) *Rows {
+	var pos map[VertexID]uint64
+	var w, lo uint64 // write and read starts of the row; w < lo once a row has shrunk
+	for v := range r.NumVertices() {
+		hi := r.Offsets[v+1]
+		ns := r.Neighbors[lo:hi]
+		repeats := false
+		for _, u := range ns {
+			repeats = repeats || mark[u] != 0
+			mark[u] = 1
 		}
-		ld.pos[u] = len(ld.dupN)
-		ld.dupN, ld.dupW = append(ld.dupN, u), append(ld.dupW, ws[i])
+		for _, u := range ns {
+			mark[u] = 0
+		}
+		switch {
+		case repeats:
+			if !own { // nothing has moved yet: copy, then compact the copy
+				r = &Rows{slices.Clone(r.Offsets), slices.Clone(r.Neighbors), slices.Clone(r.Weights)}
+				own = true
+			}
+			if pos == nil {
+				pos = map[VertexID]uint64{}
+			}
+			clear(pos)
+			for i := lo; i < hi; i++ { // writes trail reads: w <= i
+				u := r.Neighbors[i]
+				if p, ok := pos[u]; ok {
+					r.Weights[p] = r.Weights[i]
+					continue
+				}
+				pos[u] = w
+				r.Neighbors[w], r.Weights[w] = u, r.Weights[i]
+				w++
+			}
+		case w < lo:
+			copy(r.Neighbors[w:], ns)
+			copy(r.Weights[w:], r.Weights[lo:hi])
+			w += hi - lo
+		default:
+			w = hi
+		}
+		if own {
+			r.Offsets[v+1] = w
+		}
+		lo = hi
 	}
-	return ld.dupN, ld.dupW
+	r.Neighbors, r.Weights = r.Neighbors[:w], r.Weights[:w]
+	return r
 }
 
 // place gives the empty vertex v the distinct neighbours ns and weights

@@ -67,25 +67,29 @@ type Session struct {
 }
 
 // NewSession bootstraps a session over st, computing the initial fixpoint
-// and dependency forest from scratch (the one-time O(V+E) cost).
+// and dependency forest from scratch (the one-time O(V+E) cost) over a
+// copy of st's rows.
 func NewSession(a algo.MonotonicAlgo, st *graph.Store, cfg Config) *Session {
-	s := newSessionShell(a, st, cfg)
-	s.bootstrap(nil)
+	s, _ := NewSessionFromRows(a, st, st.Rows(), nil, cfg) // fails only on a keep of the wrong length
 	return s
 }
 
-// NewSessionFromState restores a session from checkpointed states. The
-// states are kept verbatim (bit-for-bit, the recovery guarantee); they
-// must be the converged fixpoint for st's current graph. The dependency
-// forest is rebuilt by replaying the from-scratch propagation — parents
-// must be recorded at improvement time, never reconstructed by value
-// matching (see algo.ReferenceWithParents).
-func NewSessionFromState(a algo.MonotonicAlgo, st *graph.Store, states []float64, cfg Config) (*Session, error) {
-	if len(states) != st.NumVertices() {
-		return nil, fmt.Errorf("native: %d states for %d vertices", len(states), st.NumVertices())
+// NewSessionFromRows bootstraps a session over st from rows, which must
+// be st's out-edges with each row in st's iteration order — the rows
+// graph.StartStoreFromEdges and StartStoreFromSnapshot return, or
+// st.Rows(). The bootstrap reads no store, so st may still be loading.
+// A nil keep computes the fixpoint from scratch. Non-nil keep restores
+// checkpointed states verbatim (bit-for-bit, the recovery guarantee);
+// they must be the converged fixpoint for st's graph. The dependency
+// forest is rebuilt by replaying the from-scratch propagation either way
+// — parents must be recorded at improvement time, never reconstructed by
+// value matching (see algo.ReferenceWithParents).
+func NewSessionFromRows(a algo.MonotonicAlgo, st *graph.Store, rows *graph.Rows, keep []float64, cfg Config) (*Session, error) {
+	if keep != nil && len(keep) != rows.NumVertices() {
+		return nil, fmt.Errorf("native: %d states for %d vertices", len(keep), rows.NumVertices())
 	}
 	s := newSessionShell(a, st, cfg)
-	s.bootstrap(states)
+	s.bootstrap(rows, keep)
 	return s, nil
 }
 
@@ -139,17 +143,17 @@ func (s *Session) Close() {
 	}
 }
 
-// bootstrap computes the from-scratch fixpoint and parent forest over the
-// store by serial worklist propagation (the same discipline as
-// algo.ReferenceWithParents, off the Store instead of a Snapshot). When
-// keep is non-nil those states are installed verbatim instead of the
-// replayed values — for a converged checkpoint the two are bit-identical,
-// but the checkpoint bytes are authoritative. It reads the store through
-// NumVertices, OutDegree and OutEdges only, so NewSession and
-// NewSessionFromState may run on a store whose in-edge mirror is still
-// loading (graph.StartStoreFromEdges); keep it that way.
-func (s *Session) bootstrap(keep []float64) {
-	n := s.store.NumVertices()
+// bootstrap computes the from-scratch fixpoint and parent forest over
+// rows, the store's out-edges in its iteration order, by serial FIFO
+// worklist propagation (the same discipline as algo.ReferenceWithParents,
+// off a CSR that need not be sorted). When keep is non-nil those states
+// are installed verbatim instead of the replayed values — for a
+// converged checkpoint the two are bit-identical, but the checkpoint
+// bytes are authoritative. It reads no store, so the cold start runs it
+// while both of the store's directions are still being placed; keep it
+// that way.
+func (s *Session) bootstrap(rows *graph.Rows, keep []float64) {
+	n := rows.NumVertices()
 	s.growTo(n)
 	vals := make([]float64, n)
 	inQ := make([]bool, n)
@@ -165,19 +169,16 @@ func (s *Session) bootstrap(keep []float64) {
 		v := queue[head]
 		head, size = (head+1)%n, size-1
 		inQ[v] = false
-		for r, left := 0, s.store.OutDegree(v); left > 0; r++ {
-			ns, ws := s.store.OutEdges(v, r)
-			left -= len(ns)
-			for i, u := range ns {
-				cand := s.alg.Propagate(vals[v], ws[i])
-				if s.alg.Better(cand, vals[u]) {
-					vals[u] = cand
-					s.parent[u] = int32(v)
-					if !inQ[u] {
-						inQ[u] = true
-						queue[(head+size)%n] = u
-						size++
-					}
+		ns, ws := rows.Row(v)
+		for i, u := range ns {
+			cand := s.alg.Propagate(vals[v], ws[i])
+			if s.alg.Better(cand, vals[u]) {
+				vals[u] = cand
+				s.parent[u] = int32(v)
+				if !inQ[u] {
+					inQ[u] = true
+					queue[(head+size)%n] = u
+					size++
 				}
 			}
 		}
@@ -471,7 +472,7 @@ func (s *Session) Recompute() {
 		s.queues[i].reset(s.queued)
 	}
 	atomic.StoreInt64(&s.pending, 0)
-	s.bootstrap(nil)
+	s.bootstrap(s.store.Rows(), nil)
 }
 
 // Metrics snapshots the session's counters into a fresh collector.

@@ -1,16 +1,19 @@
 package native
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
@@ -164,7 +167,7 @@ func TestSessionFromStateRestore(t *testing.T) {
 	s.Close()
 
 	st2 := graph.NewStoreFromEdges(st.NumVertices(), ref.Seal().EdgeList())
-	s2, err := NewSessionFromState(a, st2, saved, Config{Workers: 2})
+	s2, err := NewSessionFromRows(a, st2, st2.Rows(), saved, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func TestSessionFromStateRestore(t *testing.T) {
 		bitsEqual(t, "post-restore", s2.StatesCopy(), algo.Reference(a, ref.Seal()))
 	}
 
-	if _, err := NewSessionFromState(a, st2, saved[:3], Config{}); err == nil {
+	if _, err := NewSessionFromRows(a, st2, st2.Rows(), saved[:3], Config{}); err == nil {
 		t.Fatal("expected error for mismatched state length")
 	}
 }
@@ -255,5 +258,89 @@ func TestSessionFootprintBudget(t *testing.T) {
 	t.Logf("NewSession over %d edgeless vertices: %.2f B per vertex (budget %d)", n, per, sessionBytesPerEmptyVertex)
 	if per > sessionBytesPerEmptyVertex {
 		t.Errorf("NewSession over %d edgeless vertices holds %.2f B per vertex, budget %d", n, per, sessionBytesPerEmptyVertex)
+	}
+}
+
+// TestBootstrapRowsMatchStore holds the cold start's bootstrap, which
+// runs over the bulk loader's rows while the store is still being
+// placed, to one over the loaded store's own rows: equal rows, then
+// bit-identical states and identical parent forests, cold and in the
+// restore form, for every monotonic algorithm. The R-MAT warm-up
+// repeats edges with new weights and has hubs past the linear tier, so
+// the loader folds repeats and rows span chunks. Under -race it is also
+// the check that the bootstrap reads no store before the load's wait.
+func TestBootstrapRowsMatchStore(t *testing.T) {
+	const nv = 4096
+	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 32_768, A: 0.57, B: 0.19, C: 0.19, Seed: 3, MaxWeight: 16})
+	for i := 0; i < 32_768; i += 7 {
+		e := edges[i]
+		e.Weight = float32(1 + i%5)
+		edges = append(edges, e)
+	}
+	want := graph.NewStoreFromEdges(nv, edges)
+	d := 0
+	for v := range graph.VertexID(nv) {
+		d = max(d, want.OutDegree(v))
+	}
+	if d <= 2*64 || want.NumEdges() == len(edges) {
+		t.Fatalf("max out-degree %d, %d of %d edges: no row spans two hub chunks, or no repeat folded", d, want.NumEdges(), len(edges))
+	}
+	var ckpt bytes.Buffer
+	if err := want.WriteBinary(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	sameRows := func(how string, got, want *graph.Rows) {
+		t.Helper()
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Neighbors, want.Neighbors) || !slices.Equal(got.Weights, want.Weights) {
+			t.Fatalf("%s: the loader's rows differ from the store's", how)
+		}
+	}
+	sameSession := func(how string, got, want *Session) {
+		t.Helper()
+		bitsEqual(t, how, got.StatesCopy(), want.StatesCopy())
+		if !slices.Equal(got.parent, want.parent) {
+			t.Fatalf("%s: parent forests differ", how)
+		}
+	}
+	for _, name := range []string{"sssp", "cc", "bfs", "sswp"} {
+		a, err := enginetest.NewAlgorithm(name, nv, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono := a.(algo.MonotonicAlgo)
+		t.Run(name, func(t *testing.T) {
+			ref := NewSession(mono, want, Config{Workers: 1})
+			defer ref.Close()
+
+			st, rows, wait := graph.StartStoreFromEdges(nv, edges)
+			cold, err := NewSessionFromRows(mono, st, rows, nil, Config{Workers: 1})
+			wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close()
+			sameRows("cold", rows, st.Rows())
+			sameSession("cold", cold, ref)
+
+			snap, err := graph.ReadBinaryCSR(ckpt.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep := ref.StatesCopy()
+			st, rows, wait = graph.StartStoreFromSnapshot(snap)
+			restored, err := NewSessionFromRows(mono, st, rows, keep, Config{Workers: 1})
+			wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			sameRows("restore", rows, st.Rows())
+			overStore, err := NewSessionFromRows(mono, st, st.Rows(), keep, Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer overStore.Close()
+			sameSession("restore", restored, overStore)
+		})
 	}
 }

@@ -265,7 +265,7 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 	if err != nil {
 		return nil, nil, err
 	}
-	snap, err := graph.ReadBinary(gpayload)
+	snap, err := graph.ReadBinaryCSR(gpayload) // the store's loader goroutine builds the CSC
 	if err != nil {
 		// The payload passed its CRC, so a deserialisation failure means
 		// the block content itself is inconsistent, not torn.
@@ -290,8 +290,8 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 	for i := range state {
 		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(spayload[8+8*i:]))
 	}
-	st, loaded := graph.StartStoreFromSnapshot(snap)
-	eng, err := newNativeBackend(a, st, loaded, state, opt.Cores)
+	st, rows, loaded := graph.StartStoreFromSnapshot(snap)
+	eng, err := newNativeBackend(a, st, rows, loaded, state, opt.Cores)
 	if err != nil {
 		return nil, nil, err
 	}

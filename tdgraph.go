@@ -188,8 +188,8 @@ func NewSession(a Algorithm, edges []Edge, numVertices int, opt SessionOptions) 
 			}
 		}
 	}
-	st, loaded := graph.StartStoreFromEdges(numVertices, edges)
-	eng, err := newNativeBackend(a, st, loaded, nil, opt.Cores)
+	st, rows, loaded := graph.StartStoreFromEdges(numVertices, edges)
+	eng, err := newNativeBackend(a, st, rows, loaded, nil, opt.Cores)
 	if err != nil {
 		return nil, err
 	}
