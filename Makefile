@@ -17,19 +17,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant analyzer suite (internal/analysis): mechanically
-# enforces the determinism contract (no wall-clock / global rand /
-# order-sensitive map iteration in sim/engine/core/accel/graph/algo/
-# native),
-# the %w error-wrapping contract, defer-unlock discipline, the
-# fsync-before-ack ordering in wal/replica, stats counter-table
-# registration, and the interprocedural v2 checks: inferred field
-# guards (lockguard), blocking ops under a held mutex (lockhold),
-# goroutine quiescence barriers in serve/replica/native (goroleak),
-# and the zero-alloc native hot path (hotalloc). Packages come from
-# `go list` (./... plus the nested benchmark module); a package that
-# does not type-check fails the rung with exit 2. See DESIGN.md
-# "Static-analysis ladder".
+# Project-invariant analyzer suite (internal/analysis): `go run
+# ./cmd/tdgraph-vet -list` prints each check's contract, DESIGN.md
+# "Static-analysis ladder" explains the suite. Packages come from `go
+# list` (./... plus the nested benchmark module); a package that does
+# not type-check fails the rung with exit 2.
 vet-tdgraph:
 	$(GO) run ./cmd/tdgraph-vet ./...
 

@@ -40,13 +40,13 @@ type Check struct {
 
 // Pass carries everything a check needs: the loaded packages, each
 // fully type-checked, and the call graph over them that the
-// interprocedural checks (lockorder, lockguard, lockhold, goroleak,
-// hotalloc) share.
+// interprocedural checks (lockorder, lockguard, lockhold, goroleak)
+// share.
 type Pass struct {
 	// CheckName is the name of the check currently running.
 	CheckName string
 	// Pkgs are the loaded packages. Checks that apply only to a subset
-	// of packages (determinism, syncack, …) gate on each Path.
+	// of packages (determinism, clockseam, …) gate on each Path.
 	Pkgs []*Package
 	// Graph is the static call graph over Pkgs.
 	Graph *CallGraph

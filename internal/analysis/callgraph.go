@@ -7,7 +7,7 @@ import (
 )
 
 // CallGraph is the module-wide static call graph the interprocedural
-// checks (lockorder, lockguard, lockhold, hotalloc, goroleak) share.
+// checks (lockorder, lockguard, lockhold, goroleak) share.
 // Nodes are keyed by types.Func.FullName() — a string key, because each
 // loaded package is type-checked in its own universe and the same
 // function reached through an import is a distinct *types.Func object;
@@ -104,34 +104,6 @@ func resolveCallee(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	return ""
-}
-
-// Reachable returns the set of module functions reachable from the
-// entry FullNames (inclusive) over static edges, mapping each reached
-// function to the entry-side caller that first reached it (entries map
-// to themselves) so diagnostics can name the hot path.
-func (g *CallGraph) Reachable(entries []string) map[string]string {
-	reached := make(map[string]string)
-	var queue []string
-	for _, e := range entries {
-		if g.Funcs[e] != nil && reached[e] == "" {
-			reached[e] = e
-			queue = append(queue, e)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		node := g.Funcs[cur]
-		for _, site := range node.Calls {
-			if g.Funcs[site.Callee] == nil || reached[site.Callee] != "" {
-				continue
-			}
-			reached[site.Callee] = cur
-			queue = append(queue, site.Callee)
-		}
-	}
-	return reached
 }
 
 // shortFuncName renders a FullName for diagnostics: strip the import

@@ -52,28 +52,6 @@ func TestCallGraphEdgesAndCallers(t *testing.T) {
 	}
 }
 
-func TestCallGraphReachable(t *testing.T) {
-	pkg := loadTestPackage(t, cgPath, testFile{"cg.go", cgSrc})
-	g := BuildCallGraph([]*Package{pkg})
-
-	aName := "(*" + cgPath + ".T).a"
-	reached := g.Reachable([]string{aName})
-	want := map[string]string{
-		aName:                   aName, // entries map to themselves
-		"(*" + cgPath + ".T).b": aName,
-		cgPath + ".helper":      aName,
-		cgPath + ".helper2":     cgPath + ".helper",
-	}
-	for name, pred := range want {
-		if reached[name] != pred {
-			t.Errorf("reached[%s] = %q, want %q", name, reached[name], pred)
-		}
-	}
-	if reached[cgPath+".dynamic"] != "" {
-		t.Errorf("dynamic is not reachable from a, but reached[dynamic] = %q", reached[cgPath+".dynamic"])
-	}
-}
-
 func TestShortFuncName(t *testing.T) {
 	cases := map[string]string{
 		cgPath + ".helper":      "cg.helper",

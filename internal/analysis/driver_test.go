@@ -110,8 +110,8 @@ func TestDriverList(t *testing.T) {
 	if code := Main([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "errwrap", "lockorder", "syncack", "ctrreg"} {
-		if !strings.Contains(out.String(), name) {
+	for _, name := range []string{"determinism", "clockseam", "errwrap", "lockorder", "ctrreg", "lockguard", "lockhold", "goroleak"} {
+		if !strings.Contains(out.String(), name+" ") {
 			t.Fatalf("-list output missing %q:\n%s", name, out.String())
 		}
 	}

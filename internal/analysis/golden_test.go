@@ -39,10 +39,6 @@ func TestGoldenLockorder(t *testing.T) {
 	runGolden(t, LockorderCheck(), "lockorder", "github.com/tdgraph/tdgraph/internal/vettest", nil)
 }
 
-func TestGoldenSyncack(t *testing.T) {
-	runGolden(t, SyncackCheck(), "syncack", "github.com/tdgraph/tdgraph/internal/replica", nil)
-}
-
 func TestGoldenCtrreg(t *testing.T) {
 	runGolden(t, CtrregCheck(), "ctrreg", "github.com/tdgraph/tdgraph/internal/vettest",
 		map[string]bool{"x.registered": true, "wal.appends": true})
@@ -75,18 +71,6 @@ func TestGoldenGoroleak(t *testing.T) {
 	runGolden(t, GoroleakCheck(), "goroleak", "github.com/tdgraph/tdgraph/internal/serve/pool", nil)
 }
 
-// TestGoldenHotalloc: the //tdgraph:hot-marked Session ApplyBatch and
-// propagate seed the hot set, reachability carries it into helpers.
-func TestGoldenHotalloc(t *testing.T) {
-	runGolden(t, HotallocCheck(), "hotalloc", "github.com/tdgraph/tdgraph/internal/native", nil)
-}
-
-// TestGoldenHotallocMarker proves the //tdgraph:hot doc marker seeds
-// the hot set with no help from the package path.
-func TestGoldenHotallocMarker(t *testing.T) {
-	runGolden(t, HotallocCheck(), "hotallocmark", "github.com/tdgraph/tdgraph/internal/vettest", nil)
-}
-
 // TestGoldenDeterminismOutsideSet proves the package gate: the same
 // violating file under a non-deterministic import path yields nothing.
 func TestGoldenDeterminismOutsideSet(t *testing.T) {
@@ -107,16 +91,6 @@ func TestGoldenClockseamOutsideSet(t *testing.T) {
 	diags := RunSuite([]*Check{ClockseamCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
 	if len(diags) != 0 {
 		t.Fatalf("clockseam fired outside internal/replica: %v", diags)
-	}
-}
-
-// TestGoldenSyncackOutsideSet proves the wal/replica gate.
-func TestGoldenSyncackOutsideSet(t *testing.T) {
-	loader := sharedLoader(t)
-	pkg := loadGoldenPackage(t, loader, "syncack", "github.com/tdgraph/tdgraph/internal/stream2")
-	diags := RunSuite([]*Check{SyncackCheck()}, []*Package{pkg}, SuiteOptions{}).Findings
-	if len(diags) != 0 {
-		t.Fatalf("syncack fired outside wal/replica: %v", diags)
 	}
 }
 

@@ -18,12 +18,10 @@ func Checks() []*Check {
 		ClockseamCheck(),
 		ErrwrapCheck(),
 		LockorderCheck(),
-		SyncackCheck(),
 		CtrregCheck(),
 		LockguardCheck(),
 		LockholdCheck(),
 		GoroleakCheck(),
-		HotallocCheck(),
 	}
 }
 

@@ -6,65 +6,55 @@ import (
 )
 
 // The suppression tests run the full suite over type-checked in-memory
-// sources; syncack, which matches its append, barrier and ack calls by
-// name, is the probe check of choice here.
+// sources of a replica package; clockseam, which flags a raw time.Now
+// there, is the probe check.
 
-const ackBody = `
-func ackAfterAppend(l *log, conn any) error {
-	if err := l.Append(1, nil); err != nil {
-		return err
-	}
-	%s
-	return WriteFrame(conn, Frame{Type: FrameAck, Seq: 1})
-}
-`
+const clockSrc = "package probe\n\nimport \"time\"\n\nfunc stamp() time.Time {\n\t%s\n\treturn time.Now()\n}\n"
 
 // TestSuppressionDirective is the table-driven contract for
 // //tdgraph:allow: honored with a known check and a reason, rejected
 // otherwise, and never silently swallowing a different check's
 // finding.
 func TestSuppressionDirective(t *testing.T) {
-	header := "package synctest\n\ntype log struct{}\nfunc (l *log) Append(seq uint64, b []byte) error { return nil }\ntype Frame struct{ Type int; Seq uint64 }\nconst FrameAck = 1\nfunc WriteFrame(conn any, f any) error { return nil }\n"
-
 	for _, tc := range []struct {
 		name string
-		line string // inserted on the line above the ack write
+		line string // inserted on the line above the time.Now call
 		// expected surviving diagnostics as "check" names, in order
 		want []string
 	}{
 		{
 			name: "no directive leaves the finding",
 			line: "",
-			want: []string{"syncack"},
+			want: []string{"clockseam"},
 		},
 		{
 			name: "directive with reason suppresses",
-			line: "//tdgraph:allow syncack re-ack of an already durable sequence",
+			line: "//tdgraph:allow clockseam a wall-clock stamp for a log line",
 			want: nil,
 		},
 		{
 			name: "unknown check name is rejected and suppresses nothing",
-			line: "//tdgraph:allow syncak typo in the check name",
-			want: []string{"syncack", "directive"},
+			line: "//tdgraph:allow clokseam typo in the check name",
+			want: []string{"clockseam", "directive"},
 		},
 		{
 			name: "missing reason is rejected and suppresses nothing",
-			line: "//tdgraph:allow syncack",
-			want: []string{"syncack", "directive"},
+			line: "//tdgraph:allow clockseam",
+			want: []string{"clockseam", "directive"},
 		},
 		{
 			name: "empty directive is malformed",
 			line: "//tdgraph:allow",
-			want: []string{"syncack", "directive"},
+			want: []string{"clockseam", "directive"},
 		},
 		{
 			name: "directive for a different check suppresses nothing",
 			line: "//tdgraph:allow errwrap wrong check entirely",
-			want: []string{"syncack"},
+			want: []string{"clockseam"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src := header + strings.Replace(ackBody, "%s", tc.line, 1)
+			src := strings.Replace(clockSrc, "%s", tc.line, 1)
 			diags := suiteFindings(t, src)
 			var got []string
 			for _, d := range diags {
@@ -81,28 +71,8 @@ func TestSuppressionDirective(t *testing.T) {
 
 // TestSuppressionSameLine pins the trailing-comment form.
 func TestSuppressionSameLine(t *testing.T) {
-	src := `package synctest
-
-type log struct{}
-
-func (l *log) Append(seq uint64, b []byte) error { return nil }
-
-type Frame struct {
-	Type int
-	Seq  uint64
-}
-
-const FrameAck = 1
-
-func WriteFrame(conn any, f any) error { return nil }
-
-func ack(l *log, conn any) error {
-	l.Append(1, nil)
-	return WriteFrame(conn, Frame{Type: FrameAck, Seq: 1}) //tdgraph:allow syncack trailing form
-}
-`
-	diags := suiteFindings(t, src)
-	if len(diags) != 0 {
+	src := strings.Replace(clockSrc, "\n\t%s\n\treturn time.Now()", "\n\treturn time.Now() //tdgraph:allow clockseam trailing form", 1)
+	if diags := suiteFindings(t, src); len(diags) != 0 {
 		t.Fatalf("trailing same-line directive did not suppress: %v", diags)
 	}
 }
@@ -110,30 +80,9 @@ func ack(l *log, conn any) error {
 // TestSuppressionDoesNotLeakToOtherLines pins the blast radius: a
 // directive covers its own line and the next, nothing further.
 func TestSuppressionDoesNotLeakToOtherLines(t *testing.T) {
-	src := `package synctest
-
-type log struct{}
-
-func (l *log) Append(seq uint64, b []byte) error { return nil }
-
-type Frame struct {
-	Type int
-	Seq  uint64
-}
-
-const FrameAck = 1
-
-func WriteFrame(conn any, f any) error { return nil }
-
-func ack(l *log, conn any) error {
-	l.Append(1, nil)
-	//tdgraph:allow syncack covers only the next line
-
-	return WriteFrame(conn, Frame{Type: FrameAck, Seq: 1})
-}
-`
+	src := strings.Replace(clockSrc, "%s", "//tdgraph:allow clockseam covers only the next line\n", 1)
 	diags := suiteFindings(t, src)
-	if len(diags) != 1 || diags[0].Check != "syncack" {
+	if len(diags) != 1 || diags[0].Check != "clockseam" {
 		t.Fatalf("directive two lines above must not suppress; got %v", diags)
 	}
 }

@@ -128,7 +128,7 @@ type pagePool[T any] struct {
 
 func (p *pagePool[T]) alloc() uint32 {
 	if p.issued%poolPage == 0 {
-		p.pages = append(p.pages, make([]T, poolPage)) //tdgraph:allow hotalloc pool page: one per poolPage vertices that first gain an edge, spill or become hubs, or per poolPage hub chunks; amortized like any append, and released slots are reused before a page is added
+		p.pages = append(p.pages, make([]T, poolPage))
 	}
 	p.issued++
 	return p.issued - 1
@@ -163,7 +163,7 @@ func extend[T any](s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}
-	return append(s, make([]T, n-len(s))...) //tdgraph:allow hotalloc vertex-set growth: the compiler extends in place, amortized like any append
+	return append(s, make([]T, n-len(s))...)
 }
 
 // insert adds or reweights the neighbour u of v; it returns the weight it
@@ -212,8 +212,8 @@ func (a *adjacency) add(v, u VertexID, w float32, slot int) {
 	// release it.
 	lh := a.logs.alloc()
 	l := a.logs.at(lh)
-	l.nbr = append(make([]VertexID, 0, 2*storeInlineCap), b.nbr[:]...) //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
-	l.wgt = append(make([]float32, 0, 2*storeInlineCap), b.wgt[:]...)  //tdgraph:allow hotalloc spill promotion: amortized one-time growth, not steady state
+	l.nbr = append(make([]VertexID, 0, 2*storeInlineCap), b.nbr[:]...)
+	l.wgt = append(make([]float32, 0, 2*storeInlineCap), b.wgt[:]...)
 	a.free = append(a.free, h.loc-1)
 	h.loc = locSpilled | lh
 	a.push(h, l, -1, u, w)
@@ -527,7 +527,7 @@ func (a *adjacency) reindex(l *edgeLog, n uint32) {
 		if size > indexNarrowSlots {
 			words *= 2
 		}
-		l.index = make([]uint16, words) //tdgraph:allow hotalloc doubling rehash: amortized O(1) per insert; a same-size rebuild reuses the table
+		l.index = make([]uint16, words)
 	}
 	mask := uint32(size - 1)
 	for p := 0; p < int(n); p++ {
@@ -924,7 +924,6 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 	res.Affected = res.Affected[:0]
 	res.AddedEdges = res.AddedEdges[:0]
 	res.DeletedEdges = res.DeletedEdges[:0]
-	//tdgraph:allow hotalloc non-escaping local closure: only invoked below in this frame, so it stays on the stack (TestSessionSteadyStateZeroAllocs pins 0 allocs/batch)
 	affect := func(v VertexID, mark uint8) {
 		t := &st.touch[v]
 		if *t == 0 {

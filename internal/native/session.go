@@ -208,7 +208,7 @@ func (s *Session) growTo(n int) {
 // extend zero-extends s to length n > len(s), growing its backing array
 // at most once instead of element by element.
 func extend[T any](s []T, n int) []T {
-	return append(s, make([]T, n-len(s))...) //tdgraph:allow hotalloc vertex-set growth: the compiler extends in place, amortized like any append
+	return append(s, make([]T, n-len(s))...)
 }
 
 // NumVertices returns the session's vertex count.
@@ -245,9 +245,8 @@ func (s *Session) StatesInto(dst []float64) []float64 {
 // ApplyBatch applies one update batch to the store, repairs the fixpoint
 // incrementally, and propagates to convergence. The returned result's
 // slices alias reusable session buffers — copy before the next batch if
-// retained. Not safe for concurrent use.
-//
-//tdgraph:hot
+// retained. Not safe for concurrent use. Warm, it allocates nothing
+// (TestSessionSteadyStateZeroAllocs).
 func (s *Session) ApplyBatch(batch []graph.Update) graph.ApplyResult {
 	res := s.store.Apply(batch)
 	s.growTo(s.store.NumVertices())
@@ -344,9 +343,8 @@ func (s *Session) activate(v graph.VertexID) {
 // Panic-safe: if the algorithm panics on worker 0 (the calling
 // goroutine), pending is forced to zero so the kicked peers unwind and
 // park, then the panic continues — the pool is always quiescent when
-// the panic reaches the caller, so a heal can safely Recompute.
-//
-//tdgraph:hot
+// the panic reaches the caller, so a heal can safely Recompute. It
+// allocates nothing (TestSessionSteadyStateZeroAllocs).
 func (s *Session) propagate() {
 	if atomic.LoadInt64(&s.pending) <= 0 {
 		return

@@ -56,9 +56,8 @@ func (g *commitGroup) reset() {
 // add decodes payload behind the batches already gathered and takes both
 // into the group; keep first copies the payload into the group's own
 // arena, for a caller whose frame buffer the next read overwrites. A
-// payload that does not decode leaves the group as it was.
-//
-//tdgraph:hot
+// payload that does not decode leaves the group as it was. Warm, it
+// allocates nothing (TestIngestAllocBudget).
 func (g *commitGroup) add(payload []byte, keep bool) error {
 	at := len(g.updates)
 	updates, err := wal.AppendBatch(g.updates, payload)
@@ -83,9 +82,8 @@ func (g *commitGroup) add(payload []byte, keep bool) error {
 // waited for: the first frame that is anything else (or not all there
 // yet, or damaged) stays unread with everything behind it, to be met by
 // the blocking read after the commit, and the caller discards the span
-// only once the group has been answered.
-//
-//tdgraph:hot
+// only once the group has been answered. It allocates nothing
+// (TestIngestAllocBudget).
 func gatherSubmits(g *commitGroup, br *bufio.Reader, head Frame) (span int) {
 	buffered, _ := br.Peek(br.Buffered())
 	for next := head.Seq + 1; ; next++ {

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/graph"
@@ -40,6 +42,14 @@ type oneBufferCluster struct {
 	dirs   []string // WAL dirs: leader first, then followers in attach order
 }
 
+// noDeadlines is a connection whose deadlines are never armed: net.Pipe
+// allocates a timer for each one, which would bury the allocations of
+// the code around them.
+type noDeadlines struct{ net.Conn }
+
+func (noDeadlines) SetReadDeadline(time.Time) error  { return nil }
+func (noDeadlines) SetWriteDeadline(time.Time) error { return nil }
+
 func newOneBufferCluster(t *testing.T, size int, cfg func(dir string) serve.PipelineConfig) *oneBufferCluster {
 	t.Helper()
 	c := &oneBufferCluster{t: t, cfg: cfg, dirs: []string{t.TempDir()}}
@@ -61,8 +71,9 @@ func newOneBufferCluster(t *testing.T, size int, cfg func(dir string) serve.Pipe
 }
 
 // attach starts one more follower and attaches it (catching it up from
-// the leader's WAL when the leader is already ahead).
-func (c *oneBufferCluster) attach() *Follower {
+// the leader's WAL when the leader is already ahead). A non-nil wrap
+// wraps the leader's end of the connection.
+func (c *oneBufferCluster) attach(wrap func(net.Conn) net.Conn) *Follower {
 	c.t.Helper()
 	dir := c.t.TempDir()
 	fl, err := NewFollower(FollowerConfig{Pipeline: c.cfg(dir)})
@@ -72,6 +83,9 @@ func (c *oneBufferCluster) attach() *Follower {
 	pside, fside := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- fl.Serve(fside) }()
+	if wrap != nil {
+		pside = wrap(pside)
+	}
 	c.node.pmu.Lock()
 	err = c.node.primary.AddFollower(pside)
 	c.node.pmu.Unlock()
@@ -219,10 +233,10 @@ func TestSessionBuffersAreNotRetained(t *testing.T) {
 	}
 	for _, k := range []int{1, 3} {
 		c := newOneBufferCluster(t, 3, cfg)
-		c.attach()
+		c.attach(nil)
 		for i := 0; i < len(w.Batches); i += k {
 			if i >= 4 && len(c.fols) == 1 {
-				c.attach() // at least four records behind: caught up from the leader's WAL
+				c.attach(nil) // at least four records behind: caught up from the leader's WAL
 			}
 			c.submit(encodeGroup(w.Batches[i:min(i+k, len(w.Batches))])...)
 			c.scribble()
@@ -268,7 +282,7 @@ func TestOversizedFrameBufferReleased(t *testing.T) {
 	want := append([]float64(nil), ref.States()...)
 
 	c := newOneBufferCluster(t, 2, func(dir string) serve.PipelineConfig { return nodeConfig(w, dir) })
-	fl := c.attach()
+	fl := c.attach(nil)
 	c.submit(wal.EncodeBatch(huge))
 	c.submit(wal.EncodeBatch(w.Batches[0])) // both sessions have started their next read: the cap was applied
 	for who, held := range map[string][2]int{
@@ -296,13 +310,19 @@ func TestOversizedFrameBufferReleased(t *testing.T) {
 // six payloads and a decode more than this on the leader, and three and
 // a decode on each follower. The allowance is a quarter payload, plus one
 // payload per follower written to: WriteFrame's buffer comes from a
-// sync.Pool, which under -race sheds buffers by design. A last row puts
-// 32 of the small batches in the read-ahead buffer at once: gathered into
-// one commit group they must cost no more per batch than one at a time —
-// the group's arenas and slices are session memory too. The client reads
-// its acks with ReadFrame, as real clients do, so with no follower a
-// small batch must cost no more than the stray allowance: the path,
-// client included, allocates nothing itself.
+// sync.Pool, which under -race sheds buffers by design. A row of 32 small
+// batches in the read-ahead buffer at once, one commit group, must cost
+// no more per batch than one at a time: the group's arenas and slices
+// are session memory too.
+//
+// It also owns the path's object count, commit-group gathering
+// included: no row, with or without followers, may allocate an object
+// per batch (the client, which reads its acks with ReadFrame as real
+// clients do, included). Objects, not bytes: an object per batch is a
+// few bytes, inside any byte budget. The follower connections are a
+// transport whose deadlines do not allocate (noDeadlines), not a
+// baseline subtracted per deadline: net.Pipe arms a timer per deadline,
+// about 8 objects a batch with two followers, none of them the path's.
 func TestIngestAllocBudget(t *testing.T) {
 	w := testWorkload(t, 1)
 	cfg := func(dir string) serve.PipelineConfig {
@@ -315,9 +335,9 @@ func TestIngestAllocBudget(t *testing.T) {
 	for _, followers := range []int{0, 2} {
 		c := newOneBufferCluster(t, followers+1, cfg)
 		for i := 0; i < followers; i++ {
-			c.attach()
+			c.attach(func(conn net.Conn) net.Conn { return noDeadlines{conn} })
 		}
-		perBatch := map[[2]int]float64{} // by {updates per batch, batches per group}
+		perBatch, objects := map[[2]int]float64{}, map[[2]int]float64{} // by {updates per batch, batches per group}
 		for _, row := range [][2]int{{64, 1}, {2048, 1}, {64, 32}} {
 			n, k := row[0], row[1]
 			noop := make([]graph.Update, n)
@@ -337,19 +357,22 @@ func TestIngestAllocBudget(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			perBatch[row] = float64(after.TotalAlloc-before.TotalAlloc) / float64(timed*k)
+			objects[row] = float64(after.Mallocs-before.Mallocs) / float64(timed*k)
 		}
 		c.close()
 		payload := float64(4 + 13*2048)
 		small, big, grouped := perBatch[[2]int{64, 1}], perBatch[[2]int{2048, 1}], perBatch[[2]int{64, 32}]
-		t.Logf("%d followers: %.0f B/batch at 64 updates, %.0f B/batch at 2048 (payload %.0f B), %.0f B/batch at 64 updates in groups of 32",
-			followers, small, big, payload, grouped)
+		t.Logf("%d followers: %.0f B and %.2f objects/batch at 64 updates, %.0f B and %.2f at 2048 (payload %.0f B), %.0f B and %.2f at 64 updates in groups of 32",
+			followers, small, objects[[2]int{64, 1}], big, objects[[2]int{2048, 1}], payload, grouped, objects[[2]int{64, 32}])
 		if growth := big - small; growth > payload/4+float64(followers)*payload {
 			t.Errorf("%d followers: a 2048-update batch allocates %.0f B more than a 64-update one (payload %.0f B): something on the path still copies per batch",
 				followers, growth, payload)
 		}
 		// TotalAlloc is process-wide and, under -race, the pool behind the
 		// ack writes sheds at random: with no follower the path allocates
-		// nothing itself, and such stray bytes are all a row reads.
+		// nothing itself, and such stray bytes are all a row reads. Bytes
+		// catch a large object now and then; the object count below, a
+		// small one every batch.
 		const stray = 16 // B/batch
 		if followers == 0 && !raceEnabled && small > stray {
 			t.Errorf("no follower: a 64-update batch allocates %.0f B, more than the %d B stray allowance", small, stray)
@@ -357,5 +380,50 @@ func TestIngestAllocBudget(t *testing.T) {
 		if grouped > small+stray {
 			t.Errorf("%d followers: a batch in a commit group of 32 allocates %.0f B, more than the %.0f B it costs alone", followers, grouped, small)
 		}
+		for row, objs := range objects {
+			if !raceEnabled && objs > 0.5 {
+				t.Errorf("%d followers, %d updates in groups of %d: %.2f objects per batch, want none", followers, row[0], row[1], objs)
+			}
+		}
+	}
+}
+
+// TestSendRecordsAllocs owns the object count of Primary.sendRecords'
+// catch-up branch: shipping a commit group from the WAL and waiting for
+// its ack allocates nothing, against a follower that reads and acks into
+// reused buffers. The live branch is TestIngestAllocBudget's follower
+// rows.
+func TestSendRecordsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool sheds buffers on purpose")
+	}
+	pside, fside := net.Pipe()
+	defer pside.Close()
+	go func() {
+		var in, out []byte
+		for {
+			f, err := readFrameInto(fside, &in)
+			if err != nil {
+				return
+			}
+			if f.Type == FrameRecord {
+				out = appendFrame(out[:0], Frame{Type: FrameAck, Seq: f.Seq})
+				fside.Write(out)
+			}
+		}
+	}()
+	p, fc := NewPrimary(PrimaryConfig{Term: 1}), &followerConn{conn: noDeadlines{pside}}
+	payloads, seq := [][]byte{make([]byte, 64), make([]byte, 64)}, uint64(1)
+	runtime.GC() // WriteFrame's buffers come from a sync.Pool: no collection may empty it
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	send := func() {
+		if err := p.sendRecords(fc, seq, payloads, true); err != nil {
+			t.Fatal(err)
+		}
+		seq += uint64(len(payloads))
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("catch-up sendRecords allocates %.1f objects per group, want 0", allocs)
 	}
 }

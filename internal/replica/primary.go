@@ -546,8 +546,8 @@ func (p *Primary) catchUp(fc *followerConn, to uint64) error {
 // not errors. Each record carries its origin term from the primary's
 // ledger (catch-up records keep the term that created them, not this
 // session's), so followers can stamp their own ledgers identically.
-//
-//tdgraph:hot
+// It allocates nothing: live (TestIngestAllocBudget) or catching up
+// (TestSendRecordsAllocs).
 func (p *Primary) sendRecords(fc *followerConn, first uint64, payloads [][]byte, catchup bool) error {
 	last := first + uint64(len(payloads)) - 1
 	for i, payload := range payloads {
@@ -578,13 +578,10 @@ func (p *Primary) sendRecords(fc *followerConn, first uint64, payloads [][]byte,
 			// Stale ack (duplicate frame re-acked): keep waiting.
 		case FrameReject:
 			if f.Term > p.cfg.Term {
-				//tdgraph:allow hotalloc a refusal ends the follower's session
 				return fmt.Errorf("%w: follower moved to term %d, ours is %d", ErrStaleTerm, f.Term, p.cfg.Term)
 			}
-			//tdgraph:allow hotalloc a refusal ends the follower's session
 			return fmt.Errorf("%w: record %d rejected at follower seq %d", ErrFollowerBehind, last, f.Seq)
 		default:
-			//tdgraph:allow hotalloc a protocol violation ends the follower's session
 			return &FrameError{Reason: "ack wait", Err: fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, f.Type)}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -378,6 +379,50 @@ func TestDuplicatedFramesReAcked(t *testing.T) {
 		t.Fatal("dup-frame counter never incremented")
 	}
 	fl.Pipeline().Close()
+}
+
+// TestFollowerAckImpliesDurable owns fsync-before-ack on the follower: in
+// a two-member cluster, which needs the follower's ack for every batch,
+// the follower fails one fsync after it attached: its first (the ledger
+// stamp of the first record), second or third (the first two WAL
+// barriers). A batch whose barrier failed is never acknowledged (the
+// primary gives up on the ack after AckTimeout), so every batch the
+// primary counted quorum-durable is in the follower's log.
+func TestFollowerAckImpliesDurable(t *testing.T) {
+	w := testWorkload(t, 6)
+	for nth := int32(1); nth <= 3; nth++ {
+		pcfg, fcfg := nodeConfig(w, t.TempDir()), nodeConfig(w, t.TempDir())
+		syncs := new(atomic.Int32)
+		fcfg.WAL.FS = failSyncFS{FS: wal.OSFS{}, at: 1 << 20, syncs: syncs}
+		fl, err := NewFollower(FollowerConfig{Pipeline: fcfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ClaimTerm(wal.Options{Dir: pcfg.WAL.Dir}, 1); err != nil {
+			t.Fatal(err)
+		}
+		prim := NewPrimary(PrimaryConfig{Term: 1, ClusterSize: 2, WAL: pcfg.WAL, AckTimeout: 200 * time.Millisecond})
+		fn := attach(t, prim, fl, nil)
+		pipe, err := serve.NewPipeline(pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncs.Store(1<<20 - nth) // the nth fsync from here fails
+		acked := 0
+		for _, b := range w.Batches {
+			if ingest(prim, pipe, b) != nil {
+				break
+			}
+			acked++
+		}
+		prim.Close()
+		<-fn.done
+		if acked == len(w.Batches) || fl.Seq() < uint64(acked) {
+			t.Errorf("fsync %d failing: %d batches acked, follower durable through seq %d", nth, acked, fl.Seq())
+		}
+		pipe.Close()
+		fl.Close()
+	}
 }
 
 // TestQuorumLostHaltsPrimary walks Primary.Ingest's three outcomes: a

@@ -194,9 +194,8 @@ func writeFrameRun(w io.Writer, f Frame, n int) error {
 	return nil
 }
 
-// appendFrame encodes f onto dst: the one frame-header encoder.
-//
-//tdgraph:hot
+// appendFrame encodes f onto dst: the one frame-header encoder. Onto a
+// reused dst it allocates nothing (TestReadFrameAllocs).
 func appendFrame(dst []byte, f Frame) []byte {
 	hdr := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
@@ -213,12 +212,10 @@ func appendFrame(dst []byte, f Frame) []byte {
 // ReadFrame reads and validates one frame. The header goes through a
 // pooled buffer and the payload, read straight into a slice of exactly
 // its length, is the caller's to keep: a frame without a payload
-// allocates nothing. Malformed bytes fail with a *FrameError wrapping
-// ErrBadFrame; transport failures keep their underlying error (io.EOF
-// passes through bare when the connection closes cleanly between
-// frames).
-//
-//tdgraph:hot
+// allocates nothing (TestReadFrameAllocs). Malformed bytes fail with a
+// *FrameError wrapping ErrBadFrame; transport failures keep their
+// underlying error (io.EOF passes through bare when the connection
+// closes cleanly between frames).
 func ReadFrame(r io.Reader) (Frame, error) {
 	hdr := frameHdrs.Get().(*[frameHdrSize]byte)
 	defer frameHdrs.Put(hdr)
@@ -227,7 +224,6 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, err
 	}
 	if plen > 0 {
-		//tdgraph:allow hotalloc the returned payload is the caller's, so it cannot be pooled memory
 		f.Payload = make([]byte, plen)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, &FrameError{Reason: "short payload", Err: err}
@@ -242,11 +238,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // readFrameInto reads one frame — header, then payload: two reads, so
 // seeded fault schedules meet the same frames — into *buf, grown to fit;
 // the returned Payload aliases *buf. A long-lived session passes the same
-// buffer every time, allocates nothing per frame, and is done with a
-// payload before reading the next. A buffer a frame grew past
-// wal.MaxRetainedBuffer is let go here.
-//
-//tdgraph:hot
+// buffer every time, allocates nothing per frame (TestReadFrameAllocs),
+// and is done with a payload before reading the next. A buffer a frame
+// grew past wal.MaxRetainedBuffer is let go here.
 func readFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
 	if cap(*buf) > wal.MaxRetainedBuffer {
 		*buf = nil
@@ -285,7 +279,6 @@ func readFrameHeader(r io.Reader, hdr []byte) (f Frame, plen int, err error) {
 
 // errBadChecksum is the error for a frame whose CRC does not match.
 func errBadChecksum() error {
-	//tdgraph:allow hotalloc a malformed frame ends the session
 	return &FrameError{Reason: "bad checksum", Err: fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)}
 }
 
@@ -293,8 +286,7 @@ func errBadChecksum() error {
 // all of it is there and sound: n is its length on the wire, and 0 means
 // b holds no whole valid frame — the caller leaves the bytes where they
 // are for readFrameInto, which waits for the rest or says what is wrong.
-//
-//tdgraph:hot
+// It allocates nothing (TestReadFrameAllocs).
 func parseFrame(b []byte) (f Frame, n int) {
 	if len(b) < frameHdrSize {
 		return Frame{}, 0
@@ -311,7 +303,6 @@ func parseFrame(b []byte) (f Frame, n int) {
 // the frame hdr opens and the length of the payload that follows it.
 func parseFrameHeader(hdr []byte) (f Frame, plen int, err error) {
 	if magic := binary.LittleEndian.Uint32(hdr[0:4]); magic != frameMagic {
-		//tdgraph:allow hotalloc a malformed frame ends the session
 		return Frame{}, 0, &FrameError{Reason: "bad magic", Err: fmt.Errorf("%w: magic %#x", ErrBadFrame, magic)}
 	}
 	f = Frame{
@@ -322,11 +313,9 @@ func parseFrameHeader(hdr []byte) (f Frame, plen int, err error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[29:33])
 	if f.Type < FrameHello || f.Type > FrameRecordMore {
-		//tdgraph:allow hotalloc a malformed frame ends the session
 		return Frame{}, 0, &FrameError{Reason: "bad type", Err: fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)}
 	}
 	if n > maxFramePayload {
-		//tdgraph:allow hotalloc a malformed frame ends the session
 		return Frame{}, 0, &FrameError{Reason: "bad length", Err: fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, n)}
 	}
 	return f, int(n), nil

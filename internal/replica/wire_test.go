@@ -71,7 +71,9 @@ func TestFrameDetectsDamage(t *testing.T) {
 
 // TestReadFrameAllocs: ReadFrame reads the header through a pooled
 // buffer, so a frame without a payload allocates nothing and one with a
-// payload allocates that payload alone.
+// payload allocates that payload alone. The session codec allocates no
+// object at all: appendFrame onto and readFrameInto into a reused
+// buffer, and parseFrame in place.
 func TestReadFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool sheds buffers on purpose")
@@ -101,6 +103,16 @@ func TestReadFrameAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { read(record) }); allocs != 1 {
 		t.Errorf("ReadFrame of a record allocates %.1f objects, want 1: its payload", allocs)
+	}
+	var buf []byte
+	for name, codec := range map[string]func(){
+		"appendFrame":   func() { buf = appendFrame(buf[:0], Frame{Type: FrameRecord, Payload: record[frameHdrSize:]}) },
+		"readFrameInto": func() { rd.Reset(record); readFrameInto(&rd, &buf) },
+		"parseFrame":    func() { parseFrame(record) },
+	} {
+		if allocs := testing.AllocsPerRun(100, codec); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per record frame, want 0", name, allocs)
+		}
 	}
 }
 

@@ -27,9 +27,8 @@ func encodeSegHeader(baseSeq uint64) [segHeaderSize]byte {
 // appendRecord frames a payload onto dst: seq u64 | len u32 | crc u32 |
 // payload, the CRC covering seq, length and payload together so no
 // field can be torn or flipped undetected. The one record encoder; Log
-// keeps dst between appends, so a steady-state append allocates nothing.
-//
-//tdgraph:hot
+// keeps dst between appends, so a steady-state append allocates nothing
+// (TestRecordCodecAllocs).
 func appendRecord(dst []byte, seq uint64, payload []byte) []byte {
 	hdr := len(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
@@ -71,12 +70,10 @@ func DecodeBatch(p []byte) ([]graph.Update, error) { return AppendBatch(nil, p) 
 // not a torn write; dst is then returned as it came.
 func AppendBatch(dst []graph.Update, p []byte) ([]graph.Update, error) {
 	if len(p) < 4 {
-		//tdgraph:allow hotalloc a malformed payload ends the session
 		return dst, fmt.Errorf("%w: payload of %d bytes has no count", ErrCorrupt, len(p))
 	}
 	n := binary.LittleEndian.Uint32(p[0:4])
 	if uint64(len(p)) != 4+updateBytes*uint64(n) {
-		//tdgraph:allow hotalloc a malformed payload ends the session
 		return dst, fmt.Errorf("%w: payload is %d bytes for %d updates", ErrCorrupt, len(p), n)
 	}
 	if len(dst) == 0 && cap(dst) > MaxRetainedBuffer/updateBytes {
@@ -85,7 +82,6 @@ func AppendBatch(dst []graph.Update, p []byte) ([]graph.Update, error) {
 	at := len(dst)
 	dst = slices.Grow(dst, int(n))[:at+int(n)]
 	if unknown := decodeUpdates(dst[at:], p[4:]); unknown != 0 {
-		//tdgraph:allow hotalloc a malformed payload ends the session
 		return dst[:at], fmt.Errorf("%w: update flags carry unknown bits %#x", ErrCorrupt, unknown)
 	}
 	return dst, nil
@@ -93,8 +89,7 @@ func AppendBatch(dst []graph.Update, p []byte) ([]graph.Update, error) {
 
 // decodeUpdates fills dst from len(dst) update frames and returns the
 // union of every flag bit other than flagDelete it saw (0 = canonical).
-//
-//tdgraph:hot
+// It allocates nothing (TestRecordCodecAllocs).
 func decodeUpdates(dst []graph.Update, p []byte) (unknown byte) {
 	for i := range dst {
 		f := p[i*updateBytes : (i+1)*updateBytes]

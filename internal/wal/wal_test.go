@@ -57,6 +57,22 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordCodecAllocs: framing a record onto a reused buffer
+// (appendRecord) and decoding a payload onto a reused slice (AppendBatch,
+// through decodeUpdates) allocate no object.
+func TestRecordCodecAllocs(t *testing.T) {
+	payload := EncodeBatch(testBatch(1, 64))
+	rec, dst := appendRecord(nil, 1, payload), make([]graph.Update, 0, 64)
+	for name, codec := range map[string]func(){
+		"appendRecord": func() { rec = appendRecord(rec[:0], 2, payload) },
+		"AppendBatch":  func() { dst, _ = AppendBatch(dst[:0], payload) },
+	} {
+		if allocs := testing.AllocsPerRun(100, codec); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per record, want 0", name, allocs)
+		}
+	}
+}
+
 // appendN opens a log in dir and appends batches 1..n.
 func appendN(t *testing.T, dir string, n int, opt Options) *Log {
 	t.Helper()
