@@ -144,8 +144,8 @@ check: build vet vet-tdgraph race faults chaos bench-module examples
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Production apply path: incremental native session vs per-batch CSR
-# rebuild across batch sizes -> BENCH_native.json.
+# Production apply path: incremental native session vs per-batch seal +
+# from-scratch recompute across batch sizes -> BENCH_native.json.
 bench-native:
 	$(GO) run ./cmd/tdgraph-bench -nativejson BENCH_native.json
 

@@ -11,8 +11,8 @@
 //	tdgraph-bench -nativejson BENCH_native.json
 //
 // -nativejson measures the wall-clock production apply path — the
-// incremental native session against per-batch CSR rebuild across batch
-// sizes — and writes BENCH_native.json.
+// incremental native session against a per-batch seal and from-scratch
+// recompute across batch sizes — and writes BENCH_native.json.
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 		cores    = flag.Int("cores", 64, "simulated core count")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		natjson  = flag.String("nativejson", "", "measure the native apply path (incremental session vs per-batch CSR rebuild) and write BENCH_native.json to this path")
+		natjson  = flag.String("nativejson", "", "measure the native apply path (incremental session vs per-batch seal + from-scratch recompute) and write BENCH_native.json to this path")
 		faults   = flag.String("faults", "", "seeded fault-injection spec over the batch classes corrupt dup reorder oob badweight selfloop, e.g. 'corrupt,oob:0.1,badweight' (seeded by -seed)")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine (clamp forced when -faults is set)")
 		timeout  = flag.Duration("timeout", 0, "per-cell watchdog deadline (0 = unbounded)")

@@ -167,7 +167,8 @@ func TestNativeEngineCheckpointCrossEngine(t *testing.T) {
 }
 
 // TestNativeEnginePanicRecovery pins the robustness contract on the
-// native path: an algorithm panic during incremental propagation is
+// native path for a monotonic algorithm (TestAccumulativePanicRecovery
+// is the accumulative one): a panic during incremental propagation is
 // converted to *PanicError, the session self-heals by recomputing on the
 // store, and subsequent batches keep matching the oracle. Workers is 1
 // so the injected panic fires on the calling goroutine (a panic on a
@@ -201,6 +202,52 @@ func TestNativeEnginePanicRecovery(t *testing.T) {
 	}
 	want := algo.Reference(algo.MonotonicAlgo(tdgraph.NewSSSP(0)), s.Graph())
 	if v := bitsIdentical(s.States(), want); v >= 0 {
+		t.Fatalf("healed states diverge from oracle at vertex %d", v)
+	}
+}
+
+// panicShare panics on the second Share call once armed: the first is
+// the serial repair's, for the batch's one new out-edge of a source with
+// none, so the second comes from propagation.
+type panicShare struct {
+	algo.AccumulativeAlgo
+	armed bool
+	calls int
+}
+
+func (p *panicShare) Share(w float32, deg int, total float64) float64 {
+	if p.armed {
+		if p.calls++; p.calls == 2 {
+			panic("panicShare: injected propagate crash")
+		}
+	}
+	return p.AccumulativeAlgo.Share(w, deg, total)
+}
+
+// TestAccumulativePanicRecovery: a PageRank Share that panics inside
+// propagation on the one worker comes back as *PanicError, and the
+// healed session keeps streaming within tolerance of the oracle.
+func TestAccumulativePanicRecovery(t *testing.T) {
+	edges, nv := sessionEdges()
+	pa := &panicShare{AccumulativeAlgo: tdgraph.NewPageRank()}
+	s, err := tdgraph.NewSession(pa, edges, nv, tdgraph.SessionOptions{Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pa.armed = true
+	_, err = s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: tdgraph.VertexID(nv), Dst: 0, Weight: 1}}})
+	var pe *tdgraph.PanicError
+	if !errors.As(err, &pe) || pa.calls < 2 {
+		t.Fatalf("want *PanicError from propagation, got %T %v after %d Share calls", err, err, pa.calls)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 3; i++ {
+		if _, err := s.ApplyBatch(randomBatch(rng, nv, 30)); err != nil {
+			t.Fatalf("post-heal batch %d: %v", i, err)
+		}
+	}
+	if v := algo.StatesEqual(s.States(), algo.Reference(tdgraph.NewPageRank(), s.Graph()), 1e-4); v >= 0 {
 		t.Fatalf("healed states diverge from oracle at vertex %d", v)
 	}
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"time"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
@@ -52,14 +54,14 @@ func expTable2(w io.Writer, o Options) error {
 	return o.render(t, w)
 }
 
-// expFig14 runs the native (real-machine) comparison: Ligra-o vs the
-// software-only topology-driven engine without coalescing, wall-clock.
+// expFig14 runs the native (real-machine) comparison on native.Session:
+// one deletion-rich batch, applied from the same converged states in
+// Ligra-o's frontier rounds (ApplyBatchRounds) and in the software
+// topology-driven worklist order without coalescing (ApplyBatch). Store,
+// repair and dependency forest are shared, so the arms differ only in
+// propagation order. Sessions are built untimed; the arms alternate.
 func expFig14(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	t := &Table{
-		Title:  "Fig 14 — native wall-clock over FR (SSSP)",
-		Header: []string{"scheme", "wall", "speedup vs Ligra-o"},
-	}
 	// Deletion-rich batches produce the deep reset-region recomputation
 	// that the topology-driven ordering pays off on (see EXPERIMENTS.md).
 	spec := o.spec("FR", "sssp", "Ligra-o")
@@ -69,29 +71,50 @@ func expFig14(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	mono := p.Algo.(algo.MonotonicAlgo)
-	cfg := native.Config{}
-	// Warm both code paths once, then time.
-	native.LigraO(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg)
-	native.TopologyDriven(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg)
-
-	const reps = 5
-	timeIt := func(f func()) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
+	want := algo.Reference(p.Algo, p.NewG)
+	type arm struct {
+		name          string
+		apply         func(*native.Session, []graph.Update) graph.ApplyResult
+		wall          []time.Duration
+		visits, edges uint64
 	}
-	ligra := timeIt(func() { native.LigraO(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg) })
-	td := timeIt(func() { native.TopologyDriven(mono, p.OldG, p.NewG, p.Warm, p.Res, cfg) })
-	t.AddRow("Ligra-o", ligra.String(), "1.00")
-	t.AddRow("TDGraph-S-without", td.String(), f2(float64(ligra)/float64(td)))
-	t.Comment = "paper: TDGraph-S-without outperforms Ligra-o on a real 64-core Xeon Phi"
+	arms := []*arm{{name: "Ligra-o", apply: (*native.Session).ApplyBatchRounds}, {name: "TDGraph-S-without", apply: (*native.Session).ApplyBatch}}
+	const reps = 11
+	for rep := -1; rep < reps; rep++ { // rep -1 warms both arms
+		for k := range arms {
+			a := arms[(rep+1+k)%2]
+			sess := native.NewSession(p.Algo, graph.NewStoreFromSnapshot(p.OldG), native.Config{})
+			runtime.GC() // the last reps' sessions are not collected inside the timed region
+			start := time.Now()
+			a.apply(sess, p.Batch)
+			d := time.Since(start)
+			if v := algo.StatesEqual(sess.StatesCopy(), want, 0); v >= 0 {
+				return fmt.Errorf("fig14: %s state of vertex %d differs from the oracle", a.name, v)
+			}
+			if m := sess.Metrics(); rep >= 0 {
+				a.wall = append(a.wall, d)
+				a.visits, a.edges = a.visits+m.Get(stats.CtrPropagationVisits), a.edges+m.Get(stats.CtrEdgesProcessed)
+			}
+			sess.Close()
+		}
+	}
+	t := &Table{
+		Title:  "Fig 14 — native wall-clock over FR (SSSP), native.Session",
+		Header: []string{"scheme", "wall p50 ms", "p25–p75 ms", "speedup vs Ligra-o", "visits/update", "edges/update"},
+	}
+	updates := float64(reps * len(p.Batch))
+	ms := func(d time.Duration) string { return f2(float64(d) / 1e6) }
+	var base time.Duration
+	for _, a := range arms {
+		slices.Sort(a.wall)
+		p50 := a.wall[reps/2]
+		if base == 0 {
+			base = p50
+		}
+		t.AddRow(a.name, ms(p50), ms(a.wall[reps/4])+"–"+ms(a.wall[3*reps/4]),
+			f2(float64(base)/float64(p50)), f2(float64(a.visits)/updates), f2(float64(a.edges)/updates))
+	}
+	t.Comment = fmt.Sprintf("%d reps per arm, alternating; %d updates per batch; paper: TDGraph-S-without outperforms Ligra-o on a real 64-core Xeon Phi", reps, len(p.Batch))
 	return o.render(t, w)
 }
 

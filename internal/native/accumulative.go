@@ -2,155 +2,139 @@ package native
 
 import (
 	"math"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/graph"
 )
 
-// atomicAdd adds delta to the float64 stored at bits[i] with a CAS loop.
-func (s *atomicStates) atomicAdd(v graph.VertexID, delta float64) {
-	for {
-		old := atomic.LoadUint64(&s.bits[v])
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(&s.bits[v], old, next) {
-			return
+// The accumulative family (PageRank, Adsorption) on the Session: the
+// fixpoint s[v] = Base(v) + Damping · Σ_{u→v} Share(u→v) · s[u] is kept
+// by pushing signed deltas. A batch cancels each touched source's old
+// contributions and adds its new ones (the serial repair); propagation
+// then forwards every pending delta above Epsilon on the pool.
+
+// bootstrapAcc installs keep, or the from-scratch fixpoint over rows,
+// with no delta pending, and each vertex's total out-weight.
+func (s *Session) bootstrapAcc(rows *graph.Rows, keep []float64) {
+	n := rows.NumVertices()
+	s.growTo(n)
+	if keep == nil {
+		keep = algo.Reference(s.acc, &graph.Snapshot{NumVertices: n, Offsets: rows.Offsets, Neighbors: rows.Neighbors, Weights: rows.Weights})
+	}
+	for v := range graph.VertexID(n) {
+		_, ws := rows.Row(v)
+		s.states[v], s.delta[v], s.outW[v] = math.Float64bits(keep[v]), 0, sumWeights(ws)
+	}
+}
+
+func sumWeights(ws []float32) (t float64) {
+	for _, w := range ws {
+		t += float64(w)
+	}
+	return t
+}
+
+// appendRow appends u's out-row in the store to ns and ws.
+func (s *Session) appendRow(ns []graph.VertexID, ws []float32, u graph.VertexID) ([]graph.VertexID, []float32) {
+	for r, left := 0, s.store.OutDegree(u); left > 0; r++ {
+		rn, rw := s.store.OutEdges(u, r)
+		left -= len(rn)
+		ns, ws = append(ns, rn...), append(ws, rw...)
+	}
+	return ns, ws
+}
+
+// capturePreRows records, before the store applies batch, each distinct
+// source's out-row: the edges its current contributions went along.
+// ApplyResult cannot stand in for it: its DeletedEdges may list an edge
+// a later add of the same batch restored. The cost is the touched
+// sources' degree, not the graph's size.
+func (s *Session) capturePreRows(batch []graph.Update) {
+	s.srcs = s.srcs[:0]
+	for _, u := range batch {
+		s.srcs = append(s.srcs, u.Edge.Src)
+	}
+	slices.Sort(s.srcs)
+	s.srcs = slices.Compact(s.srcs)
+	s.preEnd, s.preNbr, s.preW = s.preEnd[:0], s.preNbr[:0], s.preW[:0]
+	for _, u := range s.srcs {
+		if int(u) < len(s.states) {
+			s.preNbr, s.preW = s.appendRow(s.preNbr, s.preW, u)
+		}
+		s.preEnd = append(s.preEnd, len(s.preNbr))
+	}
+}
+
+// repairAcc moves each touched source's sent mass from its pre-batch row
+// to its current one, appended after the captured rows while it is read:
+// minus its share along every old edge, plus its share along every new
+// one.
+func (s *Session) repairAcc() {
+	lo := 0
+	for i, u := range s.srcs {
+		hi, end := s.preEnd[i], len(s.preNbr)
+		if int(u) < len(s.states) { // else a delete from a vertex the store never had
+			sent := s.acc.Damping() * math.Float64frombits(s.states[u])
+			s.sendAlong(s.preNbr[lo:hi], s.preW[lo:hi], s.outW[u], -sent)
+			s.preNbr, s.preW = s.appendRow(s.preNbr, s.preW, u)
+			s.outW[u] = sumWeights(s.preW[end:])
+			s.sendAlong(s.preNbr[end:], s.preW[end:], s.outW[u], sent)
+		}
+		s.preNbr, s.preW, lo = s.preNbr[:end], s.preW[:end], hi
+	}
+}
+
+// sendAlong adds x's share along each edge of a row of the given total
+// weight to the destinations' pending deltas, seeding each that leaves
+// the Epsilon band.
+func (s *Session) sendAlong(ns []graph.VertexID, ws []float32, total, x float64) {
+	for j, w := range ns {
+		if s.addDelta(w, x*s.acc.Share(ws[j], len(ns), total)) {
+			s.activate(w)
 		}
 	}
 }
 
-// Accumulative runs the parallel incremental engine for accumulative
-// algorithms (PageRank, Adsorption): the batch's contribution diffs seed
-// pending deltas, then frontier-synchronous rounds apply and forward them
-// with lock-free accumulation until every delta falls below epsilon.
-func Accumulative(a algo.AccumulativeAlgo, oldG, g *graph.Snapshot, warm []float64, res graph.ApplyResult, cfg Config) []float64 {
-	n := g.NumVertices
-	state := newAtomicStates(warm)
-	for v := len(warm); v < n; v++ {
-		state.bits = append(state.bits, math.Float64bits(a.Base(graph.VertexID(v))))
-	}
-	delta := newAtomicStates(make([]float64, n))
-	totalOutW := make([]float64, n)
-	for v := 0; v < n; v++ {
-		totalOutW[v] = algo.TotalOutWeight(g, graph.VertexID(v))
-	}
+// addDelta adds x to v's pending delta and reports whether it now needs
+// a visit.
+func (s *Session) addDelta(v graph.VertexID, x float64) bool {
+	return math.Abs(addFloat(&s.delta[v], x)) > s.acc.Epsilon()
+}
 
-	// Repair: cancel each touched source's old contributions and apply
-	// its new ones (serial — batch-sized work).
-	var frontier []graph.VertexID
-	inFrontier := make([]bool, n)
-	activate := func(v graph.VertexID) {
-		if !inFrontier[v] {
-			inFrontier[v] = true
-			frontier = append(frontier, v)
+// addFloat atomically adds x to the float64 stored at *p and returns
+// the sum.
+func addFloat(p *uint64, x float64) float64 {
+	for {
+		old := atomic.LoadUint64(p)
+		sum := math.Float64frombits(old) + x
+		if atomic.CompareAndSwapUint64(p, old, math.Float64bits(sum)) {
+			return sum
 		}
 	}
-	srcSeen := map[graph.VertexID]bool{}
-	var srcs []graph.VertexID
-	for _, e := range res.AddedEdges {
-		if !srcSeen[e.Src] {
-			srcSeen[e.Src] = true
-			srcs = append(srcs, e.Src)
-		}
-	}
-	for _, e := range res.DeletedEdges {
-		if !srcSeen[e.Src] {
-			srcSeen[e.Src] = true
-			srcs = append(srcs, e.Src)
-		}
-	}
-	d := a.Damping()
-	for _, u := range srcs {
-		ru := state.load(u)
-		if int(u) < oldG.NumVertices {
-			if oldDeg := oldG.OutDegree(u); oldDeg > 0 {
-				oldW := algo.TotalOutWeight(oldG, u)
-				ns := oldG.OutNeighbors(u)
-				ws := oldG.OutWeights(u)
-				for i, w := range ns {
-					delta.atomicAdd(w, -d*ru*a.Share(ws[i], oldDeg, oldW))
-					activate(w)
-				}
-			}
-		}
-		if newDeg := g.OutDegree(u); newDeg > 0 {
-			ns := g.OutNeighbors(u)
-			ws := g.OutWeights(u)
-			for i, w := range ns {
-				delta.atomicAdd(w, d*ru*a.Share(ws[i], newDeg, totalOutW[u]))
-				activate(w)
-			}
-		}
-	}
+}
 
-	// Frontier-synchronous parallel delta propagation.
-	workers := cfg.workers()
-	eps := a.Epsilon()
-	nextFlag := make([]uint32, n)
-	for len(frontier) > 0 {
-		for _, v := range frontier {
-			inFrontier[v] = false
-		}
-		nexts := make([][]graph.VertexID, workers)
-		var wg sync.WaitGroup
-		shard := (len(frontier) + workers - 1) / workers
-		for wi := 0; wi < workers; wi++ {
-			lo := wi * shard
-			if lo >= len(frontier) {
-				break
+// visitAcc claims v's pending delta, applies it to v's state and pushes
+// its damped shares to the out-neighbours. A delta inside the Epsilon
+// band stays pending (false): it is folded into the next one to arrive.
+// It returns v's out-degree.
+func (s *Session) visitAcc(wi int, v graph.VertexID) (int, bool) {
+	if math.Abs(math.Float64frombits(atomic.LoadUint64(&s.delta[v]))) <= s.acc.Epsilon() {
+		return 0, false
+	}
+	dv := math.Float64frombits(atomic.SwapUint64(&s.delta[v], 0))
+	addFloat(&s.states[v], dv)
+	deg := s.store.OutDegree(v)
+	sent, total := s.acc.Damping()*dv, s.outW[v]
+	for r, left := 0, deg; left > 0; r++ {
+		ns, ws := s.store.OutEdges(v, r)
+		left -= len(ns)
+		for i, u := range ns {
+			if c := sent * s.acc.Share(ws[i], deg, total); c != 0 && s.addDelta(u, c) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+				s.enqueue(wi, u)
 			}
-			hi := lo + shard
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			wg.Add(1)
-			go func(wi, lo, hi int) {
-				defer wg.Done()
-				var local []graph.VertexID
-				for _, v := range frontier[lo:hi] {
-					// Claim the vertex's pending delta.
-					var dv float64
-					for {
-						old := atomic.LoadUint64(&delta.bits[v])
-						dv = math.Float64frombits(old)
-						if atomic.CompareAndSwapUint64(&delta.bits[v], old, 0) {
-							break
-						}
-					}
-					if math.Abs(dv) <= eps {
-						continue
-					}
-					state.atomicAdd(v, dv)
-					deg := g.OutDegree(v)
-					if deg == 0 {
-						continue
-					}
-					ns := g.OutNeighbors(v)
-					ws := g.OutWeights(v)
-					for i, w := range ns {
-						contrib := d * dv * a.Share(ws[i], deg, totalOutW[v])
-						if contrib == 0 {
-							continue
-						}
-						delta.atomicAdd(w, contrib)
-						if atomic.CompareAndSwapUint32(&nextFlag[w], 0, 1) {
-							local = append(local, w)
-						}
-					}
-				}
-				nexts[wi] = local
-			}(wi, lo, hi)
-		}
-		wg.Wait()
-		frontier = frontier[:0]
-		for _, l := range nexts {
-			frontier = append(frontier, l...)
-		}
-		for _, v := range frontier {
-			atomic.StoreUint32(&nextFlag[v], 0)
-			inFrontier[v] = true
 		}
 	}
-	return state.snapshot()
+	return deg, true
 }

@@ -2,10 +2,12 @@ package native
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/graph/gen"
 )
 
 // buildSessionFixture returns a warmed session over an |E|-edge random
@@ -80,6 +82,46 @@ func TestSessionSteadyStateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("workers=%d: steady-state ApplyBatch allocates %.1f objects per toggle, want 0", workers, allocs)
 		}
+	}
+}
+
+// TestAccumulativeBatchAllocs is the allocation guard on a warm
+// accumulative batch: a 64-insert R-MAT batch costs a PageRank session at
+// most twice the bytes it costs an SSSP one on the same stream (the
+// store's growth), and its object count does not grow with |V| (two
+// graph sizes 8× apart): the accumulative arrays and the pre-batch row
+// scratch live as long as the session.
+func TestAccumulativeBatchAllocs(t *testing.T) {
+	var objs []float64
+	for _, nv := range []int{512, 4096} {
+		edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 8 * nv, A: 0.57, B: 0.19, C: 0.19, Seed: 5, MaxWeight: 16})
+		ups := randomStream(rand.New(rand.NewSource(1)), 24*64, nv)
+		for i := range ups {
+			ups[i].Delete = false
+		}
+		perBatch := func(a algo.Algorithm) (kb, objects float64) {
+			s := NewSession(a, graph.NewStoreFromEdges(nv, edges), Config{Workers: 2})
+			defer s.Close()
+			var m0, m1 runtime.MemStats
+			for i := 0; i < 24; i++ {
+				if i == 12 { // warm
+					runtime.ReadMemStats(&m0)
+				}
+				s.ApplyBatch(ups[i*64 : (i+1)*64])
+			}
+			runtime.ReadMemStats(&m1)
+			return float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / 12, float64(m1.Mallocs-m0.Mallocs) / 12
+		}
+		skb, sobj := perBatch(algo.NewSSSP(0))
+		pkb, pobj := perBatch(algo.NewPageRank())
+		t.Logf("|V| = %d: a warm 64-insert batch allocates %.2f KB in %.1f objects (PageRank), %.2f KB in %.1f (SSSP)", nv, pkb, pobj, skb, sobj)
+		if pkb > 2*skb {
+			t.Errorf("|V| = %d: PageRank allocates %.2f KB per batch, over twice SSSP's %.2f KB", nv, pkb, skb)
+		}
+		objs = append(objs, pobj)
+	}
+	if objs[1] > objs[0]+2 {
+		t.Errorf("PageRank objects per batch grow with |V|: %.1f at 8× the vertices, %.1f before", objs[1], objs[0])
 	}
 }
 

@@ -1,64 +1,15 @@
 // Package native provides the real (wall-clock) parallel incremental
-// engines. The production apply path is the stateful Session: a mutable
-// graph.Store plus SoA state arrays, incremental monotonic repair, and
-// worklist propagation with work stealing and software-TDTU propagation
-// counters. LigraO and TopologyDriven remain as one-shot functions for
-// the paper's Fig 14 experiment — the comparison of Ligra-o against the
-// software-only topology-driven approach on an actual machine rather
-// than the simulator.
+// engine: the stateful Session, a mutable graph.Store plus SoA state
+// arrays, repaired after each batch and propagated by worklists with
+// work stealing and software-TDTU propagation counters. It serves both
+// algorithm families — monotonic selection (tag / reset / re-gather
+// repair) and accumulative deltas (contribution cancelling) — and
+// offers Ligra-o's frontier-synchronous rounds as a second propagation
+// order over the same store, repair and dependency forest, for the
+// paper's Fig 14 comparison on an actual machine.
 package native
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"github.com/tdgraph/tdgraph/internal/algo"
-	"github.com/tdgraph/tdgraph/internal/graph"
-)
-
-// atomicStates is a float64 state vector with atomic improve operations.
-type atomicStates struct {
-	bits []uint64
-}
-
-func newAtomicStates(init []float64) *atomicStates {
-	s := &atomicStates{bits: make([]uint64, len(init))}
-	for i, v := range init {
-		s.bits[i] = math.Float64bits(v)
-	}
-	return s
-}
-
-func (s *atomicStates) load(v graph.VertexID) float64 {
-	return math.Float64frombits(atomic.LoadUint64(&s.bits[v]))
-}
-
-func (s *atomicStates) store(v graph.VertexID, val float64) {
-	atomic.StoreUint64(&s.bits[v], math.Float64bits(val))
-}
-
-// improve atomically applies cand if it is better; reports success.
-func (s *atomicStates) improve(v graph.VertexID, cand float64, better func(a, b float64) bool) bool {
-	for {
-		old := atomic.LoadUint64(&s.bits[v])
-		if !better(cand, math.Float64frombits(old)) {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(&s.bits[v], old, math.Float64bits(cand)) {
-			return true
-		}
-	}
-}
-
-func (s *atomicStates) snapshot() []float64 {
-	out := make([]float64, len(s.bits))
-	for i := range s.bits {
-		out[i] = math.Float64frombits(s.bits[i])
-	}
-	return out
-}
+import "runtime"
 
 // Config controls a native run.
 type Config struct {
@@ -71,164 +22,4 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// repair performs the monotonic batch repair serially (batch-sized work)
-// and returns the initial frontier. It mirrors engine.Runtime.Repair.
-func repair(a algo.MonotonicAlgo, oldG, g *graph.Snapshot, s *atomicStates, warm []float64, res graph.ApplyResult) []graph.VertexID {
-	n := g.NumVertices
-	// Rebuild the dependency forest by propagation replay; see
-	// algo.ReferenceWithParents for why value-matching would be unsound.
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	if oldG != nil {
-		_, parents := algo.ReferenceWithParents(a, oldG)
-		copy(parent, parents)
-	}
-	var frontier []graph.VertexID
-	inFrontier := make([]bool, n)
-	activate := func(v graph.VertexID) {
-		if !inFrontier[v] {
-			inFrontier[v] = true
-			frontier = append(frontier, v)
-		}
-	}
-	// Deletions: tag / reset / re-gather.
-	var tagged []graph.VertexID
-	isTagged := make([]bool, n)
-	tag := func(v graph.VertexID) {
-		if !isTagged[v] {
-			isTagged[v] = true
-			tagged = append(tagged, v)
-		}
-	}
-	for _, e := range res.DeletedEdges {
-		if parent[e.Dst] == int32(e.Src) {
-			tag(e.Dst)
-		}
-	}
-	for i := 0; i < len(tagged); i++ {
-		x := tagged[i]
-		for _, w := range g.OutNeighbors(x) {
-			if parent[w] == int32(x) {
-				tag(w)
-			}
-		}
-	}
-	for _, v := range tagged {
-		s.store(v, a.InitialValue(v))
-		parent[v] = -1
-	}
-	// Parallel-gather semantics: all re-gathers observe the post-reset
-	// snapshot; the region reconverges during propagation.
-	gatheredVals := make([]float64, len(tagged))
-	for i, v := range tagged {
-		best := a.InitialValue(v)
-		if g.InOffsets != nil {
-			ins := g.InNeighborsOf(v)
-			ws := g.InWeightsOf(v)
-			for j, u := range ins {
-				if cand := a.Propagate(s.load(u), ws[j]); a.Better(cand, best) {
-					best = cand
-				}
-			}
-		}
-		gatheredVals[i] = best
-	}
-	for i, v := range tagged {
-		s.store(v, gatheredVals[i])
-		activate(v)
-	}
-	for _, e := range res.AddedEdges {
-		cand := a.Propagate(s.load(e.Src), e.Weight)
-		if a.Better(cand, s.load(e.Dst)) {
-			s.store(e.Dst, cand)
-			activate(e.Dst)
-		}
-	}
-	return frontier
-}
-
-// LigraO runs the frontier-synchronous parallel incremental engine
-// (Ligra-o's discipline) natively and returns the new states.
-func LigraO(a algo.MonotonicAlgo, oldG, g *graph.Snapshot, warm []float64, res graph.ApplyResult, cfg Config) []float64 {
-	s := newAtomicStates(warm)
-	for v := len(warm); v < g.NumVertices; v++ {
-		s.bits = append(s.bits, math.Float64bits(a.InitialValue(graph.VertexID(v))))
-	}
-	frontier := repair(a, oldG, g, s, warm, res)
-	workers := cfg.workers()
-	nextFlag := make([]uint32, g.NumVertices)
-	for len(frontier) > 0 {
-		nexts := make([][]graph.VertexID, workers)
-		var wg sync.WaitGroup
-		shard := (len(frontier) + workers - 1) / workers
-		for wi := 0; wi < workers; wi++ {
-			lo := wi * shard
-			if lo >= len(frontier) {
-				break
-			}
-			hi := lo + shard
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			wg.Add(1)
-			go func(wi, lo, hi int) {
-				defer wg.Done()
-				var local []graph.VertexID
-				for _, v := range frontier[lo:hi] {
-					sv := s.load(v)
-					ns := g.OutNeighbors(v)
-					ws := g.OutWeights(v)
-					for i, w := range ns {
-						cand := a.Propagate(sv, ws[i])
-						if s.improve(w, cand, a.Better) {
-							if atomic.CompareAndSwapUint32(&nextFlag[w], 0, 1) {
-								local = append(local, w)
-							}
-						}
-					}
-				}
-				nexts[wi] = local
-			}(wi, lo, hi)
-		}
-		wg.Wait()
-		frontier = frontier[:0]
-		for _, l := range nexts {
-			frontier = append(frontier, l...)
-		}
-		for _, v := range frontier {
-			atomic.StoreUint32(&nextFlag[v], 0)
-		}
-	}
-	return s.snapshot()
-}
-
-// TopologyDriven runs the software topology-driven engine natively for
-// one batch — now a thin wrapper over the stateful Session (worklists +
-// work stealing + software-TDTU propagation counters), kept for the
-// Fig-14 experiment's one-shot signature. Production callers should hold
-// a Session instead of paying the per-call store/forest construction.
-func TopologyDriven(a algo.MonotonicAlgo, oldG, g *graph.Snapshot, warm []float64, res graph.ApplyResult, cfg Config) []float64 {
-	n := g.NumVertices
-	vals := make([]float64, n)
-	copy(vals, warm)
-	for v := len(warm); v < n; v++ {
-		vals[v] = a.InitialValue(graph.VertexID(v))
-	}
-	parents := make([]int32, n)
-	for i := range parents {
-		parents[i] = -1
-	}
-	if oldG != nil {
-		_, p := algo.ReferenceWithParents(a, oldG)
-		copy(parents, p)
-	}
-	s := newSessionWithParents(a, graph.NewStoreFromSnapshot(g), vals, parents, cfg)
-	defer s.Close()
-	s.repairAndSeed(res)
-	s.propagate()
-	return s.StatesCopy()
 }

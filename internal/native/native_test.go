@@ -1,39 +1,46 @@
-package native_test
+package native
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
-	"github.com/tdgraph/tdgraph/internal/native"
+	"github.com/tdgraph/tdgraph/internal/graph"
 )
 
-// TestNativeEnginesMatchOracle checks both native engines against the
-// full-recompute oracle across algorithms and seeds, with several worker
-// counts (1 worker exercises the degenerate serial path, many workers
-// the concurrent CAS paths).
+// methods are the Session's two propagation orders.
+var methods = map[string]func(*Session, []graph.Update) graph.ApplyResult{
+	"worklist": (*Session).ApplyBatch,
+	"rounds":   (*Session).ApplyBatchRounds,
+}
+
+// applyCase runs the case's batch through a fresh session over its
+// pre-batch graph and returns the states.
+func applyCase(c *enginetest.Case, apply func(*Session, []graph.Update) graph.ApplyResult, workers int) []float64 {
+	s := NewSession(c.Algo, graph.NewStoreFromSnapshot(c.OldG), Config{Workers: workers})
+	defer s.Close()
+	apply(s, c.Batch)
+	return s.StatesCopy()
+}
+
+// TestNativeEnginesMatchOracle checks both propagation methods against
+// the full-recompute oracle, bit for bit, across monotonic algorithms,
+// seeds and worker counts (1 worker exercises the degenerate serial
+// path, many workers the concurrent CAS paths).
 func TestNativeEnginesMatchOracle(t *testing.T) {
 	for _, algoName := range []string{"sssp", "cc"} {
-		for _, workers := range []int{1, 4, 16} {
+		for _, workers := range []int{1, 2, 4, 8, 16} {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/w%d/seed%d", algoName, workers, seed), func(t *testing.T) {
 					c, err := enginetest.Make(algoName, enginetest.DefaultConfig(seed))
 					if err != nil {
 						t.Fatal(err)
 					}
-					mono := c.Algo.(algo.MonotonicAlgo)
 					want := algo.Reference(c.Algo, c.NewG)
-					cfg := native.Config{Workers: workers}
-
-					got := native.LigraO(mono, c.OldG, c.NewG, c.Warm, c.Res, cfg)
-					if i := algo.StatesEqual(got, want, 1e-9); i >= 0 {
-						t.Fatalf("LigraO mismatch at vertex %d: got %v want %v", i, got[i], want[i])
-					}
-
-					got = native.TopologyDriven(mono, c.OldG, c.NewG, c.Warm, c.Res, cfg)
-					if i := algo.StatesEqual(got, want, 1e-9); i >= 0 {
-						t.Fatalf("TopologyDriven mismatch at vertex %d: got %v want %v", i, got[i], want[i])
+					for name, apply := range methods {
+						bitsEqual(t, name, applyCase(c, apply, workers), want)
 					}
 				})
 			}
@@ -41,7 +48,7 @@ func TestNativeEnginesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestNativeDeleteHeavy stresses the native deletion repair.
+// TestNativeDeleteHeavy stresses the deletion repair under both methods.
 func TestNativeDeleteHeavy(t *testing.T) {
 	cfg := enginetest.DefaultConfig(99)
 	cfg.AddFraction = 0.1
@@ -49,40 +56,69 @@ func TestNativeDeleteHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono := c.Algo.(algo.MonotonicAlgo)
 	want := algo.Reference(c.Algo, c.NewG)
-	for _, run := range []struct {
-		name string
-		f    func() []float64
-	}{
-		{"LigraO", func() []float64 {
-			return native.LigraO(mono, c.OldG, c.NewG, c.Warm, c.Res, native.Config{Workers: 8})
-		}},
-		{"TopologyDriven", func() []float64 {
-			return native.TopologyDriven(mono, c.OldG, c.NewG, c.Warm, c.Res, native.Config{Workers: 8})
-		}},
-	} {
-		got := run.f()
-		if i := algo.StatesEqual(got, want, 1e-9); i >= 0 {
-			t.Fatalf("%s mismatch at vertex %d", run.name, i)
-		}
+	for name, apply := range methods {
+		bitsEqual(t, name, applyCase(c, apply, 8), want)
 	}
 }
 
 // TestNativeRepeatedRuns guards against data races producing wrong final
-// values: many repetitions of a concurrent run must all converge to the
-// oracle (run with -race in CI).
+// values: repeated concurrent runs must all match the oracle (-race in CI).
 func TestNativeRepeatedRuns(t *testing.T) {
 	c, err := enginetest.Make("cc", enginetest.DefaultConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono := c.Algo.(algo.MonotonicAlgo)
 	want := algo.Reference(c.Algo, c.NewG)
-	for i := 0; i < 10; i++ {
-		got := native.TopologyDriven(mono, c.OldG, c.NewG, c.Warm, c.Res, native.Config{Workers: 8})
-		if j := algo.StatesEqual(got, want, 0); j >= 0 {
-			t.Fatalf("iteration %d: mismatch at vertex %d", i, j)
+	for i := 0; i < 5; i++ {
+		for name, apply := range methods {
+			bitsEqual(t, fmt.Sprintf("%s, iteration %d", name, i), applyCase(c, apply, 8), want)
+		}
+	}
+}
+
+// TestNativeAccumulativeMatchesOracle streams the case's batch and then
+// deletion-bearing batches that grow the vertex set through a session,
+// and holds it within 1e-4 of the oracle after every batch, for both
+// accumulative algorithms.
+func TestNativeAccumulativeMatchesOracle(t *testing.T) {
+	for _, algoName := range []string{"pagerank", "adsorption"} {
+		for _, workers := range []int{1, 2, 8} {
+			for seed := int64(1); seed <= 2; seed++ {
+				t.Run(fmt.Sprintf("%s/w%d/seed%d", algoName, workers, seed), func(t *testing.T) {
+					c, err := enginetest.Make(algoName, enginetest.DefaultConfig(seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := NewSession(c.Algo, graph.NewStoreFromSnapshot(c.OldG), Config{Workers: workers})
+					defer s.Close()
+					rng := rand.New(rand.NewSource(seed))
+					batch := c.Batch
+					for i := 0; i < 4; i++ {
+						s.ApplyBatch(batch)
+						want := algo.Reference(c.Algo, s.Store().Seal())
+						if v := algo.StatesEqual(s.StatesCopy(), want, 1e-4); v >= 0 {
+							t.Fatalf("batch %d: vertex %d is %v, want %v", i, v, s.State(graph.VertexID(v)), want[v])
+						}
+						batch = randomStream(rng, 100, s.NumVertices()+5)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestNativeAccumulativeRepeated guards against torn-float races (run
+// with -race).
+func TestNativeAccumulativeRepeated(t *testing.T) {
+	c, err := enginetest.Make("pagerank", enginetest.DefaultConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := algo.Reference(c.Algo, c.NewG)
+	for i := 0; i < 5; i++ {
+		if j := algo.StatesEqual(applyCase(c, (*Session).ApplyBatch, 8), want, 1e-4); j >= 0 {
+			t.Fatalf("iteration %d: mismatch at %d", i, j)
 		}
 	}
 }

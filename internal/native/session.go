@@ -12,43 +12,64 @@ import (
 )
 
 // Session is the stateful incremental native engine: it owns a mutable
-// graph.Store plus flat SoA per-vertex arrays (state bits, dependency
-// parent, propagation counters) and repairs the monotonic fixpoint after
-// each batch instead of recomputing it — the production apply path.
+// graph.Store plus flat SoA per-vertex arrays and repairs the fixpoint
+// after each batch instead of recomputing it — the production apply
+// path, for both algorithm families.
 //
 // Concurrency model: batch application and repair are serial (batch-sized
-// work); propagation fans out over a persistent worker pool with
-// per-worker worklists and work stealing. Vertex state, parent, and
-// improvement counter are updated together under a per-vertex CAS
-// spinlock so the dependency forest can never disagree with the states;
-// readers use plain atomic state loads. Per-vertex propagation counters —
-// the paper's TDTU synchronisation in software — let a worker skip a
-// dequeued vertex whose latest improvement was already propagated by a
-// peer, eliminating redundant re-propagations without a global frontier
-// barrier.
+// work); propagation fans out over a persistent worker pool. Only the
+// serial repair and the per-vertex visit differ by family. Monotonic:
+// per-worker worklists with work stealing; vertex state, parent and
+// improvement counter change together under a per-vertex CAS spinlock,
+// so the dependency forest can never disagree with the states, and
+// per-vertex propagation counters — the paper's TDTU synchronisation in
+// software — let a worker skip a dequeued vertex whose latest
+// improvement a peer already propagated, without a global frontier
+// barrier. Accumulative: frontier rounds, whose visits claim a vertex's
+// pending delta, apply it and add its damped shares to the
+// out-neighbours' pending deltas with atomic float adds.
 //
 // The monotonic fixpoint is unique and the float operations are the same
 // as the reference oracle's, so final states are Float64bits-identical to
 // algo.Reference on the sealed graph regardless of worker count or
-// propagation order.
+// propagation order. Accumulative states agree with it up to the deltas
+// left pending below Epsilon.
 type Session struct {
-	alg     algo.MonotonicAlgo
+	mono    algo.MonotonicAlgo // exactly one of mono and acc is set
+	acc     algo.AccumulativeAlgo
 	store   *graph.Store
 	workers int
 
 	// SoA per-vertex arrays. states is accessed atomically during
 	// propagation and plainly during the serial phases (the pool is
 	// quiesced, with happens-before through the kick/done channels).
-	states     []uint64 // float64 bit patterns
+	states []uint64 // float64 bit patterns
+	queued []uint32 // 1 while sitting in some worklist
+
+	// Monotonic only.
 	parent     []int32  // dependency forest (-1 = self-supported)
 	vlock      []uint32 // per-vertex spinlock over (state, parent, improveVer)
-	queued     []uint32 // 1 while sitting in some worklist
 	improveVer []uint32 // bumped on every improvement (software TDTU)
 	propVer    []uint32 // last improveVer fully propagated
+
+	// Accumulative only. Every unit of a vertex's state has been sent
+	// along its out-edges; delta is what it received and has not yet
+	// applied.
+	delta []uint64  // float64 bit patterns
+	outW  []float64 // total out-weight, for the algorithm's Share
 
 	pending  int64 // worklist entries across all queues
 	queues   []workQueue
 	stealBuf [][]graph.VertexID
+
+	// Frontier rounds (ApplyBatchRounds): enqueue appends to next. At
+	// most one entry per vertex, so both are sized to the vertex set
+	// (from the first rounds batch) and never grow within a batch.
+	rounds      bool
+	frontier    []graph.VertexID
+	next        []graph.VertexID
+	frontierLen int
+	nextLen     int64
 
 	// Persistent pool: workers 1..n-1 park on kick between batches;
 	// worker 0 is the calling goroutine.
@@ -61,16 +82,24 @@ type Session struct {
 	gatherVal []float64
 	gatherPar []int32
 	seedIdx   int
+	srcs      []graph.VertexID // the batch's distinct sources (accumulative)
+	preEnd    []int            // end of srcs[i]'s pre-batch row in preNbr
+	preNbr    []graph.VertexID
+	preW      []float32
 
 	// Counters, merged into a Collector by Metrics.
 	ctrVisits, ctrEdges, ctrSkips, ctrSteals, ctrTags, ctrResets uint64
 }
 
 // NewSession bootstraps a session over st, computing the initial fixpoint
-// and dependency forest from scratch (the one-time O(V+E) cost) over a
-// copy of st's rows.
-func NewSession(a algo.MonotonicAlgo, st *graph.Store, cfg Config) *Session {
-	s, _ := NewSessionFromRows(a, st, st.Rows(), nil, cfg) // fails only on a keep of the wrong length
+// (and, for a monotonic algorithm, the dependency forest) from scratch —
+// the one-time O(V+E) cost — over a copy of st's rows. It panics when a
+// implements neither algo.MonotonicAlgo nor algo.AccumulativeAlgo.
+func NewSession(a algo.Algorithm, st *graph.Store, cfg Config) *Session {
+	s, err := NewSessionFromRows(a, st, st.Rows(), nil, cfg)
+	if err != nil {
+		panic(err)
+	}
 	return s
 }
 
@@ -80,36 +109,16 @@ func NewSession(a algo.MonotonicAlgo, st *graph.Store, cfg Config) *Session {
 // st.Rows(). The bootstrap reads no store, so st may still be loading.
 // A nil keep computes the fixpoint from scratch. Non-nil keep restores
 // checkpointed states verbatim (bit-for-bit, the recovery guarantee);
-// they must be the converged fixpoint for st's graph. The dependency
-// forest is rebuilt by replaying the from-scratch propagation either way
-// — parents must be recorded at improvement time, never reconstructed by
-// value matching (see algo.ReferenceWithParents).
-func NewSessionFromRows(a algo.MonotonicAlgo, st *graph.Store, rows *graph.Rows, keep []float64, cfg Config) (*Session, error) {
+// they must be the converged fixpoint for st's graph. A monotonic
+// dependency forest is rebuilt by replaying the from-scratch propagation
+// either way — parents must be recorded at improvement time, never
+// reconstructed by value matching (see algo.ReferenceWithParents).
+func NewSessionFromRows(a algo.Algorithm, st *graph.Store, rows *graph.Rows, keep []float64, cfg Config) (*Session, error) {
 	if keep != nil && len(keep) != rows.NumVertices() {
 		return nil, fmt.Errorf("native: %d states for %d vertices", len(keep), rows.NumVertices())
 	}
-	s := newSessionShell(a, st, cfg)
-	s.bootstrap(rows, keep)
-	return s, nil
-}
-
-// newSessionWithParents wires a session from already-known states and
-// parents (the Fig-14 wrapper path, where the caller replayed the old
-// graph itself). Both slices must cover st's vertex set.
-func newSessionWithParents(a algo.MonotonicAlgo, st *graph.Store, vals []float64, parents []int32, cfg Config) *Session {
-	s := newSessionShell(a, st, cfg)
-	s.growTo(st.NumVertices())
-	for v, x := range vals {
-		s.states[v] = math.Float64bits(x)
-	}
-	copy(s.parent, parents)
-	return s
-}
-
-func newSessionShell(a algo.MonotonicAlgo, st *graph.Store, cfg Config) *Session {
 	w := cfg.workers()
 	s := &Session{
-		alg:      a,
 		store:    st,
 		workers:  w,
 		queues:   make([]workQueue, w),
@@ -117,17 +126,34 @@ func newSessionShell(a algo.MonotonicAlgo, st *graph.Store, cfg Config) *Session
 		kick:     make([]chan struct{}, w),
 		done:     make(chan struct{}, w),
 	}
+	switch alg := a.(type) {
+	case algo.MonotonicAlgo:
+		s.mono = alg
+	case algo.AccumulativeAlgo:
+		s.acc = alg
+	default:
+		return nil, fmt.Errorf("native: %s implements neither MonotonicAlgo nor AccumulativeAlgo", a.Name())
+	}
 	for i := 1; i < w; i++ {
 		s.kick[i] = make(chan struct{}, 1)
 		go s.workerLoop(i)
 	}
-	return s
+	s.bootstrap(rows, keep)
+	return s, nil
 }
 
 func (s *Session) workerLoop(wi int) {
 	for range s.kick[wi] {
-		s.runWorker(wi)
+		s.work(wi)
 		s.done <- struct{}{}
+	}
+}
+
+func (s *Session) work(wi int) {
+	if s.rounds {
+		s.runRound(wi)
+	} else {
+		s.runWorker(wi)
 	}
 }
 
@@ -143,16 +169,25 @@ func (s *Session) Close() {
 	}
 }
 
-// bootstrap computes the from-scratch fixpoint and parent forest over
-// rows, the store's out-edges in its iteration order, by serial FIFO
-// worklist propagation (the same discipline as algo.ReferenceWithParents,
-// off a CSR that need not be sorted). When keep is non-nil those states
-// are installed verbatim instead of the replayed values — for a
-// converged checkpoint the two are bit-identical, but the checkpoint
-// bytes are authoritative. It reads no store, so the cold start runs it
-// while both of the store's directions are still being placed; keep it
-// that way.
+// bootstrap computes the from-scratch fixpoint over rows, the store's
+// out-edges in its iteration order, or installs keep verbatim. It reads
+// no store, so the cold start runs it while both of the store's
+// directions are still being placed; keep it that way.
 func (s *Session) bootstrap(rows *graph.Rows, keep []float64) {
+	if s.acc != nil {
+		s.bootstrapAcc(rows, keep)
+		return
+	}
+	s.bootstrapMono(rows, keep)
+}
+
+// bootstrapMono computes the monotonic fixpoint and parent forest by
+// serial FIFO worklist propagation (the same discipline as
+// algo.ReferenceWithParents, off a CSR that need not be sorted). When
+// keep is non-nil those states are installed verbatim instead of the
+// replayed values — for a converged checkpoint the two are
+// bit-identical, but the checkpoint bytes are authoritative.
+func (s *Session) bootstrapMono(rows *graph.Rows, keep []float64) {
 	n := rows.NumVertices()
 	s.growTo(n)
 	vals := make([]float64, n)
@@ -160,7 +195,7 @@ func (s *Session) bootstrap(rows *graph.Rows, keep []float64) {
 	// A FIFO ring of n slots: a vertex is queued at most once at a time.
 	queue := make([]graph.VertexID, n)
 	for v := 0; v < n; v++ {
-		vals[v] = s.alg.InitialValue(graph.VertexID(v))
+		vals[v] = s.mono.InitialValue(graph.VertexID(v))
 		s.parent[v] = -1
 		queue[v] = graph.VertexID(v)
 		inQ[v] = true
@@ -171,8 +206,8 @@ func (s *Session) bootstrap(rows *graph.Rows, keep []float64) {
 		inQ[v] = false
 		ns, ws := rows.Row(v)
 		for i, u := range ns {
-			cand := s.alg.Propagate(vals[v], ws[i])
-			if s.alg.Better(cand, vals[u]) {
+			cand := s.mono.Propagate(vals[v], ws[i])
+			if s.mono.Better(cand, vals[u]) {
 				vals[u] = cand
 				s.parent[u] = int32(v)
 				if !inQ[u] {
@@ -191,16 +226,29 @@ func (s *Session) bootstrap(rows *graph.Rows, keep []float64) {
 	}
 }
 
-// growTo extends the per-vertex arrays to n vertices, each in one step.
+// growTo extends the family's per-vertex arrays to n vertices, each in
+// one step. A new vertex starts at its initial value (monotonic) or its
+// base (accumulative): with no out-edge yet, it has sent nothing.
 func (s *Session) growTo(n int) {
 	old := len(s.states)
 	if n <= old {
 		return
 	}
-	s.states, s.parent, s.vlock = extend(s.states, n), extend(s.parent, n), extend(s.vlock, n)
-	s.queued, s.improveVer, s.propVer = extend(s.queued, n), extend(s.improveVer, n), extend(s.propVer, n)
+	s.states, s.queued = extend(s.states, n), extend(s.queued, n)
+	if s.acc != nil || s.next != nil {
+		s.frontier, s.next = extend(s.frontier, n), extend(s.next, n)
+	}
+	if s.acc != nil {
+		s.delta, s.outW = extend(s.delta, n), extend(s.outW, n)
+		for v := old; v < n; v++ {
+			s.states[v] = math.Float64bits(s.acc.Base(graph.VertexID(v)))
+		}
+		return
+	}
+	s.parent, s.vlock = extend(s.parent, n), extend(s.vlock, n)
+	s.improveVer, s.propVer = extend(s.improveVer, n), extend(s.propVer, n)
 	for v := old; v < n; v++ {
-		s.states[v] = math.Float64bits(s.alg.InitialValue(graph.VertexID(v)))
+		s.states[v] = math.Float64bits(s.mono.InitialValue(graph.VertexID(v)))
 		s.parent[v] = -1
 	}
 }
@@ -243,15 +291,61 @@ func (s *Session) StatesInto(dst []float64) []float64 {
 }
 
 // ApplyBatch applies one update batch to the store, repairs the fixpoint
-// incrementally, and propagates to convergence. The returned result's
-// slices alias reusable session buffers — copy before the next batch if
-// retained. Not safe for concurrent use. Warm, it allocates nothing
-// (TestSessionSteadyStateZeroAllocs).
+// incrementally, and propagates to convergence: monotonic work over the
+// worklists, accumulative deltas in frontier rounds (ApplyBatchRounds).
+// The returned result's slices alias reusable session buffers — copy
+// before the next batch if retained. Not safe for concurrent use. Warm,
+// a monotonic batch allocates nothing (TestSessionSteadyStateZeroAllocs).
 func (s *Session) ApplyBatch(batch []graph.Update) graph.ApplyResult {
+	if s.acc != nil {
+		return s.ApplyBatchRounds(batch)
+	}
+	s.rounds = false
+	res := s.applyAndRepair(batch)
+	if atomic.LoadInt64(&s.pending) > 0 {
+		s.runPool()
+	}
+	return res
+}
+
+// ApplyBatchRounds is ApplyBatch with Ligra-o's propagation order:
+// frontier-synchronous rounds, each worker taking one contiguous shard
+// of the frontier, a barrier between rounds, and no propagation-counter
+// skip. Store, repair, dependency forest and final states are
+// ApplyBatch's; only the order, and so the work, differ. It is the
+// accumulative order: a round gathers every delta a vertex receives for
+// one visit, where in worklist order partial waves travel apart, at
+// several times the visits.
+func (s *Session) ApplyBatchRounds(batch []graph.Update) graph.ApplyResult {
+	if s.next == nil { // a monotonic session's first rounds batch
+		s.frontier, s.next = make([]graph.VertexID, len(s.states)), make([]graph.VertexID, len(s.states))
+	}
+	s.rounds = true
+	res := s.applyAndRepair(batch) // the repair seeds the first frontier
+	for s.nextLen > 0 {
+		s.frontier, s.next = s.next, s.frontier
+		s.frontierLen, s.nextLen = int(s.nextLen), 0
+		for _, v := range s.frontier[:s.frontierLen] {
+			s.queued[v] = 0 // from here it marks the next frontier
+		}
+		s.runPool()
+	}
+	return res
+}
+
+// applyAndRepair applies batch to the store and runs the family's serial
+// repair, seeding the worklists.
+func (s *Session) applyAndRepair(batch []graph.Update) graph.ApplyResult {
+	if s.acc != nil {
+		s.capturePreRows(batch)
+	}
 	res := s.store.Apply(batch)
 	s.growTo(s.store.NumVertices())
-	s.repairAndSeed(res)
-	s.propagate()
+	if s.acc != nil {
+		s.repairAcc()
+	} else {
+		s.repairAndSeed(res)
+	}
 	return res
 }
 
@@ -287,20 +381,20 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	// observe the post-reset snapshot, or two tagged vertices could keep
 	// each other alive through values that are both about to be reset.
 	for _, v := range s.tagged {
-		s.states[v] = math.Float64bits(s.alg.InitialValue(v))
+		s.states[v] = math.Float64bits(s.mono.InitialValue(v))
 	}
 	s.ctrResets += uint64(len(s.tagged))
 	s.gatherVal = s.gatherVal[:0]
 	s.gatherPar = s.gatherPar[:0]
 	for _, v := range s.tagged {
-		best := s.alg.InitialValue(v)
+		best := s.mono.InitialValue(v)
 		bestPar := int32(-1)
 		for r, left := 0, s.store.InDegree(v); left > 0; r++ {
 			ns, ws := s.store.InEdges(v, r)
 			left -= len(ns)
 			for j, u := range ns {
-				cand := s.alg.Propagate(math.Float64frombits(s.states[u]), ws[j])
-				if s.alg.Better(cand, best) {
+				cand := s.mono.Propagate(math.Float64frombits(s.states[u]), ws[j])
+				if s.mono.Better(cand, best) {
 					best = cand
 					bestPar = int32(u)
 				}
@@ -317,8 +411,8 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	}
 	// Additions relax directly.
 	for _, e := range res.AddedEdges {
-		cand := s.alg.Propagate(math.Float64frombits(s.states[e.Src]), e.Weight)
-		if s.alg.Better(cand, math.Float64frombits(s.states[e.Dst])) {
+		cand := s.mono.Propagate(math.Float64frombits(s.states[e.Src]), e.Weight)
+		if s.mono.Better(cand, math.Float64frombits(s.states[e.Dst])) {
 			s.states[e.Dst] = math.Float64bits(cand)
 			s.parent[e.Dst] = int32(e.Src)
 			s.improveVer[e.Dst]++
@@ -330,8 +424,7 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 // activate enqueues v (round-robin across workers) unless already queued.
 func (s *Session) activate(v graph.VertexID) {
 	if atomic.CompareAndSwapUint32(&s.queued[v], 0, 1) {
-		atomic.AddInt64(&s.pending, 1)
-		s.queues[s.seedIdx].push(v)
+		s.enqueue(s.seedIdx, v)
 		s.seedIdx++
 		if s.seedIdx == s.workers {
 			s.seedIdx = 0
@@ -339,16 +432,13 @@ func (s *Session) activate(v graph.VertexID) {
 	}
 }
 
-// propagate drains the worklists to the fixpoint on the worker pool.
-// Panic-safe: if the algorithm panics on worker 0 (the calling
-// goroutine), pending is forced to zero so the kicked peers unwind and
-// park, then the panic continues — the pool is always quiescent when
-// the panic reaches the caller, so a heal can safely Recompute. It
-// allocates nothing (TestSessionSteadyStateZeroAllocs).
-func (s *Session) propagate() {
-	if atomic.LoadInt64(&s.pending) <= 0 {
-		return
-	}
+// runPool runs one pass of the pool — a worklist drain, or one frontier
+// round — with worker 0 on the calling goroutine. Panic-safe: if the
+// algorithm panics on worker 0, pending is forced to zero so the kicked
+// peers unwind and park, then the panic continues — the pool is always
+// quiescent when the panic reaches the caller, so a heal can safely
+// Recompute. It allocates nothing (TestSessionSteadyStateZeroAllocs).
+func (s *Session) runPool() {
 	for i := 1; i < s.workers; i++ {
 		s.kick[i] <- struct{}{}
 	}
@@ -364,12 +454,13 @@ func (s *Session) propagate() {
 			<-s.done
 		}
 	}()
-	s.runWorker(0)
+	s.work(0)
 }
 
-// runWorker drains worklists until the global pending count hits zero:
-// pop own queue (LIFO), steal half a victim's queue when empty, spin-
-// yield when everything looks empty but peers still hold work.
+// runWorker drains monotonic worklists until the global pending count
+// hits zero: pop own queue (LIFO), steal half a victim's queue when
+// empty, spin-yield when everything looks empty but peers still hold
+// work.
 func (s *Session) runWorker(wi int) {
 	q := &s.queues[wi]
 	buf := s.stealBuf[wi]
@@ -388,7 +479,7 @@ func (s *Session) runWorker(wi int) {
 				}
 			}
 			if !ok {
-				// <= 0, not == 0: during a panic unwind propagate zeroes
+				// <= 0, not == 0: during a panic unwind runPool zeroes
 				// pending while peers are mid-decrement, so it can dip
 				// negative transiently.
 				if atomic.LoadInt64(&s.pending) <= 0 {
@@ -405,30 +496,13 @@ func (s *Session) runWorker(wi int) {
 		// and re-queues — an improvement can never be propagated under a
 		// version recorded as already-propagated.
 		atomic.StoreUint32(&s.queued[v], 0)
-		iv := atomic.LoadUint32(&s.improveVer[v])
-		if iv == atomic.LoadUint32(&s.propVer[v]) {
+		if iv := atomic.LoadUint32(&s.improveVer[v]); iv == atomic.LoadUint32(&s.propVer[v]) {
 			skips++ // software TDTU: this improvement already went out
-			atomic.AddInt64(&s.pending, -1)
-			continue
+		} else {
+			visits++
+			edges += uint64(s.visitMono(wi, v))
+			atomic.StoreUint32(&s.propVer[v], iv)
 		}
-		sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
-		deg := s.store.OutDegree(v)
-		visits++
-		edges += uint64(deg)
-		for r, left := 0, deg; left > 0; r++ {
-			ns, ws := s.store.OutEdges(v, r)
-			left -= len(ns)
-			for i, u := range ns {
-				cand := s.alg.Propagate(sv, ws[i])
-				if s.improve(u, cand, int32(v)) {
-					if atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
-						atomic.AddInt64(&s.pending, 1)
-						q.push(u)
-					}
-				}
-			}
-		}
-		atomic.StoreUint32(&s.propVer[v], iv)
 		atomic.AddInt64(&s.pending, -1)
 	}
 	s.stealBuf[wi] = buf
@@ -438,19 +512,69 @@ func (s *Session) runWorker(wi int) {
 	atomic.AddUint64(&s.ctrSteals, steals)
 }
 
+// runRound visits worker wi's contiguous shard of the frontier once;
+// what the visits enqueue is the next round's frontier.
+func (s *Session) runRound(wi int) {
+	n := s.frontierLen
+	var visits, edges uint64
+	for _, v := range s.frontier[wi*n/s.workers : (wi+1)*n/s.workers] {
+		if s.acc != nil {
+			if deg, ok := s.visitAcc(wi, v); ok {
+				visits++
+				edges += uint64(deg)
+			}
+			continue
+		}
+		iv := atomic.LoadUint32(&s.improveVer[v])
+		visits++
+		edges += uint64(s.visitMono(wi, v))
+		atomic.StoreUint32(&s.propVer[v], iv)
+	}
+	atomic.AddUint64(&s.ctrVisits, visits)
+	atomic.AddUint64(&s.ctrEdges, edges)
+}
+
+// enqueue hands u, whose queued flag the caller has just set, to the
+// next round's frontier in rounds mode, else to worker wi's worklist.
+func (s *Session) enqueue(wi int, u graph.VertexID) {
+	if s.rounds {
+		s.next[atomic.AddInt64(&s.nextLen, 1)-1] = u
+		return
+	}
+	atomic.AddInt64(&s.pending, 1)
+	s.queues[wi].push(u)
+}
+
+// visitMono relaxes v's out-edges from its current state, enqueueing
+// every neighbour it improves; it returns v's out-degree.
+func (s *Session) visitMono(wi int, v graph.VertexID) int {
+	sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
+	deg := s.store.OutDegree(v)
+	for r, left := 0, deg; left > 0; r++ {
+		ns, ws := s.store.OutEdges(v, r)
+		left -= len(ns)
+		for i, u := range ns {
+			if s.improve(u, s.mono.Propagate(sv, ws[i]), int32(v)) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+				s.enqueue(wi, u)
+			}
+		}
+	}
+	return deg
+}
+
 // improve applies cand to u if it is better, recording the supporting
 // parent and bumping the improvement version atomically with the state —
 // all three under u's spinlock so the dependency forest always matches
 // the value it justifies.
 func (s *Session) improve(u graph.VertexID, cand float64, from int32) bool {
 	// Optimistic unlocked reject: most candidates lose.
-	if !s.alg.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u]))) {
+	if !s.mono.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u]))) {
 		return false
 	}
 	for !atomic.CompareAndSwapUint32(&s.vlock[u], 0, 1) {
 		runtime.Gosched()
 	}
-	ok := s.alg.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u])))
+	ok := s.mono.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u])))
 	if ok {
 		atomic.StoreUint64(&s.states[u], math.Float64bits(cand))
 		s.parent[u] = from
@@ -460,16 +584,18 @@ func (s *Session) improve(u graph.VertexID, cand float64, from int32) bool {
 	return ok
 }
 
-// Recompute rebuilds the states and dependency forest from scratch on
-// the current graph — the session's self-heal path. It also discards any
-// worklist wreckage a serial-phase panic may have left (seeded entries
-// that were never propagated), so a healed session starts the next batch
-// clean. Must not run concurrently with ApplyBatch.
+// Recompute rebuilds the states (and any dependency forest or pending
+// deltas) from scratch on the current graph — the session's self-heal
+// path. It also discards any worklist wreckage a panic may have left
+// (seeded entries that were never propagated), so a healed session
+// starts the next batch clean. Must not run concurrently with
+// ApplyBatch.
 func (s *Session) Recompute() {
 	for i := range s.queues {
-		s.queues[i].reset(s.queued)
+		s.queues[i].reset()
 	}
-	atomic.StoreInt64(&s.pending, 0)
+	clear(s.queued)
+	s.pending, s.nextLen = 0, 0
 	s.bootstrap(s.store.Rows(), nil)
 }
 

@@ -39,14 +39,11 @@ func (q *workQueue) pop() (graph.VertexID, bool) {
 	return v, true
 }
 
-// reset empties the queue, clearing each entry's flag in queued. Only
-// called from the serial phases (no workers active).
-func (q *workQueue) reset(queued []uint32) {
+// reset empties the queue. Only called from the serial phases (no
+// workers active).
+func (q *workQueue) reset() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, v := range q.items {
-		queued[v] = 0
-	}
 	q.items = q.items[:0]
 }
 

@@ -105,7 +105,7 @@ func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 	nb := s.eng
 	sameBits := func(label string) {
 		t.Helper()
-		got, want := s.States(), nb.mono.StatesCopy()
+		got, want := s.States(), nb.sess.StatesCopy()
 		if len(got) != len(want) || len(got) != s.NumVertices() {
 			t.Fatalf("%s: %d mirrored states, the engine holds %d for %d vertices", label, len(got), len(want), s.NumVertices())
 		}
@@ -126,7 +126,7 @@ func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 		restored, err := LoadSession(NewSSSP(0), &ckpt, SessionOptions{})
 		must(t, err)
 		defer restored.Close()
-		for v, x := range nb.mono.StatesCopy() {
+		for v, x := range nb.sess.StatesCopy() {
 			if math.Float64bits(restored.State(VertexID(v))) != math.Float64bits(x) {
 				t.Fatalf("after applying %v: the checkpoint holds %v for vertex %d, the engine %v", u, restored.State(VertexID(v)), v, x)
 			}

@@ -226,8 +226,7 @@ func (s *Session) States() []float64 { return s.eng.states() }
 func (s *Session) Graph() *Snapshot { return s.eng.snapshot() }
 
 // Metrics returns the engine's propagation counters, accumulated over
-// the session's batches (nil before the first batch; accumulative
-// algorithms report none).
+// the session's batches (nil before the first batch).
 func (s *Session) Metrics() *stats.Collector { return s.eng.metrics() }
 
 // PanicError is an engine or store panic converted to an error at the
