@@ -85,7 +85,7 @@ func RunNativeReport(o Options) (*NativeReport, error) {
 		NumVertices: nv, NumEdges: ne,
 		A: 0.57, B: 0.19, C: 0.19, Seed: o.Seed, MaxWeight: 16,
 	})
-	mkAlgo := func() algo.Algorithm { return algo.NewSSSP(0) }
+	mkAlgo := func() algo.MonotonicAlgo { return algo.NewSSSP(0) }
 	cfg := native.Config{Workers: workers}
 
 	for _, bs := range []int{1, 8, 64, 512} {
