@@ -167,12 +167,11 @@ func TestNativeEngineCheckpointCrossEngine(t *testing.T) {
 }
 
 // TestNativeEnginePanicRecovery pins the robustness contract on the
-// native path for a monotonic algorithm (TestAccumulativePanicRecovery
-// is the accumulative one): a panic during incremental propagation is
-// converted to *PanicError, the session self-heals by recomputing on the
-// store, and subsequent batches keep matching the oracle. Workers is 1
-// so the injected panic fires on the calling goroutine (a panic on a
-// pool goroutine is fatal by design, as with any Go program).
+// native path, here for SSSP (TestAccumulativePanicRecovery: PageRank):
+// a panic during incremental propagation becomes *PanicError, the
+// session self-heals by recomputing on the store, and later batches
+// keep matching the oracle. Workers is 1 so the injected panic fires on
+// the calling goroutine (one on a pool goroutine is fatal by design).
 func TestNativeEnginePanicRecovery(t *testing.T) {
 	edges, nv := sessionEdges()
 	pa := &panicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}

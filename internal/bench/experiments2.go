@@ -72,24 +72,22 @@ func expFig14(w io.Writer, o Options) error {
 		return err
 	}
 	want := algo.Reference(p.Algo, p.NewG)
-	type arm struct {
-		name          string
-		apply         func(*native.Session, []graph.Update) graph.ApplyResult
+	arms := make([]struct {
 		wall          []time.Duration
 		visits, edges uint64
-	}
-	arms := []*arm{{name: "Ligra-o", apply: (*native.Session).ApplyBatchRounds}, {name: "TDGraph-S-without", apply: (*native.Session).ApplyBatch}}
+	}, len(native.Orders))
 	const reps = 11
 	for rep := -1; rep < reps; rep++ { // rep -1 warms both arms
 		for k := range arms {
-			a := arms[(rep+1+k)%2]
+			i := (rep + 1 + k) % len(arms)
+			a, ord := &arms[i], native.Orders[i]
 			sess := native.NewSession(p.Algo, graph.NewStoreFromSnapshot(p.OldG), native.Config{})
 			runtime.GC() // the last reps' sessions are not collected inside the timed region
 			start := time.Now()
-			a.apply(sess, p.Batch)
+			ord.Apply(sess, p.Batch)
 			d := time.Since(start)
 			if v := algo.StatesEqual(sess.StatesCopy(), want, 0); v >= 0 {
-				return fmt.Errorf("fig14: %s state of vertex %d differs from the oracle", a.name, v)
+				return fmt.Errorf("fig14: %s state of vertex %d differs from the oracle", ord.Name, v)
 			}
 			if m := sess.Metrics(); rep >= 0 {
 				a.wall = append(a.wall, d)
@@ -105,13 +103,13 @@ func expFig14(w io.Writer, o Options) error {
 	updates := float64(reps * len(p.Batch))
 	ms := func(d time.Duration) string { return f2(float64(d) / 1e6) }
 	var base time.Duration
-	for _, a := range arms {
+	for i, a := range arms {
 		slices.Sort(a.wall)
 		p50 := a.wall[reps/2]
 		if base == 0 {
 			base = p50
 		}
-		t.AddRow(a.name, ms(p50), ms(a.wall[reps/4])+"–"+ms(a.wall[3*reps/4]),
+		t.AddRow(native.Orders[i].Name, ms(p50), ms(a.wall[reps/4])+"–"+ms(a.wall[3*reps/4]),
 			f2(float64(base)/float64(p50)), f2(float64(a.visits)/updates), f2(float64(a.edges)/updates))
 	}
 	t.Comment = fmt.Sprintf("%d reps per arm, alternating; %d updates per batch; paper: TDGraph-S-without outperforms Ligra-o on a real 64-core Xeon Phi", reps, len(p.Batch))

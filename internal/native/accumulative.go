@@ -90,17 +90,12 @@ func (s *Session) repairAcc() {
 // weight to the destinations' pending deltas, seeding each that leaves
 // the Epsilon band.
 func (s *Session) sendAlong(ns []graph.VertexID, ws []float32, total, x float64) {
+	eps := s.acc.Epsilon()
 	for j, w := range ns {
-		if s.addDelta(w, x*s.acc.Share(ws[j], len(ns), total)) {
+		if math.Abs(addFloat(&s.delta[w], x*s.acc.Share(ws[j], len(ns), total))) > eps {
 			s.activate(w)
 		}
 	}
-}
-
-// addDelta adds x to v's pending delta and reports whether it now needs
-// a visit.
-func (s *Session) addDelta(v graph.VertexID, x float64) bool {
-	return math.Abs(addFloat(&s.delta[v], x)) > s.acc.Epsilon()
 }
 
 // addFloat atomically adds x to the float64 stored at *p and returns
@@ -115,12 +110,13 @@ func addFloat(p *uint64, x float64) float64 {
 	}
 }
 
-// visitAcc claims v's pending delta, applies it to v's state and pushes
-// its damped shares to the out-neighbours. A delta inside the Epsilon
-// band stays pending (false): it is folded into the next one to arrive.
-// It returns v's out-degree.
-func (s *Session) visitAcc(wi int, v graph.VertexID) (int, bool) {
-	if math.Abs(math.Float64frombits(atomic.LoadUint64(&s.delta[v]))) <= s.acc.Epsilon() {
+// visitAcc claims v's pending delta, applies it and pushes its damped
+// shares to the out-neighbours, returning v's out-degree. A delta inside
+// the Epsilon band stays pending (false) for later ones to carry out:
+// dropped, it drifts past 1e-4 (TestAccumulativeDefaultEpsilon).
+func (s *Session) visitAcc(v graph.VertexID) (int, bool) {
+	eps := s.acc.Epsilon()
+	if math.Abs(math.Float64frombits(atomic.LoadUint64(&s.delta[v]))) <= eps {
 		return 0, false
 	}
 	dv := math.Float64frombits(atomic.SwapUint64(&s.delta[v], 0))
@@ -131,8 +127,8 @@ func (s *Session) visitAcc(wi int, v graph.VertexID) (int, bool) {
 		ns, ws := s.store.OutEdges(v, r)
 		left -= len(ns)
 		for i, u := range ns {
-			if c := sent * s.acc.Share(ws[i], deg, total); c != 0 && s.addDelta(u, c) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
-				s.enqueue(wi, u)
+			if c := sent * s.acc.Share(ws[i], deg, total); c != 0 && math.Abs(addFloat(&s.delta[u], c)) > eps && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+				s.next[atomic.AddInt64(&s.nextLen, 1)-1] = u
 			}
 		}
 	}

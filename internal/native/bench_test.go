@@ -85,12 +85,10 @@ func TestSessionSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAccumulativeBatchAllocs is the allocation guard on a warm
-// accumulative batch: a 64-insert R-MAT batch costs a PageRank session at
-// most twice the bytes it costs an SSSP one on the same stream (the
-// store's growth), and its object count does not grow with |V| (two
-// graph sizes 8× apart): the accumulative arrays and the pre-batch row
-// scratch live as long as the session.
+// TestAccumulativeBatchAllocs: a warm 64-insert R-MAT batch costs a
+// PageRank session at most twice the bytes it costs an SSSP one (the
+// store's growth), in objects that do not grow with |V| (two sizes 8×
+// apart): its arrays and pre-batch row scratch live with the session.
 func TestAccumulativeBatchAllocs(t *testing.T) {
 	var objs []float64
 	for _, nv := range []int{512, 4096} {

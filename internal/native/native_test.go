@@ -10,14 +10,17 @@ import (
 	"github.com/tdgraph/tdgraph/internal/graph"
 )
 
-// methods are the Session's two propagation orders.
-var methods = map[string]func(*Session, []graph.Update) graph.ApplyResult{
-	"worklist": (*Session).ApplyBatch,
-	"rounds":   (*Session).ApplyBatchRounds,
+// makeCase builds the named enginetest case, failing t if it cannot.
+func makeCase(t *testing.T, algoName string, cfg enginetest.Config) *enginetest.Case {
+	t.Helper()
+	c, err := enginetest.Make(algoName, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
-// applyCase runs the case's batch through a fresh session over its
-// pre-batch graph and returns the states.
+// applyCase runs the case's batch through a fresh session, returning its states.
 func applyCase(c *enginetest.Case, apply func(*Session, []graph.Update) graph.ApplyResult, workers int) []float64 {
 	s := NewSession(c.Algo, graph.NewStoreFromSnapshot(c.OldG), Config{Workers: workers})
 	defer s.Close()
@@ -34,13 +37,10 @@ func TestNativeEnginesMatchOracle(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8, 16} {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/w%d/seed%d", algoName, workers, seed), func(t *testing.T) {
-					c, err := enginetest.Make(algoName, enginetest.DefaultConfig(seed))
-					if err != nil {
-						t.Fatal(err)
-					}
+					c := makeCase(t, algoName, enginetest.DefaultConfig(seed))
 					want := algo.Reference(c.Algo, c.NewG)
-					for name, apply := range methods {
-						bitsEqual(t, name, applyCase(c, apply, workers), want)
+					for _, o := range Orders {
+						bitsEqual(t, o.Name, applyCase(c, o.Apply, workers), want)
 					}
 				})
 			}
@@ -52,44 +52,34 @@ func TestNativeEnginesMatchOracle(t *testing.T) {
 func TestNativeDeleteHeavy(t *testing.T) {
 	cfg := enginetest.DefaultConfig(99)
 	cfg.AddFraction = 0.1
-	c, err := enginetest.Make("sssp", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := makeCase(t, "sssp", cfg)
 	want := algo.Reference(c.Algo, c.NewG)
-	for name, apply := range methods {
-		bitsEqual(t, name, applyCase(c, apply, 8), want)
+	for _, o := range Orders {
+		bitsEqual(t, o.Name, applyCase(c, o.Apply, 8), want)
 	}
 }
 
 // TestNativeRepeatedRuns guards against data races producing wrong final
 // values: repeated concurrent runs must all match the oracle (-race in CI).
 func TestNativeRepeatedRuns(t *testing.T) {
-	c, err := enginetest.Make("cc", enginetest.DefaultConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := makeCase(t, "cc", enginetest.DefaultConfig(7))
 	want := algo.Reference(c.Algo, c.NewG)
-	for i := 0; i < 5; i++ {
-		for name, apply := range methods {
-			bitsEqual(t, fmt.Sprintf("%s, iteration %d", name, i), applyCase(c, apply, 8), want)
+	for i := 0; i < 10; i++ {
+		for _, o := range Orders {
+			bitsEqual(t, fmt.Sprintf("%s, iteration %d", o.Name, i), applyCase(c, o.Apply, 8), want)
 		}
 	}
 }
 
-// TestNativeAccumulativeMatchesOracle streams the case's batch and then
-// deletion-bearing batches that grow the vertex set through a session,
-// and holds it within 1e-4 of the oracle after every batch, for both
-// accumulative algorithms.
+// TestNativeAccumulativeMatchesOracle streams the case's batch, then
+// batches with deletions that grow the vertex set, through a session of
+// each accumulative algorithm, within 1e-4 of the oracle after each.
 func TestNativeAccumulativeMatchesOracle(t *testing.T) {
 	for _, algoName := range []string{"pagerank", "adsorption"} {
 		for _, workers := range []int{1, 2, 8} {
 			for seed := int64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("%s/w%d/seed%d", algoName, workers, seed), func(t *testing.T) {
-					c, err := enginetest.Make(algoName, enginetest.DefaultConfig(seed))
-					if err != nil {
-						t.Fatal(err)
-					}
+					c := makeCase(t, algoName, enginetest.DefaultConfig(seed))
 					s := NewSession(c.Algo, graph.NewStoreFromSnapshot(c.OldG), Config{Workers: workers})
 					defer s.Close()
 					rng := rand.New(rand.NewSource(seed))
@@ -111,10 +101,7 @@ func TestNativeAccumulativeMatchesOracle(t *testing.T) {
 // TestNativeAccumulativeRepeated guards against torn-float races (run
 // with -race).
 func TestNativeAccumulativeRepeated(t *testing.T) {
-	c, err := enginetest.Make("pagerank", enginetest.DefaultConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := makeCase(t, "pagerank", enginetest.DefaultConfig(3))
 	want := algo.Reference(c.Algo, c.NewG)
 	for i := 0; i < 5; i++ {
 		if j := algo.StatesEqual(applyCase(c, (*Session).ApplyBatch, 8), want, 1e-4); j >= 0 {

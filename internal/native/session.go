@@ -62,9 +62,10 @@ type Session struct {
 	queues   []workQueue
 	stealBuf [][]graph.VertexID
 
-	// Frontier rounds (ApplyBatchRounds): enqueue appends to next. At
-	// most one entry per vertex, so both are sized to the vertex set
-	// (from the first rounds batch) and never grow within a batch.
+	// Frontier rounds (ApplyBatchRounds): what the repair and the visits
+	// queue is appended to next. At most one entry per vertex, so both
+	// are sized to the vertex set (from the first rounds batch) and never
+	// grow within a batch.
 	rounds      bool
 	frontier    []graph.VertexID
 	next        []graph.VertexID
@@ -301,27 +302,36 @@ func (s *Session) ApplyBatch(batch []graph.Update) graph.ApplyResult {
 		return s.ApplyBatchRounds(batch)
 	}
 	s.rounds = false
-	res := s.applyAndRepair(batch)
+	res := s.store.Apply(batch)
+	s.growTo(s.store.NumVertices())
+	s.repairAndSeed(res)
 	if atomic.LoadInt64(&s.pending) > 0 {
 		s.runPool()
 	}
 	return res
 }
 
-// ApplyBatchRounds is ApplyBatch with Ligra-o's propagation order:
-// frontier-synchronous rounds, each worker taking one contiguous shard
-// of the frontier, a barrier between rounds, and no propagation-counter
-// skip. Store, repair, dependency forest and final states are
-// ApplyBatch's; only the order, and so the work, differ. It is the
-// accumulative order: a round gathers every delta a vertex receives for
-// one visit, where in worklist order partial waves travel apart, at
-// several times the visits.
+// ApplyBatchRounds is ApplyBatch in Ligra-o's order: frontier rounds,
+// each worker taking a contiguous shard, a barrier between rounds, no
+// propagation-counter skip. Store, repair, dependency forest and final
+// states are ApplyBatch's; only the order, and so the work, differ. It
+// is the accumulative order: a round gathers all the deltas a vertex
+// receives into one visit, where worklists send partial waves apart.
 func (s *Session) ApplyBatchRounds(batch []graph.Update) graph.ApplyResult {
 	if s.next == nil { // a monotonic session's first rounds batch
 		s.frontier, s.next = make([]graph.VertexID, len(s.states)), make([]graph.VertexID, len(s.states))
 	}
-	s.rounds = true
-	res := s.applyAndRepair(batch) // the repair seeds the first frontier
+	s.rounds = true // the repair seeds the first frontier
+	if s.acc != nil {
+		s.capturePreRows(batch)
+	}
+	res := s.store.Apply(batch)
+	s.growTo(s.store.NumVertices())
+	if s.acc != nil {
+		s.repairAcc()
+	} else {
+		s.repairAndSeed(res)
+	}
 	for s.nextLen > 0 {
 		s.frontier, s.next = s.next, s.frontier
 		s.frontierLen, s.nextLen = int(s.nextLen), 0
@@ -333,21 +343,11 @@ func (s *Session) ApplyBatchRounds(batch []graph.Update) graph.ApplyResult {
 	return res
 }
 
-// applyAndRepair applies batch to the store and runs the family's serial
-// repair, seeding the worklists.
-func (s *Session) applyAndRepair(batch []graph.Update) graph.ApplyResult {
-	if s.acc != nil {
-		s.capturePreRows(batch)
-	}
-	res := s.store.Apply(batch)
-	s.growTo(s.store.NumVertices())
-	if s.acc != nil {
-		s.repairAcc()
-	} else {
-		s.repairAndSeed(res)
-	}
-	return res
-}
+// Orders lists the Session's two propagation orders, named by Fig 14's arms.
+var Orders = []struct {
+	Name  string
+	Apply func(*Session, []graph.Update) graph.ApplyResult
+}{{"Ligra-o", (*Session).ApplyBatchRounds}, {"TDGraph-S-without", (*Session).ApplyBatch}}
 
 // repairAndSeed performs the serial, batch-sized monotonic repair —
 // tag / reset / re-gather for deletions, direct relaxation for additions
@@ -421,14 +421,20 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	}
 }
 
-// activate enqueues v (round-robin across workers) unless already queued.
+// activate seeds v, unless already queued, into the first frontier in
+// rounds mode, else round-robin into the workers' worklists.
 func (s *Session) activate(v graph.VertexID) {
-	if atomic.CompareAndSwapUint32(&s.queued[v], 0, 1) {
-		s.enqueue(s.seedIdx, v)
-		s.seedIdx++
-		if s.seedIdx == s.workers {
-			s.seedIdx = 0
-		}
+	if !atomic.CompareAndSwapUint32(&s.queued[v], 0, 1) {
+		return
+	}
+	if s.rounds {
+		s.next[atomic.AddInt64(&s.nextLen, 1)-1] = v
+		return
+	}
+	atomic.AddInt64(&s.pending, 1)
+	s.queues[s.seedIdx].push(v)
+	if s.seedIdx++; s.seedIdx == s.workers {
+		s.seedIdx = 0
 	}
 }
 
@@ -496,13 +502,27 @@ func (s *Session) runWorker(wi int) {
 		// and re-queues — an improvement can never be propagated under a
 		// version recorded as already-propagated.
 		atomic.StoreUint32(&s.queued[v], 0)
-		if iv := atomic.LoadUint32(&s.improveVer[v]); iv == atomic.LoadUint32(&s.propVer[v]) {
+		iv := atomic.LoadUint32(&s.improveVer[v])
+		if iv == atomic.LoadUint32(&s.propVer[v]) {
 			skips++ // software TDTU: this improvement already went out
-		} else {
-			visits++
-			edges += uint64(s.visitMono(wi, v))
-			atomic.StoreUint32(&s.propVer[v], iv)
+			atomic.AddInt64(&s.pending, -1)
+			continue
 		}
+		sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
+		deg := s.store.OutDegree(v)
+		visits++
+		edges += uint64(deg)
+		for r, left := 0, deg; left > 0; r++ {
+			ns, ws := s.store.OutEdges(v, r)
+			left -= len(ns)
+			for i, u := range ns {
+				if s.improve(u, s.mono.Propagate(sv, ws[i]), int32(v)) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+					atomic.AddInt64(&s.pending, 1)
+					q.push(u)
+				}
+			}
+		}
+		atomic.StoreUint32(&s.propVer[v], iv)
 		atomic.AddInt64(&s.pending, -1)
 	}
 	s.stealBuf[wi] = buf
@@ -513,53 +533,36 @@ func (s *Session) runWorker(wi int) {
 }
 
 // runRound visits worker wi's contiguous shard of the frontier once;
-// what the visits enqueue is the next round's frontier.
+// what the visits queue is the next round's frontier.
 func (s *Session) runRound(wi int) {
 	n := s.frontierLen
 	var visits, edges uint64
 	for _, v := range s.frontier[wi*n/s.workers : (wi+1)*n/s.workers] {
 		if s.acc != nil {
-			if deg, ok := s.visitAcc(wi, v); ok {
+			if deg, ok := s.visitAcc(v); ok {
 				visits++
 				edges += uint64(deg)
 			}
 			continue
 		}
 		iv := atomic.LoadUint32(&s.improveVer[v])
+		sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
+		deg := s.store.OutDegree(v)
 		visits++
-		edges += uint64(s.visitMono(wi, v))
+		edges += uint64(deg)
+		for r, left := 0, deg; left > 0; r++ {
+			ns, ws := s.store.OutEdges(v, r)
+			left -= len(ns)
+			for i, u := range ns {
+				if s.improve(u, s.mono.Propagate(sv, ws[i]), int32(v)) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+					s.next[atomic.AddInt64(&s.nextLen, 1)-1] = u
+				}
+			}
+		}
 		atomic.StoreUint32(&s.propVer[v], iv)
 	}
 	atomic.AddUint64(&s.ctrVisits, visits)
 	atomic.AddUint64(&s.ctrEdges, edges)
-}
-
-// enqueue hands u, whose queued flag the caller has just set, to the
-// next round's frontier in rounds mode, else to worker wi's worklist.
-func (s *Session) enqueue(wi int, u graph.VertexID) {
-	if s.rounds {
-		s.next[atomic.AddInt64(&s.nextLen, 1)-1] = u
-		return
-	}
-	atomic.AddInt64(&s.pending, 1)
-	s.queues[wi].push(u)
-}
-
-// visitMono relaxes v's out-edges from its current state, enqueueing
-// every neighbour it improves; it returns v's out-degree.
-func (s *Session) visitMono(wi int, v graph.VertexID) int {
-	sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
-	deg := s.store.OutDegree(v)
-	for r, left := 0, deg; left > 0; r++ {
-		ns, ws := s.store.OutEdges(v, r)
-		left -= len(ns)
-		for i, u := range ns {
-			if s.improve(u, s.mono.Propagate(sv, ws[i]), int32(v)) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
-				s.enqueue(wi, u)
-			}
-		}
-	}
-	return deg
 }
 
 // improve applies cand to u if it is better, recording the supporting

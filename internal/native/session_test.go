@@ -37,12 +37,8 @@ func bitsEqual(t *testing.T, ctx string, got, want []float64) {
 func randomStream(rng *rand.Rand, n, maxID int) []graph.Update {
 	batch := make([]graph.Update, n)
 	for i := range batch {
-		src := graph.VertexID(rng.Intn(maxID))
-		dst := graph.VertexID(rng.Intn(maxID))
-		batch[i] = graph.Update{
-			Edge:   graph.Edge{Src: src, Dst: dst, Weight: float32(1 + rng.Intn(16))},
-			Delete: rng.Intn(3) == 0,
-		}
+		e := graph.Edge{Src: graph.VertexID(rng.Intn(maxID)), Dst: graph.VertexID(rng.Intn(maxID)), Weight: float32(1 + rng.Intn(16))}
+		batch[i] = graph.Update{Edge: e, Delete: rng.Intn(3) == 0}
 	}
 	return batch
 }
