@@ -213,10 +213,9 @@ func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.V
 		fmt.Printf("\nbatch %d: +%d -%d (skipped %d), %d affected vertices\n",
 			i+1, res.Added, res.Deleted, res.Skipped, len(res.Affected))
 		if col := s.Metrics(); col != nil {
-			fmt.Printf("  visits=%d edges=%d tdtu-skips=%d steals=%d tags=%d resets=%d\n",
+			fmt.Printf("  visits=%d edges=%d steals=%d tags=%d resets=%d\n",
 				col.Get(stats.CtrPropagationVisits), col.Get(stats.CtrEdgesProcessed),
-				col.Get(stats.CtrNativeTDTUSkips), col.Get(stats.CtrWorkSteals),
-				col.Get(stats.CtrTagPropagations), col.Get(stats.CtrResets))
+				col.Get(stats.CtrWorkSteals), col.Get(stats.CtrTagPropagations), col.Get(stats.CtrResets))
 		}
 		fmt.Printf("  host wall time: %s\n", wall.Round(time.Microsecond))
 

@@ -56,8 +56,9 @@ func expTable2(w io.Writer, o Options) error {
 
 // expFig14 runs the native (real-machine) comparison on native.Session:
 // one deletion-rich batch, applied from the same converged states in
-// Ligra-o's frontier rounds (ApplyBatchRounds) and in the software
-// topology-driven worklist order without coalescing (ApplyBatch). Store,
+// Ligra-o's frontier rounds (ApplyBatchRounds) and, for
+// TDGraph-S-without, in LIFO worklists with work stealing and no
+// synchronisation between propagations (ApplyBatch). Store,
 // repair and dependency forest are shared, so the arms differ only in
 // propagation order. Sessions are built untimed; the arms alternate.
 func expFig14(w io.Writer, o Options) error {

@@ -1,7 +1,7 @@
 // Package native provides the real (wall-clock) parallel incremental
 // engine: the stateful Session, a mutable graph.Store plus SoA state
-// arrays, repaired after each batch and propagated by worklists with
-// work stealing and software-TDTU propagation counters. It serves both
+// arrays, repaired after each batch and propagated by LIFO worklists
+// with work stealing. It serves both
 // algorithm families — monotonic selection (tag / reset / re-gather
 // repair) and accumulative deltas (contribution cancelling) — and
 // offers Ligra-o's frontier-synchronous rounds as a second propagation

@@ -8,6 +8,8 @@ import (
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/graph/gen"
+	"github.com/tdgraph/tdgraph/internal/stats"
 )
 
 // makeCase builds the named enginetest case, failing t if it cannot.
@@ -106,6 +108,53 @@ func TestNativeAccumulativeRepeated(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if j := algo.StatesEqual(applyCase(c, (*Session).ApplyBatch, 8), want, 1e-4); j >= 0 {
 			t.Fatalf("iteration %d: mismatch at %d", i, j)
+		}
+	}
+}
+
+// TestOneWorkerWorkPinned pins the exact work of one SSSP batch in each
+// propagation order at one worker, where the schedule is deterministic:
+// 1,024 random new edges into a 65,536-vertex R-MAT graph (8 edges per
+// vertex) and into a Watts–Strogatz graph of AZ's shape (K 8, β 0.01).
+// A change that moves no propagation work leaves every count exact; a
+// new order or a dequeue rule that drops redundant visits moves them,
+// and must say so here.
+func TestOneWorkerWorkPinned(t *testing.T) {
+	const nv = 1 << 16
+	type work struct{ visits, edges uint64 }
+	for _, g := range []struct {
+		name  string
+		edges []graph.Edge
+		want  map[string]work // by order name
+	}{
+		{"rmat", gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 8 * nv, A: 0.57, B: 0.19, C: 0.19, Seed: 1, MaxWeight: 16}),
+			map[string]work{"Ligra-o": {285, 192}, "TDGraph-S-without": {285, 192}}},
+		{"ws", gen.WattsStrogatz(gen.WattsStrogatzConfig{NumVertices: nv, K: 8, Beta: 0.01, Seed: 1, MaxWeight: 16}),
+			map[string]work{"Ligra-o": {46_326, 741_813}, "TDGraph-S-without": {89_829, 1_438_289}}},
+	} {
+		base := graph.NewStoreFromEdges(nv, g.edges)
+		rng := rand.New(rand.NewSource(2))
+		batch := make([]graph.Update, 0, 1024)
+		seen := map[graph.Edge]bool{}
+		for len(batch) < cap(batch) {
+			e := graph.Edge{Src: graph.VertexID(rng.Intn(nv)), Dst: graph.VertexID(rng.Intn(nv))}
+			if e.Src == e.Dst || base.HasEdge(e.Src, e.Dst) || seen[e] {
+				continue
+			}
+			seen[e] = true
+			e.Weight = float32(1 + rng.Intn(16))
+			batch = append(batch, graph.Update{Edge: e})
+		}
+		for _, o := range Orders {
+			s := NewSession(algo.NewSSSP(0), graph.NewStoreFromEdges(nv, g.edges), Config{Workers: 1})
+			o.Apply(s, batch)
+			m := s.Metrics()
+			s.Close()
+			got := work{m.Get(stats.CtrPropagationVisits), m.Get(stats.CtrEdgesProcessed)}
+			t.Logf("%s %s: %d visits, %d edges", g.name, o.Name, got.visits, got.edges)
+			if got != g.want[o.Name] {
+				t.Errorf("%s %s: %d visits and %d edges, want %d and %d", g.name, o.Name, got.visits, got.edges, g.want[o.Name].visits, g.want[o.Name].edges)
+			}
 		}
 	}
 }

@@ -19,13 +19,11 @@ import (
 // Concurrency model: batch application and repair are serial (batch-sized
 // work); propagation fans out over a persistent worker pool. Only the
 // serial repair and the per-vertex visit differ by family. Monotonic:
-// per-worker worklists with work stealing; vertex state, parent and
-// improvement counter change together under a per-vertex CAS spinlock,
-// so the dependency forest can never disagree with the states, and
-// per-vertex propagation counters — the paper's TDTU synchronisation in
-// software — let a worker skip a dequeued vertex whose latest
-// improvement a peer already propagated, without a global frontier
-// barrier. Accumulative: frontier rounds, whose visits claim a vertex's
+// per-worker LIFO worklists with work stealing and no global frontier
+// barrier; vertex state and parent change together under a per-vertex
+// CAS spinlock, so the dependency forest can never disagree with the
+// states, and a queued flag keeps a vertex in at most one worklist.
+// Accumulative: frontier rounds, whose visits claim a vertex's
 // pending delta, apply it and add its damped shares to the
 // out-neighbours' pending deltas with atomic float adds.
 //
@@ -47,10 +45,8 @@ type Session struct {
 	queued []uint32 // 1 while sitting in some worklist
 
 	// Monotonic only.
-	parent     []int32  // dependency forest (-1 = self-supported)
-	vlock      []uint32 // per-vertex spinlock over (state, parent, improveVer)
-	improveVer []uint32 // bumped on every improvement (software TDTU)
-	propVer    []uint32 // last improveVer fully propagated
+	parent []int32  // dependency forest (-1 = self-supported)
+	vlock  []uint32 // per-vertex spinlock over (state, parent)
 
 	// Accumulative only. Every unit of a vertex's state has been sent
 	// along its out-edges; delta is what it received and has not yet
@@ -89,7 +85,7 @@ type Session struct {
 	preW      []float32
 
 	// Counters, merged into a Collector by Metrics.
-	ctrVisits, ctrEdges, ctrSkips, ctrSteals, ctrTags, ctrResets uint64
+	ctrVisits, ctrEdges, ctrSteals, ctrTags, ctrResets uint64
 }
 
 // NewSession bootstraps a session over st, computing the initial fixpoint
@@ -247,7 +243,6 @@ func (s *Session) growTo(n int) {
 		return
 	}
 	s.parent, s.vlock = extend(s.parent, n), extend(s.vlock, n)
-	s.improveVer, s.propVer = extend(s.improveVer, n), extend(s.propVer, n)
 	for v := old; v < n; v++ {
 		s.states[v] = math.Float64bits(s.mono.InitialValue(graph.VertexID(v)))
 		s.parent[v] = -1
@@ -292,11 +287,12 @@ func (s *Session) StatesInto(dst []float64) []float64 {
 }
 
 // ApplyBatch applies one update batch to the store, repairs the fixpoint
-// incrementally, and propagates to convergence: monotonic work over the
-// worklists, accumulative deltas in frontier rounds (ApplyBatchRounds).
-// The returned result's slices alias reusable session buffers — copy
-// before the next batch if retained. Not safe for concurrent use. Warm,
-// a monotonic batch allocates nothing (TestSessionSteadyStateZeroAllocs).
+// incrementally, and propagates to convergence: monotonic work over
+// per-worker LIFO worklists with stealing, accumulative deltas in
+// frontier rounds (ApplyBatchRounds). The returned result's slices
+// alias reusable session buffers — copy before the next batch if
+// retained. Not safe for concurrent use. Warm, a monotonic batch
+// allocates nothing (TestSessionSteadyStateZeroAllocs).
 func (s *Session) ApplyBatch(batch []graph.Update) graph.ApplyResult {
 	if s.acc != nil {
 		return s.ApplyBatchRounds(batch)
@@ -312,11 +308,11 @@ func (s *Session) ApplyBatch(batch []graph.Update) graph.ApplyResult {
 }
 
 // ApplyBatchRounds is ApplyBatch in Ligra-o's order: frontier rounds,
-// each worker taking a contiguous shard, a barrier between rounds, no
-// propagation-counter skip. Store, repair, dependency forest and final
-// states are ApplyBatch's; only the order, and so the work, differ. It
-// is the accumulative order: a round gathers all the deltas a vertex
-// receives into one visit, where worklists send partial waves apart.
+// each worker taking a contiguous shard, a barrier between rounds.
+// Store, repair, dependency forest and final states are ApplyBatch's;
+// only the order, and so the work, differ. It is the accumulative
+// order: a round gathers all the deltas a vertex receives into one
+// visit, where worklists send partial waves apart.
 func (s *Session) ApplyBatchRounds(batch []graph.Update) graph.ApplyResult {
 	if s.next == nil { // a monotonic session's first rounds batch
 		s.frontier, s.next = make([]graph.VertexID, len(s.states)), make([]graph.VertexID, len(s.states))
@@ -406,7 +402,6 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	for i, v := range s.tagged {
 		s.states[v] = math.Float64bits(s.gatherVal[i])
 		s.parent[v] = s.gatherPar[i]
-		s.improveVer[v]++ // force re-propagation of the repaired value
 		s.activate(v)
 	}
 	// Additions relax directly.
@@ -415,7 +410,6 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 		if s.mono.Better(cand, math.Float64frombits(s.states[e.Dst])) {
 			s.states[e.Dst] = math.Float64bits(cand)
 			s.parent[e.Dst] = int32(e.Src)
-			s.improveVer[e.Dst]++
 			s.activate(e.Dst)
 		}
 	}
@@ -470,7 +464,7 @@ func (s *Session) runPool() {
 func (s *Session) runWorker(wi int) {
 	q := &s.queues[wi]
 	buf := s.stealBuf[wi]
-	var visits, edges, skips, steals uint64
+	var visits, edges, steals uint64
 	for {
 		v, ok := q.pop()
 		if !ok {
@@ -495,19 +489,11 @@ func (s *Session) runWorker(wi int) {
 				continue
 			}
 		}
-		// Ordering matters: clear queued before loading improveVer, and
-		// load improveVer before the state. A concurrent improver bumps
-		// the version, then tries to re-queue; this order guarantees we
-		// either see its version (and state) or it sees our cleared flag
-		// and re-queues — an improvement can never be propagated under a
-		// version recorded as already-propagated.
+		// Ordering matters: clear queued before loading the state. A
+		// concurrent improver stores the state, then tries to re-queue,
+		// so either this load sees its value or it sees the cleared flag
+		// and re-queues: no improvement is left unpropagated.
 		atomic.StoreUint32(&s.queued[v], 0)
-		iv := atomic.LoadUint32(&s.improveVer[v])
-		if iv == atomic.LoadUint32(&s.propVer[v]) {
-			skips++ // software TDTU: this improvement already went out
-			atomic.AddInt64(&s.pending, -1)
-			continue
-		}
 		sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
 		deg := s.store.OutDegree(v)
 		visits++
@@ -522,13 +508,11 @@ func (s *Session) runWorker(wi int) {
 				}
 			}
 		}
-		atomic.StoreUint32(&s.propVer[v], iv)
 		atomic.AddInt64(&s.pending, -1)
 	}
 	s.stealBuf[wi] = buf
 	atomic.AddUint64(&s.ctrVisits, visits)
 	atomic.AddUint64(&s.ctrEdges, edges)
-	atomic.AddUint64(&s.ctrSkips, skips)
 	atomic.AddUint64(&s.ctrSteals, steals)
 }
 
@@ -545,7 +529,6 @@ func (s *Session) runRound(wi int) {
 			}
 			continue
 		}
-		iv := atomic.LoadUint32(&s.improveVer[v])
 		sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
 		deg := s.store.OutDegree(v)
 		visits++
@@ -559,16 +542,14 @@ func (s *Session) runRound(wi int) {
 				}
 			}
 		}
-		atomic.StoreUint32(&s.propVer[v], iv)
 	}
 	atomic.AddUint64(&s.ctrVisits, visits)
 	atomic.AddUint64(&s.ctrEdges, edges)
 }
 
 // improve applies cand to u if it is better, recording the supporting
-// parent and bumping the improvement version atomically with the state —
-// all three under u's spinlock so the dependency forest always matches
-// the value it justifies.
+// parent atomically with the state — both under u's spinlock so the
+// dependency forest always matches the value it justifies.
 func (s *Session) improve(u graph.VertexID, cand float64, from int32) bool {
 	// Optimistic unlocked reject: most candidates lose.
 	if !s.mono.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u]))) {
@@ -581,7 +562,6 @@ func (s *Session) improve(u graph.VertexID, cand float64, from int32) bool {
 	if ok {
 		atomic.StoreUint64(&s.states[u], math.Float64bits(cand))
 		s.parent[u] = from
-		atomic.AddUint32(&s.improveVer[u], 1)
 	}
 	atomic.StoreUint32(&s.vlock[u], 0)
 	return ok
@@ -607,7 +587,6 @@ func (s *Session) Metrics() *stats.Collector {
 	c := stats.NewCollector()
 	c.Set(stats.CtrPropagationVisits, atomic.LoadUint64(&s.ctrVisits))
 	c.Set(stats.CtrEdgesProcessed, atomic.LoadUint64(&s.ctrEdges))
-	c.Set(stats.CtrNativeTDTUSkips, atomic.LoadUint64(&s.ctrSkips))
 	c.Set(stats.CtrWorkSteals, atomic.LoadUint64(&s.ctrSteals))
 	c.Set(stats.CtrTagPropagations, atomic.LoadUint64(&s.ctrTags))
 	c.Set(stats.CtrResets, atomic.LoadUint64(&s.ctrResets))

@@ -229,12 +229,13 @@ func TestSessionTagsVictimOnce(t *testing.T) {
 }
 
 // Footprint budget of an edgeless session vertex: its state (8 B) and
-// its parent, spinlock, queued flag and two TDTU counters (4 B each); a
-// 4-byte tag epoch made it 32 B before tagging cut the parent link
-// instead. sessionFixedBytes covers the Session's own fields and
+// its parent, spinlock and queued flag (4 B each). Two 4-byte
+// propagation counters, a skip that never fired, made it 28 B, and a
+// 4-byte tag epoch 32 B before tagging cut the parent link instead.
+// sessionFixedBytes covers the Session's own fields and
 // whatever the runtime allocates around the measurement.
 const (
-	sessionBytesPerEmptyVertex = 8 + 5*4
+	sessionBytesPerEmptyVertex = 8 + 3*4
 	sessionFixedBytes          = 64 << 10
 )
 

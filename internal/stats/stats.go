@@ -97,8 +97,12 @@ const (
 	CtrWorkSteals        = "algo.work_steals"      // frontier entries migrated by work stealing
 	CtrDenseIterations   = "algo.dense_iterations" // pull-direction rounds (Ligra direction optimisation)
 
-	// Native incremental engine events (internal/native.Session).
-	CtrNativeTDTUSkips = "native.tdtu_skips" // dequeues skipped: version already propagated
+	// CtrNativeTDTUSkips counted native.Session dequeues skipped because
+	// their improvement was already propagated. That skip never fired and
+	// is gone, so nothing sets it; it stays only because the frozen
+	// serving benchmark (benchmark/ladder.go) reads it, and its
+	// native.tdtu_skip_ratio row reads 0.
+	CtrNativeTDTUSkips = "native.tdtu_skips"
 
 	// Memory-system events (filled by internal/sim).
 	CtrL1Hits        = "mem.l1_hits"

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
@@ -106,7 +107,7 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	if len(meta) > maxMetaBytes {
 		return fmt.Errorf("tdgraph: checkpoint meta is %d bytes, limit %d", len(meta), maxMetaBytes)
 	}
-	nstates, state := s.eng.stateView()
+	nstates, state := s.stateView()
 	// A bufio.Writer's first write error sticks, so the framing words go
 	// unchecked: the next block writer, or Flush, reports it.
 	if s.ckptBuf == nil {
@@ -125,7 +126,7 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 		write func(*blockWriter) error
 	}{
 		{"meta", uint64(len(meta)), func(w *blockWriter) error { _, err := w.Write(meta); return err }},
-		{"graph", graph.BinarySize(s.eng.numVertices(), s.eng.numEdges()), func(w *blockWriter) error { return writeGraph(s.eng.store, w) }},
+		{"graph", graph.BinarySize(s.NumVertices(), s.NumEdges()), func(w *blockWriter) error { return writeGraph(s.store, w) }},
 		{"state", 8 + 8*uint64(nstates), func(w *blockWriter) error { return writeStates(w, nstates, state) }},
 	} {
 		binary.LittleEndian.PutUint64(word[:], blk.size)
@@ -291,12 +292,12 @@ func loadSession(a Algorithm, r io.Reader, opt SessionOptions) (*Session, []byte
 		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(spayload[8+8*i:]))
 	}
 	st, rows, loaded := graph.StartStoreFromSnapshot(snap)
-	eng, err := newNativeBackend(a, st, rows, loaded, state, opt.Cores)
+	s, err := newSession(a, st, rows, loaded, state, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Session{opt: opt, a: a, eng: eng}
-	s.initRobustness()
+	s.rob = stats.NewCollector()
+	s.validator = newValidator(opt, s.NumVertices(), s.rob)
 	return s, meta, nil
 }
 

@@ -87,25 +87,25 @@ func TestSaveNeverSeals(t *testing.T) {
 	_, err = s.ApplyBatch([]Update{{Edge: Edge{Src: 3, Dst: 2, Weight: 1}}})
 	must(t, err)
 	must(t, NewCheckpointer(filepath.Join(t.TempDir(), "ckpt.tds")).SaveWithMeta(s, []byte("seq-1")))
-	if s.eng.sealed != nil {
+	if s.sealed != nil {
 		t.Fatal("the save sealed a snapshot and left it cached")
 	}
 }
 
 // TestStateMirrorBuiltOnFirstRead: a native session that only applies
-// batches, reads its counters and saves checkpoints holds no copy of its
-// states — the save streams the engine's own, so the serving path never
-// builds one — and the first read builds one bit-identical to the
-// engine's, refreshed after the next batch.
+// batches, reads its counters and single states, and saves checkpoints
+// holds no copy of its states — State and the save read the engine's
+// own, so the serving path never builds one — and the first States read
+// builds one bit-identical to the engine's, refreshed after the next
+// batch.
 func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 	edges := []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 0, Dst: 3, Weight: 4}}
 	s, err := NewSession(NewSSSP(0), edges, 4, SessionOptions{Cores: 2})
 	must(t, err)
 	defer s.Close()
-	nb := s.eng
 	sameBits := func(label string) {
 		t.Helper()
-		got, want := s.States(), nb.sess.StatesCopy()
+		got, want := s.States(), s.sess.StatesCopy()
 		if len(got) != len(want) || len(got) != s.NumVertices() {
 			t.Fatalf("%s: %d mirrored states, the engine holds %d for %d vertices", label, len(got), len(want), s.NumVertices())
 		}
@@ -120,13 +120,13 @@ func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 		must(t, err)
 		var ckpt bytes.Buffer
 		must(t, s.Save(&ckpt))
-		if s.Metrics() == nil || nb.state != nil {
-			t.Fatalf("after applying %v and saving: a %d-entry state mirror exists, want none", u, len(nb.state))
+		if s.Metrics() == nil || s.State(2) != s.sess.State(2) || s.state != nil {
+			t.Fatalf("after applying %v, saving and reading one state: a %d-entry state mirror exists, want none", u, len(s.state))
 		}
 		restored, err := LoadSession(NewSSSP(0), &ckpt, SessionOptions{})
 		must(t, err)
 		defer restored.Close()
-		for v, x := range nb.sess.StatesCopy() {
+		for v, x := range s.sess.StatesCopy() {
 			if math.Float64bits(restored.State(VertexID(v))) != math.Float64bits(x) {
 				t.Fatalf("after applying %v: the checkpoint holds %v for vertex %d, the engine %v", u, restored.State(VertexID(v)), v, x)
 			}

@@ -25,6 +25,7 @@ import (
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/native"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/stream"
 )
@@ -123,13 +124,25 @@ type SessionOptions struct {
 
 // Session maintains a streaming graph and its converged algorithm states
 // across batches. It applies each batch to a mutable hybrid graph store
-// in place and repairs the states with the native parallel engine; the
-// validation, robustness and checkpoint machinery sits above that one
-// engine. A Session holds a worker pool: Close it when done.
+// in place (O(degree) per update, no CSR rebuild) and repairs the states
+// with the native parallel engine; the validation, robustness and
+// checkpoint machinery sits above that one engine. A Session holds a
+// worker pool: Close it when done.
+//
+// Every view derived from the engine — the sealed snapshot, the state
+// mirror and the counter snapshot — follows one rule: stale after a
+// mutation, rebuilt by the first reader. A caller that applies batches
+// and reads nothing (serve.Pipeline) pays for none of them.
 type Session struct {
-	opt SessionOptions
-	a   algo.Algorithm
-	eng *nativeBackend
+	opt   SessionOptions
+	a     algo.Algorithm
+	store *graph.Store
+	sess  *native.Session // owns the store's state arrays
+
+	sealed *graph.Snapshot  // lazy immutable view, nil after mutation
+	state  []float64        // mirror of sess's states, nil until States is read
+	col    *stats.Collector // snapshot of sess's counters, nil until the first mutation
+	stale  bool             // sess mutated since state and col were filled
 
 	validator *stream.Validator
 	rob       *stats.Collector
@@ -141,11 +154,25 @@ type Session struct {
 	closed bool
 }
 
-// initRobustness sets up the session's validator and robustness counters
-// from its options; called from every constructor path.
-func (s *Session) initRobustness() {
-	s.rob = stats.NewCollector()
-	s.validator = newValidator(s.opt, s.eng.numVertices(), s.rob)
+// newSession runs the engine's bootstrap over st with opt.Cores workers
+// (8 when not positive). A nil warm computes the fixpoint from scratch;
+// non-nil states (a restored checkpoint) are kept verbatim and must be
+// converged for st's graph. st may still be loading
+// (graph.StartStoreFromEdges or StartStoreFromSnapshot): the bootstrap
+// reads no store, only rows, st's out-edges from that loader, and so
+// runs while both directions are placed. loaded, the load's wait, is
+// called before st is read and before returning.
+func newSession(a Algorithm, st *graph.Store, rows *graph.Rows, loaded func(), warm []float64, opt SessionOptions) (*Session, error) {
+	defer loaded()
+	workers := opt.Cores
+	if workers <= 0 {
+		workers = 8
+	}
+	sess, err := native.NewSessionFromRows(a, st, rows, warm, native.Config{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return &Session{opt: opt, a: a, store: st, sess: sess}, nil
 }
 
 // newValidator returns opt's ingestion validator over numVertices
@@ -189,11 +216,12 @@ func NewSession(a Algorithm, edges []Edge, numVertices int, opt SessionOptions) 
 		}
 	}
 	st, rows, loaded := graph.StartStoreFromEdges(numVertices, edges)
-	eng, err := newNativeBackend(a, st, rows, loaded, nil, opt.Cores)
+	s, err := newSession(a, st, rows, loaded, nil, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opt: opt, a: a, eng: eng, validator: validator, rob: rob}, nil
+	s.validator, s.rob = validator, rob
+	return s, nil
 }
 
 // Close parks the engine's worker pool. The session must not be used
@@ -203,31 +231,77 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	s.eng.close()
+	s.sess.Close()
 }
 
 // NumVertices returns the current vertex count (batches referencing new
 // vertex IDs grow it).
-func (s *Session) NumVertices() int { return s.eng.numVertices() }
+func (s *Session) NumVertices() int { return s.store.NumVertices() }
 
 // NumEdges returns the current edge count.
-func (s *Session) NumEdges() int { return s.eng.numEdges() }
+func (s *Session) NumEdges() int { return s.store.NumEdges() }
 
 // State returns v's converged state (e.g. its distance, label, or rank).
-func (s *Session) State(v VertexID) float64 { return s.eng.states()[v] }
+// While no state mirror is held it reads the engine's own, so reading
+// one value never copies all of them.
+func (s *Session) State(v VertexID) float64 {
+	if s.state == nil {
+		return s.sess.State(v)
+	}
+	return s.States()[v]
+}
 
 // States returns the full converged state vector. The slice aliases the
 // session and is invalidated by the next ApplyBatch.
-func (s *Session) States() []float64 { return s.eng.states() }
+func (s *Session) States() []float64 {
+	s.refresh()
+	if s.state == nil {
+		s.state = s.sess.StatesCopy()
+	}
+	return s.state
+}
+
+// refresh refills the derived views if a mutation outdated them: the
+// counter snapshot, and the state mirror once a reader has built it.
+// The mirror's buffer is reused, so a slice handed out by States stays
+// valid exactly until the next mutation's first read.
+func (s *Session) refresh() {
+	if s.stale {
+		if s.state != nil {
+			s.state = s.sess.StatesInto(s.state)
+		}
+		s.col = s.sess.Metrics()
+		s.stale = false
+	}
+}
+
+// stateView returns the state count and a reader of state v: what a
+// checkpoint save streams. It reads the engine's own states while no
+// mirror exists, so a save never builds one.
+func (s *Session) stateView() (int, func(int) float64) {
+	if s.state == nil {
+		return s.sess.NumVertices(), func(v int) float64 { return s.sess.State(graph.VertexID(v)) }
+	}
+	state := s.States()
+	return len(state), func(v int) float64 { return state[v] }
+}
 
 // Graph returns the current immutable snapshot. It seals the mutable
 // store on the first call after a batch and caches the view until the
 // next mutation.
-func (s *Session) Graph() *Snapshot { return s.eng.snapshot() }
+func (s *Session) Graph() *Snapshot {
+	if s.sealed == nil {
+		s.sealed = s.store.Seal()
+	}
+	return s.sealed
+}
 
 // Metrics returns the engine's propagation counters, accumulated over
 // the session's batches (nil before the first batch).
-func (s *Session) Metrics() *stats.Collector { return s.eng.metrics() }
+func (s *Session) Metrics() *stats.Collector {
+	s.refresh()
+	return s.col
+}
 
 // PanicError is an engine or store panic converted to an error at the
 // public API boundary, with the operation and stack that produced it. The
@@ -275,6 +349,8 @@ func (s *Session) ApplyBatch(batch []Update) (ApplyResult, error) {
 
 // applyBatchProtected runs the actual batch application under a recover
 // barrier: any panic heals the session and comes back as a *PanicError.
+// The views are marked stale before the engine runs, so a panic
+// mid-batch still leaves them stale for healAfterPanic.
 func (s *Session) applyBatchProtected(batch []Update) (res ApplyResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -284,7 +360,8 @@ func (s *Session) applyBatchProtected(batch []Update) (res ApplyResult, err erro
 		}
 	}()
 
-	return s.eng.apply(batch), nil
+	s.sealed, s.stale = nil, true
+	return s.sess.ApplyBatch(batch), nil
 }
 
 // healAfterPanic restores the session to a consistent shape after a
@@ -297,18 +374,32 @@ func (s *Session) applyBatchProtected(batch []Update) (res ApplyResult, err erro
 func (s *Session) healAfterPanic() {
 	defer func() {
 		if recover() != nil {
-			s.eng.padStates()
+			s.padStates()
 		}
 	}()
-	s.eng.recompute()
+	s.Recompute()
 	s.rob.Inc(stats.CtrDegradedRecomputes)
+}
+
+// padStates forces the state mirror to the graph's vertex count, zero-
+// extending or truncating it, without running any algorithm code: the
+// last-resort heal when Recompute itself panics.
+func (s *Session) padStates() {
+	state, n := s.States(), s.store.NumVertices()
+	if len(state) > n {
+		state = state[:n]
+	}
+	for len(state) < n {
+		state = append(state, 0)
+	}
+	s.state = state
 }
 
 // Audit checks the local-fixpoint invariant of the current states
 // without repairing anything. It returns the first divergent vertex and
 // false on divergence, or (0, true) when the states are consistent.
 func (s *Session) Audit() (VertexID, bool) {
-	v, ok := algo.AuditStates(s.a, s.eng.snapshot(), s.eng.states())
+	v, ok := algo.AuditStates(s.a, s.Graph(), s.States())
 	if !ok {
 		s.rob.Inc(stats.CtrAuditDivergence)
 	}
@@ -345,7 +436,8 @@ func (s *Session) Quarantined() map[VertexID]struct{} {
 // Recompute converges the algorithm from scratch on the current graph
 // and replaces the session states — useful to bound accumulated
 // floating-point drift on very long accumulative streams, and in tests
-// as the oracle.
+// as the oracle. It may panic (algorithm code).
 func (s *Session) Recompute() {
-	s.eng.recompute()
+	s.stale = true
+	s.sess.Recompute()
 }
