@@ -9,10 +9,12 @@ import (
 )
 
 // LockholdCheck flags blocking operations reachable while a mutex is
-// held: network dials and listens, reads/writes on interface-typed
-// streams, channel operations with no escape, WaitGroup.Wait, and
-// clock sleeps. This is the leader attach-round contention class — a
-// hot lock held across a dial turns every reader into a convoy.
+// held: network dials and listens, reads/writes on streams (net.Conn,
+// io.Reader, io.Writer, an interface embedding one of them, or a
+// concrete net.Conn-shaped type), channel operations with no escape,
+// WaitGroup.Wait, and clock sleeps. This is the leader attach-round
+// contention class — a hot lock held across a dial turns every reader
+// into a convoy.
 //
 // Escapes that make an operation bounded (and therefore exempt):
 //
@@ -183,19 +185,20 @@ func collectLockhold(g *CallGraph, node *FuncNode, fl *funcLocks) *lockholdFunc 
 					op(n.Pos(), "bare channel receive blocks", false, held)
 				}
 			case *ast.CallExpr:
+				// callee is "" for a dynamic call: an interface method
+				// (stream I/O on a net.Conn or io.Writer, say) or a func
+				// value.
 				callee := resolveCallee(info, n)
-				if callee != "" {
-					if reason, isIO, ok := blockingCall(info, n, callee); ok {
-						op(n.Pos(), reason, isIO, held)
-					} else if g.Funcs[callee] != nil {
-						lf.calls = append(lf.calls, moduleCall{call: n, callee: callee, held: held})
+				if reason, isIO, ok := blockingCall(info, n, callee); ok {
+					op(n.Pos(), reason, isIO, held)
+				} else if g.Funcs[callee] != nil {
+					lf.calls = append(lf.calls, moduleCall{call: n, callee: callee, held: held})
+				} else if callee == "" {
+					// A func-typed value returning a net.Conn is a dial
+					// seam (the cfg.Dial(peer) pattern).
+					if reason, ok := dialSeamCall(info, n); ok {
+						op(n.Pos(), reason, false, held)
 					}
-					return true
-				}
-				// Dynamic call: a func-typed value returning a net.Conn
-				// is a dial seam (the cfg.Dial(peer) pattern).
-				if reason, ok := dialSeamCall(info, n); ok {
-					op(n.Pos(), reason, false, held)
 				}
 			}
 			return true
@@ -204,8 +207,8 @@ func collectLockhold(g *CallGraph, node *FuncNode, fl *funcLocks) *lockholdFunc 
 	return lf
 }
 
-// blockingCall classifies a statically-resolved call. isIO marks the
-// class that a deadline guard exempts.
+// blockingCall classifies a call; callee is "" when resolveCallee found
+// no static target. isIO marks the class that a deadline guard exempts.
 func blockingCall(info *types.Info, call *ast.CallExpr, callee string) (string, bool, bool) {
 	switch callee {
 	case "time.Sleep":
@@ -217,6 +220,11 @@ func blockingCall(info *types.Info, call *ast.CallExpr, callee string) (string, 
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false, false
+	}
+	if s, ok := info.Selections[sel]; ok && callee == "" {
+		if f, ok := s.Obj().(*types.Func); ok { // an interface method
+			callee = f.FullName()
+		}
 	}
 	switch sel.Sel.Name {
 	case "Sleep":
@@ -236,8 +244,8 @@ func blockingCall(info *types.Info, call *ast.CallExpr, callee string) (string, 
 		}
 	case "Read", "Write":
 		if s, ok := info.Selections[sel]; ok {
-			if types.IsInterface(s.Recv()) {
-				return sel.Sel.Name + " on " + trimPointer(s.Recv()).String() + " blocks without a deadline", true, true
+			if types.IsInterface(s.Recv()) && isStream(s.Recv()) {
+				return sel.Sel.Name + " on " + shortTypeName(namedTypeKey(s.Recv())) + " blocks without a deadline", true, true
 			}
 			if implementsNetConn(s.Recv()) {
 				return sel.Sel.Name + " on net.Conn blocks without a deadline", true, true
@@ -264,6 +272,25 @@ func dialSeamCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// isStream reports whether the interface type t is net.Conn, io.Reader
+// or io.Writer, or embeds one of them (io.ReadWriter, say).
+func isStream(t types.Type) bool {
+	switch namedTypeKey(t) {
+	case "net.Conn", "io.Reader", "io.Writer":
+		return true
+	}
+	it, ok := t.Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	for i := 0; i < it.NumEmbeddeds(); i++ {
+		if isStream(it.EmbeddedType(i)) {
+			return true
+		}
+	}
+	return false
 }
 
 // implementsNetConn detects concrete stream types by method shape:

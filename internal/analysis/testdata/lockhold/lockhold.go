@@ -1,10 +1,12 @@
 // Package lockhold exercises every blocking class and every escape:
 // sleeps, dials, bare channel ops, WaitGroup.Wait, stream I/O with and
-// without a deadline guard, select escapes, go/defer exemptions, and
-// transitive propagation through helpers, one and two levels deep.
+// without a deadline guard, on concrete and interface-typed streams,
+// select escapes, go/defer exemptions, and transitive propagation
+// through helpers, one and two levels deep.
 package lockhold
 
 import (
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -17,6 +19,21 @@ type queue struct {
 	ch   chan int
 	conn *stream
 	dial func(addr string) (net.Conn, error)
+	clk  clock
+	log  ledger
+}
+
+// clock is a clock seam: a Sleep through the interface sleeps.
+type clock interface{ Sleep(d time.Duration) }
+
+// ledger has a Write, but is no stream: it neither is nor embeds
+// net.Conn, io.Reader or io.Writer.
+type ledger interface{ Write(v int) }
+
+// flushWriter embeds io.Writer, so its Write is a stream write.
+type flushWriter interface {
+	io.Writer
+	Flush() error
 }
 
 // stream is a concrete net.Conn-shaped type: the deadline-method
@@ -89,6 +106,29 @@ func (q *queue) writeUnderLock(p []byte) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.conn.Write(p) // want `Write on net.Conn blocks without a deadline while holding q.mu`
+}
+
+// WriteFrame writes through an io.Writer, which may be a socket: the
+// Write blocks intrinsically, and a locked call to WriteFrame is flagged.
+func WriteFrame(w io.Writer, p []byte) error {
+	_, err := w.Write(p)
+	return err
+}
+
+func (q *queue) frameUnderLock(w io.Writer, p []byte) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	WriteFrame(w, p) // want `call to lockhold\.WriteFrame while holding q.mu: it Write on io.Writer blocks without a deadline`
+}
+
+func (q *queue) streamsUnderLock(c net.Conn, r io.Reader, fw flushWriter, p []byte) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	c.Read(p)      // want `Read on net.Conn blocks without a deadline while holding q.mu`
+	r.Read(p)      // want `Read on io.Reader blocks without a deadline while holding q.mu`
+	fw.Write(p)    // want `Write on lockhold.flushWriter blocks without a deadline while holding q.mu`
+	q.log.Write(1) // not a stream
+	q.clk.Sleep(0) // want `\(lockhold\.clock\)\.Sleep sleeps while holding q.mu`
 }
 
 // writeWithDeadline is the writeFrame idiom: the deadline bounds the

@@ -112,6 +112,7 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 			// Kill mid-record: a prefix escapes onto the wire, then the
 			// connection dies under the writer.
 			if fc.truncBudget > 0 {
+				//tdgraph:allow lockhold the injector mangles frames in order under its lock; the wrapped Write waits no longer than an unwrapped one: until the caller's deadline, set through the embedded Conn, or the peer closing
 				fc.Conn.Write(p[:fc.truncBudget])
 			}
 			fc.truncBudget = 0
@@ -158,6 +159,7 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 		fc.held = nil
 	}
 	for _, f := range out {
+		//tdgraph:allow lockhold the injector mangles frames in order under its lock; the wrapped Write waits no longer than an unwrapped one: until the caller's deadline, set through the embedded Conn, or the peer closing
 		if _, err := fc.Conn.Write(f); err != nil {
 			return 0, err
 		}

@@ -127,7 +127,7 @@ func (s *Session) visitAcc(v graph.VertexID) (int, bool) {
 		ns, ws := s.store.OutEdges(v, r)
 		left -= len(ns)
 		for i, u := range ns {
-			if c := sent * s.acc.Share(ws[i], deg, total); c != 0 && math.Abs(addFloat(&s.delta[u], c)) > eps && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+			if c := sent * s.acc.Share(ws[i], deg, total); c != 0 && math.Abs(addFloat(&s.delta[u], c)) > eps && atomic.CompareAndSwapUint32(&s.meta[u], 0, metaQueued) {
 				s.next[atomic.AddInt64(&s.nextLen, 1)-1] = u
 			}
 		}

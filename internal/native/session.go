@@ -23,6 +23,8 @@ import (
 // barrier; vertex state and parent change together under a per-vertex
 // CAS spinlock, so the dependency forest can never disagree with the
 // states, and a queued flag keeps a vertex in at most one worklist.
+// Flag, lock and parent share one 32-bit word per vertex (meta), so a
+// session holds at most 2^30 − 1 vertices; growing past that panics.
 // Accumulative: frontier rounds, whose visits claim a vertex's
 // pending delta, apply it and add its damped shares to the
 // out-neighbours' pending deltas with atomic float adds.
@@ -42,11 +44,11 @@ type Session struct {
 	// propagation and plainly during the serial phases (the pool is
 	// quiesced, with happens-before through the kick/done channels).
 	states []uint64 // float64 bit patterns
-	queued []uint32 // 1 while sitting in some worklist
-
-	// Monotonic only.
-	parent []int32  // dependency forest (-1 = self-supported)
-	vlock  []uint32 // per-vertex spinlock over (state, parent)
+	// One word per vertex: metaQueued while it sits in some worklist or
+	// frontier and, monotonic only, metaLock (the spinlock over its state
+	// and parent) and its dependency-forest parent + 1 in metaParent (0:
+	// self-supported). An accumulative word holds only metaQueued.
+	meta []uint32
 
 	// Accumulative only. Every unit of a vertex's state has been sent
 	// along its out-edges; delta is what it received and has not yet
@@ -77,7 +79,6 @@ type Session struct {
 	// Serial repair scratch, reused across batches.
 	tagged    []graph.VertexID
 	gatherVal []float64
-	gatherPar []int32
 	seedIdx   int
 	srcs      []graph.VertexID // the batch's distinct sources (accumulative)
 	preEnd    []int            // end of srcs[i]'s pre-batch row in preNbr
@@ -183,7 +184,8 @@ func (s *Session) bootstrap(rows *graph.Rows, keep []float64) {
 // algo.ReferenceWithParents, off a CSR that need not be sorted). When
 // keep is non-nil those states are installed verbatim instead of the
 // replayed values — for a converged checkpoint the two are
-// bit-identical, but the checkpoint bytes are authoritative.
+// bit-identical, but the checkpoint bytes are authoritative. Every meta
+// word is zero on entry: a new session's, or cleared by Recompute.
 func (s *Session) bootstrapMono(rows *graph.Rows, keep []float64) {
 	n := rows.NumVertices()
 	s.growTo(n)
@@ -193,7 +195,6 @@ func (s *Session) bootstrapMono(rows *graph.Rows, keep []float64) {
 	queue := make([]graph.VertexID, n)
 	for v := 0; v < n; v++ {
 		vals[v] = s.mono.InitialValue(graph.VertexID(v))
-		s.parent[v] = -1
 		queue[v] = graph.VertexID(v)
 		inQ[v] = true
 	}
@@ -206,7 +207,7 @@ func (s *Session) bootstrapMono(rows *graph.Rows, keep []float64) {
 			cand := s.mono.Propagate(vals[v], ws[i])
 			if s.mono.Better(cand, vals[u]) {
 				vals[u] = cand
-				s.parent[u] = int32(v)
+				s.meta[u] = uint32(v) + 1 // zero on entry, no bit but the parent's is set
 				if !inQ[u] {
 					inQ[u] = true
 					queue[(head+size)%n] = u
@@ -231,7 +232,8 @@ func (s *Session) growTo(n int) {
 	if n <= old {
 		return
 	}
-	s.states, s.queued = extend(s.states, n), extend(s.queued, n)
+	checkVertexLimit(n)
+	s.states, s.meta = extend(s.states, n), extend(s.meta, n)
 	if s.acc != nil || s.next != nil {
 		s.frontier, s.next = extend(s.frontier, n), extend(s.next, n)
 	}
@@ -242,10 +244,24 @@ func (s *Session) growTo(n int) {
 		}
 		return
 	}
-	s.parent, s.vlock = extend(s.parent, n), extend(s.vlock, n)
 	for v := old; v < n; v++ {
 		s.states[v] = math.Float64bits(s.mono.InitialValue(graph.VertexID(v)))
-		s.parent[v] = -1
+	}
+}
+
+// The bits of a vertex's meta word. A zeroed word is an unqueued,
+// unlocked, self-supported vertex.
+const (
+	metaQueued  = 1 << 31
+	metaLock    = 1 << 30
+	metaParent  = metaLock - 1
+	maxVertices = metaParent // parent + 1 must fit metaParent
+)
+
+// checkVertexLimit panics when n vertices do not fit the session.
+func checkVertexLimit(n int) {
+	if n > maxVertices {
+		panic(fmt.Sprintf("native: %d vertices exceed the session's limit of %d (2^30 − 1)", n, maxVertices))
 	}
 }
 
@@ -332,7 +348,7 @@ func (s *Session) ApplyBatchRounds(batch []graph.Update) graph.ApplyResult {
 		s.frontier, s.next = s.next, s.frontier
 		s.frontierLen, s.nextLen = int(s.nextLen), 0
 		for _, v := range s.frontier[:s.frontierLen] {
-			s.queued[v] = 0 // from here it marks the next frontier
+			s.meta[v] &^= metaQueued // from here it marks the next frontier
 		}
 		s.runPool()
 	}
@@ -351,11 +367,12 @@ var Orders = []struct {
 func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	s.tagged = s.tagged[:0]
 	// Tag direct victims: deleted edges that carried the parent link.
-	// Tagging cuts a victim's link at once — parent -1, its reset value —
-	// so no later check can match it and tag it twice.
+	// Tagging cuts a victim's link at once — self-supported, its reset
+	// value — so no later check can match it and tag it twice.
 	for _, e := range res.DeletedEdges {
-		if s.parent[e.Dst] == int32(e.Src) {
-			s.parent[e.Dst], s.tagged = -1, append(s.tagged, e.Dst)
+		if s.meta[e.Dst]&metaParent == uint32(e.Src)+1 {
+			s.setParent(e.Dst, 0)
+			s.tagged = append(s.tagged, e.Dst)
 		}
 	}
 	// Transitive closure over the dependency forest: anything whose
@@ -366,8 +383,9 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 			ns, _ := s.store.OutEdges(x, r)
 			left -= len(ns)
 			for _, w := range ns {
-				if s.parent[w] == int32(x) {
-					s.parent[w], s.tagged = -1, append(s.tagged, w)
+				if s.meta[w]&metaParent == uint32(x)+1 {
+					s.setParent(w, 0)
+					s.tagged = append(s.tagged, w)
 				}
 			}
 		}
@@ -375,33 +393,30 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	s.ctrTags += uint64(len(s.tagged))
 	// Reset the whole region first, then gather — every re-gather must
 	// observe the post-reset snapshot, or two tagged vertices could keep
-	// each other alive through values that are both about to be reset.
+	// each other alive through values that are both about to be reset;
+	// parents are not read here, so only states wait in gatherVal.
 	for _, v := range s.tagged {
 		s.states[v] = math.Float64bits(s.mono.InitialValue(v))
 	}
 	s.ctrResets += uint64(len(s.tagged))
 	s.gatherVal = s.gatherVal[:0]
-	s.gatherPar = s.gatherPar[:0]
 	for _, v := range s.tagged {
-		best := s.mono.InitialValue(v)
-		bestPar := int32(-1)
+		best, bestPar := s.mono.InitialValue(v), uint32(0)
 		for r, left := 0, s.store.InDegree(v); left > 0; r++ {
 			ns, ws := s.store.InEdges(v, r)
 			left -= len(ns)
 			for j, u := range ns {
 				cand := s.mono.Propagate(math.Float64frombits(s.states[u]), ws[j])
 				if s.mono.Better(cand, best) {
-					best = cand
-					bestPar = int32(u)
+					best, bestPar = cand, uint32(u)+1
 				}
 			}
 		}
 		s.gatherVal = append(s.gatherVal, best)
-		s.gatherPar = append(s.gatherPar, bestPar)
+		s.setParent(v, bestPar)
 	}
 	for i, v := range s.tagged {
 		s.states[v] = math.Float64bits(s.gatherVal[i])
-		s.parent[v] = s.gatherPar[i]
 		s.activate(v)
 	}
 	// Additions relax directly.
@@ -409,18 +424,25 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 		cand := s.mono.Propagate(math.Float64frombits(s.states[e.Src]), e.Weight)
 		if s.mono.Better(cand, math.Float64frombits(s.states[e.Dst])) {
 			s.states[e.Dst] = math.Float64bits(cand)
-			s.parent[e.Dst] = int32(e.Src)
+			s.setParent(e.Dst, uint32(e.Src)+1)
 			s.activate(e.Dst)
 		}
 	}
 }
 
+// setParent sets v's parent + 1 (0: self-supported) in a serial phase.
+func (s *Session) setParent(v graph.VertexID, p uint32) {
+	s.meta[v] = s.meta[v]&^metaParent | p
+}
+
 // activate seeds v, unless already queued, into the first frontier in
-// rounds mode, else round-robin into the workers' worklists.
+// rounds mode, else round-robin into the workers' worklists. It runs in
+// the serial phases only.
 func (s *Session) activate(v graph.VertexID) {
-	if !atomic.CompareAndSwapUint32(&s.queued[v], 0, 1) {
+	if s.meta[v]&metaQueued != 0 {
 		return
 	}
+	s.meta[v] |= metaQueued
 	if s.rounds {
 		s.next[atomic.AddInt64(&s.nextLen, 1)-1] = v
 		return
@@ -489,11 +511,15 @@ func (s *Session) runWorker(wi int) {
 				continue
 			}
 		}
-		// Ordering matters: clear queued before loading the state. A
-		// concurrent improver stores the state, then tries to re-queue,
-		// so either this load sees its value or it sees the cleared flag
-		// and re-queues: no improvement is left unpropagated.
-		atomic.StoreUint32(&s.queued[v], 0)
+		// Ordering matters: clear the queued bit (only) before loading the
+		// state. An improver stores the state, then sets the bit as it
+		// releases the lock, so either this load sees its value or it sees
+		// the cleared bit and re-queues: no improvement is left behind.
+		for m := &s.meta[v]; ; {
+			if old := atomic.LoadUint32(m); atomic.CompareAndSwapUint32(m, old, old&^metaQueued) {
+				break
+			}
+		}
 		sv := math.Float64frombits(atomic.LoadUint64(&s.states[v]))
 		deg := s.store.OutDegree(v)
 		visits++
@@ -502,7 +528,7 @@ func (s *Session) runWorker(wi int) {
 			ns, ws := s.store.OutEdges(v, r)
 			left -= len(ns)
 			for i, u := range ns {
-				if s.improve(u, s.mono.Propagate(sv, ws[i]), int32(v)) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+				if s.improve(u, s.mono.Propagate(sv, ws[i]), v) {
 					atomic.AddInt64(&s.pending, 1)
 					q.push(u)
 				}
@@ -537,7 +563,7 @@ func (s *Session) runRound(wi int) {
 			ns, ws := s.store.OutEdges(v, r)
 			left -= len(ns)
 			for i, u := range ns {
-				if s.improve(u, s.mono.Propagate(sv, ws[i]), int32(v)) && atomic.CompareAndSwapUint32(&s.queued[u], 0, 1) {
+				if s.improve(u, s.mono.Propagate(sv, ws[i]), v) {
 					s.next[atomic.AddInt64(&s.nextLen, 1)-1] = u
 				}
 			}
@@ -548,23 +574,37 @@ func (s *Session) runRound(wi int) {
 }
 
 // improve applies cand to u if it is better, recording the supporting
-// parent atomically with the state — both under u's spinlock so the
-// dependency forest always matches the value it justifies.
-func (s *Session) improve(u graph.VertexID, cand float64, from int32) bool {
+// parent with the state — both under u's spinlock, released in the same
+// CAS that writes the parent, so the dependency forest always matches
+// the value it justifies. It reports whether u improved and was not
+// queued: the caller queues it.
+func (s *Session) improve(u graph.VertexID, cand float64, from graph.VertexID) bool {
 	// Optimistic unlocked reject: most candidates lose.
 	if !s.mono.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u]))) {
 		return false
 	}
-	for !atomic.CompareAndSwapUint32(&s.vlock[u], 0, 1) {
-		runtime.Gosched()
+	m := &s.meta[u]
+	for { // the CASes retry when the queued bit flips meanwhile
+		if old := atomic.LoadUint32(m); old&metaLock != 0 {
+			runtime.Gosched()
+		} else if atomic.CompareAndSwapUint32(m, old, old|metaLock) {
+			break
+		}
 	}
 	ok := s.mono.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u])))
 	if ok {
 		atomic.StoreUint64(&s.states[u], math.Float64bits(cand))
-		s.parent[u] = from
 	}
-	atomic.StoreUint32(&s.vlock[u], 0)
-	return ok
+	for {
+		old := atomic.LoadUint32(m)
+		next := old &^ metaLock
+		if ok {
+			next = next&^metaParent | metaQueued | (uint32(from) + 1)
+		}
+		if atomic.CompareAndSwapUint32(m, old, next) {
+			return ok && old&metaQueued == 0
+		}
+	}
 }
 
 // Recompute rebuilds the states (and any dependency forest or pending
@@ -577,7 +617,7 @@ func (s *Session) Recompute() {
 	for i := range s.queues {
 		s.queues[i].reset()
 	}
-	clear(s.queued)
+	clear(s.meta) // a panic may have left a lock held
 	s.pending, s.nextLen = 0, 0
 	s.bootstrap(s.store.Rows(), nil)
 }

@@ -2,12 +2,14 @@ package native
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
@@ -228,14 +230,192 @@ func TestSessionTagsVictimOnce(t *testing.T) {
 	}
 }
 
+// checkForest is the forest oracle, the property the spinlock exists
+// for: after a batch no vertex is left queued or locked; a self-supported
+// vertex holds its initial value; every other vertex's parent edge is in
+// the graph and carries its state bit for bit; and no parent chain has a
+// cycle.
+func checkForest(t *testing.T, ctx string, s *Session) {
+	t.Helper()
+	n := s.NumVertices()
+	parent := func(v int) int { return int(s.meta[v]&metaParent) - 1 }
+	for v := range n {
+		if m := s.meta[v]; m&^metaParent != 0 {
+			t.Fatalf("%s: vertex %d left queued or locked (meta %#x)", ctx, v, m)
+		}
+		got, p := s.states[v], parent(v)
+		if p < 0 {
+			if want := math.Float64bits(s.mono.InitialValue(graph.VertexID(v))); got != want {
+				t.Fatalf("%s: self-supported vertex %d holds %016x, its initial value is %016x", ctx, v, got, want)
+			}
+			continue
+		}
+		w, ok := s.store.EdgeWeight(graph.VertexID(p), graph.VertexID(v))
+		if !ok {
+			t.Fatalf("%s: vertex %d's parent edge %d→%d is not in the graph", ctx, v, p, v)
+		}
+		if want := math.Float64bits(s.mono.Propagate(math.Float64frombits(s.states[p]), w)); got != want {
+			t.Fatalf("%s: vertex %d holds %016x, its parent %d gives %016x", ctx, v, got, p, want)
+		}
+	}
+	const onChain, done = 1, 2
+	mark := make([]uint8, n)
+	for v := range n {
+		x := v
+		for x >= 0 && mark[x] == 0 {
+			mark[x], x = onChain, parent(x)
+		}
+		if x >= 0 && mark[x] == onChain {
+			t.Fatalf("%s: the parent chain from %d cycles through %d", ctx, v, x)
+		}
+		for x = v; x >= 0 && mark[x] == onChain; x = parent(x) {
+			mark[x] = done
+		}
+	}
+}
+
+// TestSessionForestOracle runs the forest oracle after every batch of
+// an integer-weighted, deletion-heavy stream over an R-MAT graph, for
+// every monotonic algorithm, both orders and 1, 2 and 8 workers; then on
+// a contention graph where 1,024 sources each relax the same four
+// targets, and the worklists visit the sources worst first, so every
+// visit improves the targets and their locks pass between the workers.
+func TestSessionForestOracle(t *testing.T) {
+	const nv = 1024
+	edges := gen.RMAT(gen.RMATConfig{NumVertices: nv, NumEdges: 8 * nv, A: 0.57, B: 0.19, C: 0.19, Seed: 5, MaxWeight: 16})
+	for _, name := range []string{"sssp", "bfs", "sswp", "cc"} {
+		a, err := enginetest.NewAlgorithm(name, nv, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			for _, o := range Orders {
+				ctx := fmt.Sprintf("%s/w%d/%s", name, workers, o.Name)
+				rng := rand.New(rand.NewSource(int64(workers)))
+				s := NewSession(a.(algo.MonotonicAlgo), graph.NewStoreFromEdges(nv, edges), Config{Workers: workers})
+				checkForest(t, ctx+"/bootstrap", s)
+				for b := range 12 {
+					live := s.Store().EdgeList()
+					batch := make([]graph.Update, 0, 96)
+					for range 64 {
+						batch = append(batch, graph.Update{Edge: live[rng.Intn(len(live))], Delete: true})
+					}
+					batch = append(batch, randomStream(rng, 32, nv+8)...)
+					o.Apply(s, batch)
+					checkForest(t, fmt.Sprintf("%s/batch %d", ctx, b), s)
+				}
+				s.Close()
+			}
+		}
+	}
+
+	const sources, targets = 1024, 4
+	var batch []graph.Update
+	for i := range sources {
+		src := graph.VertexID(1 + i)
+		batch = append(batch, graph.Update{Edge: graph.Edge{Src: 0, Dst: src, Weight: float32(1 + i)}})
+		for j := range targets {
+			batch = append(batch, graph.Update{Edge: graph.Edge{Src: src, Dst: graph.VertexID(1 + sources + j), Weight: float32(1 + j)}})
+		}
+	}
+	for _, workers := range []int{2, 8} {
+		for _, o := range Orders {
+			for rep := range 8 {
+				s := NewSession(algo.NewSSSP(0), graph.NewStore(1), Config{Workers: workers})
+				o.Apply(s, batch)
+				checkForest(t, fmt.Sprintf("contention/w%d/%s/rep %d", workers, o.Name, rep), s)
+				s.Close()
+			}
+		}
+	}
+}
+
+// lockedPanic is SSSP whose Better, once armed, panics on a repeated
+// winning comparison: improve's check under the lock repeats its
+// unlocked one, so the panic fires with the spinlock held.
+type lockedPanic struct {
+	*algo.SSSP
+	armed        bool
+	lastA, lastB float64
+}
+
+func (a *lockedPanic) Better(x, y float64) bool {
+	r := a.SSSP.Better(x, y)
+	if a.armed && r && x == a.lastA && y == a.lastB {
+		a.armed = false
+		panic("lockedPanic")
+	}
+	a.lastA, a.lastB = x, y
+	return r
+}
+
+// TestSessionRecomputeAfterPanicUnderLock: a panic inside the spinlock
+// leaves the lock bit set; Recompute must clear it, or the next
+// improvement of that vertex spins forever.
+func TestSessionRecomputeAfterPanicUnderLock(t *testing.T) {
+	a := &lockedPanic{SSSP: algo.NewSSSP(0)}
+	s := NewSession(a, graph.NewStoreFromEdges(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 5}, {Src: 1, Dst: 2, Weight: 5}}), Config{Workers: 1})
+	defer s.Close()
+	a.armed = true
+	func() {
+		defer func() {
+			if r := recover(); r != "lockedPanic" {
+				t.Fatalf("recovered %v, want the panic under the lock", r)
+			}
+		}()
+		s.ApplyBatch([]graph.Update{{Edge: graph.Edge{Src: 0, Dst: 1, Weight: 1}}})
+	}()
+	s.Recompute()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.ApplyBatch([]graph.Update{{Edge: graph.Edge{Src: 0, Dst: 1, Weight: 0.5}}}) // a worker improves 2 again
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the batch after Recompute did not finish: a lock left held by the panic")
+	}
+	bitsEqual(t, "healed", s.StatesCopy(), algo.Reference(algo.NewSSSP(0), s.Store().Seal()))
+	checkForest(t, "healed", s)
+}
+
+// TestSessionVertexLimit drives the vertex limit, 2^30 − 1: the guard
+// passes at the limit, and just past it panics, naming the limit, before
+// any array grows, so the test allocates no per-vertex memory.
+func TestSessionVertexLimit(t *testing.T) {
+	s := NewSession(algo.NewSSSP(0), graph.NewStore(4), Config{Workers: 1})
+	defer s.Close()
+	grow := func(n int) (msg any) {
+		defer func() { msg = recover() }()
+		s.growTo(n)
+		return nil
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	msg := grow(maxVertices + 1)
+	runtime.ReadMemStats(&after)
+	if want := "native: 1073741824 vertices exceed the session's limit of 1073741823 (2^30 − 1)"; msg != want {
+		t.Fatalf("growing to 2^30 vertices: recovered %v, want %q", msg, want)
+	}
+	if len(s.states) != 4 || len(s.meta) != 4 || after.TotalAlloc-before.TotalAlloc > 1<<20 {
+		t.Fatalf("the guard let arrays grow: %d states, %d words, %d B allocated", len(s.states), len(s.meta), after.TotalAlloc-before.TotalAlloc)
+	}
+	if maxVertices != 1<<30-1 || uint32(maxVertices-1)+1 != metaParent {
+		t.Fatalf("limit %d: the last vertex's parent + 1 must fill metaParent exactly", maxVertices)
+	}
+	checkVertexLimit(maxVertices) // at the limit: no panic
+}
+
 // Footprint budget of an edgeless session vertex: its state (8 B) and
-// its parent, spinlock and queued flag (4 B each). Two 4-byte
-// propagation counters, a skip that never fired, made it 28 B, and a
-// 4-byte tag epoch 32 B before tagging cut the parent link instead.
+// one 4-byte word holding its queued flag, spinlock and parent. The
+// three in 4-byte arrays of their own made it 20 B, two 4-byte
+// propagation counters, a skip that never fired, 28 B, and a 4-byte tag
+// epoch 32 B before tagging cut the parent link instead.
 // sessionFixedBytes covers the Session's own fields and
 // whatever the runtime allocates around the measurement.
 const (
-	sessionBytesPerEmptyVertex = 8 + 3*4
+	sessionBytesPerEmptyVertex = 8 + 4
 	sessionFixedBytes          = 64 << 10
 )
 
@@ -295,7 +475,7 @@ func TestBootstrapRowsMatchStore(t *testing.T) {
 	sameSession := func(how string, got, want *Session) {
 		t.Helper()
 		bitsEqual(t, how, got.StatesCopy(), want.StatesCopy())
-		if !slices.Equal(got.parent, want.parent) {
+		if !slices.Equal(got.meta, want.meta) {
 			t.Fatalf("%s: parent forests differ", how)
 		}
 	}

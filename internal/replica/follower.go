@@ -243,7 +243,12 @@ func (f *Follower) Serve(conn net.Conn) error {
 func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 	f.sessionMu.Lock()
 	defer f.sessionMu.Unlock()
+	//tdgraph:allow lockhold sessionMu is held for the session's life: its applies and snapshot installs are the moves the lock serialises (the engine waits only for its own worker pool, a file write only for the disk), and its frames go to this session's primary, which closes the connection once an ack is later than its AckTimeout
+	return f.session(conn, hello)
+}
 
+// session is ServeSession's body; callers hold sessionMu.
+func (f *Follower) session(conn net.Conn, hello Frame) error {
 	if hello.Term < f.state.Term || (hello.Term == f.state.Term && f.claimed) {
 		f.col.Inc(stats.CtrReplFenceRejects)
 		f.cfg.OnEvent(fmt.Sprintf("rejected primary with stale term %d (ours %d)", hello.Term, f.state.Term))
@@ -370,7 +375,6 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 				continue
 			}
 			// The closing record: one write, one barrier, k applies, one ack.
-			//tdgraph:allow lockhold the apply is a pipeline move sessionMu exists to serialise; the engine waits only for its own worker pool, which takes no lock
 			err := f.pipe.IngestReplicated(fr.Seq+1-uint64(len(f.group.payloads)), f.group.payloads, f.group.batches)
 			f.group.reset()
 			if err != nil {
