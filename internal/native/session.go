@@ -431,9 +431,7 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 }
 
 // setParent sets v's parent + 1 (0: self-supported) in a serial phase.
-func (s *Session) setParent(v graph.VertexID, p uint32) {
-	s.meta[v] = s.meta[v]&^metaParent | p
-}
+func (s *Session) setParent(v graph.VertexID, p uint32) { s.meta[v] = s.meta[v]&^metaParent | p }
 
 // activate seeds v, unless already queued, into the first frontier in
 // rounds mode, else round-robin into the workers' worklists. It runs in
@@ -456,20 +454,22 @@ func (s *Session) activate(v graph.VertexID) {
 
 // runPool runs one pass of the pool — a worklist drain, or one frontier
 // round — with worker 0 on the calling goroutine. Panic-safe: if the
-// algorithm panics on worker 0, pending is forced to zero so the kicked
-// peers unwind and park, then the panic continues — the pool is always
-// quiescent when the panic reaches the caller, so a heal can safely
-// Recompute. It allocates nothing (TestSessionSteadyStateZeroAllocs).
+// algorithm panics on worker 0, pending is forced far below zero so the
+// kicked peers unwind, even one waiting for a lock the panic left held,
+// and park; then the panic continues — the pool is always quiescent when
+// the panic reaches the caller, so a heal can safely Recompute. It
+// allocates nothing (TestSessionSteadyStateZeroAllocs).
 func (s *Session) runPool() {
 	for i := 1; i < s.workers; i++ {
 		s.kick[i] <- struct{}{}
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			atomic.StoreInt64(&s.pending, 0)
+			atomic.StoreInt64(&s.pending, math.MinInt64/2)
 			for i := 1; i < s.workers; i++ {
 				<-s.done
 			}
+			s.pending = 0
 			panic(r)
 		}
 		for i := 1; i < s.workers; i++ {
@@ -501,9 +501,8 @@ func (s *Session) runWorker(wi int) {
 				}
 			}
 			if !ok {
-				// <= 0, not == 0: during a panic unwind runPool zeroes
-				// pending while peers are mid-decrement, so it can dip
-				// negative transiently.
+				// <= 0, not == 0: runPool unwinds a panic with pending
+				// far below zero.
 				if atomic.LoadInt64(&s.pending) <= 0 {
 					break
 				}
@@ -585,11 +584,12 @@ func (s *Session) improve(u graph.VertexID, cand float64, from graph.VertexID) b
 	}
 	m := &s.meta[u]
 	for { // the CASes retry when the queued bit flips meanwhile
-		if old := atomic.LoadUint32(m); old&metaLock != 0 {
-			runtime.Gosched()
-		} else if atomic.CompareAndSwapUint32(m, old, old|metaLock) {
+		if old := atomic.LoadUint32(m); old&metaLock == 0 && atomic.CompareAndSwapUint32(m, old, old|metaLock) {
 			break
+		} else if atomic.LoadInt64(&s.pending) < 0 {
+			return false // runPool is unwinding a panic, perhaps the holder's
 		}
+		runtime.Gosched()
 	}
 	ok := s.mono.Better(cand, math.Float64frombits(atomic.LoadUint64(&s.states[u])))
 	if ok {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -330,14 +331,24 @@ func TestSessionForestOracle(t *testing.T) {
 	}
 }
 
+// lockPanicker is a monotonic algorithm that, once armed, panics with a
+// vertex's spinlock held.
+type lockPanicker interface {
+	algo.MonotonicAlgo
+	arm()
+}
+
 // lockedPanic is SSSP whose Better, once armed, panics on a repeated
 // winning comparison: improve's check under the lock repeats its
-// unlocked one, so the panic fires with the spinlock held.
+// unlocked one, so the panic fires with the spinlock held. One worker
+// only: its fields are plain.
 type lockedPanic struct {
 	*algo.SSSP
 	armed        bool
 	lastA, lastB float64
 }
+
+func (a *lockedPanic) arm() { a.armed = true }
 
 func (a *lockedPanic) Better(x, y float64) bool {
 	r := a.SSSP.Better(x, y)
@@ -349,35 +360,95 @@ func (a *lockedPanic) Better(x, y float64) bool {
 	return r
 }
 
+// peerSpin is SSSP whose Better, once armed, panics on worker 0 with
+// vertex 3's spinlock held, and holds worker 1's candidate for 3 back
+// until then, so worker 1 goes on to wait for that lock. Vertex 1 is
+// seeded into worker 0's queue and reaches 3 at distance 2; vertex 2 is
+// seeded into worker 1's and reaches it at 3.
+type peerSpin struct {
+	*algo.SSSP
+	armed atomic.Bool
+	calls atomic.Int32
+	held  chan struct{}
+}
+
+func (a *peerSpin) arm() { a.armed.Store(true) }
+
+func (a *peerSpin) Better(x, y float64) bool {
+	if a.armed.Load() {
+		switch x {
+		case 2:
+			if a.calls.Add(1) == 2 { // improve's repeat, under the lock
+				a.armed.Store(false)
+				close(a.held)
+				panic("lockedPanic")
+			}
+		case 3:
+			<-a.held
+		}
+	}
+	return a.SSSP.Better(x, y)
+}
+
 // TestSessionRecomputeAfterPanicUnderLock: a panic inside the spinlock
-// leaves the lock bit set; Recompute must clear it, or the next
-// improvement of that vertex spins forever.
+// leaves the lock bit set. A peer waiting for that lock must give up, or
+// runPool never joins it and the panic never reaches the caller; and
+// Recompute must clear the bit, or the next improvement of that vertex
+// spins forever.
 func TestSessionRecomputeAfterPanicUnderLock(t *testing.T) {
-	a := &lockedPanic{SSSP: algo.NewSSSP(0)}
-	s := NewSession(a, graph.NewStoreFromEdges(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 5}, {Src: 1, Dst: 2, Weight: 5}}), Config{Workers: 1})
-	defer s.Close()
-	a.armed = true
-	func() {
-		defer func() {
-			if r := recover(); r != "lockedPanic" {
+	add := func(src, dst graph.VertexID, w float32) graph.Update {
+		return graph.Update{Edge: graph.Edge{Src: src, Dst: dst, Weight: w}}
+	}
+	for _, c := range []struct {
+		name          string
+		a             lockPanicker
+		workers, n    int
+		edges         []graph.Edge
+		panics, heals []graph.Update
+	}{
+		{"1 worker", &lockedPanic{SSSP: algo.NewSSSP(0)}, 1, 3,
+			[]graph.Edge{{Src: 0, Dst: 1, Weight: 5}, {Src: 1, Dst: 2, Weight: 5}},
+			[]graph.Update{add(0, 1, 1)}, []graph.Update{add(0, 1, 0.5)}}, // the heal improves 2 again
+		{"2 workers", &peerSpin{SSSP: algo.NewSSSP(0), held: make(chan struct{})}, 2, 4,
+			[]graph.Edge{{Src: 1, Dst: 3, Weight: 1}, {Src: 2, Dst: 3, Weight: 2}},
+			[]graph.Update{add(0, 1, 1), add(0, 2, 1)}, []graph.Update{add(0, 3, 2.5)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSession(c.a, graph.NewStoreFromEdges(c.n, c.edges), Config{Workers: c.workers})
+			defer s.Close()
+			if s.seedIdx != 0 {
+				t.Fatalf("seedIdx %d: the first seed must go to worker 0's queue", s.seedIdx)
+			}
+			c.a.arm()
+			var r any
+			finishes(t, "the batch that panicked under a lock (a peer waiting for it?)", func() {
+				defer func() { r = recover() }()
+				s.ApplyBatch(c.panics)
+			})
+			if r != "lockedPanic" {
 				t.Fatalf("recovered %v, want the panic under the lock", r)
 			}
-		}()
-		s.ApplyBatch([]graph.Update{{Edge: graph.Edge{Src: 0, Dst: 1, Weight: 1}}})
-	}()
-	s.Recompute()
+			s.Recompute()
+			finishes(t, "the batch after Recompute (a lock left held by the panic?)", func() { s.ApplyBatch(c.heals) })
+			bitsEqual(t, "healed", s.StatesCopy(), algo.Reference(algo.NewSSSP(0), s.Store().Seal()))
+			checkForest(t, "healed", s)
+		})
+	}
+}
+
+// finishes runs f, failing t when f has not returned within 10 s.
+func finishes(t *testing.T, what string, f func()) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.ApplyBatch([]graph.Update{{Edge: graph.Edge{Src: 0, Dst: 1, Weight: 0.5}}}) // a worker improves 2 again
+		f()
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the batch after Recompute did not finish: a lock left held by the panic")
+		t.Fatalf("%s did not finish", what)
 	}
-	bitsEqual(t, "healed", s.StatesCopy(), algo.Reference(algo.NewSSSP(0), s.Store().Seal()))
-	checkForest(t, "healed", s)
 }
 
 // TestSessionVertexLimit drives the vertex limit, 2^30 − 1: the guard

@@ -243,15 +243,11 @@ func (f *Follower) Serve(conn net.Conn) error {
 func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 	f.sessionMu.Lock()
 	defer f.sessionMu.Unlock()
-	//tdgraph:allow lockhold sessionMu is held for the session's life: its applies and snapshot installs are the moves the lock serialises (the engine waits only for its own worker pool, a file write only for the disk), and its frames go to this session's primary, which closes the connection once an ack is later than its AckTimeout
-	return f.session(conn, hello)
-}
 
-// session is ServeSession's body; callers hold sessionMu.
-func (f *Follower) session(conn net.Conn, hello Frame) error {
 	if hello.Term < f.state.Term || (hello.Term == f.state.Term && f.claimed) {
 		f.col.Inc(stats.CtrReplFenceRejects)
 		f.cfg.OnEvent(fmt.Sprintf("rejected primary with stale term %d (ours %d)", hello.Term, f.state.Term))
+		//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
 		WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
 		return fmt.Errorf("session with deposed primary (term %d <= %d): %w", hello.Term, f.state.Term, ErrStaleTerm)
 	}
@@ -272,6 +268,7 @@ func (f *Follower) session(conn net.Conn, hello Frame) error {
 	f.mu.Unlock()
 	f.cfg.OnLeader(hello.Term, string(hello.Payload))
 	f.cfg.OnLiveness(hello.Term)
+	//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
 	if err := WriteFrame(conn, Frame{
 		Type: FrameWelcome, Term: f.state.Term, Seq: f.pipe.Seq(),
 		Orig: f.state.At(f.pipe.Seq()),
@@ -312,6 +309,7 @@ func (f *Follower) session(conn net.Conn, hello Frame) error {
 			// reseed: install atomically, reset the ledger to the shipped
 			// history, and keep the session going; the primary resumes
 			// ordinary records from the installed sequence.
+			//tdgraph:allow lockhold an install is a pipeline move sessionMu serialises: its file writes wait only for the disk, and its answers are frames the primary awaits, reading under its AckTimeout
 			if err := f.receiveSnapshot(conn, fr); err != nil {
 				return err
 			}
@@ -323,6 +321,7 @@ func (f *Follower) session(conn net.Conn, hello Frame) error {
 			// would.
 			if fr.Term < f.state.Term {
 				f.col.Inc(stats.CtrReplFenceRejects)
+				//tdgraph:allow lockhold the session's one unasked frame, written as it ends: a few dozen bytes a socket buffers, which the primary's next ack wait reads under its AckTimeout
 				WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
 				return fmt.Errorf("heartbeat from deposed primary (term %d < %d): %w", fr.Term, f.state.Term, ErrStaleTerm)
 			}
@@ -337,6 +336,7 @@ func (f *Follower) session(conn net.Conn, hello Frame) error {
 			// The primary was deposed mid-session (we may have adopted a
 			// newer term through another session meanwhile).
 			f.col.Inc(stats.CtrReplFenceRejects)
+			//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
 			f.refuseRecord(conn, fr)
 			return fmt.Errorf("record from deposed primary (term %d < %d): %w", fr.Term, f.state.Term, ErrStaleTerm)
 		}
@@ -352,6 +352,7 @@ func (f *Follower) session(conn net.Conn, hello Frame) error {
 			// silence, because a follower never writes mid-group.
 			f.col.Inc(stats.CtrReplDupFrames)
 			if fr.Type == FrameRecord && held == f.pipe.Seq() {
+				//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
 				if err := WriteFrame(conn, Frame{Type: FrameAck, Term: f.state.Term, Seq: held}); err != nil {
 					return err
 				}
@@ -359,10 +360,12 @@ func (f *Follower) session(conn net.Conn, hello Frame) error {
 		case fr.Seq > held+1:
 			// A gap: records were lost on the wire. Refuse — the primary
 			// re-ships the backlog from its WAL.
+			//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
 			f.refuseRecord(conn, fr)
 			return fmt.Errorf("%w: got seq %d with local seq %d", ErrFollowerBehind, fr.Seq, held)
 		default:
 			if err := f.stampOrigin(fr); err != nil {
+				//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
 				f.refuseRecord(conn, fr)
 				return err
 			}
@@ -375,11 +378,13 @@ func (f *Follower) session(conn net.Conn, hello Frame) error {
 				continue
 			}
 			// The closing record: one write, one barrier, k applies, one ack.
+			//tdgraph:allow lockhold the apply is a pipeline move sessionMu exists to serialise; its WAL write waits only for the disk, and the engine only for its own worker pool, which takes no lock
 			err := f.pipe.IngestReplicated(fr.Seq+1-uint64(len(f.group.payloads)), f.group.payloads, f.group.batches)
 			f.group.reset()
 			if err != nil {
 				return err
 			}
+			//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
 			if err := WriteFrame(conn, Frame{Type: FrameAck, Term: f.state.Term, Seq: f.pipe.Seq()}); err != nil {
 				return err
 			}
