@@ -22,6 +22,7 @@ type GraphPulse struct {
 // NewGraphPulse builds the model over a prepared runtime.
 func NewGraphPulse(r *engine.Runtime) *GraphPulse {
 	g := &GraphPulse{inner: NewJetStream(r, false)}
+	g.inner.gather = g.gather
 	return g
 }
 
@@ -33,48 +34,7 @@ func (g *GraphPulse) Runtime() *engine.Runtime { return g.inner.r }
 
 // Process implements engine.System: JetStream's event flow plus a full
 // in-edge gather per processed event.
-func (g *GraphPulse) Process(res graph.ApplyResult) {
-	r := g.inner.r
-	// Hook the gather cost in by pre-charging it per event sweep: walk
-	// events before each drain. Simplest faithful accounting: wrap the
-	// queue drain loop here rather than reusing Process wholesale.
-	r.Repair(res)
-	for ci := range r.Chunks {
-		for _, v := range r.TakeActive(ci) {
-			if r.Mono != nil {
-				g.inner.enqueue(v, r.S[v], r.Ports[ci])
-			} else {
-				g.inner.enqueue(v, r.Delta[v], r.Ports[ci])
-				r.Delta[v] = 0
-			}
-		}
-	}
-	for g.inner.hasEvents() {
-		r.C.Inc(stats.CtrIterations)
-		for ci, q := range g.inner.queues {
-			p := r.Ports[ci]
-			p.SetPhase(sim.PhasePropagate)
-			batch := q.order
-			q.order = nil
-			for _, v := range batch {
-				val, ok := q.vals[v]
-				if !ok {
-					continue
-				}
-				delete(q.vals, v)
-				g.gather(v, p)
-				g.inner.processEvent(v, val, p)
-			}
-		}
-		if r.M != nil {
-			r.M.Barrier()
-		}
-	}
-	r.FinishMetrics()
-	if r.M != nil {
-		r.M.Finish()
-	}
-}
+func (g *GraphPulse) Process(res graph.ApplyResult) { g.inner.Process(res) }
 
 // gather models the non-incremental re-aggregation over v's in-edges.
 func (g *GraphPulse) gather(v graph.VertexID, p sim.Port) {

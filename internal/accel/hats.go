@@ -35,36 +35,28 @@ func (h *HATS) Name() string { return "HATS" }
 // Runtime implements engine.System.
 func (h *HATS) Runtime() *engine.Runtime { return h.r }
 
+// hatsEdge: the traversal engine fetches edges ahead of the core.
+var hatsEdge = engine.EdgeCost{Prefetched: true, Ops: 3}
+
 // Process implements engine.System.
 func (h *HATS) Process(res graph.ApplyResult) {
 	r := h.r
-	r.Repair(res)
-	for r.HasActive() {
-		r.C.Inc(stats.CtrIterations)
-		frontiers := make([][]graph.VertexID, len(r.Chunks))
-		for ci := range r.Chunks {
-			f := r.TakeActive(ci)
-			// The traversal scheduler emits vertices in graph order;
-			// for CSR-adjacent storage that is ascending-ID order,
-			// which maximises line sharing of offsets and states.
-			sort.Slice(f, func(i, j int) bool { return f[i] < f[j] })
-			frontiers[ci] = f
-		}
-		for ci, frontier := range frontiers {
-			p := r.Ports[ci]
-			p.SetPhase(sim.PhasePropagate)
-			for _, v := range frontier {
-				h.processVertex(v, p)
+	r.Run(res, func() {
+		r.Rounds(func(frontiers [][]graph.VertexID) {
+			for ci, frontier := range frontiers {
+				// The traversal scheduler emits vertices in graph
+				// order; for CSR-adjacent storage that is
+				// ascending-ID order, which maximises line sharing of
+				// offsets and states.
+				sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+				p := r.Ports[ci]
+				p.SetPhase(sim.PhasePropagate)
+				for _, v := range frontier {
+					h.processVertex(v, p)
+				}
 			}
-		}
-		if r.M != nil {
-			r.M.Barrier()
-		}
-	}
-	r.FinishMetrics()
-	if r.M != nil {
-		r.M.Finish()
-	}
+		})
+	})
 }
 
 func (h *HATS) processVertex(v graph.VertexID, p sim.Port) {
@@ -75,25 +67,7 @@ func (h *HATS) processVertex(v graph.VertexID, p sim.Port) {
 	r.ReadOffsets(v, p, false)
 	p.Stall(0.3)
 	if r.Mono != nil {
-		sv := r.ReadState(v, p, true)
-		base := r.G.Offsets[v]
-		ns := r.G.OutNeighbors(v)
-		ws := r.G.OutWeights(v)
-		for i, w := range ns {
-			r.C.Inc(stats.CtrEdgesProcessed)
-			r.CountUpdateOp()
-			r.C.Inc(stats.CtrPrefetchedEdges)
-			r.ReadEdge(base+uint64(i), p, false)
-			p.Compute(3)
-			cand := r.Mono.Propagate(sv, ws[i])
-			sw := r.ReadState(w, p, true)
-			r.C.Inc(stats.CtrPropagationVisits)
-			if r.Mono.Better(cand, sw) {
-				r.WriteState(w, cand, p, true)
-				r.WriteParent(w, int32(v), p, true)
-				r.Activate(w, p)
-			}
-		}
+		r.RelaxOut(v, r.ReadState(v, p, true), p, hatsEdge, nil)
 		return
 	}
 	// Accumulative path.
@@ -111,30 +85,5 @@ func (h *HATS) processVertex(v graph.VertexID, p sim.Port) {
 	}
 	sv := r.ReadState(v, p, true)
 	r.WriteState(v, sv+dv, p, true)
-	deg := r.G.OutDegree(v)
-	if deg == 0 {
-		return
-	}
-	d := r.Acc.Damping()
-	tw := r.TotalOutWeightOf(v)
-	base := r.G.Offsets[v]
-	ns := r.G.OutNeighbors(v)
-	ws := r.G.OutWeights(v)
-	for i, w := range ns {
-		r.C.Inc(stats.CtrEdgesProcessed)
-		r.CountUpdateOp()
-		r.C.Inc(stats.CtrPrefetchedEdges)
-		r.ReadEdge(base+uint64(i), p, false)
-		p.Compute(3)
-		contrib := d * dv * r.Acc.Share(ws[i], deg, tw)
-		if contrib == 0 {
-			continue
-		}
-		r.C.Inc(stats.CtrPropagationVisits)
-		if r.M != nil {
-			p.Read(r.DeltaAddr(w), engine.DeltaBytes)
-		}
-		r.WriteDelta(w, r.Delta[w]+contrib, p, true)
-		r.Activate(w, p)
-	}
+	r.ScatterOut(v, dv, p, hatsEdge, nil)
 }

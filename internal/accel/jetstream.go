@@ -34,6 +34,9 @@ type JetStream struct {
 	// enqueues and dequeues are (sequential) memory traffic.
 	queueRegion sim.Region
 	queueCursor uint64
+	// gather, when set, runs before each event is processed
+	// (GraphPulse's in-edge re-aggregation).
+	gather func(v graph.VertexID, p sim.Port)
 }
 
 type eventQueue struct {
@@ -103,59 +106,52 @@ func (j *JetStream) enqueue(v graph.VertexID, val float64, p sim.Port) {
 // queueSlot returns the next event-pool slot address (round-robin).
 func (j *JetStream) queueSlot() uint64 {
 	j.queueCursor++
-	return j.queueRegion.Base + (j.queueCursor%uint64(maxInt(1, int(j.queueRegion.Size/8))))*8
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return j.queueRegion.Base + (j.queueCursor%uint64(max(1, int(j.queueRegion.Size/8))))*8
 }
 
 // Process implements engine.System. Repair seeds the initial events; the
 // engine then drains the queues event by event.
 func (j *JetStream) Process(res graph.ApplyResult) {
 	r := j.r
-	r.Repair(res)
-	// Convert the repair's activations into events.
-	for ci := range r.Chunks {
-		for _, v := range r.TakeActive(ci) {
-			if r.Mono != nil {
-				j.enqueue(v, r.S[v], r.Ports[ci])
-			} else {
-				j.enqueue(v, r.Delta[v], r.Ports[ci])
-				r.Delta[v] = 0
-			}
-		}
-	}
-	for j.hasEvents() {
-		r.C.Inc(stats.CtrIterations)
-		for ci, q := range j.queues {
-			p := r.Ports[ci]
-			p.SetPhase(sim.PhasePropagate)
-			// Drain the queue snapshot; new events (including local
-			// ones) are processed in the next sweep, mirroring the
-			// pipelined event flow.
-			batch := q.order
-			q.order = nil
-			for _, v := range batch {
-				val, ok := q.vals[v]
-				if !ok {
-					continue
+	r.Run(res, func() {
+		// Convert the repair's activations into events.
+		for ci := range r.Chunks {
+			for _, v := range r.TakeActive(ci) {
+				if r.Mono != nil {
+					j.enqueue(v, r.S[v], r.Ports[ci])
+				} else {
+					j.enqueue(v, r.Delta[v], r.Ports[ci])
+					r.Delta[v] = 0
 				}
-				delete(q.vals, v)
-				j.processEvent(v, val, p)
 			}
 		}
-		if r.M != nil {
-			r.M.Barrier()
+		for j.hasEvents() {
+			r.C.Inc(stats.CtrIterations)
+			for ci, q := range j.queues {
+				p := r.Ports[ci]
+				p.SetPhase(sim.PhasePropagate)
+				// Drain the queue snapshot; new events (including
+				// local ones) are processed in the next sweep,
+				// mirroring the pipelined event flow.
+				batch := q.order
+				q.order = nil
+				for _, v := range batch {
+					val, ok := q.vals[v]
+					if !ok {
+						continue
+					}
+					delete(q.vals, v)
+					if j.gather != nil {
+						j.gather(v, p)
+					}
+					j.processEvent(v, val, p)
+				}
+			}
+			if r.M != nil {
+				r.M.Barrier()
+			}
 		}
-	}
-	r.FinishMetrics()
-	if r.M != nil {
-		r.M.Finish()
-	}
+	})
 }
 
 func (j *JetStream) hasEvents() bool {

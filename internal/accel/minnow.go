@@ -28,47 +28,43 @@ func (mw *Minnow) Name() string { return "Minnow" }
 // Runtime implements engine.System.
 func (mw *Minnow) Runtime() *engine.Runtime { return mw.r }
 
+// minnowEdge: the worklist engine prefetches vertex data, not edges.
+var minnowEdge = engine.EdgeCost{Ops: 3}
+
 // Process implements engine.System.
 func (mw *Minnow) Process(res graph.ApplyResult) {
 	r := mw.r
-	r.Repair(res)
 	// Asynchronous drain: every core works its FIFO to exhaustion;
 	// cross-core activations land on the owner's list and are drained
 	// in the next sweep. Sweeps repeat until the system quiesces.
-	for r.HasActive() {
-		r.C.Inc(stats.CtrIterations)
-		for ci := range r.Chunks {
-			p := r.Ports[ci]
-			p.SetPhase(sim.PhasePropagate)
-			// Drain the local FIFO including entries appended during
-			// this drain (asynchronous, no barrier).
-			for {
-				work := r.TakeActive(ci)
-				if len(work) == 0 {
-					break
-				}
-				for wi, v := range work {
-					// Worklist-directed prefetch: warm the data of
-					// the entry PrefetchAhead slots ahead.
-					if wi+mw.PrefetchAhead < len(work) {
-						ahead := work[wi+mw.PrefetchAhead]
-						r.ReadOffsets(ahead, p, false)
-						if r.M != nil {
-							p.Prefetch(r.StateAddr(ahead), engine.StateBytes)
+	r.Run(res, func() {
+		for r.HasActive() {
+			r.C.Inc(stats.CtrIterations)
+			for ci := range r.Chunks {
+				p := r.Ports[ci]
+				p.SetPhase(sim.PhasePropagate)
+				// Drain the local FIFO including entries appended
+				// during this drain (asynchronous, no barrier).
+				for work := r.TakeActive(ci); len(work) > 0; work = r.TakeActive(ci) {
+					for wi, v := range work {
+						// Worklist-directed prefetch: warm the data
+						// of the entry PrefetchAhead slots ahead.
+						if wi+mw.PrefetchAhead < len(work) {
+							ahead := work[wi+mw.PrefetchAhead]
+							r.ReadOffsets(ahead, p, false)
+							if r.M != nil {
+								p.Prefetch(r.StateAddr(ahead), engine.StateBytes)
+							}
 						}
+						mw.processVertex(v, p)
 					}
-					mw.processVertex(v, p)
 				}
 			}
+			if r.M != nil {
+				r.M.Barrier()
+			}
 		}
-		if r.M != nil {
-			r.M.Barrier()
-		}
-	}
-	r.FinishMetrics()
-	if r.M != nil {
-		r.M.Finish()
-	}
+	})
 }
 
 func (mw *Minnow) processVertex(v graph.VertexID, p sim.Port) {
@@ -78,24 +74,7 @@ func (mw *Minnow) processVertex(v graph.VertexID, p sim.Port) {
 	p.Compute(1)
 	r.ReadOffsets(v, p, true)
 	if r.Mono != nil {
-		sv := r.ReadState(v, p, true)
-		base := r.G.Offsets[v]
-		ns := r.G.OutNeighbors(v)
-		ws := r.G.OutWeights(v)
-		for i, w := range ns {
-			r.C.Inc(stats.CtrEdgesProcessed)
-			r.CountUpdateOp()
-			r.ReadEdge(base+uint64(i), p, true)
-			p.Compute(3)
-			cand := r.Mono.Propagate(sv, ws[i])
-			sw := r.ReadState(w, p, true)
-			r.C.Inc(stats.CtrPropagationVisits)
-			if r.Mono.Better(cand, sw) {
-				r.WriteState(w, cand, p, true)
-				r.WriteParent(w, int32(v), p, true)
-				r.Activate(w, p)
-			}
-		}
+		r.RelaxOut(v, r.ReadState(v, p, true), p, minnowEdge, nil)
 		return
 	}
 	if r.M != nil {
@@ -109,29 +88,5 @@ func (mw *Minnow) processVertex(v graph.VertexID, p sim.Port) {
 	}
 	sv := r.ReadState(v, p, true)
 	r.WriteState(v, sv+dv, p, true)
-	deg := r.G.OutDegree(v)
-	if deg == 0 {
-		return
-	}
-	d := r.Acc.Damping()
-	tw := r.TotalOutWeightOf(v)
-	base := r.G.Offsets[v]
-	ns := r.G.OutNeighbors(v)
-	ws := r.G.OutWeights(v)
-	for i, w := range ns {
-		r.C.Inc(stats.CtrEdgesProcessed)
-		r.CountUpdateOp()
-		r.ReadEdge(base+uint64(i), p, true)
-		p.Compute(3)
-		contrib := d * dv * r.Acc.Share(ws[i], deg, tw)
-		if contrib == 0 {
-			continue
-		}
-		r.C.Inc(stats.CtrPropagationVisits)
-		if r.M != nil {
-			p.Read(r.DeltaAddr(w), engine.DeltaBytes)
-		}
-		r.WriteDelta(w, r.Delta[w]+contrib, p, true)
-		r.Activate(w, p)
-	}
+	r.ScatterOut(v, dv, p, minnowEdge, nil)
 }

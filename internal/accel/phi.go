@@ -80,32 +80,24 @@ func (ph *PHI) drain(ci int, p sim.Port) {
 	b.pending = make(map[combineEntry]struct{})
 }
 
+// phiEdge: PHI leaves edge fetching to the core.
+var phiEdge = engine.EdgeCost{Ops: 3}
+
 // Process implements engine.System.
 func (ph *PHI) Process(res graph.ApplyResult) {
 	r := ph.r
-	r.Repair(res)
-	for r.HasActive() {
-		r.C.Inc(stats.CtrIterations)
-		frontiers := make([][]graph.VertexID, len(r.Chunks))
-		for ci := range r.Chunks {
-			frontiers[ci] = r.TakeActive(ci)
-		}
-		for ci, frontier := range frontiers {
-			p := r.Ports[ci]
-			p.SetPhase(sim.PhasePropagate)
-			for _, v := range frontier {
-				ph.processVertex(ci, v, p)
+	r.Run(res, func() {
+		r.Rounds(func(frontiers [][]graph.VertexID) {
+			for ci, frontier := range frontiers {
+				p := r.Ports[ci]
+				p.SetPhase(sim.PhasePropagate)
+				for _, v := range frontier {
+					ph.processVertex(ci, v, p)
+				}
+				ph.drain(ci, p)
 			}
-			ph.drain(ci, p)
-		}
-		if r.M != nil {
-			r.M.Barrier()
-		}
-	}
-	r.FinishMetrics()
-	if r.M != nil {
-		r.M.Finish()
-	}
+		})
+	})
 }
 
 func (ph *PHI) processVertex(ci int, v graph.VertexID, p sim.Port) {
@@ -117,27 +109,12 @@ func (ph *PHI) processVertex(ci int, v graph.VertexID, p sim.Port) {
 	}
 	r.ReadOffsets(v, p, true)
 	if r.Mono != nil {
-		sv := r.ReadState(v, p, true)
-		base := r.G.Offsets[v]
-		ns := r.G.OutNeighbors(v)
-		ws := r.G.OutWeights(v)
-		for i, w := range ns {
-			r.C.Inc(stats.CtrEdgesProcessed)
-			r.CountUpdateOp()
-			r.ReadEdge(base+uint64(i), p, true)
-			p.Compute(3)
-			cand := r.Mono.Propagate(sv, ws[i])
-			sw := r.ReadState(w, p, true)
-			r.C.Inc(stats.CtrPropagationVisits)
-			if r.Mono.Better(cand, sw) {
-				// The update enters the combining buffer; the merged
-				// result reaches memory on drain.
-				r.WriteStateQuiet(w, cand)
-				ph.bufferUpdate(ci, w, false, p)
-				r.WriteParent(w, int32(v), p, true)
-				r.Activate(w, p)
-			}
-		}
+		// The update enters the combining buffer; the merged result
+		// reaches memory on drain.
+		r.RelaxOut(v, r.ReadState(v, p, true), p, phiEdge, func(w graph.VertexID, val float64, p sim.Port) {
+			r.WriteStateQuiet(w, val)
+			ph.bufferUpdate(ci, w, false, p)
+		})
 		return
 	}
 	if r.M != nil {
@@ -152,28 +129,9 @@ func (ph *PHI) processVertex(ci int, v graph.VertexID, p sim.Port) {
 	sv := r.ReadState(v, p, true)
 	r.WriteStateQuiet(v, sv+dv)
 	ph.bufferUpdate(ci, v, false, p)
-	deg := r.G.OutDegree(v)
-	if deg == 0 {
-		return
-	}
-	d := r.Acc.Damping()
-	tw := r.TotalOutWeightOf(v)
-	base := r.G.Offsets[v]
-	ns := r.G.OutNeighbors(v)
-	ws := r.G.OutWeights(v)
-	for i, w := range ns {
-		r.C.Inc(stats.CtrEdgesProcessed)
-		r.CountUpdateOp()
-		r.ReadEdge(base+uint64(i), p, true)
-		p.Compute(3)
-		contrib := d * dv * r.Acc.Share(ws[i], deg, tw)
-		if contrib == 0 {
-			continue
-		}
-		r.C.Inc(stats.CtrPropagationVisits)
-		// Delta scatters also combine in the buffer (commutative sum).
+	// Delta scatters also combine in the buffer (commutative sum).
+	r.ScatterOut(v, dv, p, phiEdge, func(w graph.VertexID, contrib float64, p sim.Port) {
 		r.Delta[w] += contrib
 		ph.bufferUpdate(ci, w, true, p)
-		r.Activate(w, p)
-	}
+	})
 }

@@ -121,80 +121,76 @@ func (t *TDGraph) VSCU() *VSCU { return t.vscu }
 // vertex is active.
 func (t *TDGraph) Process(res graph.ApplyResult) {
 	r := t.r
-	r.Repair(res)
-	round := 0
-	for r.HasActive() {
-		round++
-		frontiers := make([][]graph.VertexID, len(r.Chunks))
-		for ci := range r.Chunks {
-			frontiers[ci] = r.TakeActive(ci)
+	r.Run(res, func() {
+		round := 0
+		r.Rounds(func(frontiers [][]graph.VertexID) {
+			round++
+			t.round(round, frontiers)
+		})
+		if t.vscu != nil {
+			t.vscu.WriteBack()
 		}
-		// Phase A: topology tracking, once per batch (the paper tracks
-		// at chunk dispatch; later activations ride the already-built
-		// Topology_List, and the decay tail proceeds eagerly once the
-		// counters have drained). Roots are chunk-local (each core's
-		// TDTU starts from its own active vertices) but the traversal
-		// follows the topology globally — Topology_List is a shared
-		// in-memory array (§3.3.1), so propagation counts from all
-		// cores merge.
-		if !t.cfg.DisableSync && round == 1 {
-			t.epoch++
-			for _, roots := range frontiers {
-				for _, v := range roots {
-					t.rootEpoch[v] = t.epoch
-				}
+	})
+}
+
+// round runs one round: topology tracking (the first round only) and
+// synchronised propagation.
+func (t *TDGraph) round(round int, frontiers [][]graph.VertexID) {
+	r := t.r
+	// Phase A: topology tracking, once per batch (the paper tracks
+	// at chunk dispatch; later activations ride the already-built
+	// Topology_List, and the decay tail proceeds eagerly once the
+	// counters have drained). Roots are chunk-local (each core's
+	// TDTU starts from its own active vertices) but the traversal
+	// follows the topology globally — Topology_List is a shared
+	// in-memory array (§3.3.1), so propagation counts from all
+	// cores merge.
+	if !t.cfg.DisableSync && round == 1 {
+		t.epoch++
+		for _, roots := range frontiers {
+			for _, v := range roots {
+				t.rootEpoch[v] = t.epoch
 			}
-			for ci, roots := range frontiers {
-				if len(roots) == 0 {
+		}
+		for ci, roots := range frontiers {
+			if len(roots) == 0 {
+				continue
+			}
+			p := r.Ports[ci]
+			p.SetPhase(sim.PhaseOther)
+			t.track(roots, p)
+		}
+		if t.vscu != nil {
+			for ci := range r.Chunks {
+				if r.Chunks[ci].Len() == 0 {
 					continue
 				}
 				p := r.Ports[ci]
 				p.SetPhase(sim.PhaseOther)
-				t.track(roots, p)
-			}
-			if t.vscu != nil && round == 1 {
-				for ci := range r.Chunks {
-					if r.Chunks[ci].Len() == 0 {
-						continue
-					}
-					p := r.Ports[ci]
-					p.SetPhase(sim.PhaseOther)
-					t.vscu.Identify(r.Chunks[ci], p)
-				}
+				t.vscu.Identify(r.Chunks[ci], p)
 			}
 		}
-		// Phase B: synchronised prefetch + processing. The cores run
-		// concurrently in hardware, so a waiting root on one core
-		// pauses until traversals from other cores drain its counter;
-		// the simulator models that with one global root schedule per
-		// round (zero-count roots from any core before any idle-core
-		// wait pop), charging each walk to the initiating root's core.
-		//
-		// The tracked round carries the batch's merged propagation
-		// wave depth-first; later rounds are small residual fixups
-		// (cycle returns, late arrivals) whose counters have already
-		// drained, so they advance as plain one-hop refinements rather
-		// than re-descending with unordered provisional values.
-		t.epoch++
-		for _, p := range r.Ports {
-			p.SetPhase(sim.PhasePropagate)
-		}
-		if round == 1 || t.cfg.DisableSync {
-			t.process(frontiers)
-		} else {
-			t.residual(r.StealBalance(frontiers))
-		}
-		if r.M != nil {
-			r.M.Barrier()
-		}
-		r.C.Inc(stats.CtrIterations)
 	}
-	if t.vscu != nil {
-		t.vscu.WriteBack()
+	// Phase B: synchronised prefetch + processing. The cores run
+	// concurrently in hardware, so a waiting root on one core
+	// pauses until traversals from other cores drain its counter;
+	// the simulator models that with one global root schedule per
+	// round (zero-count roots from any core before any idle-core
+	// wait pop), charging each walk to the initiating root's core.
+	//
+	// The tracked round carries the batch's merged propagation
+	// wave depth-first; later rounds are small residual fixups
+	// (cycle returns, late arrivals) whose counters have already
+	// drained, so they advance as plain one-hop refinements rather
+	// than re-descending with unordered provisional values.
+	t.epoch++
+	for _, p := range r.Ports {
+		p.SetPhase(sim.PhasePropagate)
 	}
-	r.FinishMetrics()
-	if r.M != nil {
-		r.M.Finish()
+	if round == 1 || t.cfg.DisableSync {
+		t.process(frontiers)
+	} else {
+		t.residual(r.StealBalance(frontiers))
 	}
 }
 

@@ -85,13 +85,18 @@ func DZiG() Params {
 // vertices proceed independently — the redundant-computation behaviour
 // the paper analyses in §2.2 arises naturally.
 type Baseline struct {
-	r *Runtime
-	p Params
+	r    *Runtime
+	p    Params
+	cost EdgeCost
 }
 
 // NewBaseline builds the engine over a prepared runtime.
 func NewBaseline(p Params, r *Runtime) *Baseline {
-	return &Baseline{r: r, p: p}
+	b := &Baseline{r: r, p: p, cost: EdgeCost{Ops: p.OpsPerEdge}}
+	if p.MetaBytesPerEdge > 0 {
+		b.cost.Touch = b.touchMeta
+	}
+	return b
 }
 
 // Name implements System.
@@ -102,51 +107,42 @@ func (b *Baseline) Runtime() *Runtime { return b.r }
 
 // Process implements System.
 func (b *Baseline) Process(res graph.ApplyResult) {
-	b.r.Repair(res)
-	if b.r.Mono != nil {
-		b.propagateMonotonic()
-	} else {
-		b.propagateAccumulative()
-	}
-	b.r.FinishMetrics()
-	if b.r.M != nil {
-		b.r.M.Finish()
-	}
-}
-
-func (b *Baseline) propagateMonotonic() {
-	r := b.r
-	for r.HasActive() {
-		r.C.Inc(stats.CtrIterations)
-		// Synchronous round: snapshot every core's frontier, then
-		// rebalance it with work stealing before processing.
-		frontiers := make([][]graph.VertexID, len(r.Chunks))
-		for ci := range r.Chunks {
-			frontiers[ci] = r.TakeActive(ci)
-		}
-		if b.p.DirectionOptimizing && b.frontierEdges(frontiers) > r.G.NumEdges()/maxInt(1, b.p.DenseDivisor) {
-			b.denseIterationMono(frontiers)
+	b.r.Run(res, func() {
+		if b.r.Mono != nil {
+			b.r.Rounds(b.roundMono)
 		} else {
-			frontiers = r.StealBalance(frontiers)
-			for ci, frontier := range frontiers {
-				p := r.Ports[ci]
-				p.SetPhase(sim.PhasePropagate)
-				for _, v := range frontier {
-					b.processVertexMono(v, p)
-				}
-			}
+			b.r.Rounds(b.roundAcc)
 		}
-		if r.M != nil {
-			r.M.Barrier()
-		}
-	}
+	})
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// roundMono runs one monotonic round: pull when Ligra's switch says the
+// frontier is dense and the graph has its CSC mirror, else push after
+// rebalancing the frontier with work stealing (a dense round without
+// the mirror pushes unbalanced).
+func (b *Baseline) roundMono(frontiers [][]graph.VertexID) {
+	r := b.r
+	if b.p.DirectionOptimizing && b.frontierEdges(frontiers) > r.G.NumEdges()/max(1, b.p.DenseDivisor) {
+		r.C.Inc(stats.CtrDenseIterations)
+		if r.G.InOffsets != nil {
+			b.denseIterationMono(frontiers)
+			return
+		}
+	} else {
+		frontiers = r.StealBalance(frontiers)
 	}
-	return b
+	b.visitAll(frontiers, b.visitMono)
+}
+
+// visitAll visits every frontier vertex on its core's port.
+func (b *Baseline) visitAll(frontiers [][]graph.VertexID, visit func(v graph.VertexID, p sim.Port)) {
+	for ci, frontier := range frontiers {
+		p := b.r.Ports[ci]
+		p.SetPhase(sim.PhasePropagate)
+		for _, v := range frontier {
+			visit(v, p)
+		}
+	}
 }
 
 // frontierEdges sums the out-degrees of the round's frontier — Ligra's
@@ -168,23 +164,11 @@ func (b *Baseline) frontierEdges(frontiers [][]graph.VertexID) int {
 // touching every vertex's in-offsets.
 func (b *Baseline) denseIterationMono(frontiers [][]graph.VertexID) {
 	r := b.r
-	r.C.Inc(stats.CtrDenseIterations)
 	inFrontier := make([]bool, r.G.NumVertices)
 	for _, f := range frontiers {
 		for _, v := range f {
 			inFrontier[v] = true
 		}
-	}
-	if r.G.InOffsets == nil {
-		// No CSC mirror: fall back to push.
-		for ci, frontier := range frontiers {
-			p := r.Ports[ci]
-			p.SetPhase(sim.PhasePropagate)
-			for _, v := range frontier {
-				b.processVertexMono(v, p)
-			}
-		}
-		return
 	}
 	for ci, chunk := range r.Chunks {
 		p := r.Ports[ci]
@@ -230,7 +214,8 @@ func (b *Baseline) denseIterationMono(frontiers [][]graph.VertexID) {
 	}
 }
 
-func (b *Baseline) processVertexMono(v graph.VertexID, p sim.Port) {
+// visitMono pushes v's state over its out-edges.
+func (b *Baseline) visitMono(v graph.VertexID, p sim.Port) {
 	r := b.r
 	r.C.Inc(stats.CtrVerticesProcessed)
 	p.Compute(b.p.OpsPerVertex)
@@ -238,98 +223,47 @@ func (b *Baseline) processVertexMono(v graph.VertexID, p sim.Port) {
 		p.Read(r.L.ActiveAddr(v), 1)
 	}
 	r.ReadOffsets(v, p, true)
-	sv := r.ReadState(v, p, true)
-	base := r.G.Offsets[v]
-	ns := r.G.OutNeighbors(v)
-	ws := r.G.OutWeights(v)
-	for i, w := range ns {
-		r.C.Inc(stats.CtrEdgesProcessed)
-		r.CountUpdateOp()
-		r.ReadEdge(base+uint64(i), p, true)
-		p.Compute(b.p.OpsPerEdge)
-		b.touchMeta(w, p)
-		cand := r.Mono.Propagate(sv, ws[i])
-		sw := r.ReadState(w, p, true)
-		r.C.Inc(stats.CtrPropagationVisits)
-		if r.Mono.Better(cand, sw) {
-			r.WriteState(w, cand, p, true)
-			r.WriteParent(w, int32(v), p, true)
-			r.Activate(w, p)
-		}
-	}
+	r.RelaxOut(v, r.ReadState(v, p, true), p, b.cost, nil)
 }
 
-func (b *Baseline) propagateAccumulative() {
+// roundAcc runs one accumulative round over the work-stolen frontier.
+func (b *Baseline) roundAcc(frontiers [][]graph.VertexID) {
+	b.visitAll(b.r.StealBalance(frontiers), b.visitAcc)
+}
+
+// visitAcc applies v's pending delta and scatters it, unless the delta
+// is within the suppression threshold (epsilon, scaled by DZiG's filter).
+func (b *Baseline) visitAcc(v graph.VertexID, p sim.Port) {
 	r := b.r
-	eps := r.Acc.Epsilon()
-	thresh := eps
+	thresh := r.Acc.Epsilon()
 	if b.p.DeltaFilter {
-		thresh = eps * b.p.DeltaFilterScale
+		thresh *= b.p.DeltaFilterScale
 	}
-	d := r.Acc.Damping()
-	for r.HasActive() {
-		r.C.Inc(stats.CtrIterations)
-		frontiers := make([][]graph.VertexID, len(r.Chunks))
-		for ci := range r.Chunks {
-			frontiers[ci] = r.TakeActive(ci)
-		}
-		frontiers = r.StealBalance(frontiers)
-		for ci, frontier := range frontiers {
-			p := r.Ports[ci]
-			p.SetPhase(sim.PhasePropagate)
-			for _, v := range frontier {
-				r.C.Inc(stats.CtrVerticesProcessed)
-				p.Compute(b.p.OpsPerVertex)
-				if r.M != nil {
-					p.Read(r.L.ActiveAddr(v), 1)
-					p.Read(r.DeltaAddr(v), DeltaBytes)
-				}
-				dv := r.Delta[v]
-				r.WriteDelta(v, 0, p, true)
-				if math.Abs(dv) <= thresh {
-					if math.Abs(dv) > 0 {
-						r.C.Inc(stats.CtrDeltaFiltered)
-					}
-					continue
-				}
-				sv := r.ReadState(v, p, true)
-				r.WriteState(v, sv+dv, p, true)
-				deg := r.G.OutDegree(v)
-				if deg == 0 {
-					continue
-				}
-				r.ReadOffsets(v, p, true)
-				base := r.G.Offsets[v]
-				ns := r.G.OutNeighbors(v)
-				ws := r.G.OutWeights(v)
-				tw := r.totalOutW[v]
-				for i, w := range ns {
-					r.C.Inc(stats.CtrEdgesProcessed)
-					r.CountUpdateOp()
-					r.ReadEdge(base+uint64(i), p, true)
-					p.Compute(b.p.OpsPerEdge)
-					b.touchMeta(w, p)
-					contrib := d * dv * r.Acc.Share(ws[i], deg, tw)
-					if contrib == 0 {
-						continue
-					}
-					r.C.Inc(stats.CtrPropagationVisits)
-					if r.M != nil {
-						p.Read(r.DeltaAddr(w), DeltaBytes)
-					}
-					r.WriteDelta(w, r.Delta[w]+contrib, p, true)
-					r.Activate(w, p)
-				}
-			}
-		}
-		if r.M != nil {
-			r.M.Barrier()
-		}
+	r.C.Inc(stats.CtrVerticesProcessed)
+	p.Compute(b.p.OpsPerVertex)
+	if r.M != nil {
+		p.Read(r.L.ActiveAddr(v), 1)
+		p.Read(r.DeltaAddr(v), DeltaBytes)
 	}
+	dv := r.Delta[v]
+	r.WriteDelta(v, 0, p, true)
+	if math.Abs(dv) <= thresh {
+		if math.Abs(dv) > 0 {
+			r.C.Inc(stats.CtrDeltaFiltered)
+		}
+		return
+	}
+	sv := r.ReadState(v, p, true)
+	r.WriteState(v, sv+dv, p, true)
+	if r.G.OutDegree(v) == 0 {
+		return
+	}
+	r.ReadOffsets(v, p, true)
+	r.ScatterOut(v, dv, p, b.cost, nil)
 }
 
 func (b *Baseline) touchMeta(w graph.VertexID, p sim.Port) {
-	if b.p.MetaBytesPerEdge == 0 || b.r.M == nil || b.r.L.Meta.Size == 0 {
+	if b.r.M == nil || b.r.L.Meta.Size == 0 {
 		return
 	}
 	addr := b.r.L.MetaAddr(w, b.p.MetaBytesPerEdge)
