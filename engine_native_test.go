@@ -11,7 +11,9 @@ import (
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
+	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
+	"github.com/tdgraph/tdgraph/internal/native"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/stream"
 )
@@ -170,9 +172,11 @@ func TestNativeEngineCheckpointCrossEngine(t *testing.T) {
 // native path, here for SSSP (TestAccumulativePanicRecovery: PageRank):
 // a panic during incremental propagation becomes *PanicError, the
 // session self-heals by recomputing on the store, and later batches
-// keep matching the oracle. Workers is 1 so the injected panic fires on
-// the calling goroutine (one on a pool goroutine is fatal by design).
+// keep matching the oracle. With Workers 1 the injected panic fires on
+// the calling goroutine; the "2 workers" case fires it on a pool
+// goroutine.
 func TestNativeEnginePanicRecovery(t *testing.T) {
+	t.Run("2 workers", testPeerPanicMono)
 	edges, nv := sessionEdges()
 	pa := &panicAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
 	s, err := tdgraph.NewSession(pa, edges, nv, tdgraph.SessionOptions{Cores: 1})
@@ -205,9 +209,63 @@ func TestNativeEnginePanicRecovery(t *testing.T) {
 	}
 }
 
-// panicShare panics on the second Share call once armed: the first is
-// the serial repair's, for the batch's one new out-edge of a source with
-// none, so the second comes from propagation.
+// testPeerPanicMono panics on worker 1 of a 2-worker native session.
+// The batch's one insertion improves one vertex, so the first frontier
+// round has one vertex, which ApplyBatchRounds' contiguous shards give to
+// worker 1, and its visit makes the second Propagate call. runPool must
+// carry that panic to the caller once the pool has joined, and the
+// session must heal with Recompute.
+func testPeerPanicMono(t *testing.T) {
+	edges, nv := sessionEdges()
+	st := graph.NewStoreFromEdges(nv, edges)
+	pa := &panicSecond{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
+	s := native.NewSession(pa, st, native.Config{Workers: 2})
+	defer s.Close()
+	dst := graph.VertexID(1)
+	for st.OutDegree(dst) == 0 || s.State(dst) <= 0.5 {
+		dst++
+	}
+	pa.armed = true
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		s.ApplyBatchRounds([]graph.Update{{Edge: graph.Edge{Src: 0, Dst: dst, Weight: 0.5}}})
+	}()
+	if r != "panicSecond: injected propagate crash" || pa.calls != 2 {
+		t.Fatalf("recovered %v after %d Propagate calls, want the injected panic from propagation", r, pa.calls)
+	}
+	s.Recompute()
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 3; i++ {
+		s.ApplyBatchRounds(randomBatch(rng, nv, 30))
+	}
+	if v := bitsIdentical(s.StatesCopy(), algo.Reference(algo.MonotonicAlgo(tdgraph.NewSSSP(0)), st.Seal())); v >= 0 {
+		t.Fatalf("healed states diverge from oracle at vertex %d", v)
+	}
+}
+
+// panicSecond panics on the second Propagate call once armed, then
+// disarms: the first is the serial repair's relaxation of the batch's
+// one insertion, so the second comes from propagation.
+type panicSecond struct {
+	algo.MonotonicAlgo
+	armed bool
+	calls int
+}
+
+func (p *panicSecond) Propagate(srcVal float64, w float32) float64 {
+	if p.armed {
+		if p.calls++; p.calls == 2 {
+			p.armed = false
+			panic("panicSecond: injected propagate crash")
+		}
+	}
+	return p.MonotonicAlgo.Propagate(srcVal, w)
+}
+
+// panicShare panics on the second Share call once armed, then disarms:
+// the first is the serial repair's, for the batch's one new out-edge of
+// a source with none, so the second comes from propagation.
 type panicShare struct {
 	algo.AccumulativeAlgo
 	armed bool
@@ -217,6 +275,7 @@ type panicShare struct {
 func (p *panicShare) Share(w float32, deg int, total float64) float64 {
 	if p.armed {
 		if p.calls++; p.calls == 2 {
+			p.armed = false
 			panic("panicShare: injected propagate crash")
 		}
 	}
@@ -224,30 +283,36 @@ func (p *panicShare) Share(w float32, deg int, total float64) float64 {
 }
 
 // TestAccumulativePanicRecovery: a PageRank Share that panics inside
-// propagation on the one worker comes back as *PanicError, and the
-// healed session keeps streaming within tolerance of the oracle.
+// propagation comes back as *PanicError, and the healed session keeps
+// streaming within tolerance of the oracle. The batch's one new edge
+// seeds a one-vertex first round, so with 2 workers the panic fires on
+// worker 1, a pool goroutine (contiguous shards give it the vertex).
 func TestAccumulativePanicRecovery(t *testing.T) {
-	edges, nv := sessionEdges()
-	pa := &panicShare{AccumulativeAlgo: tdgraph.NewPageRank()}
-	s, err := tdgraph.NewSession(pa, edges, nv, tdgraph.SessionOptions{Cores: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	pa.armed = true
-	_, err = s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: tdgraph.VertexID(nv), Dst: 0, Weight: 1}}})
-	var pe *tdgraph.PanicError
-	if !errors.As(err, &pe) || pa.calls < 2 {
-		t.Fatalf("want *PanicError from propagation, got %T %v after %d Share calls", err, err, pa.calls)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 3; i++ {
-		if _, err := s.ApplyBatch(randomBatch(rng, nv, 30)); err != nil {
-			t.Fatalf("post-heal batch %d: %v", i, err)
-		}
-	}
-	if v := algo.StatesEqual(s.States(), algo.Reference(tdgraph.NewPageRank(), s.Graph()), 1e-4); v >= 0 {
-		t.Fatalf("healed states diverge from oracle at vertex %d", v)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			edges, nv := sessionEdges()
+			pa := &panicShare{AccumulativeAlgo: tdgraph.NewPageRank()}
+			s, err := tdgraph.NewSession(pa, edges, nv, tdgraph.SessionOptions{Cores: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			pa.armed = true
+			_, err = s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: tdgraph.VertexID(nv), Dst: 0, Weight: 1}}})
+			var pe *tdgraph.PanicError
+			if !errors.As(err, &pe) || pa.calls != 2 {
+				t.Fatalf("want *PanicError from propagation, got %T %v after %d Share calls", err, err, pa.calls)
+			}
+			rng := rand.New(rand.NewSource(9))
+			for i := 0; i < 3; i++ {
+				if _, err := s.ApplyBatch(randomBatch(rng, nv, 30)); err != nil {
+					t.Fatalf("post-heal batch %d: %v", i, err)
+				}
+			}
+			if v := algo.StatesEqual(s.States(), algo.Reference(tdgraph.NewPageRank(), s.Graph()), 1e-4); v >= 0 {
+				t.Fatalf("healed states diverge from oracle at vertex %d", v)
+			}
+		})
 	}
 }
 

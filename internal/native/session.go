@@ -75,6 +75,9 @@ type Session struct {
 	kick   []chan struct{}
 	done   chan struct{}
 	closed bool
+	// panicked holds the first panic of a pool pass, for runPool to
+	// re-raise on the caller once every worker has joined.
+	panicked atomic.Pointer[any]
 
 	// Serial repair scratch, reused across batches.
 	tagged    []graph.VertexID
@@ -147,7 +150,17 @@ func (s *Session) workerLoop(wi int) {
 	}
 }
 
+// work runs worker wi's share of one pool pass. The first panic on any
+// worker is kept for runPool and forces pending far below zero, so the
+// peers unwind, even one waiting for a lock the panic left held. The
+// defer lives here, not in workerLoop's loop, so a pass allocates
+// nothing.
 func (s *Session) work(wi int) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.abort(r)
+		}
+	}()
 	if s.rounds {
 		s.runRound(wi)
 	} else {
@@ -452,31 +465,30 @@ func (s *Session) activate(v graph.VertexID) {
 	}
 }
 
+// abort unwinds the pool after panic r on a worker.
+func (s *Session) abort(r any) {
+	atomic.StoreInt64(&s.pending, math.MinInt64/2)
+	s.panicked.CompareAndSwap(nil, &r)
+}
+
 // runPool runs one pass of the pool — a worklist drain, or one frontier
-// round — with worker 0 on the calling goroutine. Panic-safe: if the
-// algorithm panics on worker 0, pending is forced far below zero so the
-// kicked peers unwind, even one waiting for a lock the panic left held,
-// and park; then the panic continues — the pool is always quiescent when
-// the panic reaches the caller, so a heal can safely Recompute. It
-// allocates nothing (TestSessionSteadyStateZeroAllocs).
+// round — with worker 0 on the calling goroutine. Panic-safe: a panic on
+// any worker unwinds every worker (work), and after the join it
+// continues on the caller — the pool is always quiescent when the panic
+// reaches the caller, so a heal can safely Recompute. It allocates
+// nothing (TestSessionSteadyStateZeroAllocs).
 func (s *Session) runPool() {
 	for i := 1; i < s.workers; i++ {
 		s.kick[i] <- struct{}{}
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			atomic.StoreInt64(&s.pending, math.MinInt64/2)
-			for i := 1; i < s.workers; i++ {
-				<-s.done
-			}
-			s.pending = 0
-			panic(r)
-		}
-		for i := 1; i < s.workers; i++ {
-			<-s.done
-		}
-	}()
 	s.work(0)
+	for i := 1; i < s.workers; i++ {
+		<-s.done
+	}
+	if r := s.panicked.Swap(nil); r != nil {
+		s.pending = 0
+		panic(*r)
+	}
 }
 
 // runWorker drains monotonic worklists until the global pending count

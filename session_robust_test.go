@@ -185,8 +185,9 @@ func TestSessionPanicInHeal(t *testing.T) {
 	}
 }
 
-// oneWorker keeps injected panics on the calling goroutine: a panic on
-// a pool goroutine is fatal by design, as with any Go program.
+// oneWorker keeps injected panics on the calling goroutine, so the
+// panicking algorithms need no synchronisation (TestNativeEnginePanicRecovery
+// and TestAccumulativePanicRecovery cover a panic on a pool goroutine).
 var oneWorker = tdgraph.SessionOptions{Cores: 1}
 
 // TestSessionDivergenceDegradation corrupts converged states with the
