@@ -8,10 +8,14 @@
 // Each package is checked over the files go build compiles, with full
 // type information. `tdgraph-vet -list` names the checks; DESIGN.md's
 // static-analysis ladder explains them. Suppress a finding with an
-// inline directive carrying a reason (a directive that stops matching
-// any finding is itself reported as stale):
+// inline directive carrying a reason:
 //
 //	//tdgraph:allow <check> <reason>
+//
+// A directive that matches no finding is itself reported as stale, but
+// only when the patterns cover the whole module (./... at its root):
+// on a subset, a call into a package left out looks harmless, so a live
+// waiver would look stale.
 //
 // -json emits one JSON object per diagnostic (suppressed rows
 // included) for CI artifacts and annotations.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -113,6 +114,35 @@ func TestDriverList(t *testing.T) {
 	for _, name := range []string{"determinism", "clockseam", "errwrap", "lockorder", "ctrreg", "lockguard", "lockhold", "goroleak"} {
 		if !strings.Contains(out.String(), name+" ") {
 			t.Fatalf("-list output missing %q:\n%s", name, out.String())
+		}
+	}
+}
+
+// TestDriverStaleOnlyOverWholeModule: a stale-waiver audit needs the
+// whole module's call graph. Run over package a alone, the waiver on
+// a's call into b looks stale (b is not loaded, so the call looks
+// harmless); the driver must not say so. Run over ./... at the module
+// root, it flags the waiver that covers nothing, and only that one.
+func TestDriverStaleOnlyOverWholeModule(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("testdata/stalemod"); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	for _, c := range []struct {
+		pattern string
+		code    int
+		out     string
+	}{
+		{"./a", 0, ""},
+		{"./...", 1, "a/a.go:29:2: directive: stale //tdgraph:allow lockhold: no lockhold diagnostic on the covered lines; remove the waiver\n"},
+	} {
+		var out, errb strings.Builder
+		if code := Main([]string{c.pattern}, &out, &errb); code != c.code || out.String() != c.out {
+			t.Errorf("%s: exit code %d, want %d\nstdout:\n%s\nwant:\n%s\nstderr:\n%s", c.pattern, code, c.code, out.String(), c.out, errb.String())
 		}
 	}
 }

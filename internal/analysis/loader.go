@@ -10,6 +10,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
@@ -73,6 +74,13 @@ func NewLoader() (*Loader, error) {
 	}
 	fset := token.NewFileSet()
 	return &Loader{Fset: fset, dir: mod[0].Dir, module: mod[0].Path, imp: importer.ForCompiler(fset, "source", nil)}, nil
+}
+
+// WholeModule reports whether patterns take in every package of the
+// main module: ./... at the module root, or <module>/....
+func (l *Loader) WholeModule(patterns []string) bool {
+	wd, _ := os.Getwd()
+	return slices.Contains(patterns, l.module+"/...") || wd == l.dir && slices.Contains(patterns, "./...")
 }
 
 // Load lists the packages matching the go command's patterns (./...
