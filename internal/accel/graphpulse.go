@@ -16,29 +16,23 @@ import (
 // path differs materially; the accumulative path matches JetStream's with
 // the extra gather traffic.
 type GraphPulse struct {
-	inner *JetStream
+	*JetStream
 }
 
-// NewGraphPulse builds the model over a prepared runtime.
+// NewGraphPulse builds the model over a prepared runtime: JetStream's
+// event flow plus a full in-edge gather per processed event.
 func NewGraphPulse(r *engine.Runtime) *GraphPulse {
-	g := &GraphPulse{inner: NewJetStream(r, false)}
-	g.inner.gather = g.gather
+	g := &GraphPulse{NewJetStream(r, false)}
+	g.gather = g.regather
 	return g
 }
 
 // Name implements engine.System.
 func (g *GraphPulse) Name() string { return "GraphPulse" }
 
-// Runtime implements engine.System.
-func (g *GraphPulse) Runtime() *engine.Runtime { return g.inner.r }
-
-// Process implements engine.System: JetStream's event flow plus a full
-// in-edge gather per processed event.
-func (g *GraphPulse) Process(res graph.ApplyResult) { g.inner.Process(res) }
-
-// gather models the non-incremental re-aggregation over v's in-edges.
-func (g *GraphPulse) gather(v graph.VertexID, p sim.Port) {
-	r := g.inner.r
+// regather models the non-incremental re-aggregation over v's in-edges.
+func (g *GraphPulse) regather(v graph.VertexID, p sim.Port) {
+	r := g.r
 	if r.G.InOffsets == nil {
 		return
 	}

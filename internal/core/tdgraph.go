@@ -565,7 +565,7 @@ func (t *TDGraph) processEdge(v, w graph.VertexID, weight float32, e uint64, p s
 		return false
 	}
 	deg := r.G.OutDegree(v)
-	tw := totalOutWeight(r, v)
+	tw := r.TotalOutWeightOf(v)
 	contrib := r.Acc.Damping() * dv * r.Acc.Share(weight, deg, tw)
 	p.Compute(3)
 	if contrib == 0 {
@@ -574,11 +574,6 @@ func (t *TDGraph) processEdge(v, w graph.VertexID, weight float32, e uint64, p s
 	r.Delta[w] += contrib
 	t.engineAccess(p, r.DeltaAddr(w), engine.DeltaBytes, true, 1, 0.1)
 	return math.Abs(r.Delta[w]) > r.Acc.Epsilon()
-}
-
-func totalOutWeight(r *engine.Runtime, v graph.VertexID) float64 {
-	// The runtime caches total out-weights for accumulative runs.
-	return r.TotalOutWeightOf(v)
 }
 
 // needsWalk reports whether w still has something to propagate.
