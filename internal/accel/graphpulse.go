@@ -36,16 +36,12 @@ func (g *GraphPulse) regather(v graph.VertexID, p sim.Port) {
 	if r.G.InOffsets == nil {
 		return
 	}
-	if r.M != nil {
-		p.Prefetch(r.L.InOffsetAddr(v), engine.OffsetBytes*2)
-	}
+	p.Prefetch(r.L.InOffsetAddr(v), engine.OffsetBytes*2)
 	ibase := r.G.InOffsets[v]
 	ins := r.G.InNeighborsOf(v)
 	for i, u := range ins {
-		if r.M != nil {
-			p.Prefetch(r.L.InNeighborAddr(ibase+uint64(i)), engine.VertexIDBytes)
-			p.Prefetch(r.StateAddr(u), engine.StateBytes)
-		}
+		p.Prefetch(r.L.InNeighborAddr(ibase+uint64(i)), engine.VertexIDBytes)
+		p.Prefetch(r.StateAddr(u), engine.StateBytes)
 		p.Compute(1)
 		r.C.Inc(stats.CtrPropagationVisits)
 		// The re-aggregation applies the update function per in-edge.

@@ -71,9 +71,7 @@ func (h *HATS) processVertex(v graph.VertexID, p sim.Port) {
 		return
 	}
 	// Accumulative path.
-	if r.M != nil {
-		p.Read(r.DeltaAddr(v), engine.DeltaBytes)
-	}
+	p.Read(r.DeltaAddr(v), engine.DeltaBytes)
 	dv := r.Delta[v]
 	r.WriteDelta(v, 0, p, true)
 	if dv == 0 {

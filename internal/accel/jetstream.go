@@ -89,7 +89,7 @@ func (j *JetStream) enqueue(v graph.VertexID, val float64, p sim.Port) {
 		r.C.Inc(stats.CtrEventsCoalesced)
 		return
 	}
-	if len(q.order) >= j.QueueCap && r.M != nil {
+	if len(q.order) >= j.QueueCap {
 		// Spill: one event record to memory and back.
 		p.Write(r.L.ActiveAddr(v), 8)
 		p.Read(r.L.ActiveAddr(v), 8)
@@ -97,10 +97,8 @@ func (j *JetStream) enqueue(v graph.VertexID, val float64, p sim.Port) {
 	q.vals[v] = val
 	q.order = append(q.order, v)
 	r.C.Inc(stats.CtrEventsEnqueued)
-	if r.M != nil {
-		// Event record written to the memory-backed pool.
-		p.PrefetchWrite(j.queueSlot(), 8)
-	}
+	// Event record written to the memory-backed pool.
+	p.PrefetchWrite(j.queueSlot(), 8)
 }
 
 // queueSlot returns the next event-pool slot address (round-robin).
@@ -147,9 +145,7 @@ func (j *JetStream) Process(res graph.ApplyResult) {
 					j.processEvent(v, val, p)
 				}
 			}
-			if r.M != nil {
-				r.M.Barrier()
-			}
+			r.Barrier()
 		}
 	})
 }
@@ -170,10 +166,8 @@ func (j *JetStream) processEvent(v graph.VertexID, val float64, p sim.Port) {
 	r := j.r
 	r.C.Inc(stats.CtrVerticesProcessed)
 	p.Stall(1)
-	if r.M != nil {
-		// Dequeue the event record from the pool.
-		p.Prefetch(j.queueSlot(), 8)
-	}
+	// Dequeue the event record from the pool.
+	p.Prefetch(j.queueSlot(), 8)
 	if j.hot != nil {
 		j.hot.Touch(v, p)
 	}
@@ -308,9 +302,7 @@ func (h *hotStates) Addr(v graph.VertexID) uint64 {
 
 // Touch charges the lookup cost.
 func (h *hotStates) Touch(v graph.VertexID, p sim.Port) {
-	if h.r.M != nil {
-		p.Prefetch(h.r.L.ActiveAddr(v), 1)
-	}
+	p.Prefetch(h.r.L.ActiveAddr(v), 1)
 	if h.slotOf[v] >= 0 {
 		h.r.C.Inc(stats.CtrHotHits)
 	}

@@ -52,17 +52,13 @@ func (mw *Minnow) Process(res graph.ApplyResult) {
 						if wi+mw.PrefetchAhead < len(work) {
 							ahead := work[wi+mw.PrefetchAhead]
 							r.ReadOffsets(ahead, p, false)
-							if r.M != nil {
-								p.Prefetch(r.StateAddr(ahead), engine.StateBytes)
-							}
+							p.Prefetch(r.StateAddr(ahead), engine.StateBytes)
 						}
 						mw.processVertex(v, p)
 					}
 				}
 			}
-			if r.M != nil {
-				r.M.Barrier()
-			}
+			r.Barrier()
 		}
 	})
 }
@@ -77,9 +73,7 @@ func (mw *Minnow) processVertex(v graph.VertexID, p sim.Port) {
 		r.RelaxOut(v, r.ReadState(v, p, true), p, minnowEdge, nil)
 		return
 	}
-	if r.M != nil {
-		p.Read(r.DeltaAddr(v), engine.DeltaBytes)
-	}
+	p.Read(r.DeltaAddr(v), engine.DeltaBytes)
 	dv := r.Delta[v]
 	r.WriteDelta(v, 0, p, true)
 	eps := r.Acc.Epsilon()

@@ -68,12 +68,10 @@ func (ph *PHI) bufferUpdate(ci int, v graph.VertexID, delta bool, p sim.Port) {
 func (ph *PHI) drain(ci int, p sim.Port) {
 	b := ph.bufs[ci]
 	for _, e := range b.order {
-		if ph.r.M != nil {
-			if e.delta {
-				p.Write(ph.r.DeltaAddr(e.v), engine.DeltaBytes)
-			} else {
-				p.Write(ph.r.StateAddr(e.v), engine.StateBytes)
-			}
+		if e.delta {
+			p.Write(ph.r.DeltaAddr(e.v), engine.DeltaBytes)
+		} else {
+			p.Write(ph.r.StateAddr(e.v), engine.StateBytes)
 		}
 	}
 	b.order = b.order[:0]
@@ -104,9 +102,7 @@ func (ph *PHI) processVertex(ci int, v graph.VertexID, p sim.Port) {
 	r := ph.r
 	r.C.Inc(stats.CtrVerticesProcessed)
 	p.Compute(2)
-	if r.M != nil {
-		p.Read(r.L.ActiveAddr(v), 1)
-	}
+	p.Read(r.L.ActiveAddr(v), 1)
 	r.ReadOffsets(v, p, true)
 	if r.Mono != nil {
 		// The update enters the combining buffer; the merged result
@@ -117,9 +113,7 @@ func (ph *PHI) processVertex(ci int, v graph.VertexID, p sim.Port) {
 		})
 		return
 	}
-	if r.M != nil {
-		p.Read(r.DeltaAddr(v), engine.DeltaBytes)
-	}
+	p.Read(r.DeltaAddr(v), engine.DeltaBytes)
 	dv := r.Delta[v]
 	r.Delta[v] = 0
 	eps := r.Acc.Epsilon()

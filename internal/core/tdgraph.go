@@ -616,23 +616,19 @@ func (t *TDGraph) touchState(v graph.VertexID, p sim.Port) {
 func (t *TDGraph) engineAccess(p sim.Port, addr uint64, size int, write bool, swOps int, hwStall float64) {
 	r := t.r
 	if t.cfg.Hardware {
-		if r.M != nil {
-			if write {
-				p.PrefetchWrite(addr, size)
-			} else {
-				p.Prefetch(addr, size)
-			}
+		if write {
+			p.PrefetchWrite(addr, size)
+		} else {
+			p.Prefetch(addr, size)
 		}
 		if hwStall > 0 {
 			p.Stall(hwStall)
 		}
 	} else {
-		if r.M != nil {
-			if write {
-				p.Write(addr, size)
-			} else {
-				p.Read(addr, size)
-			}
+		if write {
+			p.Write(addr, size)
+		} else {
+			p.Read(addr, size)
 		}
 		if swOps > 0 {
 			// The software implementation spends about half the

@@ -75,9 +75,7 @@ func (u *VSCU) Identify(chunk graph.Chunk, p sim.Port) {
 	p.Compute(len(cands) * 2)
 	for _, cd := range cands {
 		u.hot[cd.v] = true
-		if r.M != nil {
-			p.Write(r.L.HotAddr(cd.v), 1)
-		}
+		p.Write(r.L.HotAddr(cd.v), 1)
 	}
 }
 
@@ -88,14 +86,12 @@ func (u *VSCU) Identify(chunk graph.Chunk, p sim.Port) {
 func (u *VSCU) Touch(v graph.VertexID, p sim.Port) {
 	t := u.t
 	r := t.r
-	if r.M != nil {
-		if t.cfg.Hardware {
-			p.Prefetch(r.L.HotAddr(v), 1)
-		} else {
-			p.Read(r.L.HotAddr(v), 1)
-			p.Compute(2)
-			r.C.Add(stats.CtrSWIndexInstrs, 2)
-		}
+	if t.cfg.Hardware {
+		p.Prefetch(r.L.HotAddr(v), 1)
+	} else {
+		p.Read(r.L.HotAddr(v), 1)
+		p.Compute(2)
+		r.C.Add(stats.CtrSWIndexInstrs, 2)
 	}
 	if !u.hot[v] {
 		return
@@ -115,33 +111,29 @@ func (u *VSCU) Touch(v graph.VertexID, p sim.Port) {
 		u.next++
 		u.slotOf[v] = slot
 		r.C.Inc(stats.CtrCoalescedInserts)
-		if r.M != nil {
-			// Fetch the state from Vertex_States_Array and store it
-			// into Coalesced_States + H_Table entry.
-			from := r.L.States.Base + uint64(v)*engine.StateBytes
-			if t.cfg.Hardware {
-				p.Prefetch(from, engine.StateBytes)
-				p.PrefetchWrite(r.L.CoalescedAddr(uint64(slot)), engine.StateBytes)
-				p.PrefetchWrite(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
-			} else {
-				p.Read(from, engine.StateBytes)
-				p.Write(r.L.CoalescedAddr(uint64(slot)), engine.StateBytes)
-				p.Write(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
-				p.Compute(6)
-				r.C.Add(stats.CtrSWIndexInstrs, 6)
-			}
+		// Fetch the state from Vertex_States_Array and store it
+		// into Coalesced_States + H_Table entry.
+		from := r.L.States.Base + uint64(v)*engine.StateBytes
+		if t.cfg.Hardware {
+			p.Prefetch(from, engine.StateBytes)
+			p.PrefetchWrite(r.L.CoalescedAddr(uint64(slot)), engine.StateBytes)
+			p.PrefetchWrite(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
+		} else {
+			p.Read(from, engine.StateBytes)
+			p.Write(r.L.CoalescedAddr(uint64(slot)), engine.StateBytes)
+			p.Write(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
+			p.Compute(6)
+			r.C.Add(stats.CtrSWIndexInstrs, 6)
 		}
 	} else {
 		r.C.Inc(stats.CtrHotHits)
-		if r.M != nil {
-			if t.cfg.Hardware {
-				// Pipelined probe inside the VSCU — traffic only.
-				p.Prefetch(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
-			} else {
-				p.Read(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
-				p.Compute(4)
-				r.C.Add(stats.CtrSWIndexInstrs, 4)
-			}
+		if t.cfg.Hardware {
+			// Pipelined probe inside the VSCU — traffic only.
+			p.Prefetch(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
+		} else {
+			p.Read(r.L.HTableAddr(u.hash(v)), engine.HTEntryBytes)
+			p.Compute(4)
+			r.C.Add(stats.CtrSWIndexInstrs, 4)
 		}
 	}
 }
@@ -166,9 +158,6 @@ func (u *VSCU) Addr(v graph.VertexID) uint64 {
 // of batch processing (§3.2.2).
 func (u *VSCU) WriteBack() {
 	r := u.t.r
-	if r.M == nil {
-		return
-	}
 	for v, slot := range u.slotOf {
 		if slot < 0 {
 			continue

@@ -184,18 +184,14 @@ func (b *Baseline) denseIterationMono(frontiers [][]graph.VertexID) {
 			changedFrom := int32(-1)
 			best := sw
 			for i, u := range ins {
-				if r.M != nil {
-					p.Read(r.L.InNeighborAddr(ibase+uint64(i)), VertexIDBytes)
-					p.Read(r.L.ActiveAddr(u), 1)
-				}
+				p.Read(r.L.InNeighborAddr(ibase+uint64(i)), VertexIDBytes)
+				p.Read(r.L.ActiveAddr(u), 1)
 				if !inFrontier[u] {
 					continue
 				}
 				r.C.Inc(stats.CtrEdgesProcessed)
 				r.CountUpdateOp()
-				if r.M != nil {
-					p.Read(r.L.InWeightAddr(ibase+uint64(i)), WeightBytes)
-				}
+				p.Read(r.L.InWeightAddr(ibase+uint64(i)), WeightBytes)
 				p.Compute(b.p.OpsPerEdge)
 				su := r.ReadState(u, p, true)
 				cand := r.Mono.Propagate(su, r.G.InWeightsOf(w)[i])
@@ -219,9 +215,7 @@ func (b *Baseline) visitMono(v graph.VertexID, p sim.Port) {
 	r := b.r
 	r.C.Inc(stats.CtrVerticesProcessed)
 	p.Compute(b.p.OpsPerVertex)
-	if r.M != nil {
-		p.Read(r.L.ActiveAddr(v), 1)
-	}
+	p.Read(r.L.ActiveAddr(v), 1)
 	r.ReadOffsets(v, p, true)
 	r.RelaxOut(v, r.ReadState(v, p, true), p, b.cost, nil)
 }
@@ -241,10 +235,8 @@ func (b *Baseline) visitAcc(v graph.VertexID, p sim.Port) {
 	}
 	r.C.Inc(stats.CtrVerticesProcessed)
 	p.Compute(b.p.OpsPerVertex)
-	if r.M != nil {
-		p.Read(r.L.ActiveAddr(v), 1)
-		p.Read(r.DeltaAddr(v), DeltaBytes)
-	}
+	p.Read(r.L.ActiveAddr(v), 1)
+	p.Read(r.DeltaAddr(v), DeltaBytes)
 	dv := r.Delta[v]
 	r.WriteDelta(v, 0, p, true)
 	if math.Abs(dv) <= thresh {
@@ -263,7 +255,7 @@ func (b *Baseline) visitAcc(v graph.VertexID, p sim.Port) {
 }
 
 func (b *Baseline) touchMeta(w graph.VertexID, p sim.Port) {
-	if b.r.M == nil || b.r.L.Meta.Size == 0 {
+	if b.r.L.Meta.Size == 0 {
 		return
 	}
 	addr := b.r.L.MetaAddr(w, b.p.MetaBytesPerEdge)

@@ -46,9 +46,7 @@ func (r *Runtime) repairMonotonic(res graph.ApplyResult) {
 	for _, e := range res.DeletedEdges {
 		p := r.PortOf(e.Dst)
 		p.Compute(2)
-		if r.M != nil {
-			p.Prefetch(r.L.ParentAddr(e.Dst), ParentBytes)
-		}
+		p.Prefetch(r.L.ParentAddr(e.Dst), ParentBytes)
 		if r.Parent[e.Dst] == int32(e.Src) {
 			tag(e.Dst)
 		}
@@ -65,9 +63,7 @@ func (r *Runtime) repairMonotonic(res graph.ApplyResult) {
 		for j, w := range ns {
 			r.ReadEdge(base+uint64(j), p, false)
 			p.Compute(2)
-			if r.M != nil {
-				p.Prefetch(r.L.ParentAddr(w), ParentBytes)
-			}
+			p.Prefetch(r.L.ParentAddr(w), ParentBytes)
 			if r.Parent[w] == int32(x) && !isTagged[w] {
 				tag(w)
 				r.C.Inc(stats.CtrTagPropagations)
@@ -102,10 +98,8 @@ func (r *Runtime) repairMonotonic(res graph.ApplyResult) {
 			ws := r.G.InWeightsOf(v)
 			ibase := r.G.InOffsets[v]
 			for i, u := range ins {
-				if r.M != nil {
-					p.Prefetch(r.L.InNeighborAddr(ibase+uint64(i)), VertexIDBytes)
-					p.Prefetch(r.L.InWeightAddr(ibase+uint64(i)), WeightBytes)
-				}
+				p.Prefetch(r.L.InNeighborAddr(ibase+uint64(i)), VertexIDBytes)
+				p.Prefetch(r.L.InWeightAddr(ibase+uint64(i)), WeightBytes)
 				su := r.ReadState(u, p, false)
 				cand := r.Mono.Propagate(su, ws[i])
 				p.Compute(2)
@@ -207,9 +201,7 @@ func (r *Runtime) repairAccumulative(res graph.ApplyResult) {
 				continue
 			}
 			pw := r.PortOf(w)
-			if r.M != nil {
-				pw.Prefetch(r.L.DeltaAddr(w), DeltaBytes)
-			}
+			pw.Prefetch(r.L.DeltaAddr(w), DeltaBytes)
 			r.WriteDelta(w, r.Delta[w]+dv, pw, false)
 			r.Activate(w, pw)
 		}

@@ -36,7 +36,7 @@ type Runtime struct {
 	Delta []float64
 
 	C *stats.Collector
-	M *sim.Machine // nil in native mode
+	M *sim.Machine // nil: every port is a sim.NullPort
 	L *Layout
 
 	Ports  []sim.Port
@@ -69,11 +69,11 @@ type Runtime struct {
 
 // Options configures runtime construction.
 type Options struct {
-	// Machine is the simulated system; nil runs with null ports
-	// (native mode — Fig 14).
+	// Machine is the simulated system; nil gives every core a
+	// sim.NullPort, so the same calls compute states and model nothing.
 	Machine *sim.Machine
 	// Cores is the number of logical cores to partition over; defaults
-	// to the machine's core count (or 1 in native mode).
+	// to the machine's core count (or 1 without a machine).
 	Cores int
 	// Collector receives the metrics; required.
 	Collector *stats.Collector
@@ -199,9 +199,7 @@ func (r *Runtime) Activate(v graph.VertexID, p sim.Port) {
 	r.activeFlag[v] = true
 	r.activeList[r.owner[v]] = append(r.activeList[r.owner[v]], v)
 	r.C.Inc(stats.CtrActivations)
-	if r.M != nil {
-		p.Write(r.L.ActiveAddr(v), 1)
-	}
+	p.Write(r.L.ActiveAddr(v), 1)
 }
 
 // TakeActive removes and returns core ci's pending active vertices,
@@ -240,12 +238,10 @@ func (r *Runtime) ReadState(v graph.VertexID, p sim.Port, stall bool) float64 {
 	if r.AccessCount != nil {
 		r.AccessCount[v]++
 	}
-	if r.M != nil {
-		if stall {
-			p.Read(r.StateAddr(v), StateBytes)
-		} else {
-			p.Prefetch(r.StateAddr(v), StateBytes)
-		}
+	if stall {
+		p.Read(r.StateAddr(v), StateBytes)
+	} else {
+		p.Prefetch(r.StateAddr(v), StateBytes)
 	}
 	return r.S[v]
 }
@@ -262,12 +258,10 @@ func (r *Runtime) WriteState(v graph.VertexID, val float64, p sim.Port, stall bo
 	r.writes[v]++
 	r.S[v] = val
 	r.C.Inc(stats.CtrStateWrites)
-	if r.M != nil {
-		if stall {
-			p.Write(r.StateAddr(v), StateBytes)
-		} else {
-			p.PrefetchWrite(r.StateAddr(v), StateBytes)
-		}
+	if stall {
+		p.Write(r.StateAddr(v), StateBytes)
+	} else {
+		p.PrefetchWrite(r.StateAddr(v), StateBytes)
 	}
 }
 
@@ -287,32 +281,25 @@ func (r *Runtime) WriteStateQuiet(v graph.VertexID, val float64) {
 // WriteDelta stores val into v's pending-delta slot.
 func (r *Runtime) WriteDelta(v graph.VertexID, val float64, p sim.Port, stall bool) {
 	r.Delta[v] = val
-	if r.M != nil {
-		if stall {
-			p.Write(r.DeltaAddr(v), DeltaBytes)
-		} else {
-			p.PrefetchWrite(r.DeltaAddr(v), DeltaBytes)
-		}
+	if stall {
+		p.Write(r.DeltaAddr(v), DeltaBytes)
+	} else {
+		p.PrefetchWrite(r.DeltaAddr(v), DeltaBytes)
 	}
 }
 
 // WriteParent stores u as v's dependency parent.
 func (r *Runtime) WriteParent(v graph.VertexID, parent int32, p sim.Port, stall bool) {
 	r.Parent[v] = parent
-	if r.M != nil {
-		if stall {
-			p.Write(r.L.ParentAddr(v), ParentBytes)
-		} else {
-			p.PrefetchWrite(r.L.ParentAddr(v), ParentBytes)
-		}
+	if stall {
+		p.Write(r.L.ParentAddr(v), ParentBytes)
+	} else {
+		p.PrefetchWrite(r.L.ParentAddr(v), ParentBytes)
 	}
 }
 
 // ReadEdge models fetching edge slot i (neighbour ID + weight) by port p.
 func (r *Runtime) ReadEdge(i uint64, p sim.Port, stall bool) {
-	if r.M == nil {
-		return
-	}
 	if stall {
 		p.Read(r.L.NeighborAddr(i), VertexIDBytes)
 		p.Read(r.L.WeightAddr(i), WeightBytes)
@@ -324,9 +311,6 @@ func (r *Runtime) ReadEdge(i uint64, p sim.Port, stall bool) {
 
 // ReadOffsets models fetching v's CSR offset pair by port p.
 func (r *Runtime) ReadOffsets(v graph.VertexID, p sim.Port, stall bool) {
-	if r.M == nil {
-		return
-	}
 	if stall {
 		p.Read(r.L.OffsetAddr(v), OffsetBytes*2)
 	} else {

@@ -27,6 +27,13 @@ func (r *Runtime) Run(res graph.ApplyResult, propagate func()) {
 	}
 }
 
+// Barrier synchronises every core of the machine, if there is one.
+func (r *Runtime) Barrier() {
+	if r.M != nil {
+		r.M.Barrier()
+	}
+}
+
 // Rounds runs synchronous rounds until nothing is active: each takes
 // every core's active list, hands them to round, then barriers.
 func (r *Runtime) Rounds(round func(frontiers [][]graph.VertexID)) {
@@ -37,9 +44,7 @@ func (r *Runtime) Rounds(round func(frontiers [][]graph.VertexID)) {
 			frontiers[ci] = r.TakeActive(ci)
 		}
 		round(frontiers)
-		if r.M != nil {
-			r.M.Barrier()
-		}
+		r.Barrier()
 	}
 }
 
@@ -114,9 +119,7 @@ func (r *Runtime) ScatterOut(v graph.VertexID, dv float64, p sim.Port, c EdgeCos
 		if add != nil {
 			add(w, contrib, p)
 		} else {
-			if r.M != nil {
-				p.Read(r.DeltaAddr(w), DeltaBytes)
-			}
+			p.Read(r.DeltaAddr(w), DeltaBytes)
 			r.WriteDelta(w, r.Delta[w]+contrib, p, true)
 		}
 		r.Activate(w, p)

@@ -22,7 +22,7 @@ const (
 
 // Port is the memory/compute interface engines program against. *Core
 // implements it against the simulated hierarchy; NullPort implements it
-// as a no-op for native (real-platform, Fig 14) runs.
+// as a no-op for runs without a machine.
 type Port interface {
 	// Read models a load of size bytes at addr that the core waits on.
 	Read(addr uint64, size int)
@@ -223,9 +223,9 @@ func (m *Machine) onLLCEvict(ev *cache.Eviction) {
 	m.useEvict(ev.LineAddr)
 }
 
-// NullPort is a Port that models nothing — used for native wall-clock
-// runs (the paper's Fig 14 real-platform comparison) where the Go runtime
-// itself is the machine.
+// NullPort is a Port that models nothing. engine.NewRuntime gives one to
+// every core when no machine is attached, so a system's functional run
+// takes the same calls as a simulated one.
 type NullPort struct{}
 
 var _ Port = NullPort{}
