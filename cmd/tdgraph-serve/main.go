@@ -14,7 +14,7 @@
 //
 //	tdgraph-serve -wal /var/lib/tdgraph/wal -ckpt /var/lib/tdgraph/ckpt.tds \
 //	              -dataset LJ -scale 0.25 -algo sssp -batches 16
-//	tdgraph-serve -wal ./wal -walsync interval:8 -slo 50ms
+//	tdgraph-serve -wal ./wal -slo 50ms
 //
 // Self-driving cluster: start each member with -role auto and the
 // full peer ring; the members elect a leader among themselves, detect
@@ -72,7 +72,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload and injection seed")
 
 		walDir    = flag.String("wal", "", "write-ahead-log directory (required)")
-		walSync   = flag.String("walsync", "batch", "WAL fsync policy: batch | interval:N | off")
 		segBytes  = flag.Int64("segbytes", 4<<20, "WAL segment rotation threshold in bytes")
 		ckptPath  = flag.String("ckpt", "", "checkpoint path (empty = WAL-only recovery)")
 		ckptEvery = flag.Int("ckpt-every", 16, "checkpoint every N ingested batches")
@@ -146,10 +145,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	syncPolicy, syncEvery, err := wal.ParseSyncPolicy(*walSync)
-	if err != nil {
-		fatal(err)
-	}
 
 	bs := *batchSz
 	if bs <= 0 {
@@ -190,11 +185,9 @@ func main() {
 				}
 				return s, err
 			},
-			Algorithm:      alg(),
-			SessionOptions: opts,
-			WAL: wal.Options{
-				Dir: *walDir, Sync: syncPolicy, Interval: syncEvery, SegmentBytes: *segBytes, FS: walFS,
-			},
+			Algorithm:       alg(),
+			SessionOptions:  opts,
+			WAL:             wal.Options{Dir: *walDir, SegmentBytes: *segBytes, FS: walFS},
 			CheckpointPath:  *ckptPath,
 			CheckpointKeep:  *ckptKeep,
 			CheckpointEvery: *ckptEvery,

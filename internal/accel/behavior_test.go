@@ -117,3 +117,25 @@ func TestJetStreamUselessPrefetchCounted(t *testing.T) {
 		t.Fatal("no useless prefetches recorded on a contended workload")
 	}
 }
+
+// TestJetStreamWithTouchesHotStateOncePerEvent pins the hot-state lookups
+// of JetStream-with on an accumulative run: one per processed event, so
+// a second lookup on the delta path shows as extra hits.
+func TestJetStreamWithTouchesHotStateOncePerEvent(t *testing.T) {
+	c, err := enginetest.Make("pagerank", enginetest.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := stats.NewCollector()
+	js := accel.NewJetStream(c.NewRuntime(engine.Options{Cores: 4, Collector: col}), true)
+	js.Process(c.Res)
+	if err := c.Verify(js); err != nil {
+		t.Fatal(err)
+	}
+	if got := col.Get(stats.CtrVerticesProcessed); got != 17285 {
+		t.Fatalf("processed %d events, want 17285", got)
+	}
+	if got := col.Get(stats.CtrHotHits); got != 186 {
+		t.Fatalf("CtrHotHits = %d, want 186", got)
+	}
+}

@@ -211,9 +211,6 @@ func (j *JetStream) processEvent(v graph.VertexID, val float64, p sim.Port) {
 	if math.Abs(val) <= eps {
 		return
 	}
-	if j.hot != nil {
-		j.hot.Touch(v, p)
-	}
 	sv := r.ReadState(v, p, false)
 	r.WriteState(v, sv+val, p, false)
 	r.ReadOffsets(v, p, false)

@@ -202,7 +202,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, errors.New("replica: node needs a dialer")
 	}
 	n := &Node{cfg: cfg, clock: cfg.Clock, linger: groupLinger}
-	n.slo = serve.NewSLOController(serve.SLOConfig{Target: cfg.SLO})
+	n.slo = serve.NewSLOController(cfg.SLO)
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Addr))
 	n.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(h.Sum64())))

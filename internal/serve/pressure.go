@@ -92,18 +92,13 @@ func (p PressureLevel) String() string {
 	}
 }
 
-// SLOConfig parameterises the admission controller.
-type SLOConfig struct {
-	// Target is the ingest-latency objective (the -slo flag). Zero
-	// disables the controller entirely.
-	Target time.Duration
-	// EscalateAfter is how many consecutive over-target observations
-	// raise the pressure one level (default 4); RelaxAfter is how many
-	// consecutive healthy ones lower it (default 8). Escalating is
-	// deliberately twice as eager as relaxing.
-	EscalateAfter int
-	RelaxAfter    int
-}
+// sloEscalateAfter consecutive over-target observations raise the
+// pressure one level; sloRelaxAfter consecutive healthy ones lower it.
+// Escalating is deliberately twice as eager as relaxing.
+const (
+	sloEscalateAfter = 4
+	sloRelaxAfter    = 8
+)
 
 // SLOController turns a stream of ingest-latency observations into a
 // pressure level. It is deterministic: no goroutine, no timer —
@@ -111,7 +106,7 @@ type SLOConfig struct {
 // the same run produces the same pressure trajectory. A nil controller
 // is valid and always reports PressureNone.
 type SLOController struct {
-	cfg SLOConfig
+	target time.Duration
 
 	mu         sync.Mutex
 	ewma       time.Duration // smoothed latency, alpha = 1/4
@@ -120,19 +115,14 @@ type SLOController struct {
 	coolStreak int
 }
 
-// NewSLOController builds a controller for the given objective, or
-// returns nil (controller disabled) when the target is zero.
-func NewSLOController(cfg SLOConfig) *SLOController {
-	if cfg.Target <= 0 {
+// NewSLOController builds a controller for the ingest-latency objective
+// target (the -slo flag), or returns nil (controller disabled) when the
+// target is zero.
+func NewSLOController(target time.Duration) *SLOController {
+	if target <= 0 {
 		return nil
 	}
-	if cfg.EscalateAfter <= 0 {
-		cfg.EscalateAfter = 4
-	}
-	if cfg.RelaxAfter <= 0 {
-		cfg.RelaxAfter = 8
-	}
-	return &SLOController{cfg: cfg}
+	return &SLOController{target: target}
 }
 
 // Observe feeds one ingest measurement: how long the batch took to
@@ -150,17 +140,17 @@ func (c *SLOController) Observe(latency time.Duration) {
 		c.ewma = (3*c.ewma + latency) / 4
 	}
 	switch {
-	case c.ewma > c.cfg.Target:
+	case c.ewma > c.target:
 		c.coolStreak = 0
 		c.hotStreak++
-		if c.hotStreak >= c.cfg.EscalateAfter && c.level < PressureShed {
+		if c.hotStreak >= sloEscalateAfter && c.level < PressureShed {
 			c.level++
 			c.hotStreak = 0
 		}
-	case c.ewma <= c.cfg.Target/2:
+	case c.ewma <= c.target/2:
 		c.hotStreak = 0
 		c.coolStreak++
-		if c.coolStreak >= c.cfg.RelaxAfter && c.level > PressureNone {
+		if c.coolStreak >= sloRelaxAfter && c.level > PressureNone {
 			c.level--
 			c.coolStreak = 0
 		}
@@ -191,12 +181,12 @@ func (c *SLOController) RetryAfter() time.Duration {
 	if c.level < PressureShed {
 		return 0
 	}
-	ra := c.ewma - c.cfg.Target
-	if ra < c.cfg.Target/4 {
-		ra = c.cfg.Target / 4
+	ra := c.ewma - c.target
+	if ra < c.target/4 {
+		ra = c.target / 4
 	}
-	if ra > 4*c.cfg.Target {
-		ra = 4 * c.cfg.Target
+	if ra > 4*c.target {
+		ra = 4 * c.target
 	}
 	return ra
 }

@@ -16,7 +16,7 @@ import (
 // climbs the ladder one rung per streak; sustained healthy latency
 // climbs back down, more slowly.
 func TestSLOControllerEscalatesAndRelaxes(t *testing.T) {
-	c := NewSLOController(SLOConfig{Target: 10 * time.Millisecond, EscalateAfter: 4, RelaxAfter: 8})
+	c := NewSLOController(10 * time.Millisecond)
 	if c.Level() != PressureNone {
 		t.Fatalf("fresh controller at %v", c.Level())
 	}
@@ -37,7 +37,7 @@ func TestSLOControllerEscalatesAndRelaxes(t *testing.T) {
 	if c.Level() != PressureShed {
 		t.Fatalf("8th hot observation: level %v, want shed", c.Level())
 	}
-	if ra := c.RetryAfter(); ra < c.cfg.Target/4 || ra > 4*c.cfg.Target {
+	if ra := c.RetryAfter(); ra < c.target/4 || ra > 4*c.target {
 		t.Fatalf("retry-after %v outside [target/4, 4*target]", ra)
 	}
 
@@ -57,7 +57,7 @@ func TestSLOControllerEscalatesAndRelaxes(t *testing.T) {
 // TestSLOControllerNilSafe: a nil controller (SLO disabled) is inert.
 func TestSLOControllerNilSafe(t *testing.T) {
 	var c *SLOController
-	if got := NewSLOController(SLOConfig{}); got != nil {
+	if got := NewSLOController(0); got != nil {
 		t.Fatalf("zero target built a controller: %+v", got)
 	}
 	c.Observe(time.Second) // must not panic

@@ -75,8 +75,8 @@ func groupPayloads(from, to uint64) [][]byte {
 // TestWALGroupAppendMatchesSerial: AppendGroup of k payloads leaves the
 // bytes k single appends leave — here with the group's last record the
 // one that crosses the rotation threshold, so both logs seal the segment
-// at the same place — while spending one Write and one policy barrier,
-// counting k appends, and counting k toward SyncEvery's interval.
+// at the same place — while spending one Write and one policy barrier
+// and counting k appends.
 func TestWALGroupAppendMatchesSerial(t *testing.T) {
 	const recBytes = recHeaderSize + 4 + updateBytes*5
 	// Records 1..6 fill the first segment to exactly its threshold.
@@ -128,31 +128,6 @@ func TestWALGroupAppendMatchesSerial(t *testing.T) {
 	requireSameSegments(t, "grouped log", grouped.Dir, serial.Dir)
 	if got := replaySeqs(t, grouped.Dir, 1, Options{}); len(got) != 7 || got[6] != 7 {
 		t.Fatalf("replay of the grouped log got %v, want 1..7", got)
-	}
-
-	// SyncEvery counts records, not calls: 3 singles and a group of 5 pass
-	// interval 4 once, at the group's end.
-	li, _, err := Open(Options{Dir: t.TempDir(), Sync: SyncEvery, Interval: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer li.Close()
-	for seq := uint64(1); seq <= 3; seq++ {
-		if err := li.Append(seq, testBatch(int64(seq), 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := li.AppendGroup(4, groupPayloads(4, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if li.Stats().Fsyncs != 1 || li.DurableSeq() != 8 {
-		t.Fatalf("interval 4 after 3 + a group of 5: %d fsyncs, durable %d; want 1 and 8", li.Stats().Fsyncs, li.DurableSeq())
-	}
-	if err := li.Append(9, testBatch(9, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if li.Stats().Fsyncs != 1 {
-		t.Fatalf("the append after the group's barrier fsynced again: the interval count was not reset")
 	}
 }
 

@@ -20,18 +20,16 @@
 // with impossible sequence numbers — is reported as *LogError wrapping
 // ErrCorrupt, because no crash can produce it.
 //
-// Durability is configurable per deployment (SyncPolicy): fsync after
-// every batch (the chaos suite's no-loss guarantee), every N appends,
-// or never (the OS decides). Rotation and Close always fsync so a
-// sealed segment is durable regardless of policy.
+// Durability is configurable per log (SyncPolicy): fsync after every
+// batch (the chaos suite's no-loss guarantee) or never (the OS
+// decides). Rotation and Close always fsync so a sealed segment is
+// durable regardless of policy.
 package wal
 
 import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
@@ -113,46 +111,10 @@ const (
 	// SyncEachBatch fsyncs after every append: nothing acknowledged is
 	// ever lost. The default.
 	SyncEachBatch SyncPolicy = iota
-	// SyncEvery fsyncs once per Options.Interval appends (and at
-	// rotation and Close). A crash loses at most Interval-1 batches.
-	SyncEvery
 	// SyncNone never fsyncs on the append path; the OS page cache
 	// decides. Fastest, weakest.
 	SyncNone
 )
-
-// ParseSyncPolicy maps a -walsync flag value ("batch", "interval:N",
-// "off") to a policy and interval. N is a positive decimal with nothing
-// before or after it: no sign, no space, no unit.
-func ParseSyncPolicy(s string) (SyncPolicy, int, error) {
-	switch {
-	case s == "" || s == "batch":
-		return SyncEachBatch, 0, nil
-	case s == "off":
-		return SyncNone, 0, nil
-	default:
-		// ParseUint takes no sign; 31 bits keep n within an int.
-		if rest, ok := strings.CutPrefix(s, "interval:"); ok {
-			if n, err := strconv.ParseUint(rest, 10, 31); err == nil && n > 0 {
-				return SyncEvery, int(n), nil
-			}
-		}
-		return 0, 0, fmt.Errorf("wal: bad sync policy %q (batch|interval:N|off)", s)
-	}
-}
-
-// String renders the policy as its flag spelling.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncEachBatch:
-		return "batch"
-	case SyncEvery:
-		return "interval"
-	case SyncNone:
-		return "off"
-	}
-	return fmt.Sprintf("SyncPolicy(%d)", int(p))
-}
 
 // Options configures a log.
 type Options struct {
@@ -164,8 +126,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncEachBatch).
 	Sync SyncPolicy
-	// Interval is the appends-per-fsync under SyncEvery (default 16).
-	Interval int
 	// FS overrides the filesystem — the fault-injection seam. Nil means
 	// the real filesystem.
 	FS FS
@@ -174,9 +134,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.Interval <= 0 {
-		o.Interval = 16
 	}
 	o.FS = OrOS(o.FS)
 	return o
@@ -196,16 +153,15 @@ type Log struct {
 	opt Options
 	fs  FS
 
-	cur       File   // nil between rotation and the next append
-	curName   string // base name of cur
-	curSize   int64
-	firstSeq  uint64 // base seq of the oldest retained segment (0 = empty log)
-	lastSeq   uint64 // highest appended/recovered seq (0 = empty log)
-	durable   uint64 // highest seq guaranteed on stable storage
-	settled   uint64 // highest seq whose AppendGroup returned nil; above it a retry may restart
-	sinceSync int
-	failed    error  // sticky: tear repair failed, extending the log would corrupt it
-	rec       []byte // scratch the next record is framed in, reused across appends
+	cur      File   // nil between rotation and the next append
+	curName  string // base name of cur
+	curSize  int64
+	firstSeq uint64 // base seq of the oldest retained segment (0 = empty log)
+	lastSeq  uint64 // highest appended/recovered seq (0 = empty log)
+	durable  uint64 // highest seq guaranteed on stable storage
+	settled  uint64 // highest seq whose AppendGroup returned nil; above it a retry may restart
+	failed   error  // sticky: tear repair failed, extending the log would corrupt it
+	rec      []byte // scratch the next record is framed in, reused across appends
 	// segs indexes the segment files in Dir, oldest first. The log is
 	// their only writer — Open scans them once, openSegment creates and
 	// retention removes them — so the index stands in for a directory
@@ -322,7 +278,6 @@ func (l *Log) AppendGroup(first uint64, payloads [][]byte) error {
 		l.curSize += int64(len(rec))
 		l.lastSeq = seq + uint64(len(rest)) - 1
 		l.stats.Appends += uint64(len(rest))
-		l.sinceSync += len(rest)
 	}
 	if err := l.settle(have > 0); err != nil {
 		return &NotDurableError{Err: err}
@@ -343,7 +298,7 @@ func (l *Log) settle(retry bool) error {
 		// — after its fsync succeeded, so the records are durable and sealed.
 		return nil
 	}
-	if retry || l.opt.Sync == SyncEachBatch || (l.opt.Sync == SyncEvery && l.sinceSync >= l.opt.Interval) {
+	if retry || l.opt.Sync == SyncEachBatch {
 		if err := l.Sync(); err != nil {
 			return err
 		}
@@ -388,7 +343,6 @@ func (l *Log) Sync() error {
 		return &LogError{Segment: l.curName, Offset: l.curSize, Err: err}
 	}
 	l.durable = l.lastSeq
-	l.sinceSync = 0
 	l.stats.Fsyncs++
 	return nil
 }
@@ -492,7 +446,6 @@ func (l *Log) Reset() error {
 	}
 	l.curName, l.curSize = "", 0
 	l.firstSeq, l.lastSeq, l.durable, l.settled = 0, 0, 0, 0
-	l.sinceSync = 0
 	l.failed = nil
 	return nil
 }

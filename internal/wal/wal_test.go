@@ -309,72 +309,27 @@ func TestHeaderlessFinalSegmentRemoved(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{Dir: dir, Sync: SyncEvery, Interval: 3}
-	l, _, err := Open(opt)
+	l, _, err := Open(Options{Dir: t.TempDir(), Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := uint64(1); seq <= 7; seq++ {
+	defer l.Close()
+	for seq := uint64(1); seq <= 2; seq++ {
 		if err := l.Append(seq, testBatch(int64(seq), 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 7 appends at interval 3 → fsyncs after 3 and 6; durable lags at 6.
-	if l.DurableSeq() != 6 {
-		t.Fatalf("durable=%d, want 6", l.DurableSeq())
+	if l.DurableSeq() != 0 {
+		t.Fatalf("SyncNone advanced durable to %d", l.DurableSeq())
+	}
+	if st := l.Stats(); st.Appends != 2 || st.Fsyncs != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if l.DurableSeq() != 7 {
-		t.Fatalf("durable=%d after explicit Sync, want 7", l.DurableSeq())
-	}
-
-	dir2 := t.TempDir()
-	l2, _, err := Open(Options{Dir: dir2, Sync: SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Append(1, testBatch(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if l2.DurableSeq() != 0 {
-		t.Fatalf("SyncNone advanced durable to %d", l2.DurableSeq())
-	}
-	if l2.Stats().Appends != 1 {
-		t.Fatalf("stats: %+v", l2.Stats())
-	}
-	l2.Close()
-	l.Close()
-}
-
-func TestParseSyncPolicy(t *testing.T) {
-	cases := []struct {
-		in       string
-		policy   SyncPolicy
-		interval int
-		wantErr  bool
-	}{
-		{"", SyncEachBatch, 0, false},
-		{"batch", SyncEachBatch, 0, false},
-		{"off", SyncNone, 0, false},
-		{"interval:8", SyncEvery, 8, false},
-		{"interval:0", 0, 0, true},
-		{"sometimes", 0, 0, true},
-		{"interval:5x", 0, 0, true},
-		{"interval:10ms", 0, 0, true},
-		{"interval: 5", 0, 0, true},
-		{"interval:+5", 0, 0, true},
-	}
-	for _, c := range cases {
-		p, n, err := ParseSyncPolicy(c.in)
-		if (err != nil) != c.wantErr {
-			t.Fatalf("%q: err=%v, wantErr=%v", c.in, err, c.wantErr)
-		}
-		if err == nil && (p != c.policy || n != c.interval) {
-			t.Fatalf("%q: got (%v,%d), want (%v,%d)", c.in, p, n, c.policy, c.interval)
-		}
+	if l.DurableSeq() != 2 {
+		t.Fatalf("durable=%d after explicit Sync, want 2", l.DurableSeq())
 	}
 }
 
