@@ -11,10 +11,11 @@ import (
 // LockholdCheck flags blocking operations reachable while a mutex is
 // held: network dials and listens, reads/writes on streams (net.Conn,
 // io.Reader, io.Writer, an interface embedding one of them, or a
-// concrete net.Conn-shaped type), channel operations with no escape,
-// WaitGroup.Wait, and clock sleeps. This is the leader attach-round
-// contention class — a hot lock held across a dial turns every reader
-// into a convoy.
+// concrete net.Conn-shaped type) directly or through the io package's
+// stream helpers (ReadFull, ReadAtLeast, Copy, CopyN, CopyBuffer),
+// channel operations with no escape, WaitGroup.Wait, and clock sleeps.
+// This is the leader attach-round contention class — a hot lock held
+// across a dial turns every reader into a convoy.
 //
 // Escapes that make an operation bounded (and therefore exempt):
 //
@@ -213,6 +214,15 @@ func blockingCall(info *types.Info, call *ast.CallExpr, callee string) (string, 
 	switch callee {
 	case "time.Sleep":
 		return "time.Sleep blocks", false, true
+	case "io.ReadFull", "io.ReadAtLeast", "io.Copy", "io.CopyN", "io.CopyBuffer":
+		// The standard library is not followed, so its stream helpers
+		// are judged by their arguments, like a Read or Write.
+		for _, arg := range call.Args {
+			if name, ok := streamName(info.TypeOf(arg)); ok {
+				return callee + " on " + name + " blocks without a deadline", true, true
+			}
+		}
+		return "", false, false
 	}
 	if strings.HasPrefix(callee, "net.Dial") || strings.HasPrefix(callee, "net.Listen") {
 		return shortFuncName(callee) + " blocks on the network", false, true
@@ -244,15 +254,26 @@ func blockingCall(info *types.Info, call *ast.CallExpr, callee string) (string, 
 		}
 	case "Read", "Write":
 		if s, ok := info.Selections[sel]; ok {
-			if types.IsInterface(s.Recv()) && isStream(s.Recv()) {
-				return sel.Sel.Name + " on " + shortTypeName(namedTypeKey(s.Recv())) + " blocks without a deadline", true, true
-			}
-			if implementsNetConn(s.Recv()) {
-				return sel.Sel.Name + " on net.Conn blocks without a deadline", true, true
+			if name, ok := streamName(s.Recv()); ok {
+				return sel.Sel.Name + " on " + name + " blocks without a deadline", true, true
 			}
 		}
 	}
 	return "", false, false
+}
+
+// streamName names t for a message if it is a stream: an interface
+// isStream accepts, or a concrete net.Conn-shaped type.
+func streamName(t types.Type) (string, bool) {
+	switch {
+	case t == nil:
+		return "", false
+	case types.IsInterface(t) && isStream(t):
+		return shortTypeName(namedTypeKey(t)), true
+	case implementsNetConn(t):
+		return "net.Conn", true
+	}
+	return "", false
 }
 
 // dialSeamCall reports calls through func-typed values whose results

@@ -1,11 +1,13 @@
 // Package lockhold exercises every blocking class and every escape:
 // sleeps, dials, bare channel ops, WaitGroup.Wait, stream I/O with and
-// without a deadline guard, on concrete and interface-typed streams,
+// without a deadline guard, on concrete and interface-typed streams and
+// through the io package's stream helpers,
 // select escapes, go/defer exemptions, and transitive propagation
 // through helpers, one and two levels deep.
 package lockhold
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"sync"
@@ -129,6 +131,40 @@ func (q *queue) streamsUnderLock(c net.Conn, r io.Reader, fw flushWriter, p []by
 	fw.Write(p)    // want `Write on lockhold.flushWriter blocks without a deadline while holding q.mu`
 	q.log.Write(1) // not a stream
 	q.clk.Sleep(0) // want `\(lockhold\.clock\)\.Sleep sleeps while holding q.mu`
+}
+
+// helpersUnderLock: the io helpers block when any argument is a stream,
+// the reader or the writer; over buffers alone they do not.
+func (q *queue) helpersUnderLock(c net.Conn, r io.Reader, w io.Writer, buf *bytes.Buffer, p []byte) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	io.ReadFull(r, p)                  // want `io.ReadFull on io.Reader blocks without a deadline while holding q.mu`
+	io.ReadAtLeast(q.conn, p, 1)       // want `io.ReadAtLeast on net.Conn blocks without a deadline while holding q.mu`
+	io.Copy(w, buf)                    // want `io.Copy on io.Writer blocks without a deadline while holding q.mu`
+	io.CopyN(buf, c, 4)                // want `io.CopyN on net.Conn blocks without a deadline while holding q.mu`
+	io.CopyBuffer(buf, r, p)           // want `io.CopyBuffer on io.Reader blocks without a deadline while holding q.mu`
+	io.ReadFull(bytes.NewReader(p), p) // no stream: a *bytes.Reader
+	io.Copy(buf, bytes.NewReader(p))
+}
+
+// readFull is the readFrame shape: a helper that waits in io.ReadFull.
+func readFull(r io.Reader, p []byte) error {
+	_, err := io.ReadFull(r, p)
+	return err
+}
+
+func (q *queue) readFullUnderLock(r io.Reader, p []byte) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	readFull(r, p) // want `call to lockhold\.readFull while holding q.mu: it io.ReadFull on io.Reader blocks without a deadline`
+}
+
+// readWithDeadline: a deadline guards the helper as it guards a Read.
+func (q *queue) readWithDeadline(p []byte) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.conn.SetReadDeadline(time.Time{})
+	io.ReadFull(q.conn, p)
 }
 
 // writeWithDeadline is the writeFrame idiom: the deadline bounds the

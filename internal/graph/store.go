@@ -13,17 +13,21 @@ import (
 // harness apply batches here, and Seal hands the engines that want the
 // paper's arrays an immutable Snapshot.
 //
-// Layout: a compact vertex table per direction (out-edges and an in-edge
-// mirror, required by the monotonic deletion re-gather). Every vertex
-// has one pointer-free 8-byte header, its degree and a location, and
-// owns storage only for the edges it has, in GraphTango's three tiers:
+// Layout: a compact vertex table per direction, out-edges and an in-edge
+// mirror, required by the monotonic deletion re-gather. Each edge's
+// weight is stored once, in its source's out-row: the mirror is one
+// code path instantiated without weights (adjacency[struct{}]), holding
+// neighbour IDs only, and the re-gather looks each in-edge's weight up
+// with EdgeWeight. Every vertex has one pointer-free 8-byte header per
+// direction, its degree and a location, and owns storage only for the
+// edges it has, in GraphTango's three tiers:
 //
 //   - empty, degree 0 and never spilled: the header is all there is;
 //   - inline, degree 1..storeInlineCap: the header names a block of
-//     storeInlineCap neighbour and weight slots (one 32-byte line) from
-//     a pool of fixed-size pages. A vertex that drops to degree 0 or
-//     spills releases its block to a free list, and the next vertex to
-//     need one reuses it before the pool grows;
+//     storeInlineCap neighbour and weight slots (32 bytes out, 16 in
+//     the mirror) from a pool of fixed-size pages. A vertex that drops
+//     to degree 0 or spills releases its block to a free list, and the
+//     next vertex to need one reuses it before the pool grows;
 //   - linear, degree up to storeLinearMax: the header names an edge log,
 //     held by value in a page pool of its own, whose head arrays grow up
 //     to storeLinearMax and are searched by scanning — at most four cache
@@ -56,11 +60,11 @@ import (
 type Store struct {
 	numVertices int
 	numEdges    int
-	out         adjacency
-	in          adjacency
+	out         adjacency[float32]
+	in          adjacency[struct{}] // IDs only: the weights live in out
 
 	// Apply scratch, reused across batches so the steady-state ingest
-	// path allocates nothing (see ApplyReusing).
+	// path allocates nothing (see Apply).
 	res      ApplyResult
 	touch    []uint8  // Apply's marks, non-zero only on res.Affected
 	sortKeys []uint64 // WriteBinary's row-sort scratch, reused across saves
@@ -74,9 +78,9 @@ const (
 )
 
 // storeInlineCap is the inline block width: vertices at or below this
-// degree never spill. Four (dst,weight) pairs is 32 bytes per direction
-// — half a cache line — and covers the long tail of a power-law degree
-// distribution.
+// degree never spill. Four (dst,weight) pairs is 32 bytes — half a
+// cache line, 16 bytes of IDs in the mirror — and covers the long tail
+// of a power-law degree distribution.
 const storeInlineCap = 4
 
 // storeLinearMax is the largest degree a spilled vertex serves by linear
@@ -86,17 +90,22 @@ const storeInlineCap = 4
 const storeLinearMax = 64
 
 // storeChunkCap is the edge capacity of one hub chunk: 64 IDs and 64
-// weights, 512 bytes (EXPERIMENTS.md `storechunks` has the size sweep).
+// weights, 512 bytes, or 256 in the mirror (EXPERIMENTS.md `storechunks`
+// has the size sweep).
 const storeChunkCap = 64
 
+// weight is what an adjacency keeps beside each neighbour: the edge's
+// weight in the out-edges, nothing (zero bytes) in the in-edge mirror.
+type weight interface{ float32 | struct{} }
+
 // adjacency is one direction (out- or in-edges) of the vertex table.
-type adjacency struct {
+type adjacency[W weight] struct {
 	hdr    []vertexHeader
-	blocks pagePool[inlineBlock]
+	blocks pagePool[inlineBlock[W]]
 	free   []uint32 // released block handles, reused before the pool grows
-	logs   pagePool[edgeLog]
-	chunks recycler[edgeChunk]
-	hubs   recycler[hubRecord]
+	logs   pagePool[edgeLog[W]]
+	chunks recycler[edgeChunk[W]]
+	hubs   recycler[hubRecord[W]]
 }
 
 // vertexHeader is a vertex's live degree and the location of its edges:
@@ -109,13 +118,15 @@ type vertexHeader struct {
 const locSpilled = 1 << 31
 
 // inlineBlock holds an inline vertex's edges in its first deg slots.
-type inlineBlock struct {
+// The weights come first: a zero-size last field would be padded.
+type inlineBlock[W weight] struct {
+	wgt [storeInlineCap]W
 	nbr [storeInlineCap]VertexID
-	wgt [storeInlineCap]float32
 }
 
-// poolPage is the slot count of a pool page: 8 KiB of inline blocks,
-// 14 KiB of edge logs or hub records, 128 KiB of chunks.
+// poolPage is the slot count of a pool page: 8 KiB of inline blocks
+// (4 KiB in the mirror), 20 KiB of edge logs, 8 KiB of hub records,
+// 128 KiB of chunks (64 KiB in the mirror).
 const poolPage = 256
 
 // pagePool hands out slots of T from fixed-size pages by handle, a new
@@ -169,11 +180,12 @@ func extend[T any](s []T, n int) []T {
 // insert adds or reweights the neighbour u of v; it returns the weight it
 // overwrote and whether u was a neighbour already, so a caller learns
 // both from the one lookup.
-func (a *adjacency) insert(v, u VertexID, w float32) (float32, bool) {
+func (a *adjacency[W]) insert(v, u VertexID, w W) (W, bool) {
 	wp, slot := a.lookup(v, u)
 	if wp == nil {
 		a.add(v, u, w, slot)
-		return 0, false
+		var zero W
+		return zero, false
 	}
 	old := *wp
 	*wp = w
@@ -184,7 +196,7 @@ func (a *adjacency) insert(v, u VertexID, w float32) (float32, bool) {
 // slot a lookup found free, or with slot -1 without a lookup — the
 // in-edge mirror of an edge the out-edges have just reported new needs
 // none: in the indexed tier it probes only for a free slot.
-func (a *adjacency) add(v, u VertexID, w float32, slot int) {
+func (a *adjacency[W]) add(v, u VertexID, w W, slot int) {
 	h := &a.hdr[v]
 	if h.loc&locSpilled != 0 {
 		l := a.logs.at(h.loc &^ locSpilled)
@@ -213,14 +225,14 @@ func (a *adjacency) add(v, u VertexID, w float32, slot int) {
 	lh := a.logs.alloc()
 	l := a.logs.at(lh)
 	l.nbr = append(make([]VertexID, 0, 2*storeInlineCap), b.nbr[:]...)
-	l.wgt = append(make([]float32, 0, 2*storeInlineCap), b.wgt[:]...)
+	l.wgt = append(make([]W, 0, 2*storeInlineCap), b.wgt[:]...)
 	a.free = append(a.free, h.loc-1)
 	h.loc = locSpilled | lh
 	a.push(h, l, -1, u, w)
 }
 
 // delete removes the neighbour u of v, reporting whether it existed.
-func (a *adjacency) delete(v, u VertexID) bool {
+func (a *adjacency[W]) delete(v, u VertexID) bool {
 	h := &a.hdr[v]
 	if h.loc&locSpilled != 0 {
 		return a.remove(h, a.logs.at(h.loc&^locSpilled), u)
@@ -244,7 +256,7 @@ func (a *adjacency) delete(v, u VertexID) bool {
 
 // lookup returns a pointer to the weight of the neighbour u of v, or nil,
 // and in the indexed tier find's table slot.
-func (a *adjacency) lookup(v, u VertexID) (*float32, int) {
+func (a *adjacency[W]) lookup(v, u VertexID) (*W, int) {
 	switch h := a.hdr[v]; {
 	case h.loc&locSpilled != 0:
 		l := a.logs.at(h.loc &^ locSpilled)
@@ -268,7 +280,7 @@ func (a *adjacency) lookup(v, u VertexID) (*float32, int) {
 // live prefix, and nothing past the last. The slices alias internal
 // storage and are invalidated by any mutation of v's adjacency.
 // Closure-free so the engines' hot loops stay allocation-free.
-func (a *adjacency) run(v VertexID, r int) ([]VertexID, []float32) {
+func (a *adjacency[W]) run(v VertexID, r int) ([]VertexID, []W) {
 	switch h := a.hdr[v]; {
 	case h.loc&locSpilled == 0:
 		if h.loc != 0 && r == 0 {
@@ -289,7 +301,7 @@ func (a *adjacency) run(v VertexID, r int) ([]VertexID, []float32) {
 
 // forEach visits v's neighbours in insertion order. f must not mutate the
 // adjacency.
-func (a *adjacency) forEach(v VertexID, f func(u VertexID, w float32)) {
+func (a *adjacency[W]) forEach(v VertexID, f func(u VertexID, w W)) {
 	for r := 0; ; r++ {
 		ns, ws := a.run(v, r)
 		if len(ns) == 0 {
@@ -314,25 +326,26 @@ func (a *adjacency) forEach(v VertexID, f func(u VertexID, w float32)) {
 // cap keeps position + 1 at most 49,152, clear of the narrow tombstone
 // 0xFFFF; a larger table holds each slot as two words, low half first.
 // Every access goes through slot and setSlot.
-type edgeLog struct {
-	nbr   []VertexID // head
-	wgt   []float32  // parallel to nbr
-	index []uint16   // nil in the linear tier
-	hub   *hubRecord // nil in the linear tier
+type edgeLog[W weight] struct {
+	nbr   []VertexID    // head
+	wgt   []W           // parallel to nbr
+	index []uint16      // nil in the linear tier
+	hub   *hubRecord[W] // nil in the linear tier
 }
 
 // hubRecord is what else only an indexed log owns: the chunks holding log
 // position storeLinearMax + i at chunks[i/storeChunkCap], and the
 // table's tombstone count.
-type hubRecord struct {
-	chunks []*edgeChunk
+type hubRecord[W weight] struct {
+	chunks []*edgeChunk[W]
 	tombs  int
 }
 
-// edgeChunk holds storeChunkCap consecutive log positions of a hub.
-type edgeChunk struct {
+// edgeChunk holds storeChunkCap consecutive log positions of a hub,
+// weights first as in inlineBlock.
+type edgeChunk[W weight] struct {
+	wgt [storeChunkCap]W
 	nbr [storeChunkCap]VertexID
-	wgt [storeChunkCap]float32
 }
 
 const indexTomb = ^uint32(0)
@@ -346,7 +359,7 @@ func slotHash(u VertexID, mask uint32) uint32 {
 }
 
 // slots returns the table's slot count.
-func (l *edgeLog) slots() int {
+func (l *edgeLog[W]) slots() int {
 	if len(l.index) > indexNarrowSlots {
 		return len(l.index) / 2
 	}
@@ -354,7 +367,7 @@ func (l *edgeLog) slots() int {
 }
 
 // slot returns table slot i: position + 1, 0 or indexTomb.
-func (l *edgeLog) slot(i uint32) uint32 {
+func (l *edgeLog[W]) slot(i uint32) uint32 {
 	if len(l.index) > indexNarrowSlots {
 		return uint32(l.index[2*i]) | uint32(l.index[2*i+1])<<16
 	}
@@ -366,7 +379,7 @@ func (l *edgeLog) slot(i uint32) uint32 {
 
 // setSlot stores p in table slot i; a narrow slot keeps p's low word,
 // which turns indexTomb into the narrow tombstone.
-func (l *edgeLog) setSlot(i, p uint32) {
+func (l *edgeLog[W]) setSlot(i, p uint32) {
 	if len(l.index) > indexNarrowSlots {
 		l.index[2*i], l.index[2*i+1] = uint16(p), uint16(p>>16)
 		return
@@ -375,7 +388,7 @@ func (l *edgeLog) setSlot(i, p uint32) {
 }
 
 // at returns the neighbour and weight slots of log position p.
-func (l *edgeLog) at(p int) (*VertexID, *float32) {
+func (l *edgeLog[W]) at(p int) (*VertexID, *W) {
 	if p < storeLinearMax {
 		return &l.nbr[p], &l.wgt[p]
 	}
@@ -387,7 +400,7 @@ func (l *edgeLog) at(p int) (*VertexID, *float32) {
 // find returns u's log position, or -1. In the indexed tier slot is the
 // table slot holding u or, if u is absent, the first reusable slot on its
 // probe chain; it is -1 in the linear tier.
-func (l *edgeLog) find(u VertexID) (pos, slot int) {
+func (l *edgeLog[W]) find(u VertexID) (pos, slot int) {
 	if l.hub == nil {
 		return slices.Index(l.nbr, u), -1
 	}
@@ -412,7 +425,7 @@ func (l *edgeLog) find(u VertexID) (pos, slot int) {
 
 // freeSlot is find's slot for a key known to be absent, found without
 // reading a key: the first empty or tombstone slot on u's probe chain.
-func (l *edgeLog) freeSlot(u VertexID) int {
+func (l *edgeLog[W]) freeSlot(u VertexID) int {
 	if l.hub == nil {
 		return -1
 	}
@@ -427,7 +440,7 @@ func (l *edgeLog) freeSlot(u VertexID) int {
 // push appends u at log position h.deg — in the head, or in a chunk,
 // taking the hub record and chunks as first needed — filed under table
 // slot slot, rebuilding the table once keys and tombstones pass 3/4.
-func (a *adjacency) push(h *vertexHeader, l *edgeLog, slot int, u VertexID, w float32) {
+func (a *adjacency[W]) push(h *vertexHeader, l *edgeLog[W], slot int, u VertexID, w W) {
 	n := h.deg
 	h.deg++
 	if n < storeLinearMax {
@@ -458,7 +471,7 @@ func (a *adjacency) push(h *vertexHeader, l *edgeLog, slot int, u VertexID, w fl
 }
 
 // remove deletes u from v's log, reporting whether it was present.
-func (a *adjacency) remove(h *vertexHeader, l *edgeLog, u VertexID) bool {
+func (a *adjacency[W]) remove(h *vertexHeader, l *edgeLog[W], u VertexID) bool {
 	pos, slot := l.find(u)
 	if pos < 0 {
 		return false
@@ -498,7 +511,7 @@ func (a *adjacency) remove(h *vertexHeader, l *edgeLog, u VertexID) bool {
 
 // dropHub drops l's table and frees its hub record and chunks: the log
 // is back in the linear range, every edge it holds in the head.
-func (a *adjacency) dropHub(l *edgeLog) {
+func (a *adjacency[W]) dropHub(l *edgeLog[W]) {
 	hub := l.hub
 	a.chunks.put(hub.chunks...)
 	hub.chunks, l.index, hub.tombs = hub.chunks[:0], nil, 0
@@ -510,7 +523,7 @@ func (a *adjacency) dropHub(l *edgeLog) {
 // tombstones, doubling it when live keys alone pass 3/4 occupancy, never
 // shrinking it, and clearing it in place when the size holds. A log back
 // in the linear range drops its hub record instead.
-func (a *adjacency) reindex(l *edgeLog, n uint32) {
+func (a *adjacency[W]) reindex(l *edgeLog[W], n uint32) {
 	if n <= storeLinearMax {
 		a.dropHub(l)
 		return
@@ -553,9 +566,10 @@ func NewStore(numVertices int) *Store {
 // a repeated edge keeps its first position and its last weight, as in
 // the test-side Builder oracle — built a direction at a time, the
 // in-edge mirror on a goroutine of its own (StartStoreFromEdges): each
-// direction groups the edges into rows, by source or by destination,
-// with a stable counting sort in its own scratch, folds the repeats, and
-// places each row straight into its final tier.
+// direction groups the edges into rows, by source or by destination
+// (the mirror without weights), with a stable counting sort in its own
+// scratch, folds the repeats, and places each row straight into its
+// final tier.
 func NewStoreFromEdges(numVertices int, edges []Edge) *Store {
 	st, _, wait := StartStoreFromEdges(numVertices, edges)
 	wait()
@@ -601,51 +615,52 @@ func StartStoreFromSnapshot(s *Snapshot) (*Store, *Rows, func()) {
 			return (&Rows{s.Offsets, s.Neighbors, s.Weights}).clean(false, mark)
 		}
 		if s.InOffsets != nil {
-			return (&Rows{s.InOffsets, s.InNeighbors, s.InWeights}).clean(false, mark)
+			return (&Rows{s.InOffsets, s.InNeighbors, nil}).clean(false, mark)
 		}
-		withCSC := *s
-		buildCSC(&withCSC)
-		return (&Rows{withCSC.InOffsets, withCSC.InNeighbors, withCSC.InWeights}).clean(true, mark)
+		return cscRows(s, false).clean(true, mark)
 	})
 }
 
 // startStore is the one bulk loader of a new store over n vertices.
 // rows gives one direction's rows without repeats — the out-edges, or
-// with in the in-edge mirror — marking neighbours in mark, n zero bytes
-// it leaves zero. The out-rows are made on the caller's goroutine, with
-// the store's touch array (all zero until the first Apply), and
-// returned; a loader goroutine makes the mirror's rows with marks of its
-// own, places them, then places the out-rows. One loader rather than
-// one per direction leaves the caller, who runs the bootstrap fixpoint
-// meanwhile, a core of its own on a two-core host. The returned wait
-// joins the loader.
+// with in the in-edge mirror's, which need no weights — marking
+// neighbours in mark, n zero bytes it leaves zero. The out-rows are
+// made on the caller's goroutine, with the store's touch array (all
+// zero until the first Apply), and returned; a loader goroutine makes
+// the mirror's rows with marks of its own, places them, then places the
+// out-rows. One loader rather than one per direction leaves the caller,
+// who runs the bootstrap fixpoint meanwhile, a core of its own on a
+// two-core host. The returned wait joins the loader.
 func startStore(n int, rows func(in bool, mark []uint8) *Rows) (*Store, *Rows, func()) {
 	st := NewStore(n)
 	var out *Rows
 	made, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		st.in.load(rows(true, make([]uint8, n)))
+		in := rows(true, make([]uint8, n))
+		st.in.load(in, make([]struct{}, len(in.Neighbors)))
 		<-made
-		st.numEdges = st.out.load(out)
+		st.numEdges = st.out.load(out, out.Weights)
 	}()
 	out = rows(false, st.touch)
 	close(made)
 	return st, out, func() { <-done }
 }
 
-// load places r's rows, which hold no repeats, into the empty direction
-// a, and returns their edge count.
-func (a *adjacency) load(r *Rows) int {
+// load places r's rows, which hold no repeats, with the weights ws
+// parallel to r.Neighbors, into the empty direction a, and returns their
+// edge count. The mirror's ws is zero-size: its rows carry no weights.
+func (a *adjacency[W]) load(r *Rows, ws []W) int {
 	for v := range VertexID(r.NumVertices()) {
-		ns, ws := r.Row(v)
-		a.place(v, ns, ws)
+		lo, hi := r.Offsets[v], r.Offsets[v+1]
+		a.place(v, r.Neighbors[lo:hi], ws[lo:hi])
 	}
 	return len(r.Neighbors)
 }
 
 // Rows is one direction of a graph as a read-only CSR: row v is
-// Neighbors[Offsets[v]:Offsets[v+1]], with parallel weights. Unlike a
+// Neighbors[Offsets[v]:Offsets[v+1]], with parallel weights (nil only in
+// the bulk loader's in-edge rows, which Row does not serve). Unlike a
 // Snapshot's, a row need not be sorted: the bulk loaders and Store.Rows
 // hand out each row in the store's iteration order, which is what lets
 // a fixpoint over them visit edges exactly as one over the store would.
@@ -684,8 +699,8 @@ func (st *Store) Rows() *Rows {
 }
 
 // groupRows lays edges out as rows over n vertices: keyed by source,
-// holding destinations, or with in the other way round, each row in
-// input order (a stable counting sort).
+// holding destinations and weights, or with in the other way round
+// without weights, each row in input order (a stable counting sort).
 func groupRows(edges []Edge, in bool, n int) *Rows {
 	off := make([]uint64, n+1)
 	for _, e := range edges {
@@ -699,14 +714,20 @@ func groupRows(edges []Edge, in bool, n int) *Rows {
 	}
 	// Filling row v from off[v] leaves it at row v+1's start; shifting
 	// the words back one restores the starts.
-	r := &Rows{Offsets: off, Neighbors: make([]VertexID, len(edges)), Weights: make([]float32, len(edges))}
+	r := &Rows{Offsets: off, Neighbors: make([]VertexID, len(edges))}
+	if !in {
+		r.Weights = make([]float32, len(edges))
+	}
 	for _, e := range edges {
 		if in {
 			e.Src, e.Dst = e.Dst, e.Src
 		}
 		i := off[e.Src]
 		off[e.Src]++
-		r.Neighbors[i], r.Weights[i] = e.Dst, e.Weight
+		r.Neighbors[i] = e.Dst
+		if !in {
+			r.Weights[i] = e.Weight
+		}
 	}
 	copy(off[1:], off)
 	off[0] = 0
@@ -715,12 +736,14 @@ func groupRows(edges []Edge, in bool, n int) *Rows {
 
 // clean returns r's rows with every repeated neighbour folded into its
 // first entry — the first position, the last weight, what an insert per
-// edge in row order leaves. With own it compacts r in place; without,
-// it returns r untouched when no row repeats and otherwise a cleaned
-// copy. mark is one zero byte per vertex, left zero.
+// edge in row order leaves; rows without weights stay without. With own
+// it compacts r in place; without, it returns r untouched when no row
+// repeats and otherwise a cleaned copy. mark is one zero byte per
+// vertex, left zero.
 func (r *Rows) clean(own bool, mark []uint8) *Rows {
 	var pos map[VertexID]uint64
 	var w, lo uint64 // write and read starts of the row; w < lo once a row has shrunk
+	weights := r.Weights != nil
 	for v := range r.NumVertices() {
 		hi := r.Offsets[v+1]
 		ns := r.Neighbors[lo:hi]
@@ -744,17 +767,22 @@ func (r *Rows) clean(own bool, mark []uint8) *Rows {
 			clear(pos)
 			for i := lo; i < hi; i++ { // writes trail reads: w <= i
 				u := r.Neighbors[i]
-				if p, ok := pos[u]; ok {
-					r.Weights[p] = r.Weights[i]
-					continue
+				p, ok := pos[u]
+				if !ok {
+					p = w
+					pos[u] = w
+					r.Neighbors[w] = u
+					w++
 				}
-				pos[u] = w
-				r.Neighbors[w], r.Weights[w] = u, r.Weights[i]
-				w++
+				if weights {
+					r.Weights[p] = r.Weights[i]
+				}
 			}
 		case w < lo:
 			copy(r.Neighbors[w:], ns)
-			copy(r.Weights[w:], r.Weights[lo:hi])
+			if weights {
+				copy(r.Weights[w:], r.Weights[lo:hi])
+			}
 			w += hi - lo
 		default:
 			w = hi
@@ -764,7 +792,10 @@ func (r *Rows) clean(own bool, mark []uint8) *Rows {
 		}
 		lo = hi
 	}
-	r.Neighbors, r.Weights = r.Neighbors[:w], r.Weights[:w]
+	r.Neighbors = r.Neighbors[:w]
+	if weights {
+		r.Weights = r.Weights[:w]
+	}
 	return r
 }
 
@@ -774,7 +805,7 @@ func (r *Rows) clean(own bool, mark []uint8) *Rows {
 // block up to storeInlineCap; past it a log whose head grew 8 → 16 → 32
 // → 64 by append; past storeLinearMax a hub record, its chunks and the
 // table reindex sizes for them.
-func (a *adjacency) place(v VertexID, ns []VertexID, ws []float32) {
+func (a *adjacency[W]) place(v VertexID, ns []VertexID, ws []W) {
 	h := &a.hdr[v]
 	h.deg = uint32(len(ns))
 	switch {
@@ -794,7 +825,7 @@ func (a *adjacency) place(v VertexID, ns []VertexID, ws []float32) {
 			c *= 2
 		}
 		l.nbr = append(make([]VertexID, 0, c), ns[:head]...)
-		l.wgt = append(make([]float32, 0, c), ws[:head]...)
+		l.wgt = append(make([]W, 0, c), ws[:head]...)
 		if len(ns) == head {
 			return
 		}
@@ -863,10 +894,9 @@ func (st *Store) AddEdge(src, dst VertexID, w float32) bool {
 		panic(fmt.Sprintf("graph: Store.AddEdge(%d,%d) out of range (V=%d)", src, dst, st.numVertices))
 	}
 	if _, existed := st.out.insert(src, dst, w); existed {
-		st.in.insert(dst, src, w) // reweights the mirror
-		return false
+		return false // a re-weight: the mirror holds no weight
 	}
-	st.in.add(dst, src, w, -1)
+	st.in.add(dst, src, struct{}{}, -1)
 	st.numEdges++
 	return true
 }
@@ -900,10 +930,12 @@ func (st *Store) OutEdges(src VertexID, r int) ([]VertexID, []float32) {
 	return st.out.run(src, r)
 }
 
-// InEdges returns run r of dst's in-neighbours and their weights, with
-// the same runs and aliasing contract as OutEdges.
-func (st *Store) InEdges(dst VertexID, r int) ([]VertexID, []float32) {
-	return st.in.run(dst, r)
+// InEdges returns run r of dst's in-neighbours, with the same runs and
+// aliasing contract as OutEdges. The mirror holds IDs only: an in-edge's
+// weight is EdgeWeight(u, dst), read from u's out-row.
+func (st *Store) InEdges(dst VertexID, r int) []VertexID {
+	ns, _ := st.in.run(dst, r)
+	return ns
 }
 
 // Apply applies a batch of updates in order and returns what changed
@@ -947,7 +979,7 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 		oldW, existed := st.out.insert(u.Edge.Src, u.Edge.Dst, u.Edge.Weight)
 		switch {
 		case !existed:
-			st.in.add(u.Edge.Dst, u.Edge.Src, u.Edge.Weight, -1)
+			st.in.add(u.Edge.Dst, u.Edge.Src, struct{}{}, -1)
 			st.numEdges++
 			res.Added++
 			affect(u.Edge.Dst, touchAffected)
@@ -955,7 +987,6 @@ func (st *Store) Apply(batch []Update) ApplyResult {
 			res.Skipped++
 			continue
 		default:
-			st.in.insert(u.Edge.Dst, u.Edge.Src, u.Edge.Weight)
 			res.WeightChanged++
 			res.DeletedEdges = append(res.DeletedEdges,
 				Edge{Src: u.Edge.Src, Dst: u.Edge.Dst, Weight: oldW})

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // storeByInserts is the store an AddEdge per edge leaves, growing the
@@ -23,8 +24,8 @@ func storeByInserts(numVertices int, edges []Edge) *Store {
 }
 
 // rowBits is v's row in a, its runs concatenated, with the weights as
-// bits.
-func rowBits(a *adjacency, v VertexID) ([]VertexID, []uint32) {
+// bits: none in the in-edge mirror, which holds IDs only.
+func rowBits[W weight](a *adjacency[W], v VertexID) ([]VertexID, []uint32) {
 	var ns []VertexID
 	var ws []uint32
 	for r := 0; ; r++ {
@@ -34,46 +35,24 @@ func rowBits(a *adjacency, v VertexID) ([]VertexID, []uint32) {
 		}
 		ns = append(ns, rn...)
 		for _, w := range rw {
-			ws = append(ws, math.Float32bits(w))
+			if w, ok := any(w).(float32); ok {
+				ws = append(ws, math.Float32bits(w))
+			}
 		}
 	}
 }
 
 // sameStore checks got holds want's graph in want's shape: the counts,
-// then per vertex and direction the row order, the weights' bits, the
-// tier, a log's head capacity, table size and chunk count, and last the
-// WriteBinary bytes.
+// then per vertex and direction (sameAdjacency) the row order, the
+// out-weights' bits, the tier, a log's head capacity, table size and
+// chunk count, and last the WriteBinary bytes.
 func sameStore(t *testing.T, label string, want, got *Store) {
 	t.Helper()
 	if want.NumVertices() != got.NumVertices() || want.NumEdges() != got.NumEdges() {
 		t.Fatalf("%s: %d vertices, %d edges; want %d, %d", label, got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
-	for _, d := range []struct {
-		name      string
-		want, got *adjacency
-	}{{"out", &want.out, &got.out}, {"in", &want.in, &got.in}} {
-		for v := range VertexID(want.NumVertices()) {
-			wn, ww := rowBits(d.want, v)
-			gn, gw := rowBits(d.got, v)
-			if !slices.Equal(wn, gn) || !slices.Equal(ww, gw) {
-				t.Fatalf("%s: %s-row of %d is %v %v, want %v %v", label, d.name, v, gn, gw, wn, ww)
-			}
-			if wt, gt := tierOf(d.want, v), tierOf(d.got, v); wt != gt {
-				t.Fatalf("%s: %s-row of %d (degree %d) is %s, want %s", label, d.name, v, len(wn), gt, wt)
-			}
-			if d.want.hdr[v].loc&locSpilled == 0 {
-				continue
-			}
-			wl, gl := d.want.logs.at(d.want.hdr[v].loc&^locSpilled), d.got.logs.at(d.got.hdr[v].loc&^locSpilled)
-			if cap(wl.nbr) != cap(gl.nbr) || cap(wl.wgt) != cap(gl.wgt) || len(wl.index) != len(gl.index) {
-				t.Fatalf("%s: %s-log of %d (degree %d): head cap %d/%d, table %d words; want %d/%d, %d",
-					label, d.name, v, len(wn), cap(gl.nbr), cap(gl.wgt), len(gl.index), cap(wl.nbr), cap(wl.wgt), len(wl.index))
-			}
-			if wl.hub != nil && len(wl.hub.chunks) != len(gl.hub.chunks) {
-				t.Fatalf("%s: %s-log of %d holds %d chunks, want %d", label, d.name, v, len(gl.hub.chunks), len(wl.hub.chunks))
-			}
-		}
-	}
+	sameAdjacency(t, label+": out", &want.out, &got.out)
+	sameAdjacency(t, label+": in", &want.in, &got.in)
 	var wantBin, gotBin bytes.Buffer
 	if err := want.WriteBinary(&wantBin); err != nil {
 		t.Fatal(err)
@@ -83,6 +62,36 @@ func sameStore(t *testing.T, label string, want, got *Store) {
 	}
 	if !bytes.Equal(wantBin.Bytes(), gotBin.Bytes()) {
 		t.Fatalf("%s: WriteBinary differs", label)
+	}
+}
+
+// sameAdjacency is sameStore's check of one direction. A weight head's
+// capacity is checked only where weights take bytes: appending to a
+// zero-size slice reports its length as its capacity.
+func sameAdjacency[W weight](t *testing.T, label string, want, got *adjacency[W]) {
+	t.Helper()
+	var zero W
+	weighted := unsafe.Sizeof(zero) > 0
+	for v := range VertexID(len(want.hdr)) {
+		wn, ww := rowBits(want, v)
+		gn, gw := rowBits(got, v)
+		if !slices.Equal(wn, gn) || !slices.Equal(ww, gw) {
+			t.Fatalf("%s-row of %d is %v %v, want %v %v", label, v, gn, gw, wn, ww)
+		}
+		if wt, gt := tierOf(want, v), tierOf(got, v); wt != gt {
+			t.Fatalf("%s-row of %d (degree %d) is %s, want %s", label, v, len(wn), gt, wt)
+		}
+		if want.hdr[v].loc&locSpilled == 0 {
+			continue
+		}
+		wl, gl := want.logs.at(want.hdr[v].loc&^locSpilled), got.logs.at(got.hdr[v].loc&^locSpilled)
+		if cap(wl.nbr) != cap(gl.nbr) || weighted && cap(wl.wgt) != cap(gl.wgt) || len(wl.index) != len(gl.index) {
+			t.Fatalf("%s-log of %d (degree %d): head cap %d/%d, table %d words; want %d/%d, %d",
+				label, v, len(wn), cap(gl.nbr), cap(gl.wgt), len(gl.index), cap(wl.nbr), cap(wl.wgt), len(wl.index))
+		}
+		if wl.hub != nil && len(wl.hub.chunks) != len(gl.hub.chunks) {
+			t.Fatalf("%s-log of %d holds %d chunks, want %d", label, v, len(gl.hub.chunks), len(wl.hub.chunks))
+		}
 	}
 }
 
@@ -166,12 +175,8 @@ func TestStoreFromEdgesMatchesInserts(t *testing.T) {
 		}
 	}
 	st := NewStoreFromEdges(wide+2, hubs)
-	for _, a := range []*adjacency{&st.out, &st.in} {
-		v := VertexID(0)
-		if a == &st.in {
-			v = 1
-		}
-		if slots := a.logs.at(a.hdr[v].loc &^ locSpilled).slots(); slots <= indexNarrowSlots {
+	for v, slots := range []int{tableSlots(&st.out, 0), tableSlots(&st.in, 1)} {
+		if slots <= indexNarrowSlots {
 			t.Fatalf("hub %d's table has %d slots, want past %d", v, slots, indexNarrowSlots)
 		}
 	}

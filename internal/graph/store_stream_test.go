@@ -84,11 +84,12 @@ func BenchmarkNewStoreFromEdges(b *testing.B) {
 }
 
 // storeBytesPerInsert is the allocation budget of one streamed insert:
-// 1.2 × the 39.6 B measured with 16-bit hub tables (32-bit tables
-// measured 47.9 B, copy-on-grow hub logs 61.2 B, the two-tier store
-// before them 101.0 B), so a growth regression fails here and not only
-// in the benchmark.
-const storeBytesPerInsert = 1.2 * 39.6
+// 1.2 × the 32.7 B measured with an ID-only in-edge mirror (a mirror
+// holding weights measured 39.6 B, 32-bit hub tables 47.9 B,
+// copy-on-grow hub logs 61.2 B, the two-tier store before them
+// 101.0 B), so a growth regression fails here and not only in the
+// benchmark.
+const storeBytesPerInsert = 1.2 * 32.7
 
 // TestStoreInsertStreamAllocBudget holds insertStream's store growth to
 // storeBytesPerInsert bytes per inserted edge, out- and in-adjacency
@@ -124,13 +125,14 @@ func liveGrowth(build func() *graph.Store) float64 {
 // 8-byte headers and its 1-byte touch mark (a 4-byte touch epoch before
 // it), on top of storeFixedBytes for the Store's own fields and whatever
 // the runtime allocates around the measurement. The warm-up budget is
-// 1.1 × the 894,032 live bytes measured for it with 16-bit hub tables
-// (32-bit tables held 1,071,696, copy-on-grow hub logs 1,097,856, the
-// slab-and-pointer layout before the vertex table 1,883,312).
+// 1.1 × the 501,920 live bytes measured for it with an ID-only in-edge
+// mirror (a mirror holding weights held 894,032, 32-bit hub tables
+// 1,071,696, copy-on-grow hub logs 1,097,856, the slab-and-pointer
+// layout before the vertex table 1,883,312).
 const (
 	storeBytesPerEmptyVertex = 2*8 + 1
 	storeFixedBytes          = 64 << 10
-	storeWarmupLiveBytes     = 1.1 * 894_032
+	storeWarmupLiveBytes     = 1.1 * 501_920
 )
 
 // TestStoreFootprintBudget holds the store's live heap (a) over a million

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // randomUpdates produces a batch mixing inserts, deletes, reweights,
@@ -99,7 +101,7 @@ func outRow(st *Store, v VertexID) []VertexID {
 }
 
 // tierOf names the representation holding v's adjacency in a.
-func tierOf(a *adjacency, v VertexID) string {
+func tierOf[W weight](a *adjacency[W], v VertexID) string {
 	switch h := a.hdr[v]; {
 	case h.loc == 0:
 		return "empty"
@@ -134,7 +136,9 @@ func matchBuilder(t *testing.T, label string, b *Builder, st *Store, ups []Updat
 }
 
 // sameGraph checks the Store holds the Builder's graph: edge lists, the
-// sealed snapshot and its CSC mirror, and the checkpoint bytes.
+// sealed snapshot and its CSC mirror, the store's own in-edge mirror —
+// each vertex's in-neighbours as a set, their weights through
+// EdgeWeight — and the checkpoint bytes.
 func sameGraph(t *testing.T, label string, b *Builder, st *Store) {
 	t.Helper()
 	bs := b.Snapshot()
@@ -152,6 +156,25 @@ func sameGraph(t *testing.T, label string, b *Builder, st *Store) {
 		!slices.Equal(bs.InNeighbors, ss.InNeighbors) ||
 		!slices.Equal(bs.InWeights, ss.InWeights) {
 		t.Fatalf("%s: CSC mirrors diverge", label)
+	}
+	for v := range VertexID(st.NumVertices()) {
+		var ins []VertexID
+		for r := 0; ; r++ {
+			ns := st.InEdges(v, r)
+			if len(ns) == 0 {
+				break
+			}
+			ins = append(ins, ns...)
+		}
+		slices.Sort(ins)
+		if !slices.Equal(ins, bs.InNeighborsOf(v)) || len(ins) != st.InDegree(v) {
+			t.Fatalf("%s: in-neighbours of %d are %v (in-degree %d), want %v", label, v, ins, st.InDegree(v), bs.InNeighborsOf(v))
+		}
+		for i, u := range ins {
+			if w, ok := st.EdgeWeight(u, v); !ok || math.Float32bits(w) != math.Float32bits(bs.InWeightsOf(v)[i]) {
+				t.Fatalf("%s: in-edge %d→%d weighs (%v, %v), want %v", label, u, v, w, ok, bs.InWeightsOf(v)[i])
+			}
+		}
 	}
 	var wantBin, gotBin bytes.Buffer
 	if err := bs.WriteBinary(&wantBin); err != nil {
@@ -194,7 +217,7 @@ func TestStoreMatchesBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	st, b := NewStore(2), NewBuilder(2)
 	moves := map[string]bool{}
-	prev := map[*adjacency][2]string{&st.out: {"empty", "empty"}, &st.in: {"empty", "empty"}}
+	prev := [2][2]string{{"empty", "empty"}, {"empty", "empty"}} // out, in
 	for batch := 0; batch < 60; batch++ {
 		del := 0.1
 		if batch >= 25 {
@@ -203,12 +226,11 @@ func TestStoreMatchesBuilder(t *testing.T) {
 		label := fmt.Sprintf("hub batch %d", batch)
 		matchBuilder(t, label, b, st, hubUpdates(rng, 60, 200, del))
 		sameGraph(t, label, b, st)
-		for a, was := range prev {
-			now := [2]string{tierOf(a, 0), tierOf(a, 1)}
+		for d, now := range [2][2]string{{tierOf(&st.out, 0), tierOf(&st.out, 1)}, {tierOf(&st.in, 0), tierOf(&st.in, 1)}} {
 			for h := range now {
-				moves[was[h]+" → "+now[h]] = true
+				moves[prev[d][h]+" → "+now[h]] = true
 			}
-			prev[a] = now
+			prev[d] = now
 		}
 	}
 	for _, m := range []string{"empty → linear", "linear → indexed", "indexed → linear"} {
@@ -226,29 +248,23 @@ func TestStoreMatchesBuilder(t *testing.T) {
 	const nv = 24
 	st, b = NewStore(nv), NewBuilder(nv)
 	moves = map[string]bool{}
-	tiers := map[*adjacency][]string{&st.out: make([]string, nv), &st.in: make([]string, nv)}
+	tiers := [2][]string{make([]string, nv), make([]string, nv)} // out, in
 	for _, was := range tiers {
 		for v := range was {
 			was[v] = "empty"
 		}
 	}
-	peak := map[*adjacency]int{}
+	var peak [2]int
 	steps := func(ups []Update) {
 		t.Helper()
 		for _, u := range ups {
 			matchBuilder(t, fmt.Sprintf("single update %v", u), b, st, []Update{u})
-			for a, was := range tiers {
-				live := 0
-				for v := range was {
-					now := tierOf(a, VertexID(v))
-					moves[was[v]+" → "+now] = true
-					was[v] = now
-					if now == "inline" {
-						live++
-					}
-				}
-				if peak[a] = max(peak[a], live); int(a.blocks.issued) != peak[a] {
-					t.Fatalf("after %v: %d blocks issued, at most %d inline at once", u, a.blocks.issued, peak[a])
+			for d, c := range [2][2]int{
+				{tierMoves(&st.out, tiers[0], moves), int(st.out.blocks.issued)},
+				{tierMoves(&st.in, tiers[1], moves), int(st.in.blocks.issued)},
+			} {
+				if peak[d] = max(peak[d], c[0]); c[1] != peak[d] {
+					t.Fatalf("after %v: %d blocks issued, at most %d inline at once", u, c[1], peak[d])
 				}
 			}
 		}
@@ -286,7 +302,7 @@ func TestStoreMatchesBuilder(t *testing.T) {
 	// once.
 	const hv = 256
 	st, b = NewStore(hv), NewBuilder(hv)
-	peak = map[*adjacency]int{}
+	peak = [2]int{}
 	chunksAt := func(deg int) int { return (deg - storeLinearMax + storeChunkCap - 1) / storeChunkCap }
 	chunkSteps := func(hub VertexID, from, to int) {
 		t.Helper()
@@ -299,17 +315,12 @@ func TestStoreMatchesBuilder(t *testing.T) {
 				d++
 			}
 			matchBuilder(t, fmt.Sprintf("hub update %v", u), b, st, []Update{u})
-			for _, a := range []*adjacency{&st.out, &st.in} {
-				live := 0
-				for _, h := range a.hdr {
-					if h.loc&locSpilled != 0 {
-						if hr := a.logs.at(h.loc &^ locSpilled).hub; hr != nil {
-							live += len(hr.chunks)
-						}
-					}
-				}
-				if peak[a] = max(peak[a], live); int(a.chunks.pool.issued) != peak[a] {
-					t.Fatalf("after %v: %d chunks issued, at most %d live at once", u, a.chunks.pool.issued, peak[a])
+			for d, c := range [2][2]int{
+				{liveChunks(&st.out), int(st.out.chunks.pool.issued)},
+				{liveChunks(&st.in), int(st.in.chunks.pool.issued)},
+			} {
+				if peak[d] = max(peak[d], c[0]); c[1] != peak[d] {
+					t.Fatalf("after %v: %d chunks issued, at most %d live at once", u, c[1], peak[d])
 				}
 			}
 		}
@@ -333,6 +344,56 @@ func TestStoreMatchesBuilder(t *testing.T) {
 			chunksAt(200), chunksAt(200)-chunksAt(150))
 	}
 	sameGraph(t, "hub chunks", b, st)
+}
+
+// tierMoves records in moves each vertex's move from its tier in was to
+// its tier in a, updates was, and returns how many vertices are inline.
+func tierMoves[W weight](a *adjacency[W], was []string, moves map[string]bool) (inline int) {
+	for v := range was {
+		now := tierOf(a, VertexID(v))
+		moves[was[v]+" → "+now] = true
+		was[v] = now
+		if now == "inline" {
+			inline++
+		}
+	}
+	return inline
+}
+
+// liveChunks counts the chunks a's hub records hold.
+func liveChunks[W weight](a *adjacency[W]) (live int) {
+	for _, h := range a.hdr {
+		if h.loc&locSpilled != 0 {
+			if hr := a.logs.at(h.loc &^ locSpilled).hub; hr != nil {
+				live += len(hr.chunks)
+			}
+		}
+	}
+	return live
+}
+
+// tableSlots is the slot count of spilled vertex v's table in a.
+func tableSlots[W weight](a *adjacency[W], v VertexID) int {
+	return a.logs.at(a.hdr[v].loc &^ locSpilled).slots()
+}
+
+// TestStoreMirrorHoldsNoWeights pins the slot sizes: the in-edge
+// mirror's inline blocks and chunks hold IDs alone, half the out-edges'
+// (a zero-size weight array placed last would be padded).
+func TestStoreMirrorHoldsNoWeights(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"out inline block", unsafe.Sizeof(inlineBlock[float32]{}), 32},
+		{"in inline block", unsafe.Sizeof(inlineBlock[struct{}]{}), 16},
+		{"out chunk", unsafe.Sizeof(edgeChunk[float32]{}), 512},
+		{"in chunk", unsafe.Sizeof(edgeChunk[struct{}]{}), 256},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d", c.name, c.got, c.want)
+		}
+	}
 }
 
 // TestStoreApplyTouchMarks: Apply clears its first-touch marks from the
@@ -465,8 +526,9 @@ func TestStoreHighDegreeSpill(t *testing.T) {
 
 // indexCensus checks v's table in a: one word per slot up to 65,536
 // slots and two above, every live position filed once, tombstones as
-// counted. It returns the slot count and the table's first word.
-func indexCensus(t *testing.T, label string, a *adjacency, v VertexID) (int, *uint16) {
+// counted. It returns the slot count, the table's first word, the
+// tombstone count and v's newest neighbour (its last log position).
+func indexCensus[W weight](t *testing.T, label string, a *adjacency[W], v VertexID) (int, *uint16, int, VertexID) {
 	t.Helper()
 	l := a.logs.at(a.hdr[v].loc &^ locSpilled)
 	slots, words := l.slots(), 1
@@ -493,7 +555,8 @@ func indexCensus(t *testing.T, label string, a *adjacency, v VertexID) (int, *ui
 	if live != deg || tombs != l.hub.tombs {
 		t.Fatalf("%s: vertex %d's table files %d positions and %d tombstones; degree %d, %d counted", label, v, live, tombs, deg, l.hub.tombs)
 	}
-	return slots, &l.index[0]
+	newest, _ := l.at(deg - 1)
+	return slots, &l.index[0], tombs, *newest
 }
 
 // TestStoreIndexWidth carries out-hub 0 and in-hub 1 past 49,152 edges,
@@ -508,16 +571,17 @@ func TestStoreIndexWidth(t *testing.T) {
 	st, b := NewStore(nv), NewBuilder(nv)
 	rng := rand.New(rand.NewSource(3))
 	hubs := []struct {
-		a   *adjacency
-		v   VertexID
-		upd func(u VertexID, w float32, del bool) Update
+		census func(label string) (slots int, first *uint16, tombs int, newest VertexID)
+		upd    func(u VertexID, w float32, del bool) Update
 	}{
-		{&st.out, 0, func(u VertexID, w float32, del bool) Update {
-			return Update{Edge: Edge{Src: 0, Dst: u, Weight: w}, Delete: del}
-		}},
-		{&st.in, 1, func(u VertexID, w float32, del bool) Update {
-			return Update{Edge: Edge{Src: u, Dst: 1, Weight: w}, Delete: del}
-		}},
+		{func(label string) (int, *uint16, int, VertexID) { return indexCensus(t, label, &st.out, 0) },
+			func(u VertexID, w float32, del bool) Update {
+				return Update{Edge: Edge{Src: 0, Dst: u, Weight: w}, Delete: del}
+			}},
+		{func(label string) (int, *uint16, int, VertexID) { return indexCensus(t, label, &st.in, 1) },
+			func(u VertexID, w float32, del bool) Update {
+				return Update{Edge: Edge{Src: u, Dst: 1, Weight: w}, Delete: del}
+			}},
 	}
 	next, narrowMax, crossed := VertexID(2), 0, false
 	var gone []VertexID
@@ -545,7 +609,7 @@ func TestStoreIndexWidth(t *testing.T) {
 		matchBuilder(t, label, b, st, ups)
 		wide := false
 		for _, h := range hubs {
-			slots, _ := indexCensus(t, label, h.a, h.v)
+			slots, _, _, _ := h.census(label)
 			if slots <= 1<<16 {
 				narrowMax = max(narrowMax, slots)
 			}
@@ -560,29 +624,27 @@ func TestStoreIndexWidth(t *testing.T) {
 		t.Fatalf("climb: largest one-word table %d slots, crossed %v; want 65536 and a crossing", narrowMax, crossed)
 	}
 	for i, h := range hubs {
-		l := h.a.logs.at(h.a.hdr[h.v].loc &^ locSpilled)
-		slots, first := indexCensus(t, "slide", h.a, h.v)
-		last, _ := l.at(int(h.a.hdr[h.v].deg) - 1)
-		newest := *last
+		slots, first, tombs, newest := h.census("slide")
 		for rounds := 0; ; rounds++ {
 			if rounds == 16 {
 				t.Fatalf("hub %d: no same-size rebuild after %d constant-degree pairs", i, rounds*batch)
 			}
-			tombs, ups := l.hub.tombs, make([]Update, 0, 2*batch)
+			ups := make([]Update, 0, 2*batch)
 			for k := 0; k < batch; k++ {
 				ups = append(ups, h.upd(newest, 0, true), h.upd(next, float32(k), false))
 				newest, next = next, next+1
 			}
 			label := fmt.Sprintf("hub %d slide round %d", i, rounds)
 			matchBuilder(t, label, b, st, ups)
-			s, f := indexCensus(t, label, h.a, h.v)
+			s, f, after, _ := h.census(label)
 			if s != slots || f != first {
 				t.Fatalf("%s: table went from %d to %d slots, moved %v", label, slots, s, f != first)
 			}
-			if l.hub.tombs < tombs { // a pair never lowers the count: rebuilt
+			if after < tombs { // a pair never lowers the count: rebuilt
 				t.Logf("hub %d: rebuilt in place at %d slots after %d constant-degree pairs", i, slots, (rounds+1)*batch)
 				break
 			}
+			tombs = after
 		}
 	}
 	sameGraph(t, "end", b, st)

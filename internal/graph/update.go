@@ -34,27 +34,36 @@ type ApplyResult struct {
 // destination IDs, preserving per-destination source order (sorted, since
 // sources are visited in increasing order).
 func buildCSC(s *Snapshot) {
+	r := cscRows(s, true)
+	s.InOffsets, s.InNeighbors, s.InWeights = r.Offsets, r.Neighbors, r.Weights
+}
+
+// cscRows is the counting sort behind buildCSC: s's CSR edges grouped by
+// destination, carrying their weights only if weights is set (the
+// Store's mirror keeps none).
+func cscRows(s *Snapshot, weights bool) *Rows {
 	n := s.NumVertices
-	counts := make([]uint64, n+1)
+	r := &Rows{Offsets: make([]uint64, n+1), Neighbors: make([]VertexID, len(s.Neighbors))}
 	for _, d := range s.Neighbors {
-		counts[d+1]++
+		r.Offsets[d+1]++
 	}
 	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
+		r.Offsets[i+1] += r.Offsets[i]
 	}
-	s.InOffsets = make([]uint64, n+1)
-	copy(s.InOffsets, counts)
-	s.InNeighbors = make([]VertexID, len(s.Neighbors))
-	s.InWeights = make([]float32, len(s.Neighbors))
+	if weights {
+		r.Weights = make([]float32, len(s.Neighbors))
+	}
 	cursor := make([]uint64, n)
 	for v := 0; v < n; v++ {
 		base := s.Offsets[v]
-		ns := s.OutNeighbors(VertexID(v))
-		for i, d := range ns {
-			pos := s.InOffsets[d] + cursor[d]
+		for i, d := range s.OutNeighbors(VertexID(v)) {
+			pos := r.Offsets[d] + cursor[d]
 			cursor[d]++
-			s.InNeighbors[pos] = VertexID(v)
-			s.InWeights[pos] = s.Weights[base+uint64(i)]
+			r.Neighbors[pos] = VertexID(v)
+			if weights {
+				r.Weights[pos] = s.Weights[base+uint64(i)]
+			}
 		}
 	}
+	return r
 }

@@ -70,8 +70,9 @@ func TestSessionSteadyStateZeroAllocs(t *testing.T) {
 			s.ApplyBatch(isoDel)
 			ns, ws := st.OutEdges(root, 0)
 			rotate(graph.Edge{Src: root, Dst: ns[0], Weight: ws[0]})
-			ns, ws = st.InEdges(inHub, 0)
-			rotate(graph.Edge{Src: ns[0], Dst: inHub, Weight: ws[0]})
+			ns = st.InEdges(inHub, 0)
+			w, _ := st.EdgeWeight(ns[0], inHub)
+			rotate(graph.Edge{Src: ns[0], Dst: inHub, Weight: w})
 		}
 		// Warm up: grow every reusable buffer to steady-state capacity.
 		for i := 0; i < 50; i++ {

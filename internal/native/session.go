@@ -416,10 +416,11 @@ func (s *Session) repairAndSeed(res graph.ApplyResult) {
 	for _, v := range s.tagged {
 		best, bestPar := s.mono.InitialValue(v), uint32(0)
 		for r, left := 0, s.store.InDegree(v); left > 0; r++ {
-			ns, ws := s.store.InEdges(v, r)
+			ns := s.store.InEdges(v, r)
 			left -= len(ns)
-			for j, u := range ns {
-				cand := s.mono.Propagate(math.Float64frombits(s.states[u]), ws[j])
+			for _, u := range ns {
+				w, _ := s.store.EdgeWeight(u, v) // the mirror holds no weights
+				cand := s.mono.Propagate(math.Float64frombits(s.states[u]), w)
 				if s.mono.Better(cand, best) {
 					best, bestPar = cand, uint32(u)+1
 				}

@@ -231,6 +231,46 @@ func TestSessionTagsVictimOnce(t *testing.T) {
 	}
 }
 
+// TestSessionRegatherReadsCurrentWeight: the in-edge mirror holds IDs
+// only, so a re-gather reads each in-edge's weight from the out-row. One
+// batch re-weights an in-edge of 1 down (2→1: 20 → 1) and one of 4 up
+// (5→4: 1 → 9); the next deletes both vertices' parent edges, so each
+// must re-gather the candidate its in-edges weigh now: 1 through 2
+// (11, not 3's 12), 4 through 6 (6, not 5's 3 before the re-weight).
+func TestSessionRegatherReadsCurrentWeight(t *testing.T) {
+	a := algo.NewSSSP(0)
+	base := []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 2, Weight: 10}, {Src: 2, Dst: 1, Weight: 20},
+		{Src: 0, Dst: 3, Weight: 5}, {Src: 3, Dst: 1, Weight: 7},
+		{Src: 0, Dst: 4, Weight: 1}, {Src: 0, Dst: 5, Weight: 2}, {Src: 5, Dst: 4, Weight: 1},
+		{Src: 0, Dst: 6, Weight: 4}, {Src: 6, Dst: 4, Weight: 2},
+	}
+	batches := [][]graph.Update{
+		{{Edge: graph.Edge{Src: 2, Dst: 1, Weight: 1}}, {Edge: graph.Edge{Src: 5, Dst: 4, Weight: 9}}},
+		{{Edge: graph.Edge{Src: 0, Dst: 1}, Delete: true}, {Edge: graph.Edge{Src: 0, Dst: 4}, Delete: true}},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		st, ref := graph.NewStoreFromEdges(7, base), graph.NewStoreFromEdges(7, base)
+		s := NewSession(a, st, Config{Workers: workers})
+		for i, b := range batches {
+			ref.Apply(b)
+			s.ApplyBatch(b)
+			ctx := fmt.Sprintf("w%d/batch %d", workers, i)
+			want, parents := algo.ReferenceWithParents(a, ref.Seal())
+			bitsEqual(t, ctx, s.StatesCopy(), want)
+			for v, p := range parents {
+				if got := int32(s.meta[v]&metaParent) - 1; got != p {
+					t.Fatalf("%s: vertex %d's parent is %d, want %d", ctx, v, got, p)
+				}
+			}
+		}
+		if m := s.Metrics(); m.Get(stats.CtrResets) != 2 {
+			t.Fatalf("w%d: %d resets; want 2, vertices 1 and 4", workers, m.Get(stats.CtrResets))
+		}
+		s.Close()
+	}
+}
+
 // checkForest is the forest oracle, the property the spinlock exists
 // for: after a batch no vertex is left queued or locked; a self-supported
 // vertex holds its initial value; every other vertex's parent edge is in

@@ -113,6 +113,7 @@ func (f *Follower) Pipeline() *serve.Pipeline { return f.pipe }
 func (f *Follower) Close() error {
 	f.sessionMu.Lock()
 	defer f.sessionMu.Unlock()
+	//tdgraph:allow lockhold closing the pipeline is a move sessionMu serialises; its final checkpoint reads local generation headers, waiting only for the disk
 	return f.pipe.Close()
 }
 
@@ -280,6 +281,7 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 	// was logged, and the primary re-ships from the Welcome sequence.
 	f.group.reset()
 	for {
+		//tdgraph:allow lockhold a silent primary's session is severed by the node's lease monitor after LeaseTimeout, or by Node.Close, which ends this read
 		fr, err := readFrameInto(conn, &f.recvFrame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {

@@ -64,7 +64,7 @@ func openSegReader(fs FS, dir string, seg segInfo, off int64, want uint64) (*seg
 	}
 	r := &segReader{seg: seg, f: f, br: bufio.NewReader(f), off: off, want: want}
 	if off > 0 {
-		if _, err := io.CopyN(io.Discard, r.br, off); err != nil {
+		if _, err := r.br.Discard(int(off)); err != nil {
 			f.Close()
 			return nil, &LogError{Segment: seg.name, Offset: off,
 				Err: fmt.Errorf("%w: segment shrank below a validated boundary", ErrCorrupt)}
