@@ -98,13 +98,17 @@ bench-module:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# The two sizes ROADMAP tracks: non-test and test Go lines, leaving out
-# the benchmark module and the analyzer's fixture packages.
+# The sizes ROADMAP tracks: non-test and test Go lines, leaving out the
+# analyzer's fixture packages, for the root module and, on their own
+# lines, for the nested benchmark module (read only).
 LOC_FIND := find . -name '*.go' -not -path './.git/*' -not -path './benchmark/*' -not -path '*/testdata/*'
+BENCH_LOC_FIND := find ./benchmark -name '*.go' -not -path '*/testdata/*'
 
 loc:
 	@echo "non-test Go lines: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
+	@echo "benchmark/ non-test Go lines: $$($(BENCH_LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "benchmark/ test Go lines:     $$($(BENCH_LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
 
 # Paper-figure golden check: every simulated experiment at -scale 0.06
 # must print the output committed under internal/bench/testdata/figures/,

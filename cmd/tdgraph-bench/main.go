@@ -7,7 +7,7 @@
 //	tdgraph-bench -exp fig10 [-scale 0.25] [-datasets LJ,OR] [-algos sssp] [-cores 64] [-seed 1]
 //	tdgraph-bench -exp all
 //	tdgraph-bench -exp robust -seed 7
-//	tdgraph-bench -exp fig10 -faults corrupt,oob -validate clamp -timeout 2m
+//	tdgraph-bench -exp fig10 -timeout 2m
 //	tdgraph-bench -nativejson BENCH_native.json
 //
 // -nativejson measures the wall-clock production apply path — the
@@ -36,8 +36,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		natjson  = flag.String("nativejson", "", "measure the native apply path (incremental session vs per-batch seal + from-scratch recompute) and write BENCH_native.json to this path")
-		faults   = flag.String("faults", "", "seeded fault-injection spec over the batch classes corrupt dup reorder oob badweight selfloop, e.g. 'corrupt,oob:0.1,badweight' (seeded by -seed)")
-		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine (clamp forced when -faults is set)")
 		timeout  = flag.Duration("timeout", 0, "per-cell watchdog deadline (0 = unbounded)")
 	)
 	flag.Parse()
@@ -50,9 +48,7 @@ func main() {
 	}
 	opt := bench.Options{
 		Scale: *scale, Cores: *cores, Seed: *seed, CSV: *csvOut,
-		Faults:      *faults,
-		FaultPolicy: *validate,
-		Timeout:     *timeout,
+		Timeout: *timeout,
 	}
 	if *datasets != "" {
 		opt.Datasets = strings.Split(*datasets, ",")

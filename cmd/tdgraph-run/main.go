@@ -15,8 +15,8 @@
 //
 // With -engine native the batches run through the production
 // incremental engine (mutable hybrid store, persistent worklists) at
-// wall-clock speed instead of the simulated machine; -scheme, -cores,
-// -trace and -timeout are simulator-only and ignored.
+// wall-clock speed instead of the simulated machine; -scheme, -cores
+// and -timeout are simulator-only and ignored.
 package main
 
 import (
@@ -51,7 +51,6 @@ func main() {
 		cores    = flag.Int("cores", 64, "simulated cores")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		verify   = flag.Bool("verify", true, "check every batch against the full-recompute oracle")
-		trace    = flag.String("trace", "", "write a memory access trace of the last batch to this file")
 		faults   = flag.String("faults", "", "seeded fault-injection spec over the batch classes corrupt dup reorder oob badweight selfloop, e.g. 'corrupt,oob:0.1,badweight' (seeded by -seed)")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine (clamp forced when -faults is set)")
 		timeout  = flag.Duration("timeout", 0, "per-batch watchdog deadline for the simulated run (0 = unbounded)")
@@ -124,21 +123,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var traceFile *os.File
-		if *trace != "" && i == len(w.Batches)-1 {
-			traceFile, err = os.Create(*trace)
-			if err != nil {
-				fatal(err)
-			}
-			cell.M.SetTrace(traceFile)
-		}
-		ctx := context.Background()
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
 		if *timeout > 0 {
-			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
 		}
 		r, err := cell.Run(ctx)
+		cancel()
 		if err != nil {
 			fatal(fmt.Errorf("batch %d: %w", i+1, err))
 		}
@@ -165,15 +155,6 @@ func main() {
 				copy(cell.Sys.Runtime().S, algo.Reference(a, c.NewG))
 				fmt.Printf("  divergence under injection (%v): degraded to full recompute\n", err)
 			}
-		}
-		if traceFile != nil {
-			if err := cell.M.FlushTrace(); err != nil {
-				fatal(err)
-			}
-			if err := traceFile.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("  memory trace written to %s\n", *trace)
 		}
 
 		// Carry the converged states into the next batch.

@@ -89,7 +89,6 @@ func main() {
 		peers     = flag.String("peers", "", "auto: the other members' addresses; client: cluster addresses to try (comma-separated)")
 		listen    = flag.String("listen", "", "auto: address to accept cluster connections on (required)")
 		advertise = flag.String("advertise", "", "auto: address peers dial this node by (default -listen)")
-		quorum    = flag.Int("quorum", 0, "auto: required acks counting the leader itself (0 = majority of cluster)")
 	)
 	flag.Parse()
 
@@ -194,8 +193,7 @@ func main() {
 			Collector:       stats.NewCollector(),
 			DiskLowWater:    uint64(*diskLow),
 		},
-		Quorum: *quorum,
-		SLO:    *slo,
+		SLO: *slo,
 	}
 	if *verbose {
 		ncfg.OnEvent = func(line string) { fmt.Println("node:", line) }
@@ -284,7 +282,7 @@ func printNodeStats(col *stats.Collector, term uint64) {
 // everything acked is durable, and a rerun over the same -wal resumes
 // past it.
 func runSolo(ctx context.Context, ncfg replica.NodeConfig, seed int64, deadline time.Duration, batches [][]graph.Update, verbose bool) error {
-	ncfg.Addr, ncfg.Peers, ncfg.Quorum = "", nil, 0 // one member, at the loopback port it binds
+	ncfg.Addr, ncfg.Peers = "", nil // one member, at the loopback port it binds
 	nodeCtx, stop := context.WithCancel(ctx)
 	defer stop()
 	bound := make(chan string, 1)

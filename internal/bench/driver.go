@@ -54,16 +54,6 @@ type Spec struct {
 	Alpha      float64
 
 	Seed int64
-
-	// Faults is a fault-injection spec ("class[:param],..." — see
-	// fault.Parse) applied to the measured batch, seeded by Seed so every
-	// injection run is reproducible. Empty disables injection.
-	Faults string
-	// FaultPolicy selects the ingestion validation policy for the
-	// (possibly mutated) batch: none|reject|clamp|quarantine. When
-	// Faults is set and FaultPolicy is empty, clamp is used so injected
-	// garbage cannot poison the measured cell.
-	FaultPolicy string
 }
 
 func (s Spec) withDefaults() Spec {
@@ -107,7 +97,7 @@ var (
 )
 
 func prepKey(s Spec) string {
-	return fmt.Sprintf("%s|%g|%s|%d|%d|%g|%d|%s|%s", s.Dataset, s.Scale, s.Algo, s.BatchSize, s.BatchDivisor, s.AddFraction, s.Seed, s.Faults, s.FaultPolicy)
+	return fmt.Sprintf("%s|%g|%s|%d|%d|%g|%d", s.Dataset, s.Scale, s.Algo, s.BatchSize, s.BatchDivisor, s.AddFraction, s.Seed)
 }
 
 // Prepare builds (or fetches from cache) the streaming case for a spec:
@@ -144,18 +134,11 @@ func Prepare(s Spec) (*enginetest.Case, error) {
 		NumBatches:     1,
 		Seed:           s.Seed,
 	}
-	_, validator, err := Ingest(&cfg, s.Faults, s.FaultPolicy, nv, nil)
-	if err != nil {
-		return nil, err
-	}
 	w := stream.Build(edges, nv, cfg)
 	if len(w.Batches) == 0 {
 		return nil, fmt.Errorf("bench: dataset %s at scale %g produced no batch", s.Dataset, s.Scale)
 	}
-	batch, err := validator.Sanitize(w.Batches[0])
-	if err != nil {
-		return nil, err
-	}
+	batch := w.Batches[0]
 	st := graph.NewStoreFromEdges(w.NumVertices, w.Warmup)
 	oldG := st.Seal()
 	a, err := enginetest.NewAlgorithm(s.Algo, nv, s.Seed)
@@ -169,12 +152,12 @@ func Prepare(s Spec) (*enginetest.Case, error) {
 	return c, nil
 }
 
-// Ingest is the one ingestion rule of the simulated runs: faults (a
-// fault.Parse spec over fault.BatchClasses, seeded by cfg.Seed) becomes
-// cfg.Mutate, and policy becomes the validator every batch passes
-// before the store. Faults without a policy mean clamp, so injected
-// garbage never reaches the store unchecked. The injector is nil
-// when faults is empty.
+// Ingest is tdgraph-run's ingestion rule (figure cells run on clean
+// batches): faults (a fault.Parse spec over fault.BatchClasses, seeded
+// by cfg.Seed) becomes cfg.Mutate, and policy becomes the validator
+// every batch passes before the store. Faults without a policy mean
+// clamp, so injected garbage never reaches the store unchecked. The
+// injector is nil when faults is empty.
 func Ingest(cfg *stream.Config, faults, policy string, nv int, col *stats.Collector) (*fault.Injector, *stream.Validator, error) {
 	var inj *fault.Injector
 	if faults != "" {

@@ -23,13 +23,6 @@ type Options struct {
 	Seed int64
 	// CSV renders experiment tables as CSV instead of aligned text.
 	CSV bool
-	// Faults injects seeded faults into every cell's measured batch
-	// (spec grammar: see fault.Parse). Empty disables injection.
-	Faults string
-	// FaultPolicy is the ingestion validation policy for every cell
-	// (none|reject|clamp|quarantine; clamp is forced when Faults is set
-	// and no policy is given).
-	FaultPolicy string
 	// Timeout bounds each cell's simulated run via the machine watchdog;
 	// 0 leaves runs unbounded.
 	Timeout time.Duration
@@ -110,14 +103,12 @@ var allAlgos = []string{"pagerank", "adsorption", "sssp", "cc"}
 // spec builds the base spec for an options/dataset/algo/scheme cell.
 func (o Options) spec(dataset, algoName, scheme string) Spec {
 	return Spec{
-		Dataset:     dataset,
-		Scale:       o.Scale,
-		Algo:        algoName,
-		Scheme:      scheme,
-		Cores:       o.Cores,
-		Seed:        o.Seed,
-		Faults:      o.Faults,
-		FaultPolicy: o.FaultPolicy,
+		Dataset: dataset,
+		Scale:   o.Scale,
+		Algo:    algoName,
+		Scheme:  scheme,
+		Cores:   o.Cores,
+		Seed:    o.Seed,
 	}
 }
 

@@ -231,27 +231,6 @@ func hangScenario(o Options) (FaultSuiteResult, error) {
 	return r, nil
 }
 
-// benchScenario runs a measured cell with the injector armed through
-// the driver's -faults path and verifies the result against the oracle.
-func benchScenario(o Options) (FaultSuiteResult, error) {
-	r := FaultSuiteResult{Scenario: "bench/faults"}
-	s := o.spec("AZ", "sssp", "TDGraph-H")
-	s.Scale = robustScale
-	s.Faults = "corrupt,dup,reorder,oob,badweight,selfloop"
-	c, err := Build(s, nil)
-	if err != nil {
-		return r, err
-	}
-	if _, err := c.Run(context.Background()); err != nil {
-		return r, err
-	}
-	if err := c.Case.Verify(c.Sys); err != nil {
-		return r, fmt.Errorf("%s: %w", r.Scenario, err)
-	}
-	r.Outcome = "cell measured under injection, states verified"
-	return r, nil
-}
-
 // RunFaultSuite executes every scenario and returns the rows in suite
 // order. It is the programmatic face of the "robust" experiment.
 func RunFaultSuite(o Options) ([]FaultSuiteResult, error) {
@@ -283,9 +262,6 @@ func RunFaultSuite(o Options) ([]FaultSuiteResult, error) {
 		return nil, err
 	}
 	if err := add(hangScenario(o)); err != nil {
-		return nil, err
-	}
-	if err := add(benchScenario(o)); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -23,7 +23,7 @@ func TestFaultSuiteCoversAllClasses(t *testing.T) {
 		"ingest/oob", "ingest/badweight", "ingest/selfloop",
 		"checkpoint/ckpt-trunc", "checkpoint/ckpt-flip",
 		"io/write-err", "io/read-err",
-		"state/diverge", "sim/hang", "bench/faults",
+		"state/diverge", "sim/hang",
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("suite produced %d rows, want %d", len(rows), len(want))
@@ -52,58 +52,6 @@ func TestFaultSuiteDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("two runs with one seed differ:\n%s\n--- vs ---\n%s", a.String(), b.String())
-	}
-	ClearCache()
-}
-
-// TestFaultSpecInPrepKey guards the cache key: two specs differing only
-// in fault configuration must prepare distinct cases.
-func TestFaultSpecInPrepKey(t *testing.T) {
-	s := Spec{Dataset: "AZ", Scale: 0.05, Algo: "sssp", Scheme: "TDGraph-H"}
-	f := s
-	f.Faults = "corrupt"
-	if prepKey(s.withDefaults()) == prepKey(f.withDefaults()) {
-		t.Fatal("fault spec absent from the preparation cache key")
-	}
-	p1, err := Prepare(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Prepare(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 == p2 {
-		t.Fatal("faulted and clean specs shared one prepared case")
-	}
-	if len(p2.Batch) == len(p1.Batch) {
-		// Injection duplicates some updates and validation drops others;
-		// identical lengths would suggest the injector never ran. Guard
-		// loosely — equality of content is what must differ.
-		same := true
-		for i := range p1.Batch {
-			if p1.Batch[i] != p2.Batch[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("faulted batch is identical to the clean batch")
-		}
-	}
-	ClearCache()
-}
-
-// TestRunCtxRejectsBadFaultSpec checks flag-style errors surface cleanly.
-func TestRunCtxRejectsBadFaultSpec(t *testing.T) {
-	s := Spec{Dataset: "AZ", Scale: 0.05, Algo: "sssp", Scheme: "TDGraph-H", Faults: "no-such-class"}
-	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "no-such-class") {
-		t.Fatalf("bad fault spec not rejected: %v", err)
-	}
-	s.Faults = ""
-	s.FaultPolicy = "bogus"
-	if _, err := Run(s); err == nil {
-		t.Fatal("bad validation policy not rejected")
 	}
 	ClearCache()
 }

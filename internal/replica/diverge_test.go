@@ -92,7 +92,7 @@ func TestDivergedFollowerRejected(t *testing.T) {
 
 	col := stats.NewCollector()
 	np := NewPrimary(PrimaryConfig{
-		Term: newTerm, ClusterSize: 3, Quorum: 1,
+		Term: newTerm, ClusterSize: 1,
 		WAL:       fb.cfg.Pipeline.WAL,
 		Collector: col,
 	})
@@ -148,7 +148,7 @@ func TestDivergedFollowerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	np2 := NewPrimary(PrimaryConfig{
-		Term: probedTerm + 1, ClusterSize: 3, Quorum: 1,
+		Term: probedTerm + 1, ClusterSize: 1,
 		WAL:       fb.cfg.Pipeline.WAL,
 		Collector: col,
 	})
@@ -210,7 +210,7 @@ func TestStalledFollowerDropped(t *testing.T) {
 	}()
 
 	prim := NewPrimary(PrimaryConfig{
-		Term: 1, ClusterSize: 1, Quorum: 1,
+		Term: 1, ClusterSize: 1,
 		WAL:        pcfg.WAL,
 		AckTimeout: 150 * time.Millisecond,
 	})

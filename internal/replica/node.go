@@ -80,9 +80,6 @@ type NodeConfig struct {
 	// Pipeline is this node's durable pipeline configuration, exactly
 	// what an operator-run follower would use.
 	Pipeline serve.PipelineConfig
-	// Quorum overrides the majority rule when > 0, counting this node
-	// as one (default: majority of len(Peers)+1).
-	Quorum int
 	// HeartbeatEvery is the leader's liveness cadence (default 1s).
 	HeartbeatEvery time.Duration
 	// LeaseTimeout is how long a follower tolerates silence before
@@ -119,9 +116,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 5 * time.Second
-	}
-	if c.Quorum <= 0 {
-		c.Quorum = (len(c.Peers)+1)/2 + 1
 	}
 	if c.Clock == nil {
 		c.Clock = serve.RealClock{}
@@ -366,7 +360,7 @@ func (n *Node) campaign(ctx context.Context, cold bool) error {
 		}
 		wait := until.Sub(n.clock.Now())
 		if wait <= 0 {
-			return n.electRound(n.cfg.Quorum, time.Time{})
+			return n.electRound(n.quorum(), time.Time{})
 		}
 		if cold {
 			wait = min(wait, n.cfg.HeartbeatEvery/16)
@@ -503,13 +497,16 @@ func outranks(st PeerState, peerAddr string, myOrig, mySeq uint64, myAddr string
 	return peerAddr < myAddr
 }
 
+// quorum is the number of members, this one included, that an
+// election or a leader's lease must reach.
+func (n *Node) quorum() int { return majority(len(n.cfg.Peers) + 1) }
+
 // becomeLeader installs the Primary for a freshly claimed term and
 // flips the role. The term is already durable (PromoteTo saved it).
 func (n *Node) becomeLeader(term uint64) {
 	p := NewPrimary(PrimaryConfig{
 		Term:        term,
 		ClusterSize: len(n.cfg.Peers) + 1,
-		Quorum:      n.cfg.Quorum,
 		WAL:         n.cfg.Pipeline.WAL,
 		AckTimeout:  n.cfg.AckTimeout,
 		Advertise:   n.cfg.Addr,
@@ -548,7 +545,7 @@ func (n *Node) leaderTick() error {
 	if err != nil {
 		return err
 	}
-	if alive+1 >= n.cfg.Quorum {
+	if alive+1 >= n.quorum() {
 		n.clearIsolation()
 		return nil
 	}
@@ -557,7 +554,7 @@ func (n *Node) leaderTick() error {
 		// Step down rather than serve a minority side of a partition:
 		// the majority side elects (or elected) its own leader, and our
 		// unacknowledged writes are exactly the divergence reseed heals.
-		err := fmt.Errorf("heartbeats reach %d of %d members: %w", alive+1, n.cfg.Quorum, ErrQuorumLost)
+		err := fmt.Errorf("heartbeats reach %d of %d members: %w", alive+1, n.quorum(), ErrQuorumLost)
 		n.demote(err.Error())
 		return err
 	}

@@ -518,7 +518,7 @@ func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 		}
 	}
 
-	err := a.electRound(a.cfg.Quorum, time.Time{})
+	err := a.electRound(a.quorum(), time.Time{})
 	if !errors.Is(err, ErrElectionLost) {
 		t.Fatalf("short-log candidacy: got %v, want ErrElectionLost", err)
 	}
@@ -526,7 +526,7 @@ func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 		t.Fatal("losing candidate must not claim a term")
 	}
 
-	if err := b.electRound(b.cfg.Quorum, time.Time{}); err != nil {
+	if err := b.electRound(b.quorum(), time.Time{}); err != nil {
 		t.Fatalf("most-current candidacy: %v", err)
 	}
 	if b.Role() != RoleLeader || b.Term() != 1 {
@@ -535,14 +535,14 @@ func TestElectionDefersToMoreCurrentPeer(t *testing.T) {
 
 	// a stands again: b answers its probe naming itself leader, and a
 	// defers to the live leader instead of bidding the term up.
-	err = a.electRound(a.cfg.Quorum, time.Time{})
+	err = a.electRound(a.quorum(), time.Time{})
 	if !errors.Is(err, ErrElectionLost) {
 		t.Fatalf("candidacy against a live leader: got %v, want ErrElectionLost", err)
 	}
 
 	// With b gone, a cannot reach a quorum and must not self-promote.
 	fabric.setDown("b", true)
-	err = a.electRound(a.cfg.Quorum, time.Time{})
+	err = a.electRound(a.quorum(), time.Time{})
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("partitioned candidacy: got %v, want ErrQuorumLost", err)
 	}

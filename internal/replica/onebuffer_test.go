@@ -55,7 +55,7 @@ func newOneBufferCluster(t *testing.T, size int, cfg func(dir string) serve.Pipe
 	c := &oneBufferCluster{t: t, cfg: cfg, dirs: []string{t.TempDir()}}
 	c.sess.br = bufio.NewReaderSize(nil, groupReadAhead)
 	n, err := NewNode(NodeConfig{
-		Addr: "leader", Pipeline: cfg(c.dirs[0]), Quorum: size/2 + 1,
+		Addr: "leader", Pipeline: cfg(c.dirs[0]), Peers: make([]string, size-1),
 		Dial: func(string) (net.Conn, error) { return nil, errors.New("unreachable") },
 	})
 	if err != nil {

@@ -40,6 +40,11 @@ var ErrFollowerDiverged = errors.New("replica: follower log diverges from the pr
 // it survives losing a machine, so it must stop acknowledging.
 var ErrQuorumLost = errors.New("replica: replication quorum lost")
 
+// majority is the quorum of a cluster of members replicas: a strict
+// majority, so two quorums always share a member. Anything smaller
+// would let two leaders win one term and lose acknowledged batches.
+func majority(members int) int { return members/2 + 1 }
+
 // PrimaryConfig parameterises the shipping side.
 type PrimaryConfig struct {
 	// Term is this primary's authority claim; followers refuse any
@@ -48,11 +53,8 @@ type PrimaryConfig struct {
 	// every reachable peer so the claim is unique.
 	Term uint64
 	// ClusterSize counts every replica including this primary; the
-	// default quorum is a strict majority of it.
+	// quorum is a strict majority of it (the primary's own ack counts).
 	ClusterSize int
-	// Quorum overrides the majority rule when > 0 (counting the primary
-	// itself as one ack).
-	Quorum int
 	// WAL locates the primary's log for catch-up shipping: a follower
 	// that joins (or re-joins) behind the live tail is fed the backlog
 	// from these segments before live records.
@@ -85,9 +87,6 @@ type PrimaryConfig struct {
 func (c PrimaryConfig) withDefaults() PrimaryConfig {
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 5 * time.Second
-	}
-	if c.Quorum <= 0 {
-		c.Quorum = c.ClusterSize/2 + 1
 	}
 	if c.SnapChunkBytes <= 0 {
 		c.SnapChunkBytes = 256 << 10
@@ -398,10 +397,10 @@ func (p *Primary) Ingest(pipe *serve.Pipeline, payloads [][]byte, batches [][]gr
 			live++
 		}
 	}
-	if live < p.cfg.Quorum {
+	if need := majority(p.cfg.ClusterSize); live < need {
 		// Logging a batch that cannot reach quorum would only strand it
 		// (a freshly elected leader's first tick has attached nobody yet).
-		return NotLogged, fmt.Errorf("%w: %d of %d required members attached", ErrQuorumLost, live, p.cfg.Quorum)
+		return NotLogged, fmt.Errorf("%w: %d of %d required members attached", ErrQuorumLost, live, need)
 	}
 	first, err := pipe.Append(payloads, deadline)
 	if err != nil {
@@ -475,13 +474,13 @@ func (p *Primary) ReplicateDeadline(first uint64, payloads [][]byte, deadline ti
 	if fenced != nil {
 		return fenced
 	}
-	if acks < p.cfg.Quorum {
+	if need := majority(p.cfg.ClusterSize); acks < need {
 		if expired {
 			return fmt.Errorf("replica: %d of %d acks for seq %d when the batch deadline expired: %w",
-				acks, p.cfg.Quorum, last, serve.NewDeadlineError("replicate"))
+				acks, need, last, serve.NewDeadlineError("replicate"))
 		}
 		p.col.Inc(stats.CtrReplQuorumFailures)
-		return fmt.Errorf("%w: %d of %d required acks for seq %d", ErrQuorumLost, acks, p.cfg.Quorum, last)
+		return fmt.Errorf("%w: %d of %d required acks for seq %d", ErrQuorumLost, acks, need, last)
 	}
 	return nil
 }

@@ -70,13 +70,9 @@ type PipelineConfig struct {
 	// below it, the pipeline first advances WAL retention and then
 	// refuses new ingest with ErrDiskPressure — read-only mode. 0 (the
 	// default) disables the probe-driven gate; a hard ENOSPC from the
-	// filesystem still degrades to read-only either way.
+	// filesystem still degrades to read-only either way. Read-only mode
+	// exits once free space climbs back to 2×DiskLowWater.
 	DiskLowWater uint64
-	// DiskHighWater is the resume threshold (default 2×DiskLowWater):
-	// read-only mode exits once free space climbs back above it. The
-	// gap is hysteresis — without it the pipeline would flap at the
-	// boundary.
-	DiskHighWater uint64
 }
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
@@ -91,9 +87,6 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	}
 	if c.Clock == nil {
 		c.Clock = RealClock{}
-	}
-	if c.DiskHighWater == 0 {
-		c.DiskHighWater = 2 * c.DiskLowWater
 	}
 	return c
 }
@@ -332,10 +325,12 @@ func (p *Pipeline) appendAt(first uint64, payloads [][]byte) error {
 // Below DiskLowWater it first advances WAL retention (compaction may
 // free real space, once per episode), then enters read-only and
 // returns a *DiskPressureError; once read-only, it holds until free
-// space clears DiskHighWater. Disabled when no low-water mark or no
-// free-space probe is configured.
+// space clears twice the low-water mark. The gap is hysteresis: without
+// it the pipeline would flap at the boundary. Disabled when no
+// low-water mark or no free-space probe is configured.
 func (p *Pipeline) checkDiskPressure() *DiskPressureError {
-	low, high := p.cfg.DiskLowWater, p.cfg.DiskHighWater
+	low := p.cfg.DiskLowWater
+	high := 2 * low
 	if low == 0 {
 		return nil
 	}

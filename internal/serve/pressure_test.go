@@ -122,8 +122,7 @@ func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 	inj := fault.New(7)
 	inj.Arm(fault.LowSpace, 1600) // probe-only volume: 1600 bytes capacity
 	cfg.WAL.FS = inj.FS(wal.OSFS{})
-	cfg.DiskLowWater = 600
-	cfg.DiskHighWater = 1200
+	cfg.DiskLowWater = 600 // resumes at 1200
 
 	p, err := NewPipeline(cfg)
 	if err != nil {
