@@ -2,8 +2,10 @@
 # change must pass: clean build, vet, the full test suite under the
 # race detector (the native engine's worker pool and the serve/replica
 # goroutines share state, so races are correctness bugs here, not just
-# hygiene), and the seeded fault-injection suite (the robustness gate:
-# every fault class must be absorbed or surfaced as a typed error).
+# hygiene), and the fault suite (the robustness gate: the tests that
+# drive each hardened path — validation, checkpoint CRCs, the WAL's
+# recovery, the audit, the simulator watchdog — with the seeded
+# injector of internal/fault, which only tests link).
 
 GO ?= go
 
@@ -31,11 +33,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Seeded fault-injection suite: injector unit tests, hardened
-# ingestion/checkpoint/session tests, and the full "robust" experiment
-# (all five acceptance classes, double-run determinism included).
+# Fault suite: the injector's own unit tests and, where each hardening
+# lives, the tests that drive it with injected faults — ingestion
+# validation, checkpoint generations and typed I/O errors, the audit's
+# repair, the WAL's torn-tail and fsync recovery, the simulator
+# watchdog, and the serve/replica pipeline under disk and wire faults.
+# EXPERIMENTS.md "Fault classes: scenario → owning test" maps each
+# class to its test.
 faults:
-	$(GO) test -count=1 -run 'Fault|Robust|Checkpoint|Session|Sanitize|Validat|Watchdog|Mutate|Corrupt|Hang|WAL|Serve|Backoff|Breaker|Queue|Retry|Pipeline|Conn|Frame|Tailer|Replicated|Quorum|Follower|Fenced|Reseed|Snap|Retain|Group' . ./internal/fault ./internal/stream ./internal/bench ./internal/sim ./internal/wal ./internal/serve ./internal/replica
+	$(GO) test -count=1 -run 'Fault|CrashFS|Checkpoint|Session|Sanitize|Validat|Watchdog|Mutate|Corrupt|WAL|Serve|Backoff|Breaker|Queue|Retry|Pipeline|Conn|Frame|Tailer|Replicated|Quorum|Follower|Fenced|Reseed|Snap|Retain|Group' . ./internal/fault ./internal/stream ./internal/bench ./internal/sim ./internal/wal ./internal/serve ./internal/replica
 
 # Chaos suite: seeded kill-anywhere crash/recovery trials over the
 # durable ingestion pipeline, kill-the-primary replication failover
@@ -119,7 +125,7 @@ loc:
 # '^# [a-z0-9]* completed in ' > internal/bench/testdata/figures/<id>.txt`.
 FIGURES := table1 table2 table3 fig3a fig3b fig3c fig4a fig4b fig10 fig11 \
 	fig12 fig13 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 \
-	fig24a fig24b robust
+	fig24a fig24b
 
 figures:
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -201,8 +202,11 @@ func TestCheckpointerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, class := range []string{"ckpt-trunc:0.3", "ckpt-flip:8"} {
-		t.Run(class, func(t *testing.T) {
+	for _, tc := range []struct {
+		class fault.Class
+		param float64
+	}{{fault.CkptTruncate, 0.3}, {fault.CkptFlip, 8}} {
+		t.Run(fmt.Sprintf("%s:%g", tc.class, tc.param), func(t *testing.T) {
 			dir := t.TempDir()
 			ck := tdgraph.NewCheckpointer(filepath.Join(dir, "ckpt.tds"))
 			// Two generations: good, then newest which we corrupt on disk.
@@ -216,10 +220,8 @@ func TestCheckpointerRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in, err := fault.Parse(class, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			in := fault.New(7)
+			in.Arm(tc.class, tc.param)
 			if err := os.WriteFile(ck.Path, in.CorruptCheckpoint(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +273,8 @@ func TestCheckpointerScheduledIOErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	in, _ := fault.Parse("write-err:64", 3)
+	in := fault.New(3)
+	in.Arm(fault.WriteErr, 64)
 	if err := s.Save(in.Writer(&bytes.Buffer{})); err == nil {
 		t.Fatal("save over failing writer succeeded")
 	} else if !errors.Is(err, fault.ErrInjected) {
@@ -282,7 +285,8 @@ func TestCheckpointerScheduledIOErrors(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	in2, _ := fault.Parse("read-err:64", 3)
+	in2 := fault.New(3)
+	in2.Arm(fault.ReadErr, 64)
 	_, err = tdgraph.LoadSession(tdgraph.NewCC(), in2.Reader(&buf), tdgraph.SessionOptions{})
 	if err == nil {
 		t.Fatal("load over failing reader succeeded")

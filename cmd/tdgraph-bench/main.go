@@ -6,7 +6,6 @@
 //	tdgraph-bench -list
 //	tdgraph-bench -exp fig10 [-scale 0.25] [-datasets LJ,OR] [-algos sssp] [-cores 64] [-seed 1]
 //	tdgraph-bench -exp all
-//	tdgraph-bench -exp robust -seed 7
 //	tdgraph-bench -exp fig10 -timeout 2m
 //	tdgraph-bench -nativejson BENCH_native.json
 //

@@ -30,7 +30,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/algo"
 	"github.com/tdgraph/tdgraph/internal/bench"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
-	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/stats"
@@ -51,8 +50,7 @@ func main() {
 		cores    = flag.Int("cores", 64, "simulated cores")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		verify   = flag.Bool("verify", true, "check every batch against the full-recompute oracle")
-		faults   = flag.String("faults", "", "seeded fault-injection spec over the batch classes corrupt dup reorder oob badweight selfloop, e.g. 'corrupt,oob:0.1,badweight' (seeded by -seed)")
-		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine (clamp forced when -faults is set)")
+		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine")
 		timeout  = flag.Duration("timeout", 0, "per-batch watchdog deadline for the simulated run (0 = unbounded)")
 	)
 	flag.Parse()
@@ -83,11 +81,12 @@ func main() {
 		WarmupFraction: 0.5, BatchSize: bs, AddFraction: *addFrac,
 		NumBatches: *batches, Seed: *seed,
 	}
-	vcol := stats.NewCollector()
-	inj, validator, err := bench.Ingest(&cfg, *faults, *validate, nv, vcol)
+	pol, err := stream.ParsePolicy(*validate)
 	if err != nil {
 		fatal(err)
 	}
+	vcol := stats.NewCollector()
+	validator := stream.NewValidator(pol, nv, vcol)
 	w := stream.Build(edges, nv, cfg)
 	fmt.Printf("graph: %d vertices, %d edges; warmup %d edges; %d batches of %d updates\n",
 		nv, len(edges), len(w.Warmup), len(w.Batches), bs)
@@ -98,8 +97,8 @@ func main() {
 	}
 
 	if *engName == "native" {
-		runNative(a, w, nv, validator, vcol, inj, *verify)
-		reportTail(inj, validator, vcol)
+		runNative(a, w, nv, validator, *verify)
+		reportValidation(validator, vcol)
 		return
 	} else if *engName != "sim" {
 		fatal(fmt.Errorf("unknown engine %q (sim|native)", *engName))
@@ -143,18 +142,10 @@ func main() {
 		fmt.Printf("  host wall time: %s\n", r.Wall.Round(time.Millisecond))
 
 		if *verify {
-			if err := c.Verify(cell.Sys); err == nil {
-				fmt.Println("  verified against full recompute ✓")
-			} else if inj == nil {
+			if err := c.Verify(cell.Sys); err != nil {
 				fatal(fmt.Errorf("batch %d: %w", i+1, err))
-			} else {
-				// Degradation ladder: an injected fault diverged the
-				// incremental result, so fall back to the recompute and
-				// keep streaming from the known-good states.
-				vcol.Inc(stats.CtrDegradedRecomputes)
-				copy(cell.Sys.Runtime().S, algo.Reference(a, c.NewG))
-				fmt.Printf("  divergence under injection (%v): degraded to full recompute\n", err)
 			}
+			fmt.Println("  verified against full recompute ✓")
 		}
 
 		// Carry the converged states into the next batch.
@@ -162,14 +153,14 @@ func main() {
 		oldG = c.NewG
 	}
 
-	reportTail(inj, validator, vcol)
+	reportValidation(validator, vcol)
 }
 
 // runNative streams the workload through the production incremental
 // engine (tdgraph.Session) at wall-clock
 // speed. Verification compares against the full-recompute oracle on the
 // sealed graph; monotonic algorithms must match bit-for-bit.
-func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.Validator, vcol *stats.Collector, inj *fault.Injector, verify bool) {
+func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.Validator, verify bool) {
 	fmt.Print("computing initial fixed point... ")
 	start := time.Now()
 	s, err := tdgraph.NewSession(a, w.Warmup, nv, tdgraph.SessionOptions{})
@@ -207,36 +198,23 @@ func runNative(a algo.Algorithm, w *stream.Workload, nv int, validator *stream.V
 				tol = 1e-4
 			}
 			if bad := algo.StatesEqual(s.States(), want, tol); bad >= 0 {
-				if inj == nil {
-					fatal(fmt.Errorf("batch %d: state mismatch at vertex %d", i+1, bad))
-				}
-				vcol.Inc(stats.CtrDegradedRecomputes)
-				s.Recompute()
-				fmt.Printf("  divergence at vertex %d under injection: degraded to full recompute\n", bad)
-			} else {
-				fmt.Println("  verified against full recompute ✓")
+				fatal(fmt.Errorf("batch %d: state mismatch at vertex %d", i+1, bad))
 			}
+			fmt.Println("  verified against full recompute ✓")
 		}
 	}
 }
 
-// reportTail prints the injection and validation summaries shared by
-// both engines.
-func reportTail(inj *fault.Injector, validator *stream.Validator, vcol *stats.Collector) {
-	if inj != nil {
-		fmt.Print("\nfaults injected:")
-		for _, cc := range inj.Injected() {
-			fmt.Printf(" %s=%d", cc.Class, cc.Count)
-		}
-		fmt.Println()
-	}
+// reportValidation prints the validation summary shared by both
+// engines.
+func reportValidation(validator *stream.Validator, vcol *stats.Collector) {
 	if validator.Policy != stream.PolicyNone {
-		fmt.Printf("validation (%s): out_of_range=%d bad_weight=%d self_loop=%d dropped=%d clamped=%d quarantined=%d diverted=%d degraded=%d\n",
+		fmt.Printf("validation (%s): out_of_range=%d bad_weight=%d self_loop=%d dropped=%d clamped=%d quarantined=%d diverted=%d\n",
 			validator.Policy,
 			vcol.Get(stats.CtrValOutOfRange), vcol.Get(stats.CtrValBadWeight),
 			vcol.Get(stats.CtrValSelfLoop), vcol.Get(stats.CtrValDropped),
 			vcol.Get(stats.CtrValClamped), vcol.Get(stats.CtrValQuarantined),
-			vcol.Get(stats.CtrValQuarantineHits), vcol.Get(stats.CtrDegradedRecomputes))
+			vcol.Get(stats.CtrValQuarantineHits))
 	}
 }
 

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	tdgraph "github.com/tdgraph/tdgraph"
-	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/replica"
@@ -69,7 +68,7 @@ func main() {
 		batches  = flag.Int("batches", 8, "number of update batches to stream")
 		batchSz  = flag.Int("batch", 0, "updates per batch (0 = edges/20)")
 		addFrac  = flag.Float64("add", 0.75, "fraction of additions per batch")
-		seed     = flag.Int64("seed", 1, "workload and injection seed")
+		seed     = flag.Int64("seed", 1, "workload seed")
 
 		walDir    = flag.String("wal", "", "write-ahead-log directory (required)")
 		segBytes  = flag.Int64("segbytes", 4<<20, "WAL segment rotation threshold in bytes")
@@ -81,7 +80,6 @@ func main() {
 		diskLow  = flag.Int64("disk-low-water", 0, "free-space floor in bytes under which ingest degrades to read-only (0 = ENOSPC-only degradation)")
 		deadline = flag.Duration("deadline", 0, "per-batch deadline the client propagates to the leader (0 = none)")
 
-		faults   = flag.String("faults", "", "seeded disk fault spec for the WAL, checkpoints and term file over wal-torn fsync-err disk-full enospc low-space, e.g. 'wal-torn:4096,fsync-err:2,disk-full:1048576'")
 		validate = flag.String("validate", "", "ingestion validation policy: none|reject|clamp|quarantine")
 		verbose  = flag.Bool("v", false, "log node and client events (elections, redirects, retries)")
 
@@ -94,15 +92,6 @@ func main() {
 
 	if err := validateRole(*role, *walDir, *listen, *peers); err != nil {
 		fatal(err)
-	}
-	walFS := wal.FS(wal.OSFS{})
-	if *faults != "" {
-		inj, err := fault.Parse(*faults, *seed, fault.DiskClasses...)
-		if err != nil {
-			fatal(err)
-		}
-		walFS = inj.FS(walFS)
-		fmt.Printf("fault injection armed on the member's filesystem (WAL, checkpoints, term file): %s\n", *faults)
 	}
 	if *role != "client" {
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {
@@ -186,7 +175,7 @@ func main() {
 			},
 			Algorithm:       alg(),
 			SessionOptions:  opts,
-			WAL:             wal.Options{Dir: *walDir, SegmentBytes: *segBytes, FS: walFS},
+			WAL:             wal.Options{Dir: *walDir, SegmentBytes: *segBytes},
 			CheckpointPath:  *ckptPath,
 			CheckpointKeep:  *ckptKeep,
 			CheckpointEvery: *ckptEvery,

@@ -3,10 +3,12 @@ package bench_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"github.com/tdgraph/tdgraph/internal/bench"
+	"github.com/tdgraph/tdgraph/internal/sim"
 )
 
 // tinySpec keeps harness tests fast.
@@ -45,6 +47,26 @@ func TestRunAllSchemes(t *testing.T) {
 func TestRunUnknownScheme(t *testing.T) {
 	if _, err := bench.Run(tinySpec("NoSuchThing")); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// TestRunCtxWatchdogAbortsCancelledCell runs a real simulated cell
+// under an already-cancelled context: the armed watchdog must abort it
+// with a typed *sim.WatchdogError instead of letting it complete or
+// hang. The context is cancelled before the run, so the outcome does
+// not depend on the wall clock.
+func TestRunCtxWatchdogAbortsCancelledCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := bench.RunCtx(ctx, bench.Spec{
+		Dataset: "AZ", Scale: 0.05, Algo: "sssp", Scheme: "TDGraph-H", Cores: 64, Seed: 1,
+	})
+	if err == nil {
+		t.Fatal("a cancelled context did not abort the run")
+	}
+	var we *sim.WatchdogError
+	if !errors.As(err, &we) {
+		t.Fatalf("abort error untyped: %T %v", err, err)
 	}
 }
 
@@ -94,7 +116,7 @@ func TestExperimentsRegistered(t *testing.T) {
 		"table1", "table2", "fig3a", "fig3b", "fig3c", "fig4a", "fig4b",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
-		"fig24a", "fig24b", "table3", "benchnative", "robust",
+		"fig24a", "fig24b", "table3", "benchnative",
 	}
 	for _, id := range want {
 		if _, ok := bench.ByID(id); !ok {

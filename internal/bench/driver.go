@@ -18,7 +18,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/core"
 	"github.com/tdgraph/tdgraph/internal/engine"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
-	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/graph/gen"
 	"github.com/tdgraph/tdgraph/internal/sim"
@@ -150,33 +149,6 @@ func Prepare(s Spec) (*enginetest.Case, error) {
 	c := &enginetest.Case{Algo: a, OldG: oldG, NewG: st.Seal(), Warm: warm, Res: res, Batch: batch}
 	prepCache[key] = c
 	return c, nil
-}
-
-// Ingest is tdgraph-run's ingestion rule (figure cells run on clean
-// batches): faults (a fault.Parse spec over fault.BatchClasses, seeded
-// by cfg.Seed) becomes cfg.Mutate, and policy becomes the validator
-// every batch passes before the store. Faults without a policy mean
-// clamp, so injected garbage never reaches the store unchecked. The
-// injector is nil when faults is empty.
-func Ingest(cfg *stream.Config, faults, policy string, nv int, col *stats.Collector) (*fault.Injector, *stream.Validator, error) {
-	var inj *fault.Injector
-	if faults != "" {
-		var err error
-		if inj, err = fault.Parse(faults, cfg.Seed, fault.BatchClasses...); err != nil {
-			return nil, nil, err
-		}
-		cfg.Mutate = func(batch []graph.Update) []graph.Update {
-			return inj.MutateBatch(batch, nv)
-		}
-	}
-	pol, err := stream.ParsePolicy(policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pol == stream.PolicyNone && inj != nil {
-		pol = stream.PolicyClamp
-	}
-	return inj, stream.NewValidator(pol, nv, col), nil
 }
 
 // ClearCache drops all prepared cases (tests and long sweeps use it to

@@ -33,15 +33,16 @@ func frame(b byte, n int) []byte {
 	return f
 }
 
-// TestConnDropIsDeterministic: the same seed drops the same frames.
-func TestConnDropIsDeterministic(t *testing.T) {
-	run := func() []byte {
-		in := New(42)
-		in.Arm(NetDrop, 0.3)
+// TestConnDup: duplicated frames arrive twice, in order, and at a rate
+// below one the same seed duplicates the same frames.
+func TestConnDup(t *testing.T) {
+	run := func(rate float64, n byte) []byte {
+		in := New(7)
+		in.Arm(NetDup, rate)
 		a, b := net.Pipe()
 		fc := in.Conn(a)
 		got := pump(b, 4)
-		for i := byte(0); i < 20; i++ {
+		for i := byte(0); i < n; i++ {
 			if _, err := fc.Write(frame(i, 4)); err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}
@@ -53,85 +54,15 @@ func TestConnDropIsDeterministic(t *testing.T) {
 		}
 		return ids
 	}
-	first, second := run(), run()
+	if ids := run(1, 3); string(ids) != string([]byte{0, 0, 1, 1, 2, 2}) {
+		t.Fatalf("NetDup at 1.0: wire saw %v, want [0 0 1 1 2 2]", ids)
+	}
+	first, second := run(0.3, 20), run(0.3, 20)
 	if len(first) == 20 {
-		t.Fatalf("NetDrop at 0.3 dropped nothing across 20 frames")
+		t.Fatal("NetDup at 0.3 duplicated nothing across 20 frames")
 	}
 	if string(first) != string(second) {
-		t.Fatalf("same seed produced different drop schedules: %v vs %v", first, second)
-	}
-}
-
-// TestConnDupAndReorder: duplicated frames arrive twice, reordered
-// frames swap with their successor — both seeded.
-func TestConnDupAndReorder(t *testing.T) {
-	in := New(7)
-	in.Arm(NetDup, 1) // duplicate every frame
-	a, b := net.Pipe()
-	fc := in.Conn(a)
-	got := pump(b, 4)
-	for i := byte(0); i < 3; i++ {
-		if _, err := fc.Write(frame(i, 4)); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-	}
-	fc.Close()
-	frames := <-got
-	if len(frames) != 6 {
-		t.Fatalf("NetDup at 1.0: got %d frames, want 6", len(frames))
-	}
-	for i, f := range frames {
-		if f[0] != byte(i/2) {
-			t.Fatalf("frame %d has id %d, want %d", i, f[0], i/2)
-		}
-	}
-
-	in2 := New(7)
-	in2.Arm(NetReorder, 1)
-	a2, b2 := net.Pipe()
-	fc2 := in2.Conn(a2)
-	got2 := pump(b2, 4)
-	for i := byte(0); i < 4; i++ {
-		if _, err := fc2.Write(frame(i, 4)); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-	}
-	fc2.Close()
-	frames2 := <-got2
-	// Every odd frame holds, so pairs swap: 1 0 3 2.
-	want := []byte{1, 0, 3, 2}
-	if len(frames2) != len(want) {
-		t.Fatalf("NetReorder: got %d frames, want %d", len(frames2), len(want))
-	}
-	for i, f := range frames2 {
-		if f[0] != want[i] {
-			t.Fatalf("reorder: frame %d has id %d, want %d", i, f[0], want[i])
-		}
-	}
-}
-
-// TestConnPartition: after the armed frame count, both directions fail
-// with ErrInjected.
-func TestConnPartition(t *testing.T) {
-	in := New(1)
-	in.Arm(NetPartition, 2)
-	a, b := net.Pipe()
-	fc := in.Conn(a)
-	got := pump(b, 4)
-	for i := byte(0); i < 2; i++ {
-		if _, err := fc.Write(frame(i, 4)); err != nil {
-			t.Fatalf("write %d before partition: %v", i, err)
-		}
-	}
-	if _, err := fc.Write(frame(9, 4)); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write after partition: want ErrInjected, got %v", err)
-	}
-	if _, err := fc.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
-		t.Fatalf("read after partition: want ErrInjected, got %v", err)
-	}
-	fc.Close()
-	if n := len(<-got); n != 2 {
-		t.Fatalf("partition leaked frames: got %d, want 2", n)
+		t.Fatalf("same seed produced different duplicate schedules: %v vs %v", first, second)
 	}
 }
 
@@ -174,15 +105,12 @@ func TestConnTruncateMidFrame(t *testing.T) {
 	if r.n != 10 {
 		t.Fatalf("wire saw %d bytes, want exactly 10 (truncated mid-frame)", r.n)
 	}
-	if counts := in.Injected(); len(counts) != 1 || counts[0].Class != NetTrunc {
-		t.Fatalf("unexpected injection counts: %+v", counts)
-	}
 }
 
 // TestConnPartitionRecv: the read-side partition is asymmetric — after
 // the armed read count every Read fails with ErrInjected while Writes
 // keep flowing, the one-way split where a node can send but never
-// hear. Without a heal armed the deafness is permanent.
+// hear. The deafness is permanent.
 func TestConnPartitionRecv(t *testing.T) {
 	in := New(3)
 	in.Arm(NetPartitionRecv, 2)
@@ -211,111 +139,12 @@ func TestConnPartitionRecv(t *testing.T) {
 	if _, err := fc.Write(frame(9, 4)); err != nil {
 		t.Fatalf("write during a recv partition: %v", err)
 	}
-	// And it stays deaf: no heal armed, so the trip is forever.
+	// And it stays deaf: the trip is forever.
 	if _, err := fc.Read(buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read stays partitioned: want ErrInjected, got %v", err)
 	}
 	fc.Close()
 	if frames := <-got; len(frames) != 1 || frames[0][0] != 9 {
 		t.Fatalf("send side delivered %d frames, want just frame 9", len(frames))
-	}
-	if counts := in.Injected(); len(counts) != 1 || counts[0].Class != NetPartitionRecv || counts[0].Count != 1 {
-		t.Fatalf("unexpected injection counts: %+v", counts)
-	}
-}
-
-// TestConnHealAfterBlockedWrites: net-heal un-splits a tripped write
-// partition after the armed budget of refused calls — the Nth refused
-// call still fails, the next one flows — and the heal is permanent.
-func TestConnHealAfterBlockedWrites(t *testing.T) {
-	in := New(11)
-	in.Arm(NetPartition, 1)
-	in.Arm(NetHeal, 3)
-	a, b := net.Pipe()
-	fc := in.Conn(a)
-	got := pump(b, 4)
-
-	if _, err := fc.Write(frame(0, 4)); err != nil {
-		t.Fatalf("write before the partition: %v", err)
-	}
-	// The trip itself plus two more refusals spend the heal budget of 3
-	// blocked operations; each of those calls still fails.
-	for i := 0; i < 3; i++ {
-		if _, err := fc.Write(frame(9, 4)); !errors.Is(err, ErrInjected) {
-			t.Fatalf("blocked write %d: want ErrInjected, got %v", i, err)
-		}
-	}
-	// Healed: traffic flows again, in both directions, from here on.
-	for i := byte(1); i <= 3; i++ {
-		if _, err := fc.Write(frame(i, 4)); err != nil {
-			t.Fatalf("write %d after the heal: %v", i, err)
-		}
-	}
-	fc.Close()
-	var ids []byte
-	for _, f := range <-got {
-		ids = append(ids, f[0])
-	}
-	if string(ids) != string([]byte{0, 1, 2, 3}) {
-		t.Fatalf("wire saw frames %v, want [0 1 2 3]", ids)
-	}
-	healed := false
-	for _, c := range in.Injected() {
-		if c.Class == NetHeal {
-			healed = c.Count == 1
-		}
-	}
-	if !healed {
-		t.Fatalf("NetHeal not counted exactly once: %+v", in.Injected())
-	}
-}
-
-// TestConnHealAfterBlockedReads: the same heal budget mends a read-side
-// partition, so an asymmetric split recovers without a reconnect.
-func TestConnHealAfterBlockedReads(t *testing.T) {
-	in := New(13)
-	in.Arm(NetPartitionRecv, 1)
-	in.Arm(NetHeal, 2)
-	a, b := net.Pipe()
-	fc := in.Conn(a)
-	go func() {
-		for i := byte(0); i < 3; i++ {
-			b.Write(frame(i, 4))
-		}
-	}()
-	buf := make([]byte, 4)
-	if _, err := fc.Read(buf); err != nil || buf[0] != 0 {
-		t.Fatalf("read before the partition: %v (frame %d)", err, buf[0])
-	}
-	// The trip plus one more refusal spend the budget of 2; both fail.
-	for i := 0; i < 2; i++ {
-		if _, err := fc.Read(buf); !errors.Is(err, ErrInjected) {
-			t.Fatalf("blocked read %d: want ErrInjected, got %v", i, err)
-		}
-	}
-	// Healed: the remaining frames arrive in order.
-	for i := byte(1); i < 3; i++ {
-		if _, err := fc.Read(buf); err != nil || buf[0] != i {
-			t.Fatalf("read %d after the heal: %v (frame %d)", i, err, buf[0])
-		}
-	}
-	fc.Close()
-}
-
-// TestConnSpecParse: net classes arm through the same class[:param]
-// spec syntax as every other injector class.
-func TestConnSpecParse(t *testing.T) {
-	in, err := Parse("net-drop:0.5,net-trunc:128,net-partition", 3)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if !in.Enabled(NetDrop) || in.Param(NetDrop) != 0.5 {
-		t.Fatalf("net-drop not armed at 0.5: %v", in.Param(NetDrop))
-	}
-	if in.Param(NetTrunc) != 128 {
-		t.Fatalf("net-trunc param = %v, want 128", in.Param(NetTrunc))
-	}
-	if in.Param(NetPartition) != defaultParam[NetPartition] {
-		t.Fatalf("net-partition default param lost")
 	}
 }

@@ -22,13 +22,13 @@ import (
 // the term file of the member it serves — so a fault lands at a byte
 // position in the member's write lifetime, not per file:
 //
-//   - DiskFull: after Param(disk-full) bytes, every write fails with an
+//   - DiskFull: after the armed number of bytes, every write fails with an
 //     error wrapping ErrInjected and persists nothing further.
-//   - WALTorn: the write crossing byte Param(wal-torn) persists only up
+//   - WALTorn: the write crossing the armed byte offset persists only up
 //     to the boundary, then fails — a torn record mid-write.
-//   - FsyncErr: after Param(fsync-err) successful Syncs, Sync fails
+//   - FsyncErr: after the armed number of successful Syncs, Sync fails
 //     with an error wrapping ErrInjected.
-//   - NoSpace / LowSpace: the FS models a volume of Param bytes. Writes
+//   - NoSpace / LowSpace: the FS models a volume of the armed size. Writes
 //     consume capacity and Remove credits a file's bytes back. With
 //     NoSpace armed, a write that does not fit fails wrapping both
 //     ErrInjected and wal.ErrNoSpace (persisting nothing); with only
@@ -37,7 +37,7 @@ import (
 //
 // Reads, listing pass through untouched.
 func (in *Injector) FS(base wal.FS) wal.FS {
-	f := &faultFS{FS: base, in: in}
+	f := &faultFS{FS: base}
 	if limit, ok := in.armed[DiskFull]; ok {
 		f.writeBudget, f.haveBudget, f.full = int64(limit), true, true
 	}
@@ -70,7 +70,6 @@ type DiskSpacer interface {
 
 type faultFS struct {
 	wal.FS
-	in *Injector
 
 	mu          sync.Mutex
 	writeBudget int64
@@ -178,7 +177,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.haveCap && f.enospc && int64(len(p)) > f.capacity {
-		f.in.count(NoSpace)
 		return 0, fmt.Errorf("fault: write needs %d bytes, %d free: %w: %w",
 			len(p), f.capacity, ErrInjected, wal.ErrNoSpace)
 	}
@@ -204,10 +202,8 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	}
 	f.writeBudget = 0
 	if f.full {
-		f.in.count(DiskFull)
 		return n, fmt.Errorf("fault: disk full: %w", ErrInjected)
 	}
-	f.in.count(WALTorn)
 	return n, fmt.Errorf("fault: torn write: %w", ErrInjected)
 }
 
@@ -217,7 +213,6 @@ func (ff *faultFile) Sync() error {
 	defer f.mu.Unlock()
 	if f.haveSync {
 		if f.syncBudget <= 0 {
-			f.in.count(FsyncErr)
 			return fmt.Errorf("fault: fsync failed: %w", ErrInjected)
 		}
 		f.syncBudget--

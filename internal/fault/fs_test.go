@@ -45,9 +45,6 @@ func TestFaultFSTornWrite(t *testing.T) {
 	if !errors.As(err, &le) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("got %v, want *wal.LogError wrapping ErrInjected", err)
 	}
-	if got := in.Injected(); len(got) != 1 || got[0].Class != WALTorn {
-		t.Fatalf("injected counts: %v", got)
-	}
 
 	// The log repaired the tear in place at append time (truncating the
 	// segment back to its last valid record), so recovery over the real
@@ -365,19 +362,4 @@ func TestFaultFSRenameMovesSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	free(1000)
-}
-
-func TestParseNewClasses(t *testing.T) {
-	in, err := Parse("wal-torn:64,fsync-err,disk-full:2048,wal-partial", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []Class{WALTorn, FsyncErr, DiskFull, PartialSeg} {
-		if !in.Enabled(c) {
-			t.Fatalf("class %s not armed by Parse", c)
-		}
-	}
-	if in.Param(WALTorn) != 64 || in.Param(FsyncErr) != defaultParam[FsyncErr] {
-		t.Fatalf("params: torn=%v fsync=%v", in.Param(WALTorn), in.Param(FsyncErr))
-	}
 }

@@ -160,7 +160,7 @@ type Frame struct {
 }
 
 // frameBufs recycles WriteFrame's buffers: only the Write one was built
-// for reads it (io.Writer may not retain it; fault.Conn copies frames).
+// for reads it (io.Writer may not retain it, and fault.Conn does not).
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // frameHdrs recycles ReadFrame's header buffers. They are a pool of

@@ -177,10 +177,8 @@ func TestPipelineRecoversFromWALOnly(t *testing.T) {
 func TestPipelineWALFaultIsNonDurable(t *testing.T) {
 	w := testWorkload(t, 2)
 	cfg := pipelineConfig(t, w)
-	in, err := fault.Parse("wal-torn:40", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := fault.New(3)
+	in.Arm(fault.WALTorn, 40)
 	cfg.WAL.FS = in.FS(wal.OSFS{})
 
 	p, err := NewPipeline(cfg)

@@ -27,12 +27,6 @@ type Config struct {
 	// as the remaining additions allow.
 	NumBatches int
 	Seed       int64
-	// Mutate, when non-nil, transforms each finished batch — the fault
-	// injection hook. It runs after the live-set bookkeeping so injected
-	// noise can never corrupt deletion-candidate tracking for later
-	// batches: the workload stays internally consistent while the
-	// batches handed to the pipeline carry the faults.
-	Mutate func([]graph.Update) []graph.Update
 }
 
 // Workload is a constructed streaming run: the warmup edge set (already a
@@ -115,9 +109,6 @@ func Build(edges []graph.Edge, numVertices int, cfg Config) *Workload {
 			if !u.Delete {
 				live = append(live, u.Edge)
 			}
-		}
-		if cfg.Mutate != nil {
-			batch = cfg.Mutate(batch)
 		}
 		w.Batches = append(w.Batches, batch)
 		if cfg.NumBatches == 0 && len(pendingAdds) == 0 {

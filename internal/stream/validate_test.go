@@ -229,35 +229,3 @@ func TestSanitizeQuarantinedOnlyBatch(t *testing.T) {
 		t.Fatalf("quarantined-only batch should empty out, got %v", out)
 	}
 }
-
-func TestBuildMutateHook(t *testing.T) {
-	edges := make([]graph.Edge, 40)
-	for i := range edges {
-		edges[i] = graph.Edge{Src: graph.VertexID(i % 10), Dst: graph.VertexID((i + 1) % 10), Weight: 1}
-	}
-	calls := 0
-	cfg := Config{WarmupFraction: 0.5, BatchSize: 10, AddFraction: 0.5, NumBatches: 2, Seed: 1}
-	cfg.Mutate = func(b []graph.Update) []graph.Update {
-		calls++
-		return append(b, upd(0, 1, 9)) // visible injection marker
-	}
-	w := Build(edges, 10, cfg)
-	if calls != len(w.Batches) {
-		t.Fatalf("Mutate called %d times for %d batches", calls, len(w.Batches))
-	}
-	for i, b := range w.Batches {
-		last := b[len(b)-1]
-		if last.Edge.Weight != 9 {
-			t.Fatalf("batch %d missing injected marker: %v", i, last)
-		}
-	}
-	// The un-mutated workload must be unchanged by a pass-through hook:
-	// same batches modulo the appended marker.
-	plain := Build(edges, 10, Config{WarmupFraction: 0.5, BatchSize: 10, AddFraction: 0.5, NumBatches: 2, Seed: 1})
-	for i := range plain.Batches {
-		got := w.Batches[i][:len(w.Batches[i])-1]
-		if !reflect.DeepEqual(got, plain.Batches[i]) {
-			t.Fatalf("Mutate disturbed workload construction at batch %d", i)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package tdgraph
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -150,8 +149,8 @@ func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 // TestStoreWriteBinaryMatchesSeal owns that writer's bytes.)
 func TestSaveFailureKeepsPreviousGeneration(t *testing.T) {
 	failAfter := func(n int) func(io.Writer) io.Writer {
-		in, err := fault.Parse(fmt.Sprintf("write-err:%d", n), 1)
-		must(t, err)
+		in := fault.New(1)
+		in.Arm(fault.WriteErr, float64(n))
 		return in.Writer
 	}
 	for name, tc := range map[string]struct {

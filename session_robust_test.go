@@ -209,7 +209,8 @@ func TestSessionDivergenceDegradation(t *testing.T) {
 		if v, ok := s.Audit(); !ok {
 			t.Fatalf("%s: converged session fails its own audit at %d", a.Name(), v)
 		}
-		in, _ := fault.Parse("diverge:5", 21)
+		in := fault.New(21)
+		in.Arm(fault.Diverge, 5)
 		if idx := in.CorruptStates(s.States()); len(idx) == 0 {
 			t.Fatal("injector corrupted nothing")
 		}
