@@ -1,15 +1,14 @@
 // Package fault is a deterministic, seeded fault injector for the
 // robustness tests: it produces the hostile inputs a long-lived
 // streaming deployment eventually sees — malformed updates, torn or
-// bit-flipped checkpoints, failing I/O paths, silently corrupted
-// states — as reproducible functions of a seed, so every
-// injection run (and every regression it uncovers) can be replayed
-// exactly. The injector never decides how the pipeline reacts; the
-// hardened targets (internal/stream validation, the CRC-checked
-// checkpoint format in session_io.go, the engine audit, the WAL's
-// recovery) do, and each is tested where it lives. Only tests import
-// this package: a test builds an injector with New and arms the
-// classes it needs with Arm.
+// bit-flipped checkpoints, failing I/O paths and wires — as
+// reproducible functions of a seed, so every injection run (and every
+// regression it uncovers) can be replayed exactly. The injector never
+// decides how the pipeline reacts; the hardened targets
+// (internal/stream validation, the CRC-checked checkpoint format in
+// session_io.go, the WAL's recovery) do, and each is tested where it
+// lives. Only tests import this package: a test builds an injector with
+// New and arms the classes it needs with Arm.
 package fault
 
 import (
@@ -44,9 +43,6 @@ const (
 	ReadErr Class = "read-err"
 	// WriteErr schedules a write failure (param: bytes before the error).
 	WriteErr Class = "write-err"
-	// Diverge corrupts converged vertex states in place (param: count),
-	// modelling silent state corruption the audit must catch.
-	Diverge Class = "diverge"
 	// WALTorn tears the write-ahead-log write crossing a global byte
 	// offset (param: bytes before the tear): a prefix persists, the
 	// rest vanishes mid-record. Armed through Injector.FS.
@@ -200,24 +196,6 @@ func (in *Injector) CorruptSegment(data []byte) []byte {
 		keep = len(out) - 1
 	}
 	return out[:keep]
-}
-
-// CorruptStates silently corrupts the armed number of vertex states in place
-// and returns the corrupted indices — the fault the engine audit must
-// detect. A no-op (returning nil) when Diverge is disarmed or the vector
-// is empty.
-func (in *Injector) CorruptStates(states []float64) []int {
-	n, ok := in.armed[Diverge]
-	if !ok || len(states) == 0 {
-		return nil
-	}
-	var idx []int
-	for i := 0; i < int(n); i++ {
-		v := in.rng.Intn(len(states))
-		states[v] = in.rng.NormFloat64()*1e9 - 1e9
-		idx = append(idx, v)
-	}
-	return idx
 }
 
 // Reader wraps r with the armed ReadErr schedule: reads succeed for

@@ -148,25 +148,6 @@ func TestCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-func TestCorruptStates(t *testing.T) {
-	in := New(11)
-	in.Arm(Diverge, 3)
-	states := make([]float64, 100)
-	idx := in.CorruptStates(states)
-	if len(idx) != 3 {
-		t.Fatalf("corrupted %d states, want 3", len(idx))
-	}
-	for _, i := range idx {
-		if states[i] == 0 {
-			t.Fatalf("state %d not corrupted", i)
-		}
-	}
-	off := New(11)
-	if got := off.CorruptStates(states); got != nil {
-		t.Fatal("disarmed diverge corrupted states")
-	}
-}
-
 func TestFaultyReader(t *testing.T) {
 	in := New(1)
 	in.Arm(ReadErr, 10)

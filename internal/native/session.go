@@ -88,6 +88,11 @@ type Session struct {
 	preNbr    []graph.VertexID
 	preW      []float32
 
+	// Check's scratch, allocated on its first call: chain marks
+	// (monotonic) or expected states (accumulative), one per vertex.
+	chkMark []uint8
+	chkWant []float64
+
 	// Counters, merged into a Collector by Metrics.
 	ctrVisits, ctrEdges, ctrSteals, ctrTags, ctrResets uint64
 }
@@ -288,7 +293,7 @@ func extend[T any](s []T, n int) []T {
 func (s *Session) NumVertices() int { return len(s.states) }
 
 // Store exposes the owned mutable graph (read-only use: sealing,
-// audits). Mutating it behind the session's back voids the repair
+// checkpoints). Mutating it behind the session's back voids the repair
 // invariants.
 func (s *Session) Store() *graph.Store { return s.store }
 

@@ -272,46 +272,12 @@ func TestSessionRegatherReadsCurrentWeight(t *testing.T) {
 }
 
 // checkForest is the forest oracle, the property the spinlock exists
-// for: after a batch no vertex is left queued or locked; a self-supported
-// vertex holds its initial value; every other vertex's parent edge is in
-// the graph and carries its state bit for bit; and no parent chain has a
-// cycle.
+// for: the session's own Check, which fails t naming the first vertex
+// that breaks the invariant.
 func checkForest(t *testing.T, ctx string, s *Session) {
 	t.Helper()
-	n := s.NumVertices()
-	parent := func(v int) int { return int(s.meta[v]&metaParent) - 1 }
-	for v := range n {
-		if m := s.meta[v]; m&^metaParent != 0 {
-			t.Fatalf("%s: vertex %d left queued or locked (meta %#x)", ctx, v, m)
-		}
-		got, p := s.states[v], parent(v)
-		if p < 0 {
-			if want := math.Float64bits(s.mono.InitialValue(graph.VertexID(v))); got != want {
-				t.Fatalf("%s: self-supported vertex %d holds %016x, its initial value is %016x", ctx, v, got, want)
-			}
-			continue
-		}
-		w, ok := s.store.EdgeWeight(graph.VertexID(p), graph.VertexID(v))
-		if !ok {
-			t.Fatalf("%s: vertex %d's parent edge %d→%d is not in the graph", ctx, v, p, v)
-		}
-		if want := math.Float64bits(s.mono.Propagate(math.Float64frombits(s.states[p]), w)); got != want {
-			t.Fatalf("%s: vertex %d holds %016x, its parent %d gives %016x", ctx, v, got, p, want)
-		}
-	}
-	const onChain, done = 1, 2
-	mark := make([]uint8, n)
-	for v := range n {
-		x := v
-		for x >= 0 && mark[x] == 0 {
-			mark[x], x = onChain, parent(x)
-		}
-		if x >= 0 && mark[x] == onChain {
-			t.Fatalf("%s: the parent chain from %d cycles through %d", ctx, v, x)
-		}
-		for x = v; x >= 0 && mark[x] == onChain; x = parent(x) {
-			mark[x] = done
-		}
+	if v, ok := s.Check(); !ok {
+		t.Fatalf("%s: the state invariant fails at vertex %d (meta %#x, state %016x)", ctx, v, s.meta[v], s.states[v])
 	}
 }
 

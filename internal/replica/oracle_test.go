@@ -450,7 +450,10 @@ type digest struct {
 //  4. each survivor's term ledger holds at most one entry past its log
 //     end, and the survivors agree on every batch's origin term;
 //  5. every survivor's states are Float64bits-identical to an
-//     uninterrupted run's.
+//     uninterrupted run's;
+//  6. every survivor's engine passes its own state invariant (Audit):
+//     clause 5 compares states only, this one each survivor's parent
+//     forest as well, after whatever crash, reseed or promotion built it.
 func oracle(t *testing.T, e ending) digest {
 	t.Helper()
 	height := uint64(len(e.w.Batches))
@@ -502,6 +505,9 @@ func oracle(t *testing.T, e ending) digest {
 		}
 		if !statesEqual(m.pipe.Session().States(), want) {
 			t.Errorf("%s diverged from the uninterrupted run", m.name)
+		}
+		if v, ok := m.pipe.Session().Audit(); !ok {
+			t.Errorf("%s: the state invariant fails at vertex %d", m.name, v)
 		}
 	}
 	if t.Failed() {

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"github.com/tdgraph/tdgraph/internal/graph"
+	"github.com/tdgraph/tdgraph/internal/native"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
@@ -107,7 +108,7 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	if len(meta) > maxMetaBytes {
 		return fmt.Errorf("tdgraph: checkpoint meta is %d bytes, limit %d", len(meta), maxMetaBytes)
 	}
-	nstates, state := s.stateView()
+	nstates := s.sess.NumVertices()
 	// A bufio.Writer's first write error sticks, so the framing words go
 	// unchecked: the next block writer, or Flush, reports it.
 	if s.ckptBuf == nil {
@@ -127,7 +128,7 @@ func (s *Session) save(w io.Writer, meta []byte) error {
 	}{
 		{"meta", uint64(len(meta)), func(w *blockWriter) error { _, err := w.Write(meta); return err }},
 		{"graph", graph.BinarySize(s.NumVertices(), s.NumEdges()), func(w *blockWriter) error { return writeGraph(s.store, w) }},
-		{"state", 8 + 8*uint64(nstates), func(w *blockWriter) error { return writeStates(w, nstates, state) }},
+		{"state", 8 + 8*uint64(nstates), func(w *blockWriter) error { return writeStates(w, s.sess) }},
 	} {
 		binary.LittleEndian.PutUint64(word[:], blk.size)
 		bw.Write(word[:])
@@ -167,9 +168,10 @@ func (b *blockWriter) Write(p []byte) (int, error) {
 func (b *blockWriter) AvailableBuffer() []byte { return b.bw.AvailableBuffer() }
 func (b *blockWriter) Flush() error            { return b.bw.Flush() }
 
-// writeStates encodes the n states state reads straight into the file
-// buffer.
-func writeStates(w *blockWriter, n int, state func(v int) float64) error {
+// writeStates encodes the engine's states straight into the file
+// buffer: the states Audit checks, never the States mirror.
+func writeStates(w *blockWriter, sess *native.Session) error {
+	n := sess.NumVertices()
 	buf := binary.LittleEndian.AppendUint64(w.AvailableBuffer(), uint64(n))
 	for v := 0; v < n; v++ {
 		if len(buf)+8 > cap(buf) {
@@ -181,7 +183,7 @@ func writeStates(w *blockWriter, n int, state func(v int) float64) error {
 			}
 			buf = w.AvailableBuffer()
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(state(v)))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sess.State(graph.VertexID(v))))
 	}
 	_, err := w.Write(buf)
 	return err

@@ -7,7 +7,6 @@ import (
 
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/algo"
-	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/stream"
 )
@@ -190,49 +189,6 @@ func TestSessionPanicInHeal(t *testing.T) {
 // and TestAccumulativePanicRecovery cover a panic on a pool goroutine).
 var oneWorker = tdgraph.SessionOptions{Cores: 1}
 
-// TestSessionDivergenceDegradation corrupts converged states with the
-// injector and verifies the audit detects it and CheckAndRepair degrades
-// to a recompute whose result matches the reference.
-func TestSessionDivergenceDegradation(t *testing.T) {
-	edges, nv := sessionEdges()
-	for _, a := range []tdgraph.Algorithm{tdgraph.NewSSSP(0), tdgraph.NewPageRank()} {
-		s, err := tdgraph.NewSession(a, edges, nv, tdgraph.SessionOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		// A batch first: the state mirror must be refilled before the
-		// injector corrupts it, and again after the repair's recompute.
-		if _, err := s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 0, Dst: 42, Weight: 2}}}); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := s.Audit(); !ok {
-			t.Fatalf("%s: converged session fails its own audit at %d", a.Name(), v)
-		}
-		in := fault.New(21)
-		in.Arm(fault.Diverge, 5)
-		if idx := in.CorruptStates(s.States()); len(idx) == 0 {
-			t.Fatal("injector corrupted nothing")
-		}
-		if _, ok := s.Audit(); ok {
-			t.Fatalf("%s: audit missed injected divergence", a.Name())
-		}
-		if !s.CheckAndRepair() {
-			t.Fatalf("%s: CheckAndRepair declined to repair", a.Name())
-		}
-		if v, ok := s.Audit(); !ok {
-			t.Fatalf("%s: repaired states still diverge at %d", a.Name(), v)
-		}
-		rs := s.RobustStats()
-		if rs.Get(stats.CtrDegradedRecomputes) != 1 {
-			t.Fatalf("%s: degradation not counted: %v", a.Name(), rs.Snapshot())
-		}
-		if s.CheckAndRepair() {
-			t.Fatalf("%s: consistent session repaired again", a.Name())
-		}
-	}
-}
-
 // skewAlgo wraps a monotonic algorithm and, while armed, returns one
 // candidate better than any real one — a silent miscalculation the
 // engine converges around, leaving states that break the fixpoint
@@ -248,6 +204,91 @@ func (p *skewAlgo) Propagate(srcVal float64, w float32) float64 {
 		return -1
 	}
 	return p.MonotonicAlgo.Propagate(srcVal, w)
+}
+
+// skewShare wraps an accumulative algorithm and, while armed, returns
+// one share a whole unit too large — a silent miscalculation whose mass
+// the engine propagates, leaving states off the fixpoint. It disarms
+// itself after that one call.
+type skewShare struct {
+	algo.AccumulativeAlgo
+	armed bool
+}
+
+func (p *skewShare) Share(w float32, outDeg int, total float64) float64 {
+	share := p.AccumulativeAlgo.Share(w, outDeg, total)
+	if p.armed {
+		p.armed = false
+		share++
+	}
+	return share
+}
+
+// TestSessionDivergenceDegradation lets one skewed computation land in
+// the engine — an SSSP distance no edge supports, a PageRank share too
+// large — and verifies the audit detects it and CheckAndRepair degrades
+// to a recompute that the audit accepts.
+func TestSessionDivergenceDegradation(t *testing.T) {
+	edges, nv := sessionEdges()
+	sssp := &skewAlgo{MonotonicAlgo: tdgraph.NewSSSP(0)}
+	pr := &skewShare{AccumulativeAlgo: tdgraph.NewPageRank()}
+	for _, c := range []struct {
+		a     tdgraph.Algorithm
+		armed *bool
+	}{{sssp, &sssp.armed}, {pr, &pr.armed}} {
+		s, err := tdgraph.NewSession(c.a, edges, nv, tdgraph.SessionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if v, ok := s.Audit(); !ok {
+			t.Fatalf("%s: converged session fails its own audit at %d", c.a.Name(), v)
+		}
+		*c.armed = true
+		if _, err := s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 0, Dst: 42, Weight: 2}}}); err != nil {
+			t.Fatal(err)
+		}
+		if *c.armed {
+			t.Fatalf("%s: the batch never reached the skew", c.a.Name())
+		}
+		if _, ok := s.Audit(); ok {
+			t.Fatalf("%s: audit missed the skewed batch", c.a.Name())
+		}
+		if !s.CheckAndRepair() {
+			t.Fatalf("%s: CheckAndRepair declined to repair", c.a.Name())
+		}
+		if v, ok := s.Audit(); !ok {
+			t.Fatalf("%s: repaired states still diverge at %d", c.a.Name(), v)
+		}
+		rs := s.RobustStats()
+		if rs.Get(stats.CtrDegradedRecomputes) != 1 || rs.Get(stats.CtrAuditDivergence) != 2 {
+			t.Fatalf("%s: degradation not counted: %v", c.a.Name(), rs.Snapshot())
+		}
+		if s.CheckAndRepair() {
+			t.Fatalf("%s: consistent session repaired again", c.a.Name())
+		}
+	}
+}
+
+// TestSessionAuditAllocs holds a warm Audit to zero allocations on an
+// SSSP and a PageRank session: it checks the live store in place, so
+// SelfCheck costs a pass per batch, not a sealed copy of the graph.
+func TestSessionAuditAllocs(t *testing.T) {
+	edges, nv := sessionEdges()
+	for _, a := range []tdgraph.Algorithm{tdgraph.NewSSSP(0), tdgraph.NewPageRank()} {
+		s, err := tdgraph.NewSession(a, edges, nv, oneWorker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 0, Dst: 42, Weight: 2}}}); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if allocs := testing.AllocsPerRun(10, func() { _, ok = s.Audit() }); allocs != 0 || !ok {
+			t.Fatalf("%s: Audit allocates %v objects (passed %v), want 0", a.Name(), allocs, ok)
+		}
+	}
 }
 
 // TestSessionSelfCheck verifies the SelfCheck option audits (and repairs)

@@ -116,9 +116,9 @@ type SessionOptions struct {
 	// means "the vertex count the session was created with". Without a
 	// cap a single wild update ID could grow the vertex set unboundedly.
 	MaxVertices int
-	// SelfCheck audits the local-fixpoint invariant after every batch
-	// and transparently falls back to a full recompute on divergence
-	// (recorded in RobustStats). One extra O(V+E) pass per batch.
+	// SelfCheck audits the state invariant after every batch and falls
+	// back to a full recompute on divergence (recorded in RobustStats):
+	// one extra O(V+E) pass per batch, and no allocation.
 	SelfCheck bool
 }
 
@@ -135,7 +135,6 @@ type SessionOptions struct {
 // and reads nothing (serve.Pipeline) pays for none of them.
 type Session struct {
 	opt   SessionOptions
-	a     algo.Algorithm
 	store *graph.Store
 	sess  *native.Session // owns the store's state arrays
 
@@ -172,7 +171,7 @@ func newSession(a Algorithm, st *graph.Store, rows *graph.Rows, loaded func(), w
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opt: opt, a: a, store: st, sess: sess}, nil
+	return &Session{opt: opt, store: st, sess: sess}, nil
 }
 
 // newValidator returns opt's ingestion validator over numVertices
@@ -241,15 +240,10 @@ func (s *Session) NumVertices() int { return s.store.NumVertices() }
 // NumEdges returns the current edge count.
 func (s *Session) NumEdges() int { return s.store.NumEdges() }
 
-// State returns v's converged state (e.g. its distance, label, or rank).
-// While no state mirror is held it reads the engine's own, so reading
-// one value never copies all of them.
-func (s *Session) State(v VertexID) float64 {
-	if s.state == nil {
-		return s.sess.State(v)
-	}
-	return s.States()[v]
-}
+// State returns v's converged state (e.g. its distance, label, or rank),
+// read from the engine's own, so reading one value never copies all of
+// them.
+func (s *Session) State(v VertexID) float64 { return s.sess.State(v) }
 
 // States returns the full converged state vector. The slice aliases the
 // session and is invalidated by the next ApplyBatch.
@@ -273,17 +267,6 @@ func (s *Session) refresh() {
 		s.col = s.sess.Metrics()
 		s.stale = false
 	}
-}
-
-// stateView returns the state count and a reader of state v: what a
-// checkpoint save streams. It reads the engine's own states while no
-// mirror exists, so a save never builds one.
-func (s *Session) stateView() (int, func(int) float64) {
-	if s.state == nil {
-		return s.sess.NumVertices(), func(v int) float64 { return s.sess.State(graph.VertexID(v)) }
-	}
-	state := s.States()
-	return len(state), func(v int) float64 { return state[v] }
 }
 
 // Graph returns the current immutable snapshot. It seals the mutable
@@ -327,7 +310,7 @@ func (e *PanicError) Error() string {
 // and changes nothing). A panic anywhere in batch application or engine
 // processing is converted to a *PanicError and the session self-heals by
 // recomputing from the current graph — no panic escapes and the session
-// stays usable. With SelfCheck set, a post-batch audit of the fixpoint
+// stays usable. With SelfCheck set, a post-batch audit of the state
 // invariant triggers a transparent recompute on divergence.
 func (s *Session) ApplyBatch(batch []Update) (ApplyResult, error) {
 	if s.validator != nil {
@@ -369,37 +352,21 @@ func (s *Session) applyBatchProtected(batch []Update) (res ApplyResult, err erro
 // per-update, not partial), so the states are recomputed from scratch on
 // it. The recompute runs the algorithm's own code — the very code that
 // may have panicked — so it is protected too: if it panics again the
-// states are merely padded to the graph's shape, keeping the session
-// usable for inspection and checkpointing.
+// engine keeps its states, already grown to the graph's shape before any
+// algorithm code ran, so the session stays usable for inspection and
+// checkpointing.
 func (s *Session) healAfterPanic() {
-	defer func() {
-		if recover() != nil {
-			s.padStates()
-		}
-	}()
+	defer func() { _ = recover() }()
 	s.Recompute()
 	s.rob.Inc(stats.CtrDegradedRecomputes)
 }
 
-// padStates forces the state mirror to the graph's vertex count, zero-
-// extending or truncating it, without running any algorithm code: the
-// last-resort heal when Recompute itself panics.
-func (s *Session) padStates() {
-	state, n := s.States(), s.store.NumVertices()
-	if len(state) > n {
-		state = state[:n]
-	}
-	for len(state) < n {
-		state = append(state, 0)
-	}
-	s.state = state
-}
-
-// Audit checks the local-fixpoint invariant of the current states
-// without repairing anything. It returns the first divergent vertex and
-// false on divergence, or (0, true) when the states are consistent.
+// Audit checks the engine's state invariant (native.Session.Check) on
+// the live graph without repairing anything. It returns the first
+// divergent vertex and false on divergence, or (0, true) when the states
+// are consistent. Warm, it allocates nothing.
 func (s *Session) Audit() (VertexID, bool) {
-	v, ok := algo.AuditStates(s.a, s.Graph(), s.States())
+	v, ok := s.sess.Check()
 	if !ok {
 		s.rob.Inc(stats.CtrAuditDivergence)
 	}
@@ -408,7 +375,7 @@ func (s *Session) Audit() (VertexID, bool) {
 
 // CheckAndRepair audits the current states and, on divergence, degrades
 // gracefully: the states are recomputed from scratch on the current
-// snapshot and the event is recorded in RobustStats. It reports whether a
+// graph and the event is recorded in RobustStats. It reports whether a
 // repair happened.
 func (s *Session) CheckAndRepair() bool {
 	if _, ok := s.Audit(); ok {
