@@ -41,7 +41,7 @@ race:
 # EXPERIMENTS.md "Fault classes: scenario → owning test" maps each
 # class to its test.
 faults:
-	$(GO) test -count=1 -run 'Fault|CrashFS|Checkpoint|Session|Sanitize|Validat|Watchdog|Mutate|Corrupt|WAL|Serve|Backoff|Breaker|Queue|Retry|Pipeline|Conn|Frame|Tailer|Replicated|Quorum|Follower|Fenced|Reseed|Snap|Retain|Group' . ./internal/fault ./internal/stream ./internal/bench ./internal/wal ./internal/serve ./internal/replica
+	$(GO) test -count=1 -run 'Fault|CrashFS|Checkpoint|Session|Sanitize|Validat|Watchdog|Mutate|Corrupt|WAL|Serve|Backoff|Queue|Retry|Pipeline|Conn|Frame|Tailer|Replicated|Quorum|Follower|Fenced|Reseed|Snap|Retain|Group' . ./internal/fault ./internal/stream ./internal/bench ./internal/wal ./internal/serve ./internal/replica
 
 # Chaos suite: seeded kill-anywhere crash/recovery trials over the
 # durable ingestion pipeline, kill-the-primary replication failover
@@ -96,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReaders$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime 10s ./internal/replica
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapFrame$$' -fuzztime 10s ./internal/replica
+	$(GO) test -run '^$$' -fuzz '^FuzzTermState$$' -fuzztime 10s ./internal/replica
 
 # benchmark/ is its own module (BENCHMARK.json runs `go run -C benchmark .`),
 # so `go build ./...` at the root never compiles it: a root-module API

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// fakeClock drives the retry and breaker logic without sleeping: Sleep
-// records the request and advances time instantly.
+// fakeClock drives the retry logic without sleeping: Sleep records the
+// request and advances time instantly.
 type fakeClock struct {
 	mu    sync.Mutex
 	now   time.Time
@@ -37,12 +37,6 @@ func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	c.slept = append(c.slept, d)
 	c.now = c.now.Add(d)
 	return nil
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
 }
 
 func TestBackoffExponentialGrowth(t *testing.T) {
@@ -100,81 +94,9 @@ func TestBackoffCapHoldsUnderJitter(t *testing.T) {
 	}
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	clock := newFakeClock()
-	br := NewBreaker(3, 5*time.Second, clock)
-	boom := errors.New("boom")
-
-	// Closed: failures below the threshold keep calls flowing.
-	for i := 0; i < 2; i++ {
-		if !br.Allow() {
-			t.Fatal("closed breaker refused a call")
-		}
-		br.Record(boom)
-	}
-	if br.state != BreakerClosed {
-		t.Fatalf("state %v, want closed", br.state)
-	}
-
-	// Third consecutive failure opens it.
-	br.Record(boom)
-	if br.state != BreakerOpen {
-		t.Fatalf("state %v, want open", br.state)
-	}
-	if br.Allow() {
-		t.Fatal("open breaker allowed a call before the reset timeout")
-	}
-
-	// Reset timeout elapses: half-open, trial calls flow.
-	clock.Advance(5 * time.Second)
-	if !br.Allow() {
-		t.Fatal("breaker did not half-open after the reset timeout")
-	}
-	if br.state != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", br.state)
-	}
-
-	// A half-open failure reopens immediately.
-	br.Record(boom)
-	if br.state != BreakerOpen {
-		t.Fatalf("state %v, want open after half-open failure", br.state)
-	}
-	if got := br.Opens(); got != 2 {
-		t.Fatalf("opens = %d, want 2", got)
-	}
-
-	// Second probe succeeds: closed, failure count cleared.
-	clock.Advance(5 * time.Second)
-	if !br.Allow() {
-		t.Fatal("breaker did not half-open again")
-	}
-	br.Record(nil)
-	if br.state != BreakerClosed {
-		t.Fatalf("state %v, want closed after successful probe", br.state)
-	}
-	// The old failures are gone: two new ones must not trip it.
-	br.Record(boom)
-	br.Record(boom)
-	if br.state != BreakerClosed {
-		t.Fatal("failure count survived the close")
-	}
-}
-
-func TestBreakerSuccessResetsCount(t *testing.T) {
-	br := NewBreaker(2, time.Second, newFakeClock())
-	boom := errors.New("boom")
-	for i := 0; i < 10; i++ {
-		br.Record(boom)
-		br.Record(nil) // success between failures: never two consecutive
-	}
-	if br.state != BreakerClosed || br.Opens() != 0 {
-		t.Fatalf("interleaved failures tripped the breaker: %v, opens %d", br.state, br.Opens())
-	}
-}
-
 // retryClient is a client whose retry loop runs on clock with the given
 // policy. Its attempts are test closures, so it never dials.
-func retryClient(t *testing.T, clock *fakeClock, backoff *Backoff, br *Breaker, maxAttempts int) *Client {
+func retryClient(t *testing.T, clock *fakeClock, backoff *Backoff, maxAttempts int) *Client {
 	t.Helper()
 	c, err := NewClient(ClientConfig{
 		Nodes:       []string{"unused"},
@@ -182,7 +104,6 @@ func retryClient(t *testing.T, clock *fakeClock, backoff *Backoff, br *Breaker, 
 		MaxAttempts: maxAttempts,
 		Seed:        1,
 		Backoff:     backoff,
-		Breaker:     br,
 		Clock:       clock,
 	})
 	if err != nil {
@@ -197,7 +118,7 @@ func retryClient(t *testing.T, clock *fakeClock, backoff *Backoff, br *Breaker, 
 func TestClientRetryAbsorbsTransientFailures(t *testing.T) {
 	const batches = 4
 	clock := newFakeClock()
-	c := retryClient(t, clock, NewBackoff(1), NewBreaker(10, 0, clock), 0)
+	c := retryClient(t, clock, NewBackoff(1), 0)
 	calls, delivered := 0, 0
 	for b := 0; b < batches; b++ {
 		failures := 2
@@ -223,47 +144,41 @@ func TestClientRetryAbsorbsTransientFailures(t *testing.T) {
 }
 
 // TestClientRetryGivesUp: an exhausted budget wraps ErrGivenUp around
-// the last failure.
+// the last failure, and returns as soon as the last attempt fails: one
+// backoff sleep between each two attempts, none after the last. At the
+// defaults (10 attempts, unjittered) the last attempt comes 22.75 s
+// after the first.
 func TestClientRetryGivesUp(t *testing.T) {
-	clock := newFakeClock()
 	down := errors.New("down hard")
-	c := retryClient(t, clock, NewBackoff(1), NewBreaker(100, 0, clock), 4)
-	calls := 0
-	err := c.retry(context.Background(), func() error { calls++; return down })
-	if !errors.Is(err, ErrGivenUp) || !errors.Is(err, down) {
-		t.Fatalf("want ErrGivenUp wrapping the last cause, got %v", err)
-	}
-	if calls != 4 {
-		t.Fatalf("retries = %d, want 4", calls)
-	}
-}
-
-// TestClientRetryBreakerGates: once the breaker opens, the client waits
-// out the reset timeout instead of burning attempts.
-func TestClientRetryBreakerGates(t *testing.T) {
-	clock := newFakeClock()
-	br := NewBreaker(2, 30*time.Second, clock)
-	c := retryClient(t, clock, NewBackoff(1), br, 6)
-	calls := 0
-	err := c.retry(context.Background(), func() error { calls++; return errors.New("down") })
-	if !errors.Is(err, ErrGivenUp) {
-		t.Fatal(err)
-	}
-	if br.Opens() == 0 {
-		t.Fatal("breaker never opened")
-	}
-	// Open-state waits show up as ResetTimeout sleeps on the fake clock.
-	var gated bool
-	for _, d := range clock.slept {
-		if d == br.ResetTimeout {
-			gated = true
+	for _, tc := range []struct {
+		maxAttempts, calls int
+		patience           time.Duration
+	}{
+		{4, 4, 350 * time.Millisecond},
+		{0, 10, 22750 * time.Millisecond},
+	} {
+		clock := newFakeClock()
+		backoff := NewBackoff(1)
+		backoff.Jitter = 0
+		c := retryClient(t, clock, backoff, tc.maxAttempts)
+		calls := 0
+		err := c.retry(context.Background(), func() error { calls++; return down })
+		if !errors.Is(err, ErrGivenUp) || !errors.Is(err, down) {
+			t.Fatalf("want ErrGivenUp wrapping the last cause, got %v", err)
 		}
-	}
-	if !gated {
-		t.Fatalf("no reset-timeout wait recorded: %v", clock.slept)
-	}
-	if calls >= 7 {
-		t.Fatalf("breaker did not reduce pressure: %d calls", calls)
+		if calls != tc.calls {
+			t.Fatalf("MaxAttempts %d: attempts = %d, want %d", tc.maxAttempts, calls, tc.calls)
+		}
+		if len(clock.slept) != calls-1 {
+			t.Fatalf("%d attempts slept %d times (%v), want %d", calls, len(clock.slept), clock.slept, calls-1)
+		}
+		var patience time.Duration
+		for _, d := range clock.slept {
+			patience += d
+		}
+		if patience != tc.patience {
+			t.Fatalf("MaxAttempts %d: last attempt %v after the first, want %v", tc.maxAttempts, patience, tc.patience)
+		}
 	}
 }
 
@@ -273,7 +188,7 @@ func TestClientRetryBusyHintFloorsDelay(t *testing.T) {
 	clock := newFakeClock()
 	backoff := NewBackoff(1)
 	backoff.Jitter = 0 // Delay(0) = 50ms, far below the hint
-	c := retryClient(t, clock, backoff, nil, 0)
+	c := retryClient(t, clock, backoff, 0)
 	calls := 0
 	err := c.retry(context.Background(), func() error {
 		calls++
@@ -299,7 +214,7 @@ func TestClientRetryBackoffWinsOverSmallHint(t *testing.T) {
 	clock := newFakeClock()
 	backoff := NewBackoff(1)
 	backoff.Jitter = 0
-	c := retryClient(t, clock, backoff, nil, 0)
+	c := retryClient(t, clock, backoff, 0)
 	calls := 0
 	err := c.retry(context.Background(), func() error {
 		calls++
@@ -318,12 +233,10 @@ func TestClientRetryBackoffWinsOverSmallHint(t *testing.T) {
 
 // TestClientRetryNeverRetriesCancellation: context.Canceled — whether
 // from the caller's context or bubbled through an attempt — is not a
-// delivery failure: no retry, no breaker accounting. A shutdown must
-// not trip the breaker open for the next run.
+// delivery failure: no retry.
 func TestClientRetryNeverRetriesCancellation(t *testing.T) {
 	clock := newFakeClock()
-	br := NewBreaker(1, time.Second, clock) // one failure would open it
-	c := retryClient(t, clock, nil, br, 0)
+	c := retryClient(t, clock, nil, 0)
 	calls := 0
 	err := c.retry(context.Background(), func() error {
 		calls++
@@ -335,14 +248,11 @@ func TestClientRetryNeverRetriesCancellation(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("calls=%d, want a single attempt and no retries", calls)
 	}
-	if br.state != BreakerClosed || br.Opens() != 0 {
-		t.Fatalf("cancellation tripped the breaker: %v opens=%d", br.state, br.Opens())
-	}
 
 	// A caller-cancelled context short-circuits the same way.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c2 := retryClient(t, clock, nil, NewBreaker(1, time.Second, clock), 0)
+	c2 := retryClient(t, clock, nil, 0)
 	calls = 0
 	if err := c2.retry(ctx, func() error { calls++; return errors.New("transport down") }); err == nil {
 		t.Fatal("cancelled context retried to success?")
@@ -352,21 +262,17 @@ func TestClientRetryNeverRetriesCancellation(t *testing.T) {
 	}
 }
 
-// TestClientRetryDeadlineFeedsBreaker: genuine timeouts (including
+// TestClientRetryRetriesDeadline: genuine timeouts (including
 // context.DeadlineExceeded surfaced by a transport) ARE delivery
-// failures — retried, counted, breaker-fed.
-func TestClientRetryDeadlineFeedsBreaker(t *testing.T) {
+// failures, retried like any other.
+func TestClientRetryRetriesDeadline(t *testing.T) {
 	clock := newFakeClock()
-	br := NewBreaker(3, time.Second, clock)
-	c := retryClient(t, clock, nil, br, 0)
+	c := retryClient(t, clock, nil, 0)
 	calls := 0
 	err := c.retry(context.Background(), func() error {
 		calls++
 		if calls == 1 {
 			return fmt.Errorf("ack wait: %w", context.DeadlineExceeded)
-		}
-		if br.failures != 1 {
-			t.Errorf("breaker counted %d failures before the retry, want 1", br.failures)
 		}
 		return nil
 	})

@@ -86,18 +86,15 @@ type ClientConfig struct {
 	// attempts are bounded only by AckTimeout.
 	BatchDeadline time.Duration
 	// MaxAttempts bounds tries per batch across reconnects and
-	// redirects (default 8). Exhaustion surfaces ErrGivenUp wrapping
-	// the last failure.
+	// redirects (default 10: the default backoff, unjittered, puts the
+	// last try 22.75 s after the first). Exhaustion surfaces ErrGivenUp
+	// wrapping the last failure.
 	MaxAttempts int
 	// Seed feeds the retry backoff jitter.
 	Seed int64
 	// Backoff overrides the retry backoff schedule (nil = the
 	// defaults, seeded from Seed).
 	Backoff *Backoff
-	// Breaker overrides the retry circuit breaker (nil = the
-	// defaults). Failover makes refusals routine, so deployments with
-	// tight latency budgets want a shorter reset than the default 5s.
-	Breaker *Breaker
 	// Clock supplies waits and I/O deadlines (default real time).
 	Clock serve.Clock
 	// OnEvent receives one line per notable event (nil discards).
@@ -122,9 +119,8 @@ type Client struct {
 	next  int    // rotation cursor into cfg.Nodes
 	acked uint64 // highest durable sequence the cluster confirmed
 
-	// One Run's retry policy, built when the run starts.
+	// One Run's retry backoff, built when the run starts.
 	backoff *Backoff
-	breaker *Breaker
 }
 
 // NewClient returns a client over the given cluster addresses.
@@ -139,7 +135,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.AckTimeout = 5 * time.Second
 	}
 	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 8
+		cfg.MaxAttempts = 10
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = serve.RealClock{}
@@ -157,10 +153,9 @@ func (c *Client) Acked() uint64 { return c.acked }
 // Run submits every batch in order and returns once all are
 // quorum-durable on the cluster. Failures — dead nodes, severed
 // connections, leadership changes — are retried with exponential
-// backoff, jitter and a circuit breaker; a batch that exhausts the
-// attempt budget surfaces ErrGivenUp wrapping the final cause. Batches
-// the cluster already holds (a rerun after a partial failure) are
-// skipped, not re-applied.
+// backoff and jitter; a batch that exhausts the attempt budget surfaces
+// ErrGivenUp wrapping the final cause. Batches the cluster already
+// holds (a rerun after a partial failure) are skipped, not re-applied.
 func (c *Client) Run(ctx context.Context, batches [][]graph.Update) error {
 	c.startRun()
 	defer c.dropConn()
@@ -185,46 +180,33 @@ func (c *Client) Run(ctx context.Context, batches [][]graph.Update) error {
 	return nil
 }
 
-// startRun builds the run's retry policy: the configured backoff and
-// breaker, or the defaults seeded from Seed on the client's clock.
+// startRun builds the run's retry backoff: the configured one, or the
+// defaults seeded from Seed.
 func (c *Client) startRun() {
-	c.backoff, c.breaker = c.cfg.Backoff, c.cfg.Breaker
+	c.backoff = c.cfg.Backoff
 	if c.backoff == nil {
 		c.backoff = NewBackoff(c.cfg.Seed)
-	}
-	if c.breaker == nil {
-		c.breaker = NewBreaker(0, 0, c.cfg.Clock)
 	}
 }
 
 // retry runs attempt until it succeeds or MaxAttempts tries have
-// failed. Each failure feeds the breaker and waits Backoff.Delay, or
-// the leader's busy hint when that is longer. An open breaker is waited
-// out for its reset timeout without spending an attempt. Cancellation
-// is returned at once and never reaches the breaker: a shutdown must
-// not trip it open for the next run.
+// failed. Each failure but the last waits Backoff.Delay, or the
+// leader's busy hint when that is longer; the last returns at once.
+// Cancellation is returned at once and never retried.
 func (c *Client) retry(ctx context.Context, attempt func() error) error {
-	var lastErr error
-	for n := 0; n < c.cfg.MaxAttempts; n++ {
-		if !c.breaker.Allow() {
-			if err := c.cfg.Clock.Sleep(ctx, c.breaker.ResetTimeout); err != nil {
-				return err
-			}
-			n--
-			continue
-		}
+	for n := 0; ; n++ {
 		err := attempt()
 		if err == nil {
-			c.breaker.Record(nil)
 			return nil
 		}
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
 			return err
 		}
 		// Everything else — timeouts, expired batch deadlines, transport
-		// failures, refusals — feeds the breaker and is retried.
-		c.breaker.Record(err)
-		lastErr = err
+		// failures, refusals — is retried while the budget lasts.
+		if n+1 >= c.cfg.MaxAttempts {
+			return fmt.Errorf("%w after %d attempts: %w", ErrGivenUp, c.cfg.MaxAttempts, err)
+		}
 		delay := c.backoff.Delay(n)
 		var busy *BusyError
 		if errors.As(err, &busy) && busy.RetryAfter > delay {
@@ -234,7 +216,6 @@ func (c *Client) retry(ctx context.Context, attempt func() error) error {
 			return err
 		}
 	}
-	return fmt.Errorf("%w after %d attempts: %w", ErrGivenUp, c.cfg.MaxAttempts, lastErr)
 }
 
 // submit makes batch idx durable on the cluster: connect (following

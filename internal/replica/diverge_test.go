@@ -1,11 +1,14 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -330,4 +333,77 @@ func TestTermStateDurability(t *testing.T) {
 	if _, err := ClaimTerm(wal.Options{Dir: dir}, 8); err != nil {
 		t.Fatalf("claiming term 8: %v", err)
 	}
+}
+
+// ledgerCodecCases are fixed inputs with the bytes the term file and the
+// snapshot offer encode them to, recorded before both formats shared
+// appendLedger: the shared codec must keep each byte-identical.
+var ledgerCodecCases = []struct {
+	state             TermState
+	offer             snapOffer
+	termHex, offerHex string
+}{
+	{
+		termHex:  "4d54445402000000000000000000009f6da4c5",
+		offerHex: "0000000000000000000000000000",
+	},
+	{
+		state: TermState{Term: 7, Ledger: []TermBase{{Term: 1, Base: 1}, {Term: 3, Base: 500}}},
+		offer: snapOffer{Total: 9, CRC: 0xDEADBEEF, Ledger: []TermBase{{Term: 1, Base: 1}, {Term: 3, Base: 500}}},
+		termHex: "4d5444540207000000000000000200010000000000000001000000000000000300000000000000" +
+			"f4010000000000005656836d",
+		offerHex: "0900000000000000efbeadde020001000000000000000100000000000000030000000000000" +
+			"0f401000000000000",
+	},
+}
+
+// TestLedgerCodecBytes pins the term file's and the snapshot offer's
+// bytes for fixed inputs, and that each decodes back to its input.
+func TestLedgerCodecBytes(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range ledgerCodecCases {
+		if err := SaveTermState(wal.OSFS{}, dir, c.state); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, termFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(raw); got != c.termHex {
+			t.Errorf("case %d: term file\n got %s\nwant %s", i, got, c.termHex)
+		}
+		if s, ok := decodeTermState(raw); !ok || !reflect.DeepEqual(s, c.state) {
+			t.Errorf("case %d: term file decodes to %+v (ok %v), want %+v", i, s, ok, c.state)
+		}
+		enc := c.offer.encode()
+		if got := hex.EncodeToString(enc); got != c.offerHex {
+			t.Errorf("case %d: snapshot offer\n got %s\nwant %s", i, got, c.offerHex)
+		}
+		if o, err := decodeSnapOffer(enc); err != nil || !reflect.DeepEqual(o, c.offer) {
+			t.Errorf("case %d: offer decodes to %+v (%v), want %+v", i, o, err, c.offer)
+		}
+	}
+}
+
+// FuzzTermState fuzzes the term file's decoder, which reads the durable
+// state that fences deposed primaries: every input either fails to
+// decode or re-encodes byte-identical — never a panic, never a state
+// that would save differently from what was read.
+func FuzzTermState(f *testing.F) {
+	f.Add([]byte(nil))
+	for _, c := range ledgerCodecCases {
+		f.Add(encodeTermState(c.state))
+	}
+	full := encodeTermState(TermState{Term: 9, Ledger: []TermBase{{Term: 2, Base: 4}}})
+	f.Add(full[:len(full)-1])
+	f.Add(append(append([]byte(nil), full...), 0xFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, ok := decodeTermState(data)
+		if !ok {
+			return
+		}
+		if re := encodeTermState(s); !bytes.Equal(re, data) {
+			t.Fatalf("accepted term file does not re-encode byte-identical:\n in:  %x\n out: %x", data, re)
+		}
+	})
 }

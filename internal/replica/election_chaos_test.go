@@ -121,6 +121,54 @@ func TestChaosAsymmetricPartition(t *testing.T) {
 	})
 }
 
+// TestChaosStickinessAloneHoldsLeader: the deaf follower of
+// TestChaosAsymmetricPartition, where nothing but leader stickiness
+// keeps it from deposing the leader. The cluster is idle, the deaf
+// follower holds the whole log, and it has the lowest address, so every
+// peer's log ties with its own and it outranks them all. Its candidacies
+// must still defer, lease after lease, to the leader its peers hear, and
+// no member's leader or term may move.
+func TestChaosStickinessAloneHoldsLeader(t *testing.T) {
+	twice(t, func(t *testing.T) digest {
+		w := testWorkload(t, 6)
+		c := newCluster(t, w, newManualClock())
+		// Among equal logs alpha wins the ranking: keep it partitioned
+		// until beta or gamma leads, then let it join and catch up.
+		c.net.isolate("alpha", true)
+		c.trio(fastTiming, 950)
+		driveUntil(t, c.clk, "election without alpha", c.hasLeader)
+		cl := c.client(951)
+		c.feed(cl, w.Batches)
+		c.net.isolate("alpha", false)
+		driveUntil(t, c.clk, "alpha caught up", c.converged)
+		leader, deaf := c.leader(), c.member("alpha")
+		term := leader.Term()
+
+		var wrapSeq int64
+		c.net.wrapInbound("alpha", func(conn net.Conn) net.Conn {
+			inj := fault.New(952 + atomic.AddInt64(&wrapSeq, 1))
+			inj.Arm(fault.NetPartitionRecv, 1)
+			return inj.Conn(conn)
+		})
+		c.net.sever("alpha")
+		deafCol := deaf.Follower().Pipeline().Collector()
+		cut := deafCol.Get(stats.CtrReplElections)
+		driveUntil(t, c.clk, "deaf node candidacies", func() bool {
+			return deaf.Role() == RoleLeader || deafCol.Get(stats.CtrReplElections) >= cut+4
+		})
+		if got := c.leader(); got != leader {
+			t.Fatalf("leadership moved from %s while only alpha was deaf", leader.cfg.Addr)
+		}
+		for _, m := range c.members {
+			if got := m.Term(); got != term {
+				t.Fatalf("%s at term %d after the cut, want %d", m.cfg.Addr, got, term)
+			}
+		}
+
+		return c.end(cl, nil)
+	})
+}
+
 // TestChaosLeaderIsolationHeals: the leader is partitioned from both
 // followers mid-load. The majority side elects a new leader and keeps
 // serving the client; the isolated ex-leader steps itself down after a

@@ -44,17 +44,16 @@ type Follower struct {
 	// sessionMu serialises the operations that move the pipeline:
 	// replication sessions, snapshot installs, and promotions.
 	sessionMu sync.Mutex
-	// mu guards the snapshot fields probe answers read while a session
-	// is mid-flight: the durable term state and the last-heard leader
-	// address. The pipeline position itself is pipe.Seq(), an atomic.
-	mu     sync.Mutex
-	cfg    FollowerConfig
-	pipe   *serve.Pipeline
-	col    *stats.Collector
-	fs     wal.FS
-	dir    string
-	state  TermState
-	leader string // advertised address of the last adopted primary
+	// mu guards the fields probe answers and the session fence read
+	// while a session is mid-flight: the durable term state and the
+	// claimed bit. The pipeline position itself is pipe.Seq(), an atomic.
+	mu    sync.Mutex
+	cfg   FollowerConfig
+	pipe  *serve.Pipeline
+	col   *stats.Collector
+	fs    wal.FS
+	dir   string
+	state TermState
 	// claimed marks that this process itself promoted to state.Term —
 	// it is that term's authority, so a second Hello claiming the same
 	// term is a split brain, not a reconnect. Written under sessionMu
@@ -127,14 +126,6 @@ func (f *Follower) Term() uint64 {
 	return f.state.Term
 }
 
-// Leader returns the advertised address of the last primary whose term
-// this follower adopted ("" before any session, or after promotion).
-func (f *Follower) Leader() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.leader
-}
-
 // setState publishes a new durable term state to concurrent probe
 // readers. Callers hold sessionMu.
 func (f *Follower) setState(st TermState) {
@@ -153,21 +144,14 @@ func (f *Follower) TailStamp() uint64 {
 	return f.state.At(seq)
 }
 
-// selfClaimed reports whether this process itself promoted to the
-// adopted term, making it that term's authority — the one case where
-// an equal-term session claim is a split brain and not a reconnect.
-func (f *Follower) selfClaimed() bool {
+// fences reports, from one locked read, whether a session claiming term
+// must be refused, and the adopted term to refuse it with: a claim below
+// it is a deposed primary, and an equal claim of a term this process
+// itself promoted to is a split brain.
+func (f *Follower) fences(term uint64) (adopted uint64, fenced bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.claimed
-}
-
-// SetLeaderHint overrides the leader address probe answers hand out.
-// A freshly promoted node names itself; a demoted one clears it.
-func (f *Follower) SetLeaderHint(addr string) {
-	f.mu.Lock()
-	f.leader = addr
-	f.mu.Unlock()
+	return f.state.Term, term < f.state.Term || (term == f.state.Term && f.claimed)
 }
 
 // AnswerProbeLeader writes one FrameState snapshot: durable term, last
@@ -194,8 +178,8 @@ func (f *Follower) AnswerProbeLeader(conn net.Conn, leader string) error {
 // is deposed, ErrFollowerBehind on a sequence gap, ErrFollowerDiverged
 // when the primary refuses this replica's log). It blocks the calling
 // goroutine; sessions are serialised, and PromoteTo excludes them.
-// Probes and client hellos are answered before a session opens without
-// blocking on an active one.
+// Probes are answered, with no leader hint (Node owns the hint), before
+// a session opens without blocking on an active one.
 func (f *Follower) Serve(conn net.Conn) error {
 	for {
 		fr, err := ReadFrame(conn)
@@ -204,20 +188,9 @@ func (f *Follower) Serve(conn net.Conn) error {
 		}
 		switch fr.Type {
 		case FrameProbe:
-			if err := f.AnswerProbeLeader(conn, f.Leader()); err != nil {
+			if err := f.AnswerProbeLeader(conn, ""); err != nil {
 				return err
 			}
-		case FrameClientHello:
-			// A client dialed a follower: refuse with the leader hint so
-			// its failover can re-aim in one hop.
-			f.mu.Lock()
-			term, leader := f.state.Term, f.leader
-			f.mu.Unlock()
-			f.col.Inc(stats.CtrReplRedirects)
-			if err := WriteFrame(conn, Frame{Type: FrameReject, Term: term, Payload: []byte(leader)}); err != nil {
-				return err
-			}
-			return &RedirectError{Leader: leader}
 		case FrameHello:
 			return f.ServeSession(conn, fr)
 		default:
@@ -227,12 +200,9 @@ func (f *Follower) Serve(conn net.Conn) error {
 	}
 }
 
-// ServeSession runs the replication session that hello opened. A
-// session must claim a term no lower than any this follower has
-// adopted. A claim *below* the adopted term is a deposed primary;
-// a claim *equal* to a term this follower itself promoted to is a
-// split brain (the follower is that term's authority) — both are
-// fenced. An equal claim of a term adopted *from* a primary is that
+// ServeSession runs the replication session that hello opened, unless
+// the fence refuses its claim (fences): a deposed primary or a split
+// brain. An equal claim of a term adopted *from* a primary is that
 // unique primary reconnecting — a dropped connection, a leader
 // re-attaching after a transient failure — and is accepted without
 // re-persisting anything. That trusts one process per term, which the
@@ -245,12 +215,12 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 	f.sessionMu.Lock()
 	defer f.sessionMu.Unlock()
 
-	if hello.Term < f.state.Term || (hello.Term == f.state.Term && f.claimed) {
+	if adopted, fenced := f.fences(hello.Term); fenced {
 		f.col.Inc(stats.CtrReplFenceRejects)
-		f.cfg.OnEvent(fmt.Sprintf("rejected primary with stale term %d (ours %d)", hello.Term, f.state.Term))
+		f.cfg.OnEvent(fmt.Sprintf("rejected primary with stale term %d (ours %d)", hello.Term, adopted))
 		//tdgraph:allow lockhold the primary awaits this frame, reading under its AckTimeout
-		WriteFrame(conn, Frame{Type: FrameReject, Term: f.state.Term, Seq: f.pipe.Seq()})
-		return fmt.Errorf("session with deposed primary (term %d <= %d): %w", hello.Term, f.state.Term, ErrStaleTerm)
+		WriteFrame(conn, Frame{Type: FrameReject, Term: adopted, Seq: f.pipe.Seq()})
+		return fmt.Errorf("session with deposed primary (term %d <= %d): %w", hello.Term, adopted, ErrStaleTerm)
 	}
 	if hello.Term > f.state.Term {
 		// Durably adopt the new term before welcoming: after a crash this
@@ -264,7 +234,6 @@ func (f *Follower) ServeSession(conn net.Conn, hello Frame) error {
 		f.setState(adopted)
 	}
 	f.mu.Lock()
-	f.leader = string(hello.Payload)
 	f.claimed = false
 	f.mu.Unlock()
 	f.cfg.OnLeader(hello.Term, string(hello.Payload))
@@ -472,7 +441,6 @@ func (f *Follower) PromoteTo(term uint64) (uint64, error) {
 	}
 	f.setState(promoted)
 	f.mu.Lock()
-	f.leader = ""
 	f.claimed = true
 	f.mu.Unlock()
 	f.col.Inc(stats.CtrReplFailovers)

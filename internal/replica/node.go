@@ -164,7 +164,7 @@ type Node struct {
 	mu         sync.Mutex
 	role       Role
 	term       uint64
-	leaderAddr string
+	leaderAddr string // the leader hint: own address while leading
 	leaseUntil time.Time
 	rng        *rand.Rand
 	session    net.Conn // active inbound replication session
@@ -243,9 +243,6 @@ func (n *Node) Term() uint64 {
 func (n *Node) LeaderAddr() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role == RoleLeader {
-		return n.cfg.Addr
-	}
 	return n.leaderAddr
 }
 
@@ -524,7 +521,6 @@ func (n *Node) becomeLeader(term uint64) {
 	n.ackedSeq = n.fol.Seq()
 	n.fol.Pipeline().SetRetentionAdvisor(p)
 	n.pmu.Unlock()
-	n.fol.SetLeaderHint(n.cfg.Addr)
 	n.mu.Lock()
 	n.role = RoleLeader
 	n.term = term
@@ -693,7 +689,6 @@ func (n *Node) demote(reason string) {
 		return
 	}
 	n.col.Inc(stats.CtrReplDemotions)
-	n.fol.SetLeaderHint("")
 	n.mu.Lock()
 	if n.role == RoleLeader {
 		n.role = RoleFollower
@@ -763,28 +758,25 @@ func (n *Node) HandleConn(conn net.Conn) error {
 func (n *Node) answerProbe(conn net.Conn) error {
 	n.mu.Lock()
 	leader := ""
-	switch {
-	case n.role == RoleLeader:
-		leader = n.cfg.Addr
-	case n.heard && n.clock.Now().Before(n.leaseUntil):
+	if n.role == RoleLeader || n.heard && n.clock.Now().Before(n.leaseUntil) {
 		leader = n.leaderAddr
 	}
 	n.mu.Unlock()
 	return n.fol.AnswerProbeLeader(conn, leader)
 }
 
-// serveReplication runs an inbound replication session. A claim below
-// the adopted term — or equal to one this node itself promoted to — is
-// refused without touching the live session; any other claim
-// supersedes it (the current term's primary reconnecting, or a newer
-// authority) — the superseded connection is closed so its session
-// unwinds and the new one takes the pipeline.
+// serveReplication runs an inbound replication session. A claim the
+// follower's fence refuses (Follower.fences) is refused without
+// touching the live session; any other claim supersedes it (the
+// current term's primary reconnecting, or a newer authority) — the
+// superseded connection is closed so its session unwinds and the new
+// one takes the pipeline.
 func (n *Node) serveReplication(conn net.Conn, hello Frame) error {
-	if hello.Term < n.fol.Term() || (hello.Term == n.fol.Term() && n.fol.selfClaimed()) {
+	if adopted, fenced := n.fol.fences(hello.Term); fenced {
 		n.col.Inc(stats.CtrReplFenceRejects)
-		WriteFrame(conn, Frame{Type: FrameReject, Term: n.fol.Term(), Seq: n.fol.Seq()})
+		WriteFrame(conn, Frame{Type: FrameReject, Term: adopted, Seq: n.fol.Seq()})
 		conn.Close()
-		return fmt.Errorf("session claim at term %d, adopted term is %d: %w", hello.Term, n.fol.Term(), ErrStaleTerm)
+		return fmt.Errorf("session claim at term %d, adopted term is %d: %w", hello.Term, adopted, ErrStaleTerm)
 	}
 	old, nodeClosed := n.adoptSession(conn)
 	if nodeClosed {
@@ -845,11 +837,7 @@ func (n *Node) serveClient(conn net.Conn) error {
 func (n *Node) refuseClient(conn net.Conn) error {
 	n.mu.Lock()
 	term, leader := n.term, n.leaderAddr
-	isLeader := n.role == RoleLeader
 	n.mu.Unlock()
-	if isLeader {
-		leader = n.cfg.Addr
-	}
 	n.col.Inc(stats.CtrReplRedirects)
 	WriteFrame(conn, Frame{Type: FrameReject, Term: term, Payload: []byte(leader)})
 	return &RedirectError{Leader: leader}

@@ -359,7 +359,6 @@ func (c *cluster) client(seed int64) *Client {
 		MaxAttempts: 25,
 		Seed:        seed,
 		Backoff:     &Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
-		Breaker:     NewBreaker(10, 50*time.Millisecond, c.clk),
 		Clock:       c.clk,
 	})
 	if err != nil {

@@ -46,7 +46,6 @@ func runDiskPressureTrial(t *testing.T, trial int) digest {
 		MaxAttempts: 500,
 		Seed:        int64(trial),
 		Backoff:     &Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond, Multiplier: 2},
-		Breaker:     NewBreaker(1000, 50*time.Millisecond, c.clk),
 		Clock:       c.clk,
 	})
 	if err != nil {
@@ -179,7 +178,6 @@ func runDeadlineStormTrial(t *testing.T, trial int) digest {
 		MaxAttempts:   50,
 		Seed:          int64(trial),
 		Backoff:       &Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
-		Breaker:       NewBreaker(10, 50*time.Millisecond, nil),
 		OnEvent: func(s string) {
 			if strings.HasPrefix(s, "attached to leader") {
 				attaches.Add(1)

@@ -63,9 +63,9 @@ type PrimaryConfig struct {
 	// (default 5s). A follower that misses it is dropped, not waited on.
 	AckTimeout time.Duration
 	// Advertise is the address clients and followers should reach this
-	// primary's node at; it rides in the Hello payload so followers can
-	// hand it out as the redirect hint. Empty is fine for operator-run
-	// clusters with no client failover.
+	// primary's node at; it rides in the Hello payload, where a
+	// follower's Node learns it as its redirect hint (OnLeader). Empty
+	// is fine for a primary no Node runs.
 	Advertise string
 	// Clock supplies the wall times used for connection deadlines
 	// (default real time). Election and lease logic never reads the
@@ -189,12 +189,11 @@ func (p *Primary) Heartbeat() int {
 // fences this primary (ErrStaleTerm — terms are claimed strictly above
 // every probed peer, so an equal term means another primary claimed it
 // first). One whose log conflicts with ours — ahead of our log end, or
-// tail-stamped by a term our ledger contradicts — or whose position
-// retention has discarded is reseeded on the spot when a SnapshotSource
-// is configured: the newest checkpoint ships before the follower
-// attaches, and it joins catch-up from the installed sequence. Without
-// a source the old refusals stand: ErrFollowerDiverged at the
-// handshake, ErrFollowerBehind at the first catch-up.
+// tail-stamped by a term our ledger contradicts — is reseeded on the
+// spot when a SnapshotSource is configured, and one behind the log end
+// is caught up before it attaches, reseeded by catch-up if retention
+// has discarded what it needs. Without a source the old refusals stand:
+// ErrFollowerDiverged at the handshake, ErrFollowerBehind at catch-up.
 func (p *Primary) AddFollower(conn net.Conn) error {
 	return p.AddNamedFollower("", conn)
 }
@@ -246,9 +245,6 @@ func (p *Primary) AddNamedFollower(name string, conn net.Conn) error {
 			}
 		} else {
 			fc.acked = f.Seq
-			if rerr := p.reseedIfCompacted(fc); rerr != nil {
-				return rerr
-			}
 		}
 	case FrameReject:
 		if f.Term >= p.cfg.Term {
@@ -260,9 +256,9 @@ func (p *Primary) AddNamedFollower(name string, conn net.Conn) error {
 			Err: fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, f.Type)}
 	}
 	// Ship the backlog right away: an attach may be the rejoin of a
-	// lagging or freshly reseeded replica on an otherwise idle leader,
-	// and it must not have to wait for the next client batch to
-	// converge.
+	// lagging, compacted-past or freshly reseeded replica on an otherwise
+	// idle leader, and it must not have to wait for the next client batch
+	// to converge.
 	if fc.acked < p.seq {
 		if err := p.catchUp(fc, p.seq); err != nil {
 			return err
@@ -290,30 +286,6 @@ func (p *Primary) checkDivergence(f Frame) error {
 			return fmt.Errorf("%w: follower's record %d originates at term %d, ours at term %d",
 				ErrFollowerDiverged, f.Seq, f.Orig, mine)
 		}
-	}
-	return nil
-}
-
-// reseedIfCompacted ships a snapshot at attach time to a follower
-// whose next needed record retention has already discarded — waiting
-// for the first catch-up to trip over wal.ErrCompacted would just
-// fail later. Without a snapshot source this is a no-op; the first
-// catch-up then reports ErrFollowerBehind as before.
-func (p *Primary) reseedIfCompacted(fc *followerConn) error {
-	if p.cfg.Snapshots == nil {
-		return nil
-	}
-	start, err := wal.StartSeq(p.cfg.WAL)
-	if err != nil {
-		return err
-	}
-	if start == 0 || fc.acked+1 >= start {
-		return nil
-	}
-	p.cfg.OnEvent(fmt.Sprintf("reseeding %s at seq %d: oldest retained record is seq %d", fc.name, fc.acked, start))
-	if _, rerr := p.reseed(fc); rerr != nil {
-		return fmt.Errorf("%w: needs seq %d, oldest retained is %d; reseed failed: %w",
-			ErrFollowerBehind, fc.acked+1, start, rerr)
 	}
 	return nil
 }
@@ -459,7 +431,7 @@ func (p *Primary) ReplicateDeadline(first uint64, payloads [][]byte, deadline ti
 				maxLag = lag
 			}
 		}
-		if err := p.shipTo(fc, first, payloads); err != nil {
+		if err := p.sendRecords(fc, first, payloads, false); err != nil {
 			if errors.Is(err, serve.ErrFenced) {
 				fenced = err
 				break
@@ -483,17 +455,6 @@ func (p *Primary) ReplicateDeadline(first uint64, payloads [][]byte, deadline ti
 		return fmt.Errorf("%w: %d of %d required acks for seq %d", ErrQuorumLost, acks, need, last)
 	}
 	return nil
-}
-
-// shipTo brings one follower through the group at first: backlog records
-// from the WAL before it when the follower lags, then the live group.
-func (p *Primary) shipTo(fc *followerConn, first uint64, payloads [][]byte) error {
-	if fc.acked+1 < first {
-		if err := p.catchUp(fc, first-1); err != nil {
-			return err
-		}
-	}
-	return p.sendRecords(fc, first, payloads, false)
 }
 
 // catchUp replays the primary's own WAL to the follower through
@@ -540,14 +501,21 @@ func (p *Primary) catchUp(fc *followerConn, to uint64) error {
 // sendRecords ships one commit group — the records first, first+1, …,
 // back to back, every one but the closing as FrameRecordMore, which the
 // follower gathers without answering — and waits for the one
-// acknowledgement that covers the last. Acknowledgements below it are
-// stale — re-acks of frames a faulty wire duplicated — and are skipped,
-// not errors. Each record carries its origin term from the primary's
-// ledger (catch-up records keep the term that created them, not this
-// session's), so followers can stamp their own ledgers identically.
+// acknowledgement that covers the last; a live group (catchup false)
+// first has catchUp bring a lagging follower up to it. Acknowledgements
+// below the last are stale — re-acks of frames a faulty wire duplicated
+// — and are skipped, not errors. Each record carries its origin term
+// from the primary's ledger (catch-up records keep the term that
+// created them, not this session's), so followers can stamp their own
+// ledgers identically.
 // It allocates nothing: live (TestIngestAllocBudget) or catching up
 // (TestSendRecordsAllocs).
 func (p *Primary) sendRecords(fc *followerConn, first uint64, payloads [][]byte, catchup bool) error {
+	if !catchup && fc.acked+1 < first {
+		if err := p.catchUp(fc, first-1); err != nil {
+			return err
+		}
+	}
 	last := first + uint64(len(payloads)) - 1
 	for i, payload := range payloads {
 		fr := Frame{Type: FrameRecordMore, Term: p.cfg.Term, Seq: first + uint64(i), Payload: payload}

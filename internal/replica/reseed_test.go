@@ -274,7 +274,7 @@ func TestDivergedFollowerAutoReseeded(t *testing.T) {
 
 // TestLateJoinerReseededPastRetention: a fresh follower joining after
 // retention has discarded the head of the log is shipped a checkpoint
-// at attach time (reseedIfCompacted) and then catches up from the log —
+// at attach time (catch-up's ErrCompacted branch) and then catches up from the log —
 // the loop that lets retention advance at all in replicated mode.
 func TestLateJoinerReseededPastRetention(t *testing.T) {
 	w := testWorkload(t, 10)

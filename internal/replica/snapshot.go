@@ -71,16 +71,13 @@ const (
 	reseedMarkSize  = 28         // magic u32 | seq u64 | total u64 | crc u32 | mark crc u32
 )
 
+// encode is the offer payload: total u64, CRC u32, then the ledger
+// (appendLedger).
 func (o snapOffer) encode() []byte {
 	buf := make([]byte, 0, 8+4+2+16*len(o.Ledger))
 	buf = binary.LittleEndian.AppendUint64(buf, o.Total)
 	buf = binary.LittleEndian.AppendUint32(buf, o.CRC)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.Ledger)))
-	for _, e := range o.Ledger {
-		buf = binary.LittleEndian.AppendUint64(buf, e.Term)
-		buf = binary.LittleEndian.AppendUint64(buf, e.Base)
-	}
-	return buf
+	return appendLedger(buf, o.Ledger)
 }
 
 // decodeSnapOffer validates and decodes an offer payload. Malformed
@@ -88,32 +85,19 @@ func (o snapOffer) encode() []byte {
 // the frame codec itself, and a valid decode re-encodes byte-identical
 // (the fuzz harness pins both properties).
 func decodeSnapOffer(payload []byte) (snapOffer, error) {
-	bad := func(reason string, args ...any) (snapOffer, error) {
+	if len(payload) < 8+4 {
 		return snapOffer{}, &FrameError{Reason: "snap offer",
-			Err: fmt.Errorf("%w: "+reason, append([]any{ErrBadFrame}, args...)...)}
+			Err: fmt.Errorf("%w: offer truncated at %d bytes", ErrBadFrame, len(payload))}
 	}
-	if len(payload) < 8+4+2 {
-		return bad("offer truncated at %d bytes", len(payload))
+	ledger, err := parseLedger(payload[12:])
+	if err != nil {
+		return snapOffer{}, &FrameError{Reason: "snap offer", Err: fmt.Errorf("%w: %w", ErrBadFrame, err)}
 	}
-	o := snapOffer{
-		Total: binary.LittleEndian.Uint64(payload[0:8]),
-		CRC:   binary.LittleEndian.Uint32(payload[8:12]),
-	}
-	n := int(binary.LittleEndian.Uint16(payload[12:14]))
-	rest := payload[14:]
-	if n > maxLedgerEntries {
-		return bad("implausible ledger length %d", n)
-	}
-	if len(rest) != 16*n {
-		return bad("ledger length %d does not hold %d entries", len(rest), n)
-	}
-	for i := 0; i < n; i++ {
-		o.Ledger = append(o.Ledger, TermBase{
-			Term: binary.LittleEndian.Uint64(rest[16*i : 16*i+8]),
-			Base: binary.LittleEndian.Uint64(rest[16*i+8 : 16*i+16]),
-		})
-	}
-	return o, nil
+	return snapOffer{
+		Total:  binary.LittleEndian.Uint64(payload[0:8]),
+		CRC:    binary.LittleEndian.Uint32(payload[8:12]),
+		Ledger: ledger,
+	}, nil
 }
 
 // ledgerPrefix returns the entries describing records up to and

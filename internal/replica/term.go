@@ -106,24 +106,60 @@ func (s *TermState) Stamp(term, base uint64) {
 	}
 }
 
+// appendLedger appends a ledger's encoding — a u16 entry count, then
+// (term u64, base u64) per entry, little-endian — the one form the term
+// file and the snapshot offer both carry.
+func appendLedger(buf []byte, ledger []TermBase) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ledger)))
+	for _, e := range ledger {
+		buf = binary.LittleEndian.AppendUint64(buf, e.Term)
+		buf = binary.LittleEndian.AppendUint64(buf, e.Base)
+	}
+	return buf
+}
+
+// parseLedger decodes an appendLedger encoding that must fill b
+// exactly, refusing more than maxLedgerEntries entries.
+func parseLedger(b []byte) ([]TermBase, error) {
+	if len(b) < 2 {
+		return nil, fmt.Errorf("ledger truncated at %d bytes", len(b))
+	}
+	n := int(binary.LittleEndian.Uint16(b))
+	if b = b[2:]; n > maxLedgerEntries {
+		return nil, fmt.Errorf("implausible ledger length %d", n)
+	}
+	if len(b) != 16*n {
+		return nil, fmt.Errorf("ledger length %d does not hold %d entries", len(b), n)
+	}
+	var ledger []TermBase
+	for i := 0; i < n; i++ {
+		ledger = append(ledger, TermBase{
+			Term: binary.LittleEndian.Uint64(b[16*i : 16*i+8]),
+			Base: binary.LittleEndian.Uint64(b[16*i+8 : 16*i+16]),
+		})
+	}
+	return ledger, nil
+}
+
+// encodeTermState is the term file's bytes: magic u32, version u8,
+// term u64, the ledger (appendLedger), and a CRC32 over all of it.
+func encodeTermState(s TermState) []byte {
+	buf := make([]byte, 0, 15+16*len(s.Ledger)+4)
+	buf = binary.LittleEndian.AppendUint32(buf, termMagic)
+	buf = append(buf, termVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, s.Term)
+	buf = appendLedger(buf, s.Ledger)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
 // SaveTermState durably replaces the term file in dir (the WAL
 // directory) with s.
 func SaveTermState(fs wal.FS, dir string, s TermState) error {
 	if len(s.Ledger) > maxLedgerEntries {
 		return fmt.Errorf("replica: term ledger overflow: %d entries", len(s.Ledger))
 	}
-	buf := make([]byte, 0, 15+16*len(s.Ledger)+4)
-	buf = binary.LittleEndian.AppendUint32(buf, termMagic)
-	buf = append(buf, termVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Term)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Ledger)))
-	for _, e := range s.Ledger {
-		buf = binary.LittleEndian.AppendUint64(buf, e.Term)
-		buf = binary.LittleEndian.AppendUint64(buf, e.Base)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return wal.ReplaceFile(fs, dir+"/"+termFileName, func(w io.Writer) error {
-		_, err := w.Write(buf)
+		_, err := w.Write(encodeTermState(s))
 		return err
 	})
 }
@@ -159,6 +195,8 @@ func LoadTermState(fs wal.FS, dir string) (TermState, error) {
 	return s, nil
 }
 
+// decodeTermState is encodeTermState's inverse; a decoded state
+// re-encodes byte-identical (FuzzTermState).
 func decodeTermState(data []byte) (TermState, bool) {
 	if len(data) < 15+4 { // header, empty ledger, CRC
 		return TermState{}, false
@@ -170,19 +208,11 @@ func decodeTermState(data []byte) (TermState, bool) {
 	if binary.LittleEndian.Uint32(body[0:4]) != termMagic || body[4] != termVersion {
 		return TermState{}, false
 	}
-	s := TermState{Term: binary.LittleEndian.Uint64(body[5:13])}
-	n := int(binary.LittleEndian.Uint16(body[13:15]))
-	if n > maxLedgerEntries || len(body) != 15+16*n {
+	ledger, err := parseLedger(body[13:])
+	if err != nil {
 		return TermState{}, false
 	}
-	for i := 0; i < n; i++ {
-		off := 15 + 16*i
-		s.Ledger = append(s.Ledger, TermBase{
-			Term: binary.LittleEndian.Uint64(body[off : off+8]),
-			Base: binary.LittleEndian.Uint64(body[off+8 : off+16]),
-		})
-	}
-	return s, true
+	return TermState{Term: binary.LittleEndian.Uint64(body[5:13]), Ledger: ledger}, true
 }
 
 // ClaimTerm durably adopts term as this replica's fencing epoch and

@@ -315,3 +315,75 @@ func TestSessionSelfCheck(t *testing.T) {
 		t.Fatalf("self-checked session diverges at %d", v)
 	}
 }
+
+// crashOnRepairAlgo returns one skewed SSSP candidate while armed, like
+// skewAlgo, and from then on, while crash holds, panics on every
+// propagation out of a state of 0. The batch's skewed values (-1000
+// plus path weights) never are 0, but the root's are, so the batch
+// itself succeeds and the recompute that repairs it panics.
+type crashOnRepairAlgo struct {
+	algo.MonotonicAlgo
+	armed, crash bool
+}
+
+func (p *crashOnRepairAlgo) Propagate(srcVal float64, w float32) float64 {
+	switch {
+	case p.armed:
+		p.armed, p.crash = false, true
+		return -1000
+	case p.crash && srcVal == 0:
+		panic("crashOnRepairAlgo: injected recompute crash")
+	}
+	return p.MonotonicAlgo.Propagate(srcVal, w)
+}
+
+// TestSessionRepairPanicRecovered: a skewed batch the audit catches,
+// then a panic in the recompute that repairs it. With SelfCheck set,
+// ApplyBatch returns the panic as a *PanicError instead of letting it
+// escape, and CheckAndRepair called directly never panics; once the
+// algorithm stops crashing, the next repair converges.
+func TestSessionRepairPanicRecovered(t *testing.T) {
+	edges, nv := sessionEdges()
+	for _, selfCheck := range []bool{true, false} {
+		ca := &crashOnRepairAlgo{MonotonicAlgo: algo.MonotonicAlgo(tdgraph.NewSSSP(0))}
+		s, err := tdgraph.NewSession(ca, edges, nv, tdgraph.SessionOptions{Cores: 1, SelfCheck: selfCheck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ca.armed = true
+		var repaired bool
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("SelfCheck %v: panic escaped the session: %v", selfCheck, p)
+				}
+			}()
+			_, err = s.ApplyBatch([]tdgraph.Update{{Edge: tdgraph.Edge{Src: 0, Dst: 42, Weight: 2}}})
+			if !selfCheck {
+				if err != nil {
+					t.Fatal(err)
+				}
+				repaired = s.CheckAndRepair()
+			}
+		}()
+		if !ca.crash {
+			t.Fatalf("SelfCheck %v: the batch never reached the skew", selfCheck)
+		}
+		var pe *tdgraph.PanicError
+		switch {
+		case selfCheck && (!errors.As(err, &pe) || pe.Op != "CheckAndRepair"):
+			t.Fatalf("ApplyBatch: want a *PanicError from CheckAndRepair, got %T %v", err, err)
+		case !selfCheck && !repaired:
+			t.Fatal("CheckAndRepair did not report the repair whose recompute panicked")
+		}
+		if got := s.RobustStats().Get(stats.CtrPanicsRecovered); got != 1 {
+			t.Fatalf("SelfCheck %v: %d panics recovered, want 1", selfCheck, got)
+		}
+		ca.crash = false
+		s.CheckAndRepair()
+		if v, ok := s.Audit(); !ok {
+			t.Fatalf("SelfCheck %v: repaired states still diverge at %d", selfCheck, v)
+		}
+	}
+}

@@ -311,7 +311,9 @@ func (e *PanicError) Error() string {
 // processing is converted to a *PanicError and the session self-heals by
 // recomputing from the current graph — no panic escapes and the session
 // stays usable. With SelfCheck set, a post-batch audit of the state
-// invariant triggers a transparent recompute on divergence.
+// invariant triggers a transparent recompute on divergence; a panic in
+// that recompute is converted (Op "CheckAndRepair") and healed the same
+// way.
 func (s *Session) ApplyBatch(batch []Update) (ApplyResult, error) {
 	if s.validator != nil {
 		clean, err := s.validator.Sanitize(batch)
@@ -321,30 +323,30 @@ func (s *Session) ApplyBatch(batch []Update) (ApplyResult, error) {
 		batch = clean
 	}
 	res, err := s.applyBatchProtected(batch)
-	if err != nil {
-		return res, err
+	if err == nil && s.opt.SelfCheck {
+		_, err = s.repairProtected()
 	}
-	if s.opt.SelfCheck {
-		s.CheckAndRepair()
-	}
-	return res, nil
+	return res, err
 }
 
-// applyBatchProtected runs the actual batch application under a recover
-// barrier: any panic heals the session and comes back as a *PanicError.
-// The views are marked stale before the engine runs, so a panic
-// mid-batch still leaves them stale for healAfterPanic.
+// applyBatchProtected runs the actual batch application under the heal
+// barrier. The views are marked stale before the engine runs, so a
+// panic mid-batch still leaves them stale for healAfterPanic.
 func (s *Session) applyBatchProtected(batch []Update) (res ApplyResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Op: "ApplyBatch", Value: p, Stack: debug.Stack()}
-			s.rob.Inc(stats.CtrPanicsRecovered)
-			s.healAfterPanic()
-		}
-	}()
-
+	defer s.healBarrier("ApplyBatch", &err)
 	s.sealed, s.stale = nil, true
 	return s.sess.ApplyBatch(batch), nil
+}
+
+// healBarrier, deferred by an operation that runs algorithm code,
+// recovers a panic from it: the panic comes back in *err as a
+// *PanicError naming op, and the session is healed.
+func (s *Session) healBarrier(op string, err *error) {
+	if p := recover(); p != nil {
+		*err = &PanicError{Op: op, Value: p, Stack: debug.Stack()}
+		s.rob.Inc(stats.CtrPanicsRecovered)
+		s.healAfterPanic()
+	}
 }
 
 // healAfterPanic restores the session to a consistent shape after a
@@ -376,14 +378,24 @@ func (s *Session) Audit() (VertexID, bool) {
 // CheckAndRepair audits the current states and, on divergence, degrades
 // gracefully: the states are recomputed from scratch on the current
 // graph and the event is recorded in RobustStats. It reports whether a
-// repair happened.
+// repair happened. It never panics: a panic in the recompute is
+// recovered and healed as ApplyBatch's are.
 func (s *Session) CheckAndRepair() bool {
+	repaired, _ := s.repairProtected()
+	return repaired
+}
+
+// repairProtected is CheckAndRepair under the heal barrier, returning
+// the recompute's panic as a *PanicError.
+func (s *Session) repairProtected() (repaired bool, err error) {
+	defer s.healBarrier("CheckAndRepair", &err)
 	if _, ok := s.Audit(); ok {
-		return false
+		return false, nil
 	}
 	s.rob.Inc(stats.CtrDegradedRecomputes)
+	repaired = true // also when the recompute panics: the barrier heals it
 	s.Recompute()
-	return true
+	return repaired, nil
 }
 
 // RobustStats returns the session's robustness counters: validation
