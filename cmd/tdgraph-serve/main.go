@@ -7,10 +7,12 @@
 // batch reaches it through the same client, replica.Client. -role solo
 // (the default) is a one-member cluster in one process: a node with no
 // peers on a loopback port, which elects itself, and a client streaming
-// the workload into it. Restart with the same -wal and -ckpt paths and
-// it resumes from the newest checkpoint plus WAL replay, losing nothing
-// past the last fsync barrier; the client skips every batch the node
-// reports durable, so a rerun is exactly-once:
+// the workload into it. Every role keeps rotating checkpoint
+// generations, at -ckpt or by default at ckpt.tds in the -wal
+// directory. Restart with the same -wal and -ckpt paths and it resumes
+// from the newest checkpoint plus WAL replay, losing nothing past the
+// last fsync barrier; the client skips every batch the node reports
+// durable, so a rerun is exactly-once:
 //
 //	tdgraph-serve -wal /var/lib/tdgraph/wal -ckpt /var/lib/tdgraph/ckpt.tds \
 //	              -dataset LJ -scale 0.25 -algo sssp -batches 16
@@ -44,7 +46,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -72,7 +73,7 @@ func main() {
 
 		walDir    = flag.String("wal", "", "write-ahead-log directory (required)")
 		segBytes  = flag.Int64("segbytes", 4<<20, "WAL segment rotation threshold in bytes")
-		ckptPath  = flag.String("ckpt", "", "checkpoint path (empty = WAL-only recovery)")
+		ckptPath  = flag.String("ckpt", "", "checkpoint path (empty = ckpt.tds in the -wal directory)")
 		ckptEvery = flag.Int("ckpt-every", 16, "checkpoint every N ingested batches")
 		ckptKeep  = flag.Int("ckpt-keep", 2, "checkpoint generations to retain")
 
@@ -194,14 +195,6 @@ func main() {
 	} else {
 		if ncfg.Addr == "" {
 			ncfg.Addr = *listen
-		}
-		if ncfg.Pipeline.CheckpointPath == "" {
-			// Auto-reseed installs the shipped checkpoint file; without a
-			// checkpoint path there is nowhere durable to put it and the
-			// member would refuse snapshot offers.
-			ncfg.Pipeline.CheckpointPath = filepath.Join(*walDir, "ckpt.tds")
-			fmt.Printf("auto: -ckpt not set; defaulting to %s so auto-reseed can install snapshots\n",
-				ncfg.Pipeline.CheckpointPath)
 		}
 		runErr = runNode(ctx, "auto", ncfg, *listen, nil)
 	}

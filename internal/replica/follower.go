@@ -47,12 +47,16 @@ type Follower struct {
 	// mu guards the fields probe answers and the session fence read
 	// while a session is mid-flight: the durable term state and the
 	// claimed bit. The pipeline position itself is pipe.Seq(), an atomic.
-	mu    sync.Mutex
-	cfg   FollowerConfig
-	pipe  *serve.Pipeline
-	col   *stats.Collector
-	fs    wal.FS
-	dir   string
+	mu   sync.Mutex
+	cfg  FollowerConfig
+	pipe *serve.Pipeline
+	col  *stats.Collector
+	fs   wal.FS
+	dir  string
+	// stage holds an incoming snapshot's partial file and its resume
+	// mark: the checkpoint directory, so the install is a rename inside
+	// one directory even when the WAL lives on another filesystem.
+	stage string
 	state TermState
 	// claimed marks that this process itself promoted to state.Term —
 	// it is that term's authority, so a second Hello claiming the same
@@ -97,6 +101,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		col:   pipe.Collector(),
 		fs:    fs,
 		dir:   cfg.Pipeline.WAL.Dir,
+		stage: pipe.StagingDir(),
 		state: state,
 	}, nil
 }

@@ -141,9 +141,6 @@ type Node struct {
 	// owes (groupLinger; a test widens it so that how a window splits
 	// never depends on host load).
 	linger time.Duration
-	// snaps reseeds diverged or far-behind peers while leading, from
-	// the pipeline's own checkpoints (nil when it keeps none).
-	snaps SnapshotSource
 
 	// pmu serialises everything that moves the pipeline outside a
 	// replication session: client ingest, heartbeats, follower
@@ -211,9 +208,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.fol = fol
 	n.col = fol.Pipeline().Collector()
-	if src := fol.Pipeline().SnapshotSource(); src != nil {
-		n.snaps = src
-	}
 	n.role = RoleCandidate
 	n.term = fol.Term()
 	cfg.OnEvent(fmt.Sprintf("term %d: started at seq %d; standing for election", n.term, fol.Seq()))
@@ -508,7 +502,7 @@ func (n *Node) becomeLeader(term uint64) {
 		AckTimeout:  n.cfg.AckTimeout,
 		Advertise:   n.cfg.Addr,
 		Clock:       n.clock,
-		Snapshots:   n.snaps,
+		Snapshots:   n.fol.Pipeline(),
 		Collector:   n.col,
 		OnEvent:     n.cfg.OnEvent,
 	})

@@ -74,7 +74,8 @@ type PrimaryConfig struct {
 	Clock serve.Clock
 	// Snapshots, when set, enables reseeding: a follower that is behind
 	// retention or whose log diverges is shipped the newest checkpoint
-	// instead of being refused. Nil keeps PR 4's refuse-only behavior.
+	// instead of being refused. A Node passes its own *serve.Pipeline.
+	// Nil keeps the refuse-only behavior.
 	Snapshots SnapshotSource
 	// SnapChunkBytes bounds one snapshot chunk frame (default 256 KiB).
 	SnapChunkBytes int

@@ -270,6 +270,105 @@ func TestReplicatedIngestReachesQuorum(t *testing.T) {
 	f2.Pipeline().Close()
 }
 
+// ackedClock is the real clock until the watched follower has sent n
+// acks, then an hour ahead: far enough to expire any batch deadline,
+// and still ahead of real time, so the I/O deadlines read from it stay
+// in the future.
+type ackedClock struct {
+	serve.RealClock
+	acks *atomic.Int64
+	n    int64
+}
+
+func (c ackedClock) Now() time.Time {
+	if c.acks.Load() >= c.n {
+		return time.Now().Add(time.Hour)
+	}
+	return time.Now()
+}
+
+// TestFollowerSkippedAtDeadlineCaughtUpLive: a batch deadline that
+// expires after the first follower's ack ends the round there, at
+// quorum, and skips the second follower. The next live group catches
+// the skipped follower up inside the round, from the WAL, before its
+// own record: no drop, no reattach, both followers stay live.
+func TestFollowerSkippedAtDeadlineCaughtUpLive(t *testing.T) {
+	w := testWorkload(t, 6)
+	want := referenceStates(w)
+
+	pdir := t.TempDir()
+	pcfg := nodeConfig(w, pdir)
+	col := stats.NewCollector()
+	pcfg.Collector = col
+	var acks atomic.Int64
+
+	f1, c1, d1 := startFollower(t, w, t.TempDir())
+	f2, c2, d2 := startFollower(t, w, t.TempDir())
+	clk := ackedClock{acks: &acks, n: 2} // follower 1's ack of batch 2
+	prim := NewPrimary(PrimaryConfig{Term: 1, ClusterSize: 3, WAL: pcfg.WAL, Collector: col, Clock: clk})
+	if _, err := ClaimTerm(wal.Options{Dir: pdir}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := prim.AddFollower(ackCountingConn{Conn: c1, acks: &acks}); err != nil {
+		t.Fatal(err)
+	}
+	if err := prim.AddFollower(c2); err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := serve.NewPipeline(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.SetRetentionAdvisor(prim)
+	if err := ingest(prim, pipe, w.Batches[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Batch 2: follower 1's ack makes quorum, then the deadline expires.
+	// Later batches carry no deadline, so the clock's jump touches only
+	// their I/O deadlines, which it moves further out.
+	if _, err := ingestBy(prim, pipe, w.Batches[1], time.Now().Add(time.Minute)); err != nil {
+		t.Fatalf("batch 2 reached quorum before its deadline, yet: %v", err)
+	}
+	if f1.Seq() != 2 || f2.Seq() != 1 {
+		t.Fatalf("followers at seq %d/%d after the expired round, want 2/1", f1.Seq(), f2.Seq())
+	}
+
+	// Batch 3: the live group catches follower 2 up to record 2 first.
+	if err := ingest(prim, pipe, w.Batches[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := col.Get(stats.CtrReplCatchupRecords); got != 1 {
+		t.Fatalf("catch-up records = %d, want 1 (record 2, inside the round)", got)
+	}
+	for _, b := range w.Batches[3:] {
+		if err := ingest(prim, pipe, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := col.Get(stats.CtrReplFollowerDrops); got != 0 {
+		t.Fatalf("follower drops = %d, want 0", got)
+	}
+	if !prim.HasLive("follower-0") || !prim.HasLive("follower-1") {
+		t.Fatal("a follower left the live set")
+	}
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	prim.Close()
+	<-d1
+	<-d2
+	n := uint64(len(w.Batches))
+	if f1.Seq() != n || f2.Seq() != n {
+		t.Fatalf("followers at seq %d/%d, want %d", f1.Seq(), f2.Seq(), n)
+	}
+	if !statesEqual(f1.Pipeline().Session().States(), want) || !statesEqual(f2.Pipeline().Session().States(), want) {
+		t.Fatal("follower states diverged from reference")
+	}
+	f1.Pipeline().Close()
+	f2.Pipeline().Close()
+}
+
 // TestLateJoinerCatchesUpFromWAL: a follower attached mid-stream is
 // fed the backlog from the primary's WAL segments before live records.
 func TestLateJoinerCatchesUpFromWAL(t *testing.T) {

@@ -74,7 +74,7 @@ func reseedPrimary(t *testing.T, w *stream.Workload, chunk int) (func(term uint6
 		}
 		return NewPrimary(PrimaryConfig{
 			Term: term, ClusterSize: 2, WAL: pcfg.WAL, Collector: col,
-			Snapshots: pipe.SnapshotSource(), SnapChunkBytes: chunk,
+			Snapshots: pipe, SnapChunkBytes: chunk,
 		})
 	}
 	return mk, survivor{name: "primary", wal: pcfg.WAL, pipe: pipe}, col
@@ -299,7 +299,7 @@ func runRetentionAdvanceTrial(t *testing.T) digest {
 	}
 	pipe.SetRetentionAdvisor(prim)
 	// The snapshot source must exist before retention can strand anyone.
-	prim.cfg.Snapshots = pipe.SnapshotSource()
+	prim.cfg.Snapshots = pipe
 
 	for _, b := range w.Batches[:10] {
 		if err := ingest(prim, pipe, b); err != nil {

@@ -35,7 +35,7 @@ func makeSnapshot(t *testing.T, w *stream.Workload, n int) (uint64, []byte, []fl
 	if err := pipe.Close(); err != nil { // the final checkpoint covers seq n
 		t.Fatal(err)
 	}
-	seq, data, err := pipe.SnapshotSource().NewestSnapshot()
+	seq, data, err := pipe.NewestSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,12 @@ func TestSnapOfferCodec(t *testing.T) {
 // wrong size, flipped bytes, wrong magic — reads as "no mark" rather
 // than a bogus resume offset.
 func TestReseedMarkCodec(t *testing.T) {
-	fl := &Follower{fs: wal.OSFS{}, dir: t.TempDir()}
+	fl := &Follower{fs: wal.OSFS{}, stage: t.TempDir()}
 	offer := snapOffer{Total: 4096, CRC: 0xABCD1234}
 	if err := fl.writeReseedMark(42, offer); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(fl.dir, reseedMarkName))
+	raw, err := os.ReadFile(filepath.Join(fl.stage, reseedMarkName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestDivergedFollowerAutoReseeded(t *testing.T) {
 	}
 	prim := NewPrimary(PrimaryConfig{
 		Term: 2, ClusterSize: 2, WAL: pcfg.WAL, Collector: col,
-		Snapshots: pipe.SnapshotSource(), SnapChunkBytes: 64,
+		Snapshots: pipe, SnapChunkBytes: 64,
 	})
 	na := attach(t, prim, fa, nil) // auto-reseed happens inside AddFollower
 	if !prim.HasLive("follower-0") {
@@ -307,7 +307,7 @@ func TestLateJoinerReseededPastRetention(t *testing.T) {
 
 	prim := NewPrimary(PrimaryConfig{
 		Term: 1, ClusterSize: 2, WAL: pcfg.WAL, Collector: col,
-		Snapshots: pipe.SnapshotSource(), SnapChunkBytes: 128,
+		Snapshots: pipe, SnapChunkBytes: 128,
 	})
 	fb, cb, db := startFollower(t, w, t.TempDir())
 	if err := prim.AddFollower(cb); err != nil {
@@ -348,53 +348,6 @@ func TestLateJoinerReseededPastRetention(t *testing.T) {
 		t.Fatalf("catch-up records = %d, want 2", got)
 	}
 	fb.Pipeline().Close()
-}
-
-// stubSnap is a SnapshotSource returning fixed bytes (or an error).
-type stubSnap struct {
-	seq  uint64
-	data []byte
-	err  error
-}
-
-func (s stubSnap) NewestSnapshot() (uint64, []byte, error) {
-	return s.seq, s.data, s.err
-}
-
-// TestReseedRefusedWithoutCheckpointPath: a follower that cannot
-// install (no checkpoint path) refuses the offer; both sides count an
-// abort and surface ErrReseedAborted.
-func TestReseedRefusedWithoutCheckpointPath(t *testing.T) {
-	w := testWorkload(t, 4)
-	cfg := nodeConfig(w, t.TempDir())
-	cfg.CheckpointPath = "" // cannot install
-	fl, err := NewFollower(FollowerConfig{Pipeline: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pside, done := handshake(t, fl, 1)
-
-	col := stats.NewCollector()
-	p := NewPrimary(PrimaryConfig{
-		Term: 1, WAL: wal.Options{Dir: t.TempDir()}, Collector: col,
-		Snapshots: stubSnap{seq: 3, data: []byte("snapshot bytes")},
-	})
-	fc := &followerConn{conn: pside, name: "f0"}
-	_, rerr := p.reseed(fc)
-	if !errors.Is(rerr, ErrReseedAborted) {
-		t.Fatalf("primary: want ErrReseedAborted, got %v", rerr)
-	}
-	pside.Close()
-	if serr := <-done; !errors.Is(serr, ErrReseedAborted) {
-		t.Fatalf("follower session: want ErrReseedAborted, got %v", serr)
-	}
-	if col.Get(stats.CtrReplReseedAborts) != 1 {
-		t.Fatalf("primary aborts = %d, want 1", col.Get(stats.CtrReplReseedAborts))
-	}
-	if fl.Pipeline().Collector().Get(stats.CtrReplReseedAborts) != 1 {
-		t.Fatalf("follower aborts = %d, want 1", fl.Pipeline().Collector().Get(stats.CtrReplReseedAborts))
-	}
-	fl.Pipeline().Close()
 }
 
 // TestSnapshotTransferFaultTable drives the follower's transfer state

@@ -41,7 +41,7 @@ var ErrSnapshotCorrupt = errors.New("replica: shipped snapshot corrupt")
 
 // SnapshotSource provides the primary's newest shippable state — the
 // self-describing checkpoint file the serve pipeline rotates.
-// serve.SnapshotSource implements it; the interface lives here so the
+// *serve.Pipeline implements it; the interface lives here so the
 // dependency keeps pointing replica → serve.
 type SnapshotSource interface {
 	// NewestSnapshot returns the newest durable checkpoint generation:
@@ -250,18 +250,12 @@ func (f *Follower) receiveSnapshot(conn net.Conn, fr Frame) error {
 		reject()
 		return err
 	}
-	if !f.pipe.CanInstallSnapshot() {
-		f.col.Inc(stats.CtrReplReseedAborts)
-		f.cfg.OnEvent("refused snapshot offer: no checkpoint path to install into")
-		reject()
-		return fmt.Errorf("%w: follower has no checkpoint path to install into", ErrReseedAborted)
-	}
 
 	// Resume only a partial of this exact snapshot; anything else —
 	// no partial, a different snapshot, an unreadable mark — restarts
 	// from zero. The prefix is rewritten through the same FS seam the
 	// chunks use, so its durability accounting stays honest.
-	partialPath := f.dir + "/" + reseedPartialName
+	partialPath := f.stage + "/" + reseedPartialName
 	prefix := f.loadPartial(fr.Seq, offer)
 	if len(prefix) > 0 {
 		f.col.Inc(stats.CtrReplReseedResumes)
@@ -367,8 +361,8 @@ func (f *Follower) installSnapshot(conn net.Conn, seq uint64, offer snapOffer, p
 	}
 	discard := func() {
 		f.fs.Remove(partialPath)
-		f.fs.Remove(f.dir + "/" + reseedMarkName)
-		f.fs.SyncDir(f.dir)
+		f.fs.Remove(f.stage + "/" + reseedMarkName)
+		f.fs.SyncDir(f.stage)
 	}
 	sum, err := f.checksumPartial(partialPath)
 	if err != nil {
@@ -399,8 +393,8 @@ func (f *Follower) installSnapshot(conn net.Conn, seq uint64, offer snapOffer, p
 		return fmt.Errorf("%w: resetting term ledger: %w", ErrReseedAborted, err)
 	}
 	f.setState(adopted)
-	f.fs.Remove(f.dir + "/" + reseedMarkName) // the partial is already renamed away
-	f.fs.SyncDir(f.dir)
+	f.fs.Remove(f.stage + "/" + reseedMarkName) // the partial is already renamed away
+	f.fs.SyncDir(f.stage)
 	f.col.Inc(stats.CtrReplReseedInstalls)
 	f.cfg.OnEvent(fmt.Sprintf("installed snapshot at seq %d (%d bytes)", seq, offer.Total))
 	return WriteFrame(conn, Frame{Type: FrameAck, Term: adopted.Term, Seq: seq})
@@ -410,7 +404,7 @@ func (f *Follower) installSnapshot(conn net.Conn, seq uint64, offer snapOffer, p
 // stored mark must describe exactly the offered snapshot and the
 // partial must not exceed it. Any doubt means restart from zero.
 func (f *Follower) loadPartial(seq uint64, offer snapOffer) []byte {
-	mark, err := wal.ReadFile(f.fs, f.dir+"/"+reseedMarkName)
+	mark, err := wal.ReadFile(f.fs, f.stage+"/"+reseedMarkName)
 	if err != nil {
 		return nil
 	}
@@ -418,7 +412,7 @@ func (f *Follower) loadPartial(seq uint64, offer snapOffer) []byte {
 	if !ok || mseq != seq || mtotal != offer.Total || mcrc != offer.CRC {
 		return nil
 	}
-	data, err := wal.ReadFile(f.fs, f.dir+"/"+reseedPartialName)
+	data, err := wal.ReadFile(f.fs, f.stage+"/"+reseedPartialName)
 	if err != nil || uint64(len(data)) > offer.Total {
 		return nil
 	}
@@ -435,7 +429,7 @@ func (f *Follower) writeReseedMark(seq uint64, offer snapOffer) error {
 	buf = binary.LittleEndian.AppendUint64(buf, offer.Total)
 	buf = binary.LittleEndian.AppendUint32(buf, offer.CRC)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return wal.ReplaceFile(f.fs, f.dir+"/"+reseedMarkName, func(w io.Writer) error {
+	return wal.ReplaceFile(f.fs, f.stage+"/"+reseedMarkName, func(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
 	})

@@ -176,7 +176,7 @@ func TestChaosTornBatchNeverReplayed(t *testing.T) {
 	cfs := fault.NewCrashFS()
 	cfg := pipelineConfig(t, w)
 	cfg.WAL.FS = cfs
-	cfg.CheckpointPath = ""
+	cfg.CheckpointPath = "" // the default: generations beside the WAL, on the crashing FS
 	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)

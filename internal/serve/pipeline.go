@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -52,8 +53,8 @@ type PipelineConfig struct {
 	SessionOptions tdgraph.SessionOptions
 	// WAL configures the write-ahead log (Dir must exist).
 	WAL wal.Options
-	// CheckpointPath roots the rotating checkpoint generations; empty
-	// disables checkpointing (the WAL alone carries recovery).
+	// CheckpointPath roots the rotating checkpoint generations (default
+	// ckpt.tds in the WAL directory).
 	CheckpointPath string
 	// CheckpointKeep is the generations retained (default 2).
 	CheckpointKeep int
@@ -76,6 +77,9 @@ type PipelineConfig struct {
 }
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
+	if c.CheckpointPath == "" {
+		c.CheckpointPath = filepath.Join(c.WAL.Dir, "ckpt.tds")
+	}
 	if c.CheckpointKeep <= 0 {
 		c.CheckpointKeep = 2
 	}
@@ -172,23 +176,21 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 
 	// Rung 1: newest recoverable checkpoint generation, which carries
 	// the WAL sequence it covers.
-	if cfg.CheckpointPath != "" {
-		p.ck = &tdgraph.Checkpointer{Path: cfg.CheckpointPath, Keep: cfg.CheckpointKeep, FS: cfg.WAL.FS}
-		sess, meta, skipped, err := p.ck.LoadWithMeta(cfg.Algorithm, cfg.SessionOptions)
-		if err == nil {
-			p.sess = sess
-			seq, derr := decodeSeqMeta(meta)
-			if derr != nil {
-				p.release()
-				return nil, derr
-			}
-			p.seq.Store(seq)
-			for range skipped {
-				p.col.Inc(stats.CtrCheckpointRecovered)
-			}
+	p.ck = &tdgraph.Checkpointer{Path: cfg.CheckpointPath, Keep: cfg.CheckpointKeep, FS: cfg.WAL.FS}
+	sess, meta, skipped, err := p.ck.LoadWithMeta(cfg.Algorithm, cfg.SessionOptions)
+	if err == nil {
+		p.sess = sess
+		seq, derr := decodeSeqMeta(meta)
+		if derr != nil {
+			p.release()
+			return nil, derr
 		}
-		p.generations()
+		p.seq.Store(seq)
+		for range skipped {
+			p.col.Inc(stats.CtrCheckpointRecovered)
+		}
 	}
+	p.generations()
 	if p.sess == nil {
 		sess, err := cfg.Bootstrap()
 		if err != nil {
@@ -423,7 +425,7 @@ func (p *Pipeline) Apply(batches [][]graph.Update) error {
 	p.col.Add(stats.CtrServeIngested, uint64(len(batches)))
 	p.col.Inc(stats.CtrServeRounds)
 
-	if p.ck != nil && p.cfg.CheckpointEvery > 0 {
+	if p.cfg.CheckpointEvery > 0 {
 		p.sinceCkpt += len(batches)
 		if p.sinceCkpt >= p.cfg.CheckpointEvery {
 			if err := p.Checkpoint(); err != nil {
@@ -446,9 +448,6 @@ func (p *Pipeline) Apply(batches [][]graph.Update) error {
 // the covered sequence in-band, then advance WAL retention past the
 // oldest retained generation.
 func (p *Pipeline) Checkpoint() error {
-	if p.ck == nil {
-		return nil
-	}
 	// The checkpoint must never cover more than the log can replay:
 	// fsync first so every covered batch is durable.
 	if err := p.log.Sync(); err != nil {
@@ -484,14 +483,15 @@ func (p *Pipeline) Checkpoint() error {
 // is what lets retention advance past shipped checkpoints at all
 // instead of pinning the log to the slowest replica forever. The
 // disk-pressure ladder calls this directly ("compact harder") because
-// it frees space without writing anything new.
+// it frees space without writing anything new. With no generation that
+// restores, the log is the only copy of the state and nothing goes.
 func (p *Pipeline) advanceRetention() error {
-	if p.ck == nil {
-		return nil
-	}
-	oldest := p.seq.Load()
+	oldest := noGen
 	for _, seq := range p.generations() {
 		oldest = min(oldest, seq)
+	}
+	if oldest == noGen {
+		return nil
 	}
 	if p.retention != nil {
 		if floor, bound := p.retention.RetainFloor(); bound && floor < oldest {
@@ -505,10 +505,28 @@ func (p *Pipeline) advanceRetention() error {
 	return nil
 }
 
-// CanInstallSnapshot reports whether this pipeline can adopt a shipped
-// snapshot: it needs a checkpoint path to install the file into, or
-// the installed state would not survive its next restart.
-func (p *Pipeline) CanInstallSnapshot() bool { return p.ck != nil }
+// NewestSnapshot returns the newest checkpoint generation whose header
+// validates, for follower reseeds: the checkpoint file's raw bytes and
+// the WAL sequence they say they cover. It satisfies the replica
+// layer's SnapshotSource structurally (serve never imports the
+// transport), and it reads the generation files themselves, so each
+// call re-resolves the newest generation while new ones are cut.
+func (p *Pipeline) NewestSnapshot() (uint64, []byte, error) {
+	data, meta, err := p.ck.NewestWithMeta()
+	if err != nil {
+		return 0, nil, err
+	}
+	seq, err := decodeSeqMeta(meta)
+	if err != nil {
+		return 0, nil, err
+	}
+	return seq, data, nil
+}
+
+// StagingDir is the directory the checkpoint generations live in: a
+// shipped snapshot staged there installs by a rename inside one
+// directory, wherever the WAL lives.
+func (p *Pipeline) StagingDir() string { return filepath.Dir(p.ck.Path) }
 
 // InstallSnapshot replaces the pipeline's entire durable state with a
 // shipped checkpoint: the engine-portable checkpoint file at tmpPath,
@@ -525,9 +543,6 @@ func (p *Pipeline) CanInstallSnapshot() bool { return p.ck != nil }
 // between reset and install recovers to an older (or bootstrap) state
 // that simply reseeds again.
 func (p *Pipeline) InstallSnapshot(tmpPath string, seq uint64) error {
-	if p.ck == nil {
-		return fmt.Errorf("serve: snapshot install needs a checkpoint path")
-	}
 	// One generation at tmpPath: the same load recovery will run on it.
 	incoming := tdgraph.Checkpointer{Path: tmpPath, Keep: 1, FS: p.cfg.WAL.FS}
 	sess, meta, _, err := incoming.LoadWithMeta(p.cfg.Algorithm, p.cfg.SessionOptions)
@@ -574,7 +589,7 @@ func (p *Pipeline) Close() error {
 	if err := p.log.Sync(); err != nil {
 		firstErr = err
 	}
-	if p.ck != nil && firstErr == nil {
+	if firstErr == nil {
 		if err := p.Checkpoint(); err != nil {
 			firstErr = err
 		}

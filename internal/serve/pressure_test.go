@@ -194,6 +194,51 @@ func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 	}
 }
 
+// TestPipelineDiskPressureKeepsLogWithoutGeneration: before a
+// pipeline's first checkpoint generation the WAL is the only copy of
+// its state, so the ladder's compaction frees nothing and read-only
+// holds instead; a crash then recovers every acknowledged batch.
+func TestPipelineDiskPressureKeepsLogWithoutGeneration(t *testing.T) {
+	w := testWorkload(t, 8)
+	cfg := pipelineConfig(t, w)
+	cfg.CheckpointEvery = -1
+	cfg.WAL.SegmentBytes = 64 // one sealed segment per record
+	inj := fault.New(7)
+	inj.Arm(fault.LowSpace, 1600)
+	cfg.WAL.FS = inj.FS(wal.OSFS{})
+	cfg.DiskLowWater = 600
+
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := w.Batches[:0]
+	for _, b := range w.Batches {
+		if err := p.Ingest(b); err != nil {
+			if !errors.Is(err, ErrDiskPressure) {
+				t.Fatalf("batch %d: %v", len(acked)+1, err)
+			}
+			break
+		}
+		acked = append(acked, b)
+	}
+	readOnly, removed := p.readOnly.Load(), p.Collector().Get(stats.CtrWALRetained)
+	p.release() // crash: no final checkpoint
+
+	p2, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatalf("recovery after the crash: %v", err)
+	}
+	defer p2.Close()
+	w.Batches = acked
+	if p2.Seq() != uint64(len(acked)) || !statesEqual(p2.Session().States(), referenceStates(w)) {
+		t.Fatalf("recovered seq %d, want %d acknowledged batches with reference states", p2.Seq(), len(acked))
+	}
+	if removed != 0 || !readOnly {
+		t.Fatalf("compaction removed %d segments (read-only %v) with no generation to restore from", removed, readOnly)
+	}
+}
+
 // TestPipelineENOSPCAppendDegradesNotPoisons: a hard ENOSPC mid-append
 // persists nothing, degrades to read-only with a retryable typed
 // error, and the SAME sequence succeeds after space frees — never

@@ -159,7 +159,7 @@ func TestGenerationsTrackCheckpointFiles(t *testing.T) {
 			}
 			same("once the damaged generation rotated out")
 
-			seq, data, err := p.SnapshotSource().NewestSnapshot()
+			seq, data, err := p.NewestSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}

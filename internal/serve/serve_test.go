@@ -135,13 +135,14 @@ func TestPipelineRestartResumes(t *testing.T) {
 	}
 }
 
-// TestPipelineRecoversFromWALOnly: delete every checkpoint after a run;
-// recovery must rebuild purely from bootstrap + full WAL replay.
+// TestPipelineRecoversFromWALOnly: a pipeline that crashes before its
+// first checkpoint generation recovers purely from bootstrap + full
+// WAL replay.
 func TestPipelineRecoversFromWALOnly(t *testing.T) {
 	w := testWorkload(t, 5)
 	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
-	cfg.CheckpointPath = "" // no checkpoints at all
+	cfg.CheckpointEvery = -1 // no periodic generation; the crash skips the drain's
 
 	p, err := NewPipeline(cfg)
 	if err != nil {
@@ -152,9 +153,7 @@ func TestPipelineRecoversFromWALOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.release() // crash: no final checkpoint
 
 	p2, err := NewPipeline(cfg)
 	if err != nil {
@@ -324,8 +323,9 @@ func TestNewPipelineRejectsRecoveryGap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every generation lost: the checkpointless bootstrap cannot bridge
-	// the retained log's truncated prefix.
+	// Every generation lost (the default path beside the WAL holds
+	// none): the bootstrap cannot bridge the retained log's truncated
+	// prefix.
 	cfg.CheckpointPath = ""
 	_, err = NewPipeline(cfg)
 	if !errors.Is(err, ErrRecoveryGap) {

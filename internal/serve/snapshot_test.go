@@ -30,7 +30,7 @@ func TestInstallSnapshotSwapsState(t *testing.T) {
 		}
 	}
 	srcStates := append([]float64(nil), src.Session().States()...)
-	seq, data, err := src.SnapshotSource().NewestSnapshot()
+	seq, data, err := src.NewestSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +115,6 @@ func TestInstallSnapshotSwapsState(t *testing.T) {
 func TestInstallSnapshotRejectsBadInputs(t *testing.T) {
 	w := testWorkload(t, 4)
 
-	t.Run("no checkpoint path", func(t *testing.T) {
-		cfg := pipelineConfig(t, w)
-		cfg.CheckpointPath = ""
-		p, err := NewPipeline(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		if p.CanInstallSnapshot() {
-			t.Fatal("pipeline without a checkpoint path claims it can install")
-		}
-		if err := p.InstallSnapshot("nowhere.tds", 1); err == nil {
-			t.Fatal("install without a checkpoint path succeeded")
-		}
-	})
-
 	// One source snapshot for the corrupt-input cases.
 	src, err := NewPipeline(pipelineConfig(t, w))
 	if err != nil {
@@ -141,7 +125,7 @@ func TestInstallSnapshotRejectsBadInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq, data, err := src.SnapshotSource().NewestSnapshot()
+	seq, data, err := src.NewestSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,9 +188,8 @@ func EndSeq(opt Options) (uint64, error) {
 
 // StartSeq returns the base sequence of the oldest retained segment
 // under opt — the earliest record a Tailer can still produce — or 0
-// when the directory holds no segments. A primary consults it at the
-// handshake: a follower whose next needed record predates it cannot
-// be caught up from the log and must be reseeded from a checkpoint.
+// when the directory holds no segments. It reads the directory, not an
+// open Log, so it reports what retention left on disk.
 func StartSeq(opt Options) (uint64, error) {
 	opt = opt.withDefaults()
 	segs, err := listSegments(opt.FS, opt.Dir)
