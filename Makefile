@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc figures examples check bench bench-native clean
+.PHONY: all build vet vet-tdgraph test race faults chaos determinism fuzz-smoke bench-module loc figures examples check bench-native clean
 
 all: check
 
@@ -38,8 +38,8 @@ race:
 # validation, checkpoint generations and typed I/O errors, the audit's
 # repair, the WAL's torn-tail and fsync recovery, the simulator
 # watchdog, and the serve/replica pipeline under disk and wire faults.
-# EXPERIMENTS.md "Fault classes: scenario → owning test" maps each
-# class to its test.
+# EXPERIMENTS.md "Faults: call → owning test" maps each fault to its
+# tests.
 faults:
 	$(GO) test -count=1 -run 'Fault|CrashFS|Checkpoint|Session|Sanitize|Validat|Watchdog|Mutate|Corrupt|WAL|Serve|Backoff|Queue|Retry|Pipeline|Conn|Frame|Tailer|Replicated|Quorum|Follower|Fenced|Reseed|Snap|Retain|Group' . ./internal/fault ./internal/stream ./internal/bench ./internal/wal ./internal/serve ./internal/replica
 
@@ -150,10 +150,6 @@ examples:
 	done
 
 check: build vet vet-tdgraph race faults chaos bench-module examples
-
-# Paper-figure benchmark sweep (see bench_test.go for the cell list).
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Production apply path: incremental native session vs per-batch seal +
 # from-scratch recompute across batch sizes -> BENCH_native.json.

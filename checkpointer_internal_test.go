@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/tdgraph/tdgraph/internal/wal"
+	"github.com/tdgraph/tdgraph/internal/fault"
 )
 
 // TestCheckpointerKillPoints stops SaveWithMeta and Install at every
@@ -25,17 +25,19 @@ func TestCheckpointerKillPoints(t *testing.T) {
 	// call, which must say so, wrapped.
 	kill := func(t *testing.T, ck *Checkpointer, rename bool, n int, call func() error) {
 		t.Helper()
-		calls := 0
-		fail := func(string) error {
+		target, calls := fault.OpSyncDir, 0
+		if rename {
+			target = fault.OpRename
+		}
+		ck.FS = fault.NewFS(func(op fault.Op, _ string) error {
+			if op != target {
+				return nil
+			}
 			if calls++; calls == n {
 				return crash
 			}
 			return nil
-		}
-		ck.FS = hookFS{syncDir: fail}
-		if rename {
-			ck.FS = hookFS{rename: fail}
-		}
+		})
 		if err := call(); !errors.Is(err, crash) || err == crash {
 			t.Fatalf("got %v, want the injected kill, wrapped", err)
 		}
@@ -144,31 +146,6 @@ func rotated(t *testing.T, ck *Checkpointer, tmp func(newest []byte) []byte) {
 	if tmp != nil {
 		must(t, os.WriteFile(ck.Path+".tmp", tmp(newest), 0o644))
 	}
-}
-
-// hookFS is the real filesystem with a hook in front of Rename and
-// SyncDir; a hook's error replaces the operation.
-type hookFS struct {
-	wal.OSFS
-	rename, syncDir func(path string) error
-}
-
-func (h hookFS) Rename(oldpath, newpath string) error {
-	if h.rename != nil {
-		if err := h.rename(newpath); err != nil {
-			return err
-		}
-	}
-	return h.OSFS.Rename(oldpath, newpath)
-}
-
-func (h hookFS) SyncDir(dir string) error {
-	if h.syncDir != nil {
-		if err := h.syncDir(dir); err != nil {
-			return err
-		}
-	}
-	return h.OSFS.SyncDir(dir)
 }
 
 func must(t *testing.T, err error) {

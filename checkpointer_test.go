@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -203,10 +202,13 @@ func TestCheckpointerRecovery(t *testing.T) {
 	}
 	defer s.Close()
 	for _, tc := range []struct {
-		class fault.Class
-		param float64
-	}{{fault.CkptTruncate, 0.3}, {fault.CkptFlip, 8}} {
-		t.Run(fmt.Sprintf("%s:%g", tc.class, tc.param), func(t *testing.T) {
+		name    string
+		corrupt func([]byte) []byte
+	}{
+		{"ckpt-trunc:0.3", func(b []byte) []byte { return fault.TruncateTail(b, 0.3) }},
+		{"ckpt-flip:8", func(b []byte) []byte { return fault.FlipBits(b, 8, 7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ck := tdgraph.NewCheckpointer(filepath.Join(dir, "ckpt.tds"))
 			// Two generations: good, then newest which we corrupt on disk.
@@ -220,9 +222,7 @@ func TestCheckpointerRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := fault.New(7)
-			in.Arm(tc.class, tc.param)
-			if err := os.WriteFile(ck.Path, in.CorruptCheckpoint(data), 0o644); err != nil {
+			if err := os.WriteFile(ck.Path, tc.corrupt(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			restored, _, skipped, err := ck.LoadWithMeta(tdgraph.NewCC(), tdgraph.SessionOptions{})
@@ -273,9 +273,7 @@ func TestCheckpointerScheduledIOErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	in := fault.New(3)
-	in.Arm(fault.WriteErr, 64)
-	if err := s.Save(in.Writer(&bytes.Buffer{})); err == nil {
+	if err := s.Save(fault.Writer(&bytes.Buffer{}, 64)); err == nil {
 		t.Fatal("save over failing writer succeeded")
 	} else if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("save error lost the injected sentinel: %v", err)
@@ -285,9 +283,7 @@ func TestCheckpointerScheduledIOErrors(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	in2 := fault.New(3)
-	in2.Arm(fault.ReadErr, 64)
-	_, err = tdgraph.LoadSession(tdgraph.NewCC(), in2.Reader(&buf), tdgraph.SessionOptions{})
+	_, err = tdgraph.LoadSession(tdgraph.NewCC(), fault.Reader(&buf, 64), tdgraph.SessionOptions{})
 	if err == nil {
 		t.Fatal("load over failing reader succeeded")
 	}

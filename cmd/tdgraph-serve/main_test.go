@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	tdgraph "github.com/tdgraph/tdgraph"
 	"github.com/tdgraph/tdgraph/internal/enginetest"
+	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/replica"
 	"github.com/tdgraph/tdgraph/internal/serve"
@@ -69,30 +71,6 @@ func soloWorkload(batches int) *stream.Workload {
 	return stream.Build(edges, nv, stream.Config{
 		WarmupFraction: 0.5, BatchSize: 20, AddFraction: 0.75, NumBatches: batches, Seed: 11,
 	})
-}
-
-// syncHookFS calls onSync before every fsync of a WAL segment.
-type syncHookFS struct {
-	wal.FS
-	onSync func()
-}
-
-func (f syncHookFS) Create(path string) (wal.File, error) {
-	file, err := f.FS.Create(path)
-	if err != nil || !strings.HasSuffix(path, ".wal") {
-		return file, err
-	}
-	return syncHookFile{File: file, onSync: f.onSync}, nil
-}
-
-type syncHookFile struct {
-	wal.File
-	onSync func()
-}
-
-func (f syncHookFile) Sync() error {
-	f.onSync()
-	return f.File.Sync()
 }
 
 // TestSoloRunsResumeExactlyOnce drives the solo composition — a
@@ -169,11 +147,15 @@ func TestSoloRunsResumeExactlyOnce(t *testing.T) {
 	defer cancel()
 	pcfg := pipeline(sixteen)
 	var syncs atomic.Int32
-	pcfg.WAL.FS = syncHookFS{FS: wal.OSFS{}, onSync: func() {
-		if syncs.Add(1) == 2 {
+	pcfg.WAL.FS = fault.NewFS(func(op fault.Op, path string) error {
+		switch {
+		case op == fault.OpFreeSpace:
+			return errors.ErrUnsupported // no probe
+		case op == fault.OpSync && strings.HasSuffix(path, ".wal") && syncs.Add(1) == 2:
 			cancel()
 		}
-	}}
+		return nil
+	})
 	solo(ctx, sixteen, pcfg)
 	reopen(sixteen, 10)
 }

@@ -7,77 +7,85 @@ import (
 	"sync"
 )
 
-// This file is the replication-transport fault surface: Injector.Conn
-// wraps a net.Conn with seeded network pathologies so the replica
-// chaos suite can replay a duplicating or dying wire from a seed, and
-// election chaos can replay net-partition-recv, the asymmetric split
-// where a node can send but never hear. Faults act per Write call —
-// the replication protocol frames one message per Write, so a
-// duplicated Write is a duplicated frame, and net-trunc kills the
-// connection mid-record on the wire.
-
-// Conn wraps c with the armed net-* classes. Each wrapped connection
-// draws from its own rng derived from the injector seed and the order
-// Conn was called in, so fault placement on one connection does not
-// depend on traffic volume on another. The wrapper is safe for one
-// concurrent reader plus one concurrent writer, like net.Conn itself.
-func (in *Injector) Conn(c net.Conn) net.Conn {
-	fc := &faultConn{Conn: c, in: in}
-	in.mu.Lock()
-	idx := in.conns
-	in.conns++
-	in.mu.Unlock()
-	fc.rng = rand.New(rand.NewSource(in.seed ^ (int64(idx)+1)*0x5851F42D4C957F2D))
-	if n, ok := in.armed[NetPartitionRecv]; ok {
-		fc.recvAfter, fc.haveRecv = int(n), true
-	}
-	if b, ok := in.armed[NetTrunc]; ok {
-		fc.truncBudget, fc.haveTrunc = int64(b), true
-	}
-	return fc
-}
-
-type faultConn struct {
+// Conn is a net.Conn with seeded wire faults: duplicated frames, a
+// connection cut mid-record, a deaf read side. Faults act per Write
+// call, and the replication protocol frames one message per Write, so a
+// duplicated Write is a duplicated frame. Every fault starts off; its
+// switch takes the conn's own lock, so a test may turn one on mid-run.
+// Conn is safe for one concurrent reader plus one concurrent writer,
+// like net.Conn itself.
+type Conn struct {
 	net.Conn
-	in  *Injector
 	rng *rand.Rand
 
-	mu              sync.Mutex
-	reads           int
-	recvAfter       int
-	haveRecv        bool
-	recvPartitioned bool
-	truncBudget     int64
-	haveTrunc       bool
-	dead            bool
+	mu        sync.Mutex
+	dup       float64
+	trunc     int64 // bytes left before the cut; <0 while off
+	recvAfter int   // Reads before the partition; <0 while off
+	reads     int
+	deaf      bool
+	dead      bool
 }
 
-// Write applies the armed classes in a fixed order — truncate, then
-// duplicate — so a fault schedule is a pure function of the seed and
-// the frame sequence.
-func (fc *faultConn) Write(p []byte) (int, error) {
+// NewConn wraps c with every fault off. Duplicates draw from an rng of
+// their own, seeded from seed mixed with a constant, so the placement on
+// one connection depends on nothing but its seed and its frames.
+func NewConn(c net.Conn, seed int64) *Conn {
+	return &Conn{Conn: c, rng: rand.New(rand.NewSource(seed ^ 0x5851F42D4C957F2D)), trunc: -1, recvAfter: -1}
+}
+
+// Dup sends each written frame twice with probability rate.
+func (fc *Conn) Dup(rate float64) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.dup = rate
+}
+
+// Trunc kills the connection mid-frame: the Write crossing the next n
+// bytes delivers only a prefix and the connection closes under the
+// writer.
+func (fc *Conn) Trunc(n int64) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.trunc = n
+}
+
+// PartitionRecv partitions the read side after n more Reads: writes
+// still flow, reads fail for good — a primary that can talk but never
+// hears acknowledgements, or a follower that hears records it can no
+// longer ack.
+func (fc *Conn) PartitionRecv(n int) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.recvAfter, fc.reads = n, 0
+}
+
+// Write applies the faults in a fixed order — truncate, then duplicate —
+// so a fault schedule is a pure function of the seed and the frame
+// sequence.
+func (fc *Conn) Write(p []byte) (int, error) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	if fc.dead {
 		return 0, fmt.Errorf("fault: connection partitioned: %w", ErrInjected)
 	}
-	if fc.haveTrunc {
-		if int64(len(p)) > fc.truncBudget {
+	if fc.trunc >= 0 {
+		if int64(len(p)) > fc.trunc {
 			// Kill mid-record: a prefix escapes onto the wire, then the
 			// connection dies under the writer.
-			if fc.truncBudget > 0 {
+			if fc.trunc > 0 {
 				//tdgraph:allow lockhold the injector mangles frames in order under its lock; the wrapped Write waits no longer than an unwrapped one: until the caller's deadline, set through the embedded Conn, or the peer closing
-				fc.Conn.Write(p[:fc.truncBudget])
+				fc.Conn.Write(p[:fc.trunc])
 			}
-			fc.truncBudget = 0
+			fc.trunc = 0
 			fc.dead = true
 			fc.Conn.Close()
 			return 0, fmt.Errorf("fault: frame truncated on the wire: %w", ErrInjected)
 		}
-		fc.truncBudget -= int64(len(p))
+		fc.trunc -= int64(len(p))
 	}
 	sends := 1
-	if rate, ok := fc.in.armed[NetDup]; ok && fc.rng.Float64() < rate {
+	if fc.dup > 0 && fc.rng.Float64() < fc.dup {
 		sends = 2
 	}
 	for ; sends > 0; sends-- {
@@ -89,15 +97,15 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (fc *faultConn) Read(p []byte) (int, error) {
+func (fc *Conn) Read(p []byte) (int, error) {
 	fc.mu.Lock()
-	if fc.dead || fc.recvPartitioned {
+	if fc.dead || fc.deaf {
 		fc.mu.Unlock()
 		return 0, fmt.Errorf("fault: connection partitioned: %w", ErrInjected)
 	}
 	fc.reads++
-	if fc.haveRecv && fc.reads > fc.recvAfter {
-		fc.recvPartitioned = true
+	if fc.recvAfter >= 0 && fc.reads > fc.recvAfter {
+		fc.deaf = true
 		fc.mu.Unlock()
 		return 0, fmt.Errorf("fault: connection partitioned: %w", ErrInjected)
 	}
@@ -105,7 +113,7 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 	return fc.Conn.Read(p)
 }
 
-func (fc *faultConn) Close() error {
+func (fc *Conn) Close() error {
 	fc.mu.Lock()
 	fc.dead = true
 	fc.mu.Unlock()

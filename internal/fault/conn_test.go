@@ -33,13 +33,12 @@ func frame(b byte, n int) []byte {
 	return f
 }
 
-// dupRun writes n frames through a connection with NetDup armed at
+// dupRun writes n frames through a connection duplicating at
 // rate and returns the frame ids in the order the wire saw them.
 func dupRun(t *testing.T, rate float64, n byte) []byte {
-	in := New(7)
-	in.Arm(NetDup, rate)
 	a, b := net.Pipe()
-	fc := in.Conn(a)
+	fc := NewConn(a, 7)
+	fc.Dup(rate)
 	got := pump(b, 4)
 	for i := byte(0); i < n; i++ {
 		if _, err := fc.Write(frame(i, 4)); err != nil {
@@ -57,7 +56,7 @@ func dupRun(t *testing.T, rate float64, n byte) []byte {
 // TestConnDup: duplicated frames arrive twice, in order.
 func TestConnDup(t *testing.T) {
 	if ids := dupRun(t, 1, 3); string(ids) != string([]byte{0, 0, 1, 1, 2, 2}) {
-		t.Fatalf("NetDup at 1.0: wire saw %v, want [0 0 1 1 2 2]", ids)
+		t.Fatalf("Dup(1): wire saw %v, want [0 0 1 1 2 2]", ids)
 	}
 }
 
@@ -66,7 +65,7 @@ func TestConnDup(t *testing.T) {
 func TestConnDupIsDeterministic(t *testing.T) {
 	first, second := dupRun(t, 0.3, 20), dupRun(t, 0.3, 20)
 	if len(first) == 20 {
-		t.Fatal("NetDup at 0.3 duplicated nothing across 20 frames")
+		t.Fatal("Dup(0.3) duplicated nothing across 20 frames")
 	}
 	if string(first) != string(second) {
 		t.Fatalf("same seed produced different duplicate schedules: %v vs %v", first, second)
@@ -76,10 +75,9 @@ func TestConnDupIsDeterministic(t *testing.T) {
 // TestConnTruncateMidFrame: the write crossing the byte budget delivers
 // only a prefix and the connection dies — a record torn on the wire.
 func TestConnTruncateMidFrame(t *testing.T) {
-	in := New(5)
-	in.Arm(NetTrunc, 10) // 2 whole 4-byte frames + 2 bytes of the third
 	a, b := net.Pipe()
-	fc := in.Conn(a)
+	fc := NewConn(a, 5)
+	fc.Trunc(10) // 2 whole 4-byte frames + 2 bytes of the third
 
 	type res struct {
 		n   int
@@ -115,14 +113,13 @@ func TestConnTruncateMidFrame(t *testing.T) {
 }
 
 // TestConnPartitionRecv: the read-side partition is asymmetric — after
-// the armed read count every Read fails with ErrInjected while Writes
+// the PartitionRecv count every Read fails with ErrInjected while Writes
 // keep flowing, the one-way split where a node can send but never
 // hear. The deafness is permanent.
 func TestConnPartitionRecv(t *testing.T) {
-	in := New(3)
-	in.Arm(NetPartitionRecv, 2)
 	a, b := net.Pipe()
-	fc := in.Conn(a)
+	fc := NewConn(a, 3)
+	fc.PartitionRecv(2)
 	go func() {
 		for i := byte(0); i < 2; i++ {
 			b.Write(frame(i, 4))

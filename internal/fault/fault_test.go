@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,19 +24,16 @@ func sampleBatch(n int) []graph.Update {
 	return b
 }
 
+var allMutations = Mutation{OutOfRange: 0.2, SelfLoop: 0.2, Duplicate: 0.2, Reorder: true}
+
+func mutate(seed int64, batch []graph.Update, m Mutation) []graph.Update {
+	return MutateBatch(rand.New(rand.NewSource(seed)), batch, 50, m)
+}
+
 func TestMutateBatchDeterministic(t *testing.T) {
-	armed := func(seed int64) *Injector {
-		in := New(seed)
-		in.Arm(Duplicate, 0.2)
-		in.Arm(Reorder, 1)
-		in.Arm(OutOfRange, 0.2)
-		in.Arm(SelfLoop, 0.2)
-		return in
-	}
-	a, b := armed(42), armed(42)
 	batch := sampleBatch(200)
-	ma := a.MutateBatch(batch, 50)
-	mb := b.MutateBatch(batch, 50)
+	ma := mutate(42, batch, allMutations)
+	mb := mutate(42, batch, allMutations)
 	if len(ma) != len(mb) {
 		t.Fatalf("lengths differ: %d vs %d", len(ma), len(mb))
 	}
@@ -47,8 +45,7 @@ func TestMutateBatchDeterministic(t *testing.T) {
 	if len(ma) == len(batch) {
 		t.Fatal("dup at 0.2 duplicated nothing across 200 updates")
 	}
-	c := armed(43)
-	mc := c.MutateBatch(batch, 50)
+	mc := mutate(43, batch, allMutations)
 	same := len(mc) == len(ma)
 	if same {
 		for i := range mc {
@@ -64,25 +61,18 @@ func TestMutateBatchDeterministic(t *testing.T) {
 }
 
 func TestMutateBatchDoesNotModifyInput(t *testing.T) {
-	in := New(7)
-	in.Arm(OutOfRange, 1)
-	in.Arm(SelfLoop, 1)
-	in.Arm(Duplicate, 1)
-	in.Arm(Reorder, 1)
 	batch := sampleBatch(20)
 	orig := make([]graph.Update, len(batch))
 	copy(orig, batch)
-	_ = in.MutateBatch(batch, 50)
+	_ = mutate(7, batch, Mutation{OutOfRange: 1, SelfLoop: 1, Duplicate: 1, Reorder: true})
 	if !reflect.DeepEqual(batch, orig) {
 		t.Fatal("MutateBatch modified its input")
 	}
 }
 
 func TestMutateBatchBoundsOOBIDs(t *testing.T) {
-	in := New(3)
-	in.Arm(OutOfRange, 1)
 	nv := 50
-	out := in.MutateBatch(sampleBatch(100), nv)
+	out := mutate(3, sampleBatch(100), Mutation{OutOfRange: 1})
 	sawOOB := false
 	for _, u := range out {
 		for _, v := range []graph.VertexID{u.Edge.Src, u.Edge.Dst} {
@@ -100,20 +90,16 @@ func TestMutateBatchBoundsOOBIDs(t *testing.T) {
 }
 
 func TestMutateBatchDisarmedIsIdentity(t *testing.T) {
-	in := New(9)
 	batch := sampleBatch(30)
-	out := in.MutateBatch(batch, 50)
-	if !reflect.DeepEqual(out, batch) {
-		t.Fatal("disarmed injector changed the batch")
+	if out := mutate(9, batch, Mutation{}); !reflect.DeepEqual(out, batch) {
+		t.Fatal("an empty mutation changed the batch")
 	}
 }
 
 func TestCorruptCheckpoint(t *testing.T) {
 	data := bytes.Repeat([]byte{0xAB}, 1000)
 
-	trunc := New(5)
-	trunc.Arm(CkptTruncate, 0.3)
-	out := trunc.CorruptCheckpoint(data)
+	out := TruncateTail(data, 0.3)
 	if len(out) != 700 {
 		t.Fatalf("truncated length %d, want 700", len(out))
 	}
@@ -121,16 +107,12 @@ func TestCorruptCheckpoint(t *testing.T) {
 		t.Fatal("input was modified")
 	}
 
-	// Zero fraction still tears at least one byte so the class always fires.
-	zero := New(5)
-	zero.Arm(CkptTruncate, 0)
-	if got := zero.CorruptCheckpoint(data); len(got) != 999 {
+	// Zero fraction still tears at least one byte so the fault always fires.
+	if got := TruncateTail(data, 0); len(got) != 999 {
 		t.Fatalf("zero-fraction truncate kept %d bytes", len(got))
 	}
 
-	flip := New(5)
-	flip.Arm(CkptFlip, 4)
-	flipped := flip.CorruptCheckpoint(data)
+	flipped := FlipBits(data, 4, 5)
 	diff := 0
 	for i := range flipped {
 		if flipped[i] != data[i] {
@@ -141,37 +123,24 @@ func TestCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("flipped %d bytes, want 1..4", diff)
 	}
 
-	flip2 := New(5)
-	flip2.Arm(CkptFlip, 4)
-	if !bytes.Equal(flip2.CorruptCheckpoint(data), flipped) {
+	if !bytes.Equal(FlipBits(data, 4, 5), flipped) {
 		t.Fatal("same seed produced different corruption")
 	}
 }
 
 func TestFaultyReader(t *testing.T) {
-	in := New(1)
-	in.Arm(ReadErr, 10)
-	r := in.Reader(strings.NewReader(strings.Repeat("x", 100)))
-	got, err := io.ReadAll(r)
+	got, err := io.ReadAll(Reader(strings.NewReader(strings.Repeat("x", 100)), 10))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 	if len(got) != 10 {
 		t.Fatalf("read %d bytes before failure, want 10", len(got))
 	}
-	plain := New(1)
-	src := strings.NewReader("ok")
-	if plain.Reader(src) != io.Reader(src) {
-		t.Fatal("disarmed Reader should return the input unchanged")
-	}
 }
 
 func TestFaultyWriter(t *testing.T) {
-	in := New(1)
-	in.Arm(WriteErr, 10)
 	var buf bytes.Buffer
-	w := in.Writer(&buf)
-	n, err := w.Write(bytes.Repeat([]byte("y"), 100))
+	n, err := Writer(&buf, 10).Write(bytes.Repeat([]byte("y"), 100))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
@@ -179,11 +148,7 @@ func TestFaultyWriter(t *testing.T) {
 		t.Fatalf("wrote %d bytes (buffer %d), want 10", n, buf.Len())
 	}
 	// Writes within the budget pass through.
-	in2 := New(1)
-	in2.Arm(WriteErr, 100)
-	var buf2 bytes.Buffer
-	w2 := in2.Writer(&buf2)
-	if n, err := w2.Write([]byte("hello")); n != 5 || err != nil {
+	if n, err := Writer(&bytes.Buffer{}, 100).Write([]byte("hello")); n != 5 || err != nil {
 		t.Fatalf("in-budget write: n=%d err=%v", n, err)
 	}
 }

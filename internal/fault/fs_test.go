@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -28,9 +29,9 @@ func walBatch(seed int64) []graph.Update {
 
 func TestFaultFSTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	in := New(7)
-	in.Arm(WALTorn, 150) // tear inside the second record
-	l, _, err := wal.Open(wal.Options{Dir: dir, FS: in.FS(wal.OSFS{})})
+	fs := NewFS(nil)
+	fs.ArmTear(150) // tear inside the second record
+	l, _, err := wal.Open(wal.Options{Dir: dir, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +63,9 @@ func TestFaultFSTornWrite(t *testing.T) {
 
 func TestFaultFSDiskFull(t *testing.T) {
 	dir := t.TempDir()
-	in := New(7)
-	in.Arm(DiskFull, 120)
-	l, _, err := wal.Open(wal.Options{Dir: dir, FS: in.FS(wal.OSFS{})})
+	fs := NewFS(nil)
+	fs.ArmFill(120)
+	l, _, err := wal.Open(wal.Options{Dir: dir, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +100,17 @@ func recoversDurablePrefix(t *testing.T, dir string, durable uint64) {
 
 func TestFaultFSFsyncErr(t *testing.T) {
 	dir := t.TempDir()
-	in := New(7)
-	in.Arm(FsyncErr, 1) // one good fsync, then failure
-	l, _, err := wal.Open(wal.Options{Dir: dir, FS: in.FS(wal.OSFS{}), Sync: wal.SyncEachBatch})
+	budget := 1 // one good fsync, then failure
+	fs := NewFS(func(op Op, _ string) error {
+		if op != OpSync {
+			return nil
+		}
+		if budget--; budget < 0 {
+			return fmt.Errorf("fault: fsync failed: %w", ErrInjected)
+		}
+		return nil
+	})
+	l, _, err := wal.Open(wal.Options{Dir: dir, FS: fs, Sync: wal.SyncEachBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +131,6 @@ func TestFaultFSFsyncErr(t *testing.T) {
 }
 
 func TestCorruptSegment(t *testing.T) {
-	in := New(3)
-	in.Arm(PartialSeg, 0.5)
-	data := make([]byte, 100)
-	out := in.CorruptSegment(data)
-	if len(out) != 50 {
-		t.Fatalf("len=%d, want 50", len(out))
-	}
-	// Disarmed: untouched copy.
-	if got := New(3).CorruptSegment(data); len(got) != 100 {
-		t.Fatalf("disarmed CorruptSegment changed length to %d", len(got))
-	}
-
 	// On a real sealed log the dropped tail is a torn tail: recovery
 	// truncates to the last whole record and replays exactly that many.
 	dir := t.TempDir()
@@ -159,7 +156,7 @@ func TestCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(last, in.CorruptSegment(sealed), 0o644); err != nil {
+	if err := os.WriteFile(last, TruncateTail(sealed, 0.5), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l2, rec, err := wal.Open(wal.Options{Dir: dir})
@@ -181,7 +178,7 @@ func TestCorruptSegment(t *testing.T) {
 
 func TestCrashFSLosesOnlyUnsynced(t *testing.T) {
 	dir := t.TempDir()
-	cfs := NewCrashFS()
+	cfs := NewFS(nil)
 	l, _, err := wal.Open(wal.Options{Dir: dir, FS: cfs, Sync: wal.SyncEachBatch})
 	if err != nil {
 		t.Fatal(err)
@@ -241,16 +238,16 @@ func TestCrashFSWALGroupCrashKeepsCleanPrefix(t *testing.T) {
 	recBytes := int64(16 + len(group[0]))
 	for _, crash := range []struct {
 		name    string
-		arm     func(*CrashFS)
+		arm     func(*FS)
 		maxLast uint64 // the last record that can have reached the file whole
 	}{
-		{"between write and barrier", func(c *CrashFS) { c.ArmCrashAtSync(0) }, 7},
-		{"torn inside record 3 of 5", func(c *CrashFS) { c.ArmCrash(2*recBytes + 9) }, 4},
+		{"between write and barrier", func(c *FS) { c.ArmCrashAtSync(0) }, 7},
+		{"torn inside record 3 of 5", func(c *FS) { c.ArmCrash(2*recBytes + 9) }, 4},
 	} {
 		name, arm := crash.name, crash.arm
 		for seed := int64(1); seed <= 8; seed++ {
 			dir := t.TempDir()
-			cfs := NewCrashFS()
+			cfs := NewFS(nil)
 			l, _, err := wal.Open(wal.Options{Dir: dir, FS: cfs, Sync: wal.SyncEachBatch})
 			if err != nil {
 				t.Fatal(err)
@@ -299,36 +296,70 @@ func TestCrashFSWALGroupCrashKeepsCleanPrefix(t *testing.T) {
 	}
 }
 
+// TestCrashFSDelegates: every operation reaches the real disk, and the
+// hook sees each one first, with its path (Rename with the new one); a
+// hook error replaces the operation, the probe's included.
 func TestCrashFSDelegates(t *testing.T) {
 	dir := t.TempDir()
-	cfs := NewCrashFS()
-	path := filepath.Join(dir, "x")
+	step := func(op Op, path string) string { return fmt.Sprintf("%d:%s", op, filepath.Base(path)) }
+	var seen []string
+	var fail Op = -1
+	boom := errors.New("hooked")
+	cfs := NewFS(func(op Op, path string) error {
+		seen = append(seen, step(op, path))
+		if op == fail {
+			return boom
+		}
+		return nil
+	})
+	path, moved := filepath.Join(dir, "x"), filepath.Join(dir, "y")
 	f, err := cfs.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
+	_, err = f.Write([]byte("hello"))
+	must(t, err)
+	must(t, f.Sync())
+	must(t, f.Close())
 	names, err := cfs.List(dir)
 	if err != nil || len(names) != 1 {
 		t.Fatalf("List: %v %v", names, err)
 	}
-	moved := filepath.Join(dir, "y")
-	if err := cfs.Rename(path, moved); err != nil {
-		t.Fatal(err)
+	must(t, cfs.SyncDir(dir))
+	must(t, cfs.Rename(path, moved))
+	r, err := cfs.Open(moved)
+	must(t, err)
+	r.Close()
+	must(t, cfs.Truncate(moved, 1))
+	if _, err := cfs.FreeSpace(dir); err != nil {
+		t.Fatalf("the real volume's probe: %v", err)
 	}
-	if err := cfs.Remove(moved); err != nil {
-		t.Fatal(err)
-	}
+	must(t, cfs.Remove(moved))
 	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
 		t.Fatalf("Rename then Remove left %v (err %v)", names, err)
+	}
+	want := fmt.Sprint([]string{step(OpCreate, path), step(OpWrite, path), step(OpSync, path), step(OpClose, path),
+		step(OpList, dir), step(OpSyncDir, dir), step(OpRename, moved), step(OpOpen, moved), step(OpTruncate, moved),
+		step(OpFreeSpace, dir), step(OpRemove, moved)})
+	if got := fmt.Sprint(seen); got != want {
+		t.Fatalf("the hook saw %s, want %s", got, want)
+	}
+
+	fail = OpCreate
+	if _, err := cfs.Create(path); err != boom {
+		t.Fatalf("Create under a failing hook: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a failed Create reached the disk: %v", err)
+	}
+	fail = OpFreeSpace
+	if _, err := cfs.FreeSpace(dir); err != boom {
+		t.Fatalf("FreeSpace under a failing hook: %v", err)
+	}
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -338,13 +369,12 @@ func TestCrashFSDelegates(t *testing.T) {
 // leaks nothing from the modelled volume.
 func TestFaultFSRenameMovesSpace(t *testing.T) {
 	dir := t.TempDir()
-	in := New(7)
-	in.Arm(NoSpace, 1000)
-	fs := in.FS(wal.OSFS{})
+	fs := NewFS(nil)
+	fs.NoSpace(1000)
 	path := filepath.Join(dir, "ckpt")
 	free := func(want uint64) {
 		t.Helper()
-		if got, err := fs.(wal.FreeSpacer).FreeSpace(dir); err != nil || got != want {
+		if got, err := fs.FreeSpace(dir); err != nil || got != want {
 			t.Fatalf("free space %d (err %v), want %d", got, err, want)
 		}
 	}

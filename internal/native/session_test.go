@@ -90,11 +90,8 @@ func TestSessionMatchesReference(t *testing.T) {
 // from-scratch reference states.
 func TestSessionFaultMutatedStream(t *testing.T) {
 	for _, seed := range []int64{3, 17, 51} {
-		inj := fault.New(seed)
-		inj.Arm(fault.Duplicate, 0.2)
-		inj.Arm(fault.SelfLoop, 0.1)
-		inj.Arm(fault.Reorder, 1)
-		inj.Arm(fault.OutOfRange, 0.05)
+		inj := rand.New(rand.NewSource(seed))
+		mix := fault.Mutation{OutOfRange: 0.05, SelfLoop: 0.1, Duplicate: 0.2, Reorder: true}
 		rng := rand.New(rand.NewSource(seed))
 		const nv = 120
 		a := algo.NewSSSP(0)
@@ -102,7 +99,7 @@ func TestSessionFaultMutatedStream(t *testing.T) {
 		ref := graph.NewStore(nv)
 		s := NewSession(a, st, Config{Workers: 2})
 		for batch := 0; batch < 20; batch++ {
-			ups := inj.MutateBatch(randomStream(rng, 1+rng.Intn(30), nv), nv)
+			ups := fault.MutateBatch(inj, randomStream(rng, 1+rng.Intn(30), nv), nv, mix)
 			ref.Apply(ups)
 			s.ApplyBatch(ups)
 			snap := ref.Seal()

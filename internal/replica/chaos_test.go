@@ -45,7 +45,7 @@ func runFailoverTrial(t *testing.T, trial int) digest {
 
 	// Primary: WAL on a crash-simulating filesystem; checkpoints on so
 	// the sync-fuse mode can also die inside a checkpoint barrier.
-	crashFS := fault.NewCrashFS()
+	crashFS := fault.NewFS(nil)
 	pdir := t.TempDir()
 	pcfg := nodeConfig(w, pdir)
 	pcfg.WAL.FS = crashFS
@@ -89,9 +89,12 @@ func runFailoverTrial(t *testing.T, trial int) digest {
 		// First a record is torn mid-frame on follower 2's wire (the
 		// connection dies under the primary, quorum holds 2-of-3), then
 		// the primary dies mid-write.
-		inj := fault.New(int64(3000 + trial))
-		inj.Arm(fault.NetTrunc, float64(40+rng.Int63n(1500)))
-		wrapF2 = inj.Conn
+		cut := 40 + rng.Int63n(1500)
+		wrapF2 = func(c net.Conn) net.Conn {
+			fc := fault.NewConn(c, int64(3000+trial))
+			fc.Trunc(cut)
+			return fc
+		}
 		armAt = 500 + rng.Int63n(1500)
 	}
 
@@ -137,6 +140,9 @@ func runFailoverTrial(t *testing.T, trial int) digest {
 		if err := crashFS.LoseUnsynced(rng); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if mode == 2 && pcfg.Collector.Get(stats.CtrReplFollowerDrops) == 0 {
+		t.Errorf("trial %d: follower 2's wire was never cut", trial)
 	}
 	// The primary is gone; its sessions collapse.
 	prim.Close()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/serve"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
@@ -235,15 +235,6 @@ func TestStalledFollowerDropped(t *testing.T) {
 	prim.Close()
 }
 
-// errFS fails every Open with a non-not-exist error, simulating a
-// transiently erroring disk.
-type errFS struct {
-	wal.OSFS
-	err error
-}
-
-func (e errFS) Open(string) (io.ReadCloser, error) { return nil, e.err }
-
 // TestTermStateDurability pins the term-file contract: ledger round
 // trip (an empty ledger too), At semantics, Stamp superseding a crashed
 // claim, and — the regressions — that a disk failing with real I/O
@@ -312,7 +303,13 @@ func TestTermStateDurability(t *testing.T) {
 
 	// A disk that errors on open must not report term 0 as truth.
 	boom := errors.New("transient disk error")
-	if _, err := LoadTermState(errFS{err: boom}, dir); !errors.Is(err, boom) {
+	failOpen := fault.NewFS(func(op fault.Op, _ string) error {
+		if op == fault.OpOpen {
+			return boom
+		}
+		return nil
+	})
+	if _, err := LoadTermState(failOpen, dir); !errors.Is(err, boom) {
 		t.Fatalf("erroring disk: want the I/O error surfaced, got %v", err)
 	}
 

@@ -8,7 +8,6 @@ import (
 
 	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/stats"
-	"github.com/tdgraph/tdgraph/internal/wal"
 )
 
 // These stories are the hands-off counterpart of chaos_test.go: nobody
@@ -55,7 +54,7 @@ func TestChaosHandsOffFailover(t *testing.T) {
 }
 
 // TestChaosAsymmetricPartition: one follower goes deaf — every inbound
-// connection to it dies after a single read (fault.NetPartitionRecv)
+// connection to it dies after a single read (fault.Conn.PartitionRecv)
 // while its own outbound dials still work. The deaf node's elections
 // must defer to the leader everyone else still hears (leader
 // stickiness), leadership and terms must hold steady, and healing the
@@ -79,15 +78,7 @@ func TestChaosAsymmetricPartition(t *testing.T) {
 				break
 			}
 		}
-		// Each inbound connection gets its own injector: the partition trip
-		// is one-shot per injector, and the deafness must hit every attach
-		// attempt, not just the first.
-		var wrapSeq int64
-		c.net.wrapInbound(deaf.cfg.Addr, func(conn net.Conn) net.Conn {
-			inj := fault.New(902 + atomic.AddInt64(&wrapSeq, 1))
-			inj.Arm(fault.NetPartitionRecv, 1)
-			return inj.Conn(conn)
-		})
+		c.net.wrapInbound(deaf.cfg.Addr, deafAfterOneRead)
 		c.net.sever(deaf.cfg.Addr)
 
 		// The deaf node's lease expires and it keeps standing for election;
@@ -144,12 +135,7 @@ func TestChaosStickinessAloneHoldsLeader(t *testing.T) {
 		leader, deaf := c.leader(), c.member("alpha")
 		term := leader.Term()
 
-		var wrapSeq int64
-		c.net.wrapInbound("alpha", func(conn net.Conn) net.Conn {
-			inj := fault.New(952 + atomic.AddInt64(&wrapSeq, 1))
-			inj.Arm(fault.NetPartitionRecv, 1)
-			return inj.Conn(conn)
-		})
+		c.net.wrapInbound("alpha", deafAfterOneRead)
 		c.net.sever("alpha")
 		deafCol := deaf.Follower().Pipeline().Collector()
 		cut := deafCol.Get(stats.CtrReplElections)
@@ -213,34 +199,29 @@ func TestChaosLeaderIsolationHeals(t *testing.T) {
 	})
 }
 
-// failSyncFS fails the fsync numbered at, once, counting from 1 across
-// every file the member syncs through its WAL filesystem: term file,
-// log segments and checkpoints alike. The disk is healthy before and
-// after.
-type failSyncFS struct {
-	wal.FS
-	at    int
-	syncs *atomic.Int32
+// deafAfterOneRead wraps an inbound connection to go deaf after its
+// first read. Each connection trips on its own, so the deafness hits
+// every attach attempt, not just the first.
+func deafAfterOneRead(conn net.Conn) net.Conn {
+	fc := fault.NewConn(conn, 0)
+	fc.PartitionRecv(1)
+	return fc
 }
 
-func (f failSyncFS) Create(path string) (wal.File, error) {
-	file, err := f.FS.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return failSyncFile{File: file, fs: f}, nil
-}
-
-type failSyncFile struct {
-	wal.File
-	fs failSyncFS
-}
-
-func (f failSyncFile) Sync() error {
-	if int(f.fs.syncs.Add(1)) == f.fs.at {
-		return errors.New("injected one-shot fsync failure")
-	}
-	return f.File.Sync()
+// failSync is a WAL filesystem that fails the fsync numbered at, once,
+// counting in syncs from 1 across every file the member syncs: term
+// file, log segments and checkpoints alike. The disk is healthy before
+// and after.
+func failSync(at int32, syncs *atomic.Int32) *fault.FS {
+	return fault.NewFS(func(op fault.Op, _ string) error {
+		switch {
+		case op == fault.OpFreeSpace:
+			return errors.ErrUnsupported // no probe
+		case op == fault.OpSync && syncs.Add(1) == at:
+			return errors.New("injected one-shot fsync failure")
+		}
+		return nil
+	})
 }
 
 // TestChaosOneMemberSyncFailure: a one-member cluster — what
@@ -260,7 +241,7 @@ func TestChaosOneMemberSyncFailure(t *testing.T) {
 		cfg.Pipeline = nodeConfig(w, t.TempDir())
 		cfg.Pipeline.CheckpointEvery = -1
 		syncs := new(atomic.Int32)
-		cfg.Pipeline.WAL.FS = failSyncFS{FS: wal.OSFS{}, at: trial + 1, syncs: syncs}
+		cfg.Pipeline.WAL.FS = failSync(int32(trial+1), syncs)
 		m := c.start(cfg)
 
 		cl := c.client(int64(810 + trial))

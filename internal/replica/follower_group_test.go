@@ -135,12 +135,12 @@ func TestFollowerGroupDuplicatedFrames(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- fl.Serve(fside) }()
 	var acks atomic.Int64
-	inj := fault.New(99)
 	prim, pipe := leaderWith(t, w, 0, PrimaryConfig{})
-	if err := prim.AddFollower(inj.Conn(newAsyncConn(ackCountingConn{Conn: pside, acks: &acks}))); err != nil {
+	lossy := fault.NewConn(newAsyncConn(ackCountingConn{Conn: pside, acks: &acks}), 99)
+	if err := prim.AddFollower(lossy); err != nil {
 		t.Fatal(err)
 	}
-	inj.Arm(fault.NetDup, 1) // after the handshake: every record frame now goes out twice
+	lossy.Dup(1) // after the handshake: every record frame now goes out twice
 	for i := 0; i < 6; i += 3 {
 		run := w.Batches[i : i+3]
 		if out, err := prim.Ingest(pipe, encodeGroup(run), run, time.Time{}); err != nil || out != QuorumDurable {

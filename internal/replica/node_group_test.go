@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -19,28 +20,6 @@ import (
 	"github.com/tdgraph/tdgraph/internal/stream"
 	"github.com/tdgraph/tdgraph/internal/wal"
 )
-
-// countingFS counts the Writes and Syncs that reach WAL segment files.
-type countingFS struct {
-	wal.FS
-	writes, syncs atomic.Int64
-}
-
-func (c *countingFS) Create(path string) (wal.File, error) {
-	f, err := c.FS.Create(path)
-	if err != nil || !strings.HasSuffix(path, ".wal") {
-		return f, err
-	}
-	return countingFile{File: f, fs: c}, nil
-}
-
-type countingFile struct {
-	wal.File
-	fs *countingFS
-}
-
-func (f countingFile) Write(p []byte) (int, error) { f.fs.writes.Add(1); return f.File.Write(p) }
-func (f countingFile) Sync() error                 { f.fs.syncs.Add(1); return f.File.Sync() }
 
 // ackCountingConn counts the FrameAcks a leader reads from one follower.
 // Everything a follower sends on a replication session is a bare header,
@@ -92,7 +71,9 @@ func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 	clk := newManualClock()
 	fabric := newChaosNet()
 	addrs := []string{"a", "b", "c"}
-	fss := map[string]*countingFS{}
+	// The Writes and Syncs that reach each member's WAL segment files.
+	type segOps struct{ writes, syncs atomic.Int64 }
+	walOps := map[string]*segOps{}
 	dirs := map[string]string{}
 	nodes := map[string]*Node{}
 	var followerAcks atomic.Int64
@@ -103,11 +84,22 @@ func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 				peers = append(peers, p)
 			}
 		}
-		fss[addr], dirs[addr] = &countingFS{FS: wal.OSFS{}}, t.TempDir()
+		ops := new(segOps)
+		walOps[addr], dirs[addr] = ops, t.TempDir()
 		cfg := nodeConfig(w, dirs[addr])
 		cfg.CheckpointEvery = -1
 		cfg.WAL.SegmentBytes = 1 << 20 // one segment: the tailer below reads every record
-		cfg.WAL.FS = fss[addr]
+		cfg.WAL.FS = fault.NewFS(func(op fault.Op, path string) error {
+			switch {
+			case op == fault.OpFreeSpace:
+				return errors.ErrUnsupported // no probe
+			case op == fault.OpWrite && strings.HasSuffix(path, ".wal"):
+				ops.writes.Add(1)
+			case op == fault.OpSync && strings.HasSuffix(path, ".wal"):
+				ops.syncs.Add(1)
+			}
+			return nil
+		})
 		dial := fabric.dialerFor(addr)
 		n := newMember(t, fabric, clk, NodeConfig{
 			Addr: addr, Peers: peers, Pipeline: cfg, Seed: 42,
@@ -149,7 +141,7 @@ func TestNodeGroupCommitOneBarrierPerMember(t *testing.T) {
 	type counts struct{ writes, syncs, ingested, rounds uint64 }
 	read := func(addr string) counts {
 		col := nodes[addr].Follower().Pipeline().Collector()
-		return counts{uint64(fss[addr].writes.Load()), uint64(fss[addr].syncs.Load()),
+		return counts{uint64(walOps[addr].writes.Load()), uint64(walOps[addr].syncs.Load()),
 			col.Get(stats.CtrServeIngested), col.Get(stats.CtrServeRounds)}
 	}
 	before := map[string]counts{}
@@ -462,9 +454,9 @@ var groupScripts = []groupScript{
 		}},
 	{name: "busy: disk pressure", wantAcks: 0, wantLast: "reject", wantBusy: "!disk", wantSeq: 0,
 		pipeline: func(c *serve.PipelineConfig, _ serve.Clock) {
-			inj := fault.New(1)
-			inj.Arm(fault.LowSpace, 100) // the probe reads 100 bytes free, below the mark from the first admit on
-			c.WAL.FS, c.DiskLowWater = inj.FS(wal.OSFS{}), 600
+			fs := fault.NewFS(nil)
+			fs.LowSpace(100) // the probe reads 100 bytes free, below the mark from the first admit on
+			c.WAL.FS, c.DiskLowWater = fs, 600
 		},
 		frames: func(w *stream.Workload) [][]byte {
 			return [][]byte{submitFrame(w, 1, 0), submitFrame(w, 2, 0)}

@@ -31,11 +31,11 @@ func runDiskPressureTrial(t *testing.T, trial int) digest {
 	c := newCluster(t, w, newManualClock())
 	cfg := nodeConfig(w, t.TempDir())
 	cfg.CheckpointEvery = -1 // no retention credits: only AddDiskSpace frees
-	inj := fault.New(int64(40 + trial))
 	// Room for the election's term record and roughly half the
 	// workload's WAL records; the rest of the run hits ENOSPC.
-	inj.Arm(fault.NoSpace, 1500)
-	cfg.WAL.FS = inj.FS(wal.OSFS{})
+	fs := fault.NewFS(nil)
+	fs.NoSpace(1500)
+	cfg.WAL.FS = fs
 	n := c.start(NodeConfig{Addr: "solo", Pipeline: cfg, Seed: 42})
 	driveUntil(t, c.clk, "solo leadership", c.hasLeader)
 
@@ -98,7 +98,7 @@ func runDiskPressureTrial(t *testing.T, trial int) digest {
 
 	// An operator frees the volume: ingestion must resume on its own
 	// and the client must finish with every batch acked exactly once.
-	cfg.WAL.FS.(fault.DiskSpacer).AddDiskSpace(1 << 20)
+	fs.AddDiskSpace(1 << 20)
 	driveUntil(t, c.clk, "client completion after space freed", run.done)
 	if run.err != nil {
 		t.Fatalf("client did not survive the fill: %v", run.err)

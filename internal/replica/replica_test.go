@@ -445,8 +445,7 @@ func TestDuplicatedFramesReAcked(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- fl.Serve(fside) }()
 
-	inj := fault.New(99)
-	lossy := inj.Conn(newAsyncConn(pside))
+	lossy := fault.NewConn(newAsyncConn(pside), 99)
 
 	prim := NewPrimary(PrimaryConfig{Term: 1, ClusterSize: 2, WAL: pcfg.WAL, Collector: col})
 	if err := prim.AddFollower(lossy); err != nil {
@@ -454,7 +453,7 @@ func TestDuplicatedFramesReAcked(t *testing.T) {
 	}
 	// Arm after the handshake: from here every primary→follower frame
 	// is sent twice.
-	inj.Arm(fault.NetDup, 1)
+	lossy.Dup(1)
 	pipe, err := serve.NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +491,7 @@ func TestFollowerAckImpliesDurable(t *testing.T) {
 	for nth := int32(1); nth <= 3; nth++ {
 		pcfg, fcfg := nodeConfig(w, t.TempDir()), nodeConfig(w, t.TempDir())
 		syncs := new(atomic.Int32)
-		fcfg.WAL.FS = failSyncFS{FS: wal.OSFS{}, at: 1 << 20, syncs: syncs}
+		fcfg.WAL.FS = failSync(1<<20, syncs)
 		fl, err := NewFollower(FollowerConfig{Pipeline: fcfg})
 		if err != nil {
 			t.Fatal(err)

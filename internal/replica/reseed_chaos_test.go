@@ -168,7 +168,7 @@ func TestChaosReseedKillPrimaryMidTransfer(t *testing.T) {
 	trials(t, 3, runKillPrimaryMidTransferTrial)
 }
 
-// runKillFollowerMidInstallTrial crashes the *follower* (CrashFS fuse
+// runKillFollowerMidInstallTrial crashes the *follower* (fault.FS fuse
 // on its own disk) partway through receiving and installing the
 // snapshot — during the mark write, the partial's chunk fsyncs, or the
 // post-install ledger write, depending on the seeded fuse. The restart
@@ -180,7 +180,7 @@ func runKillFollowerMidInstallTrial(t *testing.T, trial int) digest {
 	w := testWorkload(t, 10)
 
 	adir := t.TempDir()
-	crashFS := fault.NewCrashFS()
+	crashFS := fault.NewFS(nil)
 	acfg := nodeConfig(w, adir)
 	acfg.WAL.FS = crashFS
 	fa, err := NewFollower(FollowerConfig{Pipeline: acfg})

@@ -12,7 +12,7 @@ import (
 
 // TestChaosKillRecover is the durability acceptance test: a pipeline
 // running with fsync-per-batch is killed at a seeded random byte offset
-// in its WAL write stream (CrashFS panics mid-write, exactly like
+// in its WAL write stream (fault.FS panics mid-write, exactly like
 // kill -9), the simulated page cache then loses a random amount of the
 // unsynced tail, and recovery — checkpoint restore into a fresh native
 // session, WAL replay, re-feed — must
@@ -58,7 +58,7 @@ func killRecoverTrials(t *testing.T, seedBase int64) {
 			// Checkpoint saves share the FS, so the crash is armed before
 			// the batch whose record holds byte armAt: a save never
 			// absorbs it (TestChaosKillInCheckpointSave kills inside one).
-			killAndRecover(t, w, want, pipelineConfig(t, w), rng, func(cfs *fault.CrashFS, i int) {
+			killAndRecover(t, w, want, pipelineConfig(t, w), rng, func(cfs *fault.FS, i int) {
 				rec := int64(16 + len(wal.EncodeBatch(w.Batches[i])))
 				if armAt >= 0 && armAt < rec {
 					cfs.ArmCrash(armAt)
@@ -69,15 +69,15 @@ func killRecoverTrials(t *testing.T, seedBase int64) {
 	}
 }
 
-// killAndRecover feeds w through a pipeline on a CrashFS, calling arm
+// killAndRecover feeds w through a pipeline on a fault.FS, calling arm
 // before each batch, until the armed crash fires (its panic value is
 // returned; nil if none fired). The page cache then loses a seeded part
 // of everything unsynced, and the pipeline reboots on the real disk: it
 // must keep every batch whose Ingest returned, invent none past the one
 // being written, and after re-feed land on want bit for bit.
-func killAndRecover(t *testing.T, w *stream.Workload, want []float64, cfg PipelineConfig, rng *rand.Rand, arm func(cfs *fault.CrashFS, i int)) (signal any, fed int, seq uint64, p2 *Pipeline) {
+func killAndRecover(t *testing.T, w *stream.Workload, want []float64, cfg PipelineConfig, rng *rand.Rand, arm func(cfs *fault.FS, i int)) (signal any, fed int, seq uint64, p2 *Pipeline) {
 	t.Helper()
-	cfs := fault.NewCrashFS()
+	cfs := fault.NewFS(nil)
 	cfg.WAL.FS = cfs
 	p, err := NewPipeline(cfg)
 	if err != nil {
@@ -173,7 +173,7 @@ func TestNativeEngineServerRestart(t *testing.T) {
 // the graph.
 func TestChaosTornBatchNeverReplayed(t *testing.T) {
 	w := testWorkload(t, 4)
-	cfs := fault.NewCrashFS()
+	cfs := fault.NewFS(nil)
 	cfg := pipelineConfig(t, w)
 	cfg.WAL.FS = cfs
 	cfg.CheckpointPath = "" // the default: generations beside the WAL, on the crashing FS
@@ -223,7 +223,7 @@ func TestChaosKillInCheckpointSave(t *testing.T) {
 	for _, into := range []int64{0, 9, 100} { // bytes into the checkpoint file
 		cfg := pipelineConfig(t, w)
 		cfg.CheckpointEvery = 2
-		signal, fed, seq, p2 := killAndRecover(t, w, want, cfg, rand.New(rand.NewSource(into)), func(cfs *fault.CrashFS, i int) {
+		signal, fed, seq, p2 := killAndRecover(t, w, want, cfg, rand.New(rand.NewSource(into)), func(cfs *fault.FS, i int) {
 			if i == 3 { // batch 4 checkpoints right after its record
 				cfs.ArmCrash(16 + int64(len(wal.EncodeBatch(w.Batches[i]))) + into)
 			}

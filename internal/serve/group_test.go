@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/tdgraph/tdgraph/internal/fault"
 	"github.com/tdgraph/tdgraph/internal/graph"
 	"github.com/tdgraph/tdgraph/internal/stats"
 	"github.com/tdgraph/tdgraph/internal/wal"
@@ -73,35 +75,6 @@ func TestPipelineGroupCheckpointsAtGroupBoundary(t *testing.T) {
 	}
 }
 
-// gateFS holds every segment-file Sync, while armed, until released,
-// announcing each.
-type gateFS struct {
-	wal.FS
-	armed            *atomic.Bool
-	entered, release chan struct{}
-}
-
-func (g gateFS) Create(path string) (wal.File, error) {
-	f, err := g.FS.Create(path)
-	if err != nil || !strings.HasSuffix(path, ".wal") {
-		return f, err
-	}
-	return gateFile{File: f, g: g}, nil
-}
-
-type gateFile struct {
-	wal.File
-	g gateFS
-}
-
-func (f gateFile) Sync() error {
-	if f.g.armed.Load() {
-		f.g.entered <- struct{}{}
-		<-f.g.release
-	}
-	return f.File.Sync()
-}
-
 // TestPipelineGroupSeqPublishedAfterBarrier: Seq() is what a probe or a
 // Welcome advertises, read concurrently with ingest. While a group's one
 // fsync is in flight none of its records may be visible there; once it
@@ -109,8 +82,20 @@ func (f gateFile) Sync() error {
 func TestPipelineGroupSeqPublishedAfterBarrier(t *testing.T) {
 	w := testWorkload(t, 5)
 	cfg := pipelineConfig(t, w)
-	gate := gateFS{FS: wal.OSFS{}, armed: new(atomic.Bool), entered: make(chan struct{}), release: make(chan struct{})}
-	cfg.WAL.FS = gate
+	// While armed, every segment-file Sync announces itself and waits to
+	// be released.
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	cfg.WAL.FS = fault.NewFS(func(op fault.Op, path string) error {
+		switch {
+		case op == fault.OpFreeSpace:
+			return errors.ErrUnsupported // no probe
+		case op == fault.OpSync && strings.HasSuffix(path, ".wal") && armed.Load():
+			entered <- struct{}{}
+			<-release
+		}
+		return nil
+	})
 	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,18 +104,18 @@ func TestPipelineGroupSeqPublishedAfterBarrier(t *testing.T) {
 	if err := p.Ingest(w.Batches[0]); err != nil {
 		t.Fatal(err)
 	}
-	gate.armed.Store(true)
+	armed.Store(true)
 	appended := make(chan error, 1)
 	go func() {
 		_, err := p.Append(encodeAll(w.Batches[1:]), time.Time{})
 		appended <- err
 	}()
-	<-gate.entered // all four records are in the file; their barrier is held
+	<-entered // all four records are in the file; their barrier is held
 	if got := p.Seq(); got != 1 {
 		t.Fatalf("Seq() read %d while the group's barrier was in flight, want the pre-group 1", got)
 	}
-	gate.armed.Store(false)
-	gate.release <- struct{}{}
+	armed.Store(false)
+	release <- struct{}{}
 	if err := <-appended; err != nil {
 		t.Fatal(err)
 	}

@@ -117,11 +117,11 @@ func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 	w := testWorkload(t, 6)
 	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
-	cfg.CheckpointPath = "" // retention can free nothing: pressure must hold
-
-	inj := fault.New(7)
-	inj.Arm(fault.LowSpace, 1600) // probe-only volume: 1600 bytes capacity
-	cfg.WAL.FS = inj.FS(wal.OSFS{})
+	// Retention frees nothing, so pressure must hold: the 4 MiB default
+	// segment never seals.
+	fs := fault.NewFS(nil)
+	fs.LowSpace(1600) // probe-only volume: 1600 bytes capacity
+	cfg.WAL.FS = fs
 	cfg.DiskLowWater = 600 // resumes at 1200
 
 	p, err := NewPipeline(cfg)
@@ -170,11 +170,7 @@ func TestPipelineDiskPressureReadOnlyAndResume(t *testing.T) {
 
 	// Free space (an operator clears the volume); ingest resumes and
 	// the run converges on the reference states with nothing lost.
-	spacer, ok := cfg.WAL.FS.(fault.DiskSpacer)
-	if !ok {
-		t.Fatal("fault FS lost the DiskSpacer seam")
-	}
-	spacer.AddDiskSpace(1 << 20)
+	fs.AddDiskSpace(1 << 20)
 	for ; next < len(w.Batches); next++ {
 		if err := p.Ingest(w.Batches[next]); err != nil {
 			t.Fatalf("batch %d after space freed: %v", next, err)
@@ -203,9 +199,9 @@ func TestPipelineDiskPressureKeepsLogWithoutGeneration(t *testing.T) {
 	cfg := pipelineConfig(t, w)
 	cfg.CheckpointEvery = -1
 	cfg.WAL.SegmentBytes = 64 // one sealed segment per record
-	inj := fault.New(7)
-	inj.Arm(fault.LowSpace, 1600)
-	cfg.WAL.FS = inj.FS(wal.OSFS{})
+	fs := fault.NewFS(nil)
+	fs.LowSpace(1600)
+	cfg.WAL.FS = fs
 	cfg.DiskLowWater = 600
 
 	p, err := NewPipeline(cfg)
@@ -247,11 +243,11 @@ func TestPipelineENOSPCAppendDegradesNotPoisons(t *testing.T) {
 	w := testWorkload(t, 6)
 	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
-	cfg.CheckpointPath = ""
-
-	inj := fault.New(7)
-	inj.Arm(fault.NoSpace, 900) // writes beyond 900 bytes fail ENOSPC
-	cfg.WAL.FS = inj.FS(wal.OSFS{})
+	// Retention frees nothing, so only AddDiskSpace makes room: the
+	// 4 MiB default segment never seals.
+	fs := fault.NewFS(nil)
+	fs.NoSpace(900) // writes beyond 900 bytes fail ENOSPC
+	cfg.WAL.FS = fs
 
 	p, err := NewPipeline(cfg)
 	if err != nil {
@@ -286,7 +282,7 @@ func TestPipelineENOSPCAppendDegradesNotPoisons(t *testing.T) {
 
 	// Space frees; the same batch (same sequence) goes through, pure
 	// ENOSPC mode exits read-only on the first fitting write.
-	cfg.WAL.FS.(fault.DiskSpacer).AddDiskSpace(1 << 20)
+	fs.AddDiskSpace(1 << 20)
 	for ; next < len(w.Batches); next++ {
 		if err := p.Ingest(w.Batches[next]); err != nil {
 			t.Fatalf("batch %d after space freed: %v", next, err)
@@ -304,34 +300,6 @@ func TestPipelineENOSPCAppendDegradesNotPoisons(t *testing.T) {
 	}
 }
 
-// enospcSyncFS fails wal File.Sync with ENOSPC while *failures > 0 —
-// the checkpoint barrier hitting a full volume.
-type enospcSyncFS struct {
-	wal.FS
-	failures *int
-}
-
-func (f enospcSyncFS) Create(path string) (wal.File, error) {
-	file, err := f.FS.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &enospcSyncFile{File: file, failures: f.failures}, nil
-}
-
-type enospcSyncFile struct {
-	wal.File
-	failures *int
-}
-
-func (f *enospcSyncFile) Sync() error {
-	if *f.failures > 0 {
-		*f.failures--
-		return fmt.Errorf("sync: %w", syscall.ENOSPC)
-	}
-	return f.File.Sync()
-}
-
 // TestPipelineCheckpointENOSPCAbsorbed: a checkpoint that cannot be
 // cut for lack of space must not fail the batch — it is already
 // durable and applied — and the checkpoint is retried on the next
@@ -340,8 +308,19 @@ func TestPipelineCheckpointENOSPCAbsorbed(t *testing.T) {
 	w := testWorkload(t, 4)
 	cfg := pipelineConfig(t, w)
 	cfg.WAL.Sync = wal.SyncNone // only Checkpoint's explicit barrier syncs
+	// failures Syncs fail with ENOSPC: the checkpoint barrier hitting a
+	// full volume.
 	failures := 0
-	cfg.WAL.FS = enospcSyncFS{FS: wal.OSFS{}, failures: &failures}
+	cfg.WAL.FS = fault.NewFS(func(op fault.Op, _ string) error {
+		switch {
+		case op == fault.OpFreeSpace:
+			return errors.ErrUnsupported // no probe
+		case op == fault.OpSync && failures > 0:
+			failures--
+			return fmt.Errorf("sync: %w", syscall.ENOSPC)
+		}
+		return nil
+	})
 	cfg.CheckpointEvery = 3
 
 	p, err := NewPipeline(cfg)

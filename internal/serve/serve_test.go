@@ -176,9 +176,9 @@ func TestPipelineRecoversFromWALOnly(t *testing.T) {
 func TestPipelineWALFaultIsNonDurable(t *testing.T) {
 	w := testWorkload(t, 2)
 	cfg := pipelineConfig(t, w)
-	in := fault.New(3)
-	in.Arm(fault.WALTorn, 40)
-	cfg.WAL.FS = in.FS(wal.OSFS{})
+	fs := fault.NewFS(nil)
+	fs.ArmTear(40)
+	cfg.WAL.FS = fs
 
 	p, err := NewPipeline(cfg)
 	if err != nil {
@@ -203,34 +203,6 @@ func TestPipelineWALFaultIsNonDurable(t *testing.T) {
 	}
 }
 
-// syncFailFS fails a WAL segment's Sync while *failures > 0 — a
-// transient fsync error on the WAL's post-write path.
-type syncFailFS struct {
-	wal.FS
-	failures *int
-}
-
-func (f syncFailFS) Create(path string) (wal.File, error) {
-	file, err := f.FS.Create(path)
-	if err != nil || !strings.HasSuffix(path, ".wal") {
-		return file, err
-	}
-	return &syncFailFile{File: file, failures: f.failures}, nil
-}
-
-type syncFailFile struct {
-	wal.File
-	failures *int
-}
-
-func (f *syncFailFile) Sync() error {
-	if *f.failures > 0 {
-		*f.failures--
-		return errors.New("injected fsync failure")
-	}
-	return f.File.Sync()
-}
-
 // TestPipelineSyncFailureNotReSent: a post-append fsync failure is the
 // "wal-sync" stage and counts as durable-class — the record is in the
 // log file, so recovery resurrects the batch and re-sending it would
@@ -240,8 +212,18 @@ func TestPipelineSyncFailureNotReSent(t *testing.T) {
 	w := testWorkload(t, 5)
 	want := referenceStates(w)
 	cfg := pipelineConfig(t, w)
+	// failures WAL segment Syncs fail: a transient fsync error.
 	failures := 0
-	cfg.WAL.FS = syncFailFS{FS: wal.OSFS{}, failures: &failures}
+	cfg.WAL.FS = fault.NewFS(func(op fault.Op, path string) error {
+		switch {
+		case op == fault.OpFreeSpace:
+			return errors.ErrUnsupported // no probe
+		case op == fault.OpSync && strings.HasSuffix(path, ".wal") && failures > 0:
+			failures--
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	})
 
 	p, err := NewPipeline(cfg)
 	if err != nil {

@@ -40,7 +40,10 @@ func TestSaveFileSyncsParentDirectory(t *testing.T) {
 	path := filepath.Join(dir, "ckpt.tds")
 
 	var calls []string
-	fs := hookFS{syncDir: func(d string) error {
+	fs := fault.NewFS(func(op fault.Op, d string) error {
+		if op != fault.OpSyncDir {
+			return nil
+		}
 		// The rename must already be durable-ordered before the dir sync:
 		// path exists at the moment the hook runs.
 		if _, err := os.Stat(path); err != nil {
@@ -48,7 +51,7 @@ func TestSaveFileSyncsParentDirectory(t *testing.T) {
 		}
 		calls = append(calls, d)
 		return nil
-	}}
+	})
 
 	if err := wal.ReplaceFile(fs, path, s.Save); err != nil {
 		t.Fatal(err)
@@ -66,7 +69,12 @@ func TestSaveFileDirSyncFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
 
 	boom := errors.New("directory sync failed")
-	fs := hookFS{syncDir: func(string) error { return boom }}
+	fs := fault.NewFS(func(op fault.Op, _ string) error {
+		if op == fault.OpSyncDir {
+			return boom
+		}
+		return nil
+	})
 
 	err := wal.ReplaceFile(fs, filepath.Join(dir, "ckpt.tds"), s.Save)
 	if !errors.Is(err, boom) || err == boom {
@@ -149,9 +157,7 @@ func TestStateMirrorBuiltOnFirstRead(t *testing.T) {
 // TestStoreWriteBinaryMatchesSeal owns that writer's bytes.)
 func TestSaveFailureKeepsPreviousGeneration(t *testing.T) {
 	failAfter := func(n int) func(io.Writer) io.Writer {
-		in := fault.New(1)
-		in.Arm(fault.WriteErr, float64(n))
-		return in.Writer
+		return func(w io.Writer) io.Writer { return fault.Writer(w, int64(n)) }
 	}
 	for name, tc := range map[string]struct {
 		wrap func(io.Writer) io.Writer

@@ -257,10 +257,8 @@ func TestSaveStreamFailureSweep(t *testing.T) {
 		if cut >= clean.Len() { // the file's last byte and beyond: nothing left to fail
 			continue
 		}
-		in := fault.New(1)
-		in.Arm(fault.WriteErr, float64(cut))
 		var got bytes.Buffer
-		if err := s.Save(in.Writer(&got)); !errors.Is(err, fault.ErrInjected) {
+		if err := s.Save(fault.Writer(&got, int64(cut))); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("write failing after %d bytes: Save = %v, want the injected error", cut, err)
 		}
 		if !bytes.Equal(got.Bytes(), clean.Bytes()[:cut]) {
@@ -272,10 +270,8 @@ func TestSaveStreamFailureSweep(t *testing.T) {
 		}
 	}
 	// The whole file fits: the same wrappers are transparent.
-	in := fault.New(1)
-	in.Arm(fault.WriteErr, float64(clean.Len()))
 	var got bytes.Buffer
-	if err := s.Save(in.Writer(&got)); err != nil || !bytes.Equal(got.Bytes(), clean.Bytes()) {
+	if err := s.Save(fault.Writer(&got, int64(clean.Len()))); err != nil || !bytes.Equal(got.Bytes(), clean.Bytes()) {
 		t.Fatalf("budget of exactly the file's length: Save = %v, %d of %d bytes", err, got.Len(), clean.Len())
 	}
 }
